@@ -97,7 +97,7 @@ func (w *World) batchShardOf(group []dataset.UserID) int {
 // and each duplicate bumps MuxStats.Shared. Unlike the request-level
 // multiplexer this dedup is deterministic, not a race on timing: the
 // duplicate never starts a run even if the representative already
-// finished. Config.DisableRunSharing turns it off along with the mux.
+// finished.
 //
 // Scheduling is shard-aware: requests are bucketed by the shard
 // holding their group's state (World.ShardOf), each worker owns a
@@ -142,12 +142,8 @@ func (w *World) RecommendBatchContext(ctx context.Context, reqs []Request) []Res
 	// multiplexer: the representative runs the direct (unshared) loop,
 	// so a batch of distinct requests pays no mux bookkeeping at all.
 	var shareMu sync.Mutex
-	var shares map[string]*batchRunShare
-	var shareSlab []batchRunShare // one allocation backs every entry
-	if w.mux != nil {
-		shares = make(map[string]*batchRunShare, len(reqs))
-		shareSlab = make([]batchRunShare, len(reqs))
-	}
+	shares := make(map[string]*batchRunShare, len(reqs))
+	shareSlab := make([]batchRunShare, len(reqs)) // one allocation backs every entry
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(reqs) {
@@ -207,7 +203,7 @@ func (w *World) RecommendBatchContext(ctx context.Context, reqs []Request) []Res
 				}
 				var rec *Recommendation
 				var err error
-				if filled && shares != nil {
+				if filled {
 					// The key reuses the worker's scratch buffer —
 					// candidatesFor is done with it — so only the first
 					// insert of each distinct key allocates.

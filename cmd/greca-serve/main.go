@@ -55,15 +55,21 @@
 // and on live replicas) with missed fanout deliveries counted in
 // /v1/stats and the lagging worker fenced from serving.
 //
-// -remote-viewcache keeps up to N fetched member views warm on the
-// router, fenced by the global apply sequence: each ingested rating's
-// scoped-invalidation verdict (relayed in the workers' apply acks)
-// drops or patches exactly the cached views it could have touched, so
-// a warm hit serves bytes identical to a fresh fetch. Off by default
-// (0); only meaningful with -shards-config.
+// Router and workers speak one protocol version and must be deployed
+// from the same build; a worker from another build is refused at the
+// handshake.
 //
-// Endpoints (API v1; the unversioned routes are compatibility
-// aliases):
+// -remote-viewcache lets the router's sorted-list store retain up to N
+// views fetched from workers. It is the same store the in-process
+// world uses, fetching instead of building: each ingested rating's
+// scoped-invalidation verdict (relayed in the workers' apply acks)
+// drops or patches exactly the retained views it could have touched,
+// and a fetch still in flight when the sweep passes is never retained,
+// so a warm hit serves bytes identical to a fresh fetch. 0 (the
+// default) retains nothing — every assembly fetches; only meaningful
+// with -shards-config.
+//
+// Endpoints (API v1 — the only prefix; unversioned paths answer 404):
 //
 //	POST /v1/recommend         {"group":[1,5,9],"k":10,"num_items":3900,
 //	                            "consensus":"AP","model":"discrete","period":0,
@@ -156,7 +162,7 @@ func main() {
 		listStore  = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
 		shards     = flag.Int("shards", 1, "user-range shard count (must be positive; 1 = unsharded)")
 		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = in-process shards)")
-		viewCache  = flag.Int("remote-viewcache", 0, "router-side remote view cache capacity in views (0 = disabled; only meaningful with -shards-config)")
+		viewCache  = flag.Int("remote-viewcache", 0, "views fetched from workers the router's list store retains (0 = none, every assembly fetches; only meaningful with -shards-config)")
 		workers    = flag.Int("workers", 0, "assembly workers per request (0 = GOMAXPROCS)")
 		recheck    = flag.Int("recheck-workers", 0, "scoped-invalidation recheck pool size (0 = min(4, GOMAXPROCS); negative = serial)")
 		snapshot   = flag.String("snapshot", "", "persistence directory: warm-restart snapshot + rating WAL (empty = no persistence)")

@@ -86,8 +86,8 @@ func (w *World) RecommendContext(ctx context.Context, group []dataset.UserID, op
 // other; the terminal Done frame is not emitted, since the run never
 // terminates exactly.
 //
-// Unless Config.DisableRunSharing is set, identical concurrent calls —
-// same group order, same run-shaping options — ride one shared
+// Identical concurrent calls — same group order, same run-shaping
+// options — ride one shared
 // core.Runner through the multiplexer: each caller keeps its own
 // ProgressEvery thinning, Epsilon policy, and cancellation (the run
 // stops only when its last subscriber detaches), and settles with
@@ -96,9 +96,6 @@ func (w *World) RecommendContext(ctx context.Context, group []dataset.UserID, op
 // the call's return happens after all its fn invocations, so
 // single-caller code needs no synchronization.
 func (w *World) RecommendStream(ctx context.Context, group []dataset.UserID, opt Options, fn func(Progress) bool) (*Recommendation, error) {
-	if w.mux == nil {
-		return w.recommendStreamDirect(ctx, group, opt, fn)
-	}
 	if err := opt.fill(); err != nil {
 		return nil, err
 	}
@@ -108,8 +105,9 @@ func (w *World) RecommendStream(ctx context.Context, group []dataset.UserID, opt
 }
 
 // recommendStreamDirect is the unshared driver loop: one caller, one
-// problem, one runner. The multiplexer's drive loop replicates this
-// ordering exactly; differential tests pin the two together.
+// problem, one runner — what a batch runs for each of its deduplicated
+// requests. The multiplexer's drive loop replicates this ordering
+// exactly; differential tests pin the two together.
 func (w *World) recommendStreamDirect(ctx context.Context, group []dataset.UserID, opt Options, fn func(Progress) bool) (*Recommendation, error) {
 	prob, items, period, release, err := w.buildProblem(group, &opt)
 	if err != nil {

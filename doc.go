@@ -69,13 +69,13 @@
 //     answers 504, and the survivors keep serving.
 //   - internal/server (exposed as cmd/greca-serve) serves live HTTP
 //     traffic on a versioned surface (/v1/recommend, /v1/recommend/
-//     batch, /v1/recommend/stream; legacy routes aliased) by
+//     batch, /v1/recommend/stream; /v1 is the only prefix) by
 //     coalescing concurrent single-group requests into RecommendBatch
 //     windows under a latency budget — per-request max_wait_ms caps a
 //     caller's delay, -maxpending sheds overload with 429s — with the
 //     stream route emitting SSE progress frames, machine-readable
 //     error codes on every 4xx, cache/coalescer/stream counters
-//     (World.CacheStats) on /stats, and graceful drain on shutdown.
+//     (World.CacheStats) on /v1/stats, and graceful drain on shutdown.
 //
 // A minimal session:
 //

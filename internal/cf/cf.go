@@ -45,6 +45,16 @@ type userShard struct {
 	// list to release u's entries in the reverse index, keeping the
 	// index exactly the dependencies of what is cached.
 	coraters map[dataset.UserID][]dataset.UserID
+	// filling counts the neighborhood fills in flight per user, and
+	// fenced lists the users whose fill lost its install to the epoch
+	// fence since the last ingest looked. The fence keeps a fill that
+	// straddles an ingest out of the cache, but the fill's caller still
+	// predicts from the pre-ingest neighborhood it is handed: an ingest
+	// reports both sets stale (staleFills), so whatever was built on top
+	// — a prediction row, a sorted view — drops with the rating's other
+	// dependents instead of being retained as untouched.
+	filling map[dataset.UserID]int
+	fenced  []dataset.UserID
 }
 
 // depIndex is the reverse dependency index of the neighborhood cache:
@@ -239,6 +249,7 @@ func newPredictorPart() *predictorPart {
 		p.shards[i].neighbors = make(map[dataset.UserID][]Neighbor)
 		p.shards[i].norms = make(map[dataset.UserID]float64)
 		p.shards[i].coraters = make(map[dataset.UserID][]dataset.UserID)
+		p.shards[i].filling = make(map[dataset.UserID]int)
 	}
 	return p
 }
@@ -370,6 +381,13 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 	}
 	pp.counters.miss()
 
+	// Announce the fill before reading the epoch: an ingest that bumps
+	// the epoch after this read then finds the fill announced, or
+	// finished — installed (and rechecked like any cached entry) or
+	// fenced (and listed).
+	sh.mu.Lock()
+	sh.filling[u]++
+	sh.mu.Unlock()
 	epoch := pp.epoch.Load()
 	all := make([]Neighbor, 0, 64)
 	coraters := make([]dataset.UserID, 0, 64)
@@ -394,7 +412,15 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 	if len(all) > p.k {
 		all = all[:p.k]
 	}
-	ns = append([]Neighbor(nil), all...)
+	return p.finishFill(u, append([]Neighbor(nil), all...), coraters, epoch)
+}
+
+// finishFill ends a fill of u's neighborhood begun at epoch: it
+// installs ns unless an ingest or a concurrent fill got there first,
+// and returns the neighborhood to serve.
+func (p *Predictor) finishFill(u dataset.UserID, ns []Neighbor, coraters []dataset.UserID, epoch uint64) []Neighbor {
+	pp := p.part(u)
+	sh := &pp.shards[shardIndex(uint64(u))]
 	// Dependency edges go in BEFORE the neighborhood becomes visible:
 	// an ingest that lands between the two steps then sees the edges
 	// (and at worst rechecks a neighborhood that is not installed yet),
@@ -412,6 +438,11 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 		sh.neighbors[u] = ns
 		sh.coraters[u] = coraters
 		installed = true
+	} else {
+		sh.fenced = append(sh.fenced, u)
+	}
+	if sh.filling[u]--; sh.filling[u] == 0 {
+		delete(sh.filling, u)
 	}
 	sh.mu.Unlock()
 	if !installed {

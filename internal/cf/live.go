@@ -45,9 +45,9 @@ import (
 // their scoped sweeps agree with the predictor's about who is
 // affected.
 type IngestScope struct {
-	// Stale holds the rater and every cached user whose neighborhood
-	// was dropped — the users whose cached rows and views must drop
-	// too.
+	// Stale holds the rater, every cached user whose neighborhood was
+	// dropped, and every user with a neighborhood fill straddling the
+	// ingest — the users whose cached rows and views must drop too.
 	Stale map[dataset.UserID]struct{}
 	// Retained and Dropped count cached neighborhoods kept vs dropped
 	// by this ingest (Dropped includes the rater's own, when cached).
@@ -64,7 +64,8 @@ type IngestScope struct {
 //
 //   - the fallback means are recomputed and swapped (they shift on
 //     every ingest), and every part epoch is bumped so in-flight fills
-//     of pre-ingest state never install;
+//     of pre-ingest state never install — their users are reported
+//     stale, since the fills' callers still predict from them;
 //   - u's own neighborhood and norm are dropped (all of u's
 //     similarities changed);
 //   - every dependent v — reverse-index entries for u plus the raters
@@ -80,11 +81,11 @@ type IngestScope struct {
 func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *IngestScope {
 	// Order matters: swap means first, then bump epochs, then drop.
 	// Any fill that read the old means started before the bump and is
-	// fenced; fills starting after the bump see the new means.
+	// fenced; fills starting after the bump see the new means — and
+	// the rater's post-ingest norm, which every sim(v, u) from here on,
+	// the rechecks' below included, recomputes fresh.
 	p.means.Store(computePredictorMeans(p.store))
-	for _, pp := range p.parts {
-		pp.epoch.Add(1)
-	}
+	p.bumpEpochs(u)
 	sizes := make([]int, len(p.parts))
 	for pi, pp := range p.parts {
 		sizes[pi] = pp.cachedNeighborhoods()
@@ -92,11 +93,11 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 	dropped := make([]int, len(p.parts))
 
 	scope := &IngestScope{Stale: map[dataset.UserID]struct{}{u: {}}}
-	// The rater's own state always drops: the norm (one new squared
-	// term) and the neighborhood (every sim of u changed). Dropping
-	// the norm before any recheck matters — sim(v, u) below must read
-	// u's post-ingest norm, recomputed fresh at the new epoch.
-	p.dropNorm(u)
+	for _, pp := range p.parts {
+		pp.staleFills(scope.Stale)
+	}
+	// The rater's own neighborhood always drops: every sim of u
+	// changed.
 	if p.dropNeighborhood(u) {
 		dropped[p.sm.Of(int64(u))]++
 	}
@@ -155,6 +156,27 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 		scope.Retained += sizes[pi] - dropped[pi]
 	}
 	return scope
+}
+
+// staleFills adds to stale the users whose neighborhood fill straddles
+// the epoch bump just made: the fills still in flight, and the ones the
+// fence has turned away since the last ingest asked. Their callers hold
+// a pre-ingest neighborhood no recheck will ever see. A fill that began
+// after the bump is listed too if it is still running; that costs one
+// spurious drop and is never wrong.
+func (pp *predictorPart) staleFills(stale map[dataset.UserID]struct{}) {
+	for i := range pp.shards {
+		sh := &pp.shards[i]
+		sh.mu.Lock()
+		for v := range sh.filling {
+			stale[v] = struct{}{}
+		}
+		for _, v := range sh.fenced {
+			stale[v] = struct{}{}
+		}
+		sh.fenced = nil
+		sh.mu.Unlock()
+	}
 }
 
 // recheckCandidates verifies every candidate's cached neighborhood
@@ -289,11 +311,17 @@ func (p *Predictor) dropNeighborhood(v dataset.UserID) bool {
 	return ok
 }
 
-// dropNorm forgets u's cached vector norm (one new rating always
-// changes it).
-func (p *Predictor) dropNorm(u dataset.UserID) {
+// bumpEpochs fences every fill in flight and forgets the rater u's
+// cached vector norm (one new rating always changes it), both under
+// one hold of the norm's lock: a fill that begins after the bump will
+// install what it computes, so no sim it takes may still find the
+// pre-ingest norm cached.
+func (p *Predictor) bumpEpochs(u dataset.UserID) {
 	sh := &p.part(u).shards[shardIndex(uint64(u))]
 	sh.mu.Lock()
+	for _, pp := range p.parts {
+		pp.epoch.Add(1)
+	}
 	delete(sh.norms, u)
 	sh.mu.Unlock()
 }
@@ -321,9 +349,7 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 	// Any fill that read the old means started before the bump and is
 	// fenced; fills starting after the bump see the new means.
 	p.means.Store(computePredictorMeans(p.store))
-	for _, pp := range p.parts {
-		pp.epoch.Add(1)
-	}
+	p.bumpEpochs(u)
 	for _, pp := range p.parts {
 		cleared := 0
 		for i := range pp.shards {
@@ -336,6 +362,7 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 			if len(sh.coraters) > 0 {
 				sh.coraters = make(map[dataset.UserID][]dataset.UserID)
 			}
+			sh.fenced = nil // nobody is told who is stale here: everything drops
 			sh.mu.Unlock()
 		}
 		pp.counters.invalidate(cleared)
@@ -344,7 +371,6 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 	p.restoredMu.Lock()
 	p.restored = nil
 	p.restoredMu.Unlock()
-	p.dropNorm(u)
 }
 
 // NoteIngestScoped makes the item predictor coherent with a rating

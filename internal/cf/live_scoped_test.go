@@ -126,6 +126,68 @@ func TestNoteIngestScopedDropsNewlyEnteringRater(t *testing.T) {
 	}
 }
 
+// TestNoteIngestScopedReportsStraddlingFills pins the half of the epoch
+// fence that faces the fill's caller: a neighborhood fill in flight
+// when a rating lands is kept out of the cache, but whoever asked for
+// it still predicts from the pre-ingest neighborhood it returns, and no
+// recheck ever sees that neighborhood. The ingest must therefore report
+// the user stale — while the fill runs, and, for a fill the fence turned
+// away before an ingest got to ask, at the next ingest.
+func TestNoteIngestScopedReportsStraddlingFills(t *testing.T) {
+	s := scopedStore(t)
+	p, err := NewPredictor(s, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// u3 shares no item with the rater u0: cached, its neighborhood is
+	// retained without a recheck. Here its fill is in flight instead,
+	// begun the way Neighbors begins one, before the rating lands.
+	pp := p.part(3)
+	sh := &pp.shards[shardIndex(3)]
+	sh.mu.Lock()
+	sh.filling[3]++
+	sh.mu.Unlock()
+	epoch := pp.epoch.Load()
+	preIngest := []Neighbor{{User: 4, Sim: 1}}
+
+	applyRating(t, s, 0, 3, 5)
+	if scope := p.NoteIngestScoped(0, 3); !hasUser(scope.Stale, 3) {
+		t.Errorf("Stale = %v lacks user 3, whose fill straddles the ingest", scope.Stale)
+	}
+
+	// The fill ends after the ingest: its caller gets what it computed,
+	// the cache does not.
+	if got := p.finishFill(3, preIngest, []dataset.UserID{4}, epoch); !reflect.DeepEqual(got, preIngest) {
+		t.Errorf("fenced fill returned %v, want its own %v", got, preIngest)
+	}
+	if st := p.Stats(); st.Size != 0 {
+		t.Errorf("fenced fill was cached: %d resident neighborhoods", st.Size)
+	}
+	sh.mu.RLock()
+	inFlight := len(sh.filling)
+	sh.mu.RUnlock()
+	if inFlight != 0 {
+		t.Errorf("%d fills still announced after the only one ended", inFlight)
+	}
+
+	// Fenced with no ingest looking (in production: between an ingest's
+	// epoch bump and its look at the fills), it is reported by the next
+	// ingest — once.
+	applyRating(t, s, 0, 4, 2)
+	if scope := p.NoteIngestScoped(0, 4); !hasUser(scope.Stale, 3) {
+		t.Errorf("Stale = %v lacks user 3, fenced since the last ingest", scope.Stale)
+	}
+	applyRating(t, s, 0, 5, 2)
+	if scope := p.NoteIngestScoped(0, 5); hasUser(scope.Stale, 3) {
+		t.Errorf("Stale = %v still reports user 3, whose fenced fill was already reported", scope.Stale)
+	}
+}
+
+func hasUser(set map[dataset.UserID]struct{}, u dataset.UserID) bool {
+	_, ok := set[u]
+	return ok
+}
+
 // TestNoteIngestScopedRetainsWhenRaterDoesNotRank pins the recheck's
 // retain verdict: a dependent whose top-k is full of strictly better
 // similarities keeps its neighborhood even though the rater's

@@ -10,7 +10,6 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -18,12 +17,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/liststore"
-	"repro/internal/shard"
 )
 
 // Assembler fills preference matrices from a cf.Source. It is
-// immutable after New (and AttachListStore / AttachShards) and safe
-// for concurrent use; a single Assembler is meant to be shared by all
+// immutable after New (and AttachListStore / AttachRows) and safe for
+// concurrent use; a single Assembler is meant to be shared by all
 // traffic against one World.
 type Assembler struct {
 	src     cf.Source
@@ -31,41 +29,21 @@ type Assembler struct {
 	workers int
 	rows    sync.Pool // *[]float64, capacity grows to the largest row seen
 	// lists is the optional sorted-list store; nil disables the
-	// view-served path.
+	// view-served path. Where its views come from — built in place or
+	// fetched from shard workers — is the store's builder's business.
 	lists *liststore.Store
-	// sm is the world's user-range partitioning. The assembler routes
-	// each member's view acquisition through it (mixed-shard groups
-	// resolve each member against its own shard's sub-store, so
-	// assembly never takes a cross-shard lock) and interleaves the
-	// fill order across shards so concurrent workers start on distinct
-	// shards instead of convoying on one sub-store's mutex.
-	sm shard.Map
-	// remote, when attached, replaces the per-user data-plane reads
-	// (view scores, batch predictions) with fetches from the shard
-	// workers that own the users' hot state; the local lists store then
-	// only supplies the global pool mapping. Workers are full replicas
-	// built from the identical configuration, so every fetched value is
-	// bit-identical to what the local path would compute.
-	remote RemotePlane
+	// fillRows is the row seam every prediction outside a view goes
+	// through (dense rows, patch sets): in-process predictions by
+	// default, a batched worker fetch once AttachRows swaps it.
+	fillRows RowFiller
 }
 
-// RemotePlane is the multi-process data plane the assembler hands
-// whole-group reads to when shards live in worker processes. The
-// assembler passes the full member list; the plane buckets members by
-// owning worker and pays one RPC per worker per call (serving cached
-// views without any RPC at all), so a g-member group costs O(workers)
-// round trips instead of O(members). Implementations must be safe for
-// concurrent use and return the transport's typed sentinels on
-// failure (the assembler propagates them verbatim).
-type RemotePlane interface {
-	// ViewsMulti returns each member's materialized view in member
-	// order (dense pool-order scores plus the canonical sorted side,
-	// score length = pool size).
-	ViewsMulti(users []dataset.UserID) ([]*liststore.View, error)
-	// PredictBatchMulti returns each member's raw (1..5 scale)
-	// predictions for one shared item list, in member order.
-	PredictBatchMulti(users []dataset.UserID, items []dataset.ItemID) ([][]float64, error)
-}
+// RowFiller fills dst[i] (len(items) long) with users[i]'s raw (1..5
+// scale) predictions for items. Implementations must be safe for
+// concurrent use; an error fails the whole assembly and is propagated
+// verbatim (the distributed filler returns the transport's typed
+// sentinels).
+type RowFiller func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error
 
 // New builds an Assembler over src with the given per-call worker
 // bound (GOMAXPROCS if workers <= 0). workers = 1 forces sequential
@@ -74,10 +52,25 @@ func New(src cf.Source, workers int) *Assembler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	a := &Assembler{src: src, workers: workers, sm: shard.Single}
+	a := &Assembler{src: src, workers: workers}
 	a.into, _ = src.(cf.BatchInto)
+	a.fillRows = a.localRows
 	a.rows.New = func() any { s := make([]float64, 0); return &s }
 	return a
+}
+
+// localRows is the in-process RowFiller: one member per task over the
+// assembler's workers, each resolving that member's neighborhood
+// exactly once via the source's batch path (in place when it has one).
+func (a *Assembler) localRows(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
+	a.forEachMember(len(users), func(ui int) {
+		if a.into != nil {
+			a.into.PredictBatchInto(users[ui], items, dst[ui])
+		} else {
+			copy(dst[ui], a.src.PredictBatch(users[ui], items))
+		}
+	})
+	return nil
 }
 
 // AttachListStore wires the sorted-list store into the assembler,
@@ -85,14 +78,12 @@ func New(src cf.Source, workers int) *Assembler {
 // traffic (it is not synchronized).
 func (a *Assembler) AttachListStore(lists *liststore.Store) { a.lists = lists }
 
-// AttachShards installs the world's shard map (nil reverts to the
-// 1-way layout). Call before the assembler starts serving traffic.
-func (a *Assembler) AttachShards(m shard.Map) { a.sm = shard.Normalize(m) }
-
-// AttachRemote routes the per-user data-plane reads through remote
-// shard workers (nil reverts to in-process reads). Call before the
-// assembler starts serving traffic.
-func (a *Assembler) AttachRemote(rp RemotePlane) { a.remote = rp }
+// AttachRows replaces the row seam (the distributed world routes it to
+// the shard workers owning the users' hot state; workers are full
+// replicas built from the identical configuration, so every fetched
+// value is bit-identical to what the local path would compute). Call
+// before the assembler starts serving traffic.
+func (a *Assembler) AttachRows(fill RowFiller) { a.fillRows = fill }
 
 // ListStore returns the attached sorted-list store, or nil.
 func (a *Assembler) ListStore() *liststore.Store { return a.lists }
@@ -104,10 +95,8 @@ func (a *Assembler) Workers() int { return a.workers }
 func (a *Assembler) Source() cf.Source { return a.src }
 
 // AprefRows returns the g×m matrix of predicted ratings divided by
-// divisor (the engine passes 5 to map the 1..5 scale onto [0,1]).
-// Rows are filled concurrently, one member per task, over at most
-// min(workers, g) goroutines; each fill resolves that member's
-// neighborhood exactly once via the source's batch path.
+// divisor (the engine passes 5 to map the 1..5 scale onto [0,1]),
+// filled through the row seam.
 //
 // Row buffers come from an internal pool. Callers that drop the matrix
 // after a bounded lifetime (run the problem, copy the result out)
@@ -115,62 +104,38 @@ func (a *Assembler) Source() cf.Source { return a.src }
 // beyond their control must simply not Release it, and the pool
 // re-allocates.
 //
-// The error is always nil for in-process reads; with a remote plane
-// attached, the whole group's predictions come back from one batched
-// scatter (one RPC per owning worker), and a worker that cannot serve
-// fails the whole assembly with the transport's typed error before
-// any row is filled.
+// The error is always nil for in-process reads; a worker that cannot
+// serve fails the whole assembly with the transport's typed error.
 func (a *Assembler) AprefRows(group []dataset.UserID, items []dataset.ItemID, divisor float64) ([][]float64, error) {
-	g := len(group)
-	out := make([][]float64, g)
-	if g == 0 {
+	out := make([][]float64, len(group))
+	if len(group) == 0 {
 		return out, nil
 	}
-	var fetched [][]float64
-	if a.remote != nil {
-		var err error
-		fetched, err = a.remote.PredictBatchMulti(group, items)
-		if err != nil {
-			return nil, err
-		}
+	for ui := range out {
+		out[ui] = a.getRow(len(items))
 	}
-	a.forEachMember(g, func(ui int) {
-		row := a.getRow(len(items))
-		switch {
-		case fetched != nil:
-			copy(row, fetched[ui])
-		case a.into != nil:
-			a.into.PredictBatchInto(group[ui], items, row)
-		default:
-			copy(row, a.src.PredictBatch(group[ui], items))
-		}
+	if err := a.fillRows(group, items, out); err != nil {
+		a.Release(out)
+		return nil, err
+	}
+	for _, row := range out {
 		for i := range row {
 			row[i] /= divisor
 		}
-		out[ui] = row
-	})
+	}
 	return out, nil
 }
 
 // forEachMember runs fill(ui) for ui in [0,g) over at most
-// min(workers, g) goroutines.
+// min(workers, g) goroutines. Each fill writes only its own member's
+// slot, so scheduling never changes the assembled output.
 func (a *Assembler) forEachMember(g int, fill func(int)) {
-	a.forEachMemberOrdered(identityOrder(g), fill)
-}
-
-// forEachMemberOrdered runs fill(ui) for every ui in order, handing
-// indexes to at most min(workers, len(order)) goroutines in the given
-// sequence. Each fill writes only its own member's slot, so the order
-// never changes the assembled output — only which locks concurrent
-// workers contend on first.
-func (a *Assembler) forEachMemberOrdered(order []int, fill func(int)) {
-	g := len(order)
 	w := a.workers
 	if w > g {
 		w = g
 	}
 	if w <= 1 {
-		for _, ui := range order {
+		for ui := 0; ui < g; ui++ {
 			fill(ui)
 		}
 		return
@@ -186,49 +151,11 @@ func (a *Assembler) forEachMemberOrdered(order []int, fill func(int)) {
 			}
 		}()
 	}
-	for _, ui := range order {
+	for ui := 0; ui < g; ui++ {
 		next <- ui
 	}
 	close(next)
 	wg.Wait()
-}
-
-func identityOrder(g int) []int {
-	order := make([]int, g)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// shardInterleavedOrder buckets the group's member indexes by shard
-// and deals them out round-robin, so the first w indexes handed to w
-// concurrent workers land on w distinct sub-stores whenever the group
-// spans that many shards. For a 1-way map (or a single-shard group)
-// the order is the identity.
-func (a *Assembler) shardInterleavedOrder(group []dataset.UserID) []int {
-	if a.sm.N() == 1 {
-		return identityOrder(len(group))
-	}
-	buckets := make(map[int][]int)
-	var shards []int
-	for ui, u := range group {
-		s := a.sm.Of(int64(u))
-		if _, ok := buckets[s]; !ok {
-			shards = append(shards, s)
-		}
-		buckets[s] = append(buckets[s], ui)
-	}
-	order := make([]int, 0, len(group))
-	for len(order) < len(group) {
-		for _, s := range shards {
-			if b := buckets[s]; len(b) > 0 {
-				order = append(order, b[0])
-				buckets[s] = b[1:]
-			}
-		}
-	}
-	return order
 }
 
 // ViewAssembly is the product of a store-served assembly: the dense
@@ -245,25 +172,17 @@ type ViewAssembly struct {
 // sorted-list store: each member's dense row is copied out of the
 // member's materialized view through the pool→candidate mapping, and
 // only the uncovered remainder of the candidate slice (the patch set)
-// goes through the predictor — no per-request re-scoring, no
+// goes through the row seam — no per-request re-scoring, no
 // re-sorting. ok is false when the store is absent, the divisor
 // disagrees with the store's, or the mapping covers less than half the
 // slice (a candidate set foreign to the popularity pool assembles
 // faster densely); callers then fall back to AprefRows + NewProblem.
 //
-// Views resolve through the world's shard map: each member's Acquire
-// routes to its own shard's sub-store, so a mixed-shard group
-// assembles without any cross-shard lock, and the fill order is
-// interleaved across shards so concurrent workers spread over the
-// sub-stores instead of queueing on one.
-// With a remote plane attached, the whole group's views and patch
-// predictions come back from two batched scatters — one ViewsMulti
-// and (when the patch set is non-empty) one PredictBatchMulti, each
-// one RPC per owning worker — before the parallel fill begins (the
-// local store still supplies the global pool mapping; fetched views
-// carry the same canonical sorted side a snapshot restore derives —
-// bit-identical to the in-process view). A worker that cannot serve
-// fails the assembly with the transport's typed error.
+// The whole group's views come from one AcquireMulti: residents are
+// served from the store, and the misses are materialized together by
+// the store's builder (concurrent in-process builds, or one fetch per
+// owning worker). A builder or row-seam failure fails the assembly
+// with its typed error.
 func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, divisor float64) (ViewAssembly, bool, error) {
 	if a.lists == nil || a.lists.Divisor() != divisor || len(group) == 0 || len(items) == 0 {
 		return ViewAssembly{}, false, nil
@@ -272,8 +191,23 @@ func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, d
 	if mapping.Matched*2 < len(items) {
 		return ViewAssembly{}, false, nil
 	}
+	views, err := a.lists.AcquireMulti(group)
+	if err != nil {
+		return ViewAssembly{}, false, err
+	}
 	patch := items[mapping.Matched:]
 	g := len(group)
+	var patchRows [][]float64
+	if len(patch) > 0 {
+		flat := make([]float64, g*len(patch))
+		patchRows = make([][]float64, g)
+		for ui := range patchRows {
+			patchRows[ui] = flat[ui*len(patch) : (ui+1)*len(patch)]
+		}
+		if err := a.fillRows(group, patch, patchRows); err != nil {
+			return ViewAssembly{}, false, err
+		}
+	}
 	va := ViewAssembly{
 		Rows: make([][]float64, g),
 		Views: core.ViewSet{
@@ -281,40 +215,10 @@ func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, d
 			Members: make([]core.MemberView, g),
 		},
 	}
-	var (
-		remoteViews []*liststore.View
-		remotePatch [][]float64
-	)
-	if a.remote != nil {
-		var err error
-		remoteViews, err = a.remote.ViewsMulti(group)
-		if err != nil {
-			return ViewAssembly{}, false, err
-		}
-		for ui, v := range remoteViews {
-			if v == nil || len(v.Scores) != len(mapping.LocalOf) {
-				n := -1
-				if v != nil {
-					n = len(v.Scores)
-				}
-				return ViewAssembly{}, false, fmt.Errorf("engine: remote view for user %d carries %d scores, pool has %d",
-					group[ui], n, len(mapping.LocalOf))
-			}
-		}
-		if len(patch) > 0 {
-			remotePatch, err = a.remote.PredictBatchMulti(group, patch)
-			if err != nil {
-				return ViewAssembly{}, false, err
-			}
-		}
-	}
-	a.forEachMemberOrdered(a.shardInterleavedOrder(group), func(ui int) {
-		var v *liststore.View
-		if remoteViews != nil {
-			v = remoteViews[ui]
-		} else {
-			v = a.lists.Acquire(group[ui])
-		}
+	// Everything that costs — builds, fetches, patch predictions — is
+	// done; what is left per member is a copy through the mapping, less
+	// than handing it to another goroutine would cost.
+	for ui, v := range views {
 		row := a.getRow(len(items))
 		for p, l := range mapping.LocalOf {
 			if l >= 0 {
@@ -323,15 +227,9 @@ func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, d
 		}
 		mv := core.MemberView{View: v.Sorted}
 		if len(patch) > 0 {
-			var pv []float64
-			if remotePatch != nil {
-				pv = remotePatch[ui]
-			} else {
-				pv = a.src.PredictBatch(group[ui], patch)
-			}
 			pe := make([]core.Entry, len(patch))
-			for i := range patch {
-				val := pv[i] / divisor
+			for i, raw := range patchRows[ui] {
+				val := raw / divisor
 				row[mapping.Matched+i] = val
 				pe[i] = core.Entry{Key: mapping.Matched + i, Value: val}
 			}
@@ -340,7 +238,7 @@ func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, d
 		}
 		va.Rows[ui] = row
 		va.Views.Members[ui] = mv
-	})
+	}
 	return va, true, nil
 }
 
@@ -365,11 +263,4 @@ func (a *Assembler) getRow(n int) []float64 {
 	// No zeroing: Source predictions are total, so every element is
 	// overwritten before the row is read.
 	return (*p)[:n]
-}
-
-// putRow hands a single row back to the pool (failed fills that never
-// published their row into the output matrix).
-func (a *Assembler) putRow(row []float64) {
-	r := row[:0]
-	a.rows.Put(&r)
 }

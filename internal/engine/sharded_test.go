@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -10,8 +11,7 @@ import (
 )
 
 // TestAprefViewsShardedIdentical: an assembler over a 4-way-sharded
-// list store (with the matching shard map attached, so member fills
-// interleave across sub-stores) produces byte-identical view
+// list store produces byte-identical view
 // assemblies to the unsharded one — rows, sorted views, and patches —
 // for mixed-shard groups, in both sequential and parallel fills.
 func TestAprefViewsShardedIdentical(t *testing.T) {
@@ -24,7 +24,6 @@ func TestAprefViewsShardedIdentical(t *testing.T) {
 		plain.AttachListStore(liststore.New(pred, pool, 64, 5))
 		sharded := New(pred, workers)
 		sharded.AttachListStore(liststore.NewSharded(pred, pool, 64, 5, m))
-		sharded.AttachShards(m)
 
 		group := []dataset.UserID{0, 3, 7, 12, 25, 4}
 		// Guarantee the group genuinely mixes shards.
@@ -64,42 +63,65 @@ func TestAprefViewsShardedIdentical(t *testing.T) {
 	}
 }
 
-// TestShardInterleavedOrder pins the fill-order contract: every member
-// index appears exactly once, consecutive positions rotate across the
-// group's shards, and a 1-way map keeps the identity order (the
-// bit-identical degenerate case).
-func TestShardInterleavedOrder(t *testing.T) {
-	m, _ := shard.New(4)
-	a := New(nil, 1)
-	a.AttachShards(m)
-	group := []dataset.UserID{0, 1, 2, 3, 4, 5, 6, 7}
-	order := a.shardInterleavedOrder(group)
-	if len(order) != len(group) {
-		t.Fatalf("order has %d entries, want %d", len(order), len(group))
+// TestAttachedSeamsMatchLocal drives the assembler through both of its
+// seams the way the distributed world does — a store over a foreign
+// builder (views materialized elsewhere, here by a second local store)
+// and an attached row filler — and pins that the assembly is
+// byte-identical to the in-process one, and that either seam's typed
+// error fails the assembly verbatim.
+func TestAttachedSeamsMatchLocal(t *testing.T) {
+	store, pred := testSubstrate(t)
+	pool := store.PopularityRanked()
+	group := []dataset.UserID{0, 3, 7, 12}
+	items := append(append([]dataset.ItemID{}, pool[:10]...), 999) // 999: patch item
+
+	local := New(pred, 4)
+	local.AttachListStore(liststore.New(pred, pool, 64, 5))
+	want, ok, err := local.AprefViews(group, items, 5)
+	if err != nil || !ok {
+		t.Fatalf("local AprefViews: ok=%v err=%v", ok, err)
 	}
-	seen := make([]bool, len(group))
-	for _, ui := range order {
-		if ui < 0 || ui >= len(group) || seen[ui] {
-			t.Fatalf("order %v is not a permutation", order)
+	wantDense := mustAprefRows(t, local, group, items)
+
+	var errViews, errRows error
+	origin := liststore.New(pred, pool, 64, 5)
+	fetched := New(pred, 4)
+	fetched.AttachListStore(liststore.NewOver(func(users []dataset.UserID) ([]*liststore.View, error) {
+		if errViews != nil {
+			return nil, errViews
 		}
-		seen[ui] = true
+		return origin.AcquireMulti(users)
+	}, pool, 0, 5, nil))
+	fetched.AttachRows(func(users []dataset.UserID, its []dataset.ItemID, dst [][]float64) error {
+		if errRows != nil {
+			return errRows
+		}
+		for i, u := range users {
+			copy(dst[i], pred.PredictBatch(u, its))
+		}
+		return nil
+	})
+
+	got, ok, err := fetched.AprefViews(group, items, 5)
+	if err != nil || !ok {
+		t.Fatalf("fetched AprefViews: ok=%v err=%v", ok, err)
 	}
-	// The first positions cover as many distinct shards as the group
-	// spans (round-robin dealing).
-	shards := make(map[int]bool)
-	for _, u := range group {
-		shards[m.Of(int64(u))] = true
+	if !reflect.DeepEqual(want.Rows, got.Rows) || !reflect.DeepEqual(want.Views, got.Views) {
+		t.Error("assembly through the attached seams diverges from the local one")
 	}
-	prefix := make(map[int]bool)
-	for _, ui := range order[:len(shards)] {
-		prefix[m.Of(int64(group[ui]))] = true
-	}
-	if len(prefix) != len(shards) {
-		t.Errorf("first %d fills cover %d shards, want %d (order %v)", len(shards), len(prefix), len(shards), order)
+	if gotDense := mustAprefRows(t, fetched, group, items); !reflect.DeepEqual(wantDense, gotDense) {
+		t.Error("dense rows through the attached filler diverge from the local ones")
 	}
 
-	single := New(nil, 1)
-	if got := single.shardInterleavedOrder(group); !reflect.DeepEqual(got, identityOrder(len(group))) {
-		t.Errorf("1-way order = %v, want identity", got)
+	errRows = errors.New("rows unavailable")
+	if _, _, err := fetched.AprefViews(group, items, 5); !errors.Is(err, errRows) {
+		t.Errorf("patch-row failure: err = %v, want the filler's", err)
+	}
+	if _, err := fetched.AprefRows(group, items, 5); !errors.Is(err, errRows) {
+		t.Errorf("dense-row failure: err = %v, want the filler's", err)
+	}
+	errViews = errors.New("views unavailable")
+	if _, _, err := fetched.AprefViews(group, items, 5); !errors.Is(err, errViews) {
+		t.Errorf("view failure: err = %v, want the builder's", err)
 	}
 }

@@ -1,0 +1,308 @@
+package liststore
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/cf"
+	"repro/internal/dataset"
+	"repro/internal/shard"
+)
+
+// scriptedBuilder is a Builder under the test's control: it records
+// every call's users, can hold a call open until released (an in-flight
+// fetch), and can fail.
+type scriptedBuilder struct {
+	poolLen int
+
+	mu    sync.Mutex
+	calls [][]dataset.UserID
+	err   error
+	// entered receives once per call when non-nil; gate, when non-nil,
+	// blocks every call until closed.
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (b *scriptedBuilder) build(users []dataset.UserID) ([]*View, error) {
+	b.mu.Lock()
+	b.calls = append(b.calls, append([]dataset.UserID(nil), users...))
+	err, entered, gate := b.err, b.entered, b.gate
+	b.mu.Unlock()
+	if entered != nil {
+		entered <- struct{}{}
+	}
+	if gate != nil {
+		<-gate
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*View, len(users))
+	for i, u := range users {
+		scores := make([]float64, b.poolLen)
+		for p := range scores {
+			scores[p] = float64(u) + float64(p)/100
+		}
+		out[i] = NewView(scores, cf.RowDeps{}, true)
+	}
+	return out, nil
+}
+
+func (b *scriptedBuilder) callLog() [][]dataset.UserID {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([][]dataset.UserID(nil), b.calls...)
+}
+
+// TestAcquireMultiOneBuilderCallCarriesTheMisses pins the batch seam:
+// residents are served without the builder, and all of one call's
+// misses arrive in exactly one builder call, in request order.
+func TestAcquireMultiOneBuilderCallCarriesTheMisses(t *testing.T) {
+	b := &scriptedBuilder{poolLen: 4}
+	m, err := shard.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewOver(b.build, testPool(4), 32, 5, m)
+
+	if _, err := s.AcquireMulti([]dataset.UserID{3, 9}); err != nil {
+		t.Fatal(err)
+	}
+	views, err := s.AcquireMulti([]dataset.UserID{7, 3, 1, 9, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]dataset.UserID{{3, 9}, {7, 1, 5}}
+	if got := b.callLog(); !reflect.DeepEqual(got, want) {
+		t.Errorf("builder calls = %v, want %v", got, want)
+	}
+	for i, u := range []dataset.UserID{7, 3, 1, 9, 5} {
+		if views[i].Scores[0] != float64(u) {
+			t.Errorf("slot %d holds user %v's view, want %d's", i, views[i].Scores[0], u)
+		}
+	}
+	if _, err := s.AcquireMulti([]dataset.UserID{1, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(b.callLog()); got != 2 {
+		t.Errorf("an all-resident acquire reached the builder (%d calls)", got)
+	}
+	if st := s.Stats(); st.ViewBuilds != 5 || st.ViewHits != 4 || st.Size != 5 {
+		t.Errorf("stats = %d builds / %d hits / %d resident, want 5 / 4 / 5", st.ViewBuilds, st.ViewHits, st.Size)
+	}
+}
+
+// TestSweepUnlinksInFlightFetch pins the ingest fence: a scoped sweep
+// that runs while a fetch is in flight unlinks the mid-build entry, so
+// the late result reaches the acquirers already waiting on it and is
+// never resident — the next acquire fetches again.
+func TestSweepUnlinksInFlightFetch(t *testing.T) {
+	b := &scriptedBuilder{poolLen: 3, entered: make(chan struct{}, 4), gate: make(chan struct{})}
+	s := NewOver(b.build, testPool(3), 8, 5, nil)
+
+	results := make(chan *View, 2)
+	acquire := func() {
+		v, err := s.Acquire(6)
+		if err != nil {
+			t.Error(err)
+		}
+		results <- v
+	}
+	go acquire()
+	<-b.entered // the fetch is in flight, its entry linked mid-build
+	go acquire()
+	// The second acquirer joins the same entry (a hit, not a build);
+	// wait until it has.
+	for s.Stats().ViewHits == 0 {
+		runtime.Gosched()
+	}
+
+	if dropped := s.InvalidateScoped(nil, 10, 0, false); dropped != 1 {
+		t.Fatalf("sweep dropped %d entries, want the 1 mid-build", dropped)
+	}
+	close(b.gate)
+	first, second := <-results, <-results
+	if first == nil || first != second {
+		t.Fatalf("waiters got %p and %p, want the one late view", first, second)
+	}
+	if s.Len() != 0 {
+		t.Errorf("the swept fetch became resident (%d views)", s.Len())
+	}
+	again, err := s.Acquire(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first {
+		t.Error("a post-sweep acquire was served the pre-sweep fetch")
+	}
+	if got := len(b.callLog()); got != 2 {
+		t.Errorf("builder calls = %d, want 2 (the swept fetch and the refetch)", got)
+	}
+}
+
+// TestBuilderErrorReachesEveryWaiter pins the failure path: the
+// builder's typed error comes back unchanged to the call that built
+// and to every acquirer waiting on its entries, and nothing stays
+// resident — the next acquire builds afresh.
+func TestBuilderErrorReachesEveryWaiter(t *testing.T) {
+	sentinel := errors.New("shard unavailable")
+	b := &scriptedBuilder{poolLen: 3, err: sentinel, entered: make(chan struct{}, 4), gate: make(chan struct{})}
+	s := NewOver(b.build, testPool(3), 8, 5, nil)
+
+	errs := make(chan error, 2)
+	go func() {
+		_, err := s.AcquireMulti([]dataset.UserID{1, 2})
+		errs <- err
+	}()
+	<-b.entered
+	go func() {
+		_, err := s.AcquireMulti([]dataset.UserID{2})
+		errs <- err
+	}()
+	for s.Stats().ViewHits == 0 {
+		runtime.Gosched()
+	}
+	close(b.gate)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, sentinel) {
+			t.Errorf("acquirer %d: err = %v, want the builder's sentinel", i, err)
+		}
+	}
+	if s.Len() != 0 {
+		t.Errorf("failed builds left %d entries resident", s.Len())
+	}
+
+	b.mu.Lock()
+	b.err, b.entered, b.gate = nil, nil, nil
+	b.mu.Unlock()
+	if _, err := s.AcquireMulti([]dataset.UserID{1, 2}); err != nil {
+		t.Fatalf("acquire after the failure: %v", err)
+	}
+	if s.Len() != 2 {
+		t.Errorf("recovered acquire left %d views resident, want 2", s.Len())
+	}
+}
+
+// TestBuilderShortViewIsAnError pins the pool-coverage check: a view
+// that does not cover the pool is refused, not served.
+func TestBuilderShortViewIsAnError(t *testing.T) {
+	b := &scriptedBuilder{poolLen: 2}
+	s := NewOver(b.build, testPool(3), 8, 5, nil)
+	if _, err := s.Acquire(1); err == nil {
+		t.Error("a 2-score view over a 3-item pool was served")
+	}
+	if s.Len() != 0 {
+		t.Errorf("refused view left %d entries resident", s.Len())
+	}
+}
+
+// TestCapacityZeroNeverRetains pins the pass-through store: every
+// acquire reaches the builder, nothing is ever resident or evicted,
+// and sweeps have nothing to do — at any shard count.
+func TestCapacityZeroNeverRetains(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		m, err := shard.New(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &scriptedBuilder{poolLen: 3}
+		s := NewOver(b.build, testPool(3), 0, 5, m)
+		for round := 0; round < 3; round++ {
+			if _, err := s.AcquireMulti([]dataset.UserID{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.Stats()
+		if st.Size != 0 || st.ViewHits != 0 || st.ViewBuilds != 9 || st.Evictions != 0 {
+			t.Errorf("shards=%d: stats = %+v, want 9 builds and nothing else", shards, st)
+		}
+		if got := len(b.callLog()); got != 3 {
+			t.Errorf("shards=%d: builder calls = %d, want 3 (one per acquire)", shards, got)
+		}
+		if dropped := s.InvalidateScoped(nil, 10, 0, false) + s.InvalidateAll(); dropped != 0 {
+			t.Errorf("shards=%d: sweeps dropped %d views from an empty store", shards, dropped)
+		}
+	}
+}
+
+// TestAcquireMultiKeepsDepsThroughEviction is the regression test for
+// dependency metadata lost under eviction: on a one-slot part the
+// second member of a call evicts the first, and both views must still
+// come back with the metadata their build recorded (the old two-step
+// acquire-then-look-up reported the evicted one as unknown, and the
+// router dropped a patchable view on the next sweep).
+func TestAcquireMultiKeepsDepsThroughEviction(t *testing.T) {
+	src := &depsStub{deps: map[dataset.UserID]cf.RowDeps{
+		1: {FallbackItems: []dataset.ItemID{20}, FallbackPos: []int32{1}},
+		2: {FallbackItems: []dataset.ItemID{30}, FallbackPos: []int32{2}},
+	}}
+	s := New(src, testPool(4), 1, 5)
+	views, err := s.AcquireMulti([]dataset.UserID{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Evictions != 1 || st.Size != 1 {
+		t.Fatalf("stats = %+v, want the first member evicted by the second", st)
+	}
+	for i, u := range []dataset.UserID{1, 2} {
+		if !views[i].DepsKnown || !reflect.DeepEqual(views[i].Deps, src.deps[u]) {
+			t.Errorf("user %d: deps = %+v (known %v), want %+v", u, views[i].Deps, views[i].DepsKnown, src.deps[u])
+		}
+	}
+}
+
+// TestAcquireMultiConcurrentOverlappingGroups hammers overlapping
+// groups from many goroutines (run with -race): with room for every
+// user, each is built exactly once however the calls interleave, and
+// no call deadlocks waiting on another's entries.
+func TestAcquireMultiConcurrentOverlappingGroups(t *testing.T) {
+	b := &scriptedBuilder{poolLen: 5}
+	m, err := shard.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewOver(b.build, testPool(5), 64, 5, m)
+
+	const users = 12
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				group := []dataset.UserID{
+					dataset.UserID((w + r) % users),
+					dataset.UserID((w + r + 1) % users),
+					dataset.UserID((w + 2*r + 5) % users),
+				}
+				views, err := s.AcquireMulti(group)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, u := range group {
+					if views[i].Scores[0] != float64(u) {
+						t.Errorf("group %v slot %d holds user %v's view", group, i, views[i].Scores[0])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	built := make(map[dataset.UserID]int)
+	for _, call := range b.callLog() {
+		for _, u := range call {
+			built[u]++
+		}
+	}
+	for u := dataset.UserID(0); u < users; u++ {
+		if built[u] != 1 {
+			t.Errorf("user %d built %d times, want exactly once", u, built[u])
+		}
+	}
+}

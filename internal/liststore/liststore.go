@@ -15,6 +15,12 @@
 // Invalidate the affected users, which drops their views for rebuild on
 // next use. See DESIGN.md's "Sorted-list store" section.
 //
+// How a missing view is materialized is the store's one seam, the
+// Builder: in-process it predicts and sorts (LocalBuilder), on a
+// distributed router it fetches the owning worker's view over the wire.
+// Eviction, invalidation and coherence with ingest are the store's own
+// and identical under both.
+//
 // The Store is a thin fan-out over per-shard sub-stores: a shard.Map
 // routes each user to the part holding its view slot, and every part
 // keeps its own mutex, CLOCK ring, capacity budget, and counters.
@@ -25,6 +31,8 @@
 package liststore
 
 import (
+	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,7 +65,21 @@ type View struct {
 	// Sorted holds the same scores in canonical order (descending
 	// value, ascending pool position on ties).
 	Sorted *core.SortedView
+	// Deps is the dependency metadata the build recorded: which pool
+	// positions fell to the mean-fallback ladder. DepsKnown is false
+	// when the builder could not report it (a non-DepsSource, or a
+	// snapshot restore — snapshots persist scores only); such views are
+	// conservatively dropped by scoped sweeps.
+	Deps      cf.RowDeps
+	DepsKnown bool
 }
+
+// Builder materializes the views of users, in order — every miss of
+// one AcquireMulti call arrives in one Builder call, so a builder that
+// pays per call (a wire fetch) pays once per assembly. Each view must
+// cover the store's pool. An error fails every user of the call. A
+// Builder must be safe for concurrent use.
+type Builder func(users []dataset.UserID) ([]*View, error)
 
 // Mapping is a memoized pool→candidate-slice mapping. LocalOf[p] is
 // the index of pool position p within the candidate slice, or -1.
@@ -127,34 +149,17 @@ type ShardStats struct {
 	MaxUsers      int    `json:"max_users"`
 }
 
-// builtView bundles a settled view with the dependency metadata its
-// build recorded: which pool positions fell to the mean-fallback
-// ladder. depsKnown is false when the source could not report deps (a
-// non-DepsSource, or a snapshot restore — snapshots persist scores
-// only); such views are conservatively dropped by scoped sweeps.
-type builtView struct {
-	view      *View
-	deps      cf.RowDeps
-	depsKnown bool
-}
-
-// userEntry tracks one user's view slot: a once so concurrent first
-// acquirers build a view exactly once, and a CLOCK reference bit. The
-// built pointer is atomic because scoped invalidation reads (and
-// patches) it under the part lock while the build closure publishes it
-// without — an entry with a nil built is still mid-build.
+// userEntry tracks one user's view slot. The acquirer that inserted it
+// builds the view and closes done; everyone else finding it mid-build
+// waits on done. view is atomic because scoped invalidation reads (and
+// patches) it under the part lock while the builder publishes it
+// without — an entry with a nil view is still mid-build, or failed with
+// err (written before done closes).
 type userEntry struct {
-	once  sync.Once
-	built atomic.Pointer[builtView]
-	ref   atomic.Bool
-}
-
-// viewOf returns the entry's settled view (nil while mid-build).
-func (e *userEntry) viewOf() *View {
-	if b := e.built.Load(); b != nil {
-		return b.view
-	}
-	return nil
+	done chan struct{}
+	view atomic.Pointer[View]
+	err  error
+	ref  atomic.Bool // CLOCK reference bit
 }
 
 // storePart is one shard's sub-store: the view slots of exactly the
@@ -190,12 +195,11 @@ func newStorePart(maxUsers int) *storePart {
 
 // Store materializes and serves per-user sorted preference views over a
 // fixed base pool, fanned out over per-shard sub-stores. Views build
-// lazily on first Acquire, are bounded per shard by a CLOCK
-// (second-chance) policy over that shard's users, and drop on
-// Invalidate. Safe for concurrent use.
+// lazily on first acquire through the store's Builder, are bounded per
+// shard by a CLOCK (second-chance) policy over that shard's users, and
+// drop on Invalidate. Safe for concurrent use.
 type Store struct {
-	src     cf.Source
-	deps    cf.DepsSource // src's deps-reporting path, when it has one
+	build   Builder
 	pool    []dataset.ItemID
 	divisor float64
 	sm      shard.Map
@@ -221,39 +225,103 @@ func New(src cf.Source, pool []dataset.ItemID, maxUsers int, divisor float64) *S
 	return NewSharded(src, pool, maxUsers, divisor, nil)
 }
 
-// NewSharded builds a store over src and pool (the popularity-ranked
-// candidate base; the slice is retained and must not change),
-// partitioned into one sub-store per shard of m (nil = one part, the
-// unsharded layout). maxUsers bounds materialized views across the
-// whole store (DefaultMaxUsers if <= 0) and is split across the parts,
-// each getting at least one slot; with m = Single the one part keeps
-// the whole budget, so the degenerate case matches the historical
-// layout exactly. divisor is the normalization the engine applies to
-// predictions (5 maps the 1..5 rating scale onto [0,1]); stored scores
-// are pre-divided so views feed problems directly. Returns nil for an
-// empty pool — a store over nothing serves nothing.
+// NewSharded builds a store whose views are built in place from src
+// (LocalBuilder, GOMAXPROCS workers); maxUsers <= 0 selects
+// DefaultMaxUsers. See NewOver for the remaining parameters. Returns
+// nil for a nil source.
 func NewSharded(src cf.Source, pool []dataset.ItemID, maxUsers int, divisor float64, m shard.Map) *Store {
-	if len(pool) == 0 || src == nil || divisor == 0 {
+	if src == nil {
 		return nil
 	}
 	if maxUsers <= 0 {
 		maxUsers = DefaultMaxUsers
 	}
+	return NewOver(LocalBuilder(src, pool, divisor, 0), pool, maxUsers, divisor, m)
+}
+
+// NewOver builds a store that materializes missing views through build,
+// over pool (the popularity-ranked candidate base; the slice is
+// retained and must not change), partitioned into one sub-store per
+// shard of m (nil = one part, the unsharded layout). capacity bounds
+// materialized views across the whole store and is split across the
+// parts, each getting at least one slot; with m = Single the one part
+// keeps the whole budget. capacity <= 0 retains nothing: every acquire
+// goes to the builder and the view is handed to its caller only.
+// divisor is the normalization the engine applies to predictions (5
+// maps the 1..5 rating scale onto [0,1]); stored scores are pre-divided
+// so views feed problems directly. Returns nil for an empty pool — a
+// store over nothing serves nothing.
+func NewOver(build Builder, pool []dataset.ItemID, capacity int, divisor float64, m shard.Map) *Store {
+	if len(pool) == 0 || build == nil || divisor == 0 {
+		return nil
+	}
 	sm := shard.Normalize(m)
 	s := &Store{
-		src:     src,
+		build:   build,
 		pool:    pool,
 		divisor: divisor,
 		sm:      sm,
 		maps:    make(map[mapKey]*Mapping),
 	}
-	s.deps, _ = src.(cf.DepsSource)
-	budgets := shard.Split(sm, maxUsers)
+	// Split hands every part at least one slot, so "retain nothing" is
+	// its own case rather than a zero passed down.
+	budgets := make([]int, sm.N())
+	if capacity > 0 {
+		budgets = shard.Split(sm, capacity)
+	}
 	s.parts = make([]*storePart, sm.N())
 	for i := range s.parts {
 		s.parts[i] = newStorePart(budgets[i])
 	}
 	return s
+}
+
+// LocalBuilder is the in-process Builder: per user, one batch prediction
+// over pool (with its dependency metadata when src reports it),
+// normalized by divisor, plus one canonical sort — the pay-once cost the
+// store amortizes. The users of one call build concurrently over at
+// most workers goroutines (GOMAXPROCS if <= 0; 1 builds sequentially).
+func LocalBuilder(src cf.Source, pool []dataset.ItemID, divisor float64, workers int) Builder {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	deps, _ := src.(cf.DepsSource)
+	one := func(u dataset.UserID) *View {
+		var (
+			raw []float64
+			rd  cf.RowDeps
+		)
+		if deps != nil {
+			raw, rd = deps.PredictBatchDeps(u, pool)
+		} else {
+			raw = src.PredictBatch(u, pool)
+		}
+		scores := make([]float64, len(raw))
+		for i, v := range raw {
+			scores[i] = v / divisor
+		}
+		return NewView(scores, rd, deps != nil)
+	}
+	return func(users []dataset.UserID) ([]*View, error) {
+		out := make([]*View, len(users))
+		var next atomic.Int64
+		work := func() {
+			for i := int(next.Add(1)) - 1; i < len(users); i = int(next.Add(1)) - 1 {
+				out[i] = one(users[i])
+			}
+		}
+		var wg sync.WaitGroup
+		for n := 1; n < workers && n < len(users); n++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		work()
+		wg.Wait()
+		return out, nil
+	}
 }
 
 // Pool returns the base pool the views cover (shared, read-only).
@@ -270,69 +338,141 @@ func (s *Store) part(u dataset.UserID) *storePart {
 	return s.parts[s.sm.Of(int64(u))]
 }
 
-// Acquire returns u's view, materializing it on first use. The
-// returned view is immutable and remains valid even if the store
-// evicts or invalidates u afterwards (callers keep a reference; the
-// store just forgets it). Only u's shard part is locked, so acquirers
-// on different shards never contend.
-//
-// Every path funnels through the entry's once with the same build
-// closure: whichever acquirer gets there first builds, everyone else
-// blocks until the view exists. (A hit-path no-op Do would race the
-// creator — if it won, the view would stay nil forever.)
-func (s *Store) Acquire(u dataset.UserID) *View {
-	p := s.part(u)
-	p.mu.Lock()
-	e, ok := p.entries[u]
-	if ok {
-		e.ref.Store(true)
-		p.mu.Unlock()
-		e.once.Do(func() { e.built.Store(s.build(u)) })
-		p.viewHits.Add(1)
-		return e.viewOf()
+// Acquire returns u's view; see AcquireMulti.
+func (s *Store) Acquire(u dataset.UserID) (*View, error) {
+	vs, err := s.AcquireMulti([]dataset.UserID{u})
+	if err != nil {
+		return nil, err
 	}
-	e = &userEntry{}
-	e.ref.Store(true) // enter referenced: a just-built view is never the next sweep's first victim
-	p.evictLocked()
-	p.entries[u] = e
-	p.ring = append(p.ring, u)
-	rebuilt := p.invalidated[u]
-	delete(p.invalidated, u)
-	p.mu.Unlock()
-
-	e.once.Do(func() { e.built.Store(s.build(u)) })
-	p.viewBuilds.Add(1)
-	if rebuilt {
-		p.rebuilds.Add(1)
-	}
-	return e.viewOf()
+	return vs[0], nil
 }
 
-// AcquireWithDeps is Acquire plus the view's recorded build
-// dependencies: the mean-fallback metadata scoped invalidation reads.
-// depsKnown is false when the source could not report them (a
-// non-DepsSource, or a snapshot-restored view) — the remote data plane
-// relays this over the wire so the router's view cache knows whether a
-// cached view can be patched through an ingest or must be dropped.
-func (s *Store) AcquireWithDeps(u dataset.UserID) (*View, cf.RowDeps, bool) {
-	v := s.Acquire(u)
-	if v == nil {
-		return nil, cf.RowDeps{}, false
+// AcquireMulti returns every listed user's view, in order,
+// materializing the missing ones through one Builder call. The returned
+// views are immutable and remain valid even if the store evicts or
+// invalidates their users afterwards (callers keep a reference; the
+// store just forgets it). Each lookup locks only that user's shard
+// part, so acquirers on different shards never contend.
+//
+// A miss links a mid-build entry under the part lock before anything is
+// built: concurrent acquirers of the same user find it and wait instead
+// of building twice, and a scoped sweep that cannot prove anything about
+// a mid-build entry unlinks it — the view its builder then delivers
+// reaches the callers already waiting and nobody else. That unlink is
+// the whole ingest fence: a build in flight across an ingest's sweep
+// never becomes resident. A call builds its own misses
+// before it waits on anyone else's, so calls over overlapping groups
+// cannot deadlock. A builder error is returned as is, to this call and
+// to every waiter of the entries it covered, and leaves nothing
+// resident.
+func (s *Store) AcquireMulti(users []dataset.UserID) ([]*View, error) {
+	out := make([]*View, len(users))
+	var (
+		// unsettled lists the slots whose entry had no view at lookup:
+		// this call's misses, and entries another call is still building.
+		unsettled   []unsettledView
+		misses      []dataset.UserID
+		missEntries []*userEntry
+	)
+	for i, u := range users {
+		p := s.part(u)
+		p.mu.Lock()
+		e, ok := p.entries[u]
+		if ok {
+			e.ref.Store(true)
+			p.mu.Unlock()
+			p.viewHits.Add(1)
+			if out[i] = e.view.Load(); out[i] == nil {
+				unsettled = append(unsettled, unsettledView{slot: i, entry: e})
+			}
+			continue
+		}
+		e = &userEntry{done: make(chan struct{})}
+		e.ref.Store(true) // enter referenced: a just-built view is never the next sweep's first victim
+		if p.maxUsers > 0 {
+			p.evictLocked()
+			p.entries[u] = e
+			p.ring = append(p.ring, u)
+		}
+		rebuilt := p.invalidated[u]
+		delete(p.invalidated, u)
+		p.mu.Unlock()
+		p.viewBuilds.Add(1)
+		if rebuilt {
+			p.rebuilds.Add(1)
+		}
+		unsettled = append(unsettled, unsettledView{slot: i, entry: e})
+		misses = append(misses, u)
+		missEntries = append(missEntries, e)
 	}
-	p := s.part(u)
+	if len(misses) > 0 {
+		s.buildMisses(misses, missEntries)
+	}
+	for _, us := range unsettled {
+		<-us.entry.done
+		if us.entry.err != nil {
+			return nil, us.entry.err
+		}
+		out[us.slot] = us.entry.view.Load()
+	}
+	return out, nil
+}
+
+// unsettledView is one AcquireMulti slot waiting on its entry's build.
+type unsettledView struct {
+	slot  int
+	entry *userEntry
+}
+
+// buildMisses hands one call's misses to the builder and settles their
+// entries: a view is published into its entry (still linked or not — a
+// sweep may have unlinked it meanwhile), a failure unlinks the entry so
+// the next acquire starts over.
+func (s *Store) buildMisses(misses []dataset.UserID, entries []*userEntry) {
+	views, err := s.build(misses)
+	if err == nil && len(views) != len(misses) {
+		err = fmt.Errorf("liststore: builder returned %d views for %d users", len(views), len(misses))
+	}
+	for j, e := range entries {
+		u := misses[j]
+		switch {
+		case err != nil:
+			e.err = err
+		case views[j] == nil || len(views[j].Scores) != len(s.pool):
+			e.err = fmt.Errorf("liststore: built view for user %d does not cover the %d-item pool", u, len(s.pool))
+		default:
+			e.view.Store(views[j])
+		}
+		if e.err != nil {
+			s.part(u).unlink(u, e)
+		}
+		close(e.done)
+	}
+}
+
+// unlink removes u's slot if it still holds e.
+func (p *storePart) unlink(u dataset.UserID, e *userEntry) {
 	p.mu.Lock()
-	e, ok := p.entries[u]
-	p.mu.Unlock()
-	if ok {
-		if b := e.built.Load(); b != nil && b.view == v {
-			return v, b.deps, b.depsKnown
+	defer p.mu.Unlock()
+	if p.entries[u] != e {
+		return
+	}
+	delete(p.entries, u)
+	p.dropFromRingLocked(u)
+}
+
+// dropFromRingLocked removes u from the CLOCK ring, keeping the hand on
+// the same successor. Callers hold the part's mu.
+func (p *storePart) dropFromRingLocked(u dataset.UserID) {
+	for i, ru := range p.ring {
+		if ru == u {
+			p.ring = append(p.ring[:i], p.ring[i+1:]...)
+			if p.hand > i {
+				p.hand--
+			}
+			return
 		}
 	}
-	// The entry was evicted, invalidated, or replaced between the
-	// acquire and the lookup: the view itself is still valid (views are
-	// immutable), but its dependency metadata is gone — report it
-	// unknown so the caller treats the view as unpatchable.
-	return v, cf.RowDeps{}, false
 }
 
 // evictLocked makes room for one more view via CLOCK: sweep the ring,
@@ -355,32 +495,12 @@ func (p *storePart) evictLocked() {
 	}
 }
 
-// build materializes one user's view: one batch prediction over the
-// pool, normalized, plus one canonical sort — the pay-once cost the
-// store amortizes. When the source reports dependencies, the view's
-// fallback metadata rides along for scoped invalidation.
-func (s *Store) build(u dataset.UserID) *builtView {
-	var (
-		raw  []float64
-		deps cf.RowDeps
-	)
-	if s.deps != nil {
-		raw, deps = s.deps.PredictBatchDeps(u, s.pool)
-	} else {
-		raw = s.src.PredictBatch(u, s.pool)
-	}
-	scores := make([]float64, len(raw))
-	for i, v := range raw {
-		scores[i] = v / s.divisor
-	}
-	return &builtView{view: viewFromScores(scores), deps: deps, depsKnown: s.deps != nil}
-}
-
 // viewFromScores derives the canonical sorted side of a view from its
-// dense normalized scores. Build and the snapshot-restore path share
-// it, so a restored view is bit-identical to one built in place: the
-// sort is deterministic given the scores, which is why snapshots only
-// persist the score vectors.
+// dense normalized scores, with no dependency metadata. Builders and
+// the snapshot-restore path share the sort, so a restored or fetched
+// view is bit-identical to one built in place: the sort is
+// deterministic given the scores, which is why snapshots and the wire
+// only carry the score vectors.
 func viewFromScores(scores []float64) *View {
 	entries := make([]core.Entry, len(scores))
 	for p, v := range scores {
@@ -390,13 +510,14 @@ func viewFromScores(scores []float64) *View {
 	return &View{Scores: scores, Sorted: &core.SortedView{Entries: entries}}
 }
 
-// ViewFromScores derives the canonical sorted side of a view from its
-// dense pool-order normalized scores — the same deterministic
-// construction Build and the snapshot-restore path share. The remote
-// data plane uses it to reconstruct a worker's view from the score
-// vector shipped over the wire, bit-identically to a view built in
-// place.
-func ViewFromScores(scores []float64) *View { return viewFromScores(scores) }
+// NewView builds a view from its dense pool-order normalized scores
+// and the dependency metadata its build recorded — what a Builder
+// returns.
+func NewView(scores []float64, deps cf.RowDeps, depsKnown bool) *View {
+	v := viewFromScores(scores)
+	v.Deps, v.DepsKnown = deps, depsKnown
+	return v
+}
 
 // Invalidate drops u's view (rating ingest must call this for every
 // user whose preferences changed; the next Acquire rebuilds). Only u's
@@ -410,15 +531,7 @@ func (s *Store) Invalidate(u dataset.UserID) bool {
 		return false
 	}
 	delete(p.entries, u)
-	for i, ru := range p.ring {
-		if ru == u {
-			p.ring = append(p.ring[:i], p.ring[i+1:]...)
-			if p.hand > i {
-				p.hand--
-			}
-			break
-		}
-	}
+	p.dropFromRingLocked(u)
 	p.invalidated[u] = true
 	p.invalidations.Add(1)
 	return true
@@ -471,26 +584,22 @@ func (s *Store) InvalidateScoped(stale map[dataset.UserID]struct{}, it dataset.I
 		keptRing := p.ring[:0]
 		for _, u := range p.ring {
 			e := p.entries[u]
-			b := e.built.Load()
+			v := e.view.Load()
 			_, isStale := stale[u]
 			switch {
-			case isStale, b == nil, !b.depsKnown, b.deps.UsedGlobal:
+			case isStale, v == nil, !v.DepsKnown, v.Deps.UsedGlobal:
 				delete(p.entries, u)
 				p.invalidated[u] = true
 				dropped++
 				continue
-			case b.deps.DependsOn(it):
+			case v.Deps.DependsOn(it):
 				if !havePatch {
 					delete(p.entries, u)
 					p.invalidated[u] = true
 					dropped++
 					continue
 				}
-				e.built.Store(&builtView{
-					view:      patchView(b.view, b.deps, it, patchScore),
-					deps:      b.deps, // positions still fall back, now to the new mean
-					depsKnown: true,
-				})
+				e.view.Store(patchView(v, it, patchScore))
 				patched++
 			}
 			keptRing = append(keptRing, u)
@@ -514,20 +623,20 @@ func (s *Store) InvalidateScoped(stale map[dataset.UserID]struct{}, it dataset.I
 // matching sorted entry is moved to its new canonical slot by binary
 // search — two O(log n) searches and one memmove per changed entry
 // instead of an O(n log n) re-sort.
-func patchView(v *View, deps cf.RowDeps, it dataset.ItemID, patchScore float64) *View {
+func patchView(v *View, it dataset.ItemID, patchScore float64) *View {
 	scores := append([]float64(nil), v.Scores...)
 	entries := append([]core.Entry(nil), v.Sorted.Entries...)
-	for di, f := range deps.FallbackItems {
+	for di, f := range v.Deps.FallbackItems {
 		if f != it {
 			continue
 		}
-		pos := int(deps.FallbackPos[di])
+		pos := int(v.Deps.FallbackPos[di])
 		old := scores[pos]
 		if old == patchScore {
 			continue
 		}
 		scores[pos] = patchScore
-		i := searchCanonical(entries, old, pos)       // current slot of (old, pos)
+		i := searchCanonical(entries, old, pos)        // current slot of (old, pos)
 		j := searchCanonical(entries, patchScore, pos) // target slot of (new, pos)
 		moved := core.Entry{Key: pos, Value: patchScore}
 		if j > i {
@@ -538,17 +647,8 @@ func patchView(v *View, deps cf.RowDeps, it dataset.ItemID, patchScore float64) 
 			entries[j] = moved
 		}
 	}
-	return &View{Scores: scores, Sorted: &core.SortedView{Entries: entries}}
-}
-
-// PatchView returns a copy of v with the raw post-ingest item mean
-// patch spliced into every fallback position of item it, after
-// applying divisor — exactly the in-place patch InvalidateScoped
-// performs on a retained view, exported for the router's remote view
-// cache, which holds views outside any store and must patch them with
-// the identical splice to stay bit-identical to a worker rebuild.
-func PatchView(v *View, deps cf.RowDeps, it dataset.ItemID, patch, divisor float64) *View {
-	return patchView(v, deps, it, patch/divisor)
+	// The positions still fall back, now to the new mean.
+	return &View{Scores: scores, Sorted: &core.SortedView{Entries: entries}, Deps: v.Deps, DepsKnown: true}
 }
 
 // searchCanonical returns the index of (val, key) in a canonically
@@ -583,7 +683,7 @@ func (s *Store) ExportViews() []UserView {
 		for u, e := range p.entries {
 			// Only settled views export: an entry mid-build has a nil
 			// view and will be rebuilt on next start anyway.
-			if v := e.viewOf(); v != nil {
+			if v := e.view.Load(); v != nil {
 				out = append(out, UserView{User: u, Scores: v.Scores})
 			}
 		}
@@ -616,10 +716,9 @@ func (s *Store) RestoreViews(views []UserView) int {
 		e := &userEntry{}
 		e.ref.Store(true)
 		// Restored views carry no dependency metadata (snapshots persist
-		// scores only): depsKnown stays false, so the first scoped
+		// scores only): DepsKnown stays false, so the first scoped
 		// invalidation drops them rather than wrongly retaining them.
-		v := &builtView{view: viewFromScores(uv.Scores)}
-		e.once.Do(func() { e.built.Store(v) })
+		e.view.Store(viewFromScores(uv.Scores))
 		p.entries[uv.User] = e
 		p.ring = append(p.ring, uv.User)
 		delete(p.invalidated, uv.User)

@@ -27,6 +27,15 @@ func (s *stubSource) PredictBatch(u dataset.UserID, items []dataset.ItemID) []fl
 	return out
 }
 
+// mustAcquire is Acquire over a builder that cannot fail.
+func mustAcquire(s *Store, u dataset.UserID) *View {
+	v, err := s.Acquire(u)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func testPool(n int) []dataset.ItemID {
 	pool := make([]dataset.ItemID, n)
 	for i := range pool {
@@ -55,7 +64,7 @@ func TestAcquireBuildsCanonicalView(t *testing.T) {
 	pool := testPool(8)
 	s := New(src, pool, 4, 5)
 
-	v := s.Acquire(3)
+	v := mustAcquire(s, 3)
 	if len(v.Scores) != len(pool) || len(v.Sorted.Entries) != len(pool) {
 		t.Fatalf("view sizes %d/%d, want %d", len(v.Scores), len(v.Sorted.Entries), len(pool))
 	}
@@ -82,8 +91,8 @@ func TestAcquireHitsAndCounters(t *testing.T) {
 	src := &stubSource{}
 	s := New(src, testPool(5), 4, 5)
 
-	first := s.Acquire(1)
-	second := s.Acquire(1)
+	first := mustAcquire(s, 1)
+	second := mustAcquire(s, 1)
 	if first != second {
 		t.Error("second Acquire returned a different view")
 	}
@@ -106,25 +115,25 @@ func TestClockEviction(t *testing.T) {
 	src := &stubSource{}
 	s := New(src, testPool(5), 3, 5)
 
-	s.Acquire(1)
-	s.Acquire(2)
-	s.Acquire(3)
+	mustAcquire(s, 1)
+	mustAcquire(s, 2)
+	mustAcquire(s, 3)
 	// First insert at capacity: the sweep strips every insert-time
 	// reference bit on its lap and evicts the oldest (user 1).
-	s.Acquire(4)
+	mustAcquire(s, 4)
 	if st := s.Stats(); st.Evictions != 1 || st.Size != 3 {
 		t.Fatalf("stats = %+v, want 1 eviction at size 3", st)
 	}
 
-	s.Acquire(2) // re-referenced: must survive the next sweep
-	s.Acquire(5) // sweep: 2 gets its second chance, untouched 3 is evicted
+	mustAcquire(s, 2) // re-referenced: must survive the next sweep
+	mustAcquire(s, 5) // sweep: 2 gets its second chance, untouched 3 is evicted
 
 	before := s.Stats().ViewBuilds
-	s.Acquire(2) // still resident → hit, no build
+	mustAcquire(s, 2) // still resident → hit, no build
 	if got := s.Stats().ViewBuilds; got != before {
 		t.Errorf("recently hit user 2 was evicted despite its second chance (builds %d -> %d)", before, got)
 	}
-	s.Acquire(3) // was evicted: rebuild
+	mustAcquire(s, 3) // was evicted: rebuild
 	if got := s.Stats().ViewBuilds; got != before+1 {
 		t.Errorf("untouched user 3 should have been the victim (builds %d -> %d)", before, got)
 	}
@@ -137,11 +146,11 @@ func TestInvalidateRebuilds(t *testing.T) {
 	if s.Invalidate(7) {
 		t.Error("invalidating an unknown user reported a drop")
 	}
-	s.Acquire(7)
+	mustAcquire(s, 7)
 	if !s.Invalidate(7) {
 		t.Error("invalidating a resident user reported no drop")
 	}
-	s.Acquire(7)
+	mustAcquire(s, 7)
 	st := s.Stats()
 	if st.Invalidations != 1 || st.Rebuilds != 1 || st.ViewBuilds != 2 {
 		t.Errorf("stats = %+v, want 1 invalidation, 1 rebuild, 2 builds", st)
@@ -214,7 +223,7 @@ func TestAcquireConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				u := dataset.UserID((w + r) % 12)
-				v := s.Acquire(u)
+				v := mustAcquire(s, u)
 				if len(v.Scores) != 30 {
 					panic("short view")
 				}
@@ -245,7 +254,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	pool := testPool(8)
 	s := New(src, pool, 16, 5)
 	for u := dataset.UserID(1); u <= 6; u++ {
-		s.Acquire(u)
+		mustAcquire(s, u)
 	}
 
 	views := s.ExportViews()
@@ -264,7 +273,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d views, want 6", got)
 	}
 	for u := dataset.UserID(1); u <= 6; u++ {
-		want, got := s.Acquire(u), s2.Acquire(u)
+		want, got := mustAcquire(s, u), mustAcquire(s2, u)
 		if len(want.Scores) != len(got.Scores) {
 			t.Fatalf("user %d: restored view size %d, want %d", u, len(got.Scores), len(want.Scores))
 		}
@@ -305,7 +314,7 @@ func TestInvalidateAll(t *testing.T) {
 	s := New(src, testPool(5), 16, 5)
 	before := make(map[dataset.UserID]*View)
 	for u := dataset.UserID(1); u <= 4; u++ {
-		before[u] = s.Acquire(u)
+		before[u] = mustAcquire(s, u)
 	}
 
 	if got := s.InvalidateAll(); got != 4 {
@@ -315,7 +324,7 @@ func TestInvalidateAll(t *testing.T) {
 		t.Fatalf("post-invalidate stats = %+v, want size 0 / 4 invalidations", st)
 	}
 	for u := dataset.UserID(1); u <= 4; u++ {
-		if s.Acquire(u) == before[u] {
+		if mustAcquire(s, u) == before[u] {
 			t.Errorf("user %d still served the pre-invalidation view", u)
 		}
 	}

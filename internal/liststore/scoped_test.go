@@ -35,9 +35,9 @@ func TestInvalidateScopedVerdicts(t *testing.T) {
 	}}
 	s := New(src, pool, 8, 5)
 	for _, u := range []dataset.UserID{1, 2, 3, 4} {
-		s.Acquire(u)
+		mustAcquire(s, u)
 	}
-	retainedBefore := s.Acquire(3)
+	retainedBefore := mustAcquire(s, 3)
 
 	// Ingest on item 30: u1 is stale (predictor verdict), u2 depends on
 	// item 30 through two fallback entries, u3 depends on nothing, u4
@@ -56,7 +56,7 @@ func TestInvalidateScopedVerdicts(t *testing.T) {
 	}
 
 	// The untouched view is the same object — no rebuild, no copy.
-	if s.Acquire(3) != retainedBefore {
+	if mustAcquire(s, 3) != retainedBefore {
 		t.Error("independent view was rebuilt or copied by the scoped sweep")
 	}
 
@@ -64,10 +64,14 @@ func TestInvalidateScopedVerdicts(t *testing.T) {
 	// dense scores: only pool position 2 (item 30) changed, to the new
 	// mean with the store's divisor applied.
 	wantScores := append([]float64(nil), retainedBefore.Scores...)
-	copy(wantScores, s.build(2).view.Scores)
+	fresh, err := s.build([]dataset.UserID{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(wantScores, fresh[0].Scores)
 	wantScores[2] = rawPatch / 5
 	want := viewFromScores(wantScores)
-	got := s.Acquire(2)
+	got := mustAcquire(s, 2)
 	if !reflect.DeepEqual(got.Scores, want.Scores) {
 		t.Errorf("patched scores = %v, want %v", got.Scores, want.Scores)
 	}
@@ -77,8 +81,8 @@ func TestInvalidateScopedVerdicts(t *testing.T) {
 
 	// Dropped users rebuild on next Acquire (fresh source call).
 	calls := src.batchCalls.Load()
-	s.Acquire(1)
-	s.Acquire(4)
+	mustAcquire(s, 1)
+	mustAcquire(s, 4)
 	if src.batchCalls.Load() != calls+2 {
 		t.Error("dropped views did not rebuild from the source")
 	}
@@ -92,8 +96,8 @@ func TestInvalidateScopedWithoutPatchDropsDependents(t *testing.T) {
 		2: {FallbackItems: []dataset.ItemID{30}, FallbackPos: []int32{2}},
 	}}
 	s := New(src, testPool(6), 8, 5)
-	s.Acquire(2)
-	s.Acquire(3)
+	mustAcquire(s, 2)
+	mustAcquire(s, 3)
 	if dropped := s.InvalidateScoped(nil, 30, 0, false); dropped != 1 {
 		t.Errorf("sweep without a patch dropped %d views, want the 1 dependent", dropped)
 	}
@@ -108,8 +112,8 @@ func TestInvalidateScopedWithoutPatchDropsDependents(t *testing.T) {
 func TestInvalidateScopedDropsRestoredViews(t *testing.T) {
 	src := &depsStub{}
 	a := New(src, testPool(4), 8, 5)
-	a.Acquire(1)
-	a.Acquire(2)
+	mustAcquire(a, 1)
+	mustAcquire(a, 2)
 
 	b := New(src, testPool(4), 8, 5)
 	if n := b.RestoreViews(a.ExportViews()); n != 2 {
@@ -119,7 +123,7 @@ func TestInvalidateScopedDropsRestoredViews(t *testing.T) {
 		t.Errorf("first scoped sweep dropped %d restored views, want 2", dropped)
 	}
 	// Rebuilt views carry metadata again and survive the next sweep.
-	b.Acquire(1)
+	mustAcquire(b, 1)
 	if dropped := b.InvalidateScoped(nil, 99, 0, false); dropped != 0 {
 		t.Errorf("second scoped sweep dropped %d rebuilt views, want 0", dropped)
 	}
@@ -128,7 +132,7 @@ func TestInvalidateScopedDropsRestoredViews(t *testing.T) {
 	}
 }
 
-// TestInvalidateScopedDropsMidBuildEntries pins the b == nil branch: an
+// TestInvalidateScopedDropsMidBuildEntries pins the nil-view branch: an
 // entry whose build has not settled cannot be proven fresh and drops.
 func TestInvalidateScopedDropsMidBuildEntries(t *testing.T) {
 	s := New(&depsStub{}, testPool(4), 8, 5)
@@ -156,8 +160,6 @@ func TestPatchViewMatchesResort(t *testing.T) {
 			// Draw from a small value set so ties are common.
 			scores[i] = float64(rng.Intn(8)) / 4
 		}
-		v := viewFromScores(scores)
-
 		// Patch between one and three distinct positions as fallback
 		// entries of the same item.
 		var deps cf.RowDeps
@@ -173,7 +175,8 @@ func TestPatchViewMatchesResort(t *testing.T) {
 		}
 		patchScore := float64(rng.Intn(8)) / 4
 
-		got := patchView(v, deps, 77, patchScore)
+		v := NewView(scores, deps, true)
+		got := patchView(v, 77, patchScore)
 		wantScores := append([]float64(nil), scores...)
 		for _, pos := range deps.FallbackPos {
 			wantScores[pos] = patchScore
@@ -205,7 +208,7 @@ func TestShardedInvalidateScoped(t *testing.T) {
 	}
 	s := NewSharded(src, testPool(4), 32, 5, m)
 	for u := dataset.UserID(0); u < 8; u++ {
-		s.Acquire(u)
+		mustAcquire(s, u)
 	}
 	dropped := s.InvalidateScoped(map[dataset.UserID]struct{}{0: {}, 6: {}}, 20, 3.5, true)
 	if dropped != 2 {

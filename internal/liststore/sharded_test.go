@@ -20,7 +20,7 @@ func TestShardedViewsIdentical(t *testing.T) {
 		t.Fatalf("sharding N = %d, want 4", sharded.Sharding().N())
 	}
 	for u := dataset.UserID(0); u < 16; u++ {
-		want, got := plain.Acquire(u), sharded.Acquire(u)
+		want, got := mustAcquire(plain, u), mustAcquire(sharded, u)
 		if !reflect.DeepEqual(want.Scores, got.Scores) {
 			t.Fatalf("user %d: sharded scores diverge", u)
 		}
@@ -68,9 +68,9 @@ func TestShardedBudgetsAndEviction(t *testing.T) {
 	for s.sm.Of(int64(other)) == target {
 		other++
 	}
-	s.Acquire(other)
+	mustAcquire(s, other)
 	for _, u := range victims {
-		s.Acquire(u)
+		mustAcquire(s, u)
 	}
 	parts = s.StatsByShard()
 	if parts[target].Evictions == 0 {
@@ -83,7 +83,7 @@ func TestShardedBudgetsAndEviction(t *testing.T) {
 	}
 	// The untouched shard's view survives as a hit.
 	hitsBefore := parts[s.sm.Of(int64(other))].ViewHits
-	s.Acquire(other)
+	mustAcquire(s, other)
 	if got := s.StatsByShard()[s.sm.Of(int64(other))].ViewHits; got != hitsBefore+1 {
 		t.Errorf("other shard's view did not survive: hits %d -> %d", hitsBefore, got)
 	}
@@ -95,11 +95,11 @@ func TestShardedStatsSum(t *testing.T) {
 	m, _ := shard.New(3)
 	s := NewSharded(&stubSource{}, testPool(10), 6, 5, m)
 	for u := dataset.UserID(0); u < 9; u++ {
-		s.Acquire(u)
-		s.Acquire(u)
+		mustAcquire(s, u)
+		mustAcquire(s, u)
 	}
 	s.Invalidate(2)
-	s.Acquire(2)
+	mustAcquire(s, 2)
 
 	agg := s.Stats()
 	var hits, builds, rebuilds, invals, evics uint64

@@ -93,8 +93,6 @@ func (c *ClientConfig) fill() {
 
 // opNames are the wire ops' stats keys (the /v1/stats remote section).
 var opNames = map[uint8]string{
-	opView:         "view",
-	opPredict:      "predict",
 	opApply:        "apply",
 	opInvalidate:   "invalidate",
 	opStats:        "stats",
@@ -112,7 +110,7 @@ func opName(op uint8) string {
 // transportCounters is one client's wire activity, aggregated across
 // the fleet by ShardSet.TransportStats.
 type transportCounters struct {
-	ops          [8]atomic.Uint64 // calls by op code (indices 1..7)
+	ops          [8]atomic.Uint64 // calls by op code (indices 3..7)
 	retries      atomic.Uint64
 	breakerOpens atomic.Uint64
 	dials        atomic.Uint64
@@ -120,14 +118,13 @@ type transportCounters struct {
 }
 
 // TransportStats is the router-side transport picture: calls by wire
-// op, batched (multi-user) vs single-user read calls, retry and
+// op, the batched (multi-user) read calls among them, retry and
 // breaker activity, and connection reuse vs dials. Cheap enough to
 // read per /v1/stats hit; the benchmark harness derives rpcs/op from
 // deltas of the call counters.
 type TransportStats struct {
 	CallsByOp    map[string]uint64 `json:"calls_by_op"`
 	BatchedCalls uint64            `json:"batched_calls"`
-	SingleCalls  uint64            `json:"single_calls"`
 	Retries      uint64            `json:"retries"`
 	BreakerOpens uint64            `json:"breaker_opens"`
 	Dials        uint64            `json:"dials"`
@@ -153,12 +150,6 @@ type Client struct {
 	addr string
 	cfg  ClientConfig
 	seq  atomic.Uint64
-
-	// proto is the negotiated protocol version, learned from the first
-	// handshake's helloAck (0 until then): min(this build's version,
-	// the worker's). Below 3 the batched multi ops fall back to loops
-	// over the single-user ops.
-	proto atomic.Uint32
 
 	counters transportCounters
 
@@ -189,16 +180,15 @@ type Client struct {
 // reader is the only party that sends on or closes a call channel, so
 // a torn connection fails every in-flight call exactly once.
 type clientConn struct {
-	c       *Client
-	conn    net.Conn
-	version uint16 // negotiated frame version for requests on this conn
+	c    *Client
+	conn net.Conn
 
 	writeMu sync.Mutex
 
-	mu       sync.Mutex
-	calls    map[uint64]chan frame
-	closed   bool
-	err      error // first transport error, reported to in-flight calls
+	mu     sync.Mutex
+	calls  map[uint64]chan frame
+	closed bool
+	err    error // first transport error, reported to in-flight calls
 
 	inflight atomic.Int32
 }
@@ -340,52 +330,45 @@ func (c *Client) dial() (*clientConn, error) {
 		c.noteFailure()
 		return nil, fmt.Errorf("%w: dialing worker %s: %v", ErrShardUnavailable, c.addr, err)
 	}
-	version, err := c.handshake(conn)
-	if err != nil {
+	if err := c.handshake(conn); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	cc := &clientConn{c: c, conn: conn, version: version, calls: make(map[uint64]chan frame)}
+	cc := &clientConn{c: c, conn: conn, calls: make(map[uint64]chan frame)}
 	go cc.readLoop()
 	return cc, nil
 }
 
-// handshake runs the hello exchange and returns the negotiated frame
-// version: min(this build's, the worker's advertised one). The hello
-// itself is written at the minimum version so an older worker can
-// read it and answer with its own.
-func (c *Client) handshake(conn net.Conn) (uint16, error) {
+// handshake runs the hello exchange: the worker must be built from the
+// same world, own the shards the topology assigns it, and speak this
+// build's protocol version.
+func (c *Client) handshake(conn net.Conn) error {
 	deadline := time.Now().Add(c.cfg.CallTimeout)
 	_ = conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
 	seq := c.seq.Add(1)
 	h := hello{Fingerprint: c.cfg.Fingerprint, Shards: uint32(c.cfg.Shards)}
-	if err := writeFrame(conn, frame{version: frameVersionMin, kind: kindHello, seq: seq, payload: encodeHello(h)}); err != nil {
-		return 0, c.transportErr("hello", err)
+	if err := writeFrame(conn, frame{kind: kindHello, seq: seq, payload: encodeHello(h)}); err != nil {
+		return c.transportErr("hello", err)
 	}
 	f, err := readFrame(conn)
 	if err != nil {
-		return 0, c.transportErr("hello", err)
+		return c.transportErr("hello", err)
 	}
 	switch f.kind {
 	case kindHelloAck:
 		owned, workerVersion, err := decodeHelloAck(f.payload)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if err := c.checkOwned(owned); err != nil {
-			return 0, err
+		if workerVersion != frameVersion {
+			return fmt.Errorf("%w: worker %s speaks version %d, want %d", ErrVersionSkew, c.addr, workerVersion, frameVersion)
 		}
-		version := uint16(frameVersion)
-		if workerVersion < version {
-			version = workerVersion
-		}
-		c.proto.Store(uint32(version))
-		return version, nil
+		return c.checkOwned(owned)
 	case kindError:
-		return 0, decodeAppError(f.payload)
+		return decodeAppError(f.payload)
 	default:
-		return 0, fmt.Errorf("%w: hello answered by frame kind %d", ErrProtocol, f.kind)
+		return fmt.Errorf("%w: hello answered by frame kind %d", ErrProtocol, f.kind)
 	}
 }
 
@@ -411,18 +394,6 @@ func (c *Client) checkOwned(got []int) error {
 		}
 	}
 	return nil
-}
-
-// protoVersion returns the negotiated protocol version, handshaking a
-// connection to learn it if no call has run yet.
-func (c *Client) protoVersion() (uint16, error) {
-	if v := c.proto.Load(); v != 0 {
-		return uint16(v), nil
-	}
-	if err := c.Ping(); err != nil {
-		return 0, err
-	}
-	return uint16(c.proto.Load()), nil
 }
 
 // dead reports whether the connection has failed.
@@ -511,10 +482,9 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
-// send writes one request frame at the connection's negotiated
-// version, serialized against concurrent callers.
+// send writes one request frame, serialized against concurrent
+// callers.
 func (cc *clientConn) send(f frame) error {
-	f.version = cc.version
 	cc.writeMu.Lock()
 	defer cc.writeMu.Unlock()
 	_ = cc.conn.SetWriteDeadline(time.Now().Add(cc.c.cfg.CallTimeout))
@@ -656,9 +626,10 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// gatherChunk is the chunk-splicing step shared by the single and
-// batched view fetches: bound the peer-claimed total, allocate once,
-// splice chunks by offset.
+// gatherChunk splices one view chunk into its user's score vector. The
+// peer-claimed total is bounded by MaxViewScores before the gather
+// buffer is allocated — a buggy worker cannot make the router allocate
+// gigabytes off one CRC-valid frame.
 func (c *Client) gatherChunk(scores *[]float64, total, offset uint32, part []float64) error {
 	if int64(total) > int64(c.cfg.MaxViewScores) {
 		return fmt.Errorf("%w: view claims %d scores, bound is %d", ErrProtocol, total, c.cfg.MaxViewScores)
@@ -673,33 +644,9 @@ func (c *Client) gatherChunk(scores *[]float64, total, offset uint32, part []flo
 	return nil
 }
 
-// ViewScores fetches u's pool-order normalized view scores, gathering
-// the chunked progress frames into one dense slice. The peer-claimed
-// total is bounded by MaxViewScores before the gather buffer is
-// allocated — a buggy worker cannot make the router allocate
-// gigabytes off one CRC-valid frame.
-func (c *Client) ViewScores(u dataset.UserID) ([]float64, error) {
-	var scores []float64
-	gather := func(p []byte) error {
-		chunk, err := decodeViewChunk(p)
-		if err != nil {
-			return err
-		}
-		return c.gatherChunk(&scores, chunk.Total, chunk.Offset, chunk.Scores)
-	}
-	last, err := c.call(opView, encodeUser(u), true, gather)
-	if err != nil {
-		return nil, err
-	}
-	if err := gather(last); err != nil {
-		return nil, err
-	}
-	return scores, nil
-}
-
 // ViewResult is one user's fetched view: its pool-order scores plus
 // the mean-fallback dependencies the worker relayed (when known),
-// which the router's view cache needs to patch the view through
+// which the router's list store needs to patch the view through
 // scoped invalidation. FallbackPos are candidate-pool positions; the
 // router reconstructs the item IDs from its own pool, which is
 // bit-identical to the worker's.
@@ -710,28 +657,11 @@ type ViewResult struct {
 	FallbackPos []int32
 }
 
-// ViewScoresMulti fetches every listed user's view in one round trip
-// (opViewMulti, protocol 3+), gathering interleaved per-user chunks.
-// Against a version-2 worker it falls back to one ViewScores call per
-// user (DepsKnown stays false — the old op carries no dependencies).
+// ViewScoresMulti fetches every listed user's view in one round trip,
+// gathering the interleaved per-user chunk frames into dense slices.
 func (c *Client) ViewScoresMulti(users []dataset.UserID) ([]ViewResult, error) {
 	if len(users) == 0 {
 		return nil, nil
-	}
-	proto, err := c.protoVersion()
-	if err != nil {
-		return nil, err
-	}
-	if proto < 3 {
-		out := make([]ViewResult, len(users))
-		for i, u := range users {
-			scores, err := c.ViewScores(u)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ViewResult{Scores: scores}
-		}
-		return out, nil
 	}
 	out := make([]ViewResult, len(users))
 	gather := func(p []byte) error {
@@ -763,43 +693,11 @@ func (c *Client) ViewScoresMulti(users []dataset.UserID) ([]ViewResult, error) {
 	return out, nil
 }
 
-// PredictBatch fetches raw (1..5 scale) predictions of u for items.
-func (c *Client) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
-	out, err := c.call(opPredict, encodePredictReq(predictReq{User: u, Items: items}), true, nil)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := decodeF64s(out)
-	if err != nil {
-		return nil, err
-	}
-	if len(vals) != len(items) {
-		return nil, fmt.Errorf("%w: %d predictions for %d items", ErrProtocol, len(vals), len(items))
-	}
-	return vals, nil
-}
-
-// PredictBatchMulti fetches every listed user's predictions for one
-// shared item list in one round trip (opPredictMulti, protocol 3+),
-// falling back to per-user PredictBatch calls against an old worker.
+// PredictBatchMulti fetches every listed user's raw (1..5 scale)
+// predictions for one shared item list in one round trip.
 func (c *Client) PredictBatchMulti(users []dataset.UserID, items []dataset.ItemID) ([][]float64, error) {
 	if len(users) == 0 {
 		return nil, nil
-	}
-	proto, err := c.protoVersion()
-	if err != nil {
-		return nil, err
-	}
-	if proto < 3 {
-		out := make([][]float64, len(users))
-		for i, u := range users {
-			vals, err := c.PredictBatch(u, items)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = vals
-		}
-		return out, nil
 	}
 	out := make([][]float64, len(users))
 	gather := func(p []byte) error {
@@ -1012,16 +910,6 @@ func (s *ShardSet) Owner(sh int) *Client { return s.owner[sh] }
 // ownerOf routes a user to its owning client.
 func (s *ShardSet) ownerOf(u dataset.UserID) *Client { return s.owner[s.sm.Of(int64(u))] }
 
-// ViewScores fetches u's view scores from its owning worker.
-func (s *ShardSet) ViewScores(u dataset.UserID) ([]float64, error) {
-	return s.ownerOf(u).ViewScores(u)
-}
-
-// PredictBatch fetches predictions from u's owning worker.
-func (s *ShardSet) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
-	return s.ownerOf(u).PredictBatch(u, items)
-}
-
 // bucketByOwner groups user indices by owning client, preserving
 // request order within each bucket, keyed by position in s.clients so
 // the scatter order — and therefore the first error returned — is
@@ -1120,15 +1008,15 @@ func (s *ShardSet) PredictBatchMulti(users []dataset.UserID, items []dataset.Ite
 }
 
 // ApplyScope is the fanout's scoped-invalidation verdict for the
-// router's view cache. Scoped is true only when every attempted
+// router's list store. Scoped is true only when every attempted
 // delivery succeeded with a scoped ack — then Stale (sorted, deduped)
-// is the complete set of cached views the rating could have touched
-// across all replicas, and the cache may keep everything else warm.
+// is the complete set of fetched views the rating could have touched
+// across all replicas, and the store may keep everything else warm.
 // Any failure, fence, or unscoped ack forces Scoped=false and a
-// wholesale cache flush. Workers already fenced before this apply are
-// excluded: the flush at their fencing apply already cleared their
-// users, and the fence gate keeps new views of theirs from entering
-// the cache.
+// wholesale drop. Workers already fenced before this apply are
+// excluded: the drop at their fencing apply already cleared their
+// users, and the fence gate keeps new views of theirs from being
+// fetched.
 type ApplyScope struct {
 	Scoped bool
 	Stale  []dataset.UserID
@@ -1270,7 +1158,6 @@ func (s *ShardSet) TransportStats() TransportStats {
 		t.ConnReuses += cl.counters.reuses.Load()
 	}
 	t.BatchedCalls = t.CallsByOp[opNames[opViewMulti]] + t.CallsByOp[opNames[opPredictMulti]]
-	t.SingleCalls = t.CallsByOp[opNames[opView]] + t.CallsByOp[opNames[opPredict]]
 	return t
 }
 

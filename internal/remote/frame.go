@@ -44,20 +44,14 @@ import (
 //	crc     u32  CRC32 (IEEE) over header + payload
 const (
 	frameMagic = uint32(0x41435247) // "GRCA" little-endian
-	// frameVersion 3: worker-batched multi-user ops (opViewMulti,
-	// opPredictMulti), scoped-invalidation relay in apply acks, and a
-	// protocol version advertised in the hello ack. Version 2 (apply
-	// requests carry the router's global apply sequence) remains
-	// speakable: the handshake negotiates down to the worker's version,
-	// and the router falls back to the single-user ops against old
-	// workers.
+	// frameVersion 3: worker-batched multi-user reads (opViewMulti,
+	// opPredictMulti), scoped-invalidation relay in apply acks, and the
+	// protocol version advertised in the hello ack. It is the only
+	// version spoken: router and workers deploy from one build, and a
+	// frame at any other version is ErrVersionSkew.
 	frameVersion = uint16(3)
-	// frameVersionMin is the oldest protocol this build still speaks.
-	// Handshake frames are always written at the minimum so an old peer
-	// can read them and answer with its own version.
-	frameVersionMin = uint16(2)
-	frameHdrLen     = 4 + 2 + 1 + 1 + 8 + 4
-	frameCRCLen     = 4
+	frameHdrLen  = 4 + 2 + 1 + 1 + 8 + 4
+	frameCRCLen  = 4
 )
 
 // MaxPayload bounds a single frame's payload. The largest legitimate
@@ -78,17 +72,16 @@ const (
 	kindError    = uint8(6) // terminal failure (code + message payload)
 )
 
-// Operations of the per-shard data plane.
+// Operations of the per-shard data plane. Codes 1 and 2 were the
+// single-user reads the batched ops replaced; they stay retired.
 const (
-	opView       = uint8(1) // user → pool-order normalized view scores
-	opPredict    = uint8(2) // (user, items) → raw predictions
 	opApply      = uint8(3) // rating → apply + scoped invalidation + ack
 	opInvalidate = uint8(4) // user → drop cached rows and view
 	opStats      = uint8(5) // () → per-owned-shard cache stats
 
-	// Version-3 batched ops: one request carries every group member the
-	// worker owns, so an assembly costs one round trip per worker, not
-	// one per member.
+	// Batched reads: one request carries every group member the worker
+	// owns, so an assembly costs one round trip per worker, not one per
+	// member.
 	opViewMulti    = uint8(6) // users → per-user view scores (+ deps)
 	opPredictMulti = uint8(7) // (users, items) → per-user predictions
 )
@@ -136,12 +129,8 @@ var (
 	ErrShardTimeout = errors.New("remote: shard timeout")
 )
 
-// frame is one decoded wire frame. version is the protocol version it
-// was read with (or should be written at; zero means the current
-// frameVersion) — responses echo their request's version so a v2 peer
-// only ever sees v2 frames.
+// frame is one decoded wire frame.
 type frame struct {
-	version uint16
 	kind    uint8
 	op      uint8
 	seq     uint64
@@ -155,13 +144,9 @@ func writeFrame(w io.Writer, f frame) error {
 	if len(f.payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.payload))
 	}
-	v := f.version
-	if v == 0 {
-		v = frameVersion
-	}
 	buf := make([]byte, frameHdrLen+len(f.payload)+frameCRCLen)
 	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	binary.LittleEndian.PutUint16(buf[4:], v)
+	binary.LittleEndian.PutUint16(buf[4:], frameVersion)
 	buf[6] = f.kind
 	buf[7] = f.op
 	binary.LittleEndian.PutUint64(buf[8:], f.seq)
@@ -190,9 +175,8 @@ func readFrame(r io.Reader) (frame, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
 		return frame{}, ErrBadFrame
 	}
-	v := binary.LittleEndian.Uint16(hdr[4:])
-	if v < frameVersionMin || v > frameVersion {
-		return frame{}, fmt.Errorf("%w: got version %d, want %d..%d", ErrVersionSkew, v, frameVersionMin, frameVersion)
+	if v := binary.LittleEndian.Uint16(hdr[4:]); v != frameVersion {
+		return frame{}, fmt.Errorf("%w: got version %d, want %d", ErrVersionSkew, v, frameVersion)
 	}
 	length := binary.LittleEndian.Uint32(hdr[16:])
 	if length > MaxPayload {
@@ -211,7 +195,6 @@ func readFrame(r io.Reader) (frame, error) {
 		return frame{}, ErrCRCMismatch
 	}
 	return frame{
-		version: v,
 		kind:    hdr[6],
 		op:      hdr[7],
 		seq:     binary.LittleEndian.Uint64(hdr[8:]),

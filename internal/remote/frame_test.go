@@ -24,8 +24,8 @@ func encodeFrameBytes(t *testing.T, f frame) []byte {
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []frame{
 		{kind: kindHello, seq: 1, payload: encodeHello(hello{Fingerprint: 0xdeadbeef, Shards: 4})},
-		{kind: kindRequest, op: opPredict, seq: 42, payload: []byte{1, 2, 3}},
-		{kind: kindResult, op: opView, seq: 7, payload: nil},
+		{kind: kindRequest, op: opPredictMulti, seq: 42, payload: []byte{1, 2, 3}},
+		{kind: kindResult, op: opViewMulti, seq: 7, payload: nil},
 		{kind: kindError, op: opApply, seq: 1 << 60, payload: encodeAppError("internal", "boom")},
 	}
 	for _, want := range cases {
@@ -76,12 +76,15 @@ func TestFrameBadMagic(t *testing.T) {
 	}
 }
 
-// TestFrameVersionSkew: a peer from a different build.
+// TestFrameVersionSkew: a peer from a different build — newer, or the
+// retired version 2 — is refused frame by frame.
 func TestFrameVersionSkew(t *testing.T) {
-	raw := encodeFrameBytes(t, frame{kind: kindResult, seq: 1})
-	binary.LittleEndian.PutUint16(raw[4:], frameVersion+1)
-	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersionSkew) {
-		t.Errorf("err = %v, want ErrVersionSkew", err)
+	for _, v := range []uint16{frameVersion + 1, 2} {
+		raw := encodeFrameBytes(t, frame{kind: kindResult, seq: 1})
+		binary.LittleEndian.PutUint16(raw[4:], v)
+		if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersionSkew) {
+			t.Errorf("version %d: err = %v, want ErrVersionSkew", v, err)
+		}
 	}
 }
 
@@ -103,7 +106,7 @@ func TestFrameTooLarge(t *testing.T) {
 // flipping any of them must fail the checksum (flips inside the fields
 // readFrame validates first surface as their own typed errors instead).
 func TestFrameCRCMismatch(t *testing.T) {
-	raw := encodeFrameBytes(t, frame{kind: kindRequest, op: opView, seq: 9, payload: []byte("payload")})
+	raw := encodeFrameBytes(t, frame{kind: kindRequest, op: opViewMulti, seq: 9, payload: []byte("payload")})
 	for i := 6; i < len(raw)-frameCRCLen; i++ {
 		if i >= 16 && i < 20 {
 			continue // length field: validated before the CRC
@@ -130,11 +133,12 @@ func TestWireShortPayloads(t *testing.T) {
 		"hello":    encodeHello(hello{Fingerprint: 1, Shards: 2}),
 		"helloAck": encodeHelloAck([]int{0, 1, 2}, frameVersion),
 		"user":     encodeUser(7),
-		"chunk":    encodeViewChunk(viewChunk{Total: 4, Offset: 0, Scores: []float64{1, 2}}),
-		"predict":  encodePredictReq(predictReq{User: 3, Items: []dataset.ItemID{1, 2, 3}}),
-		"f64s":     encodeF64s([]float64{1, 2, 3}),
+		"viewReq":  encodeViewMultiReq(viewMultiReq{Users: []dataset.UserID{3, 9}}),
+		"chunk":    encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 0, Flags: vmLastChunk | vmDepsKnown, Scores: []float64{1, 2}, FallbackPos: []int32{0, 3}}),
+		"predict":  encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{3}, Items: []dataset.ItemID{1, 2, 3}}),
+		"row":      encodePredictMultiRow(predictMultiRow{Index: 2, Values: []float64{1, 2, 3}}),
 		"apply":    encodeApplyReq(applyReq{Seq: 9, Rating: dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4}}),
-		"ack":      encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4}),
+		"ack":      encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4, Scoped: true, Stale: []dataset.UserID{5}}),
 		"bool":     encodeBool(true),
 		"appError": encodeAppError("internal", "msg"),
 	}
@@ -142,9 +146,10 @@ func TestWireShortPayloads(t *testing.T) {
 		"hello":    func(p []byte) error { _, err := decodeHello(p); return err },
 		"helloAck": func(p []byte) error { _, _, err := decodeHelloAck(p); return err },
 		"user":     func(p []byte) error { _, err := decodeUser(p); return err },
-		"chunk":    func(p []byte) error { _, err := decodeViewChunk(p); return err },
-		"predict":  func(p []byte) error { _, err := decodePredictReq(p); return err },
-		"f64s":     func(p []byte) error { _, err := decodeF64s(p); return err },
+		"viewReq":  func(p []byte) error { _, err := decodeViewMultiReq(p); return err },
+		"chunk":    func(p []byte) error { _, err := decodeViewMultiChunk(p); return err },
+		"predict":  func(p []byte) error { _, err := decodePredictMultiReq(p); return err },
+		"row":      func(p []byte) error { _, err := decodePredictMultiRow(p); return err },
 		"apply":    func(p []byte) error { _, err := decodeApplyReq(p); return err },
 		"ack":      func(p []byte) error { _, err := decodeApplyAck(p); return err },
 		"bool":     func(p []byte) error { _, err := decodeBool(p); return err },
@@ -156,14 +161,9 @@ func TestWireShortPayloads(t *testing.T) {
 			return nil // a complete payload decodes to an app error, not a protocol error
 		},
 	}
-	// The version-3 trailers on helloAck and ack are tolerated when
-	// absent (that's the version-2 payload shape, still a valid
-	// message); a cut exactly at the trailer boundary therefore decodes
-	// successfully rather than failing.
-	v2OK := map[string]int{
-		"helloAck": len(full["helloAck"]) - 4, // minus the version u32
-		"ack":      4 * 8,                     // the four counter u64s
-	}
+	// No cut is exempt: the hello ack's version and the apply ack's
+	// scoped relay are mandatory, so the version-2 payload shapes (cut
+	// exactly before them) are short payloads like any other.
 	for name, raw := range full {
 		dec := decode[name]
 		if name != "appError" {
@@ -172,12 +172,6 @@ func TestWireShortPayloads(t *testing.T) {
 			}
 		}
 		for cut := 0; cut < len(raw); cut++ {
-			if boundary, ok := v2OK[name]; ok && cut == boundary {
-				if err := dec(raw[:cut]); err != nil {
-					t.Errorf("%s cut at %d (v2 shape): err = %v, want nil", name, cut, err)
-				}
-				continue
-			}
 			if err := dec(raw[:cut]); !errors.Is(err, ErrProtocol) {
 				t.Errorf("%s cut at %d: err = %v, want ErrProtocol", name, cut, err)
 			}
@@ -199,9 +193,9 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil || !ack.Scoped || len(ack.Stale) != 2 || ack.Stale[0] != 7 || ack.Stale[1] != 9 {
 		t.Errorf("applyAck scoped trailer: %+v, %v", ack, err)
 	}
-	q, err := decodePredictReq(encodePredictReq(predictReq{User: 11, Items: []dataset.ItemID{5, 1}}))
-	if err != nil || q.User != 11 || len(q.Items) != 2 || q.Items[0] != 5 || q.Items[1] != 1 {
-		t.Errorf("predictReq: %+v, %v", q, err)
+	q, err := decodePredictMultiReq(encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{11, 4}, Items: []dataset.ItemID{5, 1}}))
+	if err != nil || len(q.Users) != 2 || q.Users[0] != 11 || q.Users[1] != 4 || len(q.Items) != 2 || q.Items[0] != 5 || q.Items[1] != 1 {
+		t.Errorf("predictMultiReq: %+v, %v", q, err)
 	}
 	ar, err := decodeApplyReq(encodeApplyReq(applyReq{Seq: 12, Rating: dataset.Rating{User: 1, Item: 2, Value: 4.5, Time: -3}}))
 	if err != nil || ar.Seq != 12 || ar.Rating != (dataset.Rating{User: 1, Item: 2, Value: 4.5, Time: -3}) {

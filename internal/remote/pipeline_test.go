@@ -83,8 +83,7 @@ func TestPipelinedInterleavedMultiViews(t *testing.T) {
 				return
 			}
 			for i, u := range users {
-				want, _ := b.ViewScores(u)
-				if !reflect.DeepEqual(res[i].Scores, want) {
+				if !reflect.DeepEqual(res[i].Scores, b.scoresFor(u)) {
 					errc <- fmt.Errorf("user %d: scores cross-wired under interleaving", u)
 					return
 				}
@@ -116,8 +115,8 @@ func TestPipelinedMidStreamDisconnect(t *testing.T) {
 			reqs = append(reqs, f)
 		}
 		for _, f := range reqs {
-			chunk := encodeViewChunk(viewChunk{Total: 100, Offset: 0, Scores: []float64{1, 2, 3}})
-			_ = writeFrame(conn, frame{version: f.version, kind: kindProgress, op: f.op, seq: f.seq, payload: chunk})
+			chunk := encodeViewMultiChunk(viewMultiChunk{Total: 100, Offset: 0, Scores: []float64{1, 2, 3}})
+			_ = writeFrame(conn, frame{kind: kindProgress, op: f.op, seq: f.seq, payload: chunk})
 		}
 		// Die before any terminal frame: both calls are mid-stream.
 	})
@@ -139,7 +138,7 @@ func TestPipelinedMidStreamDisconnect(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.ViewScores(dataset.UserID(i))
+			_, errs[i] = c.ViewScoresMulti([]dataset.UserID{dataset.UserID(i)})
 		}(i)
 	}
 	wg.Wait()
@@ -165,11 +164,12 @@ func TestPipelinedOutOfOrderTerminals(t *testing.T) {
 		}
 		for i := len(reqs) - 1; i >= 0; i-- {
 			f := reqs[i]
-			q, err := decodePredictReq(f.payload)
-			if err != nil {
+			q, err := decodePredictMultiReq(f.payload)
+			if err != nil || len(q.Users) != 1 {
 				return
 			}
-			_ = writeFrame(conn, frame{version: f.version, kind: kindResult, op: f.op, seq: f.seq, payload: encodeF64s([]float64{float64(q.User) * 10})})
+			row := predictMultiRow{Index: 0, Values: []float64{float64(q.Users[0]) * 10}}
+			_ = writeFrame(conn, frame{kind: kindResult, op: f.op, seq: f.seq, payload: encodePredictMultiRow(row)})
 		}
 		// Hold the connection open until the client hangs up, so the
 		// teardown never races the terminal deliveries.
@@ -197,7 +197,11 @@ func TestPipelinedOutOfOrderTerminals(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], errs[i] = c.PredictBatch(dataset.UserID(i+1), []dataset.ItemID{7})
+			var rows [][]float64
+			rows, errs[i] = c.PredictBatchMulti([]dataset.UserID{dataset.UserID(i + 1)}, []dataset.ItemID{7})
+			if errs[i] == nil {
+				vals[i] = rows[0]
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -211,79 +215,19 @@ func TestPipelinedOutOfOrderTerminals(t *testing.T) {
 	}
 }
 
-// TestClientMultiFallbackToSingleOps: against a protocol-2 worker the
-// batched ops degrade to per-user single ops — same results, deps
-// unknown (the old op cannot carry them), no multi frames on the wire.
-func TestClientMultiFallbackToSingleOps(t *testing.T) {
-	addr := scriptedWorker(t, frameVersionMin, func(conn net.Conn) {
-		for {
-			f, err := readFrame(conn)
-			if err != nil || f.kind != kindRequest {
-				return
-			}
-			switch f.op {
-			case opView:
-				u, err := decodeUser(f.payload)
-				if err != nil {
-					return
-				}
-				scores := make([]float64, 4)
-				for i := range scores {
-					scores[i] = float64(u) + float64(i)
-				}
-				_ = writeFrame(conn, frame{version: f.version, kind: kindResult, op: f.op, seq: f.seq, payload: encodeViewChunk(viewChunk{Total: 4, Offset: 0, Scores: scores})})
-			case opPredict:
-				q, err := decodePredictReq(f.payload)
-				if err != nil {
-					return
-				}
-				vals := make([]float64, len(q.Items))
-				for i, it := range q.Items {
-					vals[i] = float64(q.User)*100 + float64(it)
-				}
-				_ = writeFrame(conn, frame{version: f.version, kind: kindResult, op: f.op, seq: f.seq, payload: encodeF64s(vals)})
-			default:
-				// A correct client never sends protocol-3 ops here.
-				_ = writeFrame(conn, frame{version: f.version, kind: kindError, op: f.op, seq: f.seq, payload: encodeAppError(codeInternal, "protocol-3 op sent to protocol-2 worker")})
-			}
+// TestHandshakeRefusesOtherVersions: one protocol version is spoken. A
+// worker advertising any other in its hello ack is refused at the
+// handshake with ErrVersionSkew — before a single read is routed to it.
+func TestHandshakeRefusesOtherVersions(t *testing.T) {
+	for _, v := range []uint16{frameVersion - 1, frameVersion + 1} {
+		addr := scriptedWorker(t, v, func(conn net.Conn) {})
+		c := NewClient(addr, ClientConfig{CallTimeout: time.Second, Backoff: time.Millisecond, Shards: 1})
+		if err := c.Ping(); !errors.Is(err, ErrVersionSkew) {
+			t.Errorf("worker advertising version %d: err = %v, want ErrVersionSkew", v, err)
 		}
-	})
-	c := NewClient(addr, ClientConfig{
-		CallTimeout: time.Second,
-		Backoff:     time.Millisecond,
-		Shards:      1,
-	})
-	defer c.Close()
-
-	users := []dataset.UserID{3, 1, 4}
-	res, err := c.ViewScoresMulti(users)
-	if err != nil {
-		t.Fatalf("ViewScoresMulti: %v", err)
-	}
-	for i, u := range users {
-		want := []float64{float64(u), float64(u) + 1, float64(u) + 2, float64(u) + 3}
-		if !reflect.DeepEqual(res[i].Scores, want) {
-			t.Errorf("user %d scores = %v, want %v", u, res[i].Scores, want)
+		if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrVersionSkew) {
+			t.Errorf("read against a version-%d worker: err = %v, want ErrVersionSkew", v, err)
 		}
-		if res[i].DepsKnown {
-			t.Errorf("user %d: deps known over the fallback path", u)
-		}
-	}
-	items := []dataset.ItemID{2, 9}
-	rows, err := c.PredictBatchMulti(users[:2], items)
-	if err != nil {
-		t.Fatalf("PredictBatchMulti: %v", err)
-	}
-	for i, u := range users[:2] {
-		want := []float64{float64(u)*100 + 2, float64(u)*100 + 9}
-		if !reflect.DeepEqual(rows[i], want) {
-			t.Errorf("user %d row = %v, want %v", u, rows[i], want)
-		}
-	}
-	if v, p := c.counters.ops[opViewMulti].Load(), c.counters.ops[opPredictMulti].Load(); v != 0 || p != 0 {
-		t.Errorf("multi calls = %d/%d, want 0/0 against a protocol-2 worker", v, p)
-	}
-	if v, p := c.counters.ops[opView].Load(), c.counters.ops[opPredict].Load(); v != 3 || p != 2 {
-		t.Errorf("single calls = %d/%d, want 3/2 (one per user)", v, p)
+		c.Close()
 	}
 }

@@ -35,10 +35,9 @@ func (b *fakeBackend) Fingerprint() uint64 { return b.fp }
 func (b *fakeBackend) Shards() int         { return b.shards }
 func (b *fakeBackend) Owned() []int        { return b.owned }
 
-func (b *fakeBackend) ViewScores(u dataset.UserID) ([]float64, error) {
-	if b.delay > 0 {
-		time.Sleep(b.delay)
-	}
+// scoresFor is the fake's view of u: a pure function the tests
+// recompute to check what crossed the wire.
+func (b *fakeBackend) scoresFor(u dataset.UserID) []float64 {
 	n := b.viewLen
 	if n == 0 {
 		n = 10
@@ -47,16 +46,18 @@ func (b *fakeBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 	for i := range scores {
 		scores[i] = float64(u)*1000 + float64(i)
 	}
-	return scores, nil
+	return scores
 }
 
 func (b *fakeBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, bool, error) {
-	scores, err := b.ViewScores(u)
+	if b.delay > 0 {
+		time.Sleep(b.delay)
+	}
 	if b.depsFor != nil {
 		deps, known := b.depsFor(u)
-		return scores, deps, known, err
+		return b.scoresFor(u), deps, known, nil
 	}
-	return scores, cf.RowDeps{}, false, err
+	return b.scoresFor(u), cf.RowDeps{}, false, nil
 }
 
 func (b *fakeBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
@@ -123,29 +124,6 @@ func allOwned() *fakeBackend {
 	return &fakeBackend{fp: 77, shards: 1, owned: []int{0}}
 }
 
-func TestClientViewScoresChunked(t *testing.T) {
-	b := allOwned()
-	b.viewLen = 10
-	// Chunk size 3 forces 3 progress frames + 1 terminal frame — the
-	// anytime contract on the wire, reassembled losslessly.
-	addr := startWorker(t, b, func(s *Server) { s.ChunkScores = 3 })
-	c := NewClient(addr, testClientConfig(b))
-	defer c.Close()
-
-	got, err := c.ViewScores(5)
-	if err != nil {
-		t.Fatalf("ViewScores: %v", err)
-	}
-	want, _ := b.ViewScores(5)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("scores = %v, want %v", got, want)
-	}
-	// A second call reuses the pooled connection (same answer).
-	if again, err := c.ViewScores(5); err != nil || !reflect.DeepEqual(again, want) {
-		t.Errorf("pooled call: %v, %v", again, err)
-	}
-}
-
 // TestClientViewScoresMultiChunked: one batched call fetches several
 // users' views — interleaved per-user chunk frames reassembled into
 // request order — and relays each view's mean-fallback dependencies on
@@ -174,8 +152,7 @@ func TestClientViewScoresMultiChunked(t *testing.T) {
 		t.Fatalf("got %d results for %d users", len(res), len(users))
 	}
 	for i, u := range users {
-		want, _ := b.ViewScores(u)
-		if !reflect.DeepEqual(res[i].Scores, want) {
+		if want := b.scoresFor(u); !reflect.DeepEqual(res[i].Scores, want) {
 			t.Errorf("user %d scores = %v, want %v", u, res[i].Scores, want)
 		}
 	}
@@ -189,8 +166,13 @@ func TestClientViewScoresMultiChunked(t *testing.T) {
 	if got := c.counters.ops[opViewMulti].Load(); got != 1 {
 		t.Errorf("view_multi calls = %d, want 1", got)
 	}
-	if got := c.counters.ops[opView].Load(); got != 0 {
-		t.Errorf("single view calls = %d, want 0", got)
+	// A second call reuses the pooled connection (same answer).
+	again, err := c.ViewScoresMulti(users)
+	if err != nil || !reflect.DeepEqual(again, res) {
+		t.Errorf("pooled call: %v, %v", again, err)
+	}
+	if d := c.counters.dials.Load(); d != 1 {
+		t.Errorf("dials = %d, want 1", d)
 	}
 }
 
@@ -217,14 +199,11 @@ func TestClientPredictBatchMulti(t *testing.T) {
 	if got := c.counters.ops[opPredictMulti].Load(); got != 1 {
 		t.Errorf("predict_multi calls = %d, want 1", got)
 	}
-	if got := c.counters.ops[opPredict].Load(); got != 0 {
-		t.Errorf("single predict calls = %d, want 0", got)
-	}
 }
 
 // TestClientMultiWrongShard: a batched request naming even one user
-// outside the worker's owned shards is refused whole — misrouting is
-// loud on the batched path exactly as on the single-user one.
+// outside the worker's owned shards is refused whole, with the
+// wrong_shard code — misrouting is loud, never silent.
 func TestClientMultiWrongShard(t *testing.T) {
 	b := &fakeBackend{fp: 9, shards: 4, owned: []int{1}}
 	addr := startWorker(t, b, nil)
@@ -248,6 +227,9 @@ func TestClientMultiWrongShard(t *testing.T) {
 	}
 	if _, err := c.PredictBatchMulti([]dataset.UserID{outside}, []dataset.ItemID{1}); !errors.As(err, &ae) || ae.Code != codeWrongShard {
 		t.Errorf("PredictBatchMulti: err = %v, want wrong_shard", err)
+	}
+	if _, err := c.InvalidateUser(outside); !errors.As(err, &ae) || ae.Code != codeWrongShard {
+		t.Errorf("InvalidateUser: err = %v, want wrong_shard", err)
 	}
 }
 
@@ -301,29 +283,19 @@ func TestShardSetMultiBatchesByWorker(t *testing.T) {
 		t.Errorf("multi calls = %d/%d, want 2/2 (one per worker per scatter, 5 members)",
 			st.CallsByOp["view_multi"], st.CallsByOp["predict_multi"])
 	}
-	if st.CallsByOp["view"] != 0 || st.CallsByOp["predict"] != 0 {
-		t.Errorf("single calls = %d/%d, want 0/0", st.CallsByOp["view"], st.CallsByOp["predict"])
+	if st.BatchedCalls != 4 {
+		t.Errorf("batched calls = %d, want 4", st.BatchedCalls)
 	}
-	if st.BatchedCalls != 4 || st.SingleCalls != 0 {
-		t.Errorf("batched/single = %d/%d, want 4/0", st.BatchedCalls, st.SingleCalls)
+	if _, ok := st.CallsByOp["view"]; ok {
+		t.Errorf("calls_by_op still reports the retired single-user ops: %v", st.CallsByOp)
 	}
 }
 
-func TestClientPredictApplyInvalidateStats(t *testing.T) {
+func TestClientApplyInvalidateStats(t *testing.T) {
 	b := allOwned()
 	addr := startWorker(t, b, nil)
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
-
-	items := []dataset.ItemID{3, 1, 9}
-	vals, err := c.PredictBatch(2, items)
-	if err != nil {
-		t.Fatalf("PredictBatch: %v", err)
-	}
-	want, _ := b.PredictBatch(2, items)
-	if !reflect.DeepEqual(vals, want) {
-		t.Errorf("predictions = %v, want %v", vals, want)
-	}
 
 	ack, err := c.Apply(1, dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4})
 	if err != nil {
@@ -372,34 +344,6 @@ func TestClientApplyAppErrors(t *testing.T) {
 		if _, err := c.Apply(1, dataset.Rating{User: 1, Item: 1, Value: 1}); !errors.Is(err, want) {
 			t.Errorf("err = %v, want %v", err, want)
 		}
-	}
-}
-
-// TestClientWrongShard: a worker refuses users outside its owned
-// shards with the wrong_shard code — misrouting is loud, never silent.
-func TestClientWrongShard(t *testing.T) {
-	b := &fakeBackend{fp: 9, shards: 4, owned: []int{1}}
-	addr := startWorker(t, b, nil)
-	c := NewClient(addr, testClientConfig(b))
-	defer c.Close()
-
-	m := hashMapFor(4)
-	var outside dataset.UserID
-	for u := dataset.UserID(0); ; u++ {
-		if m.Of(int64(u)) != 1 {
-			outside = u
-			break
-		}
-	}
-	var ae *AppError
-	if _, err := c.ViewScores(outside); !errors.As(err, &ae) || ae.Code != codeWrongShard {
-		t.Errorf("ViewScores: err = %v, want wrong_shard", err)
-	}
-	if _, err := c.PredictBatch(outside, []dataset.ItemID{1}); !errors.As(err, &ae) || ae.Code != codeWrongShard {
-		t.Errorf("PredictBatch: err = %v, want wrong_shard", err)
-	}
-	if _, err := c.InvalidateUser(outside); !errors.As(err, &ae) || ae.Code != codeWrongShard {
-		t.Errorf("InvalidateUser: err = %v, want wrong_shard", err)
 	}
 }
 
@@ -454,7 +398,7 @@ func TestHandshakeOwnsMismatch(t *testing.T) {
 // the router allocate gigabytes off one CRC-valid frame.
 func TestClientViewTotalBounded(t *testing.T) {
 	addr := rawWorker(t, func(conn net.Conn, req frame) {
-		chunk := encodeViewChunk(viewChunk{Total: 1_000_000, Offset: 0, Scores: []float64{1}})
+		chunk := encodeViewMultiChunk(viewMultiChunk{Total: 1_000_000, Offset: 0, Scores: []float64{1}})
 		_ = writeFrame(conn, frame{kind: kindProgress, op: req.op, seq: req.seq, payload: chunk})
 		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: chunk})
 	})
@@ -465,7 +409,7 @@ func TestClientViewTotalBounded(t *testing.T) {
 		MaxViewScores: 100,
 	})
 	defer c.Close()
-	if _, err := c.ViewScores(1); !errors.Is(err, ErrProtocol) {
+	if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrProtocol) {
 		t.Errorf("oversized view claim: err = %v, want ErrProtocol", err)
 	}
 }
@@ -485,7 +429,7 @@ func TestClientDeadWorker(t *testing.T) {
 	cfg.DialTimeout = 200 * time.Millisecond
 	c := NewClient(addr, cfg)
 	defer c.Close()
-	if _, err := c.ViewScores(1); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("err = %v, want ErrShardUnavailable", err)
 	}
 }
@@ -500,7 +444,7 @@ func TestClientTimeout(t *testing.T) {
 	cfg.CallTimeout = 50 * time.Millisecond
 	c := NewClient(addr, cfg)
 	defer c.Close()
-	if _, err := c.ViewScores(1); !errors.Is(err, ErrShardTimeout) {
+	if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrShardTimeout) {
 		t.Errorf("err = %v, want ErrShardTimeout", err)
 	}
 }
@@ -526,7 +470,7 @@ func rawWorker(t *testing.T, serve func(conn net.Conn, req frame)) string {
 				if err != nil || f.kind != kindHello {
 					return
 				}
-				if err := writeFrame(conn, frame{kind: kindHelloAck, seq: f.seq, payload: encodeHelloAck([]int{0}, frameVersionMin)}); err != nil {
+				if err := writeFrame(conn, frame{kind: kindHelloAck, seq: f.seq, payload: encodeHelloAck([]int{0}, frameVersion)}); err != nil {
 					return
 				}
 				req, err := readFrame(conn)
@@ -545,13 +489,13 @@ func rawWorker(t *testing.T, serve func(conn net.Conn, req frame)) string {
 // as ErrShardUnavailable — a half-gathered view is never returned.
 func TestClientMidStreamDisconnect(t *testing.T) {
 	addr := rawWorker(t, func(conn net.Conn, req frame) {
-		chunk := encodeViewChunk(viewChunk{Total: 100, Offset: 0, Scores: []float64{1, 2, 3}})
+		chunk := encodeViewMultiChunk(viewMultiChunk{Total: 100, Offset: 0, Scores: []float64{1, 2, 3}})
 		_ = writeFrame(conn, frame{kind: kindProgress, op: req.op, seq: req.seq, payload: chunk})
 		// Die before the terminal frame: the client sees a torn stream.
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
-	if _, err := c.ViewScores(1); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("err = %v, want ErrShardUnavailable", err)
 	}
 }
@@ -583,13 +527,14 @@ func TestClientRetriesIdempotentReads(t *testing.T) {
 		if first {
 			return // die without answering; deferred Close tears the conn
 		}
-		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeBool(true)})
+		chunk := viewMultiChunk{Total: 2, Flags: vmLastChunk, Scores: []float64{4, 2}}
+		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeViewMultiChunk(chunk)})
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
-	dropped, err := c.InvalidateUser(1)
-	if err != nil || !dropped {
-		t.Fatalf("retried read = %v, %v; want true, nil", dropped, err)
+	res, err := c.ViewScoresMulti([]dataset.UserID{1})
+	if err != nil || len(res) != 1 || !reflect.DeepEqual(res[0].Scores, []float64{4, 2}) {
+		t.Fatalf("retried read = %+v, %v; want scores [4 2], nil", res, err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -743,15 +688,15 @@ func TestShardSetRoutesByShard(t *testing.T) {
 	set, _, _ := twoWorkerSet(t)
 	for sh := 0; sh < 2; sh++ {
 		u := userOnShard(sh)
-		scores, err := set.ViewScores(u)
+		res, err := set.ViewScoresMulti([]dataset.UserID{u})
 		if err != nil {
-			t.Fatalf("shard %d: ViewScores(%d): %v", sh, u, err)
+			t.Fatalf("shard %d: ViewScoresMulti(%d): %v", sh, u, err)
 		}
-		if len(scores) != 10 || scores[0] != float64(u)*1000 {
+		if scores := res[0].Scores; len(scores) != 10 || scores[0] != float64(u)*1000 {
 			t.Errorf("shard %d: scores %v", sh, scores[:2])
 		}
-		if _, err := set.PredictBatch(u, []dataset.ItemID{1}); err != nil {
-			t.Errorf("shard %d: PredictBatch: %v", sh, err)
+		if _, err := set.PredictBatchMulti([]dataset.UserID{u}, []dataset.ItemID{1}); err != nil {
+			t.Errorf("shard %d: PredictBatchMulti: %v", sh, err)
 		}
 	}
 }
@@ -827,10 +772,10 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 	set, _, b1 := twoWorkerSet(t)
 	killWorker(t, set, 0)
 
-	if _, err := set.ViewScores(userOnShard(0)); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("dead shard read: err = %v, want ErrShardUnavailable", err)
 	}
-	if _, err := set.ViewScores(userOnShard(1)); err != nil {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(1)}); err != nil {
 		t.Errorf("live shard read: %v", err)
 	}
 
@@ -881,7 +826,7 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	set, b0, b1 := twoWorkerSet(t)
 	// Reads on shard 0 work before the miss.
-	if _, err := set.ViewScores(userOnShard(0)); err != nil {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}); err != nil {
 		t.Fatalf("pre-miss read: %v", err)
 	}
 	// Worker 0's replica refuses the ingest; the owner (worker 1) acks.
@@ -896,10 +841,10 @@ func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	}
 	// The alive-but-behind worker no longer serves: its shard reads
 	// fast-fail, the live shard keeps serving.
-	if _, err := set.ViewScores(userOnShard(0)); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("fenced shard read: err = %v, want ErrShardUnavailable", err)
 	}
-	if _, err := set.ViewScores(userOnShard(1)); err != nil {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(1)}); err != nil {
 		t.Errorf("live shard read: %v", err)
 	}
 	// Later applies skip the fenced replica entirely.
@@ -932,11 +877,11 @@ func TestShardSetConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				u := userOnShard((g + i) % 2)
-				if _, err := set.ViewScores(u); err != nil {
+				if _, err := set.ViewScoresMulti([]dataset.UserID{u}); err != nil {
 					errc <- err
 					return
 				}
-				if _, err := set.PredictBatch(u, []dataset.ItemID{1, 2}); err != nil {
+				if _, err := set.PredictBatchMulti([]dataset.UserID{u}, []dataset.ItemID{1, 2}); err != nil {
 					errc <- err
 					return
 				}

@@ -3,7 +3,6 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -25,19 +24,17 @@ type Backend interface {
 	// this worker serves (requests for other shards are refused).
 	Shards() int
 	Owned() []int
-	// ViewScores returns u's pool-order normalized preference scores —
-	// the dense side of the sorted-list view; the router reconstructs
-	// the canonical sorted side locally (the sort is deterministic
-	// given the scores, exactly like a snapshot restore).
-	ViewScores(u dataset.UserID) ([]float64, error)
-	// ViewScoresDeps is ViewScores plus the view's mean-fallback
-	// dependencies when they are known: the pool positions that fell
-	// back to an item mean and whether the global mean was used. The
-	// router's view cache relays them over the multi-view op so warm
-	// views can be patched through scoped invalidation instead of
-	// refetched. depsKnown=false means the view is served but cannot
-	// be patched (the router drops it from its cache on any ingest
-	// touching it).
+	// ViewScoresDeps returns u's pool-order normalized preference
+	// scores — the dense side of the sorted-list view; the router
+	// reconstructs the canonical sorted side locally (the sort is
+	// deterministic given the scores, exactly like a snapshot restore)
+	// — plus the view's mean-fallback dependencies when they are
+	// known: the pool positions that fell back to an item mean and
+	// whether the global mean was used. They ride the multi-view op so
+	// the router's list store can patch warm views through scoped
+	// invalidation instead of refetching them. depsKnown=false means
+	// the view is served but cannot be patched (the router drops it on
+	// the next ingest sweep).
 	ViewScoresDeps(u dataset.UserID) (scores []float64, deps cf.RowDeps, depsKnown bool, err error)
 	// PredictBatch returns raw (1..5 scale) predictions of u for items.
 	PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error)
@@ -163,20 +160,13 @@ func (s *Server) dropConn(conn net.Conn) {
 
 // connWriter serializes frame writes on a shared connection, so the
 // dispatch goroutines answering concurrent requests interleave whole
-// frames, never bytes. version is the connection's handshake frame
-// version, the default for frames that don't set their own; response
-// frames echo their request's version, so a version-2 router never
-// sees a version-3 frame.
+// frames, never bytes.
 type connWriter struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	version uint16
+	mu   sync.Mutex
+	conn net.Conn
 }
 
 func (w *connWriter) write(f frame) error {
-	if f.version == 0 {
-		f.version = w.version
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return writeFrame(w.conn, f)
@@ -196,17 +186,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	// The connection speaks the hello's version: an older router wrote
-	// its newest, and writing anything newer back would be rejected.
-	w := &connWriter{conn: conn, version: f.version}
+	w := &connWriter{conn: conn}
 	if h.Fingerprint != s.b.Fingerprint() || int(h.Shards) != s.b.Shards() {
 		_ = w.write(frame{kind: kindError, seq: f.seq, payload: encodeAppError(codeMismatch,
 			fmt.Sprintf("worker world (fp %x, %d shards) does not match router (fp %x, %d shards)",
 				s.b.Fingerprint(), s.b.Shards(), h.Fingerprint, h.Shards))})
 		return
 	}
-	// The ack's payload advertises this build's own protocol version;
-	// the router speaks min(its version, ours) from then on.
 	if err := w.write(frame{kind: kindHelloAck, seq: f.seq, payload: encodeHelloAck(s.b.Owned(), frameVersion)}); err != nil {
 		return
 	}
@@ -235,25 +221,12 @@ func (s *Server) serveConn(conn net.Conn) {
 // find out.
 func (s *Server) dispatch(w *connWriter, f frame) error {
 	fail := func(code, msg string) error {
-		return w.write(frame{version: f.version, kind: kindError, op: f.op, seq: f.seq, payload: encodeAppError(code, msg)})
+		return w.write(frame{kind: kindError, op: f.op, seq: f.seq, payload: encodeAppError(code, msg)})
 	}
 	result := func(payload []byte) error {
-		return w.write(frame{version: f.version, kind: kindResult, op: f.op, seq: f.seq, payload: payload})
+		return w.write(frame{kind: kindResult, op: f.op, seq: f.seq, payload: payload})
 	}
 	switch f.op {
-	case opView:
-		u, err := decodeUser(f.payload)
-		if err != nil {
-			return fail(codeInternal, err.Error())
-		}
-		if !s.owned[s.sm(u)] {
-			return fail(codeWrongShard, fmt.Sprintf("user %d is on shard %d, not owned here", u, s.sm(u)))
-		}
-		scores, err := s.b.ViewScores(u)
-		if err != nil {
-			return fail(codeInternal, err.Error())
-		}
-		return s.streamView(w, f, scores)
 	case opViewMulti:
 		q, err := decodeViewMultiReq(f.payload)
 		if err != nil {
@@ -268,19 +241,6 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 			}
 		}
 		return s.streamViewMulti(w, f, q.Users)
-	case opPredict:
-		q, err := decodePredictReq(f.payload)
-		if err != nil {
-			return fail(codeInternal, err.Error())
-		}
-		if !s.owned[s.sm(q.User)] {
-			return fail(codeWrongShard, fmt.Sprintf("user %d is on shard %d, not owned here", q.User, s.sm(q.User)))
-		}
-		vals, err := s.b.PredictBatch(q.User, q.Items)
-		if err != nil {
-			return fail(codeInternal, err.Error())
-		}
-		return result(encodeF64s(vals))
 	case opPredictMulti:
 		q, err := decodePredictMultiReq(f.payload)
 		if err != nil {
@@ -304,7 +264,7 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 				kind = kindResult
 			}
 			payload := encodePredictMultiRow(predictMultiRow{Index: uint32(i), Values: vals})
-			if err := w.write(frame{version: f.version, kind: kind, op: f.op, seq: f.seq, payload: payload}); err != nil {
+			if err := w.write(frame{kind: kind, op: f.op, seq: f.seq, payload: payload}); err != nil {
 				return err
 			}
 		}
@@ -369,46 +329,16 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 	}
 }
 
-// streamView answers a view fetch as chunked score frames: progress
-// frames for every chunk but the last, then the terminal result — the
-// transport shape of the anytime contract, exercised by the data
-// plane's hottest read.
-func (s *Server) streamView(w *connWriter, req frame, scores []float64) error {
-	chunk := s.ChunkScores
-	if chunk <= 0 {
-		chunk = DefaultChunkScores
-	}
-	total := uint32(len(scores))
-	off := 0
-	for {
-		end := off + chunk
-		last := end >= len(scores)
-		if last {
-			end = len(scores)
-		}
-		kind := kindProgress
-		if last {
-			kind = kindResult
-		}
-		payload := encodeViewChunk(viewChunk{Total: total, Offset: uint32(off), Scores: scores[off:end]})
-		if err := w.write(frame{version: req.version, kind: kind, op: req.op, seq: req.seq, payload: payload}); err != nil {
-			return err
-		}
-		if last {
-			return nil
-		}
-		off = end
-	}
-}
-
 // streamViewMulti answers a multi-view fetch: every user's view
 // streams as chunks tagged with the user's request position, all of
 // them progress frames except the final chunk of the final user, which
-// is the terminal result. The last chunk of each user carries the
-// view's mean-fallback dependency positions when the backend knows
-// them, so the router's cache can patch the view through scoped
-// invalidation. A backend failure mid-stream answers a terminal error
-// frame — progress-then-terminal holds even on the sad path.
+// is the terminal result — the transport shape of the anytime
+// contract, exercised by the data plane's hottest read. The last chunk
+// of each user carries the view's mean-fallback dependency positions
+// when the backend knows them, so the router's list store can patch
+// the view through scoped invalidation. A backend failure mid-stream
+// answers a terminal error frame — progress-then-terminal holds even
+// on the sad path.
 func (s *Server) streamViewMulti(w *connWriter, req frame, users []dataset.UserID) error {
 	chunk := s.ChunkScores
 	if chunk <= 0 {
@@ -417,7 +347,7 @@ func (s *Server) streamViewMulti(w *connWriter, req frame, users []dataset.UserI
 	for i, u := range users {
 		scores, deps, depsKnown, err := s.b.ViewScoresDeps(u)
 		if err != nil {
-			return w.write(frame{version: req.version, kind: kindError, op: req.op, seq: req.seq, payload: encodeAppError(codeInternal, err.Error())})
+			return w.write(frame{kind: kindError, op: req.op, seq: req.seq, payload: encodeAppError(codeInternal, err.Error())})
 		}
 		lastUser := i == len(users)-1
 		total := uint32(len(scores))
@@ -443,7 +373,7 @@ func (s *Server) streamViewMulti(w *connWriter, req frame, users []dataset.UserI
 			if last && lastUser {
 				kind = kindResult
 			}
-			if err := w.write(frame{version: req.version, kind: kind, op: req.op, seq: req.seq, payload: encodeViewMultiChunk(c)}); err != nil {
+			if err := w.write(frame{kind: kind, op: req.op, seq: req.seq, payload: encodeViewMultiChunk(c)}); err != nil {
 				return err
 			}
 			if last {
@@ -454,6 +384,3 @@ func (s *Server) streamViewMulti(w *connWriter, req frame, users []dataset.UserI
 	}
 	return nil
 }
-
-// readAll is a tiny helper for tests that drain raw connections.
-func readAll(r io.Reader) []byte { b, _ := io.ReadAll(r); return b }

@@ -128,11 +128,9 @@ func decodeHello(p []byte) (hello, error) {
 	return h, r.err
 }
 
-// encodeHelloAck carries the worker's owned shards plus, since
-// protocol version 3, its own protocol version as a trailing u32. A
-// version-2 worker omits the trailer and a version-2 router ignores
-// it, so the handshake negotiates in both directions: each side
-// speaks min(its version, the peer's).
+// encodeHelloAck carries the worker's owned shards and its protocol
+// version; the router refuses a worker advertising any version but its
+// own (ErrVersionSkew).
 func encodeHelloAck(owned []int, version uint16) []byte {
 	var w wireWriter
 	w.u32(uint32(len(owned)))
@@ -153,12 +151,7 @@ func decodeHelloAck(p []byte) ([]int, uint16, error) {
 	for i := range owned {
 		owned[i] = int(r.u32())
 	}
-	// A trailing u32 is the worker's protocol version; its absence
-	// means a version-2 worker (the trailer was introduced with 3).
-	version := uint16(frameVersionMin)
-	if r.err == nil && r.off < len(p) {
-		version = uint16(r.u32())
-	}
+	version := uint16(r.u32())
 	return owned, version, r.err
 }
 
@@ -172,31 +165,6 @@ func decodeUser(p []byte) (dataset.UserID, error) {
 	r := wireReader{b: p}
 	u := dataset.UserID(r.u64())
 	return u, r.err
-}
-
-// viewChunk is one slice of a view's pool-order normalized scores. A
-// view response is a sequence of chunks — progress frames, then the
-// terminal result carrying the last chunk — so a big pool streams
-// without one giant frame, and the progress-then-terminal contract is
-// exercised by the data plane itself.
-type viewChunk struct {
-	Total  uint32 // pool length (every chunk repeats it)
-	Offset uint32 // position of this chunk's first score
-	Scores []float64
-}
-
-func encodeViewChunk(c viewChunk) []byte {
-	var w wireWriter
-	w.u32(c.Total)
-	w.u32(c.Offset)
-	w.f64s(c.Scores)
-	return w.b
-}
-
-func decodeViewChunk(p []byte) (viewChunk, error) {
-	r := wireReader{b: p}
-	c := viewChunk{Total: r.u32(), Offset: r.u32(), Scores: r.f64s()}
-	return c, r.err
 }
 
 // viewMultiReq asks for the views of every group member a worker owns
@@ -235,12 +203,15 @@ const (
 )
 
 // viewMultiChunk is one slice of one user's view inside a multi-view
-// response. Index names the user by position in the request, so chunks
-// of different users may interleave freely; the final chunk of a user
-// (vmLastChunk) optionally carries the view's mean-fallback positions
-// (pool indices — the router reconstructs the items from its own,
-// bit-identical candidate pool), which the router's view cache needs
-// to patch warm views through scoped invalidation.
+// response. A view streams as a sequence of chunks — progress frames,
+// the last one the terminal result — so a big pool needs no giant
+// frame and the progress-then-terminal contract is exercised by the
+// data plane itself. Index names the user by position in the request,
+// so chunks of different users may interleave freely; the final chunk
+// of a user (vmLastChunk) optionally carries the view's mean-fallback
+// positions (pool indices — the router reconstructs the items from its
+// own, bit-identical candidate pool), which the router's list store
+// needs to patch warm views through scoped invalidation.
 type viewMultiChunk struct {
 	Index       uint32 // user position in the request
 	Total       uint32 // pool length (every chunk repeats it)
@@ -345,47 +316,6 @@ func decodePredictMultiRow(p []byte) (predictMultiRow, error) {
 	return row, r.err
 }
 
-type predictReq struct {
-	User  dataset.UserID
-	Items []dataset.ItemID
-}
-
-func encodePredictReq(q predictReq) []byte {
-	var w wireWriter
-	w.u64(uint64(q.User))
-	w.u32(uint32(len(q.Items)))
-	for _, it := range q.Items {
-		w.u64(uint64(it))
-	}
-	return w.b
-}
-
-func decodePredictReq(p []byte) (predictReq, error) {
-	r := wireReader{b: p}
-	q := predictReq{User: dataset.UserID(r.u64())}
-	n := int(r.u32())
-	if r.err != nil || n > (len(p)-12)/8 {
-		return predictReq{}, errShortPayload
-	}
-	q.Items = make([]dataset.ItemID, n)
-	for i := range q.Items {
-		q.Items[i] = dataset.ItemID(r.u64())
-	}
-	return q, r.err
-}
-
-func encodeF64s(vs []float64) []byte {
-	var w wireWriter
-	w.f64s(vs)
-	return w.b
-}
-
-func decodeF64s(p []byte) ([]float64, error) {
-	r := wireReader{b: p}
-	vs := r.f64s()
-	return vs, r.err
-}
-
 // applyReq is one fanned-out rating stamped with the router's global
 // apply sequence. The sequence makes the write path idempotent — a
 // redelivered apply (the router retrying after a lost ack) is
@@ -423,15 +353,13 @@ func decodeApplyReq(p []byte) (applyReq, error) {
 
 // ApplyAck acknowledges a fanned-out rating with the worker's own
 // delta-log counters after the apply — the router's cross-check that
-// the replica ingested what it did. Since protocol version 3 it also
-// relays the worker's scoped-invalidation outcome: Scoped reports
-// whether the worker confined the rating's reach to an explicit user
-// set, and Stale lists those users (sorted, deterministic). The
-// router's view cache needs this relay — in distributed mode the
-// router's own caches are idle, so only the workers know which warm
-// views the rating could have touched. A version-2 ack omits the
-// trailer; the decoder reports Scoped=false and the router falls back
-// to flushing its cache wholesale.
+// the replica ingested what it did — and relays the worker's
+// scoped-invalidation outcome: Scoped reports whether the worker
+// confined the rating's reach to an explicit user set, and Stale lists
+// those users (sorted, deterministic). The router's list store needs
+// this relay — its views were built on the workers, against their
+// neighborhood caches, so only the workers know which warm views the
+// rating could have touched.
 type ApplyAck struct {
 	Pending int
 	Applied int64
@@ -466,9 +394,6 @@ func decodeApplyAck(p []byte) (ApplyAck, error) {
 		Applied: r.i64(),
 		Folds:   r.i64(),
 		Folded:  r.i64(),
-	}
-	if r.err != nil || r.off == len(p) {
-		return a, r.err // version-2 ack: no scoped trailer
 	}
 	a.Scoped = r.u8() != 0
 	n := int(r.u32())

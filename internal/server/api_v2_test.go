@@ -12,31 +12,36 @@ import (
 	"time"
 )
 
-// TestV1AliasesServeIdentically: every legacy route and its /v1 form
-// answer the same requests with the same payloads.
-func TestV1AliasesServeIdentically(t *testing.T) {
+// TestUnversionedRoutesAnswer404: /v1 is the only prefix. The
+// unversioned paths that once aliased it are not routes at all — every
+// method on them answers 404, while the /v1 forms serve.
+func TestUnversionedRoutesAnswer404(t *testing.T) {
 	w := testWorld(t)
 	_, ts := newTestServer(t, Config{})
 	group := w.Participants()[:3]
 	body := fmt.Sprintf(`{"group":[%d,%d,%d],"k":4,"num_items":120}`, group[0], group[1], group[2])
 
-	legacyStatus, legacy := postJSON(t, ts.URL+"/recommend", body)
-	v1Status, v1 := postJSON(t, ts.URL+"/v1/recommend", body)
-	if legacyStatus != http.StatusOK || v1Status != http.StatusOK {
-		t.Fatalf("statuses %d / %d, want 200 / 200 (%s / %s)", legacyStatus, v1Status, legacy, v1)
+	for _, route := range []string{"/recommend", "/recommend/batch", "/recommend/stream", "/ratings"} {
+		if status, data := postJSON(t, ts.URL+route, body); status != http.StatusNotFound {
+			t.Errorf("POST %s = %d (%s), want 404", route, status, data)
+		}
 	}
-	if string(legacy) != string(v1) {
-		t.Errorf("alias responses diverge:\nlegacy %s\nv1     %s", legacy, v1)
+	if status, data := postJSON(t, ts.URL+"/v1/recommend", body); status != http.StatusOK {
+		t.Fatalf("POST /v1/recommend = %d (%s), want 200", status, data)
 	}
-
-	for _, route := range []string{"/healthz", "/v1/healthz", "/stats", "/v1/stats"} {
+	for route, want := range map[string]int{
+		"/healthz":    http.StatusNotFound,
+		"/stats":      http.StatusNotFound,
+		"/v1/healthz": http.StatusOK,
+		"/v1/stats":   http.StatusOK,
+	} {
 		resp, err := http.Get(ts.URL + route)
 		if err != nil {
 			t.Fatalf("GET %s: %v", route, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200", route, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", route, resp.StatusCode, want)
 		}
 	}
 }
@@ -49,12 +54,11 @@ func TestMethodNotAllowedCarriesAllow(t *testing.T) {
 	cases := []struct {
 		method, route, allow string
 	}{
-		{http.MethodGet, "/recommend", "POST"},
-		{http.MethodDelete, "/recommend", "POST"},
 		{http.MethodGet, "/v1/recommend", "POST"},
+		{http.MethodDelete, "/v1/recommend", "POST"},
 		{http.MethodPut, "/v1/recommend/batch", "POST"},
 		{http.MethodGet, "/v1/recommend/stream", "POST"},
-		{http.MethodPost, "/healthz", "GET"},
+		{http.MethodPost, "/v1/healthz", "GET"},
 		{http.MethodPost, "/v1/stats", "GET"},
 	}
 	for _, tc := range cases {

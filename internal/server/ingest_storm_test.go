@@ -78,28 +78,44 @@ func TestIngestStormServesColdIdenticalResponses(t *testing.T) {
 			t.Fatalf("warm recommend status = %d, body %s", status, data)
 		}
 	}
+	// Sustained, not one burst: writer i posts once reader i%readers has
+	// answered i/readers+1 more requests, so every rating lands beside
+	// live read traffic that has rebuilt some of what the ratings before
+	// it dropped. Fired all at once, the eight ingests finish inside the
+	// readers' first coalescer window, and whether anything is retained
+	// then hangs on which rating happens to arrive first.
+	const readers = 3
+	var ticks [readers]chan struct{}
+	for g := range ticks {
+		ticks[g] = make(chan struct{}, 10) // one per reader request: a reader never blocks on it
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		r := extra[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			for n := 0; n <= i/readers; n++ {
+				<-ticks[i%readers]
+			}
 			body := fmt.Sprintf(`{"user":%d,"item":%d,"value":%g,"time":%d}`, r.User, r.Item, r.Value, r.Time)
 			if status, data := postJSON(t, ts.URL+"/v1/ratings", body); status != http.StatusOK {
 				t.Errorf("storm ingest status = %d, body %s", status, data)
 			}
 		}()
 	}
-	for g := 0; g < 3; g++ {
+	for g := 0; g < readers; g++ {
 		body := groups[g]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer close(ticks[g]) // a reader that gave up must not strand its writers
 			for i := 0; i < 10; i++ {
 				if status, data := postJSON(t, ts.URL+"/v1/recommend", body); status != http.StatusOK {
 					t.Errorf("storm recommend status = %d, body %s", status, data)
 					return
 				}
+				ticks[g] <- struct{}{}
 			}
 		}()
 	}

@@ -101,7 +101,7 @@ func TestServeRatingsIngest(t *testing.T) {
 
 	// The ingested rating reaches the engine: the legacy alias serves
 	// the same route, and a recommendation still computes cleanly.
-	status, data = postJSON(t, ts.URL+"/ratings",
+	status, data = postJSON(t, ts.URL+"/v1/ratings",
 		fmt.Sprintf(`{"user":%d,"item":4,"value":3}`, u))
 	if status != http.StatusOK {
 		t.Fatalf("legacy alias status = %d, body %s", status, data)

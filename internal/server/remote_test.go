@@ -307,8 +307,8 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 					} `json:"transport"`
 					ViewCacheEnabled bool `json:"view_cache_enabled"`
 					ViewCache        struct {
-						Hits     uint64 `json:"hits"`
-						Installs uint64 `json:"installs"`
+						Hits   uint64 `json:"hits"`
+						Misses uint64 `json:"misses"`
 					} `json:"view_cache"`
 				} `json:"remote"`
 			}
@@ -331,7 +331,7 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 				if !parsed.Remote.ViewCacheEnabled {
 					t.Error("view_cache_enabled = false with RemoteViewCache set")
 				}
-				if parsed.Remote.ViewCache.Installs == 0 || parsed.Remote.ViewCache.Hits == 0 {
+				if parsed.Remote.ViewCache.Misses == 0 || parsed.Remote.ViewCache.Hits == 0 {
 					t.Errorf("warm passes did not exercise the view cache: %+v", parsed.Remote.ViewCache)
 				}
 			}
@@ -458,11 +458,6 @@ type slowBackend struct {
 	delay time.Duration
 }
 
-func (b slowBackend) ViewScores(u dataset.UserID) ([]float64, error) {
-	time.Sleep(b.delay)
-	return b.Backend.ViewScores(u)
-}
-
 func (b slowBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, bool, error) {
 	time.Sleep(b.delay)
 	return b.Backend.ViewScoresDeps(u)
@@ -513,8 +508,8 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	ts := serveHTTP(t, stack.router)
 
 	group := groupJSON(groupOnShards(t, stack.router, 1, 2, nil))
-	// Two recommends over the same group: the first fetches and installs
-	// the members' views, the second serves them from the cache (the
+	// Two recommends over the same group: the first fetches the members'
+	// views into the router's store, the second serves them from it (the
 	// bodies differ so no request-level dedup can short-circuit it).
 	for _, n := range []int{120, 140} {
 		body := fmt.Sprintf(`{"group":%s,"k":3,"num_items":%d}`, group, n)
@@ -543,7 +538,7 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.Unmarshal(raw.Remote["transport"], &transport); err != nil {
 		t.Fatalf("remote.transport: %v", err)
 	}
-	for _, key := range []string{"calls_by_op", "batched_calls", "single_calls", "retries", "breaker_opens", "dials", "conn_reuses"} {
+	for _, key := range []string{"calls_by_op", "batched_calls", "retries", "breaker_opens", "dials", "conn_reuses"} {
 		if _, ok := transport[key]; !ok {
 			t.Errorf("remote.transport lacks %q; keys: %v", key, keysOf(transport))
 		}
@@ -552,7 +547,7 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.Unmarshal(transport["calls_by_op"], &callsByOp); err != nil {
 		t.Fatalf("remote.transport.calls_by_op: %v", err)
 	}
-	for _, op := range []string{"view", "predict", "apply", "invalidate", "stats", "view_multi", "predict_multi"} {
+	for _, op := range []string{"apply", "invalidate", "stats", "view_multi", "predict_multi"} {
 		if _, ok := callsByOp[op]; !ok {
 			t.Errorf("calls_by_op lacks %q; keys: %v", op, callsByOp)
 		}
@@ -561,7 +556,7 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.Unmarshal(raw.Remote["view_cache"], &viewCache); err != nil {
 		t.Fatalf("remote.view_cache: %v", err)
 	}
-	for _, key := range []string{"hits", "misses", "installs", "rejected", "invalidations", "evictions", "retained", "patched", "flushes", "size", "capacity"} {
+	for _, key := range []string{"hits", "misses", "invalidations", "evictions", "retained", "patched", "size", "capacity"} {
 		if _, ok := viewCache[key]; !ok {
 			t.Errorf("remote.view_cache lacks %q; keys: %v", key, keysOf(viewCache))
 		}
@@ -579,7 +574,7 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if st.Remote.Transport.CallsByOp["view_multi"] == 0 || st.Remote.Transport.BatchedCalls == 0 {
 		t.Errorf("no batched view fetch counted: %+v", st.Remote.Transport)
 	}
-	if st.Remote.ViewCache.Installs == 0 || st.Remote.ViewCache.Hits == 0 {
+	if st.Remote.ViewCache.Misses == 0 || st.Remote.ViewCache.Hits == 0 {
 		t.Errorf("view cache unused across two recommends: %+v", st.Remote.ViewCache)
 	}
 }

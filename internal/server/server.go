@@ -49,9 +49,7 @@ type Config struct {
 //	GET  /v1/healthz           liveness
 //	GET  /v1/stats             coalescer, batch, stream, ingest, and cache counters
 //
-// The legacy unversioned routes (/recommend, /recommend/batch,
-// /healthz, /stats) are aliases of their /v1 forms and serve identical
-// responses.
+// /v1 is the only prefix; unversioned paths answer 404.
 //
 // Client-shaped failures (malformed JSON, unknown users, negative K)
 // map to 400s with a machine-readable "code" field; unknown methods on
@@ -112,16 +110,12 @@ func New(world *repro.World, cfg Config) *Server {
 	for _, u := range world.Participants() {
 		s.participants[u] = true
 	}
-	// The /v1 routes are the API; the unversioned forms are
-	// compatibility aliases for pre-v1 clients.
-	for _, prefix := range []string{"", "/v1"} {
-		s.mux.HandleFunc(prefix+"/recommend", s.handleRecommend)
-		s.mux.HandleFunc(prefix+"/recommend/batch", s.handleBatch)
-		s.mux.HandleFunc(prefix+"/recommend/stream", s.handleStream)
-		s.mux.HandleFunc(prefix+"/ratings", s.handleRatings)
-		s.mux.HandleFunc(prefix+"/healthz", s.handleHealthz)
-		s.mux.HandleFunc(prefix+"/stats", s.handleStats)
-	}
+	s.mux.HandleFunc("/v1/recommend", s.handleRecommend)
+	s.mux.HandleFunc("/v1/recommend/batch", s.handleBatch)
+	s.mux.HandleFunc("/v1/recommend/stream", s.handleStream)
+	s.mux.HandleFunc("/v1/ratings", s.handleRatings)
+	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	return s
 }
 
@@ -608,8 +602,8 @@ type statsResponse struct {
 	World         worldStats       `json:"world"`
 	Ingest        ingestStats      `json:"ingest"`
 	// Remote is the distributed transport's observability: wire calls
-	// by op, batched vs single reads, retries, breaker opens, dials vs
-	// connection reuses, and the router view cache. Always present —
+	// by op, batched reads, retries, breaker opens, dials vs connection
+	// reuses, and the router list store's view traffic. Always present —
 	// zero-valued with Attached false in-process — so the stats shape
 	// is identical across deployments.
 	Remote repro.RemoteStats `json:"remote"`

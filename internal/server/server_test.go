@@ -70,7 +70,7 @@ func TestServeRecommend(t *testing.T) {
 	group := w.Participants()[:3]
 
 	body := fmt.Sprintf(`{"group":[%d,%d,%d],"k":4,"num_items":120}`, group[0], group[1], group[2])
-	status, data := postJSON(t, ts.URL+"/recommend", body)
+	status, data := postJSON(t, ts.URL+"/v1/recommend", body)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, data)
 	}
@@ -130,7 +130,7 @@ func TestServeRecommendBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, data := postJSON(t, ts.URL+"/recommend", tc.body)
+			status, data := postJSON(t, ts.URL+"/v1/recommend", tc.body)
 			if status != http.StatusBadRequest {
 				t.Errorf("status = %d, want 400 (body %s)", status, data)
 			}
@@ -141,7 +141,7 @@ func TestServeRecommendBadRequests(t *testing.T) {
 		})
 	}
 
-	resp, err := http.Get(ts.URL + "/recommend")
+	resp, err := http.Get(ts.URL + "/v1/recommend")
 	if err != nil {
 		t.Fatalf("GET /recommend: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestServeBatch(t *testing.T) {
 		{"group":[99999]},
 		{"group":[%d,%d,%d],"k":2,"num_items":80,"model":"static"}
 	]}`, parts[0], parts[1], parts[2], parts[3], parts[4])
-	status, data := postJSON(t, ts.URL+"/recommend/batch", body)
+	status, data := postJSON(t, ts.URL+"/v1/recommend/batch", body)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, data)
 	}
@@ -204,7 +204,7 @@ func TestServeBatch(t *testing.T) {
 	}
 
 	for _, bad := range []string{`{"requests":[]}`, `{}`, `[1,2]`, `{"requests":`} {
-		if status, _ := postJSON(t, ts.URL+"/recommend/batch", bad); status != http.StatusBadRequest {
+		if status, _ := postJSON(t, ts.URL+"/v1/recommend/batch", bad); status != http.StatusBadRequest {
 			t.Errorf("batch body %q: status = %d, want 400", bad, status)
 		}
 	}
@@ -216,7 +216,7 @@ func TestServeHealthz(t *testing.T) {
 	var health struct {
 		Status string `json:"status"`
 	}
-	if status := getJSON(t, ts.URL+"/healthz", &health); status != http.StatusOK {
+	if status := getJSON(t, ts.URL+"/v1/healthz", &health); status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
 	if health.Status != "ok" {
@@ -233,13 +233,13 @@ func TestServeStats(t *testing.T) {
 	body := fmt.Sprintf(`{"group":[%d,%d],"k":3,"num_items":100}`, group[0], group[1])
 
 	for i := 0; i < 3; i++ {
-		if status, data := postJSON(t, ts.URL+"/recommend", body); status != http.StatusOK {
+		if status, data := postJSON(t, ts.URL+"/v1/recommend", body); status != http.StatusOK {
 			t.Fatalf("priming request %d: status %d, body %s", i, status, data)
 		}
 	}
 
 	var st statsResponse
-	if status := getJSON(t, ts.URL+"/stats", &st); status != http.StatusOK {
+	if status := getJSON(t, ts.URL+"/v1/stats", &st); status != http.StatusOK {
 		t.Fatalf("stats status = %d", status)
 	}
 	if st.Coalescer.Requests != 3 {
@@ -302,7 +302,7 @@ func TestServeBurstCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			statuses[i], responses[i] = postJSON(t, ts.URL+"/recommend", body)
+			statuses[i], responses[i] = postJSON(t, ts.URL+"/v1/recommend", body)
 		}(i)
 	}
 	wg.Wait()
@@ -318,7 +318,7 @@ func TestServeBurstCoalesces(t *testing.T) {
 	}
 
 	var st statsResponse
-	if status := getJSON(t, ts.URL+"/stats", &st); status != http.StatusOK {
+	if status := getJSON(t, ts.URL+"/v1/stats", &st); status != http.StatusOK {
 		t.Fatalf("stats status = %d", status)
 	}
 	if st.Coalescer.Requests != burst {
@@ -343,7 +343,7 @@ func TestServeMaxWait(t *testing.T) {
 	body := fmt.Sprintf(`{"group":[%d,%d],"k":3,"num_items":100,"max_wait_ms":25}`, group[0], group[1])
 
 	start := time.Now()
-	status, data := postJSON(t, ts.URL+"/recommend", body)
+	status, data := postJSON(t, ts.URL+"/v1/recommend", body)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, data)
 	}
@@ -359,7 +359,7 @@ func TestServeMaxWait(t *testing.T) {
 	}
 
 	// A negative budget is a client error.
-	status, _ = postJSON(t, ts.URL+"/recommend",
+	status, _ = postJSON(t, ts.URL+"/v1/recommend",
 		fmt.Sprintf(`{"group":[%d],"max_wait_ms":-1}`, group[0]))
 	if status != http.StatusBadRequest {
 		t.Errorf("negative max_wait_ms: status = %d, want 400", status)
@@ -377,7 +377,7 @@ func TestServeShedsWith429(t *testing.T) {
 
 	parked := make(chan int, 1)
 	go func() {
-		status, _ := postJSON(t, ts.URL+"/recommend", body)
+		status, _ := postJSON(t, ts.URL+"/v1/recommend", body)
 		parked <- status
 	}()
 	deadline := time.Now().Add(30 * time.Second)
@@ -388,7 +388,7 @@ func TestServeShedsWith429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, err := http.Post(ts.URL+"/recommend", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/recommend", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("shed POST: %v", err)
 	}
@@ -428,7 +428,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			statuses[i], _ = postJSON(t, ts.URL+"/recommend", body)
+			statuses[i], _ = postJSON(t, ts.URL+"/v1/recommend", body)
 		}(i)
 	}
 	// Wait for all requests to be parked in the window, then drain.
@@ -450,7 +450,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if st := s.co.Stats(); st.DrainCloses != 1 {
 		t.Errorf("drain closes = %d, want 1 (%+v)", st.DrainCloses, st)
 	}
-	if status, _ := postJSON(t, ts.URL+"/recommend", body); status != http.StatusServiceUnavailable {
+	if status, _ := postJSON(t, ts.URL+"/v1/recommend", body); status != http.StatusServiceUnavailable {
 		t.Errorf("post-drain request: status %d, want 503", status)
 	}
 }

@@ -47,14 +47,10 @@ type MuxStats struct {
 	Active int `json:"active"`
 }
 
-// MuxStats snapshots the shared-runner multiplexer counters (zero when
-// Config.DisableRunSharing turned the mux off). The counters are
-// atomic; Runs/Shared/Active are only eventually consistent with each
-// other.
+// MuxStats snapshots the shared-runner multiplexer counters. The
+// counters are atomic; Runs/Shared/Active are only eventually
+// consistent with each other.
 func (w *World) MuxStats() MuxStats {
-	if w.mux == nil {
-		return MuxStats{}
-	}
 	m := w.mux
 	m.mu.Lock()
 	active := len(m.runs)

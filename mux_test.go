@@ -335,34 +335,3 @@ func TestMuxFingerprintSeparatesRuns(t *testing.T) {
 		t.Errorf("empty non-nil Items fingerprinted like nil Items — they select different candidate paths")
 	}
 }
-
-// TestMuxDisabled checks the escape hatch: with DisableRunSharing no
-// mux exists, stats read zero, and identical concurrent calls still
-// produce identical (unshared) results.
-func TestMuxDisabled(t *testing.T) {
-	cfg := muxTestConfig()
-	cfg.DisableRunSharing = true
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatalf("building world: %v", err)
-	}
-	if st := w.MuxStats(); st != (MuxStats{}) {
-		t.Errorf("disabled mux reports %+v, want zeros", st)
-	}
-	group := w.Participants()[:3]
-	opt := Options{K: 5, NumItems: 200}
-	a, err := w.Recommend(group, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := w.Recommend(group, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("unshared identical runs diverged")
-	}
-	if st := w.MuxStats(); st.Runs != 0 {
-		t.Errorf("disabled mux counted %d runs", st.Runs)
-	}
-}

@@ -35,8 +35,8 @@ type worldSnapshot struct {
 // readers are excluded (not hashable), which means a changed ratings
 // file behind an unchanged Config is NOT detected — operators who
 // swap the dataset must clear the snapshot directory. Fields that
-// only move work around (AssemblyWorkers, DisableRunSharing) are
-// excluded so tuning them keeps snapshots valid.
+// only move work around (AssemblyWorkers, RecheckWorkers) are excluded
+// so tuning them keeps snapshots valid.
 func configFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v|%+v|%d|%d|%t|%t|%d|%v|%d|%d|%d|%d",

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cf"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/liststore"
 	"repro/internal/remote"
 )
@@ -27,11 +26,12 @@ import (
 func (w *World) ConfigFingerprint() uint64 { return configFingerprint(w.cfg) }
 
 // AttachRemote switches the world's per-user data plane to the worker
-// fleet behind set: view fetches and batch predictions route to each
-// user's owning worker, rating ingest fans out to every replica, and
-// /v1/stats reports the workers' cache counters. The topology's shard
-// count must equal the world's, and every worker must be reachable
-// and fingerprint-identical (the handshake runs eagerly here, so a
+// fleet behind set: the list store's views are fetched from each user's
+// owning worker instead of built in place, prediction rows route the
+// same way, rating ingest fans out to every replica, and /v1/stats
+// reports the workers' cache counters. The topology's shard count must
+// equal the world's, and every worker must be reachable and
+// fingerprint-identical (the handshake runs eagerly here, so a
 // misconfigured fleet fails at boot, not on the first request).
 //
 // Call before serving traffic; attaching is not synchronized against
@@ -46,18 +46,27 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	// A view is the pool-order score vector, so its length is exactly
 	// the candidate pool's — pin the transport's claimed-total bound to
 	// it, rejecting any larger claim before allocation.
-	set.LimitViewScores(len(w.ratings.PopularityRanked()))
+	pool := w.ratings.PopularityRanked()
+	set.LimitViewScores(len(pool))
 	w.remote = set
-	// Router view cache (opt-in via Config.RemoteViewCache): fetched
-	// views stick on the router, fenced against ingest by the apply
-	// bracket in addRating. NewViewCache returns nil when disabled, and
-	// every cache call site is nil-safe, so the default wiring is
-	// identical to PR 9's.
-	w.viewCache = engine.NewViewCache(w.cfg.RemoteViewCache, w.sm)
-	w.asm.AttachRemote(&remotePlane{
-		set:   set,
-		cache: w.viewCache,
-		pool:  w.ratings.PopularityRanked(),
+	// The router's own list store sat idle; replace it with one over the
+	// fetch builder, retaining Config.RemoteViewCache views (none by
+	// default: acquire, fetch, return). Everything else about it — CLOCK
+	// eviction, the scoped sweep AddRating runs, the mid-build unlink
+	// that fences fetches against ingest — is the store's, unchanged.
+	if w.lists != nil {
+		w.lists = liststore.NewOver(fetchViews(set, pool), pool, w.cfg.RemoteViewCache, prefDivisor, w.sm)
+		w.asm.AttachListStore(w.lists)
+	}
+	w.asm.AttachRows(func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
+		rows, err := set.PredictBatchMulti(users, items)
+		if err != nil {
+			return err
+		}
+		for i, row := range rows {
+			copy(dst[i], row)
+		}
+		return nil
 	})
 	return nil
 }
@@ -65,78 +74,49 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 // Remote returns the attached worker fleet, or nil in-process.
 func (w *World) Remote() *remote.ShardSet { return w.remote }
 
-// remotePlane adapts the shard-set client to the assembler's batched
-// data-plane seam, with the router view cache in front of the wire:
-// cached members are served locally, the misses fetch in one
-// worker-batched scatter, and fetched views install back into the
-// cache under the ingest fence taken before the fetch.
-type remotePlane struct {
-	set   *remote.ShardSet
-	cache *engine.ViewCache // nil when Config.RemoteViewCache disabled it
-	pool  []dataset.ItemID  // the popularity pool, for fallback-position reconstruction
-}
-
-func (p *remotePlane) ViewsMulti(group []dataset.UserID) ([]*liststore.View, error) {
-	out := make([]*liststore.View, len(group))
-	var (
-		missUsers []dataset.UserID
-		missIdx   []int
-	)
-	for i, u := range group {
-		if v := p.cache.Get(u); v != nil {
-			out[i] = v
-			continue
+// fetchViews is the list store's distributed builder: one view RPC per
+// owning worker for all of a call's misses, each view reconstructed
+// from the score vector on the wire — the canonical sort is
+// deterministic, so it is bit-identical to the worker's own — together
+// with the dependency metadata the worker's build recorded. Fallback
+// positions travel as candidate-pool indexes, and the router's pool is
+// bit-identical to the worker's (the fingerprint handshake guarantees
+// it), so pool[pos] recovers the item IDs the scoped sweep matches
+// against. A position outside the pool marks the metadata unusable,
+// never a panic.
+func fetchViews(set *remote.ShardSet, pool []dataset.ItemID) liststore.Builder {
+	return func(users []dataset.UserID) ([]*liststore.View, error) {
+		res, err := set.ViewScoresMulti(users)
+		if err != nil {
+			return nil, err
 		}
-		missUsers = append(missUsers, u)
-		missIdx = append(missIdx, i)
+		views := make([]*liststore.View, len(res))
+		for i, r := range res {
+			deps, known := wireDeps(r, pool)
+			views[i] = liststore.NewView(r.Scores, deps, known)
+		}
+		return views, nil
 	}
-	if len(missUsers) == 0 {
-		return out, nil
-	}
-	// Fence token first, fetch second: if an ingest begins anywhere in
-	// between, the install is rejected and the fetched view serves only
-	// this request — never a post-ingest one.
-	g0 := p.cache.Snapshot()
-	res, err := p.set.ViewScoresMulti(missUsers)
-	if err != nil {
-		return nil, err
-	}
-	for j, r := range res {
-		v := liststore.ViewFromScores(r.Scores)
-		out[missIdx[j]] = v
-		deps, depsKnown := p.reconstructDeps(r)
-		p.cache.TryInstall(missUsers[j], v, deps, depsKnown, g0)
-	}
-	return out, nil
 }
 
-// reconstructDeps rebuilds the worker view's dependency metadata from
-// the wire form: fallback positions are candidate-pool indexes, and
-// the router's pool is bit-identical to the worker's (the fingerprint
-// handshake guarantees it), so pool[pos] recovers the item IDs the
-// scoped sweep matches against. A position outside the pool marks the
-// metadata unusable, never a panic.
-func (p *remotePlane) reconstructDeps(r remote.ViewResult) (cf.RowDeps, bool) {
+// wireDeps maps a fetched view's fallback positions back to items
+// through the pool.
+func wireDeps(r remote.ViewResult, pool []dataset.ItemID) (cf.RowDeps, bool) {
 	if !r.DepsKnown {
 		return cf.RowDeps{}, false
 	}
 	deps := cf.RowDeps{UsedGlobal: r.UsedGlobal}
 	if n := len(r.FallbackPos); n > 0 {
-		items := make([]dataset.ItemID, n)
+		deps.FallbackPos = r.FallbackPos
+		deps.FallbackItems = make([]dataset.ItemID, n)
 		for k, pos := range r.FallbackPos {
-			if pos < 0 || int(pos) >= len(p.pool) {
+			if pos < 0 || int(pos) >= len(pool) {
 				return cf.RowDeps{}, false
 			}
-			items[k] = p.pool[pos]
+			deps.FallbackItems[k] = pool[pos]
 		}
-		deps.FallbackItems = items
-		deps.FallbackPos = append([]int32(nil), r.FallbackPos...)
 	}
 	return deps, true
-}
-
-func (p *remotePlane) PredictBatchMulti(group []dataset.UserID, items []dataset.ItemID) ([][]float64, error) {
-	return p.set.PredictBatchMulti(group, items)
 }
 
 // ShardBackend is the worker process's side of the data plane: a full
@@ -176,51 +156,24 @@ func (b *ShardBackend) Shards() int { return b.w.Shards() }
 // Owned implements remote.Backend.
 func (b *ShardBackend) Owned() []int { return append([]int(nil), b.owned...) }
 
-// ViewScores implements remote.Backend: u's pool-order normalized
-// preference scores, served from the sorted-list store when enabled
-// (materializing and caching the view exactly like local traffic
-// would) and computed directly from the predictor otherwise.
-func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
-	if b.w.lists != nil {
-		return b.w.lists.Acquire(u).Scores, nil
-	}
-	pool := b.w.ratings.PopularityRanked()
-	raw := b.w.source.PredictBatch(u, pool)
-	scores := make([]float64, len(raw))
-	for i, v := range raw {
-		scores[i] = v / prefDivisor
-	}
-	return scores, nil
-}
-
-// ViewScoresDeps implements remote.Backend: u's view scores plus the
-// dependency metadata the build recorded — which pool positions fell
-// to the mean-fallback ladder — so the router's view cache can apply
-// the same scoped-invalidation verdicts the worker's own store would.
-// depsKnown is false when the metadata is unavailable (store disabled
-// with a non-deps source, or a snapshot-restored view); such views
-// cache fine but drop on the first ingest sweep.
+// ViewScoresDeps implements remote.Backend: u's pool-order normalized
+// view scores plus the dependency metadata the build recorded — which
+// pool positions fell to the mean-fallback ladder — so the router's
+// list store can apply the same scoped-invalidation verdicts the
+// worker's own would. The view is served from the sorted-list store,
+// materializing and caching it exactly like local traffic would. (A
+// router only asks for views when its own store is enabled, and
+// ListStoreSize is part of the handshake fingerprint, so the store is
+// enabled here whenever this is called.)
 func (b *ShardBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, bool, error) {
-	if b.w.lists != nil {
-		v, deps, known := b.w.lists.AcquireWithDeps(u)
-		return v.Scores, deps, known, nil
+	if b.w.lists == nil {
+		return nil, cf.RowDeps{}, false, fmt.Errorf("repro: view requested from a worker without a list store")
 	}
-	pool := b.w.ratings.PopularityRanked()
-	var (
-		raw  []float64
-		deps cf.RowDeps
-	)
-	ds, known := b.w.source.(cf.DepsSource)
-	if known {
-		raw, deps = ds.PredictBatchDeps(u, pool)
-	} else {
-		raw = b.w.source.PredictBatch(u, pool)
+	v, err := b.w.lists.Acquire(u)
+	if err != nil {
+		return nil, cf.RowDeps{}, false, err
 	}
-	scores := make([]float64, len(raw))
-	for i, v := range raw {
-		scores[i] = v / prefDivisor
-	}
-	return scores, deps, known, nil
+	return v.Scores, v.Deps, v.DepsKnown, nil
 }
 
 // PredictBatch implements remote.Backend: raw (1..5 scale)
@@ -235,7 +188,7 @@ func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([
 // — and ack with the replica's delta counters plus the invalidation
 // outcome: whether the replica swept scoped, and if so which of its
 // cached users went stale. The router merges the relayed verdicts
-// into its own to sweep the remote view cache — the cached views were
+// into its own to sweep its list store — the views it holds were
 // built here, against this replica's caches, so this replica's stale
 // set (not the router's idle one) is the authoritative reach of the
 // ingest. Rejections unwrap to the dataset sentinels, which the

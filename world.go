@@ -92,15 +92,15 @@ type Config struct {
 	// identical for every shard count. Capacity budgets (RowCacheSize,
 	// ListStoreSize) are split across the shards.
 	Shards int
-	// RemoteViewCache bounds the router-side cache of views fetched
-	// from shard workers in distributed mode (AttachRemote): a group
-	// assembly whose members' views are cached skips the wire entirely,
-	// and rating ingest sweeps the cache with the same scoped verdicts
-	// the workers apply locally — fenced by the global apply sequence,
-	// so a cached view is always bit-identical to a fresh worker fetch.
-	// 0 (the default) and negative disable the cache; it is router-only
-	// state, excluded from the config fingerprint, and irrelevant
-	// in-process.
+	// RemoteViewCache bounds how many views fetched from shard workers
+	// the router's list store retains in distributed mode
+	// (AttachRemote): a group assembly whose members' views are
+	// resident skips the wire entirely, and rating ingest sweeps them
+	// like any list store, with the verdicts the workers relay — so a
+	// retained view is always bit-identical to a fresh worker fetch.
+	// 0 (the default) and negative retain nothing: every assembly
+	// fetches. It is router-only state, excluded from the config
+	// fingerprint, and irrelevant in-process.
 	RemoteViewCache int
 	// FullInvalidation reverts rating ingest to the drop-everything
 	// scheme: every cached neighborhood, prediction row, and sorted
@@ -120,13 +120,6 @@ type Config struct {
 	// only how long ingest holds its serialized window. Excluded from
 	// the config fingerprint like the other work-placement knobs.
 	RecheckWorkers int
-	// DisableRunSharing turns off the shared-runner multiplexer:
-	// identical concurrent RecommendContext/RecommendStream calls then
-	// each drive their own core.Runner instead of riding one shared
-	// run. Sharing never changes any result byte (runs are
-	// deterministic), so this is an escape hatch for differential
-	// testing and workloads that want strict per-call isolation.
-	DisableRunSharing bool
 	// snapshotRatings, when set by the persistence layer (OpenWorld),
 	// rebuilds the rating store from a snapshot's canonical dump
 	// instead of reading RatingsReader or generating synthetically.
@@ -184,7 +177,9 @@ type World struct {
 	// when Config.RowCacheSize disabled it.
 	rowCache *cf.CachedSource
 	// lists is the precomputed sorted-list store over the popularity
-	// pool; nil when Config.ListStoreSize disabled it.
+	// pool; nil when Config.ListStoreSize disabled it. In-process its
+	// views are built from the base predictor; AttachRemote swaps it for
+	// a store that fetches them from the owning workers.
 	lists *liststore.Store
 	// asm is the assembly layer filling preference matrices from
 	// source with a bounded worker pool.
@@ -202,7 +197,7 @@ type World struct {
 	// routes through (shard.Single when Config.Shards <= 1).
 	sm shard.Map
 	// mux is the shared-runner multiplexer deduplicating identical
-	// concurrent runs; nil when Config.DisableRunSharing is set.
+	// concurrent runs.
 	mux *runMux
 	// periodMu guards the index-maintenance state — pending, timeline,
 	// and the affinity model's per-period tables — so AppendNextPeriod
@@ -230,10 +225,6 @@ type World struct {
 	// remoteFanoutMisses counts ingests whose owning worker missed
 	// the fanned-out write and was fenced.
 	remoteFanoutMisses atomic.Uint64
-	// viewCache is the router-side cache of worker-fetched views,
-	// fenced against ingest by its generation seqlock; nil unless
-	// AttachRemote enabled it (Config.RemoteViewCache > 0).
-	viewCache *engine.ViewCache
 }
 
 // NewWorld builds every substrate: ratings (loaded or generated), the
@@ -365,7 +356,6 @@ func NewWorld(cfg Config) (*World, error) {
 		w.source = w.rowCache
 	}
 	w.asm = engine.New(w.source, cfg.AssemblyWorkers)
-	w.asm.AttachShards(w.sm)
 
 	// Sorted-list store: built at load over the frozen popularity
 	// ranking (views materialize lazily per user, bounded by a CLOCK
@@ -376,7 +366,13 @@ func NewWorld(cfg Config) (*World, error) {
 	// rating ingest must route through InvalidateUserViews so stale
 	// views are rebuilt.
 	if cfg.ListStoreSize >= 0 {
-		w.lists = liststore.NewSharded(base, w.ratings.PopularityRanked(), cfg.ListStoreSize, prefDivisor, w.sm)
+		size := cfg.ListStoreSize
+		if size == 0 {
+			size = liststore.DefaultMaxUsers
+		}
+		pool := w.ratings.PopularityRanked()
+		build := liststore.LocalBuilder(base, pool, prefDivisor, w.asm.Workers())
+		w.lists = liststore.NewOver(build, pool, size, prefDivisor, w.sm)
 		if w.lists != nil {
 			w.asm.AttachListStore(w.lists)
 		}
@@ -404,9 +400,7 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("repro: building affinity model: %w", err)
 	}
 	w.model = model
-	if !cfg.DisableRunSharing {
-		w.mux = newRunMux()
-	}
+	w.mux = newRunMux()
 	return w, nil
 }
 
@@ -528,13 +522,12 @@ func (w *World) AddRating(r dataset.Rating) error {
 	return err
 }
 
-// ingestOutcome describes how one applied rating invalidated the
-// world's caches: whether the sweep was dependency-scoped, and if so
+// ingestOutcome describes how far one applied rating reaches into the
+// world's caches: whether that reach is dependency-scoped, and if so
 // the stale-user verdicts and the rated item's post-ingest mean (the
-// splice value for retained fallback entries). The distributed layers
-// relay it — workers ack it back to the router, and the router merges
-// local and relayed outcomes to sweep its remote view cache with the
-// exact verdicts the workers applied.
+// splice value for retained fallback entries). Workers ack it back to
+// the router, which merges local and relayed outcomes into the one
+// sweep of its list store.
 type ingestOutcome struct {
 	scoped    bool
 	stale     map[dataset.UserID]struct{}
@@ -548,19 +541,15 @@ type ingestOutcome struct {
 func (w *World) addRating(r dataset.Rating) (ingestOutcome, error) {
 	w.ingestMu.Lock()
 	defer w.ingestMu.Unlock()
-	// Open the view-cache ingest bracket before any state moves: from
-	// here until End, the generation is odd and no in-flight remote
-	// fetch can install a pre-ingest view. A no-op without the cache.
-	w.viewCache.Begin()
-	defer w.viewCache.End()
 	out, err := w.applyRating(r)
 	if err != nil {
 		return ingestOutcome{}, err
 	}
+	// relayed is what the worker replicas report the rating reached;
+	// in-process there are none, and nothing is relayed.
+	relayed := remote.ApplyScope{Scoped: true}
 	if w.wal != nil {
-		if err := w.wal.Append(r); err != nil {
-			return ingestOutcome{}, fmt.Errorf("repro: rating applied but not journaled: %w", err)
-		}
+		err = w.wal.Append(r)
 	}
 	// Distributed mode: fan the rating out to every worker replica,
 	// still inside the ingest lock so every process applies ratings in
@@ -576,52 +565,62 @@ func (w *World) addRating(r dataset.Rating) (ingestOutcome, error) {
 	// replica), so failing the request would invite a retry that
 	// double-counts the rating in every process that applied it. A
 	// missed owner surfaces at read time, on its fenced shards.
-	if w.remote != nil {
+	if err == nil && w.remote != nil {
 		w.remoteApplySeq++
-		_, scope, ferr := w.remote.Apply(w.remoteApplySeq, r)
+		var ferr error
+		_, relayed, ferr = w.remote.Apply(w.remoteApplySeq, r)
 		if ferr != nil {
 			w.remoteFanoutMisses.Add(1)
 		}
-		// Sweep the remote view cache with the merged verdicts. The
-		// cached views were built on the workers, whose neighborhood
-		// caches differ from the router's idle local ones, so the
-		// workers' relayed stale sets — not just the local one — decide
-		// which cached views the ingest reached. Only a fully scoped
-		// outcome (local AND every attempted replica) sweeps scoped;
-		// anything weaker (a full-invalidation verdict anywhere, a
-		// failed delivery, an old-protocol ack) flushes the cache
-		// wholesale. Either way no stale byte can serve: the bracket's
-		// fence already blocks pre-ingest installs.
-		if w.viewCache != nil {
-			if out.scoped && scope.Scoped {
-				stale := out.stale
-				if len(scope.Stale) > 0 {
-					merged := make(map[dataset.UserID]struct{}, len(stale)+len(scope.Stale))
-					for u := range stale {
-						merged[u] = struct{}{}
-					}
-					for _, u := range scope.Stale {
-						merged[u] = struct{}{}
-					}
-					stale = merged
-				}
-				w.viewCache.SweepScoped(stale, r.Item, out.patch, out.havePatch, prefDivisor)
-			} else {
-				w.viewCache.Flush()
-			}
-		}
+	}
+	w.sweepViews(r.Item, out, relayed)
+	if err != nil {
+		return ingestOutcome{}, fmt.Errorf("repro: rating applied but not journaled: %w", err)
 	}
 	return out, nil
+}
+
+// sweepViews is the one place an ingest invalidates sorted views, run
+// after the rating is applied everywhere it is going to be: the local
+// store and predictors, and in distributed mode every worker replica.
+// The stale set is the local verdict merged with the workers' — a
+// router's views were built on the workers, against their neighborhood
+// caches, so their relayed verdicts, not just the router's idle local
+// ones, decide which views the rating reached. Only a fully scoped
+// outcome (local AND every attempted replica) sweeps scoped; anything
+// weaker (a full-invalidation verdict anywhere, a failed delivery)
+// drops every view. Builds in flight need no extra fence: a view still
+// mid-build when the sweep passes is unlinked by it (see
+// liststore.AcquireMulti), and one started afterwards reads post-ingest
+// state wherever it is built.
+func (w *World) sweepViews(it dataset.ItemID, out ingestOutcome, relayed remote.ApplyScope) {
+	if w.lists == nil {
+		return
+	}
+	if !out.scoped || !relayed.Scoped {
+		w.lists.InvalidateAll()
+		return
+	}
+	stale := out.stale
+	if len(relayed.Stale) > 0 {
+		stale = make(map[dataset.UserID]struct{}, len(out.stale)+len(relayed.Stale))
+		for u := range out.stale {
+			stale[u] = struct{}{}
+		}
+		for _, u := range relayed.Stale {
+			stale[u] = struct{}{}
+		}
+	}
+	w.lists.InvalidateScoped(stale, it, out.patch, out.havePatch)
 }
 
 // RemoteFanoutMisses counts distributed ingests whose owning worker
 // missed the fanned-out write (and was fenced). Zero in-process.
 func (w *World) RemoteFanoutMisses() uint64 { return w.remoteFanoutMisses.Load() }
 
-// applyRating is AddRating without the lock or the journal — the
-// shared core of live ingest and WAL replay (replayed records are
-// already journaled) — reporting how the sweep scoped. Caller holds
-// ingestMu.
+// applyRating lands r in the store, updates the predictors and sweeps
+// the row cache, reporting how far the rating reaches; the sorted views
+// are swept later, by sweepViews. Caller holds ingestMu.
 func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 	if err := w.ratings.Apply(r); err != nil {
 		return ingestOutcome{}, fmt.Errorf("repro: applying rating: %w", err)
@@ -638,9 +637,6 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 		}
 		if w.rowCache != nil {
 			w.rowCache.InvalidateAll()
-		}
-		if w.lists != nil {
-			w.lists.InvalidateAll()
 		}
 		return ingestOutcome{}, nil
 	}
@@ -677,9 +673,6 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 		if w.rowCache != nil {
 			w.rowCache.InvalidateAll()
 		}
-		if w.lists != nil {
-			w.lists.InvalidateAll()
-		}
 		return ingestOutcome{}, nil
 	}
 	// The rated item's post-ingest mean is the splice value for
@@ -690,9 +683,6 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 	patch, havePatch := w.pred.ItemMean(r.Item)
 	if w.rowCache != nil {
 		w.rowCache.InvalidateScoped(scope.Stale, r.Item, patch, havePatch)
-	}
-	if w.lists != nil {
-		w.lists.InvalidateScoped(scope.Stale, r.Item, patch, havePatch)
 	}
 	return ingestOutcome{scoped: true, stale: scope.Stale, patch: patch, havePatch: havePatch}, nil
 }
@@ -741,12 +731,9 @@ func (w *World) InvalidateUserViews(u dataset.UserID) bool {
 		dropped = true
 	}
 	// Distributed mode: the user's served view lives on its owning
-	// worker; drop it there too, along with any router-cached copy.
-	// Best-effort — an unreachable owner's shards fail reads anyway, so
-	// there is no stale view to serve.
-	if w.viewCache.Invalidate(u) {
-		dropped = true
-	}
+	// worker; drop it there too (the router's own copy went with the
+	// list-store drop above). Best-effort — an unreachable owner's
+	// shards fail reads anyway, so there is no stale view to serve.
 	if w.remote != nil {
 		if rd, err := w.remote.InvalidateUser(u); err == nil && rd {
 			dropped = true
@@ -756,20 +743,36 @@ func (w *World) InvalidateUserViews(u dataset.UserID) bool {
 }
 
 // RemoteStats is the distributed transport's observability surface
-// for /v1/stats: the shard-set's wire counters plus the router view
-// cache's. Zero-valued in-process (the serving layer reports the
-// section only when a fleet is attached).
+// for /v1/stats: the shard-set's wire counters plus the router list
+// store's view traffic. Zero-valued in-process (the serving layer
+// reports the section only when a fleet is attached).
 type RemoteStats struct {
 	// Attached reports whether a worker fleet is attached at all.
 	Attached bool `json:"attached"`
-	// Transport counts the shard-set's wire traffic: calls by op,
-	// batched vs single reads, retries, breaker opens, dials vs
+	// Transport counts the shard-set's wire traffic: calls by op, the
+	// batched reads among them, retries, breaker opens, dials vs
 	// connection reuses.
 	Transport remote.TransportStats `json:"transport"`
-	// ViewCacheEnabled reports whether the router view cache is on
-	// (Config.RemoteViewCache > 0); ViewCache is zero when it is not.
-	ViewCacheEnabled bool                  `json:"view_cache_enabled"`
-	ViewCache        engine.ViewCacheStats `json:"view_cache"`
+	// ViewCacheEnabled reports whether the router retains fetched views
+	// (Config.RemoteViewCache > 0); ViewCache counts its list store's
+	// traffic either way.
+	ViewCacheEnabled bool           `json:"view_cache_enabled"`
+	ViewCache        ViewCacheStats `json:"view_cache"`
+}
+
+// ViewCacheStats is the router list store seen as a cache of worker
+// views: Hits are assemblies' member views served from the store,
+// Misses the ones fetched over the wire; the lifecycle counters are the
+// store's own (see liststore.Stats).
+type ViewCacheStats struct {
+	Hits          uint64 `json:"hits"`
+	Misses        uint64 `json:"misses"`
+	Invalidations uint64 `json:"invalidations"`
+	Evictions     uint64 `json:"evictions"`
+	Retained      uint64 `json:"retained"`
+	Patched       uint64 `json:"patched"`
+	Size          int    `json:"size"`
+	Capacity      int    `json:"capacity"`
 }
 
 // RemoteStats snapshots the distributed transport counters. The
@@ -780,12 +783,22 @@ func (w *World) RemoteStats() RemoteStats {
 	if w.remote == nil {
 		return RemoteStats{Transport: remote.EmptyTransportStats()}
 	}
-	return RemoteStats{
-		Attached:         true,
-		Transport:        w.remote.TransportStats(),
-		ViewCacheEnabled: w.viewCache != nil,
-		ViewCache:        w.viewCache.Stats(),
+	st := RemoteStats{Attached: true, Transport: w.remote.TransportStats()}
+	if w.lists != nil {
+		ls := w.lists.Stats()
+		st.ViewCacheEnabled = w.cfg.RemoteViewCache > 0
+		st.ViewCache = ViewCacheStats{
+			Hits:          ls.ViewHits,
+			Misses:        ls.ViewBuilds,
+			Invalidations: ls.Invalidations,
+			Evictions:     ls.Evictions,
+			Retained:      ls.Retained,
+			Patched:       ls.Patched,
+			Size:          ls.Size,
+			Capacity:      max(w.cfg.RemoteViewCache, 0),
+		}
 	}
+	return st
 }
 
 // CacheStats aggregates the engine's cache counters — the prediction-
