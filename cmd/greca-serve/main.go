@@ -1,11 +1,11 @@
-// Command greca-serve exposes the recommendation engine over HTTP,
-// coalescing concurrent single-group requests into RecommendBatch
-// windows so the engine's shared candidate pools and prediction-row
-// cache pay off under live traffic.
+// Command greca-serve exposes the recommendation engine over HTTP.
+// Each request runs on its own handler goroutine as soon as it is
+// admitted; concurrent requests share work through the engine's
+// content-keyed caches, not by waiting for each other.
 //
 // Usage:
 //
-//	greca-serve [-addr :8080] [-window 5ms] [-maxbatch 64] [-maxpending 0]
+//	greca-serve [-addr :8080] [-maxpending 0]
 //	            [-ratings ratings.dat] [-seed N] [-rowcache 1024]
 //	            [-liststore 1024] [-shards 1] [-shards-config topology.json]
 //	            [-remote-viewcache 0] [-workers N] [-recheck-workers N] [-snapshot dir]
@@ -73,7 +73,7 @@
 //
 //	POST /v1/recommend         {"group":[1,5,9],"k":10,"num_items":3900,
 //	                            "consensus":"AP","model":"discrete","period":0,
-//	                            "max_wait_ms":0,"epsilon":0}
+//	                            "epsilon":0}
 //	                           epsilon > 0 enables bound-gap ε stopping:
 //	                           the run ends once the threshold/kth-LB
 //	                           gap sinks below ε, answering with the
@@ -93,7 +93,7 @@
 //	                           frame. Disconnecting cancels the run
 //	                           within one stopping-check interval.
 //	GET  /v1/healthz           liveness
-//	GET  /v1/stats             coalescer, batch, stream + cache counters,
+//	GET  /v1/stats             admission, batch, stream + cache counters,
 //	                           with a per-shard cache breakdown whose
 //	                           entries sum exactly to the aggregates,
 //	                           plus ingest counters and (under
@@ -106,12 +106,12 @@
 // header.
 //
 // On SIGINT/SIGTERM the listener stops accepting, in-flight requests
-// finish, the coalescer drains its open window, and (under -snapshot)
-// a final snapshot is written before exit.
+// finish, and (under -snapshot) a final snapshot is written before
+// exit.
 //
 // Examples:
 //
-//	greca-serve -addr :8080 -window 5ms -maxbatch 64
+//	greca-serve -addr :8080 -maxpending 256
 //	curl -s localhost:8080/v1/recommend -d '{"group":[1,5,9],"k":5,"num_items":200}'
 //	curl -sN localhost:8080/v1/recommend/stream -d '{"group":[1,5,9],"k":5,"num_items":400}'
 //	curl -s localhost:8080/v1/stats
@@ -153,9 +153,7 @@ func main() {
 
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		window     = flag.Duration("window", server.DefaultWindow, "coalescing latency budget")
-		maxBatch   = flag.Int("maxbatch", server.DefaultMaxBatch, "coalescing batch bound")
-		maxPending = flag.Int("maxpending", 0, "parked-caller bound; beyond it requests are shed with 429 (0 = unbounded)")
+		maxPending = flag.Int("maxpending", 0, "in-flight request bound; beyond it requests are shed with 429 (0 = unbounded)")
 		ratings    = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
 		seed       = flag.Int64("seed", 1, "synthetic world seed")
 		rowCache   = flag.Int("rowcache", cf.DefaultRowCacheCap, "prediction-row cache size (must be positive)")
@@ -238,7 +236,7 @@ func main() {
 		log.Printf("distributed mode: %d shards on workers %v", top.Shards, set.Addrs())
 	}
 
-	srv := server.New(world, server.Config{Window: *window, MaxBatch: *maxBatch, MaxPending: *maxPending, OpenStats: openStats})
+	srv := server.New(world, server.Config{MaxPending: *maxPending, OpenStats: openStats})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -265,7 +263,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("serving on %s (window %v, max batch %d, %d shards)", *addr, *window, *maxBatch, world.Shards())
+	log.Printf("serving on %s (%d shards)", *addr, world.Shards())
 
 	// Profiling stays off the service handler: the pprof routes live on
 	// their own listener, bound only when -pprof names an address, so
@@ -286,9 +284,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Drain: stop accepting, let in-flight handlers (parked in
-	// coalescer windows) finish, then flush the coalescer.
-	log.Print("shutting down: draining in-flight windows...")
+	// Drain: stop accepting, then let in-flight handlers finish.
+	log.Print("shutting down: draining in-flight requests...")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
@@ -309,6 +306,5 @@ func main() {
 		}
 	}
 	st := srv.Coalescer().Stats()
-	log.Printf("served %d requests in %d windows (mean %.1f/window)",
-		st.Requests, st.Windows, st.MeanWindowSize)
+	log.Printf("served %d requests (%d shed)", st.Requests, st.Shed)
 }

@@ -23,7 +23,7 @@
 // ratings — without re-reading the source dataset.
 //
 // Several groups may be given separated by ";" — they are then scored
-// concurrently through World.RecommendBatch, sharing candidate pools
+// concurrently through World.RecommendBatch, sharing sorted-list views
 // and cached prediction rows across groups.
 //
 // -deadline bounds the whole computation: when it expires, in-flight

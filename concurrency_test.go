@@ -116,8 +116,7 @@ func TestRecommendConcurrent(t *testing.T) {
 }
 
 // TestRecommendBatchMatchesSequential pins the batch facade to the
-// one-at-a-time path, duplicate requests included (they share one
-// candidate-pool computation).
+// one-at-a-time path, duplicate requests included.
 func TestRecommendBatchMatchesSequential(t *testing.T) {
 	w, err := repro.NewWorld(concurrencyConfig())
 	if err != nil {

@@ -86,29 +86,9 @@ func (w *World) RecommendContext(ctx context.Context, group []dataset.UserID, op
 // other; the terminal Done frame is not emitted, since the run never
 // terminates exactly.
 //
-// Identical concurrent calls — same group order, same run-shaping
-// options — ride one shared
-// core.Runner through the multiplexer: each caller keeps its own
-// ProgressEvery thinning, Epsilon policy, and cancellation (the run
-// stops only when its last subscriber detaches), and settles with
-// exactly the bytes a solo run would have produced. fn is then invoked
-// from the shared run's driver goroutine rather than the calling one;
-// the call's return happens after all its fn invocations, so
-// single-caller code needs no synchronization.
+// The run executes on the calling goroutine: fn is always invoked from
+// it, and a slow consumer delays no call but its own.
 func (w *World) RecommendStream(ctx context.Context, group []dataset.UserID, opt Options, fn func(Progress) bool) (*Recommendation, error) {
-	if err := opt.fill(); err != nil {
-		return nil, err
-	}
-	sub := w.mux.join(ctx, w, group, opt, fn)
-	<-sub.done
-	return sub.rec, sub.err
-}
-
-// recommendStreamDirect is the unshared driver loop: one caller, one
-// problem, one runner — what a batch runs for each of its deduplicated
-// requests. The multiplexer's drive loop replicates this ordering
-// exactly; differential tests pin the two together.
-func (w *World) recommendStreamDirect(ctx context.Context, group []dataset.UserID, opt Options, fn func(Progress) bool) (*Recommendation, error) {
 	prob, items, period, release, err := w.buildProblem(group, &opt)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -211,6 +212,67 @@ func TestRecommendStreamProgressMonotone(t *testing.T) {
 	}
 	if final.BoundGap() != 0 {
 		t.Errorf("terminal frame bound gap %g", final.BoundGap())
+	}
+}
+
+// TestRecommendStreamIdenticalCallsRunIndependently pins the request
+// path's isolation: concurrent RecommendStream calls with identical
+// group and options each run on their own goroutine, so a consumer
+// blocked in fn holds up nobody else. (While identical calls shared one
+// runner, the second call could not return before the first call's fn
+// did.) Both settle with exactly the solo run's result.
+func TestRecommendStreamIdenticalCallsRunIndependently(t *testing.T) {
+	w := contextWorld(t)
+	group := w.Participants()[:3]
+	opt := repro.Options{K: 5, NumItems: 300}
+	solo, err := w.RecommendContext(context.Background(), group, opt)
+	if err != nil {
+		t.Fatalf("solo run: %v", err)
+	}
+
+	type outcome struct {
+		rec *repro.Recommendation
+		err error
+	}
+	var (
+		parkedOnce     sync.Once
+		parked         = make(chan struct{}) // the first call is inside fn
+		secondReturned = make(chan struct{})
+		first, second  = make(chan outcome, 1), make(chan outcome, 1)
+	)
+	go func() {
+		rec, err := w.RecommendStream(context.Background(), group, opt, func(repro.Progress) bool {
+			parkedOnce.Do(func() { close(parked) })
+			<-secondReturned
+			return true
+		})
+		first <- outcome{rec, err}
+	}()
+	<-parked
+	go func() {
+		rec, err := w.RecommendStream(context.Background(), group, opt, func(repro.Progress) bool { return true })
+		second <- outcome{rec, err}
+	}()
+
+	select {
+	case got := <-second:
+		if got.err != nil {
+			t.Fatalf("second call: %v", got.err)
+		}
+		if !reflect.DeepEqual(got.rec, solo) {
+			t.Errorf("second call diverged from the solo run")
+		}
+	case <-time.After(10 * time.Second):
+		close(secondReturned) // release the first call before failing
+		t.Fatal("second call still running: it waits on the first call's blocked consumer")
+	}
+	close(secondReturned)
+	got := <-first
+	if got.err != nil {
+		t.Fatalf("first call: %v", got.err)
+	}
+	if !reflect.DeepEqual(got.rec, solo) {
+		t.Errorf("first call diverged from the solo run")
 	}
 }
 

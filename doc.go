@@ -31,10 +31,11 @@
 //     ErrDuplicateMember, ErrPeriodOutOfRange, ErrKExceedsCandidates)
 //     classify client-shaped failures.
 //   - World.RecommendBatch scores many groups in one call — the shape
-//     of the paper's Figure 6 sweep — sharing candidate pools,
-//     sorted-list store views, and cached prediction rows across
-//     requests; RecommendBatchContext threads one context through the
-//     whole sweep, so a single cancel stops every in-flight run.
+//     of the paper's Figure 6 sweep — over GOMAXPROCS workers that
+//     share sorted-list store views and cached prediction rows like any
+//     concurrent callers; RecommendBatchContext threads one context
+//     through the whole sweep, so a single cancel stops every
+//     in-flight run.
 //   - internal/liststore precomputes per-user descending-sorted
 //     preference views over the popularity pool, so problems assemble
 //     by merge-and-patch (core.NewProblemFromViews) instead of
@@ -69,13 +70,13 @@
 //     answers 504, and the survivors keep serving.
 //   - internal/server (exposed as cmd/greca-serve) serves live HTTP
 //     traffic on a versioned surface (/v1/recommend, /v1/recommend/
-//     batch, /v1/recommend/stream; /v1 is the only prefix) by
-//     coalescing concurrent single-group requests into RecommendBatch
-//     windows under a latency budget — per-request max_wait_ms caps a
-//     caller's delay, -maxpending sheds overload with 429s — with the
-//     stream route emitting SSE progress frames, machine-readable
-//     error codes on every 4xx, cache/coalescer/stream counters
-//     (World.CacheStats) on /v1/stats, and graceful drain on shutdown.
+//     batch, /v1/recommend/stream; /v1 is the only prefix): every
+//     admitted request runs at once on its handler's goroutine under
+//     the request's own context, -maxpending sheds overload with 429s,
+//     the stream route emits SSE progress frames, every 4xx carries a
+//     machine-readable error code, /v1/stats reports admission, stream
+//     and cache counters (World.CacheStats), and shutdown drains the
+//     requests in flight.
 //
 // A minimal session:
 //

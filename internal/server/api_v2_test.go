@@ -238,7 +238,7 @@ func TestServeStreamSSE(t *testing.T) {
 		t.Errorf("terminal frame bound gap = %g, want 0", lastFrame.BoundGap)
 	}
 
-	// The terminal result matches a direct (coalesced) call for the
+	// The terminal result matches a plain /recommend call for the
 	// same request — streaming changes delivery, not the answer.
 	var streamed recommendResponse
 	if err := json.Unmarshal(last.data, &streamed); err != nil {
@@ -360,13 +360,7 @@ func TestServeStreamShedsOverload(t *testing.T) {
 
 	// Draining the first stream frees the slot.
 	io.Copy(io.Discard, resp1.Body)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.activeStreams.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stream slot never freed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, s.streams, 0)
 	resp3, err := http.Post(ts.URL+"/v1/recommend/stream", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro"
 )
@@ -12,53 +11,25 @@ import (
 // container: RunParallel spawns GOMAXPROCS × this many goroutines.
 const benchParallelism = 8
 
-// BenchmarkServeCoalesced measures request throughput through the
-// coalescer: concurrent submitters fill windows that dispatch through
-// World.RecommendBatch, sharing candidate pools and cached prediction
-// rows within every window.
-func BenchmarkServeCoalesced(b *testing.B) {
+// BenchmarkServeSubmit measures request throughput through the
+// admission gate: concurrent submitters each run their request on
+// their own goroutine via World.RecommendContext.
+func BenchmarkServeSubmit(b *testing.B) {
 	w := testWorld(b)
-	co := NewCoalescer(w.RecommendBatch, time.Millisecond, benchParallelism)
-	defer co.Close()
+	g := newGate(w.RecommendContext, 0)
+	defer g.Close()
 	benchSubmit(b, w, func(req repro.Request) error {
-		res, err := co.Submit(context.Background(), req)
+		res, err := g.Submit(context.Background(), req)
 		if err != nil {
 			return err
 		}
 		return res.Err
-	})
-}
-
-// BenchmarkServeUncoalesced is the same load with coalescing disabled
-// (batch bound 1): every request pays its own dispatch, the baseline
-// the coalescer is measured against.
-func BenchmarkServeUncoalesced(b *testing.B) {
-	w := testWorld(b)
-	co := NewCoalescer(w.RecommendBatch, time.Millisecond, 1)
-	defer co.Close()
-	benchSubmit(b, w, func(req repro.Request) error {
-		res, err := co.Submit(context.Background(), req)
-		if err != nil {
-			return err
-		}
-		return res.Err
-	})
-}
-
-// BenchmarkServeDirect bypasses the serving layer entirely — raw
-// World.Recommend calls from the same goroutine pool — isolating the
-// coalescer's own overhead from the engine's cost.
-func BenchmarkServeDirect(b *testing.B) {
-	w := testWorld(b)
-	benchSubmit(b, w, func(req repro.Request) error {
-		_, err := w.Recommend(req.Group, req.Options)
-		return err
 	})
 }
 
 // benchSubmit drives the serving-shaped load: each goroutine submits
 // single-group requests drawn round-robin from a small set of groups,
-// the interactive pattern the coalescer exists for.
+// the interactive pattern the serving layer exists for.
 func benchSubmit(b *testing.B, w *repro.World, submit func(repro.Request) error) {
 	parts := w.Participants()
 	groups := [][]int{{0, 1, 2}, {2, 3}, {4, 5, 6}, {0, 3, 5}}

@@ -32,15 +32,20 @@ func FuzzDecodeRecommendRequest(f *testing.F) {
 	f.Add(`{"group":[` + strings.Repeat("1,", 100) + `1]}`)
 	f.Add(`{"group":[1],"k":"3"}`)
 	f.Add("{\"group\":[1],\x00\"k\":1}")
+	// max_wait_ms left the wire with the coalescing window: every
+	// spelling of it must be rejected as an unknown field.
 	f.Add(`{"group":[1],"max_wait_ms":3}`)
 	f.Add(`{"group":[1],"max_wait_ms":0}`)
 	f.Add(`{"group":[1],"max_wait_ms":-2}`)
 	f.Add(`{"group":[1],"max_wait_ms":2.5}`)
 	f.Add(`{"group":[1],"max_wait_ms":9223372036854775807}`)
 	f.Fuzz(func(t *testing.T, input string) {
-		req, maxWait, err := decodeRecommendRequest([]byte(input))
+		req, err := decodeRecommendRequest([]byte(input))
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		if strings.Contains(input, "max_wait_ms") {
+			t.Fatalf("accepted a request naming the retired max_wait_ms field: %q", input)
 		}
 		if len(req.Group) == 0 {
 			t.Fatalf("accepted request with empty group: %q", input)
@@ -53,16 +58,13 @@ func FuzzDecodeRecommendRequest(f *testing.F) {
 		if req.Options.K < 0 || req.Options.NumItems < 0 || req.Options.Period < 0 {
 			t.Fatalf("accepted negative options %+v: %q", req.Options, input)
 		}
-		if maxWait < 0 {
-			t.Fatalf("accepted negative max wait %v: %q", maxWait, input)
-		}
 		// Determinism: decoding the same bytes twice yields the same
 		// request (the decoder holds no state).
-		again, againWait, err := decodeRecommendRequest([]byte(input))
+		again, err := decodeRecommendRequest([]byte(input))
 		if err != nil {
 			t.Fatalf("second decode of accepted input failed: %v (%q)", err, input)
 		}
-		if !reflect.DeepEqual(again, req) || againWait != maxWait {
+		if !reflect.DeepEqual(again, req) {
 			t.Fatalf("decode is not deterministic for %q", input)
 		}
 	})

@@ -81,8 +81,8 @@ func TestIngestStormServesColdIdenticalResponses(t *testing.T) {
 	// Sustained, not one burst: writer i posts once reader i%readers has
 	// answered i/readers+1 more requests, so every rating lands beside
 	// live read traffic that has rebuilt some of what the ratings before
-	// it dropped. Fired all at once, the eight ingests finish inside the
-	// readers' first coalescer window, and whether anything is retained
+	// it dropped. Fired all at once, the eight ingests can finish before
+	// the readers' first requests do, and whether anything is retained
 	// then hangs on which rating happens to arrive first.
 	const readers = 3
 	var ticks [readers]chan struct{}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -20,20 +19,16 @@ import (
 // (a full batch of large groups) is a few hundred KB.
 const maxBodyBytes = 1 << 20
 
-// maxWaitBoundMS bounds the per-request max_wait_ms field (one hour);
-// the effective wait is further clamped to the server's window.
-const maxWaitBoundMS = 60 * 60 * 1000
+// retryAfter is the Retry-After of every shed or degraded answer, in
+// seconds — the granularity the header speaks.
+const retryAfter = "1"
 
-// Config parameterizes a Server. Zero values select the coalescer
-// defaults.
+// Config parameterizes a Server.
 type Config struct {
-	// Window is the coalescing latency budget (DefaultWindow if 0).
-	Window time.Duration
-	// MaxBatch is the coalescing batch bound (DefaultMaxBatch if 0).
-	MaxBatch int
-	// MaxPending bounds parked /recommend callers and, independently,
-	// concurrent /recommend/stream runs; beyond it requests are shed
-	// with 429 + Retry-After instead of queueing (0 = unbounded).
+	// MaxPending bounds in-flight /recommend requests and,
+	// independently, concurrent /recommend/stream runs; beyond it
+	// requests are shed with 429 + Retry-After instead of piling up
+	// (0 = unbounded).
 	MaxPending int
 	// OpenStats, when set, reports how the world came up (warm
 	// snapshot restore, WAL replay) under /stats "persistence".
@@ -42,12 +37,12 @@ type Config struct {
 
 // Server exposes a World over a versioned HTTP surface:
 //
-//	POST /v1/recommend         one group; coalesced into batch windows
-//	POST /v1/recommend/batch   many groups; dispatched as its own batch
+//	POST /v1/recommend         one group, run on the handler's goroutine
+//	POST /v1/recommend/batch   many groups, run over GOMAXPROCS workers
 //	POST /v1/recommend/stream  SSE: progress frames, then a terminal frame
 //	POST /v1/ratings           ingest one rating into the live world
 //	GET  /v1/healthz           liveness
-//	GET  /v1/stats             coalescer, batch, stream, ingest, and cache counters
+//	GET  /v1/stats             admission, batch, stream, ingest, and cache counters
 //
 // /v1 is the only prefix; unversioned paths answer 404.
 //
@@ -57,28 +52,22 @@ type Config struct {
 // surprises produce 5xx.
 type Server struct {
 	world *repro.World
-	co    *Coalescer
-	mux   *http.ServeMux
-	start time.Time
+	// co admits /recommend, streams admits /recommend/stream: the same
+	// Config.MaxPending bound, counted separately.
+	co, streams *Gate
+	mux         *http.ServeMux
+	start       time.Time
 	// participant membership for request validation.
 	participants map[dataset.UserID]bool
 
-	// batchCalls / batchRequests count POST /recommend/batch traffic,
-	// which bypasses the coalescer (it is already a batch).
+	// batchCalls / batchRequests count POST /recommend/batch traffic.
 	batchCalls    atomic.Uint64
 	batchRequests atomic.Uint64
 	// streamCalls / streamFrames / streamCancels count the SSE
-	// endpoint, which bypasses the coalescer too (a stream is pinned
-	// to its own runner for its whole life).
+	// endpoint.
 	streamCalls   atomic.Uint64
 	streamFrames  atomic.Uint64
 	streamCancels atomic.Uint64
-	// maxStreams bounds concurrent SSE streams (Config.MaxPending; 0 =
-	// unbounded): streams bypass the coalescer and its LimitPending
-	// shedding, so they carry their own. activeStreams counts the
-	// in-flight ones.
-	maxStreams    int
-	activeStreams atomic.Int64
 	// streamFrameDelay paces SSE frame emission so tests can pin
 	// mid-flight cancellation deterministically; always zero in
 	// production (set before serving, never mutated concurrently).
@@ -94,19 +83,18 @@ type Server struct {
 }
 
 // New builds a Server over world. The caller owns shutdown ordering:
-// stop accepting HTTP traffic first, then Close to drain the
-// coalescer.
+// stop accepting HTTP traffic first, then Close to drain the requests
+// in flight.
 func New(world *repro.World, cfg Config) *Server {
 	s := &Server{
 		world:        world,
-		co:           NewCoalescer(world.RecommendBatch, cfg.Window, cfg.MaxBatch),
+		co:           newGate(world.RecommendContext, cfg.MaxPending),
+		streams:      newGate(nil, cfg.MaxPending),
 		mux:          http.NewServeMux(),
 		start:        time.Now(),
 		participants: make(map[dataset.UserID]bool, len(world.Participants())),
-		maxStreams:   cfg.MaxPending,
 		openStats:    cfg.OpenStats,
 	}
-	s.co.LimitPending(cfg.MaxPending)
 	for _, u := range world.Participants() {
 		s.participants[u] = true
 	}
@@ -122,12 +110,17 @@ func New(world *repro.World, cfg Config) *Server {
 // Handler returns the HTTP handler for use with any http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Coalescer returns the serving coalescer (tests and stats).
-func (s *Server) Coalescer() *Coalescer { return s.co }
+// Coalescer returns the /recommend admission gate. The name is the one
+// bench/ compiles against; nothing coalesces.
+func (s *Server) Coalescer() *Gate { return s.co }
 
-// Close drains the coalescer. Call only after the HTTP listener has
-// stopped delivering new requests (http.Server.Shutdown).
-func (s *Server) Close() { s.co.Close() }
+// Close waits for the admitted requests to finish; later ones answer
+// 503. Call only after the HTTP listener has stopped delivering new
+// requests (http.Server.Shutdown).
+func (s *Server) Close() {
+	s.co.Close()
+	s.streams.Close()
+}
 
 // recommendRequest is the wire form of one group's query. Unknown
 // fields are rejected so client typos fail loudly instead of silently
@@ -139,13 +132,9 @@ type recommendRequest struct {
 	Consensus string `json:"consensus,omitempty"`
 	Model     string `json:"model,omitempty"`
 	Period    int    `json:"period,omitempty"`
-	// MaxWaitMS caps this caller's coalescing delay in milliseconds,
-	// clamped to the server's window (0 = the full window). Callers
-	// trade batch amortization for freshness per request.
-	MaxWaitMS int `json:"max_wait_ms,omitempty"`
 	// ProgressEvery thins the stream endpoint's progress frames to
 	// every N-th stopping check (0 = every check). Accepted but moot
-	// on the non-streaming routes, like max_wait_ms on batch.
+	// on the non-streaming routes.
 	ProgressEvery int `json:"progress_every,omitempty"`
 	// Epsilon enables bound-gap ε stopping: the run ends at the first
 	// stopping check whose threshold/kth-LB gap sinks below epsilon,
@@ -238,15 +227,31 @@ func resultCode(err error) string {
 	}
 }
 
+// writeAdmissionError answers a gate refusal with its HTTP form — 503
+// while draining, 429 + Retry-After when shedding load — and reports
+// whether err was one.
+func writeAdmissionError(w http.ResponseWriter, err error) bool {
+	switch {
+	case errors.Is(err, ErrClosed):
+		writeError(w, http.StatusServiceUnavailable, "draining", "server draining")
+		return true
+	case errors.Is(err, ErrOverloaded):
+		w.Header().Set("Retry-After", retryAfter)
+		writeError(w, http.StatusTooManyRequests, "overloaded", "too many pending requests")
+		return true
+	default:
+		return false
+	}
+}
+
 // writeTransportError answers a shard-transport degradation with its
 // HTTP form — 503 + Retry-After for an unreachable worker (its shards
-// are degraded; others keep serving, so the client should retry after
-// a window), 504 for a worker that missed its deadline — and reports
-// whether err was transport-shaped at all.
-func (s *Server) writeTransportError(w http.ResponseWriter, err error) bool {
+// are degraded; others keep serving), 504 for a worker that missed its
+// deadline — and reports whether err was transport-shaped at all.
+func writeTransportError(w http.ResponseWriter, err error) bool {
 	switch {
 	case errors.Is(err, repro.ErrShardUnavailable):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.co.Window())))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable, "shard_unavailable", err.Error())
 		return true
 	case errors.Is(err, repro.ErrShardTimeout):
@@ -285,60 +290,50 @@ func decodeWire(data []byte) (recommendRequest, error) {
 }
 
 // decodeRecommendRequest parses and validates one wire request into an
-// engine request plus the caller's coalescing budget (0 = the full
-// window). It is a pure function of its input (no world access) so it
-// can be fuzzed in isolation; membership validation happens in
+// engine request. It is a pure function of its input (no world access)
+// so it can be fuzzed in isolation; membership validation happens in
 // validateGroup.
-func decodeRecommendRequest(data []byte) (repro.Request, time.Duration, error) {
+func decodeRecommendRequest(data []byte) (repro.Request, error) {
 	wire, err := decodeWire(data)
 	if err != nil {
-		return repro.Request{}, 0, err
+		return repro.Request{}, err
 	}
 	return wireToRequest(wire)
 }
 
 // wireToRequest validates a decoded wire request and maps it onto the
-// engine's Request and the caller's max coalescing wait.
-func wireToRequest(wire recommendRequest) (repro.Request, time.Duration, error) {
+// engine's Request.
+func wireToRequest(wire recommendRequest) (repro.Request, error) {
 	if len(wire.Group) == 0 {
-		return repro.Request{}, 0, repro.ErrEmptyGroup
+		return repro.Request{}, repro.ErrEmptyGroup
 	}
 	if wire.K < 0 {
-		return repro.Request{}, 0, fmt.Errorf("negative k %d", wire.K)
+		return repro.Request{}, fmt.Errorf("negative k %d", wire.K)
 	}
 	if wire.NumItems < 0 {
-		return repro.Request{}, 0, fmt.Errorf("negative num_items %d", wire.NumItems)
+		return repro.Request{}, fmt.Errorf("negative num_items %d", wire.NumItems)
 	}
 	if wire.Period < 0 {
-		return repro.Request{}, 0, fmt.Errorf("negative period %d", wire.Period)
-	}
-	if wire.MaxWaitMS < 0 {
-		return repro.Request{}, 0, fmt.Errorf("negative max_wait_ms %d", wire.MaxWaitMS)
-	}
-	if wire.MaxWaitMS > maxWaitBoundMS {
-		// Clamping happens against the server window anyway; anything
-		// past an hour is a client bug, and unbounded values would
-		// overflow the duration conversion.
-		return repro.Request{}, 0, fmt.Errorf("max_wait_ms %d exceeds bound %d", wire.MaxWaitMS, maxWaitBoundMS)
+		return repro.Request{}, fmt.Errorf("negative period %d", wire.Period)
 	}
 	if wire.ProgressEvery < 0 {
-		return repro.Request{}, 0, fmt.Errorf("negative progress_every %d", wire.ProgressEvery)
+		return repro.Request{}, fmt.Errorf("negative progress_every %d", wire.ProgressEvery)
 	}
 	if wire.Epsilon < 0 {
-		return repro.Request{}, 0, fmt.Errorf("negative epsilon %g", wire.Epsilon)
+		return repro.Request{}, fmt.Errorf("negative epsilon %g", wire.Epsilon)
 	}
 	spec, err := consensus.Parse(wire.Consensus)
 	if err != nil {
-		return repro.Request{}, 0, err
+		return repro.Request{}, err
 	}
 	model, err := repro.ParseTimeModel(wire.Model)
 	if err != nil {
-		return repro.Request{}, 0, err
+		return repro.Request{}, err
 	}
 	group := make([]dataset.UserID, len(wire.Group))
 	for i, id := range wire.Group {
 		if id < 0 {
-			return repro.Request{}, 0, fmt.Errorf("negative user id %d", id)
+			return repro.Request{}, fmt.Errorf("negative user id %d", id)
 		}
 		group[i] = dataset.UserID(id)
 	}
@@ -352,7 +347,7 @@ func wireToRequest(wire recommendRequest) (repro.Request, time.Duration, error) 
 			Period:    wire.Period,
 			Epsilon:   wire.Epsilon,
 		},
-	}, time.Duration(wire.MaxWaitMS) * time.Millisecond, nil
+	}, nil
 }
 
 // validateGroup rejects users outside the study population (they have
@@ -400,7 +395,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return // readBody already wrote the response
 	}
-	req, maxWait, err := decodeRecommendRequest(body)
+	req, err := decodeRecommendRequest(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errorCode(err), err.Error())
 		return
@@ -409,33 +404,24 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errorCode(err), err.Error())
 		return
 	}
-	res, err := s.co.SubmitWithin(r.Context(), req, maxWait)
-	switch {
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, "draining", "server draining")
-		return
-	case errors.Is(err, ErrOverloaded):
-		// Shed load before it queues: tell the client when the current
-		// backlog has had a window's worth of time to clear.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.co.Window())))
-		writeError(w, http.StatusTooManyRequests, "overloaded", "too many pending requests")
-		return
-	case err != nil: // caller's context expired
-		writeError(w, http.StatusRequestTimeout, "timeout", err.Error())
-		return
-	case errors.Is(res.Err, ErrDispatch):
-		// A broken dispatcher is a server fault, not a client one.
-		writeError(w, http.StatusInternalServerError, "dispatch_failed", res.Err.Error())
-		return
-	case res.Err != nil:
-		// A dead or deadlined shard worker degrades the shards it owns:
-		// 503/504 with machine-readable codes, never a 400.
-		if s.writeTransportError(w, res.Err) {
-			return
+	// The request's own context reaches the driver loop: a client that
+	// disconnects (or a deadline that expires) stops its run within one
+	// check interval.
+	res, err := s.co.Submit(r.Context(), req)
+	if err != nil {
+		if !writeAdmissionError(w, err) { // else the caller's context expired
+			writeError(w, http.StatusRequestTimeout, "timeout", err.Error())
 		}
-		// Everything else the engine rejects at this point is input-
-		// shaped (period out of range, K exceeding the pool, ...).
-		writeError(w, http.StatusBadRequest, errorCode(res.Err), res.Err.Error())
+		return
+	}
+	if res.Err != nil {
+		// A dead or deadlined shard worker degrades the shards it owns:
+		// 503/504 with machine-readable codes, never a 400. Everything
+		// else the engine rejects at this point is input-shaped (period
+		// out of range, K exceeding the pool, ...).
+		if !writeTransportError(w, res.Err) {
+			writeError(w, http.StatusBadRequest, errorCode(res.Err), res.Err.Error())
+		}
 		return
 	}
 	writeJSON(w, http.StatusOK, toResponse(res.Recommendation))
@@ -456,20 +442,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "decoding batch: "+err.Error())
 		return
 	}
+	if dec.More() {
+		writeError(w, http.StatusBadRequest, "bad_request", "trailing data after batch object")
+		return
+	}
 	if len(wire.Requests) == 0 {
 		writeError(w, http.StatusBadRequest, "empty_batch", "empty batch")
 		return
 	}
 
 	// Per-request validation failures become per-result errors, not a
-	// whole-batch rejection; valid requests still dispatch together.
+	// whole-batch rejection; valid requests still run together.
 	results := make([]batchResult, len(wire.Requests))
 	reqs := make([]repro.Request, 0, len(wire.Requests))
 	slots := make([]int, 0, len(wire.Requests))
 	for i, wr := range wire.Requests {
-		// max_wait_ms is accepted but moot here: a batch dispatches
-		// immediately, so every caller's coalescing delay is zero.
-		req, _, err := wireToRequest(wr)
+		req, err := wireToRequest(wr)
 		if err == nil {
 			err = s.validateGroup(req.Group)
 		}
@@ -566,7 +554,7 @@ func (s *Server) handleRatings(w http.ResponseWriter, r *http.Request) {
 		// so a retryable failure here would double-count it; the worker
 		// that missed the write is fenced and its shards 503 on reads).
 		// Any transport-shaped error still maps honestly.
-		if s.writeTransportError(w, err) {
+		if writeTransportError(w, err) {
 			return
 		}
 		// The rating may have applied but failed to journal — a server
@@ -593,14 +581,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the wire form of GET /stats.
 type statsResponse struct {
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Coalescer     CoalescerStats   `json:"coalescer"`
-	Batch         batchStats       `json:"batch"`
-	Stream        streamStats      `json:"stream"`
-	Mux           repro.MuxStats   `json:"mux"`
-	Caches        repro.CacheStats `json:"caches"`
-	World         worldStats       `json:"world"`
-	Ingest        ingestStats      `json:"ingest"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	// Coalescer is the /recommend admission gate's counters, under the
+	// key bench/ reads.
+	Coalescer GateStats        `json:"coalescer"`
+	Batch     batchStats       `json:"batch"`
+	Stream    streamStats      `json:"stream"`
+	Caches    repro.CacheStats `json:"caches"`
+	World     worldStats       `json:"world"`
+	Ingest    ingestStats      `json:"ingest"`
 	// Remote is the distributed transport's observability: wire calls
 	// by op, batched reads, retries, breaker opens, dials vs connection
 	// reuses, and the router list store's view traffic. Always present —
@@ -662,7 +651,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Frames:  s.streamFrames.Load(),
 			Cancels: s.streamCancels.Load(),
 		},
-		Mux:    s.world.MuxStats(),
 		Caches: s.world.CacheStats(),
 		World: worldStats{
 			Users:        ds.Users,
@@ -699,16 +687,6 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
-}
-
-// retryAfterSeconds rounds the coalescing window up to whole seconds
-// (minimum 1), the granularity Retry-After speaks.
-func retryAfterSeconds(window time.Duration) int {
-	s := int((window + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,11 +14,12 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dataset"
 )
 
 // newTestServer builds a Server plus httptest listener over the shared
-// world. Each test gets its own Server so coalescer counters start at
-// zero; the expensive world is shared.
+// world. Each test gets its own Server so its counters start at zero;
+// the expensive world is shared.
 func newTestServer(tb testing.TB, cfg Config) (*Server, *httptest.Server) {
 	tb.Helper()
 	s := New(testWorld(tb), cfg)
@@ -114,6 +116,7 @@ func TestServeRecommendBadRequests(t *testing.T) {
 		{"empty body", ``},
 		{"trailing garbage", `{"group":[1]} trailing`},
 		{"unknown field", `{"group":[1],"kk":3}`},
+		{"retired max_wait_ms", `{"group":[1],"max_wait_ms":3}`},
 		{"empty group", `{"group":[]}`},
 		{"missing group", `{"k":3}`},
 		{"negative k", `{"group":[1],"k":-1}`},
@@ -203,7 +206,7 @@ func TestServeBatch(t *testing.T) {
 			s.batchCalls.Load(), s.batchRequests.Load())
 	}
 
-	for _, bad := range []string{`{"requests":[]}`, `{}`, `[1,2]`, `{"requests":`} {
+	for _, bad := range []string{`{"requests":[]}`, `{}`, `[1,2]`, `{"requests":`, `{"requests":[{"group":[1]}]} trailing`} {
 		if status, _ := postJSON(t, ts.URL+"/v1/recommend/batch", bad); status != http.StatusBadRequest {
 			t.Errorf("batch body %q: status = %d, want 400", bad, status)
 		}
@@ -225,7 +228,7 @@ func TestServeHealthz(t *testing.T) {
 }
 
 // TestServeStats checks the observability surface end to end: traffic
-// moves the coalescer counters and the engine cache counters.
+// moves the admission counters and the engine cache counters.
 func TestServeStats(t *testing.T) {
 	w := testWorld(t)
 	_, ts := newTestServer(t, Config{})
@@ -245,8 +248,8 @@ func TestServeStats(t *testing.T) {
 	if st.Coalescer.Requests != 3 {
 		t.Errorf("coalescer.requests = %d, want 3", st.Coalescer.Requests)
 	}
-	if st.Coalescer.Windows == 0 || st.Coalescer.Windows > 3 {
-		t.Errorf("coalescer.windows = %d, want 1..3", st.Coalescer.Windows)
+	if st.Coalescer.Parked != 0 || st.Coalescer.Shed != 0 {
+		t.Errorf("coalescer = %+v, want nothing parked or shed at rest", st.Coalescer)
 	}
 	if !st.Caches.RowCacheEnabled {
 		t.Error("row cache should be enabled in the default config")
@@ -272,17 +275,13 @@ func TestServeStats(t *testing.T) {
 	}
 }
 
-// TestServeBurstCoalesces is the subsystem's acceptance test: a burst
-// of K concurrent POST /recommend calls must be served in fewer than K
-// RecommendBatch dispatches — coalescing observable via /stats — with
-// every response identical to the sequential path.
-func TestServeBurstCoalesces(t *testing.T) {
+// TestServeBurstMatchesSequential fires a burst of concurrent identical
+// POST /recommend calls — each runs on its own handler goroutine — and
+// requires every response to be byte-identical to the sequential path.
+func TestServeBurstMatchesSequential(t *testing.T) {
 	w := testWorld(t)
 	const burst = 8
-	// A wide window (relative to test scheduling jitter) and a batch
-	// bound equal to the burst: the window closes by size as soon as
-	// all callers arrive.
-	_, ts := newTestServer(t, Config{Window: 250 * time.Millisecond, MaxBatch: burst})
+	_, ts := newTestServer(t, Config{})
 	group := w.Participants()[1:4]
 	body := fmt.Sprintf(`{"group":[%d,%d,%d],"k":3,"num_items":100}`, group[0], group[1], group[2])
 
@@ -321,72 +320,40 @@ func TestServeBurstCoalesces(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/v1/stats", &st); status != http.StatusOK {
 		t.Fatalf("stats status = %d", status)
 	}
-	if st.Coalescer.Requests != burst {
-		t.Fatalf("coalescer.requests = %d, want %d", st.Coalescer.Requests, burst)
-	}
-	if st.Coalescer.Windows >= burst {
-		t.Errorf("burst of %d requests took %d dispatches; coalescing had no effect (%+v)",
-			burst, st.Coalescer.Windows, st.Coalescer)
-	}
-	if st.Coalescer.MaxWindowSize < 2 {
-		t.Errorf("max window size %d: no two requests ever shared a window", st.Coalescer.MaxWindowSize)
+	if st.Coalescer.Requests != burst || st.Coalescer.Parked != 0 {
+		t.Fatalf("coalescer = %+v, want %d requests, 0 parked", st.Coalescer, burst)
 	}
 }
 
-// TestServeMaxWait is the end-to-end per-request latency budget test:
-// inside a window far beyond test patience, a request carrying
-// max_wait_ms must come back quickly with a full result.
-func TestServeMaxWait(t *testing.T) {
-	w := testWorld(t)
-	_, ts := newTestServer(t, Config{Window: time.Hour})
-	group := w.Participants()[:2]
-	body := fmt.Sprintf(`{"group":[%d,%d],"k":3,"num_items":100,"max_wait_ms":25}`, group[0], group[1])
-
-	start := time.Now()
-	status, data := postJSON(t, ts.URL+"/v1/recommend", body)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, body %s", status, data)
+// holdRequests swaps the server's serve func for one that parks every
+// admitted /recommend request until the returned release func is
+// called, then serves it for real — in-flight requests on demand.
+func holdRequests(s *Server) (release func()) {
+	hold := make(chan struct{})
+	real := s.co.serve
+	s.co.serve = func(ctx context.Context, group []dataset.UserID, opt repro.Options) (*repro.Recommendation, error) {
+		<-hold
+		return real(ctx, group, opt)
 	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("capped request took %v inside an hour-long window", elapsed)
-	}
-	var resp recommendResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		t.Fatalf("decoding response: %v", err)
-	}
-	if len(resp.Items) != 3 {
-		t.Errorf("items = %d, want 3", len(resp.Items))
-	}
-
-	// A negative budget is a client error.
-	status, _ = postJSON(t, ts.URL+"/v1/recommend",
-		fmt.Sprintf(`{"group":[%d],"max_wait_ms":-1}`, group[0]))
-	if status != http.StatusBadRequest {
-		t.Errorf("negative max_wait_ms: status = %d, want 400", status)
-	}
+	return func() { close(hold) }
 }
 
 // TestServeShedsWith429 is the end-to-end load-shedding test: with one
-// caller parked and MaxPending 1, the next request is shed with 429
-// and a Retry-After derived from the window.
+// request in flight and MaxPending 1, the next is shed with 429 and
+// Retry-After, and the in-flight one is unaffected.
 func TestServeShedsWith429(t *testing.T) {
 	w := testWorld(t)
-	s, ts := newTestServer(t, Config{Window: 600 * time.Millisecond, MaxPending: 1})
+	s, ts := newTestServer(t, Config{MaxPending: 1})
+	release := holdRequests(s)
 	group := w.Participants()[:2]
 	body := fmt.Sprintf(`{"group":[%d,%d],"k":3,"num_items":100}`, group[0], group[1])
 
-	parked := make(chan int, 1)
+	inFlight := make(chan int, 1)
 	go func() {
 		status, _ := postJSON(t, ts.URL+"/v1/recommend", body)
-		parked <- status
+		inFlight <- status
 	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for s.co.Stats().Parked != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, s.co, 1)
 
 	resp, err := http.Post(ts.URL+"/v1/recommend", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -397,60 +364,96 @@ func TestServeShedsWith429(t *testing.T) {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "1" {
-		t.Errorf("Retry-After = %q, want %q (600ms window rounded up)", got, "1")
+		t.Errorf("Retry-After = %q, want %q", got, "1")
 	}
 	if st := s.co.Stats(); st.Shed != 1 {
 		t.Errorf("shed counter = %d, want 1", st.Shed)
 	}
 
-	// The parked caller is unaffected: it completes when its window
-	// fires.
-	if status := <-parked; status != http.StatusOK {
-		t.Errorf("parked request finished with %d, want 200", status)
+	release()
+	if status := <-inFlight; status != http.StatusOK {
+		t.Errorf("in-flight request finished with %d, want 200", status)
 	}
 }
 
-// TestServeGracefulShutdown parks a burst in a long window, closes the
-// server mid-flight, and asserts every parked request drains with a
-// real response while post-drain requests get 503s.
+// TestServeGracefulShutdown holds a burst in flight, closes the server
+// under it, and asserts every admitted request finishes with a real
+// response while post-drain requests get 503s.
 func TestServeGracefulShutdown(t *testing.T) {
 	w := testWorld(t)
-	const parked = 4
-	// Nothing but drain can cut this window: hour-long budget, large
-	// bound.
-	s, ts := newTestServer(t, Config{Window: time.Hour, MaxBatch: 64})
+	const inFlight = 4
+	s, ts := newTestServer(t, Config{})
+	release := holdRequests(s)
 	group := w.Participants()[:2]
 	body := fmt.Sprintf(`{"group":[%d,%d],"k":3,"num_items":100}`, group[0], group[1])
 
 	var wg sync.WaitGroup
-	statuses := make([]int, parked)
-	for i := 0; i < parked; i++ {
+	statuses := make([]int, inFlight)
+	for i := 0; i < inFlight; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			statuses[i], _ = postJSON(t, ts.URL+"/v1/recommend", body)
 		}(i)
 	}
-	// Wait for all requests to be parked in the window, then drain.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.co.Stats().Pending != parked {
-		if time.Now().After(deadline) {
-			t.Fatalf("requests never parked: %+v", s.co.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
+	waitParked(t, s.co, inFlight)
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	release()
+	<-closed
 	wg.Wait()
 
 	for i, status := range statuses {
 		if status != http.StatusOK {
-			t.Errorf("parked request %d: status %d, want 200 (drain must serve parked callers)", i, status)
+			t.Errorf("in-flight request %d: status %d, want 200 (drain must serve admitted callers)", i, status)
 		}
-	}
-	if st := s.co.Stats(); st.DrainCloses != 1 {
-		t.Errorf("drain closes = %d, want 1 (%+v)", st.DrainCloses, st)
 	}
 	if status, _ := postJSON(t, ts.URL+"/v1/recommend", body); status != http.StatusServiceUnavailable {
 		t.Errorf("post-drain request: status %d, want 503", status)
+	}
+	if status, _ := postJSON(t, ts.URL+"/v1/recommend/stream", body); status != http.StatusServiceUnavailable {
+		t.Errorf("post-drain stream: status %d, want 503", status)
+	}
+}
+
+// TestServeRequestContextReachesRun pins the request's own context
+// reaching the run: when it is cancelled mid-request (a disconnect, a
+// deadline) the serve func sees it and stops, the handler answers 408,
+// and the in-flight slot is released.
+func TestServeRequestContextReachesRun(t *testing.T) {
+	w := testWorld(t)
+	s, _ := newTestServer(t, Config{})
+	s.co.serve = func(ctx context.Context, _ []dataset.UserID, _ repro.Options) (*repro.Recommendation, error) {
+		<-ctx.Done() // a run that only the request's context can stop
+		return nil, ctx.Err()
+	}
+	group := w.Participants()[:2]
+	body := fmt.Sprintf(`{"group":[%d,%d],"k":3,"num_items":100}`, group[0], group[1])
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/recommend", strings.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(rec, req)
+	}()
+	waitParked(t, s.co, 1)
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run never saw the request's cancellation")
+	}
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusRequestTimeout || err != nil || e.Code != "timeout" {
+		t.Errorf("cancelled request answered %d %s, want 408 timeout", rec.Code, rec.Body)
+	}
+	if st := s.co.Stats(); st.Parked != 0 {
+		t.Errorf("parked = %d after the cancelled request, want 0", st.Parked)
 	}
 }

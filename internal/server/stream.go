@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro"
@@ -50,10 +49,9 @@ type streamItem struct {
 // frame, so every failure mode — decode, validation, engine-side
 // problem build — still maps to a plain 400 with its error code.
 //
-// Streams bypass the coalescer: a stream is pinned to its own runner
-// for its whole life, so there is no window to amortize. Cancellation
-// (client disconnect, request context expiry) stops the run within
-// one check interval and releases the problem's pooled buffers.
+// Cancellation (client disconnect, request context expiry) stops the
+// run within one check interval and releases the problem's pooled
+// buffers.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodPost) {
 		return
@@ -67,8 +65,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errorCode(err), err.Error())
 		return
 	}
-	// max_wait_ms is accepted but moot: nothing coalesces here.
-	req, _, err := wireToRequest(wire)
+	req, err := wireToRequest(wire)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errorCode(err), err.Error())
 		return
@@ -82,18 +79,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming_unsupported", "response writer cannot stream")
 		return
 	}
-	// Streams bypass the coalescer, so they also need their own load
-	// shedding: each one pins a runner plus pooled problem buffers for
-	// its whole life. The -maxpending bound covers them too.
-	if s.maxStreams > 0 {
-		if n := s.activeStreams.Add(1); n > int64(s.maxStreams) {
-			s.activeStreams.Add(-1)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.co.Window())))
-			writeError(w, http.StatusTooManyRequests, "overloaded", "too many concurrent streams")
-			return
-		}
-		defer s.activeStreams.Add(-1)
+	// Each stream pins a runner plus pooled problem buffers for its
+	// whole life, so the -maxpending bound covers streams too.
+	if err := s.streams.enter(); err != nil {
+		writeAdmissionError(w, err)
+		return
 	}
+	defer s.streams.leave()
 	// Thinning happens inside the facade (skipped checks build no
 	// snapshot), so the handler sees exactly the frames it writes —
 	// the terminal frame always included.
@@ -139,7 +131,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// context handled above, so the SSE headers are never out yet
 		// and a plain status response is always still possible: 503/504
 		// for a degraded shard worker, 400 for client-shaped input.
-		if s.writeTransportError(w, err) {
+		if writeTransportError(w, err) {
 			return
 		}
 		writeError(w, http.StatusBadRequest, errorCode(err), err.Error())

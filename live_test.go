@@ -13,13 +13,22 @@ import (
 	"repro/internal/dataset"
 )
 
+// liveTestConfig is a small world so the -race matrix stays fast.
+func liveTestConfig() Config {
+	cfg := QuickConfig()
+	cfg.Dataset.Users = 150
+	cfg.Dataset.TargetRatings = 10_000
+	cfg.Dataset.Items = 500
+	return cfg
+}
+
 // liveBaseRatings renders a deterministic base dataset in the
-// MovieLens text format by generating the muxTestConfig synthetic
+// MovieLens text format by generating the liveTestConfig synthetic
 // store once and dumping it — both the live and the cold world in the
 // differential tests load from this same text.
 func liveBaseRatings(t *testing.T) string {
 	t.Helper()
-	w, err := NewWorld(muxTestConfig())
+	w, err := NewWorld(liveTestConfig())
 	if err != nil {
 		t.Fatalf("building seed world: %v", err)
 	}
@@ -31,10 +40,10 @@ func liveBaseRatings(t *testing.T) string {
 }
 
 // liveWorld builds a world over the given ratings text at the given
-// shard count, with everything else at the muxTestConfig defaults.
+// shard count, with everything else at the liveTestConfig defaults.
 func liveWorld(t *testing.T, ratings string, shards int, spec consensus.Spec) *World {
 	t.Helper()
-	cfg := muxTestConfig()
+	cfg := liveTestConfig()
 	cfg.RatingsReader = strings.NewReader(ratings)
 	cfg.Shards = shards
 	w, err := NewWorld(cfg)
@@ -154,7 +163,7 @@ func TestAddRatingMatchesColdRebuild(t *testing.T) {
 // TestAddRatingRejections pins the typed-error surface and that a
 // rejected rating leaves the world untouched.
 func TestAddRatingRejections(t *testing.T) {
-	w, err := NewWorld(muxTestConfig())
+	w, err := NewWorld(liveTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +196,7 @@ func TestAddRatingRejections(t *testing.T) {
 // prediction rows must still report true — the old code answered for
 // the list store alone.
 func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
-	cfg := muxTestConfig()
+	cfg := liveTestConfig()
 	cfg.ListStoreSize = -1 // row cache only
 	w, err := NewWorld(cfg)
 	if err != nil {
@@ -204,7 +213,7 @@ func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
 		t.Errorf("second invalidation with nothing cached reported true")
 	}
 
-	cfg = muxTestConfig()
+	cfg = liveTestConfig()
 	cfg.ListStoreSize = -1
 	cfg.RowCacheSize = -1 // nothing to drop, ever
 	bare, err := NewWorld(cfg)
@@ -224,7 +233,7 @@ func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
 // the timeline — the -race regression for the unsynchronized
 // pending/timeline mutation.
 func TestAppendNextPeriodWhileServing(t *testing.T) {
-	cfg := muxTestConfig()
+	cfg := liveTestConfig()
 	cfg.InitialPeriods = 2
 	w, err := NewWorld(cfg)
 	if err != nil {
@@ -275,11 +284,11 @@ func TestAppendNextPeriodWhileServing(t *testing.T) {
 
 // TestItemsMutationAfterSubmitIsSafe pins the defensive copy: a caller
 // that scrambles its candidate slice the moment its call returns must
-// not corrupt a concurrent content-equal call riding the same shared
-// run (-race catches the unsynchronized write; the result comparison
-// catches silent corruption).
+// not corrupt a concurrent content-equal call (-race catches an
+// unsynchronized write; the result comparison catches silent
+// corruption).
 func TestItemsMutationAfterSubmitIsSafe(t *testing.T) {
-	w, err := NewWorld(muxTestConfig())
+	w, err := NewWorld(liveTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +312,7 @@ func TestItemsMutationAfterSubmitIsSafe(t *testing.T) {
 				return
 			}
 			for i := range a {
-				a[i] = 1 // post-return scramble; the shared run may still be serving b
+				a[i] = 1 // post-return scramble; b's run may still be in flight
 			}
 		}()
 		go func() {
@@ -324,7 +333,7 @@ func TestItemsMutationAfterSubmitIsSafe(t *testing.T) {
 // differentials (item-based, time-weighted, full invalidation).
 func liveWorldCfg(t *testing.T, ratings string, shards int, mutate func(*Config)) *World {
 	t.Helper()
-	cfg := muxTestConfig()
+	cfg := liveTestConfig()
 	cfg.RatingsReader = strings.NewReader(ratings)
 	cfg.Shards = shards
 	if mutate != nil {
@@ -492,7 +501,7 @@ func TestAddRatingTimeWeightedMatchesColdRebuild(t *testing.T) {
 	timeWeighted := func(c *Config) { c.TimeWeightedCF = true }
 	live := liveWorldCfg(t, base, 4, timeWeighted)
 	extra := liveExtraRatings(live, 2)
-	extra[0].Time = 2                    // back-dated: decay clock stays put
+	extra[0].Time = 2                     // back-dated: decay clock stays put
 	extra[1].Time = 978300000 + 1_000_000 // newest: decay clock advances
 	group := live.Participants()[:3]
 	if _, err := live.Recommend(group, Options{K: 5}); err != nil {

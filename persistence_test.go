@@ -12,9 +12,9 @@ import (
 
 // persistTestConfig builds the config used by every persistence test:
 // a fixed ratings text loaded through a fresh reader each call (the
-// reader is consumed by NewWorld), everything else muxTestConfig.
+// reader is consumed by NewWorld), everything else liveTestConfig.
 func persistTestConfig(ratings string) Config {
-	cfg := muxTestConfig()
+	cfg := liveTestConfig()
 	cfg.RatingsReader = strings.NewReader(ratings)
 	cfg.Shards = 4
 	return cfg

@@ -153,10 +153,10 @@ func (o *Options) fill() error {
 	if o.NumItems == 0 {
 		o.NumItems = DefaultNumItems
 	}
-	// Defensive copy: runs retain their candidate slice for their whole
-	// lifetime (shared runs across several subscribers), so a caller
-	// mutating its slice after submission must not reach them. The copy
-	// of an empty slice stays non-nil — nil selects candidate
+	// Defensive copy: a run reads its candidate slice for its whole
+	// lifetime, so a caller mutating its slice after submission (from a
+	// progress callback, or another goroutine) must not reach it. The
+	// copy of an empty slice stays non-nil — nil selects candidate
 	// generation, empty is a (rejected) explicit choice.
 	if o.Items != nil {
 		o.Items = append(make([]dataset.ItemID, 0, len(o.Items)), o.Items...)

@@ -29,7 +29,7 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 # with scoped invalidation (scoped vs full sub-benchmarks ride along
 # via the path match, like shards=N and g=N), and the distributed
 # serving path over loopback workers.
-PINNED='^(BenchmarkRecommendParallel|BenchmarkServeCoalesced|BenchmarkRecommendSharded|BenchmarkBatchShardAware|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched)$'
+PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkRecommendSharded|BenchmarkBatchShardAware|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched)$'
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT

@@ -69,12 +69,9 @@ func shardBenchWorld(b *testing.B, shards int) (*repro.World, [][]dataset.UserID
 	return w, shardBenchGroups
 }
 
-// BenchmarkBatchShardAware measures the batch facade's shard-aware
-// scheduler on the warmed group mix: one RecommendBatch call per
-// iteration over all 16 groups, against worlds partitioned 1, 4, and
-// 16 ways. The 1-shard run exercises the degenerate single-queue path
-// (identical to the old round-robin dispatch); the sharded runs bucket
-// the groups so each worker sweeps one shard's lock stripes at a time.
+// BenchmarkBatchShardAware measures the batch facade on the warmed
+// group mix: one RecommendBatch call per iteration over all 16 groups,
+// against worlds partitioned 1, 4, and 16 ways.
 func BenchmarkBatchShardAware(b *testing.B) {
 	opt := repro.Options{K: 10, NumItems: 600}
 	for _, shards := range []int{1, 4, 16} {

@@ -137,6 +137,58 @@ func TestRecommendShardedDifferential(t *testing.T) {
 	}
 }
 
+// TestBatchShardAwareDifferential pins the batch facade to the
+// sequential one across shards ∈ {1,4,16}, with AP, MO and PD consensus,
+// single-shard and mixed-shard groups, a duplicate and an invalid
+// request in the same batch (the worlds BenchmarkBatchShardAware
+// measures). Which worker runs a request must never change a result
+// byte.
+func TestBatchShardAwareDifferential(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			w := shardedWorld(t, shards)
+			parts := w.Participants()
+			sameShard := func(n int) []dataset.UserID {
+				var g []dataset.UserID
+				for _, u := range parts {
+					if w.ShardOf(u) == w.ShardOf(parts[0]) {
+						if g = append(g, u); len(g) == n {
+							break
+						}
+					}
+				}
+				return g
+			}
+			reqs := []Request{
+				{Group: parts[:3], Options: Options{K: 4, NumItems: 150}},
+				{Group: parts[4:6], Options: Options{K: 4, NumItems: 150, Consensus: consensus.MO()}},
+				{Group: mixedShardGroup(t, w, 5), Options: Options{K: 3, NumItems: 120, Consensus: consensus.PD(0.8)}},
+				{Group: sameShard(2), Options: Options{K: 4, NumItems: 150}},
+				{Group: sameShard(3), Options: Options{K: 3, NumItems: 120, Consensus: consensus.PD(0.8)}},
+				{Group: sameShard(1), Options: Options{K: 2, NumItems: 100, Consensus: consensus.MO()}},
+				{Group: parts[:3], Options: Options{K: 4, NumItems: 150}},
+				{Group: nil, Options: Options{K: 4}},
+			}
+			got := w.RecommendBatch(reqs)
+			for i, req := range reqs {
+				if len(req.Group) == 0 {
+					if got[i].Err == nil {
+						t.Errorf("request %d: empty group did not error", i)
+					}
+					continue
+				}
+				want, err := w.Recommend(req.Group, req.Options)
+				if err != nil {
+					t.Fatalf("sequential request %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(got[i].Recommendation, want) {
+					t.Errorf("request %d: batch result diverged from sequential", i)
+				}
+			}
+		})
+	}
+}
+
 // TestRunnerShardedDifferential pins the core and engine levels: the
 // problems a sharded world assembles (views resolved per shard,
 // preference rows filled through sharded caches) must drive every

@@ -196,9 +196,6 @@ type World struct {
 	// sm is the user-range partitioning every per-user structure
 	// routes through (shard.Single when Config.Shards <= 1).
 	sm shard.Map
-	// mux is the shared-runner multiplexer deduplicating identical
-	// concurrent runs.
-	mux *runMux
 	// periodMu guards the index-maintenance state — pending, timeline,
 	// and the affinity model's per-period tables — so AppendNextPeriod
 	// can extend the index while requests resolve periods and read
@@ -400,7 +397,6 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("repro: building affinity model: %w", err)
 	}
 	w.model = model
-	w.mux = newRunMux()
 	return w, nil
 }
 
