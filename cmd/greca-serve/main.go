@@ -6,7 +6,7 @@
 // Usage:
 //
 //	greca-serve [-addr :8080] [-maxpending 0]
-//	            [-ratings ratings.dat] [-seed N] [-rowcache 1024]
+//	            [-ratings ratings.dat] [-seed N]
 //	            [-liststore 1024] [-shards 1] [-shards-config topology.json]
 //	            [-remote-viewcache 0] [-workers N] [-recheck-workers N] [-snapshot dir]
 //	            [-refreeze 0] [-pprof localhost:6060] [-v]
@@ -35,8 +35,8 @@
 // -shards partitions every per-user structure (rating arenas, CF
 // caches, sorted-list sub-stores, affinity pair tables) N ways by
 // hashing on UserID; recommendations are identical for every shard
-// count. -rowcache, -liststore, and -shards must be positive — a
-// zero or negative size is a usage error, not a silent clamp.
+// count. -liststore and -shards must be positive — a zero or negative
+// size is a usage error, not a silent clamp.
 //
 // -shards-config switches the shards into worker processes: it names
 // a JSON topology file ({"shards": 4, "workers": [{"addr":
@@ -46,14 +46,14 @@
 // every ingested rating out to all replicas, and reports the workers'
 // cache counters under /v1/stats — serving byte-identical responses
 // to the in-process world at the same shard count. Workers must be
-// started first (same world flags: -seed, -ratings, -rowcache,
-// -liststore, -shards) — the boot handshake refuses a worker built
-// from a different world. A worker dying degrades only the shards it
-// owns: reads touching them answer 503 ("shard_unavailable") with
-// Retry-After, or 504 ("shard_timeout") on deadline, while other
-// shards keep serving; rating ingest stays accepted (durable locally
-// and on live replicas) with missed fanout deliveries counted in
-// /v1/stats and the lagging worker fenced from serving.
+// started first (same world flags: -seed, -ratings, -shards) — the
+// boot handshake refuses a worker built from a different world. A
+// worker dying degrades only the shards it owns: reads touching them
+// answer 503 ("shard_unavailable") with Retry-After, or 504
+// ("shard_timeout") on deadline, while other shards keep serving;
+// rating ingest stays accepted (durable locally and on live replicas)
+// with missed fanout deliveries counted in /v1/stats and the lagging
+// worker fenced from serving.
 //
 // Router and workers speak one protocol version and must be deployed
 // from the same build; a worker from another build is refused at the
@@ -131,7 +131,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/cf"
 	"repro/internal/liststore"
 	"repro/internal/remote"
 	"repro/internal/server"
@@ -156,7 +155,6 @@ func main() {
 		maxPending = flag.Int("maxpending", 0, "in-flight request bound; beyond it requests are shed with 429 (0 = unbounded)")
 		ratings    = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
 		seed       = flag.Int64("seed", 1, "synthetic world seed")
-		rowCache   = flag.Int("rowcache", cf.DefaultRowCacheCap, "prediction-row cache size (must be positive)")
 		listStore  = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
 		shards     = flag.Int("shards", 1, "user-range shard count (must be positive; 1 = unsharded)")
 		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = in-process shards)")
@@ -170,17 +168,15 @@ func main() {
 	)
 	flag.Parse()
 
-	// Size flags must be positive: a zero or negative cache, store, or
-	// shard count is a configuration mistake, answered with usage
-	// instead of a silently clamped default.
-	requirePositive("-rowcache", *rowCache)
+	// Size flags must be positive: a zero or negative store or shard
+	// count is a configuration mistake, answered with usage instead of a
+	// silently clamped default.
 	requirePositive("-liststore", *listStore)
 	requirePositive("-shards", *shards)
 
 	cfg := repro.QuickConfig()
 	cfg.Dataset.Seed = *seed
 	cfg.Social.Seed = *seed + 1
-	cfg.RowCacheSize = *rowCache
 	cfg.ListStoreSize = *listStore
 	cfg.Shards = *shards
 	cfg.AssemblyWorkers = *workers

@@ -7,17 +7,17 @@
 // Usage:
 //
 //	greca-shard -addr 127.0.0.1:9101 -owns 0,2 -shards 4
-//	            [-ratings ratings.dat] [-seed N] [-rowcache 1024]
+//	            [-ratings ratings.dat] [-seed N]
 //	            [-liststore 1024] [-recheck-workers N]
 //	            [-http 127.0.0.1:9201] [-v]
 //
 // Every worker builds the full deterministic world from the same
-// configuration as the router (same -seed, -ratings, -rowcache,
-// -liststore, -shards); the connection handshake carries the config
-// fingerprint and refuses a mismatched peer. Ownership (-owns) decides
-// only which shards this process answers for — a request for a user
-// outside the owned shards is rejected with wrong_shard. The router's
-// topology file must assign every shard to exactly one worker.
+// configuration as the router (same -seed, -ratings, -shards); the
+// connection handshake carries the config fingerprint and refuses a
+// mismatched peer. Ownership (-owns) decides only which shards this
+// process answers for — a request for a user outside the owned shards
+// is rejected with wrong_shard. The router's topology file must assign
+// every shard to exactly one worker.
 //
 // -http optionally exposes a shard-local observability surface on a
 // separate listener:
@@ -48,7 +48,6 @@ import (
 	"syscall"
 
 	"repro"
-	"repro/internal/cf"
 	"repro/internal/liststore"
 	"repro/internal/remote"
 )
@@ -91,7 +90,6 @@ func main() {
 		owns      = flag.String("owns", "", "comma-separated shard indices this worker owns (required)")
 		ratings   = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
 		seed      = flag.Int64("seed", 1, "synthetic world seed (must match the router)")
-		rowCache  = flag.Int("rowcache", cf.DefaultRowCacheCap, "prediction-row cache size (must be positive)")
 		listStore = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
 		shards    = flag.Int("shards", 1, "user-range shard count (must match the router)")
 		recheck   = flag.Int("recheck-workers", 0, "scoped-invalidation recheck pool size (0 = min(4, GOMAXPROCS); negative = serial)")
@@ -100,7 +98,6 @@ func main() {
 	)
 	flag.Parse()
 
-	requirePositive("-rowcache", *rowCache)
 	requirePositive("-liststore", *listStore)
 	requirePositive("-shards", *shards)
 	owned, err := parseOwns(*owns)
@@ -117,7 +114,6 @@ func main() {
 	cfg := repro.QuickConfig()
 	cfg.Dataset.Seed = *seed
 	cfg.Social.Seed = *seed + 1
-	cfg.RowCacheSize = *rowCache
 	cfg.ListStoreSize = *listStore
 	cfg.Shards = *shards
 	cfg.RecheckWorkers = *recheck

@@ -24,7 +24,7 @@
 //
 // Several groups may be given separated by ";" — they are then scored
 // concurrently through World.RecommendBatch, sharing sorted-list views
-// and cached prediction rows across groups.
+// across groups.
 //
 // -deadline bounds the whole computation: when it expires, in-flight
 // runs stop within one stopping-check interval; groups already scored

@@ -24,7 +24,7 @@ func concurrencyConfig() repro.Config {
 // groups, all three predictors, all four time models — against shared
 // Worlds and asserts every result matches the sequential path. Run
 // with -race this is the end-to-end data-race check for the sharded
-// caches, row cache, and parallel assembly.
+// caches and parallel assembly.
 func TestRecommendConcurrent(t *testing.T) {
 	predictors := []struct {
 		name string
@@ -49,7 +49,7 @@ func TestRecommendConcurrent(t *testing.T) {
 			parts := w.Participants()
 
 			// Mixed group shapes: singletons, pairs, and larger groups,
-			// overlapping so the row cache sees shared members.
+			// overlapping so the caches see shared members.
 			groups := [][]dataset.UserID{
 				parts[:1],
 				parts[2:4],

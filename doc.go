@@ -32,10 +32,9 @@
 //     classify client-shaped failures.
 //   - World.RecommendBatch scores many groups in one call — the shape
 //     of the paper's Figure 6 sweep — over GOMAXPROCS workers that
-//     share sorted-list store views and cached prediction rows like any
-//     concurrent callers; RecommendBatchContext threads one context
-//     through the whole sweep, so a single cancel stops every
-//     in-flight run.
+//     share sorted-list store views like any concurrent callers;
+//     RecommendBatchContext threads one context through the whole
+//     sweep, so a single cancel stops every in-flight run.
 //   - internal/liststore precomputes per-user descending-sorted
 //     preference views over the popularity pool, so problems assemble
 //     by merge-and-patch (core.NewProblemFromViews) instead of
@@ -47,9 +46,9 @@
 //     rating store, and invalidation is scoped to the rating's actual
 //     reach — a reverse dependency index names the cached users that
 //     co-rate with the rater, each gets a one-similarity recheck, and
-//     only the neighborhoods, prediction rows, and sorted-list views
-//     the rating provably touches are dropped (views whose only
-//     dependence is the rated item's mean are patched in place).
+//     only the neighborhoods and sorted-list views the rating
+//     provably touches are dropped (views whose only dependence is the
+//     rated item's mean are patched in place).
 //     Everything retained is bit-identical to a world rebuilt from
 //     scratch with that rating, so sustained ingest keeps the caches
 //     warm without changing a served byte; Config.FullInvalidation

@@ -50,9 +50,9 @@ type userShard struct {
 	// fence since the last ingest looked. The fence keeps a fill that
 	// straddles an ingest out of the cache, but the fill's caller still
 	// predicts from the pre-ingest neighborhood it is handed: an ingest
-	// reports both sets stale (staleFills), so whatever was built on top
-	// — a prediction row, a sorted view — drops with the rating's other
-	// dependents instead of being retained as untouched.
+	// reports both sets stale (staleFills), so a sorted view built on
+	// top drops with the rating's other dependents instead of being
+	// retained as untouched.
 	filling map[dataset.UserID]int
 	fenced  []dataset.UserID
 }
@@ -585,8 +585,8 @@ func (p *Predictor) GlobalMean() float64 { return p.means.Load().globalMean }
 // Stats snapshots the lazy neighborhood cache's counters, aggregated
 // across all shard parts: a hit is a Neighbors call answered from a
 // cache, a miss one that had to scan the user population. Size is the
-// number of cached neighborhoods; Evictions is always zero (the cache
-// only grows, bounded by the user count).
+// number of cached neighborhoods (the cache only grows, bounded by the
+// user count).
 func (p *Predictor) Stats() CacheStats {
 	return sumStats(p.StatsByShard())
 }

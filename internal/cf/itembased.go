@@ -323,7 +323,7 @@ func (p *ItemPredictor) GlobalMean() float64 { return p.means.Load().globalMean 
 
 // Stats snapshots the lazy item-neighborhood cache's counters,
 // aggregated across all shard parts. Size is the number of cached item
-// neighborhoods; Evictions is always zero.
+// neighborhoods.
 func (p *ItemPredictor) Stats() CacheStats {
 	return sumStats(p.StatsByShard())
 }

@@ -39,15 +39,14 @@ import (
 // World's ingest lock); reads need no coordination.
 
 // IngestScope is the outcome of a scoped ingest: the users whose
-// derived state (neighborhood, cached rows, sorted view) the new
-// rating actually reaches, and how much cached state survived. The
-// caller feeds Stale to the row cache and the sorted-list store so
-// their scoped sweeps agree with the predictor's about who is
-// affected.
+// derived state (neighborhood, sorted view) the new rating actually
+// reaches, and how much cached state survived. The caller feeds Stale
+// to the sorted-list store so its scoped sweep agrees with the
+// predictor's about who is affected.
 type IngestScope struct {
 	// Stale holds the rater, every cached user whose neighborhood was
 	// dropped, and every user with a neighborhood fill straddling the
-	// ingest — the users whose cached rows and views must drop too.
+	// ingest — the users whose views must drop too.
 	Stale map[dataset.UserID]struct{}
 	// Retained and Dropped count cached neighborhoods kept vs dropped
 	// by this ingest (Dropped includes the rater's own, when cached).
@@ -514,26 +513,6 @@ func (p *Predictor) CachedNeighborhoods() int {
 	n := 0
 	for _, s := range p.StatsByShard() {
 		n += s.Size
-	}
-	return n
-}
-
-// InvalidateAll drops every cached prediction row — the coherent
-// counterpart of InvalidateUser for events that change every user's
-// predictions at once (a clock-advancing time-weighted ingest shifts
-// every decay weight), and the drop-everything baseline the scoped
-// scheme is measured against. Every dropped row counts as
-// Invalidated. Returns the number of rows dropped.
-func (c *CachedSource) InvalidateAll() int {
-	n := 0
-	for _, p := range c.parts {
-		p.epoch.Add(1)
-		cleared := 0
-		for i := range p.shards {
-			cleared += p.shards[i].clear()
-		}
-		p.counters.invalidate(cleared)
-		n += cleared
 	}
 	return n
 }

@@ -389,92 +389,6 @@ func TestTimeWeightedRefreshScoped(t *testing.T) {
 	}
 }
 
-// TestCachedSourceInvalidateScoped pins the row cache's scoped sweep:
-// stale users' rows drop, independent rows with an item-mean fallback
-// on the rated item are patched bit-identically to a cold recompute,
-// and fully independent rows are retained untouched.
-func TestCachedSourceInvalidateScoped(t *testing.T) {
-	s := scopedStore(t)
-	p, err := NewPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCachedSource(p, 64)
-	// u3's row over {10, 5}: item 10 is covered by neighbor u4; item 5
-	// falls back to its item mean (only u9 rated it, no overlap with u3).
-	items := []dataset.ItemID{10, 5}
-	rowU3 := c.PredictBatch(3, items)
-	rowU1 := c.PredictBatch(1, items)
-	_ = rowU1
-
-	applyRating(t, s, 0, 5, 4) // shifts item 5's mean; u0 shares nothing with u3
-	scope := p.NoteIngestScoped(0, 5)
-	if _, stale := scope.Stale[3]; stale {
-		t.Fatalf("u3 unexpectedly stale; fixture broken")
-	}
-	patch, ok := p.ItemMean(5)
-	if !ok {
-		t.Fatal("item 5 lost its mean after an ingest of item 5")
-	}
-	c.InvalidateScoped(scope.Stale, 5, patch, true)
-
-	st := c.Stats()
-	if st.Invalidated != 1 || st.Retained != 1 || st.Patched != 1 {
-		t.Errorf("stats = %d invalidated / %d retained / %d patched, want 1 / 1 / 1", st.Invalidated, st.Retained, st.Patched)
-	}
-
-	// The patched row must be bit-identical to a cold recompute, and
-	// the pre-patch slice held by in-flight readers must be untouched.
-	cold, err := NewPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cold.PredictBatch(3, items)
-	got := c.PredictBatch(3, items)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("patched row = %v, want cold %v", got, want)
-	}
-	if rowU3[0] != want[0] {
-		t.Errorf("covered entry changed: %v != %v", rowU3[0], want[0])
-	}
-	if rowU3[1] == got[1] {
-		t.Errorf("patch mutated the shared pre-ingest row in place")
-	}
-	// u1 was stale: its row dropped, and the refill counts a miss.
-	misses := c.Stats().Misses
-	c.PredictBatch(1, items)
-	if c.Stats().Misses != misses+1 {
-		t.Errorf("stale user's row survived the scoped sweep")
-	}
-}
-
-// TestCachedSourceScopedDropsUnknownDeps pins the conservative path: a
-// row cached through a non-deps source cannot be proven fresh and must
-// drop on any scoped sweep.
-func TestCachedSourceScopedDropsUnknownDeps(t *testing.T) {
-	s := scopedStore(t)
-	p, err := NewPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCachedSource(plainSource{p}, 64)
-	items := []dataset.ItemID{10}
-	c.PredictBatch(3, items)
-	if n := c.InvalidateScoped(map[dataset.UserID]struct{}{}, 1, 0, false); n != 1 {
-		t.Errorf("scoped sweep dropped %d dep-less rows, want 1", n)
-	}
-}
-
-// plainSource hides the predictor's DepsSource implementation.
-type plainSource struct{ p *Predictor }
-
-func (ps plainSource) Predict(u dataset.UserID, it dataset.ItemID) float64 {
-	return ps.p.Predict(u, it)
-}
-func (ps plainSource) PredictBatch(u dataset.UserID, items []dataset.ItemID) []float64 {
-	return ps.p.PredictBatch(u, items)
-}
-
 // TestScopedIngestRace hammers concurrent neighborhood fills against
 // serialized scoped ingests, then checks every surviving and rebuilt
 // neighborhood against a cold predictor — the epoch fence and the

@@ -103,62 +103,3 @@ func TestItemPredictorShardedIdentical(t *testing.T) {
 		t.Errorf("per-shard sums h%d m%d != aggregate %+v", hits, misses, agg)
 	}
 }
-
-// TestCachedSourceSharded: the sharded row cache serves the same rows,
-// splits its budget per shard, confines invalidation to the user's
-// part, and its per-shard counters sum to the aggregate.
-func TestCachedSourceSharded(t *testing.T) {
-	store := ratedStore(t)
-	base, err := NewPredictor(store, 5)
-	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	m, _ := shard.New(4)
-	plain := NewCachedSource(base, 64)
-	sharded := NewCachedSourceSharded(base, 64, m)
-
-	items := store.Items()[:4]
-	users := store.Users()
-	for _, u := range users {
-		if !reflect.DeepEqual(plain.PredictBatch(u, items), sharded.PredictBatch(u, items)) {
-			t.Fatalf("user %d: cached rows diverge", u)
-		}
-	}
-	// Second pass: all hits, filled parts on several shards.
-	for _, u := range users {
-		sharded.PredictBatch(u, items)
-	}
-	agg := sharded.Stats()
-	if agg.Hits == 0 || agg.Misses == 0 {
-		t.Fatalf("traffic recorded no hits or misses: %+v", agg)
-	}
-	var hits, misses, evics uint64
-	size := 0
-	for _, ps := range sharded.StatsByShard() {
-		hits += ps.Hits
-		misses += ps.Misses
-		evics += ps.Evictions
-		size += ps.Size
-	}
-	if hits != agg.Hits || misses != agg.Misses || evics != agg.Evictions || size != agg.Size {
-		t.Errorf("per-shard sums != aggregate %+v", agg)
-	}
-
-	// Invalidation drops exactly the victim's row, from its part only.
-	victim := users[0]
-	before := sharded.StatsByShard()
-	if n := sharded.InvalidateUser(victim); n != 1 {
-		t.Fatalf("InvalidateUser dropped %d rows, want 1", n)
-	}
-	after := sharded.StatsByShard()
-	vShard := m.Of(int64(victim))
-	for i := range after {
-		wantDelta := 0
-		if i == vShard {
-			wantDelta = 1
-		}
-		if before[i].Size-after[i].Size != wantDelta {
-			t.Errorf("shard %d size %d -> %d (want delta %d)", i, before[i].Size, after[i].Size, wantDelta)
-		}
-	}
-}

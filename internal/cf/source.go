@@ -8,8 +8,8 @@ import "repro/internal/dataset"
 // is agnostic to the apref producer ("existing single-user
 // recommendation algorithms ... could be used"); Source is where that
 // agnosticism lives in code. All three predictors in this package
-// implement it, as does the CachedSource row-cache wrapper, so the
-// assembly layer never dispatches on concrete predictor types.
+// implement it, so the assembly layer never dispatches on concrete
+// predictor types.
 //
 // PredictBatch must be equivalent to calling Predict per item — same
 // values, computed once per (user, item) — but is free to resolve
@@ -22,9 +22,7 @@ type Source interface {
 	// item and global means when coverage is missing.
 	Predict(u dataset.UserID, it dataset.ItemID) float64
 	// PredictBatch returns predictions of u for every item in items,
-	// in order. The returned slice is owned by the caller unless the
-	// implementation documents otherwise (CachedSource returns shared
-	// read-only rows).
+	// in order. The returned slice is owned by the caller.
 	PredictBatch(u dataset.UserID, items []dataset.ItemID) []float64
 }
 
@@ -78,9 +76,8 @@ func (d *RowDeps) DependsOn(it dataset.ItemID) bool {
 // DepsSource is the optional Source extension scoped invalidation
 // requires: PredictBatchDeps is PredictBatch that also reports the
 // row's fallback dependencies, bit-identical to the plain path. The
-// row cache and the sorted-list store record the metadata at fill time
-// so an ingest can prove most cached rows untouched instead of
-// dropping them.
+// sorted-list store records the metadata at build time so an ingest can
+// prove most views untouched instead of dropping them.
 type DepsSource interface {
 	Source
 	PredictBatchDeps(u dataset.UserID, items []dataset.ItemID) ([]float64, RowDeps)
@@ -91,11 +88,9 @@ var (
 	_ Source     = (*Predictor)(nil)
 	_ Source     = (*ItemPredictor)(nil)
 	_ Source     = (*TimeWeightedPredictor)(nil)
-	_ Source     = (*CachedSource)(nil)
 	_ BatchInto  = (*Predictor)(nil)
 	_ BatchInto  = (*ItemPredictor)(nil)
 	_ BatchInto  = (*TimeWeightedPredictor)(nil)
-	_ BatchInto  = (*CachedSource)(nil)
 	_ DepsSource = (*Predictor)(nil)
 	_ DepsSource = (*ItemPredictor)(nil)
 	_ DepsSource = (*TimeWeightedPredictor)(nil)

@@ -62,14 +62,3 @@ func BenchmarkPredictBatch(b *testing.B) {
 		p.PredictBatchInto(0, items, dst)
 	}
 }
-
-func BenchmarkPredictBatchRowCacheHit(b *testing.B) {
-	_, p, items := benchSubstrate(b)
-	c := NewCachedSource(p, DefaultRowCacheCap)
-	dst := make([]float64, len(items))
-	c.PredictBatchInto(0, items, dst) // fill
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		c.PredictBatchInto(0, items, dst)
-	}
-}

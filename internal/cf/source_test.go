@@ -74,9 +74,6 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 	t.Run("user-based", func(t *testing.T) { checkBatchMatchesSequential(t, base, users, items) })
 	t.Run("item-based", func(t *testing.T) { checkBatchMatchesSequential(t, ip, users, items) })
 	t.Run("time-weighted", func(t *testing.T) { checkBatchMatchesSequential(t, tw, users, items) })
-	t.Run("cached", func(t *testing.T) {
-		checkBatchMatchesSequential(t, NewCachedSource(base, 8), users, items)
-	})
 }
 
 func TestPredictBatchEmptyAndMissingUser(t *testing.T) {
@@ -100,78 +97,9 @@ func TestPredictBatchEmptyAndMissingUser(t *testing.T) {
 	}
 }
 
-func TestCachedSourceReturnsCanonicalRows(t *testing.T) {
-	s := randomStore(t, 20, 30, 200, 3)
-	p, err := NewPredictor(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCachedSource(p, 64)
-	items := []dataset.ItemID{1, 2, 3, 4}
-	r1 := c.PredictBatch(3, items)
-	r2 := c.PredictBatch(3, items)
-	if &r1[0] != &r2[0] {
-		t.Errorf("repeated batch did not return the cached row")
-	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d rows, want 1", c.Len())
-	}
-	// A different candidate set for the same user is a distinct row.
-	r3 := c.PredictBatch(3, []dataset.ItemID{1, 2, 3, 5})
-	if &r3[0] == &r1[0] {
-		t.Errorf("different candidate set shared a row")
-	}
-	// Same IDs, different order: distinct fingerprint, distinct row.
-	r4 := c.PredictBatch(3, []dataset.ItemID{4, 3, 2, 1})
-	if &r4[0] == &r1[0] {
-		t.Errorf("reordered candidate set shared a row")
-	}
-}
-
-func TestCachedSourceBounded(t *testing.T) {
-	s := randomStore(t, 30, 40, 300, 4)
-	p, err := NewPredictor(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bound = 32
-	c := NewCachedSource(p, bound)
-	for n := 0; n < 10*bound; n++ {
-		items := []dataset.ItemID{dataset.ItemID(n % 40), dataset.ItemID((n + 1) % 40)}
-		c.PredictBatch(dataset.UserID(n%30), items)
-	}
-	if got := c.Len(); got > bound {
-		t.Errorf("cache grew to %d rows, bound %d", got, bound)
-	}
-	if c.Len() == 0 {
-		t.Errorf("cache empty after traffic")
-	}
-}
-
-func TestCachedSourceBatchIntoCopies(t *testing.T) {
-	s := randomStore(t, 10, 10, 60, 5)
-	p, err := NewPredictor(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCachedSource(p, 8)
-	items := []dataset.ItemID{0, 1, 2}
-	dst := make([]float64, len(items))
-	c.PredictBatchInto(4, items, dst)
-	row := c.PredictBatch(4, items)
-	if &dst[0] == &row[0] {
-		t.Fatalf("PredictBatchInto aliased the cached row")
-	}
-	for i := range dst {
-		if dst[i] != row[i] {
-			t.Errorf("dst[%d] = %v, cached %v", i, dst[i], row[i])
-		}
-	}
-}
-
-// TestConcurrentPredictors hammers all three predictors and the cache
-// from many goroutines; run under -race this is the preference-layer
-// data-race check.
+// TestConcurrentPredictors hammers all three predictors from many
+// goroutines; run under -race this is the preference-layer data-race
+// check.
 func TestConcurrentPredictors(t *testing.T) {
 	s := randomStore(t, 30, 40, 400, 6)
 	base, err := NewPredictor(s, 5)
@@ -186,7 +114,7 @@ func TestConcurrentPredictors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources := []Source{base, ip, tw, NewCachedSource(base, 16)}
+	sources := []Source{base, ip, tw}
 	items := []dataset.ItemID{0, 3, 7, 11, 19, 23, 31, 39}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -4,25 +4,22 @@ import "sync/atomic"
 
 // CacheStats is a point-in-time snapshot of one cache's counters — the
 // observability surface the serving layer's /stats endpoint exposes.
-// Hits and Misses count lookups; Evictions counts entries dropped by
-// capacity pressure (always zero for the predictors' lazy caches,
-// which only grow); Size is the current entry count.
+// Hits and Misses count lookups; Size is the current entry count (the
+// predictors' lazy caches only grow, bounded by the population, so
+// there is no eviction counter).
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Size      int    `json:"size"`
-	// Invalidated, Retained, and Patched count scoped-invalidation
-	// outcomes per resident entry per ingest: Invalidated entries were
-	// dropped as dependent on the ingested rating, Retained entries
-	// were proven independent and kept warm, Patched entries had the
-	// new value spliced in place instead of being rebuilt. A
-	// drop-everything invalidation counts every resident entry as
-	// Invalidated, so the Retained/Invalidated ratio is the direct
-	// measure of how much cache heat ingest traffic preserves.
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Size   int    `json:"size"`
+	// Invalidated and Retained count scoped-invalidation outcomes per
+	// resident entry per ingest: Invalidated entries were dropped as
+	// dependent on the ingested rating, Retained entries were proven
+	// independent and kept warm. A drop-everything invalidation counts
+	// every resident entry as Invalidated, so the Retained/Invalidated
+	// ratio is the direct measure of how much cache heat ingest traffic
+	// preserves.
 	Invalidated uint64 `json:"invalidated"`
 	Retained    uint64 `json:"retained"`
-	Patched     uint64 `json:"patched"`
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -35,10 +32,9 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // StatsSource is implemented by every cache in this package that
-// exposes counters: the three predictors (their lazy neighborhood
-// caches) and CachedSource (the prediction-row cache). The serving
-// layer discovers counters through this interface instead of
-// dispatching on concrete types.
+// exposes counters: the three predictors' lazy neighborhood caches.
+// The serving layer discovers counters through this interface instead
+// of dispatching on concrete types.
 type StatsSource interface {
 	Stats() CacheStats
 }
@@ -58,7 +54,6 @@ var (
 	_ ShardStatsSource = (*Predictor)(nil)
 	_ ShardStatsSource = (*ItemPredictor)(nil)
 	_ ShardStatsSource = (*TimeWeightedPredictor)(nil)
-	_ ShardStatsSource = (*CachedSource)(nil)
 )
 
 // sumStats folds per-shard snapshots into the aggregate view.
@@ -67,11 +62,9 @@ func sumStats(parts []CacheStats) CacheStats {
 	for _, s := range parts {
 		agg.Hits += s.Hits
 		agg.Misses += s.Misses
-		agg.Evictions += s.Evictions
 		agg.Size += s.Size
 		agg.Invalidated += s.Invalidated
 		agg.Retained += s.Retained
-		agg.Patched += s.Patched
 	}
 	return agg
 }
@@ -83,20 +76,12 @@ func sumStats(parts []CacheStats) CacheStats {
 type cacheCounters struct {
 	hits        atomic.Uint64
 	misses      atomic.Uint64
-	evictions   atomic.Uint64
 	invalidated atomic.Uint64
 	retained    atomic.Uint64
-	patched     atomic.Uint64
 }
 
 func (c *cacheCounters) hit()  { c.hits.Add(1) }
 func (c *cacheCounters) miss() { c.misses.Add(1) }
-
-func (c *cacheCounters) evict(n int) {
-	if n > 0 {
-		c.evictions.Add(uint64(n))
-	}
-}
 
 func (c *cacheCounters) invalidate(n int) {
 	if n > 0 {
@@ -110,21 +95,13 @@ func (c *cacheCounters) retain(n int) {
 	}
 }
 
-func (c *cacheCounters) patch(n int) {
-	if n > 0 {
-		c.patched.Add(uint64(n))
-	}
-}
-
 // snapshot pairs the counters with the current entry count.
 func (c *cacheCounters) snapshot(size int) CacheStats {
 	return CacheStats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
 		Size:        size,
 		Invalidated: c.invalidated.Load(),
 		Retained:    c.retained.Load(),
-		Patched:     c.patched.Load(),
 	}
 }

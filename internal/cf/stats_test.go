@@ -21,94 +21,6 @@ func statsStore(t testing.TB) *dataset.Store {
 	return sy.Store
 }
 
-// TestCachedSourceCounters drives a deterministic hit/miss sequence
-// through the row cache and asserts the exact counter values at every
-// step.
-func TestCachedSourceCounters(t *testing.T) {
-	store := statsStore(t)
-	pred, err := NewPredictor(store, 10)
-	if err != nil {
-		t.Fatalf("building predictor: %v", err)
-	}
-	cs := NewCachedSource(pred, 64)
-
-	users := store.Users()
-	items := store.Items()
-	itemsA := items[:20]
-	itemsB := items[20:40]
-
-	check := func(step string, hits, misses, evictions uint64, size int) {
-		t.Helper()
-		got := cs.Stats()
-		want := CacheStats{Hits: hits, Misses: misses, Evictions: evictions, Size: size}
-		if got != want {
-			t.Fatalf("%s: stats = %+v, want %+v", step, got, want)
-		}
-	}
-
-	check("initial", 0, 0, 0, 0)
-
-	cs.PredictBatch(users[0], itemsA)
-	check("first row", 0, 1, 0, 1)
-
-	cs.PredictBatch(users[0], itemsA)
-	cs.PredictBatch(users[0], itemsA)
-	check("two hits on same row", 2, 1, 0, 1)
-
-	cs.PredictBatch(users[0], itemsB) // same user, new candidate set
-	check("new candidate set misses", 2, 2, 0, 2)
-
-	cs.PredictBatch(users[1], itemsA) // new user, old candidate set
-	check("new user misses", 2, 3, 0, 3)
-
-	cs.PredictBatch(users[1], itemsA)
-	cs.PredictBatch(users[0], itemsB)
-	check("both rows hit", 4, 3, 0, 3)
-
-	if hr := cs.Stats().HitRate(); hr != 4.0/7.0 {
-		t.Errorf("hit rate = %v, want %v", hr, 4.0/7.0)
-	}
-}
-
-// TestCachedSourceEvictionCounters fills a tiny cache past its bound
-// and asserts evictions are counted and the size stays bounded.
-func TestCachedSourceEvictionCounters(t *testing.T) {
-	store := statsStore(t)
-	pred, err := NewPredictor(store, 10)
-	if err != nil {
-		t.Fatalf("building predictor: %v", err)
-	}
-	// cap 16 spread over 16 shards = 1 row per shard: every second
-	// insert into the same shard evicts.
-	cs := NewCachedSource(pred, 16)
-
-	users := store.Users()
-	items := store.Items()
-	const n = 40
-	for i := 0; i < n; i++ {
-		// Distinct candidate sets so every call is a miss.
-		cs.PredictBatch(users[i%len(users)], items[i%20:i%20+10])
-	}
-	st := cs.Stats()
-	if st.Misses != n {
-		t.Errorf("misses = %d, want %d (every candidate set distinct)", st.Misses, n)
-	}
-	if st.Hits != 0 {
-		t.Errorf("hits = %d, want 0", st.Hits)
-	}
-	if st.Evictions == 0 {
-		t.Error("no evictions counted despite cap pressure")
-	}
-	if st.Size > 16 {
-		t.Errorf("size %d exceeds cap 16", st.Size)
-	}
-	// Conservation: every miss either still resides in the cache or
-	// was evicted.
-	if st.Misses != uint64(st.Size)+st.Evictions {
-		t.Errorf("misses %d != size %d + evictions %d", st.Misses, st.Size, st.Evictions)
-	}
-}
-
 // TestPredictorCounters asserts the user-based neighborhood cache
 // counts exactly one miss per distinct user and hits thereafter, and
 // that the time-weighted wrapper reports the same (shared) cache.
@@ -126,7 +38,7 @@ func TestPredictorCounters(t *testing.T) {
 	pred.Neighbors(users[0])
 
 	got := pred.Stats()
-	want := CacheStats{Hits: 2, Misses: 2, Evictions: 0, Size: 2}
+	want := CacheStats{Hits: 2, Misses: 2, Size: 2}
 	if got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
@@ -172,16 +84,15 @@ func TestItemPredictorCounters(t *testing.T) {
 	}
 }
 
-// TestCacheCountersRace hammers a small cache from many goroutines;
-// with -race this proves the counters are data-race free, and the
-// totals must still conserve (hits + misses == lookups).
+// TestCacheCountersRace hammers the neighborhood cache from many
+// goroutines; with -race this proves the counters are data-race free,
+// and the totals must still conserve (every lookup is a hit or a miss).
 func TestCacheCountersRace(t *testing.T) {
 	store := statsStore(t)
 	pred, err := NewPredictor(store, 10)
 	if err != nil {
 		t.Fatalf("building predictor: %v", err)
 	}
-	cs := NewCachedSource(pred, 8) // tiny: constant eviction churn
 	users := store.Users()
 	items := store.Items()
 
@@ -197,23 +108,18 @@ func TestCacheCountersRace(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				u := users[(w+r)%len(users)]
 				off := (w * r) % 30
-				cs.PredictBatch(u, items[off:off+8])
+				pred.PredictBatch(u, items[off:off+8])
 				pred.Neighbors(u)
-				_ = cs.Stats()
 				_ = pred.Stats()
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	st := cs.Stats()
-	if st.Hits+st.Misses != workers*rounds {
-		t.Errorf("row cache lookups %d != %d submitted", st.Hits+st.Misses, workers*rounds)
-	}
 	ps := pred.Stats()
 	if ps.Hits+ps.Misses < workers*rounds {
-		// PredictBatch also resolves neighborhoods on row misses, so
-		// the total is at least the explicit Neighbors calls.
+		// PredictBatch also resolves neighborhoods, so the total is at
+		// least the explicit Neighbors calls.
 		t.Errorf("neighborhood lookups %d < %d explicit calls", ps.Hits+ps.Misses, workers*rounds)
 	}
 	if ps.Size > len(users) {

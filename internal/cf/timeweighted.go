@@ -147,11 +147,10 @@ func (p *TimeWeightedPredictor) PredictBatchDeps(u dataset.UserID, items []datas
 
 // RefreshScoped re-derives the reference timestamp and reports whether
 // it moved. A moved clock shifts every decay weight at once — every
-// cached row and view built from time-weighted predictions is stale,
-// and the caller must fall back to a full invalidation. An unmoved
-// clock (the common case: the new rating is not the newest in the
-// store) leaves every retained user's weights bit-identical, so the
-// scoped path applies.
+// view built from time-weighted predictions is stale, and the caller
+// must fall back to a full invalidation. An unmoved clock (the common
+// case: the new rating is not the newest in the store) leaves every
+// retained user's weights bit-identical, so the scoped path applies.
 func (p *TimeWeightedPredictor) RefreshScoped() (moved bool) {
 	now := maxRatingTime(p.base.store)
 	return p.now.Swap(now) != now

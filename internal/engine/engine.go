@@ -4,9 +4,9 @@
 // store can serve the group, pre-sorted view/patch sets that let the
 // core merge instead of re-sort. Rows fill concurrently over a worker
 // pool and recycle through a sync.Pool. The assembler sits between the
-// preference layer (cf.Source, possibly wrapped in a cf.CachedSource,
-// beside the liststore.Store) and the core problem builders; see
-// DESIGN.md.
+// preference layer (the configured predictor behind cf.Source, beside
+// the liststore.Store materialized from it) and the core problem
+// builders; see DESIGN.md.
 package engine
 
 import (
@@ -199,6 +199,7 @@ func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, d
 	g := len(group)
 	var patchRows [][]float64
 	if len(patch) > 0 {
+		a.lists.NotePatched(len(patch))
 		flat := make([]float64, g*len(patch))
 		patchRows = make([][]float64, g)
 		for ui := range patchRows {

@@ -200,6 +200,17 @@ func TestAprefViewsFallsBack(t *testing.T) {
 	if _, ok, _ := a.AprefViews(group, foreign, 5); ok {
 		t.Error("mostly-foreign candidate slice served views")
 	}
+	// A refused slice is served densely: none of it went through a patch
+	// set. A covered slice with a remainder counts exactly the remainder.
+	if n := a.ListStore().Stats().PatchItems; n != 0 {
+		t.Errorf("refused slice counted %d patch items, want 0", n)
+	}
+	if _, ok, err := a.AprefViews(group, []dataset.ItemID{pool[0], pool[1], 9001}, 5); !ok || err != nil {
+		t.Fatalf("covered slice with a remainder not served from views (ok %v, err %v)", ok, err)
+	}
+	if n := a.ListStore().Stats().PatchItems; n != 1 {
+		t.Errorf("covered slice with a one-item remainder counted %d patch items, want 1", n)
+	}
 	if _, ok, _ := a.AprefViews(nil, pool[:4], 5); ok {
 		t.Error("empty group served views")
 	}

@@ -7,7 +7,7 @@
 // prediction and one sort per user at ingest, amortize them across the
 // sweep traffic.
 //
-// A Store sits beside the cf row cache in the preference layer: the
+// A Store is the one cache between the predictor and the problem: the
 // engine asks it for (view, pool→candidate mapping) pairs, falls back
 // to dense assembly when the store is disabled, and routes only the
 // uncovered remainder of a candidate slice (the patch set) through the
@@ -26,8 +26,8 @@
 // keeps its own mutex, CLOCK ring, capacity budget, and counters.
 // Acquiring or invalidating a view therefore locks exactly one shard —
 // invalidation traffic on one shard never blocks view serving on
-// another. Candidate mappings are pool-indexed (user-independent), so
-// the mapping memo stays at the fan-out level, shared by all shards.
+// another. Candidate mappings are pool-indexed (user-independent) and
+// computed per call at the fan-out level, touching no shard.
 package liststore
 
 import (
@@ -47,12 +47,6 @@ import (
 // MovieLens-scale pool (~4000 items) is ~96KB (dense scores + sorted
 // entries), so 1024 users cap the store near 100MB worst-case.
 const DefaultMaxUsers = 1024
-
-// mapCacheCap bounds the memoized pool→candidate mappings. Sweep
-// traffic reuses a handful of candidate slices, so a small bound
-// suffices; overflow drops the whole map (mappings are cheap to
-// recompute).
-const mapCacheCap = 128
 
 // View is one user's materialized preference state over the store
 // pool: the dense normalized scores in pool order (problem rows are
@@ -81,22 +75,21 @@ type View struct {
 // Builder must be safe for concurrent use.
 type Builder func(users []dataset.UserID) ([]*View, error)
 
-// Mapping is a memoized pool→candidate-slice mapping. LocalOf[p] is
-// the index of pool position p within the candidate slice, or -1.
-// Matched counts the covered prefix of the slice: items[:Matched] are
-// served by the view, items[Matched:] are the patch set. Shared and
-// immutable.
+// Mapping is a pool→candidate-slice mapping. LocalOf[p] is the index
+// of pool position p within the candidate slice, or -1. Matched counts
+// the covered prefix of the slice: items[:Matched] are served by the
+// view, items[Matched:] are the patch set.
 type Mapping struct {
 	LocalOf []int32
 	Matched int
 }
 
 // Stats is the store's observability surface for /stats: view traffic
-// (hits vs builds, rebuilds after invalidation), lifecycle counters,
-// patch volume, and the mapping cache. The per-user counters aggregate
-// across shards (they are exactly the sum of StatsByShard); the
-// mapping and patch counters are store-global, since mappings are a
-// pool property shared by every shard.
+// (hits vs builds, rebuilds after invalidation), lifecycle counters and
+// patch volume. The per-user counters aggregate across shards (they are
+// exactly the sum of StatsByShard); the patch counter is store-global,
+// since a patch set is a property of the candidate slice, not of a
+// shard.
 type Stats struct {
 	// ViewHits counts Acquire calls answered by a materialized view;
 	// ViewBuilds counts materializations (first use or after eviction);
@@ -121,11 +114,9 @@ type Stats struct {
 	// of built — the warm-restart observability hook.
 	WarmLoads uint64 `json:"warm_loads"`
 	// PatchItems is the total number of candidate items served through
-	// patch sets instead of views (uncovered remainder of a slice).
+	// patch sets instead of views (the uncovered remainder of a slice
+	// an assembly actually served from views; see NotePatched).
 	PatchItems uint64 `json:"patch_items"`
-	// MapHits / MapMisses count the memoized pool→candidate mappings.
-	MapHits   uint64 `json:"map_hits"`
-	MapMisses uint64 `json:"map_misses"`
 	// Size is the number of materialized views; PoolSize the length of
 	// the base pool the views cover.
 	Size     int `json:"size"`
@@ -205,19 +196,7 @@ type Store struct {
 	sm      shard.Map
 	parts   []*storePart
 
-	// mapMu guards the pool→candidate mapping memo, which is shared by
-	// all shards (mappings do not depend on users).
-	mapMu sync.Mutex
-	maps  map[mapKey]*Mapping
-
 	patchItems atomic.Uint64
-	mapHits    atomic.Uint64
-	mapMisses  atomic.Uint64
-}
-
-type mapKey struct {
-	fp uint64
-	n  int
 }
 
 // New builds an unsharded store over src and pool; see NewSharded.
@@ -261,7 +240,6 @@ func NewOver(build Builder, pool []dataset.ItemID, capacity int, divisor float64
 		pool:    pool,
 		divisor: divisor,
 		sm:      sm,
-		maps:    make(map[mapKey]*Mapping),
 	}
 	// Split hands every part at least one slot, so "retain nothing" is
 	// its own case rather than a zero passed down.
@@ -729,25 +707,14 @@ func (s *Store) RestoreViews(views []UserView) int {
 	return restored
 }
 
-// MapCandidates returns the memoized mapping of a candidate slice onto
-// the pool. The walk consumes items in order against the pool in
-// order, so the mapping is monotone — exactly the shape
-// core.ViewSet.LocalOf requires — and anything unmatched (items beyond
-// the pool, out of popularity order, or duplicated) lands in the patch
-// suffix items[Matched:], keeping the served problem correct for any
-// candidate slice.
-func (s *Store) MapCandidates(items []dataset.ItemID) *Mapping {
-	key := mapKey{fp: cf.FingerprintItems(items), n: len(items)}
-	s.mapMu.Lock()
-	m, ok := s.maps[key]
-	s.mapMu.Unlock()
-	if ok {
-		s.mapHits.Add(1)
-		s.patchItems.Add(uint64(len(items) - m.Matched))
-		return m
-	}
-	s.mapMisses.Add(1)
-
+// MapCandidates maps a candidate slice onto the pool. The walk consumes
+// items in order against the pool in order, so the mapping is monotone
+// — exactly the shape core.ViewSet.LocalOf requires — and anything
+// unmatched (items beyond the pool, out of popularity order, or
+// duplicated) lands in the patch suffix items[Matched:], keeping the
+// served problem correct for any candidate slice. Each call returns a
+// mapping of its own.
+func (s *Store) MapCandidates(items []dataset.ItemID) Mapping {
 	localOf := make([]int32, len(s.pool))
 	j := 0
 	for p, it := range s.pool {
@@ -758,21 +725,13 @@ func (s *Store) MapCandidates(items []dataset.ItemID) *Mapping {
 			localOf[p] = -1
 		}
 	}
-	m = &Mapping{LocalOf: localOf, Matched: j}
-	s.patchItems.Add(uint64(len(items) - j))
-
-	s.mapMu.Lock()
-	if cached, ok := s.maps[key]; ok {
-		m = cached // concurrent fill won
-	} else {
-		if len(s.maps) >= mapCacheCap {
-			s.maps = make(map[mapKey]*Mapping, mapCacheCap)
-		}
-		s.maps[key] = m
-	}
-	s.mapMu.Unlock()
-	return m
+	return Mapping{LocalOf: localOf, Matched: j}
 }
+
+// NotePatched counts n candidate items served through a patch set —
+// called by the assembly that predicted them, once it has decided to
+// serve the slice from views at all.
+func (s *Store) NotePatched(n int) { s.patchItems.Add(uint64(n)) }
 
 // Len reports the number of materialized views across all shards.
 func (s *Store) Len() int {
@@ -816,22 +775,20 @@ func (s *Store) StatsByShard() []ShardStats {
 }
 
 // Stats snapshots the store's counters: the per-user counters summed
-// across shards plus the store-global mapping and patch counters. The
-// counters are atomic and only eventually consistent with each other.
+// across shards plus the store-global patch counter. The counters are
+// atomic and only eventually consistent with each other.
 func (s *Store) Stats() Stats {
 	return s.StatsFrom(s.StatsByShard())
 }
 
 // StatsFrom builds the aggregate Stats from an existing per-shard
-// snapshot (as returned by StatsByShard) plus the store-global
-// mapping and patch counters. Callers that need both the breakdown
-// and the aggregate take one snapshot and derive both from it, so the
-// two levels agree exactly and every part's lock is taken once.
+// snapshot (as returned by StatsByShard) plus the store-global patch
+// counter. Callers that need both the breakdown and the aggregate take
+// one snapshot and derive both from it, so the two levels agree exactly
+// and every part's lock is taken once.
 func (s *Store) StatsFrom(parts []ShardStats) Stats {
 	st := Stats{
 		PatchItems: s.patchItems.Load(),
-		MapHits:    s.mapHits.Load(),
-		MapMisses:  s.mapMisses.Load(),
 		PoolSize:   len(s.pool),
 	}
 	for _, ss := range parts {

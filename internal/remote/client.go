@@ -743,7 +743,7 @@ func (c *Client) Apply(seq uint64, r dataset.Rating) (ApplyAck, error) {
 	return decodeApplyAck(out)
 }
 
-// InvalidateUser drops u's cached rows and view on the worker.
+// InvalidateUser drops u's view on the worker.
 func (c *Client) InvalidateUser(u dataset.UserID) (bool, error) {
 	out, err := c.call(opInvalidate, encodeUser(u), true, nil)
 	if err != nil {

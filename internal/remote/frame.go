@@ -76,7 +76,7 @@ const (
 // single-user reads the batched ops replaced; they stay retired.
 const (
 	opApply      = uint8(3) // rating → apply + scoped invalidation + ack
-	opInvalidate = uint8(4) // user → drop cached rows and view
+	opInvalidate = uint8(4) // user → drop view
 	opStats      = uint8(5) // () → per-owned-shard cache stats
 
 	// Batched reads: one request carries every group member the worker

@@ -84,7 +84,7 @@ func (b *fakeBackend) ShardStats() []ShardStats {
 	out := make([]ShardStats, 0, len(b.owned))
 	for _, sh := range b.owned {
 		st := ShardStats{Shard: sh}
-		st.RowCache.Hits = uint64(100 + sh)
+		st.ListStore.ViewHits = uint64(100 + sh)
 		out = append(out, st)
 	}
 	return out
@@ -322,7 +322,7 @@ func TestClientApplyInvalidateStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardStats: %v", err)
 	}
-	if len(ss) != 1 || ss[0].Shard != 0 || ss[0].RowCache.Hits != 100 {
+	if len(ss) != 1 || ss[0].Shard != 0 || ss[0].ListStore.ViewHits != 100 {
 		t.Errorf("stats = %+v", ss)
 	}
 }
@@ -738,7 +738,7 @@ func TestShardSetStatsByShard(t *testing.T) {
 		if !ok[sh] {
 			t.Errorf("shard %d not live", sh)
 		}
-		if ss[sh].Shard != sh || ss[sh].RowCache.Hits != uint64(100+sh) {
+		if ss[sh].Shard != sh || ss[sh].ListStore.ViewHits != uint64(100+sh) {
 			t.Errorf("shard %d stats = %+v", sh, ss[sh])
 		}
 	}
@@ -786,7 +786,7 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 	if ok[0] || !ok[1] {
 		t.Errorf("liveness = %v, want [false true]", ok)
 	}
-	if ss[0].Shard != 0 || ss[0].RowCache.Hits != 0 {
+	if ss[0].Shard != 0 || ss[0].ListStore.ViewHits != 0 {
 		t.Errorf("dead shard entry = %+v, want zero-valued placeholder", ss[0])
 	}
 

@@ -43,8 +43,8 @@ type Backend interface {
 	// replica's delta counters. Rejections unwrap to the dataset
 	// sentinels.
 	Apply(r dataset.Rating) (ApplyAck, error)
-	// InvalidateUser drops u's cached rows and sorted view, reporting
-	// whether anything was resident.
+	// InvalidateUser drops u's sorted view, reporting whether one was
+	// resident.
 	InvalidateUser(u dataset.UserID) bool
 	// ShardStats reports the cache counters of every owned shard.
 	ShardStats() []ShardStats

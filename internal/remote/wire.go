@@ -426,7 +426,6 @@ func decodeBool(p []byte) (bool, error) {
 // JSON-encoded inside its frame: stats are cold-path and shape-heavy.
 type ShardStats struct {
 	Shard         int                  `json:"shard"`
-	RowCache      cf.CacheStats        `json:"row_cache"`
 	ListStore     liststore.ShardStats `json:"list_store"`
 	Neighborhoods cf.CacheStats        `json:"neighborhoods"`
 }

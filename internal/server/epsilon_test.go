@@ -94,8 +94,8 @@ func TestEpsilonStreamStops(t *testing.T) {
 }
 
 // TestStatsPerShardOnWire: /v1/stats exposes the shard count and the
-// per-shard cache breakdown, and the row-cache/neighborhood breakdowns
-// sum to the aggregates (quiescent server).
+// per-shard cache breakdown, and the neighborhood breakdown sums to the
+// aggregate (quiescent server).
 func TestStatsPerShardOnWire(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	w := testWorld(t)
@@ -108,11 +108,9 @@ func TestStatsPerShardOnWire(t *testing.T) {
 	var st struct {
 		Caches struct {
 			Shards        int                           `json:"shards"`
-			RowCache      struct{ Hits, Misses uint64 } `json:"row_cache"`
 			Neighborhoods struct{ Hits, Misses uint64 } `json:"neighborhoods"`
 			PerShard      []struct {
 				Shard         int                           `json:"shard"`
-				RowCache      struct{ Hits, Misses uint64 } `json:"row_cache"`
 				Neighborhoods struct{ Hits, Misses uint64 } `json:"neighborhoods"`
 			} `json:"per_shard"`
 		} `json:"caches"`
@@ -124,15 +122,10 @@ func TestStatsPerShardOnWire(t *testing.T) {
 	if c.Shards < 1 || len(c.PerShard) != c.Shards {
 		t.Fatalf("stats shards=%d per_shard=%d entries", c.Shards, len(c.PerShard))
 	}
-	var rowHits, rowMisses, nHits, nMisses uint64
+	var nHits, nMisses uint64
 	for _, ps := range c.PerShard {
-		rowHits += ps.RowCache.Hits
-		rowMisses += ps.RowCache.Misses
 		nHits += ps.Neighborhoods.Hits
 		nMisses += ps.Neighborhoods.Misses
-	}
-	if rowHits != c.RowCache.Hits || rowMisses != c.RowCache.Misses {
-		t.Errorf("row-cache breakdown %d/%d != aggregate %d/%d", rowHits, rowMisses, c.RowCache.Hits, c.RowCache.Misses)
 	}
 	if nHits != c.Neighborhoods.Hits || nMisses != c.Neighborhoods.Misses {
 		t.Errorf("neighborhood breakdown %d/%d != aggregate %d/%d", nHits, nMisses, c.Neighborhoods.Hits, c.Neighborhoods.Misses)

@@ -191,24 +191,23 @@ func TestStatsExposesInvalidationCounters(t *testing.T) {
 	var raw struct {
 		Caches struct {
 			Neighborhoods map[string]json.RawMessage `json:"neighborhoods"`
-			RowCache      map[string]json.RawMessage `json:"row_cache"`
 			ListStore     map[string]json.RawMessage `json:"list_store"`
 		} `json:"caches"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	for field, m := range map[string]map[string]json.RawMessage{
-		"neighborhoods": raw.Caches.Neighborhoods,
-		"row_cache":     raw.Caches.RowCache,
-		"list_store":    raw.Caches.ListStore,
+	for _, c := range []struct {
+		field string
+		m     map[string]json.RawMessage
+		keys  []string
+	}{
+		{"neighborhoods", raw.Caches.Neighborhoods, []string{"invalidated", "retained"}},
+		{"list_store", raw.Caches.ListStore, []string{"invalidations", "retained", "patched"}},
 	} {
-		for _, key := range []string{"invalidated", "retained", "patched"} {
-			if field == "list_store" && key == "invalidated" {
-				key = "invalidations" // the list store's historical name
-			}
-			if _, ok := m[key]; !ok {
-				t.Errorf("caches.%s lacks the %q counter; keys: %v", field, key, keysOf(m))
+		for _, key := range c.keys {
+			if _, ok := c.m[key]; !ok {
+				t.Errorf("caches.%s lacks the %q counter; keys: %v", c.field, key, keysOf(c.m))
 			}
 		}
 	}

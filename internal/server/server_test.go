@@ -251,9 +251,6 @@ func TestServeStats(t *testing.T) {
 	if st.Coalescer.Parked != 0 || st.Coalescer.Shed != 0 {
 		t.Errorf("coalescer = %+v, want nothing parked or shed at rest", st.Coalescer)
 	}
-	if !st.Caches.RowCacheEnabled {
-		t.Error("row cache should be enabled in the default config")
-	}
 	if !st.Caches.ListStoreEnabled {
 		t.Error("sorted-list store should be enabled in the default config")
 	}
@@ -272,6 +269,50 @@ func TestServeStats(t *testing.T) {
 	}
 	if st.World.Participants == 0 || st.World.Users == 0 {
 		t.Errorf("world stats empty: %+v", st.World)
+	}
+}
+
+// TestStatsServesBenchContract pins the /v1/stats paths bench/snapshot.go
+// decodes, so a stats-shape break fails here and not only in the
+// separate bench/ module (a path that goes missing decodes there as a
+// silent zero). It also pins what the document no longer carries.
+func TestStatsServesBenchContract(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var body json.RawMessage
+	if status := getJSON(t, ts.URL+"/v1/stats", &body); status != http.StatusOK {
+		t.Fatalf("stats status = %d", status)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("decoding /v1/stats: %v", err)
+	}
+	for _, path := range []string{
+		"coalescer.requests", "coalescer.shed",
+		"caches.list_store.view_hits", "caches.list_store.view_builds",
+		"caches.list_store.invalidations", "caches.list_store.evictions",
+		"caches.list_store.retained", "caches.list_store.patched", "caches.list_store.size",
+		"caches.neighborhoods.hits", "caches.neighborhoods.misses", "caches.neighborhoods.size",
+		"caches.neighborhoods.invalidated", "caches.neighborhoods.retained",
+		"ingest.posts", "ingest.store.pending",
+		"remote.transport.calls_by_op", "remote.transport.retries", "remote.transport.breaker_opens",
+		"remote.transport.dials", "remote.transport.conn_reuses",
+		"remote.view_cache.hits",
+	} {
+		var at any = doc
+		for _, key := range strings.Split(path, ".") {
+			obj, _ := at.(map[string]any)
+			next, ok := obj[key]
+			if !ok {
+				t.Errorf("/v1/stats lacks %q (bench/snapshot.go decodes it)", path)
+				break
+			}
+			at = next
+		}
+	}
+	for _, gone := range []string{`"row_cache"`, `"row_cache_enabled"`, `"map_hits"`, `"map_misses"`} {
+		if bytes.Contains(body, []byte(gone)) {
+			t.Errorf("/v1/stats still carries %s", gone)
+		}
 	}
 }
 

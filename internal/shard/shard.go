@@ -1,12 +1,12 @@
 // Package shard is the user-range partitioning layer of the engine: a
 // Map routes dense user IDs onto N shards so every per-user data
 // structure — rating rows and rated-item bitsets (dataset), predictor
-// neighborhood caches and the prediction-row cache (cf), materialized
-// sorted-list views (liststore), and the affinity model's pair tables
-// (affinity) — can keep an independent arena, lock, and capacity
-// budget per shard. One request only ever touches the shards its
-// group members hash to, so invalidation or eviction pressure on one
-// shard never blocks serving from another.
+// neighborhood caches (cf), materialized sorted-list views
+// (liststore), and the affinity model's pair tables (affinity) — can
+// keep an independent arena, lock, and capacity budget per shard. One
+// request only ever touches the shards its group members hash to, so
+// invalidation or eviction pressure on one shard never blocks serving
+// from another.
 //
 // Map is deliberately an interface: the in-process Hash implementation
 // below is the whole story today, but it is the seam a future
@@ -23,8 +23,8 @@ package shard
 import "fmt"
 
 // Map assigns IDs to shards. Implementations must be pure: Of must
-// return the same shard for the same ID forever (views, cached rows,
-// and pair tables are looked up where they were stored), and must
+// return the same shard for the same ID forever (views and pair
+// tables are looked up where they were stored), and must
 // return a value in [0, N()).
 type Map interface {
 	// N is the shard count, at least 1.

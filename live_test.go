@@ -191,13 +191,12 @@ func TestAddRatingRejections(t *testing.T) {
 	}
 }
 
-// TestInvalidateUserViewsReportsAnyDrop is the regression for the
-// return-value hole: with the list store disabled, dropping cached
-// prediction rows must still report true — the old code answered for
-// the list store alone.
+// TestInvalidateUserViewsReportsAnyDrop pins the return value's other
+// side: with the list store disabled there is no per-user derived state
+// to drop, so the call reports false however much traffic ran.
 func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
 	cfg := liveTestConfig()
-	cfg.ListStoreSize = -1 // row cache only
+	cfg.ListStoreSize = -1
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,25 +205,8 @@ func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
 	if _, err := w.Recommend(group, Options{K: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if !w.InvalidateUserViews(group[0]) {
-		t.Errorf("dropping cached rows with the list store disabled reported false")
-	}
 	if w.InvalidateUserViews(group[0]) {
-		t.Errorf("second invalidation with nothing cached reported true")
-	}
-
-	cfg = liveTestConfig()
-	cfg.ListStoreSize = -1
-	cfg.RowCacheSize = -1 // nothing to drop, ever
-	bare, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bare.Recommend(group, Options{K: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if bare.InvalidateUserViews(group[0]) {
-		t.Errorf("world with both caches disabled reported a drop")
+		t.Errorf("world with the list store disabled reported a drop")
 	}
 }
 
@@ -348,25 +330,19 @@ func liveWorldCfg(t *testing.T, ratings string, shards int, mutate func(*Config)
 
 // TestScopedIngestKeepsCachesWarm pins the point of the scoped scheme
 // at the world level: after a warmed world ingests ratings, the cache
-// counters must show retained neighborhoods, rows, and views — under
-// the legacy FullInvalidation flag the same traffic retains nothing.
+// counters must show retained neighborhoods and views — under the
+// legacy FullInvalidation flag the same traffic retains nothing.
 func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 	base := liveBaseRatings(t)
 	run := func(full bool) CacheStats {
 		w := liveWorldCfg(t, base, 4, func(c *Config) { c.FullInvalidation = full })
 		// Warm broadly: views and neighborhoods through recommend traffic
-		// over disjoint groups, prediction rows directly through the
-		// cached source (the serving path only touches rows for
-		// candidates outside the list-store pool).
+		// over disjoint groups.
 		users := w.Ratings().Users()
-		rowItems := w.Ratings().Items()[:20]
 		for g := 0; g+3 <= 30; g += 3 {
 			if _, err := w.Recommend(users[g:g+3], Options{K: 5}); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, u := range users[:30] {
-			w.Source().PredictBatch(u, rowItems)
 		}
 		// One rating by one user on its least-popular unrated item — the
 		// smallest reach an ingest can have; most of the 30 warm users'
@@ -393,28 +369,24 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 	if scoped.Neighborhoods.Invalidated == 0 {
 		t.Errorf("scoped ingest invalidated no neighborhoods — the rater's own must always drop")
 	}
-	if scoped.RowCache.Retained == 0 {
-		t.Errorf("scoped ingest retained no prediction rows: %+v", scoped.RowCache)
-	}
 	if scoped.ListStore.Retained == 0 {
 		t.Errorf("scoped ingest retained no sorted views: %+v", scoped.ListStore)
 	}
 	// The aggregate counters are exactly the per-shard sums.
-	var nbR, rowR, listR uint64
+	var nbR, listR uint64
 	for _, sh := range scoped.PerShard {
 		nbR += sh.Neighborhoods.Retained
-		rowR += sh.RowCache.Retained
 		listR += sh.ListStore.Retained
 	}
-	if nbR != scoped.Neighborhoods.Retained || rowR != scoped.RowCache.Retained || listR != scoped.ListStore.Retained {
-		t.Errorf("per-shard retained sums %d/%d/%d disagree with aggregates %d/%d/%d",
-			nbR, rowR, listR, scoped.Neighborhoods.Retained, scoped.RowCache.Retained, scoped.ListStore.Retained)
+	if nbR != scoped.Neighborhoods.Retained || listR != scoped.ListStore.Retained {
+		t.Errorf("per-shard retained sums %d/%d disagree with aggregates %d/%d",
+			nbR, listR, scoped.Neighborhoods.Retained, scoped.ListStore.Retained)
 	}
 
 	full := run(true)
-	if full.Neighborhoods.Retained != 0 || full.RowCache.Retained != 0 || full.ListStore.Retained != 0 {
-		t.Errorf("FullInvalidation retained cache state: %d neighborhoods / %d rows / %d views",
-			full.Neighborhoods.Retained, full.RowCache.Retained, full.ListStore.Retained)
+	if full.Neighborhoods.Retained != 0 || full.ListStore.Retained != 0 {
+		t.Errorf("FullInvalidation retained cache state: %d neighborhoods / %d views",
+			full.Neighborhoods.Retained, full.ListStore.Retained)
 	}
 	if full.Neighborhoods.Invalidated == 0 {
 		t.Errorf("FullInvalidation ingest recorded no invalidations")

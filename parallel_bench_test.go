@@ -78,7 +78,7 @@ func benchOptions() repro.Options {
 func BenchmarkRecommendParallel(b *testing.B) {
 	w, groups := parallelBenchWorld(b)
 	opt := benchOptions()
-	// Warm neighborhoods and prediction rows once for the whole mix.
+	// Warm neighborhoods and views once for the whole mix.
 	for _, g := range groups {
 		if _, err := w.Recommend(g, opt); err != nil {
 			b.Fatalf("warmup: %v", err)

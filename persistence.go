@@ -36,14 +36,19 @@ type worldSnapshot struct {
 // file behind an unchanged Config is NOT detected — operators who
 // swap the dataset must clear the snapshot directory. Fields that
 // only move work around (AssemblyWorkers, RecheckWorkers) are excluded
-// so tuning them keeps snapshots valid.
+// so tuning them keeps snapshots valid, and of ListStoreSize only
+// whether the store exists is hashed (a router and its workers must
+// agree on that; see ShardBackend.ViewScoresDeps) — its capacity shapes
+// nothing, and a journal is reset when the fingerprint differs, so a
+// capacity in the hash would let a retuned restart discard acknowledged
+// ratings.
 func configFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%+v|%d|%d|%t|%t|%d|%v|%d|%d|%d|%d",
+	fmt.Fprintf(h, "%+v|%+v|%d|%d|%t|%t|%d|%v|%d|%t|%d",
 		cfg.Dataset, cfg.Social, cfg.Neighbors, cfg.Similarity,
 		cfg.ItemBasedCF, cfg.TimeWeightedCF, cfg.CFHalfLife,
-		cfg.Granularity, cfg.InitialPeriods, cfg.RowCacheSize,
-		cfg.ListStoreSize, cfg.Shards)
+		cfg.Granularity, cfg.InitialPeriods,
+		cfg.ListStoreSize >= 0, cfg.Shards)
 	return h.Sum64()
 }
 

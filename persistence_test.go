@@ -182,6 +182,64 @@ func TestIngestThenRestartMatchesNeverRestarting(t *testing.T) {
 	}
 }
 
+// TestJournalSurvivesListStoreResize is the regression for a cache
+// capacity in the config fingerprint: a journal written under one
+// ListStoreSize and reopened under another (a retuned restart, or the
+// greca CLI pointed at a greca-serve directory) must replay every
+// acknowledged rating — a fingerprint mismatch resets the journal — and
+// serve what a cold rebuild over the same ratings serves.
+func TestJournalSurvivesListStoreResize(t *testing.T) {
+	base := liveBaseRatings(t)
+	dir := t.TempDir()
+
+	w1, _, err := OpenWorld(persistTestConfig(base), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := liveExtraRatings(w1, 3)
+	for _, r := range extra {
+		if err := w1.AddRating(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w1.ClosePersistence(); err != nil { // no snapshot: the journal is all there is
+		t.Fatal(err)
+	}
+
+	resized := persistTestConfig(base)
+	resized.ListStoreSize = 64
+	w2, st2, err := OpenWorld(resized, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.ClosePersistence()
+	if st2.ReplayedRatings != len(extra) {
+		t.Fatalf("reopen under another ListStoreSize replayed %d ratings, want %d", st2.ReplayedRatings, len(extra))
+	}
+
+	cold, err := NewWorld(persistTestConfig(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range extra {
+		if err := cold.AddRating(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group := cold.Participants()[:3]
+	want, err := cold.Recommend(group, Options{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := w2.Recommend(group, Options{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resized reopen diverged from a cold rebuild\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestSnapshotMismatchFallsBackCold pins the fail-safe: a snapshot
 // from a different configuration, or a corrupted snapshot file, is
 // ignored and the world boots cold — never a crash, never a world

@@ -162,9 +162,10 @@ func (b *ShardBackend) Owned() []int { return append([]int(nil), b.owned...) }
 // list store can apply the same scoped-invalidation verdicts the
 // worker's own would. The view is served from the sorted-list store,
 // materializing and caching it exactly like local traffic would. (A
-// router only asks for views when its own store is enabled, and
-// ListStoreSize is part of the handshake fingerprint, so the store is
-// enabled here whenever this is called.)
+// router only asks for views when its own store is enabled, and whether
+// it is — ListStoreSize >= 0, not the capacity — is part of the
+// handshake fingerprint, so the store is enabled here whenever this is
+// called.)
 func (b *ShardBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, bool, error) {
 	if b.w.lists == nil {
 		return nil, cf.RowDeps{}, false, fmt.Errorf("repro: view requested from a worker without a list store")
@@ -177,8 +178,8 @@ func (b *ShardBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, 
 }
 
 // PredictBatch implements remote.Backend: raw (1..5 scale)
-// predictions through the worker's row cache, exactly the values the
-// router's own source would produce.
+// predictions from the worker's source, exactly the values the
+// router's own would produce.
 func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
 	return b.w.source.PredictBatch(u, items), nil
 }
@@ -230,7 +231,6 @@ func (b *ShardBackend) ShardStats() []remote.ShardStats {
 		ps := per[sh]
 		out = append(out, remote.ShardStats{
 			Shard:         sh,
-			RowCache:      ps.RowCache,
 			ListStore:     ps.ListStore,
 			Neighborhoods: ps.Neighborhoods,
 		})

@@ -110,7 +110,7 @@ func TestRecommendShardedDifferential(t *testing.T) {
 				}
 			}
 			// Post-invalidation rebuilds: dropping every member's views
-			// and cached rows must rebuild the identical state.
+			// must rebuild the identical state.
 			group := mixedShardGroup(t, w, 4)
 			opt := Options{K: 4, NumItems: 100}
 			want, err := baseline.Recommend(group, opt)
@@ -245,19 +245,14 @@ func TestCacheStatsPerShardSumsToAggregate(t *testing.T) {
 	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("stats shards = %d (%d entries), want 4", st.Shards, len(st.PerShard))
 	}
-	var row, nbhd struct{ hits, misses, evictions, size uint64 }
+	var nbhd struct{ hits, misses, size uint64 }
 	var views struct{ hits, builds, rebuilds, invalidations, evictions, size uint64 }
 	for i, ps := range st.PerShard {
 		if ps.Shard != i {
 			t.Errorf("per-shard entry %d labeled %d", i, ps.Shard)
 		}
-		row.hits += ps.RowCache.Hits
-		row.misses += ps.RowCache.Misses
-		row.evictions += ps.RowCache.Evictions
-		row.size += uint64(ps.RowCache.Size)
 		nbhd.hits += ps.Neighborhoods.Hits
 		nbhd.misses += ps.Neighborhoods.Misses
-		nbhd.evictions += ps.Neighborhoods.Evictions
 		nbhd.size += uint64(ps.Neighborhoods.Size)
 		views.hits += ps.ListStore.ViewHits
 		views.builds += ps.ListStore.ViewBuilds
@@ -266,12 +261,8 @@ func TestCacheStatsPerShardSumsToAggregate(t *testing.T) {
 		views.evictions += ps.ListStore.Evictions
 		views.size += uint64(ps.ListStore.Size)
 	}
-	if row.hits != st.RowCache.Hits || row.misses != st.RowCache.Misses ||
-		row.evictions != st.RowCache.Evictions || row.size != uint64(st.RowCache.Size) {
-		t.Errorf("row-cache per-shard sum %+v != aggregate %+v", row, st.RowCache)
-	}
 	if nbhd.hits != st.Neighborhoods.Hits || nbhd.misses != st.Neighborhoods.Misses ||
-		nbhd.evictions != st.Neighborhoods.Evictions || nbhd.size != uint64(st.Neighborhoods.Size) {
+		nbhd.size != uint64(st.Neighborhoods.Size) {
 		t.Errorf("neighborhood per-shard sum %+v != aggregate %+v", nbhd, st.Neighborhoods)
 	}
 	ls := st.ListStore

@@ -73,10 +73,6 @@ type Config struct {
 	// group's preference rows during problem assembly (GOMAXPROCS if
 	// 0, 1 forces fully sequential assembly).
 	AssemblyWorkers int
-	// RowCacheSize bounds the prediction-row cache shared by all
-	// Recommend traffic (cf.DefaultRowCacheCap if 0, negative
-	// disables the cache entirely).
-	RowCacheSize int
 	// ListStoreSize bounds the sorted-list store's materialized
 	// per-user preference views (liststore.DefaultMaxUsers if 0,
 	// negative disables the store: every problem then re-sorts its
@@ -84,13 +80,12 @@ type Config struct {
 	ListStoreSize int
 	// Shards partitions every per-user data structure — rating rows
 	// and rated-item bitsets, the predictors' neighborhood caches, the
-	// prediction-row cache, the sorted-list store, and the affinity
-	// model's pair tables — N ways by hashing on UserID (0 or 1 keeps
-	// today's single-shard layout, bit-identically; negative is an
-	// error). Sharding only changes where state lives and which locks
-	// traffic takes, never any computed value, so recommendations are
-	// identical for every shard count. Capacity budgets (RowCacheSize,
-	// ListStoreSize) are split across the shards.
+	// sorted-list store, and the affinity model's pair tables — N ways
+	// by hashing on UserID (0 or 1 keeps today's single-shard layout,
+	// bit-identically; negative is an error). Sharding only changes
+	// where state lives and which locks traffic takes, never any
+	// computed value, so recommendations are identical for every shard
+	// count. The ListStoreSize budget is split across the shards.
 	Shards int
 	// RemoteViewCache bounds how many views fetched from shard workers
 	// the router's list store retains in distributed mode
@@ -103,13 +98,13 @@ type Config struct {
 	// fingerprint, and irrelevant in-process.
 	RemoteViewCache int
 	// FullInvalidation reverts rating ingest to the drop-everything
-	// scheme: every cached neighborhood, prediction row, and sorted
-	// view is discarded on every AddRating, instead of the default
-	// dependency-scoped invalidation that drops only the entries the
-	// new rating can reach. Both schemes serve bit-identical results —
-	// scoping is a pure cache-retention optimization — so this is an
-	// escape hatch for differential testing and the baseline the
-	// ingest-mix benchmarks measure scoping against.
+	// scheme: every cached neighborhood and sorted view is discarded
+	// on every AddRating, instead of the default dependency-scoped
+	// invalidation that drops only the entries the new rating can
+	// reach. Both schemes serve bit-identical results — scoping is a
+	// pure cache-retention optimization — so this is an escape hatch
+	// for differential testing and the baseline the ingest-mix
+	// benchmarks measure scoping against.
 	FullInvalidation bool
 	// RecheckWorkers bounds the goroutines a scoped rating ingest uses
 	// to recheck revdep candidate neighborhoods (the candidates are
@@ -171,15 +166,12 @@ type World struct {
 	// twPred is the time-weighted apref source (TimeWeightedCF mode).
 	twPred *cf.TimeWeightedPredictor
 	// source is the active absolute-preference source: the configured
-	// predictor, wrapped in the row cache unless disabled.
+	// predictor.
 	source cf.Source
-	// rowCache is the typed handle on source's row-cache wrapper; nil
-	// when Config.RowCacheSize disabled it.
-	rowCache *cf.CachedSource
 	// lists is the precomputed sorted-list store over the popularity
 	// pool; nil when Config.ListStoreSize disabled it. In-process its
-	// views are built from the base predictor; AttachRemote swaps it for
-	// a store that fetches them from the owning workers.
+	// views are built from source; AttachRemote swaps it for a store
+	// that fetches them from the owning workers.
 	lists *liststore.Store
 	// asm is the assembly layer filling preference matrices from
 	// source with a bounded worker pool.
@@ -231,8 +223,8 @@ func NewWorld(cfg Config) (*World, error) {
 	w := &World{cfg: cfg}
 
 	// User-range partitioning: every per-user structure below routes
-	// through this one map, so a user's rating rows, cached rows,
-	// views, and pair entries all live on the same shard.
+	// through this one map, so a user's rating rows, views, and pair
+	// entries all live on the same shard.
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("repro: negative Shards %d", cfg.Shards)
 	}
@@ -339,36 +331,27 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 
 	// Preference layer: the active predictor behind the Source
-	// interface, wrapped in the bounded row cache unless disabled.
-	var base cf.Source = w.pred
+	// interface.
+	w.source = w.pred
 	switch {
 	case w.itemPred != nil:
-		base = w.itemPred
+		w.source = w.itemPred
 	case w.twPred != nil:
-		base = w.twPred
-	}
-	w.source = base
-	if cfg.RowCacheSize >= 0 {
-		w.rowCache = cf.NewCachedSourceSharded(base, cfg.RowCacheSize, w.sm)
-		w.source = w.rowCache
+		w.source = w.twPred
 	}
 	w.asm = engine.New(w.source, cfg.AssemblyWorkers)
 
 	// Sorted-list store: built at load over the frozen popularity
 	// ranking (views materialize lazily per user, bounded by a CLOCK
-	// policy). Views build straight from the base predictor, not the
-	// row cache — a full-pool row would otherwise be installed per
-	// user under a fingerprint request traffic never asks for again,
-	// evicting hot request rows. The World owns the store lifecycle —
-	// rating ingest must route through InvalidateUserViews so stale
-	// views are rebuilt.
+	// policy). The World owns the store lifecycle — rating ingest
+	// sweeps it (sweepViews) so stale views are rebuilt.
 	if cfg.ListStoreSize >= 0 {
 		size := cfg.ListStoreSize
 		if size == 0 {
 			size = liststore.DefaultMaxUsers
 		}
 		pool := w.ratings.PopularityRanked()
-		build := liststore.LocalBuilder(base, pool, prefDivisor, w.asm.Workers())
+		build := liststore.LocalBuilder(w.source, pool, prefDivisor, w.asm.Workers())
 		w.lists = liststore.NewOver(build, pool, size, prefDivisor, w.sm)
 		if w.lists != nil {
 			w.asm.AttachListStore(w.lists)
@@ -448,8 +431,7 @@ func (w *World) SocialNetwork() *social.Network { return w.socialNet }
 func (w *World) Predictor() *cf.Predictor { return w.pred }
 
 // Source returns the active absolute-preference source — the
-// configured predictor behind the cf.Source interface, wrapped in the
-// prediction-row cache unless Config.RowCacheSize disabled it.
+// configured predictor behind the cf.Source interface.
 func (w *World) Source() cf.Source { return w.source }
 
 // ListStore returns the sorted-list store, or nil when
@@ -460,9 +442,9 @@ func (w *World) ListStore() *liststore.Store { return w.lists }
 func (w *World) Shards() int { return w.sm.N() }
 
 // ShardOf returns the shard index holding u's per-user state — the
-// routing every layer of the world agrees on (rating arena, cached
-// rows, sorted-list view, and the pair tables of pairs where u is the
-// lower member).
+// routing every layer of the world agrees on (rating arena,
+// sorted-list view, and the pair tables of pairs where u is the lower
+// member).
 func (w *World) ShardOf(u dataset.UserID) int { return w.sm.Of(int64(u)) }
 
 // Sharding returns the world's shard map.
@@ -501,14 +483,14 @@ func (w *World) SetRatingLog(l RatingLog) {
 // index names the cached users that co-rate with u, each gets a
 // one-similarity recheck, and only the neighborhoods the rating
 // actually reaches are dropped (epoch-fenced against in-flight fills
-// re-installing pre-ingest results). The row cache and sorted-list
-// store then sweep with the same stale set plus their own fallback
-// metadata: rows and views of unaffected users stay warm, and retained
-// views whose only dependence on the rated item is its mean fallback
-// are patched in place (the new item mean spliced into the canonical
-// sort) instead of rebuilt. Every retained or patched entry is
-// bit-identical to what a cold rebuild would produce — scoping never
-// changes a served byte, only how much cache heat survives.
+// re-installing pre-ingest results). The sorted-list store then sweeps
+// with the same stale set plus its own fallback metadata: views of
+// unaffected users stay warm, and retained views whose only dependence
+// on the rated item is its mean fallback are patched in place (the new
+// item mean spliced into the canonical sort) instead of rebuilt. Every
+// retained or patched view is bit-identical to what a cold rebuild
+// would produce — scoping never changes a served byte, only how much
+// cache heat survives.
 // Config.FullInvalidation restores the historical drop-everything
 // scheme, and ingests whose reach cannot be bounded (an item-based
 // apref source, a time-weighted clock advance) fall back to it for the
@@ -614,15 +596,15 @@ func (w *World) sweepViews(it dataset.ItemID, out ingestOutcome, relayed remote.
 // missed the fanned-out write (and was fenced). Zero in-process.
 func (w *World) RemoteFanoutMisses() uint64 { return w.remoteFanoutMisses.Load() }
 
-// applyRating lands r in the store, updates the predictors and sweeps
-// the row cache, reporting how far the rating reaches; the sorted views
-// are swept later, by sweepViews. Caller holds ingestMu.
+// applyRating lands r in the store and updates the predictors,
+// reporting how far the rating reaches; the sorted views are swept
+// later, by sweepViews. Caller holds ingestMu.
 func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 	if err := w.ratings.Apply(r); err != nil {
 		return ingestOutcome{}, fmt.Errorf("repro: applying rating: %w", err)
 	}
 	// Store first, then predictors (their recomputed means must see the
-	// new rating), then the caches layered over them.
+	// new rating).
 	if w.cfg.FullInvalidation {
 		w.pred.NoteIngest(r.User)
 		if w.itemPred != nil {
@@ -631,9 +613,6 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 		if w.twPred != nil {
 			w.twPred.Refresh()
 		}
-		if w.rowCache != nil {
-			w.rowCache.InvalidateAll()
-		}
 		return ingestOutcome{}, nil
 	}
 
@@ -641,35 +620,25 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 	// backs the default and time-weighted apref sources and serves
 	// similarity queries (group formation) in every mode, so its means,
 	// norms, and dependency-tracked neighborhoods must stay coherent
-	// regardless of which source the row cache wraps.
+	// regardless of which source is active.
 	scope := w.pred.NoteIngestScoped(r.User, r.Item)
-	// scopedRows: whether the rows/views layered over the apref source
-	// can sweep scoped. True for the user-based source; false when the
-	// source's reach cannot be bounded by the user dependency set.
-	scopedRows := true
 	switch {
 	case w.itemPred != nil:
 		// Item-based aprefs: the stale item neighborhoods are exactly
 		// the items the rater has rated (scoped drop), but a changed
 		// item neighborhood shifts predictions for every user that
-		// rated a similar item — no per-user stale set bounds the rows
-		// and views, so they drop wholesale.
+		// rated a similar item — no per-user stale set bounds the
+		// views, so they drop wholesale.
 		w.itemPred.NoteIngestScoped(r.User)
-		scopedRows = false
+		return ingestOutcome{}, nil
 	case w.twPred != nil:
 		// Time-weighted aprefs: if the new rating advanced the
-		// reference clock, every decay weight shifted and every row and
-		// view is stale. An unmoved clock leaves retained users'
-		// weights bit-identical, so the scoped sweep applies.
+		// reference clock, every decay weight shifted and every view
+		// is stale. An unmoved clock leaves retained users' weights
+		// bit-identical, so the scoped sweep applies.
 		if w.twPred.RefreshScoped() {
-			scopedRows = false
+			return ingestOutcome{}, nil
 		}
-	}
-	if !scopedRows {
-		if w.rowCache != nil {
-			w.rowCache.InvalidateAll()
-		}
-		return ingestOutcome{}, nil
 	}
 	// The rated item's post-ingest mean is the splice value for
 	// retained entries that fell back to it (always defined: the item
@@ -677,9 +646,6 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 	// source shares the base predictor's mean tables, so the same patch
 	// value serves both modes.
 	patch, havePatch := w.pred.ItemMean(r.Item)
-	if w.rowCache != nil {
-		w.rowCache.InvalidateScoped(scope.Stale, r.Item, patch, havePatch)
-	}
 	return ingestOutcome{scoped: true, stale: scope.Stale, patch: patch, havePatch: havePatch}, nil
 }
 
@@ -701,31 +667,24 @@ func (w *World) ReFreeze() int {
 // ratings folded.
 func (w *World) IngestStats() dataset.DeltaStats { return w.ratings.DeltaStats() }
 
-// InvalidateUserViews drops u's materialized sorted-preference view
-// AND u's cached prediction rows, so u's next request re-predicts and
-// rebuilds rather than reading a stale cached row. It reports whether
-// any derived state was actually dropped — a view, a cached row, or
-// both; with both caches disabled (or empty of u) it returns false.
+// InvalidateUserViews drops u's materialized sorted-preference view,
+// so u's next request re-predicts and rebuilds rather than reading a
+// stale view. It reports whether a view was actually dropped; with the
+// list store disabled (or empty of u) it returns false.
 //
-// The call is shard-aware: both drops route through the world's shard
-// map and lock only u's shard — the row-cache part and list-store
-// sub-store of ShardOf(u) — so an invalidation storm against one
-// shard never blocks requests serving entirely from the others.
+// The call is shard-aware: the drop routes through the world's shard
+// map and locks only u's shard — the list-store sub-store of
+// ShardOf(u) — so an invalidation storm against one shard never blocks
+// requests serving entirely from the others.
 //
 // Scope: this invalidates *this user's* derived state only — the
-// right tool when a single user's rows are suspect (tests, targeted
+// right tool when a single user's view is suspect (tests, targeted
 // cache management). It is NOT the rating-ingest hook: ingest changes
 // sim(v, u) for every other user v, so the predictors' neighborhood
-// caches and every other user's rows go stale too. AddRating performs
+// caches and every other user's views go stale too. AddRating performs
 // that global drop; use it for anything that changes ratings.
 func (w *World) InvalidateUserViews(u dataset.UserID) bool {
-	dropped := false
-	if w.rowCache != nil && w.rowCache.InvalidateUser(u) > 0 {
-		dropped = true
-	}
-	if w.lists != nil && w.lists.Invalidate(u) {
-		dropped = true
-	}
+	dropped := w.lists != nil && w.lists.Invalidate(u)
 	// Distributed mode: the user's served view lives on its owning
 	// worker; drop it there too (the router's own copy went with the
 	// list-store drop above). Best-effort — an unreachable owner's
@@ -797,18 +756,13 @@ func (w *World) RemoteStats() RemoteStats {
 	return st
 }
 
-// CacheStats aggregates the engine's cache counters — the prediction-
-// row cache, the sorted-list store, and the active predictor's lazy
-// neighborhood cache — for the serving layer's /stats endpoint and any
-// other observability consumer. The aggregate fields are exactly the
-// sums of the PerShard breakdown (the counters are per-shard at the
-// source; the aggregate is computed from them).
+// CacheStats aggregates the engine's cache counters — the sorted-list
+// store and the active predictor's lazy neighborhood cache — for the
+// serving layer's /stats endpoint and any other observability
+// consumer. The aggregate fields are exactly the sums of the PerShard
+// breakdown (the counters are per-shard at the source; the aggregate is
+// computed from them).
 type CacheStats struct {
-	// RowCacheEnabled reports whether the prediction-row cache is on
-	// (Config.RowCacheSize >= 0). RowCache is zero when it is not.
-	RowCacheEnabled bool `json:"row_cache_enabled"`
-	// RowCache counts the cf.CachedSource prediction-row cache.
-	RowCache cf.CacheStats `json:"row_cache"`
 	// ListStoreEnabled reports whether the sorted-list store is on
 	// (Config.ListStoreSize >= 0). ListStore is zero when it is not.
 	ListStoreEnabled bool `json:"list_store_enabled"`
@@ -830,12 +784,11 @@ type CacheStats struct {
 }
 
 // ShardCacheStats is one shard's slice of the cache counters: the
-// shard's row-cache part, list-store sub-store, and neighborhood-cache
-// instance. Disabled caches report zero values, mirroring the
-// aggregate struct's convention.
+// shard's list-store sub-store and neighborhood-cache instance. A
+// disabled store reports zero values, mirroring the aggregate struct's
+// convention.
 type ShardCacheStats struct {
 	Shard         int                  `json:"shard"`
-	RowCache      cf.CacheStats        `json:"row_cache"`
 	ListStore     liststore.ShardStats `json:"list_store"`
 	Neighborhoods cf.CacheStats        `json:"neighborhoods"`
 }
@@ -851,12 +804,6 @@ func (w *World) CacheStats() CacheStats {
 	st.PerShard = make([]ShardCacheStats, st.Shards)
 	for i := range st.PerShard {
 		st.PerShard[i].Shard = i
-	}
-	if w.rowCache != nil {
-		st.RowCacheEnabled = true
-		for i, s := range w.rowCache.StatsByShard() {
-			st.PerShard[i].RowCache = s
-		}
 	}
 	if w.lists != nil {
 		st.ListStoreEnabled = true
@@ -885,11 +832,9 @@ func (w *World) CacheStats() CacheStats {
 		rs, ok, _ := w.remote.StatsByShard()
 		for i := range st.PerShard {
 			if ok[i] {
-				st.PerShard[i].RowCache = rs[i].RowCache
 				st.PerShard[i].ListStore = rs[i].ListStore
 				st.PerShard[i].Neighborhoods = rs[i].Neighborhoods
 			} else {
-				st.PerShard[i].RowCache = cf.CacheStats{}
 				st.PerShard[i].ListStore = liststore.ShardStats{}
 				st.PerShard[i].Neighborhoods = cf.CacheStats{}
 			}
@@ -908,20 +853,11 @@ func (w *World) CacheStats() CacheStats {
 	// Aggregates are the sums of the per-shard snapshots, so the two
 	// levels can never disagree.
 	for _, ps := range st.PerShard {
-		st.RowCache.Hits += ps.RowCache.Hits
-		st.RowCache.Misses += ps.RowCache.Misses
-		st.RowCache.Evictions += ps.RowCache.Evictions
-		st.RowCache.Size += ps.RowCache.Size
-		st.RowCache.Invalidated += ps.RowCache.Invalidated
-		st.RowCache.Retained += ps.RowCache.Retained
-		st.RowCache.Patched += ps.RowCache.Patched
 		st.Neighborhoods.Hits += ps.Neighborhoods.Hits
 		st.Neighborhoods.Misses += ps.Neighborhoods.Misses
-		st.Neighborhoods.Evictions += ps.Neighborhoods.Evictions
 		st.Neighborhoods.Size += ps.Neighborhoods.Size
 		st.Neighborhoods.Invalidated += ps.Neighborhoods.Invalidated
 		st.Neighborhoods.Retained += ps.Neighborhoods.Retained
-		st.Neighborhoods.Patched += ps.Neighborhoods.Patched
 	}
 	return st
 }
