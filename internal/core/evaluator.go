@@ -103,6 +103,19 @@ func (ev *evaluator) refreshAffinity() {
 	}
 }
 
+// affinityNegative reports whether some pair's affinity interval, as
+// of the last refreshAffinity, has a negative lower end. The shipped
+// aggregators clamp to [0,1]; the interval machinery does not assume
+// it.
+func (ev *evaluator) affinityNegative() bool {
+	for _, aff := range ev.affCache {
+		if aff.Lo < 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // refreshAffinityExact fills the affinity cache with exact values
 // straight from the input (TA mode, where random accesses resolved
 // every affinity component).
@@ -156,28 +169,38 @@ func (ev *evaluator) threshold() float64 {
 	return ev.scoreFromAprefs(-1).Hi
 }
 
-// scoreFromAprefs combines ev.aprefIv with the cached affinity
-// intervals into member preferences (pref = apref + rpref, normalized)
-// and applies the consensus spec. key identifies the item for
-// agreement-list lookups; -1 denotes the virtual unseen item of the
-// threshold computation. This inlines preference.Combine to reuse
-// scratch buffers inside the hot loop.
-func (ev *evaluator) scoreFromAprefs(key int) stats.Interval {
+// memberPrefs combines ev.aprefIv with the cached affinity intervals
+// into the member preferences ev.prefIv (pref = apref + rpref,
+// normalized). This inlines preference.Combine to reuse scratch buffers
+// inside the hot loop. Pairs are walked in PairIndex order, each
+// feeding both of its members, which adds every member's relative
+// preference terms in ascending order of the other member.
+func (ev *evaluator) memberPrefs() {
 	p := ev.p
-	norm := 1 / (1 + float64(p.g-1)*p.in.Agg.MaxAffinity())
-	for u := 0; u < p.g; u++ {
-		iv := ev.aprefIv[u]
-		if p.useAffinity {
-			for v := 0; v < p.g; v++ {
-				if v == u {
-					continue
-				}
-				aff := ev.affCache[PairIndex(p.g, u, v)]
-				iv = iv.Add(aff.Mul(ev.aprefIv[v]))
+	copy(ev.prefIv, ev.aprefIv)
+	if p.useAffinity {
+		pr := 0
+		for u := 0; u < p.g; u++ {
+			for v := u + 1; v < p.g; v++ {
+				aff := ev.affCache[pr]
+				pr++
+				ev.prefIv[u] = ev.prefIv[u].Add(aff.Mul(ev.aprefIv[v]))
+				ev.prefIv[v] = ev.prefIv[v].Add(aff.Mul(ev.aprefIv[u]))
 			}
 		}
+	}
+	norm := 1 / (1 + float64(p.g-1)*p.in.Agg.MaxAffinity())
+	for u, iv := range ev.prefIv {
 		ev.prefIv[u] = iv.Scale(norm).Clamp(0, 1)
 	}
+}
+
+// scoreFromAprefs applies the consensus spec to the member preferences
+// of ev.aprefIv. key identifies the item for agreement-list lookups; -1
+// denotes the virtual unseen item of the threshold computation.
+func (ev *evaluator) scoreFromAprefs(key int) stats.Interval {
+	p := ev.p
+	ev.memberPrefs()
 	if !p.useAgreement {
 		return p.in.Spec.Score(ev.prefIv)
 	}
@@ -233,9 +256,6 @@ func (ev *evaluator) exactScore(key int) float64 {
 			ev.affCache[pr] = p.in.Agg.Combine(stats.Point(p.in.Static[pr]), ev.driftIv)
 		}
 	}
-	if !p.useAgreement {
-		return ev.scoreFromAprefsExactAgreement(key)
-	}
 	return ev.scoreFromAprefsExactAgreement(key)
 }
 
@@ -244,19 +264,7 @@ func (ev *evaluator) exactScore(key int) float64 {
 // active, exact agreement values recomputed from the input aprefs.
 func (ev *evaluator) scoreFromAprefsExactAgreement(key int) float64 {
 	p := ev.p
-	norm := 1 / (1 + float64(p.g-1)*p.in.Agg.MaxAffinity())
-	for u := 0; u < p.g; u++ {
-		iv := ev.aprefIv[u]
-		if p.useAffinity {
-			for v := 0; v < p.g; v++ {
-				if v == u {
-					continue
-				}
-				iv = iv.Add(ev.affCache[PairIndex(p.g, u, v)].Mul(ev.aprefIv[v]))
-			}
-		}
-		ev.prefIv[u] = iv.Scale(norm).Clamp(0, 1)
-	}
+	ev.memberPrefs()
 	if !p.useAgreement {
 		return p.in.Spec.Score(ev.prefIv).Lo
 	}

@@ -141,11 +141,17 @@ type Result struct {
 	Stats AccessStats
 }
 
-// candidate tracks one buffered item during a run.
+// candidate tracks one buffered item during a run. lb is always the
+// item's lower bound under current knowledge; ub is its upper bound as
+// of the last time it was scored — an over-estimate ever since, because
+// bounds only tighten (see grecaState.rescore).
 type candidate struct {
 	key    int
 	lb, ub float64
 	alive  bool
+	// top is the candidate's index in the stepper's top-k heap, -1
+	// outside it.
+	top int32
 }
 
 // itemKeyed reports whether entries of the list kind carry item keys
@@ -217,60 +223,6 @@ func topKExact(scores []float64, k int) []ItemScore {
 	return out
 }
 
-func refreshBounds(ev *evaluator, alive []*candidate) {
-	for _, c := range alive {
-		iv := ev.scoreItem(c.key)
-		c.lb, c.ub = iv.Lo, iv.Hi
-	}
-}
-
-// kthLowerBoundInto returns the k-th largest lower bound among alive
-// candidates (len(alive) >= k >= 1) — an O(n log k) selection over a
-// size-k min-heap, the paper's heap-backed buffer. buf backs the heap
-// and is returned (possibly grown) so the per-check selection
-// allocates nothing in steady state. The heap is hand-rolled rather
-// than container/heap because the interface indirection both allocates
-// and dominates the compare cost at this call frequency. Only the
-// selected VALUE is observable; heap tie order never is, so the result
-// is identical to any other correct selection.
-func kthLowerBoundInto(buf, alive []*candidate, k int) (float64, []*candidate) {
-	h := buf[:0]
-	for _, c := range alive {
-		if len(h) < k {
-			// Sift up from the new leaf.
-			h = append(h, c)
-			for i := len(h) - 1; i > 0; {
-				p := (i - 1) / 2
-				if h[p].lb <= h[i].lb {
-					break
-				}
-				h[i], h[p] = h[p], h[i]
-				i = p
-			}
-		} else if c.lb > h[0].lb {
-			// Replace the minimum and sift down.
-			h[0] = c
-			i := 0
-			for {
-				l := 2*i + 1
-				if l >= len(h) {
-					break
-				}
-				m := l
-				if r := l + 1; r < len(h) && h[r].lb < h[l].lb {
-					m = r
-				}
-				if h[i].lb <= h[m].lb {
-					break
-				}
-				h[i], h[m] = h[m], h[i]
-				i = m
-			}
-		}
-	}
-	return h[0].lb, h
-}
-
 // prune drops candidates whose upper bound cannot exceed kthLB while
 // always keeping at least k candidates (the top-k by LB are never
 // dropped: their UB >= LB >= ... >= kthLB).
@@ -316,13 +268,4 @@ func toItemScores(cands []*candidate) []ItemScore {
 		out[i] = ItemScore{Key: c.key, LB: c.lb, UB: c.ub}
 	}
 	return out
-}
-
-// finalTopK selects the k best candidates from an already LB-sorted
-// slice (see sortByLBInto).
-func finalTopK(sorted []*candidate, k int) []ItemScore {
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return toItemScores(sorted[:k])
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/consensus"
 )
 
 // SnapshotItem is one entry of a partial top-k: the item's current
@@ -193,14 +195,49 @@ func snapshotFromScores(topK []ItemScore) []SnapshotItem {
 // buffer strategy (see the package comment on runGRECA semantics in
 // greca.go). One step runs round-robin sweeps up to and including the
 // next stopping check.
+//
+// A stopping check costs what moved since the last one, not the size
+// of the buffer (rescore has the argument): lower bounds are kept
+// exact by re-scoring the candidates the sweep touched, the k-th lower
+// bound is maintained in a heap, and upper bounds are left as last
+// computed — sound over-estimates — until an exact one is observable
+// (exactUB's callers).
 type grecaState struct {
 	p          *Problem
 	ev         *evaluator
 	st         AccessStats
 	cands      []*candidate // indexed by item key; nil until seen
 	alive      []*candidate
+	buffered   int // candidates ever buffered: alive plus pruned
 	checkEvery int
-	prunedToK  bool
+
+	// dirty lists the alive candidates one of whose item-keyed entries
+	// the sweep read since the last check, once per entry read.
+	// affMoved records that an affinity list yielded an entry since
+	// then; it starts true because the affinity cache has never been
+	// filled.
+	dirty    []*candidate
+	affMoved bool
+	// lbReadsUB is fixed per problem: the consensus' lower end reads
+	// member upper ends (variance disagreement, and pairwise
+	// disagreement evaluated without agreement lists), so any cursor can
+	// move any candidate's lower bound. affNegative is the same hazard
+	// one level down, as of the last refreshAffinity: an affinity
+	// interval with a negative lower end makes the four-corner product's
+	// lower end read the other member's upper end.
+	lbReadsUB   bool
+	affNegative bool
+	// top is a min-heap on lb of the K alive candidates with the
+	// largest lower bounds (all of them while fewer are buffered), so
+	// top[0].lb is the k-th lower bound. Which of several candidates
+	// tied there it holds is unobservable: only the value is read.
+	top []*candidate
+	// witness is a candidate strictly below the k-th lower bound whose
+	// exact upper bound exceeded it at the last check that got as far
+	// as the buffer condition: while it still does, the condition fails
+	// without sorting the buffer.
+	witness *candidate
+
 	// lastTh / lastKth are the stopping-check values as of the last
 	// check, for snapshots and trace points; evaluated marks that they
 	// have been computed at least once.
@@ -210,13 +247,16 @@ type grecaState struct {
 	done            bool
 	res             Result
 	// slab backs candidate records in chunks (pointer-stable: full
-	// chunks are replaced, never grown); sortBuf and kthBuf are the
-	// per-check scratch for sortByLBInto / kthLowerBoundInto. Together
-	// they keep the stepper's hot loop allocation-free in steady state.
+	// chunks are replaced, never grown) and sortBuf is sortedByLB's
+	// scratch; with dirty and top they keep the stepper's hot loop
+	// allocation-free in steady state.
 	slab    []candidate
 	slabPos int
 	sortBuf []*candidate
-	kthBuf  []*candidate
+	// scoreCalls and sortCalls count the stepper's scoreItem and
+	// sortByLBInto calls, so a test can pin the work of a run where a
+	// clock cannot.
+	scoreCalls, sortCalls int
 }
 
 // newCandidate carves a candidate record out of the chunked slab.
@@ -227,23 +267,17 @@ func (s *grecaState) newCandidate(key int) *candidate {
 	}
 	c := &s.slab[s.slabPos]
 	s.slabPos++
-	*c = candidate{key: key, alive: true}
+	*c = candidate{key: key, alive: true, top: -1}
+	s.buffered++
 	return c
 }
 
 // sortedByLB returns the alive set ordered by descending lower bound,
 // in state-owned scratch: valid only until the next call.
 func (s *grecaState) sortedByLB() []*candidate {
+	s.sortCalls++
 	s.sortBuf = sortByLBInto(s.sortBuf, s.alive)
 	return s.sortBuf
-}
-
-// kthLB returns the k-th largest alive lower bound via state-owned
-// scratch.
-func (s *grecaState) kthLB(k int) float64 {
-	v, buf := kthLowerBoundInto(s.kthBuf, s.alive, k)
-	s.kthBuf = buf
-	return v
 }
 
 func newGrecaState(p *Problem) *grecaState {
@@ -257,6 +291,10 @@ func newGrecaState(p *Problem) *grecaState {
 		st:         AccessStats{TotalEntries: p.totalEntries},
 		cands:      make([]*candidate, p.m),
 		checkEvery: checkEvery,
+		dirty:      make([]*candidate, 0, len(p.lists)),
+		top:        make([]*candidate, 0, p.in.K),
+		affMoved:   true,
+		lbReadsUB:  p.in.Spec.Dis != consensus.NoDisagreement && !p.useAgreement,
 	}
 }
 
@@ -273,10 +311,159 @@ func (s *grecaState) emit() {
 	})
 }
 
+// score computes c's bounds under current knowledge.
+func (s *grecaState) score(c *candidate) {
+	s.scoreCalls++
+	iv := s.ev.scoreItem(c.key)
+	c.lb, c.ub = iv.Lo, iv.Hi
+}
+
+// exactUB re-scores c and returns its upper bound under current
+// knowledge. c.lb is current already (rescore), so the score leaves it
+// and the heap as they are.
+func (s *grecaState) exactUB(c *candidate) float64 {
+	s.score(c)
+	return c.ub
+}
+
+// rescore brings every alive candidate's lower bound, the affinity
+// cache and the top-k heap up to the current cursors, re-scoring only
+// the candidates whose lower bound can have moved since the last
+// check.
+//
+// A lower bound is the consensus' lower end, and with non-negative
+// affinities and a consensus whose lower end is built from member
+// lower ends alone it is a function of the affinity cache, the lists'
+// constant minima and the item's own seen components: an unseen
+// component contributes [list minimum, cursor] and only the cursor
+// moves. So when no affinity list has yielded since the last check,
+// the candidates whose entries the sweep read — the dirty list — are
+// the only ones whose lower bound changed, and each rose (a seen value
+// is at least the list minimum it replaces). Everything is dirty, and
+// the heap is rebuilt from scratch, exactly when that argument does not
+// hold: an affinity list yielded (then, and only then, the affinity
+// cache is stale), some affinity interval has a negative lower end, or
+// the consensus' lower end reads upper ends.
+//
+// Upper bounds of the candidates not re-scored stay as last computed.
+// Bounds only tighten, so a stale upper bound over-estimates the exact
+// one; exactUB re-scores where the exact value is observable.
+func (s *grecaState) rescore() {
+	all := s.lbReadsUB
+	if s.affMoved {
+		s.affMoved = false
+		s.ev.refreshAffinity()
+		s.affNegative = s.ev.affinityNegative()
+		all = true
+	}
+	moved := s.dirty
+	if all || s.affNegative {
+		moved = s.alive
+		for _, c := range s.top {
+			c.top = -1
+		}
+		s.top = s.top[:0]
+	}
+	for _, c := range moved {
+		s.score(c)
+		s.offer(c)
+	}
+	s.dirty = s.dirty[:0]
+}
+
+// offer restores the top-k heap after c's lower bound was re-computed
+// and did not fall: a member is re-seated, a non-member enters while
+// the heap is short or when it beats the minimum, which it evicts. The
+// heap is hand-rolled rather than container/heap: the interface calls
+// would dominate the compares at this call frequency.
+func (s *grecaState) offer(c *candidate) {
+	h := s.top
+	i := int(c.top)
+	switch {
+	case i >= 0:
+	case len(h) < s.p.in.K:
+		i = len(h)
+		h = append(h, c)
+		s.top = h
+	case c.lb > h[0].lb:
+		h[0].top = -1
+		i = 0
+	default:
+		return
+	}
+	// Sift c up from i (a new leaf), then down (a raised member, or the
+	// replaced minimum); at most one of the two loops moves it.
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].lb <= c.lb {
+			break
+		}
+		h[i] = h[p]
+		h[i].top = int32(i)
+		i = p
+	}
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h[r].lb < h[m].lb {
+			m = r
+		}
+		if c.lb <= h[m].lb {
+			break
+		}
+		h[i] = h[m]
+		h[i].top = int32(i)
+		i = m
+	}
+	h[i] = c
+	c.top = int32(i)
+}
+
+// bufferHolds evaluates the buffer condition: no candidate outside the
+// k selected by lower bound has an exact upper bound above kthLB. On
+// success it returns the alive set sorted by lower bound. A candidate
+// whose last-known upper bound is already at most kthLB cannot block,
+// so only the others are re-scored, and the scan ends at the first
+// that still blocks.
+func (s *grecaState) bufferHolds(kthLB float64) ([]*candidate, bool) {
+	if w := s.witness; w != nil {
+		// A lower bound strictly below the k-th places w outside the
+		// top-k whatever the tie order, so no sort is needed to know
+		// that it blocks.
+		if w.lb < kthLB && w.ub > kthLB && s.exactUB(w) > kthLB {
+			return nil, false
+		}
+		s.witness = nil
+	}
+	sorted := s.sortedByLB()
+	for _, c := range sorted[s.p.in.K:] {
+		if c.ub > kthLB && s.exactUB(c) > kthLB {
+			if c.lb < kthLB {
+				s.witness = c
+			}
+			return nil, false
+		}
+	}
+	return sorted, true
+}
+
+// finish records the terminal result: the given top-k, in order, with
+// exact upper bounds.
+func (s *grecaState) finish(topK []*candidate) {
+	for _, c := range topK {
+		s.exactUB(c)
+	}
+	s.res = Result{TopK: toItemScores(topK), Stats: s.st}
+	s.done = true
+}
+
 func (s *grecaState) step() bool {
 	if s.done {
 		return true
 	}
+	k := s.p.in.K
 	for {
 		progressed := false
 		for _, l := range s.p.lists {
@@ -287,58 +474,61 @@ func (s *grecaState) step() bool {
 			progressed = true
 			s.st.SequentialAccesses++
 			s.ev.observe(l, e)
+			// Preference and agreement lists are item-keyed; affinity
+			// lists are pair-keyed.
+			if !itemKeyed(l.Kind) {
+				s.affMoved = true
+				continue
+			}
 			// Every item-keyed list entry makes the item a buffered
 			// candidate: once any of its components has been read the
 			// global threshold (which assumes cursor bounds for every
 			// component) no longer covers it, so it must carry its own
-			// bounds. Preference and agreement lists are item-keyed;
-			// affinity lists are pair-keyed.
-			if itemKeyed(l.Kind) && s.cands[e.Key] == nil {
-				c := s.newCandidate(e.Key)
+			// bounds.
+			c := s.cands[e.Key]
+			if c == nil {
+				c = s.newCandidate(e.Key)
 				s.cands[e.Key] = c
 				s.alive = append(s.alive, c)
 			}
-		}
-		if !progressed {
-			// All lists exhausted: every bound is now exact.
-			s.st.Rounds++
-			s.st.Checks++
-			s.st.Stop = StopExhausted
-			s.ev.refreshAffinity()
-			refreshBounds(s.ev, s.alive)
-			s.lastTh = s.ev.threshold()
-			s.lastKth = s.kthLB(min(s.p.in.K, len(s.alive)))
-			s.evaluated = true
-			s.emit()
-			s.res = Result{TopK: finalTopK(s.sortedByLB(), s.p.in.K), Stats: s.st}
-			s.done = true
-			return true
+			if c.alive {
+				s.dirty = append(s.dirty, c)
+			}
 		}
 		s.st.Rounds++
-		if s.st.Rounds%s.checkEvery != 0 {
+		if progressed && s.st.Rounds%s.checkEvery != 0 {
 			continue
 		}
 		s.st.Checks++
+		s.rescore()
 
-		s.ev.refreshAffinity()
-		refreshBounds(s.ev, s.alive)
-		if len(s.alive) < s.p.in.K {
+		if !progressed {
+			// All lists exhausted: every bound is now exact.
+			s.st.Stop = StopExhausted
+			s.lastTh, s.lastKth = s.ev.threshold(), s.top[0].lb
+			s.evaluated = true
+			s.emit()
+			s.finish(s.sortedByLB()[:min(k, len(s.alive))])
+			return true
+		}
+		if len(s.alive) < k {
 			s.lastTh, s.lastKth = s.ev.threshold(), 0
 			s.evaluated = true
 			s.emit()
 			return false // not enough candidates yet
 		}
-		kthLB := s.kthLB(s.p.in.K)
+		kthLB := s.top[0].lb
 		th := s.ev.threshold()
 
 		// Buffer condition, applied incrementally: prune candidates
 		// whose UB is strictly below the k-th LB. Bounds only tighten
-		// as cursors advance, so a pruned item can never re-qualify.
-		pruned := prune(s.alive, kthLB, s.p.in.K)
-		if len(pruned) < len(s.alive) {
-			s.prunedToK = true
-		}
-		s.alive = pruned
+		// as cursors advance, so a pruned item can never re-qualify —
+		// and a candidate whose stale UB keeps it here past the check
+		// at which its exact UB fell below the k-th LB is pruned later
+		// for the same reason: its lower bound stays below every later
+		// k-th LB, so it never enters the top-k, and bufferHolds
+		// re-scores it before letting it block the stop.
+		s.alive = prune(s.alive, kthLB, k)
 		s.lastTh, s.lastKth = th, kthLB
 		s.evaluated = true
 		s.emit()
@@ -354,24 +544,19 @@ func (s *grecaState) step() bool {
 		if th > kthLB {
 			return false
 		}
-		sorted := s.sortedByLB()
-		met := true
-		for _, c := range sorted[s.p.in.K:] {
-			if c.ub > kthLB {
-				met = false
-				break
-			}
-		}
-		if !met {
+		sorted, ok := s.bufferHolds(kthLB)
+		if !ok {
 			return false
 		}
-		if len(s.alive) > s.p.in.K || s.prunedToK {
+		// With exactly K candidates ever buffered nothing was left for
+		// the buffer condition to dominate: the threshold alone stopped
+		// the run.
+		if s.buffered > k {
 			s.st.Stop = StopBuffer
 		} else {
 			s.st.Stop = StopThreshold
 		}
-		s.res = Result{TopK: toItemScores(sorted[:s.p.in.K]), Stats: s.st}
-		s.done = true
+		s.finish(sorted[:k])
 		return true
 	}
 }
@@ -390,13 +575,13 @@ func (s *grecaState) epsilonReached(eps float64) bool {
 		return false
 	}
 	// State is consistent here: step only returns at stopping checks,
-	// where bounds were just refreshed and lastTh/lastKth recorded.
+	// where lower bounds were just brought up to date and
+	// lastTh/lastKth recorded.
 	if s.lastTh-s.lastKth >= eps {
 		return false
 	}
-	sorted := s.sortedByLB()
-	for _, c := range sorted[s.p.in.K:] {
-		if c.ub-s.lastKth >= eps {
+	for _, c := range s.sortedByLB()[s.p.in.K:] {
+		if c.ub-s.lastKth >= eps && s.exactUB(c)-s.lastKth >= eps {
 			return false
 		}
 	}
@@ -415,16 +600,15 @@ func (s *grecaState) snapshot() Snapshot {
 		snap.TopK = snapshotFromScores(s.res.TopK)
 		return snap
 	}
-	// Candidate bounds were refreshed at the last stopping check —
-	// exactly where step returns — so the alive set is consistent.
+	// Lower bounds were brought up to date at the last stopping check —
+	// exactly where step returns — so the order is current; the emitted
+	// candidates' upper bounds are made exact here.
 	sorted := s.sortedByLB()
-	k := s.p.in.K
-	if k > len(sorted) {
-		k = len(sorted)
-	}
+	k := min(s.p.in.K, len(sorted))
 	snap.TopK = make([]SnapshotItem, k)
 	for i, c := range sorted[:k] {
-		snap.TopK[i] = SnapshotItem{Key: c.key, LB: c.lb, UB: c.ub, Resolved: c.lb == c.ub}
+		ub := s.exactUB(c)
+		snap.TopK[i] = SnapshotItem{Key: c.key, LB: c.lb, UB: ub, Resolved: c.lb == ub}
 	}
 	return snap
 }
@@ -769,10 +953,3 @@ func (s *taState) snapshot() Snapshot {
 }
 
 func (s *taState) result() Result { return s.res }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -13,7 +13,10 @@ type TracePoint struct {
 	// KthLB is the k-th largest candidate lower bound (0 until k
 	// candidates exist).
 	KthLB float64
-	// Alive is the buffered candidate count after pruning.
+	// Alive is the number of buffered candidates whose last-known upper
+	// bound still reaches the k-th lower bound. Upper bounds are
+	// re-computed only where an exact one is needed, so this is an
+	// upper bound on the count an exact prune would leave.
 	Alive int
 }
 

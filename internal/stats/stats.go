@@ -218,10 +218,22 @@ func (iv Interval) Sub(o Interval) Interval {
 	return Interval{iv.Lo - o.Hi, iv.Hi - o.Lo}
 }
 
-// Mul returns the interval product {a*b : a in iv, b in o}, the
-// standard four-corner formula. This is what makes GRECA's bounds sound
-// when affinity drift is negative.
+// Mul returns the interval product {a*b : a in iv, b in o}. With both
+// lower ends non-negative — every product GRECA forms under the
+// shipped affinity models, whose affinities and preferences live in
+// [0,1] — the extremes are the products of like ends; every other sign
+// case takes the four-corner formula, which is what keeps the bounds
+// sound when an affinity is negative.
 func (iv Interval) Mul(o Interval) Interval {
+	if iv.Lo >= 0 && o.Lo >= 0 {
+		return Interval{iv.Lo * o.Lo, iv.Hi * o.Hi}
+	}
+	return iv.mulCorners(o)
+}
+
+// mulCorners is the standard four-corner interval product, valid for
+// every sign combination.
+func (iv Interval) mulCorners(o Interval) Interval {
 	p1 := iv.Lo * o.Lo
 	p2 := iv.Lo * o.Hi
 	p3 := iv.Hi * o.Lo

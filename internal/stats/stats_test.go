@@ -238,3 +238,49 @@ func TestQuickIntervalValidity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIntervalMulFastPathMatchesCorners: for valid intervals with
+// non-negative ends Mul takes the like-ends shortcut; it must return the
+// four-corner formula's answer to the bit. The grid holds +0, 1, equal
+// ends, subnormal and irrational-ish values. A −0 end only has to
+// compare ==: sums and products of GRECA's validated non-negative
+// inputs never produce one, and [+0, −0] is the one shape on which the
+// two formulas pick differently signed zeros.
+func TestIntervalMulFastPathMatchesCorners(t *testing.T) {
+	ends := []float64{0, 5e-324, 1e-9, 0.1, 0.25, 1.0 / 3, 0.5, 0.7, 1 - 1e-16, 1, 1.5, 7}
+	var grid []Interval
+	for i, lo := range ends {
+		for _, hi := range ends[i:] {
+			grid = append(grid, Interval{lo, hi})
+		}
+	}
+	for _, a := range grid {
+		for _, b := range grid {
+			got, want := a.Mul(b), a.mulCorners(b)
+			if math.Float64bits(got.Lo) != math.Float64bits(want.Lo) || math.Float64bits(got.Hi) != math.Float64bits(want.Hi) {
+				t.Fatalf("%v.Mul(%v) = {%b, %b}, four-corner {%b, %b}", a, b, got.Lo, got.Hi, want.Lo, want.Hi)
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, a := range []Interval{{negZero, negZero}, {negZero, 0}, {negZero, 0.5}, {0, negZero}} {
+		for _, b := range grid {
+			for _, pair := range [][2]Interval{{a, b}, {b, a}} {
+				got, want := pair[0].Mul(pair[1]), pair[0].mulCorners(pair[1])
+				if got != want {
+					t.Fatalf("%v.Mul(%v) = %v, four-corner %v", pair[0], pair[1], got, want)
+				}
+			}
+		}
+	}
+	// Any negative lower end must still reach the four-corner formula.
+	for _, c := range []struct{ a, b, want Interval }{
+		{Interval{-0.5, 0.5}, Interval{0.2, 1}, Interval{-0.5, 0.5}},
+		{Interval{0.2, 1}, Interval{-0.5, 0.5}, Interval{-0.5, 0.5}},
+		{Interval{-1, -0.5}, Interval{-1, 0.25}, Interval{-0.25, 1}},
+	} {
+		if got := c.a.Mul(c.b); got != c.want {
+			t.Errorf("%v.Mul(%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
