@@ -205,6 +205,9 @@ func main() {
 		} else {
 			log.Printf("cold start (no usable snapshot in %s): %d ratings replayed", *snapshot, open.ReplayedRatings)
 		}
+		if open.DiscardedRatings > 0 {
+			log.Printf("journal reset: %d acknowledged ratings discarded (configuration fingerprint changed)", open.DiscardedRatings)
+		}
 	}
 	if *verbose {
 		st := world.Ratings().Stats()

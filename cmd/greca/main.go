@@ -136,6 +136,9 @@ func main() {
 		log.Fatalf("building world: %v", err)
 	}
 	defer world.ClosePersistence()
+	if open.DiscardedRatings > 0 {
+		fmt.Fprintf(os.Stderr, "journal reset: %d acknowledged ratings discarded (configuration fingerprint changed)\n", open.DiscardedRatings)
+	}
 	if *verbose {
 		st := world.Ratings().Stats()
 		fmt.Printf("world: %d users, %d items, %d ratings, %d participants, %d periods\n",

@@ -108,7 +108,9 @@
 //
 //	w, boot, err := repro.OpenWorld(cfg, "/var/lib/greca")
 //	if err != nil { ... }
-//	// boot.Warm, boot.ReplayedRatings say how the world came up.
+//	// boot.Warm, boot.ReplayedRatings say how the world came up;
+//	// boot.DiscardedRatings > 0 means the journal belonged to another
+//	// configuration and its acknowledged ratings were dropped.
 //	err = w.AddRating(dataset.Rating{User: u, Item: i, Value: 4.5, Time: now})
 //	// The rating is journaled and every stale cache dropped; the next
 //	// Recommend reflects it exactly as a cold rebuild would.

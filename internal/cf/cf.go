@@ -9,10 +9,10 @@
 package cf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -403,15 +403,12 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 			all = append(all, Neighbor{User: v, Sim: s})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Sim != all[j].Sim {
-			return all[i].Sim > all[j].Sim
+	all = keepTop(all, p.k, func(a, b Neighbor) int {
+		if a.Sim != b.Sim {
+			return cmp.Compare(b.Sim, a.Sim)
 		}
-		return all[i].User < all[j].User
+		return cmp.Compare(a.User, b.User)
 	})
-	if len(all) > p.k {
-		all = all[:p.k]
-	}
 	return p.finishFill(u, append([]Neighbor(nil), all...), coraters, epoch)
 }
 

@@ -1,9 +1,9 @@
 package cf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -207,15 +207,12 @@ func (p *ItemPredictor) itemNeighborsOf(it dataset.ItemID) []itemNeighbor {
 			all = append(all, itemNeighbor{other, s})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].sim != all[j].sim {
-			return all[i].sim > all[j].sim
+	all = keepTop(all, p.k, func(a, b itemNeighbor) int {
+		if a.sim != b.sim {
+			return cmp.Compare(b.sim, a.sim)
 		}
-		return all[i].item < all[j].item
+		return cmp.Compare(a.item, b.item)
 	})
-	if len(all) > p.k {
-		all = all[:p.k]
-	}
 	ns = append([]itemNeighbor(nil), all...)
 	sh.mu.Lock()
 	if cached, ok := sh.neighbors[it]; ok {

@@ -8,10 +8,7 @@
 // the paper's global-threshold and buffer conditions.
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ListKind distinguishes the three list families GRECA scans.
 type ListKind int
@@ -153,14 +150,17 @@ func (l *List) Top() float64 {
 
 // SortCanonical orders entries by descending Value with ascending-Key
 // ties — the canonical order of every list in this package, and the
-// order SortedView entries and MemberView patches must arrive in.
+// order SortedView entries and MemberView patches must arrive in. The
+// order is a strict total order (keys are distinct), so the result does
+// not depend on how it is produced: a handful of entries is sorted by
+// insertion, everything else by the distribution kernel in sort.go. A
+// NaN Value leaves the order unspecified (never a panic).
 func SortCanonical(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Value != entries[j].Value {
-			return entries[i].Value > entries[j].Value
-		}
-		return entries[i].Key < entries[j].Key
-	})
+	if len(entries) <= insertionCutoff {
+		insertionSort(entries)
+		return
+	}
+	distributionSort(entries, compareCanonical)
 }
 
 // sortEntries is the internal alias of SortCanonical.

@@ -256,9 +256,10 @@ func NewOver(build Builder, pool []dataset.ItemID, capacity int, divisor float64
 
 // LocalBuilder is the in-process Builder: per user, one batch prediction
 // over pool (with its dependency metadata when src reports it),
-// normalized by divisor, plus one canonical sort — the pay-once cost the
-// store amortizes. The users of one call build concurrently over at
-// most workers goroutines (GOMAXPROCS if <= 0; 1 builds sequentially).
+// normalized by divisor, plus one canonical sort (linear; the
+// prediction dominates) — the pay-once cost the store amortizes. The
+// users of one call build concurrently over at most workers goroutines
+// (GOMAXPROCS if <= 0; 1 builds sequentially).
 func LocalBuilder(src cf.Source, pool []dataset.ItemID, divisor float64, workers int) Builder {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -474,11 +475,13 @@ func (p *storePart) evictLocked() {
 }
 
 // viewFromScores derives the canonical sorted side of a view from its
-// dense normalized scores, with no dependency metadata. Builders and
-// the snapshot-restore path share the sort, so a restored or fetched
-// view is bit-identical to one built in place: the sort is
-// deterministic given the scores, which is why snapshots and the wire
-// only carry the score vectors.
+// dense normalized scores, with no dependency metadata. The canonical
+// order is a strict total order on (score, pool position), so the
+// sorted side is a function of the scores alone — not of which sort
+// produced it, or where: a restored or fetched view is bit-identical to
+// one built in place, which is why snapshots and the wire only carry
+// the score vectors. The sort is core.SortCanonical's distribution
+// kernel, O(len(scores)) on score-shaped input.
 func viewFromScores(scores []float64) *View {
 	entries := make([]core.Entry, len(scores))
 	for p, v := range scores {

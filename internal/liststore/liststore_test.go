@@ -2,10 +2,13 @@ package liststore
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -43,6 +46,67 @@ func testPool(n int) []dataset.ItemID {
 		pool[i] = dataset.ItemID(10 * (i + 1)) // 10, 20, 30, ... (gaps on purpose)
 	}
 	return pool
+}
+
+// referenceSortCanonical is the comparison sort views used to be built
+// with; the canonical order is a strict total order, so any other
+// correct sort must produce the same entries.
+func referenceSortCanonical(entries []core.Entry) {
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].Value != entries[j].Value {
+			return entries[i].Value > entries[j].Value
+		}
+		return entries[i].Key < entries[j].Key
+	})
+}
+
+// ratingLevelSource predicts a whole rating level for two items in five
+// and a spread score otherwise — the tie structure of a real view.
+type ratingLevelSource struct{ stubSource }
+
+func (s *ratingLevelSource) Predict(u dataset.UserID, it dataset.ItemID) float64 {
+	if (int(u)+int(it)/10)%5 < 2 {
+		return float64(1 + (int(u)*3+int(it)/10)%5)
+	}
+	return s.stubSource.Predict(u, it)
+}
+
+func (s *ratingLevelSource) PredictBatch(u dataset.UserID, items []dataset.ItemID) []float64 {
+	out := make([]float64, len(items))
+	for i, it := range items {
+		out[i] = s.Predict(u, it)
+	}
+	return out
+}
+
+// TestViewsMatchTheReferenceSort: a view built in place by LocalBuilder
+// and one rebuilt from the same scores alone (the snapshot-restore and
+// router-fetch path) both carry exactly the reference sort's entries.
+func TestViewsMatchTheReferenceSort(t *testing.T) {
+	pool := testPool(1500)
+	views, err := LocalBuilder(&ratingLevelSource{}, pool, 5, 1)([]dataset.UserID{3, 11, 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		want := make([]core.Entry, len(v.Scores))
+		distinct := map[float64]bool{}
+		for p, score := range v.Scores {
+			want[p] = core.Entry{Key: p, Value: score}
+			distinct[score] = true
+		}
+		if len(distinct) > len(pool)/2 {
+			t.Fatalf("view %d has %d distinct scores in %d: not tie-heavy", i, len(distinct), len(pool))
+		}
+		referenceSortCanonical(want)
+		if !reflect.DeepEqual(v.Sorted.Entries, want) {
+			t.Errorf("view %d: built view diverges from the reference sort", i)
+		}
+		rebuilt := viewFromScores(slices.Clone(v.Scores))
+		if !reflect.DeepEqual(rebuilt.Sorted.Entries, want) {
+			t.Errorf("view %d: view rebuilt from scores diverges from the reference sort", i)
+		}
+	}
 }
 
 func TestNewRejectsDegenerateInputs(t *testing.T) {

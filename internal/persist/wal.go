@@ -41,6 +41,9 @@ type WAL struct {
 	mu      sync.Mutex
 	files   []*os.File
 	nextSeq uint64
+	// discarded counts the intact records OpenWAL threw away because
+	// their files carried another configuration's fingerprint.
+	discarded int
 }
 
 // walRecord is one journaled rating plus its replay position.
@@ -55,7 +58,8 @@ type walRecord struct {
 // append order, ready to re-apply. Recovery is fail-safe per file — a
 // header from a different configuration or version discards that
 // file's records (they journal a different world), and a torn or
-// corrupt tail is truncated at the last intact record.
+// corrupt tail is truncated at the last intact record. Discarded
+// reports how many intact records a fingerprint mismatch cost.
 func OpenWAL(dir string, sm shard.Map, configFP uint64) (*WAL, []dataset.Rating, error) {
 	sm = shard.Normalize(sm)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -64,12 +68,13 @@ func OpenWAL(dir string, sm shard.Map, configFP uint64) (*WAL, []dataset.Rating,
 	w := &WAL{dir: dir, sm: sm, files: make([]*os.File, sm.N())}
 	var recs []walRecord
 	for i := range w.files {
-		f, shardRecs, err := openWALShard(w.shardPath(i), configFP)
+		f, shardRecs, discarded, err := openWALShard(w.shardPath(i), configFP)
 		if err != nil {
 			w.Close()
 			return nil, nil, err
 		}
 		w.files[i] = f
+		w.discarded += discarded
 		recs = append(recs, shardRecs...)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
@@ -83,6 +88,12 @@ func OpenWAL(dir string, sm shard.Map, configFP uint64) (*WAL, []dataset.Rating,
 	return w, out, nil
 }
 
+// Discarded is the number of intact journaled ratings OpenWAL discarded
+// because their shard files were written under a different
+// configuration fingerprint — acknowledged ratings this world will
+// never see.
+func (w *WAL) Discarded() int { return w.discarded }
+
 func (w *WAL) shardPath(i int) string {
 	return filepath.Join(w.dir, fmt.Sprintf("wal-%03d.log", i))
 }
@@ -90,33 +101,50 @@ func (w *WAL) shardPath(i int) string {
 // openWALShard opens one shard file, validating its header and
 // scanning its records. An invalid header (wrong magic, version, or
 // fingerprint) resets the file — its records belong to a different
-// world. A record that is short or fails its CRC ends the scan and
-// truncates the file there, so the next append continues from the
-// last intact record.
-func openWALShard(path string, configFP uint64) (*os.File, []walRecord, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// world; when only the fingerprint differs the records are still
+// readable, and discarded counts the intact ones the reset threw away.
+// A record that is short or fails its CRC ends the scan and truncates
+// the file there, so the next append continues from the last intact
+// record.
+func openWALShard(path string, configFP uint64) (f *os.File, recs []walRecord, discarded int, err error) {
+	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: opening WAL shard: %w", err)
+		return nil, nil, 0, fmt.Errorf("persist: opening WAL shard: %w", err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("persist: reading WAL shard: %w", err)
+		return nil, nil, 0, fmt.Errorf("persist: reading WAL shard: %w", err)
 	}
-	reset := func() (*os.File, []walRecord, error) {
+	wellFormed := len(raw) >= walHeaderLen && string(raw[:len(walMagic)]) == walMagic &&
+		binary.LittleEndian.Uint32(raw[len(walMagic):]) == walVersion
+	var end int
+	if wellFormed {
+		recs, end = scanWALRecords(raw)
+	}
+	if !wellFormed || binary.LittleEndian.Uint64(raw[len(walMagic)+4:]) != configFP {
 		if err := writeWALHeader(f, configFP); err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
-		return f, nil, nil
+		return f, nil, len(recs), nil
 	}
-	if len(raw) < walHeaderLen || string(raw[:len(walMagic)]) != walMagic {
-		return reset()
+	if end != len(raw) {
+		if err := f.Truncate(int64(end)); err != nil {
+			f.Close()
+			return nil, nil, 0, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
+		}
 	}
-	hdr := raw[len(walMagic):]
-	if binary.LittleEndian.Uint32(hdr[0:]) != walVersion || binary.LittleEndian.Uint64(hdr[4:]) != configFP {
-		return reset()
+	if _, err := f.Seek(int64(end), 0); err != nil {
+		f.Close()
+		return nil, nil, 0, fmt.Errorf("persist: seeking WAL shard: %w", err)
 	}
+	return f, recs, 0, nil
+}
+
+// scanWALRecords decodes the intact records after raw's header and
+// returns them with the offset just past the last one.
+func scanWALRecords(raw []byte) ([]walRecord, int) {
 	var recs []walRecord
 	off := walHeaderLen
 	for off+walRecordLen <= len(raw) {
@@ -136,17 +164,7 @@ func openWALShard(path string, configFP uint64) (*os.File, []walRecord, error) {
 		})
 		off += walRecordLen
 	}
-	if off != len(raw) {
-		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(off), 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("persist: seeking WAL shard: %w", err)
-	}
-	return f, recs, nil
+	return recs, off
 }
 
 func writeWALHeader(f *os.File, configFP uint64) error {

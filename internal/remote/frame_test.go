@@ -3,8 +3,10 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -211,6 +213,35 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 	if _, err := decodeStats([]byte("{not json")); !errors.Is(err, ErrProtocol) {
 		t.Errorf("corrupt stats: err = %v, want ErrProtocol", err)
+	}
+}
+
+// TestWireGoldenBytes pins the hot payloads' encoded bytes (recorded
+// from the append-per-field encoders at frameVersion 3): an encoder
+// that sizes its buffer differently must still emit exactly these.
+func TestWireGoldenBytes(t *testing.T) {
+	golden := []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"chunk with fallback tail",
+			encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 2, Flags: vmLastChunk | vmDepsKnown | vmUsedGlobal, Scores: []float64{1, 0.6, math.Copysign(0, -1)}, FallbackPos: []int32{0, 3}}),
+			"0100000004000000020000000703000000000000000000f03f333333333333e33f0000000000000080020000000000000003000000"},
+		{"progress chunk drops the tail",
+			encodeViewMultiChunk(viewMultiChunk{Index: 2, Total: 600, Offset: 512, Scores: []float64{0.2}, FallbackPos: []int32{9}}),
+			"02000000580200000002000000010000009a9999999999c93f"},
+		{"predict row",
+			encodePredictMultiRow(predictMultiRow{Index: 3, Values: []float64{4.5, 1}}),
+			"03000000020000000000000000001240000000000000f03f"},
+	}
+	for _, g := range golden {
+		if got := hex.EncodeToString(g.got); got != g.want {
+			t.Errorf("%s:\n got %s\nwant %s", g.name, got, g.want)
+		}
+		if len(g.got) != cap(g.got) {
+			t.Errorf("%s: payload sized %d for %d bytes", g.name, cap(g.got), len(g.got))
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cf"
 	"repro/internal/dataset"
@@ -31,8 +32,10 @@ func (w *wireWriter) bytes(p []byte) {
 }
 func (w *wireWriter) f64s(vs []float64) {
 	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.f64(v)
+	off := len(w.b)
+	w.b = slices.Grow(w.b, 8*len(vs))[:off+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(w.b[off+8*i:], math.Float64bits(v))
 	}
 }
 
@@ -93,15 +96,13 @@ func (r *wireReader) bytes() []byte {
 }
 func (r *wireReader) f64s() []float64 {
 	n := int(r.u32())
-	if r.err != nil || n*8 > len(r.b)-r.off {
-		if r.err == nil {
-			r.err = errShortPayload
-		}
+	p := r.take(8 * n)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
 }
@@ -222,13 +223,19 @@ type viewMultiChunk struct {
 }
 
 func encodeViewMultiChunk(c viewMultiChunk) []byte {
-	var w wireWriter
+	// Sized once: header, score count, scores, fallback tail.
+	tail := c.Flags&vmLastChunk != 0 && c.Flags&vmDepsKnown != 0
+	size := 13 + 4 + 8*len(c.Scores)
+	if tail {
+		size += 4 + 4*len(c.FallbackPos)
+	}
+	w := wireWriter{b: make([]byte, 0, size)}
 	w.u32(c.Index)
 	w.u32(c.Total)
 	w.u32(c.Offset)
 	w.u8(c.Flags)
 	w.f64s(c.Scores)
-	if c.Flags&vmLastChunk != 0 && c.Flags&vmDepsKnown != 0 {
+	if tail {
 		w.u32(uint32(len(c.FallbackPos)))
 		for _, pos := range c.FallbackPos {
 			w.u32(uint32(pos))
@@ -304,7 +311,7 @@ type predictMultiRow struct {
 }
 
 func encodePredictMultiRow(row predictMultiRow) []byte {
-	var w wireWriter
+	w := wireWriter{b: make([]byte, 0, 4+4+8*len(row.Values))}
 	w.u32(row.Index)
 	w.f64s(row.Values)
 	return w.b

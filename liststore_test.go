@@ -2,9 +2,11 @@ package repro
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -75,6 +77,34 @@ func TestRecommendListStoreDifferential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("custom items diverge:\ndense:  %+v\nserved: %+v", want, got)
+	}
+}
+
+// TestWorldViewsMatchTheReferenceSort holds views built by a real world
+// (CF predictions over the popularity pool: rating-level ties, mean
+// fallbacks, a spread in between) against the comparison sort the list
+// store was first written with. The canonical order is a strict total
+// order, so the distribution kernel must reproduce it entry for entry.
+func TestWorldViewsMatchTheReferenceSort(t *testing.T) {
+	w := tinyWorld(t)
+	for _, u := range w.Participants()[:12] {
+		v, err := w.ListStore().Acquire(u)
+		if err != nil {
+			t.Fatalf("acquire %d: %v", u, err)
+		}
+		want := make([]core.Entry, len(v.Scores))
+		for p, score := range v.Scores {
+			want[p] = core.Entry{Key: p, Value: score}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Value != want[j].Value {
+				return want[i].Value > want[j].Value
+			}
+			return want[i].Key < want[j].Key
+		})
+		if !reflect.DeepEqual(v.Sorted.Entries, want) {
+			t.Errorf("user %d: world-built view diverges from the reference sort", u)
+		}
 	}
 }
 

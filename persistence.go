@@ -64,6 +64,10 @@ type OpenStats struct {
 	// from the snapshot (zero when WAL replay made them stale).
 	WarmViews         int `json:"warm_views"`
 	WarmNeighborhoods int `json:"warm_neighborhoods"`
+	// DiscardedRatings counts the intact journal records thrown away
+	// because the journal was written under another configuration
+	// fingerprint — acknowledged ratings this world does not hold.
+	DiscardedRatings int `json:"discarded_ratings"`
 }
 
 // OpenWorld builds a world with persistence under dir: the rating
@@ -126,6 +130,7 @@ func OpenWorld(cfg Config, dir string) (*World, OpenStats, error) {
 		}
 	}
 	st.ReplayedRatings = len(replayed)
+	st.DiscardedRatings = wal.Discarded()
 	if st.Warm && len(replayed) == 0 {
 		st.WarmNeighborhoods = w.pred.RestoreNeighborhoods(snap.Neighborhoods)
 		if w.lists != nil {

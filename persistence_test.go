@@ -240,6 +240,60 @@ func TestJournalSurvivesListStoreResize(t *testing.T) {
 	}
 }
 
+// TestJournalResetIsReported: a journal written under one world-shaping
+// configuration and reopened under another is still reset (its ratings
+// belong to a different world), but no longer silently — the boot
+// report counts every acknowledged rating the reset discarded.
+func TestJournalResetIsReported(t *testing.T) {
+	base := liveBaseRatings(t)
+	dir := t.TempDir()
+
+	w1, st1, err := OpenWorld(persistTestConfig(base), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1.DiscardedRatings != 0 {
+		t.Fatalf("fresh directory reported %d discarded ratings", st1.DiscardedRatings)
+	}
+	extra := liveExtraRatings(w1, 3)
+	for _, r := range extra {
+		if err := w1.AddRating(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w1.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+
+	reshaped := func() Config {
+		cfg := persistTestConfig(base)
+		cfg.Neighbors = 7
+		return cfg
+	}
+	w2, st2, err := OpenWorld(reshaped(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.DiscardedRatings != len(extra) || st2.ReplayedRatings != 0 {
+		t.Fatalf("reopen under another Neighbors: discarded %d, replayed %d; want %d, 0",
+			st2.DiscardedRatings, st2.ReplayedRatings, len(extra))
+	}
+	if err := w2.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The journal is empty now: a third open under the same
+	// configuration finds nothing to replay and nothing to discard.
+	w3, st3, err := OpenWorld(reshaped(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.ClosePersistence()
+	if st3.DiscardedRatings != 0 || st3.ReplayedRatings != 0 {
+		t.Fatalf("journal not empty after the reset: discarded %d, replayed %d", st3.DiscardedRatings, st3.ReplayedRatings)
+	}
+}
+
 // TestSnapshotMismatchFallsBackCold pins the fail-safe: a snapshot
 // from a different configuration, or a corrupted snapshot file, is
 // ignored and the world boots cold — never a crash, never a world
