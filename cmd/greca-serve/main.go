@@ -61,13 +61,12 @@
 //
 // -remote-viewcache lets the router's sorted-list store retain up to N
 // views fetched from workers. It is the same store the in-process
-// world uses, fetching instead of building: each ingested rating's
-// scoped-invalidation verdict (relayed in the workers' apply acks)
-// drops or patches exactly the retained views it could have touched,
-// and a fetch still in flight when the sweep passes is never retained,
-// so a warm hit serves bytes identical to a fresh fetch. 0 (the
-// default) retains nothing — every assembly fetches; only meaningful
-// with -shards-config.
+// world uses, fetching instead of building: each ingested rating drops
+// every retained view once the workers have applied it, and a fetch
+// still in flight when that sweep passes is never retained, so a warm
+// hit serves bytes identical to a fresh fetch. 0 (the default) retains
+// nothing — every assembly fetches; only meaningful with
+// -shards-config.
 //
 // Endpoints (API v1 — the only prefix; unversioned paths answer 404):
 //

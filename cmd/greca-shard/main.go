@@ -1,8 +1,8 @@
 // Command greca-shard runs one GRECA shard worker: a process that
 // owns a subset of the world's user shards and serves their data
 // plane — sorted-view score vectors, prediction rows, rating ingest,
-// scoped invalidation, cache counters — to a greca-serve router over
-// the internal/remote binary protocol.
+// cache counters — to a greca-serve router over the internal/remote
+// binary protocol.
 //
 // Usage:
 //

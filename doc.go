@@ -43,16 +43,16 @@
 //     (Config.ListStoreSize, World.InvalidateUserViews).
 //   - World.AddRating ingests a rating into the frozen world while it
 //     serves: the rating lands in a per-shard delta overlay on the
-//     rating store, and invalidation is scoped to the rating's actual
-//     reach — a reverse dependency index names the cached users that
-//     co-rate with the rater, each gets a one-similarity recheck, and
-//     only the neighborhoods and sorted-list views the rating
-//     provably touches are dropped (views whose only dependence is the
-//     rated item's mean are patched in place).
-//     Everything retained is bit-identical to a world rebuilt from
-//     scratch with that rating, so sustained ingest keeps the caches
-//     warm without changing a served byte; Config.FullInvalidation
-//     restores the drop-everything scheme. World.ReFreeze folds
+//     rating store, and neighborhood invalidation is scoped to the
+//     rating's actual reach — a reverse dependency index names the
+//     cached users that co-rate with the rater, each gets a
+//     one-similarity recheck, and only the neighborhoods the rating
+//     provably touches are dropped. Every sorted-list view drops with
+//     each rating (no workload re-reads one between two ratings) and
+//     is rebuilt over the retained neighborhoods on next use, so
+//     sustained ingest keeps the expensive cache warm without changing
+//     a served byte: everything served is bit-identical to a world
+//     rebuilt from scratch with that rating. World.ReFreeze folds
 //     accumulated deltas into the base (never changing results, only
 //     lookup cost); OpenWorld / SaveWorldSnapshot add durability: a
 //     checksummed snapshot plus a per-shard write-ahead log give

@@ -1,0 +1,19 @@
+package repro
+
+// NewFullInvalidationWorld is NewWorld with the drop-everything ingest
+// scheme: every AddRating discards every cached neighborhood
+// (cf.Predictor.NoteIngest, cf.ItemPredictor.NoteIngest) instead of the
+// ones the rating reaches. It serves the same bytes as a NewWorld world —
+// scoping only decides how much cache heat survives — and exists as the
+// reference the scoped scheme is differentially tested
+// (TestFullInvalidationMatchesScoped) and benchmarked
+// (BenchmarkIngestMix/full, BenchmarkIngestOnly/full) against. No
+// Config field, flag or environment variable selects it.
+func NewFullInvalidationWorld(cfg Config) (*World, error) {
+	w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.dropAllNeighborhoods = true
+	return w, nil
+}

@@ -3,11 +3,13 @@
 // Each op is one AddRating followed by a wave of concurrent Recommend
 // calls over fixed groups with a pinned candidate slice, with the
 // delta log folded every 64 ingests; the only variable between the two
-// sub-benchmarks is Config.FullInvalidation, so the delta is exactly
-// the cost of drop-everything invalidation versus the scoped scheme.
-// Beyond ns/op, each run reports the cache outcomes that explain the
-// number: the list store's view hit rate and the fraction of
-// neighborhoods the ingests retained.
+// sub-benchmarks is the constructor — repro.NewWorld, or the test-only
+// repro.NewFullInvalidationWorld whose ingests drop every neighborhood —
+// so the delta is exactly the cost of drop-everything neighborhood
+// invalidation versus the scoped scheme. Sorted views drop on every
+// rating under both. Beyond ns/op, each run reports the cache outcomes
+// that explain the number: the list store's view hit rate and the
+// fraction of neighborhoods the ingests retained.
 package repro_test
 
 import (
@@ -24,9 +26,11 @@ import (
 // and a deterministic rating stream from raters outside the groups.
 func ingestMixWorld(b *testing.B, full bool) (*repro.World, [][]dataset.UserID, [][]dataset.ItemID, []dataset.Rating) {
 	b.Helper()
-	cfg := repro.QuickConfig()
-	cfg.FullInvalidation = full
-	w, err := repro.NewWorld(cfg)
+	build := repro.NewWorld
+	if full {
+		build = repro.NewFullInvalidationWorld
+	}
+	w, err := build(repro.QuickConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,0 +1,259 @@
+package repro
+
+import (
+	"encoding/json"
+	"fmt"
+	"net"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/liststore"
+	"repro/internal/remote"
+)
+
+// heldBuilder wraps a list-store Builder so a test can hold one user's
+// build mid-flight: the wrapped builder has already computed the view
+// (from whatever state the world was in) when the call parks on release.
+type heldBuilder struct {
+	inner liststore.Builder
+
+	mu      sync.Mutex
+	hold    dataset.UserID
+	armed   bool
+	entered chan struct{} // receives once the armed build is parked
+	release chan struct{} // closed to let it finish
+	builds  map[dataset.UserID]int
+}
+
+func (h *heldBuilder) build(users []dataset.UserID) ([]*liststore.View, error) {
+	views, err := h.inner(users)
+	h.mu.Lock()
+	park := false
+	for _, u := range users {
+		h.builds[u]++
+		if h.armed && u == h.hold {
+			h.armed, park = false, true
+		}
+	}
+	h.mu.Unlock()
+	if park {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+	return views, err
+}
+
+func (h *heldBuilder) buildsOf(u dataset.UserID) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.builds[u]
+}
+
+// startViewWorkers serves one worker world per ownership split over
+// loopback TCP and returns the attached-to-nothing shard set plus the
+// worker worlds (for white-box looks at their stores).
+func startViewWorkers(t *testing.T, build func() *World, shards int, owns [][]int) (*remote.ShardSet, []*World) {
+	t.Helper()
+	var workers []remote.Worker
+	var worlds []*World
+	for _, owned := range owns {
+		w := build()
+		backend, err := NewShardBackend(w, owned)
+		if err != nil {
+			t.Fatalf("shard backend: %v", err)
+		}
+		srv := remote.NewServer(backend)
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		go srv.Serve(lis)
+		t.Cleanup(srv.Close)
+		workers = append(workers, remote.Worker{Addr: lis.Addr().String(), Owns: owned})
+		worlds = append(worlds, w)
+	}
+	topJSON, _ := json.Marshal(remote.Topology{Shards: shards, Workers: workers})
+	top, err := remote.ParseTopology(topJSON)
+	if err != nil {
+		t.Fatalf("topology: %v", err)
+	}
+	set, err := remote.NewShardSet(top, remote.ClientConfig{})
+	if err != nil {
+		t.Fatalf("shard set: %v", err)
+	}
+	t.Cleanup(set.Close)
+	return set, worlds
+}
+
+// scoresByItem keys a view's scores by item. A live world's pool keeps
+// its load-time popularity order while a cold rebuild ranks the extended
+// dataset, so two coherent views agree item by item, not position by
+// position.
+func scoresByItem(s *liststore.Store, v *liststore.View) map[dataset.ItemID]float64 {
+	out := make(map[dataset.ItemID]float64, len(v.Scores))
+	for p, it := range s.Pool() {
+		out[it] = v.Scores[p]
+	}
+	return out
+}
+
+// TestRatingLeavesNoViewResident pins the one thing ingest does to the
+// list store, identically in-process, on a worker and on a router: after
+// AddRating the store is empty; a build held mid-flight across the
+// ingest reaches the acquirers waiting on it and never becomes resident;
+// and the next acquire rebuilds post-ingest bytes, equal to a cold
+// world's over the extended dataset.
+func TestRatingLeavesNoViewResident(t *testing.T) {
+	base := liveBaseRatings(t)
+	sources := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"user-based", nil},
+		{"item-based", func(c *Config) { c.ItemBasedCF = true }},
+		{"time-weighted", func(c *Config) { c.TimeWeightedCF = true }},
+	}
+	for _, shards := range []int{1, 4} {
+		for _, router := range []bool{false, true} {
+			for _, src := range sources {
+				name := fmt.Sprintf("shards=%d/router=%v/%s", shards, router, src.name)
+				t.Run(name, func(t *testing.T) {
+					build := func(ratings string, extra func(*Config)) *World {
+						return liveWorldCfg(t, ratings, shards, func(c *Config) {
+							if src.mutate != nil {
+								src.mutate(c)
+							}
+							if extra != nil {
+								extra(c)
+							}
+						})
+					}
+					// The world under test, its list store rebuilt over a
+					// holdable builder: the local one in-process, the wire
+					// fetch on a router retaining views.
+					var live *World
+					var workers []*World
+					held := &heldBuilder{entered: make(chan struct{}, 1), release: make(chan struct{}), builds: map[dataset.UserID]int{}}
+					capacity := liststore.DefaultMaxUsers
+					if router {
+						owns := [][]int{{0}}
+						if shards == 4 {
+							owns = [][]int{{0, 2}, {1, 3}}
+						}
+						var set *remote.ShardSet
+						set, workers = startViewWorkers(t, func() *World { return build(base, nil) }, shards, owns)
+						capacity = 64
+						live = build(base, func(c *Config) { c.RemoteViewCache = capacity })
+						if err := live.AttachRemote(set); err != nil {
+							t.Fatalf("AttachRemote: %v", err)
+						}
+						held.inner = fetchViews(set)
+					} else {
+						live = build(base, nil)
+						held.inner = liststore.LocalBuilder(live.source, live.lists.Pool(), prefDivisor, 1)
+					}
+					live.lists = liststore.NewOver(held.build, live.lists.Pool(), capacity, prefDivisor, live.sm)
+					live.asm.AttachListStore(live.lists)
+
+					group := live.Participants()[:3]
+					rater := live.Participants()[5]
+					r := liveExtraRatings(live, 6)[5]
+					if r.User != rater {
+						t.Fatalf("extra rating is by user %d, want the held user %d", r.User, rater)
+					}
+					if src.name == "time-weighted" {
+						r.Time = 978300000 + 1_000_000 // newest: the decay clock advances
+					}
+
+					// Warm: the group's views resident here (and on the workers).
+					if _, err := live.Recommend(group, Options{K: 5}); err != nil {
+						t.Fatal(err)
+					}
+					if live.lists.Len() != len(group) {
+						t.Fatalf("warm store holds %d views, want %d", live.lists.Len(), len(group))
+					}
+
+					// Hold the rater's own build — its view certainly moves: the
+					// rated item's score becomes the rating — with a second
+					// acquirer waiting on the same mid-build entry.
+					held.mu.Lock()
+					held.hold, held.armed = rater, true
+					held.mu.Unlock()
+					results := make(chan *liststore.View, 2)
+					acquire := func() {
+						v, err := live.lists.Acquire(rater)
+						if err != nil {
+							t.Error(err)
+						}
+						results <- v
+					}
+					hitsBefore := live.lists.Stats().ViewHits
+					go acquire()
+					<-held.entered
+					go acquire()
+					for live.lists.Stats().ViewHits == hitsBefore {
+						runtime.Gosched()
+					}
+
+					if err := live.AddRating(r); err != nil {
+						t.Fatal(err)
+					}
+					if n := live.lists.Len(); n != 0 {
+						t.Errorf("%d views resident after AddRating, want 0", n)
+					}
+					for i, w := range workers {
+						if n := w.lists.Len(); n != 0 {
+							t.Errorf("worker %d: %d views resident after the fanned-out rating, want 0", i, n)
+						}
+					}
+
+					close(held.release)
+					first, second := <-results, <-results
+					if first == nil || first != second {
+						t.Fatalf("waiters got %p and %p, want the one held view", first, second)
+					}
+					if n := live.lists.Len(); n != 0 {
+						t.Errorf("the held build became resident: %d views after it settled", n)
+					}
+
+					// The next acquires rebuild, and serve a cold world's bytes.
+					cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), shards, src.mutate)
+					builds := held.buildsOf(rater)
+					for _, u := range append([]dataset.UserID{rater}, group...) {
+						got, err := live.lists.Acquire(u)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := cold.lists.Acquire(u)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(scoresByItem(live.lists, got), scoresByItem(cold.lists, want)) {
+							t.Errorf("user %d: post-ingest view differs from a cold rebuild's", u)
+						}
+					}
+					if got := held.buildsOf(rater); got != builds+1 {
+						t.Errorf("rater's view built %d times after the ingest, want 1 rebuild", got-builds)
+					}
+					if after, _ := live.lists.Acquire(rater); reflect.DeepEqual(after.Scores, first.Scores) {
+						t.Errorf("held view equals the post-ingest one: the hold did not straddle the ingest")
+					}
+					got, err := live.Recommend(group, Options{K: 5})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := cold.Recommend(group, Options{K: 5})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("post-ingest recommendation diverged from cold rebuild\n got %+v\nwant %+v", got, want)
+					}
+				})
+			}
+		}
+	}
+}

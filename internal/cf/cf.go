@@ -45,16 +45,6 @@ type userShard struct {
 	// list to release u's entries in the reverse index, keeping the
 	// index exactly the dependencies of what is cached.
 	coraters map[dataset.UserID][]dataset.UserID
-	// filling counts the neighborhood fills in flight per user, and
-	// fenced lists the users whose fill lost its install to the epoch
-	// fence since the last ingest looked. The fence keeps a fill that
-	// straddles an ingest out of the cache, but the fill's caller still
-	// predicts from the pre-ingest neighborhood it is handed: an ingest
-	// reports both sets stale (staleFills), so a sorted view built on
-	// top drops with the rating's other dependents instead of being
-	// retained as untouched.
-	filling map[dataset.UserID]int
-	fenced  []dataset.UserID
 }
 
 // depIndex is the reverse dependency index of the neighborhood cache:
@@ -249,7 +239,6 @@ func newPredictorPart() *predictorPart {
 		p.shards[i].neighbors = make(map[dataset.UserID][]Neighbor)
 		p.shards[i].norms = make(map[dataset.UserID]float64)
 		p.shards[i].coraters = make(map[dataset.UserID][]dataset.UserID)
-		p.shards[i].filling = make(map[dataset.UserID]int)
 	}
 	return p
 }
@@ -381,13 +370,6 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 	}
 	pp.counters.miss()
 
-	// Announce the fill before reading the epoch: an ingest that bumps
-	// the epoch after this read then finds the fill announced, or
-	// finished — installed (and rechecked like any cached entry) or
-	// fenced (and listed).
-	sh.mu.Lock()
-	sh.filling[u]++
-	sh.mu.Unlock()
 	epoch := pp.epoch.Load()
 	all := make([]Neighbor, 0, 64)
 	coraters := make([]dataset.UserID, 0, 64)
@@ -435,11 +417,6 @@ func (p *Predictor) finishFill(u dataset.UserID, ns []Neighbor, coraters []datas
 		sh.neighbors[u] = ns
 		sh.coraters[u] = coraters
 		installed = true
-	} else {
-		sh.fenced = append(sh.fenced, u)
-	}
-	if sh.filling[u]--; sh.filling[u] == 0 {
-		delete(sh.filling, u)
 	}
 	sh.mu.Unlock()
 	if !installed {
@@ -498,22 +475,6 @@ func (p *Predictor) PredictBatchInto(u dataset.UserID, items []dataset.ItemID, d
 // -wins rating semantics, own-rating override, and fallback ladder —
 // the invariants that keep batch results bit-identical to sequential.
 func (p *Predictor) batchInto(u dataset.UserID, items []dataset.ItemID, dst []float64, weight func(Neighbor, dataset.Rating) float64) {
-	p.batchIntoDeps(u, items, dst, weight, nil)
-}
-
-// PredictBatchDeps is PredictBatch that also reports which entries fell
-// to the mean-fallback ladder (see DepsSource). The prediction values
-// are bit-identical to PredictBatch — the deps ride along on the same
-// pass.
-func (p *Predictor) PredictBatchDeps(u dataset.UserID, items []dataset.ItemID) ([]float64, RowDeps) {
-	out := make([]float64, len(items))
-	var deps RowDeps
-	p.batchIntoDeps(u, items, out, func(nb Neighbor, _ dataset.Rating) float64 { return nb.Sim }, &deps)
-	return out, deps
-}
-
-// batchIntoDeps is batchInto optionally recording fallback deps.
-func (p *Predictor) batchIntoDeps(u dataset.UserID, items []dataset.ItemID, dst []float64, weight func(Neighbor, dataset.Rating) float64, deps *RowDeps) {
 	bs := newBatchSlots(items)
 	nSlots := len(bs.slotItem)
 	num := make([]float64, nSlots)
@@ -549,25 +510,13 @@ func (p *Predictor) batchIntoDeps(u dataset.UserID, items []dataset.ItemID, dst 
 		case den[s] > 0:
 			dst[i] = clampRating(num[s] / den[s])
 		default:
-			m, ok := means.itemMean[bs.slotItem[s]]
-			if ok {
+			if m, ok := means.itemMean[bs.slotItem[s]]; ok {
 				dst[i] = m
 			} else {
 				dst[i] = means.globalMean
 			}
-			if deps != nil {
-				deps.fallback(bs.slotItem[s], i, !ok)
-			}
 		}
 	}
-}
-
-// ItemMean returns the current mean rating of item it, if it has any
-// ratings — the patch value scoped invalidation splices into fallback
-// entries of retained views after an ingest of it.
-func (p *Predictor) ItemMean(it dataset.ItemID) (float64, bool) {
-	m, ok := p.means.Load().itemMean[it]
-	return m, ok
 }
 
 // PredictAll returns predictions of u for each item in items. It is

@@ -261,21 +261,6 @@ func (p *ItemPredictor) PredictBatch(u dataset.UserID, items []dataset.ItemID) [
 
 // PredictBatchInto is PredictBatch writing into dst (len(items)).
 func (p *ItemPredictor) PredictBatchInto(u dataset.UserID, items []dataset.ItemID, dst []float64) {
-	p.batchIntoDeps(u, items, dst, nil)
-}
-
-// PredictBatchDeps is PredictBatch that also reports which entries fell
-// to the mean-fallback ladder (see DepsSource), bit-identical to the
-// plain path.
-func (p *ItemPredictor) PredictBatchDeps(u dataset.UserID, items []dataset.ItemID) ([]float64, RowDeps) {
-	out := make([]float64, len(items))
-	var deps RowDeps
-	p.batchIntoDeps(u, items, out, &deps)
-	return out, deps
-}
-
-// batchIntoDeps is the batch core, optionally recording fallback deps.
-func (p *ItemPredictor) batchIntoDeps(u dataset.UserID, items []dataset.ItemID, dst []float64, deps *RowDeps) {
 	ru := p.store.ByUser(u)
 	rated := make(map[dataset.ItemID]float64, len(ru))
 	for _, r := range ru {
@@ -298,19 +283,12 @@ func (p *ItemPredictor) batchIntoDeps(u dataset.UserID, items []dataset.ItemID, 
 				den += nb.sim
 			}
 		}
-		switch {
-		case den > 0:
+		if den > 0 {
 			dst[i] = clampRating(num / den)
-		default:
-			m, ok := means.itemMean[it]
-			if ok {
-				dst[i] = m
-			} else {
-				dst[i] = means.globalMean
-			}
-			if deps != nil {
-				deps.fallback(it, i, !ok)
-			}
+		} else if m, ok := means.itemMean[it]; ok {
+			dst[i] = m
+		} else {
+			dst[i] = means.globalMean
 		}
 	}
 }

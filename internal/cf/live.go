@@ -24,12 +24,12 @@ import (
 // top-k, the neighborhood (whose floats are untouched, not recomputed)
 // is retained too.
 //
-// NoteIngest is the historical drop-everything path, kept for the
-// predictors whose dependency structure defeats scoping (a
-// time-weighted clock advance shifts every decay weight) and as the
-// explicitly configured baseline. Both paths recompute the fallback
-// means with the exact construction loops (same accumulation order, so
-// the swap is bit-identical to a cold rebuild).
+// NoteIngest is the historical drop-everything path. No serving
+// configuration selects it any more; it stays as the reference the
+// scoped path is differentially tested and benchmarked against. Both
+// paths recompute the fallback means with the exact construction loops
+// (same accumulation order, so the swap is bit-identical to a cold
+// rebuild).
 //
 // The epoch counters close the fill/invalidate race: a lazy fill that
 // started before an ingest — computed from pre-ingest state — fails
@@ -38,16 +38,9 @@ import (
 // scan. Callers serialize NoteIngest/NoteIngestScoped invocations (the
 // World's ingest lock); reads need no coordination.
 
-// IngestScope is the outcome of a scoped ingest: the users whose
-// derived state (neighborhood, sorted view) the new rating actually
-// reaches, and how much cached state survived. The caller feeds Stale
-// to the sorted-list store so its scoped sweep agrees with the
-// predictor's about who is affected.
+// IngestScope is the outcome of a scoped ingest: how much cached state
+// the new rating reached and how much survived it.
 type IngestScope struct {
-	// Stale holds the rater, every cached user whose neighborhood was
-	// dropped, and every user with a neighborhood fill straddling the
-	// ingest — the users whose views must drop too.
-	Stale map[dataset.UserID]struct{}
 	// Retained and Dropped count cached neighborhoods kept vs dropped
 	// by this ingest (Dropped includes the rater's own, when cached).
 	Retained int
@@ -63,8 +56,7 @@ type IngestScope struct {
 //
 //   - the fallback means are recomputed and swapped (they shift on
 //     every ingest), and every part epoch is bumped so in-flight fills
-//     of pre-ingest state never install — their users are reported
-//     stale, since the fills' callers still predict from them;
+//     of pre-ingest state never install;
 //   - u's own neighborhood and norm are dropped (all of u's
 //     similarities changed);
 //   - every dependent v — reverse-index entries for u plus the raters
@@ -75,8 +67,10 @@ type IngestScope struct {
 //   - every other cached neighborhood is retained without even a
 //     recheck: no similarity it was built from has changed.
 //
-// The returned scope lists the dropped users so the caches layered
-// above the predictor can scope their own sweeps identically.
+// A fill that straddles the ingest still hands its pre-ingest
+// neighborhood to its caller; whatever that caller builds on it (a
+// sorted view) is the caller's to fence — the list store drops every
+// view, mid-build ones included, once the rating is applied.
 func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *IngestScope {
 	// Order matters: swap means first, then bump epochs, then drop.
 	// Any fill that read the old means started before the bump and is
@@ -91,10 +85,7 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 	}
 	dropped := make([]int, len(p.parts))
 
-	scope := &IngestScope{Stale: map[dataset.UserID]struct{}{u: {}}}
-	for _, pp := range p.parts {
-		pp.staleFills(scope.Stale)
-	}
+	scope := &IngestScope{}
 	// The rater's own neighborhood always drops: every sim of u
 	// changed.
 	if p.dropNeighborhood(u) {
@@ -126,7 +117,6 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 	scope.Rechecked = rechecked
 	for _, v := range staleUsers {
 		dropped[p.sm.Of(int64(v))]++
-		scope.Stale[v] = struct{}{}
 	}
 
 	// Snapshot-restored neighborhoods carry no co-rater lists, so the
@@ -144,7 +134,6 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 		// the rater path) already removed it.
 		if p.dropNeighborhood(v) {
 			dropped[p.sm.Of(int64(v))]++
-			scope.Stale[v] = struct{}{}
 		}
 	}
 
@@ -157,27 +146,6 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 	return scope
 }
 
-// staleFills adds to stale the users whose neighborhood fill straddles
-// the epoch bump just made: the fills still in flight, and the ones the
-// fence has turned away since the last ingest asked. Their callers hold
-// a pre-ingest neighborhood no recheck will ever see. A fill that began
-// after the bump is listed too if it is still running; that costs one
-// spurious drop and is never wrong.
-func (pp *predictorPart) staleFills(stale map[dataset.UserID]struct{}) {
-	for i := range pp.shards {
-		sh := &pp.shards[i]
-		sh.mu.Lock()
-		for v := range sh.filling {
-			stale[v] = struct{}{}
-		}
-		for _, v := range sh.fenced {
-			stale[v] = struct{}{}
-		}
-		sh.fenced = nil
-		sh.mu.Unlock()
-	}
-}
-
 // recheckCandidates verifies every candidate's cached neighborhood
 // against the ingesting user u, dropping the stale ones, and reports
 // how many were actually rechecked (cached) plus the dropped users in
@@ -187,9 +155,8 @@ func (pp *predictorPart) staleFills(stale map[dataset.UserID]struct{}) {
 // index — so they run on a bounded pool when one is configured,
 // bucketed by shard part (or cache stripe in a 1-part world) to keep
 // concurrent workers off each other's locks. Verdicts land in
-// per-candidate slots and are merged in candidate order, so counters,
-// the stale set, and every served byte are identical to the serial
-// path's.
+// per-candidate slots and are merged in candidate order, so counters
+// and every served byte are identical to the serial path's.
 func (p *Predictor) recheckCandidates(candidates []dataset.UserID, u dataset.UserID) (rechecked int, staleUsers []dataset.UserID) {
 	if len(candidates) == 0 {
 		return 0, nil
@@ -340,9 +307,8 @@ func (pp *predictorPart) cachedNeighborhoods() int {
 // NoteIngest is the drop-everything counterpart of NoteIngestScoped:
 // the fallback means are recomputed and swapped, every cached
 // neighborhood is dropped (with the reverse dependency index reset to
-// match), and u's cached norm is dropped. Kept as the explicitly
-// configured baseline and for callers that cannot bound the rating's
-// reach.
+// match), and u's cached norm is dropped. Kept as the reference the
+// scoped path is tested against.
 func (p *Predictor) NoteIngest(u dataset.UserID) {
 	// Order matters: swap means first, then bump epochs, then clear.
 	// Any fill that read the old means started before the bump and is
@@ -361,7 +327,6 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 			if len(sh.coraters) > 0 {
 				sh.coraters = make(map[dataset.UserID][]dataset.UserID)
 			}
-			sh.fenced = nil // nobody is told who is stale here: everything drops
 			sh.mu.Unlock()
 		}
 		pp.counters.invalidate(cleared)

@@ -47,6 +47,16 @@ func warmNeighbors(p *Predictor, users ...dataset.UserID) map[dataset.UserID][]N
 	return out
 }
 
+// cached reports whether u's neighborhood is resident, without filling
+// it.
+func cached(p *Predictor, u dataset.UserID) bool {
+	sh := &p.part(u).shards[shardIndex(uint64(u))]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	_, ok := sh.neighbors[u]
+	return ok
+}
+
 // TestNoteIngestScopedRetainsIndependentNeighborhoods pins the core
 // retention contract: an ingest by u0 drops u0 and the dependents whose
 // top-k contains u0, retains the users that share no item with u0 —
@@ -62,9 +72,10 @@ func TestNoteIngestScopedRetainsIndependentNeighborhoods(t *testing.T) {
 	applyRating(t, s, 0, 3, 5) // u0 rates item 3 (co-rated by u1)
 	scope := p.NoteIngestScoped(0, 3)
 
-	wantStale := map[dataset.UserID]struct{}{0: {}, 1: {}, 2: {}}
-	if !reflect.DeepEqual(scope.Stale, wantStale) {
-		t.Errorf("Stale = %v, want %v", scope.Stale, wantStale)
+	for u, want := range map[dataset.UserID]bool{0: false, 1: false, 2: false, 3: true, 4: true} {
+		if got := cached(p, u); got != want {
+			t.Errorf("user %d resident after the ingest = %v, want %v", u, got, want)
+		}
 	}
 	if scope.Dropped != 3 || scope.Retained != 2 {
 		t.Errorf("scope = %d dropped / %d retained, want 3 / 2", scope.Dropped, scope.Retained)
@@ -108,11 +119,11 @@ func TestNoteIngestScopedDropsNewlyEnteringRater(t *testing.T) {
 	warmNeighbors(p, 3, 4)
 
 	applyRating(t, s, 0, 10, 5) // u0's first overlap with u3 and u4
-	scope := p.NoteIngestScoped(0, 10)
+	p.NoteIngestScoped(0, 10)
 
 	for _, u := range []dataset.UserID{3, 4} {
-		if _, ok := scope.Stale[u]; !ok {
-			t.Errorf("user %d missing from stale set after the rater entered its neighborhood", u)
+		if cached(p, u) {
+			t.Errorf("user %d still resident after the rater entered its neighborhood", u)
 		}
 	}
 	cold, err := NewPredictor(s, 10)
@@ -126,14 +137,12 @@ func TestNoteIngestScopedDropsNewlyEnteringRater(t *testing.T) {
 	}
 }
 
-// TestNoteIngestScopedReportsStraddlingFills pins the half of the epoch
-// fence that faces the fill's caller: a neighborhood fill in flight
-// when a rating lands is kept out of the cache, but whoever asked for
-// it still predicts from the pre-ingest neighborhood it returns, and no
-// recheck ever sees that neighborhood. The ingest must therefore report
-// the user stale — while the fill runs, and, for a fill the fence turned
-// away before an ingest got to ask, at the next ingest.
-func TestNoteIngestScopedReportsStraddlingFills(t *testing.T) {
+// TestNoteIngestScopedFencesStraddlingFills pins the epoch fence: a
+// neighborhood fill in flight when a rating lands hands its caller what
+// it computed — whatever that caller builds on it is the caller's to
+// drop, which the list store does by dropping every view — and is kept
+// out of the cache, so the next lookup computes post-ingest state.
+func TestNoteIngestScopedFencesStraddlingFills(t *testing.T) {
 	s := scopedStore(t)
 	p, err := NewPredictor(s, 10)
 	if err != nil {
@@ -142,50 +151,30 @@ func TestNoteIngestScopedReportsStraddlingFills(t *testing.T) {
 	// u3 shares no item with the rater u0: cached, its neighborhood is
 	// retained without a recheck. Here its fill is in flight instead,
 	// begun the way Neighbors begins one, before the rating lands.
-	pp := p.part(3)
-	sh := &pp.shards[shardIndex(3)]
-	sh.mu.Lock()
-	sh.filling[3]++
-	sh.mu.Unlock()
-	epoch := pp.epoch.Load()
+	epoch := p.part(3).epoch.Load()
 	preIngest := []Neighbor{{User: 4, Sim: 1}}
 
 	applyRating(t, s, 0, 3, 5)
-	if scope := p.NoteIngestScoped(0, 3); !hasUser(scope.Stale, 3) {
-		t.Errorf("Stale = %v lacks user 3, whose fill straddles the ingest", scope.Stale)
-	}
+	p.NoteIngestScoped(0, 3)
 
 	// The fill ends after the ingest: its caller gets what it computed,
-	// the cache does not.
+	// the cache does not, and its reverse-index edges are released.
 	if got := p.finishFill(3, preIngest, []dataset.UserID{4}, epoch); !reflect.DeepEqual(got, preIngest) {
 		t.Errorf("fenced fill returned %v, want its own %v", got, preIngest)
 	}
 	if st := p.Stats(); st.Size != 0 {
 		t.Errorf("fenced fill was cached: %d resident neighborhoods", st.Size)
 	}
-	sh.mu.RLock()
-	inFlight := len(sh.filling)
-	sh.mu.RUnlock()
-	if inFlight != 0 {
-		t.Errorf("%d fills still announced after the only one ended", inFlight)
+	if got := p.deps.dependentsOf(4); got != nil {
+		t.Errorf("fenced fill left reverse-index edges behind: dependentsOf(4) = %v", got)
 	}
-
-	// Fenced with no ingest looking (in production: between an ingest's
-	// epoch bump and its look at the fills), it is reported by the next
-	// ingest — once.
-	applyRating(t, s, 0, 4, 2)
-	if scope := p.NoteIngestScoped(0, 4); !hasUser(scope.Stale, 3) {
-		t.Errorf("Stale = %v lacks user 3, fenced since the last ingest", scope.Stale)
+	cold, err := NewPredictor(s, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	applyRating(t, s, 0, 5, 2)
-	if scope := p.NoteIngestScoped(0, 5); hasUser(scope.Stale, 3) {
-		t.Errorf("Stale = %v still reports user 3, whose fenced fill was already reported", scope.Stale)
+	if got, want := p.Neighbors(3), cold.Neighbors(3); !reflect.DeepEqual(got, want) {
+		t.Errorf("post-fence Neighbors(3) = %v, want cold %v", got, want)
 	}
-}
-
-func hasUser(set map[dataset.UserID]struct{}, u dataset.UserID) bool {
-	_, ok := set[u]
-	return ok
 }
 
 // TestNoteIngestScopedRetainsWhenRaterDoesNotRank pins the recheck's
@@ -210,8 +199,8 @@ func TestNoteIngestScopedRetainsWhenRaterDoesNotRank(t *testing.T) {
 
 	applyRating(t, s, 0, 21, 5) // changes sim(5, 0), but below the twin's 1.0
 	scope := p.NoteIngestScoped(0, 21)
-	if _, stale := scope.Stale[5]; stale {
-		t.Errorf("u5 marked stale although the rater cannot enter its top-1")
+	if !cached(p, 5) {
+		t.Errorf("u5 dropped although the rater cannot enter its top-1")
 	}
 	if scope.Retained == 0 {
 		t.Errorf("scope retained nothing; want u5's neighborhood kept")
@@ -277,8 +266,7 @@ func TestDepIndexRefcounts(t *testing.T) {
 
 // TestRestoreNeighborhoodsDroppedOnFirstScopedIngest pins the
 // conservative warm-restart contract: restored neighborhoods carry no
-// dependency metadata, so the first scoped ingest drops them all and
-// includes them in the stale set (their rows and views must drop too).
+// dependency metadata, so the first scoped ingest drops them all.
 func TestRestoreNeighborhoodsDroppedOnFirstScopedIngest(t *testing.T) {
 	s := scopedStore(t)
 	warmP, err := NewPredictor(s, 10)
@@ -298,10 +286,8 @@ func TestRestoreNeighborhoodsDroppedOnFirstScopedIngest(t *testing.T) {
 
 	applyRating(t, s, 0, 3, 5) // reaches neither u3 nor u4
 	scope := cold.NoteIngestScoped(0, 3)
-	for _, u := range []dataset.UserID{3, 4} {
-		if _, ok := scope.Stale[u]; !ok {
-			t.Errorf("restored user %d not in stale set; scoped ingest must drop dep-less entries", u)
-		}
+	if scope.Dropped != 2 {
+		t.Errorf("first scoped ingest dropped %d, want the 2 dep-less restored entries", scope.Dropped)
 	}
 	if got := cold.CachedNeighborhoods(); got != 0 {
 		t.Errorf("%d neighborhoods resident after the first scoped ingest, want 0", got)
@@ -346,10 +332,9 @@ func TestItemPredictorNoteIngestScoped(t *testing.T) {
 	}
 }
 
-// TestTimeWeightedRefreshScoped pins the clock contract: an older
-// rating leaves the reference timestamp (and the scoped path) intact; a
-// newer one moves it and demands the full drop.
-func TestTimeWeightedRefreshScoped(t *testing.T) {
+// TestTimeWeightedRefresh pins the clock contract: an older rating
+// leaves the reference timestamp intact; a newer one moves it.
+func TestTimeWeightedRefresh(t *testing.T) {
 	s := dataset.NewStore()
 	for _, r := range []dataset.Rating{
 		{User: 0, Item: 1, Value: 4, Time: 100},
@@ -372,18 +357,14 @@ func TestTimeWeightedRefreshScoped(t *testing.T) {
 	if err := s.Apply(dataset.Rating{User: 0, Item: 2, Value: 5, Time: 150}); err != nil {
 		t.Fatal(err)
 	}
-	if tw.RefreshScoped() {
-		t.Errorf("RefreshScoped reported a clock move for a back-dated rating")
-	}
+	tw.Refresh()
 	if tw.Now() != 200 {
 		t.Errorf("Now = %d, want 200", tw.Now())
 	}
 	if err := s.Apply(dataset.Rating{User: 1, Item: 2, Value: 5, Time: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if !tw.RefreshScoped() {
-		t.Errorf("RefreshScoped missed the clock advance")
-	}
+	tw.Refresh()
 	if tw.Now() != 300 {
 		t.Errorf("Now = %d, want 300", tw.Now())
 	}

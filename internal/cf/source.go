@@ -34,66 +34,14 @@ type BatchInto interface {
 	PredictBatchInto(u dataset.UserID, items []dataset.ItemID, dst []float64)
 }
 
-// RowDeps records which entries of a predicted row fell through to the
-// mean-fallback ladder — the dependency metadata scoped invalidation
-// needs. An entry that is covered by the user's own rating or by
-// neighbor evidence depends only on the user's neighborhood (tracked by
-// the reverse dependency index); an entry that fell to a mean depends
-// on that mean, which shifts on every ingest of its item (item mean) or
-// on any ingest at all (global mean).
-type RowDeps struct {
-	// FallbackItems and FallbackPos pair each fallback entry's item
-	// with its position in the predicted slice (duplicated candidates
-	// produce one pair per position). Both are nil when every entry was
-	// covered — the common case, costing nothing.
-	FallbackItems []dataset.ItemID
-	FallbackPos   []int32
-	// UsedGlobal reports that at least one entry fell all the way to
-	// the global mean (its item had no ratings at all); such a row is
-	// stale after every ingest.
-	UsedGlobal bool
-}
-
-// Fallback records one fallback entry.
-func (d *RowDeps) fallback(it dataset.ItemID, pos int, global bool) {
-	d.FallbackItems = append(d.FallbackItems, it)
-	d.FallbackPos = append(d.FallbackPos, int32(pos))
-	if global {
-		d.UsedGlobal = true
-	}
-}
-
-// DependsOn reports whether the row has a fallback entry for item it.
-func (d *RowDeps) DependsOn(it dataset.ItemID) bool {
-	for _, f := range d.FallbackItems {
-		if f == it {
-			return true
-		}
-	}
-	return false
-}
-
-// DepsSource is the optional Source extension scoped invalidation
-// requires: PredictBatchDeps is PredictBatch that also reports the
-// row's fallback dependencies, bit-identical to the plain path. The
-// sorted-list store records the metadata at build time so an ingest can
-// prove most views untouched instead of dropping them.
-type DepsSource interface {
-	Source
-	PredictBatchDeps(u dataset.UserID, items []dataset.ItemID) ([]float64, RowDeps)
-}
-
 // Compile-time checks: every predictor is a full batch-capable Source.
 var (
-	_ Source     = (*Predictor)(nil)
-	_ Source     = (*ItemPredictor)(nil)
-	_ Source     = (*TimeWeightedPredictor)(nil)
-	_ BatchInto  = (*Predictor)(nil)
-	_ BatchInto  = (*ItemPredictor)(nil)
-	_ BatchInto  = (*TimeWeightedPredictor)(nil)
-	_ DepsSource = (*Predictor)(nil)
-	_ DepsSource = (*ItemPredictor)(nil)
-	_ DepsSource = (*TimeWeightedPredictor)(nil)
+	_ Source    = (*Predictor)(nil)
+	_ Source    = (*ItemPredictor)(nil)
+	_ Source    = (*TimeWeightedPredictor)(nil)
+	_ BatchInto = (*Predictor)(nil)
+	_ BatchInto = (*ItemPredictor)(nil)
+	_ BatchInto = (*TimeWeightedPredictor)(nil)
 )
 
 // batchSlots maps each position of items to an accumulation slot, one

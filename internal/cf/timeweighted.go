@@ -132,30 +132,6 @@ func (p *TimeWeightedPredictor) PredictBatchInto(u dataset.UserID, items []datas
 	})
 }
 
-// PredictBatchDeps is PredictBatch that also reports which entries fell
-// to the mean-fallback ladder (see DepsSource), bit-identical to the
-// plain path.
-func (p *TimeWeightedPredictor) PredictBatchDeps(u dataset.UserID, items []dataset.ItemID) ([]float64, RowDeps) {
-	now := p.now.Load()
-	out := make([]float64, len(items))
-	var deps RowDeps
-	p.base.batchIntoDeps(u, items, out, func(nb Neighbor, r dataset.Rating) float64 {
-		return nb.Sim * p.weightAt(now, r.Time)
-	}, &deps)
-	return out, deps
-}
-
-// RefreshScoped re-derives the reference timestamp and reports whether
-// it moved. A moved clock shifts every decay weight at once — every
-// view built from time-weighted predictions is stale, and the caller
-// must fall back to a full invalidation. An unmoved clock (the common
-// case: the new rating is not the newest in the store) leaves every
-// retained user's weights bit-identical, so the scoped path applies.
-func (p *TimeWeightedPredictor) RefreshScoped() (moved bool) {
-	now := maxRatingTime(p.base.store)
-	return p.now.Swap(now) != now
-}
-
 // ratingOf finds v's full rating record for item it.
 func (p *TimeWeightedPredictor) ratingOf(v dataset.UserID, it dataset.ItemID) (dataset.Rating, bool) {
 	for _, r := range p.base.store.ByUser(v) {

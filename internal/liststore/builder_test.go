@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cf"
 	"repro/internal/dataset"
 	"repro/internal/shard"
 )
@@ -47,7 +46,7 @@ func (b *scriptedBuilder) build(users []dataset.UserID) ([]*View, error) {
 		for p := range scores {
 			scores[p] = float64(u) + float64(p)/100
 		}
-		out[i] = NewView(scores, cf.RowDeps{}, true)
+		out[i] = NewView(scores)
 	}
 	return out, nil
 }
@@ -96,7 +95,7 @@ func TestAcquireMultiOneBuilderCallCarriesTheMisses(t *testing.T) {
 	}
 }
 
-// TestSweepUnlinksInFlightFetch pins the ingest fence: a scoped sweep
+// TestSweepUnlinksInFlightFetch pins the ingest fence: an ingest's sweep
 // that runs while a fetch is in flight unlinks the mid-build entry, so
 // the late result reaches the acquirers already waiting on it and is
 // never resident — the next acquire fetches again.
@@ -121,7 +120,7 @@ func TestSweepUnlinksInFlightFetch(t *testing.T) {
 		runtime.Gosched()
 	}
 
-	if dropped := s.InvalidateScoped(nil, 10, 0, false); dropped != 1 {
+	if dropped := s.InvalidateAll(); dropped != 1 {
 		t.Fatalf("sweep dropped %d entries, want the 1 mid-build", dropped)
 	}
 	close(b.gate)
@@ -223,24 +222,35 @@ func TestCapacityZeroNeverRetains(t *testing.T) {
 		if got := len(b.callLog()); got != 3 {
 			t.Errorf("shards=%d: builder calls = %d, want 3 (one per acquire)", shards, got)
 		}
-		if dropped := s.InvalidateScoped(nil, 10, 0, false) + s.InvalidateAll(); dropped != 0 {
-			t.Errorf("shards=%d: sweeps dropped %d views from an empty store", shards, dropped)
+		if dropped := s.InvalidateAll(); dropped != 0 {
+			t.Errorf("shards=%d: sweep dropped %d views from an empty store", shards, dropped)
 		}
 	}
 }
 
-// TestAcquireMultiKeepsDepsThroughEviction is the regression test for
-// dependency metadata lost under eviction: on a one-slot part the
-// second member of a call evicts the first, and both views must still
-// come back with the metadata their build recorded (the old two-step
-// acquire-then-look-up reported the evicted one as unknown, and the
-// router dropped a patchable view on the next sweep).
-func TestAcquireMultiKeepsDepsThroughEviction(t *testing.T) {
-	src := &depsStub{deps: map[dataset.UserID]cf.RowDeps{
-		1: {FallbackItems: []dataset.ItemID{20}, FallbackPos: []int32{1}},
-		2: {FallbackItems: []dataset.ItemID{30}, FallbackPos: []int32{2}},
-	}}
-	s := New(src, testPool(4), 1, 5)
+// TestInvalidateAllDropsMidBuildEntries pins the nil-view branch of the
+// sweep white-box: an entry whose build has not settled is unlinked and
+// counted like a settled one.
+func TestInvalidateAllDropsMidBuildEntries(t *testing.T) {
+	s := New(&stubSource{}, testPool(4), 8, 5)
+	p := s.part(7)
+	p.mu.Lock()
+	p.entries[7] = &userEntry{} // registered, build not yet settled
+	p.ring = append(p.ring, 7)
+	p.mu.Unlock()
+	if dropped := s.InvalidateAll(); dropped != 1 {
+		t.Errorf("sweep dropped %d mid-build entries, want 1", dropped)
+	}
+	if s.Len() != 0 || len(p.ring) != 0 {
+		t.Errorf("mid-build entry survived the sweep: %d resident, ring %v", s.Len(), p.ring)
+	}
+}
+
+// TestAcquireMultiServesMemberEvictedMidCall pins that a call's views
+// are its own: on a one-slot part the second member of a call evicts the
+// first, and both views still come back, each equal to a fresh build.
+func TestAcquireMultiServesMemberEvictedMidCall(t *testing.T) {
+	s := New(&stubSource{}, testPool(4), 1, 5)
 	views, err := s.AcquireMulti([]dataset.UserID{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -248,9 +258,13 @@ func TestAcquireMultiKeepsDepsThroughEviction(t *testing.T) {
 	if st := s.Stats(); st.Evictions != 1 || st.Size != 1 {
 		t.Fatalf("stats = %+v, want the first member evicted by the second", st)
 	}
+	fresh, err := s.build([]dataset.UserID{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, u := range []dataset.UserID{1, 2} {
-		if !views[i].DepsKnown || !reflect.DeepEqual(views[i].Deps, src.deps[u]) {
-			t.Errorf("user %d: deps = %+v (known %v), want %+v", u, views[i].Deps, views[i].DepsKnown, src.deps[u])
+		if !reflect.DeepEqual(views[i], fresh[i]) {
+			t.Errorf("user %d: view = %+v, want a fresh build's %+v", u, views[i], fresh[i])
 		}
 	}
 }

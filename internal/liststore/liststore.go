@@ -11,9 +11,9 @@
 // engine asks it for (view, pool→candidate mapping) pairs, falls back
 // to dense assembly when the store is disabled, and routes only the
 // uncovered remainder of a candidate slice (the patch set) through the
-// predictor. Views are immutable once built; rating ingest must
-// Invalidate the affected users, which drops their views for rebuild on
-// next use. See DESIGN.md's "Sorted-list store" section.
+// predictor. Views are immutable once built; a rating ingest drops all
+// of them (InvalidateAll) for rebuild on next use. See DESIGN.md's
+// "Sorted-list store" section.
 //
 // How a missing view is materialized is the store's one seam, the
 // Builder: in-process it predicts and sorts (LocalBuilder), on a
@@ -59,13 +59,6 @@ type View struct {
 	// Sorted holds the same scores in canonical order (descending
 	// value, ascending pool position on ties).
 	Sorted *core.SortedView
-	// Deps is the dependency metadata the build recorded: which pool
-	// positions fell to the mean-fallback ladder. DepsKnown is false
-	// when the builder could not report it (a non-DepsSource, or a
-	// snapshot restore — snapshots persist scores only); such views are
-	// conservatively dropped by scoped sweeps.
-	Deps      cf.RowDeps
-	DepsKnown bool
 }
 
 // Builder materializes the views of users, in order — every miss of
@@ -97,19 +90,11 @@ type Stats struct {
 	ViewHits   uint64 `json:"view_hits"`
 	ViewBuilds uint64 `json:"view_builds"`
 	Rebuilds   uint64 `json:"rebuilds"`
-	// Invalidations counts Invalidate calls that dropped a view;
-	// Evictions counts views dropped by capacity pressure.
+	// Invalidations counts views dropped by Invalidate or InvalidateAll
+	// (every resident view, on each rating ingest); Evictions counts
+	// views dropped by capacity pressure.
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
-	// Retained counts views a scoped invalidation proved independent of
-	// the ingested rating and kept warm; Patched is the subset of
-	// retained views that had the new item mean spliced into their
-	// fallback entries in place of a rebuild. A drop-everything
-	// invalidation retains and patches nothing, so Retained vs
-	// Invalidations measures how much view heat ingest traffic
-	// preserves.
-	Retained uint64 `json:"retained"`
-	Patched  uint64 `json:"patched"`
 	// WarmLoads counts views installed from a snapshot restore instead
 	// of built — the warm-restart observability hook.
 	WarmLoads uint64 `json:"warm_loads"`
@@ -133,8 +118,6 @@ type ShardStats struct {
 	Rebuilds      uint64 `json:"rebuilds"`
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
-	Retained      uint64 `json:"retained"`
-	Patched       uint64 `json:"patched"`
 	WarmLoads     uint64 `json:"warm_loads"`
 	Size          int    `json:"size"`
 	MaxUsers      int    `json:"max_users"`
@@ -142,10 +125,10 @@ type ShardStats struct {
 
 // userEntry tracks one user's view slot. The acquirer that inserted it
 // builds the view and closes done; everyone else finding it mid-build
-// waits on done. view is atomic because scoped invalidation reads (and
-// patches) it under the part lock while the builder publishes it
-// without — an entry with a nil view is still mid-build, or failed with
-// err (written before done closes).
+// waits on done. view is atomic because acquirers and exports read it
+// while the builder publishes it without the part lock — an entry with
+// a nil view is still mid-build, or failed with err (written before
+// done closes).
 type userEntry struct {
 	done chan struct{}
 	view atomic.Pointer[View]
@@ -171,8 +154,6 @@ type storePart struct {
 	rebuilds      atomic.Uint64
 	invalidations atomic.Uint64
 	evictions     atomic.Uint64
-	retained      atomic.Uint64
-	patched       atomic.Uint64
 	warmLoads     atomic.Uint64
 }
 
@@ -255,8 +236,7 @@ func NewOver(build Builder, pool []dataset.ItemID, capacity int, divisor float64
 }
 
 // LocalBuilder is the in-process Builder: per user, one batch prediction
-// over pool (with its dependency metadata when src reports it),
-// normalized by divisor, plus one canonical sort (linear; the
+// over pool, normalized by divisor, plus one canonical sort (linear; the
 // prediction dominates) — the pay-once cost the store amortizes. The
 // users of one call build concurrently over at most workers goroutines
 // (GOMAXPROCS if <= 0; 1 builds sequentially).
@@ -264,22 +244,12 @@ func LocalBuilder(src cf.Source, pool []dataset.ItemID, divisor float64, workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	deps, _ := src.(cf.DepsSource)
 	one := func(u dataset.UserID) *View {
-		var (
-			raw []float64
-			rd  cf.RowDeps
-		)
-		if deps != nil {
-			raw, rd = deps.PredictBatchDeps(u, pool)
-		} else {
-			raw = src.PredictBatch(u, pool)
-		}
-		scores := make([]float64, len(raw))
-		for i, v := range raw {
+		scores := src.PredictBatch(u, pool)
+		for i, v := range scores {
 			scores[i] = v / divisor
 		}
-		return NewView(scores, rd, deps != nil)
+		return NewView(scores)
 	}
 	return func(users []dataset.UserID) ([]*View, error) {
 		out := make([]*View, len(users))
@@ -335,11 +305,11 @@ func (s *Store) Acquire(u dataset.UserID) (*View, error) {
 //
 // A miss links a mid-build entry under the part lock before anything is
 // built: concurrent acquirers of the same user find it and wait instead
-// of building twice, and a scoped sweep that cannot prove anything about
-// a mid-build entry unlinks it — the view its builder then delivers
-// reaches the callers already waiting and nobody else. That unlink is
-// the whole ingest fence: a build in flight across an ingest's sweep
-// never becomes resident. A call builds its own misses
+// of building twice, and an ingest's sweep unlinks a mid-build entry
+// like any other — the view its builder then delivers reaches the
+// callers already waiting and nobody else. That unlink is the whole
+// ingest fence: a build in flight across an ingest's sweep never
+// becomes resident. A call builds its own misses
 // before it waits on anyone else's, so calls over overlapping groups
 // cannot deadlock. A builder error is returned as is, to this call and
 // to every waiter of the entries it covered, and leaves nothing
@@ -474,15 +444,15 @@ func (p *storePart) evictLocked() {
 	}
 }
 
-// viewFromScores derives the canonical sorted side of a view from its
-// dense normalized scores, with no dependency metadata. The canonical
-// order is a strict total order on (score, pool position), so the
-// sorted side is a function of the scores alone — not of which sort
+// NewView builds a view from its dense pool-order normalized scores —
+// what a Builder returns — deriving the canonical sorted side. The
+// canonical order is a strict total order on (score, pool position), so
+// the sorted side is a function of the scores alone — not of which sort
 // produced it, or where: a restored or fetched view is bit-identical to
 // one built in place, which is why snapshots and the wire only carry
 // the score vectors. The sort is core.SortCanonical's distribution
 // kernel, O(len(scores)) on score-shaped input.
-func viewFromScores(scores []float64) *View {
+func NewView(scores []float64) *View {
 	entries := make([]core.Entry, len(scores))
 	for p, v := range scores {
 		entries[p] = core.Entry{Key: p, Value: v}
@@ -491,19 +461,9 @@ func viewFromScores(scores []float64) *View {
 	return &View{Scores: scores, Sorted: &core.SortedView{Entries: entries}}
 }
 
-// NewView builds a view from its dense pool-order normalized scores
-// and the dependency metadata its build recorded — what a Builder
-// returns.
-func NewView(scores []float64, deps cf.RowDeps, depsKnown bool) *View {
-	v := viewFromScores(scores)
-	v.Deps, v.DepsKnown = deps, depsKnown
-	return v
-}
-
-// Invalidate drops u's view (rating ingest must call this for every
-// user whose preferences changed; the next Acquire rebuilds). Only u's
-// shard part is locked. It reports whether a view was actually
-// dropped.
+// Invalidate drops u's view alone (the next Acquire rebuilds) — targeted
+// cache management, not the ingest hook. Only u's shard part is locked.
+// It reports whether a view was actually dropped.
 func (s *Store) Invalidate(u dataset.UserID) bool {
 	p := s.part(u)
 	p.mu.Lock()
@@ -518,13 +478,13 @@ func (s *Store) Invalidate(u dataset.UserID) bool {
 	return true
 }
 
-// InvalidateAll drops every materialized view — the coherent ingest
-// hook for events that change every user's preferences at once (any
-// rating ingest shifts every user's neighborhood and therefore every
-// view). Subsequent Acquires rebuild, counted as rebuilds. Returns the
-// number of views dropped. In-flight builds are unaffected: their
-// entry objects are unlinked here, so whatever they finish computing
-// is returned to their callers but never served again.
+// InvalidateAll drops every materialized view — the one thing a rating
+// ingest does to the store: a rating shifts the fallback means and can
+// reach any user's neighborhood, and no view is re-read often enough
+// between ratings to be worth proving untouched. Subsequent Acquires
+// rebuild, counted as rebuilds. Returns the number of entries dropped.
+// In-flight builds are unlinked with the rest, so whatever they finish
+// computing is returned to their callers but never served again.
 func (s *Store) InvalidateAll() int {
 	n := 0
 	for _, p := range s.parts {
@@ -541,109 +501,6 @@ func (s *Store) InvalidateAll() int {
 		n += dropped
 	}
 	return n
-}
-
-// InvalidateScoped drops exactly the materialized views an ingest of
-// item it with the given stale-user set can reach, retaining every
-// other view warm. A view drops when its user is stale (the
-// predictor's post-recheck verdict), when it is mid-build or carries
-// no dependency metadata (nothing can be proven about it), or when it
-// touched the global mean, which shifts on every ingest. A retained
-// view whose fallback entries cover it itself is patched in place: the
-// post-ingest item mean (patch, raw — the store applies its own
-// divisor, the same operation a rebuild would) is spliced into the
-// dense scores and moved within the sorted side by binary search under
-// the canonical order, which is total (value desc, pool position asc),
-// so the spliced sequence is bit-identical to a full re-sort. Returns
-// the number of views dropped.
-func (s *Store) InvalidateScoped(stale map[dataset.UserID]struct{}, it dataset.ItemID, patch float64, havePatch bool) int {
-	patchScore := patch / s.divisor
-	n := 0
-	for _, p := range s.parts {
-		p.mu.Lock()
-		dropped, patched := 0, 0
-		keptRing := p.ring[:0]
-		for _, u := range p.ring {
-			e := p.entries[u]
-			v := e.view.Load()
-			_, isStale := stale[u]
-			switch {
-			case isStale, v == nil, !v.DepsKnown, v.Deps.UsedGlobal:
-				delete(p.entries, u)
-				p.invalidated[u] = true
-				dropped++
-				continue
-			case v.Deps.DependsOn(it):
-				if !havePatch {
-					delete(p.entries, u)
-					p.invalidated[u] = true
-					dropped++
-					continue
-				}
-				e.view.Store(patchView(v, it, patchScore))
-				patched++
-			}
-			keptRing = append(keptRing, u)
-		}
-		if dropped > 0 {
-			p.ring = keptRing
-			p.hand = 0
-		}
-		kept := len(keptRing)
-		p.mu.Unlock()
-		p.invalidations.Add(uint64(dropped))
-		p.patched.Add(uint64(patched))
-		p.retained.Add(uint64(kept))
-		n += dropped
-	}
-	return n
-}
-
-// patchView returns a copy of v with patchScore spliced into every
-// fallback position of item it: the dense score is overwritten and the
-// matching sorted entry is moved to its new canonical slot by binary
-// search — two O(log n) searches and one memmove per changed entry
-// instead of an O(n log n) re-sort.
-func patchView(v *View, it dataset.ItemID, patchScore float64) *View {
-	scores := append([]float64(nil), v.Scores...)
-	entries := append([]core.Entry(nil), v.Sorted.Entries...)
-	for di, f := range v.Deps.FallbackItems {
-		if f != it {
-			continue
-		}
-		pos := int(v.Deps.FallbackPos[di])
-		old := scores[pos]
-		if old == patchScore {
-			continue
-		}
-		scores[pos] = patchScore
-		i := searchCanonical(entries, old, pos)        // current slot of (old, pos)
-		j := searchCanonical(entries, patchScore, pos) // target slot of (new, pos)
-		moved := core.Entry{Key: pos, Value: patchScore}
-		if j > i {
-			copy(entries[i:], entries[i+1:j])
-			entries[j-1] = moved
-		} else {
-			copy(entries[j+1:i+1], entries[j:i])
-			entries[j] = moved
-		}
-	}
-	// The positions still fall back, now to the new mean.
-	return &View{Scores: scores, Sorted: &core.SortedView{Entries: entries}, Deps: v.Deps, DepsKnown: true}
-}
-
-// searchCanonical returns the index of (val, key) in a canonically
-// sorted entry slice — its current slot if present, its insertion
-// point otherwise. The canonical order (value descending, key
-// ascending on ties) is total over distinct keys, so the position is
-// unique.
-func searchCanonical(es []core.Entry, val float64, key int) int {
-	return sort.Search(len(es), func(i int) bool {
-		if es[i].Value != val {
-			return es[i].Value < val
-		}
-		return es[i].Key >= key
-	})
 }
 
 // UserView is one user's view in export form: only the dense score
@@ -696,10 +553,7 @@ func (s *Store) RestoreViews(views []UserView) int {
 		}
 		e := &userEntry{}
 		e.ref.Store(true)
-		// Restored views carry no dependency metadata (snapshots persist
-		// scores only): DepsKnown stays false, so the first scoped
-		// invalidation drops them rather than wrongly retaining them.
-		e.view.Store(viewFromScores(uv.Scores))
+		e.view.Store(NewView(uv.Scores))
 		p.entries[uv.User] = e
 		p.ring = append(p.ring, uv.User)
 		delete(p.invalidated, uv.User)
@@ -758,8 +612,6 @@ func (p *storePart) statsOf() ShardStats {
 		Rebuilds:      p.rebuilds.Load(),
 		Invalidations: p.invalidations.Load(),
 		Evictions:     p.evictions.Load(),
-		Retained:      p.retained.Load(),
-		Patched:       p.patched.Load(),
 		WarmLoads:     p.warmLoads.Load(),
 		Size:          size,
 		MaxUsers:      p.maxUsers,
@@ -800,8 +652,6 @@ func (s *Store) StatsFrom(parts []ShardStats) Stats {
 		st.Rebuilds += ss.Rebuilds
 		st.Invalidations += ss.Invalidations
 		st.Evictions += ss.Evictions
-		st.Retained += ss.Retained
-		st.Patched += ss.Patched
 		st.WarmLoads += ss.WarmLoads
 		st.Size += ss.Size
 	}

@@ -102,7 +102,7 @@ func TestViewsMatchTheReferenceSort(t *testing.T) {
 		if !reflect.DeepEqual(v.Sorted.Entries, want) {
 			t.Errorf("view %d: built view diverges from the reference sort", i)
 		}
-		rebuilt := viewFromScores(slices.Clone(v.Scores))
+		rebuilt := NewView(slices.Clone(v.Scores))
 		if !reflect.DeepEqual(rebuilt.Sorted.Entries, want) {
 			t.Errorf("view %d: view rebuilt from scores diverges from the reference sort", i)
 		}

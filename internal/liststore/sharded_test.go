@@ -121,3 +121,41 @@ func TestShardedStatsSum(t *testing.T) {
 		t.Errorf("test traffic exercised nothing: %+v", agg)
 	}
 }
+
+// TestShardedInvalidateAll pins the ingest sweep across shard parts:
+// every part empties, rings included, and the per-shard invalidation
+// counters sum to the total.
+func TestShardedInvalidateAll(t *testing.T) {
+	m, err := shard.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSharded(&stubSource{}, testPool(4), 32, 5, m)
+	for u := dataset.UserID(0); u < 8; u++ {
+		mustAcquire(s, u)
+	}
+	if dropped := s.InvalidateAll(); dropped != 8 {
+		t.Errorf("sharded sweep dropped %d views, want 8", dropped)
+	}
+	st := s.Stats()
+	if st.Invalidations != 8 || st.Size != 0 {
+		t.Errorf("stats = %d dropped / %d resident, want 8 / 0", st.Invalidations, st.Size)
+	}
+	var sum uint64
+	for i, sh := range s.StatsByShard() {
+		sum += sh.Invalidations
+		if sh.Size != 0 || len(s.parts[i].ring) != 0 {
+			t.Errorf("shard %d kept %d views (ring %v) through the sweep", i, sh.Size, s.parts[i].ring)
+		}
+	}
+	if sum != st.Invalidations {
+		t.Errorf("per-shard invalidations sum to %d, total says %d", sum, st.Invalidations)
+	}
+	// The next acquire of every user is a rebuild.
+	for u := dataset.UserID(0); u < 8; u++ {
+		mustAcquire(s, u)
+	}
+	if st := s.Stats(); st.Rebuilds != 8 {
+		t.Errorf("rebuilds = %d after re-acquiring the 8 swept users, want 8", st.Rebuilds)
+	}
+}

@@ -94,7 +94,6 @@ func (c *ClientConfig) fill() {
 // opNames are the wire ops' stats keys (the /v1/stats remote section).
 var opNames = map[uint8]string{
 	opApply:        "apply",
-	opInvalidate:   "invalidate",
 	opStats:        "stats",
 	opViewMulti:    "view_multi",
 	opPredictMulti: "predict_multi",
@@ -644,26 +643,14 @@ func (c *Client) gatherChunk(scores *[]float64, total, offset uint32, part []flo
 	return nil
 }
 
-// ViewResult is one user's fetched view: its pool-order scores plus
-// the mean-fallback dependencies the worker relayed (when known),
-// which the router's list store needs to patch the view through
-// scoped invalidation. FallbackPos are candidate-pool positions; the
-// router reconstructs the item IDs from its own pool, which is
-// bit-identical to the worker's.
-type ViewResult struct {
-	Scores      []float64
-	DepsKnown   bool
-	UsedGlobal  bool
-	FallbackPos []int32
-}
-
-// ViewScoresMulti fetches every listed user's view in one round trip,
-// gathering the interleaved per-user chunk frames into dense slices.
-func (c *Client) ViewScoresMulti(users []dataset.UserID) ([]ViewResult, error) {
+// ViewScoresMulti fetches every listed user's view — its pool-order
+// scores — in one round trip, gathering the interleaved per-user chunk
+// frames into dense slices.
+func (c *Client) ViewScoresMulti(users []dataset.UserID) ([][]float64, error) {
 	if len(users) == 0 {
 		return nil, nil
 	}
-	out := make([]ViewResult, len(users))
+	out := make([][]float64, len(users))
 	gather := func(p []byte) error {
 		chunk, err := decodeViewMultiChunk(p)
 		if err != nil {
@@ -672,16 +659,7 @@ func (c *Client) ViewScoresMulti(users []dataset.UserID) ([]ViewResult, error) {
 		if int(chunk.Index) >= len(users) {
 			return fmt.Errorf("%w: view chunk for user index %d of %d", ErrProtocol, chunk.Index, len(users))
 		}
-		r := &out[chunk.Index]
-		if err := c.gatherChunk(&r.Scores, chunk.Total, chunk.Offset, chunk.Scores); err != nil {
-			return err
-		}
-		if chunk.Flags&vmLastChunk != 0 {
-			r.DepsKnown = chunk.Flags&vmDepsKnown != 0
-			r.UsedGlobal = chunk.Flags&vmUsedGlobal != 0
-			r.FallbackPos = chunk.FallbackPos
-		}
-		return nil
+		return c.gatherChunk(&out[chunk.Index], chunk.Total, chunk.Offset, chunk.Scores)
 	}
 	last, err := c.call(opViewMulti, encodeViewMultiReq(viewMultiReq{Users: users}), true, gather)
 	if err != nil {
@@ -741,15 +719,6 @@ func (c *Client) Apply(seq uint64, r dataset.Rating) (ApplyAck, error) {
 		return ApplyAck{}, err
 	}
 	return decodeApplyAck(out)
-}
-
-// InvalidateUser drops u's view on the worker.
-func (c *Client) InvalidateUser(u dataset.UserID) (bool, error) {
-	out, err := c.call(opInvalidate, encodeUser(u), true, nil)
-	if err != nil {
-		return false, err
-	}
-	return decodeBool(out)
 }
 
 // ShardStats fetches the worker's per-owned-shard cache counters.
@@ -927,12 +896,12 @@ func (s *ShardSet) bucketByOwner(users []dataset.UserID) map[*Client][]int {
 // owning worker — O(workers) round trips per group assembly instead
 // of O(members) — scattering the per-worker batches concurrently and
 // gathering results back into request order.
-func (s *ShardSet) ViewScoresMulti(users []dataset.UserID) ([]ViewResult, error) {
+func (s *ShardSet) ViewScoresMulti(users []dataset.UserID) ([][]float64, error) {
 	if len(users) == 0 {
 		return nil, nil
 	}
 	buckets := s.bucketByOwner(users)
-	out := make([]ViewResult, len(users))
+	out := make([][]float64, len(users))
 	errs := make([]error, len(s.clients))
 	var wg sync.WaitGroup
 	for ci, cl := range s.clients {
@@ -1007,21 +976,6 @@ func (s *ShardSet) PredictBatchMulti(users []dataset.UserID, items []dataset.Ite
 	return out, nil
 }
 
-// ApplyScope is the fanout's scoped-invalidation verdict for the
-// router's list store. Scoped is true only when every attempted
-// delivery succeeded with a scoped ack — then Stale (sorted, deduped)
-// is the complete set of fetched views the rating could have touched
-// across all replicas, and the store may keep everything else warm.
-// Any failure, fence, or unscoped ack forces Scoped=false and a
-// wholesale drop. Workers already fenced before this apply are
-// excluded: the drop at their fencing apply already cleared their
-// users, and the fence gate keeps new views of theirs from being
-// fetched.
-type ApplyScope struct {
-	Scoped bool
-	Stale  []dataset.UserID
-}
-
 // Apply fans a sequence-stamped rating out to every worker — each
 // holds a full replica of the rating store, and a worker's
 // neighborhoods for its own users depend on every user's vector, so
@@ -1041,11 +995,10 @@ type ApplyScope struct {
 // error reports that the owner itself missed the write (and is now
 // fenced) — the rating is still durably delivered to every live
 // replica, so the caller decides whether that fails its ingest.
-func (s *ShardSet) Apply(seq uint64, r dataset.Rating) (ApplyAck, ApplyScope, error) {
+func (s *ShardSet) Apply(seq uint64, r dataset.Rating) (ApplyAck, error) {
 	owner := s.ownerOf(r.User)
 	acks := make([]ApplyAck, len(s.clients))
 	errs := make([]error, len(s.clients))
-	attempted := make([]bool, len(s.clients))
 	var wg sync.WaitGroup
 	for i, cl := range s.clients {
 		if cl.Fenced() {
@@ -1054,7 +1007,6 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) (ApplyAck, ApplyScope, er
 			}
 			continue
 		}
-		attempted[i] = true
 		wg.Add(1)
 		go func(i int, cl *Client) {
 			defer wg.Done()
@@ -1064,40 +1016,19 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) (ApplyAck, ApplyScope, er
 	wg.Wait()
 	var ack ApplyAck
 	var ownerErr error
-	scope := ApplyScope{Scoped: true}
-	staleSet := make(map[dataset.UserID]struct{})
 	for i, cl := range s.clients {
 		if err := errs[i]; err != nil && !cl.Fenced() {
 			cl.Fence(fmt.Sprintf("missed apply seq %d: %v", seq, err))
 			s.fanoutErrs.Add(1)
 		}
-		if attempted[i] {
-			switch {
-			case errs[i] != nil || !acks[i].Scoped:
-				scope.Scoped = false
-			default:
-				for _, u := range acks[i].Stale {
-					staleSet[u] = struct{}{}
-				}
-			}
-		}
 		if cl == owner {
 			ack, ownerErr = acks[i], errs[i]
 		}
 	}
-	if scope.Scoped {
-		scope.Stale = make([]dataset.UserID, 0, len(staleSet))
-		for u := range staleSet {
-			scope.Stale = append(scope.Stale, u)
-		}
-		sort.Slice(scope.Stale, func(i, j int) bool { return scope.Stale[i] < scope.Stale[j] })
-	} else {
-		scope.Stale = nil
-	}
 	if ownerErr != nil {
-		return ApplyAck{}, scope, ownerErr
+		return ApplyAck{}, ownerErr
 	}
-	return ack, scope, nil
+	return ack, nil
 }
 
 // FanoutErrors reports apply deliveries that failed (each such worker
@@ -1124,11 +1055,6 @@ func (s *ShardSet) LimitViewScores(n int) {
 	for _, cl := range s.clients {
 		cl.cfg.MaxViewScores = n
 	}
-}
-
-// InvalidateUser drops u's derived state on its owning worker.
-func (s *ShardSet) InvalidateUser(u dataset.UserID) (bool, error) {
-	return s.ownerOf(u).InvalidateUser(u)
 }
 
 // EmptyTransportStats is the zero activity snapshot with every op key

@@ -4,9 +4,9 @@
 // uses. A greca-shard worker owns the per-user hot state of the shards
 // assigned to it — rating arena replica, CF caches, sorted-list
 // sub-store — and serves the per-shard data-plane operations (view
-// fetch, batch predict, rating apply, invalidate, stats) to the
-// router, which scatters mixed-shard groups, gathers rows, and runs
-// the GRECA core locally. Sharding — local or remote — only moves
+// fetch, batch predict, rating apply, stats) to the router, which
+// scatters mixed-shard groups, gathers rows, and runs the GRECA core
+// locally. Sharding — local or remote — only moves
 // where state lives, never any computed value, so a router fronting N
 // worker processes serves byte-identical responses to the in-process
 // world at the same shard count.
@@ -44,12 +44,13 @@ import (
 //	crc     u32  CRC32 (IEEE) over header + payload
 const (
 	frameMagic = uint32(0x41435247) // "GRCA" little-endian
-	// frameVersion 3: worker-batched multi-user reads (opViewMulti,
-	// opPredictMulti), scoped-invalidation relay in apply acks, and the
-	// protocol version advertised in the hello ack. It is the only
-	// version spoken: router and workers deploy from one build, and a
-	// frame at any other version is ErrVersionSkew.
-	frameVersion = uint16(3)
+	// frameVersion 4: version 3 (worker-batched multi-user reads, the
+	// protocol version advertised in the hello ack) without the
+	// scoped-invalidation relay — a view chunk is scores only, an apply
+	// ack counters only — and without the per-user invalidate op. It is
+	// the only version spoken: router and workers deploy from one build,
+	// and a frame at any other version is ErrVersionSkew.
+	frameVersion = uint16(4)
 	frameHdrLen  = 4 + 2 + 1 + 1 + 8 + 4
 	frameCRCLen  = 4
 )
@@ -73,16 +74,16 @@ const (
 )
 
 // Operations of the per-shard data plane. Codes 1 and 2 were the
-// single-user reads the batched ops replaced; they stay retired.
+// single-user reads the batched ops replaced and 4 the per-user view
+// drop nothing called; they stay retired.
 const (
-	opApply      = uint8(3) // rating → apply + scoped invalidation + ack
-	opInvalidate = uint8(4) // user → drop view
-	opStats      = uint8(5) // () → per-owned-shard cache stats
+	opApply = uint8(3) // rating → apply + ack
+	opStats = uint8(5) // () → per-owned-shard cache stats
 
 	// Batched reads: one request carries every group member the worker
 	// owns, so an assembly costs one round trip per worker, not one per
 	// member.
-	opViewMulti    = uint8(6) // users → per-user view scores (+ deps)
+	opViewMulti    = uint8(6) // users → per-user view scores
 	opPredictMulti = uint8(7) // (users, items) → per-user predictions
 )
 

@@ -81,7 +81,7 @@ func TestFrameBadMagic(t *testing.T) {
 // TestFrameVersionSkew: a peer from a different build — newer, or the
 // retired version 2 — is refused frame by frame.
 func TestFrameVersionSkew(t *testing.T) {
-	for _, v := range []uint16{frameVersion + 1, 2} {
+	for _, v := range []uint16{frameVersion + 1, 3, 2} {
 		raw := encodeFrameBytes(t, frame{kind: kindResult, seq: 1})
 		binary.LittleEndian.PutUint16(raw[4:], v)
 		if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersionSkew) {
@@ -134,27 +134,23 @@ func TestWireShortPayloads(t *testing.T) {
 	full := map[string][]byte{
 		"hello":    encodeHello(hello{Fingerprint: 1, Shards: 2}),
 		"helloAck": encodeHelloAck([]int{0, 1, 2}, frameVersion),
-		"user":     encodeUser(7),
 		"viewReq":  encodeViewMultiReq(viewMultiReq{Users: []dataset.UserID{3, 9}}),
-		"chunk":    encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 0, Flags: vmLastChunk | vmDepsKnown, Scores: []float64{1, 2}, FallbackPos: []int32{0, 3}}),
+		"chunk":    encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 0, Scores: []float64{1, 2}}),
 		"predict":  encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{3}, Items: []dataset.ItemID{1, 2, 3}}),
 		"row":      encodePredictMultiRow(predictMultiRow{Index: 2, Values: []float64{1, 2, 3}}),
 		"apply":    encodeApplyReq(applyReq{Seq: 9, Rating: dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4}}),
-		"ack":      encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4, Scoped: true, Stale: []dataset.UserID{5}}),
-		"bool":     encodeBool(true),
+		"ack":      encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4}),
 		"appError": encodeAppError("internal", "msg"),
 	}
 	decode := map[string]func([]byte) error{
 		"hello":    func(p []byte) error { _, err := decodeHello(p); return err },
 		"helloAck": func(p []byte) error { _, _, err := decodeHelloAck(p); return err },
-		"user":     func(p []byte) error { _, err := decodeUser(p); return err },
 		"viewReq":  func(p []byte) error { _, err := decodeViewMultiReq(p); return err },
 		"chunk":    func(p []byte) error { _, err := decodeViewMultiChunk(p); return err },
 		"predict":  func(p []byte) error { _, err := decodePredictMultiReq(p); return err },
 		"row":      func(p []byte) error { _, err := decodePredictMultiRow(p); return err },
 		"apply":    func(p []byte) error { _, err := decodeApplyReq(p); return err },
 		"ack":      func(p []byte) error { _, err := decodeApplyAck(p); return err },
-		"bool":     func(p []byte) error { _, err := decodeBool(p); return err },
 		"appError": func(p []byte) error {
 			err := decodeAppError(p)
 			if errors.Is(err, ErrProtocol) {
@@ -163,9 +159,9 @@ func TestWireShortPayloads(t *testing.T) {
 			return nil // a complete payload decodes to an app error, not a protocol error
 		},
 	}
-	// No cut is exempt: the hello ack's version and the apply ack's
-	// scoped relay are mandatory, so the version-2 payload shapes (cut
-	// exactly before them) are short payloads like any other.
+	// No cut is exempt: the hello ack's version is mandatory, so the
+	// version-2 payload shape (cut exactly before it) is a short payload
+	// like any other.
 	for name, raw := range full {
 		dec := decode[name]
 		if name != "appError" {
@@ -191,9 +187,13 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil || len(owned) != 3 || owned[0] != 2 || owned[1] != 0 || owned[2] != 5 || ver != frameVersion {
 		t.Errorf("helloAck: %v, v%d, %v", owned, ver, err)
 	}
-	ack, err := decodeApplyAck(encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Scoped: true, Stale: []dataset.UserID{7, 9}}))
-	if err != nil || !ack.Scoped || len(ack.Stale) != 2 || ack.Stale[0] != 7 || ack.Stale[1] != 9 {
-		t.Errorf("applyAck scoped trailer: %+v, %v", ack, err)
+	ack, err := decodeApplyAck(encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4}))
+	if err != nil || ack != (ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4}) {
+		t.Errorf("applyAck: %+v, %v", ack, err)
+	}
+	c, err := decodeViewMultiChunk(encodeViewMultiChunk(viewMultiChunk{Index: 2, Total: 9, Offset: 6, Scores: []float64{0.5, 0.25}}))
+	if err != nil || c.Index != 2 || c.Total != 9 || c.Offset != 6 || len(c.Scores) != 2 || c.Scores[0] != 0.5 || c.Scores[1] != 0.25 {
+		t.Errorf("viewMultiChunk: %+v, %v", c, err)
 	}
 	q, err := decodePredictMultiReq(encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{11, 4}, Items: []dataset.ItemID{5, 1}}))
 	if err != nil || len(q.Users) != 2 || q.Users[0] != 11 || q.Users[1] != 4 || len(q.Items) != 2 || q.Items[0] != 5 || q.Items[1] != 1 {
@@ -202,10 +202,6 @@ func TestWireRoundTrips(t *testing.T) {
 	ar, err := decodeApplyReq(encodeApplyReq(applyReq{Seq: 12, Rating: dataset.Rating{User: 1, Item: 2, Value: 4.5, Time: -3}}))
 	if err != nil || ar.Seq != 12 || ar.Rating != (dataset.Rating{User: 1, Item: 2, Value: 4.5, Time: -3}) {
 		t.Errorf("applyReq: %+v, %v", ar, err)
-	}
-	b, err := decodeBool(encodeBool(false))
-	if err != nil || b {
-		t.Errorf("bool: %v, %v", b, err)
 	}
 	ss, err := decodeStats(mustEncodeStats(t, []ShardStats{{Shard: 3}}))
 	if err != nil || len(ss) != 1 || ss[0].Shard != 3 {
@@ -216,21 +212,22 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 }
 
-// TestWireGoldenBytes pins the hot payloads' encoded bytes (recorded
-// from the append-per-field encoders at frameVersion 3): an encoder
-// that sizes its buffer differently must still emit exactly these.
+// TestWireGoldenBytes pins the hot payloads' encoded bytes at
+// frameVersion 4 (a chunk is version 3's without the flags byte and the
+// fallback tail; the predict row is unchanged): an encoder that sizes
+// its buffer differently must still emit exactly these.
 func TestWireGoldenBytes(t *testing.T) {
 	golden := []struct {
 		name string
 		got  []byte
 		want string
 	}{
-		{"chunk with fallback tail",
-			encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 2, Flags: vmLastChunk | vmDepsKnown | vmUsedGlobal, Scores: []float64{1, 0.6, math.Copysign(0, -1)}, FallbackPos: []int32{0, 3}}),
-			"0100000004000000020000000703000000000000000000f03f333333333333e33f0000000000000080020000000000000003000000"},
-		{"progress chunk drops the tail",
-			encodeViewMultiChunk(viewMultiChunk{Index: 2, Total: 600, Offset: 512, Scores: []float64{0.2}, FallbackPos: []int32{9}}),
-			"02000000580200000002000000010000009a9999999999c93f"},
+		{"last chunk",
+			encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 2, Scores: []float64{1, 0.6, math.Copysign(0, -1)}}),
+			"01000000040000000200000003000000000000000000f03f333333333333e33f0000000000000080"},
+		{"progress chunk",
+			encodeViewMultiChunk(viewMultiChunk{Index: 2, Total: 600, Offset: 512, Scores: []float64{0.2}}),
+			"020000005802000000020000010000009a9999999999c93f"},
 		{"predict row",
 			encodePredictMultiRow(predictMultiRow{Index: 3, Values: []float64{4.5, 1}}),
 			"03000000020000000000000000001240000000000000f03f"},

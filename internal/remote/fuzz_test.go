@@ -6,8 +6,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 // The decoders below face the network: whatever bytes arrive, they must
@@ -40,6 +38,7 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(mutate(func(b []byte) { b[0] ^= 0xff }))                                         // bad magic
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], 2) }))              // retired version
+	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], 3) }))              // the last retired version
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], frameVersion+1) })) // future version
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[16:], MaxPayload+1) }))  // oversize claim
 	f.Add(mutate(func(b []byte) { b[frameHdrLen] ^= 0x01 }))                               // payload bit flip
@@ -88,38 +87,37 @@ func FuzzDecodeHelloAck(f *testing.F) {
 }
 
 func FuzzDecodeApplyAck(f *testing.F) {
-	full := encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4, Scoped: true, Stale: []dataset.UserID{7, 9}})
+	full := encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4})
 	f.Add(full)
 	f.Add(encodeApplyAck(ApplyAck{Pending: 1}))
-	f.Add(full[:32]) // the retired version-2 shape: counters only
+	// The retired version-3 shape: a scoped flag and two stale users after
+	// the counters. Never seen in a version-4 frame; trailing bytes are
+	// ignored like any decoder's.
+	f.Add(append(append([]byte(nil), full...), 1, 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0))
 	f.Add(full[:len(full)-3])
 	f.Add([]byte{})
-	f.Add(append(append([]byte(nil), full[:33]...), 0xff, 0xff, 0xff, 0xff)) // 4G stale users claimed
+	f.Add(full[:8])
 	f.Fuzz(func(t *testing.T, p []byte) {
-		ack, err := decodeApplyAck(p)
-		if err != nil {
+		if _, err := decodeApplyAck(p); err != nil {
 			if !errors.Is(err, ErrProtocol) {
 				t.Fatalf("untyped error %v", err)
 			}
 			return
 		}
-		if 37+8*len(ack.Stale) > len(p) {
-			t.Fatalf("decoded %d stale users out of %d bytes", len(ack.Stale), len(p))
+		if len(p) < 32 {
+			t.Fatalf("decoded four counters out of %d bytes", len(p))
 		}
 	})
 }
 
 func FuzzDecodeViewMultiChunk(f *testing.F) {
-	full := encodeViewMultiChunk(viewMultiChunk{
-		Index: 1, Total: 4, Offset: 2, Flags: vmLastChunk | vmDepsKnown | vmUsedGlobal,
-		Scores: []float64{0.25, 0.5}, FallbackPos: []int32{0, 3},
-	})
+	full := encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 2, Scores: []float64{0.25, 0.5}})
 	f.Add(full)
 	f.Add(encodeViewMultiChunk(viewMultiChunk{Total: 1_000_000, Scores: []float64{1}})) // oversize total: the client's bound, not the decoder's
-	f.Add(full[:13])                                                                    // header only
-	f.Add(full[:len(full)-2])                                                           // torn inside the fallback positions
+	f.Add(full[:12])                                                                    // header only
+	f.Add(full[:len(full)-2])                                                           // torn inside the scores
 	f.Add([]byte{})
-	f.Add(append(append([]byte(nil), full[:13]...), 0xff, 0xff, 0xff, 0xff)) // 4G scores claimed
+	f.Add(append(append([]byte(nil), full[:12]...), 0xff, 0xff, 0xff, 0xff)) // 4G scores claimed
 	f.Fuzz(func(t *testing.T, p []byte) {
 		c, err := decodeViewMultiChunk(p)
 		if err != nil {
@@ -128,8 +126,8 @@ func FuzzDecodeViewMultiChunk(f *testing.F) {
 			}
 			return
 		}
-		if 13+4+8*len(c.Scores)+4*len(c.FallbackPos) > len(p) {
-			t.Fatalf("decoded %d scores and %d fallback positions out of %d bytes", len(c.Scores), len(c.FallbackPos), len(p))
+		if 12+4+8*len(c.Scores) > len(p) {
+			t.Fatalf("decoded %d scores out of %d bytes", len(c.Scores), len(p))
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cf"
 	"repro/internal/dataset"
 )
 
@@ -26,9 +25,6 @@ type fakeBackend struct {
 	applyErr error
 	viewLen  int
 	delay    time.Duration
-	// depsFor, when set, supplies ViewScoresDeps' dependency metadata;
-	// nil reports deps unknown (the conservative default).
-	depsFor func(u dataset.UserID) (cf.RowDeps, bool)
 }
 
 func (b *fakeBackend) Fingerprint() uint64 { return b.fp }
@@ -49,15 +45,11 @@ func (b *fakeBackend) scoresFor(u dataset.UserID) []float64 {
 	return scores
 }
 
-func (b *fakeBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, bool, error) {
+func (b *fakeBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 	if b.delay > 0 {
 		time.Sleep(b.delay)
 	}
-	if b.depsFor != nil {
-		deps, known := b.depsFor(u)
-		return b.scoresFor(u), deps, known, nil
-	}
-	return b.scoresFor(u), cf.RowDeps{}, false, nil
+	return b.scoresFor(u), nil
 }
 
 func (b *fakeBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
@@ -77,8 +69,6 @@ func (b *fakeBackend) Apply(r dataset.Rating) (ApplyAck, error) {
 	b.applied = append(b.applied, r)
 	return ApplyAck{Pending: len(b.applied), Applied: int64(len(b.applied))}, nil
 }
-
-func (b *fakeBackend) InvalidateUser(u dataset.UserID) bool { return u%2 == 0 }
 
 func (b *fakeBackend) ShardStats() []ShardStats {
 	out := make([]ShardStats, 0, len(b.owned))
@@ -126,18 +116,10 @@ func allOwned() *fakeBackend {
 
 // TestClientViewScoresMultiChunked: one batched call fetches several
 // users' views — interleaved per-user chunk frames reassembled into
-// request order — and relays each view's mean-fallback dependencies on
-// its last chunk, which the router's view cache needs to patch warm
-// views through scoped invalidation.
+// request order.
 func TestClientViewScoresMultiChunked(t *testing.T) {
 	b := allOwned()
 	b.viewLen = 10
-	b.depsFor = func(u dataset.UserID) (cf.RowDeps, bool) {
-		if u == 2 {
-			return cf.RowDeps{FallbackPos: []int32{1, 4}, UsedGlobal: true}, true
-		}
-		return cf.RowDeps{}, false
-	}
 	// Chunk size 3 forces several progress frames per user.
 	addr := startWorker(t, b, func(s *Server) { s.ChunkScores = 3 })
 	c := NewClient(addr, testClientConfig(b))
@@ -152,15 +134,9 @@ func TestClientViewScoresMultiChunked(t *testing.T) {
 		t.Fatalf("got %d results for %d users", len(res), len(users))
 	}
 	for i, u := range users {
-		if want := b.scoresFor(u); !reflect.DeepEqual(res[i].Scores, want) {
-			t.Errorf("user %d scores = %v, want %v", u, res[i].Scores, want)
+		if want := b.scoresFor(u); !reflect.DeepEqual(res[i], want) {
+			t.Errorf("user %d scores = %v, want %v", u, res[i], want)
 		}
-	}
-	if !res[1].DepsKnown || !res[1].UsedGlobal || !reflect.DeepEqual(res[1].FallbackPos, []int32{1, 4}) {
-		t.Errorf("deps relay = %+v, want known, global, fallback [1 4]", res[1])
-	}
-	if res[0].DepsKnown || res[2].DepsKnown {
-		t.Error("deps reported known for users without metadata")
 	}
 	// The whole 3-member fetch cost exactly one wire call.
 	if got := c.counters.ops[opViewMulti].Load(); got != 1 {
@@ -228,9 +204,6 @@ func TestClientMultiWrongShard(t *testing.T) {
 	if _, err := c.PredictBatchMulti([]dataset.UserID{outside}, []dataset.ItemID{1}); !errors.As(err, &ae) || ae.Code != codeWrongShard {
 		t.Errorf("PredictBatchMulti: err = %v, want wrong_shard", err)
 	}
-	if _, err := c.InvalidateUser(outside); !errors.As(err, &ae) || ae.Code != codeWrongShard {
-		t.Errorf("InvalidateUser: err = %v, want wrong_shard", err)
-	}
 }
 
 // TestShardSetMultiBatchesByWorker pins the RPC collapse the batched
@@ -263,8 +236,8 @@ func TestShardSetMultiBatchesByWorker(t *testing.T) {
 		t.Fatalf("ViewScoresMulti: %v", err)
 	}
 	for i, u := range users {
-		if len(res[i].Scores) != 10 || res[i].Scores[0] != float64(u)*1000 {
-			t.Errorf("user %d (slot %d): scores %v", u, i, res[i].Scores[:2])
+		if len(res[i]) != 10 || res[i][0] != float64(u)*1000 {
+			t.Errorf("user %d (slot %d): scores %v", u, i, res[i][:2])
 		}
 	}
 	items := []dataset.ItemID{1, 2}
@@ -286,11 +259,16 @@ func TestShardSetMultiBatchesByWorker(t *testing.T) {
 	if st.BatchedCalls != 4 {
 		t.Errorf("batched calls = %d, want 4", st.BatchedCalls)
 	}
-	if _, ok := st.CallsByOp["view"]; ok {
-		t.Errorf("calls_by_op still reports the retired single-user ops: %v", st.CallsByOp)
+	if len(st.CallsByOp) != 4 {
+		t.Errorf("calls_by_op = %v, want exactly the 4 live ops (no retired view or invalidate)", st.CallsByOp)
 	}
 }
 
+// TestClientApplyInvalidateStats: the cold-path ops over one client —
+// an apply is acked with the replica's counters, the per-user invalidate
+// op (code 4, which nothing called) stays retired like the single-user
+// reads before it and is refused, not served, and stats come back per
+// owned shard.
 func TestClientApplyInvalidateStats(t *testing.T) {
 	b := allOwned()
 	addr := startWorker(t, b, nil)
@@ -308,14 +286,10 @@ func TestClientApplyInvalidateStats(t *testing.T) {
 		t.Errorf("backend applied %v", b.applied)
 	}
 
-	for _, u := range []dataset.UserID{2, 3} {
-		dropped, err := c.InvalidateUser(u)
-		if err != nil {
-			t.Fatalf("InvalidateUser(%d): %v", u, err)
-		}
-		if dropped != (u%2 == 0) {
-			t.Errorf("InvalidateUser(%d) = %v", u, dropped)
-		}
+	const retiredInvalidate = uint8(4)
+	var ae *AppError
+	if _, err := c.call(retiredInvalidate, []byte{2, 0, 0, 0, 0, 0, 0, 0}, false, nil); !errors.As(err, &ae) || ae.Code != codeInternal {
+		t.Errorf("retired invalidate op: err = %v, want an internal application error", err)
 	}
 
 	ss, err := c.ShardStats()
@@ -504,11 +478,11 @@ func TestClientMidStreamDisconnect(t *testing.T) {
 // is a protocol violation — never matched to the wrong request.
 func TestClientSeqMismatch(t *testing.T) {
 	addr := rawWorker(t, func(conn net.Conn, req frame) {
-		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq + 99, payload: encodeBool(true)})
+		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq + 99, payload: []byte("[]")})
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
-	if _, err := c.InvalidateUser(1); !errors.Is(err, ErrProtocol) {
+	if _, err := c.ShardStats(); !errors.Is(err, ErrProtocol) {
 		t.Errorf("err = %v, want ErrProtocol", err)
 	}
 }
@@ -527,13 +501,13 @@ func TestClientRetriesIdempotentReads(t *testing.T) {
 		if first {
 			return // die without answering; deferred Close tears the conn
 		}
-		chunk := viewMultiChunk{Total: 2, Flags: vmLastChunk, Scores: []float64{4, 2}}
+		chunk := viewMultiChunk{Total: 2, Scores: []float64{4, 2}}
 		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeViewMultiChunk(chunk)})
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
 	res, err := c.ViewScoresMulti([]dataset.UserID{1})
-	if err != nil || len(res) != 1 || !reflect.DeepEqual(res[0].Scores, []float64{4, 2}) {
+	if err != nil || len(res) != 1 || !reflect.DeepEqual(res[0], []float64{4, 2}) {
 		t.Fatalf("retried read = %+v, %v; want scores [4 2], nil", res, err)
 	}
 	mu.Lock()
@@ -692,7 +666,7 @@ func TestShardSetRoutesByShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: ViewScoresMulti(%d): %v", sh, u, err)
 		}
-		if scores := res[0].Scores; len(scores) != 10 || scores[0] != float64(u)*1000 {
+		if scores := res[0]; len(scores) != 10 || scores[0] != float64(u)*1000 {
 			t.Errorf("shard %d: scores %v", sh, scores[:2])
 		}
 		if _, err := set.PredictBatchMulti([]dataset.UserID{u}, []dataset.ItemID{1}); err != nil {
@@ -706,7 +680,7 @@ func TestShardSetRoutesByShard(t *testing.T) {
 func TestShardSetApplyFansOutToAllWorkers(t *testing.T) {
 	set, b0, b1 := twoWorkerSet(t)
 	u := userOnShard(1)
-	ack, _, err := set.Apply(1, dataset.Rating{User: u, Item: 7, Value: 4, Time: 1})
+	ack, err := set.Apply(1, dataset.Rating{User: u, Item: 7, Value: 4, Time: 1})
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -790,10 +764,10 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 		t.Errorf("dead shard entry = %+v, want zero-valued placeholder", ss[0])
 	}
 
-	if _, _, err := set.Apply(1, dataset.Rating{User: userOnShard(0), Item: 1, Value: 1}); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := set.Apply(1, dataset.Rating{User: userOnShard(0), Item: 1, Value: 1}); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("ingest for dead owner: err = %v, want ErrShardUnavailable", err)
 	}
-	if _, _, err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 1, Value: 1, Time: 1}); err != nil {
+	if _, err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 1, Value: 1, Time: 1}); err != nil {
 		t.Errorf("ingest for live owner: %v", err)
 	}
 	if set.FanoutErrors() == 0 {
@@ -833,7 +807,7 @@ func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	b0.mu.Lock()
 	b0.applyErr = errors.New("disk full")
 	b0.mu.Unlock()
-	if _, _, err := set.Apply(1, dataset.Rating{User: userOnShard(1), Item: 1, Value: 2, Time: 1}); err != nil {
+	if _, err := set.Apply(1, dataset.Rating{User: userOnShard(1), Item: 1, Value: 2, Time: 1}); err != nil {
 		t.Fatalf("Apply with live owner: %v", err)
 	}
 	if fenced := set.Fenced(); len(fenced) != 1 {
@@ -851,7 +825,7 @@ func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	b0.mu.Lock()
 	b0.applyErr = nil
 	b0.mu.Unlock()
-	if _, _, err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 2, Value: 3, Time: 2}); err != nil {
+	if _, err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 2, Value: 3, Time: 2}); err != nil {
 		t.Fatalf("post-fence apply: %v", err)
 	}
 	b0.mu.Lock()

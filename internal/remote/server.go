@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/cf"
 	"repro/internal/dataset"
 )
 
@@ -24,28 +23,18 @@ type Backend interface {
 	// this worker serves (requests for other shards are refused).
 	Shards() int
 	Owned() []int
-	// ViewScoresDeps returns u's pool-order normalized preference
-	// scores — the dense side of the sorted-list view; the router
-	// reconstructs the canonical sorted side locally (the sort is
-	// deterministic given the scores, exactly like a snapshot restore)
-	// — plus the view's mean-fallback dependencies when they are
-	// known: the pool positions that fell back to an item mean and
-	// whether the global mean was used. They ride the multi-view op so
-	// the router's list store can patch warm views through scoped
-	// invalidation instead of refetching them. depsKnown=false means
-	// the view is served but cannot be patched (the router drops it on
-	// the next ingest sweep).
-	ViewScoresDeps(u dataset.UserID) (scores []float64, deps cf.RowDeps, depsKnown bool, err error)
+	// ViewScores returns u's pool-order normalized preference scores —
+	// the dense side of the sorted-list view; the router reconstructs
+	// the canonical sorted side locally (the sort is deterministic given
+	// the scores, exactly like a snapshot restore).
+	ViewScores(u dataset.UserID) ([]float64, error)
 	// PredictBatch returns raw (1..5 scale) predictions of u for items.
 	PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error)
-	// Apply ingests one rating into the worker's replica, running the
-	// scoped-invalidation path over its caches, and acks with the
+	// Apply ingests one rating into the worker's replica — the full
+	// AddRating path, cache invalidation included — and acks with the
 	// replica's delta counters. Rejections unwrap to the dataset
 	// sentinels.
 	Apply(r dataset.Rating) (ApplyAck, error)
-	// InvalidateUser drops u's sorted view, reporting whether one was
-	// resident.
-	InvalidateUser(u dataset.UserID) bool
 	// ShardStats reports the cache counters of every owned shard.
 	ShardStats() []ShardStats
 }
@@ -309,15 +298,6 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 		default:
 			return fail(codeInternal, err.Error())
 		}
-	case opInvalidate:
-		u, err := decodeUser(f.payload)
-		if err != nil {
-			return fail(codeInternal, err.Error())
-		}
-		if !s.owned[s.sm(u)] {
-			return fail(codeWrongShard, fmt.Sprintf("user %d is on shard %d, not owned here", u, s.sm(u)))
-		}
-		return result(encodeBool(s.b.InvalidateUser(u)))
 	case opStats:
 		payload, err := encodeStats(s.b.ShardStats())
 		if err != nil {
@@ -333,19 +313,16 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 // streams as chunks tagged with the user's request position, all of
 // them progress frames except the final chunk of the final user, which
 // is the terminal result — the transport shape of the anytime
-// contract, exercised by the data plane's hottest read. The last chunk
-// of each user carries the view's mean-fallback dependency positions
-// when the backend knows them, so the router's list store can patch
-// the view through scoped invalidation. A backend failure mid-stream
-// answers a terminal error frame — progress-then-terminal holds even
-// on the sad path.
+// contract, exercised by the data plane's hottest read. A backend
+// failure mid-stream answers a terminal error frame —
+// progress-then-terminal holds even on the sad path.
 func (s *Server) streamViewMulti(w *connWriter, req frame, users []dataset.UserID) error {
 	chunk := s.ChunkScores
 	if chunk <= 0 {
 		chunk = DefaultChunkScores
 	}
 	for i, u := range users {
-		scores, deps, depsKnown, err := s.b.ViewScoresDeps(u)
+		scores, err := s.b.ViewScores(u)
 		if err != nil {
 			return w.write(frame{kind: kindError, op: req.op, seq: req.seq, payload: encodeAppError(codeInternal, err.Error())})
 		}
@@ -359,16 +336,6 @@ func (s *Server) streamViewMulti(w *connWriter, req frame, users []dataset.UserI
 				end = len(scores)
 			}
 			c := viewMultiChunk{Index: uint32(i), Total: total, Offset: uint32(off), Scores: scores[off:end]}
-			if last {
-				c.Flags |= vmLastChunk
-				if depsKnown {
-					c.Flags |= vmDepsKnown
-					c.FallbackPos = deps.FallbackPos
-				}
-				if deps.UsedGlobal {
-					c.Flags |= vmUsedGlobal
-				}
-			}
 			kind := kindProgress
 			if last && lastUser {
 				kind = kindResult

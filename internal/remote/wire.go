@@ -21,7 +21,6 @@ import (
 
 type wireWriter struct{ b []byte }
 
-func (w *wireWriter) u8(v uint8)    { w.b = append(w.b, v) }
 func (w *wireWriter) u32(v uint32)  { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *wireWriter) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *wireWriter) i64(v int64)   { w.u64(uint64(v)) }
@@ -60,13 +59,6 @@ func (r *wireReader) take(n int) []byte {
 	p := r.b[r.off : r.off+n]
 	r.off += n
 	return p
-}
-func (r *wireReader) u8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
 }
 func (r *wireReader) u32() uint32 {
 	p := r.take(4)
@@ -156,18 +148,6 @@ func decodeHelloAck(p []byte) ([]int, uint16, error) {
 	return owned, version, r.err
 }
 
-func encodeUser(u dataset.UserID) []byte {
-	var w wireWriter
-	w.u64(uint64(u))
-	return w.b
-}
-
-func decodeUser(p []byte) (dataset.UserID, error) {
-	r := wireReader{b: p}
-	u := dataset.UserID(r.u64())
-	return u, r.err
-}
-
 // viewMultiReq asks for the views of every group member a worker owns
 // in one round trip.
 type viewMultiReq struct {
@@ -196,68 +176,32 @@ func decodeViewMultiReq(p []byte) (viewMultiReq, error) {
 	return q, r.err
 }
 
-// viewMultiChunk flags.
-const (
-	vmLastChunk  = uint8(1) // final chunk of this user's view
-	vmDepsKnown  = uint8(2) // the view's fallback dependencies rode along
-	vmUsedGlobal = uint8(4) // the view leaned on the global mean
-)
-
 // viewMultiChunk is one slice of one user's view inside a multi-view
 // response. A view streams as a sequence of chunks — progress frames,
 // the last one the terminal result — so a big pool needs no giant
 // frame and the progress-then-terminal contract is exercised by the
 // data plane itself. Index names the user by position in the request,
-// so chunks of different users may interleave freely; the final chunk
-// of a user (vmLastChunk) optionally carries the view's mean-fallback
-// positions (pool indices — the router reconstructs the items from its
-// own, bit-identical candidate pool), which the router's list store
-// needs to patch warm views through scoped invalidation.
+// so chunks of different users may interleave freely.
 type viewMultiChunk struct {
-	Index       uint32 // user position in the request
-	Total       uint32 // pool length (every chunk repeats it)
-	Offset      uint32 // position of this chunk's first score
-	Flags       uint8
-	Scores      []float64
-	FallbackPos []int32 // only on vmLastChunk|vmDepsKnown frames
+	Index  uint32 // user position in the request
+	Total  uint32 // pool length (every chunk repeats it)
+	Offset uint32 // position of this chunk's first score
+	Scores []float64
 }
 
 func encodeViewMultiChunk(c viewMultiChunk) []byte {
-	// Sized once: header, score count, scores, fallback tail.
-	tail := c.Flags&vmLastChunk != 0 && c.Flags&vmDepsKnown != 0
-	size := 13 + 4 + 8*len(c.Scores)
-	if tail {
-		size += 4 + 4*len(c.FallbackPos)
-	}
-	w := wireWriter{b: make([]byte, 0, size)}
+	// Sized once: header, score count, scores.
+	w := wireWriter{b: make([]byte, 0, 12+4+8*len(c.Scores))}
 	w.u32(c.Index)
 	w.u32(c.Total)
 	w.u32(c.Offset)
-	w.u8(c.Flags)
 	w.f64s(c.Scores)
-	if tail {
-		w.u32(uint32(len(c.FallbackPos)))
-		for _, pos := range c.FallbackPos {
-			w.u32(uint32(pos))
-		}
-	}
 	return w.b
 }
 
 func decodeViewMultiChunk(p []byte) (viewMultiChunk, error) {
 	r := wireReader{b: p}
-	c := viewMultiChunk{Index: r.u32(), Total: r.u32(), Offset: r.u32(), Flags: r.u8()}
-	c.Scores = r.f64s()
-	if r.err == nil && c.Flags&vmLastChunk != 0 && c.Flags&vmDepsKnown != 0 {
-		n := int(r.u32())
-		if r.err != nil || n > (len(p)-r.off)/4 {
-			return viewMultiChunk{}, errShortPayload
-		}
-		c.FallbackPos = make([]int32, n)
-		for i := range c.FallbackPos {
-			c.FallbackPos[i] = int32(r.u32())
-		}
-	}
+	c := viewMultiChunk{Index: r.u32(), Total: r.u32(), Offset: r.u32(), Scores: r.f64s()}
 	return c, r.err
 }
 
@@ -360,20 +304,12 @@ func decodeApplyReq(p []byte) (applyReq, error) {
 
 // ApplyAck acknowledges a fanned-out rating with the worker's own
 // delta-log counters after the apply — the router's cross-check that
-// the replica ingested what it did — and relays the worker's
-// scoped-invalidation outcome: Scoped reports whether the worker
-// confined the rating's reach to an explicit user set, and Stale lists
-// those users (sorted, deterministic). The router's list store needs
-// this relay — its views were built on the workers, against their
-// neighborhood caches, so only the workers know which warm views the
-// rating could have touched.
+// the replica ingested what it did.
 type ApplyAck struct {
 	Pending int
 	Applied int64
 	Folds   int64
 	Folded  int64
-	Scoped  bool
-	Stale   []dataset.UserID
 }
 
 func encodeApplyAck(a ApplyAck) []byte {
@@ -382,15 +318,6 @@ func encodeApplyAck(a ApplyAck) []byte {
 	w.i64(a.Applied)
 	w.i64(a.Folds)
 	w.i64(a.Folded)
-	if a.Scoped {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u32(uint32(len(a.Stale)))
-	for _, u := range a.Stale {
-		w.u64(uint64(u))
-	}
 	return w.b
 }
 
@@ -402,30 +329,7 @@ func decodeApplyAck(p []byte) (ApplyAck, error) {
 		Folds:   r.i64(),
 		Folded:  r.i64(),
 	}
-	a.Scoped = r.u8() != 0
-	n := int(r.u32())
-	if r.err != nil || n > (len(p)-r.off)/8 {
-		return ApplyAck{}, errShortPayload
-	}
-	a.Stale = make([]dataset.UserID, n)
-	for i := range a.Stale {
-		a.Stale[i] = dataset.UserID(r.u64())
-	}
 	return a, r.err
-}
-
-func encodeBool(b bool) []byte {
-	if b {
-		return []byte{1}
-	}
-	return []byte{0}
-}
-
-func decodeBool(p []byte) (bool, error) {
-	if len(p) != 1 {
-		return false, errShortPayload
-	}
-	return p[0] != 0, nil
 }
 
 // ShardStats is one owned shard's cache counters in wire form — the

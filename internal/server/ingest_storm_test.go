@@ -41,13 +41,13 @@ func stormRatings(tb testing.TB, w *repro.World, n int) []dataset.Rating {
 	return out
 }
 
-// TestIngestStormServesColdIdenticalResponses is the CI smoke for the
-// scoped-invalidation scheme: sustained POST /v1/ratings against
-// concurrent POST /v1/recommend traffic (run under -race in CI), after
-// which (1) the cache counters prove state actually survived the storm
-// — non-zero retained — and (2) every recommendation response is
-// byte-identical to a server over a world rebuilt cold from the same
-// final rating set.
+// TestIngestStormServesColdIdenticalResponses is the CI smoke for
+// ingest coherence: sustained POST /v1/ratings against concurrent POST
+// /v1/recommend traffic (run under -race in CI), after which (1) the
+// cache counters prove neighborhoods actually survived the storm —
+// non-zero retained — while the ratings swept the views the readers kept
+// rebuilding, and (2) every recommendation response is byte-identical to
+// a server over a world rebuilt cold from the same final rating set.
 func TestIngestStormServesColdIdenticalResponses(t *testing.T) {
 	w := freshWorld(t)
 	s := New(w, Config{})
@@ -122,7 +122,9 @@ func TestIngestStormServesColdIdenticalResponses(t *testing.T) {
 	wg.Wait()
 
 	// The scheme's point, observable over the wire: the storm left
-	// cache state standing. (Drop-everything invalidation zeroes these.)
+	// neighborhoods standing (drop-everything invalidation zeroes that),
+	// and dropped views — which the byte comparison below holds to the
+	// post-storm state.
 	var st statsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status = %d", code)
@@ -130,8 +132,8 @@ func TestIngestStormServesColdIdenticalResponses(t *testing.T) {
 	if st.Caches.Neighborhoods.Retained == 0 {
 		t.Errorf("storm retained no neighborhoods: %+v", st.Caches.Neighborhoods)
 	}
-	if st.Caches.ListStore.Retained == 0 {
-		t.Errorf("storm retained no sorted views: %+v", st.Caches.ListStore)
+	if st.Caches.ListStore.Invalidations == 0 {
+		t.Errorf("storm ratings swept no sorted views: %+v", st.Caches.ListStore)
 	}
 	if st.Ingest.Store.Applied != writers {
 		t.Errorf("store applied %d ratings, want %d", st.Ingest.Store.Applied, writers)
@@ -165,7 +167,7 @@ func TestIngestStormServesColdIdenticalResponses(t *testing.T) {
 }
 
 // TestStatsExposesInvalidationCounters pins the wire names of the
-// scoped-invalidation counters: operators alert on these, so the JSON
+// ingest invalidation counters: operators alert on these, so the JSON
 // keys are contract, not implementation detail.
 func TestStatsExposesInvalidationCounters(t *testing.T) {
 	w := freshWorld(t)
@@ -203,7 +205,7 @@ func TestStatsExposesInvalidationCounters(t *testing.T) {
 		keys  []string
 	}{
 		{"neighborhoods", raw.Caches.Neighborhoods, []string{"invalidated", "retained"}},
-		{"list_store", raw.Caches.ListStore, []string{"invalidations", "retained", "patched"}},
+		{"list_store", raw.Caches.ListStore, []string{"invalidations"}},
 	} {
 		for _, key := range c.keys {
 			if _, ok := c.m[key]; !ok {

@@ -4,16 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
-	"repro/internal/cf"
 	"repro/internal/dataset"
 	"repro/internal/remote"
 	"repro/internal/shard"
@@ -266,8 +267,8 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 			}
 			compare("post-ingest")
 			if tc.cache {
-				// Post-ingest warm pass: views retained or re-fetched after
-				// the ingest sweep serve from cache, still byte-identical.
+				// Post-ingest warm pass: the views re-fetched after the ingest
+				// dropped them serve from cache, still byte-identical.
 				compare("post-ingest-warm")
 			}
 
@@ -450,6 +451,109 @@ func TestRemoteWorkerDeathDegradesOnlyItsShards(t *testing.T) {
 	}
 }
 
+// flakyLog is a repro.RatingLog that refuses appends while failing is
+// set — a journal on a full or failing disk.
+type flakyLog struct {
+	failing  atomic.Bool
+	appended atomic.Int64
+}
+
+func (l *flakyLog) Append(dataset.Rating) error {
+	if l.failing.Load() {
+		return errors.New("journal: no space left on device")
+	}
+	l.appended.Add(1)
+	return nil
+}
+
+// TestRemoteIngestFansOutWhenJournalFails is the regression for a router
+// that skipped the worker fan-out when its journal refused the rating:
+// the rating was already in the router's store, the apply sequence did
+// not advance, the next rating was contiguous — so no gap, dedup or
+// fence ever noticed the router running one rating ahead of every
+// worker. The journal error must still reach the client, and every
+// replica must hold the rating: responses after the failure (views come
+// from the workers, candidates from the router) are byte-identical to a
+// fresh world that ingested it, and stay so after the next rating.
+func TestRemoteIngestFansOutWhenJournalFails(t *testing.T) {
+	const shards = 4
+	stack := startRemoteStack(t, shards, [][]int{{0, 2}, {1, 3}}, remote.ClientConfig{}, nil)
+	journal := &flakyLog{}
+	stack.router.SetRatingLog(journal)
+	remoteTS := serveHTTP(t, stack.router)
+	control, err := repro.NewWorld(remoteWorldConfig(shards))
+	if err != nil {
+		t.Fatalf("building control world: %v", err)
+	}
+	controlTS := serveHTTP(t, control)
+
+	group := groupOnShards(t, stack.router, shards, 3, nil)
+	bodies := []string{
+		fmt.Sprintf(`{"group":%s,"k":5,"num_items":200}`, groupJSON(group)),
+		fmt.Sprintf(`{"group":%s,"k":4,"num_items":150,"consensus":"MO"}`, groupJSON(group[:1])),
+	}
+	compare := func(stage string) {
+		t.Helper()
+		for _, body := range bodies {
+			cs, want := postJSON(t, controlTS.URL+"/v1/recommend", body)
+			rs, got := postJSON(t, remoteTS.URL+"/v1/recommend", body)
+			if cs != http.StatusOK || rs != http.StatusOK {
+				t.Fatalf("%s: status control %d router %d (%s / %s)", stage, cs, rs, want, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: router diverged from a world holding the same ratings for %s:\nrouter  %s\ncontrol %s", stage, body, got, want)
+			}
+		}
+	}
+	compare("before")
+
+	// Each rating: a group member's most popular unrated item, so it
+	// moves both the member's view (built on a worker) and the group's
+	// candidates (selected on the router).
+	ratingBy := func(u int64, n int) string {
+		for _, it := range control.Ratings().PopularityRanked() {
+			if !control.Ratings().HasRated(dataset.UserID(u), it) {
+				return fmt.Sprintf(`{"user":%d,"item":%d,"value":5,"time":%d}`, u, it, 978300000+n)
+			}
+		}
+		t.Fatalf("user %d has rated everything", u)
+		return ""
+	}
+
+	journal.failing.Store(true)
+	lost := ratingBy(group[0], 1)
+	status, data := postJSON(t, remoteTS.URL+"/v1/ratings", lost)
+	var errResp struct {
+		Code string `json:"code"`
+	}
+	if err := json.Unmarshal(data, &errResp); status != http.StatusInternalServerError || err != nil || errResp.Code != "ingest_failed" {
+		t.Fatalf("unjournaled ingest answered %d %s, want 500 ingest_failed", status, data)
+	}
+	if status, data := postJSON(t, controlTS.URL+"/v1/ratings", lost); status != http.StatusOK {
+		t.Fatalf("control ingest status = %d, body %s", status, data)
+	}
+	compare("after the unjournaled rating")
+
+	journal.failing.Store(false)
+	next := ratingBy(group[1], 2)
+	for _, ts := range []*httptest.Server{remoteTS, controlTS} {
+		if status, data := postJSON(t, ts.URL+"/v1/ratings", next); status != http.StatusOK {
+			t.Fatalf("journaled ingest status = %d, body %s", status, data)
+		}
+	}
+	compare("after the next rating")
+
+	if got := journal.appended.Load(); got != 1 {
+		t.Errorf("journal holds %d ratings, want only the one it accepted", got)
+	}
+	if fenced := stack.set.Fenced(); len(fenced) != 0 || stack.router.RemoteFanoutMisses() != 0 {
+		t.Errorf("fenced workers %v, %d fan-out misses; want every delivery made", fenced, stack.router.RemoteFanoutMisses())
+	}
+	if got := stack.set.TransportStats().CallsByOp["apply"]; got != 4 {
+		t.Errorf("apply calls = %d, want 4 (two ratings to two workers)", got)
+	}
+}
+
 // slowBackend delays the data-plane reads past the client's call
 // deadline while leaving the handshake fast — a wedged worker, as
 // opposed to a dead one.
@@ -458,9 +562,9 @@ type slowBackend struct {
 	delay time.Duration
 }
 
-func (b slowBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, bool, error) {
+func (b slowBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 	time.Sleep(b.delay)
-	return b.Backend.ViewScoresDeps(u)
+	return b.Backend.ViewScores(u)
 }
 
 func (b slowBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
@@ -547,19 +651,25 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.Unmarshal(transport["calls_by_op"], &callsByOp); err != nil {
 		t.Fatalf("remote.transport.calls_by_op: %v", err)
 	}
-	for _, op := range []string{"apply", "invalidate", "stats", "view_multi", "predict_multi"} {
+	for _, op := range []string{"apply", "stats", "view_multi", "predict_multi"} {
 		if _, ok := callsByOp[op]; !ok {
 			t.Errorf("calls_by_op lacks %q; keys: %v", op, callsByOp)
 		}
+	}
+	if len(callsByOp) != 4 {
+		t.Errorf("calls_by_op reports ops beyond the 4 live ones: %v", callsByOp)
 	}
 	var viewCache map[string]json.RawMessage
 	if err := json.Unmarshal(raw.Remote["view_cache"], &viewCache); err != nil {
 		t.Fatalf("remote.view_cache: %v", err)
 	}
-	for _, key := range []string{"hits", "misses", "invalidations", "evictions", "retained", "patched", "size", "capacity"} {
+	for _, key := range []string{"hits", "misses", "invalidations", "evictions", "size", "capacity"} {
 		if _, ok := viewCache[key]; !ok {
 			t.Errorf("remote.view_cache lacks %q; keys: %v", key, keysOf(viewCache))
 		}
+	}
+	if len(viewCache) != 6 {
+		t.Errorf("remote.view_cache reports keys beyond the 6 live ones (retained and patched are gone): %v", keysOf(viewCache))
 	}
 
 	// And the counters moved: the first recommend batched its view

@@ -312,8 +312,15 @@ func TestItemsMutationAfterSubmitIsSafe(t *testing.T) {
 }
 
 // liveWorldCfg is liveWorld with a config hook for the mode-specific
-// differentials (item-based, time-weighted, full invalidation).
+// differentials (item-based, time-weighted).
 func liveWorldCfg(t *testing.T, ratings string, shards int, mutate func(*Config)) *World {
+	t.Helper()
+	return liveWorldBuilt(t, ratings, shards, mutate, NewWorld)
+}
+
+// liveWorldBuilt is liveWorldCfg over an explicit constructor — NewWorld,
+// or the test-only NewFullInvalidationWorld.
+func liveWorldBuilt(t *testing.T, ratings string, shards int, mutate func(*Config), build func(Config) (*World, error)) *World {
 	t.Helper()
 	cfg := liveTestConfig()
 	cfg.RatingsReader = strings.NewReader(ratings)
@@ -321,7 +328,7 @@ func liveWorldCfg(t *testing.T, ratings string, shards int, mutate func(*Config)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	w, err := NewWorld(cfg)
+	w, err := build(cfg)
 	if err != nil {
 		t.Fatalf("building world (shards=%d): %v", shards, err)
 	}
@@ -329,24 +336,27 @@ func liveWorldCfg(t *testing.T, ratings string, shards int, mutate func(*Config)
 }
 
 // TestScopedIngestKeepsCachesWarm pins the point of the scoped scheme
-// at the world level: after a warmed world ingests ratings, the cache
-// counters must show retained neighborhoods and views — under the
-// legacy FullInvalidation flag the same traffic retains nothing.
+// at the world level: after a warmed world ingests a rating, the cache
+// counters must show retained neighborhoods — under the drop-everything
+// reference scheme the same traffic retains none — while every sorted
+// view drops and the warmed groups are served bytes identical to a cold
+// rebuild's.
 func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 	base := liveBaseRatings(t)
-	run := func(full bool) CacheStats {
-		w := liveWorldCfg(t, base, 4, func(c *Config) { c.FullInvalidation = full })
+	const warmUsers = 30
+	run := func(build func(Config) (*World, error)) (*World, dataset.Rating) {
+		w := liveWorldBuilt(t, base, 4, nil, build)
 		// Warm broadly: views and neighborhoods through recommend traffic
 		// over disjoint groups.
 		users := w.Ratings().Users()
-		for g := 0; g+3 <= 30; g += 3 {
+		for g := 0; g+3 <= warmUsers; g += 3 {
 			if _, err := w.Recommend(users[g:g+3], Options{K: 5}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// One rating by one user on its least-popular unrated item — the
 		// smallest reach an ingest can have; most of the 30 warm users'
-		// state must survive it.
+		// neighborhoods must survive it.
 		ranked := w.Ratings().PopularityRanked()
 		rater := users[0]
 		var r dataset.Rating
@@ -359,49 +369,67 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 		if err := w.AddRating(r); err != nil {
 			t.Fatal(err)
 		}
-		return w.CacheStats()
+		return w, r
 	}
 
-	scoped := run(false)
+	live, r := run(NewWorld)
+	scoped := live.CacheStats()
 	if scoped.Neighborhoods.Retained == 0 {
 		t.Errorf("scoped ingest retained no neighborhoods: %+v", scoped.Neighborhoods)
 	}
 	if scoped.Neighborhoods.Invalidated == 0 {
 		t.Errorf("scoped ingest invalidated no neighborhoods — the rater's own must always drop")
 	}
-	if scoped.ListStore.Retained == 0 {
-		t.Errorf("scoped ingest retained no sorted views: %+v", scoped.ListStore)
+	if scoped.ListStore.Invalidations != warmUsers || scoped.ListStore.Size != 0 {
+		t.Errorf("ingest left sorted views standing: %+v, want all %d dropped", scoped.ListStore, warmUsers)
 	}
 	// The aggregate counters are exactly the per-shard sums.
-	var nbR, listR uint64
+	var nbR, listI uint64
 	for _, sh := range scoped.PerShard {
 		nbR += sh.Neighborhoods.Retained
-		listR += sh.ListStore.Retained
+		listI += sh.ListStore.Invalidations
 	}
-	if nbR != scoped.Neighborhoods.Retained || listR != scoped.ListStore.Retained {
-		t.Errorf("per-shard retained sums %d/%d disagree with aggregates %d/%d",
-			nbR, listR, scoped.Neighborhoods.Retained, scoped.ListStore.Retained)
+	if nbR != scoped.Neighborhoods.Retained || listI != scoped.ListStore.Invalidations {
+		t.Errorf("per-shard sums %d retained / %d invalidations disagree with aggregates %d / %d",
+			nbR, listI, scoped.Neighborhoods.Retained, scoped.ListStore.Invalidations)
+	}
+	// Views rebuilt over the retained neighborhoods serve a cold
+	// rebuild's bytes.
+	cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), 4, nil)
+	users := live.Ratings().Users()
+	for g := 0; g+3 <= warmUsers; g += 3 {
+		want, err := cold.Recommend(users[g:g+3], Options{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := live.Recommend(users[g:g+3], Options{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("group %v: post-ingest recommendation diverged from cold rebuild\n got %+v\nwant %+v", users[g:g+3], got, want)
+		}
 	}
 
-	full := run(true)
-	if full.Neighborhoods.Retained != 0 || full.ListStore.Retained != 0 {
-		t.Errorf("FullInvalidation retained cache state: %d neighborhoods / %d views",
-			full.Neighborhoods.Retained, full.ListStore.Retained)
+	fullWorld, _ := run(NewFullInvalidationWorld)
+	full := fullWorld.CacheStats()
+	if full.Neighborhoods.Retained != 0 {
+		t.Errorf("full invalidation retained %d neighborhoods", full.Neighborhoods.Retained)
 	}
 	if full.Neighborhoods.Invalidated == 0 {
-		t.Errorf("FullInvalidation ingest recorded no invalidations")
+		t.Errorf("full-invalidation ingest recorded no invalidations")
 	}
 }
 
 // TestFullInvalidationMatchesScoped is the scheme differential: the
-// drop-everything world and the scoped world must serve byte-identical
-// recommendations after the same ingest stream — the flag may only
-// change cache heat, never a result.
+// drop-everything reference world and the scoped world must serve
+// byte-identical recommendations after the same ingest stream — the
+// scheme may only change cache heat, never a result.
 func TestFullInvalidationMatchesScoped(t *testing.T) {
 	base := liveBaseRatings(t)
 	specs := map[string]consensus.Spec{"AP": consensus.AP(), "MO": consensus.MO(), "PD": consensus.PD(0.6)}
 	scoped := liveWorldCfg(t, base, 4, nil)
-	full := liveWorldCfg(t, base, 4, func(c *Config) { c.FullInvalidation = true })
+	full := liveWorldBuilt(t, base, 4, nil, NewFullInvalidationWorld)
 	group := scoped.Participants()[:3]
 	for _, w := range []*World{scoped, full} {
 		if _, err := w.Recommend(group, Options{K: 5}); err != nil {
@@ -433,9 +461,9 @@ func TestFullInvalidationMatchesScoped(t *testing.T) {
 }
 
 // TestAddRatingItemBasedMatchesColdRebuild extends the tentpole
-// differential to the item-based apref source, whose rows and views
-// drop wholesale on ingest while the item-neighborhood cache sweeps
-// scoped — the blend must still be bit-identical to a cold rebuild.
+// differential to the item-based apref source, whose item-neighborhood
+// cache sweeps scoped under the dropped views — the blend must still be
+// bit-identical to a cold rebuild.
 func TestAddRatingItemBasedMatchesColdRebuild(t *testing.T) {
 	base := liveBaseRatings(t)
 	itemBased := func(c *Config) { c.ItemBasedCF = true }
@@ -466,8 +494,8 @@ func TestAddRatingItemBasedMatchesColdRebuild(t *testing.T) {
 
 // TestAddRatingTimeWeightedMatchesColdRebuild extends the tentpole
 // differential to the time-weighted source across both of its ingest
-// regimes: a back-dated rating (clock unmoved, scoped sweep) and a
-// newest rating (clock advance, full drop of rows and views).
+// regimes: a back-dated rating (decay clock unmoved) and a newest
+// rating (clock advance: every decay weight shifts).
 func TestAddRatingTimeWeightedMatchesColdRebuild(t *testing.T) {
 	base := liveBaseRatings(t)
 	timeWeighted := func(c *Config) { c.TimeWeightedCF = true }

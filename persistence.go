@@ -38,7 +38,7 @@ type worldSnapshot struct {
 // only move work around (AssemblyWorkers, RecheckWorkers) are excluded
 // so tuning them keeps snapshots valid, and of ListStoreSize only
 // whether the store exists is hashed (a router and its workers must
-// agree on that; see ShardBackend.ViewScoresDeps) — its capacity shapes
+// agree on that; see ShardBackend.ViewScores) — its capacity shapes
 // nothing, and a journal is reset when the fingerprint differs, so a
 // capacity in the hash would let a retuned restart discard acknowledged
 // ratings.

@@ -240,6 +240,19 @@ func TestJournalSurvivesListStoreResize(t *testing.T) {
 	}
 }
 
+// TestConfigFingerprintPinned pins the fingerprint of QuickConfig() to
+// the value every release so far has computed. Journals and snapshots
+// in the field are keyed by it and a journal under another fingerprint
+// is reset, so a change to the hash — a field added or dropped, the
+// format string reordered — must be a decision, never the side effect of
+// editing Config: an upgrade would discard acknowledged ratings.
+func TestConfigFingerprintPinned(t *testing.T) {
+	const want = 0x27433f51babd4b60
+	if got := configFingerprint(QuickConfig()); got != want {
+		t.Errorf("configFingerprint(QuickConfig()) = %#x, want %#x", got, uint64(want))
+	}
+}
+
 // TestJournalResetIsReported: a journal written under one world-shaping
 // configuration and reopened under another is still reset (its ratings
 // belong to a different world), but no longer silently — the boot

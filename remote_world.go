@@ -2,9 +2,7 @@ package repro
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/cf"
 	"repro/internal/dataset"
 	"repro/internal/liststore"
 	"repro/internal/remote"
@@ -52,10 +50,10 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	// The router's own list store sat idle; replace it with one over the
 	// fetch builder, retaining Config.RemoteViewCache views (none by
 	// default: acquire, fetch, return). Everything else about it — CLOCK
-	// eviction, the scoped sweep AddRating runs, the mid-build unlink
-	// that fences fetches against ingest — is the store's, unchanged.
+	// eviction, the drop AddRating ends in, the mid-build unlink that
+	// fences fetches against ingest — is the store's, unchanged.
 	if w.lists != nil {
-		w.lists = liststore.NewOver(fetchViews(set, pool), pool, w.cfg.RemoteViewCache, prefDivisor, w.sm)
+		w.lists = liststore.NewOver(fetchViews(set), pool, w.cfg.RemoteViewCache, prefDivisor, w.sm)
 		w.asm.AttachListStore(w.lists)
 	}
 	w.asm.AttachRows(func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
@@ -77,46 +75,19 @@ func (w *World) Remote() *remote.ShardSet { return w.remote }
 // fetchViews is the list store's distributed builder: one view RPC per
 // owning worker for all of a call's misses, each view reconstructed
 // from the score vector on the wire — the canonical sort is
-// deterministic, so it is bit-identical to the worker's own — together
-// with the dependency metadata the worker's build recorded. Fallback
-// positions travel as candidate-pool indexes, and the router's pool is
-// bit-identical to the worker's (the fingerprint handshake guarantees
-// it), so pool[pos] recovers the item IDs the scoped sweep matches
-// against. A position outside the pool marks the metadata unusable,
-// never a panic.
-func fetchViews(set *remote.ShardSet, pool []dataset.ItemID) liststore.Builder {
+// deterministic, so it is bit-identical to the worker's own.
+func fetchViews(set *remote.ShardSet) liststore.Builder {
 	return func(users []dataset.UserID) ([]*liststore.View, error) {
-		res, err := set.ViewScoresMulti(users)
+		scores, err := set.ViewScoresMulti(users)
 		if err != nil {
 			return nil, err
 		}
-		views := make([]*liststore.View, len(res))
-		for i, r := range res {
-			deps, known := wireDeps(r, pool)
-			views[i] = liststore.NewView(r.Scores, deps, known)
+		views := make([]*liststore.View, len(scores))
+		for i, sc := range scores {
+			views[i] = liststore.NewView(sc)
 		}
 		return views, nil
 	}
-}
-
-// wireDeps maps a fetched view's fallback positions back to items
-// through the pool.
-func wireDeps(r remote.ViewResult, pool []dataset.ItemID) (cf.RowDeps, bool) {
-	if !r.DepsKnown {
-		return cf.RowDeps{}, false
-	}
-	deps := cf.RowDeps{UsedGlobal: r.UsedGlobal}
-	if n := len(r.FallbackPos); n > 0 {
-		deps.FallbackPos = r.FallbackPos
-		deps.FallbackItems = make([]dataset.ItemID, n)
-		for k, pos := range r.FallbackPos {
-			if pos < 0 || int(pos) >= len(pool) {
-				return cf.RowDeps{}, false
-			}
-			deps.FallbackItems[k] = pool[pos]
-		}
-	}
-	return deps, true
 }
 
 // ShardBackend is the worker process's side of the data plane: a full
@@ -156,25 +127,21 @@ func (b *ShardBackend) Shards() int { return b.w.Shards() }
 // Owned implements remote.Backend.
 func (b *ShardBackend) Owned() []int { return append([]int(nil), b.owned...) }
 
-// ViewScoresDeps implements remote.Backend: u's pool-order normalized
-// view scores plus the dependency metadata the build recorded — which
-// pool positions fell to the mean-fallback ladder — so the router's
-// list store can apply the same scoped-invalidation verdicts the
-// worker's own would. The view is served from the sorted-list store,
-// materializing and caching it exactly like local traffic would. (A
-// router only asks for views when its own store is enabled, and whether
-// it is — ListStoreSize >= 0, not the capacity — is part of the
-// handshake fingerprint, so the store is enabled here whenever this is
-// called.)
-func (b *ShardBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, bool, error) {
+// ViewScores implements remote.Backend: u's pool-order normalized view
+// scores, served from the sorted-list store, materializing and caching
+// the view exactly like local traffic would. (A router only asks for
+// views when its own store is enabled, and whether it is —
+// ListStoreSize >= 0, not the capacity — is part of the handshake
+// fingerprint, so the store is enabled here whenever this is called.)
+func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 	if b.w.lists == nil {
-		return nil, cf.RowDeps{}, false, fmt.Errorf("repro: view requested from a worker without a list store")
+		return nil, fmt.Errorf("repro: view requested from a worker without a list store")
 	}
 	v, err := b.w.lists.Acquire(u)
 	if err != nil {
-		return nil, cf.RowDeps{}, false, err
+		return nil, err
 	}
-	return v.Scores, v.Deps, v.DepsKnown, nil
+	return v.Scores, nil
 }
 
 // PredictBatch implements remote.Backend: raw (1..5 scale)
@@ -185,41 +152,20 @@ func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([
 }
 
 // Apply implements remote.Backend: ingest one fanned-out rating into
-// the replica — the full AddRating path, scoped invalidation included
-// — and ack with the replica's delta counters plus the invalidation
-// outcome: whether the replica swept scoped, and if so which of its
-// cached users went stale. The router merges the relayed verdicts
-// into its own to sweep its list store — the views it holds were
-// built here, against this replica's caches, so this replica's stale
-// set (not the router's idle one) is the authoritative reach of the
-// ingest. Rejections unwrap to the dataset sentinels, which the
+// the replica — the full AddRating path — and ack with the replica's
+// delta counters. Rejections unwrap to the dataset sentinels, which the
 // transport relays by code.
 func (b *ShardBackend) Apply(r dataset.Rating) (remote.ApplyAck, error) {
-	out, err := b.w.addRating(r)
-	if err != nil {
+	if err := b.w.AddRating(r); err != nil {
 		return remote.ApplyAck{}, err
 	}
 	ds := b.w.IngestStats()
-	ack := remote.ApplyAck{
+	return remote.ApplyAck{
 		Pending: ds.Pending,
 		Applied: ds.Applied,
 		Folds:   ds.Folds,
 		Folded:  ds.Folded,
-		Scoped:  out.scoped,
-	}
-	if out.scoped && len(out.stale) > 0 {
-		ack.Stale = make([]dataset.UserID, 0, len(out.stale))
-		for u := range out.stale {
-			ack.Stale = append(ack.Stale, u)
-		}
-		sort.Slice(ack.Stale, func(i, j int) bool { return ack.Stale[i] < ack.Stale[j] })
-	}
-	return ack, nil
-}
-
-// InvalidateUser implements remote.Backend.
-func (b *ShardBackend) InvalidateUser(u dataset.UserID) bool {
-	return b.w.InvalidateUserViews(u)
+	}, nil
 }
 
 // ShardStats implements remote.Backend: the owned shards' slices of

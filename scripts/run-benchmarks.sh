@@ -25,11 +25,12 @@ done
 export GOMAXPROCS="${GOMAXPROCS:-4}"
 
 # The pinned set: the three pre-existing hot-path benchmarks, the two
-# added by the scheduling/laziness pass, the ingest-mix pair added
-# with scoped invalidation (scoped vs full sub-benchmarks ride along
-# via the path match, like shards=N and g=N), the distributed serving
-# path over loopback workers, and the canonical-sort kernel every view
-# build runs (0 allocs/op: its scratch is pooled).
+# added by the scheduling/laziness pass, the ingest-mix pair (scoped
+# neighborhood invalidation vs the test-only drop-everything reference
+# world; the sub-benchmarks ride along via the path match, like
+# shards=N and g=N; views drop on every rating under both), the
+# distributed serving path over loopback workers, and the canonical-sort
+# kernel every view build runs (0 allocs/op: its scratch is pooled).
 PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkRecommendSharded|BenchmarkBatchShardAware|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical)$'
 
 TMP="$(mktemp)"

@@ -90,22 +90,13 @@ type Config struct {
 	// RemoteViewCache bounds how many views fetched from shard workers
 	// the router's list store retains in distributed mode
 	// (AttachRemote): a group assembly whose members' views are
-	// resident skips the wire entirely, and rating ingest sweeps them
-	// like any list store, with the verdicts the workers relay — so a
-	// retained view is always bit-identical to a fresh worker fetch.
+	// resident skips the wire entirely, and a rating ingest drops them
+	// all, like any list store's — so a retained view is always
+	// bit-identical to a fresh worker fetch.
 	// 0 (the default) and negative retain nothing: every assembly
 	// fetches. It is router-only state, excluded from the config
 	// fingerprint, and irrelevant in-process.
 	RemoteViewCache int
-	// FullInvalidation reverts rating ingest to the drop-everything
-	// scheme: every cached neighborhood and sorted view is discarded
-	// on every AddRating, instead of the default dependency-scoped
-	// invalidation that drops only the entries the new rating can
-	// reach. Both schemes serve bit-identical results — scoping is a
-	// pure cache-retention optimization — so this is an escape hatch
-	// for differential testing and the baseline the ingest-mix
-	// benchmarks measure scoping against.
-	FullInvalidation bool
 	// RecheckWorkers bounds the goroutines a scoped rating ingest uses
 	// to recheck revdep candidate neighborhoods (the candidates are
 	// independent one-similarity verifications, bucketed by shard so
@@ -214,6 +205,11 @@ type World struct {
 	// remoteFanoutMisses counts ingests whose owning worker missed
 	// the fanned-out write and was fenced.
 	remoteFanoutMisses atomic.Uint64
+	// dropAllNeighborhoods swaps the predictors' scoped ingest hooks for
+	// their drop-everything counterparts. No configuration sets it: it
+	// is the reference scheme the scoped one is differentially tested
+	// and benchmarked against (export_test.go).
+	dropAllNeighborhoods bool
 }
 
 // NewWorld builds every substrate: ratings (loaded or generated), the
@@ -343,8 +339,8 @@ func NewWorld(cfg Config) (*World, error) {
 
 	// Sorted-list store: built at load over the frozen popularity
 	// ranking (views materialize lazily per user, bounded by a CLOCK
-	// policy). The World owns the store lifecycle — rating ingest
-	// sweeps it (sweepViews) so stale views are rebuilt.
+	// policy). The World owns the store lifecycle — every rating ingest
+	// empties it (AddRating) so stale views are rebuilt.
 	if cfg.ListStoreSize >= 0 {
 		size := cfg.ListStoreSize
 		if size == 0 {
@@ -479,174 +475,91 @@ func (w *World) SetRatingLog(l RatingLog) {
 //
 // Coherence: one rating by user u shifts u's vector and therefore
 // sim(v, u) — but only for the users v that share an item with u. The
-// default ingest exploits that: the predictor's reverse dependency
-// index names the cached users that co-rate with u, each gets a
-// one-similarity recheck, and only the neighborhoods the rating
-// actually reaches are dropped (epoch-fenced against in-flight fills
-// re-installing pre-ingest results). The sorted-list store then sweeps
-// with the same stale set plus its own fallback metadata: views of
-// unaffected users stay warm, and retained views whose only dependence
-// on the rated item is its mean fallback are patched in place (the new
-// item mean spliced into the canonical sort) instead of rebuilt. Every
-// retained or patched view is bit-identical to what a cold rebuild
-// would produce — scoping never changes a served byte, only how much
-// cache heat survives.
-// Config.FullInvalidation restores the historical drop-everything
-// scheme, and ingests whose reach cannot be bounded (an item-based
-// apref source, a time-weighted clock advance) fall back to it for the
-// affected caches automatically.
+// ingest exploits that where a rebuild is expensive, the neighborhood
+// cache: the predictor's reverse dependency index names the cached users
+// that co-rate with u, each gets a one-similarity recheck, and only the
+// neighborhoods the rating actually reaches are dropped (epoch-fenced
+// against in-flight fills re-installing pre-ingest results). The sorted
+// views above them all drop: every rating shifts a fallback mean, no
+// measured workload re-reads a view between two ratings, and a view
+// rebuilt over retained neighborhoods costs one batch prediction.
+// Everything served afterwards is bit-identical to a cold rebuild.
 func (w *World) AddRating(r dataset.Rating) error {
-	_, err := w.addRating(r)
-	return err
-}
-
-// ingestOutcome describes how far one applied rating reaches into the
-// world's caches: whether that reach is dependency-scoped, and if so
-// the stale-user verdicts and the rated item's post-ingest mean (the
-// splice value for retained fallback entries). Workers ack it back to
-// the router, which merges local and relayed outcomes into the one
-// sweep of its list store.
-type ingestOutcome struct {
-	scoped    bool
-	stale     map[dataset.UserID]struct{}
-	patch     float64
-	havePatch bool
-}
-
-// addRating is AddRating plus the ingest outcome — the shared core of
-// the public path and the worker backend's Apply, which acks the
-// outcome back to the router.
-func (w *World) addRating(r dataset.Rating) (ingestOutcome, error) {
 	w.ingestMu.Lock()
 	defer w.ingestMu.Unlock()
-	out, err := w.applyRating(r)
-	if err != nil {
-		return ingestOutcome{}, err
+	if err := w.applyRating(r); err != nil {
+		return err
 	}
-	// relayed is what the worker replicas report the rating reached;
-	// in-process there are none, and nothing is relayed.
-	relayed := remote.ApplyScope{Scoped: true}
+	var journalErr error
 	if w.wal != nil {
-		err = w.wal.Append(r)
+		journalErr = w.wal.Append(r)
 	}
 	// Distributed mode: fan the rating out to every worker replica,
 	// still inside the ingest lock so every process applies ratings in
 	// the same global order (apply order is the fold order, and fold
 	// order is what makes replicas bit-identical). Every replica needs
 	// every rating — a user-based neighborhood reads all users'
-	// vectors, so no shard's state is independent of the ingest.
-	// Deliveries are sequence-stamped, retried with dedup at the
-	// worker, and any worker that still misses the write is fenced by
-	// the set — its shards answer 503 to reads instead of serving a
-	// diverged replica. The ingest itself never fails here: the rating
-	// is already durably applied (local store, WAL, every live
-	// replica), so failing the request would invite a retry that
-	// double-counts the rating in every process that applied it. A
-	// missed owner surfaces at read time, on its fenced shards.
-	if err == nil && w.remote != nil {
+	// vectors, so no shard's state is independent of the ingest — and it
+	// needs it whether or not the journal took it: the rating is in this
+	// process's store either way, and a skipped fan-out would leave the
+	// router one rating ahead of every worker with a contiguous sequence
+	// that never shows it. Deliveries are sequence-stamped, retried with
+	// dedup at the worker, and any worker that still misses the write is
+	// fenced by the set — its shards answer 503 to reads instead of
+	// serving a diverged replica. A missed delivery never fails the
+	// ingest: the rating is already applied here and on every live
+	// replica, so failing the request would invite a retry that
+	// double-counts it in every process that applied it. A missed owner
+	// surfaces at read time, on its fenced shards.
+	if w.remote != nil {
 		w.remoteApplySeq++
-		var ferr error
-		_, relayed, ferr = w.remote.Apply(w.remoteApplySeq, r)
-		if ferr != nil {
+		if _, ferr := w.remote.Apply(w.remoteApplySeq, r); ferr != nil {
 			w.remoteFanoutMisses.Add(1)
 		}
 	}
-	w.sweepViews(r.Item, out, relayed)
-	if err != nil {
-		return ingestOutcome{}, fmt.Errorf("repro: rating applied but not journaled: %w", err)
-	}
-	return out, nil
-}
-
-// sweepViews is the one place an ingest invalidates sorted views, run
-// after the rating is applied everywhere it is going to be: the local
-// store and predictors, and in distributed mode every worker replica.
-// The stale set is the local verdict merged with the workers' — a
-// router's views were built on the workers, against their neighborhood
-// caches, so their relayed verdicts, not just the router's idle local
-// ones, decide which views the rating reached. Only a fully scoped
-// outcome (local AND every attempted replica) sweeps scoped; anything
-// weaker (a full-invalidation verdict anywhere, a failed delivery)
-// drops every view. Builds in flight need no extra fence: a view still
-// mid-build when the sweep passes is unlinked by it (see
-// liststore.AcquireMulti), and one started afterwards reads post-ingest
-// state wherever it is built.
-func (w *World) sweepViews(it dataset.ItemID, out ingestOutcome, relayed remote.ApplyScope) {
-	if w.lists == nil {
-		return
-	}
-	if !out.scoped || !relayed.Scoped {
+	// Last, once the rating is applied everywhere it is going to be:
+	// drop every sorted view. Builds in flight need no extra fence — a
+	// view still mid-build when the sweep passes is unlinked by it (see
+	// liststore.AcquireMulti), and one started afterwards reads
+	// post-ingest state wherever it is built.
+	if w.lists != nil {
 		w.lists.InvalidateAll()
-		return
 	}
-	stale := out.stale
-	if len(relayed.Stale) > 0 {
-		stale = make(map[dataset.UserID]struct{}, len(out.stale)+len(relayed.Stale))
-		for u := range out.stale {
-			stale[u] = struct{}{}
-		}
-		for _, u := range relayed.Stale {
-			stale[u] = struct{}{}
-		}
+	if journalErr != nil {
+		return fmt.Errorf("repro: rating applied but not journaled: %w", journalErr)
 	}
-	w.lists.InvalidateScoped(stale, it, out.patch, out.havePatch)
+	return nil
 }
 
 // RemoteFanoutMisses counts distributed ingests whose owning worker
 // missed the fanned-out write (and was fenced). Zero in-process.
 func (w *World) RemoteFanoutMisses() uint64 { return w.remoteFanoutMisses.Load() }
 
-// applyRating lands r in the store and updates the predictors,
-// reporting how far the rating reaches; the sorted views are swept
-// later, by sweepViews. Caller holds ingestMu.
-func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
+// applyRating lands r in the store and makes the predictors coherent
+// with it. Caller holds ingestMu.
+func (w *World) applyRating(r dataset.Rating) error {
 	if err := w.ratings.Apply(r); err != nil {
-		return ingestOutcome{}, fmt.Errorf("repro: applying rating: %w", err)
+		return fmt.Errorf("repro: applying rating: %w", err)
 	}
 	// Store first, then predictors (their recomputed means must see the
-	// new rating).
-	if w.cfg.FullInvalidation {
+	// new rating). The user-based predictor updates in every mode — it
+	// backs the default and time-weighted apref sources and serves
+	// similarity queries (group formation) whichever source is active.
+	if w.dropAllNeighborhoods {
 		w.pred.NoteIngest(r.User)
 		if w.itemPred != nil {
 			w.itemPred.NoteIngest()
 		}
-		if w.twPred != nil {
-			w.twPred.Refresh()
-		}
-		return ingestOutcome{}, nil
-	}
-
-	// Scoped path. The user-based predictor always updates scoped — it
-	// backs the default and time-weighted apref sources and serves
-	// similarity queries (group formation) in every mode, so its means,
-	// norms, and dependency-tracked neighborhoods must stay coherent
-	// regardless of which source is active.
-	scope := w.pred.NoteIngestScoped(r.User, r.Item)
-	switch {
-	case w.itemPred != nil:
-		// Item-based aprefs: the stale item neighborhoods are exactly
-		// the items the rater has rated (scoped drop), but a changed
-		// item neighborhood shifts predictions for every user that
-		// rated a similar item — no per-user stale set bounds the
-		// views, so they drop wholesale.
-		w.itemPred.NoteIngestScoped(r.User)
-		return ingestOutcome{}, nil
-	case w.twPred != nil:
-		// Time-weighted aprefs: if the new rating advanced the
-		// reference clock, every decay weight shifted and every view
-		// is stale. An unmoved clock leaves retained users' weights
-		// bit-identical, so the scoped sweep applies.
-		if w.twPred.RefreshScoped() {
-			return ingestOutcome{}, nil
+	} else {
+		w.pred.NoteIngestScoped(r.User, r.Item)
+		if w.itemPred != nil {
+			w.itemPred.NoteIngestScoped(r.User)
 		}
 	}
-	// The rated item's post-ingest mean is the splice value for
-	// retained entries that fell back to it (always defined: the item
-	// now has at least the just-applied rating). The time-weighted
-	// source shares the base predictor's mean tables, so the same patch
-	// value serves both modes.
-	patch, havePatch := w.pred.ItemMean(r.Item)
-	return ingestOutcome{scoped: true, stale: scope.Stale, patch: patch, havePatch: havePatch}, nil
+	if w.twPred != nil {
+		w.twPred.Refresh()
+	}
+	return nil
 }
 
 // ReFreeze folds the store's pending rating deltas into new frozen
@@ -679,22 +592,14 @@ func (w *World) IngestStats() dataset.DeltaStats { return w.ratings.DeltaStats()
 //
 // Scope: this invalidates *this user's* derived state only — the
 // right tool when a single user's view is suspect (tests, targeted
-// cache management). It is NOT the rating-ingest hook: ingest changes
-// sim(v, u) for every other user v, so the predictors' neighborhood
-// caches and every other user's views go stale too. AddRating performs
-// that global drop; use it for anything that changes ratings.
+// cache management), and this process's copy only: on a router it does
+// not reach the owning worker. It is NOT the rating-ingest hook: ingest
+// changes sim(v, u) for every other user v, so the predictors'
+// neighborhood caches and every other user's views go stale too.
+// AddRating performs that global drop; use it for anything that changes
+// ratings.
 func (w *World) InvalidateUserViews(u dataset.UserID) bool {
-	dropped := w.lists != nil && w.lists.Invalidate(u)
-	// Distributed mode: the user's served view lives on its owning
-	// worker; drop it there too (the router's own copy went with the
-	// list-store drop above). Best-effort — an unreachable owner's
-	// shards fail reads anyway, so there is no stale view to serve.
-	if w.remote != nil {
-		if rd, err := w.remote.InvalidateUser(u); err == nil && rd {
-			dropped = true
-		}
-	}
-	return dropped
+	return w.lists != nil && w.lists.Invalidate(u)
 }
 
 // RemoteStats is the distributed transport's observability surface
@@ -724,8 +629,6 @@ type ViewCacheStats struct {
 	Misses        uint64 `json:"misses"`
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
-	Retained      uint64 `json:"retained"`
-	Patched       uint64 `json:"patched"`
 	Size          int    `json:"size"`
 	Capacity      int    `json:"capacity"`
 }
@@ -747,8 +650,6 @@ func (w *World) RemoteStats() RemoteStats {
 			Misses:        ls.ViewBuilds,
 			Invalidations: ls.Invalidations,
 			Evictions:     ls.Evictions,
-			Retained:      ls.Retained,
-			Patched:       ls.Patched,
 			Size:          ls.Size,
 			Capacity:      max(w.cfg.RemoteViewCache, 0),
 		}
