@@ -44,9 +44,9 @@
 //   - World.AddRating ingests a rating into the frozen world while it
 //     serves: the rating lands in a per-shard delta overlay on the
 //     rating store, and neighborhood invalidation is scoped to the
-//     rating's actual reach — a reverse dependency index names the
-//     cached users that co-rate with the rater, each gets a
-//     one-similarity recheck, and only the neighborhoods the rating
+//     rating's actual reach — each cached neighborhood carries the
+//     bitset of its owner's co-raters, the ones with the rater's bit
+//     set get a one-similarity recheck, and only the neighborhoods the rating
 //     provably touches are dropped. Every sorted-list view drops with
 //     each rating (no workload re-reads one between two ratings) and
 //     is rebuilt over the retained neighborhoods on next use, so
@@ -56,7 +56,7 @@
 //     accumulated deltas into the base (never changing results, only
 //     lookup cost); OpenWorld / SaveWorldSnapshot add durability: a
 //     checksummed snapshot plus a per-shard write-ahead log give
-//     warm restarts that skip the view/neighborhood rebuild scans.
+//     warm restarts that skip the view and neighborhood rebuilds.
 //   - internal/remote distributes the shards across worker processes:
 //     cmd/greca-shard owns a subset of shards' data plane (views,
 //     predictions, rating state, per-shard stats) behind a small

@@ -9,7 +9,6 @@
 package cf
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -37,101 +36,20 @@ type Neighbor struct {
 // userShard is one lock shard of the predictor's lazy caches.
 type userShard struct {
 	mu        sync.RWMutex
-	neighbors map[dataset.UserID][]Neighbor
+	neighbors map[dataset.UserID]neighborhood
 	norms     map[dataset.UserID]float64
-	// coraters[u] is the forward side of the reverse dependency index:
-	// every user u co-rated at least one item with, recorded when u's
-	// neighborhood was filled. Dropping u's neighborhood walks this
-	// list to release u's entries in the reverse index, keeping the
-	// index exactly the dependencies of what is cached.
-	coraters map[dataset.UserID][]dataset.UserID
 }
 
-// depIndex is the reverse dependency index of the neighborhood cache:
-// deps[w] holds the users whose cached neighborhood depends on w — the
-// users that co-rated an item with w at their fill time. An ingest by
-// w reads deps[w] (plus the rated item's rater list, which covers
-// dependencies the ingest itself creates) as its candidate set; every
-// other cached neighborhood is provably untouched by the new rating.
-//
-// Values are reference counts, not booleans: a fill inserts its edges
-// before installing its neighborhood (so an ingest racing the install
-// can never miss a dependency) and decrements them again if the
-// install loses — either to the epoch fence or to a concurrent fill
-// that won the cache. Counted edges make that insert/rollback safe
-// against an overlapping fresh fill of the same user.
-type depIndex struct {
-	stripes [numShards]depStripe
-}
-
-type depStripe struct {
-	mu   sync.Mutex
-	deps map[dataset.UserID]map[dataset.UserID]int
-}
-
-func (d *depIndex) init() {
-	for i := range d.stripes {
-		d.stripes[i].deps = make(map[dataset.UserID]map[dataset.UserID]int)
-	}
-}
-
-// add records a dependency edge w → dependent for every w in coraters.
-func (d *depIndex) add(dependent dataset.UserID, coraters []dataset.UserID) {
-	for _, w := range coraters {
-		st := &d.stripes[shardIndex(uint64(w))]
-		st.mu.Lock()
-		m := st.deps[w]
-		if m == nil {
-			m = make(map[dataset.UserID]int)
-			st.deps[w] = m
-		}
-		m[dependent]++
-		st.mu.Unlock()
-	}
-}
-
-// remove releases the edges add recorded, deleting fully-released
-// entries so the index never outgrows the cached state it mirrors.
-func (d *depIndex) remove(dependent dataset.UserID, coraters []dataset.UserID) {
-	for _, w := range coraters {
-		st := &d.stripes[shardIndex(uint64(w))]
-		st.mu.Lock()
-		if m := st.deps[w]; m != nil {
-			if m[dependent]--; m[dependent] <= 0 {
-				delete(m, dependent)
-				if len(m) == 0 {
-					delete(st.deps, w)
-				}
-			}
-		}
-		st.mu.Unlock()
-	}
-}
-
-// dependentsOf snapshots the users currently depending on w.
-func (d *depIndex) dependentsOf(w dataset.UserID) []dataset.UserID {
-	st := &d.stripes[shardIndex(uint64(w))]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	m := st.deps[w]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]dataset.UserID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	return out
-}
-
-// reset wipes the index — the companion of a wholesale cache clear.
-func (d *depIndex) reset() {
-	for i := range d.stripes {
-		st := &d.stripes[i]
-		st.mu.Lock()
-		st.deps = make(map[dataset.UserID]map[dataset.UserID]int)
-		st.mu.Unlock()
-	}
+// neighborhood is one cached fill: the top-k and the fill's dependency
+// record, installed and dropped together under the shard lock.
+type neighborhood struct {
+	ns []Neighbor
+	// coraters marks, over the dense user index, every user that shared
+	// an item with the owner at fill time. An ingest by w can change
+	// sim(owner, w) only if w's bit is set here (or the ingest itself
+	// creates the first shared item, which the rated item's rater list
+	// covers), so the cached top-k depends on exactly these users.
+	coraters userBits
 }
 
 // shardIndex maps a user or item ID onto a lock shard. IDs are dense
@@ -160,18 +78,12 @@ type Predictor struct {
 	// sm routes users onto parts; Single unless SetSharding widened it.
 	sm    shard.Map
 	parts []*predictorPart
-	// deps is the reverse dependency index over all parts: rater →
-	// cached users whose neighborhood includes them as a co-rater. One
-	// striped instance (not per part) because an ingesting user's
-	// dependents can live on any shard.
-	deps depIndex
-	// restored tracks neighborhoods installed by RestoreNeighborhoods:
-	// snapshots carry no co-rater lists, so these entries are invisible
-	// to the reverse dependency index and a scoped ingest cannot prove
-	// them fresh. They serve warm reads until the first scoped ingest,
-	// which drops them all (see NoteIngestScoped).
-	restoredMu sync.Mutex
-	restored   map[dataset.UserID]struct{}
+	// index is the dense user index the fill kernel accumulates over and
+	// the co-rater bitsets are laid out on; dots pools the kernel's
+	// dot-product vectors (*[]float64, len(users), all zero at rest).
+	index userIndex
+	dots  sync.Pool
+	work  scanWork
 	// means holds the fallback means (per-item and global) as one
 	// immutable snapshot: NoteIngest recomputes and swaps it, so hot
 	// paths read a coherent pair with a single atomic load.
@@ -236,9 +148,8 @@ type predictorPart struct {
 func newPredictorPart() *predictorPart {
 	p := &predictorPart{}
 	for i := range p.shards {
-		p.shards[i].neighbors = make(map[dataset.UserID][]Neighbor)
+		p.shards[i].neighbors = make(map[dataset.UserID]neighborhood)
 		p.shards[i].norms = make(map[dataset.UserID]float64)
-		p.shards[i].coraters = make(map[dataset.UserID][]dataset.UserID)
 	}
 	return p
 }
@@ -265,8 +176,13 @@ func NewPredictorSim(store *dataset.Store, kNeighbors int, measure Similarity) (
 		measure: measure,
 		sm:      shard.Single,
 		parts:   []*predictorPart{newPredictorPart()},
+		index:   newUserIndex(store.Users()),
 	}
-	p.deps.init()
+	nUsers := len(p.index.users)
+	p.dots.New = func() any {
+		v := make([]float64, nUsers)
+		return &v
+	}
 	p.means.Store(computePredictorMeans(store))
 	return p, nil
 }
@@ -290,17 +206,13 @@ func (p *Predictor) SetSharding(m shard.Map) {
 	for i := range p.parts {
 		p.parts[i] = newPredictorPart()
 	}
-	p.deps.reset()
-	p.restoredMu.Lock()
-	p.restored = nil
-	p.restoredMu.Unlock()
 }
 
 // Sharding returns the shard map routing users onto cache parts.
 func (p *Predictor) Sharding() shard.Map { return p.sm }
 
 // SetRecheckWorkers bounds the goroutines a scoped ingest uses to
-// recheck revdep candidate neighborhoods. 0 selects a small default
+// recheck dependent candidate neighborhoods. 0 selects a small default
 // pool (min(4, GOMAXPROCS)); 1 or negative forces the serial path.
 // Call during setup, before ingest traffic — it is not synchronized.
 // The pool never changes a verdict: candidates are independent
@@ -357,71 +269,41 @@ func (p *Predictor) norm(u dataset.UserID) float64 {
 // is cached; callers must not modify it. Concurrent first calls for
 // the same user may compute the neighborhood twice; both computations
 // yield the identical slice and one wins the cache, so the race is
-// benign and never holds a lock during the O(users) scan.
+// benign and never holds a lock during the walk over u's rater lists.
 func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 	pp := p.part(u)
 	sh := &pp.shards[shardIndex(uint64(u))]
 	sh.mu.RLock()
-	ns, ok := sh.neighbors[u]
+	nb, ok := sh.neighbors[u]
 	sh.mu.RUnlock()
 	if ok {
 		pp.counters.hit()
-		return ns
+		return nb.ns
 	}
 	pp.counters.miss()
 
 	epoch := pp.epoch.Load()
-	all := make([]Neighbor, 0, 64)
-	coraters := make([]dataset.UserID, 0, 64)
-	for _, v := range p.store.Users() {
-		if v == u {
-			continue
-		}
-		s, corated := p.simCorated(p.measure, u, v)
-		if corated {
-			coraters = append(coraters, v)
-		}
-		if s > 0 {
-			all = append(all, Neighbor{User: v, Sim: s})
-		}
-	}
-	all = keepTop(all, p.k, func(a, b Neighbor) int {
-		if a.Sim != b.Sim {
-			return cmp.Compare(b.Sim, a.Sim)
-		}
-		return cmp.Compare(a.User, b.User)
-	})
-	return p.finishFill(u, append([]Neighbor(nil), all...), coraters, epoch)
+	ns, coraters := p.fill(u)
+	return p.finishFill(u, ns, coraters, epoch)
 }
 
 // finishFill ends a fill of u's neighborhood begun at epoch: it
-// installs ns unless an ingest or a concurrent fill got there first,
-// and returns the neighborhood to serve.
-func (p *Predictor) finishFill(u dataset.UserID, ns []Neighbor, coraters []dataset.UserID, epoch uint64) []Neighbor {
+// installs ns, together with its co-rater set, unless an ingest or a
+// concurrent fill got there first, and returns the neighborhood to
+// serve. The epoch check and the install share one hold of the shard
+// lock, and an ingest bumps the epoch before it reads any shard for
+// dependents: a fill it does not find there is fenced, and one it finds
+// carries its dependency record.
+func (p *Predictor) finishFill(u dataset.UserID, ns []Neighbor, coraters userBits, epoch uint64) []Neighbor {
 	pp := p.part(u)
 	sh := &pp.shards[shardIndex(uint64(u))]
-	// Dependency edges go in BEFORE the neighborhood becomes visible:
-	// an ingest that lands between the two steps then sees the edges
-	// (and at worst rechecks a neighborhood that is not installed yet),
-	// never a cached neighborhood without its dependencies. If the
-	// install loses — the epoch fence tripped, or a concurrent fill won
-	// the cache — the edges are released again; the refcounts in the
-	// index keep that rollback from stripping an overlapping fill's
-	// identical edges.
-	p.deps.add(u, coraters)
-	installed := false
 	sh.mu.Lock()
 	if cached, ok := sh.neighbors[u]; ok {
-		ns = cached // a concurrent computation won; keep one canonical slice
+		ns = cached.ns // a concurrent computation won; keep one canonical slice
 	} else if pp.epoch.Load() == epoch {
-		sh.neighbors[u] = ns
-		sh.coraters[u] = coraters
-		installed = true
+		sh.neighbors[u] = neighborhood{ns: ns, coraters: coraters}
 	}
 	sh.mu.Unlock()
-	if !installed {
-		p.deps.remove(u, coraters)
-	}
 	return ns
 }
 
@@ -530,7 +412,7 @@ func (p *Predictor) GlobalMean() float64 { return p.means.Load().globalMean }
 
 // Stats snapshots the lazy neighborhood cache's counters, aggregated
 // across all shard parts: a hit is a Neighbors call answered from a
-// cache, a miss one that had to scan the user population. Size is the
+// cache, a miss one that had to walk the user's rater lists. Size is the
 // number of cached neighborhoods (the cache only grows, bounded by the
 // user count).
 func (p *Predictor) Stats() CacheStats {

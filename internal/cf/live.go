@@ -16,10 +16,11 @@ import (
 // therefore sim(v, u) for exactly the users v that share an item with
 // u. Every other user's similarities, neighborhood, and predictions
 // are bit-for-bit unchanged, which is what the scoped path
-// (NoteIngestScoped) exploits: the reverse dependency index names the
-// cached users that co-rate with u, the rated item's rater list names
-// the users the ingest newly connects to u, and everyone else's cached
-// state is provably fresh and stays warm. Each dependent gets a
+// (NoteIngestScoped) exploits: every cached neighborhood carries the
+// bitset of its owner's co-raters, so the cached users that co-rate
+// with u are the entries with u's bit set; the rated item's rater list
+// names the users the ingest newly connects to u, and everyone else's
+// cached state is provably fresh and stays warm. Each dependent gets a
 // one-similarity recheck — if u neither sits in nor enters its cached
 // top-k, the neighborhood (whose floats are untouched, not recomputed)
 // is retained too.
@@ -59,11 +60,11 @@ type IngestScope struct {
 //     of pre-ingest state never install;
 //   - u's own neighborhood and norm are dropped (all of u's
 //     similarities changed);
-//   - every dependent v — reverse-index entries for u plus the raters
-//     of it — is rechecked with one fresh sim(v, u): if u already sat
-//     in v's cached top-k, or newly ranks into it under the canonical
-//     (sim desc, user asc) order, v's neighborhood drops; otherwise it
-//     is retained, its floats untouched;
+//   - every dependent v — cached entries with u's co-rater bit set plus
+//     the raters of it — is rechecked with one fresh sim(v, u): if u
+//     already sat in v's cached top-k, or newly ranks into it under the
+//     canonical (sim desc, user asc) order, v's neighborhood drops;
+//     otherwise it is retained, its floats untouched;
 //   - every other cached neighborhood is retained without even a
 //     recheck: no similarity it was built from has changed.
 //
@@ -93,15 +94,15 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 	}
 
 	// Candidate dependents: cached users that co-rated with u at their
-	// fill time (the reverse index), plus the raters of it — the users
-	// the ingest itself newly connects to u. Everyone else's sims to u
-	// were zero before and after. Deduplicate first (deterministic
-	// order: reverse index, then rater list), then recheck — on the
-	// per-shard pool when configured, serially otherwise; the verdicts
-	// are identical either way.
+	// fill time (u's bit in their co-rater set), plus the raters of it —
+	// the users the ingest itself newly connects to u. Everyone else's
+	// sims to u were zero before and after. Deduplicate first (cached
+	// dependents, then rater list), then recheck — on the per-shard pool
+	// when configured, serially otherwise; the verdicts are identical
+	// either way.
 	seen := map[dataset.UserID]struct{}{u: {}}
 	var candidates []dataset.UserID
-	for _, v := range p.deps.dependentsOf(u) {
+	for _, v := range p.dependentsOf(u) {
 		if _, ok := seen[v]; !ok {
 			seen[v] = struct{}{}
 			candidates = append(candidates, v)
@@ -119,24 +120,6 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 		dropped[p.sm.Of(int64(v))]++
 	}
 
-	// Snapshot-restored neighborhoods carry no co-rater lists, so the
-	// reverse index cannot vouch for them: drop them all, once. (They
-	// bought warm reads from restart until the first ingest; from here
-	// on every cached entry is dependency-tracked.)
-	p.restoredMu.Lock()
-	restored := p.restored
-	p.restored = nil
-	p.restoredMu.Unlock()
-	for v := range restored {
-		// Dropped even if a recheck above retained it: a retained entry
-		// with no co-rater lists would stay invisible to the reverse
-		// index forever. dropNeighborhood is a no-op if a recheck (or
-		// the rater path) already removed it.
-		if p.dropNeighborhood(v) {
-			dropped[p.sm.Of(int64(v))]++
-		}
-	}
-
 	for pi, pp := range p.parts {
 		pp.counters.invalidate(dropped[pi])
 		pp.counters.retain(sizes[pi] - dropped[pi])
@@ -151,8 +134,8 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 // how many were actually rechecked (cached) plus the dropped users in
 // candidate order. Candidates are independent — each verdict reads
 // only that user's cached neighborhood and one fresh sim(v, u), and a
-// drop touches only that user's part locks and the striped dependency
-// index — so they run on a bounded pool when one is configured,
+// drop touches only that user's shard lock — so they run on a bounded
+// pool when one is configured,
 // bucketed by shard part (or cache stripe in a 1-part world) to keep
 // concurrent workers off each other's locks. Verdicts land in
 // per-candidate slots and are merged in candidate order, so counters
@@ -233,11 +216,12 @@ func (p *Predictor) recheckNeighborhood(v, u dataset.UserID) (stale, wasCached b
 	pp := p.part(v)
 	sh := &pp.shards[shardIndex(uint64(v))]
 	sh.mu.RLock()
-	ns, ok := sh.neighbors[v]
+	cached, ok := sh.neighbors[v]
 	sh.mu.RUnlock()
 	if !ok {
 		return false, false
 	}
+	ns := cached.ns
 	for _, nb := range ns {
 		if nb.User == u {
 			return true, true
@@ -257,24 +241,42 @@ func (p *Predictor) recheckNeighborhood(v, u dataset.UserID) (stale, wasCached b
 	return false, true
 }
 
-// dropNeighborhood unlinks v's cached neighborhood and releases its
-// reverse-index edges, reporting whether anything was cached.
+// dropNeighborhood unlinks v's cached neighborhood — its co-rater set
+// goes with it — reporting whether anything was cached.
 func (p *Predictor) dropNeighborhood(v dataset.UserID) bool {
-	pp := p.part(v)
-	sh := &pp.shards[shardIndex(uint64(v))]
+	sh := &p.part(v).shards[shardIndex(uint64(v))]
 	sh.mu.Lock()
 	_, ok := sh.neighbors[v]
-	var co []dataset.UserID
-	if ok {
-		co = sh.coraters[v]
-		delete(sh.neighbors, v)
-		delete(sh.coraters, v)
-	}
+	delete(sh.neighbors, v)
 	sh.mu.Unlock()
-	if ok {
-		p.deps.remove(v, co)
-	}
 	return ok
+}
+
+// dependentsOf returns the users whose cached neighborhood was filled
+// while they co-rated an item with w: a bit test over every resident
+// entry. Called after bumpEpochs, it cannot miss a dependency: a fill
+// installs its co-rater set with its neighborhood under the shard lock
+// and checks the epoch under that same hold, so it either landed before
+// this walk read its shard or is fenced.
+func (p *Predictor) dependentsOf(w dataset.UserID) []dataset.UserID {
+	wi, ok := p.index.of(w)
+	if !ok {
+		return nil
+	}
+	var out []dataset.UserID
+	for _, pp := range p.parts {
+		for i := range pp.shards {
+			sh := &pp.shards[i]
+			sh.mu.RLock()
+			for v, nb := range sh.neighbors {
+				if nb.coraters.has(wi) {
+					out = append(out, v)
+				}
+			}
+			sh.mu.RUnlock()
+		}
+	}
+	return out
 }
 
 // bumpEpochs fences every fill in flight and forgets the rater u's
@@ -306,9 +308,9 @@ func (pp *predictorPart) cachedNeighborhoods() int {
 
 // NoteIngest is the drop-everything counterpart of NoteIngestScoped:
 // the fallback means are recomputed and swapped, every cached
-// neighborhood is dropped (with the reverse dependency index reset to
-// match), and u's cached norm is dropped. Kept as the reference the
-// scoped path is tested against.
+// neighborhood is dropped (each with its co-rater set), and u's cached
+// norm is dropped. Kept as the reference the scoped path is tested
+// against.
 func (p *Predictor) NoteIngest(u dataset.UserID) {
 	// Order matters: swap means first, then bump epochs, then clear.
 	// Any fill that read the old means started before the bump and is
@@ -322,19 +324,12 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 			sh.mu.Lock()
 			cleared += len(sh.neighbors)
 			if len(sh.neighbors) > 0 {
-				sh.neighbors = make(map[dataset.UserID][]Neighbor)
-			}
-			if len(sh.coraters) > 0 {
-				sh.coraters = make(map[dataset.UserID][]dataset.UserID)
+				sh.neighbors = make(map[dataset.UserID]neighborhood)
 			}
 			sh.mu.Unlock()
 		}
 		pp.counters.invalidate(cleared)
 	}
-	p.deps.reset()
-	p.restoredMu.Lock()
-	p.restored = nil
-	p.restoredMu.Unlock()
 }
 
 // NoteIngestScoped makes the item predictor coherent with a rating
@@ -412,7 +407,7 @@ func (p *ItemPredictor) NoteIngest() {
 
 // UserNeighbors is one user's cached neighborhood in export form — the
 // unit the snapshot layer persists so a warm restart skips the
-// O(users) neighborhood scans.
+// neighborhood fills.
 type UserNeighbors struct {
 	User      dataset.UserID
 	Neighbors []Neighbor
@@ -427,8 +422,8 @@ func (p *Predictor) ExportNeighborhoods() []UserNeighbors {
 		for i := range pp.shards {
 			sh := &pp.shards[i]
 			sh.mu.RLock()
-			for u, ns := range sh.neighbors {
-				out = append(out, UserNeighbors{User: u, Neighbors: append([]Neighbor(nil), ns...)})
+			for u, nb := range sh.neighbors {
+				out = append(out, UserNeighbors{User: u, Neighbors: append([]Neighbor(nil), nb.ns...)})
 			}
 			sh.mu.RUnlock()
 		}
@@ -441,33 +436,26 @@ func (p *Predictor) ExportNeighborhoods() []UserNeighbors {
 // neighborhoods, returning how many were installed. Entries for users
 // already cached are skipped (the resident entry is canonical). The
 // caller guarantees the snapshot matches the store — the persistence
-// layer's config fingerprint gates that. Restored entries carry no
-// co-rater lists, so the reverse dependency index cannot vouch for
-// them; they are remembered in p.restored and the first scoped ingest
-// drops them wholesale (see NoteIngestScoped).
+// layer's config fingerprint gates that, and it restores only when no
+// journaled rating was replayed on top. Snapshots carry no co-rater
+// sets, so each one is recomputed here with the fill's walk over the
+// store the neighborhood was built from; a restored entry is then as
+// dependency-tracked as a filled one. Call during setup, before ingest
+// traffic: an install here is not epoch-fenced.
 func (p *Predictor) RestoreNeighborhoods(ns []UserNeighbors) int {
 	restored := 0
-	p.restoredMu.Lock()
-	if p.restored == nil {
-		p.restored = make(map[dataset.UserID]struct{}, len(ns))
-	}
-	p.restoredMu.Unlock()
 	for _, un := range ns {
-		pp := p.part(un.User)
-		sh := &pp.shards[shardIndex(uint64(un.User))]
+		nb := neighborhood{
+			ns:       append([]Neighbor(nil), un.Neighbors...),
+			coraters: p.scanCoraters(un.User, nil),
+		}
+		sh := &p.part(un.User).shards[shardIndex(uint64(un.User))]
 		sh.mu.Lock()
-		installed := false
 		if _, ok := sh.neighbors[un.User]; !ok {
-			sh.neighbors[un.User] = append([]Neighbor(nil), un.Neighbors...)
-			installed = true
+			sh.neighbors[un.User] = nb
+			restored++
 		}
 		sh.mu.Unlock()
-		if installed {
-			restored++
-			p.restoredMu.Lock()
-			p.restored[un.User] = struct{}{}
-			p.restoredMu.Unlock()
-		}
 	}
 	return restored
 }

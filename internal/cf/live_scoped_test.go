@@ -47,6 +47,21 @@ func warmNeighbors(p *Predictor, users ...dataset.UserID) map[dataset.UserID][]N
 	return out
 }
 
+// coraterBits builds the co-rater set a fill of p would record for the
+// given users.
+func coraterBits(t *testing.T, p *Predictor, users ...dataset.UserID) userBits {
+	t.Helper()
+	co := make(userBits, (len(p.index.users)+63)>>6)
+	for _, u := range users {
+		i, ok := p.index.of(u)
+		if !ok {
+			t.Fatalf("user %d is not in the predictor's index", u)
+		}
+		co.set(i)
+	}
+	return co
+}
+
 // cached reports whether u's neighborhood is resident, without filling
 // it.
 func cached(p *Predictor, u dataset.UserID) bool {
@@ -106,8 +121,8 @@ func TestNoteIngestScopedRetainsIndependentNeighborhoods(t *testing.T) {
 }
 
 // TestNoteIngestScopedDropsNewlyEnteringRater pins the raters-of-item
-// candidate walk: the reverse index has no edge between the rater and a
-// user it never co-rated with, but an ingest on that user's item
+// candidate walk: no cached co-rater set names the rater for a user it
+// never co-rated with, but an ingest on that user's item
 // creates the first overlap — the rater now ranks into the cached
 // top-k, so the neighborhood must drop.
 func TestNoteIngestScopedDropsNewlyEnteringRater(t *testing.T) {
@@ -158,15 +173,15 @@ func TestNoteIngestScopedFencesStraddlingFills(t *testing.T) {
 	p.NoteIngestScoped(0, 3)
 
 	// The fill ends after the ingest: its caller gets what it computed,
-	// the cache does not, and its reverse-index edges are released.
-	if got := p.finishFill(3, preIngest, []dataset.UserID{4}, epoch); !reflect.DeepEqual(got, preIngest) {
+	// the cache does not, and its co-rater set goes nowhere.
+	if got := p.finishFill(3, preIngest, coraterBits(t, p, 4), epoch); !reflect.DeepEqual(got, preIngest) {
 		t.Errorf("fenced fill returned %v, want its own %v", got, preIngest)
 	}
 	if st := p.Stats(); st.Size != 0 {
 		t.Errorf("fenced fill was cached: %d resident neighborhoods", st.Size)
 	}
-	if got := p.deps.dependentsOf(4); got != nil {
-		t.Errorf("fenced fill left reverse-index edges behind: dependentsOf(4) = %v", got)
+	if got := p.dependentsOf(4); got != nil {
+		t.Errorf("fenced fill left a dependency record behind: dependentsOf(4) = %v", got)
 	}
 	cold, err := NewPredictor(s, 10)
 	if err != nil {
@@ -216,7 +231,7 @@ func TestNoteIngestScopedRetainsWhenRaterDoesNotRank(t *testing.T) {
 
 // TestNoteIngestFullDropsEverything pins the legacy path's accounting:
 // every resident neighborhood counts as invalidated, nothing is
-// retained, and the reverse dependency index is reset with the cache.
+// retained, and no dependency record outlives its neighborhood.
 func TestNoteIngestFullDropsEverything(t *testing.T) {
 	s := scopedStore(t)
 	p, err := NewPredictor(s, 10)
@@ -232,42 +247,59 @@ func TestNoteIngestFullDropsEverything(t *testing.T) {
 	if st.Invalidated != 5 || st.Retained != 0 || st.Size != 0 {
 		t.Errorf("stats = %d invalidated / %d retained / %d resident, want 5 / 0 / 0", st.Invalidated, st.Retained, st.Size)
 	}
-	for i := range p.deps.stripes {
-		stripe := &p.deps.stripes[i]
-		stripe.mu.Lock()
-		n := len(stripe.deps)
-		stripe.mu.Unlock()
-		if n != 0 {
-			t.Fatalf("reverse index not reset after NoteIngest: stripe %d holds %d edges", i, n)
+	for _, u := range s.Users() {
+		if got := p.dependentsOf(u); got != nil {
+			t.Fatalf("dependency records survived NoteIngest: dependentsOf(%d) = %v", u, got)
 		}
 	}
 }
 
-// TestDepIndexRefcounts pins the counted-edge semantics: two fills
-// holding the same edge survive one rollback, and a full release
-// removes the entry entirely.
-func TestDepIndexRefcounts(t *testing.T) {
-	var d depIndex
-	d.init()
-	d.add(7, []dataset.UserID{1, 2})
-	d.add(7, []dataset.UserID{1}) // overlapping fill of the same dependent
-	d.remove(7, []dataset.UserID{1})
-	if got := d.dependentsOf(1); len(got) != 1 || got[0] != 7 {
-		t.Errorf("dependentsOf(1) = %v after one rollback, want [7]", got)
+// TestOverlappingFillsShareOneDependencyRecord pins what the counted
+// edges of the retired reverse index protected: of two overlapping fills
+// of one user, the loser's end must not strip the winner's dependency
+// record, and dropping the neighborhood removes the record entirely.
+func TestOverlappingFillsShareOneDependencyRecord(t *testing.T) {
+	s := scopedStore(t)
+	p, err := NewPredictor(s, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.remove(7, []dataset.UserID{1, 2})
-	if got := d.dependentsOf(1); got != nil {
-		t.Errorf("dependentsOf(1) = %v after full release, want none", got)
+	// Two fills of u0 begin at the same epoch, as two concurrent first
+	// Neighbors(0) calls would.
+	epoch := p.part(0).epoch.Load()
+	nsA, coA := p.fill(0)
+	nsB, coB := p.fill(0)
+	gotA := p.finishFill(0, nsA, coA, epoch)
+	gotB := p.finishFill(0, nsB, coB, epoch) // loses to the cached entry
+	if &gotA[0] != &gotB[0] {
+		t.Errorf("the losing fill did not return the canonical cached slice")
 	}
-	if got := d.dependentsOf(2); got != nil {
-		t.Errorf("dependentsOf(2) = %v after full release, want none", got)
+	for _, w := range []dataset.UserID{1, 2} {
+		if got := p.dependentsOf(w); len(got) != 1 || got[0] != 0 {
+			t.Errorf("dependentsOf(%d) = %v after the losing fill ended, want [0]", w, got)
+		}
+	}
+	for _, w := range []dataset.UserID{0, 3, 4, 9} {
+		if got := p.dependentsOf(w); got != nil {
+			t.Errorf("dependentsOf(%d) = %v, want none: u0 shares no item with it", w, got)
+		}
+	}
+	if !p.dropNeighborhood(0) {
+		t.Fatalf("u0's neighborhood was not resident")
+	}
+	for _, w := range []dataset.UserID{1, 2} {
+		if got := p.dependentsOf(w); got != nil {
+			t.Errorf("dependentsOf(%d) = %v after the drop, want none", w, got)
+		}
 	}
 }
 
-// TestRestoreNeighborhoodsDroppedOnFirstScopedIngest pins the
-// conservative warm-restart contract: restored neighborhoods carry no
-// dependency metadata, so the first scoped ingest drops them all.
-func TestRestoreNeighborhoodsDroppedOnFirstScopedIngest(t *testing.T) {
+// TestRestoreNeighborhoodsSurviveUnrelatedIngest pins the warm-restart
+// contract: a restored neighborhood gets its co-rater set recomputed at
+// restore time, so a scoped ingest treats it like a filled one — a
+// rating that reaches neither restored user retains both, one that
+// reaches one drops exactly it.
+func TestRestoreNeighborhoodsSurviveUnrelatedIngest(t *testing.T) {
 	s := scopedStore(t)
 	warmP, err := NewPredictor(s, 10)
 	if err != nil {
@@ -283,22 +315,34 @@ func TestRestoreNeighborhoodsDroppedOnFirstScopedIngest(t *testing.T) {
 	if n := cold.RestoreNeighborhoods(exported); n != 2 {
 		t.Fatalf("restored %d neighborhoods, want 2", n)
 	}
+	if got := cold.dependentsOf(4); len(got) != 1 || got[0] != 3 {
+		t.Errorf("dependentsOf(4) = %v after the restore, want [3]", got)
+	}
 
 	applyRating(t, s, 0, 3, 5) // reaches neither u3 nor u4
 	scope := cold.NoteIngestScoped(0, 3)
-	if scope.Dropped != 2 {
-		t.Errorf("first scoped ingest dropped %d, want the 2 dep-less restored entries", scope.Dropped)
+	if scope.Dropped != 0 || scope.Retained != 2 {
+		t.Errorf("unrelated ingest: %d dropped / %d retained, want 0 / 2", scope.Dropped, scope.Retained)
 	}
-	if got := cold.CachedNeighborhoods(); got != 0 {
-		t.Errorf("%d neighborhoods resident after the first scoped ingest, want 0", got)
+
+	applyRating(t, s, 9, 11, 4) // u9's first overlap with u4; none with u3
+	scope = cold.NoteIngestScoped(9, 11)
+	if scope.Dropped != 1 || scope.Retained != 1 {
+		t.Errorf("ingest reaching u4: %d dropped / %d retained, want 1 / 1", scope.Dropped, scope.Retained)
 	}
-	// Rebuilt entries are dependency-tracked again: a second unrelated
-	// ingest retains them.
-	warmNeighbors(cold, 3, 4)
-	applyRating(t, s, 0, 2, 2)
-	scope = cold.NoteIngestScoped(0, 2)
-	if scope.Retained != 2 {
-		t.Errorf("second ingest retained %d, want the 2 rebuilt neighborhoods", scope.Retained)
+	if !cached(cold, 3) || cached(cold, 4) {
+		t.Errorf("after the ingest reaching u4: u3 resident = %v, u4 resident = %v; want true, false",
+			cached(cold, 3), cached(cold, 4))
+	}
+
+	fresh, err := NewPredictor(s, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []dataset.UserID{0, 1, 2, 3, 4} {
+		if got, want := cold.Neighbors(u), fresh.Neighbors(u); !reflect.DeepEqual(got, want) {
+			t.Errorf("post-ingest Neighbors(%d) = %v, want cold %v", u, got, want)
+		}
 	}
 }
 
@@ -373,8 +417,8 @@ func TestTimeWeightedRefresh(t *testing.T) {
 // TestScopedIngestRace hammers concurrent neighborhood fills against
 // serialized scoped ingests, then checks every surviving and rebuilt
 // neighborhood against a cold predictor — the epoch fence and the
-// dep-edge insert/rollback protocol must never let a pre-ingest fill
-// or a missed dependency survive. Run with -race.
+// co-rater set installed with each neighborhood must never let a
+// pre-ingest fill or a missed dependency survive. Run with -race.
 func TestScopedIngestRace(t *testing.T) {
 	s := randomStore(t, 40, 30, 500, 7)
 	p, err := NewPredictor(s, 10)

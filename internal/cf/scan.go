@@ -1,0 +1,191 @@
+package cf
+
+import (
+	"cmp"
+	"math/bits"
+	"sync/atomic"
+
+	"repro/internal/dataset"
+)
+
+// This file is the neighborhood fill kernel. A fill does not score the
+// user against every other user: it walks the user's own row once and,
+// for each of its items, that item's rater list, so the work is the
+// number of (co-rater, shared item) pairs — the entries of the rater
+// lists of the user's own items — instead of one merge-join per user in
+// the store. The users the walk touches are exactly the co-raters, and
+// they are the fill's dependency record: a bitset over the dense user
+// index, installed with the neighborhood it describes.
+
+// userIndex maps user IDs onto dense positions in Users() order. The
+// overlay cannot grow the user domain (dataset.ErrUnknownUser), so the
+// index is fixed at construction. IDs close together get an offset
+// table; sparse or far-apart ones (a loader fed arbitrary IDs) a map.
+type userIndex struct {
+	users []dataset.UserID
+	base  dataset.UserID
+	// table[u-base] is u's position plus one, 0 for an ID in the span
+	// that no user holds; nil when the IDs are too spread out.
+	table  []int32
+	sparse map[dataset.UserID]int32
+}
+
+func newUserIndex(users []dataset.UserID) userIndex {
+	ix := userIndex{users: users}
+	if len(users) == 0 {
+		return ix
+	}
+	ix.base = users[0]
+	// Unsigned difference: exact even when the IDs straddle the whole
+	// int range.
+	span := uint64(users[len(users)-1]) - uint64(users[0])
+	if span < uint64(8*len(users)+1024) {
+		ix.table = make([]int32, span+1)
+		for i, u := range users {
+			ix.table[u-ix.base] = int32(i) + 1
+		}
+		return ix
+	}
+	ix.sparse = make(map[dataset.UserID]int32, len(users))
+	for i, u := range users {
+		ix.sparse[u] = int32(i)
+	}
+	return ix
+}
+
+// of returns u's dense position, or false for a user outside the store.
+func (ix *userIndex) of(u dataset.UserID) (int, bool) {
+	if ix.sparse != nil {
+		i, ok := ix.sparse[u]
+		return int(i), ok
+	}
+	off := uint64(u) - uint64(ix.base)
+	if off >= uint64(len(ix.table)) {
+		return 0, false
+	}
+	i := ix.table[off]
+	return int(i) - 1, i != 0
+}
+
+// userBits is a bitset over the dense user index.
+type userBits []uint64
+
+func (b userBits) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b userBits) has(i int) bool { return b[i>>6]>>(uint(i)&63)&1 == 1 }
+
+// count returns the number of set bits.
+func (b userBits) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// scanWork counts what fills and similarity calls cost, for the tests
+// that pin the kernel's complexity.
+type scanWork struct {
+	// listEntries is the number of rater-list entries fills walked.
+	listEntries atomic.Int64
+	// pairMerges is the number of pairwise row merge-joins taken.
+	pairMerges atomic.Int64
+}
+
+// scanCoraters walks u's row and the rater list of each of its items,
+// marking every other user it meets — u's co-raters — in a fresh bitset.
+// With a non-nil dot (len(users), all zero) it also accumulates each
+// co-rater's dot product with u, bit-identically to cosineCorated's
+// merge-join of the two rows: per co-rater the products are added in
+// ascending item order, and where a (user, item) pair was rated more
+// than once the two runs — both in log order, base before delta — are
+// paired first with first up to the shorter one.
+func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
+	co := make(userBits, (len(p.index.users)+63)>>6)
+	ru := p.store.ByUser(u)
+	entries := 0
+	for i := 0; i < len(ru); {
+		j := i + 1
+		for j < len(ru) && ru[j].Item == ru[i].Item {
+			j++
+		}
+		own := ru[i:j]
+		raters := p.store.ByItem(own[0].Item)
+		entries += len(raters)
+		for k := 0; k < len(raters); {
+			v := raters[k].User
+			e := k + 1
+			for e < len(raters) && raters[e].User == v {
+				e++
+			}
+			if vi, ok := p.index.of(v); ok && v != u {
+				co.set(vi)
+				if dot != nil {
+					theirs := raters[k:e]
+					for t := 0; t < len(own) && t < len(theirs); t++ {
+						dot[vi] += own[t].Value * theirs[t].Value
+					}
+				}
+			}
+			k = e
+		}
+		i = j
+	}
+	p.work.listEntries.Add(int64(entries))
+	return co
+}
+
+// fill computes u's neighborhood and its co-rater set from the store.
+// Candidates are scored in Users() order — the set bits ascending — so
+// keepTop sees the sequence a scan over every user would hand it.
+func (p *Predictor) fill(u dataset.UserID) ([]Neighbor, userBits) {
+	var dot []float64
+	var pooled *[]float64
+	if p.measure != PearsonSim {
+		pooled = p.dots.Get().(*[]float64)
+		dot = *pooled
+	}
+	co := p.scanCoraters(u, dot)
+	nu := p.norm(u)
+	all := make([]Neighbor, 0, co.count())
+	for w, word := range co {
+		for ; word != 0; word &= word - 1 {
+			vi := w<<6 + bits.TrailingZeros64(word)
+			v := p.index.users[vi]
+			var s float64
+			if dot == nil {
+				s, _ = p.pearsonCorated(u, v)
+			} else if d := dot[vi]; d != 0 {
+				s = cosineFrom(d, nu, p.norm(v))
+				dot[vi] = 0 // leave the pooled vector zeroed
+			}
+			if s > 0 {
+				all = append(all, Neighbor{User: v, Sim: s})
+			}
+		}
+	}
+	if pooled != nil {
+		p.dots.Put(pooled)
+	}
+	all = keepTop(all, p.k, compareNeighbors)
+	return append([]Neighbor(nil), all...), co
+}
+
+// compareNeighbors is the canonical neighborhood order: similarity
+// descending, user ascending on ties.
+func compareNeighbors(a, b Neighbor) int {
+	if a.Sim != b.Sim {
+		return cmp.Compare(b.Sim, a.Sim)
+	}
+	return cmp.Compare(a.User, b.User)
+}
+
+// cosineFrom finishes a cosine from a non-zero dot product (both
+// callers skip a zero one before paying for the norms) and the two
+// vector norms: the one place the zero-norm guard and the division
+// live, so the fill and the pairwise path cannot drift apart.
+func cosineFrom(dot, nu, nv float64) float64 {
+	if nu == 0 || nv == 0 {
+		return 0
+	}
+	return dot / (nu * nv)
+}

@@ -1,0 +1,486 @@
+package cf
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/shard"
+)
+
+// referenceFill is the fill the walk in scan.go replaced, kept as its
+// oracle: one pairwise similarity against every user in the store, the
+// co-rating flags collected on the way.
+func referenceFill(p *Predictor, u dataset.UserID) ([]Neighbor, []dataset.UserID) {
+	all := make([]Neighbor, 0, 64)
+	var coraters []dataset.UserID
+	for _, v := range p.store.Users() {
+		if v == u {
+			continue
+		}
+		s, corated := p.simCorated(p.measure, u, v)
+		if corated {
+			coraters = append(coraters, v)
+		}
+		if s > 0 {
+			all = append(all, Neighbor{User: v, Sim: s})
+		}
+	}
+	all = keepTop(all, p.k, compareNeighbors)
+	return append([]Neighbor(nil), all...), coraters
+}
+
+// usersOf lists a co-rater set in Users() order.
+func usersOf(p *Predictor, co userBits) []dataset.UserID {
+	var out []dataset.UserID
+	for w, word := range co {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, p.index.users[w<<6+bits.TrailingZeros64(word)])
+		}
+	}
+	return out
+}
+
+// diffFill compares the walk against the pairwise reference for one
+// user: the same neighbors with the same similarity bits, and the same
+// co-rater set.
+func diffFill(p *Predictor, u dataset.UserID) error {
+	got, co := p.fill(u)
+	want, wantCo := referenceFill(p, u)
+	if len(got) != len(want) {
+		return fmt.Errorf("user %d: %d neighbors, reference has %d\n got %v\nwant %v", u, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i].User != want[i].User || math.Float64bits(got[i].Sim) != math.Float64bits(want[i].Sim) {
+			return fmt.Errorf("user %d: neighbor %d = {%d %x}, reference {%d %x}", u, i,
+				got[i].User, math.Float64bits(got[i].Sim), want[i].User, math.Float64bits(want[i].Sim))
+		}
+	}
+	if gotCo := usersOf(p, co); !reflect.DeepEqual(gotCo, wantCo) {
+		return fmt.Errorf("user %d: co-raters %v, reference %v", u, gotCo, wantCo)
+	}
+	if only := usersOf(p, p.scanCoraters(u, nil)); !reflect.DeepEqual(only, wantCo) {
+		return fmt.Errorf("user %d: dot-less walk found co-raters %v, reference %v", u, only, wantCo)
+	}
+	return nil
+}
+
+// diffAllFills runs diffFill for every user of the store plus one the
+// store has never seen, over a fresh predictor (so nothing is cached).
+func diffAllFills(s *dataset.Store, k int, measure Similarity, m shard.Map) error {
+	p, err := NewPredictorSim(s, k, measure)
+	if err != nil {
+		return err
+	}
+	if m != nil {
+		p.SetSharding(m)
+	}
+	users := s.Users()
+	stranger := dataset.UserID(math.MaxInt64)
+	if len(users) > 0 && users[len(users)-1] == stranger {
+		stranger = users[0] - 1
+	}
+	for _, u := range append(append([]dataset.UserID(nil), users...), stranger) {
+		if err := diffFill(p, u); err != nil {
+			return err
+		}
+		// The pooled dot vector must come back zeroed: a second fill of
+		// the same user has to read the same.
+		if err := diffFill(p, u); err != nil {
+			return fmt.Errorf("second fill: %w", err)
+		}
+	}
+	return nil
+}
+
+// scanWorld is one world of the scan-vs-pairwise table: base ratings
+// frozen, then deltas applied live.
+type scanWorld struct {
+	name   string
+	base   []dataset.Rating
+	deltas []dataset.Rating
+}
+
+func rt(u, it int, v float64) dataset.Rating {
+	return dataset.Rating{User: dataset.UserID(u), Item: dataset.ItemID(it), Value: v, Time: 1}
+}
+
+// randomRatings draws n ratings over the given user IDs, duplicates of
+// one (user, item) pair allowed when dup is set.
+func randomRatings(rng *rand.Rand, ids []dataset.UserID, items, n int, dup bool) []dataset.Rating {
+	seen := make(map[[2]int]bool)
+	var out []dataset.Rating
+	for len(out) < n {
+		ui, it := rng.Intn(len(ids)), rng.Intn(items)
+		if !dup && seen[[2]int{ui, it}] {
+			continue
+		}
+		seen[[2]int{ui, it}] = true
+		out = append(out, dataset.Rating{User: ids[ui], Item: dataset.ItemID(it), Value: float64(1 + rng.Intn(5)), Time: int64(len(out))})
+	}
+	return out
+}
+
+func scanWorlds() []scanWorld {
+	rng := rand.New(rand.NewSource(22))
+	dense := make([]dataset.UserID, 40)
+	for i := range dense {
+		dense[i] = dataset.UserID(i)
+	}
+	negative := []dataset.UserID{-70, -69, -3, -1, 0, 2, 5, 64, 65, 127, 128, 300}
+	sparse := []dataset.UserID{math.MinInt64, -1 << 40, -9, 0, 7, 1 << 20, 1 << 41, math.MaxInt64 - 1}
+	return []scanWorld{
+		{
+			// u0 rated item 1 three times and u1 twice (and the other way
+			// round on item 2): the merge-join pairs first with first up
+			// to the shorter run, in the base, across base and delta, and
+			// in the deltas alone.
+			name: "duplicates on both sides",
+			base: []dataset.Rating{
+				rt(0, 1, 5), rt(1, 1, 2), rt(0, 1, 1), rt(1, 1, 4), rt(0, 1, 3),
+				rt(0, 2, 2), rt(1, 2, 5), rt(1, 2, 1), rt(1, 2, 3),
+				rt(2, 1, 4), rt(2, 3, 3), rt(3, 3, 5), rt(3, 4, 1), rt(4, 4, 2),
+			},
+			deltas: []dataset.Rating{
+				rt(1, 1, 1), rt(0, 2, 4), rt(0, 2, 5), rt(2, 1, 2), rt(2, 1, 5),
+				rt(4, 3, 3), rt(4, 3, 1), rt(3, 3, 2), rt(0, 4, 4),
+			},
+		},
+		{
+			name:   "dense random",
+			base:   randomRatings(rng, dense, 25, 400, false),
+			deltas: randomRatings(rng, dense, 25, 60, true),
+		},
+		{
+			name:   "dense random with duplicates",
+			base:   randomRatings(rng, dense[:12], 6, 200, true),
+			deltas: randomRatings(rng, dense[:12], 6, 40, true),
+		},
+		{
+			name:   "negative and gapped user IDs (offset table)",
+			base:   randomRatings(rng, negative, 10, 70, true),
+			deltas: randomRatings(rng, negative, 10, 20, true),
+		},
+		{
+			name:   "sparse user IDs (map index)",
+			base:   randomRatings(rng, sparse, 8, 40, true),
+			deltas: randomRatings(rng, sparse, 8, 15, true),
+		},
+		{
+			name: "one user",
+			base: []dataset.Rating{rt(7, 1, 3), rt(7, 1, 4)},
+		},
+	}
+}
+
+// buildScanWorld freezes w.base and keeps only the deltas the frozen
+// domains accept (a delta cannot introduce a user or an item).
+func buildScanWorld(t testing.TB, w scanWorld, m shard.Map) (*dataset.Store, []dataset.Rating) {
+	t.Helper()
+	s, err := dataset.FromRatings(w.base)
+	if err != nil {
+		t.Fatalf("FromRatings: %v", err)
+	}
+	if m != nil {
+		s.Reshard(m)
+	}
+	users := make(map[dataset.UserID]bool)
+	items := make(map[dataset.ItemID]bool)
+	for _, r := range w.base {
+		users[r.User], items[r.Item] = true, true
+	}
+	var deltas []dataset.Rating
+	for _, r := range w.deltas {
+		if users[r.User] && items[r.Item] {
+			deltas = append(deltas, r)
+		}
+	}
+	return s, deltas
+}
+
+// TestNeighborhoodScanMatchesPairwise holds the fill's walk to the
+// pairwise reference bit for bit — neighbors, similarity bits and
+// co-rater sets — for both measures, 1 and 4 shards, and a store that
+// is frozen, carries pending deltas, and has folded them.
+func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
+	for _, w := range scanWorlds() {
+		for _, measure := range []Similarity{CosineSim, PearsonSim} {
+			for _, nShards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%v/shards=%d", w.name, measure, nShards), func(t *testing.T) {
+					var m shard.Map
+					if nShards > 1 {
+						h, err := shard.New(nShards)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m = h
+					}
+					s, deltas := buildScanWorld(t, w, m)
+					for _, k := range []int{3, 50} {
+						if err := diffAllFills(s, k, measure, m); err != nil {
+							t.Fatalf("frozen, k=%d: %v", k, err)
+						}
+					}
+
+					// A live predictor rides along: what it serves after
+					// every scoped ingest must be what a cold one computes.
+					live, err := NewPredictorSim(s, 3, measure)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m != nil {
+						live.SetSharding(m)
+					}
+					for _, u := range s.Users() {
+						live.Neighbors(u)
+					}
+					for i, r := range deltas {
+						if err := s.Apply(r); err != nil {
+							t.Fatalf("Apply(%+v): %v", r, err)
+						}
+						live.NoteIngestScoped(r.User, r.Item)
+						if err := diffAllFills(s, 3, measure, m); err != nil {
+							t.Fatalf("%d pending deltas: %v", i+1, err)
+						}
+					}
+					for _, u := range s.Users() {
+						want, _ := referenceFill(live, u)
+						if got := live.Neighbors(u); !reflect.DeepEqual(got, want) {
+							t.Fatalf("live Neighbors(%d) after %d scoped ingests = %v, reference %v", u, len(deltas), got, want)
+						}
+					}
+
+					s.ReFreeze()
+					if s.PendingDeltas() != 0 {
+						t.Fatalf("ReFreeze left %d deltas pending", s.PendingDeltas())
+					}
+					for _, k := range []int{3, 50} {
+						if err := diffAllFills(s, k, measure, m); err != nil {
+							t.Fatalf("after ReFreeze, k=%d: %v", k, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCosineZeroNormGuard pins the guard the fill shares with the
+// pairwise path: a zero norm on either side scores 0, never NaN or Inf.
+func TestCosineZeroNormGuard(t *testing.T) {
+	for _, c := range [][3]float64{{4, 0, 2}, {4, 2, 0}, {4, 0, 0}, {0, 2, 2}} {
+		if got := cosineFrom(c[0], c[1], c[2]); got != 0 {
+			t.Errorf("cosineFrom(%v, %v, %v) = %v, want 0", c[0], c[1], c[2], got)
+		}
+	}
+	if got := cosineFrom(6, 2, 3); got != 1 {
+		t.Errorf("cosineFrom(6, 2, 3) = %v, want 1", got)
+	}
+}
+
+// TestUserIndexIsTotal pins the dense index over both layouts: every
+// user maps to its Users() position, everything else to "absent".
+func TestUserIndexIsTotal(t *testing.T) {
+	for _, ids := range [][]dataset.UserID{
+		nil,
+		{5},
+		{0, 1, 2, 3},
+		{-70, -3, 0, 64, 300},
+		{math.MinInt64, -9, 0, 7, 1 << 41, math.MaxInt64},
+	} {
+		ix := newUserIndex(ids)
+		for want, u := range ids {
+			if got, ok := ix.of(u); !ok || got != want {
+				t.Errorf("ids %v: of(%d) = %d, %v; want %d, true", ids, u, got, ok, want)
+			}
+		}
+		member := make(map[dataset.UserID]bool)
+		for _, u := range ids {
+			member[u] = true
+		}
+		for _, u := range []dataset.UserID{math.MinInt64, -71, -4, -1, 0, 1, 4, 6, 63, 299, 301, 1 << 40, math.MaxInt64} {
+			if _, ok := ix.of(u); ok != member[u] {
+				t.Errorf("ids %v: of(%d) present = %v, want %v", ids, u, ok, member[u])
+			}
+		}
+	}
+}
+
+// TestFillWalksOnlyOwnRaterLists pins the kernel's cost: a cosine fill
+// visits the rater lists of the user's distinct items, once each, and
+// takes no pairwise merge-join at all.
+func TestFillWalksOnlyOwnRaterLists(t *testing.T) {
+	s := randomStore(t, 60, 40, 900, 5)
+	// A repeat of one (user, item) must not walk that item's list twice.
+	first := s.ByUser(0)[0]
+	applyRating(t, s, 0, first.Item, 2)
+	p, err := NewPredictor(s, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range s.Users() {
+		want := 0
+		seen := make(map[dataset.ItemID]bool)
+		for _, r := range s.ByUser(u) {
+			if !seen[r.Item] {
+				seen[r.Item] = true
+				want += len(s.ByItem(r.Item))
+			}
+		}
+		entries, merges := p.work.listEntries.Load(), p.work.pairMerges.Load()
+		p.Neighbors(u)
+		if got := p.work.listEntries.Load() - entries; got != int64(want) {
+			t.Errorf("fill of user %d walked %d rater-list entries, want %d", u, got, want)
+		}
+		if got := p.work.pairMerges.Load() - merges; got != 0 {
+			t.Errorf("fill of user %d took %d pairwise merges, want 0", u, got)
+		}
+		entries = p.work.listEntries.Load()
+		p.Neighbors(u)
+		if got := p.work.listEntries.Load() - entries; got != 0 {
+			t.Errorf("cached Neighbors(%d) walked %d rater-list entries", u, got)
+		}
+	}
+}
+
+// resident returns v's cached neighborhood without filling it.
+func resident(p *Predictor, v dataset.UserID) ([]Neighbor, bool) {
+	sh := &p.part(v).shards[shardIndex(uint64(v))]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	nb, ok := sh.neighbors[v]
+	return nb.ns, ok
+}
+
+// TestFillRacingScopedIngestIsFencedOrFound races fills against a
+// scoped ingest in a world where every user co-rates with every other
+// and k exceeds the user count — so the rater sits in every top-k and
+// any neighborhood computed before the rating is stale. Whatever is
+// resident once both sides finish must therefore be post-ingest state:
+// a fill that installed before the epoch bump was found by the
+// dependents walk (its co-rater set went in under the same lock hold)
+// and dropped, and one that installed after it was fenced unless it
+// began after the bump. This is what the retired reverse index's
+// insert-before-install protocol guaranteed. Run with -race.
+func TestFillRacingScopedIngestIsFencedOrFound(t *testing.T) {
+	for _, nShards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
+			s := randomStore(t, 16, 8, 110, 31)
+			m, err := shard.New(nShards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Reshard(m)
+			p, err := NewPredictor(s, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetSharding(m)
+			users, items := s.Users(), s.Items()
+			rng := rand.New(rand.NewSource(3))
+			for round := 0; round < 120; round++ {
+				for _, v := range users {
+					p.dropNeighborhood(v)
+				}
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for g := 0; g < 3; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						<-start
+						for i := range users {
+							p.Neighbors(users[(i*3+g)%len(users)])
+						}
+					}(g)
+				}
+				u, it := users[rng.Intn(len(users))], items[rng.Intn(len(items))]
+				close(start)
+				if err := s.Apply(dataset.Rating{User: u, Item: it, Value: float64(1 + rng.Intn(5)), Time: 1}); err != nil {
+					t.Fatal(err)
+				}
+				p.NoteIngestScoped(u, it)
+				wg.Wait()
+
+				cold, err := NewPredictor(s, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range users {
+					got, ok := resident(p, v)
+					if !ok {
+						continue
+					}
+					if want := cold.Neighbors(v); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d: user %d's resident neighborhood predates user %d's rating:\n got %v\nwant %v", round, v, u, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzNeighborhoodScanMatchesPairwise feeds the scan-vs-pairwise
+// differential arbitrary small worlds: the first bytes pick the measure,
+// the shard count, the user-ID layout and how much of the log is frozen;
+// every following triple is one rating.
+func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 4, 0, 1, 3, 1, 1, 2, 0, 1, 4, 1, 1, 0})
+	f.Add([]byte{1, 1, 1, 2, 0, 0, 0, 1, 0, 4, 0, 0, 2, 1, 0, 1, 2, 0, 3})
+	f.Add([]byte{0, 1, 2, 9, 3, 2, 1, 4, 2, 2, 3, 2, 0, 4, 2, 4, 5, 1, 1, 3, 1, 2, 5, 1, 0})
+	f.Add([]byte{1, 0, 2, 1, 7, 7, 7, 7, 7, 3, 6, 7, 1, 7, 7, 0})
+	layouts := [][]dataset.UserID{
+		{0, 1, 2, 3, 4, 5, 6, 7},
+		{-70, -69, -3, 0, 5, 64, 65, 300},
+		{math.MinInt64, -1 << 40, -9, 0, 7, 1 << 20, 1 << 41, math.MaxInt64},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		measure := Similarity(data[0] % 2)
+		var m shard.Map
+		if data[1]%2 == 1 {
+			h, err := shard.New(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = h
+		}
+		ids := layouts[int(data[2])%len(layouts)]
+		var log []dataset.Rating
+		for body := data[4:]; len(body) >= 3 && len(log) < 96; body = body[3:] {
+			log = append(log, dataset.Rating{
+				User:  ids[int(body[0])%len(ids)],
+				Item:  dataset.ItemID(body[1] % 6),
+				Value: float64(1 + body[2]%5),
+				Time:  int64(len(log)),
+			})
+		}
+		if len(log) == 0 {
+			return
+		}
+		nBase := 1 + int(data[3])%len(log)
+		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]}, m)
+		if err := diffAllFills(s, 3, measure, m); err != nil {
+			t.Fatalf("frozen: %v", err)
+		}
+		for _, r := range deltas {
+			if err := s.Apply(r); err != nil {
+				t.Fatalf("Apply(%+v): %v", r, err)
+			}
+		}
+		if err := diffAllFills(s, 3, measure, m); err != nil {
+			t.Fatalf("%d pending deltas: %v", len(deltas), err)
+		}
+		s.ReFreeze()
+		if err := diffAllFills(s, 3, measure, m); err != nil {
+			t.Fatalf("after ReFreeze: %v", err)
+		}
+	})
+}

@@ -47,14 +47,14 @@ func (p *Predictor) Sim(measure Similarity, u, v dataset.UserID) float64 {
 }
 
 // simCorated returns the similarity of u and v plus whether the two
-// users co-rated at least one item. The co-rating flag is the edge the
-// reverse dependency index records: an ingest by w can change sim(u, w)
+// users co-rated at least one item — one pairwise merge-join of the two
+// rows. It serves single-pair questions (Sim, the scoped ingest's
+// rechecks); a neighborhood fill gets the same floats and the same
+// co-rater set for every v at once from the walk in scan.go, which the
+// tests hold to this function bit for bit. The co-rating flag is a
+// cached neighborhood's dependency: an ingest by w can change sim(u, w)
 // only when the two share an item (or the ingest itself creates the
-// first shared item, which the rated item's rater list covers), so a
-// cached neighborhood is dependent on exactly its co-raters. The
-// similarity value is computed with the same branch structure and
-// accumulation order as the public Cosine/Pearson paths, so callers
-// mixing the two stay bit-identical.
+// first shared item, which the rated item's rater list covers).
 func (p *Predictor) simCorated(measure Similarity, u, v dataset.UserID) (float64, bool) {
 	switch measure {
 	case PearsonSim:
@@ -69,6 +69,7 @@ func (p *Predictor) cosineCorated(u, v dataset.UserID) (float64, bool) {
 	if u == v {
 		return 1, true
 	}
+	p.work.pairMerges.Add(1)
 	ru, rv := p.store.ByUser(u), p.store.ByUser(v)
 	var dot float64
 	corated := false
@@ -89,21 +90,18 @@ func (p *Predictor) cosineCorated(u, v dataset.UserID) (float64, bool) {
 	if dot == 0 {
 		return 0, corated
 	}
-	nu, nv := p.norm(u), p.norm(v)
-	if nu == 0 || nv == 0 {
-		return 0, corated
-	}
-	return dot / (nu * nv), corated
+	return cosineFrom(dot, p.norm(u), p.norm(v)), corated
 }
 
 // pearsonCorated is Pearson plus the co-rating flag. Co-raters with
 // fewer than two shared items still score 0, but the flag is set — a
 // later ingest can lift the overlap past the threshold, which is why
-// the dependency edge must exist before the similarity does.
+// the co-rater bit must be set before the similarity exists.
 func (p *Predictor) pearsonCorated(u, v dataset.UserID) (float64, bool) {
 	if u == v {
 		return 1, true
 	}
+	p.work.pairMerges.Add(1)
 	ru, rv := p.store.ByUser(u), p.store.ByUser(v)
 	var xs, ys []float64
 	i, j := 0, 0

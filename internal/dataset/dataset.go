@@ -274,8 +274,10 @@ func (s *Store) Freeze() {
 }
 
 // rankByPopularity sorts a copy of items by descending count with
-// ascending-ID ties. Freeze, the delta overlay, and ReFreeze all rank
-// through this one function so the three orderings can never diverge.
+// ascending-ID ties. Freeze and ReFreeze rank through this one
+// function; the delta overlay moves one item per Apply instead
+// (promoteByPopularity) and is held to this order by a differential
+// test.
 func rankByPopularity(items []ItemID, count func(ItemID) int) []ItemID {
 	ranked := make([]ItemID, len(items))
 	copy(ranked, items)
@@ -577,7 +579,7 @@ func (s *Store) ItemPopularity() []ItemID {
 
 // PopularityRanked returns the precomputed popularity ranking as a
 // shared slice for hot paths. Callers must not modify it. With pending
-// deltas the overlay ranking (recomputed at each Apply) is returned;
+// deltas the overlay ranking (re-derived at each Apply) is returned;
 // it matches what a cold rebuild of base+deltas would precompute.
 func (s *Store) PopularityRanked() []ItemID {
 	s.mustFrozen("PopularityRanked")

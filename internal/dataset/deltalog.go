@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,9 +44,9 @@ type DeltaLog struct {
 	recs   []Rating
 	byItem map[ItemID][]Rating
 	sumVal float64
-	// popRanked is the overlaid popularity ranking, recomputed at each
-	// Apply (never mutated in place, so returning it to lock-free
-	// readers is safe); nil when no deltas are pending.
+	// popRanked is the overlaid popularity ranking, re-derived at each
+	// Apply into a fresh slice (never mutated in place, so returning it
+	// to lock-free readers is safe); nil when no deltas are pending.
 	popRanked []ItemID
 }
 
@@ -130,12 +131,16 @@ func (s *Store) Apply(r Rating) error {
 	dl.recs = append(dl.recs, r)
 	dl.byItem[r.Item] = append(dl.byItem[r.Item], r)
 	dl.sumVal += r.Value
-	// Recompute the overlaid popularity ranking into a fresh slice (the
-	// previous one may be in a lock-free reader's hands). Reload the
-	// state inside the locks: ReFreeze cannot run concurrently here, so
-	// this is the state the pending deltas overlay.
+	// One item's count rose by one: move it up the current ranking.
+	// Reload the state inside the locks: ReFreeze cannot run
+	// concurrently here, so this is the state the pending deltas
+	// overlay.
 	st = s.state.Load()
-	dl.popRanked = rankByPopularity(st.items, func(it ItemID) int {
+	ranked := dl.popRanked
+	if ranked == nil {
+		ranked = st.popRanked
+	}
+	dl.popRanked = promoteByPopularity(ranked, r.Item, func(it ItemID) int {
 		return len(st.byItem[it]) + len(dl.byItem[it])
 	})
 	dl.itemMu.Unlock()
@@ -143,6 +148,32 @@ func (s *Store) Apply(r Rating) error {
 	dl.count.Add(1)
 	dl.applied.Add(1)
 	return nil
+}
+
+// promoteByPopularity returns the popularity ranking after it alone
+// gained one rating: a copy of ranked (the old slice may be in a
+// lock-free reader's hands) with it moved up past every entry that now
+// has a lower count, or an equal count and a higher ID. ranked must be
+// in rankByPopularity's order for the counts before the gain, and count
+// must report the counts after it; the result is then exactly what
+// rankByPopularity would produce, without re-sorting the catalog.
+func promoteByPopularity(ranked []ItemID, it ItemID, count func(ItemID) int) []ItemID {
+	out := make([]ItemID, len(ranked))
+	pos := slices.Index(ranked, it)
+	c := count(it)
+	to := pos
+	for to > 0 {
+		prev := ranked[to-1]
+		if pc := count(prev); pc > c || (pc == c && prev < it) {
+			break
+		}
+		to--
+	}
+	copy(out, ranked[:to])
+	out[to] = it
+	copy(out[to+1:], ranked[to:pos])
+	copy(out[pos+1:], ranked[pos+1:])
+	return out
 }
 
 // ReFreeze folds every pending delta into a successor frozen state and
@@ -194,7 +225,6 @@ func foldState(st *storeState, dl *DeltaLog) *storeState {
 		items:     st.items,
 		nRatings:  st.nRatings,
 		sumVal:    st.sumVal,
-		popRanked: dl.popRanked,
 		sm:        st.sm,
 		maskWords: st.maskWords,
 	}
@@ -212,6 +242,7 @@ func foldState(st *storeState, dl *DeltaLog) *storeState {
 	for it, drs := range dl.byItem {
 		ns.byItem[it] = mergeByUser(st.byItem[it], drs)
 	}
+	ns.popRanked = rankByPopularity(ns.items, func(it ItemID) int { return len(ns.byItem[it]) })
 	// User-major arenas: share untouched rows, merge delta'd ones, and
 	// rebuild each shard's contiguous bitset backing.
 	ns.parts = make([]storePart, len(st.parts))

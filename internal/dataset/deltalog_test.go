@@ -302,3 +302,65 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 		t.Fatalf("NumRatings after final fold = %d, want %d", got, want)
 	}
 }
+
+// TestApplyPromotesPopularityLikeFullRank holds the one-item move Apply
+// makes in the popularity ranking to the full rankByPopularity sort:
+// after every one of 2 400 seeded ratings — long runs of ties, one item
+// rated over and over, the least popular item climbing from last place
+// to first — and across the ReFreeze folds in between, the served
+// ranking is the full rank of the counts a cold rebuild would see.
+func TestApplyPromotesPopularityLikeFullRank(t *testing.T) {
+	// 30 items; item i starts with i/3 + 1 ratings, so triples tie.
+	const nItems, nUsers = 30, 10
+	var recs []Rating
+	for it := 0; it < nItems; it++ {
+		for k := 0; k <= it/3; k++ {
+			recs = append(recs, Rating{User: UserID(k % nUsers), Item: ItemID(it), Value: 3, Time: int64(len(recs))})
+		}
+	}
+	s := freezeStore(t, recs, 4)
+	counts := make(map[ItemID]int)
+	for _, r := range recs {
+		counts[r.Item]++
+	}
+	check := func(step int, what string) {
+		t.Helper()
+		want := rankByPopularity(s.Items(), func(it ItemID) int { return counts[it] })
+		if got := s.PopularityRanked(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s): ranking diverged from the full rank\n got %v\nwant %v", step, what, got, want)
+		}
+	}
+	check(0, "frozen")
+	last := s.PopularityRanked()[nItems-1]
+	rng := rand.New(rand.NewSource(5))
+	for step := 1; step <= 2400; step++ {
+		var it ItemID
+		switch {
+		case step <= 400:
+			it = ItemID(rng.Intn(nItems)) // uniform: crossing and re-forming ties
+		case step <= 800:
+			it = 7 // one item, over and over
+		case step <= 1400:
+			it = last // the least popular item, all the way to the top
+		default:
+			it = ItemID(rng.Intn(nItems))
+		}
+		held := s.PopularityRanked()
+		before := append([]ItemID(nil), held...)
+		if err := s.Apply(Rating{User: UserID(rng.Intn(nUsers)), Item: it, Value: float64(1 + rng.Intn(5)), Time: int64(step)}); err != nil {
+			t.Fatalf("step %d: Apply: %v", step, err)
+		}
+		counts[it]++
+		check(step, "applied")
+		if !reflect.DeepEqual(held, before) {
+			t.Fatalf("step %d: Apply wrote into the ranking a reader held", step)
+		}
+		if step%97 == 0 {
+			s.ReFreeze()
+			check(step, "folded")
+		}
+	}
+	if got := s.PopularityRanked()[0]; got != last {
+		t.Errorf("item %d was rated 600 times in a row and ranks %v first", last, got)
+	}
+}

@@ -22,7 +22,7 @@ const snapshotFile = "snapshot.bin"
 // sorted-list views and the user-based predictor's neighborhoods. The
 // caches are pure functions of the ratings and configuration, so the
 // snapshot stays coherent by construction; persisting them is what
-// lets a restart skip the O(users) rebuild scans.
+// lets a restart skip the rebuilds.
 type worldSnapshot struct {
 	Ratings       []dataset.Rating
 	Views         []liststore.UserView

@@ -86,6 +86,86 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	}
 }
 
+// TestWarmRestartKeepsNeighborhoodsAcrossFirstRating pins the restored
+// neighborhoods' dependency tracking: their co-rater sets are
+// recomputed at restore time, so the first rating after a warm reopen
+// drops only the neighborhoods it reaches — it used to drop every
+// restored one — and what is served over the retained ones is what a
+// cold world holding the same ratings serves.
+func TestWarmRestartKeepsNeighborhoodsAcrossFirstRating(t *testing.T) {
+	base := liveBaseRatings(t)
+	dir := t.TempDir()
+	const warmUsers = 30
+	opt := Options{K: 5}
+
+	w1, _, err := OpenWorld(persistTestConfig(base), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := w1.Ratings().Users()
+	for g := 0; g+3 <= warmUsers; g += 3 {
+		if _, err := w1.Recommend(users[g:g+3], opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := SaveWorldSnapshot(w1, dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := w1.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, st2, err := OpenWorld(persistTestConfig(base), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.ClosePersistence()
+	if !st2.Warm || st2.WarmNeighborhoods < warmUsers {
+		t.Fatalf("restart reported %+v, want warm with at least %d neighborhoods", st2, warmUsers)
+	}
+	// One rating by one user on its least-popular unrated item: the
+	// smallest reach an ingest can have.
+	ranked := w2.Ratings().PopularityRanked()
+	var r dataset.Rating
+	for i := len(ranked) - 1; i >= 0; i-- {
+		if !w2.Ratings().HasRated(users[0], ranked[i]) {
+			r = dataset.Rating{User: users[0], Item: ranked[i], Value: 5, Time: 978300000}
+			break
+		}
+	}
+	if err := w2.AddRating(r); err != nil {
+		t.Fatal(err)
+	}
+	nb := w2.CacheStats().Neighborhoods
+	if nb.Retained == 0 {
+		t.Errorf("the first rating after a warm restart retained no neighborhood: %+v", nb)
+	}
+	if nb.Invalidated == 0 {
+		t.Errorf("the first rating after a warm restart dropped no neighborhood — the rater's own must: %+v", nb)
+	}
+	if nb.Size == 0 || nb.Misses != 0 {
+		t.Errorf("neighborhood cache after the rating = %+v, want restored entries resident and no fill yet", nb)
+	}
+
+	cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), 4, nil)
+	for g := 0; g+3 <= warmUsers; g += 3 {
+		want, err := cold.Recommend(users[g:g+3], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := w2.Recommend(users[g:g+3], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("group %v: served over restored neighborhoods diverged from a cold world\n got %+v\nwant %+v", users[g:g+3], got, want)
+		}
+	}
+	if after := w2.CacheStats().Neighborhoods; after.Hits == 0 {
+		t.Errorf("no request was served from a retained restored neighborhood: %+v", after)
+	}
+}
+
 // TestIngestThenRestartMatchesNeverRestarting pins WAL replay: ingest
 // without ever snapshotting, drop the process, reopen — the replayed
 // world must match a world that ingested the same ratings and never

@@ -29,9 +29,12 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 # neighborhood invalidation vs the test-only drop-everything reference
 # world; the sub-benchmarks ride along via the path match, like
 # shards=N and g=N; views drop on every rating under both), the
-# distributed serving path over loopback workers, and the canonical-sort
-# kernel every view build runs (0 allocs/op: its scratch is pooled).
-PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkRecommendSharded|BenchmarkBatchShardAware|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical)$'
+# distributed serving path over loopback workers, the canonical-sort
+# kernel every view build runs (0 allocs/op: its scratch is pooled), and
+# the neighborhood fill a rating makes the serving path pay again (one
+# cold fill and its drop on the bench workloads' 2 000-user world: the
+# co-rater bitset, the candidate slice and the kept top-k).
+PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkRecommendSharded|BenchmarkBatchShardAware|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical|BenchmarkNeighborhoodFill)$'
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT

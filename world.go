@@ -98,7 +98,7 @@ type Config struct {
 	// fingerprint, and irrelevant in-process.
 	RemoteViewCache int
 	// RecheckWorkers bounds the goroutines a scoped rating ingest uses
-	// to recheck revdep candidate neighborhoods (the candidates are
+	// to recheck dependent candidate neighborhoods (the candidates are
 	// independent one-similarity verifications, bucketed by shard so
 	// concurrent workers stay off each other's locks). 0 selects a
 	// small default pool (min(4, GOMAXPROCS)); 1 or negative forces the
@@ -476,8 +476,8 @@ func (w *World) SetRatingLog(l RatingLog) {
 // Coherence: one rating by user u shifts u's vector and therefore
 // sim(v, u) — but only for the users v that share an item with u. The
 // ingest exploits that where a rebuild is expensive, the neighborhood
-// cache: the predictor's reverse dependency index names the cached users
-// that co-rate with u, each gets a one-similarity recheck, and only the
+// cache: every cached neighborhood carries its owner's co-rater bitset,
+// the ones with u's bit set get a one-similarity recheck, and only the
 // neighborhoods the rating actually reaches are dropped (epoch-fenced
 // against in-flight fills re-installing pre-ingest results). The sorted
 // views above them all drop: every rating shifts a fallback mean, no
@@ -679,7 +679,7 @@ type CacheStats struct {
 	Shards   int               `json:"shards"`
 	PerShard []ShardCacheStats `json:"per_shard"`
 	// RecheckPool is the effective worker-pool size scoped ingest uses
-	// to recheck revdep candidates (1 = serial; see
+	// to recheck dependent candidates (1 = serial; see
 	// Config.RecheckWorkers).
 	RecheckPool int `json:"recheck_pool"`
 }
