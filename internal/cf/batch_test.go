@@ -1,0 +1,617 @@
+package cf
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/shard"
+)
+
+// referenceBatchInto is the retired slot accumulation, kept as the
+// differential reference for the kernel: one accumulation slot per
+// distinct candidate found through a map built per call, the fallback
+// means re-derived from the store instead of read off the dense
+// snapshot.
+func referenceBatchInto(p *Predictor, u dataset.UserID, items []dataset.ItemID, dst []float64, weight func(Neighbor, dataset.Rating) float64) {
+	slotOf := make([]int, len(items))
+	index := make(map[dataset.ItemID]int, len(items))
+	var slotItem []dataset.ItemID
+	for i, it := range items {
+		s, ok := index[it]
+		if !ok {
+			s = len(slotItem)
+			index[it] = s
+			slotItem = append(slotItem, it)
+		}
+		slotOf[i] = s
+	}
+	num := make([]float64, len(slotItem))
+	den := make([]float64, len(slotItem))
+	for _, nb := range p.Neighbors(u) {
+		rs := p.store.ByUser(nb.User)
+		for ri, r := range rs {
+			if ri > 0 && rs[ri-1].Item == r.Item {
+				continue
+			}
+			if s, ok := index[r.Item]; ok {
+				w := weight(nb, r)
+				num[s] += w * r.Value
+				den[s] += w
+			}
+		}
+	}
+	own := make([]float64, len(slotItem))
+	ownSet := make([]bool, len(slotItem))
+	for _, r := range p.store.ByUser(u) {
+		if s, ok := index[r.Item]; ok && !ownSet[s] {
+			own[s] = r.Value
+			ownSet[s] = true
+		}
+	}
+	global := computePredictorMeans(p.store).globalMean
+	for i := range items {
+		s := slotOf[i]
+		switch {
+		case ownSet[s]:
+			dst[i] = own[s]
+		case den[s] > 0:
+			dst[i] = clampRating(num[s] / den[s])
+		default:
+			if sum, n := sumRatings(p.store.ByItem(slotItem[s])); n > 0 {
+				dst[i] = sum / float64(n)
+			} else {
+				dst[i] = global
+			}
+		}
+	}
+}
+
+// batchRig is one predictor under the kernel-vs-reference differential:
+// the user-based predictor alone, or the time-weighted one wrapped
+// around it.
+type batchRig struct {
+	base *Predictor
+	tw   *TimeWeightedPredictor
+}
+
+type batchKind struct {
+	name         string
+	measure      Similarity
+	timeWeighted bool
+}
+
+var batchKinds = []batchKind{
+	{"user-based cosine", CosineSim, false},
+	{"user-based pearson", PearsonSim, false},
+	{"time-weighted", CosineSim, true},
+}
+
+func newBatchRig(t testing.TB, s *dataset.Store, kind batchKind, k int, m shard.Map) batchRig {
+	t.Helper()
+	base, err := NewPredictorSim(s, k, kind.measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != nil {
+		base.SetSharding(m)
+	}
+	rig := batchRig{base: base}
+	if kind.timeWeighted {
+		// A half-life inside the worlds' time range, so the decay
+		// factors differ from rating to rating.
+		if rig.tw, err = NewTimeWeightedPredictor(base, 40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rig
+}
+
+func (r batchRig) source() interface {
+	Source
+	BatchInto
+} {
+	if r.tw != nil {
+		return r.tw
+	}
+	return r.base
+}
+
+// weight is the seam the predictor under test hands the kernel.
+func (r batchRig) weight() func(Neighbor, dataset.Rating) float64 {
+	if r.tw == nil {
+		return func(nb Neighbor, _ dataset.Rating) float64 { return nb.Sim }
+	}
+	now := r.tw.Now()
+	return func(nb Neighbor, rt dataset.Rating) float64 { return nb.Sim * r.tw.weightAt(now, rt.Time) }
+}
+
+// noteApplied makes the rig coherent with a rating just applied to its
+// store, as World.applyRating does.
+func (r batchRig) noteApplied(rt dataset.Rating) {
+	r.base.NoteIngestScoped(rt.User, rt.Item)
+	if r.tw != nil {
+		r.tw.Advance(rt.Time)
+	}
+}
+
+// diffBatch compares one batch call, position by position and bit by
+// bit, against the reference and against per-item Predict.
+func diffBatch(rig batchRig, u dataset.UserID, items []dataset.ItemID) error {
+	src := rig.source()
+	got := make([]float64, len(items))
+	for i := range got {
+		got[i] = math.NaN() // the kernel must write every position
+	}
+	src.PredictBatchInto(u, items, got)
+	want := make([]float64, len(items))
+	referenceBatchInto(rig.base, u, items, want, rig.weight())
+	for i, it := range items {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("user %d item %d (position %d of %d): kernel %v, reference %v", u, it, i, len(items), got[i], want[i])
+		}
+		if seq := src.Predict(u, it); math.Float64bits(got[i]) != math.Float64bits(seq) {
+			return fmt.Errorf("user %d item %d (position %d of %d): kernel %v, Predict %v", u, it, i, len(items), got[i], seq)
+		}
+	}
+	return nil
+}
+
+// absentItem returns an ID outside the store's item domain.
+func absentItem(s *dataset.Store) dataset.ItemID {
+	for _, it := range []dataset.ItemID{-1, 12345, math.MaxInt64, math.MinInt64, 3} {
+		if !slices.Contains(s.Items(), it) {
+			return it
+		}
+	}
+	panic("every probe ID is an item")
+}
+
+// batchItemLists is the candidate-list axis of the table: the popular
+// pool a view asks for, lists with repeated candidates, with an item
+// outside the store, empty, one item, and the whole catalog.
+func batchItemLists(s *dataset.Store) map[string][]dataset.ItemID {
+	pool := s.PopularSet(600)
+	half := s.PopularSet((len(pool) + 1) / 2)
+	ghost := absentItem(s)
+	dup := append(slices.Clone(half), half...)
+	dup = append(dup, pool[len(pool)-1], pool[0], pool[len(pool)-1])
+	outside := append([]dataset.ItemID{ghost}, half...)
+	outside = append(outside, ghost, pool[0])
+	return map[string][]dataset.ItemID{
+		"pool":         pool,
+		"half pool":    half,
+		"duplicates":   dup,
+		"outside item": outside,
+		"only outside": {ghost},
+		"empty":        nil,
+		"one item":     {pool[len(pool)/2]},
+		"every item":   s.Items(),
+	}
+}
+
+// diffAllBatches runs every candidate list for every user of the store
+// and for one user outside it (no ratings, no neighbors).
+func diffAllBatches(rig batchRig, s *dataset.Store) error {
+	ghost := dataset.UserID(-12345)
+	if slices.Contains(s.Users(), ghost) {
+		ghost = 54321
+	}
+	for name, items := range batchItemLists(s) {
+		for _, u := range append(slices.Clone(s.Users()), ghost) {
+			if err := diffBatch(rig, u, items); err != nil {
+				return fmt.Errorf("list %q: %w", name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// randomItemRatings draws n ratings over the given user and item IDs
+// with spread-out times, repeats of one (user, item) pair allowed.
+func randomItemRatings(rng *rand.Rand, users []dataset.UserID, items []dataset.ItemID, n int) []dataset.Rating {
+	out := make([]dataset.Rating, n)
+	for i := range out {
+		out[i] = dataset.Rating{
+			User:  users[rng.Intn(len(users))],
+			Item:  items[rng.Intn(len(items))],
+			Value: float64(1 + rng.Intn(5)),
+			Time:  rng.Int63n(200),
+		}
+	}
+	return out
+}
+
+func batchWorlds() []scanWorld {
+	rng := rand.New(rand.NewSource(24))
+	users := make([]dataset.UserID, 30)
+	for i := range users {
+		users[i] = dataset.UserID(i)
+	}
+	dense := make([]dataset.ItemID, 40)
+	for i := range dense {
+		dense[i] = dataset.ItemID(i)
+	}
+	gapped := []dataset.ItemID{-70, -69, -3, -1, 0, 2, 5, 64, 65, 127, 128, 300}
+	sparse := []dataset.ItemID{math.MinInt64, -1 << 40, -9, 0, 7, 1 << 20, 1 << 41, math.MaxInt64 - 1}
+	// User 99 shares no item with anyone, before or after the deltas: it
+	// has ratings and no neighbors.
+	loner := []dataset.Rating{rt(99, 900, 4), rt(99, 901, 2)}
+	return []scanWorld{
+		{
+			// Repeats of one (user, item) pair in the user's own row and
+			// in its neighbors' rows, in the base, across base and delta,
+			// and in the deltas alone: the first one wins everywhere.
+			name: "duplicate ratings in own and neighbor rows",
+			base: []dataset.Rating{
+				rt(0, 1, 5), rt(1, 1, 2), rt(0, 1, 1), rt(1, 1, 4), rt(0, 1, 3),
+				rt(0, 2, 2), rt(1, 2, 5), rt(1, 2, 1), rt(1, 2, 3),
+				rt(2, 1, 4), rt(2, 3, 3), rt(3, 3, 5), rt(3, 4, 1), rt(4, 4, 2), rt(4, 5, 3),
+			},
+			deltas: []dataset.Rating{
+				rt(1, 1, 1), rt(0, 2, 4), rt(0, 2, 5), rt(2, 1, 2), rt(2, 1, 5),
+				rt(4, 3, 3), rt(4, 3, 1), rt(3, 3, 2), rt(0, 4, 4), rt(2, 5, 1),
+			},
+		},
+		{
+			name:   "dense random and a user with no neighbors",
+			base:   append(randomItemRatings(rng, users[:20], dense, 280), loner...),
+			deltas: append(randomItemRatings(rng, users[:20], dense, 30), rt(99, 900, 1)),
+		},
+		{
+			name:   "negative and gapped item IDs (offset table)",
+			base:   randomItemRatings(rng, users[:12], gapped, 90),
+			deltas: randomItemRatings(rng, users[:12], gapped, 25),
+		},
+		{
+			name:   "sparse item IDs (map index)",
+			base:   randomItemRatings(rng, users[:10], sparse, 50),
+			deltas: randomItemRatings(rng, users[:10], sparse, 20),
+		},
+	}
+}
+
+// TestPredictBatchMatchesReference holds the kernel to the retired
+// map-based accumulation and to per-item Predict, bit for bit, for the
+// three predictors that share it, 1 and 4 shards, and a store that is
+// frozen, carries pending deltas, and has folded them.
+func TestPredictBatchMatchesReference(t *testing.T) {
+	for _, w := range batchWorlds() {
+		for _, kind := range batchKinds {
+			for _, nShards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/shards=%d", w.name, kind.name, nShards), func(t *testing.T) {
+					var m shard.Map
+					if nShards > 1 {
+						h, err := shard.New(nShards)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m = h
+					}
+					s, deltas := buildScanWorld(t, w, m)
+					if usesMap := newDenseIndex(s.Items()).sparse != nil; usesMap != (w.name == "sparse item IDs (map index)") {
+						t.Fatalf("item index falls back to the map = %v", usesMap)
+					}
+					// k below and above the user count: full and truncated
+					// neighborhoods.
+					rigs := []batchRig{newBatchRig(t, s, kind, 3, m), newBatchRig(t, s, kind, 50, m)}
+					for _, rig := range rigs {
+						if err := diffAllBatches(rig, s); err != nil {
+							t.Fatalf("frozen, k=%d: %v", rig.base.k, err)
+						}
+					}
+					for i, r := range deltas {
+						if err := s.Apply(r); err != nil {
+							t.Fatalf("Apply(%+v): %v", r, err)
+						}
+						for _, rig := range rigs {
+							rig.noteApplied(r)
+							// The full table after every few ratings and
+							// after the last one.
+							if i%6 != 0 && i != len(deltas)-1 {
+								continue
+							}
+							if err := diffAllBatches(rig, s); err != nil {
+								t.Fatalf("%d pending deltas, k=%d: %v", i+1, rig.base.k, err)
+							}
+						}
+					}
+					s.ReFreeze()
+					if s.PendingDeltas() != 0 {
+						t.Fatalf("ReFreeze left %d deltas pending", s.PendingDeltas())
+					}
+					for _, rig := range rigs {
+						if err := diffAllBatches(rig, s); err != nil {
+							t.Fatalf("after ReFreeze, k=%d: %v", rig.base.k, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzPredictBatchMatchesReference feeds the kernel-vs-reference
+// differential arbitrary small worlds: the first bytes pick the
+// predictor, the shard count, the item-ID layout and how much of the log
+// is frozen; every following triple is one rating.
+func FuzzPredictBatchMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 4, 0, 1, 3, 1, 1, 2, 0, 1, 4, 1, 1, 0})
+	f.Add([]byte{1, 1, 1, 2, 0, 0, 0, 1, 0, 4, 0, 0, 2, 1, 0, 1, 2, 0, 3})
+	f.Add([]byte{2, 1, 2, 9, 3, 2, 1, 4, 2, 2, 3, 2, 0, 4, 2, 4, 5, 1, 1, 3, 1, 2, 5, 1, 0})
+	f.Add([]byte{2, 0, 2, 1, 7, 7, 7, 7, 7, 3, 6, 7, 1, 7, 7, 0})
+	layouts := [][]dataset.ItemID{
+		{0, 1, 2, 3, 4, 5, 6, 7},
+		{-70, -69, -3, 0, 5, 64, 65, 300},
+		{math.MinInt64, -1 << 40, -9, 0, 7, 1 << 20, 1 << 41, math.MaxInt64 - 1},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		kind := batchKinds[int(data[0])%len(batchKinds)]
+		var m shard.Map
+		if data[1]%2 == 1 {
+			h, err := shard.New(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = h
+		}
+		ids := layouts[int(data[2])%len(layouts)]
+		var log []dataset.Rating
+		for body := data[4:]; len(body) >= 3 && len(log) < 96; body = body[3:] {
+			log = append(log, dataset.Rating{
+				User:  dataset.UserID(body[0] % 6),
+				Item:  ids[int(body[1])%len(ids)],
+				Value: float64(1 + body[2]%5),
+				Time:  int64(body[2]),
+			})
+		}
+		if len(log) == 0 {
+			return
+		}
+		nBase := 1 + int(data[3])%len(log)
+		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]}, m)
+		rig := newBatchRig(t, s, kind, 3, m)
+		if err := diffAllBatches(rig, s); err != nil {
+			t.Fatalf("frozen: %v", err)
+		}
+		for _, r := range deltas {
+			if err := s.Apply(r); err != nil {
+				t.Fatalf("Apply(%+v): %v", r, err)
+			}
+			rig.noteApplied(r)
+		}
+		if err := diffAllBatches(rig, s); err != nil {
+			t.Fatalf("%d pending deltas: %v", len(deltas), err)
+		}
+		s.ReFreeze()
+		if err := diffAllBatches(rig, s); err != nil {
+			t.Fatalf("after ReFreeze: %v", err)
+		}
+	})
+}
+
+// TestPredictBatchIntoAllocatesNothing pins the pooled working set: with
+// the user's neighborhood cached, a batch call allocates nothing, for
+// either predictor that shares the kernel.
+func TestPredictBatchIntoAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	s := randomStore(t, 60, 80, 1500, 8)
+	items := s.PopularSet(50)
+	dst := make([]float64, len(items))
+	for _, kind := range batchKinds {
+		src := newBatchRig(t, s, kind, 10, nil).source()
+		src.PredictBatchInto(3, items, dst) // fills the neighborhood and the pool
+		if allocs := testing.AllocsPerRun(200, func() { src.PredictBatchInto(3, items, dst) }); allocs != 0 {
+			t.Errorf("%s: PredictBatchInto allocates %v times per call, want 0", kind.name, allocs)
+		}
+	}
+}
+
+// TestBatchScratchReturnsClean holds the kernel to the pool's invariant:
+// after calls of different lengths, with repeated candidates and items
+// outside the store, every entry of the working set is zero again — a
+// mark or a partial sum left behind would leak one user's evidence into
+// the next view.
+func TestBatchScratchReturnsClean(t *testing.T) {
+	s := randomStore(t, 40, 60, 900, 9)
+	lists := batchItemLists(s)
+	for _, kind := range batchKinds {
+		rig := newBatchRig(t, s, kind, 8, nil)
+		sc := rig.base.scratch.Get().(*batchScratch)
+		// Longest first would hide a tail left dirty by a shorter call;
+		// run the lists in both orders.
+		names := []string{"one item", "duplicates", "every item", "outside item", "empty", "pool", "half pool", "one item"}
+		for round := 0; round < 2; round++ {
+			for _, name := range names {
+				items := lists[name]
+				for _, u := range s.Users()[:10] {
+					got := make([]float64, len(items))
+					rig.base.batchWith(sc, u, items, got, rig.weight())
+					want := make([]float64, len(items))
+					referenceBatchInto(rig.base, u, items, want, rig.weight())
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s, list %q, user %d: kernel on a reused working set diverges from the reference", kind.name, name, u)
+					}
+					for i, v := range sc.slot {
+						if v != 0 {
+							t.Fatalf("%s, list %q, user %d: slot[%d] = %d at rest", kind.name, name, u, i, v)
+						}
+					}
+					for i := range sc.num {
+						if sc.num[i] != 0 || sc.den[i] != 0 || sc.own[i] != 0 || sc.ownSet[i] {
+							t.Fatalf("%s, list %q, user %d: entry %d at rest = num %v den %v own %v ownSet %v",
+								kind.name, name, u, i, sc.num[i], sc.den[i], sc.own[i], sc.ownSet[i])
+						}
+					}
+				}
+			}
+			slices.Reverse(names)
+		}
+		if len(sc.num) < len(lists["duplicates"]) {
+			t.Fatalf("%s: working set grew to %d entries, the longest batch has %d", kind.name, len(sc.num), len(lists["duplicates"]))
+		}
+	}
+}
+
+// TestConcurrentBatchesDuringScopedIngest runs batch calls of mixed
+// lengths from 8 goroutines while ratings are applied and noted, and
+// holds every result taken between two ingests to a serial rerun on a
+// cold predictor over the same prefix of the rating log. Run with -race.
+func TestConcurrentBatchesDuringScopedIngest(t *testing.T) {
+	const readers = 8
+	rng := rand.New(rand.NewSource(41))
+	base := randomStore(t, 30, 40, 500, 40).DumpRatings()
+	s, err := dataset.FromRatings(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, catalog := s.Users(), s.Items()
+	stream := randomItemRatings(rng, users, catalog, 40)
+	lists := [][]dataset.ItemID{
+		s.PopularSet(600),
+		s.PopularSet(7),
+		append(s.PopularSet(12), s.PopularSet(12)...),
+		{catalog[3]},
+		append([]dataset.ItemID{absentItem(s)}, catalog[:20]...),
+	}
+	p, err := NewPredictor(s, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// seq is odd while a rating is being applied and noted; a result
+	// read under one even value on both sides saw exactly seq/2 ratings.
+	type sample struct {
+		applied int
+		user    dataset.UserID
+		list    int
+		out     []float64
+	}
+	var seq, reads atomic.Int64
+	var stop atomic.Bool
+	samples := make([][]sample, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for !stop.Load() {
+				u, li := users[rng.Intn(len(users))], rng.Intn(len(lists))
+				out := make([]float64, len(lists[li]))
+				before := seq.Load()
+				p.PredictBatchInto(u, lists[li], out)
+				if before%2 == 0 && seq.Load() == before {
+					samples[g] = append(samples[g], sample{int(before / 2), u, li, out})
+				}
+				reads.Add(1)
+			}
+		}(g)
+	}
+	for _, r := range stream {
+		// Let the readers get some calls in between two ratings.
+		for mark := reads.Load(); reads.Load() < mark+2*readers; {
+			runtime.Gosched()
+		}
+		seq.Add(1)
+		if err := s.Apply(r); err != nil {
+			t.Error(err)
+			break
+		}
+		p.NoteIngestScoped(r.User, r.Item)
+		seq.Add(1)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	cold := make(map[int]*Predictor)
+	checked := 0
+	for _, ss := range samples {
+		for _, sm := range ss {
+			c := cold[sm.applied]
+			if c == nil {
+				cs, err := dataset.FromRatings(append(slices.Clone(base), stream[:sm.applied]...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c, err = NewPredictor(cs, 10); err != nil {
+					t.Fatal(err)
+				}
+				cold[sm.applied] = c
+			}
+			want := make([]float64, len(sm.out))
+			c.PredictBatchInto(sm.user, lists[sm.list], want)
+			for i := range want {
+				if math.Float64bits(sm.out[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("after %d ratings, user %d, list %d, position %d: concurrent %v, serial cold rerun %v",
+						sm.applied, sm.user, sm.list, i, sm.out[i], want[i])
+				}
+			}
+			checked++
+		}
+	}
+	if checked < len(stream) {
+		t.Fatalf("only %d results fell between two ingests", checked)
+	}
+}
+
+// TestIncrementalMeansMatchFullRecompute applies 2 400 ratings one at a
+// time — many repeats of a few items, one item 400 times running, a
+// fold in the middle — and holds the scoped ingest's means to the full
+// recomputation bit for bit after each.
+func TestIncrementalMeansMatchFullRecompute(t *testing.T) {
+	s := randomStore(t, 50, 60, 1200, 17)
+	p, err := NewPredictor(s, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(18))
+	users, items := s.Users(), s.Items()
+	check := func(n int) {
+		t.Helper()
+		got, want := p.means.Load(), computePredictorMeans(s)
+		if math.Float64bits(got.globalMean) != math.Float64bits(want.globalMean) {
+			t.Fatalf("after %d ratings: global mean %v, full recompute %v", n, got.globalMean, want.globalMean)
+		}
+		if !slices.Equal(got.counts, want.counts) {
+			t.Fatalf("after %d ratings: per-item counts diverge from the full recompute", n)
+		}
+		for i, it := range items {
+			g, w := got.fallback(i, true), want.fallback(i, true)
+			if math.Float64bits(got.sums[i]) != math.Float64bits(want.sums[i]) || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("after %d ratings: item %d sum %v mean %v, full recompute %v and %v", n, it, got.sums[i], g, want.sums[i], w)
+			}
+		}
+	}
+	check(0)
+	for n := 1; n <= 2400; n++ {
+		it := items[rng.Intn(len(items))]
+		switch {
+		case n > 700 && n <= 1100:
+			it = items[7] // one item 400 times running
+		case n%3 == 0:
+			it = items[rng.Intn(4)] // repeats of a few items
+		}
+		r := dataset.Rating{User: users[rng.Intn(len(users))], Item: it, Value: float64(1 + rng.Intn(5)), Time: int64(n)}
+		if err := s.Apply(r); err != nil {
+			t.Fatal(err)
+		}
+		p.NoteIngestScoped(r.User, r.Item)
+		check(n)
+		if n == 900 || n == 1800 {
+			s.ReFreeze()
+			check(n)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,25 +79,33 @@ type Predictor struct {
 	// sm routes users onto parts; Single unless SetSharding widened it.
 	sm    shard.Map
 	parts []*predictorPart
-	// index is the dense user index the fill kernel accumulates over and
+	// users is the dense user index the fill kernel accumulates over and
 	// the co-rater bitsets are laid out on; dots pools the kernel's
 	// dot-product vectors (*[]float64, len(users), all zero at rest).
-	index userIndex
+	users denseIndex[dataset.UserID]
 	dots  sync.Pool
 	work  scanWork
+	// items is the dense item index the batch kernel's slot table and the
+	// fallback means are laid out on; scratch pools the kernel's working
+	// sets (*batchScratch, all zero at rest).
+	items   denseIndex[dataset.ItemID]
+	scratch sync.Pool
 	// means holds the fallback means (per-item and global) as one
-	// immutable snapshot: NoteIngest recomputes and swaps it, so hot
-	// paths read a coherent pair with a single atomic load.
+	// immutable snapshot: an ingest builds a successor and swaps it, so
+	// hot paths read a coherent pair with a single atomic load.
 	means atomic.Pointer[predictorMeans]
 	// recheckWorkers is the configured scoped-ingest recheck pool size
 	// (see SetRecheckWorkers); resolved lazily by RecheckWorkers.
 	recheckWorkers int
 }
 
-// predictorMeans is one immutable snapshot of the fallback means.
+// predictorMeans is one immutable snapshot of the fallback means, dense
+// over the item index (position i is Items()[i]).
 type predictorMeans struct {
-	// itemMean caches per-item mean ratings for the first fallback.
-	itemMean map[dataset.ItemID]float64
+	// sums[i] and counts[i] are the sum and the number of item i's
+	// ratings; the item mean — the first fallback — is their quotient.
+	sums   []float64
+	counts []int
 	// globalMean is the dataset mean rating, the last-resort fallback
 	// prediction when an item has no neighbor coverage.
 	globalMean float64
@@ -104,31 +113,64 @@ type predictorMeans struct {
 
 // computePredictorMeans derives the fallback means from the store. The
 // accumulation order (items ascending, each item's ratings in list
-// order) is the bit-identicality contract: NoteIngest's recomputation
-// over the delta-overlaid store runs this exact loop, so a live world
-// and a cold rebuild agree to the last bit.
+// order) is the bit-identicality contract: a recomputation over the
+// delta-overlaid store runs this exact loop, so a live world and a cold
+// rebuild agree to the last bit.
 func computePredictorMeans(store *dataset.Store) *predictorMeans {
-	m := &predictorMeans{itemMean: make(map[dataset.ItemID]float64)}
+	items := store.Items()
+	m := &predictorMeans{sums: make([]float64, len(items)), counts: make([]int, len(items))}
+	for i, it := range items {
+		m.sums[i], m.counts[i] = sumRatings(store.ByItem(it))
+	}
+	m.total()
+	return m
+}
+
+// sumRatings adds one item's ratings in list order.
+func sumRatings(rs []dataset.Rating) (float64, int) {
+	var s float64
+	for _, r := range rs {
+		s += r.Value
+	}
+	return s, len(rs)
+}
+
+// total derives the global mean from the per-item sums, added in
+// ascending item order.
+func (m *predictorMeans) total() {
 	var sum float64
 	n := 0
-	for _, it := range store.Items() {
-		rs := store.ByItem(it)
-		var s float64
-		for _, r := range rs {
-			s += r.Value
-		}
-		if len(rs) > 0 {
-			m.itemMean[it] = s / float64(len(rs))
-		}
+	for i, s := range m.sums {
 		sum += s
-		n += len(rs)
+		n += m.counts[i]
 	}
 	if n > 0 {
 		m.globalMean = sum / float64(n)
 	} else {
 		m.globalMean = 3 // middle of the 1..5 scale
 	}
-	return m
+}
+
+// withItem returns the successor snapshot after the item at dense
+// position ix gained a rating: only that item's list is re-summed (the
+// inner loop of computePredictorMeans), then the per-item sums are
+// re-added in ascending item order — every addition the full
+// recomputation's outer loop makes, in its order, so the two agree to
+// the last bit.
+func (m *predictorMeans) withItem(ix int, rs []dataset.Rating) *predictorMeans {
+	next := &predictorMeans{sums: slices.Clone(m.sums), counts: slices.Clone(m.counts)}
+	next.sums[ix], next.counts[ix] = sumRatings(rs)
+	next.total()
+	return next
+}
+
+// fallback is the prediction for an item no neighbor covers: its mean,
+// or the global mean when nobody rated it or it lies outside the store.
+func (m *predictorMeans) fallback(ix int, ok bool) float64 {
+	if ok && m.counts[ix] > 0 {
+		return m.sums[ix] / float64(m.counts[ix])
+	}
+	return m.globalMean
 }
 
 // predictorPart is one shard's instance of the lazy neighborhood
@@ -176,13 +218,15 @@ func NewPredictorSim(store *dataset.Store, kNeighbors int, measure Similarity) (
 		measure: measure,
 		sm:      shard.Single,
 		parts:   []*predictorPart{newPredictorPart()},
-		index:   newUserIndex(store.Users()),
+		users:   newDenseIndex(store.Users()),
+		items:   newDenseIndex(store.Items()),
 	}
-	nUsers := len(p.index.users)
+	nUsers, nItems := len(p.users.ids), len(p.items.ids)
 	p.dots.New = func() any {
 		v := make([]float64, nUsers)
 		return &v
 	}
+	p.scratch.New = func() any { return &batchScratch{slot: make([]int32, nItems)} }
 	p.means.Store(computePredictorMeans(store))
 	return p, nil
 }
@@ -325,11 +369,7 @@ func (p *Predictor) Predict(u dataset.UserID, it dataset.ItemID) float64 {
 	if den > 0 {
 		return clampRating(num / den)
 	}
-	means := p.means.Load()
-	if m, ok := means.itemMean[it]; ok {
-		return m
-	}
-	return means.globalMean
+	return p.means.Load().fallback(p.items.of(it))
 }
 
 // PredictBatch returns predictions of u for each item in items. The
@@ -350,55 +390,104 @@ func (p *Predictor) PredictBatchInto(u dataset.UserID, items []dataset.ItemID, d
 	p.batchInto(u, items, dst, func(nb Neighbor, _ dataset.Rating) float64 { return nb.Sim })
 }
 
+// batchScratch is one pooled working set of the batch kernel. Every
+// entry is zero while the set rests in the pool: the kernel zeroes what
+// it touched before it returns the set, because a mark or a partial sum
+// left behind would leak one user's evidence into the next view.
+type batchScratch struct {
+	// slot[ix] is one plus the position in items of the first candidate
+	// with dense item index ix, 0 for an item the batch does not ask for.
+	slot []int32
+	// num, den, own and ownSet are indexed by that position and grown to
+	// the largest batch seen.
+	num, den, own []float64
+	ownSet        []bool
+}
+
+// grow sizes the per-candidate vectors for a batch of n.
+func (sc *batchScratch) grow(n int) {
+	if n > len(sc.num) {
+		sc.num, sc.den, sc.own = make([]float64, n), make([]float64, n), make([]float64, n)
+		sc.ownSet = make([]bool, n)
+	}
+}
+
 // batchInto is the shared slot-accumulation core of the user-based and
 // time-weighted batch paths: weight supplies each rating's
 // contribution factor (similarity alone, or similarity × age decay).
-// It preserves Predict's per-item accumulation order, first-duplicate
-// -wins rating semantics, own-rating override, and fallback ladder —
-// the invariants that keep batch results bit-identical to sequential.
+// A candidate's accumulation slot is found through the slot table over
+// the dense item index — marked for the first occurrence of each item,
+// so duplicate candidates share a slot — not by hashing the item. It
+// preserves Predict's per-item accumulation order (neighbors in
+// Neighbors order, each row in list order), first-duplicate-wins rating
+// semantics, own-rating override, and fallback ladder — the invariants
+// that keep batch results bit-identical to sequential.
 func (p *Predictor) batchInto(u dataset.UserID, items []dataset.ItemID, dst []float64, weight func(Neighbor, dataset.Rating) float64) {
-	bs := newBatchSlots(items)
-	nSlots := len(bs.slotItem)
-	num := make([]float64, nSlots)
-	den := make([]float64, nSlots)
+	sc := p.scratch.Get().(*batchScratch)
+	p.batchWith(sc, u, items, dst, weight)
+	p.scratch.Put(sc)
+}
+
+// batchWith runs the kernel on the working set sc, which must be all
+// zero and is all zero again on return.
+func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []dataset.ItemID, dst []float64, weight func(Neighbor, dataset.Rating) float64) {
+	sc.grow(len(items))
+	slot, num, den, own, ownSet := sc.slot, sc.num, sc.den, sc.own, sc.ownSet
+	for i, it := range items {
+		if ix, ok := p.items.of(it); ok && slot[ix] == 0 {
+			slot[ix] = int32(i) + 1
+		}
+	}
 	for _, nb := range p.Neighbors(u) {
 		rs := p.store.ByUser(nb.User)
-		for ri, r := range rs {
+		for ri := range rs {
+			r := &rs[ri]
 			if ri > 0 && rs[ri-1].Item == r.Item {
 				continue // duplicate rating; the sequential lookup sees only the first
 			}
-			if s, ok := bs.index[r.Item]; ok {
-				w := weight(nb, r)
+			if ix, ok := p.items.of(r.Item); ok && slot[ix] != 0 {
+				s := slot[ix] - 1
+				w := weight(nb, *r)
 				num[s] += w * r.Value
 				den[s] += w
 			}
 		}
 	}
 	// Own ratings override neighbor evidence, as in Predict.
-	own := make([]float64, nSlots)
-	ownSet := make([]bool, nSlots)
 	for _, r := range p.store.ByUser(u) {
-		if s, ok := bs.index[r.Item]; ok && !ownSet[s] {
-			own[s] = r.Value
-			ownSet[s] = true
+		if ix, ok := p.items.of(r.Item); ok && slot[ix] != 0 {
+			if s := slot[ix] - 1; !ownSet[s] {
+				own[s], ownSet[s] = r.Value, true
+			}
 		}
 	}
 	means := p.means.Load()
-	for i := range items {
-		s := bs.slotOf[i]
+	for i, it := range items {
+		ix, ok := p.items.of(it)
+		if !ok {
+			dst[i] = means.globalMean // outside the store: nobody rated it
+			continue
+		}
+		s := slot[ix] - 1
 		switch {
 		case ownSet[s]:
 			dst[i] = own[s]
 		case den[s] > 0:
 			dst[i] = clampRating(num[s] / den[s])
 		default:
-			if m, ok := means.itemMean[bs.slotItem[s]]; ok {
-				dst[i] = m
-			} else {
-				dst[i] = means.globalMean
-			}
+			dst[i] = means.fallback(ix, true)
 		}
 	}
+	for _, it := range items {
+		if ix, ok := p.items.of(it); ok {
+			slot[ix] = 0
+		}
+	}
+	n := len(items)
+	clear(num[:n])
+	clear(den[:n])
+	clear(own[:n])
+	clear(ownSet[:n])
 }
 
 // PredictAll returns predictions of u for each item in items. It is

@@ -259,7 +259,10 @@ func (p *ItemPredictor) PredictBatch(u dataset.UserID, items []dataset.ItemID) [
 	return out
 }
 
-// PredictBatchInto is PredictBatch writing into dst (len(items)).
+// PredictBatchInto is PredictBatch writing into dst (len(items)). It
+// keeps its own loop and its per-call map of the user's row, not the
+// user-based kernel's dense item index: no measured workload builds an
+// item-based world.
 func (p *ItemPredictor) PredictBatchInto(u dataset.UserID, items []dataset.ItemID, dst []float64) {
 	ru := p.store.ByUser(u)
 	rated := make(map[dataset.ItemID]float64, len(ru))

@@ -27,10 +27,11 @@ import (
 //
 // NoteIngest is the historical drop-everything path. No serving
 // configuration selects it any more; it stays as the reference the
-// scoped path is differentially tested and benchmarked against. Both
-// paths recompute the fallback means with the exact construction loops
-// (same accumulation order, so the swap is bit-identical to a cold
-// rebuild).
+// scoped path is differentially tested and benchmarked against. It
+// recomputes the fallback means with the exact construction loops; the
+// scoped path re-sums only the rated item and re-adds the per-item sums
+// in the construction's order, so either swap is bit-identical to a
+// cold rebuild.
 //
 // The epoch counters close the fill/invalidate race: a lazy fill that
 // started before an ingest — computed from pre-ingest state — fails
@@ -55,9 +56,10 @@ type IngestScope struct {
 // applied for user u on item it, dropping only the derived state the
 // rating can actually reach:
 //
-//   - the fallback means are recomputed and swapped (they shift on
-//     every ingest), and every part epoch is bumped so in-flight fills
-//     of pre-ingest state never install;
+//   - the fallback means are swapped for a successor in which the rated
+//     item alone is re-summed (they shift on every ingest), and every
+//     part epoch is bumped so in-flight fills of pre-ingest state never
+//     install;
 //   - u's own neighborhood and norm are dropped (all of u's
 //     similarities changed);
 //   - every dependent v — cached entries with u's co-rater bit set plus
@@ -78,7 +80,11 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 	// fenced; fills starting after the bump see the new means — and
 	// the rater's post-ingest norm, which every sim(v, u) from here on,
 	// the rechecks' below included, recomputes fresh.
-	p.means.Store(computePredictorMeans(p.store))
+	// An item outside the domain cannot have been rated (Apply refuses
+	// it), so the means stand.
+	if ix, ok := p.items.of(it); ok {
+		p.means.Store(p.means.Load().withItem(ix, p.store.ByItem(it)))
+	}
 	p.bumpEpochs(u)
 	sizes := make([]int, len(p.parts))
 	for pi, pp := range p.parts {
@@ -259,7 +265,7 @@ func (p *Predictor) dropNeighborhood(v dataset.UserID) bool {
 // and checks the epoch under that same hold, so it either landed before
 // this walk read its shard or is fenced.
 func (p *Predictor) dependentsOf(w dataset.UserID) []dataset.UserID {
-	wi, ok := p.index.of(w)
+	wi, ok := p.users.of(w)
 	if !ok {
 		return nil
 	}

@@ -51,9 +51,9 @@ func warmNeighbors(p *Predictor, users ...dataset.UserID) map[dataset.UserID][]N
 // given users.
 func coraterBits(t *testing.T, p *Predictor, users ...dataset.UserID) userBits {
 	t.Helper()
-	co := make(userBits, (len(p.index.users)+63)>>6)
+	co := make(userBits, (len(p.users.ids)+63)>>6)
 	for _, u := range users {
-		i, ok := p.index.of(u)
+		i, ok := p.users.of(u)
 		if !ok {
 			t.Fatalf("user %d is not in the predictor's index", u)
 		}
@@ -376,9 +376,9 @@ func TestItemPredictorNoteIngestScoped(t *testing.T) {
 	}
 }
 
-// TestTimeWeightedRefresh pins the clock contract: an older rating
+// TestTimeWeightedAdvance pins the clock contract: an older rating
 // leaves the reference timestamp intact; a newer one moves it.
-func TestTimeWeightedRefresh(t *testing.T) {
+func TestTimeWeightedAdvance(t *testing.T) {
 	s := dataset.NewStore()
 	for _, r := range []dataset.Rating{
 		{User: 0, Item: 1, Value: 4, Time: 100},
@@ -401,16 +401,51 @@ func TestTimeWeightedRefresh(t *testing.T) {
 	if err := s.Apply(dataset.Rating{User: 0, Item: 2, Value: 5, Time: 150}); err != nil {
 		t.Fatal(err)
 	}
-	tw.Refresh()
+	tw.Advance(150)
 	if tw.Now() != 200 {
 		t.Errorf("Now = %d, want 200", tw.Now())
 	}
 	if err := s.Apply(dataset.Rating{User: 1, Item: 2, Value: 5, Time: 300}); err != nil {
 		t.Fatal(err)
 	}
-	tw.Refresh()
+	tw.Advance(300)
 	if tw.Now() != 300 {
 		t.Errorf("Now = %d, want 300", tw.Now())
+	}
+}
+
+// TestTimeWeightedAdvanceMatchesRescan holds the incremental clock to
+// the construction scan: after each of 500 ratings with non-monotone
+// times, Now equals that of a predictor built fresh over the store.
+func TestTimeWeightedAdvanceMatchesRescan(t *testing.T) {
+	s := randomStore(t, 30, 40, 400, 12)
+	base, err := NewPredictor(s, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := NewTimeWeightedPredictor(base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for n := 0; n < 500; n++ {
+		r := dataset.Rating{
+			User:  dataset.UserID(rng.Intn(30)),
+			Item:  s.Items()[rng.Intn(len(s.Items()))],
+			Value: float64(1 + rng.Intn(5)),
+			Time:  rng.Int63n(3_000_000), // the store's own times end at 1 000 000
+		}
+		if err := s.Apply(r); err != nil {
+			t.Fatal(err)
+		}
+		tw.Advance(r.Time)
+		fresh, err := NewTimeWeightedPredictor(base, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tw.Now() != fresh.Now() {
+			t.Fatalf("rating %d (time %d): Now = %d, fresh predictor %d", n, r.Time, tw.Now(), fresh.Now())
+		}
 	}
 }
 

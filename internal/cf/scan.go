@@ -17,56 +17,6 @@ import (
 // they are the fill's dependency record: a bitset over the dense user
 // index, installed with the neighborhood it describes.
 
-// userIndex maps user IDs onto dense positions in Users() order. The
-// overlay cannot grow the user domain (dataset.ErrUnknownUser), so the
-// index is fixed at construction. IDs close together get an offset
-// table; sparse or far-apart ones (a loader fed arbitrary IDs) a map.
-type userIndex struct {
-	users []dataset.UserID
-	base  dataset.UserID
-	// table[u-base] is u's position plus one, 0 for an ID in the span
-	// that no user holds; nil when the IDs are too spread out.
-	table  []int32
-	sparse map[dataset.UserID]int32
-}
-
-func newUserIndex(users []dataset.UserID) userIndex {
-	ix := userIndex{users: users}
-	if len(users) == 0 {
-		return ix
-	}
-	ix.base = users[0]
-	// Unsigned difference: exact even when the IDs straddle the whole
-	// int range.
-	span := uint64(users[len(users)-1]) - uint64(users[0])
-	if span < uint64(8*len(users)+1024) {
-		ix.table = make([]int32, span+1)
-		for i, u := range users {
-			ix.table[u-ix.base] = int32(i) + 1
-		}
-		return ix
-	}
-	ix.sparse = make(map[dataset.UserID]int32, len(users))
-	for i, u := range users {
-		ix.sparse[u] = int32(i)
-	}
-	return ix
-}
-
-// of returns u's dense position, or false for a user outside the store.
-func (ix *userIndex) of(u dataset.UserID) (int, bool) {
-	if ix.sparse != nil {
-		i, ok := ix.sparse[u]
-		return int(i), ok
-	}
-	off := uint64(u) - uint64(ix.base)
-	if off >= uint64(len(ix.table)) {
-		return 0, false
-	}
-	i := ix.table[off]
-	return int(i) - 1, i != 0
-}
-
 // userBits is a bitset over the dense user index.
 type userBits []uint64
 
@@ -100,7 +50,7 @@ type scanWork struct {
 // than once the two runs — both in log order, base before delta — are
 // paired first with first up to the shorter one.
 func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
-	co := make(userBits, (len(p.index.users)+63)>>6)
+	co := make(userBits, (len(p.users.ids)+63)>>6)
 	ru := p.store.ByUser(u)
 	entries := 0
 	for i := 0; i < len(ru); {
@@ -117,7 +67,7 @@ func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 			for e < len(raters) && raters[e].User == v {
 				e++
 			}
-			if vi, ok := p.index.of(v); ok && v != u {
+			if vi, ok := p.users.of(v); ok && v != u {
 				co.set(vi)
 				if dot != nil {
 					theirs := raters[k:e]
@@ -150,7 +100,7 @@ func (p *Predictor) fill(u dataset.UserID) ([]Neighbor, userBits) {
 	for w, word := range co {
 		for ; word != 0; word &= word - 1 {
 			vi := w<<6 + bits.TrailingZeros64(word)
-			v := p.index.users[vi]
+			v := p.users.ids[vi]
 			var s float64
 			if dot == nil {
 				s, _ = p.pearsonCorated(u, v)

@@ -40,7 +40,7 @@ func usersOf(p *Predictor, co userBits) []dataset.UserID {
 	var out []dataset.UserID
 	for w, word := range co {
 		for ; word != 0; word &= word - 1 {
-			out = append(out, p.index.users[w<<6+bits.TrailingZeros64(word)])
+			out = append(out, p.users.ids[w<<6+bits.TrailingZeros64(word)])
 		}
 	}
 	return out
@@ -280,34 +280,6 @@ func TestCosineZeroNormGuard(t *testing.T) {
 	}
 	if got := cosineFrom(6, 2, 3); got != 1 {
 		t.Errorf("cosineFrom(6, 2, 3) = %v, want 1", got)
-	}
-}
-
-// TestUserIndexIsTotal pins the dense index over both layouts: every
-// user maps to its Users() position, everything else to "absent".
-func TestUserIndexIsTotal(t *testing.T) {
-	for _, ids := range [][]dataset.UserID{
-		nil,
-		{5},
-		{0, 1, 2, 3},
-		{-70, -3, 0, 64, 300},
-		{math.MinInt64, -9, 0, 7, 1 << 41, math.MaxInt64},
-	} {
-		ix := newUserIndex(ids)
-		for want, u := range ids {
-			if got, ok := ix.of(u); !ok || got != want {
-				t.Errorf("ids %v: of(%d) = %d, %v; want %d, true", ids, u, got, ok, want)
-			}
-		}
-		member := make(map[dataset.UserID]bool)
-		for _, u := range ids {
-			member[u] = true
-		}
-		for _, u := range []dataset.UserID{math.MinInt64, -71, -4, -1, 0, 1, 4, 6, 63, 299, 301, 1 << 40, math.MaxInt64} {
-			if _, ok := ix.of(u); ok != member[u] {
-				t.Errorf("ids %v: of(%d) present = %v, want %v", ids, u, ok, member[u])
-			}
-		}
 	}
 }
 

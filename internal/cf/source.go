@@ -43,30 +43,3 @@ var (
 	_ BatchInto = (*ItemPredictor)(nil)
 	_ BatchInto = (*TimeWeightedPredictor)(nil)
 )
-
-// batchSlots maps each position of items to an accumulation slot, one
-// slot per distinct item, so batch prediction tolerates duplicate
-// candidates. slotOf[i] is the slot of items[i]; slotItem[s] is the
-// item of slot s.
-type batchSlots struct {
-	slotOf   []int
-	slotItem []dataset.ItemID
-	index    map[dataset.ItemID]int
-}
-
-func newBatchSlots(items []dataset.ItemID) *batchSlots {
-	bs := &batchSlots{
-		slotOf: make([]int, len(items)),
-		index:  make(map[dataset.ItemID]int, len(items)),
-	}
-	for i, it := range items {
-		s, ok := bs.index[it]
-		if !ok {
-			s = len(bs.slotItem)
-			bs.index[it] = s
-			bs.slotItem = append(bs.slotItem, it)
-		}
-		bs.slotOf[i] = s
-	}
-	return bs
-}

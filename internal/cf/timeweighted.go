@@ -21,7 +21,7 @@ type TimeWeightedPredictor struct {
 	// weight drops to one half.
 	HalfLife int64
 	// now is the reference timestamp (the newest rating in the store);
-	// atomic because live ingest can advance it (Refresh) while
+	// atomic because live ingest can advance it (Advance) while
 	// predictions read it.
 	now atomic.Int64
 }
@@ -58,11 +58,15 @@ func maxRatingTime(store *dataset.Store) int64 {
 	return now
 }
 
-// Refresh re-derives the reference timestamp from the store — the
-// live-ingest hook: a newly applied rating may be newer than every
-// rating the construction scan saw, which shifts every decay weight.
-func (p *TimeWeightedPredictor) Refresh() {
-	p.now.Store(maxRatingTime(p.base.store))
+// Advance is the live-ingest hook: a rating stamped t was just applied,
+// and if it is newer than every rating seen so far it becomes the
+// reference timestamp, which shifts every decay weight. Callers
+// serialize Advance calls (the World's ingest lock), so a plain
+// compare-then-store suffices; readers load the atomic.
+func (p *TimeWeightedPredictor) Advance(t int64) {
+	if t > p.now.Load() {
+		p.now.Store(t)
+	}
 }
 
 // weight returns the decay factor of a rating stamped at t relative to
@@ -104,11 +108,7 @@ func (p *TimeWeightedPredictor) Predict(u dataset.UserID, it dataset.ItemID) flo
 	if den > 0 {
 		return clampRating(num / den)
 	}
-	means := p.base.means.Load()
-	if m, ok := means.itemMean[it]; ok {
-		return m
-	}
-	return means.globalMean
+	return p.base.means.Load().fallback(p.base.items.of(it))
 }
 
 // PredictBatch returns time-weighted predictions of u for each item in

@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	go run ./scripts/benchgate -baseline BENCH_baseline.json -current BENCH_pr6.json
+//	go run ./scripts/benchgate -baseline BENCH_baseline.json -current BENCH_current.json
 package main
 
 import (
@@ -65,7 +65,7 @@ func normalize(name string) string {
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "checked-in baseline report")
-	currentPath := flag.String("current", "BENCH_pr6.json", "fresh report to gate")
+	currentPath := flag.String("current", "BENCH_current.json", "fresh report to gate")
 	threshold := flag.Float64("threshold", 0.20, "relative allocs/op growth that fails the gate")
 	grace := flag.Float64("grace", 16, "absolute allocs/op growth always tolerated (counting noise)")
 	flag.Parse()

@@ -3,7 +3,7 @@
 # machine-readable report (see BENCHMARKS.md).
 #
 # Usage:
-#   scripts/run-benchmarks.sh [-benchtime 5x] [-out BENCH_pr6.json]
+#   scripts/run-benchmarks.sh [-benchtime 5x] [-out BENCH_current.json]
 #
 # Environment:
 #   GOMAXPROCS   pinned to 4 unless already set — alloc counts depend
@@ -13,7 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="5x"
-OUT="BENCH_pr6.json"
+OUT="BENCH_current.json"
 while [ $# -gt 0 ]; do
   case "$1" in
     -benchtime) BENCHTIME="$2"; shift 2 ;;
@@ -33,8 +33,10 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 # kernel every view build runs (0 allocs/op: its scratch is pooled), and
 # the neighborhood fill a rating makes the serving path pay again (one
 # cold fill and its drop on the bench workloads' 2 000-user world: the
-# co-rater bitset, the candidate slice and the kept top-k).
-PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkRecommendSharded|BenchmarkBatchShardAware|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical|BenchmarkNeighborhoodFill)$'
+# co-rater bitset, the candidate slice and the kept top-k), and the batch
+# prediction every view build runs on that world (600 candidates, warm
+# neighborhood; 0 allocs/op: its working set is pooled).
+PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkRecommendSharded|BenchmarkBatchShardAware|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical|BenchmarkNeighborhoodFill|BenchmarkPredictBatch)$'
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT

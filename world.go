@@ -557,7 +557,7 @@ func (w *World) applyRating(r dataset.Rating) error {
 		}
 	}
 	if w.twPred != nil {
-		w.twPred.Refresh()
+		w.twPred.Advance(r.Time)
 	}
 	return nil
 }
