@@ -41,9 +41,9 @@ func (w *World) RecommendBatch(reqs []Request) []Result {
 // results.
 //
 // Requests of one batch share assembly work the same way any
-// concurrent callers do: the sorted-list store keys views and
-// pool→candidate mappings on content, so a member appearing in two
-// requests is scored and sorted once.
+// concurrent callers do: the sorted-list store keys views by user, so
+// a member appearing in two requests is scored and sorted once; each
+// request builds its own pool→candidate mapping.
 func (w *World) RecommendBatchContext(ctx context.Context, reqs []Request) []Result {
 	out := make([]Result, len(reqs))
 	workers := min(runtime.GOMAXPROCS(0), len(reqs))

@@ -8,16 +8,16 @@
 //	greca-serve [-addr :8080] [-maxpending 0]
 //	            [-ratings ratings.dat] [-seed N]
 //	            [-liststore 1024] [-shards 1] [-shards-config topology.json]
-//	            [-remote-viewcache 0] [-workers N] [-recheck-workers N] [-snapshot dir]
+//	            [-remote-viewcache 0] [-workers N] [-snapshot dir]
 //	            [-refreeze 0] [-pprof localhost:6060] [-v]
 //
 // -snapshot names a persistence directory: on boot the world is
 // rebuilt from its snapshot when one matches the configuration (a
 // warm restart that also restores the sorted-list views and CF
 // neighborhoods, skipping the rebuild scans), ratings journaled since
-// that snapshot are replayed from the per-shard write-ahead log, and
-// every rating accepted by POST /v1/ratings is journaled before the
-// request is acknowledged. On SIGTERM, after the listener drains, a
+// that snapshot are replayed from the write-ahead log (one file,
+// wal.log, in acknowledgement order), and every rating accepted by
+// POST /v1/ratings is journaled before the request is acknowledged. On SIGTERM, after the listener drains, a
 // fresh snapshot is written and the log truncated, so the next boot
 // replays nothing. A snapshot from a different configuration (or a
 // corrupted one) is discarded and the world boots cold — restarts are
@@ -159,7 +159,6 @@ func main() {
 		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = in-process shards)")
 		viewCache  = flag.Int("remote-viewcache", 0, "views fetched from workers the router's list store retains (0 = none, every assembly fetches; only meaningful with -shards-config)")
 		workers    = flag.Int("workers", 0, "assembly workers per request (0 = GOMAXPROCS)")
-		recheck    = flag.Int("recheck-workers", 0, "scoped-invalidation recheck pool size (0 = min(4, GOMAXPROCS); negative = serial)")
 		snapshot   = flag.String("snapshot", "", "persistence directory: warm-restart snapshot + rating WAL (empty = no persistence)")
 		refreeze   = flag.Duration("refreeze", 0, "fold pending ingested ratings every interval (0 = fold only at snapshot time)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -179,7 +178,6 @@ func main() {
 	cfg.ListStoreSize = *listStore
 	cfg.Shards = *shards
 	cfg.AssemblyWorkers = *workers
-	cfg.RecheckWorkers = *recheck
 	cfg.RemoteViewCache = *viewCache
 	if *ratings != "" {
 		f, err := os.Open(*ratings)

@@ -8,7 +8,7 @@
 //
 //	greca-shard -addr 127.0.0.1:9101 -owns 0,2 -shards 4
 //	            [-ratings ratings.dat] [-seed N]
-//	            [-liststore 1024] [-recheck-workers N]
+//	            [-liststore 1024]
 //	            [-http 127.0.0.1:9201] [-v]
 //
 // Every worker builds the full deterministic world from the same
@@ -23,9 +23,7 @@
 // separate listener:
 //
 //	GET /v1/healthz   liveness
-//	GET /v1/stats     owned shards, per-shard cache counters, the
-//	                  scoped-invalidation recheck pool size, and RPC
-//	                  liveness (connections served)
+//	GET /v1/stats     owned shards and per-shard cache counters
 //
 // On SIGINT/SIGTERM the worker stops accepting, severs live
 // connections, and exits; the router answers 503 ("shard_unavailable")
@@ -92,7 +90,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "synthetic world seed (must match the router)")
 		listStore = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
 		shards    = flag.Int("shards", 1, "user-range shard count (must match the router)")
-		recheck   = flag.Int("recheck-workers", 0, "scoped-invalidation recheck pool size (0 = min(4, GOMAXPROCS); negative = serial)")
 		httpAddr  = flag.String("http", "", "serve shard-local /v1/stats and /v1/healthz on this address (empty = off)")
 		verbose   = flag.Bool("v", false, "print substrate statistics")
 	)
@@ -116,7 +113,6 @@ func main() {
 	cfg.Social.Seed = *seed + 1
 	cfg.ListStoreSize = *listStore
 	cfg.Shards = *shards
-	cfg.RecheckWorkers = *recheck
 	if *ratings != "" {
 		f, err := os.Open(*ratings)
 		if err != nil {
@@ -158,15 +154,13 @@ func main() {
 		})
 		mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 			resp := struct {
-				Shards      int                 `json:"shards"`
-				Owned       []int               `json:"owned"`
-				RecheckPool int                 `json:"recheck_pool"`
-				PerShard    []remote.ShardStats `json:"per_shard"`
+				Shards   int                 `json:"shards"`
+				Owned    []int               `json:"owned"`
+				PerShard []remote.ShardStats `json:"per_shard"`
 			}{
-				Shards:      *shards,
-				Owned:       owned,
-				RecheckPool: world.CacheStats().RecheckPool,
-				PerShard:    backend.ShardStats(),
+				Shards:   *shards,
+				Owned:    owned,
+				PerShard: backend.ShardStats(),
 			}
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(resp)

@@ -55,8 +55,11 @@
 //     rebuilt from scratch with that rating. World.ReFreeze folds
 //     accumulated deltas into the base (never changing results, only
 //     lookup cost); OpenWorld / SaveWorldSnapshot add durability: a
-//     checksummed snapshot plus a per-shard write-ahead log give
-//     warm restarts that skip the view and neighborhood rebuilds.
+//     checksummed snapshot plus a single write-ahead log give warm
+//     restarts that skip the view and neighborhood rebuilds. Ingest is
+//     serial under one lock, so nothing on that path fans out: the
+//     rechecks run on the ingesting goroutine and a torn journal
+//     replays a prefix of the acknowledged ratings.
 //   - internal/remote distributes the shards across worker processes:
 //     cmd/greca-shard owns a subset of shards' data plane (views,
 //     predictions, rating state, per-shard stats) behind a small

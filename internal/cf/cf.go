@@ -11,7 +11,6 @@ package cf
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -94,9 +93,6 @@ type Predictor struct {
 	// immutable snapshot: an ingest builds a successor and swaps it, so
 	// hot paths read a coherent pair with a single atomic load.
 	means atomic.Pointer[predictorMeans]
-	// recheckWorkers is the configured scoped-ingest recheck pool size
-	// (see SetRecheckWorkers); resolved lazily by RecheckWorkers.
-	recheckWorkers int
 }
 
 // predictorMeans is one immutable snapshot of the fallback means, dense
@@ -254,31 +250,6 @@ func (p *Predictor) SetSharding(m shard.Map) {
 
 // Sharding returns the shard map routing users onto cache parts.
 func (p *Predictor) Sharding() shard.Map { return p.sm }
-
-// SetRecheckWorkers bounds the goroutines a scoped ingest uses to
-// recheck dependent candidate neighborhoods. 0 selects a small default
-// pool (min(4, GOMAXPROCS)); 1 or negative forces the serial path.
-// Call during setup, before ingest traffic — it is not synchronized.
-// The pool never changes a verdict: candidates are independent
-// one-similarity verifications against pre-ingest cache state, so
-// serial and pooled rechecks drop exactly the same neighborhoods.
-func (p *Predictor) SetRecheckWorkers(n int) { p.recheckWorkers = n }
-
-// RecheckWorkers reports the effective scoped-ingest recheck pool
-// size (1 = serial) — the /v1/stats observability hook.
-func (p *Predictor) RecheckWorkers() int {
-	switch {
-	case p.recheckWorkers < 0:
-		return 1
-	case p.recheckWorkers == 0:
-		if n := runtime.GOMAXPROCS(0); n < 4 {
-			return n
-		}
-		return 4
-	default:
-		return p.recheckWorkers
-	}
-}
 
 // part returns the cache instance of u's shard.
 func (p *Predictor) part(u dataset.UserID) *predictorPart {

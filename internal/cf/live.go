@@ -2,7 +2,6 @@ package cf
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/dataset"
 )
@@ -40,18 +39,6 @@ import (
 // scan. Callers serialize NoteIngest/NoteIngestScoped invocations (the
 // World's ingest lock); reads need no coordination.
 
-// IngestScope is the outcome of a scoped ingest: how much cached state
-// the new rating reached and how much survived it.
-type IngestScope struct {
-	// Retained and Dropped count cached neighborhoods kept vs dropped
-	// by this ingest (Dropped includes the rater's own, when cached).
-	Retained int
-	Dropped  int
-	// Rechecked counts the dependent neighborhoods that were verified
-	// by a fresh similarity computation (retained or not).
-	Rechecked int
-}
-
 // NoteIngestScoped makes the predictor coherent with a rating just
 // applied for user u on item it, dropping only the derived state the
 // rating can actually reach:
@@ -70,11 +57,15 @@ type IngestScope struct {
 //   - every other cached neighborhood is retained without even a
 //     recheck: no similarity it was built from has changed.
 //
+// The rechecks run one after another on the calling goroutine, which
+// already holds the world's ingest lock. The per-part counters record
+// how many cached neighborhoods were dropped and how many retained.
+//
 // A fill that straddles the ingest still hands its pre-ingest
 // neighborhood to its caller; whatever that caller builds on it (a
 // sorted view) is the caller's to fence — the list store drops every
 // view, mid-build ones included, once the rating is applied.
-func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *IngestScope {
+func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 	// Order matters: swap means first, then bump epochs, then drop.
 	// Any fill that read the old means started before the bump and is
 	// fenced; fills starting after the bump see the new means — and
@@ -92,7 +83,6 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 	}
 	dropped := make([]int, len(p.parts))
 
-	scope := &IngestScope{}
 	// The rater's own neighborhood always drops: every sim of u
 	// changed.
 	if p.dropNeighborhood(u) {
@@ -102,114 +92,30 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) *Inges
 	// Candidate dependents: cached users that co-rated with u at their
 	// fill time (u's bit in their co-rater set), plus the raters of it —
 	// the users the ingest itself newly connects to u. Everyone else's
-	// sims to u were zero before and after. Deduplicate first (cached
-	// dependents, then rater list), then recheck — on the per-shard pool
-	// when configured, serially otherwise; the verdicts are identical
-	// either way.
+	// sims to u were zero before and after. Each candidate is rechecked
+	// once; a verdict reads only that user's cached neighborhood and one
+	// fresh sim(v, u), so no drop changes a later candidate's verdict.
 	seen := map[dataset.UserID]struct{}{u: {}}
-	var candidates []dataset.UserID
-	for _, v := range p.dependentsOf(u) {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			candidates = append(candidates, v)
+	recheck := func(v dataset.UserID) {
+		if _, ok := seen[v]; ok {
+			return
 		}
+		seen[v] = struct{}{}
+		if p.recheckNeighborhood(v, u) && p.dropNeighborhood(v) {
+			dropped[p.sm.Of(int64(v))]++
+		}
+	}
+	for _, v := range p.dependentsOf(u) {
+		recheck(v)
 	}
 	for _, r := range p.store.ByItem(it) {
-		if _, ok := seen[r.User]; !ok {
-			seen[r.User] = struct{}{}
-			candidates = append(candidates, r.User)
-		}
-	}
-	rechecked, staleUsers := p.recheckCandidates(candidates, u)
-	scope.Rechecked = rechecked
-	for _, v := range staleUsers {
-		dropped[p.sm.Of(int64(v))]++
+		recheck(r.User)
 	}
 
 	for pi, pp := range p.parts {
 		pp.counters.invalidate(dropped[pi])
 		pp.counters.retain(sizes[pi] - dropped[pi])
-		scope.Dropped += dropped[pi]
-		scope.Retained += sizes[pi] - dropped[pi]
 	}
-	return scope
-}
-
-// recheckCandidates verifies every candidate's cached neighborhood
-// against the ingesting user u, dropping the stale ones, and reports
-// how many were actually rechecked (cached) plus the dropped users in
-// candidate order. Candidates are independent — each verdict reads
-// only that user's cached neighborhood and one fresh sim(v, u), and a
-// drop touches only that user's shard lock — so they run on a bounded
-// pool when one is configured,
-// bucketed by shard part (or cache stripe in a 1-part world) to keep
-// concurrent workers off each other's locks. Verdicts land in
-// per-candidate slots and are merged in candidate order, so counters
-// and every served byte are identical to the serial path's.
-func (p *Predictor) recheckCandidates(candidates []dataset.UserID, u dataset.UserID) (rechecked int, staleUsers []dataset.UserID) {
-	if len(candidates) == 0 {
-		return 0, nil
-	}
-	type verdict struct{ rechecked, dropped bool }
-	verdicts := make([]verdict, len(candidates))
-	run := func(i int) {
-		v := candidates[i]
-		stale, wasCached := p.recheckNeighborhood(v, u)
-		if !wasCached {
-			return
-		}
-		verdicts[i].rechecked = true
-		if stale && p.dropNeighborhood(v) {
-			verdicts[i].dropped = true
-		}
-	}
-	workers := p.RecheckWorkers()
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers <= 1 {
-		for i := range candidates {
-			run(i)
-		}
-	} else {
-		// Bucket by lock domain: the shard part in a sharded world, the
-		// inner cache stripe otherwise. A worker then drops only on its
-		// own buckets' locks instead of convoying with its peers.
-		domain := func(v dataset.UserID) int {
-			if p.sm.N() > 1 {
-				return p.sm.Of(int64(v))
-			}
-			return int(shardIndex(uint64(v)))
-		}
-		buckets := make([][]int, workers)
-		for i, v := range candidates {
-			b := domain(v) % workers
-			buckets[b] = append(buckets[b], i)
-		}
-		var wg sync.WaitGroup
-		for _, idxs := range buckets {
-			if len(idxs) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(idxs []int) {
-				defer wg.Done()
-				for _, i := range idxs {
-					run(i)
-				}
-			}(idxs)
-		}
-		wg.Wait()
-	}
-	for i, vd := range verdicts {
-		if vd.rechecked {
-			rechecked++
-		}
-		if vd.dropped {
-			staleUsers = append(staleUsers, candidates[i])
-		}
-	}
-	return rechecked, staleUsers
 }
 
 // recheckNeighborhood decides whether v's cached neighborhood survives
@@ -217,34 +123,32 @@ func (p *Predictor) recheckCandidates(candidates []dataset.UserID, u dataset.Use
 // (u's sim changed) or a fresh sim(v, u) ranks u into it under the
 // canonical order the fill sort uses. The similarity is computed in
 // the fill's argument order, so the verdict matches what a cold
-// rebuild's scan would decide bit for bit.
-func (p *Predictor) recheckNeighborhood(v, u dataset.UserID) (stale, wasCached bool) {
+// rebuild's scan would decide bit for bit. A user with nothing cached
+// is never stale.
+func (p *Predictor) recheckNeighborhood(v, u dataset.UserID) (stale bool) {
 	pp := p.part(v)
 	sh := &pp.shards[shardIndex(uint64(v))]
 	sh.mu.RLock()
 	cached, ok := sh.neighbors[v]
 	sh.mu.RUnlock()
 	if !ok {
-		return false, false
+		return false
 	}
 	ns := cached.ns
 	for _, nb := range ns {
 		if nb.User == u {
-			return true, true
+			return true
 		}
 	}
 	s, _ := p.simCorated(p.measure, v, u)
 	if s <= 0 {
-		return false, true
+		return false
 	}
 	if len(ns) < p.k {
-		return true, true // room in the top-k; any positive sim enters
+		return true // room in the top-k; any positive sim enters
 	}
 	kth := ns[len(ns)-1]
-	if s > kth.Sim || (s == kth.Sim && u < kth.User) {
-		return true, true
-	}
-	return false, true
+	return s > kth.Sim || (s == kth.Sim && u < kth.User)
 }
 
 // dropNeighborhood unlinks v's cached neighborhood — its co-rater set

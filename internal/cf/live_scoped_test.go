@@ -85,15 +85,12 @@ func TestNoteIngestScopedRetainsIndependentNeighborhoods(t *testing.T) {
 	warm := warmNeighbors(p, 0, 1, 2, 3, 4)
 
 	applyRating(t, s, 0, 3, 5) // u0 rates item 3 (co-rated by u1)
-	scope := p.NoteIngestScoped(0, 3)
+	p.NoteIngestScoped(0, 3)
 
 	for u, want := range map[dataset.UserID]bool{0: false, 1: false, 2: false, 3: true, 4: true} {
 		if got := cached(p, u); got != want {
 			t.Errorf("user %d resident after the ingest = %v, want %v", u, got, want)
 		}
-	}
-	if scope.Dropped != 3 || scope.Retained != 2 {
-		t.Errorf("scope = %d dropped / %d retained, want 3 / 2", scope.Dropped, scope.Retained)
 	}
 	st := p.Stats()
 	if st.Invalidated != 3 || st.Retained != 2 || st.Size != 2 {
@@ -213,12 +210,12 @@ func TestNoteIngestScopedRetainsWhenRaterDoesNotRank(t *testing.T) {
 	}
 
 	applyRating(t, s, 0, 21, 5) // changes sim(5, 0), but below the twin's 1.0
-	scope := p.NoteIngestScoped(0, 21)
+	p.NoteIngestScoped(0, 21)
 	if !cached(p, 5) {
 		t.Errorf("u5 dropped although the rater cannot enter its top-1")
 	}
-	if scope.Retained == 0 {
-		t.Errorf("scope retained nothing; want u5's neighborhood kept")
+	if st := p.Stats(); st.Retained == 0 {
+		t.Errorf("the ingest retained nothing; want u5's neighborhood kept")
 	}
 	cold, err := NewPredictor(s, 1)
 	if err != nil {
@@ -320,15 +317,16 @@ func TestRestoreNeighborhoodsSurviveUnrelatedIngest(t *testing.T) {
 	}
 
 	applyRating(t, s, 0, 3, 5) // reaches neither u3 nor u4
-	scope := cold.NoteIngestScoped(0, 3)
-	if scope.Dropped != 0 || scope.Retained != 2 {
-		t.Errorf("unrelated ingest: %d dropped / %d retained, want 0 / 2", scope.Dropped, scope.Retained)
+	cold.NoteIngestScoped(0, 3)
+	if st := cold.Stats(); st.Invalidated != 0 || st.Retained != 2 {
+		t.Errorf("unrelated ingest: %d dropped / %d retained, want 0 / 2", st.Invalidated, st.Retained)
 	}
 
 	applyRating(t, s, 9, 11, 4) // u9's first overlap with u4; none with u3
-	scope = cold.NoteIngestScoped(9, 11)
-	if scope.Dropped != 1 || scope.Retained != 1 {
-		t.Errorf("ingest reaching u4: %d dropped / %d retained, want 1 / 1", scope.Dropped, scope.Retained)
+	cold.NoteIngestScoped(9, 11)
+	// The counters accumulate: this ingest drops 1 and retains 1.
+	if st := cold.Stats(); st.Invalidated != 1 || st.Retained != 3 {
+		t.Errorf("ingest reaching u4: %d dropped / %d retained in total, want 1 / 3", st.Invalidated, st.Retained)
 	}
 	if !cached(cold, 3) || cached(cold, 4) {
 		t.Errorf("after the ingest reaching u4: u3 resident = %v, u4 resident = %v; want true, false",

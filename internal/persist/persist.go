@@ -1,6 +1,6 @@
 // Package persist is the durability layer of the live world: a
 // versioned, checksummed snapshot file for the frozen state and a
-// per-shard write-ahead log for the ratings ingested since the last
+// single write-ahead log for the ratings ingested since the last
 // snapshot. Both formats fail safe — any corruption, version skew, or
 // configuration mismatch is reported as a typed error so the caller
 // can fall back to a cold rebuild instead of serving from a state it

@@ -2,13 +2,15 @@ package persist
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
 type snapPayload struct {
@@ -121,61 +123,49 @@ func walRatings(n int) []dataset.Rating {
 	return out
 }
 
-func mustShardMap(t *testing.T, n int) shard.Map {
-	t.Helper()
-	sm, err := shard.New(n)
+// TestWALRoundTrip appends, reopens, and checks the replay order
+// matches the append order exactly — the property the fold's
+// bit-identicality rests on.
+func TestWALRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	w, replayed, err := OpenWAL(dir, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sm
-}
+	if len(replayed) != 0 {
+		t.Fatalf("fresh WAL replayed %d records", len(replayed))
+	}
+	want := walRatings(17)
+	for _, r := range want {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-// TestWALRoundTrip appends across shard files, reopens, and checks the
-// replay order matches the append order exactly — the property the
-// fold's bit-identicality rests on.
-func TestWALRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		dir := t.TempDir()
-		sm := mustShardMap(t, shards)
-		w, replayed, err := OpenWAL(dir, sm, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(replayed) != 0 {
-			t.Fatalf("shards=%d: fresh WAL replayed %d records", shards, len(replayed))
-		}
-		want := walRatings(17)
-		for _, r := range want {
-			if err := w.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+	w2, got, err := OpenWAL(dir, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replay = %v, want %v", got, want)
+	}
 
-		w2, got, err := OpenWAL(dir, sm, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w2.Close()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: replay = %v, want %v", shards, got, want)
-		}
-
-		// Appends after reopen continue the sequence.
-		extra := dataset.Rating{User: 99, Item: 999, Value: 3, Time: 5000}
-		if err := w2.Append(extra); err != nil {
-			t.Fatal(err)
-		}
-		w2.Close()
-		_, got3, err := OpenWAL(dir, sm, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got3) != 18 || !reflect.DeepEqual(got3[17], extra) {
-			t.Errorf("shards=%d: post-reopen append lost: %v", shards, got3)
-		}
+	// Appends after reopen land after the replayed records.
+	extra := dataset.Rating{User: 99, Item: 999, Value: 3, Time: 5000}
+	if err := w2.Append(extra); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	_, got3, err := OpenWAL(dir, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got3) != 18 || !reflect.DeepEqual(got3[17], extra) {
+		t.Errorf("post-reopen append lost: %v", got3)
 	}
 }
 
@@ -184,8 +174,7 @@ func TestWALRoundTrip(t *testing.T) {
 // and drop the tail, and the file must be usable for appends again.
 func TestWALTruncatedTailDiscarded(t *testing.T) {
 	dir := t.TempDir()
-	sm := mustShardMap(t, 1)
-	w, _, err := OpenWAL(dir, sm, 9)
+	w, _, err := OpenWAL(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +186,7 @@ func TestWALTruncatedTailDiscarded(t *testing.T) {
 	}
 	w.Close()
 
-	path := filepath.Join(dir, "wal-000.log")
+	path := filepath.Join(dir, walFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +195,7 @@ func TestWALTruncatedTailDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, got, err := OpenWAL(dir, sm, 9)
+	w2, got, err := OpenWAL(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +207,7 @@ func TestWALTruncatedTailDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.Close()
-	_, got2, err := OpenWAL(dir, sm, 9)
+	_, got2, err := OpenWAL(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +220,7 @@ func TestWALTruncatedTailDiscarded(t *testing.T) {
 // scan stops at the corrupt record, keeping only the prefix.
 func TestWALCorruptMiddleDiscardsFromThere(t *testing.T) {
 	dir := t.TempDir()
-	sm := mustShardMap(t, 1)
-	w, _, err := OpenWAL(dir, sm, 9)
+	w, _, err := OpenWAL(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +232,7 @@ func TestWALCorruptMiddleDiscardsFromThere(t *testing.T) {
 	}
 	w.Close()
 
-	path := filepath.Join(dir, "wal-000.log")
+	path := filepath.Join(dir, walFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +241,7 @@ func TestWALCorruptMiddleDiscardsFromThere(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2, got, err := OpenWAL(dir, sm, 9)
+	w2, got, err := OpenWAL(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +251,120 @@ func TestWALCorruptMiddleDiscardsFromThere(t *testing.T) {
 	}
 }
 
+// TestTornJournalReplaysAPrefix is the prefix property of crash
+// recovery, checked exhaustively on a 17-record journal: cut at every
+// offset from the end of the header to the end of the file, and with
+// every byte of every record flipped in turn, the replay is exactly the
+// intact records before the damage — never a later record past a hole —
+// and the next append lands right after them.
+func TestTornJournalReplaysAPrefix(t *testing.T) {
+	want := walRatings(17)
+	src := t.TempDir()
+	w, _, err := OpenWAL(src, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range want {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	good, err := os.ReadFile(filepath.Join(src, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := walHeaderLen + len(want)*walRecordLen; len(good) != n {
+		t.Fatalf("journal of %d ratings is %d bytes, want %d", len(want), len(good), n)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, walFile)
+	extra := dataset.Rating{User: 7, Item: 70, Value: 5, Time: 1}
+	check := func(damage string, raw []byte, k int) {
+		t.Helper()
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, got, err := OpenWAL(dir, 9)
+		if err != nil {
+			t.Fatalf("%s: %v", damage, err)
+		}
+		if !slices.Equal(got, want[:k]) {
+			t.Errorf("%s: replayed %d ratings, want the first %d", damage, len(got), k)
+		}
+		if err := w.Append(extra); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		_, got, err = OpenWAL(dir, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, append(want[:k:k], extra)) {
+			t.Errorf("%s: after one append replayed %d ratings, want the first %d and the appended one", damage, len(got), k)
+		}
+	}
+	for off := walHeaderLen; off <= len(good); off++ {
+		check(fmt.Sprintf("cut at byte %d", off), good[:off], (off-walHeaderLen)/walRecordLen)
+	}
+	for i := range want {
+		for b := 0; b < walRecordLen; b++ {
+			raw := slices.Clone(good)
+			raw[walHeaderLen+i*walRecordLen+b] ^= 0xff
+			check(fmt.Sprintf("record %d byte %d flipped", i, b), raw, i)
+		}
+	}
+}
+
+// TestRetiredShardJournals pins the upgrade path from the per-shard
+// journal: its files are never read. A header-only one — what a clean
+// shutdown leaves — is removed and the open goes on; one with bytes
+// past its header may hold acknowledged ratings, so the open fails,
+// naming it, and leaves it on disk.
+func TestRetiredShardJournals(t *testing.T) {
+	// A version-1 header: magic, version, fingerprint 9.
+	hdr := []byte(walMagic + "\x01\x00\x00\x00" + "\x09\x00\x00\x00\x00\x00\x00\x00")
+	dir := t.TempDir()
+	for _, name := range []string{"wal-000.log", "wal-001.log"} {
+		if err := os.WriteFile(filepath.Join(dir, name), hdr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, got, err := OpenWAL(dir, 9)
+	if err != nil {
+		t.Fatalf("header-only per-shard files refused the open: %v", err)
+	}
+	w.Close()
+	if len(got) != 0 {
+		t.Errorf("replayed %d ratings from header-only files", len(got))
+	}
+	for _, name := range []string{"wal-000.log", "wal-001.log"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived the open: %v", name, err)
+		}
+	}
+
+	old := filepath.Join(dir, "wal-002.log")
+	withRecord := append(slices.Clone(hdr), make([]byte, 44)...) // one version-1 record
+	if err := os.WriteFile(old, withRecord, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenWAL(dir, 9); err == nil || !strings.Contains(err.Error(), old) {
+		t.Errorf("open beside a per-shard file with records = %v, want an error naming %s", err, old)
+	}
+	if raw, err := os.ReadFile(old); err != nil || !slices.Equal(raw, withRecord) {
+		t.Errorf("the refused per-shard file was not left as it was: %v", err)
+	}
+}
+
 // TestWALFingerprintMismatchResets pins the fail-safe for config skew:
 // a WAL journaled under another world configuration is discarded, not
-// replayed into a world it does not describe.
+// replayed into a world it does not describe, and every intact record
+// the reset threw away is counted.
 func TestWALFingerprintMismatchResets(t *testing.T) {
 	dir := t.TempDir()
-	sm := mustShardMap(t, 2)
-	w, _, err := OpenWAL(dir, sm, 1)
+	w, _, err := OpenWAL(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +375,7 @@ func TestWALFingerprintMismatchResets(t *testing.T) {
 	}
 	w.Close()
 
-	w2, got, err := OpenWAL(dir, sm, 2) // different fingerprint
+	w2, got, err := OpenWAL(dir, 2) // different fingerprint
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +383,16 @@ func TestWALFingerprintMismatchResets(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("fingerprint mismatch replayed %d records, want 0", len(got))
 	}
+	if w2.Discarded() != 6 {
+		t.Errorf("fingerprint mismatch discarded %d records, want exactly 6", w2.Discarded())
+	}
 }
 
 // TestWALReset empties the log after a snapshot: reopening replays
-// nothing and sequence numbering restarts.
+// nothing but what was appended after the reset.
 func TestWALReset(t *testing.T) {
 	dir := t.TempDir()
-	sm := mustShardMap(t, 4)
-	w, _, err := OpenWAL(dir, sm, 5)
+	w, _, err := OpenWAL(dir, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +409,7 @@ func TestWALReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	_, got, err := OpenWAL(dir, sm, 5)
+	_, got, err := OpenWAL(dir, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

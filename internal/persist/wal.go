@@ -7,145 +7,133 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
-// WAL framing. Each shard owns one append-only file, wal-NNN.log,
-// mirroring the world's user-range partitioning: a rating is journaled
-// into the file of the shard its user hashes to. Every file starts
-// with a header (magic, version, configuration fingerprint); every
-// record carries a global sequence number — replay merges the shard
-// files and sorts by it, because fold order is part of the
-// bit-identicality contract — and its own CRC32, so a torn tail is
-// detected per record and discarded cleanly.
+// WAL framing. The journal is one append-only file, wal.log: a header
+// (magic, version, configuration fingerprint), then one record per
+// applied rating in the order the world applied them. File order is
+// replay order — the fold order the bit-identicality contract rests
+// on — so records carry no sequence number, only their own CRC32. The
+// first record that is short or fails its checksum ends the journal and
+// the file is truncated there: what replays is always a prefix of what
+// was appended.
 const (
+	walFile       = "wal.log"
 	walMagic      = "GRECAWAL"
-	walVersion    = uint32(1)
+	walVersion    = uint32(2)
 	walHeaderLen  = len(walMagic) + 12 // magic + version + fingerprint
-	walRecordBody = 40                 // seq + user + item + value + time
+	walRecordBody = 32                 // user + item + value + time
 	walRecordLen  = walRecordBody + 4  // + crc
 )
 
-// WAL is the per-shard write-ahead log of ratings ingested since the
-// last snapshot. Appends are serialized internally; the world's ingest
-// lock already guarantees a single writer, the WAL's own lock merely
-// keeps it safe standalone.
-type WAL struct {
-	dir string
-	sm  shard.Map
+// shardWALGlob matches the per-shard journal files earlier releases
+// wrote (wal-000.log, wal-001.log, ...), one per world shard.
+const shardWALGlob = "wal-*.log"
 
-	mu      sync.Mutex
-	files   []*os.File
-	nextSeq uint64
+// WAL is the write-ahead log of ratings ingested since the last
+// snapshot. Appends are serialized internally; the world's ingest lock
+// already guarantees a single writer, the WAL's own lock merely keeps
+// it safe standalone.
+type WAL struct {
+	mu sync.Mutex
+	f  *os.File
+	// end is the offset just past the last intact record: the next
+	// append writes there, over whatever a failed append left behind.
+	end int64
 	// discarded counts the intact records OpenWAL threw away because
-	// their files carried another configuration's fingerprint.
+	// the file carried another configuration's fingerprint.
 	discarded int
 }
 
-// walRecord is one journaled rating plus its replay position.
-type walRecord struct {
-	seq uint64
-	r   dataset.Rating
-}
-
-// OpenWAL opens (creating as needed) the per-shard log files under
-// dir for a world partitioned by sm and fingerprinted by configFP,
-// replaying whatever they hold: the returned ratings are in original
-// append order, ready to re-apply. Recovery is fail-safe per file — a
-// header from a different configuration or version discards that
-// file's records (they journal a different world), and a torn or
-// corrupt tail is truncated at the last intact record. Discarded
+// OpenWAL opens (creating as needed) the journal under dir for a world
+// fingerprinted by configFP, replaying whatever it holds: the returned
+// ratings are in append order, ready to re-apply. Recovery is
+// fail-safe — a header from a different configuration or version
+// discards the records (they journal a different world), and a torn or
+// corrupt record truncates the file at the last intact one. Discarded
 // reports how many intact records a fingerprint mismatch cost.
-func OpenWAL(dir string, sm shard.Map, configFP uint64) (*WAL, []dataset.Rating, error) {
-	sm = shard.Normalize(sm)
+//
+// Per-shard files left by an earlier release are never read: one that
+// holds no record past its header (what a clean shutdown leaves) is
+// removed, and one that may hold records fails the open with an error
+// naming it, so no acknowledged rating is dropped silently.
+func OpenWAL(dir string, configFP uint64) (*WAL, []dataset.Rating, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("persist: creating WAL dir: %w", err)
 	}
-	w := &WAL{dir: dir, sm: sm, files: make([]*os.File, sm.N())}
-	var recs []walRecord
-	for i := range w.files {
-		f, shardRecs, discarded, err := openWALShard(w.shardPath(i), configFP)
-		if err != nil {
-			w.Close()
-			return nil, nil, err
-		}
-		w.files[i] = f
-		w.discarded += discarded
-		recs = append(recs, shardRecs...)
+	if err := retireShardWALs(dir); err != nil {
+		return nil, nil, err
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-	out := make([]dataset.Rating, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.r
-		if rec.seq >= w.nextSeq {
-			w.nextSeq = rec.seq + 1
-		}
-	}
-	return w, out, nil
-}
-
-// Discarded is the number of intact journaled ratings OpenWAL discarded
-// because their shard files were written under a different
-// configuration fingerprint — acknowledged ratings this world will
-// never see.
-func (w *WAL) Discarded() int { return w.discarded }
-
-func (w *WAL) shardPath(i int) string {
-	return filepath.Join(w.dir, fmt.Sprintf("wal-%03d.log", i))
-}
-
-// openWALShard opens one shard file, validating its header and
-// scanning its records. An invalid header (wrong magic, version, or
-// fingerprint) resets the file — its records belong to a different
-// world; when only the fingerprint differs the records are still
-// readable, and discarded counts the intact ones the reset threw away.
-// A record that is short or fails its CRC ends the scan and truncates
-// the file there, so the next append continues from the last intact
-// record.
-func openWALShard(path string, configFP uint64) (f *os.File, recs []walRecord, discarded int, err error) {
-	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	path := filepath.Join(dir, walFile)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("persist: opening WAL shard: %w", err)
+		return nil, nil, fmt.Errorf("persist: opening WAL: %w", err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		f.Close()
-		return nil, nil, 0, fmt.Errorf("persist: reading WAL shard: %w", err)
+		return nil, nil, fmt.Errorf("persist: reading WAL: %w", err)
 	}
+	w := &WAL{f: f}
 	wellFormed := len(raw) >= walHeaderLen && string(raw[:len(walMagic)]) == walMagic &&
 		binary.LittleEndian.Uint32(raw[len(walMagic):]) == walVersion
-	var end int
+	var recs []dataset.Rating
 	if wellFormed {
-		recs, end = scanWALRecords(raw)
+		recs, w.end = scanWALRecords(raw)
 	}
 	if !wellFormed || binary.LittleEndian.Uint64(raw[len(walMagic)+4:]) != configFP {
-		if err := writeWALHeader(f, configFP); err != nil {
+		if err := w.reset(configFP); err != nil {
 			f.Close()
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		return f, nil, len(recs), nil
+		w.discarded = len(recs)
+		return w, nil, nil
 	}
-	if end != len(raw) {
-		if err := f.Truncate(int64(end)); err != nil {
+	if w.end != int64(len(raw)) {
+		if err := f.Truncate(w.end); err != nil {
 			f.Close()
-			return nil, nil, 0, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
+			return nil, nil, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(int64(end), 0); err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("persist: seeking WAL shard: %w", err)
-	}
-	return f, recs, 0, nil
+	return w, recs, nil
 }
+
+// retireShardWALs removes the header-only per-shard journal files of
+// an earlier release and refuses to go on past one that may hold
+// records.
+func retireShardWALs(dir string) error {
+	paths, err := filepath.Glob(filepath.Join(dir, shardWALGlob))
+	if err != nil {
+		return fmt.Errorf("persist: listing per-shard WAL files: %w", err)
+	}
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			return fmt.Errorf("persist: inspecting per-shard WAL file: %w", err)
+		}
+		if info.Size() > int64(walHeaderLen) {
+			return fmt.Errorf("persist: %s holds journaled ratings in the retired per-shard format; "+
+				"replay it with the release that wrote it, or remove it to discard them", p)
+		}
+		if err := os.Remove(p); err != nil {
+			return fmt.Errorf("persist: removing empty per-shard WAL file: %w", err)
+		}
+	}
+	return nil
+}
+
+// Discarded is the number of intact journaled ratings OpenWAL discarded
+// because the journal was written under a different configuration
+// fingerprint — acknowledged ratings this world will never see.
+func (w *WAL) Discarded() int { return w.discarded }
 
 // scanWALRecords decodes the intact records after raw's header and
 // returns them with the offset just past the last one.
-func scanWALRecords(raw []byte) ([]walRecord, int) {
-	var recs []walRecord
+func scanWALRecords(raw []byte) ([]dataset.Rating, int64) {
+	var recs []dataset.Rating
 	off := walHeaderLen
 	for off+walRecordLen <= len(raw) {
 		body := raw[off : off+walRecordBody]
@@ -153,83 +141,63 @@ func scanWALRecords(raw []byte) ([]walRecord, int) {
 		if crc32.ChecksumIEEE(body) != sum {
 			break // torn or corrupt: discard this and everything after
 		}
-		recs = append(recs, walRecord{
-			seq: binary.LittleEndian.Uint64(body[0:]),
-			r: dataset.Rating{
-				User:  dataset.UserID(binary.LittleEndian.Uint64(body[8:])),
-				Item:  dataset.ItemID(binary.LittleEndian.Uint64(body[16:])),
-				Value: math.Float64frombits(binary.LittleEndian.Uint64(body[24:])),
-				Time:  int64(binary.LittleEndian.Uint64(body[32:])),
-			},
+		recs = append(recs, dataset.Rating{
+			User:  dataset.UserID(binary.LittleEndian.Uint64(body[0:])),
+			Item:  dataset.ItemID(binary.LittleEndian.Uint64(body[8:])),
+			Value: math.Float64frombits(binary.LittleEndian.Uint64(body[16:])),
+			Time:  int64(binary.LittleEndian.Uint64(body[24:])),
 		})
 		off += walRecordLen
 	}
-	return recs, off
+	return recs, int64(off)
 }
 
-func writeWALHeader(f *os.File, configFP uint64) error {
+// reset shrinks the file to a fresh header. Caller holds mu or owns w
+// exclusively.
+func (w *WAL) reset(configFP uint64) error {
 	var hdr [walHeaderLen]byte
 	copy(hdr[:], walMagic)
 	binary.LittleEndian.PutUint32(hdr[len(walMagic):], walVersion)
 	binary.LittleEndian.PutUint64(hdr[len(walMagic)+4:], configFP)
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("persist: resetting WAL shard: %w", err)
+	if err := w.f.Truncate(0); err != nil {
+		return fmt.Errorf("persist: resetting WAL: %w", err)
 	}
-	if _, err := f.WriteAt(hdr[:], 0); err != nil {
+	if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("persist: writing WAL header: %w", err)
 	}
-	if _, err := f.Seek(int64(walHeaderLen), 0); err != nil {
-		return fmt.Errorf("persist: seeking WAL shard: %w", err)
-	}
+	w.end = int64(walHeaderLen)
 	return nil
 }
 
-// Append journals one applied rating into its user's shard file.
+// Append journals one applied rating after the last intact record.
 func (w *WAL) Append(r dataset.Rating) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	f := w.files[w.sm.Of(int64(r.User))]
 	var rec [walRecordLen]byte
-	binary.LittleEndian.PutUint64(rec[0:], w.nextSeq)
-	binary.LittleEndian.PutUint64(rec[8:], uint64(r.User))
-	binary.LittleEndian.PutUint64(rec[16:], uint64(r.Item))
-	binary.LittleEndian.PutUint64(rec[24:], math.Float64bits(r.Value))
-	binary.LittleEndian.PutUint64(rec[32:], uint64(r.Time))
+	binary.LittleEndian.PutUint64(rec[0:], uint64(r.User))
+	binary.LittleEndian.PutUint64(rec[8:], uint64(r.Item))
+	binary.LittleEndian.PutUint64(rec[16:], math.Float64bits(r.Value))
+	binary.LittleEndian.PutUint64(rec[24:], uint64(r.Time))
 	binary.LittleEndian.PutUint32(rec[walRecordBody:], crc32.ChecksumIEEE(rec[:walRecordBody]))
-	if _, err := f.Write(rec[:]); err != nil {
+	if _, err := w.f.WriteAt(rec[:], w.end); err != nil {
 		return fmt.Errorf("persist: appending WAL record: %w", err)
 	}
-	w.nextSeq++
+	w.end += walRecordLen
 	return nil
 }
 
-// Reset discards every journaled record (all shard files shrink back
-// to their headers) — called after a snapshot has captured the state
-// the records rebuilt.
+// Reset discards every journaled record (the file shrinks back to its
+// header) — called after a snapshot has captured the state the records
+// rebuilt.
 func (w *WAL) Reset(configFP uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, f := range w.files {
-		if err := writeWALHeader(f, configFP); err != nil {
-			return err
-		}
-	}
-	w.nextSeq = 0
-	return nil
+	return w.reset(configFP)
 }
 
-// Close closes every shard file. The WAL must not be used afterwards.
+// Close closes the journal file. The WAL must not be used afterwards.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var first error
-	for _, f := range w.files {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return w.f.Close()
 }

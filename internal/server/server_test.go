@@ -316,6 +316,7 @@ func TestStatsServesBenchContract(t *testing.T) {
 		"caches.per_shard.0.list_store.retained", "caches.per_shard.0.list_store.patched",
 		"remote.view_cache.retained", "remote.view_cache.patched",
 		"remote.transport.calls_by_op.invalidate",
+		"caches.recheck_pool",
 	} {
 		if statsHasPath(doc, gone) {
 			t.Errorf("/v1/stats still carries %q", gone)

@@ -14,7 +14,7 @@ import (
 )
 
 // snapshotFile is the snapshot's name inside the persistence
-// directory; the WAL's per-shard files live beside it.
+// directory; the WAL's one file lives beside it.
 const snapshotFile = "snapshot.bin"
 
 // worldSnapshot is the gob payload of a world snapshot: the rating
@@ -34,9 +34,9 @@ type worldSnapshot struct {
 // different world and is discarded in favor of a cold rebuild. The
 // readers are excluded (not hashable), which means a changed ratings
 // file behind an unchanged Config is NOT detected — operators who
-// swap the dataset must clear the snapshot directory. Fields that
-// only move work around (AssemblyWorkers, RecheckWorkers) are excluded
-// so tuning them keeps snapshots valid, and of ListStoreSize only
+// swap the dataset must clear the snapshot directory. A field that
+// only moves work around (AssemblyWorkers) is excluded so tuning it
+// keeps snapshots valid, and of ListStoreSize only
 // whether the store exists is hashed (a router and its workers must
 // agree on that; see ShardBackend.ViewScores) — its capacity shapes
 // nothing, and a journal is reset when the fingerprint differs, so a
@@ -117,7 +117,7 @@ func OpenWorld(cfg Config, dir string) (*World, OpenStats, error) {
 		return nil, st, err
 	}
 
-	wal, replayed, err := persist.OpenWAL(dir, w.Sharding(), fp)
+	wal, replayed, err := persist.OpenWAL(dir, fp)
 	if err != nil {
 		return nil, st, err
 	}

@@ -387,6 +387,28 @@ func TestJournalResetIsReported(t *testing.T) {
 	}
 }
 
+// TestRetiredShardJournalRefusesOpen: a per-shard journal file left by
+// an earlier release that may hold acknowledged ratings is never read
+// and never dropped — the open fails, naming it, returns no world, and
+// the file stays on disk for the operator.
+func TestRetiredShardJournalRefusesOpen(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "wal-001.log")
+	if err := os.WriteFile(old, make([]byte, 64), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := OpenWorld(persistTestConfig(liveBaseRatings(t)), dir)
+	if err == nil || !strings.Contains(err.Error(), old) {
+		t.Fatalf("open beside a per-shard journal with records = %v, want an error naming %s", err, old)
+	}
+	if w != nil {
+		t.Errorf("a refused journal still returned a world")
+	}
+	if info, err := os.Stat(old); err != nil || info.Size() != 64 {
+		t.Errorf("the refused per-shard journal was not left as it was: %v", err)
+	}
+}
+
 // TestSnapshotMismatchFallsBackCold pins the fail-safe: a snapshot
 // from a different configuration, or a corrupted snapshot file, is
 // ignored and the world boots cold — never a crash, never a world

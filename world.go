@@ -97,15 +97,6 @@ type Config struct {
 	// fetches. It is router-only state, excluded from the config
 	// fingerprint, and irrelevant in-process.
 	RemoteViewCache int
-	// RecheckWorkers bounds the goroutines a scoped rating ingest uses
-	// to recheck dependent candidate neighborhoods (the candidates are
-	// independent one-similarity verifications, bucketed by shard so
-	// concurrent workers stay off each other's locks). 0 selects a
-	// small default pool (min(4, GOMAXPROCS)); 1 or negative forces the
-	// serial path. The pool never changes a verdict or a served byte —
-	// only how long ingest holds its serialized window. Excluded from
-	// the config fingerprint like the other work-placement knobs.
-	RecheckWorkers int
 	// snapshotRatings, when set by the persistence layer (OpenWorld),
 	// rebuilds the rating store from a snapshot's canonical dump
 	// instead of reading RatingsReader or generating synthetically.
@@ -305,7 +296,6 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("repro: building CF predictor: %w", err)
 	}
 	pred.SetSharding(w.sm)
-	pred.SetRecheckWorkers(cfg.RecheckWorkers)
 	w.pred = pred
 	if cfg.ItemBasedCF && cfg.TimeWeightedCF {
 		return nil, fmt.Errorf("repro: ItemBasedCF and TimeWeightedCF are mutually exclusive")
@@ -477,9 +467,10 @@ func (w *World) SetRatingLog(l RatingLog) {
 // sim(v, u) — but only for the users v that share an item with u. The
 // ingest exploits that where a rebuild is expensive, the neighborhood
 // cache: every cached neighborhood carries its owner's co-rater bitset,
-// the ones with u's bit set get a one-similarity recheck, and only the
-// neighborhoods the rating actually reaches are dropped (epoch-fenced
-// against in-flight fills re-installing pre-ingest results). The sorted
+// the ones with u's bit set get a one-similarity recheck, run one after
+// another on the ingesting goroutine, and only the neighborhoods the
+// rating actually reaches are dropped (epoch-fenced against in-flight
+// fills re-installing pre-ingest results). The sorted
 // views above them all drop: every rating shifts a fallback mean, no
 // measured workload re-reads a view between two ratings, and a view
 // rebuilt over retained neighborhoods costs one batch prediction.
@@ -678,10 +669,6 @@ type CacheStats struct {
 	// counters down by shard (one entry per shard, in shard order).
 	Shards   int               `json:"shards"`
 	PerShard []ShardCacheStats `json:"per_shard"`
-	// RecheckPool is the effective worker-pool size scoped ingest uses
-	// to recheck dependent candidates (1 = serial; see
-	// Config.RecheckWorkers).
-	RecheckPool int `json:"recheck_pool"`
 }
 
 // ShardCacheStats is one shard's slice of the cache counters: the
@@ -701,7 +688,7 @@ type ShardCacheStats struct {
 // PerShard breakdown reports, so the two levels sum exactly even
 // mid-flight.
 func (w *World) CacheStats() CacheStats {
-	st := CacheStats{Shards: w.sm.N(), RecheckPool: w.pred.RecheckWorkers()}
+	st := CacheStats{Shards: w.sm.N()}
 	st.PerShard = make([]ShardCacheStats, st.Shards)
 	for i := range st.PerShard {
 		st.PerShard[i].Shard = i
