@@ -9,7 +9,7 @@
 //	            [-ratings ratings.dat] [-seed N]
 //	            [-liststore 1024] [-shards 1] [-shards-config topology.json]
 //	            [-remote-viewcache 0] [-workers N] [-snapshot dir]
-//	            [-refreeze 0] [-pprof localhost:6060] [-v]
+//	            [-pprof localhost:6060] [-v]
 //
 // -snapshot names a persistence directory: on boot the world is
 // rebuilt from its snapshot when one matches the configuration (a
@@ -21,10 +21,7 @@
 // fresh snapshot is written and the log truncated, so the next boot
 // replays nothing. A snapshot from a different configuration (or a
 // corrupted one) is discarded and the world boots cold — restarts are
-// always safe, at worst slow. -refreeze folds pending ingested
-// ratings into the frozen base at the given interval (0 folds only at
-// snapshot time); folding never changes recommendations, it only
-// bounds the delta overlay's lookup cost.
+// always safe, at worst slow.
 //
 // -pprof binds net/http/pprof's debug routes to a separate listener on
 // the given address (off by default; the service handler never carries
@@ -81,10 +78,11 @@
 //	POST /v1/recommend/batch   {"requests":[{...},{...}]}
 //	POST /v1/ratings           {"user":1,"item":42,"value":4.5,"time":978300000}
 //	                           ingests one rating into the live world:
-//	                           applied to the delta overlay, journaled,
+//	                           folded into the store, journaled,
 //	                           and every affected cache invalidated, so
 //	                           the next recommendation reflects it
-//	                           exactly as a cold rebuild would.
+//	                           exactly as a cold rebuild would;
+//	                           answers {"applied":true}.
 //	POST /v1/recommend/stream  same body (+ optional "progress_every": N);
 //	                           answers Server-Sent Events: "progress"
 //	                           frames with the partial top-k and its
@@ -160,7 +158,6 @@ func main() {
 		viewCache  = flag.Int("remote-viewcache", 0, "views fetched from workers the router's list store retains (0 = none, every assembly fetches; only meaningful with -shards-config)")
 		workers    = flag.Int("workers", 0, "assembly workers per request (0 = GOMAXPROCS)")
 		snapshot   = flag.String("snapshot", "", "persistence directory: warm-restart snapshot + rating WAL (empty = no persistence)")
-		refreeze   = flag.Duration("refreeze", 0, "fold pending ingested ratings every interval (0 = fold only at snapshot time)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 		verbose    = flag.Bool("v", false, "print substrate statistics")
 	)
@@ -237,25 +234,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// Background fold: bound the delta overlay's lookup cost under
-	// sustained ingest. ReFreeze is a no-op when nothing is pending.
-	if *refreeze > 0 {
-		go func() {
-			tick := time.NewTicker(*refreeze)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if n := world.ReFreeze(); n > 0 && *verbose {
-						log.Printf("refreeze folded %d ratings", n)
-					}
-				}
-			}
-		}()
-	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()

@@ -42,19 +42,18 @@
 //     the construction cost. World owns its lifecycle
 //     (Config.ListStoreSize, World.InvalidateUserViews).
 //   - World.AddRating ingests a rating into the frozen world while it
-//     serves: the rating lands in a per-shard delta overlay on the
-//     rating store, and neighborhood invalidation is scoped to the
-//     rating's actual reach — each cached neighborhood carries the
-//     bitset of its owner's co-raters, the ones with the rater's bit
-//     set get a one-similarity recheck, and only the neighborhoods the rating
-//     provably touches are dropped. Every sorted-list view drops with
-//     each rating (no workload re-reads one between two ratings) and
-//     is rebuilt over the retained neighborhoods on next use, so
-//     sustained ingest keeps the expensive cache warm without changing
-//     a served byte: everything served is bit-identical to a world
-//     rebuilt from scratch with that rating. World.ReFreeze folds
-//     accumulated deltas into the base (never changing results, only
-//     lookup cost); OpenWorld / SaveWorldSnapshot add durability: a
+//     serves: the rating is folded into the one rater list and the one
+//     user row it changes, so no read merges, and neighborhood
+//     invalidation is scoped to the rating's actual reach — each cached
+//     neighborhood carries the bitset of its owner's co-raters, the
+//     ones with the rater's bit set get a one-similarity recheck, and
+//     only the neighborhoods the rating provably touches are dropped.
+//     Every sorted-list view drops with each rating (no workload
+//     re-reads one between two ratings) and is rebuilt over the
+//     retained neighborhoods on next use, so sustained ingest keeps the
+//     expensive cache warm without changing a served byte: everything
+//     served is bit-identical to a world rebuilt from scratch with that
+//     rating. OpenWorld / SaveWorldSnapshot add durability: a
 //     checksummed snapshot plus a single write-ahead log give warm
 //     restarts that skip the view and neighborhood rebuilds. Ingest is
 //     serial under one lock, so nothing on that path fans out: the
@@ -119,7 +118,7 @@
 //	// Recommend reflects it exactly as a cold rebuild would.
 //	rec, err = w.Recommend(group, repro.Options{K: 5})
 //	...
-//	repro.SaveWorldSnapshot(w, "/var/lib/greca") // folds deltas, resets the log
+//	repro.SaveWorldSnapshot(w, "/var/lib/greca") // dumps the store, resets the log
 //	w.ClosePersistence()
 //
 // See DESIGN.md for the full system inventory and EXPERIMENTS.md for

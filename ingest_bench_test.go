@@ -1,12 +1,12 @@
 // BenchmarkIngestMix measures serving throughput under sustained
 // ingest — the workload the scoped-invalidation scheme exists for.
 // Each op is one AddRating followed by a wave of concurrent Recommend
-// calls over fixed groups with a pinned candidate slice, with the
-// delta log folded every 64 ingests; the only variable between the two
-// sub-benchmarks is the constructor — repro.NewWorld, or the test-only
-// repro.NewFullInvalidationWorld whose ingests drop every neighborhood —
-// so the delta is exactly the cost of drop-everything neighborhood
-// invalidation versus the scoped scheme. Sorted views drop on every
+// calls over fixed groups with a pinned candidate slice; the only
+// variable between the two sub-benchmarks is the constructor —
+// repro.NewWorld, or the test-only repro.NewFullInvalidationWorld
+// whose ingests drop every neighborhood — so the delta is exactly the
+// cost of drop-everything neighborhood invalidation versus the scoped
+// scheme. Sorted views drop on every
 // rating under both. Beyond ns/op, each run reports the cache outcomes
 // that explain the number: the list store's view hit rate and the
 // fraction of neighborhoods the ingests retained.
@@ -110,9 +110,6 @@ func BenchmarkIngestMix(b *testing.B) {
 					}(gi)
 				}
 				wg.Wait()
-				if (n+1)%64 == 0 {
-					w.ReFreeze()
-				}
 			}
 			b.StopTimer()
 			st := w.CacheStats()

@@ -280,7 +280,7 @@ func batchWorlds() []scanWorld {
 // TestPredictBatchMatchesReference holds the kernel to the retired
 // map-based accumulation and to per-item Predict, bit for bit, for the
 // three predictors that share it, 1 and 4 shards, and a store that is
-// frozen, carries pending deltas, and has folded them.
+// frozen and then takes ratings one at a time.
 func TestPredictBatchMatchesReference(t *testing.T) {
 	for _, w := range batchWorlds() {
 		for _, kind := range batchKinds {
@@ -318,17 +318,8 @@ func TestPredictBatchMatchesReference(t *testing.T) {
 								continue
 							}
 							if err := diffAllBatches(rig, s); err != nil {
-								t.Fatalf("%d pending deltas, k=%d: %v", i+1, rig.base.k, err)
+								t.Fatalf("%d applied ratings, k=%d: %v", i+1, rig.base.k, err)
 							}
-						}
-					}
-					s.ReFreeze()
-					if s.PendingDeltas() != 0 {
-						t.Fatalf("ReFreeze left %d deltas pending", s.PendingDeltas())
-					}
-					for _, rig := range rigs {
-						if err := diffAllBatches(rig, s); err != nil {
-							t.Fatalf("after ReFreeze, k=%d: %v", rig.base.k, err)
 						}
 					}
 				})
@@ -390,11 +381,7 @@ func FuzzPredictBatchMatchesReference(f *testing.F) {
 			rig.noteApplied(r)
 		}
 		if err := diffAllBatches(rig, s); err != nil {
-			t.Fatalf("%d pending deltas: %v", len(deltas), err)
-		}
-		s.ReFreeze()
-		if err := diffAllBatches(rig, s); err != nil {
-			t.Fatalf("after ReFreeze: %v", err)
+			t.Fatalf("%d applied ratings: %v", len(deltas), err)
 		}
 	})
 }
@@ -567,8 +554,8 @@ func TestConcurrentBatchesDuringScopedIngest(t *testing.T) {
 }
 
 // TestIncrementalMeansMatchFullRecompute applies 2 400 ratings one at a
-// time — many repeats of a few items, one item 400 times running, a
-// fold in the middle — and holds the scoped ingest's means to the full
+// time — many repeats of a few items, one item 400 times running — and
+// holds the scoped ingest's means to the full
 // recomputation bit for bit after each.
 func TestIncrementalMeansMatchFullRecompute(t *testing.T) {
 	s := randomStore(t, 50, 60, 1200, 17)
@@ -609,9 +596,5 @@ func TestIncrementalMeansMatchFullRecompute(t *testing.T) {
 		}
 		p.NoteIngestScoped(r.User, r.Item)
 		check(n)
-		if n == 900 || n == 1800 {
-			s.ReFreeze()
-			check(n)
-		}
 	}
 }

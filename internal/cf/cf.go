@@ -24,7 +24,7 @@ const DefaultNeighbors = 50
 
 // numShards is the lock-shard count for the lazy per-user caches. 64
 // keeps contention negligible for any realistic GOMAXPROCS while the
-// per-shard overhead (two maps and an RWMutex) stays trivial.
+// per-shard overhead (a map and an RWMutex) stays trivial.
 const numShards = 64
 
 // Neighbor pairs a user with its cosine similarity to the query user.
@@ -37,7 +37,6 @@ type Neighbor struct {
 type userShard struct {
 	mu        sync.RWMutex
 	neighbors map[dataset.UserID]neighborhood
-	norms     map[dataset.UserID]float64
 }
 
 // neighborhood is one cached fill: the top-k and the fill's dependency
@@ -61,9 +60,10 @@ func shardIndex(id uint64) int {
 
 // Predictor computes user-user similarities and k-NN rating
 // predictions over a frozen dataset.Store. Neighborhoods and vector
-// norms are computed lazily per user and cached in lock-sharded maps,
-// so concurrent readers of distinct users never contend and readers of
-// the same user share an RLock.
+// norms are computed lazily per user: neighborhoods are cached in
+// lock-sharded maps, so concurrent readers of distinct users never
+// contend and readers of the same user share an RLock, and norms in a
+// dense table read without any lock.
 //
 // The lazy caches are partitioned by a shard.Map into per-shard
 // instances (predictorPart), each with its own lock stripes and
@@ -84,6 +84,12 @@ type Predictor struct {
 	users denseIndex[dataset.UserID]
 	dots  sync.Pool
 	work  scanWork
+	// normBits[i] caches the vector norm n of user users.ids[i] as
+	// Float64bits(-n), so that 0 — which no negated norm encodes, -0
+	// included — means not cached. Reads are lock-free; an install and
+	// the ingest's clear both happen under the user's shard lock (see
+	// norm and bumpEpochs).
+	normBits []atomic.Uint64
 	// items is the dense item index the batch kernel's slot table and the
 	// fallback means are laid out on; scratch pools the kernel's working
 	// sets (*batchScratch, all zero at rest).
@@ -110,7 +116,7 @@ type predictorMeans struct {
 // computePredictorMeans derives the fallback means from the store. The
 // accumulation order (items ascending, each item's ratings in list
 // order) is the bit-identicality contract: a recomputation over the
-// delta-overlaid store runs this exact loop, so a live world and a cold
+// live store runs this exact loop, so a live world and a cold
 // rebuild agree to the last bit.
 func computePredictorMeans(store *dataset.Store) *predictorMeans {
 	items := store.Items()
@@ -187,7 +193,6 @@ func newPredictorPart() *predictorPart {
 	p := &predictorPart{}
 	for i := range p.shards {
 		p.shards[i].neighbors = make(map[dataset.UserID]neighborhood)
-		p.shards[i].norms = make(map[dataset.UserID]float64)
 	}
 	return p
 }
@@ -218,6 +223,7 @@ func NewPredictorSim(store *dataset.Store, kNeighbors int, measure Similarity) (
 		items:   newDenseIndex(store.Items()),
 	}
 	nUsers, nItems := len(p.users.ids), len(p.items.ids)
+	p.normBits = make([]atomic.Uint64, nUsers)
 	p.dots.New = func() any {
 		v := make([]float64, nUsers)
 		return &v
@@ -238,8 +244,9 @@ func (p *Predictor) Cosine(u, v dataset.UserID) float64 {
 // SetSharding repartitions the lazy caches into one instance per
 // shard of m (nil reverts to a single instance). Call during setup,
 // before the predictor serves traffic — it replaces the cache parts,
-// dropping anything already cached (cached values are pure functions
-// of the frozen store, so a drop only costs recomputation).
+// dropping every cached neighborhood (cached values are pure functions
+// of the store, so a drop only costs recomputation). Cached norms are
+// not partitioned and stay.
 func (p *Predictor) SetSharding(m shard.Map) {
 	p.sm = shard.Normalize(m)
 	p.parts = make([]*predictorPart, p.sm.N())
@@ -256,27 +263,43 @@ func (p *Predictor) part(u dataset.UserID) *predictorPart {
 	return p.parts[p.sm.Of(int64(u))]
 }
 
+// norm returns the L2 norm of u's rating vector (0 for a user outside
+// the store, who rated nothing).
 func (p *Predictor) norm(u dataset.UserID) float64 {
-	pp := p.part(u)
-	sh := &pp.shards[shardIndex(uint64(u))]
-	sh.mu.RLock()
-	n, ok := sh.norms[u]
-	sh.mu.RUnlock()
-	if ok {
-		return n
+	if ui, ok := p.users.of(u); ok {
+		return p.normAt(u, ui)
 	}
-	epoch := pp.epoch.Load()
+	return 0
+}
+
+// normAt is norm for the user at dense index ui, read from the table
+// when cached and computed and installed otherwise.
+func (p *Predictor) normAt(u dataset.UserID, ui int) float64 {
+	if b := p.normBits[ui].Load(); b != 0 {
+		return -math.Float64frombits(b)
+	}
+	epoch := p.part(u).epoch.Load()
 	var ss float64
 	for _, r := range p.store.ByUser(u) {
 		ss += r.Value * r.Value
 	}
-	n = math.Sqrt(ss)
+	n := math.Sqrt(ss)
+	p.installNorm(u, ui, n, epoch)
+	return n
+}
+
+// installNorm caches n as the norm of u (dense index ui) under u's
+// shard lock, unless an ingest bumped the epoch since epoch was read:
+// a norm of pre-ingest state is never cached after the ingest cleared
+// the slot.
+func (p *Predictor) installNorm(u dataset.UserID, ui int, n float64, epoch uint64) {
+	pp := p.part(u)
+	sh := &pp.shards[shardIndex(uint64(u))]
 	sh.mu.Lock()
 	if pp.epoch.Load() == epoch {
-		sh.norms[u] = n
+		p.normBits[ui].Store(math.Float64bits(-n))
 	}
 	sh.mu.Unlock()
-	return n
 }
 
 // Neighbors returns u's k most similar users (excluding u and

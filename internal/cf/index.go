@@ -2,7 +2,7 @@ package cf
 
 // denseIndex maps the IDs of one domain of the store — its users or its
 // items — onto dense positions in ascending-ID order (Users() / Items()
-// order). The overlay cannot grow either domain (dataset.ErrUnknownUser,
+// order). An ingest cannot grow either domain (dataset.ErrUnknownUser,
 // dataset.ErrUnknownItem), so an index is fixed at construction. IDs
 // close together get an offset table; sparse or far-apart ones (a loader
 // fed arbitrary IDs) a map.

@@ -8,7 +8,7 @@ import (
 
 // This file is the live-world side of the cf package: the hooks that
 // keep every derived structure coherent after a rating is applied to
-// the delta overlay, and the export/restore pair the snapshot layer
+// the store, and the export/restore pair the snapshot layer
 // uses to warm-start the neighborhood caches.
 //
 // Coherence model: one new rating by user u changes u's vector — and
@@ -189,18 +189,20 @@ func (p *Predictor) dependentsOf(w dataset.UserID) []dataset.UserID {
 	return out
 }
 
-// bumpEpochs fences every fill in flight and forgets the rater u's
+// bumpEpochs fences every fill in flight and clears the rater u's
 // cached vector norm (one new rating always changes it), both under
-// one hold of the norm's lock: a fill that begins after the bump will
-// install what it computes, so no sim it takes may still find the
-// pre-ingest norm cached.
+// one hold of u's shard lock — the lock a norm install takes: a fill
+// that begins after the bump will install what it computes, so no sim
+// it takes may still find the pre-ingest norm cached.
 func (p *Predictor) bumpEpochs(u dataset.UserID) {
 	sh := &p.part(u).shards[shardIndex(uint64(u))]
 	sh.mu.Lock()
 	for _, pp := range p.parts {
 		pp.epoch.Add(1)
 	}
-	delete(sh.norms, u)
+	if ui, ok := p.users.of(u); ok {
+		p.normBits[ui].Store(0)
+	}
 	sh.mu.Unlock()
 }
 

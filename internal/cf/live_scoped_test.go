@@ -1,6 +1,7 @@
 package cf
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -30,7 +31,7 @@ func scopedStore(t *testing.T) *dataset.Store {
 	})
 }
 
-// applyRating pushes one rating into the frozen store's delta overlay.
+// applyRating folds one rating into the frozen store.
 func applyRating(t *testing.T, s *dataset.Store, u dataset.UserID, it dataset.ItemID, v float64) {
 	t.Helper()
 	if err := s.Apply(dataset.Rating{User: u, Item: it, Value: v, Time: 1}); err != nil {
@@ -186,6 +187,74 @@ func TestNoteIngestScopedFencesStraddlingFills(t *testing.T) {
 	}
 	if got, want := p.Neighbors(3), cold.Neighbors(3); !reflect.DeepEqual(got, want) {
 		t.Errorf("post-fence Neighbors(3) = %v, want cold %v", got, want)
+	}
+}
+
+// TestNormInstallIsFenced pins the norm table's fence: a norm computed
+// before an ingest bumps the epochs is never installed, and the next
+// read recomputes the norm from the post-ingest row.
+func TestNormInstallIsFenced(t *testing.T) {
+	s := scopedStore(t)
+	p, err := NewPredictor(s, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ui, _ := p.users.of(0)
+	// A norm read begun before the rating: epoch taken, value computed.
+	epoch := p.part(0).epoch.Load()
+	preIngest := math.Sqrt(4*4 + 3*3)
+
+	applyRating(t, s, 0, 3, 5)
+	p.NoteIngestScoped(0, 3)
+
+	p.installNorm(0, ui, preIngest, epoch)
+	if b := p.normBits[ui].Load(); b != 0 {
+		t.Fatalf("a norm computed before the ingest was installed: slot %x", b)
+	}
+	want := math.Sqrt(4*4 + 3*3 + 5*5)
+	if got := p.norm(0); got != want {
+		t.Fatalf("norm(0) after the ingest = %v, want %v", got, want)
+	}
+	if got := -math.Float64frombits(p.normBits[ui].Load()); got != want {
+		t.Fatalf("cached norm after the ingest = %v, want %v", got, want)
+	}
+}
+
+// TestCachedNormsMatchRecompute applies 200 scoped ingests, each
+// followed by a fill that caches the norms of the rater's co-raters,
+// and then holds every cached slot to Σv² over the user's current row,
+// bit for bit.
+func TestCachedNormsMatchRecompute(t *testing.T) {
+	s := randomStore(t, 40, 30, 500, 23)
+	p, err := NewPredictor(s, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, items := s.Users(), s.Items()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		u, it := users[rng.Intn(len(users))], items[rng.Intn(len(items))]
+		applyRating(t, s, u, it, float64(1+rng.Intn(5)))
+		p.NoteIngestScoped(u, it)
+		p.Neighbors(users[rng.Intn(len(users))])
+	}
+	checked := 0
+	for ui, u := range p.users.ids {
+		b := p.normBits[ui].Load()
+		if b == 0 {
+			continue
+		}
+		checked++
+		var ss float64
+		for _, r := range s.ByUser(u) {
+			ss += r.Value * r.Value
+		}
+		if want := math.Float64bits(-math.Sqrt(ss)); b != want {
+			t.Errorf("cached norm of user %d = %x, recomputed %x", u, b, want)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no norm was cached")
 	}
 }
 

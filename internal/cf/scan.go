@@ -105,7 +105,7 @@ func (p *Predictor) fill(u dataset.UserID) ([]Neighbor, userBits) {
 			if dot == nil {
 				s, _ = p.pearsonCorated(u, v)
 			} else if d := dot[vi]; d != 0 {
-				s = cosineFrom(d, nu, p.norm(v))
+				s = cosineFrom(d, nu, p.normAt(v, vi))
 				dot[vi] = 0 // leave the pooled vector zeroed
 			}
 			if s > 0 {

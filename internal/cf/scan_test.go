@@ -206,7 +206,7 @@ func buildScanWorld(t testing.TB, w scanWorld, m shard.Map) (*dataset.Store, []d
 // TestNeighborhoodScanMatchesPairwise holds the fill's walk to the
 // pairwise reference bit for bit — neighbors, similarity bits and
 // co-rater sets — for both measures, 1 and 4 shards, and a store that
-// is frozen, carries pending deltas, and has folded them.
+// is frozen and then takes ratings one at a time.
 func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
 	for _, w := range scanWorlds() {
 		for _, measure := range []Similarity{CosineSim, PearsonSim} {
@@ -245,7 +245,7 @@ func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
 						}
 						live.NoteIngestScoped(r.User, r.Item)
 						if err := diffAllFills(s, 3, measure, m); err != nil {
-							t.Fatalf("%d pending deltas: %v", i+1, err)
+							t.Fatalf("%d applied ratings: %v", i+1, err)
 						}
 					}
 					for _, u := range s.Users() {
@@ -254,15 +254,8 @@ func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
 							t.Fatalf("live Neighbors(%d) after %d scoped ingests = %v, reference %v", u, len(deltas), got, want)
 						}
 					}
-
-					s.ReFreeze()
-					if s.PendingDeltas() != 0 {
-						t.Fatalf("ReFreeze left %d deltas pending", s.PendingDeltas())
-					}
-					for _, k := range []int{3, 50} {
-						if err := diffAllFills(s, k, measure, m); err != nil {
-							t.Fatalf("after ReFreeze, k=%d: %v", k, err)
-						}
+					if err := diffAllFills(s, 50, measure, m); err != nil {
+						t.Fatalf("all ratings applied, k=50: %v", err)
 					}
 				})
 			}
@@ -448,11 +441,7 @@ func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 			}
 		}
 		if err := diffAllFills(s, 3, measure, m); err != nil {
-			t.Fatalf("%d pending deltas: %v", len(deltas), err)
-		}
-		s.ReFreeze()
-		if err := diffAllFills(s, 3, measure, m); err != nil {
-			t.Fatalf("after ReFreeze: %v", err)
+			t.Fatalf("%d applied ratings: %v", len(deltas), err)
 		}
 	})
 }

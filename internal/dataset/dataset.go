@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/shard"
@@ -50,10 +51,10 @@ type Stats struct {
 // endpoint) can map each rejection to a machine-readable code.
 var (
 	// ErrNotFrozen is returned by Apply before Freeze: live ingest
-	// overlays a frozen base, it does not replace the loader path.
+	// extends a frozen store, it does not replace the loader path.
 	ErrNotFrozen = errors.New("store not frozen")
 	// ErrUnknownUser rejects ratings by users outside the frozen user
-	// set (the overlay cannot grow the user domain — every derived
+	// set (Apply cannot grow the user domain — every derived
 	// structure, from shard arenas to CF neighborhoods, is sized to it).
 	ErrUnknownUser = errors.New("unknown user")
 	// ErrUnknownItem rejects ratings of items outside the catalog.
@@ -63,11 +64,10 @@ var (
 )
 
 // Store is an in-memory collaborative rating database with both
-// user-major and item-major access paths. After Freeze the base matrix
-// is immutable, and all query methods are safe for concurrent use; live
-// writes go through Apply, which appends to a per-shard delta log that
-// every read path overlays until ReFreeze folds the deltas back into
-// the frozen arenas.
+// user-major and item-major access paths. After Freeze the user and
+// item domains are fixed and all query methods are safe for concurrent
+// use; live writes go through Apply, which folds each rating into the
+// one rater list and the one user row it changes.
 //
 // Per-user state — the rating rows and the rated-item bitsets — lives
 // in per-shard arenas after Freeze, partitioned by a shard.Map
@@ -77,13 +77,13 @@ var (
 // state (the catalog, popularity ranking, per-item rating lists) is
 // shared: it is a property of the catalog, not of any user range.
 //
-// Concurrency model: the frozen state lives behind one atomic pointer
-// and is never mutated in place — ReFreeze builds a successor and
-// swaps. Overlay reads take their user's delta-shard read lock (or the
-// item-side read lock) and load the state pointer inside it; ReFreeze
-// swaps while holding every delta write lock, so a reader always sees
-// a (state, delta) pair that composes to the full matrix. When no
-// deltas are pending — the steady state — reads are lock-free.
+// Concurrency model: every user row and every rater list sits in a
+// cell behind an atomic pointer, and the cell maps are built at Freeze
+// (or Reshard) and never change afterwards. A list a cell points to is
+// never mutated: Apply, serialized by mu, writes a successor list and
+// swaps the cell, and it swaps the state pointer for the successor
+// totals (count, value sum, popularity ranking). Every read is one map
+// lookup and one atomic load, with no lock.
 type Store struct {
 	// byUser/byItem are the ingest-side accumulation, populated by Add
 	// and consumed by Freeze; nil afterwards.
@@ -92,16 +92,20 @@ type Store struct {
 	nRatings int
 	sumVal   float64
 	frozen   bool
-	// state is the frozen base matrix; ReFreeze swaps in successors.
+	// state is the frozen layout plus the current totals; Apply swaps
+	// in a successor that shares every cell.
 	state atomic.Pointer[storeState]
-	// deltas is the live-write overlay, created at Freeze.
-	deltas *DeltaLog
+	// mu serializes Apply and Reshard.
+	mu sync.Mutex
+	// applied is the lifetime Apply count.
+	applied atomic.Int64
 }
 
-// storeState is one immutable snapshot of the frozen matrix. All fields
-// are read-only after construction; ReFreeze replaces the whole value.
+// storeState is one snapshot of the store's totals over its fixed cell
+// layout. The fields are read-only after construction; the cells they
+// point to are where ratings land.
 type storeState struct {
-	byItem   map[ItemID][]Rating
+	byItem   map[ItemID]*atomic.Pointer[[]Rating]
 	users    []UserID
 	items    []ItemID
 	nRatings int
@@ -119,15 +123,18 @@ type storeState struct {
 	maskWords int
 }
 
-// storePart is one shard's arena of per-user state: the rating rows
-// and rated-item bitsets of exactly the users hashing to this shard.
-// Bitsets share one backing array per arena, so a shard's per-user
-// masks are contiguous in memory.
+// storePart is one shard's arena of per-user state: the row cells of
+// exactly the users hashing to this shard.
 type storePart struct {
-	byUser map[UserID][]Rating
-	// rated[u] marks u's rated items as a bitset indexed by ItemID;
-	// nil map when bitsets are unavailable.
-	rated map[UserID]Bitset
+	byUser map[UserID]*atomic.Pointer[userRow]
+}
+
+// userRow is one user's ratings, sorted by item, and the bitset of the
+// items they rated (nil when bitsets are unavailable). Both are
+// immutable; Apply replaces the whole row.
+type userRow struct {
+	ratings []Rating
+	rated   Bitset
 }
 
 // Bitset is a fixed-size item-indexed bit vector. The zero value (nil)
@@ -219,11 +226,10 @@ func FromRatings(recs []Rating) (*Store, error) {
 	return s, nil
 }
 
-// DumpRatings returns every rating — frozen rows and any delta
-// overlay — in the canonical frozen order: users ascending, each row
-// in its stored (item-sorted, ingest-stable) order. The order is a
-// fixed point of dump→rebuild→dump, which keeps repeated
-// snapshot/restart cycles byte-stable.
+// DumpRatings returns every rating in the canonical frozen order:
+// users ascending, each row in its stored (item-sorted, ingest-stable)
+// order. The order is a fixed point of dump→rebuild→dump, which keeps
+// repeated snapshot/restart cycles byte-stable.
 func (s *Store) DumpRatings() []Rating {
 	var out []Rating
 	for _, u := range s.Users() {
@@ -236,14 +242,14 @@ func (s *Store) DumpRatings() []Rating {
 // User lists are sorted by item, item lists by user, which gives
 // deterministic iteration and enables merge-style similarity scans.
 // The sorts are stable so that duplicate (user, item) observations keep
-// their ingest order — the property that makes a delta overlay
-// bit-identical to a cold rebuild of the same rating sequence.
+// their ingest order — the order Apply's insertion point preserves, so
+// a live store is bit-identical to a cold rebuild of the same sequence.
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
 	st := &storeState{
-		byItem:   s.byItem,
+		byItem:   make(map[ItemID]*atomic.Pointer[[]Rating], len(s.byItem)),
 		nRatings: s.nRatings,
 		sumVal:   s.sumVal,
 		sm:       shard.Single,
@@ -253,15 +259,21 @@ func (s *Store) Freeze() {
 		st.users = append(st.users, u)
 	}
 	sort.Slice(st.users, func(i, j int) bool { return st.users[i] < st.users[j] })
+	// Cells are never replaced, so they share one array; each list is
+	// its own allocation, so a list Apply replaced can be freed.
+	cells := make([]atomic.Pointer[[]Rating], len(s.byItem))
 	for it, rs := range s.byItem {
 		sort.SliceStable(rs, func(i, j int) bool { return rs[i].User < rs[j].User })
+		cell := &cells[len(st.items)]
 		st.items = append(st.items, it)
+		cell.Store(&rs)
+		st.byItem[it] = cell
 	}
 	sort.Slice(st.items, func(i, j int) bool { return st.items[i] < st.items[j] })
 
 	// Popularity ranking, computed once: descending rating count with
 	// ascending-ID ties (the paper's "popular set" order).
-	st.popRanked = rankByPopularity(st.items, func(it ItemID) int { return len(st.byItem[it]) })
+	st.popRanked = rankByPopularity(st.items, func(it ItemID) int { return len(s.byItem[it]) })
 
 	// Partition per-user state into the shard arenas; the ingest maps
 	// are cleared so post-freeze reads have one source of truth.
@@ -269,15 +281,13 @@ func (s *Store) Freeze() {
 	s.byUser = nil
 	s.byItem = nil
 	s.state.Store(st)
-	s.deltas = newDeltaLog(st.sm)
 	s.frozen = true
 }
 
 // rankByPopularity sorts a copy of items by descending count with
-// ascending-ID ties. Freeze and ReFreeze rank through this one
-// function; the delta overlay moves one item per Apply instead
-// (promoteByPopularity) and is held to this order by a differential
-// test.
+// ascending-ID ties. Freeze ranks through this function; Apply moves
+// one item instead (promoteByPopularity) and is held to this order by a
+// differential test.
 func rankByPopularity(items []ItemID, count func(ItemID) int) []ItemID {
 	ranked := make([]ItemID, len(items))
 	copy(ranked, items)
@@ -292,7 +302,7 @@ func rankByPopularity(items []ItemID, count func(ItemID) int) []ItemID {
 }
 
 // partition builds the per-shard arenas from a user-keyed rating map:
-// each shard gets its own rating-row map and, when item IDs are dense
+// each shard gets its own row-cell map and, when item IDs are dense
 // enough, a contiguous bitset arena covering exactly its users.
 func (st *storeState) partition(byUser map[UserID][]Rating) {
 	n := st.sm.N()
@@ -303,61 +313,48 @@ func (st *storeState) partition(byUser map[UserID][]Rating) {
 		perShard[si] = append(perShard[si], u)
 	}
 	words, bitsets := bitsetEligible(st.users, st.items)
-	if bitsets {
-		st.maskWords = words
-	} else {
-		st.maskWords = 0
-	}
+	st.maskWords = words
 	for si := range st.parts {
 		p := &st.parts[si]
-		p.byUser = make(map[UserID][]Rating, len(perShard[si]))
-		for _, u := range perShard[si] {
-			p.byUser[u] = byUser[u]
-		}
-		if bitsets {
-			p.rated = make(map[UserID]Bitset, len(perShard[si]))
-			backing := make([]uint64, words*len(perShard[si]))
-			for i, u := range perShard[si] {
-				b := Bitset(backing[i*words : (i+1)*words])
-				for _, r := range p.byUser[u] {
-					b.set(r.Item)
+		p.byUser = make(map[UserID]*atomic.Pointer[userRow], len(perShard[si]))
+		backing := make([]uint64, words*len(perShard[si]))
+		cells := make([]atomic.Pointer[userRow], len(perShard[si]))
+		for i, u := range perShard[si] {
+			// Each row is its own allocation: one shared array would keep
+			// every replaced row's ratings reachable.
+			row := &userRow{ratings: byUser[u]}
+			if bitsets {
+				row.rated = Bitset(backing[i*words : (i+1)*words])
+				for _, r := range row.ratings {
+					row.rated.set(r.Item)
 				}
-				p.rated[u] = b
 			}
+			cells[i].Store(row)
+			p.byUser[u] = &cells[i]
 		}
 	}
 }
 
 // Reshard re-partitions the per-user arenas under a new shard map (nil
-// reverts to the single-shard layout). The store must be frozen; any
-// pending deltas are folded first, so the rebuilt arenas are the single
-// source of truth. The rating data itself is untouched — only the arena
-// a user's rows and bitset live in changes — so every query answers
-// identically before and after. This is how the World applies
-// Config.Shards to a store the loaders froze 1-way. Reshard is a
-// setup-time operation: it must not race Apply or overlay reads.
+// reverts to the single-shard layout). The store must be frozen. The
+// rating data itself is untouched — only the arena a user's row lives
+// in changes — so every query answers identically before and after.
+// This is how the World applies Config.Shards to a store the loaders
+// froze 1-way. Reshard is a setup-time operation: a reader racing it
+// may still read the previous arena, which stops receiving ratings.
 func (s *Store) Reshard(m shard.Map) {
 	s.mustFrozen("Reshard")
-	s.ReFreeze()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := s.state.Load()
-	merged := make(map[UserID][]Rating, len(st.users))
-	for pi := range st.parts {
-		for u, rs := range st.parts[pi].byUser {
-			merged[u] = rs
-		}
+	rows := make(map[UserID][]Rating, len(st.users))
+	for _, u := range st.users {
+		rows[u] = st.row(u).ratings
 	}
-	ns := &storeState{
-		byItem:    st.byItem,
-		users:     st.users,
-		items:     st.items,
-		nRatings:  st.nRatings,
-		sumVal:    st.sumVal,
-		popRanked: st.popRanked,
-		sm:        shard.Normalize(m),
-	}
-	ns.partition(merged)
-	s.state.Store(ns)
-	s.deltas = newDeltaLog(ns.sm)
+	ns := *st
+	ns.sm = shard.Normalize(m)
+	ns.partition(rows)
+	s.state.Store(&ns)
 }
 
 // Sharding returns the shard map partitioning the per-user arenas.
@@ -366,51 +363,32 @@ func (s *Store) Sharding() shard.Map {
 	return s.state.Load().sm
 }
 
-// part returns the arena holding u's per-user state.
-func (st *storeState) part(u UserID) *storePart {
-	return &st.parts[st.sm.Of(int64(u))]
+// row returns u's current row, nil for a user outside the store.
+func (st *storeState) row(u UserID) *userRow {
+	if cell := st.parts[st.sm.Of(int64(u))].byUser[u]; cell != nil {
+		return cell.Load()
+	}
+	return nil
 }
 
 // GroupRatedMask returns the union of the rated-item bitsets of the
 // given users, or nil when bitsets are unavailable (unfrozen store, or
 // item IDs too sparse/negative — see bitsetEligible). Users absent
-// from the store contribute nothing. Pending delta ratings are
-// included. The result is freshly allocated; the caller owns it.
+// from the store contribute nothing. The result is freshly allocated;
+// the caller owns it.
 func (s *Store) GroupRatedMask(users []UserID) Bitset {
 	if !s.frozen {
 		return nil
 	}
-	if s.deltas.count.Load() == 0 {
-		st := s.state.Load()
-		if st.maskWords == 0 {
-			return nil
-		}
-		mask := make(Bitset, st.maskWords)
-		for _, u := range users {
-			if b, ok := st.part(u).rated[u]; ok {
-				mask.or(b)
-			}
-		}
-		return mask
-	}
-	// maskWords is a property of the (fixed) user and item domains, so
-	// it is identical across every state snapshot — safe to size the
-	// mask before taking any delta lock.
-	if s.state.Load().maskWords == 0 {
+	st := s.state.Load()
+	if st.maskWords == 0 {
 		return nil
 	}
-	mask := make(Bitset, s.state.Load().maskWords)
+	mask := make(Bitset, st.maskWords)
 	for _, u := range users {
-		d := s.deltas.userShard(u)
-		d.mu.RLock()
-		st := s.state.Load()
-		if b, ok := st.part(u).rated[u]; ok {
-			mask.or(b)
+		if row := st.row(u); row != nil {
+			mask.or(row.rated)
 		}
-		for _, r := range d.byUser[u] {
-			mask.set(r.Item)
-		}
-		d.mu.RUnlock()
 	}
 	return mask
 }
@@ -431,51 +409,31 @@ func (s *Store) Items() []ItemID {
 	return s.state.Load().items
 }
 
-// ByUser returns the ratings of u sorted by item (may be nil if u rated
-// nothing). The lookup routes through the shard map to u's arena. With
-// no pending deltas the returned slice is shared with the store; with
-// deltas it is a freshly merged copy — either way callers must not
-// modify it.
+// ByUser returns the ratings of u sorted by item (nil if u is not in
+// the store). The lookup routes through the shard map to u's arena.
+// The slice is shared with the store and never written again — a later
+// Apply replaces it — so it stays valid; callers must not modify it.
 func (s *Store) ByUser(u UserID) []Rating {
 	s.mustFrozen("ByUser")
-	if s.deltas.count.Load() == 0 {
-		st := s.state.Load()
-		return st.part(u).byUser[u]
+	if row := s.state.Load().row(u); row != nil {
+		return row.ratings
 	}
-	d := s.deltas.userShard(u)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	st := s.state.Load()
-	base := st.part(u).byUser[u]
-	rows := d.byUser[u]
-	if len(rows) == 0 {
-		return base
-	}
-	return mergeByItem(base, rows)
+	return nil
 }
 
-// ByItem returns the ratings of item it sorted by user (shared unless
-// deltas are pending, then freshly merged; callers must not modify).
+// ByItem returns the ratings of item it sorted by user (shared, like
+// ByUser's; callers must not modify).
 func (s *Store) ByItem(it ItemID) []Rating {
 	s.mustFrozen("ByItem")
-	if s.deltas.count.Load() == 0 {
-		return s.state.Load().byItem[it]
+	if cell := s.state.Load().byItem[it]; cell != nil {
+		return *cell.Load()
 	}
-	dl := s.deltas
-	dl.itemMu.RLock()
-	defer dl.itemMu.RUnlock()
-	base := s.state.Load().byItem[it]
-	drs := dl.byItem[it]
-	if len(drs) == 0 {
-		return base
-	}
-	return mergeByUser(base, drs)
+	return nil
 }
 
 // Value returns the rating of u for it and whether it exists. When the
-// log holds several observations of the same (user, item) pair the
-// first one wins — the same leftmost-entry rule a cold rebuild's
-// stable sort produces.
+// store holds several observations of the same (user, item) pair the
+// first one wins — the leftmost entry of u's stable-sorted row.
 func (s *Store) Value(u UserID, it ItemID) (float64, bool) {
 	if !s.frozen {
 		for _, r := range s.byUser[u] {
@@ -485,25 +443,11 @@ func (s *Store) Value(u UserID, it ItemID) (float64, bool) {
 		}
 		return 0, false
 	}
-	if s.deltas.count.Load() == 0 {
-		return s.state.Load().baseValue(u, it)
+	row := s.state.Load().row(u)
+	if row == nil {
+		return 0, false
 	}
-	d := s.deltas.userShard(u)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if v, ok := s.state.Load().baseValue(u, it); ok {
-		return v, true
-	}
-	for _, r := range d.byUser[u] {
-		if r.Item == it {
-			return r.Value, true
-		}
-	}
-	return 0, false
-}
-
-func (st *storeState) baseValue(u UserID, it ItemID) (float64, bool) {
-	rs := st.part(u).byUser[u]
+	rs := row.ratings
 	i := sort.Search(len(rs), func(i int) bool { return rs[i].Item >= it })
 	if i < len(rs) && rs[i].Item == it {
 		return rs[i].Value, true
@@ -513,51 +457,37 @@ func (st *storeState) baseValue(u UserID, it ItemID) (float64, bool) {
 
 // HasRated reports whether user u has rated item it.
 func (s *Store) HasRated(u UserID, it ItemID) bool {
-	if s.frozen && s.deltas.count.Load() == 0 {
+	if s.frozen {
 		if st := s.state.Load(); st.maskWords > 0 {
-			return st.part(u).rated[u].Has(it)
+			row := st.row(u)
+			return row != nil && row.rated.Has(it)
 		}
 	}
 	_, ok := s.Value(u, it)
 	return ok
 }
 
-// NumRatings returns the number of ratings stored, including pending
-// deltas.
+// NumRatings returns the number of ratings stored.
 func (s *Store) NumRatings() int {
 	if !s.frozen {
 		return s.nRatings
 	}
-	if s.deltas.count.Load() == 0 {
-		return s.state.Load().nRatings
-	}
-	dl := s.deltas
-	dl.itemMu.RLock()
-	defer dl.itemMu.RUnlock()
-	return s.state.Load().nRatings + len(dl.recs)
+	return s.state.Load().nRatings
 }
 
-// Stats computes the Table-5 style summary, including pending deltas.
-// The mean accumulates base-then-delta in append order, the same float
-// summation order a cold rebuild of the full log uses.
+// Stats computes the Table-5 style summary. The value sum accumulates
+// in append order (Freeze's Add sequence, then each Apply), the same
+// float summation order a cold rebuild of the full log uses.
 func (s *Store) Stats() Stats {
 	s.mustFrozen("Stats")
-	dl := s.deltas
-	dl.itemMu.RLock()
 	st := s.state.Load()
-	n := st.nRatings + len(dl.recs)
-	sum := st.sumVal
-	for _, r := range dl.recs {
-		sum += r.Value
-	}
-	dl.itemMu.RUnlock()
 	stats := Stats{
 		Users:   len(st.users),
 		Items:   len(st.items),
-		Ratings: n,
+		Ratings: st.nRatings,
 	}
-	if n > 0 {
-		stats.MeanRating = sum / float64(n)
+	if st.nRatings > 0 {
+		stats.MeanRating = st.sumVal / float64(st.nRatings)
 	}
 	if stats.Users > 0 {
 		stats.MeanRatingsPerUser = float64(stats.Ratings) / float64(stats.Users)
@@ -567,8 +497,8 @@ func (s *Store) Stats() Stats {
 
 // ItemPopularity returns items sorted by descending rating count — the
 // paper's "popular set" selection (top-50 by popularity) uses this.
-// The ranking is precomputed (and kept current by the delta overlay);
-// this returns a fresh copy the caller may reorder.
+// The ranking is precomputed (and kept current by Apply); this returns
+// a fresh copy the caller may reorder.
 func (s *Store) ItemPopularity() []ItemID {
 	s.mustFrozen("ItemPopularity")
 	ranked := s.PopularityRanked()
@@ -578,20 +508,11 @@ func (s *Store) ItemPopularity() []ItemID {
 }
 
 // PopularityRanked returns the precomputed popularity ranking as a
-// shared slice for hot paths. Callers must not modify it. With pending
-// deltas the overlay ranking (re-derived at each Apply) is returned;
-// it matches what a cold rebuild of base+deltas would precompute.
+// shared slice for hot paths. Callers must not modify it. Apply moves
+// the rated item into place, so it matches what a cold rebuild would
+// precompute.
 func (s *Store) PopularityRanked() []ItemID {
 	s.mustFrozen("PopularityRanked")
-	if s.deltas.count.Load() == 0 {
-		return s.state.Load().popRanked
-	}
-	dl := s.deltas
-	dl.itemMu.RLock()
-	defer dl.itemMu.RUnlock()
-	if dl.popRanked != nil {
-		return dl.popRanked
-	}
 	return s.state.Load().popRanked
 }
 

@@ -303,8 +303,10 @@ func decodeApplyReq(p []byte) (applyReq, error) {
 }
 
 // ApplyAck acknowledges a fanned-out rating with the worker's own
-// delta-log counters after the apply — the router's cross-check that
-// the replica ingested what it did.
+// ingest counters after the apply — the router's cross-check that the
+// replica ingested what it did. Folds and Folded keep their place in
+// the frame layout; a worker that folds each rating as it lands sends
+// 0 for both, as it does for Pending.
 type ApplyAck struct {
 	Pending int
 	Applied int64

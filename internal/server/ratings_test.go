@@ -44,8 +44,11 @@ func TestServeRatingsIngest(t *testing.T) {
 	if err := json.Unmarshal(data, &ack); err != nil {
 		t.Fatalf("decoding ack %q: %v", data, err)
 	}
-	if !ack.Applied || ack.Pending != 1 {
-		t.Errorf("ack = %+v, want applied with 1 pending", ack)
+	if !ack.Applied {
+		t.Errorf("ack = %+v, want applied", ack)
+	}
+	if want := `{"applied":true}`; strings.TrimSpace(string(data)) != want {
+		t.Errorf("ack body = %s, want %s", data, want)
 	}
 
 	rejects := []struct {
@@ -92,8 +95,8 @@ func TestServeRatingsIngest(t *testing.T) {
 		t.Errorf("ingest counters = %d posts / %d rejects, want 1 / %d",
 			st.Ingest.Posts, st.Ingest.Rejects, len(rejects))
 	}
-	if st.Ingest.Store.Pending != 1 || st.Ingest.Store.Applied != 1 {
-		t.Errorf("store counters = %+v, want 1 pending / 1 applied", st.Ingest.Store)
+	if st.Ingest.Store.Pending != 0 || st.Ingest.Store.Applied != 1 {
+		t.Errorf("store counters = %+v, want 0 pending / 1 applied", st.Ingest.Store)
 	}
 	if st.Persistence != nil {
 		t.Errorf("persistence = %+v, want absent without a snapshot dir", st.Persistence)

@@ -496,12 +496,10 @@ type ratingRequest struct {
 	Time int64 `json:"time,omitempty"`
 }
 
-// ratingResponse acknowledges an applied rating. Pending is the
-// world's current count of ratings applied but not yet folded into
-// the frozen base (a snapshot or refreeze folds them).
+// ratingResponse acknowledges an applied rating: it is in the store,
+// and every read from here on sees it.
 type ratingResponse struct {
 	Applied bool `json:"applied"`
-	Pending int  `json:"pending"`
 }
 
 func (s *Server) handleRatings(w http.ResponseWriter, r *http.Request) {
@@ -563,10 +561,7 @@ func (s *Server) handleRatings(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ratingPosts.Add(1)
-	writeJSON(w, http.StatusOK, ratingResponse{
-		Applied: true,
-		Pending: s.world.IngestStats().Pending,
-	})
+	writeJSON(w, http.StatusOK, ratingResponse{Applied: true})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -615,7 +610,7 @@ type streamStats struct {
 }
 
 // ingestStats counts live rating ingest: the HTTP traffic (posts
-// applied, rejects), the store's own delta counters, and — in
+// applied, rejects), the store's own ingest counters, and — in
 // distributed mode — fanned-out applies whose owning worker missed
 // the write and was fenced (always present, zero in-process, so the
 // stats shape is identical either way).

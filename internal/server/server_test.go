@@ -317,6 +317,7 @@ func TestStatsServesBenchContract(t *testing.T) {
 		"remote.view_cache.retained", "remote.view_cache.patched",
 		"remote.transport.calls_by_op.invalidate",
 		"caches.recheck_pool",
+		"ingest.store.folds", "ingest.store.folded",
 	} {
 		if statsHasPath(doc, gone) {
 			t.Errorf("/v1/stats still carries %q", gone)

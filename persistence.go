@@ -141,10 +141,10 @@ func OpenWorld(cfg Config, dir string) (*World, OpenStats, error) {
 	return w, st, nil
 }
 
-// SaveWorldSnapshot persists the world under dir: pending deltas are
-// folded, the canonical rating dump plus the warm-start caches are
-// written as a checksummed snapshot, and the write-ahead log — whose
-// records the snapshot now captures — is reset. The ingest lock is
+// SaveWorldSnapshot persists the world under dir: the canonical rating
+// dump plus the warm-start caches are written as a checksummed
+// snapshot, and the write-ahead log — whose records the snapshot now
+// captures — is reset. The ingest lock is
 // held throughout, so no rating can land between the dump and the log
 // reset and be lost.
 func SaveWorldSnapshot(w *World, dir string) error {
@@ -156,7 +156,6 @@ func SaveWorldSnapshot(w *World, dir string) error {
 	}
 	w.ingestMu.Lock()
 	defer w.ingestMu.Unlock()
-	w.ratings.ReFreeze()
 	snap := worldSnapshot{
 		Ratings:       w.ratings.DumpRatings(),
 		Neighborhoods: w.pred.ExportNeighborhoods(),

@@ -52,8 +52,8 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	if err := SaveWorldSnapshot(w1, dir); err != nil {
 		t.Fatal(err)
 	}
-	if st := w1.IngestStats(); st.Pending != 0 {
-		t.Fatalf("snapshot left %d deltas pending", st.Pending)
+	if st := w1.IngestStats(); st.Applied != 3 {
+		t.Fatalf("ingest stats %+v, want 3 applied", st)
 	}
 	if err := w1.ClosePersistence(); err != nil {
 		t.Fatal(err)

@@ -163,8 +163,6 @@ func (b *ShardBackend) Apply(r dataset.Rating) (remote.ApplyAck, error) {
 	return remote.ApplyAck{
 		Pending: ds.Pending,
 		Applied: ds.Applied,
-		Folds:   ds.Folds,
-		Folded:  ds.Folded,
 	}, nil
 }
 

@@ -132,7 +132,7 @@ func PaperConfig() Config {
 // concurrent Recommend calls (each call builds its own problem
 // instance; the underlying CF caches are internally synchronized), and
 // mutates only through two serialized write paths: AddRating ingests
-// live ratings into the store's delta overlay, and AppendNextPeriod
+// live ratings into the store, and AppendNextPeriod
 // extends the affinity index — both safe to run while serving.
 type World struct {
 	ratings *dataset.Store
@@ -175,7 +175,7 @@ type World struct {
 	// can extend the index while requests resolve periods and read
 	// drifts (readers take it shared; see buildProblem).
 	periodMu sync.RWMutex
-	// ingestMu serializes the rating write path (AddRating, ReFreeze):
+	// ingestMu serializes the rating write path (AddRating, snapshots):
 	// one ingest at a time keeps the store mutation and the cache
 	// invalidations it triggers a single atomic event from any other
 	// writer's point of view. Readers never take it.
@@ -452,11 +452,12 @@ func (w *World) SetRatingLog(l RatingLog) {
 	w.wal = l
 }
 
-// AddRating ingests one rating into the live world: the rating lands
-// in the store's delta overlay (visible to every read path
-// immediately, bit-identically to a cold rebuild over the extended
-// dataset), every derived structure is invalidated coherently, and the
-// attached rating log — if any — journals it for crash recovery.
+// AddRating ingests one rating into the live world: the rating is
+// folded into the store's rater list and user row (visible to every
+// read path immediately, bit-identically to a cold rebuild over the
+// extended dataset), every derived structure is invalidated
+// coherently, and the attached rating log — if any — journals it for
+// crash recovery.
 //
 // Rejections (unfrozen store, out-of-range value, unknown user or
 // item) leave the world untouched and unwrap to the dataset package's
@@ -553,22 +554,8 @@ func (w *World) applyRating(r dataset.Rating) error {
 	return nil
 }
 
-// ReFreeze folds the store's pending rating deltas into new frozen
-// arenas, returning how many were folded. Reads before, during, and
-// after observe identical values (the overlay and the folded state are
-// bit-identical), so no cache invalidation accompanies the fold — it
-// only moves data out of the overlay's locked maps and back onto the
-// lock-free fast path. Serve loops call it periodically; the snapshot
-// path calls it before persisting.
-func (w *World) ReFreeze() int {
-	w.ingestMu.Lock()
-	defer w.ingestMu.Unlock()
-	return w.ratings.ReFreeze()
-}
-
 // IngestStats snapshots the live-ingest counters: ratings applied
-// since start, deltas currently pending in the overlay, folds run, and
-// ratings folded.
+// since start (pending is always 0 — a rating is folded as it lands).
 func (w *World) IngestStats() dataset.DeltaStats { return w.ratings.DeltaStats() }
 
 // InvalidateUserViews drops u's materialized sorted-preference view,
