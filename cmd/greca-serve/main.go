@@ -29,11 +29,11 @@
 //
 //	go tool pprof http://localhost:6060/debug/pprof/allocs
 //
-// -shards partitions every per-user structure (rating arenas, CF
-// caches, sorted-list sub-stores, affinity pair tables) N ways by
-// hashing on UserID; recommendations are identical for every shard
-// count. -liststore and -shards must be positive — a zero or negative
-// size is a usage error, not a silent clamp.
+// -shards routes users onto N shards by hashing on UserID — the unit
+// -shards-config assigns to worker processes; in one process it
+// changes no structure, and recommendations are identical for every
+// shard count. -liststore and -shards must be positive — a zero or
+// negative size is a usage error, not a silent clamp.
 //
 // -shards-config switches the shards into worker processes: it names
 // a JSON topology file ({"shards": 4, "workers": [{"addr":
@@ -90,11 +90,11 @@
 //	                           frame. Disconnecting cancels the run
 //	                           within one stopping-check interval.
 //	GET  /v1/healthz           liveness
-//	GET  /v1/stats             admission, batch, stream + cache counters,
-//	                           with a per-shard cache breakdown whose
-//	                           entries sum exactly to the aggregates,
-//	                           plus ingest counters and (under
-//	                           -snapshot) the boot's persistence report
+//	GET  /v1/stats             admission, batch, stream + cache counters
+//	                           (the workers' summed totals under
+//	                           -shards-config), plus ingest counters and
+//	                           (under -snapshot) the boot's persistence
+//	                           report
 //
 // Client errors carry a machine-readable "code" ("empty_group",
 // "duplicate_member", "period_out_of_range", "k_exceeds_candidates",
@@ -153,8 +153,8 @@ func main() {
 		ratings    = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
 		seed       = flag.Int64("seed", 1, "synthetic world seed")
 		listStore  = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
-		shards     = flag.Int("shards", 1, "user-range shard count (must be positive; 1 = unsharded)")
-		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = in-process shards)")
+		shards     = flag.Int("shards", 1, "shard count users are routed onto, the unit -shards-config assigns to workers (must be positive)")
+		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = serve every shard in this process)")
 		viewCache  = flag.Int("remote-viewcache", 0, "views fetched from workers the router's list store retains (0 = none, every assembly fetches; only meaningful with -shards-config)")
 		workers    = flag.Int("workers", 0, "assembly workers per request (0 = GOMAXPROCS)")
 		snapshot   = flag.String("snapshot", "", "persistence directory: warm-restart snapshot + rating WAL (empty = no persistence)")
@@ -211,9 +211,10 @@ func main() {
 
 	// Distributed mode: resolve the topology, handshake every worker
 	// (config fingerprint + shard count must match this process), and
-	// route the per-shard data plane through them. A worker that cannot
-	// be reached or disagrees about the world is a boot failure — better
-	// to refuse than to serve a world that silently diverges.
+	// route each user's data plane to the worker owning its shard. A
+	// worker that cannot be reached or disagrees about the world is a
+	// boot failure — better to refuse than to serve a world that
+	// silently diverges.
 	if *shardsConf != "" {
 		top, err := remote.LoadTopology(*shardsConf)
 		if err != nil {

@@ -23,7 +23,7 @@
 // separate listener:
 //
 //	GET /v1/healthz   liveness
-//	GET /v1/stats     owned shards and per-shard cache counters
+//	GET /v1/stats     owned shards and the worker's cache totals
 //
 // On SIGINT/SIGTERM the worker stops accepting, severs live
 // connections, and exits; the router answers 503 ("shard_unavailable")
@@ -89,7 +89,7 @@ func main() {
 		ratings   = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
 		seed      = flag.Int64("seed", 1, "synthetic world seed (must match the router)")
 		listStore = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
-		shards    = flag.Int("shards", 1, "user-range shard count (must match the router)")
+		shards    = flag.Int("shards", 1, "shard count users are routed onto (must match the router)")
 		httpAddr  = flag.String("http", "", "serve shard-local /v1/stats and /v1/healthz on this address (empty = off)")
 		verbose   = flag.Bool("v", false, "print substrate statistics")
 	)
@@ -154,13 +154,13 @@ func main() {
 		})
 		mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 			resp := struct {
-				Shards   int                 `json:"shards"`
-				Owned    []int               `json:"owned"`
-				PerShard []remote.ShardStats `json:"per_shard"`
+				Shards int   `json:"shards"`
+				Owned  []int `json:"owned"`
+				remote.Stats
 			}{
-				Shards:   *shards,
-				Owned:    owned,
-				PerShard: backend.ShardStats(),
+				Shards: *shards,
+				Owned:  owned,
+				Stats:  backend.Stats(),
 			}
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(resp)

@@ -11,10 +11,11 @@
 //	      [-liststore 1024] [-shards 1] [-snapshot dir] [-deadline 500ms]
 //	      [-stream]
 //
-// -shards partitions the world's per-user state N ways by hashing on
-// UserID; results are identical for every shard count. -liststore and
-// -shards must be positive — a zero or negative value is a usage
-// error, not a silent clamp.
+// -shards hashes users onto N shards, the routing unit of a
+// distributed deployment; it is part of the configuration fingerprint
+// -snapshot checks, and results are identical for every shard count.
+// -liststore and -shards must be positive — a zero or negative value
+// is a usage error, not a silent clamp.
 //
 // -snapshot reuses (or creates) a greca-serve persistence directory:
 // the world is rebuilt from its snapshot when one matches the
@@ -85,7 +86,7 @@ func main() {
 		modeFlag  = flag.String("mode", "greca", "executor: greca, threshold, fullscan")
 		seed      = flag.Int64("seed", 1, "synthetic world seed")
 		listStore = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
-		shards    = flag.Int("shards", 1, "user-range shard count (must be positive; 1 = unsharded)")
+		shards    = flag.Int("shards", 1, "shard count users are routed onto (must be positive; must match the server's for -snapshot)")
 		snapshot  = flag.String("snapshot", "", "persistence directory: rebuild the world from its snapshot + rating WAL when present")
 		deadline  = flag.Duration("deadline", 0, "overall computation deadline (0 = none); expired runs return partial results")
 		stream    = flag.Bool("stream", false, "stream progressively tightening bounds per stopping check (anytime API)")

@@ -40,7 +40,7 @@
 //     by merge-and-patch (core.NewProblemFromViews) instead of
 //     per-request re-sorting — bit-identical output, a fraction of
 //     the construction cost. World owns its lifecycle
-//     (Config.ListStoreSize, World.InvalidateUserViews).
+//     (Config.ListStoreSize; AddRating drops every view).
 //   - World.AddRating ingests a rating into the frozen world while it
 //     serves: the rating is folded into the one rater list and the one
 //     user row it changes, so no read merges, and neighborhood
@@ -60,12 +60,13 @@
 //     rechecks run on the ingesting goroutine and a torn journal
 //     replays a prefix of the acknowledged ratings.
 //   - internal/remote distributes the shards across worker processes:
-//     cmd/greca-shard owns a subset of shards' data plane (views,
-//     predictions, rating state, per-shard stats) behind a small
-//     length-prefixed, checksummed RPC protocol, and greca-serve
-//     -shards-config attaches a remote.ShardSet that routes each
-//     user's reads to the owning worker through the same shard.Map
-//     assignment — byte-identical to the single-process world. Rating
+//     a shard (internal/shard) is only a routing unit, users hashed onto
+//     N of them. cmd/greca-shard holds a full replica and serves the
+//     users of its owned shards (views, predictions, its cache totals)
+//     behind a small length-prefixed, checksummed RPC protocol, and
+//     greca-serve -shards-config attaches a remote.ShardSet that routes
+//     each user's reads to the owning worker through the same shard.Map
+//     — byte-identical to the single-process world. Rating
 //     ingest fans out to every replica (owner ack wins); a dead
 //     worker degrades only its shards (503 + Retry-After), a slow one
 //     answers 504, and the survivors keep serving.

@@ -155,7 +155,7 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 						live = build(base, nil)
 						held.inner = liststore.LocalBuilder(live.source, live.lists.Pool(), prefDivisor, 1)
 					}
-					live.lists = liststore.NewOver(held.build, live.lists.Pool(), capacity, prefDivisor, live.sm)
+					live.lists = liststore.NewOver(held.build, live.lists.Pool(), capacity, prefDivisor)
 					live.asm.AttachListStore(live.lists)
 
 					group := live.Participants()[:3]

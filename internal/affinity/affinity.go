@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 	"repro/internal/social"
 )
 
@@ -159,65 +158,22 @@ func MakePair(u, v dataset.UserID) Pair {
 	return Pair{u, v}
 }
 
-// PairTable is a pair-keyed affinity table partitioned by the lower
-// user of each pair (Pair.U, since pairs are canonically U < V) under
-// a shard.Map. Each shard holds its own map, so a sharded world's
-// affinity lookups for a group only read the parts the group's lower
-// pair members hash to, and a future per-shard ingest path can
-// rebuild one part without touching the others. The table is built
-// once and read-only afterwards — no locks.
-type PairTable struct {
-	sm    shard.Map
-	parts []map[Pair]float64
-}
-
-// NewPairTable returns an empty table over m (nil = single shard)
-// with capacity hints spread across the parts.
-func NewPairTable(m shard.Map, capHint int) *PairTable {
-	sm := shard.Normalize(m)
-	t := &PairTable{sm: sm, parts: make([]map[Pair]float64, sm.N())}
-	per := capHint / sm.N()
-	for i := range t.parts {
-		t.parts[i] = make(map[Pair]float64, per)
-	}
-	return t
-}
-
-// part returns the shard map holding p.
-func (t *PairTable) part(p Pair) map[Pair]float64 {
-	return t.parts[shard.PairOf(t.sm, int64(p.U), int64(p.V))]
-}
-
-// Get returns the value of pair p (0 when absent, matching map reads).
-func (t *PairTable) Get(p Pair) float64 { return t.part(p)[p] }
-
-// Set stores v under p.
-func (t *PairTable) Set(p Pair, v float64) { t.part(p)[p] = v }
-
-// Len returns the number of stored pairs.
-func (t *PairTable) Len() int {
-	n := 0
-	for _, m := range t.parts {
-		n += len(m)
-	}
-	return n
-}
+// PairTable is a pair-keyed affinity table: one map over every pair of
+// the population. It is built once and read-only afterwards — no locks.
+// An absent pair reads 0.
+type PairTable map[Pair]float64
 
 // Scale multiplies every stored value by f.
-func (t *PairTable) Scale(f float64) {
-	for _, m := range t.parts {
-		for p, v := range m {
-			m[p] = v * f
-		}
+func (t PairTable) Scale(f float64) {
+	for p, v := range t {
+		t[p] = v * f
 	}
 }
 
 // Update rewrites every stored value through fn.
-func (t *PairTable) Update(fn func(Pair, float64) float64) {
-	for _, m := range t.parts {
-		for p, v := range m {
-			m[p] = fn(p, v)
-		}
+func (t PairTable) Update(fn func(Pair, float64) float64) {
+	for p, v := range t {
+		t[p] = fn(p, v)
 	}
 }
 
@@ -265,13 +221,12 @@ type Model struct {
 	// Users is the population over which averages were computed.
 	Users []dataset.UserID
 	// Static holds affS per pair, normalized to [0,1] over the
-	// population (divide by the max pairwise value, as in §4.1.2),
-	// sharded by the lower user of each pair.
-	Static *PairTable
+	// population (divide by the max pairwise value, as in §4.1.2).
+	Static PairTable
 	// Drift[k] holds the normalized periodic drift for period k:
 	// (affP(u,v,p_k) − AvgaffP(p_k)) scaled into [-1, 1] by the
-	// period's max absolute drift, sharded like Static.
-	Drift []*PairTable
+	// period's max absolute drift.
+	Drift []PairTable
 	// AvgPeriodic[k] is AvgaffP(p_k), the population mean of the raw
 	// periodic affinity (Equation 1's subtrahend), kept for
 	// diagnostics and tests.
@@ -279,29 +234,17 @@ type Model struct {
 
 	static   StaticSource
 	periodic PeriodicSource
-	// sm partitions the pair tables (by lower user); Single unless
-	// BuildModelSharded installed a wider one.
-	sm shard.Map
 	// driftScale is the 1/maxAbs factor applied to raw drifts.
 	driftScale float64
 	// staticScale is the 1/max factor applied to raw static values.
 	staticScale float64
 }
 
-// BuildModel precomputes an unsharded Model; see BuildModelSharded.
+// BuildModel precomputes a Model for the given users and timeline.
+// Both static and periodic sources are evaluated for every unordered
+// pair, so cost is O(|users|² · periods) — this mirrors the paper's
+// precomputed T · n(n−1)/2 affinity entries.
 func BuildModel(users []dataset.UserID, tl Timeline, st StaticSource, per PeriodicSource) (*Model, error) {
-	return BuildModelSharded(users, tl, st, per, nil)
-}
-
-// BuildModelSharded precomputes a Model for the given users and
-// timeline, partitioning its pair tables by the lower user of each
-// pair under sm (nil = one part). Both static and periodic sources
-// are evaluated for every unordered pair, so cost is
-// O(|users|² · periods) — this mirrors the paper's precomputed
-// T · n(n−1)/2 affinity entries. Sharding only changes which part a
-// pair is stored in, never its value, so every lookup answers
-// identically for any shard count.
-func BuildModelSharded(users []dataset.UserID, tl Timeline, st StaticSource, per PeriodicSource, sm shard.Map) (*Model, error) {
 	if len(users) < 2 {
 		return nil, fmt.Errorf("affinity: BuildModel needs at least 2 users, got %d", len(users))
 	}
@@ -312,13 +255,12 @@ func BuildModelSharded(users []dataset.UserID, tl Timeline, st StaticSource, per
 	m := &Model{
 		Timeline:    tl,
 		Users:       append([]dataset.UserID(nil), users...),
-		sm:          shard.Normalize(sm),
 		AvgPeriodic: make([]float64, tl.NumPeriods()),
 		static:      st,
 		periodic:    per,
 	}
-	m.Static = NewPairTable(m.sm, nPairsInt)
-	m.Drift = make([]*PairTable, tl.NumPeriods())
+	m.Static = make(PairTable, nPairsInt)
+	m.Drift = make([]PairTable, tl.NumPeriods())
 
 	// Static: raw values then population max normalization.
 	var maxStatic float64
@@ -328,7 +270,7 @@ func BuildModelSharded(users []dataset.UserID, tl Timeline, st StaticSource, per
 			if raw < 0 {
 				return nil, fmt.Errorf("affinity: negative static affinity %g for pair (%d,%d)", raw, u, v)
 			}
-			m.Static.Set(MakePair(u, v), raw)
+			m.Static[MakePair(u, v)] = raw
 			if raw > maxStatic {
 				maxStatic = raw
 			}
@@ -349,7 +291,7 @@ func BuildModelSharded(users []dataset.UserID, tl Timeline, st StaticSource, per
 	// single outlier period.
 	nPairs := float64(nPairsInt)
 	for k, p := range tl.Periods {
-		drifts := NewPairTable(m.sm, nPairsInt)
+		drifts := make(PairTable, nPairsInt)
 		var sum float64
 		for i, u := range users {
 			for _, v := range users[i+1:] {
@@ -357,7 +299,7 @@ func BuildModelSharded(users []dataset.UserID, tl Timeline, st StaticSource, per
 				if a < 0 {
 					return nil, fmt.Errorf("affinity: negative periodic affinity %g for pair (%d,%d) period %d", a, u, v, k)
 				}
-				drifts.Set(MakePair(u, v), a)
+				drifts[MakePair(u, v)] = a
 				sum += a
 			}
 		}
@@ -389,7 +331,7 @@ func (m *Model) AppendPeriod(p Period) error {
 		return fmt.Errorf("affinity: AppendPeriod %v overlaps existing timeline", p)
 	}
 	nPairsInt := len(m.Users) * (len(m.Users) - 1) / 2
-	drifts := NewPairTable(m.sm, nPairsInt)
+	drifts := make(PairTable, nPairsInt)
 	var sum float64
 	for i, u := range m.Users {
 		for _, v := range m.Users[i+1:] {
@@ -397,7 +339,7 @@ func (m *Model) AppendPeriod(p Period) error {
 			if a < 0 {
 				return fmt.Errorf("affinity: negative periodic affinity %g for pair (%d,%d)", a, u, v)
 			}
-			drifts.Set(MakePair(u, v), a)
+			drifts[MakePair(u, v)] = a
 			sum += a
 		}
 	}
@@ -424,12 +366,12 @@ func (m *Model) AppendPeriod(p Period) error {
 
 // StaticOf returns the normalized static affinity of (u,v).
 func (m *Model) StaticOf(u, v dataset.UserID) float64 {
-	return m.Static.Get(MakePair(u, v))
+	return m.Static[MakePair(u, v)]
 }
 
 // DriftOf returns the normalized drift of (u,v) in period k.
 func (m *Model) DriftOf(u, v dataset.UserID, k int) float64 {
-	return m.Drift[k].Get(MakePair(u, v))
+	return m.Drift[k][MakePair(u, v)]
 }
 
 // AffV implements Equation 1 for the discrete model: the mean of the
@@ -440,7 +382,7 @@ func (m *Model) AffV(u, v dataset.UserID, upTo int) float64 {
 	pair := MakePair(u, v)
 	var s float64
 	for k := 0; k <= upTo; k++ {
-		s += m.Drift[k].Get(pair)
+		s += m.Drift[k][pair]
 	}
 	return s / float64(upTo+1)
 }
@@ -464,7 +406,7 @@ func (m *Model) Continuous(u, v dataset.UserID, upTo int) float64 {
 	pair := MakePair(u, v)
 	var s float64
 	for k := 0; k <= upTo; k++ {
-		s += m.Drift[k].Get(pair)
+		s += m.Drift[k][pair]
 	}
 	return clamp01(m.StaticOf(u, v) * math.Exp(ContinuousRate*s))
 }

@@ -153,7 +153,7 @@ func TestDriftSignsTrackEvolution(t *testing.T) {
 	// Per-period normalization keeps drifts within [-1, 1].
 	for k := 0; k < 3; k++ {
 		for _, pr := range []Pair{MakePair(0, 1), MakePair(0, 2), MakePair(1, 2)} {
-			if d := m.Drift[k].Get(pr); d < -1 || d > 1 {
+			if d := m.Drift[k][pr]; d < -1 || d > 1 {
 				t.Errorf("drift %v out of range at period %d", d, k)
 			}
 		}

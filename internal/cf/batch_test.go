@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
 // referenceBatchInto is the retired slot accumulation, kept as the
@@ -93,14 +92,11 @@ var batchKinds = []batchKind{
 	{"time-weighted", CosineSim, true},
 }
 
-func newBatchRig(t testing.TB, s *dataset.Store, kind batchKind, k int, m shard.Map) batchRig {
+func newBatchRig(t testing.TB, s *dataset.Store, kind batchKind, k int) batchRig {
 	t.Helper()
 	base, err := NewPredictorSim(s, k, kind.measure)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m != nil {
-		base.SetSharding(m)
 	}
 	rig := batchRig{base: base}
 	if kind.timeWeighted {
@@ -279,38 +275,27 @@ func batchWorlds() []scanWorld {
 
 // TestPredictBatchMatchesReference holds the kernel to the retired
 // map-based accumulation and to per-item Predict, bit for bit, for the
-// three predictors that share it, 1 and 4 shards, and a store that is
-// frozen and then takes ratings one at a time.
+// three predictors that share it, k below and above the user count
+// (truncated and full neighborhoods), and a store that is frozen and
+// then takes ratings one at a time.
 func TestPredictBatchMatchesReference(t *testing.T) {
 	for _, w := range batchWorlds() {
 		for _, kind := range batchKinds {
-			for _, nShards := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/shards=%d", w.name, kind.name, nShards), func(t *testing.T) {
-					var m shard.Map
-					if nShards > 1 {
-						h, err := shard.New(nShards)
-						if err != nil {
-							t.Fatal(err)
+			t.Run(fmt.Sprintf("%s/%s", w.name, kind.name), func(t *testing.T) {
+				for _, k := range []int{3, 50} {
+					t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+						s, deltas := buildScanWorld(t, w)
+						if usesMap := newDenseIndex(s.Items()).sparse != nil; usesMap != (w.name == "sparse item IDs (map index)") {
+							t.Fatalf("item index falls back to the map = %v", usesMap)
 						}
-						m = h
-					}
-					s, deltas := buildScanWorld(t, w, m)
-					if usesMap := newDenseIndex(s.Items()).sparse != nil; usesMap != (w.name == "sparse item IDs (map index)") {
-						t.Fatalf("item index falls back to the map = %v", usesMap)
-					}
-					// k below and above the user count: full and truncated
-					// neighborhoods.
-					rigs := []batchRig{newBatchRig(t, s, kind, 3, m), newBatchRig(t, s, kind, 50, m)}
-					for _, rig := range rigs {
+						rig := newBatchRig(t, s, kind, k)
 						if err := diffAllBatches(rig, s); err != nil {
-							t.Fatalf("frozen, k=%d: %v", rig.base.k, err)
+							t.Fatalf("frozen: %v", err)
 						}
-					}
-					for i, r := range deltas {
-						if err := s.Apply(r); err != nil {
-							t.Fatalf("Apply(%+v): %v", r, err)
-						}
-						for _, rig := range rigs {
+						for i, r := range deltas {
+							if err := s.Apply(r); err != nil {
+								t.Fatalf("Apply(%+v): %v", r, err)
+							}
 							rig.noteApplied(r)
 							// The full table after every few ratings and
 							// after the last one.
@@ -318,20 +303,20 @@ func TestPredictBatchMatchesReference(t *testing.T) {
 								continue
 							}
 							if err := diffAllBatches(rig, s); err != nil {
-								t.Fatalf("%d applied ratings, k=%d: %v", i+1, rig.base.k, err)
+								t.Fatalf("%d applied ratings: %v", i+1, err)
 							}
 						}
-					}
-				})
-			}
+					})
+				}
+			})
 		}
 	}
 }
 
 // FuzzPredictBatchMatchesReference feeds the kernel-vs-reference
 // differential arbitrary small worlds: the first bytes pick the
-// predictor, the shard count, the item-ID layout and how much of the log
-// is frozen; every following triple is one rating.
+// predictor, the item-ID layout and how much of the log is frozen; every
+// following triple is one rating.
 func FuzzPredictBatchMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 1, 3, 1, 1, 2, 0, 1, 4, 1, 1, 0})
 	f.Add([]byte{1, 1, 1, 2, 0, 0, 0, 1, 0, 4, 0, 0, 2, 1, 0, 1, 2, 0, 3})
@@ -343,21 +328,13 @@ func FuzzPredictBatchMatchesReference(f *testing.F) {
 		{math.MinInt64, -1 << 40, -9, 0, 7, 1 << 20, 1 << 41, math.MaxInt64 - 1},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 3 {
 			return
 		}
 		kind := batchKinds[int(data[0])%len(batchKinds)]
-		var m shard.Map
-		if data[1]%2 == 1 {
-			h, err := shard.New(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m = h
-		}
-		ids := layouts[int(data[2])%len(layouts)]
+		ids := layouts[int(data[1])%len(layouts)]
 		var log []dataset.Rating
-		for body := data[4:]; len(body) >= 3 && len(log) < 96; body = body[3:] {
+		for body := data[3:]; len(body) >= 3 && len(log) < 96; body = body[3:] {
 			log = append(log, dataset.Rating{
 				User:  dataset.UserID(body[0] % 6),
 				Item:  ids[int(body[1])%len(ids)],
@@ -368,9 +345,9 @@ func FuzzPredictBatchMatchesReference(f *testing.F) {
 		if len(log) == 0 {
 			return
 		}
-		nBase := 1 + int(data[3])%len(log)
-		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]}, m)
-		rig := newBatchRig(t, s, kind, 3, m)
+		nBase := 1 + int(data[2])%len(log)
+		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]})
+		rig := newBatchRig(t, s, kind, 3)
 		if err := diffAllBatches(rig, s); err != nil {
 			t.Fatalf("frozen: %v", err)
 		}
@@ -397,7 +374,7 @@ func TestPredictBatchIntoAllocatesNothing(t *testing.T) {
 	items := s.PopularSet(50)
 	dst := make([]float64, len(items))
 	for _, kind := range batchKinds {
-		src := newBatchRig(t, s, kind, 10, nil).source()
+		src := newBatchRig(t, s, kind, 10).source()
 		src.PredictBatchInto(3, items, dst) // fills the neighborhood and the pool
 		if allocs := testing.AllocsPerRun(200, func() { src.PredictBatchInto(3, items, dst) }); allocs != 0 {
 			t.Errorf("%s: PredictBatchInto allocates %v times per call, want 0", kind.name, allocs)
@@ -414,7 +391,7 @@ func TestBatchScratchReturnsClean(t *testing.T) {
 	s := randomStore(t, 40, 60, 900, 9)
 	lists := batchItemLists(s)
 	for _, kind := range batchKinds {
-		rig := newBatchRig(t, s, kind, 8, nil)
+		rig := newBatchRig(t, s, kind, 8)
 		sc := rig.base.scratch.Get().(*batchScratch)
 		// Longest first would hide a tail left dirty by a shorter call;
 		// run the lists in both orders.

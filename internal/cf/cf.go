@@ -4,8 +4,10 @@
 // average), item-based (adjusted cosine), and time-weighted (Ding &
 // Li's related-work baseline). All three implement the Source
 // interface consumed by the assembly layer, and their lazy caches are
-// sharded so concurrent recommendation traffic does not serialize on a
-// single lock.
+// lock-striped so concurrent recommendation traffic does not serialize
+// on a single lock. Each predictor holds one cache, one fill epoch and
+// one set of counters per process: the stripes are the lock domain, and
+// the world's shard count does not enter here.
 package cf
 
 import (
@@ -16,15 +18,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
 // DefaultNeighbors is the neighborhood size used when none is given.
 const DefaultNeighbors = 50
 
-// numShards is the lock-shard count for the lazy per-user caches. 64
+// numShards is the lock-stripe count for the lazy per-user caches. 64
 // keeps contention negligible for any realistic GOMAXPROCS while the
-// per-shard overhead (a map and an RWMutex) stays trivial.
+// per-stripe overhead (a map and an RWMutex) stays trivial.
 const numShards = 64
 
 // Neighbor pairs a user with its cosine similarity to the query user.
@@ -33,14 +34,14 @@ type Neighbor struct {
 	Sim  float64
 }
 
-// userShard is one lock shard of the predictor's lazy caches.
+// userShard is one lock stripe of the predictor's lazy caches.
 type userShard struct {
 	mu        sync.RWMutex
 	neighbors map[dataset.UserID]neighborhood
 }
 
 // neighborhood is one cached fill: the top-k and the fill's dependency
-// record, installed and dropped together under the shard lock.
+// record, installed and dropped together under the stripe lock.
 type neighborhood struct {
 	ns []Neighbor
 	// coraters marks, over the dense user index, every user that shared
@@ -51,9 +52,9 @@ type neighborhood struct {
 	coraters userBits
 }
 
-// shardIndex maps a user or item ID onto a lock shard. IDs are dense
+// shardIndex maps a user or item ID onto a lock stripe. IDs are dense
 // small integers; a multiplicative mix keeps adjacent IDs on
-// different shards even so.
+// different stripes even so.
 func shardIndex(id uint64) int {
 	return int(id * 0x9E3779B97F4A7C15 >> 58)
 }
@@ -64,20 +65,20 @@ func shardIndex(id uint64) int {
 // lock-sharded maps, so concurrent readers of distinct users never
 // contend and readers of the same user share an RLock, and norms in a
 // dense table read without any lock.
-//
-// The lazy caches are partitioned by a shard.Map into per-shard
-// instances (predictorPart), each with its own lock stripes and
-// counters — a user's cached neighborhood lives on the shard the
-// world's map routes it to, so a sharded world's cache traffic (and a
-// future per-shard invalidation) never crosses shard boundaries.
 type Predictor struct {
 	store   *dataset.Store
 	k       int
 	measure Similarity
 
-	// sm routes users onto parts; Single unless SetSharding widened it.
-	sm    shard.Map
-	parts []*predictorPart
+	shards [numShards]userShard
+	// counters track neighborhood-cache hits and misses (evictions are
+	// impossible: the lazy caches only grow). See Stats.
+	counters cacheCounters
+	// epoch fences lazy fills against invalidation: a fill records the
+	// epoch before its scan and installs only if it is unchanged, so a
+	// computation that straddles a NoteIngest can never re-populate a
+	// just-cleared cache with pre-ingest state.
+	epoch atomic.Uint64
 	// users is the dense user index the fill kernel accumulates over and
 	// the co-rater bitsets are laid out on; dots pools the kernel's
 	// dot-product vectors (*[]float64, len(users), all zero at rest).
@@ -87,8 +88,8 @@ type Predictor struct {
 	// normBits[i] caches the vector norm n of user users.ids[i] as
 	// Float64bits(-n), so that 0 — which no negated norm encodes, -0
 	// included — means not cached. Reads are lock-free; an install and
-	// the ingest's clear both happen under the user's shard lock (see
-	// norm and bumpEpochs).
+	// the ingest's clear both happen under the user's stripe lock (see
+	// norm and bumpEpoch).
 	normBits []atomic.Uint64
 	// items is the dense item index the batch kernel's slot table and the
 	// fallback means are laid out on; scratch pools the kernel's working
@@ -175,28 +176,6 @@ func (m *predictorMeans) fallback(ix int, ok bool) float64 {
 	return m.globalMean
 }
 
-// predictorPart is one shard's instance of the lazy neighborhood
-// cache: its own lock stripes and its own counters.
-type predictorPart struct {
-	shards [numShards]userShard
-	// counters track neighborhood-cache hits and misses (evictions are
-	// impossible: the lazy caches only grow). See Stats.
-	counters cacheCounters
-	// epoch fences lazy fills against invalidation: a fill records the
-	// epoch before its scan and installs only if it is unchanged, so a
-	// computation that straddles a NoteIngest can never re-populate a
-	// just-cleared cache with pre-ingest state.
-	epoch atomic.Uint64
-}
-
-func newPredictorPart() *predictorPart {
-	p := &predictorPart{}
-	for i := range p.shards {
-		p.shards[i].neighbors = make(map[dataset.UserID]neighborhood)
-	}
-	return p
-}
-
 // NewPredictor builds a predictor over store with neighborhoods of
 // size kNeighbors (DefaultNeighbors if <= 0) using cosine similarity —
 // the paper's §4 configuration. The store must be frozen.
@@ -217,10 +196,11 @@ func NewPredictorSim(store *dataset.Store, kNeighbors int, measure Similarity) (
 		store:   store,
 		k:       kNeighbors,
 		measure: measure,
-		sm:      shard.Single,
-		parts:   []*predictorPart{newPredictorPart()},
 		users:   newDenseIndex(store.Users()),
 		items:   newDenseIndex(store.Items()),
+	}
+	for i := range p.shards {
+		p.shards[i].neighbors = make(map[dataset.UserID]neighborhood)
 	}
 	nUsers, nItems := len(p.users.ids), len(p.items.ids)
 	p.normBits = make([]atomic.Uint64, nUsers)
@@ -241,26 +221,9 @@ func (p *Predictor) Cosine(u, v dataset.UserID) float64 {
 	return s
 }
 
-// SetSharding repartitions the lazy caches into one instance per
-// shard of m (nil reverts to a single instance). Call during setup,
-// before the predictor serves traffic — it replaces the cache parts,
-// dropping every cached neighborhood (cached values are pure functions
-// of the store, so a drop only costs recomputation). Cached norms are
-// not partitioned and stay.
-func (p *Predictor) SetSharding(m shard.Map) {
-	p.sm = shard.Normalize(m)
-	p.parts = make([]*predictorPart, p.sm.N())
-	for i := range p.parts {
-		p.parts[i] = newPredictorPart()
-	}
-}
-
-// Sharding returns the shard map routing users onto cache parts.
-func (p *Predictor) Sharding() shard.Map { return p.sm }
-
-// part returns the cache instance of u's shard.
-func (p *Predictor) part(u dataset.UserID) *predictorPart {
-	return p.parts[p.sm.Of(int64(u))]
+// stripe returns the lock stripe holding u's cached neighborhood.
+func (p *Predictor) stripe(u dataset.UserID) *userShard {
+	return &p.shards[shardIndex(uint64(u))]
 }
 
 // norm returns the L2 norm of u's rating vector (0 for a user outside
@@ -278,7 +241,7 @@ func (p *Predictor) normAt(u dataset.UserID, ui int) float64 {
 	if b := p.normBits[ui].Load(); b != 0 {
 		return -math.Float64frombits(b)
 	}
-	epoch := p.part(u).epoch.Load()
+	epoch := p.epoch.Load()
 	var ss float64
 	for _, r := range p.store.ByUser(u) {
 		ss += r.Value * r.Value
@@ -289,14 +252,13 @@ func (p *Predictor) normAt(u dataset.UserID, ui int) float64 {
 }
 
 // installNorm caches n as the norm of u (dense index ui) under u's
-// shard lock, unless an ingest bumped the epoch since epoch was read:
+// stripe lock, unless an ingest bumped the epoch since epoch was read:
 // a norm of pre-ingest state is never cached after the ingest cleared
 // the slot.
 func (p *Predictor) installNorm(u dataset.UserID, ui int, n float64, epoch uint64) {
-	pp := p.part(u)
-	sh := &pp.shards[shardIndex(uint64(u))]
+	sh := p.stripe(u)
 	sh.mu.Lock()
-	if pp.epoch.Load() == epoch {
+	if p.epoch.Load() == epoch {
 		p.normBits[ui].Store(math.Float64bits(-n))
 	}
 	sh.mu.Unlock()
@@ -309,18 +271,17 @@ func (p *Predictor) installNorm(u dataset.UserID, ui int, n float64, epoch uint6
 // yield the identical slice and one wins the cache, so the race is
 // benign and never holds a lock during the walk over u's rater lists.
 func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
-	pp := p.part(u)
-	sh := &pp.shards[shardIndex(uint64(u))]
+	sh := p.stripe(u)
 	sh.mu.RLock()
 	nb, ok := sh.neighbors[u]
 	sh.mu.RUnlock()
 	if ok {
-		pp.counters.hit()
+		p.counters.hit()
 		return nb.ns
 	}
-	pp.counters.miss()
+	p.counters.miss()
 
-	epoch := pp.epoch.Load()
+	epoch := p.epoch.Load()
 	ns, coraters := p.fill(u)
 	return p.finishFill(u, ns, coraters, epoch)
 }
@@ -328,17 +289,16 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 // finishFill ends a fill of u's neighborhood begun at epoch: it
 // installs ns, together with its co-rater set, unless an ingest or a
 // concurrent fill got there first, and returns the neighborhood to
-// serve. The epoch check and the install share one hold of the shard
-// lock, and an ingest bumps the epoch before it reads any shard for
+// serve. The epoch check and the install share one hold of the stripe
+// lock, and an ingest bumps the epoch before it reads any stripe for
 // dependents: a fill it does not find there is fenced, and one it finds
 // carries its dependency record.
 func (p *Predictor) finishFill(u dataset.UserID, ns []Neighbor, coraters userBits, epoch uint64) []Neighbor {
-	pp := p.part(u)
-	sh := &pp.shards[shardIndex(uint64(u))]
+	sh := p.stripe(u)
 	sh.mu.Lock()
 	if cached, ok := sh.neighbors[u]; ok {
 		ns = cached.ns // a concurrent computation won; keep one canonical slice
-	} else if pp.epoch.Load() == epoch {
+	} else if p.epoch.Load() == epoch {
 		sh.neighbors[u] = neighborhood{ns: ns, coraters: coraters}
 	}
 	sh.mu.Unlock()
@@ -493,30 +453,12 @@ func (p *Predictor) PredictAll(u dataset.UserID, items []dataset.ItemID) []float
 // GlobalMean returns the dataset mean rating.
 func (p *Predictor) GlobalMean() float64 { return p.means.Load().globalMean }
 
-// Stats snapshots the lazy neighborhood cache's counters, aggregated
-// across all shard parts: a hit is a Neighbors call answered from a
-// cache, a miss one that had to walk the user's rater lists. Size is the
-// number of cached neighborhoods (the cache only grows, bounded by the
-// user count).
+// Stats snapshots the lazy neighborhood cache's counters: a hit is a
+// Neighbors call answered from the cache, a miss one that had to walk
+// the user's rater lists. Size is the number of cached neighborhoods
+// (the cache only grows, bounded by the user count).
 func (p *Predictor) Stats() CacheStats {
-	return sumStats(p.StatsByShard())
-}
-
-// StatsByShard snapshots each shard part's counters separately (the
-// /stats per-shard breakdown); the entries sum exactly to Stats.
-func (p *Predictor) StatsByShard() []CacheStats {
-	out := make([]CacheStats, len(p.parts))
-	for pi, pp := range p.parts {
-		n := 0
-		for i := range pp.shards {
-			sh := &pp.shards[i]
-			sh.mu.RLock()
-			n += len(sh.neighbors)
-			sh.mu.RUnlock()
-		}
-		out[pi] = pp.counters.snapshot(n)
-	}
-	return out
+	return p.counters.snapshot(p.CachedNeighborhoods())
 }
 
 // PairwiseSimilaritySum returns the sum of pairwise cosine

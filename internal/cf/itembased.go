@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
 // ItemPredictor is an item-based collaborative filtering predictor:
@@ -22,12 +21,14 @@ type ItemPredictor struct {
 	store *dataset.Store
 	k     int
 
-	// sm partitions the item-neighborhood cache into per-shard
-	// instances. The cache is item-keyed, so it hashes item IDs
-	// through the same map the world routes users with — the
-	// consistent hash-on-ID layout, just on the item axis.
-	sm    shard.Map
-	parts []*itemPredictorPart
+	// shards hold the lazy item-neighborhood cache under striped locks,
+	// mirroring Predictor's per-user lock striping.
+	shards [numShards]itemShard
+	// counters track item-neighborhood cache hits and misses; see Stats.
+	counters cacheCounters
+	// epoch fences lazy fills against invalidation (see
+	// Predictor.epoch).
+	epoch atomic.Uint64
 	// means holds the per-user (adjusted-cosine centering), per-item,
 	// and global means as one immutable snapshot; NoteIngest recomputes
 	// and swaps it.
@@ -85,27 +86,6 @@ func computeItemPredictorMeans(store *dataset.Store) *itemPredictorMeans {
 	return m
 }
 
-// itemPredictorPart is one shard's instance of the lazy
-// item-neighborhood cache: lock stripes plus counters.
-type itemPredictorPart struct {
-	// shards hold the lazy item-neighborhood cache under sharded
-	// locks, mirroring Predictor's per-user lock striping.
-	shards [numShards]itemShard
-	// counters track item-neighborhood cache hits and misses; see Stats.
-	counters cacheCounters
-	// epoch fences lazy fills against invalidation (see
-	// predictorPart.epoch).
-	epoch atomic.Uint64
-}
-
-func newItemPredictorPart() *itemPredictorPart {
-	p := &itemPredictorPart{}
-	for i := range p.shards {
-		p.shards[i].neighbors = make(map[dataset.ItemID][]itemNeighbor)
-	}
-	return p
-}
-
 type itemShard struct {
 	mu sync.RWMutex
 	// neighbors[i] caches item i's top-k similar items.
@@ -125,11 +105,9 @@ func NewItemPredictor(store *dataset.Store, kNeighbors int) (*ItemPredictor, err
 	if kNeighbors <= 0 {
 		kNeighbors = DefaultNeighbors
 	}
-	p := &ItemPredictor{
-		store: store,
-		k:     kNeighbors,
-		sm:    shard.Single,
-		parts: []*itemPredictorPart{newItemPredictorPart()},
+	p := &ItemPredictor{store: store, k: kNeighbors}
+	for i := range p.shards {
+		p.shards[i].neighbors = make(map[dataset.ItemID][]itemNeighbor)
 	}
 	p.means.Store(computeItemPredictorMeans(store))
 	return p, nil
@@ -167,37 +145,20 @@ func (p *ItemPredictor) AdjustedCosine(a, b dataset.ItemID) float64 {
 	return dot / math.Sqrt(na*nb)
 }
 
-// SetSharding repartitions the lazy item-neighborhood cache into one
-// instance per shard of m (nil reverts to a single instance). Call
-// during setup, before traffic; cached neighborhoods are dropped.
-func (p *ItemPredictor) SetSharding(m shard.Map) {
-	p.sm = shard.Normalize(m)
-	p.parts = make([]*itemPredictorPart, p.sm.N())
-	for i := range p.parts {
-		p.parts[i] = newItemPredictorPart()
-	}
-}
-
-// part returns the cache instance of item it's shard.
-func (p *ItemPredictor) part(it dataset.ItemID) *itemPredictorPart {
-	return p.parts[p.sm.Of(int64(it))]
-}
-
 // itemNeighborsOf returns item it's top-k positively similar items.
 // Concurrent first calls may compute twice; one result wins the cache.
 func (p *ItemPredictor) itemNeighborsOf(it dataset.ItemID) []itemNeighbor {
-	pp := p.part(it)
-	sh := &pp.shards[shardIndex(uint64(it))]
+	sh := &p.shards[shardIndex(uint64(it))]
 	sh.mu.RLock()
 	ns, ok := sh.neighbors[it]
 	sh.mu.RUnlock()
 	if ok {
-		pp.counters.hit()
+		p.counters.hit()
 		return ns
 	}
-	pp.counters.miss()
+	p.counters.miss()
 
-	epoch := pp.epoch.Load()
+	epoch := p.epoch.Load()
 	all := make([]itemNeighbor, 0, 64)
 	for _, other := range p.store.Items() {
 		if other == it {
@@ -217,7 +178,7 @@ func (p *ItemPredictor) itemNeighborsOf(it dataset.ItemID) []itemNeighbor {
 	sh.mu.Lock()
 	if cached, ok := sh.neighbors[it]; ok {
 		ns = cached
-	} else if pp.epoch.Load() == epoch {
+	} else if p.epoch.Load() == epoch {
 		sh.neighbors[it] = ns
 	}
 	sh.mu.Unlock()
@@ -299,26 +260,20 @@ func (p *ItemPredictor) PredictBatchInto(u dataset.UserID, items []dataset.ItemI
 // GlobalMean returns the dataset mean rating.
 func (p *ItemPredictor) GlobalMean() float64 { return p.means.Load().globalMean }
 
-// Stats snapshots the lazy item-neighborhood cache's counters,
-// aggregated across all shard parts. Size is the number of cached item
-// neighborhoods.
+// Stats snapshots the lazy item-neighborhood cache's counters. Size is
+// the number of cached item neighborhoods.
 func (p *ItemPredictor) Stats() CacheStats {
-	return sumStats(p.StatsByShard())
+	return p.counters.snapshot(p.cachedNeighborhoods())
 }
 
-// StatsByShard snapshots each shard part's counters separately; the
-// entries sum exactly to Stats.
-func (p *ItemPredictor) StatsByShard() []CacheStats {
-	out := make([]CacheStats, len(p.parts))
-	for pi, pp := range p.parts {
-		n := 0
-		for i := range pp.shards {
-			sh := &pp.shards[i]
-			sh.mu.RLock()
-			n += len(sh.neighbors)
-			sh.mu.RUnlock()
-		}
-		out[pi] = pp.counters.snapshot(n)
+// cachedNeighborhoods counts the resident item neighborhoods.
+func (p *ItemPredictor) cachedNeighborhoods() int {
+	n := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.RLock()
+		n += len(sh.neighbors)
+		sh.mu.RUnlock()
 	}
-	return out
+	return n
 }

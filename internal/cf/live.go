@@ -44,8 +44,8 @@ import (
 // rating can actually reach:
 //
 //   - the fallback means are swapped for a successor in which the rated
-//     item alone is re-summed (they shift on every ingest), and every
-//     part epoch is bumped so in-flight fills of pre-ingest state never
+//     item alone is re-summed (they shift on every ingest), and the
+//     epoch is bumped so in-flight fills of pre-ingest state never
 //     install;
 //   - u's own neighborhood and norm are dropped (all of u's
 //     similarities changed);
@@ -58,8 +58,8 @@ import (
 //     recheck: no similarity it was built from has changed.
 //
 // The rechecks run one after another on the calling goroutine, which
-// already holds the world's ingest lock. The per-part counters record
-// how many cached neighborhoods were dropped and how many retained.
+// already holds the world's ingest lock. The counters record how many
+// cached neighborhoods were dropped and how many retained.
 //
 // A fill that straddles the ingest still hands its pre-ingest
 // neighborhood to its caller; whatever that caller builds on it (a
@@ -76,17 +76,14 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 	if ix, ok := p.items.of(it); ok {
 		p.means.Store(p.means.Load().withItem(ix, p.store.ByItem(it)))
 	}
-	p.bumpEpochs(u)
-	sizes := make([]int, len(p.parts))
-	for pi, pp := range p.parts {
-		sizes[pi] = pp.cachedNeighborhoods()
-	}
-	dropped := make([]int, len(p.parts))
+	p.bumpEpoch(u)
+	size := p.CachedNeighborhoods()
+	dropped := 0
 
 	// The rater's own neighborhood always drops: every sim of u
 	// changed.
 	if p.dropNeighborhood(u) {
-		dropped[p.sm.Of(int64(u))]++
+		dropped++
 	}
 
 	// Candidate dependents: cached users that co-rated with u at their
@@ -102,7 +99,7 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 		}
 		seen[v] = struct{}{}
 		if p.recheckNeighborhood(v, u) && p.dropNeighborhood(v) {
-			dropped[p.sm.Of(int64(v))]++
+			dropped++
 		}
 	}
 	for _, v := range p.dependentsOf(u) {
@@ -112,10 +109,8 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 		recheck(r.User)
 	}
 
-	for pi, pp := range p.parts {
-		pp.counters.invalidate(dropped[pi])
-		pp.counters.retain(sizes[pi] - dropped[pi])
-	}
+	p.counters.invalidate(dropped)
+	p.counters.retain(size - dropped)
 }
 
 // recheckNeighborhood decides whether v's cached neighborhood survives
@@ -126,8 +121,7 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 // rebuild's scan would decide bit for bit. A user with nothing cached
 // is never stale.
 func (p *Predictor) recheckNeighborhood(v, u dataset.UserID) (stale bool) {
-	pp := p.part(v)
-	sh := &pp.shards[shardIndex(uint64(v))]
+	sh := p.stripe(v)
 	sh.mu.RLock()
 	cached, ok := sh.neighbors[v]
 	sh.mu.RUnlock()
@@ -154,7 +148,7 @@ func (p *Predictor) recheckNeighborhood(v, u dataset.UserID) (stale bool) {
 // dropNeighborhood unlinks v's cached neighborhood — its co-rater set
 // goes with it — reporting whether anything was cached.
 func (p *Predictor) dropNeighborhood(v dataset.UserID) bool {
-	sh := &p.part(v).shards[shardIndex(uint64(v))]
+	sh := p.stripe(v)
 	sh.mu.Lock()
 	_, ok := sh.neighbors[v]
 	delete(sh.neighbors, v)
@@ -164,58 +158,42 @@ func (p *Predictor) dropNeighborhood(v dataset.UserID) bool {
 
 // dependentsOf returns the users whose cached neighborhood was filled
 // while they co-rated an item with w: a bit test over every resident
-// entry. Called after bumpEpochs, it cannot miss a dependency: a fill
-// installs its co-rater set with its neighborhood under the shard lock
+// entry. Called after bumpEpoch, it cannot miss a dependency: a fill
+// installs its co-rater set with its neighborhood under the stripe lock
 // and checks the epoch under that same hold, so it either landed before
-// this walk read its shard or is fenced.
+// this walk read its stripe or is fenced.
 func (p *Predictor) dependentsOf(w dataset.UserID) []dataset.UserID {
 	wi, ok := p.users.of(w)
 	if !ok {
 		return nil
 	}
 	var out []dataset.UserID
-	for _, pp := range p.parts {
-		for i := range pp.shards {
-			sh := &pp.shards[i]
-			sh.mu.RLock()
-			for v, nb := range sh.neighbors {
-				if nb.coraters.has(wi) {
-					out = append(out, v)
-				}
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.RLock()
+		for v, nb := range sh.neighbors {
+			if nb.coraters.has(wi) {
+				out = append(out, v)
 			}
-			sh.mu.RUnlock()
 		}
+		sh.mu.RUnlock()
 	}
 	return out
 }
 
-// bumpEpochs fences every fill in flight and clears the rater u's
-// cached vector norm (one new rating always changes it), both under
-// one hold of u's shard lock — the lock a norm install takes: a fill
-// that begins after the bump will install what it computes, so no sim
-// it takes may still find the pre-ingest norm cached.
-func (p *Predictor) bumpEpochs(u dataset.UserID) {
-	sh := &p.part(u).shards[shardIndex(uint64(u))]
+// bumpEpoch fences every fill in flight and clears the rater u's cached
+// vector norm (one new rating always changes it), both under one hold
+// of u's stripe lock — the lock a norm install takes: a fill that
+// begins after the bump will install what it computes, so no sim it
+// takes may still find the pre-ingest norm cached.
+func (p *Predictor) bumpEpoch(u dataset.UserID) {
+	sh := p.stripe(u)
 	sh.mu.Lock()
-	for _, pp := range p.parts {
-		pp.epoch.Add(1)
-	}
+	p.epoch.Add(1)
 	if ui, ok := p.users.of(u); ok {
 		p.normBits[ui].Store(0)
 	}
 	sh.mu.Unlock()
-}
-
-// cachedNeighborhoods counts the part's resident neighborhoods.
-func (pp *predictorPart) cachedNeighborhoods() int {
-	n := 0
-	for i := range pp.shards {
-		sh := &pp.shards[i]
-		sh.mu.RLock()
-		n += len(sh.neighbors)
-		sh.mu.RUnlock()
-	}
-	return n
 }
 
 // NoteIngest is the drop-everything counterpart of NoteIngestScoped:
@@ -228,20 +206,18 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 	// Any fill that read the old means started before the bump and is
 	// fenced; fills starting after the bump see the new means.
 	p.means.Store(computePredictorMeans(p.store))
-	p.bumpEpochs(u)
-	for _, pp := range p.parts {
-		cleared := 0
-		for i := range pp.shards {
-			sh := &pp.shards[i]
-			sh.mu.Lock()
-			cleared += len(sh.neighbors)
-			if len(sh.neighbors) > 0 {
-				sh.neighbors = make(map[dataset.UserID]neighborhood)
-			}
-			sh.mu.Unlock()
+	p.bumpEpoch(u)
+	cleared := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		cleared += len(sh.neighbors)
+		if len(sh.neighbors) > 0 {
+			sh.neighbors = make(map[dataset.UserID]neighborhood)
 		}
-		pp.counters.invalidate(cleared)
+		sh.mu.Unlock()
 	}
+	p.counters.invalidate(cleared)
 }
 
 // NoteIngestScoped makes the item predictor coherent with a rating
@@ -252,14 +228,9 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 // list grew). Every other item's neighborhood is retained untouched.
 func (p *ItemPredictor) NoteIngestScoped(u dataset.UserID) {
 	p.means.Store(computeItemPredictorMeans(p.store))
-	for _, pp := range p.parts {
-		pp.epoch.Add(1)
-	}
-	sizes := make([]int, len(p.parts))
-	for pi, pp := range p.parts {
-		sizes[pi] = pp.cachedNeighborhoods()
-	}
-	dropped := make([]int, len(p.parts))
+	p.epoch.Add(1)
+	size := p.cachedNeighborhoods()
+	dropped := 0
 	var last dataset.ItemID
 	first := true
 	for _, r := range p.store.ByUser(u) {
@@ -267,31 +238,16 @@ func (p *ItemPredictor) NoteIngestScoped(u dataset.UserID) {
 			continue // duplicate rating of the same item
 		}
 		first, last = false, r.Item
-		pi := p.sm.Of(int64(r.Item))
-		sh := &p.parts[pi].shards[shardIndex(uint64(r.Item))]
+		sh := &p.shards[shardIndex(uint64(r.Item))]
 		sh.mu.Lock()
 		if _, ok := sh.neighbors[r.Item]; ok {
 			delete(sh.neighbors, r.Item)
-			dropped[pi]++
+			dropped++
 		}
 		sh.mu.Unlock()
 	}
-	for pi, pp := range p.parts {
-		pp.counters.invalidate(dropped[pi])
-		pp.counters.retain(sizes[pi] - dropped[pi])
-	}
-}
-
-// cachedNeighborhoods counts the part's resident item neighborhoods.
-func (pp *itemPredictorPart) cachedNeighborhoods() int {
-	n := 0
-	for i := range pp.shards {
-		sh := &pp.shards[i]
-		sh.mu.RLock()
-		n += len(sh.neighbors)
-		sh.mu.RUnlock()
-	}
-	return n
+	p.counters.invalidate(dropped)
+	p.counters.retain(size - dropped)
 }
 
 // NoteIngest is the item predictor's drop-everything path: the mean
@@ -299,22 +255,18 @@ func (pp *itemPredictorPart) cachedNeighborhoods() int {
 // cached item neighborhood is dropped.
 func (p *ItemPredictor) NoteIngest() {
 	p.means.Store(computeItemPredictorMeans(p.store))
-	for _, pp := range p.parts {
-		pp.epoch.Add(1)
-	}
-	for _, pp := range p.parts {
-		cleared := 0
-		for i := range pp.shards {
-			sh := &pp.shards[i]
-			sh.mu.Lock()
-			cleared += len(sh.neighbors)
-			if len(sh.neighbors) > 0 {
-				sh.neighbors = make(map[dataset.ItemID][]itemNeighbor)
-			}
-			sh.mu.Unlock()
+	p.epoch.Add(1)
+	cleared := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		cleared += len(sh.neighbors)
+		if len(sh.neighbors) > 0 {
+			sh.neighbors = make(map[dataset.ItemID][]itemNeighbor)
 		}
-		pp.counters.invalidate(cleared)
+		sh.mu.Unlock()
 	}
+	p.counters.invalidate(cleared)
 }
 
 // UserNeighbors is one user's cached neighborhood in export form — the
@@ -330,15 +282,13 @@ type UserNeighbors struct {
 // caller owns them.
 func (p *Predictor) ExportNeighborhoods() []UserNeighbors {
 	var out []UserNeighbors
-	for _, pp := range p.parts {
-		for i := range pp.shards {
-			sh := &pp.shards[i]
-			sh.mu.RLock()
-			for u, nb := range sh.neighbors {
-				out = append(out, UserNeighbors{User: u, Neighbors: append([]Neighbor(nil), nb.ns...)})
-			}
-			sh.mu.RUnlock()
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.RLock()
+		for u, nb := range sh.neighbors {
+			out = append(out, UserNeighbors{User: u, Neighbors: append([]Neighbor(nil), nb.ns...)})
 		}
+		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
 	return out
@@ -361,7 +311,7 @@ func (p *Predictor) RestoreNeighborhoods(ns []UserNeighbors) int {
 			ns:       append([]Neighbor(nil), un.Neighbors...),
 			coraters: p.scanCoraters(un.User, nil),
 		}
-		sh := &p.part(un.User).shards[shardIndex(uint64(un.User))]
+		sh := p.stripe(un.User)
 		sh.mu.Lock()
 		if _, ok := sh.neighbors[un.User]; !ok {
 			sh.neighbors[un.User] = nb
@@ -372,12 +322,15 @@ func (p *Predictor) RestoreNeighborhoods(ns []UserNeighbors) int {
 	return restored
 }
 
-// CachedNeighborhoods reports the number of cached neighborhoods
-// (across all shard parts) — the warm-start observability hook.
+// CachedNeighborhoods reports the number of cached neighborhoods — the
+// warm-start observability hook.
 func (p *Predictor) CachedNeighborhoods() int {
 	n := 0
-	for _, s := range p.StatsByShard() {
-		n += s.Size
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.RLock()
+		n += len(sh.neighbors)
+		sh.mu.RUnlock()
 	}
 	return n
 }

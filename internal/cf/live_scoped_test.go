@@ -66,7 +66,7 @@ func coraterBits(t *testing.T, p *Predictor, users ...dataset.UserID) userBits {
 // cached reports whether u's neighborhood is resident, without filling
 // it.
 func cached(p *Predictor, u dataset.UserID) bool {
-	sh := &p.part(u).shards[shardIndex(uint64(u))]
+	sh := p.stripe(u)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	_, ok := sh.neighbors[u]
@@ -164,7 +164,7 @@ func TestNoteIngestScopedFencesStraddlingFills(t *testing.T) {
 	// u3 shares no item with the rater u0: cached, its neighborhood is
 	// retained without a recheck. Here its fill is in flight instead,
 	// begun the way Neighbors begins one, before the rating lands.
-	epoch := p.part(3).epoch.Load()
+	epoch := p.epoch.Load()
 	preIngest := []Neighbor{{User: 4, Sim: 1}}
 
 	applyRating(t, s, 0, 3, 5)
@@ -201,7 +201,7 @@ func TestNormInstallIsFenced(t *testing.T) {
 	}
 	ui, _ := p.users.of(0)
 	// A norm read begun before the rating: epoch taken, value computed.
-	epoch := p.part(0).epoch.Load()
+	epoch := p.epoch.Load()
 	preIngest := math.Sqrt(4*4 + 3*3)
 
 	applyRating(t, s, 0, 3, 5)
@@ -332,7 +332,7 @@ func TestOverlappingFillsShareOneDependencyRecord(t *testing.T) {
 	}
 	// Two fills of u0 begin at the same epoch, as two concurrent first
 	// Neighbors(0) calls would.
-	epoch := p.part(0).epoch.Load()
+	epoch := p.epoch.Load()
 	nsA, coA := p.fill(0)
 	nsB, coB := p.fill(0)
 	gotA := p.finishFill(0, nsA, coA, epoch)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
 // referenceFill is the fill the walk in scan.go replaced, kept as its
@@ -72,13 +71,10 @@ func diffFill(p *Predictor, u dataset.UserID) error {
 
 // diffAllFills runs diffFill for every user of the store plus one the
 // store has never seen, over a fresh predictor (so nothing is cached).
-func diffAllFills(s *dataset.Store, k int, measure Similarity, m shard.Map) error {
+func diffAllFills(s *dataset.Store, k int, measure Similarity) error {
 	p, err := NewPredictorSim(s, k, measure)
 	if err != nil {
 		return err
-	}
-	if m != nil {
-		p.SetSharding(m)
 	}
 	users := s.Users()
 	stranger := dataset.UserID(math.MaxInt64)
@@ -180,14 +176,11 @@ func scanWorlds() []scanWorld {
 
 // buildScanWorld freezes w.base and keeps only the deltas the frozen
 // domains accept (a delta cannot introduce a user or an item).
-func buildScanWorld(t testing.TB, w scanWorld, m shard.Map) (*dataset.Store, []dataset.Rating) {
+func buildScanWorld(t testing.TB, w scanWorld) (*dataset.Store, []dataset.Rating) {
 	t.Helper()
 	s, err := dataset.FromRatings(w.base)
 	if err != nil {
 		t.Fatalf("FromRatings: %v", err)
-	}
-	if m != nil {
-		s.Reshard(m)
 	}
 	users := make(map[dataset.UserID]bool)
 	items := make(map[dataset.ItemID]bool)
@@ -205,60 +198,47 @@ func buildScanWorld(t testing.TB, w scanWorld, m shard.Map) (*dataset.Store, []d
 
 // TestNeighborhoodScanMatchesPairwise holds the fill's walk to the
 // pairwise reference bit for bit — neighbors, similarity bits and
-// co-rater sets — for both measures, 1 and 4 shards, and a store that
-// is frozen and then takes ratings one at a time.
+// co-rater sets — for both measures, k below and above the user count
+// (truncated and full neighborhoods), and a store that is frozen and
+// then takes ratings one at a time.
 func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
 	for _, w := range scanWorlds() {
 		for _, measure := range []Similarity{CosineSim, PearsonSim} {
-			for _, nShards := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%v/shards=%d", w.name, measure, nShards), func(t *testing.T) {
-					var m shard.Map
-					if nShards > 1 {
-						h, err := shard.New(nShards)
+			t.Run(fmt.Sprintf("%s/%v", w.name, measure), func(t *testing.T) {
+				for _, k := range []int{3, 50} {
+					t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+						s, deltas := buildScanWorld(t, w)
+						if err := diffAllFills(s, k, measure); err != nil {
+							t.Fatalf("frozen: %v", err)
+						}
+
+						// A live predictor rides along: what it serves after
+						// every scoped ingest must be what a cold one computes.
+						live, err := NewPredictorSim(s, k, measure)
 						if err != nil {
 							t.Fatal(err)
 						}
-						m = h
-					}
-					s, deltas := buildScanWorld(t, w, m)
-					for _, k := range []int{3, 50} {
-						if err := diffAllFills(s, k, measure, m); err != nil {
-							t.Fatalf("frozen, k=%d: %v", k, err)
+						for _, u := range s.Users() {
+							live.Neighbors(u)
 						}
-					}
-
-					// A live predictor rides along: what it serves after
-					// every scoped ingest must be what a cold one computes.
-					live, err := NewPredictorSim(s, 3, measure)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if m != nil {
-						live.SetSharding(m)
-					}
-					for _, u := range s.Users() {
-						live.Neighbors(u)
-					}
-					for i, r := range deltas {
-						if err := s.Apply(r); err != nil {
-							t.Fatalf("Apply(%+v): %v", r, err)
+						for i, r := range deltas {
+							if err := s.Apply(r); err != nil {
+								t.Fatalf("Apply(%+v): %v", r, err)
+							}
+							live.NoteIngestScoped(r.User, r.Item)
+							if err := diffAllFills(s, k, measure); err != nil {
+								t.Fatalf("%d applied ratings: %v", i+1, err)
+							}
 						}
-						live.NoteIngestScoped(r.User, r.Item)
-						if err := diffAllFills(s, 3, measure, m); err != nil {
-							t.Fatalf("%d applied ratings: %v", i+1, err)
+						for _, u := range s.Users() {
+							want, _ := referenceFill(live, u)
+							if got := live.Neighbors(u); !reflect.DeepEqual(got, want) {
+								t.Fatalf("live Neighbors(%d) after %d scoped ingests = %v, reference %v", u, len(deltas), got, want)
+							}
 						}
-					}
-					for _, u := range s.Users() {
-						want, _ := referenceFill(live, u)
-						if got := live.Neighbors(u); !reflect.DeepEqual(got, want) {
-							t.Fatalf("live Neighbors(%d) after %d scoped ingests = %v, reference %v", u, len(deltas), got, want)
-						}
-					}
-					if err := diffAllFills(s, 50, measure, m); err != nil {
-						t.Fatalf("all ratings applied, k=50: %v", err)
-					}
-				})
-			}
+					})
+				}
+			})
 		}
 	}
 }
@@ -315,7 +295,7 @@ func TestFillWalksOnlyOwnRaterLists(t *testing.T) {
 
 // resident returns v's cached neighborhood without filling it.
 func resident(p *Predictor, v dataset.UserID) ([]Neighbor, bool) {
-	sh := &p.part(v).shards[shardIndex(uint64(v))]
+	sh := p.stripe(v)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	nb, ok := sh.neighbors[v]
@@ -331,21 +311,17 @@ func resident(p *Predictor, v dataset.UserID) ([]Neighbor, bool) {
 // dependents walk (its co-rater set went in under the same lock hold)
 // and dropped, and one that installed after it was fenced unless it
 // began after the bump. This is what the retired reverse index's
-// insert-before-install protocol guaranteed. Run with -race.
+// insert-before-install protocol guaranteed. Both measures: a Pearson
+// fill finds its co-raters by the same walk but scores each pair by a
+// merge-join, without the cached norms. Run with -race.
 func TestFillRacingScopedIngestIsFencedOrFound(t *testing.T) {
-	for _, nShards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
+	for _, measure := range []Similarity{CosineSim, PearsonSim} {
+		t.Run(fmt.Sprint(measure), func(t *testing.T) {
 			s := randomStore(t, 16, 8, 110, 31)
-			m, err := shard.New(nShards)
+			p, err := NewPredictorSim(s, 64, measure)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Reshard(m)
-			p, err := NewPredictor(s, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.SetSharding(m)
 			users, items := s.Users(), s.Items()
 			rng := rand.New(rand.NewSource(3))
 			for round := 0; round < 120; round++ {
@@ -372,7 +348,7 @@ func TestFillRacingScopedIngestIsFencedOrFound(t *testing.T) {
 				p.NoteIngestScoped(u, it)
 				wg.Wait()
 
-				cold, err := NewPredictor(s, 64)
+				cold, err := NewPredictorSim(s, 64, measure)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -392,8 +368,8 @@ func TestFillRacingScopedIngestIsFencedOrFound(t *testing.T) {
 
 // FuzzNeighborhoodScanMatchesPairwise feeds the scan-vs-pairwise
 // differential arbitrary small worlds: the first bytes pick the measure,
-// the shard count, the user-ID layout and how much of the log is frozen;
-// every following triple is one rating.
+// the user-ID layout and how much of the log is frozen; every following
+// triple is one rating.
 func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 1, 3, 1, 1, 2, 0, 1, 4, 1, 1, 0})
 	f.Add([]byte{1, 1, 1, 2, 0, 0, 0, 1, 0, 4, 0, 0, 2, 1, 0, 1, 2, 0, 3})
@@ -405,21 +381,13 @@ func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 		{math.MinInt64, -1 << 40, -9, 0, 7, 1 << 20, 1 << 41, math.MaxInt64},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 3 {
 			return
 		}
 		measure := Similarity(data[0] % 2)
-		var m shard.Map
-		if data[1]%2 == 1 {
-			h, err := shard.New(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m = h
-		}
-		ids := layouts[int(data[2])%len(layouts)]
+		ids := layouts[int(data[1])%len(layouts)]
 		var log []dataset.Rating
-		for body := data[4:]; len(body) >= 3 && len(log) < 96; body = body[3:] {
+		for body := data[3:]; len(body) >= 3 && len(log) < 96; body = body[3:] {
 			log = append(log, dataset.Rating{
 				User:  ids[int(body[0])%len(ids)],
 				Item:  dataset.ItemID(body[1] % 6),
@@ -430,9 +398,9 @@ func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 		if len(log) == 0 {
 			return
 		}
-		nBase := 1 + int(data[3])%len(log)
-		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]}, m)
-		if err := diffAllFills(s, 3, measure, m); err != nil {
+		nBase := 1 + int(data[2])%len(log)
+		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]})
+		if err := diffAllFills(s, 3, measure); err != nil {
 			t.Fatalf("frozen: %v", err)
 		}
 		for _, r := range deltas {
@@ -440,7 +408,7 @@ func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 				t.Fatalf("Apply(%+v): %v", r, err)
 			}
 		}
-		if err := diffAllFills(s, 3, measure, m); err != nil {
+		if err := diffAllFills(s, 3, measure); err != nil {
 			t.Fatalf("%d applied ratings: %v", len(deltas), err)
 		}
 	})

@@ -39,35 +39,11 @@ type StatsSource interface {
 	Stats() CacheStats
 }
 
-// ShardStatsSource is the per-shard refinement of StatsSource: every
-// cache in this package keeps one instance per world shard, and
-// StatsByShard snapshots each instance's counters separately. The
-// entries always sum exactly to Stats() — the aggregate is defined as
-// that sum — which is what the serving layer's per-shard /stats
-// breakdown relies on.
-type ShardStatsSource interface {
-	StatsSource
-	StatsByShard() []CacheStats
-}
-
 var (
-	_ ShardStatsSource = (*Predictor)(nil)
-	_ ShardStatsSource = (*ItemPredictor)(nil)
-	_ ShardStatsSource = (*TimeWeightedPredictor)(nil)
+	_ StatsSource = (*Predictor)(nil)
+	_ StatsSource = (*ItemPredictor)(nil)
+	_ StatsSource = (*TimeWeightedPredictor)(nil)
 )
-
-// sumStats folds per-shard snapshots into the aggregate view.
-func sumStats(parts []CacheStats) CacheStats {
-	var agg CacheStats
-	for _, s := range parts {
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.Size += s.Size
-		agg.Invalidated += s.Invalidated
-		agg.Retained += s.Retained
-	}
-	return agg
-}
 
 // cacheCounters is the atomic backing shared by every cache in this
 // package. Counter updates sit on hot prediction paths, so they must

@@ -152,7 +152,3 @@ func (p *TimeWeightedPredictor) Now() int64 { return p.now.Load() }
 // the time-weighted path shares the base neighborhoods, so they are
 // the same cache.
 func (p *TimeWeightedPredictor) Stats() CacheStats { return p.base.Stats() }
-
-// StatsByShard delegates to the base predictor's per-shard cache
-// instances (the shared neighborhoods are the shards' state).
-func (p *TimeWeightedPredictor) StatsByShard() []CacheStats { return p.base.StatsByShard() }

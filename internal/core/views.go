@@ -79,11 +79,11 @@ func getPooledEntries(n int) ([]Entry, *[]Entry) {
 // between views and rows is an error, never a silently different
 // ranking.
 //
-// The constructor is agnostic to where the views came from: a
-// mixed-shard group's MemberViews are each resolved from their own
-// shard's sub-store by the assembler (through the world's shard.Map),
-// and merge here side by side — per-member verification makes a wrong
-// cross-shard routing a loud construction error, not a wrong answer.
+// The constructor is agnostic to where the views came from: a group's
+// MemberViews may be built in place or fetched from the workers owning
+// each member's shard, and merge here side by side — per-member
+// verification makes a wrong routing a loud construction error, not a
+// wrong answer.
 //
 // Callers that drop the problem after a bounded lifetime (run it, copy
 // the result out) should hand its buffers back via Release; problems

@@ -12,8 +12,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/shard"
 )
 
 // UserID identifies a user. IDs are dense small integers starting at 0
@@ -55,7 +53,8 @@ var (
 	ErrNotFrozen = errors.New("store not frozen")
 	// ErrUnknownUser rejects ratings by users outside the frozen user
 	// set (Apply cannot grow the user domain — every derived
-	// structure, from shard arenas to CF neighborhoods, is sized to it).
+	// structure, from the bitset arena to CF neighborhoods, is sized to
+	// it).
 	ErrUnknownUser = errors.New("unknown user")
 	// ErrUnknownItem rejects ratings of items outside the catalog.
 	ErrUnknownItem = errors.New("unknown item")
@@ -69,17 +68,16 @@ var (
 // use; live writes go through Apply, which folds each rating into the
 // one rater list and the one user row it changes.
 //
-// Per-user state — the rating rows and the rated-item bitsets — lives
-// in per-shard arenas after Freeze, partitioned by a shard.Map
-// (Single unless Reshard installs a wider one): every user-keyed
-// lookup routes through the map to its shard's arena, so a sharded
-// world reads only the arenas its group members hash to. Item-major
-// state (the catalog, popularity ranking, per-item rating lists) is
-// shared: it is a property of the catalog, not of any user range.
+// After Freeze, per-user state — the rating rows and the rated-item
+// bitsets, laid out in one arena — sits in one user-keyed cell map, and
+// item-major state (the catalog, popularity ranking, per-item rating
+// lists) beside it. The store is one structure whatever the world's
+// shard count: a read is lock-free, so partitioning it would save no
+// reader a wait.
 //
 // Concurrency model: every user row and every rater list sits in a
 // cell behind an atomic pointer, and the cell maps are built at Freeze
-// (or Reshard) and never change afterwards. A list a cell points to is
+// and never change afterwards. A list a cell points to is
 // never mutated: Apply, serialized by mu, writes a successor list and
 // swaps the cell, and it swaps the state pointer for the successor
 // totals (count, value sum, popularity ranking). Every read is one map
@@ -95,7 +93,7 @@ type Store struct {
 	// state is the frozen layout plus the current totals; Apply swaps
 	// in a successor that shares every cell.
 	state atomic.Pointer[storeState]
-	// mu serializes Apply and Reshard.
+	// mu serializes Apply.
 	mu sync.Mutex
 	// applied is the lifetime Apply count.
 	applied atomic.Int64
@@ -105,6 +103,7 @@ type Store struct {
 // layout. The fields are read-only after construction; the cells they
 // point to are where ratings land.
 type storeState struct {
+	byUser   map[UserID]*atomic.Pointer[userRow]
 	byItem   map[ItemID]*atomic.Pointer[[]Rating]
 	users    []UserID
 	items    []ItemID
@@ -113,20 +112,10 @@ type storeState struct {
 	// popRanked is the popularity ranking, precomputed so hot-path
 	// candidate selection never re-sorts the catalog.
 	popRanked []ItemID
-	// sm partitions per-user state; parts are its arenas (one per
-	// shard).
-	sm    shard.Map
-	parts []storePart
 	// maskWords is the bitset length in words, 0 when bitsets are
 	// unavailable (item IDs too sparse or negative — see
 	// bitsetEligible).
 	maskWords int
-}
-
-// storePart is one shard's arena of per-user state: the row cells of
-// exactly the users hashing to this shard.
-type storePart struct {
-	byUser map[UserID]*atomic.Pointer[userRow]
 }
 
 // userRow is one user's ratings, sorted by item, and the bitset of the
@@ -184,8 +173,7 @@ func bitsetEligible(users []UserID, items []ItemID) (words int, ok bool) {
 	return words, true
 }
 
-// NewStore returns an empty store partitioned 1-way (use Reshard
-// after Freeze to widen).
+// NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
 		byUser: make(map[UserID][]Rating),
@@ -252,7 +240,6 @@ func (s *Store) Freeze() {
 		byItem:   make(map[ItemID]*atomic.Pointer[[]Rating], len(s.byItem)),
 		nRatings: s.nRatings,
 		sumVal:   s.sumVal,
-		sm:       shard.Single,
 	}
 	for u, rs := range s.byUser {
 		sort.SliceStable(rs, func(i, j int) bool { return rs[i].Item < rs[j].Item })
@@ -275,9 +262,9 @@ func (s *Store) Freeze() {
 	// ascending-ID ties (the paper's "popular set" order).
 	st.popRanked = rankByPopularity(st.items, func(it ItemID) int { return len(s.byItem[it]) })
 
-	// Partition per-user state into the shard arenas; the ingest maps
-	// are cleared so post-freeze reads have one source of truth.
-	st.partition(s.byUser)
+	// Lay out the user rows; the ingest maps are cleared so post-freeze
+	// reads have one source of truth.
+	st.layoutRows(s.byUser)
 	s.byUser = nil
 	s.byItem = nil
 	s.state.Store(st)
@@ -301,71 +288,33 @@ func rankByPopularity(items []ItemID, count func(ItemID) int) []ItemID {
 	return ranked
 }
 
-// partition builds the per-shard arenas from a user-keyed rating map:
-// each shard gets its own row-cell map and, when item IDs are dense
-// enough, a contiguous bitset arena covering exactly its users.
-func (st *storeState) partition(byUser map[UserID][]Rating) {
-	n := st.sm.N()
-	st.parts = make([]storePart, n)
-	perShard := make([][]UserID, n)
-	for _, u := range st.users {
-		si := st.sm.Of(int64(u))
-		perShard[si] = append(perShard[si], u)
-	}
+// layoutRows builds the user row cells from a user-keyed rating map,
+// with one contiguous bitset arena over every user when item IDs are
+// dense enough.
+func (st *storeState) layoutRows(byUser map[UserID][]Rating) {
 	words, bitsets := bitsetEligible(st.users, st.items)
 	st.maskWords = words
-	for si := range st.parts {
-		p := &st.parts[si]
-		p.byUser = make(map[UserID]*atomic.Pointer[userRow], len(perShard[si]))
-		backing := make([]uint64, words*len(perShard[si]))
-		cells := make([]atomic.Pointer[userRow], len(perShard[si]))
-		for i, u := range perShard[si] {
-			// Each row is its own allocation: one shared array would keep
-			// every replaced row's ratings reachable.
-			row := &userRow{ratings: byUser[u]}
-			if bitsets {
-				row.rated = Bitset(backing[i*words : (i+1)*words])
-				for _, r := range row.ratings {
-					row.rated.set(r.Item)
-				}
+	st.byUser = make(map[UserID]*atomic.Pointer[userRow], len(st.users))
+	backing := make([]uint64, words*len(st.users))
+	cells := make([]atomic.Pointer[userRow], len(st.users))
+	for i, u := range st.users {
+		// Each row is its own allocation: one shared array would keep
+		// every replaced row's ratings reachable.
+		row := &userRow{ratings: byUser[u]}
+		if bitsets {
+			row.rated = Bitset(backing[i*words : (i+1)*words])
+			for _, r := range row.ratings {
+				row.rated.set(r.Item)
 			}
-			cells[i].Store(row)
-			p.byUser[u] = &cells[i]
 		}
+		cells[i].Store(row)
+		st.byUser[u] = &cells[i]
 	}
-}
-
-// Reshard re-partitions the per-user arenas under a new shard map (nil
-// reverts to the single-shard layout). The store must be frozen. The
-// rating data itself is untouched — only the arena a user's row lives
-// in changes — so every query answers identically before and after.
-// This is how the World applies Config.Shards to a store the loaders
-// froze 1-way. Reshard is a setup-time operation: a reader racing it
-// may still read the previous arena, which stops receiving ratings.
-func (s *Store) Reshard(m shard.Map) {
-	s.mustFrozen("Reshard")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.state.Load()
-	rows := make(map[UserID][]Rating, len(st.users))
-	for _, u := range st.users {
-		rows[u] = st.row(u).ratings
-	}
-	ns := *st
-	ns.sm = shard.Normalize(m)
-	ns.partition(rows)
-	s.state.Store(&ns)
-}
-
-// Sharding returns the shard map partitioning the per-user arenas.
-func (s *Store) Sharding() shard.Map {
-	s.mustFrozen("Sharding")
-	return s.state.Load().sm
 }
 
 // row returns u's current row, nil for a user outside the store.
 func (st *storeState) row(u UserID) *userRow {
-	if cell := st.parts[st.sm.Of(int64(u))].byUser[u]; cell != nil {
+	if cell := st.byUser[u]; cell != nil {
 		return cell.Load()
 	}
 	return nil
@@ -410,9 +359,9 @@ func (s *Store) Items() []ItemID {
 }
 
 // ByUser returns the ratings of u sorted by item (nil if u is not in
-// the store). The lookup routes through the shard map to u's arena.
-// The slice is shared with the store and never written again — a later
-// Apply replaces it — so it stays valid; callers must not modify it.
+// the store). The slice is shared with the store and never written
+// again — a later Apply replaces it — so it stays valid; callers must
+// not modify it.
 func (s *Store) ByUser(u UserID) []Rating {
 	s.mustFrozen("ByUser")
 	if row := s.state.Load().row(u); row != nil {

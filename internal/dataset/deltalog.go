@@ -45,7 +45,7 @@ func (s *Store) Apply(r Rating) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state.Load()
-	userCell := st.parts[st.sm.Of(int64(r.User))].byUser[r.User]
+	userCell := st.byUser[r.User]
 	if userCell == nil {
 		return fmt.Errorf("dataset: %w: %d", ErrUnknownUser, r.User)
 	}

@@ -9,12 +9,10 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"repro/internal/shard"
 )
 
-// deltaBaseRatings is a deterministic base rating sequence with enough
-// users and items to spread across 16 shards.
+// deltaBaseRatings is a deterministic base rating sequence over 40
+// users and 60 items.
 func deltaBaseRatings() []Rating {
 	rng := rand.New(rand.NewSource(7))
 	var recs []Rating
@@ -67,20 +65,13 @@ func applySequence(base []Rating, top ItemID, n int, seed int64) []Rating {
 	return out
 }
 
-func freezeStore(t *testing.T, recs []Rating, shards int) *Store {
+func freezeStore(t *testing.T, recs []Rating) *Store {
 	t.Helper()
 	s := NewStore()
 	for _, r := range recs {
 		mustAdd(t, s, r)
 	}
 	s.Freeze()
-	if shards > 1 {
-		m, err := shard.New(shards)
-		if err != nil {
-			t.Fatalf("shard.New(%d): %v", shards, err)
-		}
-		s.Reshard(m)
-	}
 	return s
 }
 
@@ -162,36 +153,39 @@ func coldAt(t *testing.T, base, seq []Rating, n int) *Store {
 // TestApplyMatchesColdRebuild is the dataset-level differential: after
 // every one of 320 Applies — repeated (user, item) pairs, repeated
 // ratings of the most popular item — a live store answers every query
-// bit-identically to a cold store built from base plus that prefix, at
-// shard counts 1, 4 and 16, and on across a Reshard halfway through.
+// bit-identically to a cold store built from base plus that prefix, and
+// on across a snapshot restore halfway through: the store is rebuilt
+// from its own DumpRatings and the second half applies to the rebuild.
 func TestApplyMatchesColdRebuild(t *testing.T) {
 	base := deltaBaseRatings()
 	top := coldAt(t, base, nil, 0).PopularityRanked()[0]
 	seq := applySequence(base, top, 320, 11)
-	for _, n := range []int{1, 4, 16} {
-		live := freezeStore(t, base, n)
-		for i, r := range seq {
-			if err := live.Apply(r); err != nil {
-				t.Fatalf("n=%d: Apply(%+v): %v", n, r, err)
-			}
-			if i == len(seq)/2 {
-				m, err := shard.New(n%16*4 + 1) // 1→5, 4→17, 16→1
-				if err != nil {
-					t.Fatal(err)
-				}
-				live.Reshard(m)
-			}
-			compareStores(t, fmt.Sprintf("n=%d after %d applies", n, i+1), coldAt(t, base, seq, i+1), live)
+	live := freezeStore(t, base)
+	half := len(seq) / 2
+	for i, r := range seq {
+		if err := live.Apply(r); err != nil {
+			t.Fatalf("Apply(%+v): %v", r, err)
 		}
-		if st := live.DeltaStats(); st.Applied != int64(len(seq)) || st.Pending != 0 {
-			t.Fatalf("n=%d: DeltaStats = %+v", n, st)
+		if i == half {
+			if st := live.DeltaStats(); st.Applied != int64(half+1) || st.Pending != 0 {
+				t.Fatalf("DeltaStats before the restore = %+v", st)
+			}
+			restored, err := FromRatings(live.DumpRatings())
+			if err != nil {
+				t.Fatalf("FromRatings(DumpRatings): %v", err)
+			}
+			live = restored
 		}
+		compareStores(t, fmt.Sprintf("after %d applies", i+1), coldAt(t, base, seq, i+1), live)
+	}
+	if st := live.DeltaStats(); st.Applied != int64(len(seq)-half-1) || st.Pending != 0 {
+		t.Fatalf("DeltaStats after the restore = %+v", st)
 	}
 }
 
 // FuzzApplyMatchesColdRebuild derives a base and a rating sequence from
 // the input, over 8 users and 10 items; the first byte picks the base
-// length and the shard count. After every Apply the store must equal
+// length. After every Apply the store must equal
 // the cold rebuild of base plus the accepted prefix, and a rating
 // outside the frozen domains must be refused and change nothing.
 func FuzzApplyMatchesColdRebuild(f *testing.F) {
@@ -213,7 +207,7 @@ func FuzzApplyMatchesColdRebuild(f *testing.F) {
 		}
 		nBase := 1 + int(data[0]&0x0f)%len(log)
 		base := log[:nBase]
-		live := freezeStore(t, base, []int{1, 3, 4, 16}[data[0]>>4&3])
+		live := freezeStore(t, base)
 		var applied []Rating
 		for _, r := range log[nBase:] {
 			err := live.Apply(r)
@@ -240,7 +234,7 @@ func TestStoreReadsAllocateNothing(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	base := deltaBaseRatings()
-	s := freezeStore(t, base, 4)
+	s := freezeStore(t, base)
 	for _, r := range applySequence(base, s.PopularityRanked()[0], 50, 5) {
 		if err := s.Apply(r); err != nil {
 			t.Fatal(err)
@@ -314,7 +308,7 @@ func TestApplyRejections(t *testing.T) {
 // this pins the lock-free read discipline.
 func TestApplyConcurrentWithReads(t *testing.T) {
 	base := deltaBaseRatings()
-	s := freezeStore(t, base, 4)
+	s := freezeStore(t, base)
 	users, items := s.Users(), s.Items()
 
 	const perWriter = 200
@@ -440,7 +434,7 @@ func TestApplyPromotesPopularityLikeFullRank(t *testing.T) {
 			recs = append(recs, Rating{User: UserID(k % nUsers), Item: ItemID(it), Value: 3, Time: int64(len(recs))})
 		}
 	}
-	s := freezeStore(t, recs, 4)
+	s := freezeStore(t, recs)
 	counts := make(map[ItemID]int)
 	for _, r := range recs {
 		counts[r.Item]++

@@ -7,61 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/liststore"
-	"repro/internal/shard"
 )
-
-// TestAprefViewsShardedIdentical: an assembler over a 4-way-sharded
-// list store produces byte-identical view
-// assemblies to the unsharded one — rows, sorted views, and patches —
-// for mixed-shard groups, in both sequential and parallel fills.
-func TestAprefViewsShardedIdentical(t *testing.T) {
-	store, pred := testSubstrate(t)
-	pool := store.PopularityRanked()
-	m, _ := shard.New(4)
-
-	for _, workers := range []int{1, 8} {
-		plain := New(pred, workers)
-		plain.AttachListStore(liststore.New(pred, pool, 64, 5))
-		sharded := New(pred, workers)
-		sharded.AttachListStore(liststore.NewSharded(pred, pool, 64, 5, m))
-
-		group := []dataset.UserID{0, 3, 7, 12, 25, 4}
-		// Guarantee the group genuinely mixes shards.
-		seen := make(map[int]bool)
-		for _, u := range group {
-			seen[m.Of(int64(u))] = true
-		}
-		if len(seen) < 2 {
-			t.Fatalf("test group spans %d shards, want >= 2", len(seen))
-		}
-		items := append(append([]dataset.ItemID{}, pool[:10]...), 999) // 999: patch item
-		want, ok1, err1 := plain.AprefViews(group, items, 5)
-		got, ok2, err2 := sharded.AprefViews(group, items, 5)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("workers=%d: AprefViews errored (plain %v, sharded %v)", workers, err1, err2)
-		}
-		if !ok1 || !ok2 {
-			t.Fatalf("workers=%d: view assembly declined (plain %v, sharded %v)", workers, ok1, ok2)
-		}
-		if !reflect.DeepEqual(want.Rows, got.Rows) {
-			t.Errorf("workers=%d: rows diverge", workers)
-		}
-		if !reflect.DeepEqual(want.Views.LocalOf, got.Views.LocalOf) {
-			t.Errorf("workers=%d: mappings diverge", workers)
-		}
-		for ui := range want.Views.Members {
-			w, g := want.Views.Members[ui], got.Views.Members[ui]
-			if !reflect.DeepEqual(w.View.Entries, g.View.Entries) {
-				t.Errorf("workers=%d member %d: sorted views diverge", workers, ui)
-			}
-			if !reflect.DeepEqual(w.Patch, g.Patch) {
-				t.Errorf("workers=%d member %d: patches diverge", workers, ui)
-			}
-		}
-		plain.Release(want.Rows)
-		sharded.Release(got.Rows)
-	}
-}
 
 // TestAttachedSeamsMatchLocal drives the assembler through both of its
 // seams the way the distributed world does — a store over a foreign
@@ -91,7 +37,7 @@ func TestAttachedSeamsMatchLocal(t *testing.T) {
 			return nil, errViews
 		}
 		return origin.AcquireMulti(users)
-	}, pool, 0, 5, nil))
+	}, pool, 0, 5))
 	fetched.AttachRows(func(users []dataset.UserID, its []dataset.ItemID, dst [][]float64) error {
 		if errRows != nil {
 			return errRows

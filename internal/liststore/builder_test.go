@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
 // scriptedBuilder is a Builder under the test's control: it records
@@ -62,11 +61,7 @@ func (b *scriptedBuilder) callLog() [][]dataset.UserID {
 // misses arrive in exactly one builder call, in request order.
 func TestAcquireMultiOneBuilderCallCarriesTheMisses(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 4}
-	m, err := shard.New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewOver(b.build, testPool(4), 32, 5, m)
+	s := NewOver(b.build, testPool(4), 32, 5)
 
 	if _, err := s.AcquireMulti([]dataset.UserID{3, 9}); err != nil {
 		t.Fatal(err)
@@ -101,7 +96,7 @@ func TestAcquireMultiOneBuilderCallCarriesTheMisses(t *testing.T) {
 // never resident — the next acquire fetches again.
 func TestSweepUnlinksInFlightFetch(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 3, entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	s := NewOver(b.build, testPool(3), 8, 5, nil)
+	s := NewOver(b.build, testPool(3), 8, 5)
 
 	results := make(chan *View, 2)
 	acquire := func() {
@@ -150,7 +145,7 @@ func TestSweepUnlinksInFlightFetch(t *testing.T) {
 func TestBuilderErrorReachesEveryWaiter(t *testing.T) {
 	sentinel := errors.New("shard unavailable")
 	b := &scriptedBuilder{poolLen: 3, err: sentinel, entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	s := NewOver(b.build, testPool(3), 8, 5, nil)
+	s := NewOver(b.build, testPool(3), 8, 5)
 
 	errs := make(chan error, 2)
 	go func() {
@@ -190,7 +185,7 @@ func TestBuilderErrorReachesEveryWaiter(t *testing.T) {
 // that does not cover the pool is refused, not served.
 func TestBuilderShortViewIsAnError(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 2}
-	s := NewOver(b.build, testPool(3), 8, 5, nil)
+	s := NewOver(b.build, testPool(3), 8, 5)
 	if _, err := s.Acquire(1); err == nil {
 		t.Error("a 2-score view over a 3-item pool was served")
 	}
@@ -201,30 +196,24 @@ func TestBuilderShortViewIsAnError(t *testing.T) {
 
 // TestCapacityZeroNeverRetains pins the pass-through store: every
 // acquire reaches the builder, nothing is ever resident or evicted,
-// and sweeps have nothing to do — at any shard count.
+// and sweeps have nothing to do.
 func TestCapacityZeroNeverRetains(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		m, err := shard.New(shards)
-		if err != nil {
+	b := &scriptedBuilder{poolLen: 3}
+	s := NewOver(b.build, testPool(3), 0, 5)
+	for round := 0; round < 3; round++ {
+		if _, err := s.AcquireMulti([]dataset.UserID{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-		b := &scriptedBuilder{poolLen: 3}
-		s := NewOver(b.build, testPool(3), 0, 5, m)
-		for round := 0; round < 3; round++ {
-			if _, err := s.AcquireMulti([]dataset.UserID{1, 2, 3}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := s.Stats()
-		if st.Size != 0 || st.ViewHits != 0 || st.ViewBuilds != 9 || st.Evictions != 0 {
-			t.Errorf("shards=%d: stats = %+v, want 9 builds and nothing else", shards, st)
-		}
-		if got := len(b.callLog()); got != 3 {
-			t.Errorf("shards=%d: builder calls = %d, want 3 (one per acquire)", shards, got)
-		}
-		if dropped := s.InvalidateAll(); dropped != 0 {
-			t.Errorf("shards=%d: sweep dropped %d views from an empty store", shards, dropped)
-		}
+	}
+	st := s.Stats()
+	if st.Size != 0 || st.ViewHits != 0 || st.ViewBuilds != 9 || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want 9 builds and nothing else", st)
+	}
+	if got := len(b.callLog()); got != 3 {
+		t.Errorf("builder calls = %d, want 3 (one per acquire)", got)
+	}
+	if dropped := s.InvalidateAll(); dropped != 0 {
+		t.Errorf("sweep dropped %d views from an empty store", dropped)
 	}
 }
 
@@ -233,21 +222,20 @@ func TestCapacityZeroNeverRetains(t *testing.T) {
 // counted like a settled one.
 func TestInvalidateAllDropsMidBuildEntries(t *testing.T) {
 	s := New(&stubSource{}, testPool(4), 8, 5)
-	p := s.part(7)
-	p.mu.Lock()
-	p.entries[7] = &userEntry{} // registered, build not yet settled
-	p.ring = append(p.ring, 7)
-	p.mu.Unlock()
+	s.mu.Lock()
+	s.entries[7] = &userEntry{} // registered, build not yet settled
+	s.ring = append(s.ring, 7)
+	s.mu.Unlock()
 	if dropped := s.InvalidateAll(); dropped != 1 {
 		t.Errorf("sweep dropped %d mid-build entries, want 1", dropped)
 	}
-	if s.Len() != 0 || len(p.ring) != 0 {
-		t.Errorf("mid-build entry survived the sweep: %d resident, ring %v", s.Len(), p.ring)
+	if s.Len() != 0 || len(s.ring) != 0 {
+		t.Errorf("mid-build entry survived the sweep: %d resident, ring %v", s.Len(), s.ring)
 	}
 }
 
 // TestAcquireMultiServesMemberEvictedMidCall pins that a call's views
-// are its own: on a one-slot part the second member of a call evicts the
+// are its own: on a one-slot store the second member of a call evicts the
 // first, and both views still come back, each equal to a fresh build.
 func TestAcquireMultiServesMemberEvictedMidCall(t *testing.T) {
 	s := New(&stubSource{}, testPool(4), 1, 5)
@@ -275,11 +263,7 @@ func TestAcquireMultiServesMemberEvictedMidCall(t *testing.T) {
 // no call deadlocks waiting on another's entries.
 func TestAcquireMultiConcurrentOverlappingGroups(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 5}
-	m, err := shard.New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewOver(b.build, testPool(5), 64, 5, m)
+	s := NewOver(b.build, testPool(5), 64, 5)
 
 	const users = 12
 	var wg sync.WaitGroup

@@ -21,13 +21,11 @@
 // Eviction, invalidation and coherence with ingest are the store's own
 // and identical under both.
 //
-// The Store is a thin fan-out over per-shard sub-stores: a shard.Map
-// routes each user to the part holding its view slot, and every part
-// keeps its own mutex, CLOCK ring, capacity budget, and counters.
-// Acquiring or invalidating a view therefore locks exactly one shard —
-// invalidation traffic on one shard never blocks view serving on
-// another. Candidate mappings are pool-indexed (user-independent) and
-// computed per call at the fan-out level, touching no shard.
+// A Store is one mutex, one CLOCK ring, one capacity budget and one set
+// of counters, whatever the world's shard count: the lock is held only
+// to link or unlink a slot, never during a build. Candidate mappings
+// are pool-indexed (user-independent) and computed per call without the
+// lock.
 package liststore
 
 import (
@@ -40,7 +38,6 @@ import (
 	"repro/internal/cf"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
 // DefaultMaxUsers bounds materialized per-user views. A view over a
@@ -79,20 +76,17 @@ type Mapping struct {
 
 // Stats is the store's observability surface for /stats: view traffic
 // (hits vs builds, rebuilds after invalidation), lifecycle counters and
-// patch volume. The per-user counters aggregate across shards (they are
-// exactly the sum of StatsByShard); the patch counter is store-global,
-// since a patch set is a property of the candidate slice, not of a
-// shard.
+// patch volume.
 type Stats struct {
 	// ViewHits counts Acquire calls answered by a materialized view;
 	// ViewBuilds counts materializations (first use or after eviction);
-	// Rebuilds is the subset of builds that followed an Invalidate.
+	// Rebuilds is the subset of builds that followed an InvalidateAll.
 	ViewHits   uint64 `json:"view_hits"`
 	ViewBuilds uint64 `json:"view_builds"`
 	Rebuilds   uint64 `json:"rebuilds"`
-	// Invalidations counts views dropped by Invalidate or InvalidateAll
-	// (every resident view, on each rating ingest); Evictions counts
-	// views dropped by capacity pressure.
+	// Invalidations counts views dropped by InvalidateAll (every
+	// resident view, on each rating ingest); Evictions counts views
+	// dropped by capacity pressure.
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
 	// WarmLoads counts views installed from a snapshot restore instead
@@ -108,25 +102,10 @@ type Stats struct {
 	PoolSize int `json:"pool_size"`
 }
 
-// ShardStats is one shard part's slice of the per-user counters — the
-// /stats per-shard breakdown. The fields sum exactly to the matching
-// aggregate Stats fields. MaxUsers is the part's CLOCK budget (the
-// store budget split across shards).
-type ShardStats struct {
-	ViewHits      uint64 `json:"view_hits"`
-	ViewBuilds    uint64 `json:"view_builds"`
-	Rebuilds      uint64 `json:"rebuilds"`
-	Invalidations uint64 `json:"invalidations"`
-	Evictions     uint64 `json:"evictions"`
-	WarmLoads     uint64 `json:"warm_loads"`
-	Size          int    `json:"size"`
-	MaxUsers      int    `json:"max_users"`
-}
-
 // userEntry tracks one user's view slot. The acquirer that inserted it
 // builds the view and closes done; everyone else finding it mid-build
 // waits on done. view is atomic because acquirers and exports read it
-// while the builder publishes it without the part lock — an entry with
+// while the builder publishes it without the store lock — an entry with
 // a nil view is still mid-build, or failed with err (written before
 // done closes).
 type userEntry struct {
@@ -136,10 +115,14 @@ type userEntry struct {
 	ref  atomic.Bool // CLOCK reference bit
 }
 
-// storePart is one shard's sub-store: the view slots of exactly the
-// users hashing to this shard, under their own mutex, CLOCK ring, and
-// capacity budget.
-type storePart struct {
+// Store materializes and serves per-user sorted preference views over a
+// fixed base pool. Views build lazily on first acquire through the
+// store's Builder, are bounded by a CLOCK (second-chance) policy, and
+// all drop on InvalidateAll. Safe for concurrent use.
+type Store struct {
+	build    Builder
+	pool     []dataset.ItemID
+	divisor  float64
 	maxUsers int
 
 	mu      sync.Mutex
@@ -155,84 +138,44 @@ type storePart struct {
 	invalidations atomic.Uint64
 	evictions     atomic.Uint64
 	warmLoads     atomic.Uint64
+	patchItems    atomic.Uint64
 }
 
-func newStorePart(maxUsers int) *storePart {
-	return &storePart{
-		maxUsers:    maxUsers,
-		entries:     make(map[dataset.UserID]*userEntry),
-		invalidated: make(map[dataset.UserID]bool),
-	}
-}
-
-// Store materializes and serves per-user sorted preference views over a
-// fixed base pool, fanned out over per-shard sub-stores. Views build
-// lazily on first acquire through the store's Builder, are bounded per
-// shard by a CLOCK (second-chance) policy over that shard's users, and
-// drop on Invalidate. Safe for concurrent use.
-type Store struct {
-	build   Builder
-	pool    []dataset.ItemID
-	divisor float64
-	sm      shard.Map
-	parts   []*storePart
-
-	patchItems atomic.Uint64
-}
-
-// New builds an unsharded store over src and pool; see NewSharded.
-func New(src cf.Source, pool []dataset.ItemID, maxUsers int, divisor float64) *Store {
-	return NewSharded(src, pool, maxUsers, divisor, nil)
-}
-
-// NewSharded builds a store whose views are built in place from src
+// New builds a store whose views are built in place from src
 // (LocalBuilder, GOMAXPROCS workers); maxUsers <= 0 selects
 // DefaultMaxUsers. See NewOver for the remaining parameters. Returns
 // nil for a nil source.
-func NewSharded(src cf.Source, pool []dataset.ItemID, maxUsers int, divisor float64, m shard.Map) *Store {
+func New(src cf.Source, pool []dataset.ItemID, maxUsers int, divisor float64) *Store {
 	if src == nil {
 		return nil
 	}
 	if maxUsers <= 0 {
 		maxUsers = DefaultMaxUsers
 	}
-	return NewOver(LocalBuilder(src, pool, divisor, 0), pool, maxUsers, divisor, m)
+	return NewOver(LocalBuilder(src, pool, divisor, 0), pool, maxUsers, divisor)
 }
 
 // NewOver builds a store that materializes missing views through build,
 // over pool (the popularity-ranked candidate base; the slice is
-// retained and must not change), partitioned into one sub-store per
-// shard of m (nil = one part, the unsharded layout). capacity bounds
-// materialized views across the whole store and is split across the
-// parts, each getting at least one slot; with m = Single the one part
-// keeps the whole budget. capacity <= 0 retains nothing: every acquire
-// goes to the builder and the view is handed to its caller only.
-// divisor is the normalization the engine applies to predictions (5
-// maps the 1..5 rating scale onto [0,1]); stored scores are pre-divided
-// so views feed problems directly. Returns nil for an empty pool — a
-// store over nothing serves nothing.
-func NewOver(build Builder, pool []dataset.ItemID, capacity int, divisor float64, m shard.Map) *Store {
+// retained and must not change). capacity bounds materialized views;
+// capacity <= 0 retains nothing: every acquire goes to the builder and
+// the view is handed to its caller only. divisor is the normalization
+// the engine applies to predictions (5 maps the 1..5 rating scale onto
+// [0,1]); stored scores are pre-divided so views feed problems
+// directly. Returns nil for an empty pool — a store over nothing serves
+// nothing.
+func NewOver(build Builder, pool []dataset.ItemID, capacity int, divisor float64) *Store {
 	if len(pool) == 0 || build == nil || divisor == 0 {
 		return nil
 	}
-	sm := shard.Normalize(m)
-	s := &Store{
-		build:   build,
-		pool:    pool,
-		divisor: divisor,
-		sm:      sm,
+	return &Store{
+		build:       build,
+		pool:        pool,
+		divisor:     divisor,
+		maxUsers:    max(capacity, 0),
+		entries:     make(map[dataset.UserID]*userEntry),
+		invalidated: make(map[dataset.UserID]bool),
 	}
-	// Split hands every part at least one slot, so "retain nothing" is
-	// its own case rather than a zero passed down.
-	budgets := make([]int, sm.N())
-	if capacity > 0 {
-		budgets = shard.Split(sm, capacity)
-	}
-	s.parts = make([]*storePart, sm.N())
-	for i := range s.parts {
-		s.parts[i] = newStorePart(budgets[i])
-	}
-	return s
 }
 
 // LocalBuilder is the in-process Builder: per user, one batch prediction
@@ -279,14 +222,6 @@ func (s *Store) Pool() []dataset.ItemID { return s.pool }
 // Divisor returns the normalization the stored scores carry.
 func (s *Store) Divisor() float64 { return s.divisor }
 
-// Sharding returns the shard map routing users onto sub-stores.
-func (s *Store) Sharding() shard.Map { return s.sm }
-
-// part returns the sub-store holding u's view slot.
-func (s *Store) part(u dataset.UserID) *storePart {
-	return s.parts[s.sm.Of(int64(u))]
-}
-
 // Acquire returns u's view; see AcquireMulti.
 func (s *Store) Acquire(u dataset.UserID) (*View, error) {
 	vs, err := s.AcquireMulti([]dataset.UserID{u})
@@ -300,10 +235,9 @@ func (s *Store) Acquire(u dataset.UserID) (*View, error) {
 // materializing the missing ones through one Builder call. The returned
 // views are immutable and remain valid even if the store evicts or
 // invalidates their users afterwards (callers keep a reference; the
-// store just forgets it). Each lookup locks only that user's shard
-// part, so acquirers on different shards never contend.
+// store just forgets it).
 //
-// A miss links a mid-build entry under the part lock before anything is
+// A miss links a mid-build entry under the store lock before anything is
 // built: concurrent acquirers of the same user find it and wait instead
 // of building twice, and an ingest's sweep unlinks a mid-build entry
 // like any other — the view its builder then delivers reaches the
@@ -324,13 +258,12 @@ func (s *Store) AcquireMulti(users []dataset.UserID) ([]*View, error) {
 		missEntries []*userEntry
 	)
 	for i, u := range users {
-		p := s.part(u)
-		p.mu.Lock()
-		e, ok := p.entries[u]
+		s.mu.Lock()
+		e, ok := s.entries[u]
 		if ok {
 			e.ref.Store(true)
-			p.mu.Unlock()
-			p.viewHits.Add(1)
+			s.mu.Unlock()
+			s.viewHits.Add(1)
 			if out[i] = e.view.Load(); out[i] == nil {
 				unsettled = append(unsettled, unsettledView{slot: i, entry: e})
 			}
@@ -338,17 +271,17 @@ func (s *Store) AcquireMulti(users []dataset.UserID) ([]*View, error) {
 		}
 		e = &userEntry{done: make(chan struct{})}
 		e.ref.Store(true) // enter referenced: a just-built view is never the next sweep's first victim
-		if p.maxUsers > 0 {
-			p.evictLocked()
-			p.entries[u] = e
-			p.ring = append(p.ring, u)
+		if s.maxUsers > 0 {
+			s.evictLocked()
+			s.entries[u] = e
+			s.ring = append(s.ring, u)
 		}
-		rebuilt := p.invalidated[u]
-		delete(p.invalidated, u)
-		p.mu.Unlock()
-		p.viewBuilds.Add(1)
+		rebuilt := s.invalidated[u]
+		delete(s.invalidated, u)
+		s.mu.Unlock()
+		s.viewBuilds.Add(1)
 		if rebuilt {
-			p.rebuilds.Add(1)
+			s.rebuilds.Add(1)
 		}
 		unsettled = append(unsettled, unsettledView{slot: i, entry: e})
 		misses = append(misses, u)
@@ -393,31 +326,25 @@ func (s *Store) buildMisses(misses []dataset.UserID, entries []*userEntry) {
 			e.view.Store(views[j])
 		}
 		if e.err != nil {
-			s.part(u).unlink(u, e)
+			s.unlink(u, e)
 		}
 		close(e.done)
 	}
 }
 
 // unlink removes u's slot if it still holds e.
-func (p *storePart) unlink(u dataset.UserID, e *userEntry) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.entries[u] != e {
+func (s *Store) unlink(u dataset.UserID, e *userEntry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[u] != e {
 		return
 	}
-	delete(p.entries, u)
-	p.dropFromRingLocked(u)
-}
-
-// dropFromRingLocked removes u from the CLOCK ring, keeping the hand on
-// the same successor. Callers hold the part's mu.
-func (p *storePart) dropFromRingLocked(u dataset.UserID) {
-	for i, ru := range p.ring {
+	delete(s.entries, u)
+	for i, ru := range s.ring {
 		if ru == u {
-			p.ring = append(p.ring[:i], p.ring[i+1:]...)
-			if p.hand > i {
-				p.hand--
+			s.ring = append(s.ring[:i], s.ring[i+1:]...)
+			if s.hand > i {
+				s.hand--
 			}
 			return
 		}
@@ -426,21 +353,21 @@ func (p *storePart) dropFromRingLocked(u dataset.UserID) {
 
 // evictLocked makes room for one more view via CLOCK: sweep the ring,
 // give referenced entries a second chance, evict the first
-// unreferenced one. Callers hold the part's mu.
-func (p *storePart) evictLocked() {
-	for len(p.ring) >= p.maxUsers {
-		if p.hand >= len(p.ring) {
-			p.hand = 0
+// unreferenced one. Callers hold mu.
+func (s *Store) evictLocked() {
+	for len(s.ring) >= s.maxUsers {
+		if s.hand >= len(s.ring) {
+			s.hand = 0
 		}
-		u := p.ring[p.hand]
-		e := p.entries[u]
+		u := s.ring[s.hand]
+		e := s.entries[u]
 		if e.ref.CompareAndSwap(true, false) {
-			p.hand++
+			s.hand++
 			continue
 		}
-		delete(p.entries, u)
-		p.ring = append(p.ring[:p.hand], p.ring[p.hand+1:]...)
-		p.evictions.Add(1)
+		delete(s.entries, u)
+		s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
+		s.evictions.Add(1)
 	}
 }
 
@@ -461,23 +388,6 @@ func NewView(scores []float64) *View {
 	return &View{Scores: scores, Sorted: &core.SortedView{Entries: entries}}
 }
 
-// Invalidate drops u's view alone (the next Acquire rebuilds) — targeted
-// cache management, not the ingest hook. Only u's shard part is locked.
-// It reports whether a view was actually dropped.
-func (s *Store) Invalidate(u dataset.UserID) bool {
-	p := s.part(u)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.entries[u]; !ok {
-		return false
-	}
-	delete(p.entries, u)
-	p.dropFromRingLocked(u)
-	p.invalidated[u] = true
-	p.invalidations.Add(1)
-	return true
-}
-
 // InvalidateAll drops every materialized view — the one thing a rating
 // ingest does to the store: a rating shifts the fallback means and can
 // reach any user's neighborhood, and no view is re-read often enough
@@ -486,20 +396,16 @@ func (s *Store) Invalidate(u dataset.UserID) bool {
 // In-flight builds are unlinked with the rest, so whatever they finish
 // computing is returned to their callers but never served again.
 func (s *Store) InvalidateAll() int {
-	n := 0
-	for _, p := range s.parts {
-		p.mu.Lock()
-		dropped := len(p.entries)
-		for u := range p.entries {
-			delete(p.entries, u)
-			p.invalidated[u] = true
-		}
-		p.ring = p.ring[:0]
-		p.hand = 0
-		p.mu.Unlock()
-		p.invalidations.Add(uint64(dropped))
-		n += dropped
+	s.mu.Lock()
+	n := len(s.entries)
+	for u := range s.entries {
+		delete(s.entries, u)
+		s.invalidated[u] = true
 	}
+	s.ring = s.ring[:0]
+	s.hand = 0
+	s.mu.Unlock()
+	s.invalidations.Add(uint64(n))
 	return n
 }
 
@@ -516,17 +422,15 @@ type UserView struct {
 // (views are immutable); callers must not mutate them.
 func (s *Store) ExportViews() []UserView {
 	var out []UserView
-	for _, p := range s.parts {
-		p.mu.Lock()
-		for u, e := range p.entries {
-			// Only settled views export: an entry mid-build has a nil
-			// view and will be rebuilt on next start anyway.
-			if v := e.view.Load(); v != nil {
-				out = append(out, UserView{User: u, Scores: v.Scores})
-			}
+	s.mu.Lock()
+	for u, e := range s.entries {
+		// Only settled views export: an entry mid-build has a nil view
+		// and will be rebuilt on next start anyway.
+		if v := e.view.Load(); v != nil {
+			out = append(out, UserView{User: u, Scores: v.Scores})
 		}
-		p.mu.Unlock()
 	}
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
 	return out
 }
@@ -538,27 +442,26 @@ func (s *Store) ExportViews() []UserView {
 // restart skipped the rebuild. Views with a score length that does not
 // match the pool are skipped (a snapshot/config mismatch the caller's
 // fingerprint should have caught), as are users already resident and
-// users beyond a part's capacity budget.
+// users beyond the capacity budget.
 func (s *Store) RestoreViews(views []UserView) int {
 	restored := 0
 	for _, uv := range views {
 		if len(uv.Scores) != len(s.pool) {
 			continue
 		}
-		p := s.part(uv.User)
-		p.mu.Lock()
-		if _, ok := p.entries[uv.User]; ok || len(p.ring) >= p.maxUsers {
-			p.mu.Unlock()
+		s.mu.Lock()
+		if _, ok := s.entries[uv.User]; ok || len(s.ring) >= s.maxUsers {
+			s.mu.Unlock()
 			continue
 		}
 		e := &userEntry{}
 		e.ref.Store(true)
 		e.view.Store(NewView(uv.Scores))
-		p.entries[uv.User] = e
-		p.ring = append(p.ring, uv.User)
-		delete(p.invalidated, uv.User)
-		p.mu.Unlock()
-		p.warmLoads.Add(1)
+		s.entries[uv.User] = e
+		s.ring = append(s.ring, uv.User)
+		delete(s.invalidated, uv.User)
+		s.mu.Unlock()
+		s.warmLoads.Add(1)
 		restored++
 	}
 	return restored
@@ -590,70 +493,25 @@ func (s *Store) MapCandidates(items []dataset.ItemID) Mapping {
 // serve the slice from views at all.
 func (s *Store) NotePatched(n int) { s.patchItems.Add(uint64(n)) }
 
-// Len reports the number of materialized views across all shards.
+// Len reports the number of materialized views.
 func (s *Store) Len() int {
-	n := 0
-	for _, p := range s.parts {
-		p.mu.Lock()
-		n += len(p.entries)
-		p.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
 }
 
-// statsOf snapshots one part's counters.
-func (p *storePart) statsOf() ShardStats {
-	p.mu.Lock()
-	size := len(p.entries)
-	p.mu.Unlock()
-	return ShardStats{
-		ViewHits:      p.viewHits.Load(),
-		ViewBuilds:    p.viewBuilds.Load(),
-		Rebuilds:      p.rebuilds.Load(),
-		Invalidations: p.invalidations.Load(),
-		Evictions:     p.evictions.Load(),
-		WarmLoads:     p.warmLoads.Load(),
-		Size:          size,
-		MaxUsers:      p.maxUsers,
-	}
-}
-
-// StatsByShard snapshots each sub-store's per-user counters separately
-// (the /stats per-shard breakdown); the entries sum exactly to the
-// matching fields of Stats.
-func (s *Store) StatsByShard() []ShardStats {
-	out := make([]ShardStats, len(s.parts))
-	for i, p := range s.parts {
-		out[i] = p.statsOf()
-	}
-	return out
-}
-
-// Stats snapshots the store's counters: the per-user counters summed
-// across shards plus the store-global patch counter. The counters are
-// atomic and only eventually consistent with each other.
+// Stats snapshots the store's counters. The counters are atomic and
+// only eventually consistent with each other.
 func (s *Store) Stats() Stats {
-	return s.StatsFrom(s.StatsByShard())
-}
-
-// StatsFrom builds the aggregate Stats from an existing per-shard
-// snapshot (as returned by StatsByShard) plus the store-global patch
-// counter. Callers that need both the breakdown and the aggregate take
-// one snapshot and derive both from it, so the two levels agree exactly
-// and every part's lock is taken once.
-func (s *Store) StatsFrom(parts []ShardStats) Stats {
-	st := Stats{
-		PatchItems: s.patchItems.Load(),
-		PoolSize:   len(s.pool),
+	return Stats{
+		ViewHits:      s.viewHits.Load(),
+		ViewBuilds:    s.viewBuilds.Load(),
+		Rebuilds:      s.rebuilds.Load(),
+		Invalidations: s.invalidations.Load(),
+		Evictions:     s.evictions.Load(),
+		WarmLoads:     s.warmLoads.Load(),
+		PatchItems:    s.patchItems.Load(),
+		Size:          s.Len(),
+		PoolSize:      len(s.pool),
 	}
-	for _, ss := range parts {
-		st.ViewHits += ss.ViewHits
-		st.ViewBuilds += ss.ViewBuilds
-		st.Rebuilds += ss.Rebuilds
-		st.Invalidations += ss.Invalidations
-		st.Evictions += ss.Evictions
-		st.WarmLoads += ss.WarmLoads
-		st.Size += ss.Size
-	}
-	return st
 }

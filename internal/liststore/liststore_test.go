@@ -204,24 +204,6 @@ func TestClockEviction(t *testing.T) {
 	}
 }
 
-func TestInvalidateRebuilds(t *testing.T) {
-	src := &stubSource{}
-	s := New(src, testPool(5), 4, 5)
-
-	if s.Invalidate(7) {
-		t.Error("invalidating an unknown user reported a drop")
-	}
-	mustAcquire(s, 7)
-	if !s.Invalidate(7) {
-		t.Error("invalidating a resident user reported no drop")
-	}
-	mustAcquire(s, 7)
-	st := s.Stats()
-	if st.Invalidations != 1 || st.Rebuilds != 1 || st.ViewBuilds != 2 {
-		t.Errorf("stats = %+v, want 1 invalidation, 1 rebuild, 2 builds", st)
-	}
-}
-
 // TestMapCandidates pins the mapping shape: candidate slices that
 // filter the pool in order map monotonically, everything else lands in
 // the patch suffix.
@@ -284,7 +266,7 @@ func TestAcquireConcurrent(t *testing.T) {
 					panic("short view")
 				}
 				if r%10 == 0 {
-					s.Invalidate(u)
+					s.InvalidateAll()
 				}
 				s.MapCandidates([]dataset.ItemID{10, 20, 30})
 				_ = s.Stats()
@@ -390,5 +372,31 @@ func TestInvalidateAll(t *testing.T) {
 	}
 	if got := src.batchCalls.Load(); got != 8 {
 		t.Errorf("source batch calls = %d, want 8 (4 builds + 4 rebuilds)", got)
+	}
+}
+
+// TestInvalidateAllEmptiesRing: the sweep empties the CLOCK ring with
+// the entries, so a store swept at capacity refills to capacity without
+// evicting, and the next view past it evicts exactly one.
+func TestInvalidateAllEmptiesRing(t *testing.T) {
+	s := New(&stubSource{}, testPool(4), 8, 5)
+	for u := dataset.UserID(0); u < 8; u++ {
+		mustAcquire(s, u)
+	}
+	if dropped := s.InvalidateAll(); dropped != 8 {
+		t.Fatalf("sweep dropped %d views, want 8", dropped)
+	}
+	if len(s.ring) != 0 {
+		t.Fatalf("ring kept %v through the sweep", s.ring)
+	}
+	for u := dataset.UserID(10); u < 18; u++ {
+		mustAcquire(s, u)
+	}
+	if st := s.Stats(); st.Evictions != 0 || st.Size != 8 {
+		t.Errorf("refill after the sweep: stats = %+v, want 0 evictions at size 8", st)
+	}
+	mustAcquire(s, 18)
+	if st := s.Stats(); st.Evictions != 1 || st.Size != 8 {
+		t.Errorf("one view past capacity: stats = %+v, want 1 eviction at size 8", st)
 	}
 }

@@ -721,11 +721,11 @@ func (c *Client) Apply(seq uint64, r dataset.Rating) (ApplyAck, error) {
 	return decodeApplyAck(out)
 }
 
-// ShardStats fetches the worker's per-owned-shard cache counters.
-func (c *Client) ShardStats() ([]ShardStats, error) {
+// Stats fetches the worker's cache totals.
+func (c *Client) Stats() (Stats, error) {
 	out, err := c.call(opStats, nil, true, nil)
 	if err != nil {
-		return nil, err
+		return Stats{}, err
 	}
 	return decodeStats(out)
 }
@@ -797,11 +797,10 @@ func LoadTopology(path string) (Topology, error) {
 
 // ShardSet is the router's view of the worker fleet: one client per
 // worker, the shard→owner routing, and the scatter/gather data-plane
-// operations the world plugs in behind its shard.Map. Safe for
-// concurrent use.
+// operations the world plugs in. Safe for concurrent use.
 type ShardSet struct {
 	top     Topology
-	sm      shard.Map
+	sm      *shard.Map
 	owner   []*Client // per shard
 	clients []*Client // distinct, in worker order
 	// fanoutErrs counts apply deliveries that failed after retries;
@@ -843,7 +842,7 @@ func NewShardSet(top Topology, cfg ClientConfig) (*ShardSet, error) {
 
 // hashMapFor returns the canonical n-way hash map (n validated by the
 // topology/world already).
-func hashMapFor(n int) shard.Map {
+func hashMapFor(n int) *shard.Map {
 	m, err := shard.New(n)
 	if err != nil {
 		panic(err) // unreachable: n >= 1 is validated upstream
@@ -1087,33 +1086,24 @@ func (s *ShardSet) TransportStats() TransportStats {
 	return t
 }
 
-// StatsByShard gathers every worker's per-shard cache counters into
-// shard order. Unreachable workers leave zero-valued entries (their
-// shards are degraded, not absent); ok[sh] reports which entries are
-// live. The first error is returned alongside for logging.
-func (s *ShardSet) StatsByShard() ([]ShardStats, []bool, error) {
-	out := make([]ShardStats, s.top.Shards)
-	ok := make([]bool, s.top.Shards)
-	for i := range out {
-		out[i].Shard = i
-	}
+// Stats sums the cache totals of every reachable worker. An
+// unreachable worker contributes nothing — its shards are degraded, not
+// failing the whole answer — and the first error is returned alongside
+// for logging.
+func (s *ShardSet) Stats() (Stats, error) {
+	var sum Stats
 	var firstErr error
 	for _, cl := range s.clients {
-		ss, err := cl.ShardStats()
+		st, err := cl.Stats()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		for _, st := range ss {
-			if st.Shard >= 0 && st.Shard < len(out) {
-				out[st.Shard] = st
-				ok[st.Shard] = true
-			}
-		}
+		sum.add(st)
 	}
-	return out, ok, firstErr
+	return sum, firstErr
 }
 
 // Close severs every client's pool.

@@ -1,15 +1,13 @@
 // Package remote is the multi-process transport of the sharded world:
 // a length-prefixed binary RPC layer that puts shard workers in their
-// own processes behind the same shard.Map routing the in-process world
-// uses. A greca-shard worker owns the per-user hot state of the shards
-// assigned to it — rating arena replica, CF caches, sorted-list
-// sub-store — and serves the per-shard data-plane operations (view
-// fetch, batch predict, rating apply, stats) to the router, which
+// own processes behind the shard.Map routing users to workers. A
+// greca-shard worker holds a full replica of the world and serves the
+// users of the shards assigned to it — their views, prediction rows and
+// cache counters — plus every rating apply, to the router, which
 // scatters mixed-shard groups, gathers rows, and runs the GRECA core
-// locally. Sharding — local or remote — only moves
-// where state lives, never any computed value, so a router fronting N
-// worker processes serves byte-identical responses to the in-process
-// world at the same shard count.
+// locally. Routing only decides which process computes a value, never
+// the value, so a router fronting N worker processes serves
+// byte-identical responses to the in-process world.
 //
 // Framing shares the persistence layer's record style: every frame
 // carries a magic, a protocol version, a per-connection sequence
@@ -44,13 +42,14 @@ import (
 //	crc     u32  CRC32 (IEEE) over header + payload
 const (
 	frameMagic = uint32(0x41435247) // "GRCA" little-endian
-	// frameVersion 4: version 3 (worker-batched multi-user reads, the
-	// protocol version advertised in the hello ack) without the
-	// scoped-invalidation relay — a view chunk is scores only, an apply
-	// ack counters only — and without the per-user invalidate op. It is
-	// the only version spoken: router and workers deploy from one build,
-	// and a frame at any other version is ErrVersionSkew.
-	frameVersion = uint16(4)
+	// frameVersion 5: version 4 (worker-batched multi-user reads, view
+	// chunks of scores only, the protocol version advertised in the
+	// hello ack) with a stats answer of one worker's totals instead of
+	// one entry per owned shard, and an apply ack of the applied count
+	// alone. It is the only version spoken: router and workers deploy
+	// from one build, and a frame at any other version is
+	// ErrVersionSkew.
+	frameVersion = uint16(5)
 	frameHdrLen  = 4 + 2 + 1 + 1 + 8 + 4
 	frameCRCLen  = 4
 )
@@ -73,12 +72,12 @@ const (
 	kindError    = uint8(6) // terminal failure (code + message payload)
 )
 
-// Operations of the per-shard data plane. Codes 1 and 2 were the
+// Operations of the data plane. Codes 1 and 2 were the
 // single-user reads the batched ops replaced and 4 the per-user view
 // drop nothing called; they stay retired.
 const (
 	opApply = uint8(3) // rating → apply + ack
-	opStats = uint8(5) // () → per-owned-shard cache stats
+	opStats = uint8(5) // () → the worker's cache totals
 
 	// Batched reads: one request carries every group member the worker
 	// owns, so an assembly costs one round trip per worker, not one per

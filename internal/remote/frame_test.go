@@ -78,10 +78,10 @@ func TestFrameBadMagic(t *testing.T) {
 	}
 }
 
-// TestFrameVersionSkew: a peer from a different build — newer, or the
-// retired version 2 — is refused frame by frame.
+// TestFrameVersionSkew: a peer from a different build — newer, or a
+// retired version 2 to 4 — is refused frame by frame.
 func TestFrameVersionSkew(t *testing.T) {
-	for _, v := range []uint16{frameVersion + 1, 3, 2} {
+	for _, v := range []uint16{frameVersion + 1, 4, 3, 2} {
 		raw := encodeFrameBytes(t, frame{kind: kindResult, seq: 1})
 		binary.LittleEndian.PutUint16(raw[4:], v)
 		if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersionSkew) {
@@ -139,7 +139,7 @@ func TestWireShortPayloads(t *testing.T) {
 		"predict":  encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{3}, Items: []dataset.ItemID{1, 2, 3}}),
 		"row":      encodePredictMultiRow(predictMultiRow{Index: 2, Values: []float64{1, 2, 3}}),
 		"apply":    encodeApplyReq(applyReq{Seq: 9, Rating: dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4}}),
-		"ack":      encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4}),
+		"ack":      encodeApplyAck(ApplyAck{Applied: 2}),
 		"appError": encodeAppError("internal", "msg"),
 	}
 	decode := map[string]func([]byte) error{
@@ -187,8 +187,8 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil || len(owned) != 3 || owned[0] != 2 || owned[1] != 0 || owned[2] != 5 || ver != frameVersion {
 		t.Errorf("helloAck: %v, v%d, %v", owned, ver, err)
 	}
-	ack, err := decodeApplyAck(encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4}))
-	if err != nil || ack != (ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4}) {
+	ack, err := decodeApplyAck(encodeApplyAck(ApplyAck{Applied: 2}))
+	if err != nil || ack != (ApplyAck{Applied: 2}) {
 		t.Errorf("applyAck: %+v, %v", ack, err)
 	}
 	c, err := decodeViewMultiChunk(encodeViewMultiChunk(viewMultiChunk{Index: 2, Total: 9, Offset: 6, Scores: []float64{0.5, 0.25}}))
@@ -203,9 +203,11 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil || ar.Seq != 12 || ar.Rating != (dataset.Rating{User: 1, Item: 2, Value: 4.5, Time: -3}) {
 		t.Errorf("applyReq: %+v, %v", ar, err)
 	}
-	ss, err := decodeStats(mustEncodeStats(t, []ShardStats{{Shard: 3}}))
-	if err != nil || len(ss) != 1 || ss[0].Shard != 3 {
-		t.Errorf("stats: %+v, %v", ss, err)
+	var want Stats
+	want.ListStore.ViewHits, want.Neighborhoods.Retained = 3, 4
+	st, err := decodeStats(mustEncodeStats(t, want))
+	if err != nil || st != want {
+		t.Errorf("stats: %+v, %v", st, err)
 	}
 	if _, err := decodeStats([]byte("{not json")); !errors.Is(err, ErrProtocol) {
 		t.Errorf("corrupt stats: err = %v, want ErrProtocol", err)
@@ -213,7 +215,7 @@ func TestWireRoundTrips(t *testing.T) {
 }
 
 // TestWireGoldenBytes pins the hot payloads' encoded bytes at
-// frameVersion 4 (a chunk is version 3's without the flags byte and the
+// frameVersion 5 (a chunk is version 3's without the flags byte and the
 // fallback tail; the predict row is unchanged): an encoder that sizes
 // its buffer differently must still emit exactly these.
 func TestWireGoldenBytes(t *testing.T) {
@@ -242,9 +244,9 @@ func TestWireGoldenBytes(t *testing.T) {
 	}
 }
 
-func mustEncodeStats(t *testing.T, ss []ShardStats) []byte {
+func mustEncodeStats(t *testing.T, st Stats) []byte {
 	t.Helper()
-	p, err := encodeStats(ss)
+	p, err := encodeStats(st)
 	if err != nil {
 		t.Fatalf("encodeStats: %v", err)
 	}

@@ -87,16 +87,16 @@ func FuzzDecodeHelloAck(f *testing.F) {
 }
 
 func FuzzDecodeApplyAck(f *testing.F) {
-	full := encodeApplyAck(ApplyAck{Pending: 1, Applied: 2, Folds: 3, Folded: 4})
+	full := encodeApplyAck(ApplyAck{Applied: 2})
 	f.Add(full)
-	f.Add(encodeApplyAck(ApplyAck{Pending: 1}))
-	// The retired version-3 shape: a scoped flag and two stale users after
-	// the counters. Never seen in a version-4 frame; trailing bytes are
-	// ignored like any decoder's.
-	f.Add(append(append([]byte(nil), full...), 1, 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(encodeApplyAck(ApplyAck{}))
+	// The retired version-4 shape: pending, applied, folds and folded.
+	// Never seen in a version-5 frame; trailing bytes are ignored like
+	// any decoder's.
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(full[:len(full)-3])
 	f.Add([]byte{})
-	f.Add(full[:8])
+	f.Add(full[:4])
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if _, err := decodeApplyAck(p); err != nil {
 			if !errors.Is(err, ErrProtocol) {
@@ -104,8 +104,8 @@ func FuzzDecodeApplyAck(f *testing.F) {
 			}
 			return
 		}
-		if len(p) < 32 {
-			t.Fatalf("decoded four counters out of %d bytes", len(p))
+		if len(p) < 8 {
+			t.Fatalf("decoded the applied count out of %d bytes", len(p))
 		}
 	})
 }

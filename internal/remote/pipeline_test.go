@@ -219,7 +219,7 @@ func TestPipelinedOutOfOrderTerminals(t *testing.T) {
 // worker advertising any other in its hello ack is refused at the
 // handshake with ErrVersionSkew — before a single read is routed to it.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	for _, v := range []uint16{2, 3, frameVersion + 1} {
+	for _, v := range []uint16{2, 3, 4, frameVersion + 1} {
 		addr := scriptedWorker(t, v, func(conn net.Conn) {})
 		c := NewClient(addr, ClientConfig{CallTimeout: time.Second, Backoff: time.Millisecond, Shards: 1})
 		if err := c.Ping(); !errors.Is(err, ErrVersionSkew) {

@@ -67,17 +67,19 @@ func (b *fakeBackend) Apply(r dataset.Rating) (ApplyAck, error) {
 		return ApplyAck{}, b.applyErr
 	}
 	b.applied = append(b.applied, r)
-	return ApplyAck{Pending: len(b.applied), Applied: int64(len(b.applied))}, nil
+	return ApplyAck{Applied: int64(len(b.applied))}, nil
 }
 
-func (b *fakeBackend) ShardStats() []ShardStats {
-	out := make([]ShardStats, 0, len(b.owned))
+// Stats reports 100 + shard view hits and one cached neighborhood per
+// owned shard, over a 7-item pool.
+func (b *fakeBackend) Stats() Stats {
+	var st Stats
+	st.ListStore.PoolSize = 7
 	for _, sh := range b.owned {
-		st := ShardStats{Shard: sh}
-		st.ListStore.ViewHits = uint64(100 + sh)
-		out = append(out, st)
+		st.ListStore.ViewHits += uint64(100 + sh)
+		st.Neighborhoods.Size++
 	}
-	return out
+	return st
 }
 
 // startWorker serves b on a loopback listener, cleaned up with the
@@ -265,10 +267,10 @@ func TestShardSetMultiBatchesByWorker(t *testing.T) {
 }
 
 // TestClientApplyInvalidateStats: the cold-path ops over one client —
-// an apply is acked with the replica's counters, the per-user invalidate
-// op (code 4, which nothing called) stays retired like the single-user
-// reads before it and is refused, not served, and stats come back per
-// owned shard.
+// an apply is acked with the replica's applied count, the per-user
+// invalidate op (code 4, which nothing called) stays retired like the
+// single-user reads before it and is refused, not served, and stats
+// come back as the worker's totals.
 func TestClientApplyInvalidateStats(t *testing.T) {
 	b := allOwned()
 	addr := startWorker(t, b, nil)
@@ -279,8 +281,8 @@ func TestClientApplyInvalidateStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if ack.Pending != 1 || ack.Applied != 1 {
-		t.Errorf("ack = %+v, want pending/applied 1", ack)
+	if ack.Applied != 1 {
+		t.Errorf("ack = %+v, want applied 1", ack)
 	}
 	if len(b.applied) != 1 || b.applied[0].Item != 2 {
 		t.Errorf("backend applied %v", b.applied)
@@ -292,12 +294,12 @@ func TestClientApplyInvalidateStats(t *testing.T) {
 		t.Errorf("retired invalidate op: err = %v, want an internal application error", err)
 	}
 
-	ss, err := c.ShardStats()
+	st, err := c.Stats()
 	if err != nil {
-		t.Fatalf("ShardStats: %v", err)
+		t.Fatalf("Stats: %v", err)
 	}
-	if len(ss) != 1 || ss[0].Shard != 0 || ss[0].ListStore.ViewHits != 100 {
-		t.Errorf("stats = %+v", ss)
+	if st != b.Stats() {
+		t.Errorf("stats = %+v, want %+v", st, b.Stats())
 	}
 }
 
@@ -478,11 +480,11 @@ func TestClientMidStreamDisconnect(t *testing.T) {
 // is a protocol violation — never matched to the wrong request.
 func TestClientSeqMismatch(t *testing.T) {
 	addr := rawWorker(t, func(conn net.Conn, req frame) {
-		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq + 99, payload: []byte("[]")})
+		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq + 99, payload: []byte("{}")})
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
-	if _, err := c.ShardStats(); !errors.Is(err, ErrProtocol) {
+	if _, err := c.Stats(); !errors.Is(err, ErrProtocol) {
 		t.Errorf("err = %v, want ErrProtocol", err)
 	}
 }
@@ -532,13 +534,13 @@ func TestClientApplyRetriesSameSeq(t *testing.T) {
 		if first {
 			return // die without answering; deferred Close tears the conn
 		}
-		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeApplyAck(ApplyAck{Pending: 1})})
+		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeApplyAck(ApplyAck{Applied: 1})})
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
 	ack, err := c.Apply(42, dataset.Rating{User: 1, Item: 1, Value: 1})
-	if err != nil || ack.Pending != 1 {
-		t.Fatalf("retried apply = %+v, %v; want pending 1, nil", ack, err)
+	if err != nil || ack.Applied != 1 {
+		t.Fatalf("retried apply = %+v, %v; want applied 1, nil", ack, err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -684,7 +686,7 @@ func TestShardSetApplyFansOutToAllWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if ack.Pending != 1 {
+	if ack.Applied != 1 {
 		t.Errorf("ack = %+v", ack)
 	}
 	for i, b := range []*fakeBackend{b0, b1} {
@@ -700,21 +702,16 @@ func TestShardSetApplyFansOutToAllWorkers(t *testing.T) {
 	}
 }
 
-// TestShardSetStatsByShard gathers both workers' counters into shard
-// order with every entry live.
-func TestShardSetStatsByShard(t *testing.T) {
+// TestShardSetStatsSumsWorkers: the set's stats are the sum of both
+// workers' totals, the pool carried rather than summed.
+func TestShardSetStatsSumsWorkers(t *testing.T) {
 	set, _, _ := twoWorkerSet(t)
-	ss, ok, err := set.StatsByShard()
+	st, err := set.Stats()
 	if err != nil {
-		t.Fatalf("StatsByShard: %v", err)
+		t.Fatalf("Stats: %v", err)
 	}
-	for sh := 0; sh < 2; sh++ {
-		if !ok[sh] {
-			t.Errorf("shard %d not live", sh)
-		}
-		if ss[sh].Shard != sh || ss[sh].ListStore.ViewHits != uint64(100+sh) {
-			t.Errorf("shard %d stats = %+v", sh, ss[sh])
-		}
+	if st.ListStore.ViewHits != 100+101 || st.Neighborhoods.Size != 2 || st.ListStore.PoolSize != 7 {
+		t.Errorf("stats = %+v, want 201 view hits, 2 neighborhoods, pool 7", st)
 	}
 }
 
@@ -739,7 +736,7 @@ func killWorker(t *testing.T, set *ShardSet, sh int) {
 
 // TestShardSetDeadWorkerDegradesOnlyItsShards: after one worker dies,
 // its shards answer ErrShardUnavailable while the other keeps serving;
-// stats keep zero-valued placeholder entries; an ingest for a user the
+// stats sum the survivor alone; an ingest for a user the
 // dead worker owns fails, one owned by the live worker proceeds with a
 // counted fanout miss.
 func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
@@ -753,15 +750,12 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 		t.Errorf("live shard read: %v", err)
 	}
 
-	ss, ok, err := set.StatsByShard()
+	st, err := set.Stats()
 	if err == nil {
-		t.Error("StatsByShard reported no error with a dead worker")
+		t.Error("Stats reported no error with a dead worker")
 	}
-	if ok[0] || !ok[1] {
-		t.Errorf("liveness = %v, want [false true]", ok)
-	}
-	if ss[0].Shard != 0 || ss[0].ListStore.ViewHits != 0 {
-		t.Errorf("dead shard entry = %+v, want zero-valued placeholder", ss[0])
+	if st.ListStore.ViewHits != 101 || st.Neighborhoods.Size != 1 {
+		t.Errorf("stats = %+v, want the live worker's alone", st)
 	}
 
 	if _, err := set.Apply(1, dataset.Rating{User: userOnShard(0), Item: 1, Value: 1}); !errors.Is(err, ErrShardUnavailable) {

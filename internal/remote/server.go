@@ -9,12 +9,13 @@ import (
 	"repro/internal/dataset"
 )
 
-// Backend is the world a greca-shard worker serves: the per-shard
-// data plane over its full replica of the rating store. Values must be
-// bit-identical to what the router's own world would compute — the
-// worker and router are built from the same configuration, which the
-// hello fingerprint enforces — so moving a shard out of process never
-// changes a served byte. All methods must be safe for concurrent use.
+// Backend is the world a greca-shard worker serves: the data plane of
+// its owned shards' users over its full replica of the rating store.
+// Values must be bit-identical to what the router's own world would
+// compute — the worker and router are built from the same
+// configuration, which the hello fingerprint enforces — so moving a
+// shard out of process never changes a served byte. All methods must
+// be safe for concurrent use.
 type Backend interface {
 	// Fingerprint identifies the world configuration (the persistence
 	// layer's config fingerprint); hello refuses mismatches.
@@ -32,11 +33,11 @@ type Backend interface {
 	PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error)
 	// Apply ingests one rating into the worker's replica — the full
 	// AddRating path, cache invalidation included — and acks with the
-	// replica's delta counters. Rejections unwrap to the dataset
+	// replica's applied count. Rejections unwrap to the dataset
 	// sentinels.
 	Apply(r dataset.Rating) (ApplyAck, error)
-	// ShardStats reports the cache counters of every owned shard.
-	ShardStats() []ShardStats
+	// Stats reports the worker's cache totals.
+	Stats() Stats
 }
 
 // DefaultChunkScores is the view-streaming chunk size: scores per
@@ -76,8 +77,7 @@ type Server struct {
 }
 
 // shardOf is the minimal routing the server needs: shard-of-user under
-// the world's map, provided by the backend adapter via SetSharding or
-// defaulted to hash routing through the backend's shard count.
+// the canonical hash map over the backend's shard count.
 type shardOf func(u dataset.UserID) int
 
 // NewServer builds a server over b. Routing uses the canonical hash
@@ -299,7 +299,7 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 			return fail(codeInternal, err.Error())
 		}
 	case opStats:
-		payload, err := encodeStats(s.b.ShardStats())
+		payload, err := encodeStats(s.b.Stats())
 		if err != nil {
 			return fail(codeInternal, err.Error())
 		}

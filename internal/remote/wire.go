@@ -302,55 +302,63 @@ func decodeApplyReq(p []byte) (applyReq, error) {
 	return q, r.err
 }
 
-// ApplyAck acknowledges a fanned-out rating with the worker's own
-// ingest counters after the apply — the router's cross-check that the
-// replica ingested what it did. Folds and Folded keep their place in
-// the frame layout; a worker that folds each rating as it lands sends
-// 0 for both, as it does for Pending.
+// ApplyAck acknowledges a fanned-out rating with the worker's applied
+// count after the apply — the router's cross-check that the replica
+// ingested what it did.
 type ApplyAck struct {
-	Pending int
 	Applied int64
-	Folds   int64
-	Folded  int64
 }
 
 func encodeApplyAck(a ApplyAck) []byte {
 	var w wireWriter
-	w.i64(int64(a.Pending))
 	w.i64(a.Applied)
-	w.i64(a.Folds)
-	w.i64(a.Folded)
 	return w.b
 }
 
 func decodeApplyAck(p []byte) (ApplyAck, error) {
 	r := wireReader{b: p}
-	a := ApplyAck{
-		Pending: int(r.i64()),
-		Applied: r.i64(),
-		Folds:   r.i64(),
-		Folded:  r.i64(),
-	}
+	a := ApplyAck{Applied: r.i64()}
 	return a, r.err
 }
 
-// ShardStats is one owned shard's cache counters in wire form — the
-// worker-side slice of the router's per-shard /v1/stats breakdown.
-// JSON-encoded inside its frame: stats are cold-path and shape-heavy.
-type ShardStats struct {
-	Shard         int                  `json:"shard"`
-	ListStore     liststore.ShardStats `json:"list_store"`
-	Neighborhoods cf.CacheStats        `json:"neighborhoods"`
+// Stats is one worker's cache totals in wire form: its list store's
+// and its active predictor's counters. A worker serves only the users
+// of its owned shards, so these count exactly their traffic. JSON-
+// encoded inside its frame: stats are cold-path and shape-heavy.
+type Stats struct {
+	ListStore     liststore.Stats `json:"list_store"`
+	Neighborhoods cf.CacheStats   `json:"neighborhoods"`
 }
 
-func encodeStats(ss []ShardStats) ([]byte, error) { return json.Marshal(ss) }
+// add sums o's counters into t. PoolSize is not a counter: every
+// replica covers the same pool, so it is carried, not summed.
+func (t *Stats) add(o Stats) {
+	ls, ol := &t.ListStore, o.ListStore
+	ls.ViewHits += ol.ViewHits
+	ls.ViewBuilds += ol.ViewBuilds
+	ls.Rebuilds += ol.Rebuilds
+	ls.Invalidations += ol.Invalidations
+	ls.Evictions += ol.Evictions
+	ls.WarmLoads += ol.WarmLoads
+	ls.PatchItems += ol.PatchItems
+	ls.Size += ol.Size
+	ls.PoolSize = ol.PoolSize
+	nb, on := &t.Neighborhoods, o.Neighborhoods
+	nb.Hits += on.Hits
+	nb.Misses += on.Misses
+	nb.Size += on.Size
+	nb.Invalidated += on.Invalidated
+	nb.Retained += on.Retained
+}
 
-func decodeStats(p []byte) ([]ShardStats, error) {
-	var ss []ShardStats
-	if err := json.Unmarshal(p, &ss); err != nil {
-		return nil, fmt.Errorf("%w: decoding stats: %v", ErrProtocol, err)
+func encodeStats(st Stats) ([]byte, error) { return json.Marshal(st) }
+
+func decodeStats(p []byte) (Stats, error) {
+	var st Stats
+	if err := json.Unmarshal(p, &st); err != nil {
+		return Stats{}, fmt.Errorf("%w: decoding stats: %v", ErrProtocol, err)
 	}
-	return ss, nil
+	return st, nil
 }
 
 // Application-level error codes relayed in kindError frames. The

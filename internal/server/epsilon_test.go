@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestEpsilonWireValidation: negative epsilon is a 400 with a code,
@@ -93,10 +95,9 @@ func TestEpsilonStreamStops(t *testing.T) {
 	}
 }
 
-// TestStatsPerShardOnWire: /v1/stats exposes the shard count and the
-// per-shard cache breakdown, and the neighborhood breakdown sums to the
-// aggregate (quiescent server).
-func TestStatsPerShardOnWire(t *testing.T) {
+// TestStatsCachesOnWire: /v1/stats serves the world's cache counters,
+// equal to what the world itself reports (quiescent server).
+func TestStatsCachesOnWire(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	w := testWorld(t)
 	group := w.Participants()[:3]
@@ -106,31 +107,15 @@ func TestStatsPerShardOnWire(t *testing.T) {
 	}
 
 	var st struct {
-		Caches struct {
-			Shards        int                           `json:"shards"`
-			Neighborhoods struct{ Hits, Misses uint64 } `json:"neighborhoods"`
-			PerShard      []struct {
-				Shard         int                           `json:"shard"`
-				Neighborhoods struct{ Hits, Misses uint64 } `json:"neighborhoods"`
-			} `json:"per_shard"`
-		} `json:"caches"`
+		Caches repro.CacheStats `json:"caches"`
 	}
 	if status := getJSON(t, ts.URL+"/v1/stats", &st); status != http.StatusOK {
 		t.Fatalf("stats = %d", status)
 	}
-	c := st.Caches
-	if c.Shards < 1 || len(c.PerShard) != c.Shards {
-		t.Fatalf("stats shards=%d per_shard=%d entries", c.Shards, len(c.PerShard))
+	if want := w.CacheStats(); st.Caches != want {
+		t.Errorf("served caches %+v, world reports %+v", st.Caches, want)
 	}
-	var nHits, nMisses uint64
-	for _, ps := range c.PerShard {
-		nHits += ps.Neighborhoods.Hits
-		nMisses += ps.Neighborhoods.Misses
-	}
-	if nHits != c.Neighborhoods.Hits || nMisses != c.Neighborhoods.Misses {
-		t.Errorf("neighborhood breakdown %d/%d != aggregate %d/%d", nHits, nMisses, c.Neighborhoods.Hits, c.Neighborhoods.Misses)
-	}
-	if nHits+nMisses == 0 {
-		t.Error("no neighborhood traffic recorded; sum check proved nothing")
+	if nb := st.Caches.Neighborhoods; nb.Hits+nb.Misses == 0 {
+		t.Error("no neighborhood traffic recorded; the comparison proved nothing")
 	}
 }

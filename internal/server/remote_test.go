@@ -273,8 +273,8 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 			}
 
 			// Stats: counter values differ (the remote substitutes worker
-			// counters), but the wire shape must be identical, the
-			// per-shard breakdown complete.
+			// counters), but the wire shape must be identical, and the
+			// caches must carry the workers' view builds.
 			var localStats, remoteStats json.RawMessage
 			if st := getJSON(t, localTS.URL+"/v1/stats", &localStats); st != http.StatusOK {
 				t.Fatalf("local stats status %d", st)
@@ -294,11 +294,7 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 				}
 			}
 			var parsed struct {
-				Caches struct {
-					PerShard []struct {
-						Shard int `json:"shard"`
-					} `json:"per_shard"`
-				} `json:"caches"`
+				Caches repro.CacheStats `json:"caches"`
 				Remote struct {
 					Attached  bool `json:"attached"`
 					Transport struct {
@@ -315,8 +311,8 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 			if err := json.Unmarshal(remoteStats, &parsed); err != nil {
 				t.Fatalf("parsing remote stats: %v", err)
 			}
-			if len(parsed.Caches.PerShard) != tc.shards {
-				t.Errorf("per_shard has %d entries, want %d", len(parsed.Caches.PerShard), tc.shards)
+			if parsed.Caches.ListStore.ViewBuilds == 0 {
+				t.Errorf("router caches count no worker view builds: %+v", parsed.Caches.ListStore)
 			}
 			if !parsed.Remote.Attached {
 				t.Error("remote.attached = false on the distributed stack")
@@ -432,8 +428,8 @@ func TestRemoteWorkerDeathDegradesOnlyItsShards(t *testing.T) {
 		t.Errorf("live-owner ingest status = %d, body %s", status, data)
 	}
 
-	// Stats stay serveable: dead shards appear as zero-valued entries,
-	// and the missed fanout deliveries are counted.
+	// Stats stay serveable: the dead worker's counters drop out of the
+	// sum, and the missed fanout deliveries are counted.
 	var stats struct {
 		Ingest struct {
 			FanoutMisses uint64 `json:"fanout_misses"`
@@ -730,5 +726,82 @@ func TestRemoteStreamFramesMatchLocal(t *testing.T) {
 		if lf[i] != rf[i] {
 			t.Errorf("frame %d diverges:\nlocal  %s\nremote %s", i, lf[i], rf[i])
 		}
+	}
+}
+
+// TestRouterCacheStatsSumWorkers pins a router's /v1/stats caches: the
+// views are built and the neighborhoods filled on the workers, so after
+// traffic and one rating the router serves, field by field, the sum of
+// its workers' totals — the pool size carried, not summed, and the patch
+// count the router's own assembly keeps. After one worker dies the
+// router serves the survivor's totals alone, and still answers 200.
+func TestRouterCacheStatsSumWorkers(t *testing.T) {
+	const shards = 4
+	var backends []remote.Backend
+	stack := startRemoteStack(t, shards, [][]int{{0, 2}, {1, 3}}, remote.ClientConfig{
+		DialTimeout: 200 * time.Millisecond,
+		Backoff:     time.Millisecond,
+	}, func(b remote.Backend) remote.Backend {
+		backends = append(backends, b)
+		return b
+	})
+	ts := serveHTTP(t, stack.router)
+	group := groupOnShards(t, stack.router, shards, 4, nil)
+	body := fmt.Sprintf(`{"group":%s,"k":3,"num_items":120}`, groupJSON(group))
+	for i := 0; i < 2; i++ {
+		if status, data := postJSON(t, ts.URL+"/v1/recommend", body); status != http.StatusOK {
+			t.Fatalf("recommend status = %d, body %s", status, data)
+		}
+	}
+	rating := fmt.Sprintf(`{"user":%d,"item":1,"value":4,"time":978300001}`, group[0])
+	if status, data := postJSON(t, ts.URL+"/v1/ratings", rating); status != http.StatusOK {
+		t.Fatalf("rating status = %d, body %s", status, data)
+	}
+	if status, data := postJSON(t, ts.URL+"/v1/recommend", body); status != http.StatusOK {
+		t.Fatalf("post-rating recommend status = %d, body %s", status, data)
+	}
+
+	// caches reads /v1/stats and checks it against the sum of bs.
+	caches := func(bs ...remote.Backend) repro.CacheStats {
+		t.Helper()
+		var doc struct {
+			Caches repro.CacheStats `json:"caches"`
+		}
+		if st := getJSON(t, ts.URL+"/v1/stats", &doc); st != http.StatusOK {
+			t.Fatalf("stats status = %d", st)
+		}
+		want := repro.CacheStats{ListStoreEnabled: true}
+		ls, nb := &want.ListStore, &want.Neighborhoods
+		for _, b := range bs {
+			st := b.Stats()
+			ls.ViewHits += st.ListStore.ViewHits
+			ls.ViewBuilds += st.ListStore.ViewBuilds
+			ls.Rebuilds += st.ListStore.Rebuilds
+			ls.Invalidations += st.ListStore.Invalidations
+			ls.Evictions += st.ListStore.Evictions
+			ls.WarmLoads += st.ListStore.WarmLoads
+			ls.Size += st.ListStore.Size
+			ls.PoolSize = st.ListStore.PoolSize
+			nb.Hits += st.Neighborhoods.Hits
+			nb.Misses += st.Neighborhoods.Misses
+			nb.Size += st.Neighborhoods.Size
+			nb.Invalidated += st.Neighborhoods.Invalidated
+			nb.Retained += st.Neighborhoods.Retained
+		}
+		ls.PatchItems = stack.router.ListStore().Stats().PatchItems
+		if doc.Caches != want {
+			t.Errorf("router caches\n got %+v\nwant %+v (the workers' sum)", doc.Caches, want)
+		}
+		return doc.Caches
+	}
+	both := caches(backends...)
+	if both.ListStore.ViewBuilds == 0 || both.ListStore.Invalidations == 0 || both.Neighborhoods.Misses == 0 {
+		t.Errorf("traffic and a rating left the workers' counters idle: %+v", both)
+	}
+
+	stack.workers[0].Close()
+	survivor := caches(backends[1])
+	if survivor.ListStore.ViewBuilds >= both.ListStore.ViewBuilds {
+		t.Errorf("a dead worker's builds still counted: %d of %d", survivor.ListStore.ViewBuilds, both.ListStore.ViewBuilds)
 	}
 }

@@ -313,7 +313,7 @@ func TestStatsServesBenchContract(t *testing.T) {
 	// frozen) and reads them as 0 from now on.
 	for _, gone := range []string{
 		"caches.list_store.retained", "caches.list_store.patched",
-		"caches.per_shard.0.list_store.retained", "caches.per_shard.0.list_store.patched",
+		"caches.shards", "caches.per_shard",
 		"remote.view_cache.retained", "remote.view_cache.patched",
 		"remote.transport.calls_by_op.invalidate",
 		"caches.recheck_pool",

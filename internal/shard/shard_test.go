@@ -17,13 +17,11 @@ func TestNewRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestSingleDegeneratesToShardZero(t *testing.T) {
-	if Single.N() != 1 {
-		t.Fatalf("Single.N() = %d, want 1", Single.N())
-	}
+func TestOneWayRoutesToShardZero(t *testing.T) {
+	m, _ := New(1)
 	for _, id := range []int64{0, 1, 71, 6039, -5, 1 << 40} {
-		if s := Single.Of(id); s != 0 {
-			t.Errorf("Single.Of(%d) = %d, want 0", id, s)
+		if s := m.Of(id); s != 0 {
+			t.Errorf("Of(%d) = %d on a 1-way map, want 0", id, s)
 		}
 	}
 }
@@ -59,61 +57,6 @@ func TestOfSpreadsDenseIDs(t *testing.T) {
 	for s, c := range counts {
 		if c < want/2 || c > want*2 {
 			t.Errorf("shard %d holds %d of %d IDs (expected near %d)", s, c, ids, want)
-		}
-	}
-}
-
-func TestPairOfRoutesByLowerID(t *testing.T) {
-	m, _ := New(8)
-	for u := int64(0); u < 50; u++ {
-		for v := u + 1; v < 50; v++ {
-			want := m.Of(u)
-			if got := PairOf(m, u, v); got != want {
-				t.Fatalf("PairOf(%d,%d) = %d, want lower-ID shard %d", u, v, got, want)
-			}
-			if got := PairOf(m, v, u); got != want {
-				t.Fatalf("PairOf(%d,%d) (swapped) = %d, want %d", v, u, got, want)
-			}
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	if Normalize(nil) != Single {
-		t.Error("Normalize(nil) is not Single")
-	}
-	m, _ := New(4)
-	if Normalize(m) != Map(m) {
-		t.Error("Normalize(m) rewrote a non-nil map")
-	}
-}
-
-func TestSplit(t *testing.T) {
-	cases := []struct {
-		n, total int
-		want     []int
-	}{
-		{1, 1024, []int{1024}}, // 1-way keeps the whole budget
-		{4, 1024, []int{256, 256, 256, 256}},
-		{4, 10, []int{3, 3, 2, 2}}, // remainder to the low shards
-		{4, 2, []int{1, 1, 1, 1}},  // never below 1 per shard
-		{3, 0, []int{1, 1, 1}},
-	}
-	for _, c := range cases {
-		m, _ := New(c.n)
-		got := Split(m, c.total)
-		if len(got) != len(c.want) {
-			t.Fatalf("Split(%d-way, %d) = %v, want %v", c.n, c.total, got, c.want)
-		}
-		sum := 0
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("Split(%d-way, %d) = %v, want %v", c.n, c.total, got, c.want)
-			}
-			sum += got[i]
-		}
-		if c.total >= c.n && sum != c.total {
-			t.Errorf("Split(%d-way, %d) sums to %d, want exact total", c.n, c.total, sum)
 		}
 	}
 }

@@ -108,39 +108,6 @@ func TestWorldViewsMatchTheReferenceSort(t *testing.T) {
 	}
 }
 
-// TestInvalidateUserViews pins the store lifecycle the World owns:
-// invalidation drops the view, the next request rebuilds it, and the
-// recommendation is unchanged (the substrate is immutable, so a
-// rebuild must reproduce the same view).
-func TestInvalidateUserViews(t *testing.T) {
-	w := tinyWorld(t)
-	group := w.Participants()[:2]
-	opt := Options{K: 3, NumItems: 80}
-
-	before, err := w.Recommend(group, opt)
-	if err != nil {
-		t.Fatalf("recommend: %v", err)
-	}
-	if w.InvalidateUserViews(group[0]) != true {
-		t.Error("invalidating a materialized view reported no drop")
-	}
-	if w.InvalidateUserViews(group[0]) != false {
-		t.Error("double invalidation reported a drop")
-	}
-	builds := w.ListStore().Stats().ViewBuilds
-	after, err := w.Recommend(group, opt)
-	if err != nil {
-		t.Fatalf("recommend after invalidation: %v", err)
-	}
-	st := w.ListStore().Stats()
-	if st.ViewBuilds != builds+1 || st.Rebuilds == 0 {
-		t.Errorf("invalidated view was not rebuilt: %+v", st)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Errorf("rebuild changed the recommendation:\nbefore: %+v\nafter:  %+v", before, after)
-	}
-}
-
 // TestRecommendBatchSharesViews pins the sweep-sharing property: the
 // groups of one batch reuse each member's materialized view.
 func TestRecommendBatchSharesViews(t *testing.T) {

@@ -168,25 +168,6 @@ func TestAddRatingRejections(t *testing.T) {
 	}
 }
 
-// TestInvalidateUserViewsReportsAnyDrop pins the return value's other
-// side: with the list store disabled there is no per-user derived state
-// to drop, so the call reports false however much traffic ran.
-func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
-	cfg := liveTestConfig()
-	cfg.ListStoreSize = -1
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	group := w.Participants()[:3]
-	if _, err := w.Recommend(group, Options{K: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if w.InvalidateUserViews(group[0]) {
-		t.Errorf("world with the list store disabled reported a drop")
-	}
-}
-
 // TestAppendNextPeriodWhileServing hammers the index-maintenance write
 // path from one goroutine while others serve recommendations and read
 // the timeline — the -race regression for the unsynchronized
@@ -359,16 +340,6 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 	}
 	if scoped.ListStore.Invalidations != warmUsers || scoped.ListStore.Size != 0 {
 		t.Errorf("ingest left sorted views standing: %+v, want all %d dropped", scoped.ListStore, warmUsers)
-	}
-	// The aggregate counters are exactly the per-shard sums.
-	var nbR, listI uint64
-	for _, sh := range scoped.PerShard {
-		nbR += sh.Neighborhoods.Retained
-		listI += sh.ListStore.Invalidations
-	}
-	if nbR != scoped.Neighborhoods.Retained || listI != scoped.ListStore.Invalidations {
-		t.Errorf("per-shard sums %d retained / %d invalidations disagree with aggregates %d / %d",
-			nbR, listI, scoped.Neighborhoods.Retained, scoped.ListStore.Invalidations)
 	}
 	// Views rebuilt over the retained neighborhoods serve a cold
 	// rebuild's bytes.

@@ -1,10 +1,10 @@
 // Distributed serving benchmark: the warmed request mix replayed
 // against a router whose shards live in worker processes reached over
 // loopback TCP (in-process goroutines speaking the real wire
-// protocol), versus the in-process worlds the other benchmarks
-// measure. The delta against BenchmarkRecommendSharded at the same
-// shard count is the transport tax: framing, CRC, syscalls, and the
-// view-chunk reassembly.
+// protocol), versus the in-process world the other benchmarks
+// measure. The delta against BenchmarkRecommendParallel/goroutines=1
+// on the same group mix is the transport tax: framing, CRC, syscalls,
+// and the view-chunk reassembly.
 //
 //	go test -bench BenchmarkRecommendRemote -benchtime 2s
 package repro_test
@@ -83,7 +83,7 @@ func remoteBenchStack(b *testing.B, shards, nWorkers, viewCache int) *repro.Worl
 func runRemoteBench(b *testing.B, shards, nWorkers, viewCache int) {
 	opt := repro.Options{K: 10, NumItems: 600}
 	router := remoteBenchStack(b, shards, nWorkers, viewCache)
-	_, groups := shardBenchWorld(b, shards)
+	_, groups := parallelBenchWorld(b)
 	for _, g := range groups {
 		if _, err := router.Recommend(g, opt); err != nil {
 			b.Fatalf("warmup: %v", err)

@@ -53,7 +53,7 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	// eviction, the drop AddRating ends in, the mid-build unlink that
 	// fences fetches against ingest — is the store's, unchanged.
 	if w.lists != nil {
-		w.lists = liststore.NewOver(fetchViews(set), pool, w.cfg.RemoteViewCache, prefDivisor, w.sm)
+		w.lists = liststore.NewOver(fetchViews(set), pool, w.cfg.RemoteViewCache, prefDivisor)
 		w.asm.AttachListStore(w.lists)
 	}
 	w.asm.AttachRows(func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
@@ -91,9 +91,9 @@ func fetchViews(set *remote.ShardSet) liststore.Builder {
 }
 
 // ShardBackend is the worker process's side of the data plane: a full
-// replica world serving the per-shard operations for the shards this
-// worker owns, behind the remote.Backend interface cmd/greca-shard
-// plugs into remote.NewServer.
+// replica world serving the users of the shards this worker owns,
+// behind the remote.Backend interface cmd/greca-shard plugs into
+// remote.NewServer.
 type ShardBackend struct {
 	w     *World
 	owned []int
@@ -153,31 +153,19 @@ func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([
 
 // Apply implements remote.Backend: ingest one fanned-out rating into
 // the replica — the full AddRating path — and ack with the replica's
-// delta counters. Rejections unwrap to the dataset sentinels, which the
+// applied count. Rejections unwrap to the dataset sentinels, which the
 // transport relays by code.
 func (b *ShardBackend) Apply(r dataset.Rating) (remote.ApplyAck, error) {
 	if err := b.w.AddRating(r); err != nil {
 		return remote.ApplyAck{}, err
 	}
-	ds := b.w.IngestStats()
-	return remote.ApplyAck{
-		Pending: ds.Pending,
-		Applied: ds.Applied,
-	}, nil
+	return remote.ApplyAck{Applied: b.w.IngestStats().Applied}, nil
 }
 
-// ShardStats implements remote.Backend: the owned shards' slices of
-// the replica's cache counters, in owned order.
-func (b *ShardBackend) ShardStats() []remote.ShardStats {
-	per := b.w.CacheStats().PerShard
-	out := make([]remote.ShardStats, 0, len(b.owned))
-	for _, sh := range b.owned {
-		ps := per[sh]
-		out = append(out, remote.ShardStats{
-			Shard:         sh,
-			ListStore:     ps.ListStore,
-			Neighborhoods: ps.Neighborhoods,
-		})
-	}
-	return out
+// Stats implements remote.Backend: the replica's cache totals. The
+// worker answers only for its owned shards' users, so they count
+// exactly those users' traffic.
+func (b *ShardBackend) Stats() remote.Stats {
+	cs := b.w.CacheStats()
+	return remote.Stats{ListStore: cs.ListStore, Neighborhoods: cs.Neighborhoods}
 }

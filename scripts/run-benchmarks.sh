@@ -24,8 +24,8 @@ done
 
 export GOMAXPROCS="${GOMAXPROCS:-4}"
 
-# The pinned set: the three pre-existing hot-path benchmarks, the two
-# added by the scheduling/laziness pass, the ingest-mix pair (scoped
+# The pinned set: the hot-path serving benchmarks (parallel recommend,
+# submit), the lazy/eager PD list pair, the ingest-mix pair (scoped
 # neighborhood invalidation vs the test-only drop-everything reference
 # world; the sub-benchmarks ride along via the path match, like
 # shards=N and g=N; views drop on every rating under both), the
@@ -36,7 +36,7 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 # co-rater bitset, the candidate slice and the kept top-k), and the batch
 # prediction every view build runs on that world (600 candidates, warm
 # neighborhood; 0 allocs/op: its working set is pooled).
-PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkRecommendSharded|BenchmarkBatchShardAware|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical|BenchmarkNeighborhoodFill|BenchmarkPredictBatch)$'
+PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical|BenchmarkNeighborhoodFill|BenchmarkPredictBatch)$'
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT

@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/consensus"
@@ -74,11 +73,11 @@ func mixedShardGroup(t *testing.T, w *World, size int) []dataset.UserID {
 }
 
 // TestRecommendShardedDifferential is the facade-level acceptance test
-// of the sharded world: Config.Shards ∈ {1, 4, 16} must produce
-// byte-identical recommendations to the unsharded seed path — across
+// of the shard count: Config.Shards ∈ {1, 4, 16} must produce
+// byte-identical recommendations to the default world — across
 // consensus functions, time models, group shapes (single member,
-// mixed-shard groups), and candidate sizes. Sharding only moves state
-// between arenas; it must never move a score or a tie order.
+// mixed-shard groups), and candidate sizes. A shard only routes users
+// to workers; it must never move a score or a tie order.
 func TestRecommendShardedDifferential(t *testing.T) {
 	baseline := tinyWorld(t) // Config.Shards zero: the unsharded seed path
 	participants := baseline.Participants()
@@ -109,8 +108,8 @@ func TestRecommendShardedDifferential(t *testing.T) {
 					}
 				}
 			}
-			// Post-invalidation rebuilds: dropping every member's views
-			// must rebuild the identical state.
+			// Post-invalidation rebuilds: dropping every view must
+			// rebuild the identical state.
 			group := mixedShardGroup(t, w, 4)
 			opt := Options{K: 4, NumItems: 100}
 			want, err := baseline.Recommend(group, opt)
@@ -120,9 +119,7 @@ func TestRecommendShardedDifferential(t *testing.T) {
 			if _, err := w.Recommend(group, opt); err != nil {
 				t.Fatalf("priming recommend: %v", err)
 			}
-			for _, u := range group {
-				w.InvalidateUserViews(u)
-			}
+			w.ListStore().InvalidateAll()
 			got, err := w.Recommend(group, opt)
 			if err != nil {
 				t.Fatalf("post-invalidation recommend: %v", err)
@@ -190,10 +187,9 @@ func TestBatchShardAwareDifferential(t *testing.T) {
 }
 
 // TestRunnerShardedDifferential pins the core and engine levels: the
-// problems a sharded world assembles (views resolved per shard,
-// preference rows filled through sharded caches) must drive every
-// execution mode to the same result as the unsharded world's problems
-// — same top-k, same bounds, same access counts, same stop reason.
+// problems a world at any shard count assembles must drive every
+// execution mode to the same result as the default world's problems —
+// same top-k, same bounds, same access counts, same stop reason.
 func TestRunnerShardedDifferential(t *testing.T) {
 	baseline := tinyWorld(t)
 	group := baseline.Participants()[3:7]
@@ -222,123 +218,5 @@ func TestRunnerShardedDifferential(t *testing.T) {
 				t.Errorf("shards=%d mode=%v: results diverge\nunsharded: %+v\nsharded:   %+v", shards, mode, want, got)
 			}
 		}
-	}
-}
-
-// TestCacheStatsPerShardSumsToAggregate pins the /stats contract: the
-// aggregate cache counters are exactly the sums of the per-shard
-// breakdown (measured quiescent, after a burst of traffic).
-func TestCacheStatsPerShardSumsToAggregate(t *testing.T) {
-	w := shardedWorld(t, 4)
-	group := mixedShardGroup(t, w, 5)
-	for i := 0; i < 3; i++ {
-		if _, err := w.Recommend(group, Options{K: 3, NumItems: 80}); err != nil {
-			t.Fatalf("recommend: %v", err)
-		}
-	}
-	w.InvalidateUserViews(group[0])
-	if _, err := w.Recommend(group, Options{K: 3, NumItems: 80}); err != nil {
-		t.Fatalf("recommend after invalidation: %v", err)
-	}
-
-	st := w.CacheStats()
-	if st.Shards != 4 || len(st.PerShard) != 4 {
-		t.Fatalf("stats shards = %d (%d entries), want 4", st.Shards, len(st.PerShard))
-	}
-	var nbhd struct{ hits, misses, size uint64 }
-	var views struct{ hits, builds, rebuilds, invalidations, evictions, size uint64 }
-	for i, ps := range st.PerShard {
-		if ps.Shard != i {
-			t.Errorf("per-shard entry %d labeled %d", i, ps.Shard)
-		}
-		nbhd.hits += ps.Neighborhoods.Hits
-		nbhd.misses += ps.Neighborhoods.Misses
-		nbhd.size += uint64(ps.Neighborhoods.Size)
-		views.hits += ps.ListStore.ViewHits
-		views.builds += ps.ListStore.ViewBuilds
-		views.rebuilds += ps.ListStore.Rebuilds
-		views.invalidations += ps.ListStore.Invalidations
-		views.evictions += ps.ListStore.Evictions
-		views.size += uint64(ps.ListStore.Size)
-	}
-	if nbhd.hits != st.Neighborhoods.Hits || nbhd.misses != st.Neighborhoods.Misses ||
-		nbhd.size != uint64(st.Neighborhoods.Size) {
-		t.Errorf("neighborhood per-shard sum %+v != aggregate %+v", nbhd, st.Neighborhoods)
-	}
-	ls := st.ListStore
-	if views.hits != ls.ViewHits || views.builds != ls.ViewBuilds || views.rebuilds != ls.Rebuilds ||
-		views.invalidations != ls.Invalidations || views.evictions != ls.Evictions || views.size != uint64(ls.Size) {
-		t.Errorf("list-store per-shard sum %+v != aggregate %+v", views, ls)
-	}
-	// The neighborhood cache saw real traffic in this test, so the
-	// breakdown is not vacuously zero.
-	if nbhd.hits+nbhd.misses == 0 {
-		t.Error("per-shard neighborhood counters are all zero; the sum check proved nothing")
-	}
-}
-
-// TestInvalidateConcurrentWithServing exercises the satellite
-// requirement under -race: a storm of InvalidateUserViews against
-// users on one set of shards must not corrupt (or block) RecommendBatch
-// traffic whose groups live on other shards. The world spans >= 2
-// shards; served results must stay byte-identical to the quiescent
-// baseline throughout.
-func TestInvalidateConcurrentWithServing(t *testing.T) {
-	w := shardedWorld(t, 4)
-	// Split participants: serving group drawn from shards != victim's.
-	var victim dataset.UserID
-	victimSet := false
-	var group []dataset.UserID
-	for _, u := range w.Participants() {
-		switch s := w.ShardOf(u); {
-		case !victimSet:
-			victim, victimSet = u, true
-		case s != w.ShardOf(victim) && len(group) < 4:
-			group = append(group, u)
-		}
-	}
-	if !victimSet || len(group) < 2 {
-		t.Fatalf("could not split participants across shards (group %v)", group)
-	}
-	opt := Options{K: 3, NumItems: 80}
-	want, err := w.Recommend(group, opt)
-	if err != nil {
-		t.Fatalf("baseline recommend: %v", err)
-	}
-
-	const rounds = 30
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	wg.Add(1)
-	go func() { // invalidation storm on the victim's shard
-		defer wg.Done()
-		for i := 0; i < rounds*4; i++ {
-			w.InvalidateUserViews(victim)
-			w.ListStore().Acquire(victim) // immediately rebuild, keeping the slot churning
-		}
-	}()
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reqs := []Request{{Group: group, Options: opt}}
-			for i := 0; i < rounds; i++ {
-				for _, res := range w.RecommendBatch(reqs) {
-					if res.Err != nil {
-						errs <- res.Err
-						return
-					}
-					if !reflect.DeepEqual(want, res.Recommendation) {
-						errs <- fmt.Errorf("round %d: served result diverged under concurrent invalidation", i)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }

@@ -78,14 +78,12 @@ type Config struct {
 	// negative disables the store: every problem then re-sorts its
 	// lists in core.NewProblem).
 	ListStoreSize int
-	// Shards partitions every per-user data structure — rating rows
-	// and rated-item bitsets, the predictors' neighborhood caches, the
-	// sorted-list store, and the affinity model's pair tables — N ways
-	// by hashing on UserID (0 or 1 keeps today's single-shard layout,
-	// bit-identically; negative is an error). Sharding only changes
-	// where state lives and which locks traffic takes, never any
-	// computed value, so recommendations are identical for every shard
-	// count. The ListStoreSize budget is split across the shards.
+	// Shards is the number of shards users are routed onto by hashing
+	// on UserID (0 means 1; negative is an error). A shard decides which
+	// worker process serves a user in a distributed deployment
+	// (AttachRemote, cmd/greca-shard) and nothing else: in-process every
+	// structure is one structure whatever the count, and
+	// recommendations are identical for every shard count.
 	Shards int
 	// RemoteViewCache bounds how many views fetched from shard workers
 	// the router's list store retains in distributed mode
@@ -167,9 +165,9 @@ type World struct {
 	// participants are the users present in both the rating store and
 	// the social network (the study population).
 	participants []dataset.UserID
-	// sm is the user-range partitioning every per-user structure
-	// routes through (shard.Single when Config.Shards <= 1).
-	sm shard.Map
+	// sm routes users onto shards — the workers of a distributed
+	// deployment.
+	sm *shard.Map
 	// periodMu guards the index-maintenance state — pending, timeline,
 	// and the affinity model's per-period tables — so AppendNextPeriod
 	// can extend the index while requests resolve periods and read
@@ -209,9 +207,7 @@ type World struct {
 func NewWorld(cfg Config) (*World, error) {
 	w := &World{cfg: cfg}
 
-	// User-range partitioning: every per-user structure below routes
-	// through this one map, so a user's rating rows, views, and pair
-	// entries all live on the same shard.
+	// Routing: the one map the router, the workers and ShardOf agree on.
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("repro: negative Shards %d", cfg.Shards)
 	}
@@ -264,12 +260,6 @@ func NewWorld(cfg Config) (*World, error) {
 		w.synth = sy
 		w.ratings = sy.Store
 	}
-	// The loaders freeze stores 1-way; re-partition the per-user
-	// arenas under the world's map (already the right layout when the
-	// world itself is 1-way).
-	if w.sm.N() > 1 {
-		w.ratings.Reshard(w.sm)
-	}
 	if nUsers := len(w.ratings.Users()); scfg.Users > nUsers {
 		return nil, fmt.Errorf("repro: social population %d exceeds rating users %d", scfg.Users, nUsers)
 	}
@@ -295,7 +285,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: building CF predictor: %w", err)
 	}
-	pred.SetSharding(w.sm)
 	w.pred = pred
 	if cfg.ItemBasedCF && cfg.TimeWeightedCF {
 		return nil, fmt.Errorf("repro: ItemBasedCF and TimeWeightedCF are mutually exclusive")
@@ -305,7 +294,6 @@ func NewWorld(cfg Config) (*World, error) {
 		if err != nil {
 			return nil, fmt.Errorf("repro: building item-based predictor: %w", err)
 		}
-		ip.SetSharding(w.sm)
 		w.itemPred = ip
 	}
 	if cfg.TimeWeightedCF {
@@ -338,7 +326,7 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		pool := w.ratings.PopularityRanked()
 		build := liststore.LocalBuilder(w.source, pool, prefDivisor, w.asm.Workers())
-		w.lists = liststore.NewOver(build, pool, size, prefDivisor, w.sm)
+		w.lists = liststore.NewOver(build, pool, size, prefDivisor)
 		if w.lists != nil {
 			w.asm.AttachListStore(w.lists)
 		}
@@ -361,7 +349,7 @@ func NewWorld(cfg Config) (*World, error) {
 		w.pending = append([]affinity.Period(nil), full.Periods[n:]...)
 	}
 	src := affinity.NetworkSource{Network: w.socialNet}
-	model, err := affinity.BuildModelSharded(w.participants, w.timeline, src, src, w.sm)
+	model, err := affinity.BuildModel(w.participants, w.timeline, src, src)
 	if err != nil {
 		return nil, fmt.Errorf("repro: building affinity model: %w", err)
 	}
@@ -427,14 +415,9 @@ func (w *World) ListStore() *liststore.Store { return w.lists }
 // Shards returns the world's shard count (1 when unsharded).
 func (w *World) Shards() int { return w.sm.N() }
 
-// ShardOf returns the shard index holding u's per-user state — the
-// routing every layer of the world agrees on (rating arena,
-// sorted-list view, and the pair tables of pairs where u is the lower
-// member).
+// ShardOf returns u's shard — in a distributed deployment, the one
+// whose worker serves u.
 func (w *World) ShardOf(u dataset.UserID) int { return w.sm.Of(int64(u)) }
-
-// Sharding returns the world's shard map.
-func (w *World) Sharding() shard.Map { return w.sm }
 
 // RatingLog is the durability hook of the rating write path: AddRating
 // notifies it after every successfully applied rating, so appended
@@ -558,28 +541,6 @@ func (w *World) applyRating(r dataset.Rating) error {
 // since start (pending is always 0 — a rating is folded as it lands).
 func (w *World) IngestStats() dataset.DeltaStats { return w.ratings.DeltaStats() }
 
-// InvalidateUserViews drops u's materialized sorted-preference view,
-// so u's next request re-predicts and rebuilds rather than reading a
-// stale view. It reports whether a view was actually dropped; with the
-// list store disabled (or empty of u) it returns false.
-//
-// The call is shard-aware: the drop routes through the world's shard
-// map and locks only u's shard — the list-store sub-store of
-// ShardOf(u) — so an invalidation storm against one shard never blocks
-// requests serving entirely from the others.
-//
-// Scope: this invalidates *this user's* derived state only — the
-// right tool when a single user's view is suspect (tests, targeted
-// cache management), and this process's copy only: on a router it does
-// not reach the owning worker. It is NOT the rating-ingest hook: ingest
-// changes sim(v, u) for every other user v, so the predictors'
-// neighborhood caches and every other user's views go stale too.
-// AddRating performs that global drop; use it for anything that changes
-// ratings.
-func (w *World) InvalidateUserViews(u dataset.UserID) bool {
-	return w.lists != nil && w.lists.Invalidate(u)
-}
-
 // RemoteStats is the distributed transport's observability surface
 // for /v1/stats: the shard-set's wire counters plus the router list
 // store's view traffic. Zero-valued in-process (the serving layer
@@ -635,12 +596,10 @@ func (w *World) RemoteStats() RemoteStats {
 	return st
 }
 
-// CacheStats aggregates the engine's cache counters — the sorted-list
+// CacheStats reports the engine's cache counters — the sorted-list
 // store and the active predictor's lazy neighborhood cache — for the
 // serving layer's /stats endpoint and any other observability
-// consumer. The aggregate fields are exactly the sums of the PerShard
-// breakdown (the counters are per-shard at the source; the aggregate is
-// computed from them).
+// consumer.
 type CacheStats struct {
 	// ListStoreEnabled reports whether the sorted-list store is on
 	// (Config.ListStoreSize >= 0). ListStore is zero when it is not.
@@ -652,87 +611,40 @@ type CacheStats struct {
 	// cache (user neighborhoods for the user-based and time-weighted
 	// predictors, item neighborhoods for the item-based one).
 	Neighborhoods cf.CacheStats `json:"neighborhoods"`
-	// Shards is the world's shard count; PerShard breaks every cache's
-	// counters down by shard (one entry per shard, in shard order).
-	Shards   int               `json:"shards"`
-	PerShard []ShardCacheStats `json:"per_shard"`
 }
 
-// ShardCacheStats is one shard's slice of the cache counters: the
-// shard's list-store sub-store and neighborhood-cache instance. A
-// disabled store reports zero values, mirroring the aggregate struct's
-// convention.
-type ShardCacheStats struct {
-	Shard         int                  `json:"shard"`
-	ListStore     liststore.ShardStats `json:"list_store"`
-	Neighborhoods cf.CacheStats        `json:"neighborhoods"`
-}
-
-// CacheStats snapshots the engine's cache counters, aggregated and
-// per shard. Safe for concurrent use with recommendation traffic; the
-// counters are atomic and only eventually consistent with each other.
-// Every aggregate is derived from the same per-shard snapshot the
-// PerShard breakdown reports, so the two levels sum exactly even
-// mid-flight.
+// CacheStats snapshots the engine's cache counters. Safe for concurrent
+// use with recommendation traffic; the counters are atomic and only
+// eventually consistent with each other.
+//
+// In-process they are the list store's and the active predictor's own.
+// On a router the views are built and the neighborhoods filled on the
+// workers, so the counters are the sum of every reachable worker's
+// totals — an unreachable worker's traffic is missing, not failing the
+// answer — except the patch count and the pool size, which the router's
+// own assembly and store keep.
 func (w *World) CacheStats() CacheStats {
-	st := CacheStats{Shards: w.sm.N()}
-	st.PerShard = make([]ShardCacheStats, st.Shards)
-	for i := range st.PerShard {
-		st.PerShard[i].Shard = i
-	}
+	var st CacheStats
 	if w.lists != nil {
 		st.ListStoreEnabled = true
-		for i, s := range w.lists.StatsByShard() {
-			st.PerShard[i].ListStore = s
-		}
+		st.ListStore = w.lists.Stats()
 	}
-	var nbhd cf.ShardStatsSource
 	switch {
 	case w.itemPred != nil:
-		nbhd = w.itemPred
+		st.Neighborhoods = w.itemPred.Stats()
 	case w.twPred != nil:
-		nbhd = w.twPred
+		st.Neighborhoods = w.twPred.Stats()
 	default:
-		nbhd = w.pred
+		st.Neighborhoods = w.pred.Stats()
 	}
-	for i, s := range nbhd.StatsByShard() {
-		st.PerShard[i].Neighborhoods = s
-	}
-	// Distributed mode: each shard's hot state lives on its owning
-	// worker, so the workers' counters replace the router's idle local
-	// ones shard by shard. An unreachable worker leaves zero-valued
-	// entries for its shards — degraded, not absent, so the response
-	// shape is identical to the in-process world's.
 	if w.remote != nil {
-		rs, ok, _ := w.remote.StatsByShard()
-		for i := range st.PerShard {
-			if ok[i] {
-				st.PerShard[i].ListStore = rs[i].ListStore
-				st.PerShard[i].Neighborhoods = rs[i].Neighborhoods
-			} else {
-				st.PerShard[i].ListStore = liststore.ShardStats{}
-				st.PerShard[i].Neighborhoods = cf.CacheStats{}
-			}
+		workers, _ := w.remote.Stats()
+		st.Neighborhoods = workers.Neighborhoods
+		if w.lists != nil {
+			local := st.ListStore
+			st.ListStore = workers.ListStore
+			st.ListStore.PatchItems, st.ListStore.PoolSize = local.PatchItems, local.PoolSize
 		}
-	}
-	if w.lists != nil {
-		// One per-shard snapshot feeds both levels: the breakdown
-		// reports it and the aggregate is derived from it, so the sums
-		// match exactly even mid-flight (and across processes).
-		parts := make([]liststore.ShardStats, len(st.PerShard))
-		for i, ps := range st.PerShard {
-			parts[i] = ps.ListStore
-		}
-		st.ListStore = w.lists.StatsFrom(parts)
-	}
-	// Aggregates are the sums of the per-shard snapshots, so the two
-	// levels can never disagree.
-	for _, ps := range st.PerShard {
-		st.Neighborhoods.Hits += ps.Neighborhoods.Hits
-		st.Neighborhoods.Misses += ps.Neighborhoods.Misses
-		st.Neighborhoods.Size += ps.Neighborhoods.Size
-		st.Neighborhoods.Invalidated += ps.Neighborhoods.Invalidated
-		st.Neighborhoods.Retained += ps.Neighborhoods.Retained
 	}
 	return st
 }
