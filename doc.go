@@ -43,21 +43,21 @@
 //     (Config.ListStoreSize; AddRating drops every view).
 //   - World.AddRating ingests a rating into the frozen world while it
 //     serves: the rating is folded into the one rater list and the one
-//     user row it changes, so no read merges, and neighborhood
-//     invalidation is scoped to the rating's actual reach — each cached
-//     neighborhood carries the bitset of its owner's co-raters, the
-//     ones with the rater's bit set get a one-similarity recheck, and
-//     only the neighborhoods the rating provably touches are dropped.
+//     user row it changes, so no read merges, and the cached
+//     neighborhoods the rating reaches are repaired in place — one walk
+//     of the rater's lists names the users it co-rates with and their
+//     fresh similarities, and the rater is re-ranked inside each cached
+//     neighborhood's ranked margin; only the rater's own is dropped.
 //     Every sorted-list view drops with each rating (no workload
 //     re-reads one between two ratings) and is rebuilt over the
-//     retained neighborhoods on next use, so sustained ingest keeps the
+//     repaired neighborhoods on next use, so sustained ingest keeps the
 //     expensive cache warm without changing a served byte: everything
 //     served is bit-identical to a world rebuilt from scratch with that
 //     rating. OpenWorld / SaveWorldSnapshot add durability: a
 //     checksummed snapshot plus a single write-ahead log give warm
 //     restarts that skip the view and neighborhood rebuilds. Ingest is
 //     serial under one lock, so nothing on that path fans out: the
-//     rechecks run on the ingesting goroutine and a torn journal
+//     repairs run on the ingesting goroutine and a torn journal
 //     replays a prefix of the acknowledged ratings.
 //   - internal/remote distributes the shards across worker processes:
 //     a shard (internal/shard) is only a routing unit, users hashed onto

@@ -23,6 +23,13 @@ import (
 // DefaultNeighbors is the neighborhood size used when none is given.
 const DefaultNeighbors = 50
 
+// marginDivisor sets the ranked margin a cached neighborhood keeps past
+// its top-k: M = k / marginDivisor entries. A fifth is the smallest
+// margin measured that keeps drops under 1 % of repairs on the bench
+// workloads' rating stream (EXPERIMENTS.md, "Why a rating repairs
+// neighborhoods").
+const marginDivisor = 5
+
 // numShards is the lock-stripe count for the lazy per-user caches. 64
 // keeps contention negligible for any realistic GOMAXPROCS while the
 // per-stripe overhead (a map and an RWMutex) stays trivial.
@@ -40,16 +47,24 @@ type userShard struct {
 	neighbors map[dataset.UserID]neighborhood
 }
 
-// neighborhood is one cached fill: the top-k and the fill's dependency
-// record, installed and dropped together under the stripe lock.
+// neighborhood is one cached fill: a prefix of the canonical ranking
+// (similarity descending, user ascending) of the owner's positive-
+// similarity peers over the current store. A fill keeps the leading
+// k + M entries — the served top-k plus a ranked margin of M — or every
+// positive peer when there are fewer, and then marks the list complete.
+// A rating repairs the list in place (see NoteIngestScoped); the margin
+// is what lets the one re-ranked peer fall behind the k-th without
+// losing the exact prefix.
 type neighborhood struct {
-	ns []Neighbor
-	// coraters marks, over the dense user index, every user that shared
-	// an item with the owner at fill time. An ingest by w can change
-	// sim(owner, w) only if w's bit is set here (or the ingest itself
-	// creates the first shared item, which the rated item's rater list
-	// covers), so the cached top-k depends on exactly these users.
-	coraters userBits
+	ns       []Neighbor
+	complete bool
+}
+
+// top returns the k leading entries: what Neighbors serves. The slice is
+// capped at its length, so a caller's append cannot reach the margin.
+func (nb neighborhood) top(k int) []Neighbor {
+	n := min(k, len(nb.ns))
+	return nb.ns[:n:n]
 }
 
 // shardIndex maps a user or item ID onto a lock stripe. IDs are dense
@@ -69,6 +84,8 @@ type Predictor struct {
 	store   *dataset.Store
 	k       int
 	measure Similarity
+	// keep is k + M, the length a fill keeps of the ranking.
+	keep int
 
 	shards [numShards]userShard
 	// counters track neighborhood-cache hits and misses (evictions are
@@ -79,8 +96,8 @@ type Predictor struct {
 	// computation that straddles a NoteIngest can never re-populate a
 	// just-cleared cache with pre-ingest state.
 	epoch atomic.Uint64
-	// users is the dense user index the fill kernel accumulates over and
-	// the co-rater bitsets are laid out on; dots pools the kernel's
+	// users is the dense user index the walk accumulates over and lays
+	// its co-rater bitset out on; dots pools the kernel's
 	// dot-product vectors (*[]float64, len(users), all zero at rest).
 	users denseIndex[dataset.UserID]
 	dots  sync.Pool
@@ -196,6 +213,7 @@ func NewPredictorSim(store *dataset.Store, kNeighbors int, measure Similarity) (
 		store:   store,
 		k:       kNeighbors,
 		measure: measure,
+		keep:    kNeighbors + kNeighbors/marginDivisor,
 		users:   newDenseIndex(store.Users()),
 		items:   newDenseIndex(store.Items()),
 	}
@@ -277,32 +295,30 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 	sh.mu.RUnlock()
 	if ok {
 		p.counters.hit()
-		return nb.ns
+		return nb.top(p.k)
 	}
 	p.counters.miss()
 
 	epoch := p.epoch.Load()
-	ns, coraters := p.fill(u)
-	return p.finishFill(u, ns, coraters, epoch)
+	return p.finishFill(u, p.fill(u), epoch)
 }
 
 // finishFill ends a fill of u's neighborhood begun at epoch: it
-// installs ns, together with its co-rater set, unless an ingest or a
-// concurrent fill got there first, and returns the neighborhood to
-// serve. The epoch check and the install share one hold of the stripe
-// lock, and an ingest bumps the epoch before it reads any stripe for
-// dependents: a fill it does not find there is fenced, and one it finds
-// carries its dependency record.
-func (p *Predictor) finishFill(u dataset.UserID, ns []Neighbor, coraters userBits, epoch uint64) []Neighbor {
+// installs nb unless an ingest or a concurrent fill got there first, and
+// returns the top-k to serve. The epoch check and the install share one
+// hold of the stripe lock, and an ingest bumps the epoch before it reads
+// any stripe for the neighborhoods to repair: a fill it does not find
+// there is fenced, and one it finds is repaired.
+func (p *Predictor) finishFill(u dataset.UserID, nb neighborhood, epoch uint64) []Neighbor {
 	sh := p.stripe(u)
 	sh.mu.Lock()
 	if cached, ok := sh.neighbors[u]; ok {
-		ns = cached.ns // a concurrent computation won; keep one canonical slice
+		nb = cached // a concurrent computation won; keep one canonical slice
 	} else if p.epoch.Load() == epoch {
-		sh.neighbors[u] = neighborhood{ns: ns, coraters: coraters}
+		sh.neighbors[u] = nb
 	}
 	sh.mu.Unlock()
-	return ns
+	return nb.top(p.k)
 }
 
 // Predict returns the predicted rating of u for item it on the 1..5

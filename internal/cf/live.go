@@ -1,6 +1,7 @@
 package cf
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -13,16 +14,15 @@ import (
 //
 // Coherence model: one new rating by user u changes u's vector — and
 // therefore sim(v, u) for exactly the users v that share an item with
-// u. Every other user's similarities, neighborhood, and predictions
-// are bit-for-bit unchanged, which is what the scoped path
-// (NoteIngestScoped) exploits: every cached neighborhood carries the
-// bitset of its owner's co-raters, so the cached users that co-rate
-// with u are the entries with u's bit set; the rated item's rater list
-// names the users the ingest newly connects to u, and everyone else's
-// cached state is provably fresh and stays warm. Each dependent gets a
-// one-similarity recheck — if u neither sits in nor enters its cached
-// top-k, the neighborhood (whose floats are untouched, not recomputed)
-// is retained too.
+// u after the rating. Every other similarity is bit-for-bit unchanged,
+// so every cached neighborhood stays an exact prefix of its owner's
+// ranking except in the one place u sits or lands. The scoped path
+// (NoteIngestScoped) repairs exactly that place: one walk of u's rater
+// lists names the users u co-rates with and gives each one's dot product
+// with u, and every cached neighborhood among them has u re-ranked at
+// the fresh similarity. This is incremental tabling: the stored answers
+// are updated where the one changed input reaches them, not abolished
+// and recomputed.
 //
 // NoteIngest is the historical drop-everything path. No serving
 // configuration selects it any more; it stays as the reference the
@@ -32,16 +32,16 @@ import (
 // in the construction's order, so either swap is bit-identical to a
 // cold rebuild.
 //
-// The epoch counters close the fill/invalidate race: a lazy fill that
+// The epoch counters close the fill/ingest race: a lazy fill that
 // started before an ingest — computed from pre-ingest state — fails
-// the epoch check at install time and is never cached, so a cleared
-// cache cannot be re-populated with stale entries by an in-flight
-// scan. Callers serialize NoteIngest/NoteIngestScoped invocations (the
-// World's ingest lock); reads need no coordination.
+// the epoch check at install time and is never cached, so an in-flight
+// scan cannot install what the ingest did not repair. Callers serialize
+// NoteIngest/NoteIngestScoped invocations (the World's ingest lock);
+// reads need no coordination.
 
 // NoteIngestScoped makes the predictor coherent with a rating just
-// applied for user u on item it, dropping only the derived state the
-// rating can actually reach:
+// applied for user u on item it, repairing the derived state the rating
+// reaches in place:
 //
 //   - the fallback means are swapped for a successor in which the rated
 //     item alone is re-summed (they shift on every ingest), and the
@@ -49,28 +49,27 @@ import (
 //     install;
 //   - u's own neighborhood and norm are dropped (all of u's
 //     similarities changed);
-//   - every dependent v — cached entries with u's co-rater bit set plus
-//     the raters of it — is rechecked with one fresh sim(v, u): if u
-//     already sat in v's cached top-k, or newly ranks into it under the
-//     canonical (sim desc, user asc) order, v's neighborhood drops;
-//     otherwise it is retained, its floats untouched;
-//   - every other cached neighborhood is retained without even a
-//     recheck: no similarity it was built from has changed.
+//   - every other cached neighborhood whose owner v co-rates with u has
+//     u re-ranked at the fresh sim(v, u) (see rerank); it is dropped
+//     only when the re-ranking leaves an incomplete list shorter than k,
+//     so the served top-k is no longer known;
+//   - every other cached neighborhood is untouched: no similarity it was
+//     built from has changed.
 //
-// The rechecks run one after another on the calling goroutine, which
+// The repairs run one after another on the calling goroutine, which
 // already holds the world's ingest lock. The counters record how many
-// cached neighborhoods were dropped and how many retained.
+// cached neighborhoods were dropped and how many retained, repaired
+// ones included.
 //
 // A fill that straddles the ingest still hands its pre-ingest
 // neighborhood to its caller; whatever that caller builds on it (a
 // sorted view) is the caller's to fence — the list store drops every
 // view, mid-build ones included, once the rating is applied.
 func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
-	// Order matters: swap means first, then bump epochs, then drop.
+	// Order matters: swap means first, then bump epochs, then repair.
 	// Any fill that read the old means started before the bump and is
 	// fenced; fills starting after the bump see the new means — and
-	// the rater's post-ingest norm, which every sim(v, u) from here on,
-	// the rechecks' below included, recomputes fresh.
+	// the rater's post-ingest norm, which the repairs below recompute.
 	// An item outside the domain cannot have been rated (Apply refuses
 	// it), so the means stand.
 	if ix, ok := p.items.of(it); ok {
@@ -85,68 +84,135 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 	if p.dropNeighborhood(u) {
 		dropped++
 	}
-
-	// Candidate dependents: cached users that co-rated with u at their
-	// fill time (u's bit in their co-rater set), plus the raters of it —
-	// the users the ingest itself newly connects to u. Everyone else's
-	// sims to u were zero before and after. Each candidate is rechecked
-	// once; a verdict reads only that user's cached neighborhood and one
-	// fresh sim(v, u), so no drop changes a later candidate's verdict.
-	seen := map[dataset.UserID]struct{}{u: {}}
-	recheck := func(v dataset.UserID) {
-		if _, ok := seen[v]; ok {
-			return
-		}
-		seen[v] = struct{}{}
-		if p.recheckNeighborhood(v, u) && p.dropNeighborhood(v) {
-			dropped++
-		}
-	}
-	for _, v := range p.dependentsOf(u) {
-		recheck(v)
-	}
-	for _, r := range p.store.ByItem(it) {
-		recheck(r.User)
-	}
+	dropped += p.repairReach(u)
 
 	p.counters.invalidate(dropped)
 	p.counters.retain(size - dropped)
 }
 
-// recheckNeighborhood decides whether v's cached neighborhood survives
-// an ingest by u: it is stale iff u already sits in the cached top-k
-// (u's sim changed) or a fresh sim(v, u) ranks u into it under the
-// canonical order the fill sort uses. The similarity is computed in
-// the fill's argument order, so the verdict matches what a cold
-// rebuild's scan would decide bit for bit. A user with nothing cached
-// is never stale.
-func (p *Predictor) recheckNeighborhood(v, u dataset.UserID) (stale bool) {
+// repairReach re-ranks u in every cached neighborhood of a user who
+// co-rates with u, returning how many it dropped. One walk of u's rater
+// lists over the post-rating store gives the co-raters and, for cosine,
+// every dot product with u; the similarity is then finished in the
+// owner's argument order, so it is the float a cold fill of the owner
+// computes. Pearson scores each reached owner by a merge-join.
+//
+// Called after bumpEpoch, the stripe pass cannot miss a neighborhood
+// that needs repair: a fill installed before the bump is resident when
+// its stripe is read, one begun before the bump cannot install, and one
+// begun after it already holds the fresh similarity, so repairing it
+// too changes nothing it serves.
+func (p *Predictor) repairReach(u dataset.UserID) int {
+	var dot []float64
+	var pooled *[]float64
+	if p.measure != PearsonSim {
+		pooled = p.dots.Get().(*[]float64)
+		dot = *pooled
+	}
+	co := p.scanCoraters(u, dot)
+	var reached []int
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.RLock()
+		for v := range sh.neighbors {
+			if vi, ok := p.users.of(v); ok && co.has(vi) {
+				reached = append(reached, vi)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	nu := p.norm(u)
+	dropped := 0
+	for _, vi := range reached {
+		v := p.users.ids[vi]
+		var s float64
+		if dot == nil {
+			s, _ = p.pearsonCorated(v, u)
+		} else if d := dot[vi]; d != 0 {
+			s = cosineFrom(d, p.normAt(v, vi), nu)
+		}
+		if p.repair(v, Neighbor{User: u, Sim: s}) {
+			dropped++
+		}
+	}
+	if pooled != nil {
+		clear(dot)
+		p.dots.Put(pooled)
+	}
+	return dropped
+}
+
+// repair re-ranks e.User at similarity e.Sim in v's cached neighborhood,
+// reporting whether it dropped the neighborhood instead. The repaired
+// list is a new slice installed under the stripe lock: a reader still
+// holding the old one never sees it change.
+func (p *Predictor) repair(v dataset.UserID, e Neighbor) (dropped bool) {
 	sh := p.stripe(v)
-	sh.mu.RLock()
-	cached, ok := sh.neighbors[v]
-	sh.mu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	nb, ok := sh.neighbors[v]
 	if !ok {
 		return false
 	}
-	ns := cached.ns
-	for _, nb := range ns {
-		if nb.User == u {
-			return true
-		}
-	}
-	s, _ := p.simCorated(p.measure, v, u)
-	if s <= 0 {
+	next, changed := nb.rerank(e, p.keep)
+	switch {
+	case !changed:
 		return false
+	case len(next.ns) < p.k && !next.complete:
+		delete(sh.neighbors, v)
+		p.work.repairDrops.Add(1)
+		return true
 	}
-	if len(ns) < p.k {
-		return true // room in the top-k; any positive sim enters
-	}
-	kth := ns[len(ns)-1]
-	return s > kth.Sim || (s == kth.Sim && u < kth.User)
+	sh.neighbors[v] = next
+	p.work.repaired.Add(1)
+	return false
 }
 
-// dropNeighborhood unlinks v's cached neighborhood — its co-rater set
-// goes with it — reporting whether anything was cached.
+// rerank returns nb with e.User re-ranked at similarity e.Sim: taken out
+// of the list, then put back at its canonical rank if e ranks ahead of
+// the list's last entry — or at any rank in a complete list — and the
+// result cut to keep entries. Every step keeps an exact prefix of the
+// ranking an exact prefix: the other entries' similarities did not
+// move, and an e that lands behind the last entry of an incomplete list
+// may rank behind peers the list never held. It reports false, leaving
+// nb as it is, when e neither was in the list nor enters it.
+func (nb neighborhood) rerank(e Neighbor, keep int) (neighborhood, bool) {
+	old := slices.IndexFunc(nb.ns, func(x Neighbor) bool { return x.User == e.User })
+	// at is e's rank among the entries other than its old one.
+	at, _ := slices.BinarySearchFunc(nb.ns, e, compareNeighbors)
+	if old >= 0 && old < at {
+		at--
+	}
+	rest := len(nb.ns)
+	if old >= 0 {
+		rest--
+	}
+	enters := e.Sim > 0 && (nb.complete || at < rest)
+	if old < 0 && !enters {
+		return nb, false
+	}
+	ns := make([]Neighbor, 0, rest+1)
+	for i, x := range nb.ns {
+		if i == old {
+			continue
+		}
+		if enters && len(ns) == at {
+			ns = append(ns, e)
+		}
+		ns = append(ns, x)
+	}
+	if enters && len(ns) == at {
+		ns = append(ns, e)
+	}
+	next := neighborhood{ns: ns, complete: nb.complete}
+	if len(ns) > keep {
+		next = neighborhood{ns: ns[:keep]}
+	}
+	return next, true
+}
+
+// dropNeighborhood unlinks v's cached neighborhood, reporting whether
+// anything was cached.
 func (p *Predictor) dropNeighborhood(v dataset.UserID) bool {
 	sh := p.stripe(v)
 	sh.mu.Lock()
@@ -154,31 +220,6 @@ func (p *Predictor) dropNeighborhood(v dataset.UserID) bool {
 	delete(sh.neighbors, v)
 	sh.mu.Unlock()
 	return ok
-}
-
-// dependentsOf returns the users whose cached neighborhood was filled
-// while they co-rated an item with w: a bit test over every resident
-// entry. Called after bumpEpoch, it cannot miss a dependency: a fill
-// installs its co-rater set with its neighborhood under the stripe lock
-// and checks the epoch under that same hold, so it either landed before
-// this walk read its stripe or is fenced.
-func (p *Predictor) dependentsOf(w dataset.UserID) []dataset.UserID {
-	wi, ok := p.users.of(w)
-	if !ok {
-		return nil
-	}
-	var out []dataset.UserID
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.RLock()
-		for v, nb := range sh.neighbors {
-			if nb.coraters.has(wi) {
-				out = append(out, v)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }
 
 // bumpEpoch fences every fill in flight and clears the rater u's cached
@@ -198,9 +239,8 @@ func (p *Predictor) bumpEpoch(u dataset.UserID) {
 
 // NoteIngest is the drop-everything counterpart of NoteIngestScoped:
 // the fallback means are recomputed and swapped, every cached
-// neighborhood is dropped (each with its co-rater set), and u's cached
-// norm is dropped. Kept as the reference the scoped path is tested
-// against.
+// neighborhood is dropped, and u's cached norm is dropped. Kept as the
+// reference the scoped path is tested against.
 func (p *Predictor) NoteIngest(u dataset.UserID) {
 	// Order matters: swap means first, then bump epochs, then clear.
 	// Any fill that read the old means started before the bump and is
@@ -277,16 +317,17 @@ type UserNeighbors struct {
 	Neighbors []Neighbor
 }
 
-// ExportNeighborhoods snapshots every cached neighborhood, sorted by
-// user for deterministic output. The neighbor slices are copies; the
-// caller owns them.
+// ExportNeighborhoods snapshots the served top-k of every cached
+// neighborhood, sorted by user for deterministic output — the margin
+// stays behind, so the snapshot format does not depend on it. The
+// neighbor slices are copies; the caller owns them.
 func (p *Predictor) ExportNeighborhoods() []UserNeighbors {
 	var out []UserNeighbors
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.RLock()
 		for u, nb := range sh.neighbors {
-			out = append(out, UserNeighbors{User: u, Neighbors: append([]Neighbor(nil), nb.ns...)})
+			out = append(out, UserNeighbors{User: u, Neighbors: append([]Neighbor(nil), nb.top(p.k)...)})
 		}
 		sh.mu.RUnlock()
 	}
@@ -299,17 +340,18 @@ func (p *Predictor) ExportNeighborhoods() []UserNeighbors {
 // already cached are skipped (the resident entry is canonical). The
 // caller guarantees the snapshot matches the store — the persistence
 // layer's config fingerprint gates that, and it restores only when no
-// journaled rating was replayed on top. Snapshots carry no co-rater
-// sets, so each one is recomputed here with the fill's walk over the
-// store the neighborhood was built from; a restored entry is then as
-// dependency-tracked as a filled one. Call during setup, before ingest
-// traffic: an install here is not epoch-fenced.
+// journaled rating was replayed on top. A restored entry carries no
+// margin: it is an exact prefix of the ranking all the same, complete
+// only when it holds fewer than k (a fill keeps at least k entries
+// unless there are fewer positive peers), so a rating repairs it like a
+// filled one. Call during setup, before ingest traffic: an install here
+// is not epoch-fenced.
 func (p *Predictor) RestoreNeighborhoods(ns []UserNeighbors) int {
 	restored := 0
 	for _, un := range ns {
 		nb := neighborhood{
 			ns:       append([]Neighbor(nil), un.Neighbors...),
-			coraters: p.scanCoraters(un.User, nil),
+			complete: len(un.Neighbors) < p.k,
 		}
 		sh := p.stripe(un.User)
 		sh.mu.Lock()

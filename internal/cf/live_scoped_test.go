@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,21 +49,6 @@ func warmNeighbors(p *Predictor, users ...dataset.UserID) map[dataset.UserID][]N
 	return out
 }
 
-// coraterBits builds the co-rater set a fill of p would record for the
-// given users.
-func coraterBits(t *testing.T, p *Predictor, users ...dataset.UserID) userBits {
-	t.Helper()
-	co := make(userBits, (len(p.users.ids)+63)>>6)
-	for _, u := range users {
-		i, ok := p.users.of(u)
-		if !ok {
-			t.Fatalf("user %d is not in the predictor's index", u)
-		}
-		co.set(i)
-	}
-	return co
-}
-
 // cached reports whether u's neighborhood is resident, without filling
 // it.
 func cached(p *Predictor, u dataset.UserID) bool {
@@ -74,9 +60,10 @@ func cached(p *Predictor, u dataset.UserID) bool {
 }
 
 // TestNoteIngestScopedRetainsIndependentNeighborhoods pins the core
-// retention contract: an ingest by u0 drops u0 and the dependents whose
-// top-k contains u0, retains the users that share no item with u0 —
-// bit-identical to a cold rebuild — and counts both outcomes exactly.
+// retention contract: an ingest by u0 drops u0's own neighborhood,
+// repairs the dependents that co-rate with u0, leaves the users that
+// share no item with u0 untouched — all bit-identical to a cold rebuild
+// — and counts a repaired neighborhood as retained.
 func TestNoteIngestScopedRetainsIndependentNeighborhoods(t *testing.T) {
 	s := scopedStore(t)
 	p, err := NewPredictor(s, 10)
@@ -88,25 +75,29 @@ func TestNoteIngestScopedRetainsIndependentNeighborhoods(t *testing.T) {
 	applyRating(t, s, 0, 3, 5) // u0 rates item 3 (co-rated by u1)
 	p.NoteIngestScoped(0, 3)
 
-	for u, want := range map[dataset.UserID]bool{0: false, 1: false, 2: false, 3: true, 4: true} {
+	for u, want := range map[dataset.UserID]bool{0: false, 1: true, 2: true, 3: true, 4: true} {
 		if got := cached(p, u); got != want {
 			t.Errorf("user %d resident after the ingest = %v, want %v", u, got, want)
 		}
 	}
 	st := p.Stats()
-	if st.Invalidated != 3 || st.Retained != 2 || st.Size != 2 {
-		t.Errorf("stats = %d invalidated / %d retained / %d resident, want 3 / 2 / 2", st.Invalidated, st.Retained, st.Size)
+	if st.Invalidated != 1 || st.Retained != 4 || st.Size != 4 {
+		t.Errorf("stats = %d invalidated / %d retained / %d resident, want 1 / 4 / 4", st.Invalidated, st.Retained, st.Size)
+	}
+	if got := p.work.repaired.Load(); got != 2 {
+		t.Errorf("%d neighborhoods repaired, want 2 (u1 and u2 co-rate with u0)", got)
 	}
 
-	// The retained neighborhoods are the untouched cached slices.
+	// The neighborhoods the rating does not reach are the untouched
+	// cached slices.
 	for _, u := range []dataset.UserID{3, 4} {
 		if got := p.Neighbors(u); !reflect.DeepEqual(got, warm[u]) {
 			t.Errorf("retained Neighbors(%d) changed: %v != %v", u, got, warm[u])
 		}
 	}
 
-	// Differential: every user's neighborhood — retained or rebuilt —
-	// must match a cold predictor over the extended dataset.
+	// Differential: every user's neighborhood — repaired, untouched or
+	// rebuilt — must match a cold predictor over the extended dataset.
 	cold, err := NewPredictor(s, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -118,35 +109,39 @@ func TestNoteIngestScopedRetainsIndependentNeighborhoods(t *testing.T) {
 	}
 }
 
-// TestNoteIngestScopedDropsNewlyEnteringRater pins the raters-of-item
-// candidate walk: no cached co-rater set names the rater for a user it
-// never co-rated with, but an ingest on that user's item
-// creates the first overlap — the rater now ranks into the cached
-// top-k, so the neighborhood must drop.
-func TestNoteIngestScopedDropsNewlyEnteringRater(t *testing.T) {
+// TestNoteIngestScopedInsertsNewlyEnteringRater pins the repair of a
+// first overlap: the rater shared no item with u3 or u4 before the
+// rating, which creates one — the walk of the rater's lists reaches both
+// cached neighborhoods, and the rater is inserted at its cold rank.
+func TestNoteIngestScopedInsertsNewlyEnteringRater(t *testing.T) {
 	s := scopedStore(t)
 	p, err := NewPredictor(s, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmNeighbors(p, 3, 4)
+	warm := warmNeighbors(p, 3, 4)
 
 	applyRating(t, s, 0, 10, 5) // u0's first overlap with u3 and u4
 	p.NoteIngestScoped(0, 10)
 
-	for _, u := range []dataset.UserID{3, 4} {
-		if cached(p, u) {
-			t.Errorf("user %d still resident after the rater entered its neighborhood", u)
-		}
-	}
 	cold, err := NewPredictor(s, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range []dataset.UserID{3, 4} {
-		if got, want := p.Neighbors(u), cold.Neighbors(u); !reflect.DeepEqual(got, want) {
+		if !cached(p, u) {
+			t.Fatalf("user %d dropped although the rater's rank in it is known", u)
+		}
+		got := p.Neighbors(u)
+		if len(got) != len(warm[u])+1 || !slices.ContainsFunc(got, func(nb Neighbor) bool { return nb.User == 0 }) {
+			t.Errorf("Neighbors(%d) = %v, want %v with u0 inserted", u, got, warm[u])
+		}
+		if want := cold.Neighbors(u); !reflect.DeepEqual(got, want) {
 			t.Errorf("post-ingest Neighbors(%d) = %v, want cold %v", u, got, want)
 		}
+	}
+	if st := p.Stats(); st.Invalidated != 0 || st.Retained != 2 {
+		t.Errorf("stats = %d invalidated / %d retained, want 0 / 2", st.Invalidated, st.Retained)
 	}
 }
 
@@ -162,7 +157,7 @@ func TestNoteIngestScopedFencesStraddlingFills(t *testing.T) {
 		t.Fatal(err)
 	}
 	// u3 shares no item with the rater u0: cached, its neighborhood is
-	// retained without a recheck. Here its fill is in flight instead,
+	// left untouched. Here its fill is in flight instead,
 	// begun the way Neighbors begins one, before the rating lands.
 	epoch := p.epoch.Load()
 	preIngest := []Neighbor{{User: 4, Sim: 1}}
@@ -171,15 +166,12 @@ func TestNoteIngestScopedFencesStraddlingFills(t *testing.T) {
 	p.NoteIngestScoped(0, 3)
 
 	// The fill ends after the ingest: its caller gets what it computed,
-	// the cache does not, and its co-rater set goes nowhere.
-	if got := p.finishFill(3, preIngest, coraterBits(t, p, 4), epoch); !reflect.DeepEqual(got, preIngest) {
+	// the cache does not.
+	if got := p.finishFill(3, neighborhood{ns: preIngest, complete: true}, epoch); !reflect.DeepEqual(got, preIngest) {
 		t.Errorf("fenced fill returned %v, want its own %v", got, preIngest)
 	}
 	if st := p.Stats(); st.Size != 0 {
 		t.Errorf("fenced fill was cached: %d resident neighborhoods", st.Size)
-	}
-	if got := p.dependentsOf(4); got != nil {
-		t.Errorf("fenced fill left a dependency record behind: dependentsOf(4) = %v", got)
 	}
 	cold, err := NewPredictor(s, 10)
 	if err != nil {
@@ -206,6 +198,9 @@ func TestNormInstallIsFenced(t *testing.T) {
 
 	applyRating(t, s, 0, 3, 5)
 	p.NoteIngestScoped(0, 3)
+	// The ingest's repairs cached the fresh norm; empty the slot again so
+	// that only the stale install below could fill it.
+	p.normBits[ui].Store(0)
 
 	p.installNorm(0, ui, preIngest, epoch)
 	if b := p.normBits[ui].Load(); b != 0 {
@@ -258,9 +253,9 @@ func TestCachedNormsMatchRecompute(t *testing.T) {
 	}
 }
 
-// TestNoteIngestScopedRetainsWhenRaterDoesNotRank pins the recheck's
-// retain verdict: a dependent whose top-k is full of strictly better
-// similarities keeps its neighborhood even though the rater's
+// TestNoteIngestScopedRetainsWhenRaterDoesNotRank pins a repair that
+// changes nothing served: a dependent whose top-k is full of strictly
+// better similarities keeps its neighborhood even though the rater's
 // similarity to it changed.
 func TestNoteIngestScopedRetainsWhenRaterDoesNotRank(t *testing.T) {
 	// u5 and u6 are identical twins (sim 1); u0 overlaps u5 weakly.
@@ -296,8 +291,8 @@ func TestNoteIngestScopedRetainsWhenRaterDoesNotRank(t *testing.T) {
 }
 
 // TestNoteIngestFullDropsEverything pins the legacy path's accounting:
-// every resident neighborhood counts as invalidated, nothing is
-// retained, and no dependency record outlives its neighborhood.
+// every resident neighborhood counts as invalidated and nothing is
+// retained.
 func TestNoteIngestFullDropsEverything(t *testing.T) {
 	s := scopedStore(t)
 	p, err := NewPredictor(s, 10)
@@ -313,58 +308,13 @@ func TestNoteIngestFullDropsEverything(t *testing.T) {
 	if st.Invalidated != 5 || st.Retained != 0 || st.Size != 0 {
 		t.Errorf("stats = %d invalidated / %d retained / %d resident, want 5 / 0 / 0", st.Invalidated, st.Retained, st.Size)
 	}
-	for _, u := range s.Users() {
-		if got := p.dependentsOf(u); got != nil {
-			t.Fatalf("dependency records survived NoteIngest: dependentsOf(%d) = %v", u, got)
-		}
-	}
-}
-
-// TestOverlappingFillsShareOneDependencyRecord pins what the counted
-// edges of the retired reverse index protected: of two overlapping fills
-// of one user, the loser's end must not strip the winner's dependency
-// record, and dropping the neighborhood removes the record entirely.
-func TestOverlappingFillsShareOneDependencyRecord(t *testing.T) {
-	s := scopedStore(t)
-	p, err := NewPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two fills of u0 begin at the same epoch, as two concurrent first
-	// Neighbors(0) calls would.
-	epoch := p.epoch.Load()
-	nsA, coA := p.fill(0)
-	nsB, coB := p.fill(0)
-	gotA := p.finishFill(0, nsA, coA, epoch)
-	gotB := p.finishFill(0, nsB, coB, epoch) // loses to the cached entry
-	if &gotA[0] != &gotB[0] {
-		t.Errorf("the losing fill did not return the canonical cached slice")
-	}
-	for _, w := range []dataset.UserID{1, 2} {
-		if got := p.dependentsOf(w); len(got) != 1 || got[0] != 0 {
-			t.Errorf("dependentsOf(%d) = %v after the losing fill ended, want [0]", w, got)
-		}
-	}
-	for _, w := range []dataset.UserID{0, 3, 4, 9} {
-		if got := p.dependentsOf(w); got != nil {
-			t.Errorf("dependentsOf(%d) = %v, want none: u0 shares no item with it", w, got)
-		}
-	}
-	if !p.dropNeighborhood(0) {
-		t.Fatalf("u0's neighborhood was not resident")
-	}
-	for _, w := range []dataset.UserID{1, 2} {
-		if got := p.dependentsOf(w); got != nil {
-			t.Errorf("dependentsOf(%d) = %v after the drop, want none", w, got)
-		}
-	}
 }
 
 // TestRestoreNeighborhoodsSurviveUnrelatedIngest pins the warm-restart
-// contract: a restored neighborhood gets its co-rater set recomputed at
-// restore time, so a scoped ingest treats it like a filled one — a
-// rating that reaches neither restored user retains both, one that
-// reaches one drops exactly it.
+// contract: a restored neighborhood carries no margin, but it is an
+// exact prefix of the ranking all the same, so a scoped ingest treats
+// it like a filled one — a rating that reaches neither restored user
+// leaves both untouched, one that reaches one repairs exactly it.
 func TestRestoreNeighborhoodsSurviveUnrelatedIngest(t *testing.T) {
 	s := scopedStore(t)
 	warmP, err := NewPredictor(s, 10)
@@ -381,24 +331,27 @@ func TestRestoreNeighborhoodsSurviveUnrelatedIngest(t *testing.T) {
 	if n := cold.RestoreNeighborhoods(exported); n != 2 {
 		t.Fatalf("restored %d neighborhoods, want 2", n)
 	}
-	if got := cold.dependentsOf(4); len(got) != 1 || got[0] != 3 {
-		t.Errorf("dependentsOf(4) = %v after the restore, want [3]", got)
-	}
 
 	applyRating(t, s, 0, 3, 5) // reaches neither u3 nor u4
 	cold.NoteIngestScoped(0, 3)
 	if st := cold.Stats(); st.Invalidated != 0 || st.Retained != 2 {
 		t.Errorf("unrelated ingest: %d dropped / %d retained, want 0 / 2", st.Invalidated, st.Retained)
 	}
+	if got := cold.work.repaired.Load(); got != 0 {
+		t.Errorf("unrelated ingest repaired %d neighborhoods, want 0", got)
+	}
 
 	applyRating(t, s, 9, 11, 4) // u9's first overlap with u4; none with u3
 	cold.NoteIngestScoped(9, 11)
-	// The counters accumulate: this ingest drops 1 and retains 1.
-	if st := cold.Stats(); st.Invalidated != 1 || st.Retained != 3 {
-		t.Errorf("ingest reaching u4: %d dropped / %d retained in total, want 1 / 3", st.Invalidated, st.Retained)
+	// The counters accumulate: this ingest repairs u4 and leaves u3.
+	if st := cold.Stats(); st.Invalidated != 0 || st.Retained != 4 {
+		t.Errorf("ingest reaching u4: %d dropped / %d retained in total, want 0 / 4", st.Invalidated, st.Retained)
 	}
-	if !cached(cold, 3) || cached(cold, 4) {
-		t.Errorf("after the ingest reaching u4: u3 resident = %v, u4 resident = %v; want true, false",
+	if got := cold.work.repaired.Load(); got != 1 {
+		t.Errorf("ingest reaching u4 repaired %d neighborhoods, want 1", got)
+	}
+	if !cached(cold, 3) || !cached(cold, 4) {
+		t.Errorf("after the ingest reaching u4: u3 resident = %v, u4 resident = %v; want both",
 			cached(cold, 3), cached(cold, 4))
 	}
 
@@ -519,8 +472,8 @@ func TestTimeWeightedAdvanceMatchesRescan(t *testing.T) {
 // TestScopedIngestRace hammers concurrent neighborhood fills against
 // serialized scoped ingests, then checks every surviving and rebuilt
 // neighborhood against a cold predictor — the epoch fence and the
-// co-rater set installed with each neighborhood must never let a
-// pre-ingest fill or a missed dependency survive. Run with -race.
+// repairs must never let a pre-ingest fill or a missed re-ranking
+// survive. Run with -race.
 func TestScopedIngestRace(t *testing.T) {
 	s := randomStore(t, 40, 30, 500, 7)
 	p, err := NewPredictor(s, 10)

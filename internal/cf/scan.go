@@ -13,9 +13,10 @@ import (
 // for each of its items, that item's rater list, so the work is the
 // number of (co-rater, shared item) pairs — the entries of the rater
 // lists of the user's own items — instead of one merge-join per user in
-// the store. The users the walk touches are exactly the co-raters, and
-// they are the fill's dependency record: a bitset over the dense user
-// index, installed with the neighborhood it describes.
+// the store. The users the walk touches are exactly the co-raters. The
+// same walk from a rater, run by the ingest, names every user whose
+// similarity to the rater a rating can move and hands it that
+// similarity's dot product (see NoteIngestScoped).
 
 // userBits is a bitset over the dense user index.
 type userBits []uint64
@@ -32,23 +33,28 @@ func (b userBits) count() int {
 	return n
 }
 
-// scanWork counts what fills and similarity calls cost, for the tests
-// that pin the kernel's complexity.
+// scanWork counts what fills, similarity calls and repairs cost, for the
+// tests that pin the kernel's complexity and the margin's size.
 type scanWork struct {
-	// listEntries is the number of rater-list entries fills walked.
+	// listEntries is the number of rater-list entries walks visited.
 	listEntries atomic.Int64
 	// pairMerges is the number of pairwise row merge-joins taken.
 	pairMerges atomic.Int64
+	// repaired counts the cached neighborhoods a rating re-ranked its
+	// rater in; repairDrops those it dropped instead, because the
+	// re-ranking left an incomplete list shorter than k.
+	repaired, repairDrops atomic.Int64
 }
 
 // scanCoraters walks u's row and the rater list of each of its items,
-// marking every other user it meets — u's co-raters — in a fresh bitset.
-// With a non-nil dot (len(users), all zero) it also accumulates each
-// co-rater's dot product with u, bit-identically to cosineCorated's
-// merge-join of the two rows: per co-rater the products are added in
+// marking every other user it meets — u's co-raters — in a fresh bitset
+// over the dense user index. With a non-nil dot (len(users), all zero)
+// it also accumulates each co-rater's dot product with u,
+// bit-identically to cosineCorated's merge-join of the two rows, in
+// either argument order: per co-rater the products are added in
 // ascending item order, and where a (user, item) pair was rated more
-// than once the two runs — both in log order, base before delta — are
-// paired first with first up to the shorter one.
+// than once the two runs — both in log order — are paired first with
+// first up to the shorter one.
 func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 	co := make(userBits, (len(p.users.ids)+63)>>6)
 	ru := p.store.ByUser(u)
@@ -84,10 +90,12 @@ func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 	return co
 }
 
-// fill computes u's neighborhood and its co-rater set from the store.
-// Candidates are scored in Users() order — the set bits ascending — so
-// keepTop sees the sequence a scan over every user would hand it.
-func (p *Predictor) fill(u dataset.UserID) ([]Neighbor, userBits) {
+// fill computes u's neighborhood from the store: the leading p.keep
+// entries of the canonical ranking of u's positive-similarity co-raters,
+// or all of them, marked complete. Candidates are scored in Users()
+// order — the set bits ascending — so keepTop sees the sequence a scan
+// over every user would hand it.
+func (p *Predictor) fill(u dataset.UserID) neighborhood {
 	var dot []float64
 	var pooled *[]float64
 	if p.measure != PearsonSim {
@@ -116,8 +124,9 @@ func (p *Predictor) fill(u dataset.UserID) ([]Neighbor, userBits) {
 	if pooled != nil {
 		p.dots.Put(pooled)
 	}
-	all = keepTop(all, p.k, compareNeighbors)
-	return append([]Neighbor(nil), all...), co
+	complete := len(all) <= p.keep
+	all = keepTop(all, p.keep, compareNeighbors)
+	return neighborhood{ns: append([]Neighbor(nil), all...), complete: complete}
 }
 
 // compareNeighbors is the canonical neighborhood order: similarity

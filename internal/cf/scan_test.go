@@ -6,16 +6,18 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-// referenceFill is the fill the walk in scan.go replaced, kept as its
-// oracle: one pairwise similarity against every user in the store, the
-// co-rating flags collected on the way.
-func referenceFill(p *Predictor, u dataset.UserID) ([]Neighbor, []dataset.UserID) {
+// referenceRanking is the scoring the walk in scan.go replaced, kept as
+// its oracle: one pairwise similarity against every user in the store,
+// every positive one in the canonical order, and the co-rating flags
+// collected on the way.
+func referenceRanking(p *Predictor, u dataset.UserID) ([]Neighbor, []dataset.UserID) {
 	all := make([]Neighbor, 0, 64)
 	var coraters []dataset.UserID
 	for _, v := range p.store.Users() {
@@ -30,8 +32,23 @@ func referenceFill(p *Predictor, u dataset.UserID) ([]Neighbor, []dataset.UserID
 			all = append(all, Neighbor{User: v, Sim: s})
 		}
 	}
-	all = keepTop(all, p.k, compareNeighbors)
-	return append([]Neighbor(nil), all...), coraters
+	slices.SortFunc(all, compareNeighbors)
+	return all, coraters
+}
+
+// sameNeighbors reports the first entry at which two neighbor lists
+// differ by user or similarity bits.
+func sameNeighbors(got, want []Neighbor) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d neighbors, reference has %d\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i].User != want[i].User || math.Float64bits(got[i].Sim) != math.Float64bits(want[i].Sim) {
+			return fmt.Errorf("neighbor %d = {%d %x}, reference {%d %x}", i,
+				got[i].User, math.Float64bits(got[i].Sim), want[i].User, math.Float64bits(want[i].Sim))
+		}
+	}
+	return nil
 }
 
 // usersOf lists a co-rater set in Users() order.
@@ -46,25 +63,75 @@ func usersOf(p *Predictor, co userBits) []dataset.UserID {
 }
 
 // diffFill compares the walk against the pairwise reference for one
-// user: the same neighbors with the same similarity bits, and the same
-// co-rater set.
+// user: the fill keeps the leading p.keep entries of the ranking with
+// the same similarity bits, marked complete exactly when that is all of
+// it; both walks find the same co-rater set; and the dot products the
+// walk hands back finish, in the co-rater's argument order, to the float
+// a fill of the co-rater computes for u — the similarity a rating by u
+// repairs the co-rater's neighborhood with.
 func diffFill(p *Predictor, u dataset.UserID) error {
-	got, co := p.fill(u)
-	want, wantCo := referenceFill(p, u)
-	if len(got) != len(want) {
-		return fmt.Errorf("user %d: %d neighbors, reference has %d\n got %v\nwant %v", u, len(got), len(want), got, want)
+	got := p.fill(u)
+	ranking, wantCo := referenceRanking(p, u)
+	if err := sameNeighbors(got.ns, ranking[:min(p.keep, len(ranking))]); err != nil {
+		return fmt.Errorf("user %d: %w", u, err)
 	}
-	for i := range got {
-		if got[i].User != want[i].User || math.Float64bits(got[i].Sim) != math.Float64bits(want[i].Sim) {
-			return fmt.Errorf("user %d: neighbor %d = {%d %x}, reference {%d %x}", u, i,
-				got[i].User, math.Float64bits(got[i].Sim), want[i].User, math.Float64bits(want[i].Sim))
-		}
+	if want := len(ranking) <= p.keep; got.complete != want {
+		return fmt.Errorf("user %d: complete = %v with %d positive peers and keep %d", u, got.complete, len(ranking), p.keep)
 	}
-	if gotCo := usersOf(p, co); !reflect.DeepEqual(gotCo, wantCo) {
+	dot := make([]float64, len(p.users.ids))
+	if gotCo := usersOf(p, p.scanCoraters(u, dot)); !reflect.DeepEqual(gotCo, wantCo) {
 		return fmt.Errorf("user %d: co-raters %v, reference %v", u, gotCo, wantCo)
 	}
 	if only := usersOf(p, p.scanCoraters(u, nil)); !reflect.DeepEqual(only, wantCo) {
 		return fmt.Errorf("user %d: dot-less walk found co-raters %v, reference %v", u, only, wantCo)
+	}
+	if p.measure != CosineSim {
+		return nil
+	}
+	for _, v := range wantCo {
+		vi, _ := p.users.of(v)
+		var got float64
+		if dot[vi] != 0 {
+			got = cosineFrom(dot[vi], p.norm(v), p.norm(u))
+		}
+		if want, _ := p.cosineCorated(v, u); math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("sim(%d, %d) from %d's walk = %x, pairwise %x", v, u, u, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	return nil
+}
+
+// diffResident holds every cached neighborhood of p to a fresh predictor
+// over p's store: the served top-k equals the fresh Neighbors by user
+// and similarity bits, the stored list is an exact prefix of the
+// pairwise ranking — all of it when marked complete — and an incomplete
+// list still holds at least k entries.
+func diffResident(p *Predictor) error {
+	cold, err := NewPredictorSim(p.store, p.k, p.measure)
+	if err != nil {
+		return err
+	}
+	for _, v := range p.store.Users() {
+		nb, ok := residentEntry(p, v)
+		if !ok {
+			continue
+		}
+		if err := sameNeighbors(nb.top(p.k), cold.Neighbors(v)); err != nil {
+			return fmt.Errorf("user %d serves a stale top-%d: %w", v, p.k, err)
+		}
+		ranking, _ := referenceRanking(cold, v)
+		if len(nb.ns) > len(ranking) {
+			return fmt.Errorf("user %d stores %d entries, the ranking has %d", v, len(nb.ns), len(ranking))
+		}
+		if err := sameNeighbors(nb.ns, ranking[:len(nb.ns)]); err != nil {
+			return fmt.Errorf("user %d stores no prefix of the ranking: %w", v, err)
+		}
+		if nb.complete && len(nb.ns) != len(ranking) {
+			return fmt.Errorf("user %d is marked complete with %d of %d positive peers", v, len(nb.ns), len(ranking))
+		}
+		if !nb.complete && len(nb.ns) < p.k {
+			return fmt.Errorf("user %d keeps an incomplete list of %d < k = %d", v, len(nb.ns), p.k)
+		}
 	}
 	return nil
 }
@@ -200,7 +267,8 @@ func buildScanWorld(t testing.TB, w scanWorld) (*dataset.Store, []dataset.Rating
 // pairwise reference bit for bit — neighbors, similarity bits and
 // co-rater sets — for both measures, k below and above the user count
 // (truncated and full neighborhoods), and a store that is frozen and
-// then takes ratings one at a time.
+// then takes ratings one at a time; a live predictor's repaired
+// neighborhoods are held to the served top-k and the stored prefix.
 func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
 	for _, w := range scanWorlds() {
 		for _, measure := range []Similarity{CosineSim, PearsonSim} {
@@ -212,8 +280,10 @@ func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
 							t.Fatalf("frozen: %v", err)
 						}
 
-						// A live predictor rides along: what it serves after
-						// every scoped ingest must be what a cold one computes.
+						// A live predictor rides along: after every scoped
+						// ingest each cached neighborhood it holds must serve
+						// what a cold one computes and store a prefix of the
+						// ranking.
 						live, err := NewPredictorSim(s, k, measure)
 						if err != nil {
 							t.Fatal(err)
@@ -229,11 +299,14 @@ func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
 							if err := diffAllFills(s, k, measure); err != nil {
 								t.Fatalf("%d applied ratings: %v", i+1, err)
 							}
+							if err := diffResident(live); err != nil {
+								t.Fatalf("%d scoped ingests: %v", i+1, err)
+							}
 						}
 						for _, u := range s.Users() {
-							want, _ := referenceFill(live, u)
-							if got := live.Neighbors(u); !reflect.DeepEqual(got, want) {
-								t.Fatalf("live Neighbors(%d) after %d scoped ingests = %v, reference %v", u, len(deltas), got, want)
+							ranking, _ := referenceRanking(live, u)
+							if err := sameNeighbors(live.Neighbors(u), ranking[:min(k, len(ranking))]); err != nil {
+								t.Fatalf("live Neighbors(%d) after %d scoped ingests: %v", u, len(deltas), err)
 							}
 						}
 					})
@@ -293,13 +366,13 @@ func TestFillWalksOnlyOwnRaterLists(t *testing.T) {
 	}
 }
 
-// resident returns v's cached neighborhood without filling it.
-func resident(p *Predictor, v dataset.UserID) ([]Neighbor, bool) {
+// residentEntry returns v's cached neighborhood without filling it.
+func residentEntry(p *Predictor, v dataset.UserID) (neighborhood, bool) {
 	sh := p.stripe(v)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	nb, ok := sh.neighbors[v]
-	return nb.ns, ok
+	return nb, ok
 }
 
 // TestFillRacingScopedIngestIsFencedOrFound races fills against a
@@ -307,11 +380,10 @@ func resident(p *Predictor, v dataset.UserID) ([]Neighbor, bool) {
 // and k exceeds the user count — so the rater sits in every top-k and
 // any neighborhood computed before the rating is stale. Whatever is
 // resident once both sides finish must therefore be post-ingest state:
-// a fill that installed before the epoch bump was found by the
-// dependents walk (its co-rater set went in under the same lock hold)
-// and dropped, and one that installed after it was fenced unless it
-// began after the bump. This is what the retired reverse index's
-// insert-before-install protocol guaranteed. Both measures: a Pearson
+// a fill that installed before the epoch bump was found by the repair's
+// stripe pass and repaired, and one that installed after it was fenced
+// unless it began after the bump — then it already held the fresh
+// similarity, and a repair of it changes nothing it serves. Both measures: a Pearson
 // fill finds its co-raters by the same walk but scores each pair by a
 // merge-join, without the cached norms. Run with -race.
 func TestFillRacingScopedIngestIsFencedOrFound(t *testing.T) {
@@ -353,11 +425,11 @@ func TestFillRacingScopedIngestIsFencedOrFound(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, v := range users {
-					got, ok := resident(p, v)
+					nb, ok := residentEntry(p, v)
 					if !ok {
 						continue
 					}
-					if want := cold.Neighbors(v); !reflect.DeepEqual(got, want) {
+					if got, want := nb.top(p.k), cold.Neighbors(v); !reflect.DeepEqual(got, want) {
 						t.Fatalf("round %d: user %d's resident neighborhood predates user %d's rating:\n got %v\nwant %v", round, v, u, got, want)
 					}
 				}

@@ -48,13 +48,10 @@ func (p *Predictor) Sim(measure Similarity, u, v dataset.UserID) float64 {
 
 // simCorated returns the similarity of u and v plus whether the two
 // users co-rated at least one item — one pairwise merge-join of the two
-// rows. It serves single-pair questions (Sim, the scoped ingest's
-// rechecks); a neighborhood fill gets the same floats and the same
-// co-rater set for every v at once from the walk in scan.go, which the
-// tests hold to this function bit for bit. The co-rating flag is a
-// cached neighborhood's dependency: an ingest by w can change sim(u, w)
-// only when the two share an item (or the ingest itself creates the
-// first shared item, which the rated item's rater list covers).
+// rows. It serves single-pair questions (Sim, a Pearson repair); a
+// neighborhood fill gets the same floats and the same co-rater set for
+// every v at once from the walk in scan.go, which the tests hold to this
+// function bit for bit.
 func (p *Predictor) simCorated(measure Similarity, u, v dataset.UserID) (float64, bool) {
 	switch measure {
 	case PearsonSim:
@@ -95,8 +92,7 @@ func (p *Predictor) cosineCorated(u, v dataset.UserID) (float64, bool) {
 
 // pearsonCorated is Pearson plus the co-rating flag. Co-raters with
 // fewer than two shared items still score 0, but the flag is set — a
-// later ingest can lift the overlap past the threshold, which is why
-// the co-rater bit must be set before the similarity exists.
+// later ingest can lift the overlap past the threshold.
 func (p *Predictor) pearsonCorated(u, v dataset.UserID) (float64, bool) {
 	if u == v {
 		return 1, true

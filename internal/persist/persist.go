@@ -39,7 +39,10 @@ var ErrBadSnapshot = errors.New("persist: bad snapshot")
 // SaveSnapshot gob-encodes payload and writes it with the versioned
 // header and checksum, atomically (write to a temp file in the same
 // directory, then rename) so a crash mid-save never clobbers the
-// previous good snapshot.
+// previous good snapshot. The temp file is synced before the rename and
+// the directory after it, so once SaveSnapshot returns the snapshot is
+// on disk under its name — the caller may then reset the journal the
+// snapshot replaces.
 func SaveSnapshot(path string, configFP uint64, payload any) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
@@ -64,13 +67,33 @@ func SaveSnapshot(path string, configFP uint64, payload any) error {
 		tmp.Close()
 		return fmt.Errorf("persist: writing snapshot: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("persist: syncing snapshot: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("persist: closing snapshot: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("persist: installing snapshot: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("persist: syncing snapshot directory: %w", err)
+	}
 	return nil
+}
+
+// syncDir flushes a directory's entries — a rename into it — to disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // LoadSnapshot validates the snapshot at path against the caller's

@@ -86,12 +86,79 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSaveWorldSnapshotKeepsJournalWhenSnapshotFails pins the commit
+// order of a snapshot: the journal is reset only once the snapshot that
+// replaces it is on disk. Here the snapshot cannot be installed (a
+// directory holds its name), so SaveWorldSnapshot must fail, leave no
+// temp file behind, and keep the journal — a reopen replays every
+// acknowledged rating and serves what the world served before.
+func TestSaveWorldSnapshotKeepsJournalWhenSnapshotFails(t *testing.T) {
+	base := liveBaseRatings(t)
+	dir := t.TempDir()
+
+	w1, _, err := OpenWorld(persistTestConfig(base), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := liveExtraRatings(w1, 3)
+	for _, r := range acked {
+		if err := w1.AddRating(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group := w1.Participants()[:3]
+	opt := Options{K: 5}
+	want, err := w1.Recommend(group, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	blocker := filepath.Join(dir, snapshotFile)
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveWorldSnapshot(w1, dir); err == nil {
+		t.Fatal("SaveWorldSnapshot succeeded although the snapshot could not be installed")
+	}
+	if err := w1.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".snapshot-") {
+			t.Errorf("the failed save left %s behind", e.Name())
+		}
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, st, err := OpenWorld(persistTestConfig(base), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.ClosePersistence()
+	if st.Warm || st.ReplayedRatings != len(acked) {
+		t.Fatalf("reopen after the failed save reported %+v, want cold with %d replayed", st, len(acked))
+	}
+	got, err := w2.Recommend(group, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reopen after the failed save diverged\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestWarmRestartKeepsNeighborhoodsAcrossFirstRating pins the restored
-// neighborhoods' dependency tracking: their co-rater sets are
-// recomputed at restore time, so the first rating after a warm reopen
-// drops only the neighborhoods it reaches — it used to drop every
-// restored one — and what is served over the retained ones is what a
-// cold world holding the same ratings serves.
+// neighborhoods' repair: a restored entry carries no margin but is an
+// exact prefix of the ranking, so the first rating after a warm reopen
+// drops only the rater's own neighborhood and repairs the ones it
+// reaches — it used to drop every restored one — and what is served
+// over them is what a cold world holding the same ratings serves.
 func TestWarmRestartKeepsNeighborhoodsAcrossFirstRating(t *testing.T) {
 	base := liveBaseRatings(t)
 	dir := t.TempDir()

@@ -450,14 +450,14 @@ func (w *World) SetRatingLog(l RatingLog) {
 // Coherence: one rating by user u shifts u's vector and therefore
 // sim(v, u) — but only for the users v that share an item with u. The
 // ingest exploits that where a rebuild is expensive, the neighborhood
-// cache: every cached neighborhood carries its owner's co-rater bitset,
-// the ones with u's bit set get a one-similarity recheck, run one after
-// another on the ingesting goroutine, and only the neighborhoods the
-// rating actually reaches are dropped (epoch-fenced against in-flight
-// fills re-installing pre-ingest results). The sorted
+// cache: one walk of u's rater lists names those users and their fresh
+// similarities, and each of their cached neighborhoods has u re-ranked
+// in place, one after another on the ingesting goroutine (epoch-fenced
+// against in-flight fills re-installing pre-ingest results); only u's
+// own is dropped. The sorted
 // views above them all drop: every rating shifts a fallback mean, no
 // measured workload re-reads a view between two ratings, and a view
-// rebuilt over retained neighborhoods costs one batch prediction.
+// rebuilt over repaired neighborhoods costs one batch prediction.
 // Everything served afterwards is bit-identical to a cold rebuild.
 func (w *World) AddRating(r dataset.Rating) error {
 	w.ingestMu.Lock()
