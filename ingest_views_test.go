@@ -150,7 +150,7 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 						if err := live.AttachRemote(set); err != nil {
 							t.Fatalf("AttachRemote: %v", err)
 						}
-						held.inner = fetchViews(set)
+						held.inner = fetchViews(set, len(live.lists.Pool()))
 					} else {
 						live = build(base, nil)
 						held.inner = liststore.LocalBuilder(live.source, live.lists.Pool(), prefDivisor, 1)

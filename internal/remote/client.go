@@ -22,8 +22,8 @@ import (
 type ClientConfig struct {
 	// DialTimeout bounds connection establishment (1s if 0).
 	DialTimeout time.Duration
-	// CallTimeout bounds one whole call — write, every response frame,
-	// terminal frame (2s if 0). Expiry maps to ErrShardTimeout.
+	// CallTimeout bounds one whole call — request write and reply
+	// frame (2s if 0). Expiry maps to ErrShardTimeout.
 	CallTimeout time.Duration
 	// Retries bounds re-dial attempts after a transport failure (2 if
 	// 0, negative disables). Reads are idempotent; applies are
@@ -45,11 +45,6 @@ type ClientConfig struct {
 	// BreakerCooldown is how long the opened circuit fast-fails before
 	// letting one probe call through (1s if 0).
 	BreakerCooldown time.Duration
-	// MaxViewScores bounds the pool length a view response may claim;
-	// a chunk whose Total exceeds it is a protocol violation, rejected
-	// before the gather buffer is allocated (2^22 scores = 32 MiB if
-	// 0). The router pins it to the actual pool size at attach time.
-	MaxViewScores int
 	// Fingerprint and Shards identify the router's world; every fresh
 	// connection handshakes them against the worker.
 	Fingerprint uint64
@@ -85,9 +80,6 @@ func (c *ClientConfig) fill() {
 	}
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = time.Second
-	}
-	if c.MaxViewScores == 0 {
-		c.MaxViewScores = 1 << 22
 	}
 }
 
@@ -174,10 +166,10 @@ type Client struct {
 }
 
 // clientConn is one pipelined connection: a single reader goroutine
-// demultiplexes response frames to in-flight calls by sequence
-// number; writers serialize whole request frames under writeMu. The
-// reader is the only party that sends on or closes a call channel, so
-// a torn connection fails every in-flight call exactly once.
+// demultiplexes reply frames to in-flight calls by sequence number;
+// writers serialize whole request frames under writeMu. The reader is
+// the only party that sends on or closes a call channel, so a call gets
+// exactly one reply, or a torn connection fails it exactly once.
 type clientConn struct {
 	c    *Client
 	conn net.Conn
@@ -403,22 +395,23 @@ func (cc *clientConn) dead() bool {
 }
 
 // register enrolls a call's sequence number for demultiplexing. The
-// channel is buffered only to absorb a pathological frame raced in
-// after the terminal — in-flight calls always drain it live.
+// reader unenrolls the call as it sends the call's one reply, so the
+// one-slot channel takes exactly one send and never blocks the reader.
 func (cc *clientConn) register(seq uint64) (chan frame, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.closed {
 		return nil, cc.err
 	}
-	ch := make(chan frame, 8)
+	ch := make(chan frame, 1)
 	cc.calls[seq] = ch
 	cc.inflight.Add(1)
 	return ch, nil
 }
 
-// deregister removes a completed call. Late frames for the sequence
-// are dropped by the reader.
+// deregister removes a call whose request never made it onto the wire.
+// A frame that later arrives for its sequence fails the connection with
+// ErrProtocol, like any frame for a sequence with no call waiting.
 func (cc *clientConn) deregister(seq uint64) {
 	cc.mu.Lock()
 	if _, ok := cc.calls[seq]; ok {
@@ -458,11 +451,10 @@ func (cc *clientConn) fail(err error) {
 	}
 }
 
-// readLoop is the connection's single demultiplexer: every response
-// frame routes to its call by sequence number. A frame for an unknown
-// live sequence is a protocol violation that poisons the connection —
-// except frames whose call already finished (a buggy peer writing
-// past its terminal), which are dropped.
+// readLoop is the connection's single demultiplexer: every reply frame
+// routes to its call by sequence number, and the call leaves the table
+// with it. A frame for a sequence with no call waiting — never sent, or
+// already answered — is a protocol violation that fails the connection.
 func (cc *clientConn) readLoop() {
 	for {
 		f, err := readFrame(cc.conn)
@@ -472,9 +464,13 @@ func (cc *clientConn) readLoop() {
 		}
 		cc.mu.Lock()
 		ch, ok := cc.calls[f.seq]
+		if ok {
+			delete(cc.calls, f.seq)
+			cc.inflight.Add(-1)
+		}
 		cc.mu.Unlock()
 		if !ok {
-			cc.fail(fmt.Errorf("%w: response for unknown sequence %d (op %s)", ErrProtocol, f.seq, opName(f.op)))
+			cc.fail(fmt.Errorf("%w: reply for unknown or answered sequence %d (op %s)", ErrProtocol, f.seq, opName(f.op)))
 			return
 		}
 		ch <- f
@@ -505,25 +501,21 @@ func (c *Client) transportErr(op string, err error) error {
 	return fmt.Errorf("%w: %s to worker %s: %v", ErrShardUnavailable, op, c.addr, err)
 }
 
-// call runs one request/response exchange: write the request frame,
-// deliver every progress frame to onProgress (may be nil), return the
-// terminal result payload. Transport failures poison the connection
-// and, for redeliverable ops (idempotent reads, sequence-deduplicated
-// applies), retry on another one with doubling backoff.
-func (c *Client) call(op uint8, payload []byte, redeliverable bool, onProgress func([]byte) error) ([]byte, error) {
+// call runs one request/reply exchange: write the request frame,
+// return the reply's result payload. Transport failures poison the
+// connection and retry on another one with doubling backoff — every op
+// is safe to redeliver (reads are idempotent, applies are
+// sequence-deduplicated by the worker).
+func (c *Client) call(op uint8, payload []byte) ([]byte, error) {
 	c.counters.ops[op].Add(1)
-	attempts := 1
-	if redeliverable {
-		attempts += c.cfg.Retries
-	}
 	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			c.counters.retries.Add(1)
 			time.Sleep(c.cfg.Backoff << (attempt - 1))
 		}
 		var out []byte
-		out, err = c.callOnce(op, payload, onProgress)
+		out, err = c.callOnce(op, payload)
 		if err == nil {
 			return out, nil
 		}
@@ -537,7 +529,7 @@ func (c *Client) call(op uint8, payload []byte, redeliverable bool, onProgress f
 	return nil, err
 }
 
-func (c *Client) callOnce(op uint8, payload []byte, onProgress func([]byte) error) ([]byte, error) {
+func (c *Client) callOnce(op uint8, payload []byte) ([]byte, error) {
 	cc, err := c.getConn()
 	if err != nil {
 		return nil, err
@@ -563,59 +555,37 @@ func (c *Client) callOnce(op uint8, payload []byte, onProgress func([]byte) erro
 		cc.deregister(seq)
 		return nil, c.transportErr("request", err)
 	}
-	// Receive until the terminal frame or channel close. After a local
-	// failure (bad frame, progress error) the connection is poisoned
-	// and the loop keeps draining until the reader closes the channel,
-	// so a blocked reader can never deadlock against an absent
-	// receiver.
-	var perr error
-	for {
-		f, ok := <-ch
-		if !ok {
-			if perr != nil {
-				c.noteFailure()
-				return nil, perr
-			}
-			if timedOut.Load() {
-				c.noteFailure()
-				return nil, fmt.Errorf("%w: %s call to worker %s exceeded %v", ErrShardTimeout, opName(op), c.addr, c.cfg.CallTimeout)
-			}
-			err := cc.errOf()
-			if errors.Is(err, ErrProtocol) {
-				c.noteFailure()
-				return nil, err
-			}
-			return nil, c.transportErr("response", err)
+	// One frame answers the call; a closed channel means the connection
+	// failed first.
+	f, ok := <-ch
+	if !ok {
+		if timedOut.Load() {
+			c.noteFailure()
+			return nil, fmt.Errorf("%w: %s call to worker %s exceeded %v", ErrShardTimeout, opName(op), c.addr, c.cfg.CallTimeout)
 		}
-		if perr != nil {
-			continue // draining a poisoned connection
+		err := cc.errOf()
+		if errors.Is(err, ErrProtocol) {
+			c.noteFailure()
+			return nil, err
 		}
-		if f.op != op {
-			perr = fmt.Errorf("%w: response op %s for request op %s (seq %d)", ErrProtocol, opName(f.op), opName(op), seq)
-			cc.conn.Close()
-			continue
-		}
-		switch f.kind {
-		case kindProgress:
-			if onProgress != nil {
-				if err := onProgress(f.payload); err != nil {
-					perr = err
-					cc.conn.Close()
-				}
-			}
-		case kindResult:
-			cc.deregister(seq)
-			c.noteSuccess()
-			return f.payload, nil
-		case kindError:
-			cc.deregister(seq)
-			c.noteSuccess() // the transport delivered; the refusal is application-level
-			return nil, decodeAppError(f.payload)
-		default:
-			perr = fmt.Errorf("%w: unexpected frame kind %d", ErrProtocol, f.kind)
-			cc.conn.Close()
-		}
+		return nil, c.transportErr("response", err)
 	}
+	switch {
+	case f.op != op:
+		err = fmt.Errorf("%w: response op %s for request op %s (seq %d)", ErrProtocol, opName(f.op), opName(op), seq)
+	case f.kind == kindResult:
+		c.noteSuccess()
+		return f.payload, nil
+	case f.kind == kindError:
+		c.noteSuccess() // the transport delivered; the refusal is application-level
+		return nil, decodeAppError(f.payload)
+	default:
+		err = fmt.Errorf("%w: unexpected frame kind %d", ErrProtocol, f.kind)
+	}
+	// A misdirected reply poisons the connection for every call on it.
+	cc.conn.Close()
+	c.noteFailure()
+	return nil, err
 }
 
 // Ping dials (or reuses) a connection and verifies the handshake — the
@@ -625,50 +595,17 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// gatherChunk splices one view chunk into its user's score vector. The
-// peer-claimed total is bounded by MaxViewScores before the gather
-// buffer is allocated — a buggy worker cannot make the router allocate
-// gigabytes off one CRC-valid frame.
-func (c *Client) gatherChunk(scores *[]float64, total, offset uint32, part []float64) error {
-	if int64(total) > int64(c.cfg.MaxViewScores) {
-		return fmt.Errorf("%w: view claims %d scores, bound is %d", ErrProtocol, total, c.cfg.MaxViewScores)
-	}
-	if *scores == nil {
-		*scores = make([]float64, total)
-	}
-	if int(offset)+len(part) > len(*scores) {
-		return fmt.Errorf("%w: view chunk overflows total %d", ErrProtocol, len(*scores))
-	}
-	copy((*scores)[offset:], part)
-	return nil
-}
-
 // ViewScoresMulti fetches every listed user's view — its pool-order
-// scores — in one round trip, gathering the interleaved per-user chunk
-// frames into dense slices.
-func (c *Client) ViewScoresMulti(users []dataset.UserID) ([][]float64, error) {
+// scores, n of them — in one round trip.
+func (c *Client) ViewScoresMulti(users []dataset.UserID, n int) ([][]float64, error) {
 	if len(users) == 0 {
 		return nil, nil
 	}
-	out := make([][]float64, len(users))
-	gather := func(p []byte) error {
-		chunk, err := decodeViewMultiChunk(p)
-		if err != nil {
-			return err
-		}
-		if int(chunk.Index) >= len(users) {
-			return fmt.Errorf("%w: view chunk for user index %d of %d", ErrProtocol, chunk.Index, len(users))
-		}
-		return c.gatherChunk(&out[chunk.Index], chunk.Total, chunk.Offset, chunk.Scores)
-	}
-	last, err := c.call(opViewMulti, encodeViewMultiReq(viewMultiReq{Users: users}), true, gather)
+	p, err := c.call(opViewMulti, encodeViewMultiReq(viewMultiReq{Users: users}))
 	if err != nil {
 		return nil, err
 	}
-	if err := gather(last); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return decodeVectors(p, len(users), n)
 }
 
 // PredictBatchMulti fetches every listed user's raw (1..5 scale)
@@ -677,53 +614,27 @@ func (c *Client) PredictBatchMulti(users []dataset.UserID, items []dataset.ItemI
 	if len(users) == 0 {
 		return nil, nil
 	}
-	out := make([][]float64, len(users))
-	gather := func(p []byte) error {
-		row, err := decodePredictMultiRow(p)
-		if err != nil {
-			return err
-		}
-		if int(row.Index) >= len(users) {
-			return fmt.Errorf("%w: prediction row for user index %d of %d", ErrProtocol, row.Index, len(users))
-		}
-		if len(row.Values) != len(items) {
-			return fmt.Errorf("%w: %d predictions for %d items", ErrProtocol, len(row.Values), len(items))
-		}
-		out[row.Index] = row.Values
-		return nil
-	}
-	last, err := c.call(opPredictMulti, encodePredictMultiReq(predictMultiReq{Users: users, Items: items}), true, gather)
+	p, err := c.call(opPredictMulti, encodePredictMultiReq(predictMultiReq{Users: users, Items: items}))
 	if err != nil {
 		return nil, err
 	}
-	if err := gather(last); err != nil {
-		return nil, err
-	}
-	for i, row := range out {
-		if row == nil {
-			return nil, fmt.Errorf("%w: no prediction row for user index %d", ErrProtocol, i)
-		}
-	}
-	return out, nil
+	return decodeVectors(p, len(users), len(items))
 }
 
 // Apply delivers one sequence-stamped rating into the worker's
 // replica. The worker deduplicates by sequence, so a delivery whose
-// ack was lost in transit is safely redelivered on retry — effectively
-// exactly-once per sequence number — and a worker that missed an
-// earlier sequence answers ErrReplicaGap instead of ingesting past
-// the hole.
-func (c *Client) Apply(seq uint64, r dataset.Rating) (ApplyAck, error) {
-	out, err := c.call(opApply, encodeApplyReq(applyReq{Seq: seq, Rating: r}), true, nil)
-	if err != nil {
-		return ApplyAck{}, err
-	}
-	return decodeApplyAck(out)
+// reply was lost in transit is safely redelivered on retry —
+// effectively exactly-once per sequence number — and a worker that
+// missed an earlier sequence answers ErrReplicaGap instead of
+// ingesting past the hole.
+func (c *Client) Apply(seq uint64, r dataset.Rating) error {
+	_, err := c.call(opApply, encodeApplyReq(applyReq{Seq: seq, Rating: r}))
+	return err
 }
 
 // Stats fetches the worker's cache totals.
 func (c *Client) Stats() (Stats, error) {
-	out, err := c.call(opStats, nil, true, nil)
+	out, err := c.call(opStats, nil)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -891,11 +802,30 @@ func (s *ShardSet) bucketByOwner(users []dataset.UserID) map[*Client][]int {
 	return buckets
 }
 
-// ViewScoresMulti fetches every listed user's view with one RPC per
-// owning worker — O(workers) round trips per group assembly instead
-// of O(members) — scattering the per-worker batches concurrently and
-// gathering results back into request order.
-func (s *ShardSet) ViewScoresMulti(users []dataset.UserID) ([][]float64, error) {
+// ViewScoresMulti fetches every listed user's view, n scores each,
+// with one RPC per owning worker — O(workers) round trips per group
+// assembly instead of O(members).
+func (s *ShardSet) ViewScoresMulti(users []dataset.UserID, n int) ([][]float64, error) {
+	return s.scatter(users, func(cl *Client, batch []dataset.UserID) ([][]float64, error) {
+		return cl.ViewScoresMulti(batch, n)
+	})
+}
+
+// PredictBatchMulti fetches predictions of every listed user for one
+// shared item list, one RPC per owning worker.
+func (s *ShardSet) PredictBatchMulti(users []dataset.UserID, items []dataset.ItemID) ([][]float64, error) {
+	return s.scatter(users, func(cl *Client, batch []dataset.UserID) ([][]float64, error) {
+		return cl.PredictBatchMulti(batch, items)
+	})
+}
+
+// scatter runs one multi-user read per owning worker concurrently and
+// gathers the vectors back into request order. It is the read
+// boundary: a read the worker failed — a protocol violation, an
+// internal or wrong_shard refusal — is the worker's fault, never the
+// caller's, so it surfaces as ErrShardUnavailable with its cause still
+// matchable; a timeout keeps its own verdict.
+func (s *ShardSet) scatter(users []dataset.UserID, read func(*Client, []dataset.UserID) ([][]float64, error)) ([][]float64, error) {
 	if len(users) == 0 {
 		return nil, nil
 	}
@@ -915,7 +845,7 @@ func (s *ShardSet) ViewScoresMulti(users []dataset.UserID) ([][]float64, error) 
 			for j, i := range idx {
 				batch[j] = users[i]
 			}
-			res, err := cl.ViewScoresMulti(batch)
+			res, err := read(cl, batch)
 			if err != nil {
 				errs[ci] = err
 				return
@@ -926,50 +856,13 @@ func (s *ShardSet) ViewScoresMulti(users []dataset.UserID) ([][]float64, error) 
 		}(ci, cl, idx)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for ci, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrShardUnavailable), errors.Is(err, ErrShardTimeout):
 			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// PredictBatchMulti fetches predictions of every listed user for one
-// shared item list, one RPC per owning worker.
-func (s *ShardSet) PredictBatchMulti(users []dataset.UserID, items []dataset.ItemID) ([][]float64, error) {
-	if len(users) == 0 {
-		return nil, nil
-	}
-	buckets := s.bucketByOwner(users)
-	out := make([][]float64, len(users))
-	errs := make([]error, len(s.clients))
-	var wg sync.WaitGroup
-	for ci, cl := range s.clients {
-		idx := buckets[cl]
-		if len(idx) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ci int, cl *Client, idx []int) {
-			defer wg.Done()
-			batch := make([]dataset.UserID, len(idx))
-			for j, i := range idx {
-				batch[j] = users[i]
-			}
-			rows, err := cl.PredictBatchMulti(batch, items)
-			if err != nil {
-				errs[ci] = err
-				return
-			}
-			for j, i := range idx {
-				out[i] = rows[j]
-			}
-		}(ci, cl, idx)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		default:
+			return nil, fmt.Errorf("%w: worker %s: %w", ErrShardUnavailable, s.clients[ci].Addr(), err)
 		}
 	}
 	return out, nil
@@ -984,19 +877,18 @@ func (s *ShardSet) PredictBatchMulti(users []dataset.UserID, items []dataset.Ite
 // at most one dial timeout per fanout, not one per worker.
 //
 // Failure policy: each delivery is retried with backoff (the worker
-// deduplicates by sequence, so redelivery after a lost ack is safe).
+// deduplicates by sequence, so redelivery after a lost reply is safe).
 // A worker whose delivery still fails — transport, or an application
 // refusal of a rating the router already applied — has missed a write
 // its replica can never recover under static membership, so it is
 // fenced: every later call fast-fails ErrShardUnavailable and its
 // shards degrade honestly instead of serving divergent bytes. Already
-// fenced workers are skipped. The owner's ack is returned; a non-nil
-// error reports that the owner itself missed the write (and is now
-// fenced) — the rating is still durably delivered to every live
-// replica, so the caller decides whether that fails its ingest.
-func (s *ShardSet) Apply(seq uint64, r dataset.Rating) (ApplyAck, error) {
+// fenced workers are skipped. A non-nil error reports that the owner
+// itself missed the write (and is now fenced) — the rating is still
+// durably delivered to every live replica, so the caller decides
+// whether that fails its ingest.
+func (s *ShardSet) Apply(seq uint64, r dataset.Rating) error {
 	owner := s.ownerOf(r.User)
-	acks := make([]ApplyAck, len(s.clients))
 	errs := make([]error, len(s.clients))
 	var wg sync.WaitGroup
 	for i, cl := range s.clients {
@@ -1009,11 +901,10 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) (ApplyAck, error) {
 		wg.Add(1)
 		go func(i int, cl *Client) {
 			defer wg.Done()
-			acks[i], errs[i] = cl.Apply(seq, r)
+			errs[i] = cl.Apply(seq, r)
 		}(i, cl)
 	}
 	wg.Wait()
-	var ack ApplyAck
 	var ownerErr error
 	for i, cl := range s.clients {
 		if err := errs[i]; err != nil && !cl.Fenced() {
@@ -1021,13 +912,10 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) (ApplyAck, error) {
 			s.fanoutErrs.Add(1)
 		}
 		if cl == owner {
-			ack, ownerErr = acks[i], errs[i]
+			ownerErr = errs[i]
 		}
 	}
-	if ownerErr != nil {
-		return ApplyAck{}, ownerErr
-	}
-	return ack, nil
+	return ownerErr
 }
 
 // FanoutErrors reports apply deliveries that failed (each such worker
@@ -1045,15 +933,6 @@ func (s *ShardSet) Fenced() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// LimitViewScores pins every client's view-length bound to the actual
-// pool size, so a buggy worker's claimed view total cannot exceed the
-// world's real one. Call before serving (AttachRemote does).
-func (s *ShardSet) LimitViewScores(n int) {
-	for _, cl := range s.clients {
-		cl.cfg.MaxViewScores = n
-	}
 }
 
 // EmptyTransportStats is the zero activity snapshot with every op key

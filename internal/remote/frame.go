@@ -15,11 +15,10 @@
 // multiplexed connection), a length-prefixed payload, and its own
 // CRC32, so a torn stream or a flipped bit is detected per frame and
 // mapped to a typed error instead of silently decoding garbage.
-// Responses follow the anytime contract's transport-agnostic shape:
-// zero or more progress frames, then exactly one terminal frame
-// (result or error) — the same progress-then-terminal discipline the
-// SSE surface speaks, carried here by view fetches streaming their
-// score chunks.
+// Every call is one request frame answered by exactly one frame: a
+// result, or an error carrying an application code. A multi-user read's
+// result holds one vector per requested user, so no caller ever sees a
+// partial answer.
 package remote
 
 import (
@@ -34,7 +33,7 @@ import (
 //
 //	magic   u32  "GRCA"
 //	version u16  protocol version
-//	kind    u8   frame kind (hello, request, progress, result, error)
+//	kind    u8   frame kind (hello, helloAck, request, result, error)
 //	op      u8   operation (requests; echoed by every response frame)
 //	seq     u64  per-connection sequence, echoed by responses
 //	length  u32  payload byte count
@@ -42,41 +41,42 @@ import (
 //	crc     u32  CRC32 (IEEE) over header + payload
 const (
 	frameMagic = uint32(0x41435247) // "GRCA" little-endian
-	// frameVersion 5: version 4 (worker-batched multi-user reads, view
-	// chunks of scores only, the protocol version advertised in the
-	// hello ack) with a stats answer of one worker's totals instead of
-	// one entry per owned shard, and an apply ack of the applied count
-	// alone. It is the only version spoken: router and workers deploy
+	// frameVersion 6: version 5 (worker-batched multi-user reads, the
+	// protocol version advertised in the hello ack, a stats answer of
+	// one worker's totals) with every call answered by one frame — a
+	// multi-user read by one vector per user, an apply by an empty
+	// result — instead of progress frames of view chunks and an apply
+	// ack. It is the only version spoken: router and workers deploy
 	// from one build, and a frame at any other version is
 	// ErrVersionSkew.
-	frameVersion = uint16(5)
+	frameVersion = uint16(6)
 	frameHdrLen  = 4 + 2 + 1 + 1 + 8 + 4
 	frameCRCLen  = 4
 )
 
 // MaxPayload bounds a single frame's payload. The largest legitimate
-// payload — a view chunk or a batch-predict row over a full candidate
-// pool — is a few hundred KB; anything past the bound is a corrupt
-// length field or a misbehaving peer, rejected before allocation.
+// payload — a multi-user read's vectors over a full candidate pool — is
+// a few hundred KB; anything past the bound is a corrupt length field
+// or a misbehaving peer, rejected before allocation. A worker whose
+// reply would exceed it answers an internal error instead.
 const MaxPayload = 8 << 20
 
-// Frame kinds. A request is answered by zero or more kindProgress
-// frames followed by exactly one terminal frame (kindResult or
-// kindError) — the transport form of the anytime contract.
+// Frame kinds. A request is answered by exactly one kindResult or
+// kindError frame. Code 4 was the progress frame that streamed view
+// chunks before version 6; it stays retired.
 const (
 	kindHello    = uint8(1) // connection handshake, router → worker
 	kindHelloAck = uint8(2) // handshake accept, worker → router
 	kindRequest  = uint8(3)
-	kindProgress = uint8(4) // non-terminal response frame
-	kindResult   = uint8(5) // terminal success
-	kindError    = uint8(6) // terminal failure (code + message payload)
+	kindResult   = uint8(5) // success
+	kindError    = uint8(6) // failure (code + message payload)
 )
 
 // Operations of the data plane. Codes 1 and 2 were the
 // single-user reads the batched ops replaced and 4 the per-user view
 // drop nothing called; they stay retired.
 const (
-	opApply = uint8(3) // rating → apply + ack
+	opApply = uint8(3) // rating → apply, empty result
 	opStats = uint8(5) // () → the worker's cache totals
 
 	// Batched reads: one request carries every group member the worker

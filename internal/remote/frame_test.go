@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -79,9 +80,9 @@ func TestFrameBadMagic(t *testing.T) {
 }
 
 // TestFrameVersionSkew: a peer from a different build — newer, or a
-// retired version 2 to 4 — is refused frame by frame.
+// retired version 2 to 5 — is refused frame by frame.
 func TestFrameVersionSkew(t *testing.T) {
-	for _, v := range []uint16{frameVersion + 1, 4, 3, 2} {
+	for _, v := range []uint16{frameVersion + 1, 5, 4, 3, 2} {
 		raw := encodeFrameBytes(t, frame{kind: kindResult, seq: 1})
 		binary.LittleEndian.PutUint16(raw[4:], v)
 		if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersionSkew) {
@@ -135,22 +136,18 @@ func TestWireShortPayloads(t *testing.T) {
 		"hello":    encodeHello(hello{Fingerprint: 1, Shards: 2}),
 		"helloAck": encodeHelloAck([]int{0, 1, 2}, frameVersion),
 		"viewReq":  encodeViewMultiReq(viewMultiReq{Users: []dataset.UserID{3, 9}}),
-		"chunk":    encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 0, Scores: []float64{1, 2}}),
+		"vectors":  encodeVectors([][]float64{{1, 2}, {3, 4}}),
 		"predict":  encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{3}, Items: []dataset.ItemID{1, 2, 3}}),
-		"row":      encodePredictMultiRow(predictMultiRow{Index: 2, Values: []float64{1, 2, 3}}),
 		"apply":    encodeApplyReq(applyReq{Seq: 9, Rating: dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4}}),
-		"ack":      encodeApplyAck(ApplyAck{Applied: 2}),
 		"appError": encodeAppError("internal", "msg"),
 	}
 	decode := map[string]func([]byte) error{
 		"hello":    func(p []byte) error { _, err := decodeHello(p); return err },
 		"helloAck": func(p []byte) error { _, _, err := decodeHelloAck(p); return err },
 		"viewReq":  func(p []byte) error { _, err := decodeViewMultiReq(p); return err },
-		"chunk":    func(p []byte) error { _, err := decodeViewMultiChunk(p); return err },
+		"vectors":  func(p []byte) error { _, err := decodeVectors(p, 2, 2); return err },
 		"predict":  func(p []byte) error { _, err := decodePredictMultiReq(p); return err },
-		"row":      func(p []byte) error { _, err := decodePredictMultiRow(p); return err },
 		"apply":    func(p []byte) error { _, err := decodeApplyReq(p); return err },
-		"ack":      func(p []byte) error { _, err := decodeApplyAck(p); return err },
 		"appError": func(p []byte) error {
 			err := decodeAppError(p)
 			if errors.Is(err, ErrProtocol) {
@@ -187,13 +184,10 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil || len(owned) != 3 || owned[0] != 2 || owned[1] != 0 || owned[2] != 5 || ver != frameVersion {
 		t.Errorf("helloAck: %v, v%d, %v", owned, ver, err)
 	}
-	ack, err := decodeApplyAck(encodeApplyAck(ApplyAck{Applied: 2}))
-	if err != nil || ack != (ApplyAck{Applied: 2}) {
-		t.Errorf("applyAck: %+v, %v", ack, err)
-	}
-	c, err := decodeViewMultiChunk(encodeViewMultiChunk(viewMultiChunk{Index: 2, Total: 9, Offset: 6, Scores: []float64{0.5, 0.25}}))
-	if err != nil || c.Index != 2 || c.Total != 9 || c.Offset != 6 || len(c.Scores) != 2 || c.Scores[0] != 0.5 || c.Scores[1] != 0.25 {
-		t.Errorf("viewMultiChunk: %+v, %v", c, err)
+	vs := [][]float64{{0.5, 0.25, 1}, {2, -0.5, 0}}
+	got, err := decodeVectors(encodeVectors(vs), 2, 3)
+	if err != nil || !reflect.DeepEqual(got, vs) {
+		t.Errorf("vectors: %v, %v", got, err)
 	}
 	q, err := decodePredictMultiReq(encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{11, 4}, Items: []dataset.ItemID{5, 1}}))
 	if err != nil || len(q.Users) != 2 || q.Users[0] != 11 || q.Users[1] != 4 || len(q.Items) != 2 || q.Items[0] != 5 || q.Items[1] != 1 {
@@ -215,8 +209,8 @@ func TestWireRoundTrips(t *testing.T) {
 }
 
 // TestWireGoldenBytes pins the hot payloads' encoded bytes at
-// frameVersion 5 (a chunk is version 3's without the flags byte and the
-// fallback tail; the predict row is unchanged): an encoder that sizes
+// frameVersion 6 (a multi-user reply is the vector count, then each
+// vector as its length and its float64 values): an encoder that sizes
 // its buffer differently must still emit exactly these.
 func TestWireGoldenBytes(t *testing.T) {
 	golden := []struct {
@@ -224,15 +218,12 @@ func TestWireGoldenBytes(t *testing.T) {
 		got  []byte
 		want string
 	}{
-		{"last chunk",
-			encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 2, Scores: []float64{1, 0.6, math.Copysign(0, -1)}}),
-			"01000000040000000200000003000000000000000000f03f333333333333e33f0000000000000080"},
-		{"progress chunk",
-			encodeViewMultiChunk(viewMultiChunk{Index: 2, Total: 600, Offset: 512, Scores: []float64{0.2}}),
-			"020000005802000000020000010000009a9999999999c93f"},
-		{"predict row",
-			encodePredictMultiRow(predictMultiRow{Index: 3, Values: []float64{4.5, 1}}),
-			"03000000020000000000000000001240000000000000f03f"},
+		{"view reply",
+			encodeVectors([][]float64{{1, 0.6, math.Copysign(0, -1)}, {0.2}}),
+			"0200000003000000000000000000f03f333333333333e33f0000000000000080010000009a9999999999c93f"},
+		{"predict reply",
+			encodeVectors([][]float64{{4.5, 1}}),
+			"01000000020000000000000000001240000000000000f03f"},
 	}
 	for _, g := range golden {
 		if got := hex.EncodeToString(g.got); got != g.want {

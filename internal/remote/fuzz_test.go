@@ -38,7 +38,7 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(mutate(func(b []byte) { b[0] ^= 0xff }))                                         // bad magic
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], 2) }))              // retired version
-	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], 3) }))              // the last retired version
+	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], 5) }))              // the last retired version
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], frameVersion+1) })) // future version
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[16:], MaxPayload+1) }))  // oversize claim
 	f.Add(mutate(func(b []byte) { b[frameHdrLen] ^= 0x01 }))                               // payload bit flip
@@ -86,48 +86,40 @@ func FuzzDecodeHelloAck(f *testing.F) {
 	})
 }
 
-func FuzzDecodeApplyAck(f *testing.F) {
-	full := encodeApplyAck(ApplyAck{Applied: 2})
-	f.Add(full)
-	f.Add(encodeApplyAck(ApplyAck{}))
-	// The retired version-4 shape: pending, applied, folds and folded.
-	// Never seen in a version-5 frame; trailing bytes are ignored like
-	// any decoder's.
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(full[:len(full)-3])
-	f.Add([]byte{})
-	f.Add(full[:4])
-	f.Fuzz(func(t *testing.T, p []byte) {
-		if _, err := decodeApplyAck(p); err != nil {
-			if !errors.Is(err, ErrProtocol) {
-				t.Fatalf("untyped error %v", err)
-			}
-			return
-		}
-		if len(p) < 8 {
-			t.Fatalf("decoded the applied count out of %d bytes", len(p))
-		}
-	})
-}
-
-func FuzzDecodeViewMultiChunk(f *testing.F) {
-	full := encodeViewMultiChunk(viewMultiChunk{Index: 1, Total: 4, Offset: 2, Scores: []float64{0.25, 0.5}})
-	f.Add(full)
-	f.Add(encodeViewMultiChunk(viewMultiChunk{Total: 1_000_000, Scores: []float64{1}})) // oversize total: the client's bound, not the decoder's
-	f.Add(full[:12])                                                                    // header only
-	f.Add(full[:len(full)-2])                                                           // torn inside the scores
-	f.Add([]byte{})
-	f.Add(append(append([]byte(nil), full[:12]...), 0xff, 0xff, 0xff, 0xff)) // 4G scores claimed
-	f.Fuzz(func(t *testing.T, p []byte) {
-		c, err := decodeViewMultiChunk(p)
+func FuzzDecodeVectors(f *testing.F) {
+	full := encodeVectors([][]float64{{0.25, 0.5, 1}, {2, 4, 8}})
+	f.Add(full, uint8(2), uint8(3))
+	f.Add(full, uint8(1), uint8(3))                                         // one vector too many
+	f.Add(full, uint8(3), uint8(3))                                         // one vector too few
+	f.Add(full, uint8(2), uint8(2))                                         // every vector too long
+	f.Add(encodeVectors([][]float64{{1, 2, 3}, {4}}), uint8(2), uint8(3))   // one short vector
+	f.Add(append(append([]byte(nil), full...), 0), uint8(2), uint8(3))      // a trailing byte
+	f.Add(full[:len(full)-2], uint8(2), uint8(3))                           // torn inside the scores
+	f.Add([]byte{}, uint8(1), uint8(0))                                     // no count
+	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, uint8(1), uint8(255)) // 4G scores claimed
+	f.Fuzz(func(t *testing.T, p []byte, rows, cols uint8) {
+		vs, err := decodeVectors(p, int(rows), int(cols))
 		if err != nil {
 			if !errors.Is(err, ErrProtocol) {
 				t.Fatalf("untyped error %v", err)
 			}
 			return
 		}
-		if 12+4+8*len(c.Scores) > len(p) {
-			t.Fatalf("decoded %d scores out of %d bytes", len(c.Scores), len(p))
+		if len(vs) != int(rows) {
+			t.Fatalf("decoded %d vectors, want %d", len(vs), rows)
+		}
+		for i, v := range vs {
+			if len(v) != int(cols) {
+				t.Fatalf("vector %d holds %d values, want %d", i, len(v), cols)
+			}
+		}
+		// Exactly the bytes the shape needs, so nothing was allocated
+		// that the payload did not back.
+		if want := 4 + int(rows)*(4+8*int(cols)); len(p) != want {
+			t.Fatalf("decoded a %dx%d reply out of %d bytes, want %d", rows, cols, len(p), want)
+		}
+		if !bytes.Equal(encodeVectors(vs), p) {
+			t.Fatalf("reply does not round-trip")
 		}
 	})
 }

@@ -2,15 +2,17 @@ package remote
 
 // The pipelined-connection battery: concurrent calls sharing one
 // connection, demultiplexed by sequence number. Run with -race — the
-// interleavings these tests force (overlapping chunked multi-views,
-// mid-stream disconnects with several calls in flight, out-of-order
-// terminal frames) are exactly where a demux data race would hide.
+// interleavings these tests force (whole replies of overlapping
+// multi-views, a disconnect with several calls in flight before any
+// reply, out-of-order replies) are exactly where a demux data race
+// would hide.
 
 import (
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -53,14 +55,14 @@ func scriptedWorker(t *testing.T, version uint16, serve func(conn net.Conn)) str
 
 // TestPipelinedInterleavedMultiViews: many concurrent ViewScoresMulti
 // calls share one connection (PoolSize 1), so the server's per-request
-// dispatch goroutines interleave chunked progress frames from different
-// calls on the same wire. Every call must still gather its own users'
-// exact scores, and the whole burst must cost exactly one dial.
+// dispatch goroutines interleave whole replies to different calls on
+// the same wire. Every call must still get its own users' exact
+// scores, and the whole burst must cost exactly one dial.
 func TestPipelinedInterleavedMultiViews(t *testing.T) {
 	b := allOwned()
 	b.viewLen = 23
 	b.delay = time.Millisecond // widen the interleaving window
-	addr := startWorker(t, b, func(s *Server) { s.ChunkScores = 3 })
+	addr := startWorker(t, b)
 	cfg := testClientConfig(b)
 	cfg.PoolSize = 1
 	cfg.CallTimeout = 5 * time.Second
@@ -77,7 +79,7 @@ func TestPipelinedInterleavedMultiViews(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			users := []dataset.UserID{dataset.UserID(g), dataset.UserID(g + 100), dataset.UserID(g + 200)}
-			res, err := c.ViewScoresMulti(users)
+			res, err := c.ViewScoresMulti(users, b.viewLen)
 			if err != nil {
 				errc <- err
 				return
@@ -100,25 +102,18 @@ func TestPipelinedInterleavedMultiViews(t *testing.T) {
 	}
 }
 
-// TestPipelinedMidStreamDisconnect: the worker dies with two calls in
-// flight on one connection, each having received a progress frame but
-// no terminal. Both calls must fail ErrShardUnavailable — neither a
-// hang nor a half-gathered view crossed to the other call.
-func TestPipelinedMidStreamDisconnect(t *testing.T) {
+// TestPipelinedDisconnectBeforeReply: the worker dies with two calls
+// in flight on one connection, neither answered. Both calls must fail
+// ErrShardUnavailable — neither a hang nor a reply crossed to the
+// other call.
+func TestPipelinedDisconnectBeforeReply(t *testing.T) {
 	addr := scriptedWorker(t, frameVersion, func(conn net.Conn) {
-		var reqs []frame
-		for len(reqs) < 2 {
-			f, err := readFrame(conn)
-			if err != nil {
+		for n := 0; n < 2; n++ {
+			if _, err := readFrame(conn); err != nil {
 				return
 			}
-			reqs = append(reqs, f)
 		}
-		for _, f := range reqs {
-			chunk := encodeViewMultiChunk(viewMultiChunk{Total: 100, Offset: 0, Scores: []float64{1, 2, 3}})
-			_ = writeFrame(conn, frame{kind: kindProgress, op: f.op, seq: f.seq, payload: chunk})
-		}
-		// Die before any terminal frame: both calls are mid-stream.
+		// Die before any reply: both calls are in flight.
 	})
 	c := NewClient(addr, ClientConfig{
 		CallTimeout: time.Second,
@@ -138,7 +133,7 @@ func TestPipelinedMidStreamDisconnect(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.ViewScoresMulti([]dataset.UserID{dataset.UserID(i)})
+			_, errs[i] = c.ViewScoresMulti([]dataset.UserID{dataset.UserID(i)}, 3)
 		}(i)
 	}
 	wg.Wait()
@@ -149,10 +144,10 @@ func TestPipelinedMidStreamDisconnect(t *testing.T) {
 	}
 }
 
-// TestPipelinedOutOfOrderTerminals: the worker answers two in-flight
-// calls in reverse arrival order. The demux must route each terminal to
+// TestPipelinedOutOfOrderReplies: the worker answers two in-flight
+// calls in reverse arrival order. The demux must route each reply to
 // its own call by sequence number, not by arrival position.
-func TestPipelinedOutOfOrderTerminals(t *testing.T) {
+func TestPipelinedOutOfOrderReplies(t *testing.T) {
 	addr := scriptedWorker(t, frameVersion, func(conn net.Conn) {
 		var reqs []frame
 		for len(reqs) < 2 {
@@ -168,11 +163,11 @@ func TestPipelinedOutOfOrderTerminals(t *testing.T) {
 			if err != nil || len(q.Users) != 1 {
 				return
 			}
-			row := predictMultiRow{Index: 0, Values: []float64{float64(q.Users[0]) * 10}}
-			_ = writeFrame(conn, frame{kind: kindResult, op: f.op, seq: f.seq, payload: encodePredictMultiRow(row)})
+			reply := encodeVectors([][]float64{{float64(q.Users[0]) * 10}})
+			_ = writeFrame(conn, frame{kind: kindResult, op: f.op, seq: f.seq, payload: reply})
 		}
 		// Hold the connection open until the client hangs up, so the
-		// teardown never races the terminal deliveries.
+		// teardown never races the reply deliveries.
 		for {
 			if _, err := readFrame(conn); err != nil {
 				return
@@ -210,8 +205,51 @@ func TestPipelinedOutOfOrderTerminals(t *testing.T) {
 			t.Fatalf("call %d: %v", i, errs[i])
 		}
 		if want := float64(i+1) * 10; len(vals[i]) != 1 || vals[i][0] != want {
-			t.Errorf("call %d got %v, want [%v] — terminal routed to the wrong call", i, vals[i], want)
+			t.Errorf("call %d got %v, want [%v] — reply routed to the wrong call", i, vals[i], want)
 		}
+	}
+}
+
+// TestPipelinedSecondReplyFailsConnection: one reply per call is the
+// rule, so a second frame for an answered call is a protocol violation
+// that fails the connection — the first reply still stands, and the
+// next call dials a fresh connection.
+func TestPipelinedSecondReplyFailsConnection(t *testing.T) {
+	addr := scriptedWorker(t, frameVersion, func(conn net.Conn) {
+		f, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		for n := 0; n < 2; n++ {
+			_ = writeFrame(conn, frame{kind: kindResult, op: f.op, seq: f.seq, payload: []byte("{}")})
+		}
+		for {
+			if _, err := readFrame(conn); err != nil {
+				return
+			}
+		}
+	})
+	c := NewClient(addr, ClientConfig{CallTimeout: time.Second, Backoff: time.Millisecond, Shards: 1, PoolSize: 1})
+	defer c.Close()
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("first call: %v", err)
+	}
+	c.mu.Lock()
+	cc := c.conns[0]
+	c.mu.Unlock()
+	for deadline := time.Now().Add(time.Second); !cc.dead(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the connection survived a second reply to one call")
+		}
+	}
+	if err := cc.errOf(); !errors.Is(err, ErrProtocol) {
+		t.Errorf("connection failed with %v, want ErrProtocol", err)
+	}
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("next call: %v", err)
+	}
+	if d := c.counters.dials.Load(); d != 2 {
+		t.Errorf("dials = %d, want 2 (the failed connection replaced)", d)
 	}
 }
 
@@ -219,13 +257,13 @@ func TestPipelinedOutOfOrderTerminals(t *testing.T) {
 // worker advertising any other in its hello ack is refused at the
 // handshake with ErrVersionSkew — before a single read is routed to it.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	for _, v := range []uint16{2, 3, 4, frameVersion + 1} {
+	for _, v := range []uint16{2, 3, 4, 5, frameVersion + 1} {
 		addr := scriptedWorker(t, v, func(conn net.Conn) {})
 		c := NewClient(addr, ClientConfig{CallTimeout: time.Second, Backoff: time.Millisecond, Shards: 1})
 		if err := c.Ping(); !errors.Is(err, ErrVersionSkew) {
 			t.Errorf("worker advertising version %d: err = %v, want ErrVersionSkew", v, err)
 		}
-		if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrVersionSkew) {
+		if _, err := c.ViewScoresMulti([]dataset.UserID{1}, 10); !errors.Is(err, ErrVersionSkew) {
 			t.Errorf("read against a version-%d worker: err = %v, want ErrVersionSkew", v, err)
 		}
 		c.Close()

@@ -1,10 +1,12 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,14 +62,14 @@ func (b *fakeBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]
 	return out, nil
 }
 
-func (b *fakeBackend) Apply(r dataset.Rating) (ApplyAck, error) {
+func (b *fakeBackend) Apply(r dataset.Rating) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.applyErr != nil {
-		return ApplyAck{}, b.applyErr
+		return b.applyErr
 	}
 	b.applied = append(b.applied, r)
-	return ApplyAck{Applied: int64(len(b.applied))}, nil
+	return nil
 }
 
 // Stats reports 100 + shard view hits and one cached neighborhood per
@@ -84,16 +86,13 @@ func (b *fakeBackend) Stats() Stats {
 
 // startWorker serves b on a loopback listener, cleaned up with the
 // test. Returns the worker address.
-func startWorker(t *testing.T, b Backend, tune func(*Server)) string {
+func startWorker(t *testing.T, b Backend) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	srv := NewServer(b)
-	if tune != nil {
-		tune(srv)
-	}
 	go srv.Serve(lis)
 	t.Cleanup(srv.Close)
 	return lis.Addr().String()
@@ -116,19 +115,17 @@ func allOwned() *fakeBackend {
 	return &fakeBackend{fp: 77, shards: 1, owned: []int{0}}
 }
 
-// TestClientViewScoresMultiChunked: one batched call fetches several
-// users' views — interleaved per-user chunk frames reassembled into
-// request order.
-func TestClientViewScoresMultiChunked(t *testing.T) {
+// TestClientViewScoresMulti: one batched call fetches several users'
+// views, one vector per user in request order.
+func TestClientViewScoresMulti(t *testing.T) {
 	b := allOwned()
 	b.viewLen = 10
-	// Chunk size 3 forces several progress frames per user.
-	addr := startWorker(t, b, func(s *Server) { s.ChunkScores = 3 })
+	addr := startWorker(t, b)
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
 
 	users := []dataset.UserID{5, 2, 8}
-	res, err := c.ViewScoresMulti(users)
+	res, err := c.ViewScoresMulti(users, b.viewLen)
 	if err != nil {
 		t.Fatalf("ViewScoresMulti: %v", err)
 	}
@@ -145,7 +142,7 @@ func TestClientViewScoresMultiChunked(t *testing.T) {
 		t.Errorf("view_multi calls = %d, want 1", got)
 	}
 	// A second call reuses the pooled connection (same answer).
-	again, err := c.ViewScoresMulti(users)
+	again, err := c.ViewScoresMulti(users, b.viewLen)
 	if err != nil || !reflect.DeepEqual(again, res) {
 		t.Errorf("pooled call: %v, %v", again, err)
 	}
@@ -158,7 +155,7 @@ func TestClientViewScoresMultiChunked(t *testing.T) {
 // predictions for a shared item list, one row per user.
 func TestClientPredictBatchMulti(t *testing.T) {
 	b := allOwned()
-	addr := startWorker(t, b, nil)
+	addr := startWorker(t, b)
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
 
@@ -184,7 +181,7 @@ func TestClientPredictBatchMulti(t *testing.T) {
 // wrong_shard code — misrouting is loud, never silent.
 func TestClientMultiWrongShard(t *testing.T) {
 	b := &fakeBackend{fp: 9, shards: 4, owned: []int{1}}
-	addr := startWorker(t, b, nil)
+	addr := startWorker(t, b)
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
 
@@ -200,7 +197,7 @@ func TestClientMultiWrongShard(t *testing.T) {
 		}
 	}
 	var ae *AppError
-	if _, err := c.ViewScoresMulti([]dataset.UserID{inside, outside}); !errors.As(err, &ae) || ae.Code != codeWrongShard {
+	if _, err := c.ViewScoresMulti([]dataset.UserID{inside, outside}, 10); !errors.As(err, &ae) || ae.Code != codeWrongShard {
 		t.Errorf("ViewScoresMulti: err = %v, want wrong_shard", err)
 	}
 	if _, err := c.PredictBatchMulti([]dataset.UserID{outside}, []dataset.ItemID{1}); !errors.As(err, &ae) || ae.Code != codeWrongShard {
@@ -233,7 +230,7 @@ func TestShardSetMultiBatchesByWorker(t *testing.T) {
 		}
 	}
 
-	res, err := set.ViewScoresMulti(users)
+	res, err := set.ViewScoresMulti(users, 10)
 	if err != nil {
 		t.Fatalf("ViewScoresMulti: %v", err)
 	}
@@ -267,22 +264,18 @@ func TestShardSetMultiBatchesByWorker(t *testing.T) {
 }
 
 // TestClientApplyInvalidateStats: the cold-path ops over one client —
-// an apply is acked with the replica's applied count, the per-user
-// invalidate op (code 4, which nothing called) stays retired like the
-// single-user reads before it and is refused, not served, and stats
-// come back as the worker's totals.
+// an apply reaches the replica, the per-user invalidate op (code 4,
+// which nothing called) stays retired like the single-user reads
+// before it and is refused, not served, and stats come back as the
+// worker's totals.
 func TestClientApplyInvalidateStats(t *testing.T) {
 	b := allOwned()
-	addr := startWorker(t, b, nil)
+	addr := startWorker(t, b)
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
 
-	ack, err := c.Apply(1, dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4})
-	if err != nil {
+	if err := c.Apply(1, dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4}); err != nil {
 		t.Fatalf("Apply: %v", err)
-	}
-	if ack.Applied != 1 {
-		t.Errorf("ack = %+v, want applied 1", ack)
 	}
 	if len(b.applied) != 1 || b.applied[0].Item != 2 {
 		t.Errorf("backend applied %v", b.applied)
@@ -290,7 +283,7 @@ func TestClientApplyInvalidateStats(t *testing.T) {
 
 	const retiredInvalidate = uint8(4)
 	var ae *AppError
-	if _, err := c.call(retiredInvalidate, []byte{2, 0, 0, 0, 0, 0, 0, 0}, false, nil); !errors.As(err, &ae) || ae.Code != codeInternal {
+	if _, err := c.call(retiredInvalidate, []byte{2, 0, 0, 0, 0, 0, 0, 0}); !errors.As(err, &ae) || ae.Code != codeInternal {
 		t.Errorf("retired invalidate op: err = %v, want an internal application error", err)
 	}
 
@@ -307,7 +300,7 @@ func TestClientApplyInvalidateStats(t *testing.T) {
 // the same sentinels the in-process ingest surface produces.
 func TestClientApplyAppErrors(t *testing.T) {
 	b := allOwned()
-	addr := startWorker(t, b, nil)
+	addr := startWorker(t, b)
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
 
@@ -317,7 +310,7 @@ func TestClientApplyAppErrors(t *testing.T) {
 		b.mu.Unlock()
 		// A refused apply never advances the worker's sequence, so every
 		// attempt is the "next" apply at seq 1.
-		if _, err := c.Apply(1, dataset.Rating{User: 1, Item: 1, Value: 1}); !errors.Is(err, want) {
+		if err := c.Apply(1, dataset.Rating{User: 1, Item: 1, Value: 1}); !errors.Is(err, want) {
 			t.Errorf("err = %v, want %v", err, want)
 		}
 	}
@@ -327,7 +320,7 @@ func TestClientApplyAppErrors(t *testing.T) {
 // (fingerprint or shard count) is refused at the handshake.
 func TestHandshakeConfigMismatch(t *testing.T) {
 	b := allOwned()
-	addr := startWorker(t, b, nil)
+	addr := startWorker(t, b)
 
 	cfg := testClientConfig(b)
 	cfg.Fingerprint = b.fp + 1
@@ -352,7 +345,7 @@ func TestHandshakeConfigMismatch(t *testing.T) {
 // wrong_shard errors.
 func TestHandshakeOwnsMismatch(t *testing.T) {
 	b := &fakeBackend{fp: 5, shards: 2, owned: []int{0}}
-	addr := startWorker(t, b, nil)
+	addr := startWorker(t, b)
 	top, err := ParseTopology([]byte(fmt.Sprintf(
 		`{"shards": 2, "workers": [{"addr": %q, "owns": [0, 1]}]}`, addr)))
 	if err != nil {
@@ -365,28 +358,6 @@ func TestHandshakeOwnsMismatch(t *testing.T) {
 	t.Cleanup(set.Close)
 	if err := set.Handshake(5, 2); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("Handshake: err = %v, want ErrConfigMismatch", err)
-	}
-}
-
-// TestClientViewTotalBounded: a view chunk claiming a total past the
-// configured bound is a protocol violation, rejected before the
-// gather buffer is allocated — a buggy or hostile worker cannot make
-// the router allocate gigabytes off one CRC-valid frame.
-func TestClientViewTotalBounded(t *testing.T) {
-	addr := rawWorker(t, func(conn net.Conn, req frame) {
-		chunk := encodeViewMultiChunk(viewMultiChunk{Total: 1_000_000, Offset: 0, Scores: []float64{1}})
-		_ = writeFrame(conn, frame{kind: kindProgress, op: req.op, seq: req.seq, payload: chunk})
-		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: chunk})
-	})
-	c := NewClient(addr, ClientConfig{
-		CallTimeout:   500 * time.Millisecond,
-		Backoff:       time.Millisecond,
-		Shards:        1,
-		MaxViewScores: 100,
-	})
-	defer c.Close()
-	if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrProtocol) {
-		t.Errorf("oversized view claim: err = %v, want ErrProtocol", err)
 	}
 }
 
@@ -405,7 +376,7 @@ func TestClientDeadWorker(t *testing.T) {
 	cfg.DialTimeout = 200 * time.Millisecond
 	c := NewClient(addr, cfg)
 	defer c.Close()
-	if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := c.ViewScoresMulti([]dataset.UserID{1}, 10); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("err = %v, want ErrShardUnavailable", err)
 	}
 }
@@ -415,12 +386,12 @@ func TestClientDeadWorker(t *testing.T) {
 func TestClientTimeout(t *testing.T) {
 	b := allOwned()
 	b.delay = 300 * time.Millisecond
-	addr := startWorker(t, b, nil)
+	addr := startWorker(t, b)
 	cfg := testClientConfig(b)
 	cfg.CallTimeout = 50 * time.Millisecond
 	c := NewClient(addr, cfg)
 	defer c.Close()
-	if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrShardTimeout) {
+	if _, err := c.ViewScoresMulti([]dataset.UserID{1}, 10); !errors.Is(err, ErrShardTimeout) {
 		t.Errorf("err = %v, want ErrShardTimeout", err)
 	}
 }
@@ -460,20 +431,89 @@ func rawWorker(t *testing.T, serve func(conn net.Conn, req frame)) string {
 	return lis.Addr().String()
 }
 
-// TestClientMidStreamDisconnect: a worker that dies between progress
-// frames (some chunks delivered, terminal frame never sent) surfaces
-// as ErrShardUnavailable — a half-gathered view is never returned.
-func TestClientMidStreamDisconnect(t *testing.T) {
+// TestClientDisconnectMidFrame: a worker that dies partway through
+// writing its reply frame surfaces as ErrShardUnavailable — a half
+// reply is never returned.
+func TestClientDisconnectMidFrame(t *testing.T) {
 	addr := rawWorker(t, func(conn net.Conn, req frame) {
-		chunk := encodeViewMultiChunk(viewMultiChunk{Total: 100, Offset: 0, Scores: []float64{1, 2, 3}})
-		_ = writeFrame(conn, frame{kind: kindProgress, op: req.op, seq: req.seq, payload: chunk})
-		// Die before the terminal frame: the client sees a torn stream.
+		var buf bytes.Buffer
+		_ = writeFrame(&buf, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeVectors([][]float64{{1, 2, 3}})})
+		_, _ = conn.Write(buf.Bytes()[:buf.Len()/2])
+		// Die inside the frame: the client sees a torn stream.
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
-	if _, err := c.ViewScoresMulti([]dataset.UserID{1}); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := c.ViewScoresMulti([]dataset.UserID{1}, 3); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("err = %v, want ErrShardUnavailable", err)
 	}
+}
+
+// TestClientRejectsMisshapenViewReplies: a view reply must hold
+// exactly one vector per requested user, each exactly as long as the
+// pool. Too few vectors, too many, or one of the wrong length is a
+// protocol violation — never a zero-filled or short view handed to an
+// assembly that indexes every pool position.
+func TestClientRejectsMisshapenViewReplies(t *testing.T) {
+	replies := map[string][][]float64{
+		"too few vectors":  {{1, 2, 3}},
+		"too many vectors": {{1, 2, 3}, {4, 5, 6}, {7, 8, 9}},
+		"short vector":     {{1, 2, 3}, {4}},
+		"long vector":      {{1, 2, 3, 4}, {5, 6, 7}},
+	}
+	for name, vs := range replies {
+		t.Run(name, func(t *testing.T) {
+			addr := rawWorker(t, func(conn net.Conn, req frame) {
+				_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeVectors(vs)})
+			})
+			c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
+			defer c.Close()
+			res, err := c.ViewScoresMulti([]dataset.UserID{1, 2}, 3)
+			if !errors.Is(err, ErrProtocol) || res != nil {
+				t.Errorf("got %v, %v; want nil, ErrProtocol", res, err)
+			}
+		})
+	}
+}
+
+// TestServerOversizeReplyAnswersError: a reply too big for one frame is
+// answered at once with an internal error naming its size — not left
+// unanswered until the call's deadline kills the connection with every
+// call riding it. The next call reuses the same connection.
+func TestServerOversizeReplyAnswersError(t *testing.T) {
+	b := bigViewBackend{allOwned()}
+	addr := startWorker(t, b)
+	cfg := testClientConfig(b.fakeBackend)
+	cfg.CallTimeout = 3 * time.Second
+	c := NewClient(addr, cfg)
+	defer c.Close()
+
+	start := time.Now()
+	_, err := c.ViewScoresMulti([]dataset.UserID{bigViewUser}, MaxPayload/8+1)
+	var ae *AppError
+	if !errors.As(err, &ae) || ae.Code != codeInternal || !strings.Contains(ae.Msg, "bytes exceeds") {
+		t.Fatalf("oversize view: err = %v, want an internal error naming the size", err)
+	}
+	if took := time.Since(start); took > cfg.CallTimeout/2 {
+		t.Errorf("the refusal took %v, want well inside the %v deadline", took, cfg.CallTimeout)
+	}
+	if _, err := c.ViewScoresMulti([]dataset.UserID{2}, 10); err != nil {
+		t.Fatalf("next call: %v", err)
+	}
+	if d := c.counters.dials.Load(); d != 1 {
+		t.Errorf("dials = %d, want 1 (the refusal kept the connection)", d)
+	}
+}
+
+// bigViewUser's view is one score longer than a frame can carry.
+const bigViewUser = dataset.UserID(1)
+
+type bigViewBackend struct{ *fakeBackend }
+
+func (b bigViewBackend) ViewScores(u dataset.UserID) ([]float64, error) {
+	if u == bigViewUser {
+		return make([]float64, MaxPayload/8+1), nil
+	}
+	return b.fakeBackend.ViewScores(u)
 }
 
 // TestClientSeqMismatch: a response carrying the wrong sequence number
@@ -503,12 +543,11 @@ func TestClientRetriesIdempotentReads(t *testing.T) {
 		if first {
 			return // die without answering; deferred Close tears the conn
 		}
-		chunk := viewMultiChunk{Total: 2, Scores: []float64{4, 2}}
-		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeViewMultiChunk(chunk)})
+		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeVectors([][]float64{{4, 2}})})
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
-	res, err := c.ViewScoresMulti([]dataset.UserID{1})
+	res, err := c.ViewScoresMulti([]dataset.UserID{1}, 2)
 	if err != nil || len(res) != 1 || !reflect.DeepEqual(res[0], []float64{4, 2}) {
 		t.Fatalf("retried read = %+v, %v; want scores [4 2], nil", res, err)
 	}
@@ -520,7 +559,7 @@ func TestClientRetriesIdempotentReads(t *testing.T) {
 }
 
 // TestClientApplyRetriesSameSeq: an apply whose connection is severed
-// before the ack is redelivered on a fresh dial, byte-identical —
+// before the reply is redelivered on a fresh dial, byte-identical —
 // same sequence, same rating — so the worker's dedup can make the
 // redelivery idempotent.
 func TestClientApplyRetriesSameSeq(t *testing.T) {
@@ -534,13 +573,12 @@ func TestClientApplyRetriesSameSeq(t *testing.T) {
 		if first {
 			return // die without answering; deferred Close tears the conn
 		}
-		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeApplyAck(ApplyAck{Applied: 1})})
+		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq})
 	})
 	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
 	defer c.Close()
-	ack, err := c.Apply(42, dataset.Rating{User: 1, Item: 1, Value: 1})
-	if err != nil || ack.Applied != 1 {
-		t.Fatalf("retried apply = %+v, %v; want applied 1, nil", ack, err)
+	if err := c.Apply(42, dataset.Rating{User: 1, Item: 1, Value: 1}); err != nil {
+		t.Fatalf("retried apply: %v", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -555,23 +593,21 @@ func TestClientApplyRetriesSameSeq(t *testing.T) {
 }
 
 // TestServerApplyDedupAndGap pins the worker-side sequence discipline:
-// a redelivered apply acks without a second ingest, and a sequence
+// a redelivered apply succeeds without a second ingest, and a sequence
 // hole answers replica_gap instead of ingesting past a missed write.
 func TestServerApplyDedupAndGap(t *testing.T) {
 	b := allOwned()
-	addr := startWorker(t, b, nil)
+	addr := startWorker(t, b)
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
 
 	r1 := dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4}
-	ack, err := c.Apply(1, r1)
-	if err != nil {
+	if err := c.Apply(1, r1); err != nil {
 		t.Fatalf("Apply(1): %v", err)
 	}
-	// Redelivery of seq 1: same ack, no second ingest.
-	again, err := c.Apply(1, r1)
-	if err != nil || !reflect.DeepEqual(again, ack) {
-		t.Fatalf("redelivered Apply(1) = %+v, %v; want %+v, nil", again, err, ack)
+	// Redelivery of seq 1: success, no second ingest.
+	if err := c.Apply(1, r1); err != nil {
+		t.Fatalf("redelivered Apply(1): %v", err)
 	}
 	b.mu.Lock()
 	n := len(b.applied)
@@ -580,15 +616,15 @@ func TestServerApplyDedupAndGap(t *testing.T) {
 		t.Errorf("backend ingested %d ratings, want 1 (dedup)", n)
 	}
 	// Same seq, different rating: not a redelivery — a divergence.
-	if _, err := c.Apply(1, dataset.Rating{User: 1, Item: 9, Value: 1}); !errors.Is(err, ErrReplicaGap) {
+	if err := c.Apply(1, dataset.Rating{User: 1, Item: 9, Value: 1}); !errors.Is(err, ErrReplicaGap) {
 		t.Errorf("conflicting seq 1: err = %v, want ErrReplicaGap", err)
 	}
 	// Skipping seq 2 entirely: the replica missed a write.
-	if _, err := c.Apply(3, dataset.Rating{User: 1, Item: 3, Value: 2}); !errors.Is(err, ErrReplicaGap) {
+	if err := c.Apply(3, dataset.Rating{User: 1, Item: 3, Value: 2}); !errors.Is(err, ErrReplicaGap) {
 		t.Errorf("gap: err = %v, want ErrReplicaGap", err)
 	}
 	// The contiguous next sequence still applies.
-	if _, err := c.Apply(2, dataset.Rating{User: 1, Item: 3, Value: 2}); err != nil {
+	if err := c.Apply(2, dataset.Rating{User: 1, Item: 3, Value: 2}); err != nil {
 		t.Errorf("Apply(2): %v", err)
 	}
 }
@@ -629,8 +665,8 @@ func twoWorkerSet(t *testing.T) (*ShardSet, *fakeBackend, *fakeBackend) {
 	t.Helper()
 	b0 := &fakeBackend{fp: 5, shards: 2, owned: []int{0}}
 	b1 := &fakeBackend{fp: 5, shards: 2, owned: []int{1}}
-	a0 := startWorker(t, b0, nil)
-	a1 := startWorker(t, b1, nil)
+	a0 := startWorker(t, b0)
+	a1 := startWorker(t, b1)
 	top, err := ParseTopology([]byte(fmt.Sprintf(
 		`{"shards": 2, "workers": [{"addr": %q, "owns": [0]}, {"addr": %q, "owns": [1]}]}`, a0, a1)))
 	if err != nil {
@@ -664,7 +700,7 @@ func TestShardSetRoutesByShard(t *testing.T) {
 	set, _, _ := twoWorkerSet(t)
 	for sh := 0; sh < 2; sh++ {
 		u := userOnShard(sh)
-		res, err := set.ViewScoresMulti([]dataset.UserID{u})
+		res, err := set.ViewScoresMulti([]dataset.UserID{u}, 10)
 		if err != nil {
 			t.Fatalf("shard %d: ViewScoresMulti(%d): %v", sh, u, err)
 		}
@@ -678,16 +714,12 @@ func TestShardSetRoutesByShard(t *testing.T) {
 }
 
 // TestShardSetApplyFansOutToAllWorkers: every replica ingests every
-// rating (neighborhoods cross shards); the owner's ack is returned.
+// rating (neighborhoods cross shards).
 func TestShardSetApplyFansOutToAllWorkers(t *testing.T) {
 	set, b0, b1 := twoWorkerSet(t)
 	u := userOnShard(1)
-	ack, err := set.Apply(1, dataset.Rating{User: u, Item: 7, Value: 4, Time: 1})
-	if err != nil {
+	if err := set.Apply(1, dataset.Rating{User: u, Item: 7, Value: 4, Time: 1}); err != nil {
 		t.Fatalf("Apply: %v", err)
-	}
-	if ack.Applied != 1 {
-		t.Errorf("ack = %+v", ack)
 	}
 	for i, b := range []*fakeBackend{b0, b1} {
 		b.mu.Lock()
@@ -743,10 +775,10 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 	set, _, b1 := twoWorkerSet(t)
 	killWorker(t, set, 0)
 
-	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}, 10); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("dead shard read: err = %v, want ErrShardUnavailable", err)
 	}
-	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(1)}); err != nil {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(1)}, 10); err != nil {
 		t.Errorf("live shard read: %v", err)
 	}
 
@@ -758,10 +790,10 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 		t.Errorf("stats = %+v, want the live worker's alone", st)
 	}
 
-	if _, err := set.Apply(1, dataset.Rating{User: userOnShard(0), Item: 1, Value: 1}); !errors.Is(err, ErrShardUnavailable) {
+	if err := set.Apply(1, dataset.Rating{User: userOnShard(0), Item: 1, Value: 1}); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("ingest for dead owner: err = %v, want ErrShardUnavailable", err)
 	}
-	if _, err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 1, Value: 1, Time: 1}); err != nil {
+	if err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 1, Value: 1, Time: 1}); err != nil {
 		t.Errorf("ingest for live owner: %v", err)
 	}
 	if set.FanoutErrors() == 0 {
@@ -794,14 +826,14 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	set, b0, b1 := twoWorkerSet(t)
 	// Reads on shard 0 work before the miss.
-	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}); err != nil {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}, 10); err != nil {
 		t.Fatalf("pre-miss read: %v", err)
 	}
 	// Worker 0's replica refuses the ingest; the owner (worker 1) acks.
 	b0.mu.Lock()
 	b0.applyErr = errors.New("disk full")
 	b0.mu.Unlock()
-	if _, err := set.Apply(1, dataset.Rating{User: userOnShard(1), Item: 1, Value: 2, Time: 1}); err != nil {
+	if err := set.Apply(1, dataset.Rating{User: userOnShard(1), Item: 1, Value: 2, Time: 1}); err != nil {
 		t.Fatalf("Apply with live owner: %v", err)
 	}
 	if fenced := set.Fenced(); len(fenced) != 1 {
@@ -809,17 +841,17 @@ func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	}
 	// The alive-but-behind worker no longer serves: its shard reads
 	// fast-fail, the live shard keeps serving.
-	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(0)}, 10); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("fenced shard read: err = %v, want ErrShardUnavailable", err)
 	}
-	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(1)}); err != nil {
+	if _, err := set.ViewScoresMulti([]dataset.UserID{userOnShard(1)}, 10); err != nil {
 		t.Errorf("live shard read: %v", err)
 	}
 	// Later applies skip the fenced replica entirely.
 	b0.mu.Lock()
 	b0.applyErr = nil
 	b0.mu.Unlock()
-	if _, err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 2, Value: 3, Time: 2}); err != nil {
+	if err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 2, Value: 3, Time: 2}); err != nil {
 		t.Fatalf("post-fence apply: %v", err)
 	}
 	b0.mu.Lock()
@@ -845,7 +877,7 @@ func TestShardSetConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				u := userOnShard((g + i) % 2)
-				if _, err := set.ViewScoresMulti([]dataset.UserID{u}); err != nil {
+				if _, err := set.ViewScoresMulti([]dataset.UserID{u}, 10); err != nil {
 					errc <- err
 					return
 				}

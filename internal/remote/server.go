@@ -32,30 +32,22 @@ type Backend interface {
 	// PredictBatch returns raw (1..5 scale) predictions of u for items.
 	PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error)
 	// Apply ingests one rating into the worker's replica — the full
-	// AddRating path, cache invalidation included — and acks with the
-	// replica's applied count. Rejections unwrap to the dataset
-	// sentinels.
-	Apply(r dataset.Rating) (ApplyAck, error)
+	// AddRating path, cache invalidation included. Rejections unwrap to
+	// the dataset sentinels.
+	Apply(r dataset.Rating) error
 	// Stats reports the worker's cache totals.
 	Stats() Stats
 }
 
-// DefaultChunkScores is the view-streaming chunk size: scores per
-// progress frame. A MovieLens-scale pool (~4000 items) streams in one
-// or two frames; tests shrink it to pin multi-frame behavior.
-const DefaultChunkScores = 4096
-
 // Server serves the shard data plane over a listener. One reader
 // goroutine per connection; each request is dispatched on its own
 // goroutine, so a pipelined router can keep several calls in flight on
-// one connection and slow reads never block the apply stream. Response
-// frames carry their request's sequence number, which is what keeps a
-// multiplexed connection sortable at the client.
+// one connection and slow reads never block the apply stream. Each
+// request is answered by exactly one frame carrying its sequence
+// number, which is what keeps a multiplexed connection sortable at the
+// client.
 type Server struct {
 	b Backend
-	// ChunkScores overrides the view-streaming chunk size (set before
-	// Serve; DefaultChunkScores if 0).
-	ChunkScores int
 
 	mu     sync.Mutex
 	lis    net.Listener
@@ -73,7 +65,6 @@ type Server struct {
 	applyMu   sync.Mutex
 	applySeq  uint64         // highest contiguously applied sequence
 	lastApply dataset.Rating // rating applied at applySeq
-	lastAck   ApplyAck       // ack returned for applySeq
 }
 
 // shardOf is the minimal routing the server needs: shard-of-user under
@@ -203,61 +194,59 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// dispatch answers one request frame. Application failures answer a
-// kindError frame and keep the connection; only transport failures
-// (the returned error) matter, and they resolve themselves — a failed
-// write means the connection is dead and the read loop is about to
-// find out.
+// dispatch answers one request frame with one frame: a result, or a
+// kindError frame for an application failure, which keeps the
+// connection. Only transport failures (the returned error) matter, and
+// they resolve themselves — a failed write means the connection is
+// dead and the read loop is about to find out.
 func (s *Server) dispatch(w *connWriter, f frame) error {
 	fail := func(code, msg string) error {
 		return w.write(frame{kind: kindError, op: f.op, seq: f.seq, payload: encodeAppError(code, msg)})
 	}
 	result := func(payload []byte) error {
+		// A reply past the frame bound is refused here, not dropped by
+		// writeFrame: the caller gets an answer instead of waiting out
+		// its deadline and taking the connection down with it.
+		if len(payload) > MaxPayload {
+			return fail(codeInternal, fmt.Sprintf("%s reply of %d bytes exceeds the %d-byte frame bound", opName(f.op), len(payload), MaxPayload))
+		}
 		return w.write(frame{kind: kindResult, op: f.op, seq: f.seq, payload: payload})
 	}
 	switch f.op {
-	case opViewMulti:
-		q, err := decodeViewMultiReq(f.payload)
-		if err != nil {
-			return fail(codeInternal, err.Error())
-		}
-		if len(q.Users) == 0 {
-			return fail(codeInternal, "empty multi-view request")
-		}
-		for _, u := range q.Users {
-			if !s.owned[s.sm(u)] {
-				return fail(codeWrongShard, fmt.Sprintf("user %d is on shard %d, not owned here", u, s.sm(u)))
-			}
-		}
-		return s.streamViewMulti(w, f, q.Users)
-	case opPredictMulti:
-		q, err := decodePredictMultiReq(f.payload)
-		if err != nil {
-			return fail(codeInternal, err.Error())
-		}
-		if len(q.Users) == 0 {
-			return fail(codeInternal, "empty multi-predict request")
-		}
-		for _, u := range q.Users {
-			if !s.owned[s.sm(u)] {
-				return fail(codeWrongShard, fmt.Sprintf("user %d is on shard %d, not owned here", u, s.sm(u)))
-			}
-		}
-		for i, u := range q.Users {
-			vals, err := s.b.PredictBatch(u, q.Items)
+	case opViewMulti, opPredictMulti:
+		var users []dataset.UserID
+		read := s.b.ViewScores
+		if f.op == opViewMulti {
+			q, err := decodeViewMultiReq(f.payload)
 			if err != nil {
 				return fail(codeInternal, err.Error())
 			}
-			kind := kindProgress
-			if i == len(q.Users)-1 {
-				kind = kindResult
+			users = q.Users
+		} else {
+			q, err := decodePredictMultiReq(f.payload)
+			if err != nil {
+				return fail(codeInternal, err.Error())
 			}
-			payload := encodePredictMultiRow(predictMultiRow{Index: uint32(i), Values: vals})
-			if err := w.write(frame{kind: kind, op: f.op, seq: f.seq, payload: payload}); err != nil {
-				return err
+			users = q.Users
+			read = func(u dataset.UserID) ([]float64, error) { return s.b.PredictBatch(u, q.Items) }
+		}
+		if len(users) == 0 {
+			return fail(codeInternal, fmt.Sprintf("empty %s request", opName(f.op)))
+		}
+		for _, u := range users {
+			if !s.owned[s.sm(u)] {
+				return fail(codeWrongShard, fmt.Sprintf("user %d is on shard %d, not owned here", u, s.sm(u)))
 			}
 		}
-		return nil
+		vs := make([][]float64, len(users))
+		for i, u := range users {
+			v, err := read(u)
+			if err != nil {
+				return fail(codeInternal, err.Error())
+			}
+			vs[i] = v
+		}
+		return result(encodeVectors(vs))
 	case opApply:
 		q, err := decodeApplyReq(f.payload)
 		if err != nil {
@@ -267,10 +256,9 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 		switch {
 		case q.Seq == s.applySeq && q.Seq > 0 && q.Rating == s.lastApply:
 			// Redelivery of the last apply (the router retrying after a
-			// lost ack): already ingested, answer the recorded ack.
-			ack := s.lastAck
+			// lost reply): already ingested, answer it again.
 			s.applyMu.Unlock()
-			return result(encodeApplyAck(ack))
+			return result(nil)
 		case q.Seq != s.applySeq+1:
 			// A hole in the sequence (or a replay of something older
 			// than the last apply): this replica missed a write and
@@ -279,16 +267,15 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 			s.applyMu.Unlock()
 			return fail(codeReplicaGap, fmt.Sprintf("apply seq %d after contiguous seq %d", q.Seq, seen))
 		}
-		ack, err := s.b.Apply(q.Rating)
+		err = s.b.Apply(q.Rating)
 		if err == nil {
 			s.applySeq = q.Seq
 			s.lastApply = q.Rating
-			s.lastAck = ack
 		}
 		s.applyMu.Unlock()
 		switch {
 		case err == nil:
-			return result(encodeApplyAck(ack))
+			return result(nil)
 		case errors.Is(err, dataset.ErrUnknownUser):
 			return fail(codeUnknownUser, err.Error())
 		case errors.Is(err, dataset.ErrUnknownItem):
@@ -307,47 +294,4 @@ func (s *Server) dispatch(w *connWriter, f frame) error {
 	default:
 		return fail(codeInternal, fmt.Sprintf("unknown op %d", f.op))
 	}
-}
-
-// streamViewMulti answers a multi-view fetch: every user's view
-// streams as chunks tagged with the user's request position, all of
-// them progress frames except the final chunk of the final user, which
-// is the terminal result — the transport shape of the anytime
-// contract, exercised by the data plane's hottest read. A backend
-// failure mid-stream answers a terminal error frame —
-// progress-then-terminal holds even on the sad path.
-func (s *Server) streamViewMulti(w *connWriter, req frame, users []dataset.UserID) error {
-	chunk := s.ChunkScores
-	if chunk <= 0 {
-		chunk = DefaultChunkScores
-	}
-	for i, u := range users {
-		scores, err := s.b.ViewScores(u)
-		if err != nil {
-			return w.write(frame{kind: kindError, op: req.op, seq: req.seq, payload: encodeAppError(codeInternal, err.Error())})
-		}
-		lastUser := i == len(users)-1
-		total := uint32(len(scores))
-		off := 0
-		for {
-			end := off + chunk
-			last := end >= len(scores)
-			if last {
-				end = len(scores)
-			}
-			c := viewMultiChunk{Index: uint32(i), Total: total, Offset: uint32(off), Scores: scores[off:end]}
-			kind := kindProgress
-			if last && lastUser {
-				kind = kindResult
-			}
-			if err := w.write(frame{kind: kind, op: req.op, seq: req.seq, payload: encodeViewMultiChunk(c)}); err != nil {
-				return err
-			}
-			if last {
-				break
-			}
-			off = end
-		}
-	}
-	return nil
 }

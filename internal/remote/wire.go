@@ -14,7 +14,7 @@ import (
 
 // Payload encoding: flat little-endian fields appended onto a byte
 // slice, decoded by a cursor that fails loudly on truncation. The hot
-// messages (view chunks, predict rows) are raw float64 arrays — no
+// messages (the view and prediction vectors) are raw float64 arrays — no
 // per-call reflection, no schema — and the cold, shape-heavy stats
 // reply rides as JSON inside its frame, where the wire cost is
 // irrelevant.
@@ -176,35 +176,6 @@ func decodeViewMultiReq(p []byte) (viewMultiReq, error) {
 	return q, r.err
 }
 
-// viewMultiChunk is one slice of one user's view inside a multi-view
-// response. A view streams as a sequence of chunks — progress frames,
-// the last one the terminal result — so a big pool needs no giant
-// frame and the progress-then-terminal contract is exercised by the
-// data plane itself. Index names the user by position in the request,
-// so chunks of different users may interleave freely.
-type viewMultiChunk struct {
-	Index  uint32 // user position in the request
-	Total  uint32 // pool length (every chunk repeats it)
-	Offset uint32 // position of this chunk's first score
-	Scores []float64
-}
-
-func encodeViewMultiChunk(c viewMultiChunk) []byte {
-	// Sized once: header, score count, scores.
-	w := wireWriter{b: make([]byte, 0, 12+4+8*len(c.Scores))}
-	w.u32(c.Index)
-	w.u32(c.Total)
-	w.u32(c.Offset)
-	w.f64s(c.Scores)
-	return w.b
-}
-
-func decodeViewMultiChunk(p []byte) (viewMultiChunk, error) {
-	r := wireReader{b: p}
-	c := viewMultiChunk{Index: r.u32(), Total: r.u32(), Offset: r.u32(), Scores: r.f64s()}
-	return c, r.err
-}
-
 // predictMultiReq carries one shared item list for every group member
 // a worker owns — the assembly's patch items are the same for the
 // whole group, so the items ride once.
@@ -247,32 +218,54 @@ func decodePredictMultiReq(p []byte) (predictMultiReq, error) {
 	return q, r.err
 }
 
-// predictMultiRow is one user's prediction row inside a multi-predict
-// response, named by request position like viewMultiChunk.
-type predictMultiRow struct {
-	Index  uint32
-	Values []float64
-}
-
-func encodePredictMultiRow(row predictMultiRow) []byte {
-	w := wireWriter{b: make([]byte, 0, 4+4+8*len(row.Values))}
-	w.u32(row.Index)
-	w.f64s(row.Values)
+// encodeVectors encodes a multi-user read's reply: the vector count,
+// then one float64 vector per requested user, in request order. The
+// payload is sized once.
+func encodeVectors(vs [][]float64) []byte {
+	n := 4
+	for _, v := range vs {
+		n += 4 + 8*len(v)
+	}
+	w := wireWriter{b: make([]byte, 0, n)}
+	w.u32(uint32(len(vs)))
+	for _, v := range vs {
+		w.f64s(v)
+	}
 	return w.b
 }
 
-func decodePredictMultiRow(p []byte) (predictMultiRow, error) {
+// decodeVectors decodes a multi-user read's reply, which must hold
+// exactly rows vectors of exactly cols values each and nothing after
+// them. Anything else is a protocol violation: a missing, extra or
+// short vector would otherwise reach an assembly that indexes every
+// position. A vector allocates only what the payload's bytes back.
+func decodeVectors(p []byte, rows, cols int) ([][]float64, error) {
 	r := wireReader{b: p}
-	row := predictMultiRow{Index: r.u32(), Values: r.f64s()}
-	return row, r.err
+	if n := r.u32(); r.err == nil && int(n) != rows {
+		return nil, fmt.Errorf("%w: %d vectors for %d users", ErrProtocol, n, rows)
+	}
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = r.f64s()
+		if r.err == nil && len(out[i]) != cols {
+			return nil, fmt.Errorf("%w: vector %d holds %d values, want %d", ErrProtocol, i, len(out[i]), cols)
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.off != len(p) {
+		return nil, fmt.Errorf("%w: %d bytes after the last vector", ErrProtocol, len(p)-r.off)
+	}
+	return out, nil
 }
 
 // applyReq is one fanned-out rating stamped with the router's global
-// apply sequence. The sequence makes the write path idempotent — a
-// redelivered apply (the router retrying after a lost ack) is
-// recognized and acked without a second ingest — and lets a replica
-// detect that it missed an earlier apply (a gap) and refuse to serve
-// a diverged state.
+// apply sequence; its reply is an empty result frame. The sequence
+// makes the write path idempotent — a redelivered apply (the router
+// retrying after a lost reply) is recognized and answered without a
+// second ingest — and lets a replica detect that it missed an earlier
+// apply (a gap) and refuse to serve a diverged state.
 type applyReq struct {
 	Seq    uint64
 	Rating dataset.Rating
@@ -300,25 +293,6 @@ func decodeApplyReq(p []byte) (applyReq, error) {
 		},
 	}
 	return q, r.err
-}
-
-// ApplyAck acknowledges a fanned-out rating with the worker's applied
-// count after the apply — the router's cross-check that the replica
-// ingested what it did.
-type ApplyAck struct {
-	Applied int64
-}
-
-func encodeApplyAck(a ApplyAck) []byte {
-	var w wireWriter
-	w.i64(a.Applied)
-	return w.b
-}
-
-func decodeApplyAck(p []byte) (ApplyAck, error) {
-	r := wireReader{b: p}
-	a := ApplyAck{Applied: r.i64()}
-	return a, r.err
 }
 
 // Stats is one worker's cache totals in wire form: its list store's

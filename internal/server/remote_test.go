@@ -594,6 +594,33 @@ func TestRemoteWorkerTimeoutAnswers504(t *testing.T) {
 	}
 }
 
+// failingViewsBackend answers every view read with an error — a worker
+// whose replica is broken, not one that is unreachable.
+type failingViewsBackend struct{ remote.Backend }
+
+func (failingViewsBackend) ViewScores(dataset.UserID) ([]float64, error) {
+	return nil, errors.New("view store corrupt")
+}
+
+// TestRemoteWorkerReadFailureAnswers503: a read the worker refuses
+// (an internal error relayed over the wire) is the worker's fault, so
+// the router answers 503 shard_unavailable — never 400, which would
+// tell the client its well-formed request was bad.
+func TestRemoteWorkerReadFailureAnswers503(t *testing.T) {
+	stack := startRemoteStack(t, 1, [][]int{{0}}, remote.ClientConfig{Backoff: time.Millisecond},
+		func(b remote.Backend) remote.Backend { return failingViewsBackend{b} })
+	ts := serveHTTP(t, stack.router)
+
+	body := fmt.Sprintf(`{"group":%s,"k":3,"num_items":120}`, groupJSON(groupOnShards(t, stack.router, 1, 2, nil)))
+	status, data := postJSON(t, ts.URL+"/v1/recommend", body)
+	var errResp struct {
+		Code string `json:"code"`
+	}
+	if err := json.Unmarshal(data, &errResp); err != nil || status != http.StatusServiceUnavailable || errResp.Code != "shard_unavailable" {
+		t.Errorf("recommend = %d %s, want 503 shard_unavailable", status, data)
+	}
+}
+
 // TestStatsExposesRemoteTransportCounters pins the wire names of the
 // /v1/stats remote section: operators alert on batched-call adoption,
 // breaker opens, and view-cache hit rates, so the JSON keys are

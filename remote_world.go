@@ -41,11 +41,7 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	if err := set.Handshake(w.ConfigFingerprint(), w.sm.N()); err != nil {
 		return fmt.Errorf("repro: attaching remote shards: %w", err)
 	}
-	// A view is the pool-order score vector, so its length is exactly
-	// the candidate pool's — pin the transport's claimed-total bound to
-	// it, rejecting any larger claim before allocation.
 	pool := w.ratings.PopularityRanked()
-	set.LimitViewScores(len(pool))
 	w.remote = set
 	// The router's own list store sat idle; replace it with one over the
 	// fetch builder, retaining Config.RemoteViewCache views (none by
@@ -53,7 +49,7 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	// eviction, the drop AddRating ends in, the mid-build unlink that
 	// fences fetches against ingest — is the store's, unchanged.
 	if w.lists != nil {
-		w.lists = liststore.NewOver(fetchViews(set), pool, w.cfg.RemoteViewCache, prefDivisor)
+		w.lists = liststore.NewOver(fetchViews(set, len(pool)), pool, w.cfg.RemoteViewCache, prefDivisor)
 		w.asm.AttachListStore(w.lists)
 	}
 	w.asm.AttachRows(func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
@@ -75,10 +71,13 @@ func (w *World) Remote() *remote.ShardSet { return w.remote }
 // fetchViews is the list store's distributed builder: one view RPC per
 // owning worker for all of a call's misses, each view reconstructed
 // from the score vector on the wire — the canonical sort is
-// deterministic, so it is bit-identical to the worker's own.
-func fetchViews(set *remote.ShardSet) liststore.Builder {
+// deterministic, so it is bit-identical to the worker's own. A view is
+// the pool-order score vector, so every vector must hold exactly
+// poolSize scores; the transport refuses any other length
+// (ErrProtocol) before assembly indexes it.
+func fetchViews(set *remote.ShardSet, poolSize int) liststore.Builder {
 	return func(users []dataset.UserID) ([]*liststore.View, error) {
-		scores, err := set.ViewScoresMulti(users)
+		scores, err := set.ViewScoresMulti(users, poolSize)
 		if err != nil {
 			return nil, err
 		}
@@ -152,15 +151,9 @@ func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([
 }
 
 // Apply implements remote.Backend: ingest one fanned-out rating into
-// the replica — the full AddRating path — and ack with the replica's
-// applied count. Rejections unwrap to the dataset sentinels, which the
-// transport relays by code.
-func (b *ShardBackend) Apply(r dataset.Rating) (remote.ApplyAck, error) {
-	if err := b.w.AddRating(r); err != nil {
-		return remote.ApplyAck{}, err
-	}
-	return remote.ApplyAck{Applied: b.w.IngestStats().Applied}, nil
-}
+// the replica — the full AddRating path. Rejections unwrap to the
+// dataset sentinels, which the transport relays by code.
+func (b *ShardBackend) Apply(r dataset.Rating) error { return b.w.AddRating(r) }
 
 // Stats implements remote.Backend: the replica's cache totals. The
 // worker answers only for its owned shards' users, so they count

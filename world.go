@@ -488,7 +488,7 @@ func (w *World) AddRating(r dataset.Rating) error {
 	// surfaces at read time, on its fenced shards.
 	if w.remote != nil {
 		w.remoteApplySeq++
-		if _, ferr := w.remote.Apply(w.remoteApplySeq, r); ferr != nil {
+		if ferr := w.remote.Apply(w.remoteApplySeq, r); ferr != nil {
 			w.remoteFanoutMisses.Add(1)
 		}
 	}
