@@ -8,7 +8,7 @@
 //	greca-serve [-addr :8080] [-maxpending 0]
 //	            [-ratings ratings.dat] [-seed N]
 //	            [-liststore 1024] [-shards 1] [-shards-config topology.json]
-//	            [-remote-viewcache 0] [-workers N] [-snapshot dir]
+//	            [-workers N] [-snapshot dir]
 //	            [-pprof localhost:6060] [-v]
 //
 // -snapshot names a persistence directory: on boot the world is
@@ -56,14 +56,12 @@
 // from the same build; a worker from another build is refused at the
 // handshake.
 //
-// -remote-viewcache lets the router's sorted-list store retain up to N
-// views fetched from workers. It is the same store the in-process
-// world uses, fetching instead of building: each ingested rating drops
-// every retained view once the workers have applied it, and a fetch
-// still in flight when that sweep passes is never retained, so a warm
-// hit serves bytes identical to a fresh fetch. 0 (the default) retains
-// nothing — every assembly fetches; only meaningful with
-// -shards-config.
+// With -shards-config the router's sorted-list store (-liststore) keeps
+// the views it fetches from workers, and the views a -snapshot restored.
+// It is the same store the in-process world uses, fetching instead of
+// building: each ingested rating drops every view once the workers have
+// applied it, and a fetch still in flight when that sweep passes is
+// never kept, so a warm hit serves bytes identical to a fresh fetch.
 //
 // Endpoints (API v1 — the only prefix; unversioned paths answer 404):
 //
@@ -155,7 +153,6 @@ func main() {
 		listStore  = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
 		shards     = flag.Int("shards", 1, "shard count users are routed onto, the unit -shards-config assigns to workers (must be positive)")
 		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = serve every shard in this process)")
-		viewCache  = flag.Int("remote-viewcache", 0, "views fetched from workers the router's list store retains (0 = none, every assembly fetches; only meaningful with -shards-config)")
 		workers    = flag.Int("workers", 0, "assembly workers per request (0 = GOMAXPROCS)")
 		snapshot   = flag.String("snapshot", "", "persistence directory: warm-restart snapshot + rating WAL (empty = no persistence)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -175,7 +172,6 @@ func main() {
 	cfg.ListStoreSize = *listStore
 	cfg.Shards = *shards
 	cfg.AssemblyWorkers = *workers
-	cfg.RemoteViewCache = *viewCache
 	if *ratings != "" {
 		f, err := os.Open(*ratings)
 		if err != nil {

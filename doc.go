@@ -65,8 +65,9 @@
 //     users of its owned shards (views, predictions, its cache totals)
 //     behind a small length-prefixed, checksummed RPC protocol, and
 //     greca-serve -shards-config attaches a remote.ShardSet that routes
-//     each user's reads to the owning worker through the same shard.Map
-//     — byte-identical to the single-process world. Rating
+//     each user's reads to the owning worker through the same shard.Map,
+//     keeping the views it fetches in its own list store until a rating
+//     drops them — byte-identical to the single-process world. Rating
 //     ingest fans out to every replica (owner ack wins); a dead
 //     worker degrades only its shards (503 + Retry-After), a slow one
 //     answers 504, and the survivors keep serving.

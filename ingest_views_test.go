@@ -121,41 +121,30 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 			for _, src := range sources {
 				name := fmt.Sprintf("shards=%d/router=%v/%s", shards, router, src.name)
 				t.Run(name, func(t *testing.T) {
-					build := func(ratings string, extra func(*Config)) *World {
-						return liveWorldCfg(t, ratings, shards, func(c *Config) {
-							if src.mutate != nil {
-								src.mutate(c)
-							}
-							if extra != nil {
-								extra(c)
-							}
-						})
-					}
+					build := func() *World { return liveWorldCfg(t, base, shards, src.mutate) }
 					// The world under test, its list store rebuilt over a
 					// holdable builder: the local one in-process, the wire
-					// fetch on a router retaining views.
+					// fetch on a router (the default store size either way).
 					var live *World
 					var workers []*World
 					held := &heldBuilder{entered: make(chan struct{}, 1), release: make(chan struct{}), builds: map[dataset.UserID]int{}}
-					capacity := liststore.DefaultMaxUsers
 					if router {
 						owns := [][]int{{0}}
 						if shards == 4 {
 							owns = [][]int{{0, 2}, {1, 3}}
 						}
 						var set *remote.ShardSet
-						set, workers = startViewWorkers(t, func() *World { return build(base, nil) }, shards, owns)
-						capacity = 64
-						live = build(base, func(c *Config) { c.RemoteViewCache = capacity })
+						set, workers = startViewWorkers(t, build, shards, owns)
+						live = build()
 						if err := live.AttachRemote(set); err != nil {
 							t.Fatalf("AttachRemote: %v", err)
 						}
 						held.inner = fetchViews(set, len(live.lists.Pool()))
 					} else {
-						live = build(base, nil)
+						live = build()
 						held.inner = liststore.LocalBuilder(live.source, live.lists.Pool(), prefDivisor, 1)
 					}
-					live.lists = liststore.NewOver(held.build, live.lists.Pool(), capacity, prefDivisor)
+					live.lists = liststore.NewOver(held.build, live.lists.Pool(), live.lists.Capacity(), prefDivisor)
 					live.asm.AttachListStore(live.lists)
 
 					group := live.Participants()[:3]

@@ -28,12 +28,7 @@ func benchViewSet(in Input) ViewSet {
 	}
 	vs := ViewSet{LocalOf: localOf, Members: make([]MemberView, g)}
 	for u := 0; u < g; u++ {
-		entries := make([]Entry, m)
-		for i := 0; i < m; i++ {
-			entries[i] = Entry{Key: i, Value: in.Apref[u][i]}
-		}
-		sortEntries(entries)
-		vs.Members[u] = MemberView{View: &SortedView{Entries: entries}}
+		vs.Members[u] = MemberView{View: sortedViewOf(in.Apref[u])}
 	}
 	return vs
 }

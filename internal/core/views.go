@@ -7,13 +7,16 @@ import (
 
 // SortedView is an immutable, descending-sorted preference list over a
 // base pool of items — the unit the precomputed list store persists per
-// user. Entry keys are *pool positions* (indexes into whatever pool the
-// view was built over), values are normalized preferences in [0,1], and
-// entries follow the canonical order (descending Value, ascending-Key
-// ties). A view is shared by every problem built from it and must never
-// be mutated.
+// user. Scores[p] is the normalized preference in [0,1] of pool position
+// p (an index into whatever pool the view was built over), and Order
+// lists the pool positions in canonical order (descending score,
+// ascending position on ties): the i-th entry of the sorted list is
+// (Order[i], Scores[Order[i]]). Each score is stored once, 12 bytes per
+// pool position. A view is shared by every problem built from it and
+// must never be mutated.
 type SortedView struct {
-	Entries []Entry
+	Scores []float64
+	Order  []int32
 }
 
 // MemberView is one member's input to NewProblemFromViews: a shared
@@ -140,7 +143,7 @@ func NewProblemFromViews(in Input, vs ViewSet) (*Problem, error) {
 // ties — so the result is exactly what sorting the dense row would
 // yield, for any interleaving of patch keys.
 func mergeViewPatch(mv MemberView, localOf []int32, out []Entry) []Entry {
-	view := mv.View.Entries
+	scores, order := mv.View.Scores, mv.View.Order
 	patch := mv.Patch
 	vi, pi := 0, 0
 
@@ -149,14 +152,14 @@ func mergeViewPatch(mv MemberView, localOf []int32, out []Entry) []Entry {
 	headOK := false
 	advance := func() {
 		headOK = false
-		for vi < len(view) {
-			e := view[vi]
+		for vi < len(order) {
+			p := int(order[vi])
 			vi++
-			if e.Key < 0 || e.Key >= len(localOf) {
+			if p < 0 || p >= len(localOf) || p >= len(scores) {
 				continue // outside the mapped pool: not a candidate
 			}
-			if l := localOf[e.Key]; l >= 0 {
-				head = Entry{Key: int(l), Value: e.Value}
+			if l := localOf[p]; l >= 0 {
+				head = Entry{Key: int(l), Value: scores[p]}
 				headOK = true
 				return
 			}

@@ -82,23 +82,37 @@ func randomViewSet(rng *rand.Rand, in Input, patchFrac float64) ViewSet {
 	}
 	vs := ViewSet{LocalOf: localOf, Members: make([]MemberView, g)}
 	for u := 0; u < g; u++ {
-		entries := make([]Entry, B)
+		scores := make([]float64, B)
 		for p := 0; p < B; p++ {
 			if l := localOf[p]; l >= 0 {
-				entries[p] = Entry{Key: p, Value: in.Apref[u][l]}
+				scores[p] = in.Apref[u][l]
 			} else {
-				entries[p] = Entry{Key: p, Value: rng.Float64()} // noise: filtered out
+				scores[p] = rng.Float64() // noise: filtered out
 			}
 		}
-		sortEntries(entries)
 		patch := make([]Entry, 0, len(patchLocals))
 		for _, l := range patchLocals {
 			patch = append(patch, Entry{Key: l, Value: in.Apref[u][l]})
 		}
 		sortEntries(patch)
-		vs.Members[u] = MemberView{View: &SortedView{Entries: entries}, Patch: patch}
+		vs.Members[u] = MemberView{View: sortedViewOf(scores), Patch: patch}
 	}
 	return vs
+}
+
+// sortedViewOf builds the view over scores: the pool positions in
+// canonical order beside the scores they index.
+func sortedViewOf(scores []float64) *SortedView {
+	entries := make([]Entry, len(scores))
+	for p, v := range scores {
+		entries[p] = Entry{Key: p, Value: v}
+	}
+	sortEntries(entries)
+	order := make([]int32, len(entries))
+	for i, e := range entries {
+		order[i] = int32(e.Key)
+	}
+	return &SortedView{Scores: scores, Order: order}
 }
 
 // TestProblemFromViewsMatchesNewProblem is the differential proof the
@@ -258,14 +272,15 @@ func TestProblemFromViewsRejectsInconsistency(t *testing.T) {
 	t.Run("stale view value", func(t *testing.T) {
 		in, vs := base()
 		// Tamper with the first mapped entry of member 0's view.
-		ent := append([]Entry(nil), vs.Members[0].View.Entries...)
-		for i := range ent {
-			if ent[i].Key < len(vs.LocalOf) && vs.LocalOf[ent[i].Key] >= 0 {
-				ent[i].Value = ent[i].Value / 2
+		view := vs.Members[0].View
+		scores := append([]float64(nil), view.Scores...)
+		for _, p := range view.Order {
+			if vs.LocalOf[p] >= 0 {
+				scores[p] /= 2
 				break
 			}
 		}
-		vs.Members[0].View = &SortedView{Entries: ent}
+		vs.Members[0].View = &SortedView{Scores: scores, Order: view.Order}
 		if _, err := NewProblemFromViews(in, vs); err == nil {
 			t.Error("stale view value accepted")
 		}

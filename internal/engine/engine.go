@@ -226,7 +226,7 @@ func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, d
 				row[l] = v.Scores[p]
 			}
 		}
-		mv := core.MemberView{View: v.Sorted}
+		mv := core.MemberView{View: v}
 		if len(patch) > 0 {
 			pe := make([]core.Entry, len(patch))
 			for i, raw := range patchRows[ui] {

@@ -37,7 +37,7 @@ func TestAttachedSeamsMatchLocal(t *testing.T) {
 			return nil, errViews
 		}
 		return origin.AcquireMulti(users)
-	}, pool, 0, 5))
+	}, pool, 1, 5)) // one slot, fewer than the group: every assembly fetches
 	fetched.AttachRows(func(users []dataset.UserID, its []dataset.ItemID, dst [][]float64) error {
 		if errRows != nil {
 			return errRows

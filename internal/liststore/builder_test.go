@@ -194,26 +194,26 @@ func TestBuilderShortViewIsAnError(t *testing.T) {
 	}
 }
 
-// TestCapacityZeroNeverRetains pins the pass-through store: every
-// acquire reaches the builder, nothing is ever resident or evicted,
-// and sweeps have nothing to do.
-func TestCapacityZeroNeverRetains(t *testing.T) {
+// TestCapacityZeroSelectsDefault pins that every store retains: a
+// capacity <= 0 is DefaultMaxUsers, so a repeated acquire is a hit, not
+// another builder call.
+func TestCapacityZeroSelectsDefault(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 3}
 	s := NewOver(b.build, testPool(3), 0, 5)
+	if got := s.Capacity(); got != DefaultMaxUsers {
+		t.Errorf("capacity = %d, want DefaultMaxUsers (%d)", got, DefaultMaxUsers)
+	}
 	for round := 0; round < 3; round++ {
 		if _, err := s.AcquireMulti([]dataset.UserID{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := s.Stats()
-	if st.Size != 0 || st.ViewHits != 0 || st.ViewBuilds != 9 || st.Evictions != 0 {
-		t.Errorf("stats = %+v, want 9 builds and nothing else", st)
+	if st.Size != 3 || st.ViewHits != 6 || st.ViewBuilds != 3 || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want 3 builds, 6 hits, 3 resident", st)
 	}
-	if got := len(b.callLog()); got != 3 {
-		t.Errorf("builder calls = %d, want 3 (one per acquire)", got)
-	}
-	if dropped := s.InvalidateAll(); dropped != 0 {
-		t.Errorf("sweep dropped %d views from an empty store", dropped)
+	if got := len(b.callLog()); got != 1 {
+		t.Errorf("builder calls = %d, want 1", got)
 	}
 }
 

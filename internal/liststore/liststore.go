@@ -17,9 +17,13 @@
 //
 // How a missing view is materialized is the store's one seam, the
 // Builder: in-process it predicts and sorts (LocalBuilder), on a
-// distributed router it fetches the owning worker's view over the wire.
+// distributed router it fetches the owning worker's view over the wire
+// (SetBuilder swaps one for the other and keeps what is resident).
 // Eviction, invalidation and coherence with ingest are the store's own
 // and identical under both.
+//
+// A view is its pool-order scores plus the pool positions in canonical
+// order, as int32: 12 bytes per pool position, each score stored once.
 //
 // A Store is one mutex, one CLOCK ring, one capacity budget and one set
 // of counters, whatever the world's shard count: the lock is held only
@@ -31,6 +35,7 @@ package liststore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,22 +46,17 @@ import (
 )
 
 // DefaultMaxUsers bounds materialized per-user views. A view over a
-// MovieLens-scale pool (~4000 items) is ~96KB (dense scores + sorted
-// entries), so 1024 users cap the store near 100MB worst-case.
+// MovieLens-scale pool (~4000 items) is ≈ 48 KB (8-byte scores plus a
+// 4-byte sorted position each), so 1024 users cap the store near 50MB
+// worst-case.
 const DefaultMaxUsers = 1024
 
 // View is one user's materialized preference state over the store
-// pool: the dense normalized scores in pool order (problem rows are
-// filled from it) and the canonical descending-sorted view (problem
-// lists are merged from it). Both are immutable and shared; callers
-// must never mutate them.
-type View struct {
-	// Scores[p] is the normalized score of pool position p.
-	Scores []float64
-	// Sorted holds the same scores in canonical order (descending
-	// value, ascending pool position on ties).
-	Sorted *core.SortedView
-}
+// pool: Scores, the dense normalized scores in pool order (problem rows
+// are filled from them), and Order, the pool positions in canonical
+// order (problem lists are merged from it). Both are immutable and
+// shared; callers must never mutate them.
+type View = core.SortedView
 
 // Builder materializes the views of users, in order — every miss of
 // one AcquireMulti call arrives in one Builder call, so a builder that
@@ -142,15 +142,11 @@ type Store struct {
 }
 
 // New builds a store whose views are built in place from src
-// (LocalBuilder, GOMAXPROCS workers); maxUsers <= 0 selects
-// DefaultMaxUsers. See NewOver for the remaining parameters. Returns
-// nil for a nil source.
+// (LocalBuilder, GOMAXPROCS workers). See NewOver for the remaining
+// parameters. Returns nil for a nil source.
 func New(src cf.Source, pool []dataset.ItemID, maxUsers int, divisor float64) *Store {
 	if src == nil {
 		return nil
-	}
-	if maxUsers <= 0 {
-		maxUsers = DefaultMaxUsers
 	}
 	return NewOver(LocalBuilder(src, pool, divisor, 0), pool, maxUsers, divisor)
 }
@@ -158,8 +154,7 @@ func New(src cf.Source, pool []dataset.ItemID, maxUsers int, divisor float64) *S
 // NewOver builds a store that materializes missing views through build,
 // over pool (the popularity-ranked candidate base; the slice is
 // retained and must not change). capacity bounds materialized views;
-// capacity <= 0 retains nothing: every acquire goes to the builder and
-// the view is handed to its caller only. divisor is the normalization
+// capacity <= 0 selects DefaultMaxUsers. divisor is the normalization
 // the engine applies to predictions (5 maps the 1..5 rating scale onto
 // [0,1]); stored scores are pre-divided so views feed problems
 // directly. Returns nil for an empty pool — a store over nothing serves
@@ -168,11 +163,14 @@ func NewOver(build Builder, pool []dataset.ItemID, capacity int, divisor float64
 	if len(pool) == 0 || build == nil || divisor == 0 {
 		return nil
 	}
+	if capacity <= 0 {
+		capacity = DefaultMaxUsers
+	}
 	return &Store{
 		build:       build,
 		pool:        pool,
 		divisor:     divisor,
-		maxUsers:    max(capacity, 0),
+		maxUsers:    capacity,
 		entries:     make(map[dataset.UserID]*userEntry),
 		invalidated: make(map[dataset.UserID]bool),
 	}
@@ -216,8 +214,19 @@ func LocalBuilder(src cf.Source, pool []dataset.ItemID, divisor float64, workers
 	}
 }
 
+// SetBuilder makes build the store's Builder for every later miss and
+// keeps every resident view: a view is a function of the world's
+// ratings alone, not of which builder produced it, so a view built or
+// restored in place is the one a worker would send. A router calls it
+// once, before serving, to fetch instead of build; it is not
+// synchronized with in-flight acquires.
+func (s *Store) SetBuilder(build Builder) { s.build = build }
+
 // Pool returns the base pool the views cover (shared, read-only).
 func (s *Store) Pool() []dataset.ItemID { return s.pool }
+
+// Capacity returns the bound on materialized views.
+func (s *Store) Capacity() int { return s.maxUsers }
 
 // Divisor returns the normalization the stored scores carry.
 func (s *Store) Divisor() float64 { return s.divisor }
@@ -271,11 +280,9 @@ func (s *Store) AcquireMulti(users []dataset.UserID) ([]*View, error) {
 		}
 		e = &userEntry{done: make(chan struct{})}
 		e.ref.Store(true) // enter referenced: a just-built view is never the next sweep's first victim
-		if s.maxUsers > 0 {
-			s.evictLocked()
-			s.entries[u] = e
-			s.ring = append(s.ring, u)
-		}
+		s.evictLocked()
+		s.entries[u] = e
+		s.ring = append(s.ring, u)
 		rebuilt := s.invalidated[u]
 		delete(s.invalidated, u)
 		s.mu.Unlock()
@@ -371,21 +378,33 @@ func (s *Store) evictLocked() {
 	}
 }
 
+// sortScratch recycles the (position, score) entries NewView sorts: a
+// view keeps only the sorted positions, so the entries live for one sort.
+var sortScratch = sync.Pool{New: func() any { return new([]core.Entry) }}
+
 // NewView builds a view from its dense pool-order normalized scores —
-// what a Builder returns — deriving the canonical sorted side. The
-// canonical order is a strict total order on (score, pool position), so
-// the sorted side is a function of the scores alone — not of which sort
-// produced it, or where: a restored or fetched view is bit-identical to
-// one built in place, which is why snapshots and the wire only carry
-// the score vectors. The sort is core.SortCanonical's distribution
-// kernel, O(len(scores)) on score-shaped input.
+// what a Builder returns — deriving the canonical order. The canonical
+// order is a strict total order on (score, pool position), so Order is
+// a function of the scores alone — not of which sort produced it, or
+// where: a restored or fetched view is bit-identical to one built in
+// place, which is why snapshots and the wire only carry the score
+// vectors. The sort is core.SortCanonical's distribution kernel,
+// O(len(scores)) on score-shaped input, over pooled scratch; the view
+// allocates only its Order.
 func NewView(scores []float64) *View {
-	entries := make([]core.Entry, len(scores))
+	bp := sortScratch.Get().(*[]core.Entry)
+	entries := slices.Grow((*bp)[:0], len(scores))[:len(scores)]
 	for p, v := range scores {
 		entries[p] = core.Entry{Key: p, Value: v}
 	}
 	core.SortCanonical(entries)
-	return &View{Scores: scores, Sorted: &core.SortedView{Entries: entries}}
+	order := make([]int32, len(entries))
+	for i, e := range entries {
+		order[i] = int32(e.Key)
+	}
+	*bp = entries
+	sortScratch.Put(bp)
+	return &View{Scores: scores, Order: order}
 }
 
 // InvalidateAll drops every materialized view — the one thing a rating
@@ -410,7 +429,7 @@ func (s *Store) InvalidateAll() int {
 }
 
 // UserView is one user's view in export form: only the dense score
-// vector — the sorted side is a deterministic function of it and is
+// vector — the order is a deterministic function of it and is
 // re-derived on restore.
 type UserView struct {
 	User   dataset.UserID

@@ -1,7 +1,9 @@
 package liststore
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -99,12 +101,90 @@ func TestViewsMatchTheReferenceSort(t *testing.T) {
 			t.Fatalf("view %d has %d distinct scores in %d: not tie-heavy", i, len(distinct), len(pool))
 		}
 		referenceSortCanonical(want)
-		if !reflect.DeepEqual(v.Sorted.Entries, want) {
+		if !slices.Equal(v.Order, positionsOf(want)) {
 			t.Errorf("view %d: built view diverges from the reference sort", i)
 		}
 		rebuilt := NewView(slices.Clone(v.Scores))
-		if !reflect.DeepEqual(rebuilt.Sorted.Entries, want) {
+		if !slices.Equal(rebuilt.Order, positionsOf(want)) {
 			t.Errorf("view %d: view rebuilt from scores diverges from the reference sort", i)
+		}
+	}
+}
+
+// positionsOf lists the keys of entries as a view's Order.
+func positionsOf(entries []core.Entry) []int32 {
+	out := make([]int32, len(entries))
+	for i, e := range entries {
+		out[i] = int32(e.Key)
+	}
+	return out
+}
+
+// TestViewHoldsScoresAndOrderOnly pins a view's memory: per pool
+// position one float64 score and one int32 sorted position, nothing
+// else — the layout the router's retained views are sized by. NewView
+// over the same scores gives the same Order every time, and that order
+// is the reference sort of (score, position), ties and signed zeros
+// included.
+func TestViewHoldsScoresAndOrderOnly(t *testing.T) {
+	typ := reflect.TypeOf(View{})
+	if typ.NumField() != 2 ||
+		typ.Field(0).Name != "Scores" || typ.Field(0).Type != reflect.TypeOf([]float64(nil)) ||
+		typ.Field(1).Name != "Order" || typ.Field(1).Type != reflect.TypeOf([]int32(nil)) {
+		t.Fatalf("View is %v, want {Scores []float64; Order []int32}", typ)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{1, 10, 1500} {
+		scores := make([]float64, n)
+		for p := range scores {
+			switch p % 5 {
+			case 0:
+				scores[p] = negZero
+			case 1:
+				scores[p] = 0
+			case 2:
+				scores[p] = 0.8 // a whole rating level: heavy ties
+			default:
+				scores[p] = float64((p*37)%101) / 101
+			}
+		}
+		v := NewView(scores)
+		if cap(v.Scores) != n || cap(v.Order) != n {
+			t.Errorf("n=%d: cap(Scores)=%d cap(Order)=%d, want %d each", n, cap(v.Scores), cap(v.Order), n)
+		}
+		if &v.Scores[0] != &scores[0] {
+			t.Errorf("n=%d: the view copied its scores", n)
+		}
+		want := make([]core.Entry, n)
+		for p, s := range scores {
+			want[p] = core.Entry{Key: p, Value: s}
+		}
+		referenceSortCanonical(want)
+		if !slices.Equal(v.Order, positionsOf(want)) {
+			t.Errorf("n=%d: Order diverges from the reference sort", n)
+		}
+		if again := NewView(scores); !slices.Equal(again.Order, v.Order) {
+			t.Errorf("n=%d: NewView over the same scores gave another Order", n)
+		}
+
+		// What NewView allocates is the view and its Order: the sort's
+		// 16-byte entries are pooled scratch. (The race detector drops
+		// pooled items at random, so only the count is exact there.)
+		if allocs := testing.AllocsPerRun(20, func() { NewView(scores) }); allocs > 2 && !raceEnabled {
+			t.Errorf("n=%d: NewView made %.0f allocations, want 2 (view, order)", n, allocs)
+		}
+		if raceEnabled {
+			continue
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			NewView(scores)
+		}
+		runtime.ReadMemStats(&after)
+		if perView := (after.TotalAlloc - before.TotalAlloc) / runs; perView > uint64(5*n+128) {
+			t.Errorf("n=%d: NewView allocates %d B per view, want ≈ 4 B per position", n, perView)
 		}
 	}
 }
@@ -130,8 +210,8 @@ func TestAcquireBuildsCanonicalView(t *testing.T) {
 	s := New(src, pool, 4, 5)
 
 	v := mustAcquire(s, 3)
-	if len(v.Scores) != len(pool) || len(v.Sorted.Entries) != len(pool) {
-		t.Fatalf("view sizes %d/%d, want %d", len(v.Scores), len(v.Sorted.Entries), len(pool))
+	if len(v.Scores) != len(pool) || len(v.Order) != len(pool) {
+		t.Fatalf("view sizes %d/%d, want %d", len(v.Scores), len(v.Order), len(pool))
 	}
 	for p, it := range pool {
 		want := src.Predict(3, it) / 5
@@ -139,15 +219,18 @@ func TestAcquireBuildsCanonicalView(t *testing.T) {
 			t.Errorf("Scores[%d] = %g, want %g", p, v.Scores[p], want)
 		}
 	}
-	for i := 1; i < len(v.Sorted.Entries); i++ {
-		a, b := v.Sorted.Entries[i-1], v.Sorted.Entries[i]
-		if b.Value > a.Value || (b.Value == a.Value && b.Key < a.Key) {
-			t.Fatalf("entries %d,%d out of canonical order: %+v %+v", i-1, i, a, b)
+	seen := make([]bool, len(pool))
+	for i, p := range v.Order {
+		if seen[p] {
+			t.Fatalf("position %d sorted twice", p)
 		}
-	}
-	for _, e := range v.Sorted.Entries {
-		if v.Scores[e.Key] != e.Value {
-			t.Errorf("sorted entry key %d value %g disagrees with dense score %g", e.Key, e.Value, v.Scores[e.Key])
+		seen[p] = true
+		if i == 0 {
+			continue
+		}
+		q := v.Order[i-1]
+		if v.Scores[p] > v.Scores[q] || (v.Scores[p] == v.Scores[q] && p < q) {
+			t.Fatalf("positions %d,%d out of canonical order: %g %g", q, p, v.Scores[q], v.Scores[p])
 		}
 	}
 }
@@ -320,10 +403,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 				t.Fatalf("user %d: restored score[%d] = %v, want %v", u, i, got.Scores[i], want.Scores[i])
 			}
 		}
-		for i := range want.Sorted.Entries {
-			if want.Sorted.Entries[i] != got.Sorted.Entries[i] {
-				t.Fatalf("user %d: restored sorted entry %d = %+v, want %+v", u, i, got.Sorted.Entries[i], want.Sorted.Entries[i])
-			}
+		if !slices.Equal(want.Order, got.Order) {
+			t.Fatalf("user %d: restored order %v, want %v", u, got.Order, want.Order)
 		}
 	}
 	if calls := src2.batchCalls.Load(); calls != 0 {

@@ -16,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/dataset"
+	"repro/internal/liststore"
 	"repro/internal/remote"
 	"repro/internal/shard"
 )
@@ -47,7 +48,7 @@ type remoteStack struct {
 // startRemoteStack builds worker worlds for each ownership split,
 // serves them over loopback TCP, and attaches a router world to them.
 // routerTweak functions adjust the router's config only — valid for
-// router-local knobs excluded from the fingerprint (RemoteViewCache),
+// knobs excluded from the fingerprint (the ListStoreSize capacity),
 // which must not perturb the worker worlds.
 func startRemoteStack(t *testing.T, shards int, owns [][]int, cc remote.ClientConfig, wrap func(remote.Backend) remote.Backend, routerTweak ...func(*repro.Config)) *remoteStack {
 	t.Helper()
@@ -179,36 +180,45 @@ func jsonShape(t *testing.T, data []byte) map[string]bool {
 // the responses of the in-process world at the same shard count —
 // single recommend, batch, the full SSE frame sequence, and the stats
 // shape — including after a rating ingested through the remote path.
-// The cached variants enable the router view cache and repeat every
-// stage against warm cache state: a cache hit must serve the same
-// bytes as the wire fetch it replaced, before and after ingest.
+// Every stage runs twice, the second time against the router's warm
+// list store: a view it kept must serve the same bytes as the wire
+// fetch it replaced, before and after ingest. The one-view store is
+// smaller than any multi-member group, so its warm assemblies still
+// fetch; the default store's make no view call until a rating drops its
+// views, and then one per owning worker.
 func TestRemoteDifferentialByteIdentical(t *testing.T) {
 	cases := []struct {
-		shards int
-		owns   [][]int
-		cache  bool
+		shards    int
+		owns      [][]int
+		listStore int // the router's ListStoreSize; 0 = the default
 	}{
-		{1, [][]int{{0}}, false},
-		{4, [][]int{{0, 2}, {1, 3}}, false},
-		{1, [][]int{{0}}, true},
-		{4, [][]int{{0, 2}, {1, 3}}, true},
+		{1, [][]int{{0}}, 1},
+		{4, [][]int{{0, 2}, {1, 3}}, 1},
+		{1, [][]int{{0}}, 0},
+		{4, [][]int{{0, 2}, {1, 3}}, 0},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("shards=%d,cache=%v", tc.shards, tc.cache), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d,liststore=%d", tc.shards, tc.listStore), func(t *testing.T) {
 			local, err := repro.NewWorld(remoteWorldConfig(tc.shards))
 			if err != nil {
 				t.Fatalf("building local world: %v", err)
 			}
 			localTS := serveHTTP(t, local)
 			stack := startRemoteStack(t, tc.shards, tc.owns, remote.ClientConfig{}, nil,
-				func(c *repro.Config) {
-					if tc.cache {
-						c.RemoteViewCache = 256
-					}
-				})
+				func(c *repro.Config) { c.ListStoreSize = tc.listStore })
 			remoteTS := serveHTTP(t, stack.router)
+			viewCalls := func() uint64 { return stack.router.RemoteStats().Transport.CallsByOp["view_multi"] }
 
-			g3 := groupJSON(groupOnShards(t, stack.router, tc.shards, 3, nil))
+			members := groupOnShards(t, stack.router, tc.shards, 3, nil)
+			g3 := groupJSON(members)
+			m, err := shard.New(tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owners := map[int]bool{}
+			for _, u := range members {
+				owners[stack.ownerOf[m.Of(u)]] = true
+			}
 			g1 := groupJSON(groupOnShards(t, stack.router, tc.shards, 1, nil))
 			singles := []string{
 				fmt.Sprintf(`{"group":%s,"k":5,"num_items":200}`, g3),
@@ -246,10 +256,16 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 				}
 			}
 			compare("cold")
-			if tc.cache {
-				// Second pass over the same groups: the router now serves
-				// views from its cache instead of the wire — same bytes.
-				compare("warm")
+			// Second pass over the same groups: the router serves the
+			// views it kept instead of fetching them — same bytes.
+			before := viewCalls()
+			compare("warm")
+			warmCalls := viewCalls() - before
+			if tc.listStore == 1 && warmCalls == 0 {
+				t.Error("warm pass over a one-view store made no view call: the fetch path went unexercised")
+			}
+			if tc.listStore == 0 && warmCalls != 0 {
+				t.Errorf("warm pass over the default store made %d view calls, want 0", warmCalls)
 			}
 
 			// Ingest one rating through both surfaces; the acks and every
@@ -265,12 +281,16 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 			if !bytes.Equal(lb, rb) {
 				t.Errorf("ingest acks diverge: local %s remote %s", lb, rb)
 			}
+			// The rating dropped every view the router kept: the next
+			// pass fetches the groups' views once per owning worker.
+			before = viewCalls()
 			compare("post-ingest")
-			if tc.cache {
-				// Post-ingest warm pass: the views re-fetched after the ingest
-				// dropped them serve from cache, still byte-identical.
-				compare("post-ingest-warm")
+			if got := viewCalls() - before; tc.listStore == 0 && got != uint64(len(owners)) {
+				t.Errorf("post-ingest pass made %d view calls, want %d (one per owning worker)", got, len(owners))
 			}
+			// Post-ingest warm pass: the views re-fetched after the ingest
+			// dropped them serve from the store, still byte-identical.
+			compare("post-ingest-warm")
 
 			// Stats: counter values differ (the remote substitutes worker
 			// counters), but the wire shape must be identical, and the
@@ -303,8 +323,9 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 					} `json:"transport"`
 					ViewCacheEnabled bool `json:"view_cache_enabled"`
 					ViewCache        struct {
-						Hits   uint64 `json:"hits"`
-						Misses uint64 `json:"misses"`
+						Hits     uint64 `json:"hits"`
+						Misses   uint64 `json:"misses"`
+						Capacity int    `json:"capacity"`
 					} `json:"view_cache"`
 				} `json:"remote"`
 			}
@@ -320,13 +341,18 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 			if parsed.Remote.Transport.BatchedCalls == 0 || parsed.Remote.Transport.CallsByOp["view_multi"] == 0 {
 				t.Errorf("batched reads not counted: %+v", parsed.Remote.Transport)
 			}
-			if tc.cache {
-				if !parsed.Remote.ViewCacheEnabled {
-					t.Error("view_cache_enabled = false with RemoteViewCache set")
-				}
-				if parsed.Remote.ViewCache.Misses == 0 || parsed.Remote.ViewCache.Hits == 0 {
-					t.Errorf("warm passes did not exercise the view cache: %+v", parsed.Remote.ViewCache)
-				}
+			if !parsed.Remote.ViewCacheEnabled {
+				t.Error("view_cache_enabled = false on a router with a list store")
+			}
+			wantCap := tc.listStore
+			if wantCap == 0 {
+				wantCap = liststore.DefaultMaxUsers
+			}
+			if parsed.Remote.ViewCache.Capacity != wantCap {
+				t.Errorf("view_cache.capacity = %d, want the store's %d", parsed.Remote.ViewCache.Capacity, wantCap)
+			}
+			if parsed.Remote.ViewCache.Misses == 0 || (tc.listStore == 0 && parsed.Remote.ViewCache.Hits == 0) {
+				t.Errorf("warm passes did not exercise the view cache: %+v", parsed.Remote.ViewCache)
 			}
 		})
 	}
@@ -626,8 +652,7 @@ func TestRemoteWorkerReadFailureAnswers503(t *testing.T) {
 // breaker opens, and view-cache hit rates, so the JSON keys are
 // contract, not implementation detail.
 func TestStatsExposesRemoteTransportCounters(t *testing.T) {
-	stack := startRemoteStack(t, 1, [][]int{{0}}, remote.ClientConfig{}, nil,
-		func(c *repro.Config) { c.RemoteViewCache = 64 })
+	stack := startRemoteStack(t, 1, [][]int{{0}}, remote.ClientConfig{}, nil)
 	ts := serveHTTP(t, stack.router)
 
 	group := groupJSON(groupOnShards(t, stack.router, 1, 2, nil))

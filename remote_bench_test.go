@@ -4,7 +4,7 @@
 // protocol), versus the in-process world the other benchmarks
 // measure. The delta against BenchmarkRecommendParallel/goroutines=1
 // on the same group mix is the transport tax: framing, CRC, syscalls,
-// and the view-chunk reassembly.
+// and the view decode.
 //
 //	go test -bench BenchmarkRecommendRemote -benchtime 2s
 package repro_test
@@ -21,9 +21,9 @@ import (
 
 // remoteBenchStack builds a router fronting nWorkers loopback workers
 // over a `shards`-way world, with the shards dealt round-robin.
-// viewCache sizes the router's remote view cache (0 = disabled, the
-// production default).
-func remoteBenchStack(b *testing.B, shards, nWorkers, viewCache int) *repro.World {
+// listStore sizes the router's list store — the views it keeps of what
+// it fetches (0 = liststore.DefaultMaxUsers, the production default).
+func remoteBenchStack(b *testing.B, shards, nWorkers, listStore int) *repro.World {
 	b.Helper()
 	cfg := repro.QuickConfig()
 	cfg.AssemblyWorkers = 1
@@ -62,9 +62,9 @@ func remoteBenchStack(b *testing.B, shards, nWorkers, viewCache int) *repro.Worl
 		b.Fatalf("shard set: %v", err)
 	}
 	b.Cleanup(set.Close)
-	// The cache knob is router-local (excluded from the config
-	// fingerprint), so only the router world carries it.
-	cfg.RemoteViewCache = viewCache
+	// The store's capacity is excluded from the config fingerprint, so
+	// only the router world carries it.
+	cfg.ListStoreSize = listStore
 	router, err := repro.NewWorld(cfg)
 	if err != nil {
 		b.Fatalf("router world: %v", err)
@@ -80,9 +80,9 @@ func remoteBenchStack(b *testing.B, shards, nWorkers, viewCache int) *repro.Worl
 // rpcs/op is total calls per Recommend, view_rpcs/op the view-fetch
 // calls alone — the number the batched ops collapse from O(members) to
 // O(workers).
-func runRemoteBench(b *testing.B, shards, nWorkers, viewCache int) {
+func runRemoteBench(b *testing.B, shards, nWorkers, listStore int) {
 	opt := repro.Options{K: 10, NumItems: 600}
-	router := remoteBenchStack(b, shards, nWorkers, viewCache)
+	router := remoteBenchStack(b, shards, nWorkers, listStore)
 	_, groups := parallelBenchWorld(b)
 	for _, g := range groups {
 		if _, err := router.Recommend(g, opt); err != nil {
@@ -108,10 +108,12 @@ func runRemoteBench(b *testing.B, shards, nWorkers, viewCache int) {
 }
 
 // BenchmarkRecommendRemote measures steady-state Recommend latency
-// through the distributed stack on the warmed group mix — every view
-// and prediction row crosses the wire, one batched RPC per worker per
-// assembly. shards=1/workers=1 is the minimal-hop configuration;
-// shards=4/workers=2 is the CI e2e split.
+// through the distributed stack on the warmed group mix with a
+// one-view router store, smaller than any multi-member group — so
+// every view and prediction row crosses the wire, one batched RPC per
+// worker per assembly: the price of a wire fetch. shards=1/workers=1
+// is the minimal-hop configuration; shards=4/workers=2 is the CI e2e
+// split.
 func BenchmarkRecommendRemote(b *testing.B) {
 	cases := []struct{ shards, workers int }{
 		{1, 1},
@@ -119,16 +121,17 @@ func BenchmarkRecommendRemote(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("shards=%d/workers=%d", tc.shards, tc.workers), func(b *testing.B) {
-			runRemoteBench(b, tc.shards, tc.workers, 0)
+			runRemoteBench(b, tc.shards, tc.workers, 1)
 		})
 	}
 }
 
-// BenchmarkRecommendRemoteBatched is the same stack with the router's
-// apply-seq-coherent view cache enabled: the steady-state group mix
-// hits warm views, so the view-fetch RPCs drop toward zero and the
-// remaining wire cost is the prediction path. The delta against
-// BenchmarkRecommendRemote at the same split is what the cache buys.
+// BenchmarkRecommendRemoteBatched is the same stack with the default
+// router: its list store keeps what it fetches, so the steady-state
+// group mix hits warm views, the view-fetch RPCs drop toward zero and
+// the remaining wire cost is the prediction path. The delta against
+// BenchmarkRecommendRemote at the same split is what keeping views
+// buys.
 func BenchmarkRecommendRemoteBatched(b *testing.B) {
 	cases := []struct{ shards, workers int }{
 		{1, 1},
@@ -136,7 +139,7 @@ func BenchmarkRecommendRemoteBatched(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("shards=%d/workers=%d", tc.shards, tc.workers), func(b *testing.B) {
-			runRemoteBench(b, tc.shards, tc.workers, 4096)
+			runRemoteBench(b, tc.shards, tc.workers, 0)
 		})
 	}
 }

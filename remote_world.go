@@ -41,16 +41,16 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	if err := set.Handshake(w.ConfigFingerprint(), w.sm.N()); err != nil {
 		return fmt.Errorf("repro: attaching remote shards: %w", err)
 	}
-	pool := w.ratings.PopularityRanked()
 	w.remote = set
-	// The router's own list store sat idle; replace it with one over the
-	// fetch builder, retaining Config.RemoteViewCache views (none by
-	// default: acquire, fetch, return). Everything else about it — CLOCK
-	// eviction, the drop AddRating ends in, the mid-build unlink that
-	// fences fetches against ingest — is the store's, unchanged.
+	// The router's list store keeps its views, its capacity
+	// (Config.ListStoreSize) and its pool, and fetches its misses
+	// instead of building them: a view restored from a snapshot or
+	// fetched once serves every later assembly until a rating drops it.
+	// Everything else about it — CLOCK eviction, the drop AddRating ends
+	// in, the mid-build unlink that fences fetches against ingest — is
+	// the store's, unchanged.
 	if w.lists != nil {
-		w.lists = liststore.NewOver(fetchViews(set, len(pool)), pool, w.cfg.RemoteViewCache, prefDivisor)
-		w.asm.AttachListStore(w.lists)
+		w.lists.SetBuilder(fetchViews(set, len(w.lists.Pool())))
 	}
 	w.asm.AttachRows(func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
 		rows, err := set.PredictBatchMulti(users, items)

@@ -76,7 +76,10 @@ type Config struct {
 	// ListStoreSize bounds the sorted-list store's materialized
 	// per-user preference views (liststore.DefaultMaxUsers if 0,
 	// negative disables the store: every problem then re-sorts its
-	// lists in core.NewProblem).
+	// lists in core.NewProblem). On a distributed router (AttachRemote)
+	// the same store keeps the views it fetches from the workers. Only
+	// whether the store exists is in the config fingerprint, so a router
+	// may size its store differently from its workers.
 	ListStoreSize int
 	// Shards is the number of shards users are routed onto by hashing
 	// on UserID (0 means 1; negative is an error). A shard decides which
@@ -85,16 +88,6 @@ type Config struct {
 	// structure is one structure whatever the count, and
 	// recommendations are identical for every shard count.
 	Shards int
-	// RemoteViewCache bounds how many views fetched from shard workers
-	// the router's list store retains in distributed mode
-	// (AttachRemote): a group assembly whose members' views are
-	// resident skips the wire entirely, and a rating ingest drops them
-	// all, like any list store's — so a retained view is always
-	// bit-identical to a fresh worker fetch.
-	// 0 (the default) and negative retain nothing: every assembly
-	// fetches. It is router-only state, excluded from the config
-	// fingerprint, and irrelevant in-process.
-	RemoteViewCache int
 	// snapshotRatings, when set by the persistence layer (OpenWorld),
 	// rebuilds the rating store from a snapshot's canonical dump
 	// instead of reading RatingsReader or generating synthetically.
@@ -320,13 +313,9 @@ func NewWorld(cfg Config) (*World, error) {
 	// policy). The World owns the store lifecycle — every rating ingest
 	// empties it (AddRating) so stale views are rebuilt.
 	if cfg.ListStoreSize >= 0 {
-		size := cfg.ListStoreSize
-		if size == 0 {
-			size = liststore.DefaultMaxUsers
-		}
 		pool := w.ratings.PopularityRanked()
 		build := liststore.LocalBuilder(w.source, pool, prefDivisor, w.asm.Workers())
-		w.lists = liststore.NewOver(build, pool, size, prefDivisor)
+		w.lists = liststore.NewOver(build, pool, cfg.ListStoreSize, prefDivisor)
 		if w.lists != nil {
 			w.asm.AttachListStore(w.lists)
 		}
@@ -553,8 +542,8 @@ type RemoteStats struct {
 	// connection reuses.
 	Transport remote.TransportStats `json:"transport"`
 	// ViewCacheEnabled reports whether the router retains fetched views
-	// (Config.RemoteViewCache > 0); ViewCache counts its list store's
-	// traffic either way.
+	// — whenever its list store exists (Config.ListStoreSize >= 0);
+	// ViewCache counts that store's traffic.
 	ViewCacheEnabled bool           `json:"view_cache_enabled"`
 	ViewCache        ViewCacheStats `json:"view_cache"`
 }
@@ -583,14 +572,14 @@ func (w *World) RemoteStats() RemoteStats {
 	st := RemoteStats{Attached: true, Transport: w.remote.TransportStats()}
 	if w.lists != nil {
 		ls := w.lists.Stats()
-		st.ViewCacheEnabled = w.cfg.RemoteViewCache > 0
+		st.ViewCacheEnabled = true
 		st.ViewCache = ViewCacheStats{
 			Hits:          ls.ViewHits,
 			Misses:        ls.ViewBuilds,
 			Invalidations: ls.Invalidations,
 			Evictions:     ls.Evictions,
 			Size:          ls.Size,
-			Capacity:      max(w.cfg.RemoteViewCache, 0),
+			Capacity:      w.lists.Capacity(),
 		}
 	}
 	return st
