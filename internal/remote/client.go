@@ -25,26 +25,6 @@ type ClientConfig struct {
 	// CallTimeout bounds one whole call — request write and reply
 	// frame (2s if 0). Expiry maps to ErrShardTimeout.
 	CallTimeout time.Duration
-	// Retries bounds re-dial attempts after a transport failure (2 if
-	// 0, negative disables). Reads are idempotent; applies are
-	// sequence-numbered and deduplicated by the worker, so both are
-	// safe to redeliver.
-	Retries int
-	// Backoff is the base retry backoff, doubled per attempt (5ms if 0).
-	Backoff time.Duration
-	// PoolSize bounds live connections per worker (4 if 0). Each
-	// connection is pipelined — many in-flight calls demultiplexed by
-	// sequence number — so the pool bounds parallel links, not
-	// parallel calls.
-	PoolSize int
-	// BreakerFailures is the circuit breaker threshold: after this
-	// many consecutive transport failures the client fast-fails calls
-	// for BreakerCooldown instead of re-dialing into a dead worker's
-	// DialTimeout every time (3 if 0, negative disables).
-	BreakerFailures int
-	// BreakerCooldown is how long the opened circuit fast-fails before
-	// letting one probe call through (1s if 0).
-	BreakerCooldown time.Duration
 	// Fingerprint and Shards identify the router's world; every fresh
 	// connection handshakes them against the worker.
 	Fingerprint uint64
@@ -63,25 +43,28 @@ func (c *ClientConfig) fill() {
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 2 * time.Second
 	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 5 * time.Millisecond
-	}
-	if c.PoolSize == 0 {
-		c.PoolSize = 4
-	}
-	if c.BreakerFailures == 0 {
-		c.BreakerFailures = 3
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = time.Second
-	}
 }
+
+// The transport's fixed policy.
+const (
+	// maxIdle bounds the connections a client keeps open between calls;
+	// a connection past it is closed when its call ends. Open
+	// connections are not bounded: a call that finds none idle dials.
+	maxIdle = 4
+	// maxRetries bounds the re-attempts after a transport failure.
+	// Reads are idempotent; applies are sequence-numbered and
+	// deduplicated by the worker, so both are safe to redeliver.
+	maxRetries = 2
+	// retryBackoff is the pause before the first re-attempt, doubled
+	// per attempt.
+	retryBackoff = 5 * time.Millisecond
+	// breakerStrikes consecutive transport failures open the circuit:
+	// calls fail at once for breakerCooldown instead of re-dialing into
+	// a dead worker's DialTimeout every time; then one probe call goes
+	// through.
+	breakerStrikes  = 3
+	breakerCooldown = time.Second
+)
 
 // opNames are the wire ops' stats keys (the /v1/stats remote section).
 var opNames = map[uint8]string{
@@ -132,11 +115,11 @@ func (t TransportStats) TotalCalls() uint64 {
 	return n
 }
 
-// Client speaks the shard protocol to one worker over a small pool of
-// pipelined connections: many calls share one connection in flight at
-// once, demultiplexed by per-call sequence number, so concurrent
-// router traffic saturates a worker link without a dial per call.
-// Safe for concurrent use.
+// Client speaks the shard protocol to one worker. A connection carries
+// one call at a time: a call takes an idle connection or dials one,
+// writes its request, reads its one reply and gives the connection
+// back, so concurrent calls ride separate connections and never wait
+// on each other. Safe for concurrent use.
 type Client struct {
 	addr string
 	cfg  ClientConfig
@@ -145,70 +128,51 @@ type Client struct {
 	counters transportCounters
 
 	// fenceReason, when non-nil, quarantines the client: every call
-	// fast-fails with ErrShardUnavailable. Set when the worker's
+	// fails at once with ErrShardUnavailable. Set when the worker's
 	// replica is known to have missed a write (divergent state must
 	// not serve); never cleared under static membership — the worker
 	// rejoins by restarting with rebuilt state.
 	fenceReason atomic.Pointer[string]
 
 	// Circuit breaker: failStreak counts consecutive transport
-	// failures; once it reaches BreakerFailures the circuit opens
-	// until openUntil (unix nanos), fast-failing calls instead of
-	// paying DialTimeout per call against a dead worker. The first
-	// call after the cooldown probes; success closes the circuit.
+	// failures; once it reaches breakerStrikes the circuit opens until
+	// openUntil (unix nanos), failing calls at once instead of paying
+	// DialTimeout per call against a dead worker. The first call after
+	// the cooldown probes; success closes the circuit.
 	failStreak atomic.Int32
 	openUntil  atomic.Int64
 
-	mu      sync.Mutex
-	conns   []*clientConn
-	dialing int
-	closed  bool
-}
-
-// clientConn is one pipelined connection: a single reader goroutine
-// demultiplexes reply frames to in-flight calls by sequence number;
-// writers serialize whole request frames under writeMu. The reader is
-// the only party that sends on or closes a call channel, so a call gets
-// exactly one reply, or a torn connection fails it exactly once.
-type clientConn struct {
-	c    *Client
-	conn net.Conn
-
-	writeMu sync.Mutex
-
 	mu     sync.Mutex
-	calls  map[uint64]chan frame
+	idle   []net.Conn            // most recently used last, at most maxIdle
+	open   map[net.Conn]struct{} // every live connection, idle or in a call
 	closed bool
-	err    error // first transport error, reported to in-flight calls
-
-	inflight atomic.Int32
 }
 
 // NewClient builds a client for the worker at addr. No connection is
 // made until the first call (or Ping).
 func NewClient(addr string, cfg ClientConfig) *Client {
 	cfg.fill()
-	return &Client{addr: addr, cfg: cfg}
+	return &Client{addr: addr, cfg: cfg, open: make(map[net.Conn]struct{})}
 }
 
 // Addr returns the worker address.
 func (c *Client) Addr() string { return c.addr }
 
-// Close severs every connection. In-flight calls fail on their own.
+// Close severs every connection, so calls in flight fail at once.
 func (c *Client) Close() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
-	conns := c.conns
-	c.conns = nil
-	c.mu.Unlock()
-	for _, cc := range conns {
-		cc.conn.Close()
+	for conn := range c.open {
+		conn.Close()
 	}
+	clear(c.open)
+	c.idle = nil
 }
 
-// Fence quarantines the client: every subsequent call fast-fails with
-// ErrShardUnavailable, so a replica known to have missed a write never
-// serves divergent bytes. Permanent under static membership (the
+// Fence quarantines the client: every subsequent call fails at once
+// with ErrShardUnavailable, so a replica known to have missed a write
+// never serves divergent bytes. Permanent under static membership (the
 // worker rejoins by restarting with rebuilt state).
 func (c *Client) Fence(reason string) {
 	c.fenceReason.CompareAndSwap(nil, &reason)
@@ -220,13 +184,10 @@ func (c *Client) Fenced() bool { return c.fenceReason.Load() != nil }
 // noteFailure records one transport failure for the circuit breaker,
 // opening the circuit once the streak reaches the threshold.
 func (c *Client) noteFailure() {
-	if c.cfg.BreakerFailures < 0 {
-		return
-	}
 	streak := int(c.failStreak.Add(1))
-	if streak >= c.cfg.BreakerFailures {
-		c.openUntil.Store(time.Now().Add(c.cfg.BreakerCooldown).UnixNano())
-		if streak == c.cfg.BreakerFailures {
+	if streak >= breakerStrikes {
+		c.openUntil.Store(time.Now().Add(breakerCooldown).UnixNano())
+		if streak == breakerStrikes {
 			c.counters.breakerOpens.Add(1)
 		}
 	}
@@ -238,11 +199,18 @@ func (c *Client) noteSuccess() {
 	c.openUntil.Store(0)
 }
 
-// gate fast-fails a call that must not reach the wire: the client is
-// fenced (quarantined replica) or the breaker circuit is open.
+// gate refuses a call that must not reach the wire: the client is
+// fenced (quarantined replica) or closed, or the breaker circuit is
+// open.
 func (c *Client) gate() error {
 	if r := c.fenceReason.Load(); r != nil {
 		return fmt.Errorf("%w: worker %s fenced: %s", ErrShardUnavailable, c.addr, *r)
+	}
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return fmt.Errorf("%w: client closed (worker %s)", ErrShardUnavailable, c.addr)
 	}
 	if until := c.openUntil.Load(); until != 0 {
 		if time.Now().UnixNano() < until {
@@ -254,67 +222,68 @@ func (c *Client) gate() error {
 	return nil
 }
 
-// getConn picks the least-loaded live connection, dialing a fresh one
-// (up to PoolSize) when every link is busy. Handshake failures that
-// are configuration-shaped surface as ErrConfigMismatch; everything
+// getConn takes the most recently used idle connection, or dials a
+// fresh one when none is idle. Handshake failures that are
+// configuration-shaped surface as ErrConfigMismatch; everything
 // transport-shaped wraps ErrShardUnavailable.
-func (c *Client) getConn() (*clientConn, error) {
-	if err := c.gate(); err != nil {
-		return nil, err
-	}
+func (c *Client) getConn() (net.Conn, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: client closed (worker %s)", ErrShardUnavailable, c.addr)
-	}
-	live := c.conns[:0]
-	for _, cc := range c.conns {
-		if !cc.dead() {
-			live = append(live, cc)
-		}
-	}
-	c.conns = live
-	var best *clientConn
-	for _, cc := range c.conns {
-		if best == nil || cc.inflight.Load() < best.inflight.Load() {
-			best = cc
-		}
-	}
-	if best != nil && (best.inflight.Load() == 0 || len(c.conns)+c.dialing >= c.cfg.PoolSize) {
+	if n := len(c.idle); n > 0 {
+		conn := c.idle[n-1]
+		c.idle = c.idle[:n-1]
 		c.mu.Unlock()
 		c.counters.reuses.Add(1)
-		return best, nil
+		return conn, nil
 	}
-	c.dialing++
 	c.mu.Unlock()
 
-	cc, err := c.dial()
-	c.mu.Lock()
-	c.dialing--
-	if err == nil {
-		if c.closed {
-			c.mu.Unlock()
-			cc.conn.Close()
-			return nil, fmt.Errorf("%w: client closed (worker %s)", ErrShardUnavailable, c.addr)
-		}
-		c.conns = append(c.conns, cc)
-	}
-	c.mu.Unlock()
+	conn, err := c.dial()
 	if err != nil {
-		if best != nil && !best.dead() {
-			// The dial failed but a live pipelined link exists: ride it
-			// rather than failing a call the worker could still serve.
-			c.counters.reuses.Add(1)
-			return best, nil
-		}
 		return nil, err
 	}
-	return cc, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		conn.Close()
+		return nil, fmt.Errorf("%w: client closed (worker %s)", ErrShardUnavailable, c.addr)
+	}
+	c.open[conn] = struct{}{}
+	return conn, nil
 }
 
-// dial establishes and handshakes one fresh connection, then starts
-// its reader goroutine.
-func (c *Client) dial() (*clientConn, error) {
+// putConn returns a connection whose call completed to the idle list,
+// or closes it when the list is full or the client closed.
+func (c *Client) putConn(conn net.Conn) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, live := c.open[conn]; live && len(c.idle) < maxIdle {
+		c.idle = append(c.idle, conn)
+		return
+	}
+	delete(c.open, conn)
+	conn.Close()
+}
+
+// dropConn closes a connection whose call failed. A torn connection
+// usually means the worker went away, taking the idle connections with
+// it, so those are closed too: the retry dials instead of spending its
+// attempts, and breaker strikes, on dead sockets.
+func (c *Client) dropConn(conn net.Conn, torn bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.open, conn)
+	conn.Close()
+	if torn {
+		for _, idle := range c.idle {
+			delete(c.open, idle)
+			idle.Close()
+		}
+		c.idle = nil
+	}
+}
+
+// dial establishes and handshakes one fresh connection.
+func (c *Client) dial() (net.Conn, error) {
 	c.counters.dials.Add(1)
 	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
@@ -325,18 +294,14 @@ func (c *Client) dial() (*clientConn, error) {
 		conn.Close()
 		return nil, err
 	}
-	cc := &clientConn{c: c, conn: conn, calls: make(map[uint64]chan frame)}
-	go cc.readLoop()
-	return cc, nil
+	return conn, nil
 }
 
 // handshake runs the hello exchange: the worker must be built from the
 // same world, own the shards the topology assigns it, and speak this
 // build's protocol version.
 func (c *Client) handshake(conn net.Conn) error {
-	deadline := time.Now().Add(c.cfg.CallTimeout)
-	_ = conn.SetDeadline(deadline)
-	defer conn.SetDeadline(time.Time{})
+	_ = conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 	seq := c.seq.Add(1)
 	h := hello{Fingerprint: c.cfg.Fingerprint, Shards: uint32(c.cfg.Shards)}
 	if err := writeFrame(conn, frame{kind: kindHello, seq: seq, payload: encodeHello(h)}); err != nil {
@@ -387,107 +352,6 @@ func (c *Client) checkOwned(got []int) error {
 	return nil
 }
 
-// dead reports whether the connection has failed.
-func (cc *clientConn) dead() bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.closed
-}
-
-// register enrolls a call's sequence number for demultiplexing. The
-// reader unenrolls the call as it sends the call's one reply, so the
-// one-slot channel takes exactly one send and never blocks the reader.
-func (cc *clientConn) register(seq uint64) (chan frame, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.closed {
-		return nil, cc.err
-	}
-	ch := make(chan frame, 1)
-	cc.calls[seq] = ch
-	cc.inflight.Add(1)
-	return ch, nil
-}
-
-// deregister removes a call whose request never made it onto the wire.
-// A frame that later arrives for its sequence fails the connection with
-// ErrProtocol, like any frame for a sequence with no call waiting.
-func (cc *clientConn) deregister(seq uint64) {
-	cc.mu.Lock()
-	if _, ok := cc.calls[seq]; ok {
-		delete(cc.calls, seq)
-		cc.inflight.Add(-1)
-	}
-	cc.mu.Unlock()
-}
-
-// errOf reports the connection's terminal error.
-func (cc *clientConn) errOf() error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.err != nil {
-		return cc.err
-	}
-	return fmt.Errorf("connection closed")
-}
-
-// fail tears the connection down, failing every in-flight call by
-// closing its channel. Only the reader goroutine calls it, after its
-// read loop ends, so a channel is never sent to after close.
-func (cc *clientConn) fail(err error) {
-	cc.mu.Lock()
-	if cc.closed {
-		cc.mu.Unlock()
-		return
-	}
-	cc.closed = true
-	cc.err = err
-	calls := cc.calls
-	cc.calls = nil
-	cc.mu.Unlock()
-	cc.conn.Close()
-	for _, ch := range calls {
-		close(ch)
-	}
-}
-
-// readLoop is the connection's single demultiplexer: every reply frame
-// routes to its call by sequence number, and the call leaves the table
-// with it. A frame for a sequence with no call waiting — never sent, or
-// already answered — is a protocol violation that fails the connection.
-func (cc *clientConn) readLoop() {
-	for {
-		f, err := readFrame(cc.conn)
-		if err != nil {
-			cc.fail(err)
-			return
-		}
-		cc.mu.Lock()
-		ch, ok := cc.calls[f.seq]
-		if ok {
-			delete(cc.calls, f.seq)
-			cc.inflight.Add(-1)
-		}
-		cc.mu.Unlock()
-		if !ok {
-			cc.fail(fmt.Errorf("%w: reply for unknown or answered sequence %d (op %s)", ErrProtocol, f.seq, opName(f.op)))
-			return
-		}
-		ch <- f
-	}
-}
-
-// send writes one request frame, serialized against concurrent
-// callers.
-func (cc *clientConn) send(f frame) error {
-	cc.writeMu.Lock()
-	defer cc.writeMu.Unlock()
-	_ = cc.conn.SetWriteDeadline(time.Now().Add(cc.c.cfg.CallTimeout))
-	err := writeFrame(cc.conn, f)
-	_ = cc.conn.SetWriteDeadline(time.Time{})
-	return err
-}
-
 // transportErr classifies a low-level failure: deadline expiries are
 // ErrShardTimeout, everything else (reset, torn frame, corrupt frame)
 // is ErrShardUnavailable. Both carry the worker address and count as
@@ -501,98 +365,83 @@ func (c *Client) transportErr(op string, err error) error {
 	return fmt.Errorf("%w: %s to worker %s: %v", ErrShardUnavailable, op, c.addr, err)
 }
 
-// call runs one request/reply exchange: write the request frame,
-// return the reply's result payload. Transport failures poison the
-// connection and retry on another one with doubling backoff — every op
-// is safe to redeliver (reads are idempotent, applies are
-// sequence-deduplicated by the worker).
+// call runs one request/reply exchange and returns the reply's result
+// payload. A transport failure retries on another connection with
+// doubling backoff — every op is safe to redeliver (reads are
+// idempotent, applies are sequence-deduplicated by the worker). A call
+// the gate refuses never reaches the wire, so it returns at once and
+// is not retried.
 func (c *Client) call(op uint8, payload []byte) ([]byte, error) {
 	c.counters.ops[op].Add(1)
-	var err error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			c.counters.retries.Add(1)
-			time.Sleep(c.cfg.Backoff << (attempt - 1))
+	for attempt := 0; ; attempt++ {
+		if err := c.gate(); err != nil {
+			return nil, err
 		}
-		var out []byte
-		out, err = c.callOnce(op, payload)
-		if err == nil {
-			return out, nil
-		}
+		out, err := c.callOnce(op, payload)
 		// Only transport-unavailable failures retry: an application
 		// error is a delivered answer, and a timeout already consumed
 		// the latency budget.
-		if !errors.Is(err, ErrShardUnavailable) {
-			return nil, err
+		if err == nil || attempt == maxRetries || !errors.Is(err, ErrShardUnavailable) {
+			return out, err
 		}
+		c.counters.retries.Add(1)
+		time.Sleep(retryBackoff << attempt)
 	}
-	return nil, err
 }
 
 func (c *Client) callOnce(op uint8, payload []byte) ([]byte, error) {
-	cc, err := c.getConn()
+	conn, err := c.getConn()
 	if err != nil {
 		return nil, err
 	}
 	seq := c.seq.Add(1)
-	ch, err := cc.register(seq)
+	// The deadline is this connection's alone: an expiry closes it and
+	// fails no other call.
+	_ = conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
+	if err := writeFrame(conn, frame{kind: kindRequest, op: op, seq: seq, payload: payload}); err != nil {
+		err = c.transportErr("request", err)
+		c.dropConn(conn, errors.Is(err, ErrShardUnavailable))
+		return nil, err
+	}
+	f, err := readFrame(conn)
 	if err != nil {
-		// The connection died between pick and enrollment.
-		return nil, c.transportErr("request", err)
-	}
-	// The call's deadline poisons the whole connection: the reader
-	// fails, every sibling call errs as unavailable (and retries —
-	// their budget was stolen, not spent), and this call maps the
-	// closure to ErrShardTimeout via the flag.
-	var timedOut atomic.Bool
-	timer := time.AfterFunc(c.cfg.CallTimeout, func() {
-		timedOut.Store(true)
-		cc.conn.Close()
-	})
-	defer timer.Stop()
-	if err := cc.send(frame{kind: kindRequest, op: op, seq: seq, payload: payload}); err != nil {
-		cc.conn.Close()
-		cc.deregister(seq)
-		return nil, c.transportErr("request", err)
-	}
-	// One frame answers the call; a closed channel means the connection
-	// failed first.
-	f, ok := <-ch
-	if !ok {
-		if timedOut.Load() {
-			c.noteFailure()
-			return nil, fmt.Errorf("%w: %s call to worker %s exceeded %v", ErrShardTimeout, opName(op), c.addr, c.cfg.CallTimeout)
-		}
-		err := cc.errOf()
-		if errors.Is(err, ErrProtocol) {
-			c.noteFailure()
-			return nil, err
-		}
-		return nil, c.transportErr("response", err)
+		err = c.transportErr("response", err)
+		c.dropConn(conn, errors.Is(err, ErrShardUnavailable))
+		return nil, err
 	}
 	switch {
-	case f.op != op:
-		err = fmt.Errorf("%w: response op %s for request op %s (seq %d)", ErrProtocol, opName(f.op), opName(op), seq)
+	case f.seq != seq || f.op != op:
+		err = fmt.Errorf("%w: reply seq %d op %s to request seq %d op %s", ErrProtocol, f.seq, opName(f.op), seq, opName(op))
 	case f.kind == kindResult:
 		c.noteSuccess()
+		c.putConn(conn)
 		return f.payload, nil
 	case f.kind == kindError:
 		c.noteSuccess() // the transport delivered; the refusal is application-level
+		c.putConn(conn)
 		return nil, decodeAppError(f.payload)
 	default:
-		err = fmt.Errorf("%w: unexpected frame kind %d", ErrProtocol, f.kind)
+		err = fmt.Errorf("%w: reply frame kind %d", ErrProtocol, f.kind)
 	}
-	// A misdirected reply poisons the connection for every call on it.
-	cc.conn.Close()
+	// A misdirected reply leaves the stream out of step: the connection
+	// goes and the call retries like a torn stream.
+	c.dropConn(conn, false)
 	c.noteFailure()
-	return nil, err
+	return nil, fmt.Errorf("%w: worker %s: %w", ErrShardUnavailable, c.addr, err)
 }
 
 // Ping dials (or reuses) a connection and verifies the handshake — the
 // eager liveness and configuration check AttachRemote runs per worker.
 func (c *Client) Ping() error {
-	_, err := c.getConn()
-	return err
+	if err := c.gate(); err != nil {
+		return err
+	}
+	conn, err := c.getConn()
+	if err != nil {
+		return err
+	}
+	c.putConn(conn)
+	return nil
 }
 
 // ViewScoresMulti fetches every listed user's view — its pool-order

@@ -11,14 +11,15 @@
 //
 // Framing shares the persistence layer's record style: every frame
 // carries a magic, a protocol version, a per-connection sequence
-// number (responses echo their request's — ordering matters on a
-// multiplexed connection), a length-prefixed payload, and its own
+// number (a reply echoes its request's, so a reply out of step with
+// its call is caught), a length-prefixed payload, and its own
 // CRC32, so a torn stream or a flipped bit is detected per frame and
 // mapped to a typed error instead of silently decoding garbage.
 // Every call is one request frame answered by exactly one frame: a
 // result, or an error carrying an application code. A multi-user read's
 // result holds one vector per requested user, so no caller ever sees a
-// partial answer.
+// partial answer. A connection carries one call at a time; concurrent
+// calls ride separate connections.
 package remote
 
 import (

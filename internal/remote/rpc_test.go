@@ -98,12 +98,11 @@ func startWorker(t *testing.T, b Backend) string {
 	return lis.Addr().String()
 }
 
-// testClientConfig keeps loopback tests fast: short deadlines, short
-// backoff, matching the fake world's identity.
+// testClientConfig keeps loopback tests fast: short deadlines,
+// matching the fake world's identity.
 func testClientConfig(b *fakeBackend) ClientConfig {
 	return ClientConfig{
 		CallTimeout: 500 * time.Millisecond,
-		Backoff:     time.Millisecond,
 		Fingerprint: b.fp,
 		Shards:      b.shards,
 	}
@@ -351,7 +350,7 @@ func TestHandshakeOwnsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewShardSet(top, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond})
+	set, err := NewShardSet(top, ClientConfig{CallTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +440,7 @@ func TestClientDisconnectMidFrame(t *testing.T) {
 		_, _ = conn.Write(buf.Bytes()[:buf.Len()/2])
 		// Die inside the frame: the client sees a torn stream.
 	})
-	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
+	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Shards: 1})
 	defer c.Close()
 	if _, err := c.ViewScoresMulti([]dataset.UserID{1}, 3); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("err = %v, want ErrShardUnavailable", err)
@@ -465,7 +464,7 @@ func TestClientRejectsMisshapenViewReplies(t *testing.T) {
 			addr := rawWorker(t, func(conn net.Conn, req frame) {
 				_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeVectors(vs)})
 			})
-			c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
+			c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Shards: 1})
 			defer c.Close()
 			res, err := c.ViewScoresMulti([]dataset.UserID{1, 2}, 3)
 			if !errors.Is(err, ErrProtocol) || res != nil {
@@ -522,7 +521,7 @@ func TestClientSeqMismatch(t *testing.T) {
 	addr := rawWorker(t, func(conn net.Conn, req frame) {
 		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq + 99, payload: []byte("{}")})
 	})
-	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
+	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Shards: 1})
 	defer c.Close()
 	if _, err := c.Stats(); !errors.Is(err, ErrProtocol) {
 		t.Errorf("err = %v, want ErrProtocol", err)
@@ -545,7 +544,7 @@ func TestClientRetriesIdempotentReads(t *testing.T) {
 		}
 		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq, payload: encodeVectors([][]float64{{4, 2}})})
 	})
-	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
+	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Shards: 1})
 	defer c.Close()
 	res, err := c.ViewScoresMulti([]dataset.UserID{1}, 2)
 	if err != nil || len(res) != 1 || !reflect.DeepEqual(res[0], []float64{4, 2}) {
@@ -575,7 +574,7 @@ func TestClientApplyRetriesSameSeq(t *testing.T) {
 		}
 		_ = writeFrame(conn, frame{kind: kindResult, op: req.op, seq: req.seq})
 	})
-	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond, Shards: 1})
+	c := NewClient(addr, ClientConfig{CallTimeout: 500 * time.Millisecond, Shards: 1})
 	defer c.Close()
 	if err := c.Apply(42, dataset.Rating{User: 1, Item: 1, Value: 1}); err != nil {
 		t.Fatalf("retried apply: %v", err)
@@ -672,7 +671,7 @@ func twoWorkerSet(t *testing.T) (*ShardSet, *fakeBackend, *fakeBackend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewShardSet(top, ClientConfig{CallTimeout: 500 * time.Millisecond, Backoff: time.Millisecond})
+	set, err := NewShardSet(top, ClientConfig{CallTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

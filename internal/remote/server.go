@@ -39,13 +39,11 @@ type Backend interface {
 	Stats() Stats
 }
 
-// Server serves the shard data plane over a listener. One reader
-// goroutine per connection; each request is dispatched on its own
-// goroutine, so a pipelined router can keep several calls in flight on
-// one connection and slow reads never block the apply stream. Each
-// request is answered by exactly one frame carrying its sequence
-// number, which is what keeps a multiplexed connection sortable at the
-// client.
+// Server serves the shard data plane over a listener. Each connection
+// has one goroutine, which answers its requests one at a time and in
+// order, each with exactly one frame echoing the request's sequence
+// number and op. A router runs concurrent calls on separate
+// connections, so a slow read never blocks the apply stream.
 type Server struct {
 	b Backend
 
@@ -138,24 +136,10 @@ func (s *Server) dropConn(conn net.Conn) {
 	s.wg.Done()
 }
 
-// connWriter serializes frame writes on a shared connection, so the
-// dispatch goroutines answering concurrent requests interleave whole
-// frames, never bytes.
-type connWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-func (w *connWriter) write(f frame) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return writeFrame(w.conn, f)
-}
-
-// serveConn drives one connection: a hello handshake, then a request
-// loop dispatching each request on its own goroutine. Any framing
-// error tears the connection down — the client re-dials and
-// re-handshakes — after the in-flight dispatches drain.
+// serveConn drives one connection: a hello handshake, then a loop
+// that reads a request, dispatches it and writes its reply. Any framing
+// error tears the connection down; the client re-dials and
+// re-handshakes.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	f, err := readFrame(conn)
@@ -166,51 +150,41 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	w := &connWriter{conn: conn}
 	if h.Fingerprint != s.b.Fingerprint() || int(h.Shards) != s.b.Shards() {
-		_ = w.write(frame{kind: kindError, seq: f.seq, payload: encodeAppError(codeMismatch,
+		_ = writeFrame(conn, frame{kind: kindError, seq: f.seq, payload: encodeAppError(codeMismatch,
 			fmt.Sprintf("worker world (fp %x, %d shards) does not match router (fp %x, %d shards)",
 				s.b.Fingerprint(), s.b.Shards(), h.Fingerprint, h.Shards))})
 		return
 	}
-	if err := w.write(frame{kind: kindHelloAck, seq: f.seq, payload: encodeHelloAck(s.b.Owned(), frameVersion)}); err != nil {
+	if err := writeFrame(conn, frame{kind: kindHelloAck, seq: f.seq, payload: encodeHelloAck(s.b.Owned(), frameVersion)}); err != nil {
 		return
 	}
-	var reqs sync.WaitGroup
-	defer reqs.Wait()
 	for {
 		f, err := readFrame(conn)
-		if err != nil {
-			return // clean EOF or torn stream; either way the conn is done
+		if err != nil || f.kind != kindRequest {
+			return // clean EOF, torn stream or a stray frame: the conn is done
 		}
-		if f.kind != kindRequest {
+		if err := writeFrame(conn, s.dispatch(f)); err != nil {
 			return
 		}
-		reqs.Add(1)
-		go func(f frame) {
-			defer reqs.Done()
-			_ = s.dispatch(w, f)
-		}(f)
 	}
 }
 
 // dispatch answers one request frame with one frame: a result, or a
 // kindError frame for an application failure, which keeps the
-// connection. Only transport failures (the returned error) matter, and
-// they resolve themselves — a failed write means the connection is
-// dead and the read loop is about to find out.
-func (s *Server) dispatch(w *connWriter, f frame) error {
-	fail := func(code, msg string) error {
-		return w.write(frame{kind: kindError, op: f.op, seq: f.seq, payload: encodeAppError(code, msg)})
+// connection.
+func (s *Server) dispatch(f frame) frame {
+	fail := func(code, msg string) frame {
+		return frame{kind: kindError, op: f.op, seq: f.seq, payload: encodeAppError(code, msg)}
 	}
-	result := func(payload []byte) error {
+	result := func(payload []byte) frame {
 		// A reply past the frame bound is refused here, not dropped by
 		// writeFrame: the caller gets an answer instead of waiting out
-		// its deadline and taking the connection down with it.
+		// its deadline.
 		if len(payload) > MaxPayload {
 			return fail(codeInternal, fmt.Sprintf("%s reply of %d bytes exceeds the %d-byte frame bound", opName(f.op), len(payload), MaxPayload))
 		}
-		return w.write(frame{kind: kindResult, op: f.op, seq: f.seq, payload: payload})
+		return frame{kind: kindResult, op: f.op, seq: f.seq, payload: payload}
 	}
 	switch f.op {
 	case opViewMulti, opPredictMulti:

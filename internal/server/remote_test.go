@@ -371,7 +371,6 @@ func TestRemoteWorkerDeathDegradesOnlyItsShards(t *testing.T) {
 	const shards = 4
 	stack := startRemoteStack(t, shards, [][]int{{0, 2}, {1, 3}}, remote.ClientConfig{
 		DialTimeout: 200 * time.Millisecond,
-		Backoff:     time.Millisecond,
 	}, nil)
 	ts := serveHTTP(t, stack.router)
 
@@ -597,7 +596,6 @@ func (b slowBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]f
 func TestRemoteWorkerTimeoutAnswers504(t *testing.T) {
 	stack := startRemoteStack(t, 1, [][]int{{0}}, remote.ClientConfig{
 		CallTimeout: 100 * time.Millisecond,
-		Backoff:     time.Millisecond,
 	}, func(b remote.Backend) remote.Backend {
 		return slowBackend{Backend: b, delay: 400 * time.Millisecond}
 	})
@@ -633,7 +631,7 @@ func (failingViewsBackend) ViewScores(dataset.UserID) ([]float64, error) {
 // the router answers 503 shard_unavailable — never 400, which would
 // tell the client its well-formed request was bad.
 func TestRemoteWorkerReadFailureAnswers503(t *testing.T) {
-	stack := startRemoteStack(t, 1, [][]int{{0}}, remote.ClientConfig{Backoff: time.Millisecond},
+	stack := startRemoteStack(t, 1, [][]int{{0}}, remote.ClientConfig{},
 		func(b remote.Backend) remote.Backend { return failingViewsBackend{b} })
 	ts := serveHTTP(t, stack.router)
 
@@ -792,7 +790,6 @@ func TestRouterCacheStatsSumWorkers(t *testing.T) {
 	var backends []remote.Backend
 	stack := startRemoteStack(t, shards, [][]int{{0, 2}, {1, 3}}, remote.ClientConfig{
 		DialTimeout: 200 * time.Millisecond,
-		Backoff:     time.Millisecond,
 	}, func(b remote.Backend) remote.Backend {
 		backends = append(backends, b)
 		return b
