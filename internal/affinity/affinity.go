@@ -8,6 +8,10 @@ package affinity
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/social"
@@ -140,53 +144,20 @@ func (tl Timeline) PeriodAt(t int64) int {
 	return -1
 }
 
-// Pair is an unordered user pair with U < V, the key of all pairwise
-// affinity tables.
-type Pair struct {
-	U, V dataset.UserID
-}
-
-// MakePair normalizes (u,v) into the canonical U < V order. Equal
-// users are a caller bug.
-func MakePair(u, v dataset.UserID) Pair {
-	if u == v {
-		panic(fmt.Sprintf("affinity: pair of identical users %d", u))
-	}
-	if u > v {
-		u, v = v, u
-	}
-	return Pair{u, v}
-}
-
-// PairTable is a pair-keyed affinity table: one map over every pair of
-// the population. It is built once and read-only afterwards — no locks.
-// An absent pair reads 0.
-type PairTable map[Pair]float64
-
-// Scale multiplies every stored value by f.
-func (t PairTable) Scale(f float64) {
-	for p, v := range t {
-		t[p] = v * f
-	}
-}
-
-// Update rewrites every stored value through fn.
-func (t PairTable) Update(fn func(Pair, float64) float64) {
-	for p, v := range t {
-		t[p] = fn(p, v)
-	}
-}
-
 // StaticSource yields the raw (unnormalized) static affinity of a pair
 // — common Facebook friends in the paper's study.
 type StaticSource interface {
-	StaticAffinity(u, v dataset.UserID) float64
+	// Static binds the source once and returns its pair function, which
+	// BuildModel calls concurrently.
+	Static() func(u, v dataset.UserID) float64
 }
 
 // PeriodicSource yields the raw periodic affinity affP(u,u',p) — common
 // page-like categories during p in the paper's study.
 type PeriodicSource interface {
-	PeriodicAffinity(u, v dataset.UserID, p Period) float64
+	// Periodic binds the source to period p and returns its pair
+	// function, which the model calls concurrently.
+	Periodic(p Period) func(u, v dataset.UserID) float64
 }
 
 // NetworkSource adapts a social.Network to both source interfaces
@@ -195,19 +166,21 @@ type NetworkSource struct {
 	Network *social.Network
 }
 
-var (
-	_ StaticSource   = NetworkSource{}
-	_ PeriodicSource = NetworkSource{}
-)
-
-// StaticAffinity returns |friends(u) ∩ friends(v)|.
-func (ns NetworkSource) StaticAffinity(u, v dataset.UserID) float64 {
-	return float64(ns.Network.CommonFriends(u, v))
+// Static returns |friends(u) ∩ friends(v)|, a merge count of the
+// network's sorted friend lists.
+func (ns NetworkSource) Static() func(u, v dataset.UserID) float64 {
+	return func(u, v dataset.UserID) float64 { return float64(ns.Network.CommonFriends(u, v)) }
 }
 
-// PeriodicAffinity returns |page_like_categories(u,p) ∩ page_like_categories(v,p)|.
-func (ns NetworkSource) PeriodicAffinity(u, v dataset.UserID, p Period) float64 {
-	return float64(ns.Network.CommonLikeCategories(u, v, p.Start, p.End))
+// Periodic returns |page_like_categories(u,p) ∩ page_like_categories(v,p)|:
+// each user's category set for p is computed once, and a pair is one
+// bitset intersection.
+func (ns NetworkSource) Periodic(p Period) func(u, v dataset.UserID) float64 {
+	sets := make([]social.CategorySet, ns.Network.NumUsers())
+	for u := range sets {
+		sets[u] = ns.Network.CategoriesIn(dataset.UserID(u), p.Start, p.End)
+	}
+	return func(u, v dataset.UserID) float64 { return float64(sets[u].IntersectCount(sets[v])) }
 }
 
 // Model holds the precomputed temporal affinity state for a user
@@ -215,33 +188,32 @@ func (ns NetworkSource) PeriodicAffinity(u, v dataset.UserID, p Period) float64 
 // period, the normalized periodic drift of every pair. It is the
 // "index structure that is extremely efficient with updates" of the
 // paper: adding a new period only appends one drift table and touches
-// nothing previously computed.
+// nothing previously computed. Each table is one upper triangle over
+// the rows of Users, pair (i, j > i) at i·(2n−i−1)/2 + (j−i−1), written
+// once and read-only afterwards — no locks.
 type Model struct {
 	Timeline Timeline
 	// Users is the population over which averages were computed.
 	Users []dataset.UserID
-	// Static holds affS per pair, normalized to [0,1] over the
-	// population (divide by the max pairwise value, as in §4.1.2).
-	Static PairTable
-	// Drift[k] holds the normalized periodic drift for period k:
-	// (affP(u,v,p_k) − AvgaffP(p_k)) scaled into [-1, 1] by the
-	// period's max absolute drift.
-	Drift []PairTable
 	// AvgPeriodic[k] is AvgaffP(p_k), the population mean of the raw
 	// periodic affinity (Equation 1's subtrahend), kept for
 	// diagnostics and tests.
 	AvgPeriodic []float64
 
-	static   StaticSource
+	// pos[u] is u's row in Users, or -1.
+	pos []int32
+	// static holds affS per pair, normalized to [0,1] over the
+	// population (divide by the max pairwise value, as in §4.1.2).
+	static []float64
+	// drift[k] holds the normalized periodic drift for period k:
+	// (affP(u,v,p_k) − AvgaffP(p_k)) scaled into [-1, 1] by the
+	// period's max absolute drift.
+	drift    [][]float64
 	periodic PeriodicSource
-	// driftScale is the 1/maxAbs factor applied to raw drifts.
-	driftScale float64
-	// staticScale is the 1/max factor applied to raw static values.
-	staticScale float64
 }
 
-// BuildModel precomputes a Model for the given users and timeline.
-// Both static and periodic sources are evaluated for every unordered
+// BuildModel precomputes a Model for the given distinct, non-negative
+// users and timeline. Both sources are evaluated for every unordered
 // pair, so cost is O(|users|² · periods) — this mirrors the paper's
 // precomputed T · n(n−1)/2 affinity entries.
 func BuildModel(users []dataset.UserID, tl Timeline, st StaticSource, per PeriodicSource) (*Model, error) {
@@ -251,140 +223,190 @@ func BuildModel(users []dataset.UserID, tl Timeline, st StaticSource, per Period
 	if tl.NumPeriods() == 0 {
 		return nil, fmt.Errorf("affinity: BuildModel needs a non-empty timeline")
 	}
-	nPairsInt := len(users) * (len(users) - 1) / 2
-	m := &Model{
-		Timeline:    tl,
-		Users:       append([]dataset.UserID(nil), users...),
-		AvgPeriodic: make([]float64, tl.NumPeriods()),
-		static:      st,
-		periodic:    per,
+	if low := slices.Min(users); low < 0 {
+		return nil, fmt.Errorf("affinity: negative user ID %d", low)
 	}
-	m.Static = make(PairTable, nPairsInt)
-	m.Drift = make([]PairTable, tl.NumPeriods())
+	m := &Model{
+		Timeline: tl,
+		Users:    append([]dataset.UserID(nil), users...),
+		pos:      slices.Repeat([]int32{-1}, int(slices.Max(users))+1),
+		periodic: per,
+	}
+	for i, u := range users {
+		if m.pos[u] >= 0 {
+			return nil, fmt.Errorf("affinity: duplicate user %d", u)
+		}
+		m.pos[u] = int32(i)
+	}
 
 	// Static: raw values then population max normalization.
+	m.static = m.fill(st.Static())
 	var maxStatic float64
-	for i, u := range users {
-		for _, v := range users[i+1:] {
-			raw := st.StaticAffinity(u, v)
-			if raw < 0 {
-				return nil, fmt.Errorf("affinity: negative static affinity %g for pair (%d,%d)", raw, u, v)
-			}
-			m.Static[MakePair(u, v)] = raw
-			if raw > maxStatic {
-				maxStatic = raw
-			}
+	for x, raw := range m.static {
+		if raw < 0 {
+			i, j := m.rows(x)
+			return nil, fmt.Errorf("affinity: negative static affinity %g for pair (%d,%d)", raw, m.Users[i], m.Users[j])
+		}
+		if raw > maxStatic {
+			maxStatic = raw
 		}
 	}
-	m.staticScale = 1.0
-	if maxStatic > 0 {
-		m.staticScale = 1 / maxStatic
-		m.Static.Scale(m.staticScale)
-	}
-
-	// Periodic: raw affP per pair per period, population average per
-	// period, drift = affP − avg, normalized per period by the
-	// period's max absolute drift so every period's drifts span
-	// [-1, 1]. The paper likewise normalizes dynamic affinities into
-	// [0,1] (§4.1.2); per-period scaling keeps the dynamic component
-	// commensurate with the static one instead of being drowned by a
-	// single outlier period.
-	nPairs := float64(nPairsInt)
-	for k, p := range tl.Periods {
-		drifts := make(PairTable, nPairsInt)
-		var sum float64
-		for i, u := range users {
-			for _, v := range users[i+1:] {
-				a := per.PeriodicAffinity(u, v, p)
-				if a < 0 {
-					return nil, fmt.Errorf("affinity: negative periodic affinity %g for pair (%d,%d) period %d", a, u, v, k)
-				}
-				drifts[MakePair(u, v)] = a
-				sum += a
-			}
+	scaleBy(m.static, maxStatic)
+	for _, p := range tl.Periods {
+		if err := m.addPeriod(p); err != nil {
+			return nil, err
 		}
-		m.AvgPeriodic[k] = sum / nPairs
-		var maxAbs float64
-		drifts.Update(func(_ Pair, a float64) float64 {
-			d := a - m.AvgPeriodic[k]
-			if ab := math.Abs(d); ab > maxAbs {
-				maxAbs = ab
-			}
-			return d
-		})
-		if maxAbs > 0 {
-			drifts.Scale(1 / maxAbs)
-		}
-		m.Drift[k] = drifts
 	}
-	m.driftScale = 1.0
 	return m, nil
+}
+
+// addPeriod appends the drift table of p: drift = affP − population
+// average, scaled by the period's max |drift| into [-1, 1] so that no
+// single outlier period drowns the static component (the paper likewise
+// normalizes into [0,1], §4.1.2). Only the fill runs across cores; the
+// sum, the max and the scaling are sequential passes in index order, so
+// every value is the same float64 whatever the core count.
+func (m *Model) addPeriod(p Period) error {
+	drift := m.fill(m.periodic.Periodic(p))
+	var sum float64
+	for x, a := range drift {
+		if a < 0 {
+			i, j := m.rows(x)
+			return fmt.Errorf("affinity: negative periodic affinity %g for pair (%d,%d) period %d", a, m.Users[i], m.Users[j], len(m.drift))
+		}
+		sum += a
+	}
+	avg := sum / float64(len(drift))
+	var maxAbs float64
+	for x, a := range drift {
+		drift[x] = a - avg
+		if ab := math.Abs(drift[x]); ab > maxAbs {
+			maxAbs = ab
+		}
+	}
+	scaleBy(drift, maxAbs)
+	m.drift = append(m.drift, drift)
+	m.AvgPeriodic = append(m.AvgPeriodic, avg)
+	return nil
+}
+
+// fill evaluates pair over every pair of the population into a new
+// triangle. Rows are dealt to GOMAXPROCS goroutines through an atomic
+// row counter; each goroutine writes only the rows it takes.
+func (m *Model) fill(pair func(u, v dataset.UserID) float64) []float64 {
+	n := len(m.Users)
+	tri := make([]float64, n*(n-1)/2)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n-1); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n-1; i = int(next.Add(1) - 1) {
+				u, row := m.Users[i], tri[m.at(i, i+1):]
+				for x, v := range m.Users[i+1:] {
+					row[x] = pair(u, v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return tri
+}
+
+// scaleBy multiplies every entry by 1/peak when peak is positive.
+func scaleBy(tri []float64, peak float64) {
+	if f := 1 / peak; peak > 0 {
+		for x := range tri {
+			tri[x] *= f
+		}
+	}
 }
 
 // AppendPeriod extends the model with one new period without touching
 // any previously computed drift — the incremental-maintenance property
 // the paper highlights ("GRECA does not need to recalculate any of the
 // previously calculated affinities and just augments the index").
-// The new drifts reuse the existing normalization scale.
 func (m *Model) AppendPeriod(p Period) error {
 	if n := m.Timeline.NumPeriods(); n > 0 && p.Start < m.Timeline.Periods[n-1].End {
 		return fmt.Errorf("affinity: AppendPeriod %v overlaps existing timeline", p)
 	}
-	nPairsInt := len(m.Users) * (len(m.Users) - 1) / 2
-	drifts := make(PairTable, nPairsInt)
-	var sum float64
-	for i, u := range m.Users {
-		for _, v := range m.Users[i+1:] {
-			a := m.periodic.PeriodicAffinity(u, v, p)
-			if a < 0 {
-				return fmt.Errorf("affinity: negative periodic affinity %g for pair (%d,%d)", a, u, v)
-			}
-			drifts[MakePair(u, v)] = a
-			sum += a
-		}
-	}
-	avg := sum / float64(nPairsInt)
-	var maxAbs float64
-	drifts.Update(func(_ Pair, a float64) float64 {
-		d := a - avg
-		if ab := math.Abs(d); ab > maxAbs {
-			maxAbs = ab
-		}
-		return d
-	})
-	if maxAbs > 0 {
-		drifts.Scale(1 / maxAbs)
+	if err := m.addPeriod(p); err != nil {
+		return err
 	}
 	m.Timeline.Periods = append(m.Timeline.Periods, p)
-	if p.End > m.Timeline.End {
-		m.Timeline.End = p.End
-	}
-	m.Drift = append(m.Drift, drifts)
-	m.AvgPeriodic = append(m.AvgPeriodic, avg)
+	m.Timeline.End = max(m.Timeline.End, p.End)
 	return nil
 }
 
-// StaticOf returns the normalized static affinity of (u,v).
-func (m *Model) StaticOf(u, v dataset.UserID) float64 {
-	return m.Static[MakePair(u, v)]
+// at returns the triangle index of the pair of rows i != j.
+func (m *Model) at(i, j int) int {
+	if i > j {
+		i, j = j, i
+	}
+	return i*(2*len(m.Users)-i-1)/2 + j - i - 1
 }
 
+// rows returns the pair of rows (i, j > i) at triangle index x.
+func (m *Model) rows(x int) (i, j int) {
+	for n := len(m.Users); x >= n-1-i; i++ {
+		x -= n - 1 - i
+	}
+	return i, i + 1 + x
+}
+
+// row returns u's row in Users, or -1.
+func (m *Model) row(u dataset.UserID) int {
+	if u < 0 || int(u) >= len(m.pos) {
+		return -1
+	}
+	return int(m.pos[u])
+}
+
+// pairAt returns the triangle index of (u,v), or -1 when either user is
+// outside the population. Equal users are a caller bug.
+func (m *Model) pairAt(u, v dataset.UserID) int {
+	if u == v {
+		panic(fmt.Sprintf("affinity: pair of identical users %d", u))
+	}
+	if i, j := m.row(u), m.row(v); i >= 0 && j >= 0 {
+		return m.at(i, j)
+	}
+	return -1
+}
+
+// read returns (u,v)'s entry of tri; a user outside the population
+// reads 0.
+func (m *Model) read(tri []float64, u, v dataset.UserID) float64 {
+	if x := m.pairAt(u, v); x >= 0 {
+		return tri[x]
+	}
+	return 0
+}
+
+// StaticOf returns the normalized static affinity of (u,v).
+func (m *Model) StaticOf(u, v dataset.UserID) float64 { return m.read(m.static, u, v) }
+
 // DriftOf returns the normalized drift of (u,v) in period k.
-func (m *Model) DriftOf(u, v dataset.UserID, k int) float64 {
-	return m.Drift[k][MakePair(u, v)]
+func (m *Model) DriftOf(u, v dataset.UserID, k int) float64 { return m.read(m.drift[k], u, v) }
+
+// driftSum returns Σ_{k ≤ upTo} drift(u,v,k), summed in period order.
+func (m *Model) driftSum(u, v dataset.UserID, upTo int) float64 {
+	m.checkPeriod(upTo)
+	var s float64
+	if x := m.pairAt(u, v); x >= 0 {
+		for _, drift := range m.drift[:upTo+1] {
+			s += drift[x]
+		}
+	}
+	return s
 }
 
 // AffV implements Equation 1 for the discrete model: the mean of the
 // per-period drifts from the beginning of time through period upTo
 // (inclusive), i.e. Δ = number of periods.
 func (m *Model) AffV(u, v dataset.UserID, upTo int) float64 {
-	m.checkPeriod(upTo)
-	pair := MakePair(u, v)
-	var s float64
-	for k := 0; k <= upTo; k++ {
-		s += m.Drift[k][pair]
-	}
-	return s / float64(upTo+1)
+	return m.driftSum(u, v, upTo) / float64(upTo+1)
 }
 
 // Discrete returns affD(u,v,p) = affS + affV for period index upTo,
@@ -402,13 +424,7 @@ const ContinuousRate = 0.2
 // reduces to rate · Σ_{p'≤p} drift(p') (the Δ in Equation 1 cancels
 // against the exponent's time length), clamped to [0, 1].
 func (m *Model) Continuous(u, v dataset.UserID, upTo int) float64 {
-	m.checkPeriod(upTo)
-	pair := MakePair(u, v)
-	var s float64
-	for k := 0; k <= upTo; k++ {
-		s += m.Drift[k][pair]
-	}
-	return clamp01(m.StaticOf(u, v) * math.Exp(ContinuousRate*s))
+	return clamp01(m.StaticOf(u, v) * math.Exp(ContinuousRate*m.driftSum(u, v, upTo)))
 }
 
 // TimeAgnostic returns the static-only affinity (used by the paper's
@@ -418,8 +434,8 @@ func (m *Model) TimeAgnostic(u, v dataset.UserID) float64 {
 }
 
 func (m *Model) checkPeriod(k int) {
-	if k < 0 || k >= len(m.Drift) {
-		panic(fmt.Sprintf("affinity: period index %d outside [0,%d)", k, len(m.Drift)))
+	if k < 0 || k >= len(m.drift) {
+		panic(fmt.Sprintf("affinity: period index %d outside [0,%d)", k, len(m.drift)))
 	}
 }
 

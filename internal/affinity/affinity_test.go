@@ -76,27 +76,15 @@ func TestPeriodPredicates(t *testing.T) {
 	}
 }
 
-func TestMakePair(t *testing.T) {
-	if p := MakePair(5, 2); p.U != 2 || p.V != 5 {
-		t.Errorf("MakePair not canonical: %+v", p)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MakePair(3,3) did not panic")
-		}
-	}()
-	MakePair(3, 3)
-}
-
 // stubSource provides deterministic affinities for model tests.
 type stubSource struct {
 	static   func(u, v dataset.UserID) float64
 	periodic func(u, v dataset.UserID, p Period) float64
 }
 
-func (s stubSource) StaticAffinity(u, v dataset.UserID) float64 { return s.static(u, v) }
-func (s stubSource) PeriodicAffinity(u, v dataset.UserID, p Period) float64 {
-	return s.periodic(u, v, p)
+func (s stubSource) Static() func(u, v dataset.UserID) float64 { return s.static }
+func (s stubSource) Periodic(p Period) func(u, v dataset.UserID) float64 {
+	return func(u, v dataset.UserID) float64 { return s.periodic(u, v, p) }
 }
 
 func testModel(t *testing.T) *Model {
@@ -152,8 +140,8 @@ func TestDriftSignsTrackEvolution(t *testing.T) {
 	}
 	// Per-period normalization keeps drifts within [-1, 1].
 	for k := 0; k < 3; k++ {
-		for _, pr := range []Pair{MakePair(0, 1), MakePair(0, 2), MakePair(1, 2)} {
-			if d := m.Drift[k][pr]; d < -1 || d > 1 {
+		for _, pr := range [][2]dataset.UserID{{0, 1}, {0, 2}, {1, 2}} {
+			if d := m.DriftOf(pr[0], pr[1], k); d < -1 || d > 1 {
 				t.Errorf("drift %v out of range at period %d", d, k)
 			}
 		}
@@ -246,6 +234,13 @@ func TestBuildModelValidation(t *testing.T) {
 	if _, err := BuildModel([]dataset.UserID{0, 1}, tl, neg, neg); err == nil {
 		t.Errorf("negative static affinity accepted")
 	}
+	// A row index holds each user once: a repeated or negative ID is an
+	// error, not a panic.
+	for _, users := range [][]dataset.UserID{{0, 1, 1}, {2, 0, 2}, {0, -1, 2}} {
+		if _, err := BuildModel(users, tl, src, src); err == nil {
+			t.Errorf("BuildModel(%v) accepted", users)
+		}
+	}
 }
 
 func TestNetworkSourceMatchesPaperFormulas(t *testing.T) {
@@ -261,15 +256,15 @@ func TestNetworkSourceMatchesPaperFormulas(t *testing.T) {
 	nw.Freeze()
 	src := NetworkSource{Network: nw}
 	// affS(0,1) = |friends ∩| = |{2,3}| = 2.
-	if got := src.StaticAffinity(0, 1); got != 2 {
+	if got := src.Static()(0, 1); got != 2 {
 		t.Errorf("static = %v, want 2", got)
 	}
 	// affP over [0,50): common categories of {1,2} and {2} = 1.
-	if got := src.PeriodicAffinity(0, 1, Period{0, 50}); got != 1 {
+	if got := src.Periodic(Period{0, 50})(0, 1); got != 1 {
 		t.Errorf("periodic[0,50) = %v, want 1", got)
 	}
 	// affP over [50,100): {} vs {3} = 0.
-	if got := src.PeriodicAffinity(0, 1, Period{50, 100}); got != 0 {
+	if got := src.Periodic(Period{50, 100})(0, 1); got != 0 {
 		t.Errorf("periodic[50,100) = %v, want 0", got)
 	}
 }

@@ -31,8 +31,7 @@ type ClusteredIndex struct {
 	// component (static or drift) and its cluster-pair aggregate.
 	Eps float64
 
-	model   *Model
-	userIdx map[dataset.UserID]int
+	model *Model
 }
 
 // clusterPairIndex maps an unordered cluster pair (a<=b) over k
@@ -56,19 +55,19 @@ func BuildClusteredIndex(m *Model, k int) (*ClusteredIndex, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("affinity: cluster count %d outside [1,%d]", k, n)
 	}
-	T := m.Timeline.NumPeriods()
-
-	// Feature vector per user: [mean static, mean drift per period].
+	// Feature vector per user: [mean static, mean drift per period],
+	// each summed over the other users in row order.
 	feats := make([][]float64, n)
-	for i, u := range m.Users {
-		f := make([]float64, 1+T)
-		for j, v := range m.Users {
+	for i := range feats {
+		f := make([]float64, 1+len(m.drift))
+		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			f[0] += m.StaticOf(u, v)
-			for t := 0; t < T; t++ {
-				f[1+t] += m.DriftOf(u, v, t)
+			x := m.at(i, j)
+			f[0] += m.static[x]
+			for t, drift := range m.drift {
+				f[1+t] += drift[x]
 			}
 		}
 		for d := range f {
@@ -83,26 +82,26 @@ func BuildClusteredIndex(m *Model, k int) (*ClusteredIndex, error) {
 		Assign:  assign,
 		K:       k,
 		staticC: make([]float64, numClusterPairs(k)),
-		driftC:  make([][]float64, T),
+		driftC:  make([][]float64, len(m.drift)),
 		model:   m,
-		userIdx: make(map[dataset.UserID]int, n),
-	}
-	for i, u := range m.Users {
-		ci.userIdx[u] = i
 	}
 	for t := range ci.driftC {
 		ci.driftC[t] = make([]float64, numClusterPairs(k))
 	}
 	counts := make([]int, numClusterPairs(k))
 
+	// pairClusters[x] is the cluster pair of the model's pair x.
+	pairClusters := make([]int, 0, len(m.static))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			cp := clusterPairIndex(k, assign[i], assign[j])
-			counts[cp]++
-			ci.staticC[cp] += m.StaticOf(m.Users[i], m.Users[j])
-			for t := 0; t < T; t++ {
-				ci.driftC[t][cp] += m.DriftOf(m.Users[i], m.Users[j], t)
-			}
+			pairClusters = append(pairClusters, clusterPairIndex(k, assign[i], assign[j]))
+		}
+	}
+	for x, cp := range pairClusters {
+		counts[cp]++
+		ci.staticC[cp] += m.static[x]
+		for t, drift := range m.drift {
+			ci.driftC[t][cp] += drift[x]
 		}
 	}
 	for cp := range counts {
@@ -110,22 +109,19 @@ func BuildClusteredIndex(m *Model, k int) (*ClusteredIndex, error) {
 			continue
 		}
 		ci.staticC[cp] /= float64(counts[cp])
-		for t := 0; t < T; t++ {
+		for t := range ci.driftC {
 			ci.driftC[t][cp] /= float64(counts[cp])
 		}
 	}
 
 	// Residual bound over every stored component.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			cp := clusterPairIndex(k, assign[i], assign[j])
-			if d := math.Abs(m.StaticOf(m.Users[i], m.Users[j]) - ci.staticC[cp]); d > ci.Eps {
+	for x, cp := range pairClusters {
+		if d := math.Abs(m.static[x] - ci.staticC[cp]); d > ci.Eps {
+			ci.Eps = d
+		}
+		for t, drift := range m.drift {
+			if d := math.Abs(drift[x] - ci.driftC[t][cp]); d > ci.Eps {
 				ci.Eps = d
-			}
-			for t := 0; t < T; t++ {
-				if d := math.Abs(m.DriftOf(m.Users[i], m.Users[j], t) - ci.driftC[t][cp]); d > ci.Eps {
-					ci.Eps = d
-				}
 			}
 		}
 	}
@@ -206,26 +202,19 @@ func (ci *ClusteredIndex) ApproxDiscrete(u, v dataset.UserID, upTo int) float64 
 	for t := 0; t <= upTo; t++ {
 		s += ci.ApproxDrift(u, v, t)
 	}
-	x := ci.ApproxStatic(u, v) + s/float64(upTo+1)
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
+	return clamp01(ci.ApproxStatic(u, v) + s/float64(upTo+1))
 }
 
 func (ci *ClusteredIndex) pairOf(u, v dataset.UserID) int {
-	iu, ok := ci.userIdx[u]
-	if !ok {
+	return clusterPairIndex(ci.K, ci.clusterOf(u), ci.clusterOf(v))
+}
+
+func (ci *ClusteredIndex) clusterOf(u dataset.UserID) int {
+	i := ci.model.row(u)
+	if i < 0 {
 		panic(fmt.Sprintf("affinity: user %d not in clustered index", u))
 	}
-	iv, ok := ci.userIdx[v]
-	if !ok {
-		panic(fmt.Sprintf("affinity: user %d not in clustered index", v))
-	}
-	return clusterPairIndex(ci.K, ci.Assign[iu], ci.Assign[iv])
+	return ci.Assign[i]
 }
 
 // StoredEntries returns the number of affinity entries the compressed

@@ -1,0 +1,335 @@
+package affinity
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/social"
+)
+
+// pairSources are plain per-pair affinity functions, the form the
+// reference builder calls.
+type pairSources struct {
+	static   func(u, v dataset.UserID) float64
+	periodic func(u, v dataset.UserID, p Period) float64
+}
+
+func (s pairSources) Static() func(u, v dataset.UserID) float64 { return s.static }
+func (s pairSources) Periodic(p Period) func(u, v dataset.UserID) float64 {
+	return func(u, v dataset.UserID) float64 { return s.periodic(u, v, p) }
+}
+
+// networkPairs applies §4.1.2's set definitions to one pair at a time:
+// the friends both users have, and the categories both liked during p.
+func networkPairs(nw *social.Network) pairSources {
+	return pairSources{
+		static: func(u, v dataset.UserID) float64 {
+			n := 0
+			for w := range nw.NumUsers() {
+				if w := dataset.UserID(w); nw.AreFriends(u, w) && nw.AreFriends(v, w) {
+					n++
+				}
+			}
+			return float64(n)
+		},
+		periodic: func(u, v dataset.UserID, p Period) float64 {
+			return float64(nw.CategoriesIn(u, p.Start, p.End).IntersectCount(nw.CategoriesIn(v, p.Start, p.End)))
+		},
+	}
+}
+
+type refKey [2]dataset.UserID
+
+func keyOf(u, v dataset.UserID) refKey {
+	if u > v {
+		u, v = v, u
+	}
+	return refKey{u, v}
+}
+
+// referenceModel is the affinity model built the plain way: one source
+// call per pair, one map per table, and the formulas of §2.1 and §4.1.2
+// applied serially, sums in (i, j > i) order.
+type referenceModel struct {
+	static map[refKey]float64
+	drift  []map[refKey]float64
+}
+
+func buildReference(users []dataset.UserID, periods []Period, src pairSources) referenceModel {
+	ref := referenceModel{static: map[refKey]float64{}}
+	var maxStatic float64
+	for i, u := range users {
+		for _, v := range users[i+1:] {
+			raw := src.static(u, v)
+			ref.static[keyOf(u, v)] = raw
+			if raw > maxStatic {
+				maxStatic = raw
+			}
+		}
+	}
+	if maxStatic > 0 {
+		f := 1 / maxStatic
+		for k, raw := range ref.static {
+			ref.static[k] = raw * f
+		}
+	}
+	for _, p := range periods {
+		drift := map[refKey]float64{}
+		var sum float64
+		for i, u := range users {
+			for _, v := range users[i+1:] {
+				a := src.periodic(u, v, p)
+				drift[keyOf(u, v)] = a
+				sum += a
+			}
+		}
+		avg := sum / float64(len(drift))
+		var maxAbs float64
+		for k, a := range drift {
+			drift[k] = a - avg
+			if ab := math.Abs(a - avg); ab > maxAbs {
+				maxAbs = ab
+			}
+		}
+		if maxAbs > 0 {
+			f := 1 / maxAbs
+			for k, d := range drift {
+				drift[k] = d * f
+			}
+		}
+		ref.drift = append(ref.drift, drift)
+	}
+	return ref
+}
+
+func (r referenceModel) driftSum(u, v dataset.UserID, upTo int) float64 {
+	var s float64
+	for t := 0; t <= upTo; t++ {
+		s += r.drift[t][keyOf(u, v)]
+	}
+	return s
+}
+
+func (r referenceModel) discrete(u, v dataset.UserID, upTo int) float64 {
+	return clamp01(r.static[keyOf(u, v)] + r.driftSum(u, v, upTo)/float64(upTo+1))
+}
+
+func (r referenceModel) continuous(u, v dataset.UserID, upTo int) float64 {
+	return clamp01(r.static[keyOf(u, v)] * math.Exp(ContinuousRate*r.driftSum(u, v, upTo)))
+}
+
+// assertMatchesReference compares every static, drift, discrete and
+// continuous value of m with the reference, bit for bit, in both
+// argument orders.
+func assertMatchesReference(t *testing.T, m *Model, ref referenceModel) {
+	t.Helper()
+	if len(m.drift) != len(ref.drift) {
+		t.Fatalf("model has %d periods, reference %d", len(m.drift), len(ref.drift))
+	}
+	same := func(what string, u, v dataset.UserID, k int, got, want float64) {
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s(%d,%d) at period %d = %v, reference %v", what, u, v, k, got, want)
+		}
+	}
+	for i, u := range m.Users {
+		for _, v := range m.Users[i+1:] {
+			for _, o := range [][2]dataset.UserID{{u, v}, {v, u}} {
+				a, b := o[0], o[1]
+				same("StaticOf", a, b, -1, m.StaticOf(a, b), ref.static[keyOf(a, b)])
+				for k := range ref.drift {
+					same("DriftOf", a, b, k, m.DriftOf(a, b, k), ref.drift[k][keyOf(a, b)])
+					same("Discrete", a, b, k, m.Discrete(a, b, k), ref.discrete(a, b, k))
+					same("Continuous", a, b, k, m.Continuous(a, b, k), ref.continuous(a, b, k))
+				}
+			}
+		}
+	}
+}
+
+func referenceNetwork(t *testing.T, users, communities int) *social.SynthNetwork {
+	t.Helper()
+	cfg := social.DefaultSynthConfig()
+	cfg.Users, cfg.Communities = users, communities
+	sn, err := social.GenerateNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
+func denseUsers(n int) []dataset.UserID {
+	users := make([]dataset.UserID, n)
+	for i := range users {
+		users[i] = dataset.UserID(i)
+	}
+	return users
+}
+
+// The dense, parallel model reproduces the serial per-pair reference
+// bit for bit. Run it with -cpu 1,4: the values must not depend on how
+// many goroutines fill the triangles.
+func TestModelMatchesReference(t *testing.T) {
+	sn := referenceNetwork(t, 120, 10)
+	tl := Segment(sn.Config.Start, sn.Config.End, TwoMonth)
+	users := denseUsers(sn.Config.Users)
+	src := NetworkSource{Network: sn.Network}
+	ref := buildReference(users, tl.Periods, networkPairs(sn.Network))
+
+	t.Run("batch", func(t *testing.T) {
+		m, err := BuildModel(users, tl, src, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tl.NumPeriods() != 6 {
+			t.Fatalf("%d periods, want 6", tl.NumPeriods())
+		}
+		assertMatchesReference(t, m, ref)
+	})
+
+	t.Run("appended", func(t *testing.T) {
+		initial := Timeline{Start: tl.Start, End: tl.Periods[1].End, Periods: append([]Period(nil), tl.Periods[:2]...)}
+		m, err := BuildModel(users, initial, src, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range tl.Periods[2:] {
+			if err := m.AppendPeriod(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.Timeline.End != tl.End {
+			t.Errorf("timeline ends at %d, want %d", m.Timeline.End, tl.End)
+		}
+		assertMatchesReference(t, m, ref)
+		batch, err := BuildModel(users, tl, src, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range batch.AvgPeriodic {
+			if math.Float64bits(m.AvgPeriodic[k]) != math.Float64bits(batch.AvgPeriodic[k]) {
+				t.Errorf("period %d mean %v appended, %v batch", k, m.AvgPeriodic[k], batch.AvgPeriodic[k])
+			}
+		}
+	})
+
+	// Network counts are small integers, which sum exactly in any
+	// order; fractional values pin the (i, j > i) summation order too.
+	t.Run("fractional", func(t *testing.T) {
+		frac := pairSources{
+			static: func(u, v dataset.UserID) float64 { return math.Sqrt(float64(u*v + 1)) },
+			periodic: func(u, v dataset.UserID, p Period) float64 {
+				return math.Mod(float64(u*v)/7+float64(u+v)/3+float64(p.Start/86400), 5)
+			},
+		}
+		m, err := BuildModel(users, tl, frac, frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, m, buildReference(users, tl.Periods, frac))
+	})
+}
+
+// A population whose IDs are neither 0..n−1 nor sorted: rows follow the
+// population order, and an ID outside it reads 0.
+func TestSparsePopulationMatchesReference(t *testing.T) {
+	sn := referenceNetwork(t, 200, 12)
+	tl := Segment(sn.Config.Start, sn.Config.End, TwoMonth)
+	perm := rand.New(rand.NewSource(3)).Perm(sn.Config.Users)
+	users := make([]dataset.UserID, 70)
+	for i := range users {
+		users[i] = dataset.UserID(perm[i])
+	}
+	outside := dataset.UserID(perm[len(users)])
+	src := NetworkSource{Network: sn.Network}
+	m, err := BuildModel(users, tl, src, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesReference(t, m, buildReference(users, tl.Periods, networkPairs(sn.Network)))
+
+	last := tl.NumPeriods() - 1
+	for _, o := range []dataset.UserID{outside, -1, 1 << 20} {
+		u := users[0]
+		reads := []float64{
+			m.StaticOf(u, o), m.StaticOf(o, u), m.DriftOf(u, o, last), m.AffV(o, u, last),
+			m.Discrete(u, o, last), m.Continuous(o, u, last), m.TimeAgnostic(u, o),
+		}
+		for _, x := range reads {
+			if x != 0 {
+				t.Errorf("user %d outside the population reads %v, want 0", o, x)
+			}
+		}
+	}
+}
+
+func TestIdenticalUsersPanic(t *testing.T) {
+	m := testModel(t)
+	for name, read := range map[string]func(){
+		"StaticOf":   func() { m.StaticOf(1, 1) },
+		"DriftOf":    func() { m.DriftOf(2, 2, 0) },
+		"AffV":       func() { m.AffV(0, 0, 1) },
+		"Discrete":   func() { m.Discrete(1, 1, 2) },
+		"Continuous": func() { m.Continuous(2, 2, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of identical users did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+}
+
+// A negative source value is reported for the first such pair in
+// (i, j > i) order over the population, whichever goroutine met it.
+func TestNegativeAffinityNamesFirstPair(t *testing.T) {
+	users := []dataset.UserID{3, 1, 2, 0}
+	tl := SegmentUniform(0, 300, 3)
+	// Pairs in order: (3,1) (3,2) (3,0) (1,2) (1,0) (2,0).
+	negative := func(u, v dataset.UserID) float64 {
+		switch keyOf(u, v) {
+		case refKey{1, 2}:
+			return -2
+		case refKey{0, 3}:
+			return -3
+		}
+		return 1
+	}
+	one := func(u, v dataset.UserID) float64 { return 1 }
+	cases := []struct {
+		src  pairSources
+		want string
+	}{
+		{pairSources{static: negative, periodic: func(u, v dataset.UserID, p Period) float64 { return 1 }},
+			"affinity: negative static affinity -3 for pair (3,0)"},
+		{pairSources{static: one, periodic: func(u, v dataset.UserID, p Period) float64 {
+			if p.Start == 100 {
+				return negative(u, v)
+			}
+			return 1
+		}}, "affinity: negative periodic affinity -3 for pair (3,0) period 1"},
+	}
+	for _, c := range cases {
+		_, err := BuildModel(users, tl, c.src, c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("BuildModel error %v, want %q", err, c.want)
+		}
+	}
+	late := pairSources{static: one, periodic: func(u, v dataset.UserID, p Period) float64 {
+		if p.Start >= 300 {
+			return negative(u, v)
+		}
+		return 1
+	}}
+	m, err := BuildModel(users, tl, late, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendPeriod(Period{300, 400}); err == nil || err.Error() != "affinity: negative periodic affinity -3 for pair (3,0) period 3" {
+		t.Errorf("AppendPeriod error %v", err)
+	}
+}

@@ -108,10 +108,11 @@ func (md *Metadata) SameAgeBracket(a, b UserID) bool {
 	return oka && okb && ua.Age == ub.Age
 }
 
-// DemographicAffinity is a metadata-based StaticSource-compatible
-// score: 1 point per shared attribute (age bracket, gender,
-// occupation). It can replace or augment the common-friends static
-// affinity where no social graph exists.
+// DemographicAffinity is a metadata-based static-affinity pair score,
+// the shape of the function an affinity.StaticSource returns: 1 point
+// per shared attribute (age bracket, gender, occupation). It can
+// replace or augment the common-friends static affinity where no
+// social graph exists.
 func (md *Metadata) DemographicAffinity(a, b UserID) float64 {
 	ua, oka := md.users[a]
 	ub, okb := md.users[b]

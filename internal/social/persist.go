@@ -17,10 +17,9 @@ func WriteFriendships(w io.Writer, nw *Network) error {
 	if _, err := fmt.Fprintln(bw, "user_a,user_b"); err != nil {
 		return fmt.Errorf("social: writing friendships: %w", err)
 	}
-	n := nw.NumUsers()
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if nw.AreFriends(dataset.UserID(u), dataset.UserID(v)) {
+	for u, fs := range nw.friends {
+		for _, v := range fs {
+			if int(v) > u {
 				if _, err := fmt.Fprintf(bw, "%d,%d\n", u, v); err != nil {
 					return fmt.Errorf("social: writing friendships: %w", err)
 				}

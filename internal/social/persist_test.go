@@ -40,8 +40,8 @@ func TestNetworkCSVRoundTrip(t *testing.T) {
 	p0, p1 := sn.Config.Start, sn.Config.Start+60*24*3600
 	for u := 0; u < 10; u++ {
 		for v := u + 1; v < 10; v++ {
-			a := sn.Network.CommonLikeCategories(dataset.UserID(u), dataset.UserID(v), p0, p1)
-			b := loaded.CommonLikeCategories(dataset.UserID(u), dataset.UserID(v), p0, p1)
+			a := sn.Network.CategoriesIn(dataset.UserID(u), p0, p1).IntersectCount(sn.Network.CategoriesIn(dataset.UserID(v), p0, p1))
+			b := loaded.CategoriesIn(dataset.UserID(u), p0, p1).IntersectCount(loaded.CategoriesIn(dataset.UserID(v), p0, p1))
 			if a != b {
 				t.Fatalf("periodic affinity (%d,%d) changed: %d vs %d", u, v, a, b)
 			}

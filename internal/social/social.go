@@ -15,6 +15,7 @@ package social
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -78,7 +79,8 @@ func (cs CategorySet) Empty() bool {
 // assemble manually with NewNetwork/AddFriendship/AddLike + Freeze.
 type Network struct {
 	numUsers int
-	friends  []map[dataset.UserID]struct{}
+	// friends[u] is u's friend list in ascending ID order.
+	friends [][]dataset.UserID
 	// likes[u] is user u's page-like stream sorted by time.
 	likes  [][]PageLike
 	frozen bool
@@ -91,7 +93,7 @@ func NewNetwork(n int) *Network {
 	}
 	return &Network{
 		numUsers: n,
-		friends:  make([]map[dataset.UserID]struct{}, n),
+		friends:  make([][]dataset.UserID, n),
 		likes:    make([][]PageLike, n),
 	}
 }
@@ -108,14 +110,12 @@ func (nw *Network) AddFriendship(u, v dataset.UserID) {
 	if u == v {
 		panic("social: self-friendship")
 	}
-	if nw.friends[u] == nil {
-		nw.friends[u] = make(map[dataset.UserID]struct{})
+	for _, edge := range [][2]dataset.UserID{{u, v}, {v, u}} {
+		from, to := edge[0], edge[1]
+		if i, found := slices.BinarySearch(nw.friends[from], to); !found {
+			nw.friends[from] = slices.Insert(nw.friends[from], i, to)
+		}
 	}
-	if nw.friends[v] == nil {
-		nw.friends[v] = make(map[dataset.UserID]struct{})
-	}
-	nw.friends[u][v] = struct{}{}
-	nw.friends[v][u] = struct{}{}
 }
 
 // AddLike appends a page-like event.
@@ -144,7 +144,7 @@ func (nw *Network) Freeze() {
 func (nw *Network) AreFriends(u, v dataset.UserID) bool {
 	nw.checkUser(u)
 	nw.checkUser(v)
-	_, ok := nw.friends[u][v]
+	_, ok := slices.BinarySearch(nw.friends[u], v)
 	return ok
 }
 
@@ -155,18 +155,20 @@ func (nw *Network) NumFriends(u dataset.UserID) int {
 }
 
 // CommonFriends returns |friends(u) ∩ friends(v)| — the paper's raw
-// static affinity (§4.1.2).
+// static affinity (§4.1.2) — as a merge count of the two sorted lists.
 func (nw *Network) CommonFriends(u, v dataset.UserID) int {
 	nw.checkUser(u)
 	nw.checkUser(v)
-	fu, fv := nw.friends[u], nw.friends[v]
-	if len(fu) > len(fv) {
-		fu, fv = fv, fu
-	}
+	a, b := nw.friends[u], nw.friends[v]
 	n := 0
-	for f := range fu {
-		if _, ok := fv[f]; ok {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] == b[0] {
 			n++
+		}
+		if a[0] <= b[0] {
+			a = a[1:]
+		} else {
+			b = b[1:]
 		}
 	}
 	return n
@@ -200,12 +202,6 @@ func (nw *Network) CategoriesIn(u dataset.UserID, from, to int64) CategorySet {
 		cs.Add(ls[i].Category)
 	}
 	return cs
-}
-
-// CommonLikeCategories returns the paper's raw periodic affinity:
-// the number of page categories both u and v liked during [from, to).
-func (nw *Network) CommonLikeCategories(u, v dataset.UserID, from, to int64) int {
-	return nw.CategoriesIn(u, from, to).IntersectCount(nw.CategoriesIn(v, from, to))
 }
 
 // HasLikesIn reports whether u liked at least one page during [from, to).

@@ -99,11 +99,11 @@ func TestNetworkLikes(t *testing.T) {
 		t.Errorf("CategoriesIn missing categories: %v", cs)
 	}
 	// Window [90, 150): only user 0's like of category 5 at t=100.
-	if got := nw.CommonLikeCategories(0, 1, 90, 150); got != 0 {
+	if got := nw.CategoriesIn(0, 90, 150).IntersectCount(nw.CategoriesIn(1, 90, 150)); got != 0 {
 		t.Errorf("common in [90,150) = %d, want 0", got)
 	}
 	// Window [0, 150): both liked category 5.
-	if got := nw.CommonLikeCategories(0, 1, 0, 150); got != 1 {
+	if got := nw.CategoriesIn(0, 0, 150).IntersectCount(nw.CategoriesIn(1, 0, 150)); got != 1 {
 		t.Errorf("common in [0,150) = %d, want 1", got)
 	}
 	if !nw.HasLikesIn(1, 150, 250) || nw.HasLikesIn(0, 150, 250) {

@@ -35,8 +35,10 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 # cold fill and its drop on the bench workloads' 2 000-user world: the
 # co-rater bitset, the candidate slice and the kept top-k), and the batch
 # prediction every view build runs on that world (600 candidates, warm
-# neighborhood; 0 allocs/op: its working set is pooled).
-PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical|BenchmarkNeighborhoodFill|BenchmarkPredictBatch)$'
+# neighborhood; 0 allocs/op: its working set is pooled), and the
+# affinity model build every world pays at start (600 participants, six
+# two-month periods: seven dense triangles filled across cores).
+PINNED='^(BenchmarkRecommendParallel|BenchmarkServeSubmit|BenchmarkPDLazyLists|BenchmarkPDEagerLists|BenchmarkIngestMix|BenchmarkIngestOnly|BenchmarkRecommendRemote|BenchmarkRecommendRemoteBatched|BenchmarkSortCanonical|BenchmarkNeighborhoodFill|BenchmarkPredictBatch|BenchmarkBuildModel)$'
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
