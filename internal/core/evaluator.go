@@ -24,10 +24,16 @@ type evaluator struct {
 	// (pairwise disagreement consensus only).
 	agreementSeen [][]float64
 
-	// affCache[pair] is the pair's combined affinity interval under
-	// the current cursors; recomputed once per check round because it
-	// is item-independent.
-	affCache []stats.Interval
+	// affLo[pair] / affHi[pair] are the ends of the pair's combined
+	// affinity interval under the current cursors; recomputed once per
+	// check round because they are item-independent. affNegative
+	// records that some lower end is not >= 0 — negative, which the
+	// shipped aggregators never produce, or NaN — as of the last fill:
+	// only then do member preferences need the interval product.
+	affLo, affHi []float64
+	affNegative  bool
+	// norm normalizes a member preference: 1/(1 + (g−1)·max affinity).
+	norm float64
 
 	// scratch buffers reused across items within one check.
 	aprefIv []stats.Interval
@@ -36,7 +42,7 @@ type evaluator struct {
 }
 
 func newEvaluator(p *Problem) *evaluator {
-	ev := &evaluator{p: p}
+	ev := &evaluator{p: p, norm: 1 / (1 + float64(p.g-1)*p.in.Agg.MaxAffinity())}
 	ev.aprefSeen = make([][]float64, p.g)
 	for u := range ev.aprefSeen {
 		row := make([]float64, p.m)
@@ -52,7 +58,8 @@ func newEvaluator(p *Problem) *evaluator {
 		for t := range ev.driftSeen {
 			ev.driftSeen[t] = nanSlice(p.nPairs)
 		}
-		ev.affCache = make([]stats.Interval, p.nPairs)
+		ev.affLo = make([]float64, p.nPairs)
+		ev.affHi = make([]float64, p.nPairs)
 		ev.driftIv = make([]stats.Interval, T)
 	}
 	if p.useAgreement {
@@ -94,26 +101,24 @@ func (ev *evaluator) refreshAffinity() {
 	if !ev.p.useAffinity {
 		return
 	}
+	ev.affNegative = false
 	for pr := 0; pr < ev.p.nPairs; pr++ {
 		st := ev.componentInterval(ev.staticSeen[pr], ev.p.pairStatic[pr])
 		for t := range ev.driftSeen {
 			ev.driftIv[t] = ev.componentInterval(ev.driftSeen[t][pr], ev.p.pairDrift[t][pr])
 		}
-		ev.affCache[pr] = ev.p.in.Agg.Combine(st, ev.driftIv)
+		ev.setAffinity(pr, ev.p.in.Agg.Combine(st, ev.driftIv))
 	}
 }
 
-// affinityNegative reports whether some pair's affinity interval, as
-// of the last refreshAffinity, has a negative lower end. The shipped
+// setAffinity stores pair pr's combined affinity interval. The shipped
 // aggregators clamp to [0,1]; the interval machinery does not assume
-// it.
-func (ev *evaluator) affinityNegative() bool {
-	for _, aff := range ev.affCache {
-		if aff.Lo < 0 {
-			return true
-		}
+// it, so a lower end that is not >= 0 is recorded.
+func (ev *evaluator) setAffinity(pr int, aff stats.Interval) {
+	ev.affLo[pr], ev.affHi[pr] = aff.Lo, aff.Hi
+	if !(aff.Lo >= 0) {
+		ev.affNegative = true
 	}
-	return false
 }
 
 // refreshAffinityExact fills the affinity cache with exact values
@@ -123,11 +128,12 @@ func (ev *evaluator) refreshAffinityExact() {
 	if !ev.p.useAffinity {
 		return
 	}
+	ev.affNegative = false
 	for pr := 0; pr < ev.p.nPairs; pr++ {
 		for t := range ev.driftIv {
 			ev.driftIv[t] = stats.Point(ev.p.in.Drift[t][pr])
 		}
-		ev.affCache[pr] = ev.p.in.Agg.Combine(stats.Point(ev.p.in.Static[pr]), ev.driftIv)
+		ev.setAffinity(pr, ev.p.in.Agg.Combine(stats.Point(ev.p.in.Static[pr]), ev.driftIv))
 	}
 }
 
@@ -175,23 +181,51 @@ func (ev *evaluator) threshold() float64 {
 // inside the hot loop. Pairs are walked in PairIndex order, each
 // feeding both of its members, which adds every member's relative
 // preference terms in ascending order of the other member.
+//
+// Aprefs are validated into [0,1], so when no affinity lower end is
+// negative every product is of like ends ({Lo·Lo, Hi·Hi}, Interval.Mul's
+// fast case) and the two ends are summed in two scalar passes. Each
+// product is rounded by an explicit conversion before it is added, as
+// Interval.Add adds an already rounded product: a fused multiply-add
+// would change the bits.
 func (ev *evaluator) memberPrefs() {
 	p := ev.p
-	copy(ev.prefIv, ev.aprefIv)
-	if p.useAffinity {
+	ap, pref := ev.aprefIv, ev.prefIv
+	copy(pref, ap)
+	switch {
+	case !p.useAffinity:
+	case ev.affNegative:
 		pr := 0
 		for u := 0; u < p.g; u++ {
 			for v := u + 1; v < p.g; v++ {
-				aff := ev.affCache[pr]
+				aff := stats.Interval{Lo: ev.affLo[pr], Hi: ev.affHi[pr]}
 				pr++
-				ev.prefIv[u] = ev.prefIv[u].Add(aff.Mul(ev.aprefIv[v]))
-				ev.prefIv[v] = ev.prefIv[v].Add(aff.Mul(ev.aprefIv[u]))
+				pref[u] = pref[u].Add(aff.Mul(ap[v]))
+				pref[v] = pref[v].Add(aff.Mul(ap[u]))
+			}
+		}
+	default:
+		pr := 0
+		for u := 0; u < p.g; u++ {
+			for v := u + 1; v < p.g; v++ {
+				a := ev.affLo[pr]
+				pr++
+				pref[u].Lo += float64(a * ap[v].Lo)
+				pref[v].Lo += float64(a * ap[u].Lo)
+			}
+		}
+		pr = 0
+		for u := 0; u < p.g; u++ {
+			for v := u + 1; v < p.g; v++ {
+				a := ev.affHi[pr]
+				pr++
+				pref[u].Hi += float64(a * ap[v].Hi)
+				pref[v].Hi += float64(a * ap[u].Hi)
 			}
 		}
 	}
-	norm := 1 / (1 + float64(p.g-1)*p.in.Agg.MaxAffinity())
-	for u, iv := range ev.prefIv {
-		ev.prefIv[u] = iv.Scale(norm).Clamp(0, 1)
+	for u, iv := range pref {
+		pref[u] = iv.Scale(ev.norm).Clamp(0, 1)
 	}
 }
 
@@ -199,8 +233,14 @@ func (ev *evaluator) memberPrefs() {
 // of ev.aprefIv. key identifies the item for agreement-list lookups; -1
 // denotes the virtual unseen item of the threshold computation.
 func (ev *evaluator) scoreFromAprefs(key int) stats.Interval {
-	p := ev.p
 	ev.memberPrefs()
+	return ev.consensus(key)
+}
+
+// consensus applies the consensus spec to the member preferences
+// ev.prefIv; key is as for scoreFromAprefs.
+func (ev *evaluator) consensus(key int) stats.Interval {
+	p := ev.p
 	if !p.useAgreement {
 		return p.in.Spec.Score(ev.prefIv)
 	}
@@ -248,14 +288,7 @@ func (ev *evaluator) exactScore(key int) float64 {
 	for u := 0; u < p.g; u++ {
 		ev.aprefIv[u] = stats.Point(p.in.Apref[u][key])
 	}
-	if p.useAffinity {
-		for pr := 0; pr < p.nPairs; pr++ {
-			for t := range ev.driftIv {
-				ev.driftIv[t] = stats.Point(p.in.Drift[t][pr])
-			}
-			ev.affCache[pr] = p.in.Agg.Combine(stats.Point(p.in.Static[pr]), ev.driftIv)
-		}
-	}
+	ev.refreshAffinityExact()
 	return ev.scoreFromAprefsExactAgreement(key)
 }
 

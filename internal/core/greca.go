@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -150,8 +148,8 @@ type candidate struct {
 	lb, ub float64
 	alive  bool
 	// top is the candidate's index in the stepper's top-k heap, -1
-	// outside it.
-	top int32
+	// outside it; pos is its index in the alive set.
+	top, pos int32
 }
 
 // itemKeyed reports whether entries of the list kind carry item keys
@@ -221,45 +219,6 @@ func topKExact(scores []float64, k int) []ItemScore {
 		out[i] = ItemScore{Key: idx[i], LB: scores[idx[i]], UB: scores[idx[i]]}
 	}
 	return out
-}
-
-// prune drops candidates whose upper bound cannot exceed kthLB while
-// always keeping at least k candidates (the top-k by LB are never
-// dropped: their UB >= LB >= ... >= kthLB).
-func prune(alive []*candidate, kthLB float64, k int) []*candidate {
-	out := alive[:0]
-	for _, c := range alive {
-		if c.ub >= kthLB {
-			out = append(out, c)
-			continue
-		}
-		c.alive = false
-	}
-	// Defensive: interval arithmetic guarantees ub >= lb, so at least
-	// the k candidates defining kthLB survive. Verify cheaply.
-	if len(out) < k {
-		panic(fmt.Sprintf("core: pruned below k (%d < %d); bound invariant violated", len(out), k))
-	}
-	return out
-}
-
-// sortByLBInto returns the candidates ordered by descending lower
-// bound (ties by ascending key — keys are unique, so the order is
-// total and independent of the sort algorithm). buf backs the copy and
-// is reused across calls; the result aliases it and is only valid
-// until the next call with the same buffer.
-func sortByLBInto(buf, alive []*candidate) []*candidate {
-	sorted := append(buf[:0], alive...)
-	slices.SortFunc(sorted, func(a, b *candidate) int {
-		if a.lb != b.lb {
-			if a.lb > b.lb {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.key, b.key)
-	})
-	return sorted
 }
 
 func toItemScores(cands []*candidate) []ItemScore {

@@ -116,3 +116,32 @@ func BenchmarkPDEagerLists(b *testing.B) {
 func benchName(prefix string, v int) string {
 	return prefix + "=" + strconv.Itoa(v)
 }
+
+// BenchmarkGRECARun measures one GRECA run to completion on a prebuilt
+// problem — the stepper alone, stopping checks included, without list
+// construction: the serving benchmark's commonest request shape (g=5
+// over 600 candidates, K=10, partitioned affinity) under each
+// consensus family.
+func BenchmarkGRECARun(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec consensus.Spec
+	}{{"AP", consensus.AP()}, {"MO", consensus.MO()}, {"PD", consensus.PD(0.8)}} {
+		b.Run(c.name, func(b *testing.B) {
+			in := benchProblemInput(5, 600)
+			in.Spec = c.spec
+			in.PartitionAffinity = true
+			p, err := NewProblem(in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(ModeGRECA); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,12 +1,22 @@
 package core
 
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"repro/internal/stats"
+)
+
 // eagerGrecaState is the GRECA stepper as it ran before stopping checks
 // were made proportional to what the sweep touched: every check
 // re-scores every alive candidate, selects the k-th lower bound from
 // scratch, prunes on exact upper bounds and, once the threshold has
-// fallen, sorts the whole alive set. It does far more work than
-// grecaState and is kept, test-only, because it is the obviously
-// correct reading of Algorithm 1 with the incremental buffer strategy:
+// fallen, sorts the whole alive set. It scores with its own member
+// preference kernel (interval products throughout, referenceScore). It
+// does far more work than grecaState and is kept, test-only, because it
+// is the obviously correct reading of Algorithm 1 with the incremental
+// buffer strategy:
 // TestStoppingCheckMatchesReference and
 // FuzzStoppingCheckMatchesReference require the production stepper to
 // agree with it on everything a caller can observe.
@@ -100,7 +110,7 @@ func (s *eagerGrecaState) step() bool {
 			s.st.Stop = StopExhausted
 			s.ev.refreshAffinity()
 			refreshBounds(s.ev, s.alive)
-			s.lastTh = s.ev.threshold()
+			s.lastTh = referenceScore(s.ev, -1).Hi
 			s.lastKth = s.kthLB(min(s.p.in.K, len(s.alive)))
 			s.evaluated = true
 			s.emit()
@@ -117,13 +127,13 @@ func (s *eagerGrecaState) step() bool {
 		s.ev.refreshAffinity()
 		refreshBounds(s.ev, s.alive)
 		if len(s.alive) < s.p.in.K {
-			s.lastTh, s.lastKth = s.ev.threshold(), 0
+			s.lastTh, s.lastKth = referenceScore(s.ev, -1).Hi, 0
 			s.evaluated = true
 			s.emit()
 			return false // not enough candidates yet
 		}
 		kthLB := s.kthLB(s.p.in.K)
-		th := s.ev.threshold()
+		th := referenceScore(s.ev, -1).Hi
 
 		// Buffer condition, applied incrementally: prune candidates
 		// whose UB is strictly below the k-th LB.
@@ -197,9 +207,42 @@ func (s *eagerGrecaState) result() Result { return s.res }
 
 func refreshBounds(ev *evaluator, alive []*candidate) {
 	for _, c := range alive {
-		iv := ev.scoreItem(c.key)
+		iv := referenceScore(ev, c.key)
 		c.lb, c.ub = iv.Lo, iv.Hi
 	}
+}
+
+// referenceScore is evaluator.scoreItem for key >= 0 and the threshold
+// for the virtual unseen item (key -1), with the member preferences
+// formed by interval products whatever the affinities' signs — the
+// kernel memberPrefs keeps only for a negative affinity lower end.
+func referenceScore(ev *evaluator, key int) stats.Interval {
+	p := ev.p
+	for u := 0; u < p.g; u++ {
+		l := p.prefList[u]
+		if key >= 0 {
+			ev.aprefIv[u] = ev.componentInterval(ev.aprefSeen[u][key], l)
+		} else {
+			ev.aprefIv[u] = stats.Interval{Lo: l.Min(), Hi: l.CursorValue()}
+		}
+	}
+	copy(ev.prefIv, ev.aprefIv)
+	if p.useAffinity {
+		pr := 0
+		for u := 0; u < p.g; u++ {
+			for v := u + 1; v < p.g; v++ {
+				aff := stats.Interval{Lo: ev.affLo[pr], Hi: ev.affHi[pr]}
+				pr++
+				ev.prefIv[u] = ev.prefIv[u].Add(aff.Mul(ev.aprefIv[v]))
+				ev.prefIv[v] = ev.prefIv[v].Add(aff.Mul(ev.aprefIv[u]))
+			}
+		}
+	}
+	norm := 1 / (1 + float64(p.g-1)*p.in.Agg.MaxAffinity())
+	for u, iv := range ev.prefIv {
+		ev.prefIv[u] = iv.Scale(norm).Clamp(0, 1)
+	}
+	return ev.consensus(key)
 }
 
 // kthLowerBoundInto returns the k-th largest lower bound among alive
@@ -241,4 +284,43 @@ func kthLowerBoundInto(buf, alive []*candidate, k int) (float64, []*candidate) {
 		}
 	}
 	return h[0].lb, h
+}
+
+// prune drops candidates whose upper bound cannot exceed kthLB while
+// always keeping at least k candidates (the top-k by LB are never
+// dropped: their UB >= LB >= ... >= kthLB).
+func prune(alive []*candidate, kthLB float64, k int) []*candidate {
+	out := alive[:0]
+	for _, c := range alive {
+		if c.ub >= kthLB {
+			out = append(out, c)
+			continue
+		}
+		c.alive = false
+	}
+	// Defensive: interval arithmetic guarantees ub >= lb, so at least
+	// the k candidates defining kthLB survive. Verify cheaply.
+	if len(out) < k {
+		panic(fmt.Sprintf("core: pruned below k (%d < %d); bound invariant violated", len(out), k))
+	}
+	return out
+}
+
+// sortByLBInto returns the candidates ordered by descending lower
+// bound (ties by ascending key — keys are unique, so the order is
+// total and independent of the sort algorithm). buf backs the copy and
+// is reused across calls; the result aliases it and is only valid
+// until the next call with the same buffer.
+func sortByLBInto(buf, alive []*candidate) []*candidate {
+	sorted := append(buf[:0], alive...)
+	slices.SortFunc(sorted, func(a, b *candidate) int {
+		if a.lb != b.lb {
+			if a.lb > b.lb {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.key, b.key)
+	})
+	return sorted
 }

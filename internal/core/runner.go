@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/consensus"
@@ -199,15 +201,22 @@ func snapshotFromScores(topK []ItemScore) []SnapshotItem {
 // A stopping check costs what moved since the last one, not the size
 // of the buffer (rescore has the argument): lower bounds are kept
 // exact by re-scoring the candidates the sweep touched, the k-th lower
-// bound is maintained in a heap, and upper bounds are left as last
+// bound is maintained in a heap, upper bounds are left as last
 // computed — sound over-estimates — until an exact one is observable
-// (exactUB's callers).
+// (exactUB's callers), and a prune examines only the candidates whose
+// upper bound moved unless the k-th lower bound rose (prune).
 type grecaState struct {
-	p          *Problem
-	ev         *evaluator
-	st         AccessStats
-	cands      []*candidate // indexed by item key; nil until seen
+	p  *Problem
+	ev *evaluator
+	st AccessStats
+	// cands is indexed by item key, nil until seen. alive is the alive
+	// set, in no order but one: its first nRescored entries are the
+	// candidates scored since the last prune (score moves each there),
+	// the only ones whose upper bound moved. A candidate's pos is its
+	// index in alive.
+	cands      []*candidate
 	alive      []*candidate
+	nRescored  int
 	buffered   int // candidates ever buffered: alive plus pruned
 	checkEvery int
 
@@ -221,12 +230,11 @@ type grecaState struct {
 	// lbReadsUB is fixed per problem: the consensus' lower end reads
 	// member upper ends (variance disagreement, and pairwise
 	// disagreement evaluated without agreement lists), so any cursor can
-	// move any candidate's lower bound. affNegative is the same hazard
-	// one level down, as of the last refreshAffinity: an affinity
-	// interval with a negative lower end makes the four-corner product's
-	// lower end read the other member's upper end.
-	lbReadsUB   bool
-	affNegative bool
+	// move any candidate's lower bound. ev.affNegative is the same
+	// hazard one level down, as of the last refreshAffinity: an
+	// affinity interval with a negative lower end makes the four-corner
+	// product's lower end read the other member's upper end.
+	lbReadsUB bool
 	// top is a min-heap on lb of the K alive candidates with the
 	// largest lower bounds (all of them while fewer are buffered), so
 	// top[0].lb is the k-th lower bound. Which of several candidates
@@ -235,8 +243,11 @@ type grecaState struct {
 	// witness is a candidate strictly below the k-th lower bound whose
 	// exact upper bound exceeded it at the last check that got as far
 	// as the buffer condition: while it still does, the condition fails
-	// without sorting the buffer.
+	// without walking the buffer.
 	witness *candidate
+	// pruneKth is the k-th lower bound that prune last walked the whole
+	// alive set at (−Inf before the first prune).
+	pruneKth float64
 
 	// lastTh / lastKth are the stopping-check values as of the last
 	// check, for snapshots and trace points; evaluated marks that they
@@ -247,16 +258,18 @@ type grecaState struct {
 	done            bool
 	res             Result
 	// slab backs candidate records in chunks (pointer-stable: full
-	// chunks are replaced, never grown) and sortBuf is sortedByLB's
-	// scratch; with dirty and top they keep the stepper's hot loop
-	// allocation-free in steady state.
-	slab    []candidate
-	slabPos int
-	sortBuf []*candidate
-	// scoreCalls and sortCalls count the stepper's scoreItem and
-	// sortByLBInto calls, so a test can pin the work of a run where a
-	// clock cannot.
-	scoreCalls, sortCalls int
+	// chunks are replaced, never grown) and topBuf / tieBuf are
+	// canonicalTop's scratch; with dirty and top they keep the stepper's
+	// hot loop allocation-free in steady state.
+	slab           []candidate
+	slabPos        int
+	topBuf, tieBuf []*candidate
+	// The work counters let a test pin the work of a run where a clock
+	// cannot: scoreItem calls, candidate sorts, candidates prune
+	// examined, and of those the ones examined by full walks of the
+	// alive set (fullPrunes of them).
+	scoreCalls, sortCalls                  int
+	pruneExamined, pruneWalked, fullPrunes int
 }
 
 // newCandidate carves a candidate record out of the chunked slab.
@@ -267,17 +280,49 @@ func (s *grecaState) newCandidate(key int) *candidate {
 	}
 	c := &s.slab[s.slabPos]
 	s.slabPos++
-	*c = candidate{key: key, alive: true, top: -1}
+	*c = candidate{key: key, alive: true, top: -1, pos: int32(len(s.alive))}
 	s.buffered++
+	s.alive = append(s.alive, c)
 	return c
 }
 
-// sortedByLB returns the alive set ordered by descending lower bound,
-// in state-owned scratch: valid only until the next call.
-func (s *grecaState) sortedByLB() []*candidate {
+// canonicalTop returns the n alive candidates first in canonical order
+// (lower bound descending, key ascending), in that order, and the
+// candidates tied with them at kth that fall outside; kth must be the
+// n-th largest lower bound (top[0].lb with n = len(top)). Every
+// candidate above kth is in, so only a tie run wider than the
+// remaining slots is ordered by key, and only the n returned are
+// sorted. Both slices are state-owned scratch, valid until the next
+// call.
+func (s *grecaState) canonicalTop(kth float64, n int) (top, tiedOut []*candidate) {
+	top, ties := s.topBuf[:0], s.tieBuf[:0]
+	for _, c := range s.alive {
+		switch {
+		case c.lb > kth:
+			top = append(top, c)
+		case c.lb == kth:
+			ties = append(ties, c)
+		}
+	}
+	s.tieBuf = ties
+	if need := n - len(top); len(ties) > need {
+		s.sortCalls++
+		slices.SortFunc(ties, func(a, b *candidate) int { return cmp.Compare(a.key, b.key) })
+		ties, tiedOut = ties[:need], ties[need:]
+	}
+	top = append(top, ties...)
+	s.topBuf = top
 	s.sortCalls++
-	s.sortBuf = sortByLBInto(s.sortBuf, s.alive)
-	return s.sortBuf
+	slices.SortFunc(top, func(a, b *candidate) int {
+		if a.lb != b.lb {
+			if a.lb > b.lb {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.key, b.key)
+	})
+	return top, tiedOut
 }
 
 func newGrecaState(p *Problem) *grecaState {
@@ -285,6 +330,11 @@ func newGrecaState(p *Problem) *grecaState {
 	if checkEvery <= 0 {
 		checkEvery = 1
 	}
+	// One block backs the heap and canonicalTop's scratch: the heap and
+	// a returned top-k hold at most K candidates, and a tie run wider
+	// than K grows its own.
+	k := p.in.K
+	scratch := make([]*candidate, 3*k)
 	return &grecaState{
 		p:          p,
 		ev:         newEvaluator(p),
@@ -292,8 +342,11 @@ func newGrecaState(p *Problem) *grecaState {
 		cands:      make([]*candidate, p.m),
 		checkEvery: checkEvery,
 		dirty:      make([]*candidate, 0, len(p.lists)),
-		top:        make([]*candidate, 0, p.in.K),
+		top:        scratch[:0:k],
+		topBuf:     scratch[k : k : 2*k],
+		tieBuf:     scratch[2*k : 2*k],
 		affMoved:   true,
+		pruneKth:   math.Inf(-1),
 		lbReadsUB:  p.in.Spec.Dis != consensus.NoDisagreement && !p.useAgreement,
 	}
 }
@@ -311,11 +364,21 @@ func (s *grecaState) emit() {
 	})
 }
 
-// score computes c's bounds under current knowledge.
+// score computes c's bounds under current knowledge and records c for
+// the next prune by swapping it into the rescored prefix of the alive
+// set. A walk of the alive set in index order may score as it goes:
+// the swap only moves c back to a position the walk has passed and an
+// entry it has passed to c's.
 func (s *grecaState) score(c *candidate) {
 	s.scoreCalls++
 	iv := s.ev.scoreItem(c.key)
 	c.lb, c.ub = iv.Lo, iv.Hi
+	if i := s.nRescored; c.alive && int(c.pos) >= i {
+		o := s.alive[i]
+		s.alive[i], s.alive[c.pos] = c, o
+		o.pos, c.pos = c.pos, int32(i)
+		s.nRescored++
+	}
 }
 
 // exactUB re-scores c and returns its upper bound under current
@@ -353,11 +416,10 @@ func (s *grecaState) rescore() {
 	if s.affMoved {
 		s.affMoved = false
 		s.ev.refreshAffinity()
-		s.affNegative = s.ev.affinityNegative()
 		all = true
 	}
 	moved := s.dirty
-	if all || s.affNegative {
+	if all || s.ev.affNegative {
 		moved = s.alive
 		for _, c := range s.top {
 			c.top = -1
@@ -421,32 +483,97 @@ func (s *grecaState) offer(c *candidate) {
 	c.top = int32(i)
 }
 
+// prune drops the alive candidates whose upper bound is below kthLB.
+// The top-k by lower bound always survive: their UB >= LB >= kthLB.
+//
+// A candidate that survived the last prune kept an upper bound of at
+// least that prune's k-th lower bound, and only a score moves an upper
+// bound. So unless kthLB rose since then, the candidates scored since
+// (the first nRescored of the alive set) are the only ones that can
+// have fallen below it, and only they are examined, from the last
+// down; a dead one is swapped out by the alive set's last entry, which
+// is either unscored or already examined. The set left is the one a
+// walk of the whole alive set leaves, which is what happens when kthLB
+// rose.
+func (s *grecaState) prune(kthLB float64) {
+	if kthLB > s.pruneKth {
+		s.pruneKth = kthLB
+		s.fullPrunes++
+		s.pruneWalked += len(s.alive)
+		s.pruneExamined += len(s.alive)
+		out := s.alive[:0]
+		for _, c := range s.alive {
+			if c.ub >= kthLB {
+				c.pos = int32(len(out))
+				out = append(out, c)
+				continue
+			}
+			c.alive = false
+		}
+		s.alive = out
+	} else {
+		s.pruneExamined += s.nRescored
+		for i := s.nRescored - 1; i >= 0; i-- {
+			if c := s.alive[i]; c.ub < kthLB {
+				last := s.alive[len(s.alive)-1]
+				s.alive[i] = last
+				last.pos = int32(i)
+				s.alive = s.alive[:len(s.alive)-1]
+				c.alive = false
+			}
+		}
+	}
+	s.nRescored = 0
+	// Defensive: interval arithmetic guarantees ub >= lb, so at least
+	// the k candidates defining kthLB survive. Verify cheaply.
+	if k := s.p.in.K; len(s.alive) < k {
+		panic(fmt.Sprintf("core: pruned below k (%d < %d); bound invariant violated", len(s.alive), k))
+	}
+}
+
+// outsideBlocker returns the first candidate outside the canonical
+// top-K at kth (the current k-th lower bound) for which blocks holds,
+// or, when there is none, the top-K in canonical order. A lower bound
+// strictly below kth places a candidate outside whatever the tie order,
+// so those are found by one unordered walk; the order is needed only to
+// split the run tied at kth, and only once none of the others blocks.
+func (s *grecaState) outsideBlocker(kth float64, blocks func(*candidate) bool) (*candidate, []*candidate) {
+	for _, c := range s.alive {
+		if c.lb < kth && blocks(c) {
+			return c, nil
+		}
+	}
+	top, tiedOut := s.canonicalTop(kth, s.p.in.K)
+	for _, c := range tiedOut {
+		if blocks(c) {
+			return c, nil
+		}
+	}
+	return nil, top
+}
+
 // bufferHolds evaluates the buffer condition: no candidate outside the
 // k selected by lower bound has an exact upper bound above kthLB. On
-// success it returns the alive set sorted by lower bound. A candidate
-// whose last-known upper bound is already at most kthLB cannot block,
-// so only the others are re-scored, and the scan ends at the first
-// that still blocks.
+// success it returns those k in canonical order. A candidate whose
+// last-known upper bound is already at most kthLB cannot block, so only
+// the others are re-scored, and the scan ends at the first that still
+// blocks.
 func (s *grecaState) bufferHolds(kthLB float64) ([]*candidate, bool) {
+	blocks := func(c *candidate) bool { return c.ub > kthLB && s.exactUB(c) > kthLB }
 	if w := s.witness; w != nil {
-		// A lower bound strictly below the k-th places w outside the
-		// top-k whatever the tie order, so no sort is needed to know
-		// that it blocks.
-		if w.lb < kthLB && w.ub > kthLB && s.exactUB(w) > kthLB {
+		if w.lb < kthLB && blocks(w) {
 			return nil, false
 		}
 		s.witness = nil
 	}
-	sorted := s.sortedByLB()
-	for _, c := range sorted[s.p.in.K:] {
-		if c.ub > kthLB && s.exactUB(c) > kthLB {
-			if c.lb < kthLB {
-				s.witness = c
-			}
-			return nil, false
+	b, top := s.outsideBlocker(kthLB, blocks)
+	if b != nil {
+		if b.lb < kthLB {
+			s.witness = b
 		}
+		return nil, false
 	}
-	return sorted, true
+	return top, true
 }
 
 // finish records the terminal result: the given top-k, in order, with
@@ -489,7 +616,6 @@ func (s *grecaState) step() bool {
 			if c == nil {
 				c = s.newCandidate(e.Key)
 				s.cands[e.Key] = c
-				s.alive = append(s.alive, c)
 			}
 			if c.alive {
 				s.dirty = append(s.dirty, c)
@@ -508,7 +634,8 @@ func (s *grecaState) step() bool {
 			s.lastTh, s.lastKth = s.ev.threshold(), s.top[0].lb
 			s.evaluated = true
 			s.emit()
-			s.finish(s.sortedByLB()[:min(k, len(s.alive))])
+			top, _ := s.canonicalTop(s.lastKth, min(k, len(s.alive)))
+			s.finish(top)
 			return true
 		}
 		if len(s.alive) < k {
@@ -528,7 +655,7 @@ func (s *grecaState) step() bool {
 		// for the same reason: its lower bound stays below every later
 		// k-th LB, so it never enters the top-k, and bufferHolds
 		// re-scores it before letting it block the stop.
-		s.alive = prune(s.alive, kthLB, k)
+		s.prune(kthLB)
 		s.lastTh, s.lastKth = th, kthLB
 		s.evaluated = true
 		s.emit()
@@ -544,7 +671,7 @@ func (s *grecaState) step() bool {
 		if th > kthLB {
 			return false
 		}
-		sorted, ok := s.bufferHolds(kthLB)
+		topK, ok := s.bufferHolds(kthLB)
 		if !ok {
 			return false
 		}
@@ -556,7 +683,7 @@ func (s *grecaState) step() bool {
 		} else {
 			s.st.Stop = StopThreshold
 		}
-		s.finish(sorted[:k])
+		s.finish(topK)
 		return true
 	}
 }
@@ -580,12 +707,10 @@ func (s *grecaState) epsilonReached(eps float64) bool {
 	if s.lastTh-s.lastKth >= eps {
 		return false
 	}
-	for _, c := range s.sortedByLB()[s.p.in.K:] {
-		if c.ub-s.lastKth >= eps && s.exactUB(c)-s.lastKth >= eps {
-			return false
-		}
-	}
-	return true
+	b, _ := s.outsideBlocker(s.lastKth, func(c *candidate) bool {
+		return c.ub-s.lastKth >= eps && s.exactUB(c)-s.lastKth >= eps
+	})
+	return b == nil
 }
 
 func (s *grecaState) snapshot() Snapshot {
@@ -600,13 +725,16 @@ func (s *grecaState) snapshot() Snapshot {
 		snap.TopK = snapshotFromScores(s.res.TopK)
 		return snap
 	}
-	// Lower bounds were brought up to date at the last stopping check —
-	// exactly where step returns — so the order is current; the emitted
-	// candidates' upper bounds are made exact here.
-	sorted := s.sortedByLB()
-	k := min(s.p.in.K, len(sorted))
-	snap.TopK = make([]SnapshotItem, k)
-	for i, c := range sorted[:k] {
+	// Lower bounds and the heap were brought up to date at the last
+	// stopping check — exactly where step returns — so top[0] is the
+	// k-th lower bound; the emitted candidates' upper bounds are made
+	// exact here.
+	topK := s.topBuf[:0]
+	if len(s.top) > 0 {
+		topK, _ = s.canonicalTop(s.top[0].lb, len(s.top))
+	}
+	snap.TopK = make([]SnapshotItem, len(topK))
+	for i, c := range topK {
 		ub := s.exactUB(c)
 		snap.TopK[i] = SnapshotItem{Key: c.key, LB: c.lb, UB: ub, Resolved: c.lb == ub}
 	}

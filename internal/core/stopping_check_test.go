@@ -46,7 +46,12 @@ type checkCase struct {
 // the table test: every consensus spec against every affinity model,
 // both affinity layouts, both bound modes, every CheckInterval, a
 // single-member group, K = 1 and K = m, and two-level aprefs (lower
-// bounds tied at the k-th position).
+// bounds tied at the k-th position). Of the last two rows, seed 136
+// stops with a run of lower bounds tied at the k-th wider than the
+// slots left in the top-k, so the tie order decides what is returned
+// and a tied candidate outside can block; seed 104 (g=5) runs the
+// signed aggregator, whose negative affinity lower ends take member
+// preferences off the scalar kernel.
 var stoppingCheckCorpus = []checkCase{
 	{seed: 1, g: 4, m: 115, k: 9, spec: 0, agg: 0, interval: 1, levels: 5, partition: true},
 	{seed: 2, g: 4, m: 115, k: 9, spec: 1, agg: 0, interval: 1, levels: 5, partition: true},
@@ -62,6 +67,8 @@ var stoppingCheckCorpus = []checkCase{
 	{seed: 12, g: 1, m: 0, k: 4, spec: 1, agg: 1, interval: 1, levels: 0, partition: true},
 	{seed: 13, g: 4, m: 100, k: 9, spec: 0, agg: 0, interval: 1, levels: 5, stride: 3, partition: true},
 	{seed: 14, g: 2, m: 120, k: 9, spec: 2, agg: 2, interval: 2, levels: 2, stride: 1, partition: true},
+	{seed: 136, g: 1, m: 66, k: 6, spec: 1, agg: 0, interval: 1, levels: 1, partition: true},
+	{seed: 104, g: 4, m: 64, k: 9, spec: 0, agg: 4, interval: 1, levels: 5, partition: true},
 }
 
 // input builds the instance: g in 1..6, m in 5..150, K in 1..m,
@@ -207,22 +214,88 @@ func TestStoppingCheckMatchesReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < n; i++ {
-		c := checkCase{
-			seed: rng.Int63(),
-			g:    uint8(rng.Intn(6)), m: uint8(rng.Intn(146)), k: uint8(rng.Intn(256)),
-			spec: uint8(rng.Intn(5)), agg: uint8(rng.Intn(5)),
-			interval: uint8(rng.Intn(4)), levels: uint8(rng.Intn(6)),
-			partition: rng.Intn(2) == 0, loose: rng.Intn(4) == 0,
+		checkMatchesReference(t, randomCheckCase(rng))
+	}
+}
+
+// randomCheckCase draws one instance of the differential's table.
+func randomCheckCase(rng *rand.Rand) checkCase {
+	c := checkCase{
+		seed: rng.Int63(),
+		g:    uint8(rng.Intn(6)), m: uint8(rng.Intn(146)), k: uint8(rng.Intn(256)),
+		spec: uint8(rng.Intn(5)), agg: uint8(rng.Intn(5)),
+		interval: uint8(rng.Intn(4)), levels: uint8(rng.Intn(6)),
+		partition: rng.Intn(2) == 0, loose: rng.Intn(4) == 0,
+	}
+	// Three instances in four are observed at every step.
+	if rng.Intn(4) == 0 {
+		c.stride = uint8(1 + rng.Intn(3))
+	}
+	// K = m (no early stop possible) gets its own share.
+	if rng.Intn(16) == 0 {
+		c.k = uint8((4 + int(c.m)%146) % 256)
+	}
+	return c
+}
+
+// TestPruneLeavesTheFullWalkSet holds the incremental prune to the walk
+// of the whole alive set it replaces. Right after a prune — at the
+// trace point of every check that has K candidates, bar the final
+// exhausted one — a buffered candidate must be alive exactly when its
+// last-known upper bound is at least the k-th lower bound (a pruned one
+// fell below an earlier, no larger k-th lower bound, and is never
+// scored again), and every alive candidate must sit at its recorded
+// index. The runs are observed between steps as the table observes
+// them, so upper bounds also move outside the checks.
+func TestPruneLeavesTheFullWalkSet(t *testing.T) {
+	cases := append([]checkCase(nil), stoppingCheckCorpus...)
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 400; i++ {
+		cases = append(cases, randomCheckCase(rng))
+	}
+	for _, c := range cases {
+		in, stride := c.input()
+		prob, err := NewProblem(in)
+		if err != nil {
+			t.Fatalf("%+v: NewProblem: %v", c, err)
 		}
-		// Three instances in four are observed at every step.
-		if rng.Intn(4) == 0 {
-			c.stride = uint8(1 + rng.Intn(3))
+		r, err := prob.Runner(ModeGRECA)
+		if err != nil {
+			t.Fatalf("%+v: Runner: %v", c, err)
 		}
-		// K = m (no early stop possible) gets its own share.
-		if rng.Intn(16) == 0 {
-			c.k = uint8((4 + int(c.m)%146) % 256)
+		s := r.s.(*grecaState)
+		r.trace(func(tp TracePoint) {
+			if tp.Alive < in.K || s.st.Stop == StopExhausted {
+				return
+			}
+			for i, a := range s.alive {
+				if !a.alive || int(a.pos) != i {
+					t.Fatalf("%+v: round %d: alive[%d] is item %d with pos %d, alive %v", c, tp.Round, i, a.key, a.pos, a.alive)
+				}
+			}
+			n := 0
+			for _, a := range s.cands {
+				if a == nil {
+					continue
+				}
+				if a.alive != (a.ub >= tp.KthLB) {
+					t.Fatalf("%+v: round %d: item %d alive %v with upper bound %v against k-th lower bound %v",
+						c, tp.Round, a.key, a.alive, a.ub, tp.KthLB)
+				}
+				if a.alive {
+					n++
+				}
+			}
+			if n != len(s.alive) {
+				t.Fatalf("%+v: round %d: %d candidates alive, alive set holds %d", c, tp.Round, n, len(s.alive))
+			}
+		})
+		for step := 1; !r.Step(1); step++ {
+			if stride > 0 && step%stride == 0 {
+				r.Snapshot()
+				r.EpsilonReached(0.1)
+			}
 		}
-		checkMatchesReference(t, c)
 	}
 }
 
@@ -242,9 +315,12 @@ func FuzzStoppingCheckMatchesReference(f *testing.F) {
 // TestStoppingCheckWorkIsProportionalToSweep pins the work of a run, not
 // its time, on the serving benchmark's commonest request shape (g=5,
 // m=600, K=10, AP, discrete affinity): the stepper scores about one
-// candidate per item-keyed entry it reads, and sorts the buffer a
-// handful of times. Re-scoring the whole buffer at every check — what
-// the reference does — is some fifteen scoreItem calls per entry and a
+// candidate per item-keyed entry it reads, a prune examines the
+// candidates scored since the last one and walks the whole alive set
+// only when the k-th lower bound rose, and the buffer is sorted at
+// most twice (a tie run at the k-th lower bound by key, then the k
+// returned). Re-scoring the whole buffer at every check — what the
+// reference does — is some fifteen scoreItem calls per entry and a
 // sort at most checks past the threshold crossing.
 func TestStoppingCheckWorkIsProportionalToSweep(t *testing.T) {
 	in := benchProblemInput(5, 600)
@@ -257,6 +333,18 @@ func TestStoppingCheckWorkIsProportionalToSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A prune runs at every check that reaches K candidates; count the
+	// checks at which the k-th lower bound it compares against rose.
+	rises, lastKth := 0, math.Inf(-1)
+	r.trace(func(tp TracePoint) {
+		if tp.Alive < in.K {
+			return
+		}
+		if tp.KthLB > lastKth {
+			rises++
+		}
+		lastKth = tp.KthLB
+	})
 	for !r.Step(1) {
 	}
 	s := r.s.(*grecaState)
@@ -268,13 +356,22 @@ func TestStoppingCheckWorkIsProportionalToSweep(t *testing.T) {
 	}
 	t.Logf("%d checks, %d item-keyed accesses, %d scoreItem calls, %d sorts, %d buffered",
 		s.st.Checks, itemKeyedSA, s.scoreCalls, s.sortCalls, s.buffered)
+	t.Logf("prune examined %d candidates: %d in %d full walks (%d k-th lower bound rises)",
+		s.pruneExamined, s.pruneWalked, s.fullPrunes, rises)
 	if s.st.Stop == StopExhausted {
 		t.Fatalf("run scanned everything (%+v): not the early-stopping shape this test is about", s.st)
 	}
 	if s.scoreCalls > 2*itemKeyedSA {
 		t.Errorf("%d scoreItem calls for %d item-keyed accesses: more than 2 per entry read", s.scoreCalls, itemKeyedSA)
 	}
-	if s.sortCalls > 10 {
-		t.Errorf("%d sorts in one run, want at most 10", s.sortCalls)
+	if s.fullPrunes > rises {
+		t.Errorf("%d full prune walks, but the k-th lower bound rose at only %d checks", s.fullPrunes, rises)
+	}
+	if s.pruneExamined > s.scoreCalls+s.pruneWalked {
+		t.Errorf("prune examined %d candidates: more than the %d re-scored plus the %d alive at the rises",
+			s.pruneExamined, s.scoreCalls, s.pruneWalked)
+	}
+	if s.sortCalls > 2 {
+		t.Errorf("%d sorts in one run, want at most 2", s.sortCalls)
 	}
 }

@@ -110,6 +110,65 @@ func TestSnapshotSaveIsAtomic(t *testing.T) {
 	}
 }
 
+// TestSnapshotSaveErrors drives each way SaveSnapshot can fail before
+// a snapshot is installed: the error names the step, and no file is
+// left under the snapshot's name.
+func TestSnapshotSaveErrors(t *testing.T) {
+	dir := t.TempDir()
+	busy := filepath.Join(dir, "busy")
+	if err := os.MkdirAll(filepath.Join(busy, "inside"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	payload := testPayload()
+	for _, tc := range []struct {
+		name, path string
+		payload    any
+		want       string
+	}{
+		// gob refuses a function at the top level.
+		{"unencodable payload", filepath.Join(dir, "snapshot.bin"), func() {}, "encoding snapshot"},
+		{"missing directory", filepath.Join(dir, "absent", "snapshot.bin"), &payload, "creating snapshot temp file"},
+		// A file cannot be renamed over a non-empty directory.
+		{"directory in the way", busy, &payload, "installing snapshot"},
+	} {
+		err := SaveSnapshot(tc.path, 1, tc.payload)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: SaveSnapshot error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.bin")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("unencodable payload left a snapshot behind (stat: %v)", err)
+	}
+	if info, err := os.Stat(busy); err != nil || !info.IsDir() {
+		t.Errorf("failed rename disturbed the directory in the way (stat: %v)", err)
+	}
+	temps, _ := filepath.Glob(filepath.Join(dir, ".snapshot-*"))
+	if len(temps) != 0 {
+		t.Errorf("temp files left behind: %v", temps)
+	}
+}
+
+// TestOpenWALErrors: a journal directory that is a regular file, and a
+// journal file that is a directory, fail the open with an error naming
+// the step.
+func TestOpenWALErrors(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "plain")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenWAL(file, 1); err == nil || !strings.Contains(err.Error(), "creating WAL dir") {
+		t.Errorf("OpenWAL on a regular file: error %v, want one mentioning %q", err, "creating WAL dir")
+	}
+	walDir := filepath.Join(dir, "journal")
+	if err := os.MkdirAll(filepath.Join(walDir, walFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenWAL(walDir, 1); err == nil || !strings.Contains(err.Error(), "opening WAL") {
+		t.Errorf("OpenWAL with %s a directory: error %v, want one mentioning %q", walFile, err, "opening WAL")
+	}
+}
+
 func walRatings(n int) []dataset.Rating {
 	out := make([]dataset.Rating, n)
 	for i := range out {
