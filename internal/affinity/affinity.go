@@ -147,8 +147,9 @@ func (tl Timeline) PeriodAt(t int64) int {
 // StaticSource yields the raw (unnormalized) static affinity of a pair
 // — common Facebook friends in the paper's study.
 type StaticSource interface {
-	// Static binds the source once and returns its pair function, which
-	// BuildModel calls concurrently.
+	// Static binds the source once and returns its pair function. The
+	// model keeps it and calls it concurrently, at build and on every
+	// read, so it must give a pair the same value on every call.
 	Static() func(u, v dataset.UserID) float64
 }
 
@@ -156,12 +157,14 @@ type StaticSource interface {
 // page-like categories during p in the paper's study.
 type PeriodicSource interface {
 	// Periodic binds the source to period p and returns its pair
-	// function, which the model calls concurrently.
+	// function, which the model keeps and calls as it does Static's.
 	Periodic(p Period) func(u, v dataset.UserID) float64
 }
 
 // NetworkSource adapts a social.Network to both source interfaces
-// using exactly the paper's §4.1.2 definitions.
+// using exactly the paper's §4.1.2 definitions. Binding a period needs
+// the network frozen, so a model built from it reads a network that no
+// longer changes.
 type NetworkSource struct {
 	Network *social.Network
 }
@@ -183,14 +186,17 @@ func (ns NetworkSource) Periodic(p Period) func(u, v dataset.UserID) float64 {
 	return func(u, v dataset.UserID) float64 { return float64(sets[u].IntersectCount(sets[v])) }
 }
 
-// Model holds the precomputed temporal affinity state for a user
-// population over a timeline: normalized static affinities and, per
-// period, the normalized periodic drift of every pair. It is the
-// "index structure that is extremely efficient with updates" of the
-// paper: adding a new period only appends one drift table and touches
-// nothing previously computed. Each table is one upper triangle over
-// the rows of Users, pair (i, j > i) at i·(2n−i−1)/2 + (j−i−1), written
-// once and read-only afterwards — no locks.
+// Model holds the temporal affinity state for a user population over a
+// timeline: not its pairs, but for each table the bound pair function
+// and the normalizers its values need. The static table keeps its peak
+// (the max raw value); each period keeps its population mean and its
+// max |drift|. A read calls the source for its pair and normalizes, so
+// the model's size is the population and the periods' bound sources,
+// not T · n(n−1)/2 entries. Adding a period is one more pass over the
+// pairs that touches nothing previously computed — the paper's
+// "just augments the index". A table is written once and read-only
+// afterwards, so reads take no lock; only AppendPeriod must not run
+// beside them.
 type Model struct {
 	Timeline Timeline
 	// Users is the population over which averages were computed.
@@ -200,23 +206,48 @@ type Model struct {
 	// diagnostics and tests.
 	AvgPeriodic []float64
 
-	// pos[u] is u's row in Users, or -1.
-	pos []int32
-	// static holds affS per pair, normalized to [0,1] over the
-	// population (divide by the max pairwise value, as in §4.1.2).
-	static []float64
-	// drift[k] holds the normalized periodic drift for period k:
+	// rows maps a user to its row in Users.
+	rows rowIndex
+	// static is affS, normalized to [0,1] over the population (divide
+	// by the max pairwise value, as in §4.1.2).
+	static table
+	// drift[k] is the normalized periodic drift for period k:
 	// (affP(u,v,p_k) − AvgaffP(p_k)) scaled into [-1, 1] by the
 	// period's max absolute drift.
-	drift    [][]float64
+	drift    []table
 	periodic PeriodicSource
 }
 
-// BuildModel precomputes a Model for the given distinct, non-negative
-// users and timeline. Both sources are evaluated for every unordered
-// pair, so cost is O(|users|² · periods) — this mirrors the paper's
-// precomputed T · n(n−1)/2 affinity entries.
-func BuildModel(users []dataset.UserID, tl Timeline, st StaticSource, per PeriodicSource) (*Model, error) {
+// table is one affinity table: its bound pair function and the two
+// normalizers of its values, value = (pair(u,v) − shift) · scale. A
+// static table has shift 0 (x − 0 is x, bit for bit), and a table whose
+// peak is not positive has scale 1 (x · 1 is x), so every value is the
+// float64 that normalizing a stored table in place would give.
+type table struct {
+	pair         func(u, v dataset.UserID) float64
+	shift, scale float64
+}
+
+// value returns the pair's normalized value. u must be the user of the
+// lower row: the build called the source in that order.
+func (t *table) value(u, v dataset.UserID) float64 {
+	return (t.pair(u, v) - t.shift) * t.scale
+}
+
+// scaleOf returns the factor that normalizes a table by peak: 1/peak
+// when peak is positive, 1 otherwise.
+func scaleOf(peak float64) float64 {
+	if peak > 0 {
+		return 1 / peak
+	}
+	return 1
+}
+
+// BuildModel computes a Model's normalizers for the given distinct,
+// non-negative users and timeline. Both sources are evaluated once for
+// every unordered pair, so cost is O(|users|² · periods) — the paper's
+// T · n(n−1)/2 affinity entries, each seen once and none kept.
+func BuildModel(users []dataset.UserID, tl Timeline, static StaticSource, per PeriodicSource) (*Model, error) {
 	if len(users) < 2 {
 		return nil, fmt.Errorf("affinity: BuildModel needs at least 2 users, got %d", len(users))
 	}
@@ -229,31 +260,23 @@ func BuildModel(users []dataset.UserID, tl Timeline, st StaticSource, per Period
 	m := &Model{
 		Timeline: tl,
 		Users:    append([]dataset.UserID(nil), users...),
-		pos:      slices.Repeat([]int32{-1}, int(slices.Max(users))+1),
 		periodic: per,
 	}
-	for i, u := range users {
-		if m.pos[u] >= 0 {
-			return nil, fmt.Errorf("affinity: duplicate user %d", u)
-		}
-		m.pos[u] = int32(i)
+	var err error
+	if m.rows, err = newRowIndex(m.Users); err != nil {
+		return nil, err
 	}
 
-	// Static: raw values then population max normalization.
-	m.static = m.fill(st.Static())
-	var maxStatic float64
-	for x, raw := range m.static {
-		if raw < 0 {
-			i, j := m.rows(x)
-			return nil, fmt.Errorf("affinity: negative static affinity %g for pair (%d,%d)", raw, m.Users[i], m.Users[j])
-		}
-		if raw > maxStatic {
-			maxStatic = raw
-		}
+	// Static: one pass for the population max, the normalizer.
+	bufs := m.newScratch()
+	pair := static.Static()
+	st := m.scan(pair, bufs)
+	if err := st.check(m, "static", -1); err != nil {
+		return nil, err
 	}
-	scaleBy(m.static, maxStatic)
+	m.static = table{pair: pair, scale: scaleOf(st.hi)}
 	for _, p := range tl.Periods {
-		if err := m.addPeriod(p); err != nil {
+		if err := m.addPeriod(p, bufs); err != nil {
 			return nil, err
 		}
 	}
@@ -263,75 +286,157 @@ func BuildModel(users []dataset.UserID, tl Timeline, st StaticSource, per Period
 // addPeriod appends the drift table of p: drift = affP − population
 // average, scaled by the period's max |drift| into [-1, 1] so that no
 // single outlier period drowns the static component (the paper likewise
-// normalizes into [0,1], §4.1.2). Only the fill runs across cores; the
-// sum, the max and the scaling are sequential passes in index order, so
-// every value is the same float64 whatever the core count.
-func (m *Model) addPeriod(p Period) error {
-	drift := m.fill(m.periodic.Periodic(p))
-	var sum float64
-	for x, a := range drift {
-		if a < 0 {
-			i, j := m.rows(x)
-			return fmt.Errorf("affinity: negative periodic affinity %g for pair (%d,%d) period %d", a, m.Users[i], m.Users[j], len(m.drift))
-		}
-		sum += a
+// normalizes into [0,1], §4.1.2). One pass finds both normalizers:
+// rounding is monotone and negation exact, so the max over the table of
+// |fl(a − avg)| is the larger of fl(max − avg) and fl(avg − min).
+func (m *Model) addPeriod(p Period, bufs [][]float64) error {
+	pair := m.periodic.Periodic(p)
+	st := m.scan(pair, bufs)
+	if err := st.check(m, "periodic", len(m.drift)); err != nil {
+		return err
 	}
-	avg := sum / float64(len(drift))
+	n := len(m.Users)
+	avg := st.sum / float64(n*(n-1)/2)
 	var maxAbs float64
-	for x, a := range drift {
-		drift[x] = a - avg
-		if ab := math.Abs(drift[x]); ab > maxAbs {
-			maxAbs = ab
+	for _, d := range [2]float64{st.hi - avg, avg - st.lo} {
+		if d > maxAbs {
+			maxAbs = d
 		}
 	}
-	scaleBy(drift, maxAbs)
-	m.drift = append(m.drift, drift)
+	m.drift = append(m.drift, table{pair: pair, shift: avg, scale: scaleOf(maxAbs)})
 	m.AvgPeriodic = append(m.AvgPeriodic, avg)
 	return nil
 }
 
-// fill evaluates pair over every pair of the population into a new
-// triangle. Rows are dealt to GOMAXPROCS goroutines through an atomic
-// row counter; each goroutine writes only the rows it takes.
-func (m *Model) fill(pair func(u, v dataset.UserID) float64) []float64 {
+// blockPairs bounds one goroutine's scratch in a build pass: a block is
+// as many whole rows as fit in it, and at least one.
+const blockPairs = 4096
+
+// blockRows returns how many rows make one block.
+func (m *Model) blockRows() int { return max(1, blockPairs/(len(m.Users)-1)) }
+
+// newScratch returns one block buffer per goroutine of a build pass;
+// every pass of one build reuses them.
+func (m *Model) newScratch() [][]float64 {
 	n := len(m.Users)
-	tri := make([]float64, n*(n-1)/2)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), n-1); w > 0; w-- {
-		wg.Add(1)
+	workers := min(runtime.GOMAXPROCS(0), (n-1+m.blockRows()-1)/m.blockRows())
+	bufs := make([][]float64, workers)
+	for w := range bufs {
+		bufs[w] = make([]float64, 0, m.blockRows()*(n-1))
+	}
+	return bufs
+}
+
+// tableStats is one build pass's fold of a table's raw values, taken in
+// (i, j > i) order.
+type tableStats struct {
+	sum, lo, hi float64
+	// bad is the first negative or NaN value, at rows (badI, badJ);
+	// badI is −1 when there is none.
+	bad        float64
+	badI, badJ int
+}
+
+// scan evaluates pair once for every pair of the population, lower row
+// first, and folds the values in (i, j > i) order. Blocks of rows are
+// dealt to one goroutine per buffer through an atomic block counter;
+// each fills its block into its buffer and then waits for the fold to
+// reach that block. So the fold sees every value in index order — the
+// sum is the same float64 whatever the core count — and no goroutine
+// holds more than one block.
+func (m *Model) scan(pair func(u, v dataset.UserID) float64, bufs [][]float64) tableStats {
+	n, per := len(m.Users), m.blockRows()
+	blocks := (n - 1 + per - 1) / per
+	ps := &pass{st: tableStats{lo: math.Inf(1), hi: math.Inf(-1), badI: -1}}
+	ps.turn.L = &ps.mu
+	ps.wg.Add(len(bufs))
+	for _, buf := range bufs {
 		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n-1; i = int(next.Add(1) - 1) {
-				u, row := m.Users[i], tri[m.at(i, i+1):]
-				for x, v := range m.Users[i+1:] {
-					row[x] = pair(u, v)
+			defer ps.wg.Done()
+			for b := int(ps.next.Add(1) - 1); b < blocks; b = int(ps.next.Add(1) - 1) {
+				first, last := b*per, min((b+1)*per, n-1)
+				vals := buf[:0]
+				for i := first; i < last; i++ {
+					u := m.Users[i]
+					for _, v := range m.Users[i+1:] {
+						vals = append(vals, pair(u, v))
+					}
 				}
+				ps.mu.Lock()
+				for ps.folded != b {
+					ps.turn.Wait()
+				}
+				ps.st.fold(vals, first, last, n)
+				ps.folded++
+				ps.turn.Broadcast()
+				ps.mu.Unlock()
 			}
 		}()
 	}
-	wg.Wait()
-	return tri
+	ps.wg.Wait()
+	return ps.st
 }
 
-// scaleBy multiplies every entry by 1/peak when peak is positive.
-func scaleBy(tri []float64, peak float64) {
-	if f := 1 / peak; peak > 0 {
-		for x := range tri {
-			tri[x] *= f
+// pass is one scan's shared state: the block counter, and the fold
+// with the turn that orders it.
+type pass struct {
+	next   atomic.Int64
+	mu     sync.Mutex
+	turn   sync.Cond
+	folded int // blocks folded so far
+	wg     sync.WaitGroup
+	st     tableStats
+}
+
+// fold adds the values of rows first..last−1, row by row.
+func (st *tableStats) fold(vals []float64, first, last, n int) {
+	x := 0
+	for i := first; i < last; i++ {
+		for j := i + 1; j < n; j++ {
+			a := vals[x]
+			x++
+			if !(a >= 0) && st.badI < 0 {
+				st.bad, st.badI, st.badJ = a, i, j
+			}
+			st.sum += a
+			if a < st.lo {
+				st.lo = a
+			}
+			if a > st.hi {
+				st.hi = a
+			}
 		}
 	}
+}
+
+// check returns the build error for the table's first negative or NaN
+// value, naming its pair and, for a periodic table, its period (−1 for
+// the static table).
+func (st *tableStats) check(m *Model, what string, period int) error {
+	if st.badI < 0 {
+		return nil
+	}
+	kind := fmt.Sprintf("negative %s affinity %g", what, st.bad)
+	if math.IsNaN(st.bad) {
+		kind = "NaN " + what + " affinity"
+	}
+	at := ""
+	if period >= 0 {
+		at = fmt.Sprintf(" period %d", period)
+	}
+	return fmt.Errorf("affinity: %s for pair (%d,%d)%s", kind, m.Users[st.badI], m.Users[st.badJ], at)
 }
 
 // AppendPeriod extends the model with one new period without touching
 // any previously computed drift — the incremental-maintenance property
 // the paper highlights ("GRECA does not need to recalculate any of the
-// previously calculated affinities and just augments the index").
+// previously calculated affinities and just augments the index"). A
+// failed append leaves the model as it was.
 func (m *Model) AppendPeriod(p Period) error {
 	if n := m.Timeline.NumPeriods(); n > 0 && p.Start < m.Timeline.Periods[n-1].End {
 		return fmt.Errorf("affinity: AppendPeriod %v overlaps existing timeline", p)
 	}
-	if err := m.addPeriod(p); err != nil {
+	if err := m.addPeriod(p, m.newScratch()); err != nil {
 		return err
 	}
 	m.Timeline.Periods = append(m.Timeline.Periods, p)
@@ -339,64 +444,136 @@ func (m *Model) AppendPeriod(p Period) error {
 	return nil
 }
 
-// at returns the triangle index of the pair of rows i != j.
-func (m *Model) at(i, j int) int {
-	if i > j {
-		i, j = j, i
-	}
-	return i*(2*len(m.Users)-i-1)/2 + j - i - 1
+// rowIndex maps a user ID to its row in Model.Users. IDs close together
+// get an offset table; far-apart ones a map, so the index is sized by
+// the population, never by the largest ID.
+type rowIndex struct {
+	base dataset.UserID
+	// table[id−base] is id's row plus one, 0 for an ID in the span that
+	// the population does not hold; nil when the IDs are too spread out.
+	table  []int32
+	sparse map[dataset.UserID]int32
 }
 
-// rows returns the pair of rows (i, j > i) at triangle index x.
-func (m *Model) rows(x int) (i, j int) {
-	for n := len(m.Users); x >= n-1-i; i++ {
-		x -= n - 1 - i
+// newRowIndex indexes users, which must be non-negative; a repeated ID
+// is an error.
+func newRowIndex(users []dataset.UserID) (rowIndex, error) {
+	ix := rowIndex{base: slices.Min(users)}
+	if span := uint64(slices.Max(users) - ix.base); span < uint64(8*len(users)+1024) {
+		ix.table = make([]int32, span+1)
+	} else {
+		ix.sparse = make(map[dataset.UserID]int32, len(users))
 	}
-	return i, i + 1 + x
+	for i, u := range users {
+		if ix.of(u) >= 0 {
+			return rowIndex{}, fmt.Errorf("affinity: duplicate user %d", u)
+		}
+		if ix.sparse != nil {
+			ix.sparse[u] = int32(i)
+		} else {
+			ix.table[u-ix.base] = int32(i) + 1
+		}
+	}
+	return ix, nil
 }
 
-// row returns u's row in Users, or -1.
-func (m *Model) row(u dataset.UserID) int {
-	if u < 0 || int(u) >= len(m.pos) {
+// of returns u's row, or −1 for a user outside the population.
+func (ix *rowIndex) of(u dataset.UserID) int {
+	if ix.sparse != nil {
+		if i, ok := ix.sparse[u]; ok {
+			return int(i)
+		}
 		return -1
 	}
-	return int(m.pos[u])
+	off := uint64(u) - uint64(ix.base)
+	if off >= uint64(len(ix.table)) {
+		return -1
+	}
+	return int(ix.table[off]) - 1
 }
 
-// pairAt returns the triangle index of (u,v), or -1 when either user is
+// row returns u's row in Users, or −1.
+func (m *Model) row(u dataset.UserID) int { return m.rows.of(u) }
+
+// ordered returns (u,v) with the user of the lower row first — the
+// order the build called the source in — or false when either user is
 // outside the population. Equal users are a caller bug.
-func (m *Model) pairAt(u, v dataset.UserID) int {
+func (m *Model) ordered(u, v dataset.UserID) (dataset.UserID, dataset.UserID, bool) {
 	if u == v {
 		panic(fmt.Sprintf("affinity: pair of identical users %d", u))
 	}
-	if i, j := m.row(u), m.row(v); i >= 0 && j >= 0 {
-		return m.at(i, j)
+	i, j := m.row(u), m.row(v)
+	if i > j {
+		u, v = v, u
 	}
-	return -1
+	return u, v, i >= 0 && j >= 0
 }
 
-// read returns (u,v)'s entry of tri; a user outside the population
-// reads 0.
-func (m *Model) read(tri []float64, u, v dataset.UserID) float64 {
-	if x := m.pairAt(u, v); x >= 0 {
-		return tri[x]
+// read returns (u,v)'s value in t; a user outside the population reads
+// 0.
+func (m *Model) read(t *table, u, v dataset.UserID) float64 {
+	if u, v, ok := m.ordered(u, v); ok {
+		return t.value(u, v)
 	}
 	return 0
 }
 
 // StaticOf returns the normalized static affinity of (u,v).
-func (m *Model) StaticOf(u, v dataset.UserID) float64 { return m.read(m.static, u, v) }
+func (m *Model) StaticOf(u, v dataset.UserID) float64 { return m.read(&m.static, u, v) }
 
 // DriftOf returns the normalized drift of (u,v) in period k.
-func (m *Model) DriftOf(u, v dataset.UserID, k int) float64 { return m.read(m.drift[k], u, v) }
+func (m *Model) DriftOf(u, v dataset.UserID, k int) float64 { return m.read(&m.drift[k], u, v) }
+
+// GroupAffinity fills static with the normalized static affinity of
+// every pair of group, and drift[t] with their normalized drift in
+// period t, each in (i, j > i) order over the members — core.PairIndex's
+// order. Every row must hold g(g−1)/2 entries; drift may cover fewer
+// periods than the timeline, or none. Each member's row is resolved
+// once, and a pair with a member outside the population reads 0. The
+// values are StaticOf's and DriftOf's, bit for bit.
+func (m *Model) GroupAffinity(group []dataset.UserID, static []float64, drift [][]float64) {
+	if len(drift) > 0 {
+		m.checkPeriod(len(drift) - 1)
+	}
+	var buf [16]int
+	rows := buf[:0]
+	for _, u := range group {
+		rows = append(rows, m.row(u))
+	}
+	x := 0
+	for a, u := range group {
+		for b := a + 1; b < len(group); b++ {
+			v := group[b]
+			if u == v {
+				panic(fmt.Sprintf("affinity: pair of identical users %d", u))
+			}
+			lo, hi := u, v
+			if rows[a] > rows[b] {
+				lo, hi = v, u
+			}
+			if rows[a] < 0 || rows[b] < 0 {
+				static[x] = 0
+				for _, row := range drift {
+					row[x] = 0
+				}
+			} else {
+				static[x] = m.static.value(lo, hi)
+				for t, row := range drift {
+					row[x] = m.drift[t].value(lo, hi)
+				}
+			}
+			x++
+		}
+	}
+}
 
 // driftSum returns Σ_{k ≤ upTo} drift(u,v,k), summed in period order.
 func (m *Model) driftSum(u, v dataset.UserID, upTo int) float64 {
 	m.checkPeriod(upTo)
 	var s float64
-	if x := m.pairAt(u, v); x >= 0 {
-		for _, drift := range m.drift[:upTo+1] {
-			s += drift[x]
+	if u, v, ok := m.ordered(u, v); ok {
+		for k := range m.drift[:upTo+1] {
+			s += m.drift[k].value(u, v)
 		}
 	}
 	return s

@@ -49,31 +49,31 @@ func numClusterPairs(k int) int { return k * (k + 1) / 2 }
 // BuildClusteredIndex clusters the model's users into k clusters by
 // their affinity behaviour (mean static affinity and per-period mean
 // drift toward the rest of the population) using deterministic k-means
-// and aggregates all pairwise components per cluster pair.
+// and aggregates all pairwise components per cluster pair. Each pass
+// reads every pair once, in (i, j > i) order, from the model's sources.
 func BuildClusteredIndex(m *Model, k int) (*ClusteredIndex, error) {
 	n := len(m.Users)
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("affinity: cluster count %d outside [1,%d]", k, n)
 	}
 	// Feature vector per user: [mean static, mean drift per period],
-	// each summed over the other users in row order.
+	// each summed over the other users in row order. Pair (i, j) adds
+	// to both users; rows are walked in order, so user i sees its
+	// partners j < i (from their rows) and then j > i (from its own).
 	feats := make([][]float64, n)
 	for i := range feats {
-		f := make([]float64, 1+len(m.drift))
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			x := m.at(i, j)
-			f[0] += m.static[x]
-			for t, drift := range m.drift {
-				f[1+t] += drift[x]
-			}
+		feats[i] = make([]float64, 1+len(m.drift))
+	}
+	m.eachPair(func(i, j int, vals []float64) {
+		for d, x := range vals {
+			feats[i][d] += x
+			feats[j][d] += x
 		}
+	})
+	for _, f := range feats {
 		for d := range f {
 			f[d] /= float64(n - 1)
 		}
-		feats[i] = f
 	}
 
 	assign := kmeans(feats, k, 25)
@@ -89,21 +89,14 @@ func BuildClusteredIndex(m *Model, k int) (*ClusteredIndex, error) {
 		ci.driftC[t] = make([]float64, numClusterPairs(k))
 	}
 	counts := make([]int, numClusterPairs(k))
-
-	// pairClusters[x] is the cluster pair of the model's pair x.
-	pairClusters := make([]int, 0, len(m.static))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairClusters = append(pairClusters, clusterPairIndex(k, assign[i], assign[j]))
-		}
-	}
-	for x, cp := range pairClusters {
+	m.eachPair(func(i, j int, vals []float64) {
+		cp := clusterPairIndex(k, assign[i], assign[j])
 		counts[cp]++
-		ci.staticC[cp] += m.static[x]
-		for t, drift := range m.drift {
-			ci.driftC[t][cp] += drift[x]
+		ci.staticC[cp] += vals[0]
+		for t, x := range vals[1:] {
+			ci.driftC[t][cp] += x
 		}
-	}
+	})
 	for cp := range counts {
 		if counts[cp] == 0 {
 			continue
@@ -115,17 +108,36 @@ func BuildClusteredIndex(m *Model, k int) (*ClusteredIndex, error) {
 	}
 
 	// Residual bound over every stored component.
-	for x, cp := range pairClusters {
-		if d := math.Abs(m.static[x] - ci.staticC[cp]); d > ci.Eps {
+	m.eachPair(func(i, j int, vals []float64) {
+		cp := clusterPairIndex(k, assign[i], assign[j])
+		if d := math.Abs(vals[0] - ci.staticC[cp]); d > ci.Eps {
 			ci.Eps = d
 		}
-		for t, drift := range m.drift {
-			if d := math.Abs(drift[x] - ci.driftC[t][cp]); d > ci.Eps {
+		for t, x := range vals[1:] {
+			if d := math.Abs(x - ci.driftC[t][cp]); d > ci.Eps {
 				ci.Eps = d
 			}
 		}
-	}
+	})
 	return ci, nil
+}
+
+// eachPair calls fn for every pair of rows (i, j > i) in index order,
+// with both rows in hand, and the pair's components: vals[0] its static
+// affinity, vals[1+t] its drift in period t. vals is reused between
+// calls.
+func (m *Model) eachPair(fn func(i, j int, vals []float64)) {
+	vals := make([]float64, 1+len(m.drift))
+	for i, u := range m.Users {
+		for j := i + 1; j < len(m.Users); j++ {
+			v := m.Users[j]
+			vals[0] = m.static.value(u, v)
+			for t := range m.drift {
+				vals[1+t] = m.drift[t].value(u, v)
+			}
+			fn(i, j, vals)
+		}
+	}
 }
 
 // kmeans is a small deterministic Lloyd's iteration: centroids seeded

@@ -3,7 +3,9 @@ package affinity
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/social"
@@ -167,9 +169,9 @@ func denseUsers(n int) []dataset.UserID {
 	return users
 }
 
-// The dense, parallel model reproduces the serial per-pair reference
-// bit for bit. Run it with -cpu 1,4: the values must not depend on how
-// many goroutines fill the triangles.
+// The parallel build and the on-demand reads reproduce the serial
+// per-pair reference bit for bit. Run it with -cpu 1,4: the values must
+// not depend on how many goroutines fill the build's blocks.
 func TestModelMatchesReference(t *testing.T) {
 	sn := referenceNetwork(t, 120, 10)
 	tl := Segment(sn.Config.Start, sn.Config.End, TwoMonth)
@@ -331,5 +333,258 @@ func TestNegativeAffinityNamesFirstPair(t *testing.T) {
 	}
 	if err := m.AppendPeriod(Period{300, 400}); err == nil || err.Error() != "affinity: negative periodic affinity -3 for pair (3,0) period 3" {
 		t.Errorf("AppendPeriod error %v", err)
+	}
+}
+
+// skewPairs is a fractional source that is not symmetric:
+// pair(u,v) ≠ pair(v,u).
+var skewPairs = pairSources{
+	static: func(u, v dataset.UserID) float64 { return math.Sqrt(float64(3*u+v+1)) / 7 },
+	periodic: func(u, v dataset.UserID, p Period) float64 {
+		return math.Mod(float64(u)/3+float64(v*v)/11+float64(p.Start)/97, 4)
+	},
+}
+
+// shuffledUsers returns n distinct IDs below 3n/2 whose rows are not in
+// ID order.
+func shuffledUsers(n int) []dataset.UserID {
+	perm := rand.New(rand.NewSource(5)).Perm(3 * n / 2)
+	users := make([]dataset.UserID, n)
+	for i := range users {
+		users[i] = dataset.UserID(perm[i])
+	}
+	return users
+}
+
+// A source need not be symmetric: the build and every read call it with
+// the user of the lower row first. The population's rows are not in ID
+// order, so a read that ordered by ID would call it the other way round.
+func TestAsymmetricSourceMatchesReference(t *testing.T) {
+	tl := SegmentUniform(0, 600, 4)
+	users := shuffledUsers(60)
+	if skewPairs.static(users[0], users[1]) == skewPairs.static(users[1], users[0]) {
+		t.Fatal("the source is symmetric on the first pair")
+	}
+	m, err := BuildModel(users, tl, skewPairs, skewPairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesReference(t, m, buildReference(users, tl.Periods, skewPairs))
+}
+
+// GroupAffinity reads what StaticOf and DriftOf read, bit for bit, in
+// core.PairIndex order over the members as given, whatever their rows;
+// a member outside the population reads 0 in every pair it is in.
+func TestGroupAffinityMatchesReference(t *testing.T) {
+	tl := SegmentUniform(0, 600, 4)
+	users := shuffledUsers(60)
+	m, err := BuildModel(users, tl, skewPairs, skewPairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := buildReference(users, tl.Periods, skewPairs)
+	outside := shuffledUsers(90)[60]
+	groups := [][]dataset.UserID{
+		{users[7], users[3]},
+		{users[40], users[2], users[59], users[13], users[5]},
+		{users[12], outside, users[4]},
+		users[:18],
+	}
+	for _, group := range groups {
+		g := len(group)
+		static := make([]float64, g*(g-1)/2)
+		drift := make([][]float64, tl.NumPeriods())
+		for k := range drift {
+			drift[k] = make([]float64, len(static))
+		}
+		m.GroupAffinity(group, static, drift)
+		x := 0
+		for a, u := range group {
+			for _, v := range group[a+1:] {
+				want := ref.static[keyOf(u, v)]
+				if math.Float64bits(static[x]) != math.Float64bits(want) || static[x] != m.StaticOf(v, u) {
+					t.Fatalf("group %v: static(%d,%d) = %v, reference %v", group, u, v, static[x], want)
+				}
+				for k := range drift {
+					want := ref.drift[k][keyOf(u, v)]
+					if math.Float64bits(drift[k][x]) != math.Float64bits(want) || drift[k][x] != m.DriftOf(u, v, k) {
+						t.Fatalf("group %v: drift(%d,%d) at period %d = %v, reference %v", group, u, v, k, drift[k][x], want)
+					}
+				}
+				x++
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("GroupAffinity of a group with a repeated member did not panic")
+		}
+	}()
+	m.GroupAffinity([]dataset.UserID{users[4], users[9], users[4]}, make([]float64, 3), nil)
+}
+
+// The build folds its blocks in row order even when a later block is
+// filled first: the first pair is slow here, so at more than one core
+// the blocks after the first finish first, and a fold that took blocks
+// as they finished would sum each period in another order.
+func TestSlowFirstRowMatchesSerialSum(t *testing.T) {
+	users := denseUsers(300)
+	tl := SegmentUniform(0, 300, 3)
+	slow := pairSources{
+		static: func(u, v dataset.UserID) float64 { return 1 },
+		periodic: func(u, v dataset.UserID, p Period) float64 {
+			if u == 0 && v == 1 {
+				time.Sleep(2 * time.Millisecond)
+			}
+			return skewPairs.periodic(u, v, p)
+		},
+	}
+	m, err := BuildModel(users, tl, slow, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, p := range tl.Periods {
+		var sum float64
+		for i, u := range users {
+			for _, v := range users[i+1:] {
+				sum += skewPairs.periodic(u, v, p)
+			}
+		}
+		want := sum / float64(len(users)*(len(users)-1)/2)
+		if math.Float64bits(m.AvgPeriodic[k]) != math.Float64bits(want) {
+			t.Errorf("period %d mean %v, serial sum gives %v", k, m.AvgPeriodic[k], want)
+		}
+	}
+}
+
+// A NaN source value is refused like a negative one, naming the first
+// bad pair in (i, j > i) order, NaN or negative.
+func TestNaNAffinityNamesFirstPair(t *testing.T) {
+	users := []dataset.UserID{3, 1, 2, 0}
+	tl := SegmentUniform(0, 300, 3)
+	// Pairs in order: (3,1) (3,2) (3,0) (1,2) (1,0) (2,0).
+	bad := func(u, v dataset.UserID) float64 {
+		switch keyOf(u, v) {
+		case refKey{0, 3}:
+			return math.NaN()
+		case refKey{1, 2}:
+			return -1
+		}
+		return 1
+	}
+	one := func(u, v dataset.UserID, p Period) float64 { return 1 }
+	cases := []struct {
+		src  pairSources
+		want string
+	}{
+		{pairSources{static: bad, periodic: one}, "affinity: NaN static affinity for pair (3,0)"},
+		{pairSources{static: func(u, v dataset.UserID) float64 { return 1 }, periodic: func(u, v dataset.UserID, p Period) float64 {
+			if p.Start == 200 {
+				return bad(u, v)
+			}
+			return 1
+		}}, "affinity: NaN periodic affinity for pair (3,0) period 2"},
+	}
+	for _, c := range cases {
+		_, err := BuildModel(users, tl, c.src, c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("BuildModel error %v, want %q", err, c.want)
+		}
+	}
+}
+
+// Rows are indexed by the population, not by its largest ID: two users
+// 2^36 apart build and read like any other pair, and a repeated far ID
+// is still refused.
+func TestLargeUserIDs(t *testing.T) {
+	far := dataset.UserID(1) << 36
+	tl := SegmentUniform(0, 300, 3)
+	src := pairSources{
+		static:   func(u, v dataset.UserID) float64 { return float64(u%7 + v%5) },
+		periodic: func(u, v dataset.UserID, p Period) float64 { return float64((u+v)%3) + float64(p.Start)/100 },
+	}
+	for _, users := range [][]dataset.UserID{{0, far}, {far + 9, 4, far, 1 << 40}} {
+		m, err := BuildModel(users, tl, src, src)
+		if err != nil {
+			t.Fatalf("BuildModel(%v): %v", users, err)
+		}
+		assertMatchesReference(t, m, buildReference(users, tl.Periods, src))
+		for _, o := range []dataset.UserID{1, far + 1, far - 1} {
+			if x := m.StaticOf(users[0], o); x != 0 {
+				t.Errorf("population %v: user %d outside it reads %v", users, o, x)
+			}
+		}
+	}
+	if _, err := BuildModel([]dataset.UserID{far, 0, far}, tl, src, src); err == nil {
+		t.Error("a repeated far user ID was accepted")
+	}
+}
+
+// The model keeps its normalizers and bound sources, not the pairs: at
+// 1 000 users over six periods the seven tables would hold 28 MB.
+func TestModelRetainsNoTable(t *testing.T) {
+	sn := referenceNetwork(t, 1000, 80)
+	tl := Segment(sn.Config.Start, sn.Config.End, TwoMonth)
+	users := denseUsers(sn.Config.Users)
+	src := NetworkSource{Network: sn.Network}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := BuildModel(users, tl, src, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if tl.NumPeriods() != 6 {
+		t.Fatalf("%d periods, want 6", tl.NumPeriods())
+	}
+	if kept := int64(after.HeapAlloc) - int64(before.HeapAlloc); kept >= 1<<20 {
+		t.Errorf("the model retains %d bytes of heap, want under 1 MB", kept)
+	}
+	runtime.KeepAlive(m)
+}
+
+// An append that fails leaves the model as it was: no period, no mean,
+// and every read the same.
+func TestFailedAppendLeavesModelUnchanged(t *testing.T) {
+	users := []dataset.UserID{3, 1, 2, 0}
+	src := pairSources{
+		static: func(u, v dataset.UserID) float64 { return float64(u+v) / 3 },
+		periodic: func(u, v dataset.UserID, p Period) float64 {
+			if p.Start >= 300 && keyOf(u, v) == (refKey{1, 2}) {
+				return -1
+			}
+			return float64(u*v)/5 + float64(p.Start)/70
+		},
+	}
+	m, err := BuildModel(users, SegmentUniform(0, 300, 3), src, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() []float64 {
+		vals := append([]float64{float64(m.Timeline.NumPeriods()), float64(m.Timeline.End)}, m.AvgPeriodic...)
+		for i, u := range m.Users {
+			for _, v := range m.Users[i+1:] {
+				vals = append(vals, m.StaticOf(u, v))
+				for k := range m.Timeline.NumPeriods() {
+					vals = append(vals, m.DriftOf(u, v, k), m.Discrete(v, u, k), m.Continuous(u, v, k))
+				}
+			}
+		}
+		return vals
+	}
+	want := snapshot()
+	if err := m.AppendPeriod(Period{300, 400}); err == nil || err.Error() != "affinity: negative periodic affinity -1 for pair (1,2) period 3" {
+		t.Fatalf("AppendPeriod error %v", err)
+	}
+	got := snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("snapshot has %d values after the failed append, %d before", len(got), len(want))
+	}
+	for x := range want {
+		if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
+			t.Fatalf("value %d is %v after the failed append, %v before", x, got[x], want[x])
+		}
 	}
 }

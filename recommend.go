@@ -297,15 +297,13 @@ func (w *World) buildProblem(group []dataset.UserID, opt *Options) (*core.Proble
 		in.Agg = core.NoAffinityAggregator{}
 	case TimeAgnostic:
 		in.Agg = core.StaticAggregator{}
-		in.Static = w.staticPairs(group)
+		in.Static, _ = w.groupAffinity(group, -1)
 	case Continuous:
 		in.Agg = core.ContinuousAggregator{Periods: period + 1, Rate: affinity.ContinuousRate}
-		in.Static = w.staticPairs(group)
-		in.Drift = w.driftPairs(group, period)
+		in.Static, in.Drift = w.groupAffinity(group, period)
 	default: // Discrete
 		in.Agg = core.DiscreteAggregator{Periods: period + 1}
-		in.Static = w.staticPairs(group)
-		in.Drift = w.driftPairs(group, period)
+		in.Static, in.Drift = w.groupAffinity(group, period)
 	}
 	if g < 2 {
 		// Single-member group degenerates to individual top-k.
@@ -340,43 +338,29 @@ func (w *World) lastPeriod() int {
 	return w.model.Timeline.NumPeriods() - 1
 }
 
-// staticPairs collects the normalized static affinities of all group
-// pairs in core.PairIndex order. Values are already normalized to
-// [0,1] over the population (§4.1.2 normalizes per group instead; a
-// population-wide scale is the same up to a per-group constant but
-// keeps affinities comparable across groups, which the scalability
-// sweeps rely on).
-func (w *World) staticPairs(group []dataset.UserID) []float64 {
-	g := len(group)
-	out := make([]float64, core.NumPairs(g))
-	for i := 0; i < g; i++ {
-		for j := i + 1; j < g; j++ {
-			out[core.PairIndex(g, i, j)] = w.model.StaticOf(group[i], group[j])
+// groupAffinity reads the normalized affinities of every group pair,
+// each row in core.PairIndex order, through one model call: the static
+// row and one drift row for each period 0..period (none when period is
+// negative). Values are normalized over the population (§4.1.2
+// normalizes per group instead; a population-wide scale is the same up
+// to a per-group constant but keeps affinities comparable across
+// groups, which the scalability sweeps rely on). The period lock covers
+// the read: AppendNextPeriod may be appending to the model's period
+// tables.
+func (w *World) groupAffinity(group []dataset.UserID, period int) (static []float64, drift [][]float64) {
+	np := core.NumPairs(len(group))
+	vals := make([]float64, (period+2)*np)
+	static = vals[:np:np]
+	if period >= 0 {
+		drift = make([][]float64, period+1)
+		for t := range drift {
+			drift[t] = vals[(t+1)*np : (t+2)*np : (t+2)*np]
 		}
 	}
-	return out
-}
-
-// driftPairs collects the normalized periodic drifts for periods
-// 0..period, each row in core.PairIndex order. The period lock covers
-// the reads: an indexed period's drift table is immutable, but the
-// model's per-period slice headers move when AppendNextPeriod extends
-// the index.
-func (w *World) driftPairs(group []dataset.UserID, period int) [][]float64 {
 	w.periodMu.RLock()
 	defer w.periodMu.RUnlock()
-	g := len(group)
-	out := make([][]float64, period+1)
-	for t := 0; t <= period; t++ {
-		row := make([]float64, core.NumPairs(g))
-		for i := 0; i < g; i++ {
-			for j := i + 1; j < g; j++ {
-				row[core.PairIndex(g, i, j)] = w.model.DriftOf(group[i], group[j], t)
-			}
-		}
-		out[t] = row
-	}
-	return out
+	w.model.GroupAffinity(group, static, drift)
+	return static, drift
 }
 
 // CandidateItems returns up to n of the most popular items that no
