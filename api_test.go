@@ -2,6 +2,8 @@ package repro
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,6 +79,56 @@ func TestNewWorldRejectsOversizedSocial(t *testing.T) {
 	cfg.Social.Users = cfg.Dataset.Users + 1
 	if _, err := NewWorld(cfg); err == nil {
 		t.Errorf("social population larger than rating users accepted")
+	}
+}
+
+func TestNewWorldRejectsNegativeListStoreSize(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.ListStoreSize = -1
+	if _, err := NewWorld(cfg); err == nil {
+		t.Errorf("negative ListStoreSize accepted")
+	}
+}
+
+// TestRecommendValidatesExplicitItems: an explicit candidate set names
+// each item once and only catalog items; a valid one is recommended
+// from, each item at most once.
+func TestRecommendValidatesExplicitItems(t *testing.T) {
+	w := tinyWorld(t)
+	group := w.Participants()[2:4]
+	c := w.CandidateItems(group, 6)
+	tests := []struct {
+		name    string
+		items   []dataset.ItemID
+		wantErr error
+	}{
+		{"duplicate item", []dataset.ItemID{c[0], c[0], c[0], c[1], c[2], c[3]}, ErrDuplicateItem},
+		{"item outside the catalog", []dataset.ItemID{99999, c[0], c[1], c[2]}, dataset.ErrUnknownItem},
+		{"valid set", c, nil},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, err := w.Recommend(group, Options{K: 3, Items: tc.items})
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Recommend: %v", err)
+			}
+			seen := map[dataset.ItemID]bool{}
+			for _, it := range rec.Items {
+				if seen[it.Item] || !slices.Contains(tc.items, it.Item) {
+					t.Errorf("recommended %d twice or from outside the set %v", it.Item, tc.items)
+				}
+				seen[it.Item] = true
+			}
+			if len(rec.Items) != 3 {
+				t.Errorf("got %d items, want 3", len(rec.Items))
+			}
+		})
 	}
 }
 

@@ -8,8 +8,7 @@
 //	greca-serve [-addr :8080] [-maxpending 0]
 //	            [-ratings ratings.dat] [-seed N]
 //	            [-liststore 1024] [-shards 1] [-shards-config topology.json]
-//	            [-workers N] [-snapshot dir]
-//	            [-pprof localhost:6060] [-v]
+//	            [-snapshot dir] [-pprof localhost:6060] [-v]
 //
 // -snapshot names a persistence directory: on boot the world is
 // rebuilt from its snapshot when one matches the configuration (a
@@ -153,7 +152,6 @@ func main() {
 		listStore  = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
 		shards     = flag.Int("shards", 1, "shard count users are routed onto, the unit -shards-config assigns to workers (must be positive)")
 		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = serve every shard in this process)")
-		workers    = flag.Int("workers", 0, "assembly workers per request (0 = GOMAXPROCS)")
 		snapshot   = flag.String("snapshot", "", "persistence directory: warm-restart snapshot + rating WAL (empty = no persistence)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 		verbose    = flag.Bool("v", false, "print substrate statistics")
@@ -171,7 +169,6 @@ func main() {
 	cfg.Social.Seed = *seed + 1
 	cfg.ListStoreSize = *listStore
 	cfg.Shards = *shards
-	cfg.AssemblyWorkers = *workers
 	if *ratings != "" {
 		f, err := os.Open(*ratings)
 		if err != nil {

@@ -28,8 +28,8 @@
 //     bounds; RecommendStream additionally delivers a Progress frame
 //     (monotonically tightening bounds, access stats, bound gap) after
 //     every check. Typed sentinel errors (ErrEmptyGroup,
-//     ErrDuplicateMember, ErrPeriodOutOfRange, ErrKExceedsCandidates)
-//     classify client-shaped failures.
+//     ErrDuplicateMember, ErrDuplicateItem, ErrPeriodOutOfRange,
+//     ErrKExceedsCandidates) classify client-shaped failures.
 //   - World.RecommendBatch scores many groups in one call — the shape
 //     of the paper's Figure 6 sweep — over GOMAXPROCS workers that
 //     share sorted-list store views like any concurrent callers;
@@ -39,8 +39,10 @@
 //     preference views over the popularity pool, so problems assemble
 //     by merge-and-patch (core.NewProblemFromViews) instead of
 //     per-request re-sorting — bit-identical output, a fraction of
-//     the construction cost. World owns its lifecycle
-//     (Config.ListStoreSize; AddRating drops every view).
+//     the construction cost. Every world has one and owns its
+//     lifecycle (Config.ListStoreSize bounds it; AddRating drops every
+//     view); internal/engine alone decides, per request, whether a
+//     problem is served from views or from dense rows.
 //   - World.AddRating ingests a rating into the frozen world while it
 //     serves: the rating is folded into the one rater list and the one
 //     user row it changes, so no read merges, and the cached

@@ -16,6 +16,8 @@ var (
 	ErrEmptyGroup = errors.New("empty group")
 	// ErrDuplicateMember: the same user appears twice in the group.
 	ErrDuplicateMember = errors.New("duplicate group member")
+	// ErrDuplicateItem: the same item appears twice in Options.Items.
+	ErrDuplicateItem = errors.New("duplicate candidate item")
 	// ErrPeriodOutOfRange: Options.Period is outside [1, NumPeriods].
 	ErrPeriodOutOfRange = errors.New("period out of range")
 	// ErrKExceedsCandidates: Options.K exceeds the candidate pool the

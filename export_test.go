@@ -1,5 +1,7 @@
 package repro
 
+import "repro/internal/engine"
+
 // NewFullInvalidationWorld is NewWorld with the drop-everything ingest
 // scheme: every AddRating discards every cached neighborhood
 // (cf.Predictor.NoteIngest, cf.ItemPredictor.NoteIngest) instead of the
@@ -15,5 +17,21 @@ func NewFullInvalidationWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w.dropAllNeighborhoods = true
+	return w, nil
+}
+
+// NewDenseWorld is NewWorld with an assembler that has no list store:
+// every problem is assembled from dense batch-predicted rows and sorts
+// its own lists (core.NewProblem). The world still keeps its store — it
+// is only never read — and serves the same bytes as a NewWorld world.
+// It is the reference the store-served assembly is differentially
+// tested against (TestRecommendListStoreDifferential). No Config field,
+// flag or environment variable selects it.
+func NewDenseWorld(cfg Config) (*World, error) {
+	w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.asm = engine.New(w.source, nil)
 	return w, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/liststore"
 	"repro/internal/remote"
 )
@@ -122,7 +123,7 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 				name := fmt.Sprintf("shards=%d/router=%v/%s", shards, router, src.name)
 				t.Run(name, func(t *testing.T) {
 					build := func() *World { return liveWorldCfg(t, base, shards, src.mutate) }
-					// The world under test, its list store rebuilt over a
+					// The world under test, its list store pointed at a
 					// holdable builder: the local one in-process, the wire
 					// fetch on a router (the default store size either way).
 					var live *World
@@ -142,10 +143,9 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 						held.inner = fetchViews(set, len(live.lists.Pool()))
 					} else {
 						live = build()
-						held.inner = liststore.LocalBuilder(live.source, live.lists.Pool(), prefDivisor, 1)
+						held.inner = engine.LocalBuilder(live.source, live.lists.Pool())
 					}
-					live.lists = liststore.NewOver(held.build, live.lists.Pool(), live.lists.Capacity(), prefDivisor)
-					live.asm.AttachListStore(live.lists)
+					live.lists.SetBuilder(held.build)
 
 					group := live.Participants()[:3]
 					rater := live.Participants()[5]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // DeltaStats counts live-ingest traffic.
@@ -20,6 +21,25 @@ type DeltaStats struct {
 func (s *Store) DeltaStats() DeltaStats {
 	s.mustFrozen("DeltaStats")
 	return DeltaStats{Applied: s.applied.Load()}
+}
+
+// CheckItem returns an error wrapping ErrUnknownItem when it is outside
+// the catalog — the check Apply makes — and nil otherwise. The store
+// must be frozen.
+func (s *Store) CheckItem(it ItemID) error {
+	s.mustFrozen("CheckItem")
+	_, err := s.state.Load().itemCell(it)
+	return err
+}
+
+// itemCell returns the rater-list cell of item it, or an error
+// wrapping ErrUnknownItem when it is outside the catalog.
+func (st *storeState) itemCell(it ItemID) (*atomic.Pointer[[]Rating], error) {
+	cell := st.byItem[it]
+	if cell == nil {
+		return nil, fmt.Errorf("dataset: %w: %d", ErrUnknownItem, it)
+	}
+	return cell, nil
 }
 
 // Apply folds one rating into the store. The store must be frozen; the
@@ -49,9 +69,9 @@ func (s *Store) Apply(r Rating) error {
 	if userCell == nil {
 		return fmt.Errorf("dataset: %w: %d", ErrUnknownUser, r.User)
 	}
-	itemCell := st.byItem[r.Item]
-	if itemCell == nil {
-		return fmt.Errorf("dataset: %w: %d", ErrUnknownItem, r.Item)
+	itemCell, err := st.itemCell(r.Item)
+	if err != nil {
+		return err
 	}
 
 	raters := *itemCell.Load()

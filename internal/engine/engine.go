@@ -1,17 +1,19 @@
 // Package engine is the assembly layer of the recommendation pipeline:
-// it turns (group, candidate items) into the inputs the GRECA core
-// consumes — dense absolute-preference rows, and, when the sorted-list
-// store can serve the group, pre-sorted view/patch sets that let the
-// core merge instead of re-sort. Rows fill concurrently over a worker
-// pool and recycle through a sync.Pool. The assembler sits between the
-// preference layer (the configured predictor behind cf.Source, beside
-// the liststore.Store materialized from it) and the core problem
-// builders; see DESIGN.md.
+// it turns (group, candidate items) into the core problem GRECA runs.
+// Whether a problem is served from the sorted-list store — rows copied
+// out of each member's materialized view, lists merged instead of
+// re-sorted — or from dense batch-predicted rows is decided here and
+// nowhere else, per request, by how much of the candidate slice the
+// store's pool covers. Rows recycle through a sync.Pool. The assembler
+// sits between the preference layer (the configured predictor behind
+// cf.Source, beside the liststore.Store materialized from it) and the
+// core problem builders; see DESIGN.md.
 package engine
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cf"
 	"repro/internal/core"
@@ -19,18 +21,22 @@ import (
 	"repro/internal/liststore"
 )
 
-// Assembler fills preference matrices from a cf.Source. It is
-// immutable after New (and AttachListStore / AttachRows) and safe for
-// concurrent use; a single Assembler is meant to be shared by all
-// traffic against one World.
+// prefScale maps the 1..5 rating scale onto the [0,1] absolute
+// preferences GRECA consumes: every prediction the engine hands the
+// core — view scores, patch entries, dense rows — is divided by it.
+const prefScale = 5
+
+// Assembler builds core problems from a cf.Source and a list store. It
+// is immutable after New (and AttachRows) and safe for concurrent use;
+// a single Assembler is meant to be shared by all traffic against one
+// World.
 type Assembler struct {
-	src     cf.Source
-	into    cf.BatchInto // src's in-place path, when it has one
-	workers int
-	rows    sync.Pool // *[]float64, capacity grows to the largest row seen
-	// lists is the optional sorted-list store; nil disables the
-	// view-served path. Where its views come from — built in place or
-	// fetched from shard workers — is the store's builder's business.
+	src  cf.Source
+	into cf.BatchInto // src's in-place path, when it has one
+	rows sync.Pool    // *[]float64, capacity grows to the largest row seen
+	// lists is the sorted-list store. Where its views come from — built
+	// in place or fetched from shard workers — is the store's builder's
+	// business.
 	lists *liststore.Store
 	// fillRows is the row seam every prediction outside a view goes
 	// through (dense rows, patch sets): in-process predictions by
@@ -45,25 +51,39 @@ type Assembler struct {
 // sentinels).
 type RowFiller func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error
 
-// New builds an Assembler over src with the given per-call worker
-// bound (GOMAXPROCS if workers <= 0). workers = 1 forces sequential
-// assembly — the baseline the parallel benchmarks compare against.
-func New(src cf.Source, workers int) *Assembler {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	a := &Assembler{src: src, workers: workers}
+// New builds an Assembler over src that serves problems from lists
+// whenever its pool covers the candidate slice.
+func New(src cf.Source, lists *liststore.Store) *Assembler {
+	a := &Assembler{src: src, lists: lists}
 	a.into, _ = src.(cf.BatchInto)
 	a.fillRows = a.localRows
 	a.rows.New = func() any { s := make([]float64, 0); return &s }
 	return a
 }
 
-// localRows is the in-process RowFiller: one member per task over the
-// assembler's workers, each resolving that member's neighborhood
-// exactly once via the source's batch path (in place when it has one).
+// LocalBuilder is the in-process liststore.Builder: per user, one batch
+// prediction over pool, normalized onto [0,1], plus one canonical sort
+// (linear; the prediction dominates) — the pay-once cost the store
+// amortizes. The users of one call build concurrently.
+func LocalBuilder(src cf.Source, pool []dataset.ItemID) liststore.Builder {
+	return func(users []dataset.UserID) ([]*liststore.View, error) {
+		out := make([]*liststore.View, len(users))
+		forEach(len(users), func(i int) {
+			scores := src.PredictBatch(users[i], pool)
+			for p := range scores {
+				scores[p] /= prefScale
+			}
+			out[i] = liststore.NewView(scores)
+		})
+		return out, nil
+	}
+}
+
+// localRows is the in-process RowFiller: one member per task, each
+// resolving that member's neighborhood exactly once via the source's
+// batch path (in place when it has one).
 func (a *Assembler) localRows(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
-	a.forEachMember(len(users), func(ui int) {
+	forEach(len(users), func(ui int) {
 		if a.into != nil {
 			a.into.PredictBatchInto(users[ui], items, dst[ui])
 		} else {
@@ -73,11 +93,6 @@ func (a *Assembler) localRows(users []dataset.UserID, items []dataset.ItemID, ds
 	return nil
 }
 
-// AttachListStore wires the sorted-list store into the assembler,
-// enabling AprefViews. Call before the assembler starts serving
-// traffic (it is not synchronized).
-func (a *Assembler) AttachListStore(lists *liststore.Store) { a.lists = lists }
-
 // AttachRows replaces the row seam (the distributed world routes it to
 // the shard workers owning the users' hot state; workers are full
 // replicas built from the identical configuration, so every fetched
@@ -85,115 +100,116 @@ func (a *Assembler) AttachListStore(lists *liststore.Store) { a.lists = lists }
 // before the assembler starts serving traffic.
 func (a *Assembler) AttachRows(fill RowFiller) { a.fillRows = fill }
 
-// ListStore returns the attached sorted-list store, or nil.
-func (a *Assembler) ListStore() *liststore.Store { return a.lists }
-
-// Workers returns the per-call worker bound.
-func (a *Assembler) Workers() int { return a.workers }
-
-// Source returns the preference source the assembler reads.
-func (a *Assembler) Source() cf.Source { return a.src }
-
-// AprefRows returns the g×m matrix of predicted ratings divided by
-// divisor (the engine passes 5 to map the 1..5 scale onto [0,1]),
-// filled through the row seam.
-//
-// Row buffers come from an internal pool. Callers that drop the matrix
-// after a bounded lifetime (run the problem, copy the result out)
-// should hand it back via Release; callers that expose the matrix
-// beyond their control must simply not Release it, and the pool
-// re-allocates.
-//
-// The error is always nil for in-process reads; a worker that cannot
-// serve fails the whole assembly with the transport's typed error.
-func (a *Assembler) AprefRows(group []dataset.UserID, items []dataset.ItemID, divisor float64) ([][]float64, error) {
-	out := make([][]float64, len(group))
-	if len(group) == 0 {
-		return out, nil
+// forEach runs fill(i) for i in [0,n) over at most GOMAXPROCS
+// goroutines, the caller's among them. Each fill writes only its own
+// slot, so scheduling never changes the output.
+func forEach(n int, fill func(int)) {
+	procs := runtime.GOMAXPROCS(0)
+	if n <= 1 || procs <= 1 {
+		for i := 0; i < n; i++ {
+			fill(i)
+		}
+		return
 	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fill(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < procs && w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// Problem fills in.Apref with the group's [0,1] preferences over items
+// and builds the core problem. When the store's pool covers at least
+// half of the slice, each member's row is copied out of its
+// materialized view through the pool→candidate mapping, only the
+// uncovered remainder (the patch set) goes through the row seam, and
+// the problem merges the pre-sorted views (core.NewProblemFromViews);
+// otherwise every row is predicted densely and the problem sorts its
+// own lists (core.NewProblem) — a candidate set foreign to the
+// popularity pool assembles faster that way. Both build bit-identical
+// problems.
+//
+// release hands the problem's rows back to the assembler's pool; call
+// it exactly once, when nothing can read the problem anymore, or never
+// when the problem escapes (the pool then re-allocates). A view
+// builder or row-seam failure fails the assembly with its typed error.
+func (a *Assembler) Problem(in core.Input, group []dataset.UserID, items []dataset.ItemID) (*core.Problem, func(), error) {
+	var (
+		prob *core.Problem
+		err  error
+	)
+	if mapping, ok := a.covers(items); ok {
+		var views core.ViewSet
+		if in.Apref, views, err = a.viewRows(group, items, mapping); err != nil {
+			return nil, nil, err
+		}
+		prob, err = core.NewProblemFromViews(in, views)
+	} else {
+		if in.Apref, err = a.denseRows(group, items); err != nil {
+			return nil, nil, err
+		}
+		prob, err = core.NewProblem(in)
+	}
+	rows := in.Apref
+	if err != nil {
+		a.release(rows)
+		return nil, nil, err
+	}
+	return prob, func() {
+		a.release(rows)
+		prob.Release()
+	}, nil
+}
+
+// covers maps items onto the store's pool and reports whether the
+// mapping covers at least half of them.
+func (a *Assembler) covers(items []dataset.ItemID) (liststore.Mapping, bool) {
+	if a.lists == nil || len(items) == 0 {
+		return liststore.Mapping{}, false
+	}
+	mapping := a.lists.MapCandidates(items)
+	return mapping, mapping.Matched*2 >= len(items)
+}
+
+// denseRows returns the g×m matrix of normalized predictions, filled
+// through the row seam into pooled rows.
+func (a *Assembler) denseRows(group []dataset.UserID, items []dataset.ItemID) ([][]float64, error) {
+	out := make([][]float64, len(group))
 	for ui := range out {
 		out[ui] = a.getRow(len(items))
 	}
 	if err := a.fillRows(group, items, out); err != nil {
-		a.Release(out)
+		a.release(out)
 		return nil, err
 	}
 	for _, row := range out {
 		for i := range row {
-			row[i] /= divisor
+			row[i] /= prefScale
 		}
 	}
 	return out, nil
 }
 
-// forEachMember runs fill(ui) for ui in [0,g) over at most
-// min(workers, g) goroutines. Each fill writes only its own member's
-// slot, so scheduling never changes the assembled output.
-func (a *Assembler) forEachMember(g int, fill func(int)) {
-	w := a.workers
-	if w > g {
-		w = g
-	}
-	if w <= 1 {
-		for ui := 0; ui < g; ui++ {
-			fill(ui)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for n := 0; n < w; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ui := range next {
-				fill(ui)
-			}
-		}()
-	}
-	for ui := 0; ui < g; ui++ {
-		next <- ui
-	}
-	close(next)
-	wg.Wait()
-}
-
-// ViewAssembly is the product of a store-served assembly: the dense
-// rows core.Input requires (pooled; hand back via Release) plus the
-// view set NewProblemFromViews merges. Rows and views carry the same
-// values, so a problem built from them is bit-identical to the dense
-// path.
-type ViewAssembly struct {
-	Rows  [][]float64
-	Views core.ViewSet
-}
-
-// AprefViews assembles the group's preference inputs through the
-// sorted-list store: each member's dense row is copied out of the
-// member's materialized view through the pool→candidate mapping, and
-// only the uncovered remainder of the candidate slice (the patch set)
-// goes through the row seam — no per-request re-scoring, no
-// re-sorting. ok is false when the store is absent, the divisor
-// disagrees with the store's, or the mapping covers less than half the
-// slice (a candidate set foreign to the popularity pool assembles
-// faster densely); callers then fall back to AprefRows + NewProblem.
-//
-// The whole group's views come from one AcquireMulti: residents are
-// served from the store, and the misses are materialized together by
-// the store's builder (concurrent in-process builds, or one fetch per
-// owning worker). A builder or row-seam failure fails the assembly
-// with its typed error.
-func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, divisor float64) (ViewAssembly, bool, error) {
-	if a.lists == nil || a.lists.Divisor() != divisor || len(group) == 0 || len(items) == 0 {
-		return ViewAssembly{}, false, nil
-	}
-	mapping := a.lists.MapCandidates(items)
-	if mapping.Matched*2 < len(items) {
-		return ViewAssembly{}, false, nil
-	}
+// viewRows assembles the group's rows through the list store: the whole
+// group's views come from one AcquireMulti (residents served, misses
+// materialized together by the store's builder), and only the patch
+// set items[mapping.Matched:] is predicted, through the row seam. No
+// per-request re-scoring, no re-sorting.
+func (a *Assembler) viewRows(group []dataset.UserID, items []dataset.ItemID, mapping liststore.Mapping) ([][]float64, core.ViewSet, error) {
 	views, err := a.lists.AcquireMulti(group)
 	if err != nil {
-		return ViewAssembly{}, false, err
+		return nil, core.ViewSet{}, err
 	}
 	patch := items[mapping.Matched:]
 	g := len(group)
@@ -206,16 +222,11 @@ func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, d
 			patchRows[ui] = flat[ui*len(patch) : (ui+1)*len(patch)]
 		}
 		if err := a.fillRows(group, patch, patchRows); err != nil {
-			return ViewAssembly{}, false, err
+			return nil, core.ViewSet{}, err
 		}
 	}
-	va := ViewAssembly{
-		Rows: make([][]float64, g),
-		Views: core.ViewSet{
-			LocalOf: mapping.LocalOf,
-			Members: make([]core.MemberView, g),
-		},
-	}
+	rows := make([][]float64, g)
+	set := core.ViewSet{LocalOf: mapping.LocalOf, Members: make([]core.MemberView, g)}
 	// Everything that costs — builds, fetches, patch predictions — is
 	// done; what is left per member is a copy through the mapping, less
 	// than handing it to another goroutine would cost.
@@ -230,22 +241,22 @@ func (a *Assembler) AprefViews(group []dataset.UserID, items []dataset.ItemID, d
 		if len(patch) > 0 {
 			pe := make([]core.Entry, len(patch))
 			for i, raw := range patchRows[ui] {
-				val := raw / divisor
+				val := raw / prefScale
 				row[mapping.Matched+i] = val
 				pe[i] = core.Entry{Key: mapping.Matched + i, Value: val}
 			}
 			core.SortCanonical(pe)
 			mv.Patch = pe
 		}
-		va.Rows[ui] = row
-		va.Views.Members[ui] = mv
+		rows[ui] = row
+		set.Members[ui] = mv
 	}
-	return va, true, nil
+	return rows, set, nil
 }
 
-// Release returns AprefRows buffers to the pool. The caller must hold
-// the only remaining references: nothing may read the rows after this.
-func (a *Assembler) Release(rows [][]float64) {
+// release returns pooled rows. The caller must hold the only remaining
+// references: nothing may read the rows after this.
+func (a *Assembler) release(rows [][]float64) {
 	for i, row := range rows {
 		if row == nil {
 			continue

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cf"
@@ -38,110 +39,102 @@ func testSubstrate(t *testing.T) (*dataset.Store, *cf.Predictor) {
 	return s, p
 }
 
-// mustAprefRows unwraps the (rows, error) pair for the local-only
-// assemblers these tests build: without a remote plane attached,
-// AprefRows cannot fail.
-func mustAprefRows(t *testing.T, a *Assembler, group []dataset.UserID, items []dataset.ItemID) [][]float64 {
+// newServed builds an assembler over a list store of the given
+// capacity whose views are built in place from pred.
+func newServed(pred cf.Source, pool []dataset.ItemID, capacity int) (*Assembler, *liststore.Store) {
+	lists := liststore.NewOver(LocalBuilder(pred, pool), pool, capacity)
+	return New(pred, lists), lists
+}
+
+// mustDenseRows unwraps the (rows, error) pair for the local-only
+// assemblers these tests build: without a remote plane attached, dense
+// rows cannot fail.
+func mustDenseRows(t *testing.T, a *Assembler, group []dataset.UserID, items []dataset.ItemID) [][]float64 {
 	t.Helper()
-	rows, err := a.AprefRows(group, items, 5)
+	rows, err := a.denseRows(group, items)
 	if err != nil {
-		t.Fatalf("AprefRows: %v", err)
+		t.Fatalf("denseRows: %v", err)
 	}
 	return rows
 }
 
-func TestAprefRowsMatchesSequentialFill(t *testing.T) {
+// TestDenseRowsMatchSequentialPredictions: rows filled concurrently
+// hold exactly the one-at-a-time predictions, divided onto [0,1].
+func TestDenseRowsMatchSequentialPredictions(t *testing.T) {
 	_, pred := testSubstrate(t)
 	group := []dataset.UserID{0, 3, 7, 12, 25}
 	items := []dataset.ItemID{0, 1, 5, 9, 17, 33, 39}
 
-	sequential := New(pred, 1)
-	parallel := New(pred, 8)
-	want := mustAprefRows(t, sequential, group, items)
-	got := mustAprefRows(t, parallel, group, items)
-	if len(got) != len(want) {
-		t.Fatalf("row count %d, want %d", len(got), len(want))
+	got := mustDenseRows(t, New(pred, nil), group, items)
+	if len(got) != len(group) {
+		t.Fatalf("row count %d, want %d", len(got), len(group))
 	}
-	for ui := range want {
-		for i := range want[ui] {
-			if got[ui][i] != want[ui][i] {
-				t.Errorf("row %d[%d]: parallel %v, sequential %v", ui, i, got[ui][i], want[ui][i])
+	for ui, u := range group {
+		for i, it := range items {
+			if want := pred.Predict(u, it) / 5; got[ui][i] != want {
+				t.Errorf("row %d[%d]: %v, want %v", ui, i, got[ui][i], want)
 			}
-		}
-	}
-	// Values are predictions on [1,5] divided by 5 → within [0.2, 1].
-	for ui, row := range want {
-		for i, v := range row {
-			if v < 0.2 || v > 1 {
+			// Values are predictions on [1,5] divided by 5 → within [0.2, 1].
+			if v := got[ui][i]; v < 0.2 || v > 1 {
 				t.Errorf("row %d[%d] = %v outside [0.2,1]", ui, i, v)
 			}
 		}
 	}
 }
 
-func TestAprefRowsReleaseRecyclesBuffers(t *testing.T) {
+// TestProblemReleaseRecyclesRows: release hands every row back and
+// drops the caller's reference to it (a read after release fails on a
+// nil row instead of reading a recycled buffer), and a problem
+// assembled from recycled rows runs to the same result.
+func TestProblemReleaseRecyclesRows(t *testing.T) {
 	_, pred := testSubstrate(t)
-	a := New(pred, 1)
+	a := New(pred, nil)
 	group := []dataset.UserID{1, 2}
 	items := []dataset.ItemID{0, 1, 2, 3}
+	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 2}
 
-	rows := mustAprefRows(t, a, group, items)
-	first := &rows[0][0]
-	a.Release(rows)
-	for _, row := range rows {
+	rows := mustDenseRows(t, a, group, items)
+	a.release(rows)
+	for i, row := range rows {
 		if row != nil {
-			t.Fatalf("Release left a live row reference")
+			t.Fatalf("release left a live reference to row %d", i)
 		}
 	}
-	// The next fill of the same shape should be able to reuse a pooled
-	// buffer. sync.Pool gives no hard guarantee, so only check when the
-	// pool did return one — the point is that reuse produces correct
-	// values, which AprefRowsMatchesSequentialFill already pins.
-	again := mustAprefRows(t, a, group, items)
-	reused := false
-	for _, row := range again {
-		if &row[0] == first {
-			reused = true
-		}
-	}
-	_ = reused // informational; no assertion (pool behavior is advisory)
-	seq := mustAprefRows(t, New(pred, 1), group, items)
-	for ui := range seq {
-		for i := range seq[ui] {
-			if again[ui][i] != seq[ui][i] {
-				t.Errorf("post-release row %d[%d] = %v, want %v", ui, i, again[ui][i], seq[ui][i])
-			}
-		}
-	}
-}
 
-func TestAprefRowsEmptyGroup(t *testing.T) {
-	_, pred := testSubstrate(t)
-	a := New(pred, 4)
-	rows, err := a.AprefRows(nil, []dataset.ItemID{1, 2}, 5)
-	if err != nil {
-		t.Fatalf("AprefRows: %v", err)
+	run := func() core.Result {
+		t.Helper()
+		p, release, err := a.Problem(in, group, items)
+		if err != nil {
+			t.Fatalf("Problem: %v", err)
+		}
+		res, err := p.Run(core.ModeGRECA)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		release()
+		return res
 	}
-	if len(rows) != 0 {
-		t.Errorf("empty group produced %d rows", len(rows))
+	first := run()
+	if again := run(); !reflect.DeepEqual(first, again) {
+		t.Errorf("problem over recycled rows diverges:\nfirst: %+v\nagain: %+v", first, again)
 	}
 }
 
 // storePool returns the popularity ranking the liststore views cover.
 func storePool(s *dataset.Store) []dataset.ItemID { return s.PopularityRanked() }
 
-// TestAprefViewsMatchesDenseRows is the assembly-layer differential:
-// rows copied out of list-store views (plus patch predictions) must be
-// bit-identical to the dense batch-predicted rows, and the view set
-// must build a problem whose lists verify against those rows.
-func TestAprefViewsMatchesDenseRows(t *testing.T) {
+// TestViewRowsMatchDenseRows is the assembly-layer differential: rows
+// copied out of list-store views (plus patch predictions) must be
+// bit-identical to the dense batch-predicted rows, the view set must
+// build a problem whose lists verify against those rows, and Problem
+// must answer the same from either assembler.
+func TestViewRowsMatchDenseRows(t *testing.T) {
 	store, pred := testSubstrate(t)
 	group := []dataset.UserID{0, 3, 7}
 	pool := storePool(store)
 
-	dense := New(pred, 1)
-	served := New(pred, 4)
-	served.AttachListStore(liststore.New(pred, pool, 16, 5))
+	dense := New(pred, nil)
+	served, _ := newServed(pred, pool, 16)
 
 	// Candidate slices: a pool prefix, a filtered subsequence (every
 	// other item), and a slice with a beyond-pool patch tail.
@@ -151,80 +144,72 @@ func TestAprefViewsMatchesDenseRows(t *testing.T) {
 		"filtered": {pool[0], pool[2], pool[4], pool[6], pool[8]},
 		"patched":  {pool[1], pool[3], pool[5], foreign},
 	}
+	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 1}
 	for name, items := range slices {
-		want := mustAprefRows(t, dense, group, items)
-		va, ok, err := served.AprefViews(group, items, 5)
-		if err != nil {
-			t.Fatalf("%s: AprefViews: %v", name, err)
-		}
+		want := mustDenseRows(t, dense, group, items)
+		mapping, ok := served.covers(items)
 		if !ok {
-			t.Fatalf("%s: store did not serve", name)
+			t.Fatalf("%s: store does not cover the slice", name)
 		}
-		for ui := range want {
-			for i := range want[ui] {
-				if va.Rows[ui][i] != want[ui][i] {
-					t.Errorf("%s: row %d[%d]: served %v, dense %v", name, ui, i, va.Rows[ui][i], want[ui][i])
-				}
-			}
+		rows, views, err := served.viewRows(group, items, mapping)
+		if err != nil {
+			t.Fatalf("%s: viewRows: %v", name, err)
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Errorf("%s: served rows diverge from dense\nserved: %v\ndense:  %v", name, rows, want)
 		}
 		// The views must verify against the rows: NewProblemFromViews
 		// re-proves canonical order per member and errors otherwise.
-		in := core.Input{Apref: va.Rows, Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 1}
-		p, err := core.NewProblemFromViews(in, va.Views)
+		vin := in
+		vin.Apref = rows
+		p, err := core.NewProblemFromViews(vin, views)
 		if err != nil {
 			t.Fatalf("%s: views inconsistent with rows: %v", name, err)
 		}
 		p.Release()
+
+		results := make([]core.Result, 2)
+		for i, a := range []*Assembler{dense, served} {
+			p, release, err := a.Problem(in, group, items)
+			if err != nil {
+				t.Fatalf("%s: Problem: %v", name, err)
+			}
+			if results[i], err = p.Run(core.ModeGRECA); err != nil {
+				t.Fatalf("%s: Run: %v", name, err)
+			}
+			release()
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Errorf("%s: served problem diverges from dense\ndense:  %+v\nserved: %+v", name, results[0], results[1])
+		}
 	}
 }
 
-// TestAprefViewsFallsBack pins the conditions under which assembly
-// declines the store: no store attached, divisor mismatch, and
-// candidate slices mostly foreign to the pool.
-func TestAprefViewsFallsBack(t *testing.T) {
+// TestProblemFallsBackToDense pins when assembly declines the store: a
+// candidate slice mostly foreign to the pool is assembled densely,
+// touching no view and counting no patch; a covered slice with a
+// remainder counts exactly the remainder.
+func TestProblemFallsBackToDense(t *testing.T) {
 	store, pred := testSubstrate(t)
 	pool := storePool(store)
 	group := []dataset.UserID{1, 2}
+	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 1}
+	a, lists := newServed(pred, pool, 16)
 
-	bare := New(pred, 1)
-	if _, ok, _ := bare.AprefViews(group, pool[:4], 5); ok {
-		t.Error("assembler without a store served views")
+	assemble := func(items []dataset.ItemID) {
+		t.Helper()
+		_, release, err := a.Problem(in, group, items)
+		if err != nil {
+			t.Fatalf("Problem(%v): %v", items, err)
+		}
+		release()
 	}
-
-	a := New(pred, 1)
-	a.AttachListStore(liststore.New(pred, pool, 16, 5))
-	if _, ok, _ := a.AprefViews(group, pool[:4], 4); ok {
-		t.Error("divisor mismatch served views")
+	assemble([]dataset.ItemID{9001, 9002, 9003, pool[0]})
+	if st := lists.Stats(); st.ViewBuilds+st.ViewHits != 0 || st.PatchItems != 0 {
+		t.Errorf("mostly-foreign slice went through the store: %+v", st)
 	}
-	foreign := []dataset.ItemID{9001, 9002, 9003, pool[0]}
-	if _, ok, _ := a.AprefViews(group, foreign, 5); ok {
-		t.Error("mostly-foreign candidate slice served views")
-	}
-	// A refused slice is served densely: none of it went through a patch
-	// set. A covered slice with a remainder counts exactly the remainder.
-	if n := a.ListStore().Stats().PatchItems; n != 0 {
-		t.Errorf("refused slice counted %d patch items, want 0", n)
-	}
-	if _, ok, err := a.AprefViews(group, []dataset.ItemID{pool[0], pool[1], 9001}, 5); !ok || err != nil {
-		t.Fatalf("covered slice with a remainder not served from views (ok %v, err %v)", ok, err)
-	}
-	if n := a.ListStore().Stats().PatchItems; n != 1 {
-		t.Errorf("covered slice with a one-item remainder counted %d patch items, want 1", n)
-	}
-	if _, ok, _ := a.AprefViews(nil, pool[:4], 5); ok {
-		t.Error("empty group served views")
-	}
-}
-
-func TestWorkersDefaultsAndClamp(t *testing.T) {
-	_, pred := testSubstrate(t)
-	if w := New(pred, 0).Workers(); w < 1 {
-		t.Errorf("default workers %d < 1", w)
-	}
-	if w := New(pred, 3).Workers(); w != 3 {
-		t.Errorf("explicit workers = %d, want 3", w)
-	}
-	if New(pred, 3).Source() == nil {
-		t.Errorf("Source accessor returned nil")
+	assemble([]dataset.ItemID{pool[0], pool[1], 9001})
+	if st := lists.Stats(); st.ViewBuilds != 2 || st.PatchItems != 1 {
+		t.Errorf("covered slice with a one-item remainder: %+v, want 2 view builds and 1 patch item", st)
 	}
 }

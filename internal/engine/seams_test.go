@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/liststore"
 )
@@ -20,24 +22,24 @@ func TestAttachedSeamsMatchLocal(t *testing.T) {
 	pool := store.PopularityRanked()
 	group := []dataset.UserID{0, 3, 7, 12}
 	items := append(append([]dataset.ItemID{}, pool[:10]...), 999) // 999: patch item
+	foreign := []dataset.ItemID{901, 902, 903, pool[0]}            // assembled densely
 
-	local := New(pred, 4)
-	local.AttachListStore(liststore.New(pred, pool, 64, 5))
-	want, ok, err := local.AprefViews(group, items, 5)
-	if err != nil || !ok {
-		t.Fatalf("local AprefViews: ok=%v err=%v", ok, err)
+	local, _ := newServed(pred, pool, 64)
+	mapping, _ := local.covers(items)
+	wantRows, wantViews, err := local.viewRows(group, items, mapping)
+	if err != nil {
+		t.Fatalf("local viewRows: %v", err)
 	}
-	wantDense := mustAprefRows(t, local, group, items)
+	wantDense := mustDenseRows(t, local, group, foreign)
 
 	var errViews, errRows error
-	origin := liststore.New(pred, pool, 64, 5)
-	fetched := New(pred, 4)
-	fetched.AttachListStore(liststore.NewOver(func(users []dataset.UserID) ([]*liststore.View, error) {
+	_, origin := newServed(pred, pool, 64)
+	fetched := New(pred, liststore.NewOver(func(users []dataset.UserID) ([]*liststore.View, error) {
 		if errViews != nil {
 			return nil, errViews
 		}
 		return origin.AcquireMulti(users)
-	}, pool, 1, 5)) // one slot, fewer than the group: every assembly fetches
+	}, pool, 1)) // one slot, fewer than the group: every assembly fetches
 	fetched.AttachRows(func(users []dataset.UserID, its []dataset.ItemID, dst [][]float64) error {
 		if errRows != nil {
 			return errRows
@@ -48,26 +50,27 @@ func TestAttachedSeamsMatchLocal(t *testing.T) {
 		return nil
 	})
 
-	got, ok, err := fetched.AprefViews(group, items, 5)
-	if err != nil || !ok {
-		t.Fatalf("fetched AprefViews: ok=%v err=%v", ok, err)
+	gotRows, gotViews, err := fetched.viewRows(group, items, mapping)
+	if err != nil {
+		t.Fatalf("fetched viewRows: %v", err)
 	}
-	if !reflect.DeepEqual(want.Rows, got.Rows) || !reflect.DeepEqual(want.Views, got.Views) {
+	if !reflect.DeepEqual(wantRows, gotRows) || !reflect.DeepEqual(wantViews, gotViews) {
 		t.Error("assembly through the attached seams diverges from the local one")
 	}
-	if gotDense := mustAprefRows(t, fetched, group, items); !reflect.DeepEqual(wantDense, gotDense) {
+	if gotDense := mustDenseRows(t, fetched, group, foreign); !reflect.DeepEqual(wantDense, gotDense) {
 		t.Error("dense rows through the attached filler diverge from the local ones")
 	}
 
+	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 1}
 	errRows = errors.New("rows unavailable")
-	if _, _, err := fetched.AprefViews(group, items, 5); !errors.Is(err, errRows) {
+	if _, _, err := fetched.Problem(in, group, items); !errors.Is(err, errRows) {
 		t.Errorf("patch-row failure: err = %v, want the filler's", err)
 	}
-	if _, err := fetched.AprefRows(group, items, 5); !errors.Is(err, errRows) {
+	if _, _, err := fetched.Problem(in, group, foreign); !errors.Is(err, errRows) {
 		t.Errorf("dense-row failure: err = %v, want the filler's", err)
 	}
 	errViews = errors.New("views unavailable")
-	if _, _, err := fetched.AprefViews(group, items, 5); !errors.Is(err, errViews) {
+	if _, _, err := fetched.Problem(in, group, items); !errors.Is(err, errViews) {
 		t.Errorf("view failure: err = %v, want the builder's", err)
 	}
 }

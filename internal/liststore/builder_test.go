@@ -61,7 +61,7 @@ func (b *scriptedBuilder) callLog() [][]dataset.UserID {
 // misses arrive in exactly one builder call, in request order.
 func TestAcquireMultiOneBuilderCallCarriesTheMisses(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 4}
-	s := NewOver(b.build, testPool(4), 32, 5)
+	s := NewOver(b.build, testPool(4), 32)
 
 	if _, err := s.AcquireMulti([]dataset.UserID{3, 9}); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestAcquireMultiOneBuilderCallCarriesTheMisses(t *testing.T) {
 // never resident — the next acquire fetches again.
 func TestSweepUnlinksInFlightFetch(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 3, entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	s := NewOver(b.build, testPool(3), 8, 5)
+	s := NewOver(b.build, testPool(3), 8)
 
 	results := make(chan *View, 2)
 	acquire := func() {
@@ -145,7 +145,7 @@ func TestSweepUnlinksInFlightFetch(t *testing.T) {
 func TestBuilderErrorReachesEveryWaiter(t *testing.T) {
 	sentinel := errors.New("shard unavailable")
 	b := &scriptedBuilder{poolLen: 3, err: sentinel, entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	s := NewOver(b.build, testPool(3), 8, 5)
+	s := NewOver(b.build, testPool(3), 8)
 
 	errs := make(chan error, 2)
 	go func() {
@@ -185,7 +185,7 @@ func TestBuilderErrorReachesEveryWaiter(t *testing.T) {
 // that does not cover the pool is refused, not served.
 func TestBuilderShortViewIsAnError(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 2}
-	s := NewOver(b.build, testPool(3), 8, 5)
+	s := NewOver(b.build, testPool(3), 8)
 	if _, err := s.Acquire(1); err == nil {
 		t.Error("a 2-score view over a 3-item pool was served")
 	}
@@ -199,7 +199,7 @@ func TestBuilderShortViewIsAnError(t *testing.T) {
 // another builder call.
 func TestCapacityZeroSelectsDefault(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 3}
-	s := NewOver(b.build, testPool(3), 0, 5)
+	s := NewOver(b.build, testPool(3), 0)
 	if got := s.Capacity(); got != DefaultMaxUsers {
 		t.Errorf("capacity = %d, want DefaultMaxUsers (%d)", got, DefaultMaxUsers)
 	}
@@ -221,7 +221,7 @@ func TestCapacityZeroSelectsDefault(t *testing.T) {
 // sweep white-box: an entry whose build has not settled is unlinked and
 // counted like a settled one.
 func TestInvalidateAllDropsMidBuildEntries(t *testing.T) {
-	s := New(&stubSource{}, testPool(4), 8, 5)
+	s := newLocal(&stubSource{}, testPool(4), 8)
 	s.mu.Lock()
 	s.entries[7] = &userEntry{} // registered, build not yet settled
 	s.ring = append(s.ring, 7)
@@ -238,7 +238,7 @@ func TestInvalidateAllDropsMidBuildEntries(t *testing.T) {
 // are its own: on a one-slot store the second member of a call evicts the
 // first, and both views still come back, each equal to a fresh build.
 func TestAcquireMultiServesMemberEvictedMidCall(t *testing.T) {
-	s := New(&stubSource{}, testPool(4), 1, 5)
+	s := newLocal(&stubSource{}, testPool(4), 1)
 	views, err := s.AcquireMulti([]dataset.UserID{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestAcquireMultiServesMemberEvictedMidCall(t *testing.T) {
 // no call deadlocks waiting on another's entries.
 func TestAcquireMultiConcurrentOverlappingGroups(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 5}
-	s := NewOver(b.build, testPool(5), 64, 5)
+	s := NewOver(b.build, testPool(5), 64)
 
 	const users = 12
 	var wg sync.WaitGroup

@@ -8,17 +8,17 @@
 // sweep traffic.
 //
 // A Store is the one cache between the predictor and the problem: the
-// engine asks it for (view, pool→candidate mapping) pairs, falls back
-// to dense assembly when the store is disabled, and routes only the
-// uncovered remainder of a candidate slice (the patch set) through the
-// predictor. Views are immutable once built; a rating ingest drops all
-// of them (InvalidateAll) for rebuild on next use. See DESIGN.md's
-// "Sorted-list store" section.
+// engine asks it for (view, pool→candidate mapping) pairs, assembles
+// densely when the mapping covers too little of a candidate slice, and
+// routes only the uncovered remainder of a slice (the patch set)
+// through the predictor. Views are immutable once built; a rating
+// ingest drops all of them (InvalidateAll) for rebuild on next use.
+// See DESIGN.md's "Sorted-list store" section.
 //
 // How a missing view is materialized is the store's one seam, the
-// Builder: in-process it predicts and sorts (LocalBuilder), on a
-// distributed router it fetches the owning worker's view over the wire
-// (SetBuilder swaps one for the other and keeps what is resident).
+// Builder: in-process it predicts and sorts (engine.LocalBuilder), on
+// a distributed router it fetches the owning worker's view over the
+// wire (SetBuilder swaps one for the other and keeps what is resident).
 // Eviction, invalidation and coherence with ingest are the store's own
 // and identical under both.
 //
@@ -34,13 +34,11 @@ package liststore
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cf"
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -122,7 +120,6 @@ type userEntry struct {
 type Store struct {
 	build    Builder
 	pool     []dataset.ItemID
-	divisor  float64
 	maxUsers int
 
 	mu      sync.Mutex
@@ -141,76 +138,22 @@ type Store struct {
 	patchItems    atomic.Uint64
 }
 
-// New builds a store whose views are built in place from src
-// (LocalBuilder, GOMAXPROCS workers). See NewOver for the remaining
-// parameters. Returns nil for a nil source.
-func New(src cf.Source, pool []dataset.ItemID, maxUsers int, divisor float64) *Store {
-	if src == nil {
-		return nil
-	}
-	return NewOver(LocalBuilder(src, pool, divisor, 0), pool, maxUsers, divisor)
-}
-
 // NewOver builds a store that materializes missing views through build,
 // over pool (the popularity-ranked candidate base; the slice is
 // retained and must not change). capacity bounds materialized views;
-// capacity <= 0 selects DefaultMaxUsers. divisor is the normalization
-// the engine applies to predictions (5 maps the 1..5 rating scale onto
-// [0,1]); stored scores are pre-divided so views feed problems
-// directly. Returns nil for an empty pool — a store over nothing serves
-// nothing.
-func NewOver(build Builder, pool []dataset.ItemID, capacity int, divisor float64) *Store {
-	if len(pool) == 0 || build == nil || divisor == 0 {
-		return nil
-	}
+// capacity <= 0 selects DefaultMaxUsers. The builder's scores are the
+// [0,1] preferences the engine assembles problems from, so views feed
+// problems directly.
+func NewOver(build Builder, pool []dataset.ItemID, capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultMaxUsers
 	}
 	return &Store{
 		build:       build,
 		pool:        pool,
-		divisor:     divisor,
 		maxUsers:    capacity,
 		entries:     make(map[dataset.UserID]*userEntry),
 		invalidated: make(map[dataset.UserID]bool),
-	}
-}
-
-// LocalBuilder is the in-process Builder: per user, one batch prediction
-// over pool, normalized by divisor, plus one canonical sort (linear; the
-// prediction dominates) — the pay-once cost the store amortizes. The
-// users of one call build concurrently over at most workers goroutines
-// (GOMAXPROCS if <= 0; 1 builds sequentially).
-func LocalBuilder(src cf.Source, pool []dataset.ItemID, divisor float64, workers int) Builder {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	one := func(u dataset.UserID) *View {
-		scores := src.PredictBatch(u, pool)
-		for i, v := range scores {
-			scores[i] = v / divisor
-		}
-		return NewView(scores)
-	}
-	return func(users []dataset.UserID) ([]*View, error) {
-		out := make([]*View, len(users))
-		var next atomic.Int64
-		work := func() {
-			for i := int(next.Add(1)) - 1; i < len(users); i = int(next.Add(1)) - 1 {
-				out[i] = one(users[i])
-			}
-		}
-		var wg sync.WaitGroup
-		for n := 1; n < workers && n < len(users); n++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-		return out, nil
 	}
 }
 
@@ -227,9 +170,6 @@ func (s *Store) Pool() []dataset.ItemID { return s.pool }
 
 // Capacity returns the bound on materialized views.
 func (s *Store) Capacity() int { return s.maxUsers }
-
-// Divisor returns the normalization the stored scores carry.
-func (s *Store) Divisor() float64 { return s.divisor }
 
 // Acquire returns u's view; see AcquireMulti.
 func (s *Store) Acquire(u dataset.UserID) (*View, error) {

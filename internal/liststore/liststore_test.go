@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cf"
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -31,6 +32,28 @@ func (s *stubSource) PredictBatch(u dataset.UserID, items []dataset.ItemID) []fl
 		out[i] = s.Predict(u, it)
 	}
 	return out
+}
+
+// sourceBuilder builds views from src the way the engine's in-process
+// builder does — one batch prediction over pool, divided by 5 onto
+// [0,1], one canonical sort — sequentially.
+func sourceBuilder(src cf.Source, pool []dataset.ItemID) Builder {
+	return func(users []dataset.UserID) ([]*View, error) {
+		out := make([]*View, len(users))
+		for i, u := range users {
+			scores := src.PredictBatch(u, pool)
+			for p := range scores {
+				scores[p] /= 5
+			}
+			out[i] = NewView(scores)
+		}
+		return out, nil
+	}
+}
+
+// newLocal is a store over pool whose views are built from src.
+func newLocal(src cf.Source, pool []dataset.ItemID, capacity int) *Store {
+	return NewOver(sourceBuilder(src, pool), pool, capacity)
 }
 
 // mustAcquire is Acquire over a builder that cannot fail.
@@ -81,12 +104,12 @@ func (s *ratingLevelSource) PredictBatch(u dataset.UserID, items []dataset.ItemI
 	return out
 }
 
-// TestViewsMatchTheReferenceSort: a view built in place by LocalBuilder
+// TestViewsMatchTheReferenceSort: a view built in place from predictions
 // and one rebuilt from the same scores alone (the snapshot-restore and
 // router-fetch path) both carry exactly the reference sort's entries.
 func TestViewsMatchTheReferenceSort(t *testing.T) {
 	pool := testPool(1500)
-	views, err := LocalBuilder(&ratingLevelSource{}, pool, 5, 1)([]dataset.UserID{3, 11, 42})
+	views, err := sourceBuilder(&ratingLevelSource{}, pool)([]dataset.UserID{3, 11, 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,16 +212,12 @@ func TestViewHoldsScoresAndOrderOnly(t *testing.T) {
 	}
 }
 
-func TestNewRejectsDegenerateInputs(t *testing.T) {
-	src := &stubSource{}
-	if s := New(src, nil, 4, 5); s != nil {
-		t.Error("store over an empty pool should be nil")
-	}
-	if s := New(nil, testPool(3), 4, 5); s != nil {
-		t.Error("store over a nil source should be nil")
-	}
-	if s := New(src, testPool(3), 4, 0); s != nil {
-		t.Error("store with zero divisor should be nil")
+// TestStoreOverEmptyPoolCoversNothing: a store over an empty pool exists
+// and maps no candidate, so every slice assembles densely.
+func TestStoreOverEmptyPoolCoversNothing(t *testing.T) {
+	s := newLocal(&stubSource{}, nil, 4)
+	if m := s.MapCandidates([]dataset.ItemID{10, 20}); m.Matched != 0 || len(m.LocalOf) != 0 {
+		t.Errorf("mapping over an empty pool = %+v, want nothing matched", m)
 	}
 }
 
@@ -207,7 +226,7 @@ func TestNewRejectsDegenerateInputs(t *testing.T) {
 func TestAcquireBuildsCanonicalView(t *testing.T) {
 	src := &stubSource{}
 	pool := testPool(8)
-	s := New(src, pool, 4, 5)
+	s := newLocal(src, pool, 4)
 
 	v := mustAcquire(s, 3)
 	if len(v.Scores) != len(pool) || len(v.Order) != len(pool) {
@@ -237,7 +256,7 @@ func TestAcquireBuildsCanonicalView(t *testing.T) {
 
 func TestAcquireHitsAndCounters(t *testing.T) {
 	src := &stubSource{}
-	s := New(src, testPool(5), 4, 5)
+	s := newLocal(src, testPool(5), 4)
 
 	first := mustAcquire(s, 1)
 	second := mustAcquire(s, 1)
@@ -261,7 +280,7 @@ func TestAcquireHitsAndCounters(t *testing.T) {
 // since the last sweep survives, and the untouched one is evicted.
 func TestClockEviction(t *testing.T) {
 	src := &stubSource{}
-	s := New(src, testPool(5), 3, 5)
+	s := newLocal(src, testPool(5), 3)
 
 	mustAcquire(s, 1)
 	mustAcquire(s, 2)
@@ -293,7 +312,7 @@ func TestClockEviction(t *testing.T) {
 func TestMapCandidates(t *testing.T) {
 	src := &stubSource{}
 	pool := testPool(5) // 10 20 30 40 50
-	s := New(src, pool, 4, 5)
+	s := newLocal(src, pool, 4)
 
 	items := []dataset.ItemID{10, 30, 60} // 60 is outside the pool
 	m := s.MapCandidates(items)
@@ -333,7 +352,7 @@ func TestMapCandidates(t *testing.T) {
 // build count conserved against hits.
 func TestAcquireConcurrent(t *testing.T) {
 	src := &stubSource{}
-	s := New(src, testPool(30), 8, 5)
+	s := newLocal(src, testPool(30), 8)
 
 	const workers = 8
 	const rounds = 100
@@ -373,7 +392,7 @@ func TestAcquireConcurrent(t *testing.T) {
 func TestExportRestoreRoundTrip(t *testing.T) {
 	src := &stubSource{}
 	pool := testPool(8)
-	s := New(src, pool, 16, 5)
+	s := newLocal(src, pool, 16)
 	for u := dataset.UserID(1); u <= 6; u++ {
 		mustAcquire(s, u)
 	}
@@ -389,7 +408,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 
 	src2 := &stubSource{}
-	s2 := New(src2, pool, 16, 5)
+	s2 := newLocal(src2, pool, 16)
 	if got := s2.RestoreViews(views); got != 6 {
 		t.Fatalf("restored %d views, want 6", got)
 	}
@@ -430,7 +449,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 // the drops as invalidations.
 func TestInvalidateAll(t *testing.T) {
 	src := &stubSource{}
-	s := New(src, testPool(5), 16, 5)
+	s := newLocal(src, testPool(5), 16)
 	before := make(map[dataset.UserID]*View)
 	for u := dataset.UserID(1); u <= 4; u++ {
 		before[u] = mustAcquire(s, u)
@@ -460,7 +479,7 @@ func TestInvalidateAll(t *testing.T) {
 // the entries, so a store swept at capacity refills to capacity without
 // evicting, and the next view past it evicts exactly one.
 func TestInvalidateAllEmptiesRing(t *testing.T) {
-	s := New(&stubSource{}, testPool(4), 8, 5)
+	s := newLocal(&stubSource{}, testPool(4), 8)
 	for u := dataset.UserID(0); u < 8; u++ {
 		mustAcquire(s, u)
 	}

@@ -513,36 +513,45 @@ func ParseTopology(data []byte) (Topology, error) {
 	if err := dec.Decode(&t); err != nil {
 		return Topology{}, fmt.Errorf("remote: decoding topology: %w", err)
 	}
+	if err := t.validate(); err != nil {
+		return Topology{}, err
+	}
+	return t, nil
+}
+
+// validate checks a topology: positive shard count, at least one
+// worker, every worker addressed, every shard owned exactly once.
+func (t Topology) validate() error {
 	if t.Shards < 1 {
-		return Topology{}, fmt.Errorf("remote: topology shard count %d, want >= 1", t.Shards)
+		return fmt.Errorf("remote: topology shard count %d, want >= 1", t.Shards)
 	}
 	if len(t.Workers) == 0 {
-		return Topology{}, fmt.Errorf("remote: topology has no workers")
+		return fmt.Errorf("remote: topology has no workers")
 	}
 	owner := make([]string, t.Shards)
 	for _, w := range t.Workers {
 		if w.Addr == "" {
-			return Topology{}, fmt.Errorf("remote: topology worker with empty addr")
+			return fmt.Errorf("remote: topology worker with empty addr")
 		}
 		if len(w.Owns) == 0 {
-			return Topology{}, fmt.Errorf("remote: worker %s owns no shards", w.Addr)
+			return fmt.Errorf("remote: worker %s owns no shards", w.Addr)
 		}
 		for _, s := range w.Owns {
 			if s < 0 || s >= t.Shards {
-				return Topology{}, fmt.Errorf("remote: worker %s owns shard %d outside [0,%d)", w.Addr, s, t.Shards)
+				return fmt.Errorf("remote: worker %s owns shard %d outside [0,%d)", w.Addr, s, t.Shards)
 			}
 			if owner[s] != "" {
-				return Topology{}, fmt.Errorf("remote: shard %d owned by both %s and %s", s, owner[s], w.Addr)
+				return fmt.Errorf("remote: shard %d owned by both %s and %s", s, owner[s], w.Addr)
 			}
 			owner[s] = w.Addr
 		}
 	}
 	for s, a := range owner {
 		if a == "" {
-			return Topology{}, fmt.Errorf("remote: shard %d has no owner", s)
+			return fmt.Errorf("remote: shard %d has no owner", s)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // LoadTopology reads and validates a topology file (the router's
@@ -563,20 +572,16 @@ type ShardSet struct {
 	sm      *shard.Map
 	owner   []*Client // per shard
 	clients []*Client // distinct, in worker order
-	// fanoutErrs counts apply deliveries that failed after retries;
-	// each one fenced its worker, so a missed write is never silent —
-	// the worker's shards degrade to ErrShardUnavailable.
-	fanoutErrs atomic.Uint64
 }
 
-// NewShardSet builds the client fleet for a topology. cfg.Fingerprint
-// and cfg.Shards are overwritten by Handshake; connections are dialed
-// lazily.
+// NewShardSet builds the client fleet for a topology, refusing one
+// ParseTopology would refuse. cfg.Fingerprint and cfg.Shards are
+// overwritten by Handshake; connections are dialed lazily.
 func NewShardSet(top Topology, cfg ClientConfig) (*ShardSet, error) {
-	if len(top.Workers) == 0 {
-		return nil, fmt.Errorf("remote: empty topology")
+	if err := top.validate(); err != nil {
+		return nil, err
 	}
-	sm := hashMapFor(top.Shards)
+	sm, _ := shard.New(top.Shards) // validate refused Shards < 1
 	s := &ShardSet{top: top, sm: sm, owner: make([]*Client, top.Shards)}
 	for _, w := range top.Workers {
 		wcfg := cfg
@@ -586,28 +591,10 @@ func NewShardSet(top Topology, cfg ClientConfig) (*ShardSet, error) {
 		cl := NewClient(w.Addr, wcfg)
 		s.clients = append(s.clients, cl)
 		for _, sh := range w.Owns {
-			if sh < 0 || sh >= top.Shards || s.owner[sh] != nil {
-				return nil, fmt.Errorf("remote: invalid topology: shard %d", sh)
-			}
 			s.owner[sh] = cl
 		}
 	}
-	for sh, cl := range s.owner {
-		if cl == nil {
-			return nil, fmt.Errorf("remote: shard %d has no owner", sh)
-		}
-	}
 	return s, nil
-}
-
-// hashMapFor returns the canonical n-way hash map (n validated by the
-// topology/world already).
-func hashMapFor(n int) *shard.Map {
-	m, err := shard.New(n)
-	if err != nil {
-		panic(err) // unreachable: n >= 1 is validated upstream
-	}
-	return m
 }
 
 // Handshake pins the world identity every connection must present and
@@ -758,7 +745,6 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) error {
 	for i, cl := range s.clients {
 		if err := errs[i]; err != nil && !cl.Fenced() {
 			cl.Fence(fmt.Sprintf("missed apply seq %d: %v", seq, err))
-			s.fanoutErrs.Add(1)
 		}
 		if cl == owner {
 			ownerErr = errs[i]
@@ -766,10 +752,6 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) error {
 	}
 	return ownerErr
 }
-
-// FanoutErrors reports apply deliveries that failed (each such worker
-// was fenced at that point).
-func (s *ShardSet) FanoutErrors() uint64 { return s.fanoutErrs.Load() }
 
 // Fenced lists the addresses of quarantined workers — replicas that
 // missed a write and were cut off from serving.

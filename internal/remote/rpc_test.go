@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/shard"
 )
 
 // fakeBackend is a deterministic in-memory Backend: scores and
@@ -184,7 +185,7 @@ func TestClientMultiWrongShard(t *testing.T) {
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
 
-	m := hashMapFor(4)
+	m, _ := shard.New(4)
 	var inside, outside dataset.UserID
 	for u, haveIn, haveOut := dataset.UserID(0), false, false; !haveIn || !haveOut; u++ {
 		if m.Of(int64(u)) == 1 {
@@ -209,7 +210,7 @@ func TestClientMultiWrongShard(t *testing.T) {
 // worker, never one per member.
 func TestShardSetMultiBatchesByWorker(t *testing.T) {
 	set, _, _ := twoWorkerSet(t)
-	m := hashMapFor(2)
+	m, _ := shard.New(2)
 	// 3 members on shard 0 and 2 on shard 1, interleaved in request
 	// order, so the gather has to scatter results back across buckets.
 	var users []dataset.UserID
@@ -658,6 +659,22 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
+// TestNewShardSetRefusesInvalidTopology: a topology built in code
+// rather than parsed gets the same checks as ParseTopology's, as an
+// error, never a panic.
+func TestNewShardSetRefusesInvalidTopology(t *testing.T) {
+	bad := map[string]Topology{
+		"zero shards": {Shards: 0, Workers: []Worker{{Addr: "127.0.0.1:1"}}},
+		"empty addr":  {Shards: 1, Workers: []Worker{{Addr: "", Owns: []int{0}}}},
+	}
+	for name, top := range bad {
+		if set, err := NewShardSet(top, ClientConfig{}); err == nil {
+			set.Close()
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // twoWorkerSet builds a 2-shard world split across two loopback
 // workers and a handshaken ShardSet over them.
 func twoWorkerSet(t *testing.T) (*ShardSet, *fakeBackend, *fakeBackend) {
@@ -685,7 +702,7 @@ func twoWorkerSet(t *testing.T) (*ShardSet, *fakeBackend, *fakeBackend) {
 // userOnShard finds a user routed to shard sh under the canonical
 // 2-way map.
 func userOnShard(sh int) dataset.UserID {
-	m := hashMapFor(2)
+	m, _ := shard.New(2)
 	for u := dataset.UserID(0); ; u++ {
 		if m.Of(int64(u)) == sh {
 			return u
@@ -728,8 +745,8 @@ func TestShardSetApplyFansOutToAllWorkers(t *testing.T) {
 			t.Errorf("worker %d ingested %d ratings, want 1", i, n)
 		}
 	}
-	if set.FanoutErrors() != 0 {
-		t.Errorf("fanout errors = %d", set.FanoutErrors())
+	if fenced := set.Fenced(); len(fenced) != 0 {
+		t.Errorf("fenced workers = %v after a fully delivered apply", fenced)
 	}
 }
 
@@ -794,9 +811,6 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 	}
 	if err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 1, Value: 1, Time: 1}); err != nil {
 		t.Errorf("ingest for live owner: %v", err)
-	}
-	if set.FanoutErrors() == 0 {
-		t.Error("fanout miss not counted")
 	}
 	// The dead worker missed a write: it must be fenced, so even if
 	// the process came back on that address it could not serve a

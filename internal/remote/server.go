@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/dataset"
+	"repro/internal/shard"
 )
 
 // Backend is the world a greca-shard worker serves: the data plane of
@@ -80,7 +81,11 @@ func NewServer(b Backend) *Server {
 	for _, sh := range b.Owned() {
 		s.owned[sh] = true
 	}
-	sm := hashMapFor(b.Shards())
+	sm, err := shard.New(b.Shards())
+	if err != nil {
+		// A Backend wraps a built world, whose shard count is >= 1.
+		panic("remote: backend " + err.Error())
+	}
 	s.sm = func(u dataset.UserID) int { return sm.Of(int64(u)) }
 	return s
 }

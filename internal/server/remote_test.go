@@ -321,8 +321,7 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 						CallsByOp    map[string]uint64 `json:"calls_by_op"`
 						BatchedCalls uint64            `json:"batched_calls"`
 					} `json:"transport"`
-					ViewCacheEnabled bool `json:"view_cache_enabled"`
-					ViewCache        struct {
+					ViewCache struct {
 						Hits     uint64 `json:"hits"`
 						Misses   uint64 `json:"misses"`
 						Capacity int    `json:"capacity"`
@@ -340,9 +339,6 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 			}
 			if parsed.Remote.Transport.BatchedCalls == 0 || parsed.Remote.Transport.CallsByOp["view_multi"] == 0 {
 				t.Errorf("batched reads not counted: %+v", parsed.Remote.Transport)
-			}
-			if !parsed.Remote.ViewCacheEnabled {
-				t.Error("view_cache_enabled = false on a router with a list store")
 			}
 			wantCap := tc.listStore
 			if wantCap == 0 {
@@ -675,7 +671,7 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"attached", "transport", "view_cache_enabled", "view_cache"} {
+	for _, key := range []string{"attached", "transport", "view_cache"} {
 		if _, ok := raw.Remote[key]; !ok {
 			t.Errorf("remote lacks %q; keys: %v", key, keysOf(raw.Remote))
 		}
@@ -720,8 +716,8 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status = %d", code)
 	}
-	if !st.Remote.Attached || !st.Remote.ViewCacheEnabled {
-		t.Errorf("attached/enabled = %v/%v, want true/true", st.Remote.Attached, st.Remote.ViewCacheEnabled)
+	if !st.Remote.Attached {
+		t.Error("remote.attached = false on the distributed stack")
 	}
 	if st.Remote.Transport.CallsByOp["view_multi"] == 0 || st.Remote.Transport.BatchedCalls == 0 {
 		t.Errorf("no batched view fetch counted: %+v", st.Remote.Transport)
@@ -819,7 +815,7 @@ func TestRouterCacheStatsSumWorkers(t *testing.T) {
 		if st := getJSON(t, ts.URL+"/v1/stats", &doc); st != http.StatusOK {
 			t.Fatalf("stats status = %d", st)
 		}
-		want := repro.CacheStats{ListStoreEnabled: true}
+		var want repro.CacheStats
 		ls, nb := &want.ListStore, &want.Neighborhoods
 		for _, b := range bs {
 			st := b.Stats()

@@ -252,9 +252,6 @@ func TestServeStats(t *testing.T) {
 	if st.Coalescer.Parked != 0 || st.Coalescer.Shed != 0 {
 		t.Errorf("coalescer = %+v, want nothing parked or shed at rest", st.Coalescer)
 	}
-	if !st.Caches.ListStoreEnabled {
-		t.Error("sorted-list store should be enabled in the default config")
-	}
 	// Identical repeated requests are served from the sorted-list
 	// store: views materialize once per member, then merge into every
 	// subsequent problem. (The world is shared across the package's

@@ -11,26 +11,19 @@ import (
 )
 
 // TestRecommendListStoreDifferential is the facade-level acceptance
-// test of the sorted-list store: a world with the store enabled must
-// produce byte-identical recommendations to one with it disabled,
-// across consensus functions, time models, group sizes, and candidate
-// shapes — while actually serving from views.
+// test of the sorted-list store: a world served from the store must
+// produce byte-identical recommendations to one whose assembler has no
+// store (NewDenseWorld), across consensus functions, time models, group
+// sizes, and candidate shapes — while actually serving from views.
 func TestRecommendListStoreDifferential(t *testing.T) {
 	cfg := tinyConfig()
 	served, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatalf("NewWorld(served): %v", err)
 	}
-	if served.ListStore() == nil {
-		t.Fatal("default config did not enable the list store")
-	}
-	cfg.ListStoreSize = -1
-	dense, err := NewWorld(cfg)
+	dense, err := NewDenseWorld(cfg)
 	if err != nil {
-		t.Fatalf("NewWorld(dense): %v", err)
-	}
-	if dense.ListStore() != nil {
-		t.Fatal("negative ListStoreSize did not disable the store")
+		t.Fatalf("NewDenseWorld: %v", err)
 	}
 
 	participants := served.Participants()
@@ -77,6 +70,9 @@ func TestRecommendListStoreDifferential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("custom items diverge:\ndense:  %+v\nserved: %+v", want, got)
+	}
+	if st := dense.ListStore().Stats(); st.ViewBuilds+st.ViewHits != 0 {
+		t.Errorf("the dense reference read its list store: %+v", st)
 	}
 }
 

@@ -34,14 +34,13 @@ type worldSnapshot struct {
 // different world and is discarded in favor of a cold rebuild. The
 // readers are excluded (not hashable), which means a changed ratings
 // file behind an unchanged Config is NOT detected — operators who
-// swap the dataset must clear the snapshot directory. A field that
-// only moves work around (AssemblyWorkers) is excluded so tuning it
-// keeps snapshots valid, and of ListStoreSize only
-// whether the store exists is hashed (a router and its workers must
-// agree on that; see ShardBackend.ViewScores) — its capacity shapes
-// nothing, and a journal is reset when the fingerprint differs, so a
-// capacity in the hash would let a retuned restart discard acknowledged
-// ratings.
+// swap the dataset must clear the snapshot directory. No cache
+// capacity is hashed: ListStoreSize shapes nothing, and a journal is
+// reset when the fingerprint differs, so a capacity in the hash would
+// let a retuned restart discard acknowledged ratings. The
+// ListStoreSize >= 0 term is constant — a negative size is refused by
+// NewWorld — and stays only so that existing snapshots and journals
+// keep their fingerprint.
 func configFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v|%+v|%d|%d|%t|%t|%d|%v|%d|%t|%d",
@@ -133,9 +132,7 @@ func OpenWorld(cfg Config, dir string) (*World, OpenStats, error) {
 	st.DiscardedRatings = wal.Discarded()
 	if st.Warm && len(replayed) == 0 {
 		st.WarmNeighborhoods = w.pred.RestoreNeighborhoods(snap.Neighborhoods)
-		if w.lists != nil {
-			st.WarmViews = w.lists.RestoreViews(snap.Views)
-		}
+		st.WarmViews = w.lists.RestoreViews(snap.Views)
 	}
 	w.SetRatingLog(wal)
 	return w, st, nil
@@ -158,10 +155,8 @@ func SaveWorldSnapshot(w *World, dir string) error {
 	defer w.ingestMu.Unlock()
 	snap := worldSnapshot{
 		Ratings:       w.ratings.DumpRatings(),
+		Views:         w.lists.ExportViews(),
 		Neighborhoods: w.pred.ExportNeighborhoods(),
-	}
-	if w.lists != nil {
-		snap.Views = w.lists.ExportViews()
 	}
 	fp := configFingerprint(w.cfg)
 	if err := persist.SaveSnapshot(filepath.Join(dir, snapshotFile), fp, &snap); err != nil {

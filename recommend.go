@@ -82,8 +82,11 @@ type Options struct {
 	// Items optionally fixes the candidate item set. When nil, the
 	// NumItems most popular items not rated by any group member are
 	// used (the paper's problem definition excludes items already
-	// consumed by a member). The slice is copied at submission, so the
-	// caller may reuse or mutate it as soon as the call is made.
+	// consumed by a member). An explicit set names each item once
+	// (ErrDuplicateItem otherwise) and only catalog items (an error
+	// wrapping dataset.ErrUnknownItem otherwise). The slice is copied at
+	// submission, so the caller may reuse or mutate it as soon as the
+	// call is made.
 	Items []dataset.ItemID
 	// NumItems is the candidate count when Items is nil (3900 if
 	// zero — the paper's default).
@@ -123,11 +126,6 @@ const (
 	DefaultK        = 10
 	DefaultNumItems = 3900
 )
-
-// prefDivisor maps the 1..5 rating scale onto the [0,1] absolute
-// preferences GRECA consumes. The sorted-list store normalizes with
-// the same constant at build time so its views feed problems directly.
-const prefDivisor = 5
 
 // fill applies the paper's defaults to zero-valued fields and rejects
 // values that are nonsensical rather than defaulted — negative K or
@@ -218,25 +216,8 @@ func (w *World) buildProblem(group []dataset.UserID, opt *Options) (*core.Proble
 	if len(group) < 1 {
 		return nil, nil, 0, noRelease, fmt.Errorf("repro: %w", ErrEmptyGroup)
 	}
-	// Duplicate-member check: quadratic scan for realistic group sizes
-	// (this is on every request's hot path and a map would be its only
-	// allocation), map for absurdly large groups.
-	if len(group) <= 64 {
-		for i, u := range group {
-			for _, v := range group[:i] {
-				if u == v {
-					return nil, nil, 0, noRelease, fmt.Errorf("repro: %w %d", ErrDuplicateMember, u)
-				}
-			}
-		}
-	} else {
-		seen := make(map[dataset.UserID]bool, len(group))
-		for _, u := range group {
-			if seen[u] {
-				return nil, nil, 0, noRelease, fmt.Errorf("repro: %w %d", ErrDuplicateMember, u)
-			}
-			seen[u] = true
-		}
+	if u, dup := firstDuplicate(group); dup {
+		return nil, nil, 0, noRelease, fmt.Errorf("repro: %w %d", ErrDuplicateMember, u)
 	}
 
 	last := w.lastPeriod()
@@ -251,6 +232,17 @@ func (w *World) buildProblem(group []dataset.UserID, opt *Options) (*core.Proble
 	items := opt.Items
 	if items == nil {
 		items = w.CandidateItems(group, opt.NumItems)
+	} else {
+		// An explicit set is the caller's: each item once, each in the
+		// catalog. Generated candidates are both by construction.
+		if it, dup := firstDuplicate(items); dup {
+			return nil, nil, 0, noRelease, fmt.Errorf("repro: %w %d", ErrDuplicateItem, it)
+		}
+		for _, it := range items {
+			if err := w.ratings.CheckItem(it); err != nil {
+				return nil, nil, 0, noRelease, fmt.Errorf("repro: candidate item: %w", err)
+			}
+		}
 	}
 	if len(items) == 0 {
 		return nil, nil, 0, noRelease, fmt.Errorf("repro: no candidate items for group")
@@ -266,29 +258,6 @@ func (w *World) buildProblem(group []dataset.UserID, opt *Options) (*core.Proble
 		PartitionAffinity: !opt.MonolithicAffinityLists,
 		CheckInterval:     opt.CheckInterval,
 		LooseBounds:       opt.LooseBounds,
-	}
-
-	// Absolute preferences: served from the sorted-list store when its
-	// views cover this candidate slice (rows copied out of the
-	// materialized views, only the patch remainder re-predicted), with
-	// a dense fallback that batch-predicts and normalizes every row in
-	// parallel. Both paths produce identical values; the served one
-	// additionally carries the pre-sorted views so problem
-	// construction merges instead of re-sorting. With remote shard
-	// workers attached, either path fetches per-member data over the
-	// wire and a dead worker surfaces here as a typed transport error
-	// (ErrShardUnavailable / ErrShardTimeout).
-	va, served, err := w.asm.AprefViews(group, items, prefDivisor)
-	if err != nil {
-		return nil, nil, 0, noRelease, fmt.Errorf("repro: assembling preferences: %w", err)
-	}
-	if served {
-		in.Apref = va.Rows
-	} else {
-		in.Apref, err = w.asm.AprefRows(group, items, prefDivisor)
-		if err != nil {
-			return nil, nil, 0, noRelease, fmt.Errorf("repro: assembling preferences: %w", err)
-		}
 	}
 
 	// Affinity components per the selected time model.
@@ -311,21 +280,43 @@ func (w *World) buildProblem(group []dataset.UserID, opt *Options) (*core.Proble
 		in.Static, in.Drift = nil, nil
 	}
 
-	var prob *core.Problem
-	if served {
-		prob, err = core.NewProblemFromViews(in, va.Views)
-	} else {
-		prob, err = core.NewProblem(in)
-	}
+	// Absolute preferences and the problem: the assembler serves the
+	// rows from the sorted-list store's views when they cover this
+	// candidate slice, densely otherwise — identical values either way.
+	// With remote shard workers attached, either path fetches per-member
+	// data over the wire and a dead worker surfaces here as a typed
+	// transport error (ErrShardUnavailable / ErrShardTimeout).
+	prob, release, err := w.asm.Problem(in, group, items)
 	if err != nil {
-		w.asm.Release(in.Apref)
 		return nil, nil, 0, noRelease, fmt.Errorf("repro: building problem: %w", err)
 	}
-	release := func() {
-		w.asm.Release(in.Apref)
-		prob.Release()
-	}
 	return prob, items, period, release, nil
+}
+
+// firstDuplicate returns the first element of xs equal to an earlier
+// one. Up to 64 elements — every realistic group — are scanned
+// quadratically (a group is checked on every request, and a map would be
+// the check's only allocation); longer slices go through a map.
+func firstDuplicate[T comparable](xs []T) (T, bool) {
+	if len(xs) <= 64 {
+		for i, x := range xs {
+			for _, y := range xs[:i] {
+				if x == y {
+					return x, true
+				}
+			}
+		}
+	} else {
+		seen := make(map[T]bool, len(xs))
+		for _, x := range xs {
+			if seen[x] {
+				return x, true
+			}
+			seen[x] = true
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // lastPeriod resolves the index of the newest indexed period under the

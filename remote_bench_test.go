@@ -26,7 +26,6 @@ import (
 func remoteBenchStack(b *testing.B, shards, nWorkers, listStore int) *repro.World {
 	b.Helper()
 	cfg := repro.QuickConfig()
-	cfg.AssemblyWorkers = 1
 	cfg.Shards = shards
 
 	owns := make([][]int, nWorkers)

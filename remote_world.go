@@ -49,9 +49,7 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	// Everything else about it — CLOCK eviction, the drop AddRating ends
 	// in, the mid-build unlink that fences fetches against ingest — is
 	// the store's, unchanged.
-	if w.lists != nil {
-		w.lists.SetBuilder(fetchViews(set, len(w.lists.Pool())))
-	}
+	w.lists.SetBuilder(fetchViews(set, len(w.lists.Pool())))
 	w.asm.AttachRows(func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
 		rows, err := set.PredictBatchMulti(users, items)
 		if err != nil {
@@ -128,14 +126,8 @@ func (b *ShardBackend) Owned() []int { return append([]int(nil), b.owned...) }
 
 // ViewScores implements remote.Backend: u's pool-order normalized view
 // scores, served from the sorted-list store, materializing and caching
-// the view exactly like local traffic would. (A router only asks for
-// views when its own store is enabled, and whether it is —
-// ListStoreSize >= 0, not the capacity — is part of the handshake
-// fingerprint, so the store is enabled here whenever this is called.)
+// the view exactly like local traffic would.
 func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
-	if b.w.lists == nil {
-		return nil, fmt.Errorf("repro: view requested from a worker without a list store")
-	}
 	v, err := b.w.lists.Acquire(u)
 	if err != nil {
 		return nil, err

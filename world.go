@@ -69,17 +69,13 @@ type Config struct {
 	// evolves over time, GRECA does not need to recalculate any of the
 	// previously calculated affinities and just augments the index").
 	InitialPeriods int
-	// AssemblyWorkers bounds the per-call goroutines used to fill a
-	// group's preference rows during problem assembly (GOMAXPROCS if
-	// 0, 1 forces fully sequential assembly).
-	AssemblyWorkers int
 	// ListStoreSize bounds the sorted-list store's materialized
-	// per-user preference views (liststore.DefaultMaxUsers if 0,
-	// negative disables the store: every problem then re-sorts its
-	// lists in core.NewProblem). On a distributed router (AttachRemote)
-	// the same store keeps the views it fetches from the workers. Only
-	// whether the store exists is in the config fingerprint, so a router
-	// may size its store differently from its workers.
+	// per-user preference views (liststore.DefaultMaxUsers if 0;
+	// negative is an error). Every world has the store. On a
+	// distributed router (AttachRemote) the same store keeps the views
+	// it fetches from the workers. The capacity is not in the config
+	// fingerprint, so a router may size its store differently from its
+	// workers.
 	ListStoreSize int
 	// Shards is the number of shards users are routed onto by hashing
 	// on UserID (0 means 1; negative is an error). A shard decides which
@@ -142,12 +138,11 @@ type World struct {
 	// predictor.
 	source cf.Source
 	// lists is the precomputed sorted-list store over the popularity
-	// pool; nil when Config.ListStoreSize disabled it. In-process its
-	// views are built from source; AttachRemote swaps it for a store
-	// that fetches them from the owning workers.
+	// pool. In-process its views are built from source; AttachRemote
+	// points it at a builder that fetches them from the owning workers.
 	lists *liststore.Store
-	// asm is the assembly layer filling preference matrices from
-	// source with a bounded worker pool.
+	// asm is the assembly layer building each request's problem from
+	// source and lists.
 	asm      *engine.Assembler
 	model    *affinity.Model
 	timeline affinity.Timeline
@@ -203,6 +198,9 @@ func NewWorld(cfg Config) (*World, error) {
 	// Routing: the one map the router, the workers and ShardOf agree on.
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("repro: negative Shards %d", cfg.Shards)
+	}
+	if cfg.ListStoreSize < 0 {
+		return nil, fmt.Errorf("repro: negative ListStoreSize %d", cfg.ListStoreSize)
 	}
 	nShards := cfg.Shards
 	if nShards == 0 {
@@ -306,20 +304,14 @@ func NewWorld(cfg Config) (*World, error) {
 	case w.twPred != nil:
 		w.source = w.twPred
 	}
-	w.asm = engine.New(w.source, cfg.AssemblyWorkers)
 
 	// Sorted-list store: built at load over the frozen popularity
 	// ranking (views materialize lazily per user, bounded by a CLOCK
 	// policy). The World owns the store lifecycle — every rating ingest
 	// empties it (AddRating) so stale views are rebuilt.
-	if cfg.ListStoreSize >= 0 {
-		pool := w.ratings.PopularityRanked()
-		build := liststore.LocalBuilder(w.source, pool, prefDivisor, w.asm.Workers())
-		w.lists = liststore.NewOver(build, pool, cfg.ListStoreSize, prefDivisor)
-		if w.lists != nil {
-			w.asm.AttachListStore(w.lists)
-		}
-	}
+	pool := w.ratings.PopularityRanked()
+	w.lists = liststore.NewOver(engine.LocalBuilder(w.source, pool), pool, cfg.ListStoreSize)
+	w.asm = engine.New(w.source, w.lists)
 
 	// Participants: social users 0..Users-1 mapped onto the rating
 	// store's first users (both populations use dense IDs from 0).
@@ -397,8 +389,7 @@ func (w *World) Predictor() *cf.Predictor { return w.pred }
 // configured predictor behind the cf.Source interface.
 func (w *World) Source() cf.Source { return w.source }
 
-// ListStore returns the sorted-list store, or nil when
-// Config.ListStoreSize disabled it.
+// ListStore returns the sorted-list store.
 func (w *World) ListStore() *liststore.Store { return w.lists }
 
 // Shards returns the world's shard count (1 when unsharded).
@@ -486,9 +477,7 @@ func (w *World) AddRating(r dataset.Rating) error {
 	// view still mid-build when the sweep passes is unlinked by it (see
 	// liststore.AcquireMulti), and one started afterwards reads
 	// post-ingest state wherever it is built.
-	if w.lists != nil {
-		w.lists.InvalidateAll()
-	}
+	w.lists.InvalidateAll()
 	if journalErr != nil {
 		return fmt.Errorf("repro: rating applied but not journaled: %w", journalErr)
 	}
@@ -541,11 +530,9 @@ type RemoteStats struct {
 	// batched reads among them, retries, breaker opens, dials vs
 	// connection reuses.
 	Transport remote.TransportStats `json:"transport"`
-	// ViewCacheEnabled reports whether the router retains fetched views
-	// — whenever its list store exists (Config.ListStoreSize >= 0);
-	// ViewCache counts that store's traffic.
-	ViewCacheEnabled bool           `json:"view_cache_enabled"`
-	ViewCache        ViewCacheStats `json:"view_cache"`
+	// ViewCache counts the traffic of the router's list store, which
+	// retains the views it fetches.
+	ViewCache ViewCacheStats `json:"view_cache"`
 }
 
 // ViewCacheStats is the router list store seen as a cache of worker
@@ -569,20 +556,19 @@ func (w *World) RemoteStats() RemoteStats {
 	if w.remote == nil {
 		return RemoteStats{Transport: remote.EmptyTransportStats()}
 	}
-	st := RemoteStats{Attached: true, Transport: w.remote.TransportStats()}
-	if w.lists != nil {
-		ls := w.lists.Stats()
-		st.ViewCacheEnabled = true
-		st.ViewCache = ViewCacheStats{
+	ls := w.lists.Stats()
+	return RemoteStats{
+		Attached:  true,
+		Transport: w.remote.TransportStats(),
+		ViewCache: ViewCacheStats{
 			Hits:          ls.ViewHits,
 			Misses:        ls.ViewBuilds,
 			Invalidations: ls.Invalidations,
 			Evictions:     ls.Evictions,
 			Size:          ls.Size,
 			Capacity:      w.lists.Capacity(),
-		}
+		},
 	}
-	return st
 }
 
 // CacheStats reports the engine's cache counters — the sorted-list
@@ -590,9 +576,6 @@ func (w *World) RemoteStats() RemoteStats {
 // serving layer's /stats endpoint and any other observability
 // consumer.
 type CacheStats struct {
-	// ListStoreEnabled reports whether the sorted-list store is on
-	// (Config.ListStoreSize >= 0). ListStore is zero when it is not.
-	ListStoreEnabled bool `json:"list_store_enabled"`
 	// ListStore counts the sorted-list store's view, patch, and
 	// lifecycle traffic.
 	ListStore liststore.Stats `json:"list_store"`
@@ -613,11 +596,7 @@ type CacheStats struct {
 // answer — except the patch count and the pool size, which the router's
 // own assembly and store keep.
 func (w *World) CacheStats() CacheStats {
-	var st CacheStats
-	if w.lists != nil {
-		st.ListStoreEnabled = true
-		st.ListStore = w.lists.Stats()
-	}
+	st := CacheStats{ListStore: w.lists.Stats()}
 	switch {
 	case w.itemPred != nil:
 		st.Neighborhoods = w.itemPred.Stats()
@@ -629,11 +608,9 @@ func (w *World) CacheStats() CacheStats {
 	if w.remote != nil {
 		workers, _ := w.remote.Stats()
 		st.Neighborhoods = workers.Neighborhoods
-		if w.lists != nil {
-			local := st.ListStore
-			st.ListStore = workers.ListStore
-			st.ListStore.PatchItems, st.ListStore.PoolSize = local.PatchItems, local.PoolSize
-		}
+		local := st.ListStore
+		st.ListStore = workers.ListStore
+		st.ListStore.PatchItems, st.ListStore.PoolSize = local.PatchItems, local.PoolSize
 	}
 	return st
 }
