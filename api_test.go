@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cf"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -294,6 +293,19 @@ func TestPairAffinityVariants(t *testing.T) {
 			t.Errorf("%v affinity not symmetric", tm)
 		}
 	}
+	// A user paired with itself reads 0 under every time model, as a
+	// pair with a user outside the population does.
+	outsider := w.Ratings().Users()[len(w.Ratings().Users())-1]
+	for _, tm := range []TimeModel{Discrete, Continuous, TimeAgnostic, AffinityAgnostic} {
+		t.Run(tm.String(), func(t *testing.T) {
+			if got := w.PairAffinity(u, u, tm, -1); got != 0 {
+				t.Errorf("%v: PairAffinity(u, u) = %v, want 0", tm, got)
+			}
+			if got := w.PairAffinity(u, outsider, tm, -1); got != 0 {
+				t.Errorf("%v: PairAffinity with a user outside the population = %v, want 0", tm, got)
+			}
+		})
+	}
 }
 
 func TestCandidateItemsHonorsLimit(t *testing.T) {
@@ -369,59 +381,6 @@ func TestIncrementalIndexMatchesBatch(t *testing.T) {
 	}
 	if len(rec.Items) != 3 {
 		t.Errorf("items = %d", len(rec.Items))
-	}
-}
-
-func TestRecommendAlternativePredictors(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.ItemBasedCF = true
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatalf("item-based world: %v", err)
-	}
-	rec, err := w.Recommend(w.Participants()[:3], Options{K: 5, NumItems: 150})
-	if err != nil {
-		t.Fatalf("item-based recommend: %v", err)
-	}
-	if len(rec.Items) != 5 {
-		t.Errorf("item-based items = %d", len(rec.Items))
-	}
-
-	cfg2 := tinyConfig()
-	cfg2.Similarity = cf.PearsonSim
-	w2, err := NewWorld(cfg2)
-	if err != nil {
-		t.Fatalf("pearson world: %v", err)
-	}
-	rec2, err := w2.Recommend(w2.Participants()[:3], Options{K: 5, NumItems: 150})
-	if err != nil {
-		t.Fatalf("pearson recommend: %v", err)
-	}
-	if len(rec2.Items) != 5 {
-		t.Errorf("pearson items = %d", len(rec2.Items))
-	}
-}
-
-func TestRecommendTimeWeightedCF(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.TimeWeightedCF = true
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatalf("time-weighted world: %v", err)
-	}
-	rec, err := w.Recommend(w.Participants()[:3], Options{K: 5, NumItems: 150})
-	if err != nil {
-		t.Fatalf("time-weighted recommend: %v", err)
-	}
-	if len(rec.Items) != 5 {
-		t.Errorf("items = %d", len(rec.Items))
-	}
-
-	both := tinyConfig()
-	both.TimeWeightedCF = true
-	both.ItemBasedCF = true
-	if _, err := NewWorld(both); err == nil {
-		t.Errorf("mutually exclusive predictors accepted")
 	}
 }
 

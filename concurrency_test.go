@@ -21,97 +21,83 @@ func concurrencyConfig() repro.Config {
 }
 
 // TestRecommendConcurrent fires parallel Recommend calls — mixed
-// groups, all three predictors, all four time models — against shared
-// Worlds and asserts every result matches the sequential path. Run
-// with -race this is the end-to-end data-race check for the sharded
-// caches and parallel assembly.
+// groups, all four time models — against a shared World and asserts
+// every result matches the sequential path. Run with -race this is the
+// end-to-end data-race check for the sharded caches and parallel
+// assembly.
 func TestRecommendConcurrent(t *testing.T) {
-	predictors := []struct {
-		name string
-		mut  func(*repro.Config)
-	}{
-		{"user-based", func(c *repro.Config) {}},
-		{"item-based", func(c *repro.Config) { c.ItemBasedCF = true }},
-		{"time-weighted", func(c *repro.Config) { c.TimeWeightedCF = true }},
-	}
 	models := []repro.TimeModel{
 		repro.Discrete, repro.Continuous, repro.TimeAgnostic, repro.AffinityAgnostic,
 	}
 
-	for _, pc := range predictors {
-		t.Run(pc.name, func(t *testing.T) {
-			cfg := concurrencyConfig()
-			pc.mut(&cfg)
-			w, err := repro.NewWorld(cfg)
-			if err != nil {
-				t.Fatalf("building world: %v", err)
-			}
-			parts := w.Participants()
+	w, err := repro.NewWorld(concurrencyConfig())
+	if err != nil {
+		t.Fatalf("building world: %v", err)
+	}
+	parts := w.Participants()
 
-			// Mixed group shapes: singletons, pairs, and larger groups,
-			// overlapping so the caches see shared members.
-			groups := [][]dataset.UserID{
-				parts[:1],
-				parts[2:4],
-				parts[1:4],
-				parts[3:8],
-				parts[0:6],
-			}
-			type call struct {
-				group []dataset.UserID
-				opt   repro.Options
-			}
-			var calls []call
-			for gi, g := range groups {
-				for _, tm := range models {
-					calls = append(calls, call{g, repro.Options{
-						K:         3,
-						NumItems:  120,
-						TimeModel: tm,
-						// Vary the check cadence a little across calls.
-						CheckInterval: 1 + gi%3,
-					}})
-				}
-			}
+	// Mixed group shapes: singletons, pairs, and larger groups,
+	// overlapping so the caches see shared members.
+	groups := [][]dataset.UserID{
+		parts[:1],
+		parts[2:4],
+		parts[1:4],
+		parts[3:8],
+		parts[0:6],
+	}
+	type call struct {
+		group []dataset.UserID
+		opt   repro.Options
+	}
+	var calls []call
+	for gi, g := range groups {
+		for _, tm := range models {
+			calls = append(calls, call{g, repro.Options{
+				K:         3,
+				NumItems:  120,
+				TimeModel: tm,
+				// Vary the check cadence a little across calls.
+				CheckInterval: 1 + gi%3,
+			}})
+		}
+	}
 
-			// Sequential ground truth from the same world; a second
-			// pass confirms the caches are deterministic before the
-			// parallel phase relies on them.
-			want := make([]*repro.Recommendation, len(calls))
-			for i, c := range calls {
+	// Sequential ground truth from the same world; a second
+	// pass confirms the caches are deterministic before the
+	// parallel phase relies on them.
+	want := make([]*repro.Recommendation, len(calls))
+	for i, c := range calls {
+		rec, err := w.Recommend(c.group, c.opt)
+		if err != nil {
+			t.Fatalf("sequential call %d: %v", i, err)
+		}
+		want[i] = rec
+	}
+
+	const rounds = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, len(calls)*rounds)
+	for r := 0; r < rounds; r++ {
+		for i, c := range calls {
+			wg.Add(1)
+			go func(i int, c call) {
+				defer wg.Done()
 				rec, err := w.Recommend(c.group, c.opt)
 				if err != nil {
-					t.Fatalf("sequential call %d: %v", i, err)
+					errs <- fmt.Errorf("parallel call %d: %v", i, err)
+					return
 				}
-				want[i] = rec
-			}
-
-			const rounds = 4
-			var wg sync.WaitGroup
-			errs := make(chan error, len(calls)*rounds)
-			for r := 0; r < rounds; r++ {
-				for i, c := range calls {
-					wg.Add(1)
-					go func(i int, c call) {
-						defer wg.Done()
-						rec, err := w.Recommend(c.group, c.opt)
-						if err != nil {
-							errs <- fmt.Errorf("parallel call %d: %v", i, err)
-							return
-						}
-						if !reflect.DeepEqual(rec, want[i]) {
-							errs <- fmt.Errorf("parallel call %d (%v): result diverged from sequential path\n got %+v\nwant %+v",
-								i, c.opt.TimeModel, rec, want[i])
-						}
-					}(i, c)
+				if !reflect.DeepEqual(rec, want[i]) {
+					errs <- fmt.Errorf("parallel call %d (%v): result diverged from sequential path\n got %+v\nwant %+v",
+						i, c.opt.TimeModel, rec, want[i])
 				}
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
+			}(i, c)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

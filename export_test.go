@@ -4,10 +4,10 @@ import "repro/internal/engine"
 
 // NewFullInvalidationWorld is NewWorld with the drop-everything ingest
 // scheme: every AddRating discards every cached neighborhood
-// (cf.Predictor.NoteIngest, cf.ItemPredictor.NoteIngest) instead of the
-// ones the rating reaches. It serves the same bytes as a NewWorld world —
-// scoping only decides how much cache heat survives — and exists as the
-// reference the scoped scheme is differentially tested
+// (cf.Predictor.NoteIngest) instead of the ones the rating reaches. It
+// serves the same bytes as a NewWorld world — scoping only decides how
+// much cache heat survives — and exists as the reference the scoped
+// scheme is differentially tested
 // (TestFullInvalidationMatchesScoped) and benchmarked
 // (BenchmarkIngestMix/full, BenchmarkIngestOnly/full) against. No
 // Config field, flag or environment variable selects it.
@@ -32,6 +32,6 @@ func NewDenseWorld(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.asm = engine.New(w.source, nil)
+	w.asm = engine.New(w.pred, nil)
 	return w, nil
 }

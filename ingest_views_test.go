@@ -109,140 +109,127 @@ func scoresByItem(s *liststore.Store, v *liststore.View) map[dataset.ItemID]floa
 // world's over the extended dataset.
 func TestRatingLeavesNoViewResident(t *testing.T) {
 	base := liveBaseRatings(t)
-	sources := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"user-based", nil},
-		{"item-based", func(c *Config) { c.ItemBasedCF = true }},
-		{"time-weighted", func(c *Config) { c.TimeWeightedCF = true }},
-	}
 	for _, shards := range []int{1, 4} {
 		for _, router := range []bool{false, true} {
-			for _, src := range sources {
-				name := fmt.Sprintf("shards=%d/router=%v/%s", shards, router, src.name)
-				t.Run(name, func(t *testing.T) {
-					build := func() *World { return liveWorldCfg(t, base, shards, src.mutate) }
-					// The world under test, its list store pointed at a
-					// holdable builder: the local one in-process, the wire
-					// fetch on a router (the default store size either way).
-					var live *World
-					var workers []*World
-					held := &heldBuilder{entered: make(chan struct{}, 1), release: make(chan struct{}), builds: map[dataset.UserID]int{}}
-					if router {
-						owns := [][]int{{0}}
-						if shards == 4 {
-							owns = [][]int{{0, 2}, {1, 3}}
-						}
-						var set *remote.ShardSet
-						set, workers = startViewWorkers(t, build, shards, owns)
-						live = build()
-						if err := live.AttachRemote(set); err != nil {
-							t.Fatalf("AttachRemote: %v", err)
-						}
-						held.inner = fetchViews(set, len(live.lists.Pool()))
-					} else {
-						live = build()
-						held.inner = engine.LocalBuilder(live.source, live.lists.Pool())
+			name := fmt.Sprintf("shards=%d/router=%v", shards, router)
+			t.Run(name, func(t *testing.T) {
+				build := func() *World { return liveWorldCfg(t, base, shards) }
+				// The world under test, its list store pointed at a
+				// holdable builder: the local one in-process, the wire
+				// fetch on a router (the default store size either way).
+				var live *World
+				var workers []*World
+				held := &heldBuilder{entered: make(chan struct{}, 1), release: make(chan struct{}), builds: map[dataset.UserID]int{}}
+				if router {
+					owns := [][]int{{0}}
+					if shards == 4 {
+						owns = [][]int{{0, 2}, {1, 3}}
 					}
-					live.lists.SetBuilder(held.build)
+					var set *remote.ShardSet
+					set, workers = startViewWorkers(t, build, shards, owns)
+					live = build()
+					if err := live.AttachRemote(set); err != nil {
+						t.Fatalf("AttachRemote: %v", err)
+					}
+					held.inner = fetchViews(set, len(live.lists.Pool()))
+				} else {
+					live = build()
+					held.inner = engine.LocalBuilder(live.pred, live.lists.Pool())
+				}
+				live.lists.SetBuilder(held.build)
 
-					group := live.Participants()[:3]
-					rater := live.Participants()[5]
-					r := liveExtraRatings(live, 6)[5]
-					if r.User != rater {
-						t.Fatalf("extra rating is by user %d, want the held user %d", r.User, rater)
-					}
-					if src.name == "time-weighted" {
-						r.Time = 978300000 + 1_000_000 // newest: the decay clock advances
-					}
+				group := live.Participants()[:3]
+				rater := live.Participants()[5]
+				r := liveExtraRatings(live, 6)[5]
+				if r.User != rater {
+					t.Fatalf("extra rating is by user %d, want the held user %d", r.User, rater)
+				}
 
-					// Warm: the group's views resident here (and on the workers).
-					if _, err := live.Recommend(group, Options{K: 5}); err != nil {
-						t.Fatal(err)
-					}
-					if live.lists.Len() != len(group) {
-						t.Fatalf("warm store holds %d views, want %d", live.lists.Len(), len(group))
-					}
+				// Warm: the group's views resident here (and on the workers).
+				if _, err := live.Recommend(group, Options{K: 5}); err != nil {
+					t.Fatal(err)
+				}
+				if live.lists.Len() != len(group) {
+					t.Fatalf("warm store holds %d views, want %d", live.lists.Len(), len(group))
+				}
 
-					// Hold the rater's own build — its view certainly moves: the
-					// rated item's score becomes the rating — with a second
-					// acquirer waiting on the same mid-build entry.
-					held.mu.Lock()
-					held.hold, held.armed = rater, true
-					held.mu.Unlock()
-					results := make(chan *liststore.View, 2)
-					acquire := func() {
-						v, err := live.lists.Acquire(rater)
-						if err != nil {
-							t.Error(err)
-						}
-						results <- v
+				// Hold the rater's own build — its view certainly moves: the
+				// rated item's score becomes the rating — with a second
+				// acquirer waiting on the same mid-build entry.
+				held.mu.Lock()
+				held.hold, held.armed = rater, true
+				held.mu.Unlock()
+				results := make(chan *liststore.View, 2)
+				acquire := func() {
+					v, err := live.lists.Acquire(rater)
+					if err != nil {
+						t.Error(err)
 					}
-					hitsBefore := live.lists.Stats().ViewHits
-					go acquire()
-					<-held.entered
-					go acquire()
-					for live.lists.Stats().ViewHits == hitsBefore {
-						runtime.Gosched()
-					}
+					results <- v
+				}
+				hitsBefore := live.lists.Stats().ViewHits
+				go acquire()
+				<-held.entered
+				go acquire()
+				for live.lists.Stats().ViewHits == hitsBefore {
+					runtime.Gosched()
+				}
 
-					if err := live.AddRating(r); err != nil {
-						t.Fatal(err)
+				if err := live.AddRating(r); err != nil {
+					t.Fatal(err)
+				}
+				if n := live.lists.Len(); n != 0 {
+					t.Errorf("%d views resident after AddRating, want 0", n)
+				}
+				for i, w := range workers {
+					if n := w.lists.Len(); n != 0 {
+						t.Errorf("worker %d: %d views resident after the fanned-out rating, want 0", i, n)
 					}
-					if n := live.lists.Len(); n != 0 {
-						t.Errorf("%d views resident after AddRating, want 0", n)
-					}
-					for i, w := range workers {
-						if n := w.lists.Len(); n != 0 {
-							t.Errorf("worker %d: %d views resident after the fanned-out rating, want 0", i, n)
-						}
-					}
+				}
 
-					close(held.release)
-					first, second := <-results, <-results
-					if first == nil || first != second {
-						t.Fatalf("waiters got %p and %p, want the one held view", first, second)
-					}
-					if n := live.lists.Len(); n != 0 {
-						t.Errorf("the held build became resident: %d views after it settled", n)
-					}
+				close(held.release)
+				first, second := <-results, <-results
+				if first == nil || first != second {
+					t.Fatalf("waiters got %p and %p, want the one held view", first, second)
+				}
+				if n := live.lists.Len(); n != 0 {
+					t.Errorf("the held build became resident: %d views after it settled", n)
+				}
 
-					// The next acquires rebuild, and serve a cold world's bytes.
-					cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), shards, src.mutate)
-					builds := held.buildsOf(rater)
-					for _, u := range append([]dataset.UserID{rater}, group...) {
-						got, err := live.lists.Acquire(u)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := cold.lists.Acquire(u)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(scoresByItem(live.lists, got), scoresByItem(cold.lists, want)) {
-							t.Errorf("user %d: post-ingest view differs from a cold rebuild's", u)
-						}
-					}
-					if got := held.buildsOf(rater); got != builds+1 {
-						t.Errorf("rater's view built %d times after the ingest, want 1 rebuild", got-builds)
-					}
-					if after, _ := live.lists.Acquire(rater); reflect.DeepEqual(after.Scores, first.Scores) {
-						t.Errorf("held view equals the post-ingest one: the hold did not straddle the ingest")
-					}
-					got, err := live.Recommend(group, Options{K: 5})
+				// The next acquires rebuild, and serve a cold world's bytes.
+				cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), shards)
+				builds := held.buildsOf(rater)
+				for _, u := range append([]dataset.UserID{rater}, group...) {
+					got, err := live.lists.Acquire(u)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := cold.Recommend(group, Options{K: 5})
+					want, err := cold.lists.Acquire(u)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("post-ingest recommendation diverged from cold rebuild\n got %+v\nwant %+v", got, want)
+					if !reflect.DeepEqual(scoresByItem(live.lists, got), scoresByItem(cold.lists, want)) {
+						t.Errorf("user %d: post-ingest view differs from a cold rebuild's", u)
 					}
-				})
-			}
+				}
+				if got := held.buildsOf(rater); got != builds+1 {
+					t.Errorf("rater's view built %d times after the ingest, want 1 rebuild", got-builds)
+				}
+				if after, _ := live.lists.Acquire(rater); reflect.DeepEqual(after.Scores, first.Scores) {
+					t.Errorf("held view equals the post-ingest one: the hold did not straddle the ingest")
+				}
+				got, err := live.Recommend(group, Options{K: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := cold.Recommend(group, Options{K: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("post-ingest recommendation diverged from cold rebuild\n got %+v\nwant %+v", got, want)
+				}
+			})
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // distinct candidate found through a map built per call, the fallback
 // means re-derived from the store instead of read off the dense
 // snapshot.
-func referenceBatchInto(p *Predictor, u dataset.UserID, items []dataset.ItemID, dst []float64, weight func(Neighbor, dataset.Rating) float64) {
+func referenceBatchInto(p *Predictor, u dataset.UserID, items []dataset.ItemID, dst []float64) {
 	slotOf := make([]int, len(items))
 	index := make(map[dataset.ItemID]int, len(items))
 	var slotItem []dataset.ItemID
@@ -40,9 +40,8 @@ func referenceBatchInto(p *Predictor, u dataset.UserID, items []dataset.ItemID, 
 				continue
 			}
 			if s, ok := index[r.Item]; ok {
-				w := weight(nb, r)
-				num[s] += w * r.Value
-				den[s] += w
+				num[s] += nb.Sim * r.Value
+				den[s] += nb.Sim
 			}
 		}
 	}
@@ -72,87 +71,21 @@ func referenceBatchInto(p *Predictor, u dataset.UserID, items []dataset.ItemID, 
 	}
 }
 
-// batchRig is one predictor under the kernel-vs-reference differential:
-// the user-based predictor alone, or the time-weighted one wrapped
-// around it.
-type batchRig struct {
-	base *Predictor
-	tw   *TimeWeightedPredictor
-}
-
-type batchKind struct {
-	name         string
-	measure      Similarity
-	timeWeighted bool
-}
-
-var batchKinds = []batchKind{
-	{"user-based cosine", CosineSim, false},
-	{"user-based pearson", PearsonSim, false},
-	{"time-weighted", CosineSim, true},
-}
-
-func newBatchRig(t testing.TB, s *dataset.Store, kind batchKind, k int) batchRig {
-	t.Helper()
-	base, err := NewPredictorSim(s, k, kind.measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig := batchRig{base: base}
-	if kind.timeWeighted {
-		// A half-life inside the worlds' time range, so the decay
-		// factors differ from rating to rating.
-		if rig.tw, err = NewTimeWeightedPredictor(base, 40); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return rig
-}
-
-func (r batchRig) source() interface {
-	Source
-	BatchInto
-} {
-	if r.tw != nil {
-		return r.tw
-	}
-	return r.base
-}
-
-// weight is the seam the predictor under test hands the kernel.
-func (r batchRig) weight() func(Neighbor, dataset.Rating) float64 {
-	if r.tw == nil {
-		return func(nb Neighbor, _ dataset.Rating) float64 { return nb.Sim }
-	}
-	now := r.tw.Now()
-	return func(nb Neighbor, rt dataset.Rating) float64 { return nb.Sim * r.tw.weightAt(now, rt.Time) }
-}
-
-// noteApplied makes the rig coherent with a rating just applied to its
-// store, as World.applyRating does.
-func (r batchRig) noteApplied(rt dataset.Rating) {
-	r.base.NoteIngestScoped(rt.User, rt.Item)
-	if r.tw != nil {
-		r.tw.Advance(rt.Time)
-	}
-}
-
 // diffBatch compares one batch call, position by position and bit by
 // bit, against the reference and against per-item Predict.
-func diffBatch(rig batchRig, u dataset.UserID, items []dataset.ItemID) error {
-	src := rig.source()
+func diffBatch(p *Predictor, u dataset.UserID, items []dataset.ItemID) error {
 	got := make([]float64, len(items))
 	for i := range got {
 		got[i] = math.NaN() // the kernel must write every position
 	}
-	src.PredictBatchInto(u, items, got)
+	p.PredictBatchInto(u, items, got)
 	want := make([]float64, len(items))
-	referenceBatchInto(rig.base, u, items, want, rig.weight())
+	referenceBatchInto(p, u, items, want)
 	for i, it := range items {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			return fmt.Errorf("user %d item %d (position %d of %d): kernel %v, reference %v", u, it, i, len(items), got[i], want[i])
 		}
-		if seq := src.Predict(u, it); math.Float64bits(got[i]) != math.Float64bits(seq) {
+		if seq := p.Predict(u, it); math.Float64bits(got[i]) != math.Float64bits(seq) {
 			return fmt.Errorf("user %d item %d (position %d of %d): kernel %v, Predict %v", u, it, i, len(items), got[i], seq)
 		}
 	}
@@ -194,14 +127,14 @@ func batchItemLists(s *dataset.Store) map[string][]dataset.ItemID {
 
 // diffAllBatches runs every candidate list for every user of the store
 // and for one user outside it (no ratings, no neighbors).
-func diffAllBatches(rig batchRig, s *dataset.Store) error {
+func diffAllBatches(p *Predictor, s *dataset.Store) error {
 	ghost := dataset.UserID(-12345)
 	if slices.Contains(s.Users(), ghost) {
 		ghost = 54321
 	}
 	for name, items := range batchItemLists(s) {
 		for _, u := range append(slices.Clone(s.Users()), ghost) {
-			if err := diffBatch(rig, u, items); err != nil {
+			if err := diffBatch(p, u, items); err != nil {
 				return fmt.Errorf("list %q: %w", name, err)
 			}
 		}
@@ -270,58 +203,101 @@ func batchWorlds() []scanWorld {
 			base:   randomItemRatings(rng, users[:10], sparse, 50),
 			deltas: randomItemRatings(rng, users[:10], sparse, 20),
 		},
+		{
+			// Users 1, 2 and 3 tie exactly as user 0's neighbors and
+			// rate item 4 differently: which of them a truncated
+			// neighborhood keeps decides the prediction.
+			name: "tied neighbors",
+			base: []dataset.Rating{
+				rt(0, 1, 1), rt(0, 2, 2),
+				rt(1, 1, 1), rt(1, 2, 2), rt(1, 4, 5),
+				rt(2, 1, 2), rt(2, 2, 4), rt(2, 4, 1),
+				rt(3, 1, 1), rt(3, 2, 2), rt(3, 4, 3), rt(4, 3, 2),
+			},
+			deltas: []dataset.Rating{rt(4, 1, 1), rt(4, 2, 2), rt(0, 3, 4), rt(2, 4, 4)},
+		},
+		{
+			// No two users share an item until the deltas land: every
+			// prediction starts without a neighbor.
+			name: "no co-rated items until the deltas",
+			base: []dataset.Rating{
+				rt(0, 1, 4), rt(1, 2, 2), rt(2, 3, 5), rt(3, 4, 1), rt(4, 5, 3),
+			},
+			deltas: []dataset.Rating{rt(0, 2, 4), rt(3, 1, 2), rt(4, 4, 5), rt(2, 5, 1), rt(1, 3, 3)},
+		},
 	}
 }
 
 // TestPredictBatchMatchesReference holds the kernel to the retired
-// map-based accumulation and to per-item Predict, bit for bit, for the
-// three predictors that share it, k below and above the user count
-// (truncated and full neighborhoods), and a store that is frozen and
-// then takes ratings one at a time.
+// map-based accumulation and to per-item Predict, bit for bit, for k
+// from one neighbor to above the user count (truncated and full
+// neighborhoods),
+// and a store that is frozen and then takes ratings one at a time.
 func TestPredictBatchMatchesReference(t *testing.T) {
 	for _, w := range batchWorlds() {
-		for _, kind := range batchKinds {
-			t.Run(fmt.Sprintf("%s/%s", w.name, kind.name), func(t *testing.T) {
-				for _, k := range []int{3, 50} {
-					t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-						s, deltas := buildScanWorld(t, w)
-						if usesMap := newDenseIndex(s.Items()).sparse != nil; usesMap != (w.name == "sparse item IDs (map index)") {
-							t.Fatalf("item index falls back to the map = %v", usesMap)
+		t.Run(w.name, func(t *testing.T) {
+			for _, k := range neighborhoodSizes(w.users()) {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					s, deltas := buildScanWorld(t, w)
+					if usesMap := newDenseIndex(s.Items()).sparse != nil; usesMap != (w.name == "sparse item IDs (map index)") {
+						t.Fatalf("item index falls back to the map = %v", usesMap)
+					}
+					p := newTestPredictor(t, s, k)
+					if err := diffAllBatches(p, s); err != nil {
+						t.Fatalf("frozen: %v", err)
+					}
+					for i, r := range deltas {
+						if err := s.Apply(r); err != nil {
+							t.Fatalf("Apply(%+v): %v", r, err)
 						}
-						rig := newBatchRig(t, s, kind, k)
-						if err := diffAllBatches(rig, s); err != nil {
-							t.Fatalf("frozen: %v", err)
+						p.NoteIngestScoped(r.User, r.Item)
+						// The full table after every few ratings and
+						// after the last one.
+						if i%6 != 0 && i != len(deltas)-1 {
+							continue
 						}
-						for i, r := range deltas {
-							if err := s.Apply(r); err != nil {
-								t.Fatalf("Apply(%+v): %v", r, err)
-							}
-							rig.noteApplied(r)
-							// The full table after every few ratings and
-							// after the last one.
-							if i%6 != 0 && i != len(deltas)-1 {
-								continue
-							}
-							if err := diffAllBatches(rig, s); err != nil {
-								t.Fatalf("%d applied ratings: %v", i+1, err)
-							}
+						if err := diffAllBatches(p, s); err != nil {
+							t.Fatalf("%d applied ratings: %v", i+1, err)
 						}
-					})
-				}
-			})
-		}
+					}
+				})
+			}
+		})
 	}
 }
 
+// newTestPredictor builds a predictor over s with neighborhoods of k.
+func newTestPredictor(t testing.TB, s *dataset.Store, k int) *Predictor {
+	t.Helper()
+	p, err := NewPredictor(s, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // FuzzPredictBatchMatchesReference feeds the kernel-vs-reference
-// differential arbitrary small worlds: the first bytes pick the
-// predictor, the item-ID layout and how much of the log is frozen; every
-// following triple is one rating.
+// differential arbitrary small worlds: the second and third bytes pick
+// the item-ID layout and how much of the log is frozen (the first picked
+// among predictors the package no longer has and is ignored, so the
+// seeds keep their meaning); every following triple is one rating.
 func FuzzPredictBatchMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 1, 3, 1, 1, 2, 0, 1, 4, 1, 1, 0})
 	f.Add([]byte{1, 1, 1, 2, 0, 0, 0, 1, 0, 4, 0, 0, 2, 1, 0, 1, 2, 0, 3})
 	f.Add([]byte{2, 1, 2, 9, 3, 2, 1, 4, 2, 2, 3, 2, 0, 4, 2, 4, 5, 1, 1, 3, 1, 2, 5, 1, 0})
 	f.Add([]byte{2, 0, 2, 1, 7, 7, 7, 7, 7, 3, 6, 7, 1, 7, 7, 0})
+	// Every user rates item 0 alike: all neighbors tie.
+	f.Add([]byte{0, 0, 3, 0, 0, 4, 1, 0, 4, 2, 0, 4, 3, 0, 4, 4, 0, 4})
+	// Disjoint items in the base, overlaps only in the deltas.
+	f.Add([]byte{0, 0, 2, 0, 0, 1, 1, 1, 2, 2, 2, 3, 0, 1, 4, 1, 2, 0})
+	// The extreme IDs of the map layout, MaxInt64 - 1 among them.
+	f.Add([]byte{0, 2, 1, 0, 0, 4, 1, 7, 0, 0, 7, 1, 1, 0, 3})
+	// One rating and nothing else.
+	f.Add([]byte{0, 0, 0, 5, 5, 5})
+	// One frozen rating, everything else live.
+	f.Add([]byte{0, 1, 0, 0, 3, 0, 1, 3, 0, 2, 3, 0, 1, 4, 1, 2, 4, 2})
+	// One (user, item) pair repeated in base and deltas.
+	f.Add([]byte{0, 0, 1, 2, 2, 0, 2, 2, 4, 2, 2, 1, 3, 2, 2})
 	layouts := [][]dataset.ItemID{
 		{0, 1, 2, 3, 4, 5, 6, 7},
 		{-70, -69, -3, 0, 5, 64, 65, 300},
@@ -331,7 +307,6 @@ func FuzzPredictBatchMatchesReference(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		kind := batchKinds[int(data[0])%len(batchKinds)]
 		ids := layouts[int(data[1])%len(layouts)]
 		var log []dataset.Rating
 		for body := data[3:]; len(body) >= 3 && len(log) < 96; body = body[3:] {
@@ -347,25 +322,24 @@ func FuzzPredictBatchMatchesReference(f *testing.F) {
 		}
 		nBase := 1 + int(data[2])%len(log)
 		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]})
-		rig := newBatchRig(t, s, kind, 3)
-		if err := diffAllBatches(rig, s); err != nil {
+		p := newTestPredictor(t, s, 3)
+		if err := diffAllBatches(p, s); err != nil {
 			t.Fatalf("frozen: %v", err)
 		}
 		for _, r := range deltas {
 			if err := s.Apply(r); err != nil {
 				t.Fatalf("Apply(%+v): %v", r, err)
 			}
-			rig.noteApplied(r)
+			p.NoteIngestScoped(r.User, r.Item)
 		}
-		if err := diffAllBatches(rig, s); err != nil {
+		if err := diffAllBatches(p, s); err != nil {
 			t.Fatalf("%d applied ratings: %v", len(deltas), err)
 		}
 	})
 }
 
 // TestPredictBatchIntoAllocatesNothing pins the pooled working set: with
-// the user's neighborhood cached, a batch call allocates nothing, for
-// either predictor that shares the kernel.
+// the user's neighborhood cached, a batch call allocates nothing.
 func TestPredictBatchIntoAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -373,12 +347,10 @@ func TestPredictBatchIntoAllocatesNothing(t *testing.T) {
 	s := randomStore(t, 60, 80, 1500, 8)
 	items := s.PopularSet(50)
 	dst := make([]float64, len(items))
-	for _, kind := range batchKinds {
-		src := newBatchRig(t, s, kind, 10).source()
-		src.PredictBatchInto(3, items, dst) // fills the neighborhood and the pool
-		if allocs := testing.AllocsPerRun(200, func() { src.PredictBatchInto(3, items, dst) }); allocs != 0 {
-			t.Errorf("%s: PredictBatchInto allocates %v times per call, want 0", kind.name, allocs)
-		}
+	p := newTestPredictor(t, s, 10)
+	p.PredictBatchInto(3, items, dst) // fills the neighborhood and the pool
+	if allocs := testing.AllocsPerRun(200, func() { p.PredictBatchInto(3, items, dst) }); allocs != 0 {
+		t.Errorf("PredictBatchInto allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -390,41 +362,39 @@ func TestPredictBatchIntoAllocatesNothing(t *testing.T) {
 func TestBatchScratchReturnsClean(t *testing.T) {
 	s := randomStore(t, 40, 60, 900, 9)
 	lists := batchItemLists(s)
-	for _, kind := range batchKinds {
-		rig := newBatchRig(t, s, kind, 8)
-		sc := rig.base.scratch.Get().(*batchScratch)
-		// Longest first would hide a tail left dirty by a shorter call;
-		// run the lists in both orders.
-		names := []string{"one item", "duplicates", "every item", "outside item", "empty", "pool", "half pool", "one item"}
-		for round := 0; round < 2; round++ {
-			for _, name := range names {
-				items := lists[name]
-				for _, u := range s.Users()[:10] {
-					got := make([]float64, len(items))
-					rig.base.batchWith(sc, u, items, got, rig.weight())
-					want := make([]float64, len(items))
-					referenceBatchInto(rig.base, u, items, want, rig.weight())
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s, list %q, user %d: kernel on a reused working set diverges from the reference", kind.name, name, u)
+	p := newTestPredictor(t, s, 8)
+	sc := p.scratch.Get().(*batchScratch)
+	// Longest first would hide a tail left dirty by a shorter call; run
+	// the lists in both orders.
+	names := []string{"one item", "duplicates", "every item", "outside item", "empty", "pool", "half pool", "one item"}
+	for round := 0; round < 2; round++ {
+		for _, name := range names {
+			items := lists[name]
+			for _, u := range s.Users()[:10] {
+				got := make([]float64, len(items))
+				p.batchWith(sc, u, items, got)
+				want := make([]float64, len(items))
+				referenceBatchInto(p, u, items, want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("list %q, user %d: kernel on a reused working set diverges from the reference", name, u)
+				}
+				for i, v := range sc.slot {
+					if v != 0 {
+						t.Fatalf("list %q, user %d: slot[%d] = %d at rest", name, u, i, v)
 					}
-					for i, v := range sc.slot {
-						if v != 0 {
-							t.Fatalf("%s, list %q, user %d: slot[%d] = %d at rest", kind.name, name, u, i, v)
-						}
-					}
-					for i := range sc.num {
-						if sc.num[i] != 0 || sc.den[i] != 0 || sc.own[i] != 0 || sc.ownSet[i] {
-							t.Fatalf("%s, list %q, user %d: entry %d at rest = num %v den %v own %v ownSet %v",
-								kind.name, name, u, i, sc.num[i], sc.den[i], sc.own[i], sc.ownSet[i])
-						}
+				}
+				for i := range sc.num {
+					if sc.num[i] != 0 || sc.den[i] != 0 || sc.own[i] != 0 || sc.ownSet[i] {
+						t.Fatalf("list %q, user %d: entry %d at rest = num %v den %v own %v ownSet %v",
+							name, u, i, sc.num[i], sc.den[i], sc.own[i], sc.ownSet[i])
 					}
 				}
 			}
-			slices.Reverse(names)
 		}
-		if len(sc.num) < len(lists["duplicates"]) {
-			t.Fatalf("%s: working set grew to %d entries, the longest batch has %d", kind.name, len(sc.num), len(lists["duplicates"]))
-		}
+		slices.Reverse(names)
+	}
+	if len(sc.num) < len(lists["duplicates"]) {
+		t.Fatalf("working set grew to %d entries, the longest batch has %d", len(sc.num), len(lists["duplicates"]))
 	}
 }
 

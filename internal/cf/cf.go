@@ -1,11 +1,9 @@
-// Package cf implements the collaborative filtering predictors the
-// reproduction uses as absolute-preference sources (§4): user-based
-// (the paper's choice — cosine user similarity, k-NN weighted
-// average), item-based (adjusted cosine), and time-weighted (Ding &
-// Li's related-work baseline). All three implement the Source
-// interface consumed by the assembly layer, and their lazy caches are
+// Package cf implements the collaborative filtering predictor the
+// reproduction uses as its absolute-preference source (§4): user-based,
+// cosine user similarity over the full rating vectors, k-NN weighted
+// average — the paper's choice. Its lazy neighborhood cache is
 // lock-striped so concurrent recommendation traffic does not serialize
-// on a single lock. Each predictor holds one cache, one fill epoch and
+// on a single lock. The predictor holds one cache, one fill epoch and
 // one set of counters per process: the stripes are the lock domain, and
 // the world's shard count does not enter here.
 package cf
@@ -81,9 +79,8 @@ func shardIndex(id uint64) int {
 // contend and readers of the same user share an RLock, and norms in a
 // dense table read without any lock.
 type Predictor struct {
-	store   *dataset.Store
-	k       int
-	measure Similarity
+	store *dataset.Store
+	k     int
 	// keep is k + M, the length a fill keeps of the ranking.
 	keep int
 
@@ -197,12 +194,6 @@ func (m *predictorMeans) fallback(ix int, ok bool) float64 {
 // size kNeighbors (DefaultNeighbors if <= 0) using cosine similarity —
 // the paper's §4 configuration. The store must be frozen.
 func NewPredictor(store *dataset.Store, kNeighbors int) (*Predictor, error) {
-	return NewPredictorSim(store, kNeighbors, CosineSim)
-}
-
-// NewPredictorSim builds a predictor with an explicit similarity
-// measure for the neighborhood selection.
-func NewPredictorSim(store *dataset.Store, kNeighbors int, measure Similarity) (*Predictor, error) {
 	if store == nil || !store.Frozen() {
 		return nil, fmt.Errorf("cf: NewPredictor requires a frozen store")
 	}
@@ -210,12 +201,11 @@ func NewPredictorSim(store *dataset.Store, kNeighbors int, measure Similarity) (
 		kNeighbors = DefaultNeighbors
 	}
 	p := &Predictor{
-		store:   store,
-		k:       kNeighbors,
-		measure: measure,
-		keep:    kNeighbors + kNeighbors/marginDivisor,
-		users:   newDenseIndex(store.Users()),
-		items:   newDenseIndex(store.Items()),
+		store: store,
+		k:     kNeighbors,
+		keep:  kNeighbors + kNeighbors/marginDivisor,
+		users: newDenseIndex(store.Users()),
+		items: newDenseIndex(store.Items()),
 	}
 	for i := range p.shards {
 		p.shards[i].neighbors = make(map[dataset.UserID]neighborhood)
@@ -237,6 +227,40 @@ func NewPredictorSim(store *dataset.Store, kNeighbors int, measure Similarity) (
 func (p *Predictor) Cosine(u, v dataset.UserID) float64 {
 	s, _ := p.cosineCorated(u, v)
 	return s
+}
+
+// cosineCorated is Cosine plus whether the two users co-rated at least
+// one item — one pairwise merge-join of the two rows. It serves
+// single-pair questions (Cosine, group formation); a neighborhood fill
+// gets the same floats and the same co-rater set for every v at once
+// from the walk in scan.go, which the tests hold to this function bit
+// for bit.
+func (p *Predictor) cosineCorated(u, v dataset.UserID) (float64, bool) {
+	if u == v {
+		return 1, true
+	}
+	p.work.pairMerges.Add(1)
+	ru, rv := p.store.ByUser(u), p.store.ByUser(v)
+	var dot float64
+	corated := false
+	i, j := 0, 0
+	for i < len(ru) && j < len(rv) {
+		switch {
+		case ru[i].Item < rv[j].Item:
+			i++
+		case ru[i].Item > rv[j].Item:
+			j++
+		default:
+			dot += ru[i].Value * rv[j].Value
+			corated = true
+			i++
+			j++
+		}
+	}
+	if dot == 0 {
+		return 0, corated
+	}
+	return cosineFrom(dot, p.norm(u), p.norm(v)), corated
 }
 
 // stripe returns the lock stripe holding u's cached neighborhood.
@@ -357,7 +381,9 @@ func (p *Predictor) PredictBatch(u dataset.UserID, items []dataset.ItemID) []flo
 
 // PredictBatchInto is PredictBatch writing into dst (len(items)).
 func (p *Predictor) PredictBatchInto(u dataset.UserID, items []dataset.ItemID, dst []float64) {
-	p.batchInto(u, items, dst, func(nb Neighbor, _ dataset.Rating) float64 { return nb.Sim })
+	sc := p.scratch.Get().(*batchScratch)
+	p.batchWith(sc, u, items, dst)
+	p.scratch.Put(sc)
 }
 
 // batchScratch is one pooled working set of the batch kernel. Every
@@ -382,25 +408,16 @@ func (sc *batchScratch) grow(n int) {
 	}
 }
 
-// batchInto is the shared slot-accumulation core of the user-based and
-// time-weighted batch paths: weight supplies each rating's
-// contribution factor (similarity alone, or similarity × age decay).
-// A candidate's accumulation slot is found through the slot table over
-// the dense item index — marked for the first occurrence of each item,
-// so duplicate candidates share a slot — not by hashing the item. It
-// preserves Predict's per-item accumulation order (neighbors in
-// Neighbors order, each row in list order), first-duplicate-wins rating
-// semantics, own-rating override, and fallback ladder — the invariants
-// that keep batch results bit-identical to sequential.
-func (p *Predictor) batchInto(u dataset.UserID, items []dataset.ItemID, dst []float64, weight func(Neighbor, dataset.Rating) float64) {
-	sc := p.scratch.Get().(*batchScratch)
-	p.batchWith(sc, u, items, dst, weight)
-	p.scratch.Put(sc)
-}
-
-// batchWith runs the kernel on the working set sc, which must be all
-// zero and is all zero again on return.
-func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []dataset.ItemID, dst []float64, weight func(Neighbor, dataset.Rating) float64) {
+// batchWith is the batch kernel, run on the working set sc, which must
+// be all zero and is all zero again on return. A candidate's
+// accumulation slot is found through the slot table over the dense item
+// index — marked for the first occurrence of each item, so duplicate
+// candidates share a slot — not by hashing the item. It preserves
+// Predict's per-item accumulation order (neighbors in Neighbors order,
+// each row in list order), first-duplicate-wins rating semantics,
+// own-rating override, and fallback ladder — the invariants that keep
+// batch results bit-identical to sequential.
+func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []dataset.ItemID, dst []float64) {
 	sc.grow(len(items))
 	slot, num, den, own, ownSet := sc.slot, sc.num, sc.den, sc.own, sc.ownSet
 	for i, it := range items {
@@ -417,9 +434,8 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 			}
 			if ix, ok := p.items.of(r.Item); ok && slot[ix] != 0 {
 				s := slot[ix] - 1
-				w := weight(nb, *r)
-				num[s] += w * r.Value
-				den[s] += w
+				num[s] += nb.Sim * r.Value
+				den[s] += nb.Sim
 			}
 		}
 	}
@@ -458,12 +474,6 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 	clear(den[:n])
 	clear(own[:n])
 	clear(ownSet[:n])
-}
-
-// PredictAll returns predictions of u for each item in items. It is
-// the historical name of PredictBatch and delegates to it.
-func (p *Predictor) PredictAll(u dataset.UserID, items []dataset.ItemID) []float64 {
-	return p.PredictBatch(u, items)
 }
 
 // GlobalMean returns the dataset mean rating.

@@ -199,14 +199,14 @@ func TestPairwiseSimilaritySum(t *testing.T) {
 	}
 }
 
-func TestPredictAll(t *testing.T) {
+func TestPredictBatchOwnRatings(t *testing.T) {
 	s := buildStore(t, [][3]float64{{0, 1, 3}, {0, 2, 5}})
 	p, err := NewPredictor(s, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.PredictAll(0, []dataset.ItemID{1, 2})
+	got := p.PredictBatch(0, []dataset.ItemID{1, 2})
 	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
-		t.Errorf("PredictAll = %v", got)
+		t.Errorf("PredictBatch = %v", got)
 	}
 }

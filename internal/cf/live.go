@@ -92,10 +92,9 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 
 // repairReach re-ranks u in every cached neighborhood of a user who
 // co-rates with u, returning how many it dropped. One walk of u's rater
-// lists over the post-rating store gives the co-raters and, for cosine,
-// every dot product with u; the similarity is then finished in the
-// owner's argument order, so it is the float a cold fill of the owner
-// computes. Pearson scores each reached owner by a merge-join.
+// lists over the post-rating store gives the co-raters and every dot
+// product with u; the similarity is then finished in the owner's
+// argument order, so it is the float a cold fill of the owner computes.
 //
 // Called after bumpEpoch, the stripe pass cannot miss a neighborhood
 // that needs repair: a fill installed before the bump is resident when
@@ -103,12 +102,8 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 // begun after it already holds the fresh similarity, so repairing it
 // too changes nothing it serves.
 func (p *Predictor) repairReach(u dataset.UserID) int {
-	var dot []float64
-	var pooled *[]float64
-	if p.measure != PearsonSim {
-		pooled = p.dots.Get().(*[]float64)
-		dot = *pooled
-	}
+	pooled := p.dots.Get().(*[]float64)
+	dot := *pooled
 	co := p.scanCoraters(u, dot)
 	var reached []int
 	for i := range p.shards {
@@ -126,19 +121,15 @@ func (p *Predictor) repairReach(u dataset.UserID) int {
 	for _, vi := range reached {
 		v := p.users.ids[vi]
 		var s float64
-		if dot == nil {
-			s, _ = p.pearsonCorated(v, u)
-		} else if d := dot[vi]; d != 0 {
+		if d := dot[vi]; d != 0 {
 			s = cosineFrom(d, p.normAt(v, vi), nu)
 		}
 		if p.repair(v, Neighbor{User: u, Sim: s}) {
 			dropped++
 		}
 	}
-	if pooled != nil {
-		clear(dot)
-		p.dots.Put(pooled)
-	}
+	clear(dot)
+	p.dots.Put(pooled)
 	return dropped
 }
 
@@ -254,55 +245,6 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 		cleared += len(sh.neighbors)
 		if len(sh.neighbors) > 0 {
 			sh.neighbors = make(map[dataset.UserID]neighborhood)
-		}
-		sh.mu.Unlock()
-	}
-	p.counters.invalidate(cleared)
-}
-
-// NoteIngestScoped makes the item predictor coherent with a rating
-// just applied by user u, dropping only the item neighborhoods the
-// rating reaches: an adjusted-cosine sim(a, b) reads u's mean only
-// when u co-rated a and b, so the stale neighborhoods are exactly the
-// cached items u has rated (including the newly rated one — its rater
-// list grew). Every other item's neighborhood is retained untouched.
-func (p *ItemPredictor) NoteIngestScoped(u dataset.UserID) {
-	p.means.Store(computeItemPredictorMeans(p.store))
-	p.epoch.Add(1)
-	size := p.cachedNeighborhoods()
-	dropped := 0
-	var last dataset.ItemID
-	first := true
-	for _, r := range p.store.ByUser(u) {
-		if !first && r.Item == last {
-			continue // duplicate rating of the same item
-		}
-		first, last = false, r.Item
-		sh := &p.shards[shardIndex(uint64(r.Item))]
-		sh.mu.Lock()
-		if _, ok := sh.neighbors[r.Item]; ok {
-			delete(sh.neighbors, r.Item)
-			dropped++
-		}
-		sh.mu.Unlock()
-	}
-	p.counters.invalidate(dropped)
-	p.counters.retain(size - dropped)
-}
-
-// NoteIngest is the item predictor's drop-everything path: the mean
-// tables (user, item, global) are recomputed and swapped, and every
-// cached item neighborhood is dropped.
-func (p *ItemPredictor) NoteIngest() {
-	p.means.Store(computeItemPredictorMeans(p.store))
-	p.epoch.Add(1)
-	cleared := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		cleared += len(sh.neighbors)
-		if len(sh.neighbors) > 0 {
-			sh.neighbors = make(map[dataset.ItemID][]itemNeighbor)
 		}
 		sh.mu.Unlock()
 	}

@@ -366,109 +366,6 @@ func TestRestoreNeighborhoodsSurviveUnrelatedIngest(t *testing.T) {
 	}
 }
 
-// TestItemPredictorNoteIngestScoped pins the item-side scoping: stale
-// item neighborhoods are exactly the rater's rated items.
-func TestItemPredictorNoteIngestScoped(t *testing.T) {
-	s := scopedStore(t)
-	p, err := NewItemPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range []dataset.ItemID{1, 2, 10} {
-		p.itemNeighborsOf(it)
-	}
-
-	applyRating(t, s, 0, 3, 5) // u0 now rates {1, 2, 3}
-	p.NoteIngestScoped(0)
-
-	st := p.Stats()
-	if st.Invalidated != 2 || st.Retained != 1 || st.Size != 1 {
-		t.Errorf("stats = %d invalidated / %d retained / %d resident, want 2 / 1 / 1", st.Invalidated, st.Retained, st.Size)
-	}
-	cold, err := NewItemPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range []dataset.ItemID{1, 2, 3, 10} {
-		if got, want := p.itemNeighborsOf(it), cold.itemNeighborsOf(it); !reflect.DeepEqual(got, want) {
-			t.Errorf("post-ingest item neighbors(%d) = %v, want cold %v", it, got, want)
-		}
-	}
-}
-
-// TestTimeWeightedAdvance pins the clock contract: an older rating
-// leaves the reference timestamp intact; a newer one moves it.
-func TestTimeWeightedAdvance(t *testing.T) {
-	s := dataset.NewStore()
-	for _, r := range []dataset.Rating{
-		{User: 0, Item: 1, Value: 4, Time: 100},
-		{User: 1, Item: 1, Value: 3, Time: 200},
-		{User: 2, Item: 2, Value: 1, Time: 50},
-	} {
-		if err := s.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Freeze()
-	base, err := NewPredictor(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := NewTimeWeightedPredictor(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Apply(dataset.Rating{User: 0, Item: 2, Value: 5, Time: 150}); err != nil {
-		t.Fatal(err)
-	}
-	tw.Advance(150)
-	if tw.Now() != 200 {
-		t.Errorf("Now = %d, want 200", tw.Now())
-	}
-	if err := s.Apply(dataset.Rating{User: 1, Item: 2, Value: 5, Time: 300}); err != nil {
-		t.Fatal(err)
-	}
-	tw.Advance(300)
-	if tw.Now() != 300 {
-		t.Errorf("Now = %d, want 300", tw.Now())
-	}
-}
-
-// TestTimeWeightedAdvanceMatchesRescan holds the incremental clock to
-// the construction scan: after each of 500 ratings with non-monotone
-// times, Now equals that of a predictor built fresh over the store.
-func TestTimeWeightedAdvanceMatchesRescan(t *testing.T) {
-	s := randomStore(t, 30, 40, 400, 12)
-	base, err := NewPredictor(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := NewTimeWeightedPredictor(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	for n := 0; n < 500; n++ {
-		r := dataset.Rating{
-			User:  dataset.UserID(rng.Intn(30)),
-			Item:  s.Items()[rng.Intn(len(s.Items()))],
-			Value: float64(1 + rng.Intn(5)),
-			Time:  rng.Int63n(3_000_000), // the store's own times end at 1 000 000
-		}
-		if err := s.Apply(r); err != nil {
-			t.Fatal(err)
-		}
-		tw.Advance(r.Time)
-		fresh, err := NewTimeWeightedPredictor(base, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tw.Now() != fresh.Now() {
-			t.Fatalf("rating %d (time %d): Now = %d, fresh predictor %d", n, r.Time, tw.Now(), fresh.Now())
-		}
-	}
-}
-
 // TestScopedIngestRace hammers concurrent neighborhood fills against
 // serialized scoped ingests, then checks every surviving and rebuilt
 // neighborhood against a cold predictor — the epoch fence and the

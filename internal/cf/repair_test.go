@@ -57,8 +57,7 @@ func (g *repairStream) next() dataset.Rating {
 // and has its last entry w rate, with a 5, an item the owner did not
 // rate: w's norm grows while the dot product with the owner stays, so
 // under cosine w falls behind the list and the list shrinks by one —
-// until it holds fewer than k and drops. Under Pearson w rates one of
-// the owner's items against the owner's grain instead.
+// until it holds fewer than k and drops.
 func (g *repairStream) push() (dataset.Rating, bool) {
 	s := g.p.store
 	var owner dataset.UserID
@@ -74,11 +73,7 @@ func (g *repairStream) push() (dataset.Rating, bool) {
 	nb, _ := residentEntry(g.p, owner)
 	w := nb.ns[len(nb.ns)-1].User
 	for _, it := range g.items {
-		ov, rated := s.Value(owner, it)
-		switch {
-		case g.p.measure == PearsonSim && rated:
-			return dataset.Rating{User: w, Item: it, Value: 6 - ov, Time: int64(g.n)}, true
-		case g.p.measure != PearsonSim && !rated:
+		if _, rated := s.Value(owner, it); !rated {
 			return dataset.Rating{User: w, Item: it, Value: 5, Time: int64(g.n)}, true
 		}
 	}
@@ -113,8 +108,8 @@ func applyAndRepair(p *Predictor, r dataset.Rating) error {
 }
 
 // TestRepairedNeighborhoodsMatchColdFill holds the in-place repair to a
-// cold fill after every rating: over the scan test's worlds, both
-// measures and k below and above the user count, each world's own
+// cold fill after every rating: over the scan test's worlds and k from
+// one neighbor to above the user count, each world's own
 // deltas and then 300 drawn ratings (repeated pairs, the heaviest user
 // and item, first overlaps, margin pushes) are applied one at a time,
 // and every cached neighborhood must serve the cold top-k bit for bit
@@ -123,33 +118,28 @@ func applyAndRepair(p *Predictor, r dataset.Rating) error {
 func TestRepairedNeighborhoodsMatchColdFill(t *testing.T) {
 	var drops, repairs int64
 	for wi, w := range scanWorlds() {
-		for _, measure := range []Similarity{CosineSim, PearsonSim} {
-			for _, k := range []int{3, 50} {
-				t.Run(fmt.Sprintf("%s/%v/k=%d", w.name, measure, k), func(t *testing.T) {
-					s, deltas := buildScanWorld(t, w)
-					p, err := NewPredictorSim(s, k, measure)
-					if err != nil {
+		for _, k := range neighborhoodSizes(w.users()) {
+			t.Run(fmt.Sprintf("%s/k=%d", w.name, k), func(t *testing.T) {
+				s, deltas := buildScanWorld(t, w)
+				p := newTestPredictor(t, s, k)
+				for _, u := range s.Users() {
+					p.Neighbors(u)
+				}
+				for _, r := range deltas {
+					if err := applyAndRepair(p, r); err != nil {
 						t.Fatal(err)
 					}
-					for _, u := range s.Users() {
-						p.Neighbors(u)
+				}
+				g := &repairStream{rng: rand.New(rand.NewSource(int64(wi*100 + k))), p: p, users: s.Users(), items: s.Items()}
+				for i := 0; i < 300; i++ {
+					if err := applyAndRepair(p, g.next()); err != nil {
+						t.Fatalf("drawn rating %d: %v", i, err)
 					}
-					for _, r := range deltas {
-						if err := applyAndRepair(p, r); err != nil {
-							t.Fatal(err)
-						}
-					}
-					g := &repairStream{rng: rand.New(rand.NewSource(int64(wi*100 + k))), p: p, users: s.Users(), items: s.Items()}
-					for i := 0; i < 300; i++ {
-						if err := applyAndRepair(p, g.next()); err != nil {
-							t.Fatalf("drawn rating %d: %v", i, err)
-						}
-					}
-					t.Logf("%d repairs, %d drops", p.work.repaired.Load(), p.work.repairDrops.Load())
-					drops += p.work.repairDrops.Load()
-					repairs += p.work.repaired.Load()
-				})
-			}
+				}
+				t.Logf("%d repairs, %d drops", p.work.repaired.Load(), p.work.repairDrops.Load())
+				drops += p.work.repairDrops.Load()
+				repairs += p.work.repaired.Load()
+			})
 		}
 	}
 	if repairs == 0 || drops == 0 {
@@ -158,15 +148,28 @@ func TestRepairedNeighborhoodsMatchColdFill(t *testing.T) {
 }
 
 // FuzzRepairMatchesColdFill feeds the repair differential arbitrary
-// small worlds: the first bytes pick the measure, the user-ID layout,
-// how much of the log is frozen and k; every following triple is one
-// rating. Every user's neighborhood is cached before each live rating,
+// small worlds: the second to fourth bytes pick the user-ID layout, how
+// much of the log is frozen and k (the first picked among similarity
+// measures the package no longer has and is ignored, so the seeds keep
+// their meaning); every following triple is one rating. Every user's neighborhood is cached before each live rating,
 // and after it every cached one must match a cold fill.
 func FuzzRepairMatchesColdFill(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 4, 0, 1, 3, 1, 1, 2, 0, 1, 4, 1, 1, 0})
 	f.Add([]byte{1, 1, 1, 2, 2, 0, 0, 0, 1, 0, 4, 0, 0, 2, 1, 0, 1, 2, 0, 3})
 	f.Add([]byte{0, 1, 2, 1, 9, 3, 2, 1, 4, 2, 2, 3, 2, 0, 4, 2, 4, 5, 1, 1, 3, 1, 2, 5, 1, 0})
 	f.Add([]byte{0, 2, 5, 3, 0, 0, 4, 1, 0, 4, 2, 0, 4, 3, 1, 5, 0, 1, 5, 1, 1, 5, 2, 2, 3, 3, 2, 1, 2, 0, 4})
+	// k=1 over ratings that all tie on item 0.
+	f.Add([]byte{0, 0, 2, 0, 0, 0, 4, 1, 0, 4, 2, 0, 4, 3, 0, 4, 4, 0, 4})
+	// k=4 over disjoint items, overlaps only in the live ratings.
+	f.Add([]byte{0, 0, 2, 3, 0, 0, 1, 1, 1, 2, 2, 2, 3, 0, 1, 4, 1, 2, 0})
+	// The extreme IDs of the map layout, MaxInt64 among them, at k=2.
+	f.Add([]byte{0, 2, 1, 1, 0, 0, 4, 7, 0, 0, 0, 1, 1, 7, 1, 3})
+	// One frozen rating, everything else live, k=1.
+	f.Add([]byte{0, 1, 0, 0, 0, 3, 0, 1, 3, 0, 2, 3, 0, 1, 4, 1, 2, 4, 2})
+	// One (user, item) pair repeated across the freeze.
+	f.Add([]byte{0, 0, 1, 2, 2, 2, 0, 2, 2, 4, 2, 2, 1, 3, 2, 2})
+	// A live rating turns a tie for user 0's top-1 into a clear lead.
+	f.Add([]byte{0, 0, 3, 0, 0, 0, 5, 1, 0, 5, 2, 0, 4, 0, 1, 1, 1, 1, 1, 1, 0, 0})
 	layouts := [][]dataset.UserID{
 		{0, 1, 2, 3, 4, 5, 6, 7},
 		{-70, -69, -3, 0, 5, 64, 65, 300},
@@ -176,7 +179,6 @@ func FuzzRepairMatchesColdFill(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		measure := Similarity(data[0] % 2)
 		ids := layouts[int(data[1])%len(layouts)]
 		k := 1 + int(data[3])%4
 		var log []dataset.Rating
@@ -193,10 +195,7 @@ func FuzzRepairMatchesColdFill(f *testing.F) {
 		}
 		nBase := 1 + int(data[2])%len(log)
 		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]})
-		p, err := NewPredictorSim(s, k, measure)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newTestPredictor(t, s, k)
 		for _, u := range s.Users() {
 			p.Neighbors(u)
 		}

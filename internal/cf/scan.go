@@ -48,13 +48,13 @@ type scanWork struct {
 
 // scanCoraters walks u's row and the rater list of each of its items,
 // marking every other user it meets — u's co-raters — in a fresh bitset
-// over the dense user index. With a non-nil dot (len(users), all zero)
-// it also accumulates each co-rater's dot product with u,
-// bit-identically to cosineCorated's merge-join of the two rows, in
-// either argument order: per co-rater the products are added in
-// ascending item order, and where a (user, item) pair was rated more
-// than once the two runs — both in log order — are paired first with
-// first up to the shorter one.
+// over the dense user index, and accumulating into dot (len(users), all
+// zero) each co-rater's dot product with u, bit-identically to
+// cosineCorated's merge-join of the two rows, in either argument order:
+// per co-rater the products are added in ascending item order, and
+// where a (user, item) pair was rated more than once the two runs —
+// both in log order — are paired first with first up to the shorter
+// one.
 func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 	co := make(userBits, (len(p.users.ids)+63)>>6)
 	ru := p.store.ByUser(u)
@@ -75,11 +75,9 @@ func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 			}
 			if vi, ok := p.users.of(v); ok && v != u {
 				co.set(vi)
-				if dot != nil {
-					theirs := raters[k:e]
-					for t := 0; t < len(own) && t < len(theirs); t++ {
-						dot[vi] += own[t].Value * theirs[t].Value
-					}
+				theirs := raters[k:e]
+				for t := 0; t < len(own) && t < len(theirs); t++ {
+					dot[vi] += own[t].Value * theirs[t].Value
 				}
 			}
 			k = e
@@ -96,34 +94,26 @@ func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 // order — the set bits ascending — so keepTop sees the sequence a scan
 // over every user would hand it.
 func (p *Predictor) fill(u dataset.UserID) neighborhood {
-	var dot []float64
-	var pooled *[]float64
-	if p.measure != PearsonSim {
-		pooled = p.dots.Get().(*[]float64)
-		dot = *pooled
-	}
+	pooled := p.dots.Get().(*[]float64)
+	dot := *pooled
 	co := p.scanCoraters(u, dot)
 	nu := p.norm(u)
 	all := make([]Neighbor, 0, co.count())
 	for w, word := range co {
 		for ; word != 0; word &= word - 1 {
 			vi := w<<6 + bits.TrailingZeros64(word)
-			v := p.users.ids[vi]
-			var s float64
-			if dot == nil {
-				s, _ = p.pearsonCorated(u, v)
-			} else if d := dot[vi]; d != 0 {
-				s = cosineFrom(d, nu, p.normAt(v, vi))
-				dot[vi] = 0 // leave the pooled vector zeroed
+			d := dot[vi]
+			if d == 0 {
+				continue
 			}
-			if s > 0 {
+			dot[vi] = 0 // leave the pooled vector zeroed
+			v := p.users.ids[vi]
+			if s := cosineFrom(d, nu, p.normAt(v, vi)); s > 0 {
 				all = append(all, Neighbor{User: v, Sim: s})
 			}
 		}
 	}
-	if pooled != nil {
-		p.dots.Put(pooled)
-	}
+	p.dots.Put(pooled)
 	complete := len(all) <= p.keep
 	all = keepTop(all, p.keep, compareNeighbors)
 	return neighborhood{ns: append([]Neighbor(nil), all...), complete: complete}

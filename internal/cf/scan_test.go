@@ -24,7 +24,7 @@ func referenceRanking(p *Predictor, u dataset.UserID) ([]Neighbor, []dataset.Use
 		if v == u {
 			continue
 		}
-		s, corated := p.simCorated(p.measure, u, v)
+		s, corated := p.cosineCorated(u, v)
 		if corated {
 			coraters = append(coraters, v)
 		}
@@ -82,12 +82,6 @@ func diffFill(p *Predictor, u dataset.UserID) error {
 	if gotCo := usersOf(p, p.scanCoraters(u, dot)); !reflect.DeepEqual(gotCo, wantCo) {
 		return fmt.Errorf("user %d: co-raters %v, reference %v", u, gotCo, wantCo)
 	}
-	if only := usersOf(p, p.scanCoraters(u, nil)); !reflect.DeepEqual(only, wantCo) {
-		return fmt.Errorf("user %d: dot-less walk found co-raters %v, reference %v", u, only, wantCo)
-	}
-	if p.measure != CosineSim {
-		return nil
-	}
 	for _, v := range wantCo {
 		vi, _ := p.users.of(v)
 		var got float64
@@ -107,7 +101,7 @@ func diffFill(p *Predictor, u dataset.UserID) error {
 // pairwise ranking — all of it when marked complete — and an incomplete
 // list still holds at least k entries.
 func diffResident(p *Predictor) error {
-	cold, err := NewPredictorSim(p.store, p.k, p.measure)
+	cold, err := NewPredictor(p.store, p.k)
 	if err != nil {
 		return err
 	}
@@ -138,8 +132,8 @@ func diffResident(p *Predictor) error {
 
 // diffAllFills runs diffFill for every user of the store plus one the
 // store has never seen, over a fresh predictor (so nothing is cached).
-func diffAllFills(s *dataset.Store, k int, measure Similarity) error {
-	p, err := NewPredictorSim(s, k, measure)
+func diffAllFills(s *dataset.Store, k int) error {
+	p, err := NewPredictor(s, k)
 	if err != nil {
 		return err
 	}
@@ -238,7 +232,61 @@ func scanWorlds() []scanWorld {
 			name: "one user",
 			base: []dataset.Rating{rt(7, 1, 3), rt(7, 1, 4)},
 		},
+		{
+			// Users 0, 1 and 2 rate items 1 to 3 in proportion and
+			// user 3 copies them on two of the items: three neighbors
+			// of user 3 tie exactly, so the canonical order alone picks
+			// who makes a truncated top-k. The deltas make user 4 a
+			// fourth copy and break one tie.
+			name: "tied similarities",
+			base: []dataset.Rating{
+				rt(0, 1, 1), rt(0, 2, 2), rt(0, 3, 2),
+				rt(1, 1, 2), rt(1, 2, 4), rt(1, 3, 4),
+				rt(2, 1, 1), rt(2, 2, 2), rt(2, 3, 2),
+				rt(3, 1, 1), rt(3, 2, 2),
+				rt(4, 1, 1), rt(4, 2, 2), rt(5, 3, 5),
+			},
+			deltas: []dataset.Rating{rt(4, 3, 2), rt(5, 1, 1), rt(2, 1, 5)},
+		},
+		{
+			// No two users share an item until the deltas land: every
+			// neighborhood starts empty and the first overlaps fill it.
+			name: "no co-rated items",
+			base: []dataset.Rating{
+				rt(0, 1, 4), rt(1, 2, 2), rt(2, 3, 5), rt(3, 4, 1), rt(4, 5, 3), rt(5, 6, 4),
+			},
+			deltas: []dataset.Rating{
+				rt(0, 2, 4), rt(3, 1, 2), rt(4, 4, 5), rt(5, 1, 1), rt(2, 6, 3), rt(1, 3, 2),
+			},
+		},
+		{
+			// Everyone rates the one item: each pair co-rates a single
+			// coordinate and every similarity is 1.
+			name:   "one item",
+			base:   []dataset.Rating{rt(0, 1, 5), rt(1, 1, 2), rt(2, 1, 4), rt(3, 1, 1), rt(4, 1, 3)},
+			deltas: []dataset.Rating{rt(2, 1, 5), rt(0, 1, 3), rt(4, 1, 1)},
+		},
 	}
+}
+
+// neighborhoodSizes is the k column of the differential tables for a
+// world of n users: one neighbor, a truncated neighborhood, room for
+// exactly every other user, and more room than there are users.
+func neighborhoodSizes(n int) []int {
+	ks := []int{1, 3}
+	if n-1 > 3 && n-1 < 50 {
+		ks = append(ks, n-1)
+	}
+	return append(ks, 50)
+}
+
+// users counts the distinct users of w's frozen base.
+func (w scanWorld) users() int {
+	seen := make(map[dataset.UserID]bool)
+	for _, r := range w.base {
+		seen[r.User] = true
+	}
+	return len(seen)
 }
 
 // buildScanWorld freezes w.base and keeps only the deltas the frozen
@@ -265,54 +313,52 @@ func buildScanWorld(t testing.TB, w scanWorld) (*dataset.Store, []dataset.Rating
 
 // TestNeighborhoodScanMatchesPairwise holds the fill's walk to the
 // pairwise reference bit for bit — neighbors, similarity bits and
-// co-rater sets — for both measures, k below and above the user count
-// (truncated and full neighborhoods), and a store that is frozen and
-// then takes ratings one at a time; a live predictor's repaired
-// neighborhoods are held to the served top-k and the stored prefix.
+// co-rater sets — for k from one neighbor to above the user count
+// (truncated and full neighborhoods), and a store that is frozen and then takes
+// ratings one at a time; a live predictor's repaired neighborhoods are
+// held to the served top-k and the stored prefix.
 func TestNeighborhoodScanMatchesPairwise(t *testing.T) {
 	for _, w := range scanWorlds() {
-		for _, measure := range []Similarity{CosineSim, PearsonSim} {
-			t.Run(fmt.Sprintf("%s/%v", w.name, measure), func(t *testing.T) {
-				for _, k := range []int{3, 50} {
-					t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-						s, deltas := buildScanWorld(t, w)
-						if err := diffAllFills(s, k, measure); err != nil {
-							t.Fatalf("frozen: %v", err)
-						}
+		t.Run(w.name, func(t *testing.T) {
+			for _, k := range neighborhoodSizes(w.users()) {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					s, deltas := buildScanWorld(t, w)
+					if err := diffAllFills(s, k); err != nil {
+						t.Fatalf("frozen: %v", err)
+					}
 
-						// A live predictor rides along: after every scoped
-						// ingest each cached neighborhood it holds must serve
-						// what a cold one computes and store a prefix of the
-						// ranking.
-						live, err := NewPredictorSim(s, k, measure)
-						if err != nil {
-							t.Fatal(err)
+					// A live predictor rides along: after every scoped
+					// ingest each cached neighborhood it holds must serve
+					// what a cold one computes and store a prefix of the
+					// ranking.
+					live, err := NewPredictor(s, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, u := range s.Users() {
+						live.Neighbors(u)
+					}
+					for i, r := range deltas {
+						if err := s.Apply(r); err != nil {
+							t.Fatalf("Apply(%+v): %v", r, err)
 						}
-						for _, u := range s.Users() {
-							live.Neighbors(u)
+						live.NoteIngestScoped(r.User, r.Item)
+						if err := diffAllFills(s, k); err != nil {
+							t.Fatalf("%d applied ratings: %v", i+1, err)
 						}
-						for i, r := range deltas {
-							if err := s.Apply(r); err != nil {
-								t.Fatalf("Apply(%+v): %v", r, err)
-							}
-							live.NoteIngestScoped(r.User, r.Item)
-							if err := diffAllFills(s, k, measure); err != nil {
-								t.Fatalf("%d applied ratings: %v", i+1, err)
-							}
-							if err := diffResident(live); err != nil {
-								t.Fatalf("%d scoped ingests: %v", i+1, err)
-							}
+						if err := diffResident(live); err != nil {
+							t.Fatalf("%d scoped ingests: %v", i+1, err)
 						}
-						for _, u := range s.Users() {
-							ranking, _ := referenceRanking(live, u)
-							if err := sameNeighbors(live.Neighbors(u), ranking[:min(k, len(ranking))]); err != nil {
-								t.Fatalf("live Neighbors(%d) after %d scoped ingests: %v", u, len(deltas), err)
-							}
+					}
+					for _, u := range s.Users() {
+						ranking, _ := referenceRanking(live, u)
+						if err := sameNeighbors(live.Neighbors(u), ranking[:min(k, len(ranking))]); err != nil {
+							t.Fatalf("live Neighbors(%d) after %d scoped ingests: %v", u, len(deltas), err)
 						}
-					})
-				}
-			})
-		}
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -383,70 +429,79 @@ func residentEntry(p *Predictor, v dataset.UserID) (neighborhood, bool) {
 // a fill that installed before the epoch bump was found by the repair's
 // stripe pass and repaired, and one that installed after it was fenced
 // unless it began after the bump — then it already held the fresh
-// similarity, and a repair of it changes nothing it serves. Both measures: a Pearson
-// fill finds its co-raters by the same walk but scores each pair by a
-// merge-join, without the cached norms. Run with -race.
+// similarity, and a repair of it changes nothing it serves. Run with
+// -race.
 func TestFillRacingScopedIngestIsFencedOrFound(t *testing.T) {
-	for _, measure := range []Similarity{CosineSim, PearsonSim} {
-		t.Run(fmt.Sprint(measure), func(t *testing.T) {
-			s := randomStore(t, 16, 8, 110, 31)
-			p, err := NewPredictorSim(s, 64, measure)
-			if err != nil {
-				t.Fatal(err)
-			}
-			users, items := s.Users(), s.Items()
-			rng := rand.New(rand.NewSource(3))
-			for round := 0; round < 120; round++ {
-				for _, v := range users {
-					p.dropNeighborhood(v)
+	s := randomStore(t, 16, 8, 110, 31)
+	p, err := NewPredictor(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, items := s.Users(), s.Items()
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 120; round++ {
+		for _, v := range users {
+			p.dropNeighborhood(v)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := range users {
+					p.Neighbors(users[(i*3+g)%len(users)])
 				}
-				var wg sync.WaitGroup
-				start := make(chan struct{})
-				for g := 0; g < 3; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						<-start
-						for i := range users {
-							p.Neighbors(users[(i*3+g)%len(users)])
-						}
-					}(g)
-				}
-				u, it := users[rng.Intn(len(users))], items[rng.Intn(len(items))]
-				close(start)
-				if err := s.Apply(dataset.Rating{User: u, Item: it, Value: float64(1 + rng.Intn(5)), Time: 1}); err != nil {
-					t.Fatal(err)
-				}
-				p.NoteIngestScoped(u, it)
-				wg.Wait()
+			}(g)
+		}
+		u, it := users[rng.Intn(len(users))], items[rng.Intn(len(items))]
+		close(start)
+		if err := s.Apply(dataset.Rating{User: u, Item: it, Value: float64(1 + rng.Intn(5)), Time: 1}); err != nil {
+			t.Fatal(err)
+		}
+		p.NoteIngestScoped(u, it)
+		wg.Wait()
 
-				cold, err := NewPredictorSim(s, 64, measure)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, v := range users {
-					nb, ok := residentEntry(p, v)
-					if !ok {
-						continue
-					}
-					if got, want := nb.top(p.k), cold.Neighbors(v); !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d: user %d's resident neighborhood predates user %d's rating:\n got %v\nwant %v", round, v, u, got, want)
-					}
-				}
+		cold, err := NewPredictor(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range users {
+			nb, ok := residentEntry(p, v)
+			if !ok {
+				continue
 			}
-		})
+			if got, want := nb.top(p.k), cold.Neighbors(v); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: user %d's resident neighborhood predates user %d's rating:\n got %v\nwant %v", round, v, u, got, want)
+			}
+		}
 	}
 }
 
 // FuzzNeighborhoodScanMatchesPairwise feeds the scan-vs-pairwise
-// differential arbitrary small worlds: the first bytes pick the measure,
-// the user-ID layout and how much of the log is frozen; every following
-// triple is one rating.
+// differential arbitrary small worlds: the second and third bytes pick
+// the user-ID layout and how much of the log is frozen (the first picked
+// among similarity measures the package no longer has and is ignored,
+// so the seeds keep their meaning); every following triple is one
+// rating.
 func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 1, 3, 1, 1, 2, 0, 1, 4, 1, 1, 0})
 	f.Add([]byte{1, 1, 1, 2, 0, 0, 0, 1, 0, 4, 0, 0, 2, 1, 0, 1, 2, 0, 3})
 	f.Add([]byte{0, 1, 2, 9, 3, 2, 1, 4, 2, 2, 3, 2, 0, 4, 2, 4, 5, 1, 1, 3, 1, 2, 5, 1, 0})
 	f.Add([]byte{1, 0, 2, 1, 7, 7, 7, 7, 7, 3, 6, 7, 1, 7, 7, 0})
+	// Everyone rates item 0 alike: all similarities tie.
+	f.Add([]byte{0, 0, 3, 0, 0, 4, 1, 0, 4, 2, 0, 4, 3, 0, 4, 4, 0, 4})
+	// Disjoint items in the base, overlaps only in the deltas.
+	f.Add([]byte{0, 0, 2, 0, 0, 1, 1, 1, 2, 2, 2, 3, 0, 1, 4, 1, 2, 0})
+	// The extreme IDs of the map layout, MaxInt64 among them.
+	f.Add([]byte{0, 2, 1, 0, 0, 4, 7, 0, 0, 0, 1, 1, 7, 1, 3})
+	// One rating and nothing else.
+	f.Add([]byte{0, 0, 0, 5, 5, 5})
+	// One frozen rating, everything else live.
+	f.Add([]byte{0, 1, 0, 0, 3, 0, 1, 3, 0, 2, 3, 0, 1, 4, 1, 2, 4, 2})
+	// One (user, item) pair repeated in base and deltas.
+	f.Add([]byte{0, 0, 1, 2, 2, 0, 2, 2, 4, 2, 2, 1, 3, 2, 2})
 	layouts := [][]dataset.UserID{
 		{0, 1, 2, 3, 4, 5, 6, 7},
 		{-70, -69, -3, 0, 5, 64, 65, 300},
@@ -456,7 +511,6 @@ func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		measure := Similarity(data[0] % 2)
 		ids := layouts[int(data[1])%len(layouts)]
 		var log []dataset.Rating
 		for body := data[3:]; len(body) >= 3 && len(log) < 96; body = body[3:] {
@@ -472,7 +526,7 @@ func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 		}
 		nBase := 1 + int(data[2])%len(log)
 		s, deltas := buildScanWorld(t, scanWorld{base: log[:nBase], deltas: log[nBase:]})
-		if err := diffAllFills(s, 3, measure); err != nil {
+		if err := diffAllFills(s, 3); err != nil {
 			t.Fatalf("frozen: %v", err)
 		}
 		for _, r := range deltas {
@@ -480,7 +534,7 @@ func FuzzNeighborhoodScanMatchesPairwise(f *testing.F) {
 				t.Fatalf("Apply(%+v): %v", r, err)
 			}
 		}
-		if err := diffAllFills(s, 3, measure); err != nil {
+		if err := diffAllFills(s, 3); err != nil {
 			t.Fatalf("%d applied ratings: %v", len(deltas), err)
 		}
 	})

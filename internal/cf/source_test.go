@@ -1,6 +1,7 @@
 package cf
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -38,15 +39,15 @@ func randomStore(t *testing.T, users, items, ratings int, seed int64) *dataset.S
 
 // checkBatchMatchesSequential asserts PredictBatch is bit-identical to
 // per-item Predict for every user over the given candidate slice.
-func checkBatchMatchesSequential(t *testing.T, src Source, users []dataset.UserID, items []dataset.ItemID) {
+func checkBatchMatchesSequential(t *testing.T, p *Predictor, users []dataset.UserID, items []dataset.ItemID) {
 	t.Helper()
 	for _, u := range users {
-		batch := src.PredictBatch(u, items)
+		batch := p.PredictBatch(u, items)
 		if len(batch) != len(items) {
 			t.Fatalf("user %d: batch length %d, want %d", u, len(batch), len(items))
 		}
 		for i, it := range items {
-			if want := src.Predict(u, it); batch[i] != want {
+			if want := p.Predict(u, it); batch[i] != want {
 				t.Errorf("user %d item %d: batch %v, sequential %v", u, it, batch[i], want)
 			}
 		}
@@ -58,22 +59,13 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 	// Candidates include unrated items, heavily rated items, an item
 	// nobody rated (fallback to global mean), and a duplicate.
 	items := []dataset.ItemID{0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 59, 3}
-	base, err := NewPredictor(s, 7)
-	if err != nil {
-		t.Fatal(err)
+	// k runs from one neighbor past the 40 users, through room for
+	// exactly every other user.
+	for _, k := range []int{1, 3, 7, 39, 50} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			checkBatchMatchesSequential(t, newTestPredictor(t, s, k), s.Users(), items)
+		})
 	}
-	ip, err := NewItemPredictor(s, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := NewTimeWeightedPredictor(base, 100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := s.Users()
-	t.Run("user-based", func(t *testing.T) { checkBatchMatchesSequential(t, base, users, items) })
-	t.Run("item-based", func(t *testing.T) { checkBatchMatchesSequential(t, ip, users, items) })
-	t.Run("time-weighted", func(t *testing.T) { checkBatchMatchesSequential(t, tw, users, items) })
 }
 
 func TestPredictBatchEmptyAndMissingUser(t *testing.T) {
@@ -97,36 +89,22 @@ func TestPredictBatchEmptyAndMissingUser(t *testing.T) {
 	}
 }
 
-// TestConcurrentPredictors hammers all three predictors from many
-// goroutines; run under -race this is the preference-layer data-race
-// check.
+// TestConcurrentPredictors hammers the predictor from many goroutines;
+// run under -race this is the preference-layer data-race check.
 func TestConcurrentPredictors(t *testing.T) {
 	s := randomStore(t, 30, 40, 400, 6)
-	base, err := NewPredictor(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := NewItemPredictor(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := NewTimeWeightedPredictor(base, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := []Source{base, ip, tw}
+	p := newTestPredictor(t, s, 5)
 	items := []dataset.ItemID{0, 3, 7, 11, 19, 23, 31, 39}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			src := sources[g%len(sources)]
 			for n := 0; n < 50; n++ {
 				u := dataset.UserID((g*7 + n) % 30)
-				batch := src.PredictBatch(u, items)
+				batch := p.PredictBatch(u, items)
 				for i, it := range items {
-					if want := src.Predict(u, it); batch[i] != want {
+					if want := p.Predict(u, it); batch[i] != want {
 						t.Errorf("concurrent mismatch user %d item %d", u, it)
 						return
 					}

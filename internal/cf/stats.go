@@ -5,7 +5,7 @@ import "sync/atomic"
 // CacheStats is a point-in-time snapshot of one cache's counters — the
 // observability surface the serving layer's /stats endpoint exposes.
 // Hits and Misses count lookups; Size is the current entry count (the
-// predictors' lazy caches only grow, bounded by the population, so
+// predictor's lazy cache only grows, bounded by the population, so
 // there is no eviction counter).
 type CacheStats struct {
 	Hits   uint64 `json:"hits"`
@@ -30,20 +30,6 @@ func (s CacheStats) HitRate() float64 {
 	}
 	return float64(s.Hits) / float64(total)
 }
-
-// StatsSource is implemented by every cache in this package that
-// exposes counters: the three predictors' lazy neighborhood caches.
-// The serving layer discovers counters through this interface instead
-// of dispatching on concrete types.
-type StatsSource interface {
-	Stats() CacheStats
-}
-
-var (
-	_ StatsSource = (*Predictor)(nil)
-	_ StatsSource = (*ItemPredictor)(nil)
-	_ StatsSource = (*TimeWeightedPredictor)(nil)
-)
 
 // cacheCounters is the atomic backing shared by every cache in this
 // package. Counter updates sit on hot prediction paths, so they must

@@ -22,8 +22,7 @@ func statsStore(t testing.TB) *dataset.Store {
 }
 
 // TestPredictorCounters asserts the user-based neighborhood cache
-// counts exactly one miss per distinct user and hits thereafter, and
-// that the time-weighted wrapper reports the same (shared) cache.
+// counts exactly one miss per distinct user and hits thereafter.
 func TestPredictorCounters(t *testing.T) {
 	store := statsStore(t)
 	pred, err := NewPredictor(store, 10)
@@ -41,46 +40,6 @@ func TestPredictorCounters(t *testing.T) {
 	want := CacheStats{Hits: 2, Misses: 2, Size: 2}
 	if got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
-	}
-
-	tw, err := NewTimeWeightedPredictor(pred, 0)
-	if err != nil {
-		t.Fatalf("building time-weighted predictor: %v", err)
-	}
-	if tw.Stats() != pred.Stats() {
-		t.Errorf("time-weighted stats %+v diverge from base %+v", tw.Stats(), pred.Stats())
-	}
-}
-
-// TestItemPredictorCounters asserts the item-neighborhood cache counts
-// per distinct item.
-func TestItemPredictorCounters(t *testing.T) {
-	store := statsStore(t)
-	ip, err := NewItemPredictor(store, 10)
-	if err != nil {
-		t.Fatalf("building item predictor: %v", err)
-	}
-	users := store.Users()
-	items := store.Items()
-
-	// A batch over 5 candidates resolves each unrated candidate's
-	// neighborhood once (rated candidates short-circuit); a second
-	// identical batch hits for every neighborhood the first resolved.
-	ip.PredictBatch(users[0], items[:5])
-	first := ip.Stats()
-	if first.Hits != 0 {
-		t.Fatalf("hits after first batch = %d, want 0", first.Hits)
-	}
-	if first.Misses != uint64(first.Size) {
-		t.Fatalf("misses %d != cached neighborhoods %d", first.Misses, first.Size)
-	}
-	ip.PredictBatch(users[0], items[:5])
-	second := ip.Stats()
-	if second.Misses != first.Misses {
-		t.Errorf("second identical batch added misses: %d -> %d", first.Misses, second.Misses)
-	}
-	if second.Hits != first.Misses {
-		t.Errorf("second batch hits = %d, want %d", second.Hits, first.Misses)
 	}
 }
 

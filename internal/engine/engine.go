@@ -5,9 +5,9 @@
 // re-sorted — or from dense batch-predicted rows is decided here and
 // nowhere else, per request, by how much of the candidate slice the
 // store's pool covers. Rows recycle through a sync.Pool. The assembler
-// sits between the preference layer (the configured predictor behind
-// cf.Source, beside the liststore.Store materialized from it) and the
-// core problem builders; see DESIGN.md.
+// sits between the preference layer (the cf.Predictor, beside the
+// liststore.Store materialized from it) and the core problem builders;
+// see DESIGN.md.
 package engine
 
 import (
@@ -26,14 +26,13 @@ import (
 // core — view scores, patch entries, dense rows — is divided by it.
 const prefScale = 5
 
-// Assembler builds core problems from a cf.Source and a list store. It
-// is immutable after New (and AttachRows) and safe for concurrent use;
-// a single Assembler is meant to be shared by all traffic against one
-// World.
+// Assembler builds core problems from a cf.Predictor and a list store.
+// It is immutable after New (and AttachRows) and safe for concurrent
+// use; a single Assembler is meant to be shared by all traffic against
+// one World.
 type Assembler struct {
-	src  cf.Source
-	into cf.BatchInto // src's in-place path, when it has one
-	rows sync.Pool    // *[]float64, capacity grows to the largest row seen
+	pred *cf.Predictor
+	rows sync.Pool // *[]float64, capacity grows to the largest row seen
 	// lists is the sorted-list store. Where its views come from — built
 	// in place or fetched from shard workers — is the store's builder's
 	// business.
@@ -51,11 +50,10 @@ type Assembler struct {
 // sentinels).
 type RowFiller func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error
 
-// New builds an Assembler over src that serves problems from lists
+// New builds an Assembler over pred that serves problems from lists
 // whenever its pool covers the candidate slice.
-func New(src cf.Source, lists *liststore.Store) *Assembler {
-	a := &Assembler{src: src, lists: lists}
-	a.into, _ = src.(cf.BatchInto)
+func New(pred *cf.Predictor, lists *liststore.Store) *Assembler {
+	a := &Assembler{pred: pred, lists: lists}
 	a.fillRows = a.localRows
 	a.rows.New = func() any { s := make([]float64, 0); return &s }
 	return a
@@ -65,11 +63,11 @@ func New(src cf.Source, lists *liststore.Store) *Assembler {
 // prediction over pool, normalized onto [0,1], plus one canonical sort
 // (linear; the prediction dominates) — the pay-once cost the store
 // amortizes. The users of one call build concurrently.
-func LocalBuilder(src cf.Source, pool []dataset.ItemID) liststore.Builder {
+func LocalBuilder(pred *cf.Predictor, pool []dataset.ItemID) liststore.Builder {
 	return func(users []dataset.UserID) ([]*liststore.View, error) {
 		out := make([]*liststore.View, len(users))
 		forEach(len(users), func(i int) {
-			scores := src.PredictBatch(users[i], pool)
+			scores := pred.PredictBatch(users[i], pool)
 			for p := range scores {
 				scores[p] /= prefScale
 			}
@@ -80,15 +78,11 @@ func LocalBuilder(src cf.Source, pool []dataset.ItemID) liststore.Builder {
 }
 
 // localRows is the in-process RowFiller: one member per task, each
-// resolving that member's neighborhood exactly once via the source's
-// batch path (in place when it has one).
+// resolving that member's neighborhood exactly once and predicting in
+// place into its row.
 func (a *Assembler) localRows(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
 	forEach(len(users), func(ui int) {
-		if a.into != nil {
-			a.into.PredictBatchInto(users[ui], items, dst[ui])
-		} else {
-			copy(dst[ui], a.src.PredictBatch(users[ui], items))
-		}
+		a.pred.PredictBatchInto(users[ui], items, dst[ui])
 	})
 	return nil
 }
@@ -272,7 +266,7 @@ func (a *Assembler) getRow(n int) []float64 {
 	if cap(*p) < n {
 		return make([]float64, n)
 	}
-	// No zeroing: Source predictions are total, so every element is
+	// No zeroing: predictions are total, so every element is
 	// overwritten before the row is read.
 	return (*p)[:n]
 }

@@ -10,13 +10,18 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/cf"
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
-// stubSource is a deterministic cf.Source whose batch-call count proves
-// when the store recomputes.
+// batchSource is what the test builders read views from: a batch
+// prediction of one user over the pool, on the 1..5 rating scale.
+type batchSource interface {
+	PredictBatch(u dataset.UserID, items []dataset.ItemID) []float64
+}
+
+// stubSource is a deterministic batchSource whose batch-call count
+// proves when the store recomputes.
 type stubSource struct {
 	batchCalls atomic.Int64
 }
@@ -37,7 +42,7 @@ func (s *stubSource) PredictBatch(u dataset.UserID, items []dataset.ItemID) []fl
 // sourceBuilder builds views from src the way the engine's in-process
 // builder does — one batch prediction over pool, divided by 5 onto
 // [0,1], one canonical sort — sequentially.
-func sourceBuilder(src cf.Source, pool []dataset.ItemID) Builder {
+func sourceBuilder(src batchSource, pool []dataset.ItemID) Builder {
 	return func(users []dataset.UserID) ([]*View, error) {
 		out := make([]*View, len(users))
 		for i, u := range users {
@@ -52,7 +57,7 @@ func sourceBuilder(src cf.Source, pool []dataset.ItemID) Builder {
 }
 
 // newLocal is a store over pool whose views are built from src.
-func newLocal(src cf.Source, pool []dataset.ItemID, capacity int) *Store {
+func newLocal(src batchSource, pool []dataset.ItemID, capacity int) *Store {
 	return NewOver(sourceBuilder(src, pool), pool, capacity)
 }
 

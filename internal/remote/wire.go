@@ -296,7 +296,7 @@ func decodeApplyReq(p []byte) (applyReq, error) {
 }
 
 // Stats is one worker's cache totals in wire form: its list store's
-// and its active predictor's counters. A worker serves only the users
+// and its predictor's counters. A worker serves only the users
 // of its owned shards, so these count exactly their traffic. JSON-
 // encoded inside its frame: stats are cold-path and shape-heavy.
 type Stats struct {

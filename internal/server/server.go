@@ -491,8 +491,9 @@ type ratingRequest struct {
 	User  int     `json:"user"`
 	Item  int     `json:"item"`
 	Value float64 `json:"value"`
-	// Time is the rating's unix timestamp (0 = untimed; the rating
-	// still folds, it just carries no temporal weight).
+	// Time is the rating's unix timestamp (0 = untimed). It is
+	// journaled, snapshotted and relayed to the workers with the rating;
+	// no served value reads it.
 	Time int64 `json:"time,omitempty"`
 }
 
@@ -548,9 +549,10 @@ func (s *Server) handleRatings(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 		// Defensive: the distributed ingest path no longer fails on a
-		// missed fanout (the rating is durable before the fanout runs,
-		// so a retryable failure here would double-count it; the worker
-		// that missed the write is fenced and its shards 503 on reads).
+		// missed fanout (the rating is applied here and handed to the
+		// journal, which does not fsync, before the fanout runs, so a
+		// retryable failure here would double-count it; the worker that
+		// missed the write is fenced and its shards 503 on reads).
 		// Any transport-shaped error still maps honestly.
 		if writeTransportError(w, err) {
 			return

@@ -6,7 +6,7 @@
 // worker that owns it and a misrouted one answer wrong_shard.
 //
 // A shard says nothing about how a process lays out memory: the rating
-// store, the predictors' caches, the sorted-list store and the affinity
+// store, the predictor's cache, the sorted-list store and the affinity
 // tables are each one structure per process, whatever N is.
 package shard
 

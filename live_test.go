@@ -269,23 +269,19 @@ func TestItemsMutationAfterSubmitIsSafe(t *testing.T) {
 	}
 }
 
-// liveWorldCfg is liveWorld with a config hook for the mode-specific
-// differentials (item-based, time-weighted).
-func liveWorldCfg(t *testing.T, ratings string, shards int, mutate func(*Config)) *World {
+// liveWorldCfg is liveWorld without a consensus spec.
+func liveWorldCfg(t *testing.T, ratings string, shards int) *World {
 	t.Helper()
-	return liveWorldBuilt(t, ratings, shards, mutate, NewWorld)
+	return liveWorldBuilt(t, ratings, shards, NewWorld)
 }
 
 // liveWorldBuilt is liveWorldCfg over an explicit constructor — NewWorld,
 // or the test-only NewFullInvalidationWorld.
-func liveWorldBuilt(t *testing.T, ratings string, shards int, mutate func(*Config), build func(Config) (*World, error)) *World {
+func liveWorldBuilt(t *testing.T, ratings string, shards int, build func(Config) (*World, error)) *World {
 	t.Helper()
 	cfg := liveTestConfig()
 	cfg.RatingsReader = strings.NewReader(ratings)
 	cfg.Shards = shards
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	w, err := build(cfg)
 	if err != nil {
 		t.Fatalf("building world (shards=%d): %v", shards, err)
@@ -303,7 +299,7 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 	base := liveBaseRatings(t)
 	const warmUsers = 30
 	run := func(build func(Config) (*World, error)) (*World, dataset.Rating) {
-		w := liveWorldBuilt(t, base, 4, nil, build)
+		w := liveWorldBuilt(t, base, 4, build)
 		// Warm broadly: views and neighborhoods through recommend traffic
 		// over disjoint groups.
 		users := w.Ratings().Users()
@@ -343,7 +339,7 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 	}
 	// Views rebuilt over the retained neighborhoods serve a cold
 	// rebuild's bytes.
-	cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), 4, nil)
+	cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), 4)
 	users := live.Ratings().Users()
 	for g := 0; g+3 <= warmUsers; g += 3 {
 		want, err := cold.Recommend(users[g:g+3], Options{K: 5})
@@ -376,8 +372,8 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 func TestFullInvalidationMatchesScoped(t *testing.T) {
 	base := liveBaseRatings(t)
 	specs := map[string]consensus.Spec{"AP": consensus.AP(), "MO": consensus.MO(), "PD": consensus.PD(0.6)}
-	scoped := liveWorldCfg(t, base, 4, nil)
-	full := liveWorldBuilt(t, base, 4, nil, NewFullInvalidationWorld)
+	scoped := liveWorldCfg(t, base, 4)
+	full := liveWorldBuilt(t, base, 4, NewFullInvalidationWorld)
 	group := scoped.Participants()[:3]
 	for _, w := range []*World{scoped, full} {
 		if _, err := w.Recommend(group, Options{K: 5}); err != nil {
@@ -405,71 +401,5 @@ func TestFullInvalidationMatchesScoped(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: scoped result diverged from full invalidation\n got %+v\nwant %+v", name, got, want)
 		}
-	}
-}
-
-// TestAddRatingItemBasedMatchesColdRebuild extends the tentpole
-// differential to the item-based apref source, whose item-neighborhood
-// cache sweeps scoped under the dropped views — the blend must still be
-// bit-identical to a cold rebuild.
-func TestAddRatingItemBasedMatchesColdRebuild(t *testing.T) {
-	base := liveBaseRatings(t)
-	itemBased := func(c *Config) { c.ItemBasedCF = true }
-	live := liveWorldCfg(t, base, 4, itemBased)
-	extra := liveExtraRatings(live, 3)
-	group := live.Participants()[:3]
-	if _, err := live.Recommend(group, Options{K: 5}); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range extra {
-		if err := live.AddRating(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cold := liveWorldCfg(t, appendRatingsText(base, extra), 4, itemBased)
-	want, err := cold.Recommend(group, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := live.Recommend(group, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("item-based live result diverged from cold rebuild\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestAddRatingTimeWeightedMatchesColdRebuild extends the tentpole
-// differential to the time-weighted source across both of its ingest
-// regimes: a back-dated rating (decay clock unmoved) and a newest
-// rating (clock advance: every decay weight shifts).
-func TestAddRatingTimeWeightedMatchesColdRebuild(t *testing.T) {
-	base := liveBaseRatings(t)
-	timeWeighted := func(c *Config) { c.TimeWeightedCF = true }
-	live := liveWorldCfg(t, base, 4, timeWeighted)
-	extra := liveExtraRatings(live, 2)
-	extra[0].Time = 2                     // back-dated: decay clock stays put
-	extra[1].Time = 978300000 + 1_000_000 // newest: decay clock advances
-	group := live.Participants()[:3]
-	if _, err := live.Recommend(group, Options{K: 5}); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range extra {
-		if err := live.AddRating(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cold := liveWorldCfg(t, appendRatingsText(base, extra), 4, timeWeighted)
-	want, err := cold.Recommend(group, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := live.Recommend(group, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("time-weighted live result diverged from cold rebuild\n got %+v\nwant %+v", got, want)
 	}
 }

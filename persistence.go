@@ -40,12 +40,15 @@ type worldSnapshot struct {
 // let a retuned restart discard acknowledged ratings. The
 // ListStoreSize >= 0 term is constant — a negative size is refused by
 // NewWorld — and stays only so that existing snapshots and journals
-// keep their fingerprint.
+// keep their fingerprint. So do the constants 0|false|false|0: they
+// stand where four fields choosing another preference source
+// (similarity measure, item-based, time-weighted, half-life) were
+// hashed, at the values every deployed configuration gave them.
 func configFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v|%+v|%d|%d|%t|%t|%d|%v|%d|%t|%d",
-		cfg.Dataset, cfg.Social, cfg.Neighbors, cfg.Similarity,
-		cfg.ItemBasedCF, cfg.TimeWeightedCF, cfg.CFHalfLife,
+		cfg.Dataset, cfg.Social, cfg.Neighbors, 0,
+		false, false, 0,
 		cfg.Granularity, cfg.InitialPeriods,
 		cfg.ListStoreSize >= 0, cfg.Shards)
 	return h.Sum64()

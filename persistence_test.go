@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/affinity"
 	"repro/internal/dataset"
 )
 
@@ -214,7 +215,7 @@ func TestWarmRestartKeepsNeighborhoodsAcrossFirstRating(t *testing.T) {
 		t.Errorf("neighborhood cache after the rating = %+v, want restored entries resident and no fill yet", nb)
 	}
 
-	cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), 4, nil)
+	cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), 4)
 	for g := 0; g+3 <= warmUsers; g += 3 {
 		want, err := cold.Recommend(users[g:g+3], opt)
 		if err != nil {
@@ -393,11 +394,29 @@ func TestJournalSurvivesListStoreResize(t *testing.T) {
 // is reset, so a change to the hash — a field added or dropped, the
 // format string reordered — must be a decision, never the side effect of
 // editing Config: an upgrade would discard acknowledged ratings.
+//
+// The second value pins a config with Neighbors, InitialPeriods,
+// Granularity and Shards off their QuickConfig values, so the terms
+// around the constant ones are held byte for byte beyond the zero
+// values too.
 func TestConfigFingerprintPinned(t *testing.T) {
-	const want = 0x27433f51babd4b60
-	if got := configFingerprint(QuickConfig()); got != want {
-		t.Errorf("configFingerprint(QuickConfig()) = %#x, want %#x", got, uint64(want))
-	}
+	t.Run("QuickConfig", func(t *testing.T) {
+		const want = 0x27433f51babd4b60
+		if got := configFingerprint(QuickConfig()); got != want {
+			t.Errorf("configFingerprint(QuickConfig()) = %#x, want %#x", got, uint64(want))
+		}
+	})
+	t.Run("tuned", func(t *testing.T) {
+		cfg := QuickConfig()
+		cfg.Neighbors = 30
+		cfg.InitialPeriods = 2
+		cfg.Granularity = affinity.Month
+		cfg.Shards = 4
+		const wantTuned = 0x29b265e205724600
+		if got := configFingerprint(cfg); got != wantTuned {
+			t.Errorf("configFingerprint(%+v) = %#x, want %#x", cfg, got, uint64(wantTuned))
+		}
+	})
 }
 
 // TestJournalResetIsReported: a journal written under one world-shaping

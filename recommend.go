@@ -399,8 +399,12 @@ func (w *World) CandidateItems(group []dataset.UserID, n int) []dataset.ItemID {
 // PairAffinity returns the pairwise affinity of (u,v) under the given
 // time model at period index (use -1 for the latest period). It is the
 // exact value GRECA's lists are built from, before group-level static
-// re-normalization.
+// re-normalization. A user paired with itself reads 0, as does a pair
+// with a user outside the study population.
 func (w *World) PairAffinity(u, v dataset.UserID, tm TimeModel, period int) float64 {
+	if u == v {
+		return 0
+	}
 	w.periodMu.RLock()
 	defer w.periodMu.RUnlock()
 	last := w.model.Timeline.NumPeriods() - 1

@@ -38,7 +38,7 @@ func TestWarmRouterServesRestoredViews(t *testing.T) {
 	if !st.Warm || st.WarmViews != len(group) {
 		t.Fatalf("router boot reported %+v, want warm with %d views", st, len(group))
 	}
-	set, _ := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, 4, nil) }, 4, [][]int{{0, 2}, {1, 3}})
+	set, _ := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, 4) }, 4, [][]int{{0, 2}, {1, 3}})
 	if err := router.AttachRemote(set); err != nil {
 		t.Fatalf("AttachRemote: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestWarmRouterServesRestoredViews(t *testing.T) {
 	if calls := router.RemoteStats().Transport.CallsByOp["view_multi"] - before; calls != 0 {
 		t.Errorf("first recommend of a restored group made %d view calls, want 0", calls)
 	}
-	want, err := liveWorldCfg(t, base, 4, nil).Recommend(group, opt)
+	want, err := liveWorldCfg(t, base, 4).Recommend(group, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,10 +136,10 @@ func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 }
 
 // PredictBatch implements remote.Backend: raw (1..5 scale)
-// predictions from the worker's source, exactly the values the
+// predictions from the worker's predictor, exactly the values the
 // router's own would produce.
 func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
-	return b.w.source.PredictBatch(u, items), nil
+	return b.w.pred.PredictBatch(u, items), nil
 }
 
 // Apply implements remote.Backend: ingest one fanned-out rating into

@@ -41,24 +41,10 @@ type Config struct {
 	// is the participant population (the paper recruited 72); these
 	// are mapped onto the first rating-store users.
 	Social social.SynthConfig
-	// Neighbors is the CF neighborhood size (cf.DefaultNeighbors if 0).
+	// Neighbors is the neighborhood size of the user-based CF predictor
+	// (cosine similarity, the paper's §4 choice) that supplies absolute
+	// preferences (cf.DefaultNeighbors if 0).
 	Neighbors int
-	// Similarity selects the user-user similarity for CF neighborhoods
-	// (cosine, the paper's §4 choice, by default).
-	Similarity cf.Similarity
-	// ItemBasedCF switches absolute preferences to the item-based
-	// predictor. The paper's formulation is agnostic to the apref
-	// source ("existing single-user recommendation algorithms ... could
-	// be used"); this exercises that claim.
-	ItemBasedCF bool
-	// TimeWeightedCF applies the related-work temporal baseline ([8],
-	// Ding & Li's time-weight CF) to the user-based predictor: neighbor
-	// ratings decay exponentially with age. Mutually exclusive with
-	// ItemBasedCF.
-	TimeWeightedCF bool
-	// CFHalfLife is the rating-age half-life in seconds for
-	// TimeWeightedCF (cf.DefaultHalfLife if 0).
-	CFHalfLife int64
 	// Granularity segments the observation window into affinity
 	// periods; the paper settles on two-month periods (Figure 4).
 	Granularity affinity.Granularity
@@ -129,20 +115,15 @@ type World struct {
 	network *social.SynthNetwork
 	// socialNet is the observable network (always set).
 	socialNet *social.Network
-	pred      *cf.Predictor
-	// itemPred is the alternative apref source (ItemBasedCF mode).
-	itemPred *cf.ItemPredictor
-	// twPred is the time-weighted apref source (TimeWeightedCF mode).
-	twPred *cf.TimeWeightedPredictor
-	// source is the active absolute-preference source: the configured
+	// pred is the absolute-preference source: the user-based cosine CF
 	// predictor.
-	source cf.Source
+	pred *cf.Predictor
 	// lists is the precomputed sorted-list store over the popularity
-	// pool. In-process its views are built from source; AttachRemote
+	// pool. In-process its views are built from pred; AttachRemote
 	// points it at a builder that fetches them from the owning workers.
 	lists *liststore.Store
 	// asm is the assembly layer building each request's problem from
-	// source and lists.
+	// pred and lists.
 	asm      *engine.Assembler
 	model    *affinity.Model
 	timeline affinity.Timeline
@@ -182,8 +163,8 @@ type World struct {
 	// remoteFanoutMisses counts ingests whose owning worker missed
 	// the fanned-out write and was fenced.
 	remoteFanoutMisses atomic.Uint64
-	// dropAllNeighborhoods swaps the predictors' scoped ingest hooks for
-	// their drop-everything counterparts. No configuration sets it: it
+	// dropAllNeighborhoods swaps the predictor's scoped ingest hook for
+	// its drop-everything counterpart. No configuration sets it: it
 	// is the reference scheme the scoped one is differentially tested
 	// and benchmarked against (export_test.go).
 	dropAllNeighborhoods bool
@@ -272,46 +253,19 @@ func NewWorld(cfg Config) (*World, error) {
 		w.socialNet = net.Network
 	}
 
-	pred, err := cf.NewPredictorSim(w.ratings, cfg.Neighbors, cfg.Similarity)
+	pred, err := cf.NewPredictor(w.ratings, cfg.Neighbors)
 	if err != nil {
 		return nil, fmt.Errorf("repro: building CF predictor: %w", err)
 	}
 	w.pred = pred
-	if cfg.ItemBasedCF && cfg.TimeWeightedCF {
-		return nil, fmt.Errorf("repro: ItemBasedCF and TimeWeightedCF are mutually exclusive")
-	}
-	if cfg.ItemBasedCF {
-		ip, err := cf.NewItemPredictor(w.ratings, cfg.Neighbors)
-		if err != nil {
-			return nil, fmt.Errorf("repro: building item-based predictor: %w", err)
-		}
-		w.itemPred = ip
-	}
-	if cfg.TimeWeightedCF {
-		tw, err := cf.NewTimeWeightedPredictor(pred, cfg.CFHalfLife)
-		if err != nil {
-			return nil, fmt.Errorf("repro: building time-weighted predictor: %w", err)
-		}
-		w.twPred = tw
-	}
-
-	// Preference layer: the active predictor behind the Source
-	// interface.
-	w.source = w.pred
-	switch {
-	case w.itemPred != nil:
-		w.source = w.itemPred
-	case w.twPred != nil:
-		w.source = w.twPred
-	}
 
 	// Sorted-list store: built at load over the frozen popularity
 	// ranking (views materialize lazily per user, bounded by a CLOCK
 	// policy). The World owns the store lifecycle — every rating ingest
 	// empties it (AddRating) so stale views are rebuilt.
 	pool := w.ratings.PopularityRanked()
-	w.lists = liststore.NewOver(engine.LocalBuilder(w.source, pool), pool, cfg.ListStoreSize)
-	w.asm = engine.New(w.source, w.lists)
+	w.lists = liststore.NewOver(engine.LocalBuilder(w.pred, pool), pool, cfg.ListStoreSize)
+	w.asm = engine.New(w.pred, w.lists)
 
 	// Participants: social users 0..Users-1 mapped onto the rating
 	// store's first users (both populations use dense IDs from 0).
@@ -382,12 +336,9 @@ func (w *World) Network() *social.SynthNetwork { return w.network }
 // page-likes), whether generated or loaded.
 func (w *World) SocialNetwork() *social.Network { return w.socialNet }
 
-// Predictor returns the collaborative filtering predictor.
+// Predictor returns the collaborative filtering predictor: the
+// absolute-preference source.
 func (w *World) Predictor() *cf.Predictor { return w.pred }
-
-// Source returns the active absolute-preference source — the
-// configured predictor behind the cf.Source interface.
-func (w *World) Source() cf.Source { return w.source }
 
 // ListStore returns the sorted-list store.
 func (w *World) ListStore() *liststore.Store { return w.lists }
@@ -488,29 +439,18 @@ func (w *World) AddRating(r dataset.Rating) error {
 // missed the fanned-out write (and was fenced). Zero in-process.
 func (w *World) RemoteFanoutMisses() uint64 { return w.remoteFanoutMisses.Load() }
 
-// applyRating lands r in the store and makes the predictors coherent
+// applyRating lands r in the store and makes the predictor coherent
 // with it. Caller holds ingestMu.
 func (w *World) applyRating(r dataset.Rating) error {
 	if err := w.ratings.Apply(r); err != nil {
 		return fmt.Errorf("repro: applying rating: %w", err)
 	}
-	// Store first, then predictors (their recomputed means must see the
-	// new rating). The user-based predictor updates in every mode — it
-	// backs the default and time-weighted apref sources and serves
-	// similarity queries (group formation) whichever source is active.
+	// Store first, then the predictor (its recomputed means must see the
+	// new rating).
 	if w.dropAllNeighborhoods {
 		w.pred.NoteIngest(r.User)
-		if w.itemPred != nil {
-			w.itemPred.NoteIngest()
-		}
 	} else {
 		w.pred.NoteIngestScoped(r.User, r.Item)
-		if w.itemPred != nil {
-			w.itemPred.NoteIngestScoped(r.User)
-		}
-	}
-	if w.twPred != nil {
-		w.twPred.Advance(r.Time)
 	}
 	return nil
 }
@@ -572,16 +512,14 @@ func (w *World) RemoteStats() RemoteStats {
 }
 
 // CacheStats reports the engine's cache counters — the sorted-list
-// store and the active predictor's lazy neighborhood cache — for the
+// store and the predictor's lazy neighborhood cache — for the
 // serving layer's /stats endpoint and any other observability
 // consumer.
 type CacheStats struct {
 	// ListStore counts the sorted-list store's view, patch, and
 	// lifecycle traffic.
 	ListStore liststore.Stats `json:"list_store"`
-	// Neighborhoods counts the active predictor's lazy neighborhood
-	// cache (user neighborhoods for the user-based and time-weighted
-	// predictors, item neighborhoods for the item-based one).
+	// Neighborhoods counts the predictor's lazy user-neighborhood cache.
 	Neighborhoods cf.CacheStats `json:"neighborhoods"`
 }
 
@@ -589,22 +527,14 @@ type CacheStats struct {
 // use with recommendation traffic; the counters are atomic and only
 // eventually consistent with each other.
 //
-// In-process they are the list store's and the active predictor's own.
+// In-process they are the list store's and the predictor's own.
 // On a router the views are built and the neighborhoods filled on the
 // workers, so the counters are the sum of every reachable worker's
 // totals — an unreachable worker's traffic is missing, not failing the
 // answer — except the patch count and the pool size, which the router's
 // own assembly and store keep.
 func (w *World) CacheStats() CacheStats {
-	st := CacheStats{ListStore: w.lists.Stats()}
-	switch {
-	case w.itemPred != nil:
-		st.Neighborhoods = w.itemPred.Stats()
-	case w.twPred != nil:
-		st.Neighborhoods = w.twPred.Stats()
-	default:
-		st.Neighborhoods = w.pred.Stats()
-	}
+	st := CacheStats{ListStore: w.lists.Stats(), Neighborhoods: w.pred.Stats()}
 	if w.remote != nil {
 		workers, _ := w.remote.Stats()
 		st.Neighborhoods = workers.Neighborhoods
