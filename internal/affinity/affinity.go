@@ -8,10 +8,8 @@ package affinity
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/social"
@@ -24,14 +22,8 @@ type Period struct {
 	Start, End int64
 }
 
-// Length returns the period length in seconds.
-func (p Period) Length() int64 { return p.End - p.Start }
-
 // Contains reports whether t falls inside the period.
 func (p Period) Contains(t int64) bool { return p.Start <= t && t < p.End }
-
-// Precedes implements the paper's p_i ≤ p_j ordering.
-func (p Period) Precedes(q Period) bool { return p.Start <= q.Start && p.End <= q.End }
 
 // Timeline is a segmentation of [Start, End) into consecutive periods
 // p_0 .. p_{n-1}. Periods need not be equal length (the paper allows
@@ -113,77 +105,172 @@ func Segment(start, end int64, g Granularity) Timeline {
 	return tl
 }
 
-// SegmentUniform cuts [start, end) into exactly n equal periods.
-func SegmentUniform(start, end int64, n int) Timeline {
-	if n <= 0 {
-		panic(fmt.Sprintf("affinity: SegmentUniform with n=%d", n))
-	}
-	if end <= start {
-		panic(fmt.Sprintf("affinity: SegmentUniform with end %d <= start %d", end, start))
-	}
-	tl := Timeline{Start: start, End: end}
-	span := end - start
-	for i := 0; i < n; i++ {
-		s := start + span*int64(i)/int64(n)
-		f := start + span*int64(i+1)/int64(n)
-		tl.Periods = append(tl.Periods, Period{Start: s, End: f})
-	}
-	return tl
-}
-
 // NumPeriods returns the number of periods.
 func (tl Timeline) NumPeriods() int { return len(tl.Periods) }
 
-// PeriodAt returns the index of the period containing t, or -1.
-func (tl Timeline) PeriodAt(t int64) int {
-	for i, p := range tl.Periods {
-		if p.Contains(t) {
-			return i
+// Stats is what the model keeps of a table's raw values: their sum,
+// least and greatest over the population's n(n−1)/2 unordered pairs.
+type Stats struct {
+	Sum, Lo, Hi float64
+}
+
+// countStats returns the Stats of integer pair values. Each count is
+// below 2⁵³, so every partial sum is exact and Sum is the float64 an
+// ordered fold over the pairs would reach.
+func countStats(sum, lo, hi int) Stats {
+	return Stats{Sum: float64(sum), Lo: float64(lo), Hi: float64(hi)}
+}
+
+// check refuses a table whose stats are negative or not finite, naming
+// the table: its period, or −1 for the static table.
+func (st Stats) check(what string, period int) error {
+	for _, x := range [3]float64{st.Sum, st.Lo, st.Hi} {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			at := ""
+			if period >= 0 {
+				at = fmt.Sprintf(" in period %d", period)
+			}
+			return fmt.Errorf("affinity: negative or non-finite %s stats (sum %g, lo %g, hi %g)%s", what, st.Sum, st.Lo, st.Hi, at)
 		}
 	}
-	return -1
+	return nil
 }
 
 // StaticSource yields the raw (unnormalized) static affinity of a pair
 // — common Facebook friends in the paper's study.
 type StaticSource interface {
-	// Static binds the source once and returns its pair function. The
-	// model keeps it and calls it concurrently, at build and on every
-	// read, so it must give a pair the same value on every call.
-	Static() func(u, v dataset.UserID) float64
+	// Static binds the source to the population, in row order, and
+	// returns its pair function and the Stats of its values over the
+	// population's pairs. The model keeps the function and calls it
+	// concurrently on every read, with the user of the lower row first,
+	// so it must give a pair the same value on every call.
+	Static(users []dataset.UserID) (func(u, v dataset.UserID) float64, Stats)
 }
 
 // PeriodicSource yields the raw periodic affinity affP(u,u',p) — common
 // page-like categories during p in the paper's study.
 type PeriodicSource interface {
-	// Periodic binds the source to period p and returns its pair
-	// function, which the model keeps and calls as it does Static's.
-	Periodic(p Period) func(u, v dataset.UserID) float64
+	// Periodic binds the source to period p and the population and
+	// returns what Static does, for p's table.
+	Periodic(p Period, users []dataset.UserID) (func(u, v dataset.UserID) float64, Stats)
 }
 
 // NetworkSource adapts a social.Network to both source interfaces
-// using exactly the paper's §4.1.2 definitions. Binding a period needs
-// the network frozen, so a model built from it reads a network that no
-// longer changes.
+// using exactly the paper's §4.1.2 definitions. Both are counts, so
+// their Stats are counted, not folded over the pairs. The population
+// must be users of the network. Binding a period needs the network
+// frozen, so a model built from it reads a network that no longer
+// changes.
 type NetworkSource struct {
 	Network *social.Network
 }
 
 // Static returns |friends(u) ∩ friends(v)|, a merge count of the
-// network's sorted friend lists.
-func (ns NetworkSource) Static() func(u, v dataset.UserID) float64 {
-	return func(u, v dataset.UserID) float64 { return float64(ns.Network.CommonFriends(u, v)) }
+// network's sorted friend lists. Its Stats are wedge counts: a pair
+// gets one for every path u–w–v, w any user of the network, so one
+// walk over the friend lists of u's friends counts row u against every
+// later row.
+func (ns NetworkSource) Static(users []dataset.UserID) (func(u, v dataset.UserID) float64, Stats) {
+	nw := ns.Network
+	row := make([]int32, nw.NumUsers()) // row + 1; 0 outside the population
+	for i, u := range users {
+		row[u] = int32(i) + 1
+	}
+	// The rows of w's friends in the population, ascending, are
+	// rows[off[w]:off[w+1]].
+	off := make([]int, nw.NumUsers()+1)
+	edges := 0
+	for w := range nw.NumUsers() {
+		edges += len(nw.Friends(dataset.UserID(w)))
+	}
+	rows := make([]int32, 0, edges)
+	for w := range nw.NumUsers() {
+		for _, v := range nw.Friends(dataset.UserID(w)) {
+			if r := row[v]; r > 0 {
+				rows = append(rows, r-1)
+			}
+		}
+		off[w+1] = len(rows)
+		slices.Sort(rows[off[w]:])
+	}
+	// count[j] is row i's count against row j > i. Reading it back is
+	// one sweep of a counter per pair, cheaper than tracking the rows
+	// touched on every increment.
+	count := make([]int32, len(users))
+	sum, lo, hi := 0, math.MaxInt, 0
+	for i, u := range users {
+		for _, w := range nw.Friends(u) {
+			for x := off[w+1] - 1; x >= off[w] && rows[x] > int32(i); x-- {
+				count[rows[x]]++
+			}
+		}
+		for j := i + 1; j < len(users); j++ {
+			c := int(count[j])
+			sum, lo, hi = sum+c, min(lo, c), max(hi, c)
+			count[j] = 0
+		}
+	}
+	return func(u, v dataset.UserID) float64 { return float64(nw.CommonFriends(u, v)) }, countStats(sum, lo, hi)
 }
 
 // Periodic returns |page_like_categories(u,p) ∩ page_like_categories(v,p)|:
 // each user's category set for p is computed once, and a pair is one
-// bitset intersection.
-func (ns NetworkSource) Periodic(p Period) func(u, v dataset.UserID) float64 {
+// bitset intersection. Its Stats come from the population's sets
+// (setStats).
+func (ns NetworkSource) Periodic(p Period, users []dataset.UserID) (func(u, v dataset.UserID) float64, Stats) {
 	sets := make([]social.CategorySet, ns.Network.NumUsers())
 	for u := range sets {
 		sets[u] = ns.Network.CategoriesIn(dataset.UserID(u), p.Start, p.End)
 	}
-	return func(u, v dataset.UserID) float64 { return float64(sets[u].IntersectCount(sets[v])) }
+	pop := make([]social.CategorySet, len(users))
+	for i, u := range users {
+		pop[i] = sets[u]
+	}
+	return func(u, v dataset.UserID) float64 { return float64(sets[u].IntersectCount(sets[v])) }, setStats(pop)
+}
+
+// setStats returns the Stats of |A∩B| over the pairs of two or more
+// sets, reordering them, without a pass over the pairs:
+//   - the sum is Σ_c C(n_c, 2), n_c the number of sets holding c;
+//   - the max is a search by descending size that stops once no set
+//     left is larger than the best count, since |A∩B| ≤ min(|A|, |B|);
+//   - the min is a search from the small end that stops at the first
+//     disjoint pair.
+//
+// Each is exact.
+func setStats(sets []social.CategorySet) Stats {
+	var holders [len(social.CategorySet{}) * 64]int
+	for _, s := range sets {
+		for w, word := range s {
+			for ; word != 0; word &= word - 1 {
+				holders[w*64+bits.TrailingZeros64(word)]++
+			}
+		}
+	}
+	sum := 0
+	for _, n := range holders {
+		sum += n * (n - 1) / 2
+	}
+	slices.SortFunc(sets, func(a, b social.CategorySet) int { return b.Count() - a.Count() })
+	hi := 0
+	for x, a := range sets {
+		if a.Count() <= hi {
+			break
+		}
+		for _, b := range sets[x+1:] {
+			if b.Count() <= hi {
+				break
+			}
+			hi = max(hi, a.IntersectCount(b))
+		}
+	}
+	lo := math.MaxInt
+	for x := len(sets) - 1; x > 0 && lo > 0; x-- {
+		for y := x - 1; y >= 0 && lo > 0; y-- {
+			lo = min(lo, sets[x].IntersectCount(sets[y]))
+		}
+	}
+	return countStats(sum, lo, hi)
 }
 
 // Model holds the temporal affinity state for a user population over a
@@ -192,11 +279,11 @@ func (ns NetworkSource) Periodic(p Period) func(u, v dataset.UserID) float64 {
 // (the max raw value); each period keeps its population mean and its
 // max |drift|. A read calls the source for its pair and normalizes, so
 // the model's size is the population and the periods' bound sources,
-// not T · n(n−1)/2 entries. Adding a period is one more pass over the
-// pairs that touches nothing previously computed — the paper's
-// "just augments the index". A table is written once and read-only
-// afterwards, so reads take no lock; only AppendPeriod must not run
-// beside them.
+// not T · n(n−1)/2 entries. Adding a period binds one more table from
+// its source's Stats and touches nothing previously computed — the
+// paper's "just augments the index". A table is written once and
+// read-only afterwards, so reads take no lock; only AppendPeriod must
+// not run beside them.
 type Model struct {
 	Timeline Timeline
 	// Users is the population over which averages were computed.
@@ -229,7 +316,7 @@ type table struct {
 }
 
 // value returns the pair's normalized value. u must be the user of the
-// lower row: the build called the source in that order.
+// lower row: the source is bound to the rows in that order.
 func (t *table) value(u, v dataset.UserID) float64 {
 	return (t.pair(u, v) - t.shift) * t.scale
 }
@@ -244,9 +331,8 @@ func scaleOf(peak float64) float64 {
 }
 
 // BuildModel computes a Model's normalizers for the given distinct,
-// non-negative users and timeline. Both sources are evaluated once for
-// every unordered pair, so cost is O(|users|² · periods) — the paper's
-// T · n(n−1)/2 affinity entries, each seen once and none kept.
+// non-negative users and timeline from the Stats each source hands over
+// with its pair function; the model evaluates no pair.
 func BuildModel(users []dataset.UserID, tl Timeline, static StaticSource, per PeriodicSource) (*Model, error) {
 	if len(users) < 2 {
 		return nil, fmt.Errorf("affinity: BuildModel needs at least 2 users, got %d", len(users))
@@ -266,17 +352,13 @@ func BuildModel(users []dataset.UserID, tl Timeline, static StaticSource, per Pe
 	if m.rows, err = newRowIndex(m.Users); err != nil {
 		return nil, err
 	}
-
-	// Static: one pass for the population max, the normalizer.
-	bufs := m.newScratch()
-	pair := static.Static()
-	st := m.scan(pair, bufs)
-	if err := st.check(m, "static", -1); err != nil {
+	pair, st := static.Static(m.Users)
+	if err := st.check("static", -1); err != nil {
 		return nil, err
 	}
-	m.static = table{pair: pair, scale: scaleOf(st.hi)}
+	m.static = table{pair: pair, scale: scaleOf(st.Hi)}
 	for _, p := range tl.Periods {
-		if err := m.addPeriod(p, bufs); err != nil {
+		if err := m.addPeriod(p); err != nil {
 			return nil, err
 		}
 	}
@@ -286,145 +368,20 @@ func BuildModel(users []dataset.UserID, tl Timeline, static StaticSource, per Pe
 // addPeriod appends the drift table of p: drift = affP − population
 // average, scaled by the period's max |drift| into [-1, 1] so that no
 // single outlier period drowns the static component (the paper likewise
-// normalizes into [0,1], §4.1.2). One pass finds both normalizers:
-// rounding is monotone and negation exact, so the max over the table of
-// |fl(a − avg)| is the larger of fl(max − avg) and fl(avg − min).
-func (m *Model) addPeriod(p Period, bufs [][]float64) error {
-	pair := m.periodic.Periodic(p)
-	st := m.scan(pair, bufs)
-	if err := st.check(m, "periodic", len(m.drift)); err != nil {
+// normalizes into [0,1], §4.1.2). Rounding is monotone and negation
+// exact, so the max over the table of |fl(a − avg)| is the larger of
+// fl(max − avg) and fl(avg − min).
+func (m *Model) addPeriod(p Period) error {
+	pair, st := m.periodic.Periodic(p, m.Users)
+	if err := st.check("periodic", len(m.drift)); err != nil {
 		return err
 	}
 	n := len(m.Users)
-	avg := st.sum / float64(n*(n-1)/2)
-	var maxAbs float64
-	for _, d := range [2]float64{st.hi - avg, avg - st.lo} {
-		if d > maxAbs {
-			maxAbs = d
-		}
-	}
+	avg := st.Sum / float64(n*(n-1)/2)
+	maxAbs := max(0, st.Hi-avg, avg-st.Lo)
 	m.drift = append(m.drift, table{pair: pair, shift: avg, scale: scaleOf(maxAbs)})
 	m.AvgPeriodic = append(m.AvgPeriodic, avg)
 	return nil
-}
-
-// blockPairs bounds one goroutine's scratch in a build pass: a block is
-// as many whole rows as fit in it, and at least one.
-const blockPairs = 4096
-
-// blockRows returns how many rows make one block.
-func (m *Model) blockRows() int { return max(1, blockPairs/(len(m.Users)-1)) }
-
-// newScratch returns one block buffer per goroutine of a build pass;
-// every pass of one build reuses them.
-func (m *Model) newScratch() [][]float64 {
-	n := len(m.Users)
-	workers := min(runtime.GOMAXPROCS(0), (n-1+m.blockRows()-1)/m.blockRows())
-	bufs := make([][]float64, workers)
-	for w := range bufs {
-		bufs[w] = make([]float64, 0, m.blockRows()*(n-1))
-	}
-	return bufs
-}
-
-// tableStats is one build pass's fold of a table's raw values, taken in
-// (i, j > i) order.
-type tableStats struct {
-	sum, lo, hi float64
-	// bad is the first negative or NaN value, at rows (badI, badJ);
-	// badI is −1 when there is none.
-	bad        float64
-	badI, badJ int
-}
-
-// scan evaluates pair once for every pair of the population, lower row
-// first, and folds the values in (i, j > i) order. Blocks of rows are
-// dealt to one goroutine per buffer through an atomic block counter;
-// each fills its block into its buffer and then waits for the fold to
-// reach that block. So the fold sees every value in index order — the
-// sum is the same float64 whatever the core count — and no goroutine
-// holds more than one block.
-func (m *Model) scan(pair func(u, v dataset.UserID) float64, bufs [][]float64) tableStats {
-	n, per := len(m.Users), m.blockRows()
-	blocks := (n - 1 + per - 1) / per
-	ps := &pass{st: tableStats{lo: math.Inf(1), hi: math.Inf(-1), badI: -1}}
-	ps.turn.L = &ps.mu
-	ps.wg.Add(len(bufs))
-	for _, buf := range bufs {
-		go func() {
-			defer ps.wg.Done()
-			for b := int(ps.next.Add(1) - 1); b < blocks; b = int(ps.next.Add(1) - 1) {
-				first, last := b*per, min((b+1)*per, n-1)
-				vals := buf[:0]
-				for i := first; i < last; i++ {
-					u := m.Users[i]
-					for _, v := range m.Users[i+1:] {
-						vals = append(vals, pair(u, v))
-					}
-				}
-				ps.mu.Lock()
-				for ps.folded != b {
-					ps.turn.Wait()
-				}
-				ps.st.fold(vals, first, last, n)
-				ps.folded++
-				ps.turn.Broadcast()
-				ps.mu.Unlock()
-			}
-		}()
-	}
-	ps.wg.Wait()
-	return ps.st
-}
-
-// pass is one scan's shared state: the block counter, and the fold
-// with the turn that orders it.
-type pass struct {
-	next   atomic.Int64
-	mu     sync.Mutex
-	turn   sync.Cond
-	folded int // blocks folded so far
-	wg     sync.WaitGroup
-	st     tableStats
-}
-
-// fold adds the values of rows first..last−1, row by row.
-func (st *tableStats) fold(vals []float64, first, last, n int) {
-	x := 0
-	for i := first; i < last; i++ {
-		for j := i + 1; j < n; j++ {
-			a := vals[x]
-			x++
-			if !(a >= 0) && st.badI < 0 {
-				st.bad, st.badI, st.badJ = a, i, j
-			}
-			st.sum += a
-			if a < st.lo {
-				st.lo = a
-			}
-			if a > st.hi {
-				st.hi = a
-			}
-		}
-	}
-}
-
-// check returns the build error for the table's first negative or NaN
-// value, naming its pair and, for a periodic table, its period (−1 for
-// the static table).
-func (st *tableStats) check(m *Model, what string, period int) error {
-	if st.badI < 0 {
-		return nil
-	}
-	kind := fmt.Sprintf("negative %s affinity %g", what, st.bad)
-	if math.IsNaN(st.bad) {
-		kind = "NaN " + what + " affinity"
-	}
-	at := ""
-	if period >= 0 {
-		at = fmt.Sprintf(" period %d", period)
-	}
-	return fmt.Errorf("affinity: %s for pair (%d,%d)%s", kind, m.Users[st.badI], m.Users[st.badJ], at)
 }
 
 // AppendPeriod extends the model with one new period without touching
@@ -436,7 +393,7 @@ func (m *Model) AppendPeriod(p Period) error {
 	if n := m.Timeline.NumPeriods(); n > 0 && p.Start < m.Timeline.Periods[n-1].End {
 		return fmt.Errorf("affinity: AppendPeriod %v overlaps existing timeline", p)
 	}
-	if err := m.addPeriod(p, m.newScratch()); err != nil {
+	if err := m.addPeriod(p); err != nil {
 		return err
 	}
 	m.Timeline.Periods = append(m.Timeline.Periods, p)

@@ -42,56 +42,18 @@ func TestSegmentGranularities(t *testing.T) {
 	}
 }
 
-func TestSegmentUniform(t *testing.T) {
-	tl := SegmentUniform(0, 100, 7)
-	if tl.NumPeriods() != 7 {
-		t.Fatalf("periods = %d", tl.NumPeriods())
-	}
-	cur := int64(0)
-	for _, p := range tl.Periods {
-		if p.Start != cur {
-			t.Fatalf("gap at %d", cur)
-		}
-		cur = p.End
-	}
-	if cur != 100 {
-		t.Errorf("end = %d", cur)
-	}
-}
-
 func TestPeriodPredicates(t *testing.T) {
 	p := Period{10, 20}
-	if p.Length() != 10 || !p.Contains(10) || p.Contains(20) || p.Contains(9) {
+	if !p.Contains(10) || p.Contains(20) || p.Contains(9) {
 		t.Errorf("Period predicates wrong")
 	}
-	q := Period{15, 25}
-	if !p.Precedes(q) || q.Precedes(p) {
-		t.Errorf("Precedes wrong")
-	}
-	if !p.Precedes(p) {
-		t.Errorf("Precedes should be reflexive (paper's ≤)")
-	}
-	if tl := SegmentUniform(0, 100, 4); tl.PeriodAt(26) != 1 || tl.PeriodAt(-5) != -1 {
-		t.Errorf("PeriodAt wrong")
-	}
-}
-
-// stubSource provides deterministic affinities for model tests.
-type stubSource struct {
-	static   func(u, v dataset.UserID) float64
-	periodic func(u, v dataset.UserID, p Period) float64
-}
-
-func (s stubSource) Static() func(u, v dataset.UserID) float64 { return s.static }
-func (s stubSource) Periodic(p Period) func(u, v dataset.UserID) float64 {
-	return func(u, v dataset.UserID) float64 { return s.periodic(u, v, p) }
 }
 
 func testModel(t *testing.T) *Model {
 	t.Helper()
 	users := []dataset.UserID{0, 1, 2}
-	tl := SegmentUniform(0, 300, 3)
-	src := stubSource{
+	tl := uniformTimeline(300, 3)
+	src := pairSources{
 		static: func(u, v dataset.UserID) float64 { return float64(u + v) },
 		periodic: func(u, v dataset.UserID, p Period) float64 {
 			// Pair (0,1) gains affinity over time, (1,2) loses it.
@@ -216,18 +178,18 @@ func TestAppendPeriodIncremental(t *testing.T) {
 }
 
 func TestBuildModelValidation(t *testing.T) {
-	src := stubSource{
+	src := pairSources{
 		static:   func(u, v dataset.UserID) float64 { return 1 },
 		periodic: func(u, v dataset.UserID, p Period) float64 { return 1 },
 	}
-	tl := SegmentUniform(0, 100, 2)
+	tl := uniformTimeline(100, 2)
 	if _, err := BuildModel([]dataset.UserID{0}, tl, src, src); err == nil {
 		t.Errorf("single-user model accepted")
 	}
 	if _, err := BuildModel([]dataset.UserID{0, 1}, Timeline{}, src, src); err == nil {
 		t.Errorf("empty timeline accepted")
 	}
-	neg := stubSource{
+	neg := pairSources{
 		static:   func(u, v dataset.UserID) float64 { return -1 },
 		periodic: func(u, v dataset.UserID, p Period) float64 { return 1 },
 	}
@@ -255,17 +217,31 @@ func TestNetworkSourceMatchesPaperFormulas(t *testing.T) {
 	nw.AddLike(social.PageLike{User: 1, Category: 3, Time: 95})
 	nw.Freeze()
 	src := NetworkSource{Network: nw}
-	// affS(0,1) = |friends ∩| = |{2,3}| = 2.
-	if got := src.Static()(0, 1); got != 2 {
+	users := denseUsers(4)
+	// affS(0,1) = |friends ∩| = |{2,3}| = 2, and affS(2,3) = |{0,1}|;
+	// the other four pairs share no friend.
+	static, st := src.Static(users)
+	if got := static(0, 1); got != 2 {
 		t.Errorf("static = %v, want 2", got)
 	}
+	if want := (Stats{Sum: 4, Lo: 0, Hi: 2}); st != want {
+		t.Errorf("static stats %+v, want %+v", st, want)
+	}
 	// affP over [0,50): common categories of {1,2} and {2} = 1.
-	if got := src.Periodic(Period{0, 50})(0, 1); got != 1 {
+	early, st := src.Periodic(Period{0, 50}, users)
+	if got := early(0, 1); got != 1 {
 		t.Errorf("periodic[0,50) = %v, want 1", got)
 	}
+	if want := (Stats{Sum: 1, Lo: 0, Hi: 1}); st != want {
+		t.Errorf("periodic[0,50) stats %+v, want %+v", st, want)
+	}
 	// affP over [50,100): {} vs {3} = 0.
-	if got := src.Periodic(Period{50, 100})(0, 1); got != 0 {
+	late, st := src.Periodic(Period{50, 100}, users)
+	if got := late(0, 1); got != 0 {
 		t.Errorf("periodic[50,100) = %v, want 0", got)
+	}
+	if st != (Stats{}) {
+		t.Errorf("periodic[50,100) stats %+v, want zero", st)
 	}
 }
 

@@ -12,12 +12,18 @@ import (
 // benchNetwork returns the population, timeline and source of the bench
 // workloads' world: the synthetic network at 600 participants in 50
 // communities over six two-month periods, 179 700 pairs per table.
-func benchNetwork(b *testing.B) ([]dataset.UserID, Timeline, NetworkSource) {
+func benchNetwork(tb testing.TB) ([]dataset.UserID, Timeline, NetworkSource) {
+	return synthNetwork(tb, 600, 50)
+}
+
+// synthNetwork returns the population, TwoMonth timeline and source of
+// the synthetic network at n participants in the given communities.
+func synthNetwork(tb testing.TB, n, communities int) ([]dataset.UserID, Timeline, NetworkSource) {
 	cfg := social.DefaultSynthConfig()
-	cfg.Users, cfg.Communities = 600, 50
+	cfg.Users, cfg.Communities = n, communities
 	sn, err := social.GenerateNetwork(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	users := make([]dataset.UserID, cfg.Users)
 	for i := range users {
@@ -26,16 +32,22 @@ func benchNetwork(b *testing.B) ([]dataset.UserID, Timeline, NetworkSource) {
 	return users, Segment(cfg.Start, cfg.End, TwoMonth), NetworkSource{Network: sn.Network}
 }
 
-// BenchmarkBuildModel builds the affinity model of the bench workloads'
-// world: one pass over the 179 700 pairs per table for its normalizers.
+// BenchmarkBuildModel builds the affinity model from the sources'
+// counted stats: n=600 is the bench workloads' world, and n=5000 the
+// same network shape at 12 participants per community (reported, not
+// in the baseline).
 func BenchmarkBuildModel(b *testing.B) {
-	users, tl, src := benchNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildModel(users, tl, src, src); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []struct{ n, communities int }{{600, 50}, {5000, 417}} {
+		b.Run(fmt.Sprintf("n=%d", size.n), func(b *testing.B) {
+			users, tl, src := synthNetwork(b, size.n, size.communities)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildModel(users, tl, src, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,23 +4,50 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/social"
 )
 
 // pairSources are plain per-pair affinity functions, the form the
-// reference builder calls.
+// reference builder calls. As model sources they fold their Stats by
+// brute force, in the reference's (i, j > i) order.
 type pairSources struct {
 	static   func(u, v dataset.UserID) float64
 	periodic func(u, v dataset.UserID, p Period) float64
 }
 
-func (s pairSources) Static() func(u, v dataset.UserID) float64 { return s.static }
-func (s pairSources) Periodic(p Period) func(u, v dataset.UserID) float64 {
-	return func(u, v dataset.UserID) float64 { return s.periodic(u, v, p) }
+func (s pairSources) Static(users []dataset.UserID) (func(u, v dataset.UserID) float64, Stats) {
+	return s.static, pairStats(users, s.static)
+}
+
+func (s pairSources) Periodic(p Period, users []dataset.UserID) (func(u, v dataset.UserID) float64, Stats) {
+	pair := func(u, v dataset.UserID) float64 { return s.periodic(u, v, p) }
+	return pair, pairStats(users, pair)
+}
+
+// pairStats folds pair over the population's pairs in (i, j > i) order,
+// the user of the lower row first. A NaN value makes every field NaN.
+func pairStats(users []dataset.UserID, pair func(u, v dataset.UserID) float64) Stats {
+	st := Stats{Lo: math.Inf(1), Hi: math.Inf(-1)}
+	for i, u := range users {
+		for _, v := range users[i+1:] {
+			a := pair(u, v)
+			st.Sum, st.Lo, st.Hi = st.Sum+a, min(st.Lo, a), max(st.Hi, a)
+		}
+	}
+	return st
+}
+
+// uniformTimeline cuts [0, end) into n periods of near-equal length.
+func uniformTimeline(end int64, n int) Timeline {
+	tl := Timeline{End: end}
+	for i := range int64(n) {
+		tl.Periods = append(tl.Periods, Period{Start: end * i / int64(n), End: end * (i + 1) / int64(n)})
+	}
+	return tl
 }
 
 // networkPairs applies §4.1.2's set definitions to one pair at a time:
@@ -169,9 +196,9 @@ func denseUsers(n int) []dataset.UserID {
 	return users
 }
 
-// The parallel build and the on-demand reads reproduce the serial
-// per-pair reference bit for bit. Run it with -cpu 1,4: the values must
-// not depend on how many goroutines fill the build's blocks.
+// The count-built normalizers and the on-demand reads reproduce the
+// serial per-pair reference bit for bit. Run it with -race -cpu 1,4:
+// reads run beside each other without a lock.
 func TestModelMatchesReference(t *testing.T) {
 	sn := referenceNetwork(t, 120, 10)
 	tl := Segment(sn.Config.Start, sn.Config.End, TwoMonth)
@@ -216,8 +243,8 @@ func TestModelMatchesReference(t *testing.T) {
 		}
 	})
 
-	// Network counts are small integers, which sum exactly in any
-	// order; fractional values pin the (i, j > i) summation order too.
+	// A source that is not a count hands over stats it folded itself;
+	// the model normalizes with them as given.
 	t.Run("fractional", func(t *testing.T) {
 		frac := pairSources{
 			static: func(u, v dataset.UserID) float64 { return math.Sqrt(float64(u*v + 1)) },
@@ -266,6 +293,103 @@ func TestSparsePopulationMatchesReference(t *testing.T) {
 	}
 }
 
+// countsMatchReference checks that NetworkSource's counted Stats are a
+// brute-force fold of its own pair values over users, for the static
+// table and every period of tl, and that a model built from them — the
+// first period at build, the rest appended — reads as the reference.
+// It returns the model.
+func countsMatchReference(t *testing.T, nw *social.Network, users []dataset.UserID, tl Timeline) *Model {
+	t.Helper()
+	src := NetworkSource{Network: nw}
+	pair, st := src.Static(users)
+	if want := pairStats(users, pair); st != want {
+		t.Fatalf("static stats %+v, brute force %+v", st, want)
+	}
+	for k, p := range tl.Periods {
+		pair, st := src.Periodic(p, users)
+		if want := pairStats(users, pair); st != want {
+			t.Fatalf("period %d stats %+v, brute force %+v", k, st, want)
+		}
+	}
+	first := Timeline{Start: tl.Start, End: tl.Periods[0].End, Periods: tl.Periods[:1:1]}
+	m, err := BuildModel(users, first, src, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range tl.Periods[1:] {
+		if err := m.AppendPeriod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertMatchesReference(t, m, buildReference(users, tl.Periods, networkPairs(nw)))
+	return m
+}
+
+// The counted stats hold on the edge cases of each count and of each
+// search's stopping rule: no disjoint pair, no likes at all, a common
+// friend outside the population, a population that is a strict subset
+// of the network out of ID order, and two users.
+func TestNetworkStatsMatchReference(t *testing.T) {
+	// A five-user clique: every pair of the population {3,1,0,2} shares
+	// three friends, one of them user 4, outside it. In [0,100) all five
+	// like category 7, so no pair is disjoint; nobody likes anything in
+	// [100,200); in [200,300) some pairs share a category and some not.
+	// In [300,400) the sets {1}, {1,2}, {2,3,4}, {1,3,4,5} meet in every
+	// pair adjacent in size, and only the smallest and third are disjoint.
+	// In [400,500) the smallest set {1,2} meets every other, and the
+	// disjoint pair is {1,3,4} and {2,5,6}. In [500,600) the largest set
+	// {1,2,3,4,6} meets {6,7} and {6,7} in one category, and they meet
+	// each other in two.
+	clique := social.NewNetwork(5)
+	for u := range dataset.UserID(5) {
+		for v := u + 1; v < 5; v++ {
+			clique.AddFriendship(u, v)
+		}
+	}
+	for _, l := range [][3]int{
+		{0, 7, 10}, {1, 7, 20}, {2, 7, 30}, {3, 7, 40}, {4, 7, 50},
+		{0, 1, 60}, {1, 2, 61}, {2, 1, 62}, {2, 2, 63}, {3, 9, 64},
+		{0, 5, 210}, {2, 5, 220}, {2, 6, 230}, {1, 6, 240}, {3, 8, 250},
+		{0, 1, 310}, {1, 1, 320}, {1, 2, 321}, {2, 2, 330}, {2, 3, 331}, {2, 4, 332},
+		{3, 1, 340}, {3, 3, 341}, {3, 4, 342}, {3, 5, 343},
+		{0, 1, 410}, {0, 2, 411}, {1, 1, 420}, {1, 3, 421}, {1, 4, 422},
+		{2, 2, 430}, {2, 5, 431}, {2, 6, 432}, {3, 1, 440}, {3, 2, 441}, {3, 3, 442}, {3, 5, 443},
+		{0, 1, 510}, {0, 2, 511}, {0, 3, 512}, {0, 4, 513}, {0, 6, 514},
+		{1, 6, 520}, {1, 7, 521}, {2, 6, 530}, {2, 7, 531}, {3, 8, 540},
+	} {
+		clique.AddLike(social.PageLike{User: dataset.UserID(l[0]), Category: l[1], Time: int64(l[2])})
+	}
+	clique.Freeze()
+	tl := uniformTimeline(600, 6)
+
+	t.Run("clique", func(t *testing.T) {
+		users := []dataset.UserID{3, 1, 0, 2}
+		m := countsMatchReference(t, clique, users, tl)
+		src := NetworkSource{Network: clique}
+		if _, st := src.Static(users); st.Lo != 3 || st.Hi != 3 {
+			t.Errorf("static stats %+v, want every pair at 3", st)
+		}
+		if _, st := src.Periodic(tl.Periods[0], users); st.Lo == 0 {
+			t.Errorf("period 0 stats %+v have a disjoint pair", st)
+		}
+		if _, st := src.Periodic(tl.Periods[1], users); st != (Stats{}) || m.drift[1].scale != 1 {
+			t.Errorf("empty period stats %+v, scale %v", st, m.drift[1].scale)
+		}
+	})
+	t.Run("two users", func(t *testing.T) {
+		countsMatchReference(t, clique, []dataset.UserID{2, 0}, tl)
+	})
+	t.Run("subset out of ID order", func(t *testing.T) {
+		sn := referenceNetwork(t, 150, 10)
+		perm := rand.New(rand.NewSource(4)).Perm(sn.Config.Users)
+		users := make([]dataset.UserID, 60)
+		for i := range users {
+			users[i] = dataset.UserID(perm[i])
+		}
+		countsMatchReference(t, sn.Network, users, Segment(sn.Config.Start, sn.Config.End, TwoMonth))
+	})
+}
+
 func TestIdenticalUsersPanic(t *testing.T) {
 	m := testModel(t)
 	for name, read := range map[string]func(){
@@ -286,52 +410,65 @@ func TestIdenticalUsersPanic(t *testing.T) {
 	}
 }
 
-// A negative source value is reported for the first such pair in
-// (i, j > i) order over the population, whichever goroutine met it.
-func TestNegativeAffinityNamesFirstPair(t *testing.T) {
-	users := []dataset.UserID{3, 1, 2, 0}
-	tl := SegmentUniform(0, 300, 3)
-	// Pairs in order: (3,1) (3,2) (3,0) (1,2) (1,0) (2,0).
-	negative := func(u, v dataset.UserID) float64 {
-		switch keyOf(u, v) {
-		case refKey{1, 2}:
-			return -2
-		case refKey{0, 3}:
-			return -3
+// badPairs gives the pair (1,2) x and every other pair 1, in the period
+// starting at from and later.
+func badPairs(x float64, from int64) func(u, v dataset.UserID, p Period) float64 {
+	return func(u, v dataset.UserID, p Period) float64 {
+		if p.Start >= from && keyOf(u, v) == (refKey{1, 2}) {
+			return x
 		}
 		return 1
 	}
-	one := func(u, v dataset.UserID) float64 { return 1 }
-	cases := []struct {
-		src  pairSources
-		want string
-	}{
-		{pairSources{static: negative, periodic: func(u, v dataset.UserID, p Period) float64 { return 1 }},
-			"affinity: negative static affinity -3 for pair (3,0)"},
-		{pairSources{static: one, periodic: func(u, v dataset.UserID, p Period) float64 {
-			if p.Start == 100 {
-				return negative(u, v)
-			}
-			return 1
-		}}, "affinity: negative periodic affinity -3 for pair (3,0) period 1"},
-	}
+}
+
+func onePair(u, v dataset.UserID) float64 { return 1 }
+
+type badCase struct {
+	src  pairSources
+	want string
+}
+
+// assertBuildRefused builds c.src on a population whose rows are not in
+// ID order and wants exactly c.want as the error.
+func assertBuildRefused(t *testing.T, cases []badCase) {
+	t.Helper()
+	users := []dataset.UserID{3, 1, 2, 0}
+	tl := uniformTimeline(300, 3)
 	for _, c := range cases {
 		_, err := BuildModel(users, tl, c.src, c.src)
 		if err == nil || err.Error() != c.want {
 			t.Errorf("BuildModel error %v, want %q", err, c.want)
 		}
 	}
-	late := pairSources{static: one, periodic: func(u, v dataset.UserID, p Period) float64 {
-		if p.Start >= 300 {
-			return negative(u, v)
-		}
-		return 1
-	}}
-	m, err := BuildModel(users, tl, late, late)
+}
+
+// A negative affinity makes its table's stats negative, and the build
+// refuses the table, naming it: the static one, or a periodic one by its
+// period.
+func TestNegativeAffinityNamesFirstPair(t *testing.T) {
+	assertBuildRefused(t, []badCase{
+		{pairSources{static: func(u, v dataset.UserID) float64 { return badPairs(-3, 0)(u, v, Period{}) }, periodic: badPairs(1, 0)},
+			"affinity: negative or non-finite static stats (sum 2, lo -3, hi 1)"},
+		{pairSources{static: onePair, periodic: badPairs(-1, 200)},
+			"affinity: negative or non-finite periodic stats (sum 4, lo -1, hi 1) in period 2"},
+	})
+}
+
+// A NaN or infinite affinity makes its table's stats non-finite, and the
+// table is refused at build or on append, naming it as above.
+func TestNaNAffinityNamesFirstPair(t *testing.T) {
+	assertBuildRefused(t, []badCase{
+		{pairSources{static: func(u, v dataset.UserID) float64 { return badPairs(math.NaN(), 0)(u, v, Period{}) }, periodic: badPairs(1, 0)},
+			"affinity: negative or non-finite static stats (sum NaN, lo NaN, hi NaN)"},
+		{pairSources{static: onePair, periodic: badPairs(math.Inf(1), 100)},
+			"affinity: negative or non-finite periodic stats (sum +Inf, lo 1, hi +Inf) in period 1"},
+	})
+	late := pairSources{static: onePair, periodic: badPairs(math.NaN(), 300)}
+	m, err := BuildModel([]dataset.UserID{3, 1, 2, 0}, uniformTimeline(300, 3), late, late)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendPeriod(Period{300, 400}); err == nil || err.Error() != "affinity: negative periodic affinity -3 for pair (3,0) period 3" {
+	if err := m.AppendPeriod(Period{300, 400}); err == nil || err.Error() != "affinity: negative or non-finite periodic stats (sum NaN, lo NaN, hi NaN) in period 3" {
 		t.Errorf("AppendPeriod error %v", err)
 	}
 }
@@ -360,7 +497,7 @@ func shuffledUsers(n int) []dataset.UserID {
 // the user of the lower row first. The population's rows are not in ID
 // order, so a read that ordered by ID would call it the other way round.
 func TestAsymmetricSourceMatchesReference(t *testing.T) {
-	tl := SegmentUniform(0, 600, 4)
+	tl := uniformTimeline(600, 4)
 	users := shuffledUsers(60)
 	if skewPairs.static(users[0], users[1]) == skewPairs.static(users[1], users[0]) {
 		t.Fatal("the source is symmetric on the first pair")
@@ -376,7 +513,7 @@ func TestAsymmetricSourceMatchesReference(t *testing.T) {
 // core.PairIndex order over the members as given, whatever their rows;
 // a member outside the population reads 0 in every pair it is in.
 func TestGroupAffinityMatchesReference(t *testing.T) {
-	tl := SegmentUniform(0, 600, 4)
+	tl := uniformTimeline(600, 4)
 	users := shuffledUsers(60)
 	m, err := BuildModel(users, tl, skewPairs, skewPairs)
 	if err != nil {
@@ -423,82 +560,12 @@ func TestGroupAffinityMatchesReference(t *testing.T) {
 	m.GroupAffinity([]dataset.UserID{users[4], users[9], users[4]}, make([]float64, 3), nil)
 }
 
-// The build folds its blocks in row order even when a later block is
-// filled first: the first pair is slow here, so at more than one core
-// the blocks after the first finish first, and a fold that took blocks
-// as they finished would sum each period in another order.
-func TestSlowFirstRowMatchesSerialSum(t *testing.T) {
-	users := denseUsers(300)
-	tl := SegmentUniform(0, 300, 3)
-	slow := pairSources{
-		static: func(u, v dataset.UserID) float64 { return 1 },
-		periodic: func(u, v dataset.UserID, p Period) float64 {
-			if u == 0 && v == 1 {
-				time.Sleep(2 * time.Millisecond)
-			}
-			return skewPairs.periodic(u, v, p)
-		},
-	}
-	m, err := BuildModel(users, tl, slow, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, p := range tl.Periods {
-		var sum float64
-		for i, u := range users {
-			for _, v := range users[i+1:] {
-				sum += skewPairs.periodic(u, v, p)
-			}
-		}
-		want := sum / float64(len(users)*(len(users)-1)/2)
-		if math.Float64bits(m.AvgPeriodic[k]) != math.Float64bits(want) {
-			t.Errorf("period %d mean %v, serial sum gives %v", k, m.AvgPeriodic[k], want)
-		}
-	}
-}
-
-// A NaN source value is refused like a negative one, naming the first
-// bad pair in (i, j > i) order, NaN or negative.
-func TestNaNAffinityNamesFirstPair(t *testing.T) {
-	users := []dataset.UserID{3, 1, 2, 0}
-	tl := SegmentUniform(0, 300, 3)
-	// Pairs in order: (3,1) (3,2) (3,0) (1,2) (1,0) (2,0).
-	bad := func(u, v dataset.UserID) float64 {
-		switch keyOf(u, v) {
-		case refKey{0, 3}:
-			return math.NaN()
-		case refKey{1, 2}:
-			return -1
-		}
-		return 1
-	}
-	one := func(u, v dataset.UserID, p Period) float64 { return 1 }
-	cases := []struct {
-		src  pairSources
-		want string
-	}{
-		{pairSources{static: bad, periodic: one}, "affinity: NaN static affinity for pair (3,0)"},
-		{pairSources{static: func(u, v dataset.UserID) float64 { return 1 }, periodic: func(u, v dataset.UserID, p Period) float64 {
-			if p.Start == 200 {
-				return bad(u, v)
-			}
-			return 1
-		}}, "affinity: NaN periodic affinity for pair (3,0) period 2"},
-	}
-	for _, c := range cases {
-		_, err := BuildModel(users, tl, c.src, c.src)
-		if err == nil || err.Error() != c.want {
-			t.Errorf("BuildModel error %v, want %q", err, c.want)
-		}
-	}
-}
-
 // Rows are indexed by the population, not by its largest ID: two users
 // 2^36 apart build and read like any other pair, and a repeated far ID
 // is still refused.
 func TestLargeUserIDs(t *testing.T) {
 	far := dataset.UserID(1) << 36
-	tl := SegmentUniform(0, 300, 3)
+	tl := uniformTimeline(300, 3)
 	src := pairSources{
 		static:   func(u, v dataset.UserID) float64 { return float64(u%7 + v%5) },
 		periodic: func(u, v dataset.UserID, p Period) float64 { return float64((u+v)%3) + float64(p.Start)/100 },
@@ -558,7 +625,7 @@ func TestFailedAppendLeavesModelUnchanged(t *testing.T) {
 			return float64(u*v)/5 + float64(p.Start)/70
 		},
 	}
-	m, err := BuildModel(users, SegmentUniform(0, 300, 3), src, src)
+	m, err := BuildModel(users, uniformTimeline(300, 3), src, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +642,7 @@ func TestFailedAppendLeavesModelUnchanged(t *testing.T) {
 		return vals
 	}
 	want := snapshot()
-	if err := m.AppendPeriod(Period{300, 400}); err == nil || err.Error() != "affinity: negative periodic affinity -1 for pair (1,2) period 3" {
+	if err := m.AppendPeriod(Period{300, 400}); err == nil || !strings.HasPrefix(err.Error(), "affinity: negative or non-finite periodic stats") || !strings.HasSuffix(err.Error(), " in period 3") {
 		t.Fatalf("AppendPeriod error %v", err)
 	}
 	got := snapshot()

@@ -7,8 +7,10 @@
 package dataset
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -242,21 +244,21 @@ func (s *Store) Freeze() {
 		sumVal:   s.sumVal,
 	}
 	for u, rs := range s.byUser {
-		sort.SliceStable(rs, func(i, j int) bool { return rs[i].Item < rs[j].Item })
+		slices.SortStableFunc(rs, func(a, b Rating) int { return cmp.Compare(a.Item, b.Item) })
 		st.users = append(st.users, u)
 	}
-	sort.Slice(st.users, func(i, j int) bool { return st.users[i] < st.users[j] })
+	slices.Sort(st.users)
 	// Cells are never replaced, so they share one array; each list is
 	// its own allocation, so a list Apply replaced can be freed.
 	cells := make([]atomic.Pointer[[]Rating], len(s.byItem))
 	for it, rs := range s.byItem {
-		sort.SliceStable(rs, func(i, j int) bool { return rs[i].User < rs[j].User })
+		slices.SortStableFunc(rs, func(a, b Rating) int { return cmp.Compare(a.User, b.User) })
 		cell := &cells[len(st.items)]
 		st.items = append(st.items, it)
 		cell.Store(&rs)
 		st.byItem[it] = cell
 	}
-	sort.Slice(st.items, func(i, j int) bool { return st.items[i] < st.items[j] })
+	slices.Sort(st.items)
 
 	// Popularity ranking, computed once: descending rating count with
 	// ascending-ID ties (the paper's "popular set" order).
@@ -278,12 +280,11 @@ func (s *Store) Freeze() {
 func rankByPopularity(items []ItemID, count func(ItemID) int) []ItemID {
 	ranked := make([]ItemID, len(items))
 	copy(ranked, items)
-	sort.Slice(ranked, func(i, j int) bool {
-		ci, cj := count(ranked[i]), count(ranked[j])
-		if ci != cj {
-			return ci > cj
+	slices.SortFunc(ranked, func(a, b ItemID) int {
+		if c := cmp.Compare(count(b), count(a)); c != 0 {
+			return c
 		}
-		return ranked[i] < ranked[j]
+		return cmp.Compare(a, b)
 	})
 	return ranked
 }

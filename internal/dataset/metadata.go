@@ -109,7 +109,7 @@ func (md *Metadata) SameAgeBracket(a, b UserID) bool {
 }
 
 // DemographicAffinity is a metadata-based static-affinity pair score,
-// the shape of the function an affinity.StaticSource returns: 1 point
+// the shape of the pair function an affinity.StaticSource binds: 1 point
 // per shared attribute (age bracket, gender, occupation). It can
 // replace or augment the common-friends static affinity where no
 // social graph exists.

@@ -148,6 +148,12 @@ func (nw *Network) AreFriends(u, v dataset.UserID) bool {
 	return ok
 }
 
+// Friends returns u's friend list in ascending ID order (shared slice).
+func (nw *Network) Friends(u dataset.UserID) []dataset.UserID {
+	nw.checkUser(u)
+	return nw.friends[u]
+}
+
 // NumFriends returns u's friend count.
 func (nw *Network) NumFriends(u dataset.UserID) int {
 	nw.checkUser(u)

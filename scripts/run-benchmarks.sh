@@ -36,9 +36,10 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 # co-rater bitset, the candidate slice and the kept top-k), and the batch
 # prediction every view build runs on that world (600 candidates, warm
 # neighborhood; 0 allocs/op: its working set is pooled), and the
-# affinity model build every world pays at start (600 participants, six
-# two-month periods: one pass per table for its normalizers, filled
-# across cores) with the pair read every request then makes on it (g=3
+# affinity model build every world pays at start (n=600 participants,
+# six two-month periods: normalizers from the sources' counted stats;
+# n=5000 rides along and has no baseline row) with the pair read every
+# request then makes on it (g=3
 # and g=5, static and six drift rows into caller-owned rows; 0
 # allocs/op), and one GRECA run to completion on a prebuilt problem
 # (g=5 over 600 candidates under AP, MO and PD: the stepper and its
