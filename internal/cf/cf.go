@@ -93,22 +93,23 @@ type Predictor struct {
 	// computation that straddles a NoteIngest can never re-populate a
 	// just-cleared cache with pre-ingest state.
 	epoch atomic.Uint64
-	// users is the dense user index the walk accumulates over and lays
-	// its co-rater bitset out on; dots pools the kernel's
-	// dot-product vectors (*[]float64, len(users), all zero at rest).
-	users denseIndex[dataset.UserID]
+	// users is the store's user index: the walk accumulates over the
+	// positions the rater columns record and lays its co-rater bitset out
+	// on them; dots pools the kernel's dot-product vectors (*[]float64,
+	// one per user, all zero at rest).
+	users *dataset.Index[dataset.UserID]
 	dots  sync.Pool
 	work  scanWork
-	// normBits[i] caches the vector norm n of user users.ids[i] as
+	// normBits[i] caches the vector norm n of user Users()[i] as
 	// Float64bits(-n), so that 0 — which no negated norm encodes, -0
 	// included — means not cached. Reads are lock-free; an install and
 	// the ingest's clear both happen under the user's stripe lock (see
 	// norm and bumpEpoch).
 	normBits []atomic.Uint64
-	// items is the dense item index the batch kernel's slot table and the
-	// fallback means are laid out on; scratch pools the kernel's working
-	// sets (*batchScratch, all zero at rest).
-	items   denseIndex[dataset.ItemID]
+	// items is the store's item index, which the batch kernel's slot
+	// table and the fallback means are laid out on; scratch pools the
+	// kernel's working sets (*batchScratch, all zero at rest).
+	items   *dataset.Index[dataset.ItemID]
 	scratch sync.Pool
 	// means holds the fallback means (per-item and global) as one
 	// immutable snapshot: an ingest builds a successor and swaps it, so
@@ -137,19 +138,19 @@ func computePredictorMeans(store *dataset.Store) *predictorMeans {
 	items := store.Items()
 	m := &predictorMeans{sums: make([]float64, len(items)), counts: make([]int, len(items))}
 	for i, it := range items {
-		m.sums[i], m.counts[i] = sumRatings(store.ByItem(it))
+		m.sums[i], m.counts[i] = sumRatings(store.Raters(it).Value)
 	}
 	m.total()
 	return m
 }
 
-// sumRatings adds one item's ratings in list order.
-func sumRatings(rs []dataset.Rating) (float64, int) {
+// sumRatings adds one item's rating values in column order.
+func sumRatings(vs []float64) (float64, int) {
 	var s float64
-	for _, r := range rs {
-		s += r.Value
+	for _, v := range vs {
+		s += v
 	}
-	return s, len(rs)
+	return s, len(vs)
 }
 
 // total derives the global mean from the per-item sums, added in
@@ -169,14 +170,14 @@ func (m *predictorMeans) total() {
 }
 
 // withItem returns the successor snapshot after the item at dense
-// position ix gained a rating: only that item's list is re-summed (the
+// position ix gained a rating: only that item's values vs are re-summed (the
 // inner loop of computePredictorMeans), then the per-item sums are
 // re-added in ascending item order — every addition the full
 // recomputation's outer loop makes, in its order, so the two agree to
 // the last bit.
-func (m *predictorMeans) withItem(ix int, rs []dataset.Rating) *predictorMeans {
+func (m *predictorMeans) withItem(ix int, vs []float64) *predictorMeans {
 	next := &predictorMeans{sums: slices.Clone(m.sums), counts: slices.Clone(m.counts)}
-	next.sums[ix], next.counts[ix] = sumRatings(rs)
+	next.sums[ix], next.counts[ix] = sumRatings(vs)
 	next.total()
 	return next
 }
@@ -204,13 +205,13 @@ func NewPredictor(store *dataset.Store, kNeighbors int) (*Predictor, error) {
 		store: store,
 		k:     kNeighbors,
 		keep:  kNeighbors + kNeighbors/marginDivisor,
-		users: newDenseIndex(store.Users()),
-		items: newDenseIndex(store.Items()),
+		users: store.UserIndex(),
+		items: store.ItemIndex(),
 	}
 	for i := range p.shards {
 		p.shards[i].neighbors = make(map[dataset.UserID]neighborhood)
 	}
-	nUsers, nItems := len(p.users.ids), len(p.items.ids)
+	nUsers, nItems := len(store.Users()), len(store.Items())
 	p.normBits = make([]atomic.Uint64, nUsers)
 	p.dots.New = func() any {
 		v := make([]float64, nUsers)
@@ -271,7 +272,7 @@ func (p *Predictor) stripe(u dataset.UserID) *userShard {
 // norm returns the L2 norm of u's rating vector (0 for a user outside
 // the store, who rated nothing).
 func (p *Predictor) norm(u dataset.UserID) float64 {
-	if ui, ok := p.users.of(u); ok {
+	if ui, ok := p.users.Pos(u); ok {
 		return p.normAt(u, ui)
 	}
 	return 0
@@ -363,7 +364,7 @@ func (p *Predictor) Predict(u dataset.UserID, it dataset.ItemID) float64 {
 	if den > 0 {
 		return clampRating(num / den)
 	}
-	return p.means.Load().fallback(p.items.of(it))
+	return p.means.Load().fallback(p.items.Pos(it))
 }
 
 // PredictBatch returns predictions of u for each item in items. The
@@ -421,7 +422,7 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 	sc.grow(len(items))
 	slot, num, den, own, ownSet := sc.slot, sc.num, sc.den, sc.own, sc.ownSet
 	for i, it := range items {
-		if ix, ok := p.items.of(it); ok && slot[ix] == 0 {
+		if ix, ok := p.items.Pos(it); ok && slot[ix] == 0 {
 			slot[ix] = int32(i) + 1
 		}
 	}
@@ -432,7 +433,7 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 			if ri > 0 && rs[ri-1].Item == r.Item {
 				continue // duplicate rating; the sequential lookup sees only the first
 			}
-			if ix, ok := p.items.of(r.Item); ok && slot[ix] != 0 {
+			if ix, ok := p.items.Pos(r.Item); ok && slot[ix] != 0 {
 				s := slot[ix] - 1
 				num[s] += nb.Sim * r.Value
 				den[s] += nb.Sim
@@ -441,7 +442,7 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 	}
 	// Own ratings override neighbor evidence, as in Predict.
 	for _, r := range p.store.ByUser(u) {
-		if ix, ok := p.items.of(r.Item); ok && slot[ix] != 0 {
+		if ix, ok := p.items.Pos(r.Item); ok && slot[ix] != 0 {
 			if s := slot[ix] - 1; !ownSet[s] {
 				own[s], ownSet[s] = r.Value, true
 			}
@@ -449,7 +450,7 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 	}
 	means := p.means.Load()
 	for i, it := range items {
-		ix, ok := p.items.of(it)
+		ix, ok := p.items.Pos(it)
 		if !ok {
 			dst[i] = means.globalMean // outside the store: nobody rated it
 			continue
@@ -465,7 +466,7 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 		}
 	}
 	for _, it := range items {
-		if ix, ok := p.items.of(it); ok {
+		if ix, ok := p.items.Pos(it); ok {
 			slot[ix] = 0
 		}
 	}

@@ -72,8 +72,8 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 	// the rater's post-ingest norm, which the repairs below recompute.
 	// An item outside the domain cannot have been rated (Apply refuses
 	// it), so the means stand.
-	if ix, ok := p.items.of(it); ok {
-		p.means.Store(p.means.Load().withItem(ix, p.store.ByItem(it)))
+	if ix, ok := p.items.Pos(it); ok {
+		p.means.Store(p.means.Load().withItem(ix, p.store.Raters(it).Value))
 	}
 	p.bumpEpoch(u)
 	size := p.CachedNeighborhoods()
@@ -110,16 +110,17 @@ func (p *Predictor) repairReach(u dataset.UserID) int {
 		sh := &p.shards[i]
 		sh.mu.RLock()
 		for v := range sh.neighbors {
-			if vi, ok := p.users.of(v); ok && co.has(vi) {
+			if vi, ok := p.users.Pos(v); ok && co.has(vi) {
 				reached = append(reached, vi)
 			}
 		}
 		sh.mu.RUnlock()
 	}
 	nu := p.norm(u)
+	ids := p.store.Users()
 	dropped := 0
 	for _, vi := range reached {
-		v := p.users.ids[vi]
+		v := ids[vi]
 		var s float64
 		if d := dot[vi]; d != 0 {
 			s = cosineFrom(d, p.normAt(v, vi), nu)
@@ -222,7 +223,7 @@ func (p *Predictor) bumpEpoch(u dataset.UserID) {
 	sh := p.stripe(u)
 	sh.mu.Lock()
 	p.epoch.Add(1)
-	if ui, ok := p.users.of(u); ok {
+	if ui, ok := p.users.Pos(u); ok {
 		p.normBits[ui].Store(0)
 	}
 	sh.mu.Unlock()

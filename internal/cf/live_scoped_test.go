@@ -191,7 +191,7 @@ func TestNormInstallIsFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ui, _ := p.users.of(0)
+	ui, _ := p.users.Pos(0)
 	// A norm read begun before the rating: epoch taken, value computed.
 	epoch := p.epoch.Load()
 	preIngest := math.Sqrt(4*4 + 3*3)
@@ -234,7 +234,7 @@ func TestCachedNormsMatchRecompute(t *testing.T) {
 		p.Neighbors(users[rng.Intn(len(users))])
 	}
 	checked := 0
-	for ui, u := range p.users.ids {
+	for ui, u := range p.store.Users() {
 		b := p.normBits[ui].Load()
 		if b == 0 {
 			continue

@@ -37,7 +37,7 @@ func (g *repairStream) next() dataset.Rating {
 	case 1: // the heaviest user
 		u = slices.MaxFunc(g.users, func(a, b dataset.UserID) int { return len(s.ByUser(a)) - len(s.ByUser(b)) })
 	case 2: // the most-rated item
-		it = slices.MaxFunc(g.items, func(a, b dataset.ItemID) int { return len(s.ByItem(a)) - len(s.ByItem(b)) })
+		it = slices.MaxFunc(g.items, func(a, b dataset.ItemID) int { return s.Raters(a).Len() - s.Raters(b).Len() })
 	case 3: // a first overlap: u rates an item of a user it shares nothing with
 		for _, w := range g.users {
 			if w != u && len(s.ByUser(w)) > 0 && !corated(s, u, w) {

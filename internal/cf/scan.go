@@ -10,18 +10,19 @@ import (
 
 // This file is the neighborhood fill kernel. A fill does not score the
 // user against every other user: it walks the user's own row once and,
-// for each of its items, that item's rater list, so the work is the
+// for each of its items, that item's rater column, so the work is the
 // number of (co-rater, shared item) pairs — the entries of the rater
-// lists of the user's own items — instead of one merge-join per user in
+// columns of the user's own items — instead of one merge-join per user in
 // the store. The users the walk touches are exactly the co-raters. The
 // same walk from a rater, run by the ingest, names every user whose
 // similarity to the rater a rating can move and hands it that
 // similarity's dot product (see NoteIngestScoped).
 
-// userBits is a bitset over the dense user index.
+// userBits is a bitset over the store's user positions.
 type userBits []uint64
 
 func (b userBits) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b userBits) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b userBits) has(i int) bool { return b[i>>6]>>(uint(i)&63)&1 == 1 }
 
 // count returns the number of set bits.
@@ -46,17 +47,22 @@ type scanWork struct {
 	repaired, repairDrops atomic.Int64
 }
 
-// scanCoraters walks u's row and the rater list of each of its items,
+// scanCoraters walks u's row and the rater column of each of its items,
 // marking every other user it meets — u's co-raters — in a fresh bitset
-// over the dense user index, and accumulating into dot (len(users), all
-// zero) each co-rater's dot product with u, bit-identically to
-// cosineCorated's merge-join of the two rows, in either argument order:
-// per co-rater the products are added in ascending item order, and
-// where a (user, item) pair was rated more than once the two runs —
-// both in log order — are paired first with first up to the shorter
-// one.
+// over the store's user positions, and accumulating into dot (one entry
+// per user, all zero) each co-rater's dot product with u,
+// bit-identically to cosineCorated's merge-join of the two rows, in
+// either argument order: per co-rater the products are added in
+// ascending item order, and where a (user, item) pair was rated more
+// than once the two runs — both in log order — are paired first with
+// first up to the shorter one.
+//
+// A column records each rater's position, so an entry costs one
+// multiply-add and one bit, with no lookup. The walk meets u in every
+// column it reads; u's own slot is cleared at the end instead of tested
+// per entry.
 func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
-	co := make(userBits, (len(p.users.ids)+63)>>6)
+	co := make(userBits, (len(dot)+63)>>6)
 	ru := p.store.ByUser(u)
 	entries := 0
 	for i := 0; i < len(ru); {
@@ -65,27 +71,47 @@ func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 			j++
 		}
 		own := ru[i:j]
-		raters := p.store.ByItem(own[0].Item)
-		entries += len(raters)
-		for k := 0; k < len(raters); {
-			v := raters[k].User
-			e := k + 1
-			for e < len(raters) && raters[e].User == v {
-				e++
+		col := p.store.Raters(own[0].Item)
+		entries += col.Len()
+		if col.Repeats() {
+			addRuns(own, col, dot, co)
+		} else {
+			// Every rater holds one entry, u included, so own is one
+			// rating too.
+			ov := own[0].Value
+			vals := col.Value[:len(col.Pos)]
+			for k, vi := range col.Pos {
+				dot[vi] += ov * vals[k]
+				co.set(int(vi))
 			}
-			if vi, ok := p.users.of(v); ok && v != u {
-				co.set(vi)
-				theirs := raters[k:e]
-				for t := 0; t < len(own) && t < len(theirs); t++ {
-					dot[vi] += own[t].Value * theirs[t].Value
-				}
-			}
-			k = e
 		}
 		i = j
 	}
+	if ui, ok := p.users.Pos(u); ok {
+		dot[ui] = 0
+		co.clear(ui)
+	}
 	p.work.listEntries.Add(int64(entries))
 	return co
+}
+
+// addRuns is the walk over a column where some rater holds a run of
+// entries: the rater's run and u's own run of the item are paired first
+// with first up to the shorter one.
+func addRuns(own []dataset.Rating, col dataset.Column, dot []float64, co userBits) {
+	pos, vals := col.Pos, col.Value
+	for k := 0; k < len(pos); {
+		vi := pos[k]
+		e := k + 1
+		for e < len(pos) && pos[e] == vi {
+			e++
+		}
+		for t := 0; t < len(own) && k+t < e; t++ {
+			dot[vi] += own[t].Value * vals[k+t]
+		}
+		co.set(int(vi))
+		k = e
+	}
 }
 
 // fill computes u's neighborhood from the store: the leading p.keep
@@ -98,6 +124,7 @@ func (p *Predictor) fill(u dataset.UserID) neighborhood {
 	dot := *pooled
 	co := p.scanCoraters(u, dot)
 	nu := p.norm(u)
+	ids := p.store.Users()
 	all := make([]Neighbor, 0, co.count())
 	for w, word := range co {
 		for ; word != 0; word &= word - 1 {
@@ -107,7 +134,7 @@ func (p *Predictor) fill(u dataset.UserID) neighborhood {
 				continue
 			}
 			dot[vi] = 0 // leave the pooled vector zeroed
-			v := p.users.ids[vi]
+			v := ids[vi]
 			if s := cosineFrom(d, nu, p.normAt(v, vi)); s > 0 {
 				all = append(all, Neighbor{User: v, Sim: s})
 			}
@@ -120,10 +147,14 @@ func (p *Predictor) fill(u dataset.UserID) neighborhood {
 }
 
 // compareNeighbors is the canonical neighborhood order: similarity
-// descending, user ascending on ties.
+// descending, user ascending on ties. A similarity is never NaN (every
+// rating value is on the 1..5 scale), so plain comparisons order it.
 func compareNeighbors(a, b Neighbor) int {
-	if a.Sim != b.Sim {
-		return cmp.Compare(b.Sim, a.Sim)
+	switch {
+	case a.Sim > b.Sim:
+		return -1
+	case a.Sim < b.Sim:
+		return 1
 	}
 	return cmp.Compare(a.User, b.User)
 }

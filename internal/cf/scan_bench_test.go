@@ -72,7 +72,7 @@ func BenchmarkRatingRepair(b *testing.B) {
 				p.Neighbors(warm[i])
 			}
 			items := slices.Clone(s.Items())
-			slices.SortStableFunc(items, func(a, c dataset.ItemID) int { return len(s.ByItem(c)) - len(s.ByItem(a)) })
+			slices.SortStableFunc(items, func(a, c dataset.ItemID) int { return s.Raters(c).Len() - s.Raters(a).Len() })
 			items = items[:600]
 			rng := rand.New(rand.NewSource(1))
 			b.ResetTimer()

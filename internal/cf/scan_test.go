@@ -56,7 +56,7 @@ func usersOf(p *Predictor, co userBits) []dataset.UserID {
 	var out []dataset.UserID
 	for w, word := range co {
 		for ; word != 0; word &= word - 1 {
-			out = append(out, p.users.ids[w<<6+bits.TrailingZeros64(word)])
+			out = append(out, p.store.Users()[w<<6+bits.TrailingZeros64(word)])
 		}
 	}
 	return out
@@ -78,12 +78,12 @@ func diffFill(p *Predictor, u dataset.UserID) error {
 	if want := len(ranking) <= p.keep; got.complete != want {
 		return fmt.Errorf("user %d: complete = %v with %d positive peers and keep %d", u, got.complete, len(ranking), p.keep)
 	}
-	dot := make([]float64, len(p.users.ids))
+	dot := make([]float64, len(p.store.Users()))
 	if gotCo := usersOf(p, p.scanCoraters(u, dot)); !reflect.DeepEqual(gotCo, wantCo) {
 		return fmt.Errorf("user %d: co-raters %v, reference %v", u, gotCo, wantCo)
 	}
 	for _, v := range wantCo {
-		vi, _ := p.users.of(v)
+		vi, _ := p.users.Pos(v)
 		var got float64
 		if dot[vi] != 0 {
 			got = cosineFrom(dot[vi], p.norm(v), p.norm(u))
@@ -393,7 +393,7 @@ func TestFillWalksOnlyOwnRaterLists(t *testing.T) {
 		for _, r := range s.ByUser(u) {
 			if !seen[r.Item] {
 				seen[r.Item] = true
-				want += len(s.ByItem(r.Item))
+				want += s.Raters(r.Item).Len()
 			}
 		}
 		entries, merges := p.work.listEntries.Load(), p.work.pairMerges.Load()

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -68,30 +69,30 @@ var (
 // user-major and item-major access paths. After Freeze the user and
 // item domains are fixed and all query methods are safe for concurrent
 // use; live writes go through Apply, which folds each rating into the
-// one rater list and the one user row it changes.
+// one rater column and the one user row it changes.
 //
 // After Freeze, per-user state — the rating rows and the rated-item
-// bitsets, laid out in one arena — sits in one user-keyed cell map, and
-// item-major state (the catalog, popularity ranking, per-item rating
-// lists) beside it. The store is one structure whatever the world's
-// shard count: a read is lock-free, so partitioning it would save no
-// reader a wait.
+// bitsets, laid out in one arena — sits in one cell per user, and
+// item-major state (the catalog, popularity ranking, per-item rater
+// columns) beside it, each cell at its ID's position in the domain's
+// Index. The store is one structure whatever the world's shard count: a
+// read is lock-free, so partitioning it would save no reader a wait.
 //
-// Concurrency model: every user row and every rater list sits in a
-// cell behind an atomic pointer, and the cell maps are built at Freeze
-// and never change afterwards. A list a cell points to is
-// never mutated: Apply, serialized by mu, writes a successor list and
-// swaps the cell, and it swaps the state pointer for the successor
-// totals (count, value sum, popularity ranking). Every read is one map
+// Concurrency model: every user row and every rater column sits in a
+// cell behind an atomic pointer, and the cell arrays are built at Freeze
+// and never change afterwards. A row or column a cell points to is
+// never mutated: Apply, serialized by mu, writes a successor and swaps
+// the cell, and it swaps the state pointer for the successor totals
+// (count, value sum, popularity ranking). Every read is one index
 // lookup and one atomic load, with no lock.
 type Store struct {
-	// byUser/byItem are the ingest-side accumulation, populated by Add
-	// and consumed by Freeze; nil afterwards.
-	byUser   map[UserID][]Rating
-	byItem   map[ItemID][]Rating
-	nRatings int
-	sumVal   float64
-	frozen   bool
+	// byUser and itemCount are the ingest-side accumulation, populated
+	// by Add and consumed by Freeze; nil afterwards.
+	byUser    map[UserID][]Rating
+	itemCount map[ItemID]int
+	nRatings  int
+	sumVal    float64
+	frozen    bool
 	// state is the frozen layout plus the current totals; Apply swaps
 	// in a successor that shares every cell.
 	state atomic.Pointer[storeState]
@@ -105,10 +106,12 @@ type Store struct {
 // layout. The fields are read-only after construction; the cells they
 // point to are where ratings land.
 type storeState struct {
-	byUser   map[UserID]*atomic.Pointer[userRow]
-	byItem   map[ItemID]*atomic.Pointer[[]Rating]
-	users    []UserID
-	items    []ItemID
+	users *Index[UserID]
+	items *Index[ItemID]
+	// rows[i] is the cell of user Users()[i], cols[i] that of item
+	// Items()[i].
+	rows     []atomic.Pointer[userRow]
+	cols     []atomic.Pointer[Column]
 	nRatings int
 	sumVal   float64
 	// popRanked is the popularity ranking, precomputed so hot-path
@@ -126,6 +129,43 @@ type storeState struct {
 type userRow struct {
 	ratings []Rating
 	rated   Bitset
+}
+
+// Column is one item's rater list as parallel arrays — a join index
+// from the item to its raters' positions. Entry k is one rating of the
+// item by user Users()[Pos[k]], with value Value[k] at time Time[k];
+// the item itself is implicit. Entries are in (user, log) order: by
+// user ascending, repeated observations of one (user, item) pair in the
+// order they were added or applied. A Column a read hands out is shared
+// with the store and never written again — a later Apply replaces it —
+// so it stays valid; callers must not modify it.
+type Column struct {
+	Pos   []int32
+	Value []float64
+	Time  []int64
+	// repeats reports whether some user holds more than one entry.
+	repeats bool
+}
+
+// Len returns the number of entries.
+func (c Column) Len() int { return len(c.Pos) }
+
+// Repeats reports whether some user rated the item more than once, so
+// that equal positions sit next to each other. A walk that pairs runs
+// of equal positions can take every entry as a run of one when it is
+// false.
+func (c Column) Repeats() bool { return c.repeats }
+
+// insert returns a copy of c with an entry (pos, v, t) after every
+// entry of position pos: where a cold rebuild of the full log puts it.
+func (c *Column) insert(pos int32, v float64, t int64) *Column {
+	i := sort.Search(len(c.Pos), func(k int) bool { return c.Pos[k] > pos })
+	return &Column{
+		Pos:     insertAt(c.Pos, pos, i),
+		Value:   insertAt(c.Value, v, i),
+		Time:    insertAt(c.Time, t, i),
+		repeats: c.repeats || (i > 0 && c.Pos[i-1] == pos),
+	}
 }
 
 // Bitset is a fixed-size item-indexed bit vector. The zero value (nil)
@@ -178,9 +218,18 @@ func bitsetEligible(users []UserID, items []ItemID) (words int, ok bool) {
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		byUser: make(map[UserID][]Rating),
-		byItem: make(map[ItemID][]Rating),
+		byUser:    make(map[UserID][]Rating),
+		itemCount: make(map[ItemID]int),
 	}
+}
+
+// checkValue returns an error wrapping ErrBadValue unless r's value is
+// on the 1..5 scale. The test is written so that NaN fails it.
+func checkValue(r Rating) error {
+	if !(r.Value >= 1 && r.Value <= 5) {
+		return fmt.Errorf("dataset: %w: %.2f for user %d item %d", ErrBadValue, r.Value, r.User, r.Item)
+	}
+	return nil
 }
 
 // Add appends one rating. It panics if the store is frozen (adding to a
@@ -191,11 +240,11 @@ func (s *Store) Add(r Rating) error {
 	if s.frozen {
 		panic("dataset: Add on frozen Store")
 	}
-	if r.Value < 1 || r.Value > 5 {
-		return fmt.Errorf("dataset: %w: %.2f for user %d item %d", ErrBadValue, r.Value, r.User, r.Item)
+	if err := checkValue(r); err != nil {
+		return err
 	}
 	s.byUser[r.User] = append(s.byUser[r.User], r)
-	s.byItem[r.Item] = append(s.byItem[r.Item], r)
+	s.itemCount[r.Item]++
 	s.nRatings++
 	s.sumVal += r.Value
 	return nil
@@ -229,48 +278,78 @@ func (s *Store) DumpRatings() []Rating {
 }
 
 // Freeze sorts the internal indexes and makes the base store read-only.
-// User lists are sorted by item, item lists by user, which gives
-// deterministic iteration and enables merge-style similarity scans.
-// The sorts are stable so that duplicate (user, item) observations keep
-// their ingest order — the order Apply's insertion point preserves, so
-// a live store is bit-identical to a cold rebuild of the same sequence.
+// User rows are sorted by item, and each item's rater column is laid out
+// from the sorted rows in user order, which gives deterministic
+// iteration and enables merge-style similarity scans. The row sort is
+// stable so that duplicate (user, item) observations keep their ingest
+// order in both — the order Apply's insertion point preserves, so a
+// live store is bit-identical to a cold rebuild of the same sequence.
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
+	if len(s.byUser) > math.MaxInt32 {
+		panic("dataset: more users than a rater column can position")
+	}
+	users := make([]UserID, 0, len(s.byUser))
+	for u, rs := range s.byUser {
+		slices.SortStableFunc(rs, func(a, b Rating) int { return cmp.Compare(a.Item, b.Item) })
+		users = append(users, u)
+	}
+	slices.Sort(users)
+	items := make([]ItemID, 0, len(s.itemCount))
+	for it := range s.itemCount {
+		items = append(items, it)
+	}
+	slices.Sort(items)
 	st := &storeState{
-		byItem:   make(map[ItemID]*atomic.Pointer[[]Rating], len(s.byItem)),
+		users:    newIndex(users),
+		items:    newIndex(items),
 		nRatings: s.nRatings,
 		sumVal:   s.sumVal,
 	}
-	for u, rs := range s.byUser {
-		slices.SortStableFunc(rs, func(a, b Rating) int { return cmp.Compare(a.Item, b.Item) })
-		st.users = append(st.users, u)
-	}
-	slices.Sort(st.users)
-	// Cells are never replaced, so they share one array; each list is
-	// its own allocation, so a list Apply replaced can be freed.
-	cells := make([]atomic.Pointer[[]Rating], len(s.byItem))
-	for it, rs := range s.byItem {
-		slices.SortStableFunc(rs, func(a, b Rating) int { return cmp.Compare(a.User, b.User) })
-		cell := &cells[len(st.items)]
-		st.items = append(st.items, it)
-		cell.Store(&rs)
-		st.byItem[it] = cell
-	}
-	slices.Sort(st.items)
+	st.layoutColumns(s.byUser, s.itemCount)
 
 	// Popularity ranking, computed once: descending rating count with
 	// ascending-ID ties (the paper's "popular set" order).
-	st.popRanked = rankByPopularity(st.items, func(it ItemID) int { return len(s.byItem[it]) })
+	st.popRanked = rankByPopularity(items, func(it ItemID) int { return s.itemCount[it] })
 
 	// Lay out the user rows; the ingest maps are cleared so post-freeze
 	// reads have one source of truth.
 	st.layoutRows(s.byUser)
 	s.byUser = nil
-	s.byItem = nil
+	s.itemCount = nil
 	s.state.Store(st)
 	s.frozen = true
+}
+
+// layoutColumns builds the rater column cells from the item-sorted user
+// rows: walking the users in position order and each row in its order
+// appends every item's entries in (user, log) order. Each column — its
+// header and its arrays, sized by count — is its own allocation, so a
+// column Apply replaced can be freed.
+func (st *storeState) layoutColumns(byUser map[UserID][]Rating, count map[ItemID]int) {
+	cols := make([]Column, len(st.items.ids))
+	for i, it := range st.items.ids {
+		n := count[it]
+		cols[i] = Column{Pos: make([]int32, 0, n), Value: make([]float64, 0, n), Time: make([]int64, 0, n)}
+	}
+	for ui, u := range st.users.ids {
+		for _, r := range byUser[u] {
+			ii, _ := st.items.Pos(r.Item)
+			c := &cols[ii]
+			if n := len(c.Pos); n > 0 && c.Pos[n-1] == int32(ui) {
+				c.repeats = true
+			}
+			c.Pos = append(c.Pos, int32(ui))
+			c.Value = append(c.Value, r.Value)
+			c.Time = append(c.Time, r.Time)
+		}
+	}
+	st.cols = make([]atomic.Pointer[Column], len(cols))
+	for i, c := range cols {
+		st.cols[i].Store(&c)
+	}
 }
 
 // rankByPopularity sorts a copy of items by descending count with
@@ -293,12 +372,12 @@ func rankByPopularity(items []ItemID, count func(ItemID) int) []ItemID {
 // with one contiguous bitset arena over every user when item IDs are
 // dense enough.
 func (st *storeState) layoutRows(byUser map[UserID][]Rating) {
-	words, bitsets := bitsetEligible(st.users, st.items)
+	users := st.users.ids
+	words, bitsets := bitsetEligible(users, st.items.ids)
 	st.maskWords = words
-	st.byUser = make(map[UserID]*atomic.Pointer[userRow], len(st.users))
-	backing := make([]uint64, words*len(st.users))
-	cells := make([]atomic.Pointer[userRow], len(st.users))
-	for i, u := range st.users {
+	backing := make([]uint64, words*len(users))
+	st.rows = make([]atomic.Pointer[userRow], len(users))
+	for i, u := range users {
 		// Each row is its own allocation: one shared array would keep
 		// every replaced row's ratings reachable.
 		row := &userRow{ratings: byUser[u]}
@@ -308,15 +387,14 @@ func (st *storeState) layoutRows(byUser map[UserID][]Rating) {
 				row.rated.set(r.Item)
 			}
 		}
-		cells[i].Store(row)
-		st.byUser[u] = &cells[i]
+		st.rows[i].Store(row)
 	}
 }
 
 // row returns u's current row, nil for a user outside the store.
 func (st *storeState) row(u UserID) *userRow {
-	if cell := st.byUser[u]; cell != nil {
-		return cell.Load()
+	if i, ok := st.users.Pos(u); ok {
+		return st.rows[i].Load()
 	}
 	return nil
 }
@@ -350,12 +428,27 @@ func (s *Store) Frozen() bool { return s.frozen }
 // frozen. The returned slice is shared; callers must not modify it.
 func (s *Store) Users() []UserID {
 	s.mustFrozen("Users")
-	return s.state.Load().users
+	return s.state.Load().users.ids
 }
 
 // Items returns all item IDs in ascending order (shared slice).
 func (s *Store) Items() []ItemID {
 	s.mustFrozen("Items")
+	return s.state.Load().items.ids
+}
+
+// UserIndex returns the index of the user domain: a user's position in
+// Users(), the position a rater column records. The store must be
+// frozen; the index is fixed and shared.
+func (s *Store) UserIndex() *Index[UserID] {
+	s.mustFrozen("UserIndex")
+	return s.state.Load().users
+}
+
+// ItemIndex returns the index of the item domain: an item's position in
+// Items(). The store must be frozen; the index is fixed and shared.
+func (s *Store) ItemIndex() *Index[ItemID] {
+	s.mustFrozen("ItemIndex")
 	return s.state.Load().items
 }
 
@@ -371,14 +464,17 @@ func (s *Store) ByUser(u UserID) []Rating {
 	return nil
 }
 
-// ByItem returns the ratings of item it sorted by user (shared, like
-// ByUser's; callers must not modify).
-func (s *Store) ByItem(it ItemID) []Rating {
-	s.mustFrozen("ByItem")
-	if cell := s.state.Load().byItem[it]; cell != nil {
-		return *cell.Load()
+// Raters returns the rater column of item it (empty if it is not in
+// the store). The column is shared with the store and never written
+// again — a later Apply replaces it — so it stays valid; callers must
+// not modify it.
+func (s *Store) Raters(it ItemID) Column {
+	s.mustFrozen("Raters")
+	st := s.state.Load()
+	if i, ok := st.items.Pos(it); ok {
+		return *st.cols[i].Load()
 	}
-	return nil
+	return Column{}
 }
 
 // Value returns the rating of u for it and whether it exists. When the
@@ -432,8 +528,8 @@ func (s *Store) Stats() Stats {
 	s.mustFrozen("Stats")
 	st := s.state.Load()
 	stats := Stats{
-		Users:   len(st.users),
-		Items:   len(st.items),
+		Users:   len(st.users.ids),
+		Items:   len(st.items.ids),
 		Ratings: st.nRatings,
 	}
 	if st.nRatings > 0 {
@@ -470,19 +566,19 @@ func (s *Store) PopularityRanked() []ItemID {
 // item it — the paper's "diversity set" picks the 25 highest-variance
 // items among the top-200 popular ones.
 func (s *Store) ItemRatingVariance(it ItemID) float64 {
-	rs := s.ByItem(it)
-	n := len(rs)
+	vs := s.Raters(it).Value
+	n := len(vs)
 	if n == 0 {
 		return 0
 	}
 	var sum float64
-	for _, r := range rs {
-		sum += r.Value
+	for _, v := range vs {
+		sum += v
 	}
 	mean := sum / float64(n)
 	var ss float64
-	for _, r := range rs {
-		d := r.Value - mean
+	for _, v := range vs {
+		d := v - mean
 		ss += d * d
 	}
 	return ss / float64(n)

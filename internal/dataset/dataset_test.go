@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -62,6 +64,15 @@ func TestStoreRejectsBadRating(t *testing.T) {
 	}
 	if err := s.Add(Rating{User: 1, Item: 1, Value: 5.5}); err == nil {
 		t.Errorf("Add accepted rating 5.5")
+	}
+	if err := s.Add(Rating{User: 1, Item: 1, Value: math.NaN()}); !errors.Is(err, ErrBadValue) {
+		t.Errorf("Add(NaN) = %v, want ErrBadValue", err)
+	}
+	if s.NumRatings() != 0 {
+		t.Errorf("rejected ratings were stored: %d", s.NumRatings())
+	}
+	if _, err := LoadMovieLensRatings(strings.NewReader("1::1::4::100\n1::2::NaN::101\n")); !errors.Is(err, ErrBadValue) {
+		t.Errorf("loading a NaN rating = %v, want ErrBadValue", err)
 	}
 }
 

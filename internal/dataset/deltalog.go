@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // DeltaStats counts live-ingest traffic.
@@ -28,18 +27,18 @@ func (s *Store) DeltaStats() DeltaStats {
 // must be frozen.
 func (s *Store) CheckItem(it ItemID) error {
 	s.mustFrozen("CheckItem")
-	_, err := s.state.Load().itemCell(it)
+	_, err := s.state.Load().itemPos(it)
 	return err
 }
 
-// itemCell returns the rater-list cell of item it, or an error
-// wrapping ErrUnknownItem when it is outside the catalog.
-func (st *storeState) itemCell(it ItemID) (*atomic.Pointer[[]Rating], error) {
-	cell := st.byItem[it]
-	if cell == nil {
-		return nil, fmt.Errorf("dataset: %w: %d", ErrUnknownItem, it)
+// itemPos returns the position of item it, or an error wrapping
+// ErrUnknownItem when it is outside the catalog.
+func (st *storeState) itemPos(it ItemID) (int, error) {
+	i, ok := st.items.Pos(it)
+	if !ok {
+		return 0, fmt.Errorf("dataset: %w: %d", ErrUnknownItem, it)
 	}
-	return cell, nil
+	return i, nil
 }
 
 // Apply folds one rating into the store. The store must be frozen; the
@@ -48,37 +47,38 @@ func (st *storeState) itemCell(it ItemID) (*atomic.Pointer[[]Rating], error) {
 // the 1..5 scale. Violations return errors matchable against
 // ErrNotFrozen, ErrUnknownUser, ErrUnknownItem, and ErrBadValue.
 //
-// The item's rater list and the user's row are copied with r inserted
-// after every entry of equal key — where a cold rebuild's stable sort
-// of the full log puts it — and their cells are swapped; the user's
-// rated bitset is copied on write. The replaced lists are dropped, not
-// kept beside the new ones, so the store holds each rating once. Apply
-// is safe for concurrent use with itself and with every read path; the
-// rating is visible to all reads once Apply returns.
+// The item's rater column — its three arrays — and the user's row are
+// copied with r inserted after every entry of equal key — where a cold
+// rebuild of the full log puts it — and their cells are swapped; the
+// user's rated bitset is copied on write. The replaced column and row
+// are dropped, not kept beside the new ones, so the store holds each
+// rating once in each. Apply is safe for concurrent use with itself and
+// with every read path; the rating is visible to all reads once Apply
+// returns.
 func (s *Store) Apply(r Rating) error {
 	if !s.frozen {
 		return fmt.Errorf("dataset: Apply: %w", ErrNotFrozen)
 	}
-	if r.Value < 1 || r.Value > 5 {
-		return fmt.Errorf("dataset: %w: %.2f for user %d item %d", ErrBadValue, r.Value, r.User, r.Item)
+	if err := checkValue(r); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state.Load()
-	userCell := st.byUser[r.User]
-	if userCell == nil {
+	ui, ok := st.users.Pos(r.User)
+	if !ok {
 		return fmt.Errorf("dataset: %w: %d", ErrUnknownUser, r.User)
 	}
-	itemCell, err := st.itemCell(r.Item)
+	ii, err := st.itemPos(r.Item)
 	if err != nil {
 		return err
 	}
 
-	raters := *itemCell.Load()
-	raters = insertAt(raters, r, sort.Search(len(raters), func(i int) bool { return raters[i].User > r.User }))
-	itemCell.Store(&raters)
+	colCell := &st.cols[ii]
+	colCell.Store(colCell.Load().insert(int32(ui), r.Value, r.Time))
 
-	old := userCell.Load()
+	rowCell := &st.rows[ui]
+	old := rowCell.Load()
 	row := &userRow{rated: old.rated}
 	rs := old.ratings
 	row.ratings = insertAt(rs, r, sort.Search(len(rs), func(i int) bool { return rs[i].Item > r.Item }))
@@ -86,7 +86,7 @@ func (s *Store) Apply(r Rating) error {
 		row.rated = slices.Clone(old.rated)
 		row.rated.set(r.Item)
 	}
-	userCell.Store(row)
+	rowCell.Store(row)
 
 	// The totals advance in append order; one item's count rose by one,
 	// so it alone moves up the ranking.
@@ -94,19 +94,20 @@ func (s *Store) Apply(r Rating) error {
 	ns.nRatings++
 	ns.sumVal += r.Value
 	ns.popRanked = promoteByPopularity(st.popRanked, r.Item, func(it ItemID) int {
-		return len(*st.byItem[it].Load())
+		i, _ := st.items.Pos(it)
+		return st.cols[i].Load().Len()
 	})
 	s.state.Store(&ns)
 	s.applied.Add(1)
 	return nil
 }
 
-// insertAt returns a copy of rs with r at position i.
-func insertAt(rs []Rating, r Rating, i int) []Rating {
-	out := make([]Rating, len(rs)+1)
-	copy(out, rs[:i])
-	out[i] = r
-	copy(out[i+1:], rs[i:])
+// insertAt returns a copy of xs with x at position i.
+func insertAt[T any](xs []T, x T, i int) []T {
+	out := make([]T, len(xs)+1)
+	copy(out, xs[:i])
+	out[i] = x
+	copy(out[i+1:], xs[i:])
 	return out
 }
 

@@ -106,12 +106,9 @@ func compareStores(t *testing.T, tag string, want, got *Store) {
 		}
 	}
 	for _, it := range want.Items() {
-		wi, gi := want.ByItem(it), got.ByItem(it)
-		if len(wi) == 0 && len(gi) == 0 {
-			continue
-		}
+		wi, gi := want.Raters(it), got.Raters(it)
 		if !reflect.DeepEqual(wi, gi) {
-			t.Fatalf("%s: ByItem(%d) = %v, want %v", tag, it, gi, wi)
+			t.Fatalf("%s: Raters(%d) = %+v, want %+v", tag, it, gi, wi)
 		}
 		if want.ItemRatingVariance(it) != got.ItemRatingVariance(it) {
 			t.Fatalf("%s: ItemRatingVariance(%d) diverges", tag, it)
@@ -183,6 +180,69 @@ func TestApplyMatchesColdRebuild(t *testing.T) {
 	}
 }
 
+// TestRaterColumnsMatchUserRows holds the item-major layout to the
+// user-major one: frozen from a base that already re-rates one pair, and
+// after every one of 320 Applies — every fifth a repeated (user, item)
+// pair — each item's column is, entry by entry and in order, the column
+// a rebuild from the ByUser rows lays out: the same user position, value
+// and time, users ascending and a user's repeated observations in log
+// order, with the repeats flag set exactly where a user holds a run.
+func TestRaterColumnsMatchUserRows(t *testing.T) {
+	base := deltaBaseRatings()
+	again := base[0]
+	again.Value, again.Time = 6-again.Value, again.Time+1
+	base = append(base, again)
+	s := freezeStore(t, base)
+	if it := again.Item; !s.Raters(it).Repeats() {
+		t.Fatalf("the base re-rates item %d, yet its frozen column reports no repeats", it)
+	}
+	seq := applySequence(base, s.PopularityRanked()[0], 320, 13)
+	check := func(tag string) {
+		t.Helper()
+		want := columnsFromRows(s)
+		for i, it := range s.Items() {
+			if got := s.Raters(it); !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s: Raters(%d) = %+v, rebuilt from the rows %+v", tag, it, got, want[i])
+			}
+		}
+	}
+	check("frozen")
+	for i, r := range seq {
+		if err := s.Apply(r); err != nil {
+			t.Fatalf("Apply(%+v): %v", r, err)
+		}
+		check(fmt.Sprintf("after %d applies", i+1))
+	}
+	runs := 0
+	for _, it := range s.Items() {
+		if s.Raters(it).Repeats() {
+			runs++
+		}
+	}
+	if runs == 0 {
+		t.Fatal("the sequence left no column with a repeated rater")
+	}
+}
+
+// columnsFromRows lays out every item's column, in Items() order, from
+// the user rows alone: users in position order, each row in its order.
+func columnsFromRows(s *Store) []Column {
+	cols := make([]Column, len(s.Items()))
+	for ui, u := range s.Users() {
+		for _, r := range s.ByUser(u) {
+			ii, _ := s.ItemIndex().Pos(r.Item)
+			c := &cols[ii]
+			if n := c.Len(); n > 0 && c.Pos[n-1] == int32(ui) {
+				c.repeats = true
+			}
+			c.Pos = append(c.Pos, int32(ui))
+			c.Value = append(c.Value, r.Value)
+			c.Time = append(c.Time, r.Time)
+		}
+	}
+	return cols
+}
+
 // FuzzApplyMatchesColdRebuild derives a base and a rating sequence from
 // the input, over 8 users and 10 items; the first byte picks the base
 // length. After every Apply the store must equal
@@ -249,7 +309,7 @@ func TestStoreReadsAllocateNothing(t *testing.T) {
 		read func()
 	}{
 		{"ByUser", 0, func() { sink += len(s.ByUser(u)) }},
-		{"ByItem", 0, func() { sink += len(s.ByItem(it)) }},
+		{"Raters", 0, func() { sink += s.Raters(it).Len() }},
 		{"Value", 0, func() { v, _ := s.Value(u, it); sink += int(v) }},
 		{"HasRated", 0, func() { _ = s.HasRated(u, it) }},
 		{"PopularityRanked", 0, func() { sink += len(s.PopularityRanked()) }},
@@ -281,6 +341,8 @@ func TestApplyRejections(t *testing.T) {
 		{Rating{User: 1, Item: 99, Value: 3}, ErrUnknownItem},
 		{Rating{User: 1, Item: 10, Value: 0}, ErrBadValue},
 		{Rating{User: 1, Item: 10, Value: 5.5}, ErrBadValue},
+		{Rating{User: 1, Item: 10, Value: math.NaN()}, ErrBadValue},
+		{Rating{User: 1, Item: 10, Value: math.Inf(1)}, ErrBadValue},
 	}
 	for _, c := range cases {
 		if err := s.Apply(c.r); !errors.Is(err, c.want) {
@@ -328,18 +390,18 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 	// after every prefix of its writer's sequence; a list's version is
 	// its length less its base length.
 	rowVersions := map[UserID][][]Rating{}
-	listVersions := map[ItemID][][]Rating{}
+	listVersions := map[ItemID][]Column{}
 	for _, u := range users {
 		rowVersions[u] = [][]Rating{s.ByUser(u)}
 	}
 	for _, it := range items {
-		listVersions[it] = [][]Rating{s.ByItem(it)}
+		listVersions[it] = []Column{s.Raters(it)}
 	}
 	for _, seq := range seqs {
 		for i, r := range seq {
 			cold := coldAt(t, base, seq, i+1)
 			rowVersions[r.User] = append(rowVersions[r.User], cold.ByUser(r.User))
-			listVersions[r.Item] = append(listVersions[r.Item], cold.ByItem(r.Item))
+			listVersions[r.Item] = append(listVersions[r.Item], cold.Raters(r.Item))
 		}
 	}
 
@@ -367,14 +429,14 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 			for i := 0; i < 600; i++ {
 				u := users[rng.Intn(len(users))]
 				it := items[rng.Intn(len(items))]
-				row, ok := seenVersion(s.ByUser(u), rowVersions[u], lastRow[u])
+				row, ok := seenVersion(s.ByUser(u), rowVersions[u], lastRow[u], func(rs []Rating) int { return len(rs) })
 				if !ok {
 					t.Errorf("ByUser(%d) is no version at or after %d", u, lastRow[u])
 					return
 				}
-				list, ok := seenVersion(s.ByItem(it), listVersions[it], lastList[it])
+				list, ok := seenVersion(s.Raters(it), listVersions[it], lastList[it], Column.Len)
 				if !ok {
-					t.Errorf("ByItem(%d) is no version at or after %d", it, lastList[it])
+					t.Errorf("Raters(%d) is no version at or after %d", it, lastList[it])
 					return
 				}
 				n := s.NumRatings()
@@ -403,8 +465,8 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 		}
 	}
 	for it, vs := range listVersions {
-		if !reflect.DeepEqual(s.ByItem(it), vs[len(vs)-1]) {
-			t.Fatalf("ByItem(%d) is not its final version", it)
+		if !reflect.DeepEqual(s.Raters(it), vs[len(vs)-1]) {
+			t.Fatalf("Raters(%d) is not its final version", it)
 		}
 	}
 }
@@ -412,8 +474,8 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 // seenVersion finds got among versions — indexed by length over the
 // first — and reports its index, or false when got is none of them or
 // an earlier one than from.
-func seenVersion(got []Rating, versions [][]Rating, from int) (int, bool) {
-	v := len(got) - len(versions[0])
+func seenVersion[T any](got T, versions []T, from int, length func(T) int) (int, bool) {
+	v := length(got) - length(versions[0])
 	if v < from || v >= len(versions) || !reflect.DeepEqual(got, versions[v]) {
 		return 0, false
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // benchStoreDigest is the SHA-256 of the bench world's frozen rating
-// store: every ByUser row in Users order, then every ByItem row in
-// Items order, each rating as its user, item, value bits and time in
-// little-endian 64-bit words, then PopularityRanked.
+// store: every ByUser row in Users order, then every item's rater
+// column in Items order read back as ratings (raterRatings), each rating
+// as its user, item, value bits and time in little-endian 64-bit words,
+// then PopularityRanked.
 const benchStoreDigest = "0817cf3461feba502a6c4a79afde9b86c90145abf4519f4f247e0289e1d16375"
 
 // The freeze's sorts lay out the bench world's store the same bytes on
@@ -43,7 +44,7 @@ func TestBenchStoreDigest(t *testing.T) {
 		row(st.ByUser(u))
 	}
 	for _, it := range st.Items() {
-		row(st.ByItem(it))
+		row(raterRatings(st, it))
 	}
 	for _, it := range st.PopularityRanked() {
 		put(uint64(it))
@@ -51,4 +52,15 @@ func TestBenchStoreDigest(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != benchStoreDigest {
 		t.Errorf("bench store digest %s, want %s", got, benchStoreDigest)
 	}
+}
+
+// raterRatings reads item it's rater column back as one Rating per
+// entry, in column order.
+func raterRatings(s *Store, it ItemID) []Rating {
+	c, users := s.Raters(it), s.Users()
+	out := make([]Rating, c.Len())
+	for k, pos := range c.Pos {
+		out[k] = Rating{User: users[pos], Item: it, Value: c.Value[k], Time: c.Time[k]}
+	}
+	return out
 }

@@ -1,12 +1,14 @@
-package cf
+package dataset
 
-// denseIndex maps the IDs of one domain of the store — its users or its
+// Index maps the IDs of one domain of a frozen store — its users or its
 // items — onto dense positions in ascending-ID order (Users() / Items()
-// order). An ingest cannot grow either domain (dataset.ErrUnknownUser,
-// dataset.ErrUnknownItem), so an index is fixed at construction. IDs
-// close together get an offset table; sparse or far-apart ones (a loader
-// fed arbitrary IDs) a map.
-type denseIndex[K ~int] struct {
+// order). An Apply cannot grow either domain (ErrUnknownUser,
+// ErrUnknownItem), so an index is fixed at Freeze, and every structure
+// laid out over a domain — the store's cells, a rater column's
+// positions, a predictor's dense tables — shares it. IDs close together
+// get an offset table; sparse or far-apart ones (a loader fed arbitrary
+// IDs) a map, so the index is total for any IDs, negative ones included.
+type Index[K ~int] struct {
 	ids  []K
 	base K
 	// table[id-base] is id's position plus one, 0 for an ID in the span
@@ -15,9 +17,9 @@ type denseIndex[K ~int] struct {
 	sparse map[K]int32
 }
 
-// newDenseIndex indexes ids, which must be ascending and distinct.
-func newDenseIndex[K ~int](ids []K) denseIndex[K] {
-	ix := denseIndex[K]{ids: ids}
+// newIndex indexes ids, which must be ascending and distinct.
+func newIndex[K ~int](ids []K) *Index[K] {
+	ix := &Index[K]{ids: ids}
 	if len(ids) == 0 {
 		return ix
 	}
@@ -39,8 +41,9 @@ func newDenseIndex[K ~int](ids []K) denseIndex[K] {
 	return ix
 }
 
-// of returns id's dense position, or false for an ID outside the domain.
-func (ix *denseIndex[K]) of(id K) (int, bool) {
+// Pos returns id's dense position, or false for an ID outside the
+// domain.
+func (ix *Index[K]) Pos(id K) (int, bool) {
 	if ix.sparse != nil {
 		i, ok := ix.sparse[id]
 		return int(i), ok

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -26,8 +27,11 @@ type fakeBackend struct {
 	mu       sync.Mutex
 	applied  []dataset.Rating
 	applyErr error
-	viewLen  int
-	delay    time.Duration
+	// store, when set, is where Apply folds what it records, so its
+	// refusals are the real ones.
+	store   *dataset.Store
+	viewLen int
+	delay   time.Duration
 }
 
 func (b *fakeBackend) Fingerprint() uint64 { return b.fp }
@@ -68,6 +72,11 @@ func (b *fakeBackend) Apply(r dataset.Rating) error {
 	defer b.mu.Unlock()
 	if b.applyErr != nil {
 		return b.applyErr
+	}
+	if b.store != nil {
+		if err := b.store.Apply(r); err != nil {
+			return err
+		}
 	}
 	b.applied = append(b.applied, r)
 	return nil
@@ -297,22 +306,41 @@ func TestClientApplyInvalidateStats(t *testing.T) {
 }
 
 // TestClientApplyAppErrors: the dataset rejections survive the hop as
-// the same sentinels the in-process ingest surface produces.
+// the same sentinels the in-process ingest surface produces. The last
+// case is a real refusal: an apply frame carries the value's raw
+// float64 bits, so a NaN reaches the worker, whose store refuses it.
 func TestClientApplyAppErrors(t *testing.T) {
 	b := allOwned()
 	addr := startWorker(t, b)
 	c := NewClient(addr, testClientConfig(b))
 	defer c.Close()
+	store, err := dataset.FromRatings([]dataset.Rating{{User: 1, Item: 1, Value: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, want := range []error{dataset.ErrUnknownUser, dataset.ErrUnknownItem, dataset.ErrBadValue} {
+	for _, tc := range []struct {
+		injected error
+		value    float64
+		want     error
+	}{
+		{fmt.Errorf("refused: %w", dataset.ErrUnknownUser), 1, dataset.ErrUnknownUser},
+		{fmt.Errorf("refused: %w", dataset.ErrUnknownItem), 1, dataset.ErrUnknownItem},
+		{fmt.Errorf("refused: %w", dataset.ErrBadValue), 1, dataset.ErrBadValue},
+		{nil, math.NaN(), dataset.ErrBadValue},
+	} {
 		b.mu.Lock()
-		b.applyErr = fmt.Errorf("refused: %w", want)
+		b.applyErr = tc.injected
+		b.store = store
 		b.mu.Unlock()
 		// A refused apply never advances the worker's sequence, so every
 		// attempt is the "next" apply at seq 1.
-		if err := c.Apply(1, dataset.Rating{User: 1, Item: 1, Value: 1}); !errors.Is(err, want) {
-			t.Errorf("err = %v, want %v", err, want)
+		if err := c.Apply(1, dataset.Rating{User: 1, Item: 1, Value: tc.value}); !errors.Is(err, tc.want) {
+			t.Errorf("value %v: err = %v, want %v", tc.value, err, tc.want)
 		}
+	}
+	if n := store.NumRatings(); n != 1 {
+		t.Errorf("the worker's store holds %d ratings after refusals, want 1", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -153,6 +154,7 @@ func TestAddRatingRejections(t *testing.T) {
 		{dataset.Rating{User: 1 << 30, Item: it, Value: 4}, dataset.ErrUnknownUser},
 		{dataset.Rating{User: u, Item: 1 << 30, Value: 4}, dataset.ErrUnknownItem},
 		{dataset.Rating{User: u, Item: it, Value: 9}, dataset.ErrBadValue},
+		{dataset.Rating{User: u, Item: it, Value: math.NaN()}, dataset.ErrBadValue},
 	}
 	for _, c := range cases {
 		err := w.AddRating(c.r)
