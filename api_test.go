@@ -33,7 +33,7 @@ func tinyWorld(t *testing.T) *World {
 
 func TestNewWorldWiring(t *testing.T) {
 	w := tinyWorld(t)
-	if w.Ratings() == nil || w.Network() == nil || w.Predictor() == nil || w.AffinityModel() == nil {
+	if w.Ratings() == nil || w.Network() == nil || w.pred == nil || w.AffinityModel() == nil {
 		t.Fatalf("world has nil substrate")
 	}
 	if len(w.Participants()) != 72 {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// Request is one unit of a RecommendBatch call: a group plus its
-// options.
+// Request is one unit of a RecommendBatchContext call: a group plus
+// its options.
 type Request struct {
 	Group   []dataset.UserID
 	Options Options
@@ -23,20 +23,14 @@ type Result struct {
 	Err            error
 }
 
-// RecommendBatch runs many Recommend calls concurrently — the shape of
-// the paper's Figure 6 sweep, where hundreds of groups are scored in
-// one pass. Results are positionally aligned with reqs. It is
-// RecommendBatchContext under a background context.
-func (w *World) RecommendBatch(reqs []Request) []Result {
-	return w.RecommendBatchContext(context.Background(), reqs)
-}
-
-// RecommendBatchContext runs many Recommend calls concurrently under
-// one caller context: min(GOMAXPROCS, len(reqs)) workers claim requests
-// off one cursor and thread ctx through RecommendContext, so a single
-// cancel (or deadline expiry) stops the whole sweep — in-flight
-// requests stop within one check interval, not-yet-started ones are
-// skipped. Interrupted slots carry ctx's error (a Result holds either
+// RecommendBatchContext runs many Recommend calls concurrently — the
+// shape of the paper's Figure 6 sweep, where hundreds of groups are
+// scored in one pass — under one caller context. Results are
+// positionally aligned with reqs. min(GOMAXPROCS, len(reqs)) workers
+// claim requests off one cursor and thread ctx through
+// RecommendContext, so a single cancel (or deadline expiry) stops the
+// whole sweep — in-flight requests stop within one check interval,
+// not-yet-started ones are skipped. Interrupted slots carry ctx's error (a Result holds either
 // a Recommendation or an Err, never both); completed slots keep their
 // results.
 //

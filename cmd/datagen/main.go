@@ -1,4 +1,4 @@
-// Command datagen emits the synthetic substrates to disk: a
+// Command datagen emits the synthetic substrates GRECA reads to disk: a
 // MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp),
 // a friendship edge list and a page-like event log, so other tooling
 // can consume the same deterministic world the experiments use.
@@ -67,13 +67,6 @@ func main() {
 	}
 	writeFile(filepath.Join(*out, "ratings.dat"), func(w *bufio.Writer) error {
 		return dataset.WriteMovieLensRatings(w, sy.Store)
-	})
-	md := dataset.GenerateMetadata(sy, *seed+2)
-	writeFile(filepath.Join(*out, "movies.dat"), func(w *bufio.Writer) error {
-		return md.WriteMovies(w)
-	})
-	writeFile(filepath.Join(*out, "users.dat"), func(w *bufio.Writer) error {
-		return md.WriteUsers(w)
 	})
 
 	log.Printf("generating social network (%d users)...", scfg.Users)

@@ -24,7 +24,7 @@
 // ratings — without re-reading the source dataset.
 //
 // Several groups may be given separated by ";" — they are then scored
-// concurrently through World.RecommendBatch, sharing sorted-list views
+// concurrently through World.RecommendBatchContext, sharing sorted-list views
 // across groups.
 //
 // -deadline bounds the whole computation: when it expires, in-flight

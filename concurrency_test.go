@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -116,7 +117,7 @@ func TestRecommendBatchMatchesSequential(t *testing.T) {
 		{Group: parts[:3], Options: opt}, // duplicate of the first
 		{Group: parts[2:7], Options: repro.Options{K: 2, NumItems: 100, TimeModel: repro.Continuous}},
 	}
-	results := w.RecommendBatch(reqs)
+	results := w.RecommendBatchContext(context.Background(), reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("got %d results for %d requests", len(results), len(reqs))
 	}

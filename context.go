@@ -98,10 +98,7 @@ func (w *World) RecommendStream(ctx context.Context, group []dataset.UserID, opt
 	if err != nil {
 		return nil, err
 	}
-	every := opt.ProgressEvery
-	if every <= 0 {
-		every = 1
-	}
+	every := max(opt.ProgressEvery, 1)
 	steps := 0
 	for {
 		if err := ctx.Err(); err != nil {

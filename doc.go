@@ -30,11 +30,11 @@
 //     every check. Typed sentinel errors (ErrEmptyGroup,
 //     ErrDuplicateMember, ErrDuplicateItem, ErrPeriodOutOfRange,
 //     ErrKExceedsCandidates) classify client-shaped failures.
-//   - World.RecommendBatch scores many groups in one call — the shape
-//     of the paper's Figure 6 sweep — over GOMAXPROCS workers that
-//     share sorted-list store views like any concurrent callers;
-//     RecommendBatchContext threads one context through the whole
-//     sweep, so a single cancel stops every in-flight run.
+//   - World.RecommendBatchContext scores many groups in one call —
+//     the shape of the paper's Figure 6 sweep — over GOMAXPROCS
+//     workers that share sorted-list store views like any concurrent
+//     callers, under one context, so a single cancel stops every
+//     in-flight run.
 //   - internal/liststore precomputes per-user descending-sorted
 //     preference views over the popularity pool, so problems assemble
 //     by merge-and-patch (core.NewProblemFromViews) instead of

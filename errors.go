@@ -8,7 +8,7 @@ import (
 
 // Typed sentinel errors for client-shaped request failures. Every
 // facade entry point (Recommend, RecommendContext, RecommendStream,
-// RecommendBatch) wraps these with request detail, so callers — the
+// RecommendBatchContext) wraps these with request detail, so callers — the
 // HTTP layer in particular — branch with errors.Is instead of matching
 // message strings, and map each to a machine-readable error code.
 var (

@@ -22,9 +22,6 @@ type Period struct {
 	Start, End int64
 }
 
-// Contains reports whether t falls inside the period.
-func (p Period) Contains(t int64) bool { return p.Start <= t && t < p.End }
-
 // Timeline is a segmentation of [Start, End) into consecutive periods
 // p_0 .. p_{n-1}. Periods need not be equal length (the paper allows
 // varying lengths), though the standard segmentations below are

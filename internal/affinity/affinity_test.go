@@ -42,13 +42,6 @@ func TestSegmentGranularities(t *testing.T) {
 	}
 }
 
-func TestPeriodPredicates(t *testing.T) {
-	p := Period{10, 20}
-	if !p.Contains(10) || p.Contains(20) || p.Contains(9) {
-		t.Errorf("Period predicates wrong")
-	}
-}
-
 func testModel(t *testing.T) *Model {
 	t.Helper()
 	users := []dataset.UserID{0, 1, 2}

@@ -477,9 +477,6 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 	clear(ownSet[:n])
 }
 
-// GlobalMean returns the dataset mean rating.
-func (p *Predictor) GlobalMean() float64 { return p.means.Load().globalMean }
-
 // Stats snapshots the lazy neighborhood cache's counters: a hit is a
 // Neighbors call answered from the cache, a miss one that had to walk
 // the user's rater lists. Size is the number of cached neighborhoods

@@ -121,8 +121,8 @@ func TestPredictFallbacks(t *testing.T) {
 		t.Errorf("item-mean fallback = %v, want 2", got)
 	}
 	// Entirely unknown item: global mean.
-	if got := p.Predict(0, 99); math.Abs(got-p.GlobalMean()) > 1e-12 {
-		t.Errorf("global-mean fallback = %v, want %v", got, p.GlobalMean())
+	if got := p.Predict(0, 99); math.Abs(got-globalMean(p)) > 1e-12 {
+		t.Errorf("global-mean fallback = %v, want %v", got, globalMean(p))
 	}
 }
 
@@ -210,3 +210,7 @@ func TestPredictBatchOwnRatings(t *testing.T) {
 		t.Errorf("PredictBatch = %v", got)
 	}
 }
+
+// globalMean is the dataset mean rating: the fallback for an item no
+// one has rated.
+func globalMean(p *Predictor) float64 { return p.means.Load().globalMean }

@@ -57,7 +57,7 @@ func checkDenseIndexIsTotal(t *testing.T, pos func(*Predictor, int) (int, bool))
 				t.Errorf("ids %v: of(%d) present = %v, want %v", ids, id, ok, member[id])
 			}
 			u, it := dataset.UserID(id), dataset.ItemID(id)
-			want := p.GlobalMean()
+			want := globalMean(p)
 			if member[id] {
 				want = 3 // the user's own rating of the item
 			}

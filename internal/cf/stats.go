@@ -22,15 +22,6 @@ type CacheStats struct {
 	Retained    uint64 `json:"retained"`
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // cacheCounters is the atomic backing shared by every cache in this
 // package. Counter updates sit on hot prediction paths, so they must
 // never take a lock; snapshots are read individually and need only be

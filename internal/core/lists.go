@@ -218,9 +218,6 @@ func (l *List) Len() int {
 	return len(l.Entries)
 }
 
-// Pos returns the number of consumed entries.
-func (l *List) Pos() int { return l.pos }
-
 // reset rewinds the cursor so the same problem can be re-run.
 func (l *List) reset() { l.pos = 0 }
 
@@ -239,18 +236,3 @@ func PairIndex(g, i, j int) int {
 
 // NumPairs returns g(g-1)/2.
 func NumPairs(g int) int { return g * (g - 1) / 2 }
-
-// PairMembers inverts PairIndex.
-func PairMembers(g, idx int) (int, int) {
-	if idx < 0 || idx >= NumPairs(g) {
-		panic(fmt.Sprintf("core: pair index %d outside [0,%d)", idx, NumPairs(g)))
-	}
-	for i := 0; i < g-1; i++ {
-		rowLen := g - i - 1
-		if idx < rowLen {
-			return i, i + 1 + idx
-		}
-		idx -= rowLen
-	}
-	panic("core: unreachable in PairMembers")
-}

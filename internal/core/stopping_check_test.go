@@ -351,7 +351,7 @@ func TestStoppingCheckWorkIsProportionalToSweep(t *testing.T) {
 	itemKeyedSA := 0
 	for _, l := range prob.lists {
 		if itemKeyed(l.Kind) {
-			itemKeyedSA += l.Pos()
+			itemKeyedSA += l.pos
 		}
 	}
 	t.Logf("%d checks, %d item-keyed accesses, %d scoreItem calls, %d sorts, %d buffered",

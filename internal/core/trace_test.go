@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -137,9 +138,9 @@ func TestPairIndexRoundTrip(t *testing.T) {
 				if PairIndex(g, j, i) != idx {
 					t.Fatalf("g=%d: asymmetric index for (%d,%d)", g, i, j)
 				}
-				a, b := PairMembers(g, idx)
+				a, b := pairMembers(g, idx)
 				if a != i || b != j {
-					t.Fatalf("g=%d: PairMembers(%d) = (%d,%d), want (%d,%d)", g, idx, a, b, i, j)
+					t.Fatalf("g=%d: pairMembers(%d) = (%d,%d), want (%d,%d)", g, idx, a, b, i, j)
 				}
 			}
 		}
@@ -175,11 +176,23 @@ func TestListCursorInvariants(t *testing.T) {
 			t.Fatalf("cursor %v != last read %v", l.CursorValue(), e.Value)
 		}
 	}
-	if !l.Exhausted() || l.Pos() != 3 {
+	if !l.Exhausted() || l.pos != 3 {
 		t.Errorf("exhaustion state wrong")
 	}
 	l.reset()
-	if l.Pos() != 0 || l.Exhausted() {
+	if l.pos != 0 || l.Exhausted() {
 		t.Errorf("reset did not rewind")
 	}
+}
+
+// pairMembers inverts PairIndex for an index in [0, NumPairs(g)).
+func pairMembers(g, idx int) (int, int) {
+	for i := 0; i < g-1; i++ {
+		rowLen := g - i - 1
+		if idx < rowLen {
+			return i, i + 1 + idx
+		}
+		idx -= rowLen
+	}
+	panic(fmt.Sprintf("pair index past NumPairs(%d)", g))
 }

@@ -42,43 +42,3 @@ func FuzzLoadMovieLensRatings(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadMovies asserts the movies.dat parser never panics and keeps
-// id→movie lookups consistent for accepted input.
-func FuzzReadMovies(f *testing.F) {
-	f.Add("1::Title (1999)::Drama|Comedy\n")
-	f.Add("1::A::B\n2::C::D\n")
-	f.Add("x::y::z\n")
-	f.Add("1::Movie: Colons::Drama\n")
-	f.Add("::::::\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		md := NewMetadata()
-		if err := md.ReadMovies(strings.NewReader(input)); err != nil {
-			return
-		}
-		if md.NumMovies() < 0 {
-			t.Fatal("negative movie count")
-		}
-	})
-}
-
-// FuzzReadUsers asserts the users.dat parser never panics.
-func FuzzReadUsers(f *testing.F) {
-	f.Add("1::F::25::3::12345\n")
-	f.Add("1::M::1::0::00000\n2::F::56::20::99999\n")
-	f.Add("1::Q::25::3::12345\n")
-	f.Add("::::\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		md := NewMetadata()
-		if err := md.ReadUsers(strings.NewReader(input)); err != nil {
-			return
-		}
-		for id := 0; id < md.NumUsers()+5; id++ {
-			if u, ok := md.User(UserID(id)); ok {
-				if u.Gender != GenderFemale && u.Gender != GenderMale {
-					t.Fatalf("accepted bad gender %q", u.Gender)
-				}
-			}
-		}
-	})
-}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/groups"
 	"repro/internal/study"
@@ -187,15 +186,4 @@ func WriteAblations(w io.Writer, r AblationResult) error {
 | Monolithic affinity lists | %.2f |
 `, r.GRECAPctSA, r.ThresholdExactPctSA, r.LooseBoundsPctSA, r.MonolithicPctSA)
 	return err
-}
-
-// SortedVariants returns the study variants in display order (helper
-// for deterministic external rendering).
-func SortedVariants(m map[study.Variant]study.CharacteristicScores) []study.Variant {
-	out := make([]study.Variant, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -105,16 +105,6 @@ type TransportStats struct {
 	ConnReuses   uint64            `json:"conn_reuses"`
 }
 
-// TotalCalls sums every op's call count — the rpcs side of the bench
-// harness's rpcs/op extra.
-func (t TransportStats) TotalCalls() uint64 {
-	var n uint64
-	for _, v := range t.CallsByOp {
-		n += v
-	}
-	return n
-}
-
 // Client speaks the shard protocol to one worker. A connection carries
 // one call at a time: a call takes an idle connection or dials one,
 // writes its request, reads its one reply and gives the connection

@@ -69,11 +69,6 @@ func (cs CategorySet) IntersectCount(o CategorySet) int {
 		bits.OnesCount64(cs[2]&o[2]) + bits.OnesCount64(cs[3]&o[3])
 }
 
-// Empty reports whether no category is present.
-func (cs CategorySet) Empty() bool {
-	return cs[0]|cs[1]|cs[2]|cs[3] == 0
-}
-
 // Network is an immutable social network: a friendship graph plus
 // per-user page-like event streams. Build one with GenerateNetwork or
 // assemble manually with NewNetwork/AddFriendship/AddLike + Freeze.
@@ -152,12 +147,6 @@ func (nw *Network) AreFriends(u, v dataset.UserID) bool {
 func (nw *Network) Friends(u dataset.UserID) []dataset.UserID {
 	nw.checkUser(u)
 	return nw.friends[u]
-}
-
-// NumFriends returns u's friend count.
-func (nw *Network) NumFriends(u dataset.UserID) int {
-	nw.checkUser(u)
-	return len(nw.friends[u])
 }
 
 // CommonFriends returns |friends(u) ∩ friends(v)| — the paper's raw

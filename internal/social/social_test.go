@@ -9,7 +9,7 @@ import (
 
 func TestCategorySet(t *testing.T) {
 	var cs CategorySet
-	if !cs.Empty() || cs.Count() != 0 {
+	if cs.Count() != 0 {
 		t.Errorf("zero set should be empty")
 	}
 	cs.Add(0)
@@ -57,8 +57,8 @@ func TestNetworkFriendship(t *testing.T) {
 	if nw.AreFriends(0, 3) {
 		t.Errorf("phantom friendship")
 	}
-	if got := nw.NumFriends(1); got != 2 {
-		t.Errorf("NumFriends(1) = %d, want 2", got)
+	if got := len(nw.Friends(1)); got != 2 {
+		t.Errorf("len(Friends(1)) = %d, want 2", got)
 	}
 	// 0 and 1 share friend 2.
 	if got := nw.CommonFriends(0, 1); got != 1 {

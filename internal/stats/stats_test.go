@@ -26,19 +26,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := Variance([]float64{3}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
 func TestSampleVarianceAndStdErr(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if got := SampleVariance(xs); !almostEq(got, 2.5) {
@@ -53,92 +40,21 @@ func TestSampleVarianceAndStdErr(t *testing.T) {
 	}
 }
 
-func TestMinMaxPanicOnEmpty(t *testing.T) {
-	for name, f := range map[string]func([]float64) float64{"Min": Min, "Max": Max} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s(empty) did not panic", name)
-				}
-			}()
-			f(nil)
-		}()
-	}
-	if Min([]float64{3, 1, 2}) != 1 || Max([]float64{3, 1, 2}) != 3 {
-		t.Errorf("Min/Max wrong")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Errorf("Clamp misbehaves")
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	xs := []float64{2, -4, 1}
-	scale := Normalize(xs)
-	if !almostEq(scale, 0.25) {
-		t.Errorf("scale = %v, want 0.25", scale)
-	}
-	if !almostEq(xs[1], -1) || !almostEq(xs[0], 0.5) {
-		t.Errorf("normalized = %v", xs)
-	}
-	zeros := []float64{0, 0}
-	if Normalize(zeros) != 1 {
-		t.Errorf("zero slice should return scale 1")
-	}
-}
-
-func TestMeanPairwiseAbsDiff(t *testing.T) {
-	if got := MeanPairwiseAbsDiff([]float64{1, 3}); !almostEq(got, 2) {
-		t.Errorf("pairwise diff of {1,3} = %v, want 2", got)
-	}
-	// {0, 1, 2}: pairs |0-1|+|0-2|+|1-2| = 4, times 2/(3*2) = 4/3.
-	if got := MeanPairwiseAbsDiff([]float64{0, 1, 2}); !almostEq(got, 4.0/3) {
-		t.Errorf("pairwise diff = %v, want 4/3", got)
-	}
-	if MeanPairwiseAbsDiff([]float64{7}) != 0 {
-		t.Errorf("singleton should be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 4 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 50); !almostEq(got, 2.5) {
-		t.Errorf("p50 = %v, want 2.5", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Errorf("empty percentile should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{0.1, 0.9, 0.5, -1, 2}, 0, 1, 2)
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Errorf("histogram = %v", counts)
-	}
-	if Histogram(nil, 1, 0, 2) != nil {
-		t.Errorf("invalid range should return nil")
-	}
+// valid reports whether iv is well formed (Lo <= Hi) and free of NaNs.
+func valid(iv Interval) bool {
+	return !math.IsNaN(iv.Lo) && !math.IsNaN(iv.Hi) && iv.Lo <= iv.Hi
 }
 
 func TestIntervalBasics(t *testing.T) {
-	iv := NewInterval(2, 1)
-	if iv.Lo != 1 || iv.Hi != 2 {
-		t.Errorf("NewInterval should swap backwards ends: %v", iv)
-	}
-	if !Point(3).Contains(3) || Point(3).Width() != 0 {
+	iv := Interval{1, 2}
+	if Point(3) != (Interval{3, 3}) {
 		t.Errorf("Point misbehaves")
-	}
-	if !iv.Valid() || (Interval{math.NaN(), 1}).Valid() {
-		t.Errorf("Valid misbehaves")
 	}
 	if got := iv.Clamp(1.5, 3); got.Lo != 1.5 || got.Hi != 2 {
 		t.Errorf("Clamp = %v", got)
@@ -173,7 +89,7 @@ func quickInterval(a, b float64) Interval {
 	if math.IsNaN(b) {
 		b = 0
 	}
-	return NewInterval(a, b)
+	return Interval{min(a, b), max(a, b)}
 }
 
 // pick returns a point inside iv parameterized by t in [0,1].
@@ -231,8 +147,8 @@ func TestQuickIntervalValidity(t *testing.T) {
 	f := func(a1, a2, b1, b2 float64) bool {
 		A := quickInterval(a1, a2)
 		B := quickInterval(b1, b2)
-		return A.Add(B).Valid() && A.Sub(B).Valid() && A.Mul(B).Valid() &&
-			A.AbsDiff(B).Valid() && A.MinI(B).Valid() && A.Clamp(0, 1).Valid()
+		return valid(A.Add(B)) && valid(A.Sub(B)) && valid(A.Mul(B)) &&
+			valid(A.AbsDiff(B)) && valid(A.MinI(B)) && valid(A.Clamp(0, 1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -91,12 +91,9 @@ func (o *Oracle) Nicheness(it dataset.ItemID) float64 {
 	}
 	mean := sum / float64(users)
 	variance := sumSq/float64(users) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
 	// A uniformly split audience (half at 1, half at 5) has sd 2;
 	// scale so that extreme polarization maps to 1.
-	n := clamp01(mathSqrt(variance) / 2)
+	n := clamp01(math.Sqrt(max(variance, 0)) / 2)
 	o.nicheness[it] = n
 	return n
 }
@@ -195,15 +192,6 @@ func (o *Oracle) ListSatisfaction(u dataset.UserID, members []dataset.UserID, it
 	return s / float64(len(items))
 }
 
-// Verdict returns u's noisy 0..5 rating of the list, as collected in
-// the paper's independent evaluation phase. rng supplies the judgment
-// noise so verdicts are reproducible per study seed.
-func (o *Oracle) Verdict(rng *rand.Rand, u dataset.UserID, members []dataset.UserID, items []dataset.ItemID, t int64) float64 {
-	s := o.ListSatisfaction(u, members, items, t)
-	s += o.NoiseStd * rng.NormFloat64()
-	return 5 * clamp01(s)
-}
-
 // Prefer returns true when u prefers list a over list b (the paper's
 // comparative evaluation; the closed-world forced choice breaks exact
 // ties randomly).
@@ -224,12 +212,4 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-func mathSqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton iterations are precise enough here, but use the stdlib.
-	return math.Sqrt(x)
 }

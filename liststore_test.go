@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -118,7 +119,7 @@ func TestRecommendBatchSharesViews(t *testing.T) {
 		{Group: []dataset.UserID{p[0], p[1]}, Options: opt},                         // identical request
 		{Group: []dataset.UserID{p[0], p[1]}, Options: Options{K: 2, NumItems: 80}}, // same pool, distinct run
 	}
-	for i, res := range w.RecommendBatch(reqs) {
+	for i, res := range w.RecommendBatchContext(context.Background(), reqs) {
 		if res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
 		}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -61,6 +62,8 @@ func TestRecommendRejectsInvalidOptions(t *testing.T) {
 		{"very negative K", group, repro.Options{K: -50, NumItems: 100}, "negative K"},
 		{"negative NumItems", group, repro.Options{NumItems: -3900}, "negative NumItems"},
 		{"both negative", group, repro.Options{K: -2, NumItems: -7}, "negative K"},
+		{"negative CheckInterval", group, repro.Options{NumItems: 100, CheckInterval: -1}, "negative CheckInterval"},
+		{"negative ProgressEvery", group, repro.Options{NumItems: 100, ProgressEvery: -3}, "negative ProgressEvery"},
 		{"empty group", nil, repro.Options{NumItems: 100}, "empty group"},
 		{"duplicate member", []dataset.UserID{group[0], group[1], group[0]}, repro.Options{NumItems: 100}, "duplicate group member"},
 		{"period too large", group, repro.Options{NumItems: 100, Period: 999}, "period"},
@@ -87,7 +90,7 @@ func TestRecommendRejectsInvalidOptions(t *testing.T) {
 func TestRecommendBatchPropagatesValidationErrors(t *testing.T) {
 	w := optionsWorld(t)
 	group := lightGroup(t, w, 2)
-	results := w.RecommendBatch([]repro.Request{
+	results := w.RecommendBatchContext(context.Background(), []repro.Request{
 		{Group: group, Options: repro.Options{K: 3, NumItems: 80}},
 		{Group: group, Options: repro.Options{K: -1, NumItems: 80}},
 		{Group: nil, Options: repro.Options{NumItems: 80}},

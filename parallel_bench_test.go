@@ -12,6 +12,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -128,12 +129,12 @@ func BenchmarkRecommendBatch(b *testing.B) {
 	for i, g := range groups {
 		reqs[i] = repro.Request{Group: g, Options: opt}
 	}
-	if res := w.RecommendBatch(reqs); res[0].Err != nil {
+	if res := w.RecommendBatchContext(context.Background(), reqs); res[0].Err != nil {
 		b.Fatalf("warmup: %v", res[0].Err)
 	}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		for _, res := range w.RecommendBatch(reqs) {
+		for _, res := range w.RecommendBatchContext(context.Background(), reqs) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}

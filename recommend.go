@@ -94,12 +94,13 @@ type Options struct {
 	// Mode selects GRECA or a baseline executor.
 	Mode core.Mode
 	// CheckInterval is GRECA's stopping-check cadence in rounds
-	// (1 = every round).
+	// (0 or 1 = every round; negative values are rejected).
 	CheckInterval int
 	// ProgressEvery thins RecommendStream's progress frames to every
-	// N-th stopping check (0 or 1 = every check). The terminal frame
-	// is never thinned. Skipped checks build no snapshot, so large
-	// values make streaming nearly as cheap as RecommendContext.
+	// N-th stopping check (0 or 1 = every check; negative values are
+	// rejected). The terminal frame is never thinned. Skipped checks
+	// build no snapshot, so large values make streaming nearly as cheap
+	// as RecommendContext.
 	ProgressEvery int
 	// Epsilon, when positive, enables bound-gap ε stopping (NRA-style
 	// ε-approximation): the run stops at the first stopping check
@@ -130,13 +131,20 @@ const (
 // fill applies the paper's defaults to zero-valued fields and rejects
 // values that are nonsensical rather than defaulted — negative K or
 // NumItems would otherwise flow downstream as silently shrunken slices
-// or allocation panics.
+// or allocation panics, and a negative CheckInterval or ProgressEvery
+// would silently run as 1.
 func (o *Options) fill() error {
 	if o.K < 0 {
 		return fmt.Errorf("repro: negative K %d", o.K)
 	}
 	if o.NumItems < 0 {
 		return fmt.Errorf("repro: negative NumItems %d", o.NumItems)
+	}
+	if o.CheckInterval < 0 {
+		return fmt.Errorf("repro: negative CheckInterval %d", o.CheckInterval)
+	}
+	if o.ProgressEvery < 0 {
+		return fmt.Errorf("repro: negative ProgressEvery %d", o.ProgressEvery)
 	}
 	if o.Epsilon < 0 || math.IsNaN(o.Epsilon) {
 		return fmt.Errorf("repro: invalid Epsilon %v (want >= 0)", o.Epsilon)

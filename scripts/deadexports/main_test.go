@@ -1,0 +1,43 @@
+package main
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestFixture runs the gate over testdata/fixture, whose internal/lib
+// package declares one exported name per case: a dead func, a func
+// only its _test.go calls, a Min shadowed by math.Min, a Contains
+// method shadowed by strings.Contains, a method reached only through an
+// interface, a name used only bare inside its package, and an
+// allowlisted name.
+func TestFixture(t *testing.T) {
+	got, err := run("testdata/fixture", "testdata/fixture/allow.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/lib/lib.go:14: fixture/internal/lib.Dead",
+		"internal/lib/lib.go:17: fixture/internal/lib.TestOnly",
+		"internal/lib/lib.go:20: fixture/internal/lib.Min",
+		"internal/lib/lib.go:38: fixture/internal/lib.Set.Contains",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("dead names:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestStaleAllowlist: an entry that names nothing, or a name that is
+// referenced after all, fails the run instead of lingering.
+func TestStaleAllowlist(t *testing.T) {
+	for allow, name := range map[string]string{
+		"stale.txt": "fixture/internal/lib.Gone",
+		"used.txt":  "fixture/internal/lib.Used",
+	} {
+		_, err := run("testdata/fixture", "testdata/fixture/"+allow)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want one naming %s", allow, err, name)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/shard"
 )
 
 // shardedWorld builds a tinyConfig world with the given shard count.
@@ -25,6 +27,18 @@ func shardedWorld(t *testing.T, shards int) *World {
 	return w
 }
 
+// shardMap is the routing map of w's shard count: the one the router
+// and the workers agree on, so sm.Of(u) is the shard whose worker
+// serves u.
+func shardMap(t *testing.T, w *World) *shard.Map {
+	t.Helper()
+	sm, err := shard.New(w.Shards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sm
+}
+
 func maxInt(a, b int) int {
 	if a > b {
 		return a
@@ -39,9 +53,10 @@ func maxInt(a, b int) int {
 func mixedShardGroup(t *testing.T, w *World, size int) []dataset.UserID {
 	t.Helper()
 	group := make([]dataset.UserID, 0, size)
+	sm := shardMap(t, w)
 	seen := make(map[int]bool)
 	for _, u := range w.Participants() {
-		if s := w.ShardOf(u); !seen[s] {
+		if s := sm.Of(int64(u)); !seen[s] {
 			seen[s] = true
 			group = append(group, u)
 			if len(group) == size {
@@ -145,10 +160,11 @@ func TestBatchShardAwareDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			w := shardedWorld(t, shards)
 			parts := w.Participants()
+			sm := shardMap(t, w)
 			sameShard := func(n int) []dataset.UserID {
 				var g []dataset.UserID
 				for _, u := range parts {
-					if w.ShardOf(u) == w.ShardOf(parts[0]) {
+					if sm.Of(int64(u)) == sm.Of(int64(parts[0])) {
 						if g = append(g, u); len(g) == n {
 							break
 						}
@@ -166,7 +182,7 @@ func TestBatchShardAwareDifferential(t *testing.T) {
 				{Group: parts[:3], Options: Options{K: 4, NumItems: 150}},
 				{Group: nil, Options: Options{K: 4}},
 			}
-			got := w.RecommendBatch(reqs)
+			got := w.RecommendBatchContext(context.Background(), reqs)
 			for i, req := range reqs {
 				if len(req.Group) == 0 {
 					if got[i].Err == nil {

@@ -19,7 +19,7 @@ import (
 )
 
 // Config assembles a World. Zero values are filled with defaults; use
-// QuickConfig or PaperConfig for ready-made setups.
+// QuickConfig for a ready-made setup.
 type Config struct {
 	// Dataset configures the synthetic rating generator. Ignored when
 	// RatingsReader is set.
@@ -86,16 +86,6 @@ func QuickConfig() Config {
 	ds.Items = 1200
 	return Config{
 		Dataset:     ds,
-		Social:      social.DefaultSynthConfig(),
-		Granularity: affinity.TwoMonth,
-	}
-}
-
-// PaperConfig mirrors the paper's evaluation scale: a MovieLens-1M
-// shaped rating store (Table 5) with the 72-participant study network.
-func PaperConfig() Config {
-	return Config{
-		Dataset:     dataset.MovieLens1MConfig(),
 		Social:      social.DefaultSynthConfig(),
 		Granularity: affinity.TwoMonth,
 	}
@@ -176,7 +166,7 @@ type World struct {
 func NewWorld(cfg Config) (*World, error) {
 	w := &World{cfg: cfg}
 
-	// Routing: the one map the router, the workers and ShardOf agree on.
+	// Routing: the one map the router and the workers agree on.
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("repro: negative Shards %d", cfg.Shards)
 	}
@@ -336,19 +326,11 @@ func (w *World) Network() *social.SynthNetwork { return w.network }
 // page-likes), whether generated or loaded.
 func (w *World) SocialNetwork() *social.Network { return w.socialNet }
 
-// Predictor returns the collaborative filtering predictor: the
-// absolute-preference source.
-func (w *World) Predictor() *cf.Predictor { return w.pred }
-
 // ListStore returns the sorted-list store.
 func (w *World) ListStore() *liststore.Store { return w.lists }
 
 // Shards returns the world's shard count (1 when unsharded).
 func (w *World) Shards() int { return w.sm.N() }
-
-// ShardOf returns u's shard — in a distributed deployment, the one
-// whose worker serves u.
-func (w *World) ShardOf(u dataset.UserID) int { return w.sm.Of(int64(u)) }
 
 // RatingLog is the durability hook of the rating write path: AddRating
 // notifies it after every successfully applied rating, so appended
