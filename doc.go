@@ -36,8 +36,9 @@
 //     callers, under one context, so a single cancel stops every
 //     in-flight run.
 //   - internal/liststore precomputes per-user descending-sorted
-//     preference views over the popularity pool, so problems assemble
-//     by merge-and-patch (core.NewProblemFromViews) instead of
+//     preference views over the popularity pool, so a problem whose
+//     candidate slice the pool covers whole is assembled by filtering
+//     each member's view (core.NewProblemFromViews) instead of
 //     per-request re-sorting — bit-identical output, a fraction of
 //     the construction cost. Every world has one and owns its
 //     lifecycle (Config.ListStoreSize bounds it; AddRating drops every

@@ -150,11 +150,11 @@ func (l *List) Top() float64 {
 
 // SortCanonical orders entries by descending Value with ascending-Key
 // ties — the canonical order of every list in this package, and the
-// order of a SortedView's Order and of MemberView patches. The
-// order is a strict total order (keys are distinct), so the result does
-// not depend on how it is produced: a handful of entries is sorted by
-// insertion, everything else by the distribution kernel in sort.go. A
-// NaN Value leaves the order unspecified (never a panic).
+// order of a SortedView's Order. The order is a strict total order
+// (keys are distinct), so the result does not depend on how it is
+// produced: a handful of entries is sorted by insertion, everything
+// else by the distribution kernel in sort.go. A NaN Value leaves the
+// order unspecified (never a panic).
 func SortCanonical(entries []Entry) {
 	if len(entries) <= insertionCutoff {
 		insertionSort(entries)

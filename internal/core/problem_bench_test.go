@@ -17,8 +17,8 @@ func benchProblemInput(g, m int) Input {
 
 // benchViewSet is the repeated-group sweep shape: the per-member sorted
 // views are precomputed once (the list store's amortized work) and
-// every per-request construction merges them with an empty patch over
-// the identity mapping.
+// every per-request construction filters them through the identity
+// mapping.
 func benchViewSet(in Input) ViewSet {
 	g := len(in.Apref)
 	m := len(in.Apref[0])
@@ -26,9 +26,9 @@ func benchViewSet(in Input) ViewSet {
 	for p := range localOf {
 		localOf[p] = int32(p)
 	}
-	vs := ViewSet{LocalOf: localOf, Members: make([]MemberView, g)}
+	vs := ViewSet{LocalOf: localOf, Members: make([]*SortedView, g)}
 	for u := 0; u < g; u++ {
-		vs.Members[u] = MemberView{View: sortedViewOf(in.Apref[u])}
+		vs.Members[u] = sortedViewOf(in.Apref[u])
 	}
 	return vs
 }
@@ -47,7 +47,7 @@ func BenchmarkNewProblem(b *testing.B) {
 	}
 }
 
-// BenchmarkProblemFromViews measures the merge/patch constructor over
+// BenchmarkProblemFromViews measures the view-filtering constructor over
 // precomputed views with pooled entry buffers — same instance, same
 // output, amortized sort.
 func BenchmarkProblemFromViews(b *testing.B) {

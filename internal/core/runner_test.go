@@ -258,7 +258,7 @@ func TestRunnerEarlyAbandon(t *testing.T) {
 func TestRunnerReleasedProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := randomViewInput(rng, 2, 20, 3, consensus.PD(0.8), DiscreteAggregator{Periods: 2}, false)
-	vs := randomViewSet(rng, in, 0.2)
+	vs := randomViewSet(rng, in)
 	prob, err := NewProblemFromViews(in, vs)
 	if err != nil {
 		t.Fatalf("NewProblemFromViews: %v", err)

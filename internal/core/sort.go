@@ -14,10 +14,10 @@ import (
 
 const (
 	// insertionCutoff is the longest slice sorted by insertion outright —
-	// the g·(g−1)/2-entry affinity lists and small patch sets every
-	// request builds, and a bucket holding a handful. Measured on
-	// view-shaped scores, insertion beats the kernel up to ≈ 20 entries
-	// and the kernel beats slices.SortFunc from ≈ 10.
+	// the g·(g−1)/2-entry affinity lists every request builds, and a
+	// bucket holding a handful. Measured on view-shaped scores,
+	// insertion beats the kernel up to ≈ 20 entries and the kernel
+	// beats slices.SortFunc from ≈ 10.
 	insertionCutoff = 16
 	// distributionLevels bounds how often a crowded bucket is split
 	// again before it is handed to the comparison sort, so no input

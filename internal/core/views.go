@@ -19,30 +19,15 @@ type SortedView struct {
 	Order  []int32
 }
 
-// MemberView is one member's input to NewProblemFromViews: a shared
-// pre-sorted view plus the member's patch set.
-//
-// Patch carries the entries of every item of this problem that the view
-// does not cover (its local index never appears in ViewSet.LocalOf) or
-// whose score differs from the stored view. Patch keys are *local* item
-// indexes (0..m-1), values the authoritative scores, and entries must
-// be in canonical order. A nil View means the member is not view-served;
-// its list is then sorted from the dense Apref row (Patch must be empty).
-type MemberView struct {
-	View  *SortedView
-	Patch []Entry
-}
-
 // ViewSet couples the group-level pool→problem mapping with the
 // per-member views. LocalOf[p] is the local item index of pool position
 // p in this problem, or a negative value when pool position p is not a
-// candidate of this problem (rated by a member, truncated, or
-// overridden by a patch entry). Every local index 0..m-1 must be
-// produced exactly once across the LocalOf mapping and each member's
-// patch; NewProblemFromViews verifies this per member.
+// candidate of this problem (rated by a member, or truncated). Every
+// local index 0..m-1 must be produced exactly once by the mapping;
+// NewProblemFromViews verifies this per member.
 //
 // LocalOf must preserve pool order: if p < q are both mapped then
-// LocalOf[p] < LocalOf[q]. This is what lets the merge inherit the
+// LocalOf[p] < LocalOf[q]. This is what lets a member's list inherit the
 // view's tie order (ties sort by ascending pool position, which then
 // coincides with ascending local key). Candidate slices derived by
 // scanning the pool in order — the engine's only shape — satisfy it by
@@ -50,7 +35,7 @@ type MemberView struct {
 // verification instead of mis-sorting.
 type ViewSet struct {
 	LocalOf []int32
-	Members []MemberView
+	Members []*SortedView
 }
 
 // entryPool recycles list entry buffers across view-built problems —
@@ -68,25 +53,23 @@ func getPooledEntries(n int) ([]Entry, *[]Entry) {
 }
 
 // NewProblemFromViews builds the same validated, list-built instance as
-// NewProblem, but constructs each member's preference list by merging
-// that member's pre-sorted view (filtered through vs.LocalOf) with its
-// patch set instead of re-sorting all m entries — O(B + m + p log p)
-// per member against NewProblem's O(m log m) — and draws entry buffers
-// from a pool that Release refills.
+// NewProblem, but takes each member's preference list from that
+// member's pre-sorted view, filtered through vs.LocalOf, instead of
+// re-sorting all m entries — O(B + m) per member against NewProblem's
+// O(m log m) — and draws entry buffers from a pool that Release
+// refills.
 //
 // in.Apref must still carry the dense rows (exact scoring, agreement
-// lists, and validation read them) and must agree with the views: after
-// merging, every member's list is verified to be exactly the canonical
-// sort of its Apref row, so a Problem returned by this constructor is
-// bit-identical in behavior to NewProblem(in). Any inconsistency
-// between views and rows is an error, never a silently different
-// ranking.
+// lists, and validation read them) and must agree with the views: every
+// member's list is verified to be exactly the canonical sort of its
+// Apref row, so a Problem returned by this constructor is bit-identical
+// in behavior to NewProblem(in). Any inconsistency between views and
+// rows is an error, never a silently different ranking.
 //
 // The constructor is agnostic to where the views came from: a group's
-// MemberViews may be built in place or fetched from the workers owning
-// each member's shard, and merge here side by side — per-member
-// verification makes a wrong routing a loud construction error, not a
-// wrong answer.
+// views may be built in place or fetched from the workers owning each
+// member's shard, and per-member verification makes a wrong routing a
+// loud construction error, not a wrong answer.
 //
 // Callers that drop the problem after a bounded lifetime (run it, copy
 // the result out) should hand its buffers back via Release; problems
@@ -105,25 +88,13 @@ func NewProblemFromViews(in Input, vs ViewSet) (*Problem, error) {
 	seen := make([]int, p.m)
 	p.prefList = make([]*List, p.g)
 	for u := 0; u < p.g; u++ {
-		mv := vs.Members[u]
 		entries, handle := getPooledEntries(p.m)
-		if mv.View != nil {
-			entries = mergeViewPatch(mv, vs.LocalOf, entries)
-		} else {
-			if len(mv.Patch) != 0 {
-				p.Release()
-				return nil, fmt.Errorf("core: member %d has a patch but no view", u)
-			}
-			for i := 0; i < p.m; i++ {
-				entries = append(entries, Entry{Key: i, Value: in.Apref[u][i]})
-			}
-			sortEntries(entries)
-		}
+		entries = viewEntries(vs.Members[u], vs.LocalOf, entries)
 		*handle = entries
 		p.pooled = append(p.pooled, handle)
 		if err := verifyCanonical(in.Apref[u], entries, seen, u+1); err != nil {
 			p.Release()
-			return nil, fmt.Errorf("core: member %d view/patch inconsistent with Apref: %w", u, err)
+			return nil, fmt.Errorf("core: member %d view inconsistent with Apref: %w", u, err)
 		}
 		l := presortedList(PrefList, u, -1, entries)
 		p.prefList[u] = l
@@ -136,51 +107,19 @@ func NewProblemFromViews(in Input, vs ViewSet) (*Problem, error) {
 	return p, nil
 }
 
-// mergeViewPatch produces the member's preference list in canonical
-// order: the view's entries, filtered and remapped through localOf, are
-// merged with the (already canonical) patch stream. The comparator is
-// the canonical order itself — higher value first, lower local key on
-// ties — so the result is exactly what sorting the dense row would
-// yield, for any interleaving of patch keys.
-func mergeViewPatch(mv MemberView, localOf []int32, out []Entry) []Entry {
-	scores, order := mv.View.Scores, mv.View.Order
-	patch := mv.Patch
-	vi, pi := 0, 0
-
-	// head is the next included view entry, remapped to local keys.
-	var head Entry
-	headOK := false
-	advance := func() {
-		headOK = false
-		for vi < len(order) {
-			p := int(order[vi])
-			vi++
-			if p < 0 || p >= len(localOf) || p >= len(scores) {
-				continue // outside the mapped pool: not a candidate
-			}
-			if l := localOf[p]; l >= 0 {
-				head = Entry{Key: int(l), Value: scores[p]}
-				headOK = true
-				return
-			}
+// viewEntries appends the view's entries whose pool position maps into
+// the problem, remapped to local keys, in the view's order. A monotone
+// localOf keeps that order canonical: higher value first, lower local
+// key on ties — exactly what sorting the dense row would yield.
+func viewEntries(v *SortedView, localOf []int32, out []Entry) []Entry {
+	for _, p := range v.Order {
+		if p < 0 || int(p) >= len(localOf) || int(p) >= len(v.Scores) {
+			continue // outside the mapped pool: not a candidate
+		}
+		if l := localOf[p]; l >= 0 {
+			out = append(out, Entry{Key: int(l), Value: v.Scores[p]})
 		}
 	}
-	advance()
-	for headOK && pi < len(patch) {
-		pe := patch[pi]
-		if head.Value > pe.Value || (head.Value == pe.Value && head.Key < pe.Key) {
-			out = append(out, head)
-			advance()
-		} else {
-			out = append(out, pe)
-			pi++
-		}
-	}
-	for headOK {
-		out = append(out, head)
-		advance()
-	}
-	out = append(out, patch[pi:]...)
 	return out
 }
 
@@ -192,7 +131,7 @@ func mergeViewPatch(mv MemberView, localOf []int32, out []Entry) []Entry {
 // scratch stamped with stamp (avoids clearing).
 func verifyCanonical(row []float64, entries []Entry, seen []int, stamp int) error {
 	if len(entries) != len(row) {
-		return fmt.Errorf("merged list has %d entries, want %d", len(entries), len(row))
+		return fmt.Errorf("list has %d entries, want %d", len(entries), len(row))
 	}
 	prevKey := -1
 	prevValue := 0.0

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // randomViewInput builds a random problem instance. quantize forces heavy
 // score duplication (values on a 1/4 grid) so tie-order between the
-// sorted and merged paths is exercised.
+// sorted and view-built paths is exercised.
 func randomViewInput(rng *rand.Rand, g, m, k int, spec consensus.Spec, agg Aggregator, quantize bool) Input {
 	val := func() float64 {
 		v := rng.Float64()
@@ -56,10 +57,9 @@ func randomViewInput(rng *rand.Rand, g, m, k int, spec consensus.Spec, agg Aggre
 // randomViewSet derives a ViewSet equivalent to in: the problem's items
 // are embedded at a random order-preserving choice of pool positions
 // (LocalOf must be monotone — the engine's pool-ordered candidate
-// scans guarantee it), a random subset is withheld from the mapping and
-// served through each member's patch instead, and unmapped pool
-// positions carry noise entries the merge must skip.
-func randomViewSet(rng *rand.Rand, in Input, patchFrac float64) ViewSet {
+// scans guarantee it), and unmapped pool positions carry noise entries
+// the filter must skip.
+func randomViewSet(rng *rand.Rand, in Input) ViewSet {
 	g := len(in.Apref)
 	m := len(in.Apref[0])
 	B := m + rng.Intn(8)
@@ -67,20 +67,12 @@ func randomViewSet(rng *rand.Rand, in Input, patchFrac float64) ViewSet {
 	for p := range localOf {
 		localOf[p] = -1
 	}
-	var patchLocals, mapped []int
-	for i := 0; i < m; i++ {
-		if rng.Float64() < patchFrac {
-			patchLocals = append(patchLocals, i)
-		} else {
-			mapped = append(mapped, i)
-		}
-	}
-	positions := rng.Perm(B)[:len(mapped)]
+	positions := rng.Perm(B)[:m]
 	sort.Ints(positions)
-	for j, p := range positions {
-		localOf[p] = int32(mapped[j])
+	for l, p := range positions {
+		localOf[p] = int32(l)
 	}
-	vs := ViewSet{LocalOf: localOf, Members: make([]MemberView, g)}
+	vs := ViewSet{LocalOf: localOf, Members: make([]*SortedView, g)}
 	for u := 0; u < g; u++ {
 		scores := make([]float64, B)
 		for p := 0; p < B; p++ {
@@ -90,12 +82,7 @@ func randomViewSet(rng *rand.Rand, in Input, patchFrac float64) ViewSet {
 				scores[p] = rng.Float64() // noise: filtered out
 			}
 		}
-		patch := make([]Entry, 0, len(patchLocals))
-		for _, l := range patchLocals {
-			patch = append(patch, Entry{Key: l, Value: in.Apref[u][l]})
-		}
-		sortEntries(patch)
-		vs.Members[u] = MemberView{View: sortedViewOf(scores), Patch: patch}
+		vs.Members[u] = sortedViewOf(scores)
 	}
 	return vs
 }
@@ -116,11 +103,10 @@ func sortedViewOf(scores []float64) *SortedView {
 }
 
 // TestProblemFromViewsMatchesNewProblem is the differential proof the
-// merge path rides on: for every consensus spec, aggregator, group size
-// (including single-member groups with no pairs), execution mode, tie
-// density, and patch density — including empty patch sets — a problem
-// built from views must produce bit-identical Run output to the
-// re-sorting constructor.
+// view path rides on: for every consensus spec, aggregator, group size
+// (including single-member groups with no pairs), execution mode and
+// tie density, a problem built from views must produce bit-identical
+// Run output to the re-sorting constructor.
 func TestProblemFromViewsMatchesNewProblem(t *testing.T) {
 	specs := map[string]consensus.Spec{
 		"AP":  consensus.AP(),
@@ -142,33 +128,31 @@ func TestProblemFromViewsMatchesNewProblem(t *testing.T) {
 		for aggName, agg := range aggs {
 			for _, g := range []int{1, 2, 3, 5} {
 				for _, cfg := range []struct {
-					name      string
-					quantize  bool
-					patchFrac float64
+					name     string
+					quantize bool
 				}{
-					{"dense", false, 0},     // empty patch set
-					{"patched", false, 0.3}, // mixed view+patch
-					{"ties", true, 0.2},     // duplicate scores
+					{"spread", false},
+					{"ties", true}, // duplicate scores
 				} {
 					in := randomViewInput(rng, g, 40, 5, spec, agg, cfg.quantize)
-					vs := randomViewSet(rng, in, cfg.patchFrac)
+					vs := randomViewSet(rng, in)
 
 					sorted, err := NewProblem(in)
 					if err != nil {
 						t.Fatalf("%s/%s g=%d %s: NewProblem: %v", specName, aggName, g, cfg.name, err)
 					}
-					merged, err := NewProblemFromViews(in, vs)
+					viewed, err := NewProblemFromViews(in, vs)
 					if err != nil {
 						t.Fatalf("%s/%s g=%d %s: NewProblemFromViews: %v", specName, aggName, g, cfg.name, err)
 					}
-					if sorted.TotalEntries() != merged.TotalEntries() || sorted.NumLists() != merged.NumLists() {
+					if sorted.TotalEntries() != viewed.TotalEntries() || sorted.NumLists() != viewed.NumLists() {
 						t.Fatalf("%s/%s g=%d %s: shape diverges: %d/%d lists, %d/%d entries",
 							specName, aggName, g, cfg.name,
-							sorted.NumLists(), merged.NumLists(), sorted.TotalEntries(), merged.TotalEntries())
+							sorted.NumLists(), viewed.NumLists(), sorted.TotalEntries(), viewed.TotalEntries())
 					}
 					for _, mode := range modes {
 						want, err1 := sorted.Run(mode)
-						got, err2 := merged.Run(mode)
+						got, err2 := viewed.Run(mode)
 						if err1 != nil || err2 != nil {
 							t.Fatalf("%s/%s g=%d %s %v: run errors %v / %v", specName, aggName, g, cfg.name, mode, err1, err2)
 						}
@@ -177,7 +161,7 @@ func TestProblemFromViewsMatchesNewProblem(t *testing.T) {
 								specName, aggName, g, cfg.name, mode, want, got)
 						}
 					}
-					merged.Release()
+					viewed.Release()
 				}
 			}
 		}
@@ -189,24 +173,24 @@ func TestProblemFromViewsMatchesNewProblem(t *testing.T) {
 func TestProblemFromViewsSingleMemberNoPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := randomViewInput(rng, 1, 25, 3, consensus.AP(), NoAffinityAggregator{}, false)
-	vs := randomViewSet(rng, in, 0)
+	vs := randomViewSet(rng, in)
 
 	sorted, err := NewProblem(in)
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	merged, err := NewProblemFromViews(in, vs)
+	viewed, err := NewProblemFromViews(in, vs)
 	if err != nil {
 		t.Fatalf("NewProblemFromViews: %v", err)
 	}
-	defer merged.Release()
-	if got, want := merged.NumLists(), 1; got != want {
+	defer viewed.Release()
+	if got, want := viewed.NumLists(), 1; got != want {
 		t.Errorf("single-member problem has %d lists, want %d (one preference list)", got, want)
 	}
 	want, _ := sorted.Run(ModeGRECA)
-	got, err := merged.Run(ModeGRECA)
+	got, err := viewed.Run(ModeGRECA)
 	if err != nil {
-		t.Fatalf("merged run: %v", err)
+		t.Fatalf("viewed run: %v", err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("single-member results diverge: %+v vs %+v", want, got)
@@ -229,13 +213,13 @@ func TestProblemFromViewsDuplicateScoresTieOrder(t *testing.T) {
 		K:     m,
 	}
 	rng := rand.New(rand.NewSource(11))
-	vs := randomViewSet(rng, in, 0.4)
-	merged, err := NewProblemFromViews(in, vs)
+	vs := randomViewSet(rng, in)
+	viewed, err := NewProblemFromViews(in, vs)
 	if err != nil {
 		t.Fatalf("NewProblemFromViews: %v", err)
 	}
-	defer merged.Release()
-	for i, e := range merged.prefList[0].Entries {
+	defer viewed.Release()
+	for i, e := range viewed.prefList[0].Entries {
 		if e.Key != i {
 			t.Fatalf("tie order broken: entry %d has key %d", i, e.Key)
 		}
@@ -249,7 +233,7 @@ func TestProblemFromViewsRejectsInconsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := func() (Input, ViewSet) {
 		in := randomViewInput(rng, 2, 10, 2, consensus.AP(), NoAffinityAggregator{}, false)
-		return in, randomViewSet(rng, in, 0.2)
+		return in, randomViewSet(rng, in)
 	}
 
 	t.Run("member count", func(t *testing.T) {
@@ -259,20 +243,10 @@ func TestProblemFromViewsRejectsInconsistency(t *testing.T) {
 			t.Error("short member list accepted")
 		}
 	})
-	t.Run("patch without view", func(t *testing.T) {
-		in, vs := base()
-		vs.Members[0].View = nil
-		if len(vs.Members[0].Patch) == 0 {
-			vs.Members[0].Patch = []Entry{{Key: 0, Value: in.Apref[0][0]}}
-		}
-		if _, err := NewProblemFromViews(in, vs); err == nil {
-			t.Error("patch without view accepted")
-		}
-	})
 	t.Run("stale view value", func(t *testing.T) {
 		in, vs := base()
 		// Tamper with the first mapped entry of member 0's view.
-		view := vs.Members[0].View
+		view := vs.Members[0]
 		scores := append([]float64(nil), view.Scores...)
 		for _, p := range view.Order {
 			if vs.LocalOf[p] >= 0 {
@@ -280,47 +254,32 @@ func TestProblemFromViewsRejectsInconsistency(t *testing.T) {
 				break
 			}
 		}
-		vs.Members[0].View = &SortedView{Scores: scores, Order: view.Order}
+		vs.Members[0] = &SortedView{Scores: scores, Order: view.Order}
 		if _, err := NewProblemFromViews(in, vs); err == nil {
 			t.Error("stale view value accepted")
 		}
 	})
 	t.Run("duplicate local key", func(t *testing.T) {
 		in, vs := base()
-		mapped := -1
+		// Two pool positions claim the first mapped position's local
+		// key, and its neighbour's key goes missing.
+		var mapped []int
 		for p, l := range vs.LocalOf {
 			if l >= 0 {
-				mapped = p
-				break
+				mapped = append(mapped, p)
 			}
 		}
-		dup := int(vs.LocalOf[mapped])
-		for u := range vs.Members {
-			vs.Members[u].Patch = append(vs.Members[u].Patch, Entry{Key: dup, Value: in.Apref[u][dup]})
-			sortEntries(vs.Members[u].Patch)
-		}
+		vs.LocalOf[mapped[1]] = vs.LocalOf[mapped[0]]
 		if _, err := NewProblemFromViews(in, vs); err == nil {
 			t.Error("duplicate local key accepted")
 		}
 	})
 	t.Run("missing local key", func(t *testing.T) {
 		in, vs := base()
-		for u := range vs.Members {
-			if len(vs.Members[u].Patch) > 0 {
-				vs.Members[u].Patch = vs.Members[u].Patch[:len(vs.Members[u].Patch)-1]
-			}
-		}
-		// If no member had a patch, withhold a mapped position instead.
-		hadPatch := false
-		for u := range vs.Members {
-			hadPatch = hadPatch || len(vs.Members[u].Patch) > 0
-		}
-		if !hadPatch {
-			for p, l := range vs.LocalOf {
-				if l >= 0 {
-					vs.LocalOf[p] = -1
-					break
-				}
+		for p, l := range vs.LocalOf {
+			if l >= 0 {
+				vs.LocalOf[p] = -1
+				break
 			}
 		}
 		if _, err := NewProblemFromViews(in, vs); err == nil {
@@ -334,18 +293,18 @@ func TestProblemFromViewsRejectsInconsistency(t *testing.T) {
 func TestProblemReleaseSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randomViewInput(rng, 2, 10, 2, consensus.PD(0.8), DiscreteAggregator{Periods: 2}, false)
-	vs := randomViewSet(rng, in, 0)
+	vs := randomViewSet(rng, in)
 
-	merged, err := NewProblemFromViews(in, vs)
+	viewed, err := NewProblemFromViews(in, vs)
 	if err != nil {
 		t.Fatalf("NewProblemFromViews: %v", err)
 	}
-	if _, err := merged.Run(ModeGRECA); err != nil {
+	if _, err := viewed.Run(ModeGRECA); err != nil {
 		t.Fatalf("run before release: %v", err)
 	}
-	merged.Release()
-	merged.Release() // idempotent
-	if _, err := merged.Run(ModeGRECA); err == nil {
+	viewed.Release()
+	viewed.Release() // idempotent
+	if _, err := viewed.Run(ModeGRECA); err == nil {
 		t.Error("Run succeeded on a released problem")
 	}
 
@@ -357,4 +316,71 @@ func TestProblemReleaseSemantics(t *testing.T) {
 	if _, err := sorted.Run(ModeGRECA); err != nil {
 		t.Errorf("Release poisoned a NewProblem-built problem: %v", err)
 	}
+}
+
+// FuzzProblemFromViewsMatchesNewProblem searches for a pool and a
+// candidate subset on which a problem built from views diverges from
+// the re-sorting constructor. Pool scores sit on a few levels, so ties
+// are the rule, and the candidates are the pool positions mask selects,
+// in pool order — the one shape the engine serves from views. Every
+// member's list and a GRECA run must match NewProblem's.
+func FuzzProblemFromViewsMatchesNewProblem(f *testing.F) {
+	f.Add(uint8(3), uint16(40), uint8(4), int64(1), []byte{0xb5})
+	f.Add(uint8(1), uint16(1), uint8(1), int64(2), []byte{})
+	f.Add(uint8(5), uint16(300), uint8(2), int64(3), []byte{0xff, 0x0f, 0x81})
+	f.Add(uint8(2), uint16(64), uint8(1), int64(4), []byte{0x01})
+	f.Fuzz(func(t *testing.T, groupSize uint8, poolSize uint16, levels uint8, seed int64, mask []byte) {
+		g := 1 + int(groupSize)%5
+		B := 1 + int(poolSize)%400
+		nl := 1 + int(levels)%8
+		localOf := make([]int32, B)
+		var positions []int
+		for p := range localOf {
+			localOf[p] = -1
+			if len(mask) == 0 || mask[p/8%len(mask)]&(1<<(p%8)) != 0 {
+				localOf[p] = int32(len(positions))
+				positions = append(positions, p)
+			}
+		}
+		m := len(positions)
+		if m == 0 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		in := randomViewInput(rng, g, m, 1+rng.Intn(min(m, 8)), consensus.PD(0.8), DiscreteAggregator{Periods: 2}, true)
+		vs := ViewSet{LocalOf: localOf, Members: make([]*SortedView, g)}
+		for u := range vs.Members {
+			scores := make([]float64, B)
+			for p := range scores {
+				scores[p] = float64(rng.Intn(nl)) / float64(nl)
+			}
+			for l, p := range positions {
+				in.Apref[u][l] = scores[p]
+			}
+			vs.Members[u] = sortedViewOf(scores)
+		}
+
+		sorted, err := NewProblem(in)
+		if err != nil {
+			t.Fatalf("NewProblem: %v", err)
+		}
+		viewed, err := NewProblemFromViews(in, vs)
+		if err != nil {
+			t.Fatalf("NewProblemFromViews: %v", err)
+		}
+		defer viewed.Release()
+		for u := range sorted.prefList {
+			if !slices.Equal(sorted.prefList[u].Entries, viewed.prefList[u].Entries) {
+				t.Fatalf("member %d: view-built list diverges\nsorted: %v\nviewed: %v", u, sorted.prefList[u].Entries, viewed.prefList[u].Entries)
+			}
+		}
+		want, err1 := sorted.Run(ModeGRECA)
+		got, err2 := viewed.Run(ModeGRECA)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("run errors %v / %v", err1, err2)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("GRECA results diverge\nsorted: %+v\nviewed: %+v", want, got)
+		}
+	})
 }

@@ -1,10 +1,10 @@
 // Package engine is the assembly layer of the recommendation pipeline:
 // it turns (group, candidate items) into the core problem GRECA runs.
 // Whether a problem is served from the sorted-list store — rows copied
-// out of each member's materialized view, lists merged instead of
+// out of each member's materialized view, lists filtered instead of
 // re-sorted — or from dense batch-predicted rows is decided here and
-// nowhere else, per request, by how much of the candidate slice the
-// store's pool covers. Rows recycle through a sync.Pool. The assembler
+// nowhere else, per request, by whether the store's pool covers the
+// whole candidate slice. Rows recycle through a sync.Pool. The assembler
 // sits between the preference layer (the cf.Predictor, beside the
 // liststore.Store materialized from it) and the core problem builders;
 // see DESIGN.md.
@@ -23,7 +23,7 @@ import (
 
 // prefScale maps the 1..5 rating scale onto the [0,1] absolute
 // preferences GRECA consumes: every prediction the engine hands the
-// core — view scores, patch entries, dense rows — is divided by it.
+// core — view scores and dense rows — is divided by it.
 const prefScale = 5
 
 // Assembler builds core problems from a cf.Predictor and a list store.
@@ -37,9 +37,9 @@ type Assembler struct {
 	// in place or fetched from shard workers — is the store's builder's
 	// business.
 	lists *liststore.Store
-	// fillRows is the row seam every prediction outside a view goes
-	// through (dense rows, patch sets): in-process predictions by
-	// default, a batched worker fetch once AttachRows swaps it.
+	// fillRows is the row seam every dense row goes through: in-process
+	// predictions by default, a batched worker fetch once AttachRows
+	// swaps it.
 	fillRows RowFiller
 }
 
@@ -124,14 +124,12 @@ func forEach(n int, fill func(int)) {
 }
 
 // Problem fills in.Apref with the group's [0,1] preferences over items
-// and builds the core problem. When the store's pool covers at least
-// half of the slice, each member's row is copied out of its
-// materialized view through the pool→candidate mapping, only the
-// uncovered remainder (the patch set) goes through the row seam, and
-// the problem merges the pre-sorted views (core.NewProblemFromViews);
-// otherwise every row is predicted densely and the problem sorts its
-// own lists (core.NewProblem) — a candidate set foreign to the
-// popularity pool assembles faster that way. Both build bit-identical
+// and builds the core problem. When the store's pool covers the whole
+// slice in pool order, each member's row is copied out of its
+// materialized view through the pool→candidate mapping and the problem
+// filters the pre-sorted views (core.NewProblemFromViews); otherwise
+// every row is predicted densely through the row seam and the problem
+// sorts its own lists (core.NewProblem). Both build bit-identical
 // problems.
 //
 // release hands the problem's rows back to the assembler's pool; call
@@ -143,9 +141,9 @@ func (a *Assembler) Problem(in core.Input, group []dataset.UserID, items []datas
 		prob *core.Problem
 		err  error
 	)
-	if mapping, ok := a.covers(items); ok {
+	if localOf, ok := a.covers(items); ok {
 		var views core.ViewSet
-		if in.Apref, views, err = a.viewRows(group, items, mapping); err != nil {
+		if in.Apref, views, err = a.viewRows(group, len(items), localOf); err != nil {
 			return nil, nil, err
 		}
 		prob, err = core.NewProblemFromViews(in, views)
@@ -167,13 +165,12 @@ func (a *Assembler) Problem(in core.Input, group []dataset.UserID, items []datas
 }
 
 // covers maps items onto the store's pool and reports whether the
-// mapping covers at least half of them.
-func (a *Assembler) covers(items []dataset.ItemID) (liststore.Mapping, bool) {
+// mapping covers every one of them.
+func (a *Assembler) covers(items []dataset.ItemID) ([]int32, bool) {
 	if a.lists == nil || len(items) == 0 {
-		return liststore.Mapping{}, false
+		return nil, false
 	}
-	mapping := a.lists.MapCandidates(items)
-	return mapping, mapping.Matched*2 >= len(items)
+	return a.lists.MapCandidates(items)
 }
 
 // denseRows returns the g×m matrix of normalized predictions, filled
@@ -195,57 +192,27 @@ func (a *Assembler) denseRows(group []dataset.UserID, items []dataset.ItemID) ([
 	return out, nil
 }
 
-// viewRows assembles the group's rows through the list store: the whole
-// group's views come from one AcquireMulti (residents served, misses
-// materialized together by the store's builder), and only the patch
-// set items[mapping.Matched:] is predicted, through the row seam. No
-// per-request re-scoring, no re-sorting.
-func (a *Assembler) viewRows(group []dataset.UserID, items []dataset.ItemID, mapping liststore.Mapping) ([][]float64, core.ViewSet, error) {
+// viewRows assembles the group's m-item rows through the list store:
+// the whole group's views come from one AcquireMulti (residents served,
+// misses materialized together by the store's builder), and each
+// member's row is copied out of its view through localOf. No
+// prediction, no re-sorting.
+func (a *Assembler) viewRows(group []dataset.UserID, m int, localOf []int32) ([][]float64, core.ViewSet, error) {
 	views, err := a.lists.AcquireMulti(group)
 	if err != nil {
 		return nil, core.ViewSet{}, err
 	}
-	patch := items[mapping.Matched:]
-	g := len(group)
-	var patchRows [][]float64
-	if len(patch) > 0 {
-		a.lists.NotePatched(len(patch))
-		flat := make([]float64, g*len(patch))
-		patchRows = make([][]float64, g)
-		for ui := range patchRows {
-			patchRows[ui] = flat[ui*len(patch) : (ui+1)*len(patch)]
-		}
-		if err := a.fillRows(group, patch, patchRows); err != nil {
-			return nil, core.ViewSet{}, err
-		}
-	}
-	rows := make([][]float64, g)
-	set := core.ViewSet{LocalOf: mapping.LocalOf, Members: make([]core.MemberView, g)}
-	// Everything that costs — builds, fetches, patch predictions — is
-	// done; what is left per member is a copy through the mapping, less
-	// than handing it to another goroutine would cost.
+	rows := make([][]float64, len(group))
 	for ui, v := range views {
-		row := a.getRow(len(items))
-		for p, l := range mapping.LocalOf {
+		row := a.getRow(m)
+		for p, l := range localOf {
 			if l >= 0 {
 				row[l] = v.Scores[p]
 			}
 		}
-		mv := core.MemberView{View: v}
-		if len(patch) > 0 {
-			pe := make([]core.Entry, len(patch))
-			for i, raw := range patchRows[ui] {
-				val := raw / prefScale
-				row[mapping.Matched+i] = val
-				pe[i] = core.Entry{Key: mapping.Matched + i, Value: val}
-			}
-			core.SortCanonical(pe)
-			mv.Patch = pe
-		}
 		rows[ui] = row
-		set.Members[ui] = mv
 	}
-	return rows, set, nil
+	return rows, core.ViewSet{LocalOf: localOf, Members: views}, nil
 }
 
 // release returns pooled rows. The caller must hold the only remaining

@@ -124,10 +124,10 @@ func TestProblemReleaseRecyclesRows(t *testing.T) {
 func storePool(s *dataset.Store) []dataset.ItemID { return s.PopularityRanked() }
 
 // TestViewRowsMatchDenseRows is the assembly-layer differential: rows
-// copied out of list-store views (plus patch predictions) must be
-// bit-identical to the dense batch-predicted rows, the view set must
-// build a problem whose lists verify against those rows, and Problem
-// must answer the same from either assembler.
+// copied out of list-store views must be bit-identical to the dense
+// batch-predicted rows, the view set must build a problem whose lists
+// verify against those rows, and Problem must answer the same from
+// either assembler.
 func TestViewRowsMatchDenseRows(t *testing.T) {
 	store, pred := testSubstrate(t)
 	group := []dataset.UserID{0, 3, 7}
@@ -136,22 +136,20 @@ func TestViewRowsMatchDenseRows(t *testing.T) {
 	dense := New(pred, nil)
 	served, _ := newServed(pred, pool, 16)
 
-	// Candidate slices: a pool prefix, a filtered subsequence (every
-	// other item), and a slice with a beyond-pool patch tail.
-	foreign := dataset.ItemID(10_000) // unknown item: predictors fall back to means
+	// Candidate slices: a pool prefix and a filtered subsequence (every
+	// other item).
 	slices := map[string][]dataset.ItemID{
 		"prefix":   pool[:10],
 		"filtered": {pool[0], pool[2], pool[4], pool[6], pool[8]},
-		"patched":  {pool[1], pool[3], pool[5], foreign},
 	}
 	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 1}
 	for name, items := range slices {
 		want := mustDenseRows(t, dense, group, items)
-		mapping, ok := served.covers(items)
+		localOf, ok := served.covers(items)
 		if !ok {
 			t.Fatalf("%s: store does not cover the slice", name)
 		}
-		rows, views, err := served.viewRows(group, items, mapping)
+		rows, views, err := served.viewRows(group, len(items), localOf)
 		if err != nil {
 			t.Fatalf("%s: viewRows: %v", name, err)
 		}
@@ -186,9 +184,9 @@ func TestViewRowsMatchDenseRows(t *testing.T) {
 }
 
 // TestProblemFallsBackToDense pins when assembly declines the store: a
-// candidate slice mostly foreign to the pool is assembled densely,
-// touching no view and counting no patch; a covered slice with a
-// remainder counts exactly the remainder.
+// slice the pool does not cover whole — however much of it it covers —
+// is assembled densely, touching no view, and answers what a store-less
+// assembler answers; a covered slice goes through the views.
 func TestProblemFallsBackToDense(t *testing.T) {
 	store, pred := testSubstrate(t)
 	pool := storePool(store)
@@ -196,20 +194,34 @@ func TestProblemFallsBackToDense(t *testing.T) {
 	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 1}
 	a, lists := newServed(pred, pool, 16)
 
-	assemble := func(items []dataset.ItemID) {
+	assemble := func(a *Assembler, items []dataset.ItemID) core.Result {
 		t.Helper()
-		_, release, err := a.Problem(in, group, items)
+		p, release, err := a.Problem(in, group, items)
 		if err != nil {
 			t.Fatalf("Problem(%v): %v", items, err)
 		}
-		release()
+		defer release()
+		res, err := p.Run(core.ModeGRECA)
+		if err != nil {
+			t.Fatalf("Run(%v): %v", items, err)
+		}
+		return res
 	}
-	assemble([]dataset.ItemID{9001, 9002, 9003, pool[0]})
-	if st := lists.Stats(); st.ViewBuilds+st.ViewHits != 0 || st.PatchItems != 0 {
-		t.Errorf("mostly-foreign slice went through the store: %+v", st)
+	for _, items := range [][]dataset.ItemID{
+		{9001, 9002, 9003, pool[0]},          // mostly foreign
+		{pool[0], pool[1], pool[2], 9001},    // covered but for a foreign tail
+		{pool[0], pool[1], pool[3], pool[2]}, // covered but for the order of its tail
+	} {
+		got := assemble(a, items)
+		if st := lists.Stats(); st.ViewBuilds+st.ViewHits != 0 {
+			t.Errorf("%v: an uncovered slice went through the store: %+v", items, st)
+		}
+		if want := assemble(New(pred, nil), items); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: dense fallback diverges from the store-less assembler\ngot:  %+v\nwant: %+v", items, got, want)
+		}
 	}
-	assemble([]dataset.ItemID{pool[0], pool[1], 9001})
-	if st := lists.Stats(); st.ViewBuilds != 2 || st.PatchItems != 1 {
-		t.Errorf("covered slice with a one-item remainder: %+v, want 2 view builds and 1 patch item", st)
+	assemble(a, []dataset.ItemID{pool[0], pool[1], pool[3]})
+	if st := lists.Stats(); st.ViewBuilds != 2 {
+		t.Errorf("covered slice: %+v, want 2 view builds", st)
 	}
 }

@@ -21,12 +21,12 @@ func TestAttachedSeamsMatchLocal(t *testing.T) {
 	store, pred := testSubstrate(t)
 	pool := store.PopularityRanked()
 	group := []dataset.UserID{0, 3, 7, 12}
-	items := append(append([]dataset.ItemID{}, pool[:10]...), 999) // 999: patch item
-	foreign := []dataset.ItemID{901, 902, 903, pool[0]}            // assembled densely
+	items := pool[:10]                                  // assembled from views
+	foreign := []dataset.ItemID{901, 902, 903, pool[0]} // assembled densely
 
 	local, _ := newServed(pred, pool, 64)
-	mapping, _ := local.covers(items)
-	wantRows, wantViews, err := local.viewRows(group, items, mapping)
+	localOf, _ := local.covers(items)
+	wantRows, wantViews, err := local.viewRows(group, len(items), localOf)
 	if err != nil {
 		t.Fatalf("local viewRows: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestAttachedSeamsMatchLocal(t *testing.T) {
 		return nil
 	})
 
-	gotRows, gotViews, err := fetched.viewRows(group, items, mapping)
+	gotRows, gotViews, err := fetched.viewRows(group, len(items), localOf)
 	if err != nil {
 		t.Fatalf("fetched viewRows: %v", err)
 	}
@@ -63,8 +63,10 @@ func TestAttachedSeamsMatchLocal(t *testing.T) {
 
 	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 1}
 	errRows = errors.New("rows unavailable")
-	if _, _, err := fetched.Problem(in, group, items); !errors.Is(err, errRows) {
-		t.Errorf("patch-row failure: err = %v, want the filler's", err)
+	if _, release, err := fetched.Problem(in, group, items); err != nil {
+		t.Errorf("a view-served assembly went through the row filler: %v", err)
+	} else {
+		release()
 	}
 	if _, _, err := fetched.Problem(in, group, foreign); !errors.Is(err, errRows) {
 		t.Errorf("dense-row failure: err = %v, want the filler's", err)

@@ -70,16 +70,6 @@ type Group struct {
 	Traits  []Characteristic
 }
 
-// Has reports whether the group was formed with the given trait.
-func (g Group) Has(c Characteristic) bool {
-	for _, t := range g.Traits {
-		if t == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Former builds groups from a user pool using rating similarity (from
 // the CF predictor) and temporal affinity (from the affinity model, at
 // its final period).

@@ -2,6 +2,7 @@ package groups
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/affinity"
@@ -71,7 +72,7 @@ func TestSimilarBeatsDissimilar(t *testing.T) {
 	f := NewFormer(pred, model, rand.New(rand.NewSource(4)))
 	sim := f.Similar(pool, 6)
 	diss := f.Dissimilar(pool, 6)
-	if !sim.Has(Similar) || !diss.Has(Dissimilar) {
+	if !slices.Contains(sim.Traits, Similar) || !slices.Contains(diss.Traits, Dissimilar) {
 		t.Errorf("traits missing: %v %v", sim.Traits, diss.Traits)
 	}
 	simScore := f.MeanPairwiseSimilarity(sim.Members)
@@ -85,7 +86,7 @@ func TestAffinityBands(t *testing.T) {
 	pred, model, pool := testWorld(t)
 	f := NewFormer(pred, model, rand.New(rand.NewSource(5)))
 	low := f.LowAffinityGroup(pool, 6)
-	if !low.Has(LowAffinity) {
+	if !slices.Contains(low.Traits, LowAffinity) {
 		t.Errorf("low-affinity trait missing")
 	}
 	high, err := f.HighAffinityGroup(pool, SmallSize)
@@ -130,7 +131,7 @@ func TestStudyGroupsCoverDesign(t *testing.T) {
 			counts[tr]++
 		}
 		wantSize := SmallSize
-		if g.Has(Large) {
+		if slices.Contains(g.Traits, Large) {
 			wantSize = LargeSize
 		}
 		if len(g.Members) != wantSize {
@@ -141,13 +142,6 @@ func TestStudyGroupsCoverDesign(t *testing.T) {
 		if counts[c] != 4 {
 			t.Errorf("%v appears in %d groups, want 4", c, counts[c])
 		}
-	}
-}
-
-func TestGroupHas(t *testing.T) {
-	g := Group{Traits: []Characteristic{Small, Similar}}
-	if !g.Has(Small) || g.Has(Large) {
-		t.Errorf("Has wrong")
 	}
 }
 

@@ -1,18 +1,17 @@
 // Package liststore is the precomputed sorted-list store of the
 // recommendation engine: per user, it materializes a descending-sorted
 // preference view over the popularity candidate pool — the lists
-// GRECA's instance-optimal scan consumes — so problem assembly merges
-// and patches instead of re-sorting every list on every request. The
+// GRECA's instance-optimal scan consumes — so problem assembly filters
+// a view instead of re-sorting every list on every request. The
 // classic sorted-access precomputation trade-off: pay one batch
 // prediction and one sort per user at ingest, amortize them across the
 // sweep traffic.
 //
 // A Store is the one cache between the predictor and the problem: the
-// engine asks it for (view, pool→candidate mapping) pairs, assembles
-// densely when the mapping covers too little of a candidate slice, and
-// routes only the uncovered remainder of a slice (the patch set)
-// through the predictor. Views are immutable once built; a rating
-// ingest drops all of them (InvalidateAll) for rebuild on next use.
+// engine maps a candidate slice onto the pool and serves it from views
+// when the pool covers the whole slice, densely through the predictor
+// otherwise. Views are immutable once built; a rating ingest drops all
+// of them (InvalidateAll) for rebuild on next use.
 // See DESIGN.md's "Sorted-list store" section.
 //
 // How a missing view is materialized is the store's one seam, the
@@ -52,7 +51,7 @@ const DefaultMaxUsers = 1024
 // View is one user's materialized preference state over the store
 // pool: Scores, the dense normalized scores in pool order (problem rows
 // are filled from them), and Order, the pool positions in canonical
-// order (problem lists are merged from it). Both are immutable and
+// order (problem lists are filtered from it). Both are immutable and
 // shared; callers must never mutate them.
 type View = core.SortedView
 
@@ -63,18 +62,8 @@ type View = core.SortedView
 // Builder must be safe for concurrent use.
 type Builder func(users []dataset.UserID) ([]*View, error)
 
-// Mapping is a pool→candidate-slice mapping. LocalOf[p] is the index
-// of pool position p within the candidate slice, or -1. Matched counts
-// the covered prefix of the slice: items[:Matched] are served by the
-// view, items[Matched:] are the patch set.
-type Mapping struct {
-	LocalOf []int32
-	Matched int
-}
-
 // Stats is the store's observability surface for /stats: view traffic
-// (hits vs builds, rebuilds after invalidation), lifecycle counters and
-// patch volume.
+// (hits vs builds, rebuilds after invalidation) and lifecycle counters.
 type Stats struct {
 	// ViewHits counts Acquire calls answered by a materialized view;
 	// ViewBuilds counts materializations (first use or after eviction);
@@ -90,10 +79,6 @@ type Stats struct {
 	// WarmLoads counts views installed from a snapshot restore instead
 	// of built — the warm-restart observability hook.
 	WarmLoads uint64 `json:"warm_loads"`
-	// PatchItems is the total number of candidate items served through
-	// patch sets instead of views (the uncovered remainder of a slice
-	// an assembly actually served from views; see NotePatched).
-	PatchItems uint64 `json:"patch_items"`
 	// Size is the number of materialized views; PoolSize the length of
 	// the base pool the views cover.
 	Size     int `json:"size"`
@@ -135,7 +120,6 @@ type Store struct {
 	invalidations atomic.Uint64
 	evictions     atomic.Uint64
 	warmLoads     atomic.Uint64
-	patchItems    atomic.Uint64
 }
 
 // NewOver builds a store that materializes missing views through build,
@@ -426,15 +410,15 @@ func (s *Store) RestoreViews(views []UserView) int {
 	return restored
 }
 
-// MapCandidates maps a candidate slice onto the pool. The walk consumes
-// items in order against the pool in order, so the mapping is monotone
-// — exactly the shape core.ViewSet.LocalOf requires — and anything
-// unmatched (items beyond the pool, out of popularity order, or
-// duplicated) lands in the patch suffix items[Matched:], keeping the
-// served problem correct for any candidate slice. Each call returns a
-// mapping of its own.
-func (s *Store) MapCandidates(items []dataset.ItemID) Mapping {
-	localOf := make([]int32, len(s.pool))
+// MapCandidates maps a candidate slice onto the pool: localOf[p] is the
+// index of pool position p within items, or -1. The walk consumes items
+// in order against the pool in order, so the mapping is monotone —
+// exactly the shape core.ViewSet.LocalOf requires — and covered reports
+// whether it reached every item. An item beyond the pool, out of
+// popularity order or duplicated leaves the slice uncovered, and its
+// assembly dense. Each call returns a mapping of its own.
+func (s *Store) MapCandidates(items []dataset.ItemID) (localOf []int32, covered bool) {
+	localOf = make([]int32, len(s.pool))
 	j := 0
 	for p, it := range s.pool {
 		if j < len(items) && it == items[j] {
@@ -444,13 +428,8 @@ func (s *Store) MapCandidates(items []dataset.ItemID) Mapping {
 			localOf[p] = -1
 		}
 	}
-	return Mapping{LocalOf: localOf, Matched: j}
+	return localOf, j == len(items)
 }
-
-// NotePatched counts n candidate items served through a patch set —
-// called by the assembly that predicted them, once it has decided to
-// serve the slice from views at all.
-func (s *Store) NotePatched(n int) { s.patchItems.Add(uint64(n)) }
 
 // Len reports the number of materialized views.
 func (s *Store) Len() int {
@@ -469,7 +448,6 @@ func (s *Store) Stats() Stats {
 		Invalidations: s.invalidations.Load(),
 		Evictions:     s.evictions.Load(),
 		WarmLoads:     s.warmLoads.Load(),
-		PatchItems:    s.patchItems.Load(),
 		Size:          s.Len(),
 		PoolSize:      len(s.pool),
 	}

@@ -221,8 +221,8 @@ func TestViewHoldsScoresAndOrderOnly(t *testing.T) {
 // and maps no candidate, so every slice assembles densely.
 func TestStoreOverEmptyPoolCoversNothing(t *testing.T) {
 	s := newLocal(&stubSource{}, nil, 4)
-	if m := s.MapCandidates([]dataset.ItemID{10, 20}); m.Matched != 0 || len(m.LocalOf) != 0 {
-		t.Errorf("mapping over an empty pool = %+v, want nothing matched", m)
+	if localOf, covered := s.MapCandidates([]dataset.ItemID{10, 20}); covered || len(localOf) != 0 {
+		t.Errorf("mapping over an empty pool = %v (covered %v), want nothing covered", localOf, covered)
 	}
 }
 
@@ -312,43 +312,38 @@ func TestClockEviction(t *testing.T) {
 }
 
 // TestMapCandidates pins the mapping shape: candidate slices that
-// filter the pool in order map monotonically, everything else lands in
-// the patch suffix.
+// filter the pool in order map monotonically and are covered; a slice
+// with an item beyond the pool or out of pool order is not covered,
+// however much of it maps.
 func TestMapCandidates(t *testing.T) {
 	src := &stubSource{}
 	pool := testPool(5) // 10 20 30 40 50
 	s := newLocal(src, pool, 4)
 
-	items := []dataset.ItemID{10, 30, 60} // 60 is outside the pool
-	m := s.MapCandidates(items)
-	wantLocal := []int32{0, -1, 1, -1, -1}
-	if m.Matched != 2 {
-		t.Errorf("matched = %d, want 2", m.Matched)
-	}
-	for p, want := range wantLocal {
-		if m.LocalOf[p] != want {
-			t.Errorf("LocalOf[%d] = %d, want %d", p, m.LocalOf[p], want)
-		}
+	items := []dataset.ItemID{10, 30, 50}
+	localOf, covered := s.MapCandidates(items)
+	if want := []int32{0, -1, 1, -1, 2}; !covered || !reflect.DeepEqual(localOf, want) {
+		t.Errorf("mapping = %v (covered %v), want %v covered", localOf, covered, want)
 	}
 
 	// Two calls on one slice return equal mappings that share no state.
-	again := s.MapCandidates(items)
-	if !reflect.DeepEqual(again, m) {
-		t.Errorf("second MapCandidates = %+v, want %+v", again, m)
+	again, _ := s.MapCandidates(items)
+	if !reflect.DeepEqual(again, localOf) {
+		t.Errorf("second MapCandidates = %v, want %v", again, localOf)
 	}
-	again.LocalOf[0] = 7
-	if m.LocalOf[0] != 0 {
+	again[0] = 7
+	if localOf[0] != 0 {
 		t.Error("two MapCandidates calls share a LocalOf slice")
 	}
-	// Mapping alone serves nothing through a patch set.
-	if st := s.Stats(); st.PatchItems != 0 {
-		t.Errorf("patch items = %d after mapping only, want 0", st.PatchItems)
-	}
 
-	// An out-of-order slice still maps: the stragglers become patch.
-	m2 := s.MapCandidates([]dataset.ItemID{30, 10})
-	if m2.Matched != 1 || m2.LocalOf[2] != 0 {
-		t.Errorf("out-of-order mapping = %+v, want item 30 matched at local 0", m2)
+	for _, slice := range [][]dataset.ItemID{
+		{10, 30, 60},     // 60 is outside the pool
+		{10, 20, 40, 30}, // 30 is out of pool order
+		{10, 20, 20},     // 20 is duplicated
+	} {
+		if _, covered := s.MapCandidates(slice); covered {
+			t.Errorf("%v: covered, want not", slice)
+		}
 	}
 }
 

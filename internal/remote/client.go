@@ -609,9 +609,6 @@ func (s *ShardSet) Handshake(fingerprint uint64, shards int) error {
 // Shards returns the topology's shard count.
 func (s *ShardSet) Shards() int { return s.top.Shards }
 
-// Owner returns the client owning shard sh.
-func (s *ShardSet) Owner(sh int) *Client { return s.owner[sh] }
-
 // ownerOf routes a user to its owning client.
 func (s *ShardSet) ownerOf(u dataset.UserID) *Client { return s.owner[s.sm.Of(int64(u))] }
 
@@ -741,19 +738,6 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) error {
 		}
 	}
 	return ownerErr
-}
-
-// Fenced lists the addresses of quarantined workers — replicas that
-// missed a write and were cut off from serving.
-func (s *ShardSet) Fenced() []string {
-	var out []string
-	for _, cl := range s.clients {
-		if cl.Fenced() {
-			out = append(out, cl.Addr())
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EmptyTransportStats is the zero activity snapshot with every op key

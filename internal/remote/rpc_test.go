@@ -773,7 +773,7 @@ func TestShardSetApplyFansOutToAllWorkers(t *testing.T) {
 			t.Errorf("worker %d ingested %d ratings, want 1", i, n)
 		}
 	}
-	if fenced := set.Fenced(); len(fenced) != 0 {
+	if fenced := fencedAddrs(set); len(fenced) != 0 {
 		t.Errorf("fenced workers = %v after a fully delivered apply", fenced)
 	}
 }
@@ -791,6 +791,17 @@ func TestShardSetStatsSumsWorkers(t *testing.T) {
 	}
 }
 
+// fencedAddrs lists the addresses of the set's quarantined workers.
+func fencedAddrs(set *ShardSet) []string {
+	var out []string
+	for _, cl := range set.clients {
+		if cl.Fenced() {
+			out = append(out, cl.Addr())
+		}
+	}
+	return out
+}
+
 // killWorker severs a worker client's pool and redirects it to a dead
 // port, simulating a SIGKILLed process under static membership.
 func killWorker(t *testing.T, set *ShardSet, sh int) {
@@ -801,7 +812,7 @@ func killWorker(t *testing.T, set *ShardSet, sh int) {
 	}
 	dead := lis.Addr().String()
 	lis.Close()
-	cl := set.Owner(sh)
+	cl := set.owner[sh]
 	cl.Close()
 	cl.mu.Lock()
 	cl.closed = false
@@ -843,7 +854,7 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 	// The dead worker missed a write: it must be fenced, so even if
 	// the process came back on that address it could not serve a
 	// diverged replica.
-	if fenced := set.Fenced(); len(fenced) != 1 {
+	if fenced := fencedAddrs(set); len(fenced) != 1 {
 		t.Errorf("fenced workers = %v, want exactly the dead one", fenced)
 	}
 	// The live replica ingested both ratings: fanout delivers to every
@@ -877,7 +888,7 @@ func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	if err := set.Apply(1, dataset.Rating{User: userOnShard(1), Item: 1, Value: 2, Time: 1}); err != nil {
 		t.Fatalf("Apply with live owner: %v", err)
 	}
-	if fenced := set.Fenced(); len(fenced) != 1 {
+	if fenced := fencedAddrs(set); len(fenced) != 1 {
 		t.Fatalf("fenced = %v, want the worker that missed the write", fenced)
 	}
 	// The alive-but-behind worker no longer serves: its shard reads

@@ -177,8 +177,8 @@ func decodeViewMultiReq(p []byte) (viewMultiReq, error) {
 }
 
 // predictMultiReq carries one shared item list for every group member
-// a worker owns — the assembly's patch items are the same for the
-// whole group, so the items ride once.
+// a worker owns — an assembly's dense items are the same for the whole
+// group, so the items ride once.
 type predictMultiReq struct {
 	Users []dataset.UserID
 	Items []dataset.ItemID
@@ -314,7 +314,6 @@ func (t *Stats) add(o Stats) {
 	ls.Invalidations += ol.Invalidations
 	ls.Evictions += ol.Evictions
 	ls.WarmLoads += ol.WarmLoads
-	ls.PatchItems += ol.PatchItems
 	ls.Size += ol.Size
 	ls.PoolSize = ol.PoolSize
 	nb, on := &t.Neighborhoods, o.Neighborhoods

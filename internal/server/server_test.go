@@ -310,6 +310,7 @@ func TestStatsServesBenchContract(t *testing.T) {
 	// frozen) and reads them as 0 from now on.
 	for _, gone := range []string{
 		"caches.list_store.retained", "caches.list_store.patched",
+		"caches.list_store.patch_items",
 		"caches.shards", "caches.per_shard",
 		"remote.view_cache.retained", "remote.view_cache.patched",
 		"remote.transport.calls_by_op.invalidate",

@@ -48,14 +48,6 @@ func (cs *CategorySet) Add(c int) {
 	cs[c>>6] |= 1 << (uint(c) & 63)
 }
 
-// Has reports whether category c is present.
-func (cs CategorySet) Has(c int) bool {
-	if c < 0 || c >= 256 {
-		return false
-	}
-	return cs[c>>6]&(1<<(uint(c)&63)) != 0
-}
-
 // Count returns the number of categories present.
 func (cs CategorySet) Count() int {
 	return bits.OnesCount64(cs[0]) + bits.OnesCount64(cs[1]) +

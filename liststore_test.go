@@ -1,8 +1,12 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -51,7 +55,7 @@ func TestRecommendListStoreDifferential(t *testing.T) {
 			}
 		}
 	}
-	st := served.ListStore().Stats()
+	st := served.lists.Stats()
 	if st.ViewBuilds == 0 {
 		t.Errorf("differential traffic never built a view: %+v", st)
 	}
@@ -72,7 +76,7 @@ func TestRecommendListStoreDifferential(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("custom items diverge:\ndense:  %+v\nserved: %+v", want, got)
 	}
-	if st := dense.ListStore().Stats(); st.ViewBuilds+st.ViewHits != 0 {
+	if st := dense.lists.Stats(); st.ViewBuilds+st.ViewHits != 0 {
 		t.Errorf("the dense reference read its list store: %+v", st)
 	}
 }
@@ -85,7 +89,7 @@ func TestRecommendListStoreDifferential(t *testing.T) {
 func TestWorldViewsMatchTheReferenceSort(t *testing.T) {
 	w := tinyWorld(t)
 	for _, u := range w.Participants()[:12] {
-		v, err := w.ListStore().Acquire(u)
+		v, err := w.lists.Acquire(u)
 		if err != nil {
 			t.Fatalf("acquire %d: %v", u, err)
 		}
@@ -124,7 +128,7 @@ func TestRecommendBatchSharesViews(t *testing.T) {
 			t.Fatalf("request %d: %v", i, res.Err)
 		}
 	}
-	st := w.ListStore().Stats()
+	st := w.lists.Stats()
 	// Three distinct members → exactly three builds; the shared member
 	// and the same-pool K=2 request produce hits, not rebuilds.
 	if st.ViewBuilds != 3 {
@@ -132,5 +136,55 @@ func TestRecommendBatchSharesViews(t *testing.T) {
 	}
 	if st.ViewHits == 0 {
 		t.Errorf("no view sharing across the batch: %+v", st)
+	}
+}
+
+// TestPartlyCoveredSliceAssemblesDensely pins the all-or-nothing rule
+// of view assembly: an explicit candidate slice whose first half and
+// more follows the pool order and whose rest does not is served from
+// dense rows — no list-store view is acquired for it — and answers the
+// store-less reference's bytes, in process and on a router over one and
+// over four shards.
+func TestPartlyCoveredSliceAssemblesDensely(t *testing.T) {
+	base := liveBaseRatings(t)
+	dense := liveWorldBuilt(t, base, 1, NewDenseWorld)
+	group := dense.Participants()[:3]
+	items := dense.CandidateItems(group, 40)
+	if len(items) != 40 {
+		t.Fatalf("%d candidates, want 40", len(items))
+	}
+	slices.Reverse(items[24:]) // pool order for 24 items, then against it
+	opt := Options{K: 5, Items: items}
+	want, err := dense.Recommend(group, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+
+	check := func(name string, w *World) {
+		t.Helper()
+		before := w.lists.Stats()
+		got, err := w.Recommend(group, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := w.lists.Stats(); st.ViewHits != before.ViewHits || st.ViewBuilds != before.ViewBuilds {
+			t.Errorf("%s: a partly covered slice acquired views: %+v -> %+v", name, before, st)
+		}
+		if gotJSON, _ := json.Marshal(got); !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: diverges from the dense reference\n got %s\nwant %s", name, gotJSON, wantJSON)
+		}
+	}
+	for shards, owns := range map[int][][]int{1: {{0}}, 4: {{0, 2}, {1, 3}}} {
+		check(fmt.Sprintf("in process, %d shards", shards), liveWorldCfg(t, base, shards))
+		router := liveWorldCfg(t, base, shards)
+		set, _ := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, shards) }, shards, owns)
+		if err := router.AttachRemote(set); err != nil {
+			t.Fatalf("AttachRemote: %v", err)
+		}
+		check(fmt.Sprintf("router, %d shards", shards), router)
+		if calls := router.RemoteStats().Transport.CallsByOp["view_multi"]; calls != 0 {
+			t.Errorf("router, %d shards: %d view calls, want 0", shards, calls)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func TestWarmRouterServesRestoredViews(t *testing.T) {
 	if err := router.AttachRemote(set); err != nil {
 		t.Fatalf("AttachRemote: %v", err)
 	}
-	if n := router.ListStore().Len(); n != len(group) {
+	if n := router.lists.Len(); n != len(group) {
 		t.Errorf("%d views resident after AttachRemote, want the %d restored", n, len(group))
 	}
 

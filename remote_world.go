@@ -63,9 +63,6 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	return nil
 }
 
-// Remote returns the attached worker fleet, or nil in-process.
-func (w *World) Remote() *remote.ShardSet { return w.remote }
-
 // fetchViews is the list store's distributed builder: one view RPC per
 // owning worker for all of a call's misses, each view reconstructed
 // from the score vector on the wire — the canonical sort is

@@ -6,15 +6,18 @@
 // examples/ and scripts/ included. Like the go tool, it skips testdata
 // and directories starting with "." or "_".
 //
-// The scan is selector-aware, so a name another package also exports
-// cannot hide a dead one:
+// The scan type-checks every package of the tree, bench/ included,
+// with go/types over one shared package set, so a name another package
+// or type also declares cannot hide a dead one:
 //
-//   - a package-level name is used only through alias.Name, where alias
-//     imports the declaring package, or through a bare identifier in
-//     that same package;
-//   - a method is used through any x.Name selector where x is not an
-//     import alias, so strings.Contains keeps no Contains method alive
-//     while a call through an interface does.
+//   - a package-level name is used when an identifier resolves to it;
+//   - a method is used when a selector resolves to it on its own
+//     receiver type (or one embedding it), so a call of Pos on one type
+//     keeps no Pos method of another type alive;
+//   - a call through an interface uses the method of every declared type
+//     that implements the interface;
+//   - String and Error methods count as used: fmt and the errors
+//     package call them through interfaces this tree never names.
 //
 // A name kept on purpose goes in allow.txt, one per line as
 // "<import path>.<Name>" or "<import path>.<Type>.<Method>" followed by
@@ -29,6 +32,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -55,12 +59,6 @@ func main() {
 	}
 }
 
-// srcFile is one parsed non-test file and its package's import path.
-type srcFile struct {
-	pkg  string
-	file *ast.File
-}
-
 // run scans the module at root and returns its dead names as sorted
 // "file:line: key" lines, leaving out the allowlisted ones.
 func run(root, allowPath string) ([]string, error) {
@@ -78,9 +76,17 @@ func run(root, allowPath string) ([]string, error) {
 			mod = strings.TrimSpace(m)
 		}
 	}
-	fset := token.NewFileSet()
-	var files []srcFile
-	pkgName := map[string]string{} // import path -> package name
+	l := &loader{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.Default(),
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		},
+	}
+	var paths []string // import paths in walk order
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -94,49 +100,86 @@ func run(root, allowPath string) ([]string, error) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
+		f, err := parser.ParseFile(l.fset, p, nil, 0)
 		if err != nil {
 			return err
 		}
 		rel, _ := filepath.Rel(root, filepath.Dir(p)) // p is under root: Rel cannot fail
 		pkg := path.Join(mod, filepath.ToSlash(rel))
-		pkgName[pkg] = f.Name.Name
-		files = append(files, srcFile{pkg, f})
+		if l.files[pkg] == nil {
+			paths = append(paths, pkg)
+		}
+		l.files[pkg] = append(l.files[pkg], f)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	usedPkg := map[string]bool{}    // "<import path>.<Name>"
-	usedMethod := map[string]bool{} // method name
-	for _, sf := range files {
-		refsOf(sf, mod, pkgName, usedPkg, usedMethod)
+	for _, p := range paths {
+		if _, err := l.Import(p); err != nil {
+			return nil, err
+		}
 	}
+
+	used := map[types.Object]bool{}
+	var viaInterface []*types.Func // interface methods the tree calls
+	for _, obj := range l.info.Uses {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+			if recv := f.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				viaInterface = append(viaInterface, f)
+			}
+		}
+		used[obj] = true
+	}
+	isUsed := func(obj types.Object) bool {
+		f, ok := obj.(*types.Func)
+		if used[obj] || !ok || f.Signature().Recv() == nil {
+			return used[obj]
+		}
+		if n := f.Name(); (n == "String" || n == "Error") && types.Identical(f.Type(), stringer) {
+			return true
+		}
+		named, ok := types.Unalias(deref(f.Signature().Recv().Type())).(*types.Named)
+		if !ok || named.TypeParams() != nil {
+			return false
+		}
+		for _, im := range viaInterface {
+			iface := im.Signature().Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == f.Name() && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+				return true
+			}
+		}
+		return false
+	}
+
 	var dead, referenced []string
-	for _, sf := range files {
-		if rel := strings.TrimPrefix(sf.pkg, mod); rel != "" && !strings.HasPrefix(rel, "/internal/") && !strings.HasPrefix(rel, "/cmd/") {
+	for _, p := range paths {
+		if rel := strings.TrimPrefix(p, mod); rel != "" && !strings.HasPrefix(rel, "/internal/") && !strings.HasPrefix(rel, "/cmd/") {
 			continue
 		}
-		topDecls(sf.file, func(id *ast.Ident, recv string, _ ast.Node) {
-			if !id.IsExported() {
-				return
-			}
-			key, used := sf.pkg+"."+id.Name, usedPkg[sf.pkg+"."+id.Name]
-			if recv != "" {
-				key, used = sf.pkg+"."+recv+"."+id.Name, usedMethod[id.Name]
-			}
-			if allowed[key] {
-				delete(allowed, key)
-				if used {
-					referenced = append(referenced, key)
+		for _, f := range l.files[p] {
+			topDecls(f, func(id *ast.Ident, recv string) {
+				if !id.IsExported() {
+					return
 				}
-			} else if !used {
-				pos := fset.Position(id.Pos())
-				rel, _ := filepath.Rel(root, pos.Filename) // as above
-				dead = append(dead, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, key))
-			}
-		})
+				key := p + "." + id.Name
+				if recv != "" {
+					key = p + "." + recv + "." + id.Name
+				}
+				u := isUsed(l.info.Defs[id])
+				if allowed[key] {
+					delete(allowed, key)
+					if u {
+						referenced = append(referenced, key)
+					}
+				} else if !u {
+					pos := l.fset.Position(id.Pos())
+					rel, _ := filepath.Rel(root, pos.Filename) // as above
+					dead = append(dead, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, key))
+				}
+			})
+		}
 	}
 	var stale []string
 	for k := range allowed {
@@ -150,10 +193,49 @@ func run(root, allowPath string) ([]string, error) {
 	return dead, nil
 }
 
+// stringer is the signature of a String or Error method.
+var stringer = types.NewSignatureType(nil, nil, nil, nil,
+	types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])), false)
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// loader type-checks the tree's packages from their parsed non-test
+// files into one shared Info, importing everything else (the standard
+// library) from export data.
+type loader struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path -> non-test files
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+}
+
+// Import type-checks the tree's package at p once, or imports p.
+func (l *loader) Import(p string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[p]; ok {
+		return pkg, nil
+	}
+	files, ok := l.files[p]
+	if !ok {
+		return l.std.Import(p)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(p, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[p] = pkg
+	return pkg, nil
+}
+
 // topDecls calls fn for each name a file declares at top level: its
-// identifier, the receiver type's name for a method ("" otherwise), and
-// the declaring node.
-func topDecls(f *ast.File, fn func(id *ast.Ident, recv string, node ast.Node)) {
+// identifier and the receiver type's name for a method ("" otherwise).
+func topDecls(f *ast.File, fn func(id *ast.Ident, recv string)) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
@@ -162,69 +244,20 @@ func topDecls(f *ast.File, fn func(id *ast.Ident, recv string, node ast.Node)) {
 				// "*T[K]" -> "T"
 				recv, _, _ = strings.Cut(strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*"), "[")
 			}
-			fn(d.Name, recv, d)
+			fn(d.Name, recv)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					fn(s.Name, "", s)
+					fn(s.Name, "")
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
-						fn(id, "", s)
+						fn(id, "")
 					}
 				}
 			}
 		}
 	}
-}
-
-// refsOf records the references one file makes: alias.Name selectors
-// on an import of the module, bare identifiers that resolve to package
-// scope, and x.Name selectors on anything but an import alias.
-func refsOf(sf srcFile, mod string, pkgName map[string]string, usedPkg, usedMethod map[string]bool) {
-	aliases := map[string]string{} // local name -> import path
-	for _, imp := range sf.file.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		name := path.Base(p)
-		if n, ok := pkgName[p]; ok {
-			name = n
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		aliases[name] = p
-	}
-	// The parser resolves an identifier to its declaring node within
-	// the file and leaves package-scope names of other files, and import
-	// aliases, unresolved (Obj nil). A bare identifier resolving to a
-	// top-level node is a reference; the identifier naming it is not.
-	top := map[any]bool{}
-	naming := map[*ast.Ident]bool{}
-	topDecls(sf.file, func(id *ast.Ident, _ string, node ast.Node) {
-		top[node] = true
-		naming[id] = true
-	})
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if id, ok := n.X.(*ast.Ident); ok && id.Obj == nil && aliases[id.Name] != "" {
-				if p := aliases[id.Name]; p == mod || strings.HasPrefix(p, mod+"/") {
-					usedPkg[p+"."+n.Sel.Name] = true
-				}
-				return false
-			}
-			usedMethod[n.Sel.Name] = true
-			ast.Inspect(n.X, visit)
-			return false
-		case *ast.Ident:
-			if !naming[n] && (n.Obj == nil || top[n.Obj.Decl]) {
-				usedPkg[sf.pkg+"."+n.Name] = true
-			}
-		}
-		return true
-	}
-	ast.Inspect(sf.file, visit)
 }
 
 // readAllow reads the allowlist's keys; blank lines and lines starting

@@ -10,8 +10,9 @@ import (
 // package declares one exported name per case: a dead func, a func
 // only its _test.go calls, a Min shadowed by math.Min, a Contains
 // method shadowed by strings.Contains, a method reached only through an
-// interface, a name used only bare inside its package, and an
-// allowlisted name.
+// interface, a name used only bare inside its package, an allowlisted
+// name, a dead Pos method beside a live Pos of another type, and a
+// String method only fmt calls.
 func TestFixture(t *testing.T) {
 	got, err := run("testdata/fixture", "testdata/fixture/allow.txt")
 	if err != nil {
@@ -22,6 +23,7 @@ func TestFixture(t *testing.T) {
 		"internal/lib/lib.go:17: fixture/internal/lib.TestOnly",
 		"internal/lib/lib.go:20: fixture/internal/lib.Min",
 		"internal/lib/lib.go:38: fixture/internal/lib.Set.Contains",
+		"internal/lib/lib.go:50: fixture/internal/lib.Line.Pos",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("dead names:\n got %q\nwant %q", got, want)

@@ -36,3 +36,18 @@ type Set map[string]bool
 
 // Contains is never called; cmd/app calls strings.Contains.
 func (s Set) Contains(k string) bool { return s[k] }
+
+// Grid has a Pos method that cmd/app calls.
+type Grid struct{}
+
+// Pos is called on a Grid.
+func (Grid) Pos() int { return 0 }
+
+// Line shares the method name Pos with Grid.
+type Line struct{}
+
+// Pos is never called on a Line; cmd/app calls Grid.Pos.
+func (Line) Pos() int { return 1 }
+
+// String is called only by fmt, through fmt.Stringer.
+func (Line) String() string { return "line" }

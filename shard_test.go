@@ -134,7 +134,7 @@ func TestRecommendShardedDifferential(t *testing.T) {
 			if _, err := w.Recommend(group, opt); err != nil {
 				t.Fatalf("priming recommend: %v", err)
 			}
-			w.ListStore().InvalidateAll()
+			w.lists.InvalidateAll()
 			got, err := w.Recommend(group, opt)
 			if err != nil {
 				t.Fatalf("post-invalidation recommend: %v", err)
@@ -142,7 +142,7 @@ func TestRecommendShardedDifferential(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("post-invalidation rebuild diverges\nunsharded: %+v\nsharded:   %+v", want, got)
 			}
-			if st := w.ListStore().Stats(); st.Rebuilds == 0 {
+			if st := w.lists.Stats(); st.Rebuilds == 0 {
 				t.Errorf("invalidation produced no rebuilds: %+v", st)
 			}
 		})

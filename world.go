@@ -326,9 +326,6 @@ func (w *World) Network() *social.SynthNetwork { return w.network }
 // page-likes), whether generated or loaded.
 func (w *World) SocialNetwork() *social.Network { return w.socialNet }
 
-// ListStore returns the sorted-list store.
-func (w *World) ListStore() *liststore.Store { return w.lists }
-
 // Shards returns the world's shard count (1 when unsharded).
 func (w *World) Shards() int { return w.sm.N() }
 
@@ -498,8 +495,8 @@ func (w *World) RemoteStats() RemoteStats {
 // serving layer's /stats endpoint and any other observability
 // consumer.
 type CacheStats struct {
-	// ListStore counts the sorted-list store's view, patch, and
-	// lifecycle traffic.
+	// ListStore counts the sorted-list store's view and lifecycle
+	// traffic.
 	ListStore liststore.Stats `json:"list_store"`
 	// Neighborhoods counts the predictor's lazy user-neighborhood cache.
 	Neighborhoods cf.CacheStats `json:"neighborhoods"`
@@ -513,16 +510,15 @@ type CacheStats struct {
 // On a router the views are built and the neighborhoods filled on the
 // workers, so the counters are the sum of every reachable worker's
 // totals — an unreachable worker's traffic is missing, not failing the
-// answer — except the patch count and the pool size, which the router's
-// own assembly and store keep.
+// answer — except the pool size, which the router's own store keeps.
 func (w *World) CacheStats() CacheStats {
 	st := CacheStats{ListStore: w.lists.Stats(), Neighborhoods: w.pred.Stats()}
 	if w.remote != nil {
 		workers, _ := w.remote.Stats()
 		st.Neighborhoods = workers.Neighborhoods
-		local := st.ListStore
+		pool := st.ListStore.PoolSize
 		st.ListStore = workers.ListStore
-		st.ListStore.PatchItems, st.ListStore.PoolSize = local.PatchItems, local.PoolSize
+		st.ListStore.PoolSize = pool
 	}
 	return st
 }
