@@ -38,14 +38,15 @@
 // a JSON topology file ({"shards": 4, "workers": [{"addr":
 // "127.0.0.1:9101", "owns": [0, 2]}, ...]}) mapping every shard to
 // exactly one greca-shard worker. The router then fetches each user's
-// view scores and predictions from the worker owning its shard, fans
+// view scores from the worker owning its shard, predicts any dense rows
+// (a candidate slice the views cannot serve) from its own replica, fans
 // every ingested rating out to all replicas, and reports the workers'
 // cache counters under /v1/stats — serving byte-identical responses
 // to the in-process world at the same shard count. Workers must be
 // started first (same world flags: -seed, -ratings, -shards) — the
 // boot handshake refuses a worker built from a different world. A
-// worker dying degrades only the shards it owns: reads touching them
-// answer 503 ("shard_unavailable") with Retry-After, or 504
+// worker dying degrades only the shards it owns: view reads touching
+// them answer 503 ("shard_unavailable") with Retry-After, or 504
 // ("shard_timeout") on deadline, while other shards keep serving;
 // rating ingest stays accepted (durable locally and on live replicas)
 // with missed fanout deliveries counted in /v1/stats and the lagging

@@ -1,8 +1,7 @@
 // Command greca-shard runs one GRECA shard worker: a process that
-// owns a subset of the world's user shards and serves their data
-// plane — sorted-view score vectors, prediction rows, rating ingest,
-// cache counters — to a greca-serve router over the internal/remote
-// binary protocol.
+// owns a subset of the world's user shards and answers three ops for
+// them — sorted-view score vectors, rating applies, cache counters — to
+// a greca-serve router over the internal/remote binary protocol.
 //
 // Usage:
 //

@@ -54,12 +54,14 @@ func (h *heldBuilder) buildsOf(u dataset.UserID) int {
 }
 
 // startViewWorkers serves one worker world per ownership split over
-// loopback TCP and returns the attached-to-nothing shard set plus the
-// worker worlds (for white-box looks at their stores).
-func startViewWorkers(t *testing.T, build func() *World, shards int, owns [][]int) (*remote.ShardSet, []*World) {
+// loopback TCP and returns the attached-to-nothing shard set, the
+// worker worlds (for white-box looks at their stores) and their servers
+// (for a test that kills them).
+func startViewWorkers(t *testing.T, build func() *World, shards int, owns [][]int) (*remote.ShardSet, []*World, []*remote.Server) {
 	t.Helper()
 	var workers []remote.Worker
 	var worlds []*World
+	var servers []*remote.Server
 	for _, owned := range owns {
 		w := build()
 		backend, err := NewShardBackend(w, owned)
@@ -75,6 +77,7 @@ func startViewWorkers(t *testing.T, build func() *World, shards int, owns [][]in
 		t.Cleanup(srv.Close)
 		workers = append(workers, remote.Worker{Addr: lis.Addr().String(), Owns: owned})
 		worlds = append(worlds, w)
+		servers = append(servers, srv)
 	}
 	topJSON, _ := json.Marshal(remote.Topology{Shards: shards, Workers: workers})
 	top, err := remote.ParseTopology(topJSON)
@@ -86,7 +89,7 @@ func startViewWorkers(t *testing.T, build func() *World, shards int, owns [][]in
 		t.Fatalf("shard set: %v", err)
 	}
 	t.Cleanup(set.Close)
-	return set, worlds
+	return set, worlds, servers
 }
 
 // scoresByItem keys a view's scores by item. A live world's pool keeps
@@ -126,7 +129,7 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 						owns = [][]int{{0, 2}, {1, 3}}
 					}
 					var set *remote.ShardSet
-					set, workers = startViewWorkers(t, build, shards, owns)
+					set, workers, _ = startViewWorkers(t, build, shards, owns)
 					live = build()
 					if err := live.AttachRemote(set); err != nil {
 						t.Fatalf("AttachRemote: %v", err)

@@ -22,6 +22,16 @@ type CacheStats struct {
 	Retained    uint64 `json:"retained"`
 }
 
+// Add sums o's counters and entry count into s — the totals of two
+// caches that hold disjoint traffic (a router's and its workers').
+func (s *CacheStats) Add(o CacheStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Size += o.Size
+	s.Invalidated += o.Invalidated
+	s.Retained += o.Retained
+}
+
 // cacheCounters is the atomic backing shared by every cache in this
 // package. Counter updates sit on hot prediction paths, so they must
 // never take a lock; snapshots are read individually and need only be

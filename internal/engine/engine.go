@@ -27,34 +27,21 @@ import (
 const prefScale = 5
 
 // Assembler builds core problems from a cf.Predictor and a list store.
-// It is immutable after New (and AttachRows) and safe for concurrent
-// use; a single Assembler is meant to be shared by all traffic against
-// one World.
+// It is immutable after New and safe for concurrent use; a single
+// Assembler is meant to be shared by all traffic against one World.
 type Assembler struct {
 	pred *cf.Predictor
 	rows sync.Pool // *[]float64, capacity grows to the largest row seen
 	// lists is the sorted-list store. Where its views come from — built
 	// in place or fetched from shard workers — is the store's builder's
-	// business.
+	// business, and the only thing that differs between deployments.
 	lists *liststore.Store
-	// fillRows is the row seam every dense row goes through: in-process
-	// predictions by default, a batched worker fetch once AttachRows
-	// swaps it.
-	fillRows RowFiller
 }
-
-// RowFiller fills dst[i] (len(items) long) with users[i]'s raw (1..5
-// scale) predictions for items. Implementations must be safe for
-// concurrent use; an error fails the whole assembly and is propagated
-// verbatim (the distributed filler returns the transport's typed
-// sentinels).
-type RowFiller func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error
 
 // New builds an Assembler over pred that serves problems from lists
 // whenever its pool covers the candidate slice.
 func New(pred *cf.Predictor, lists *liststore.Store) *Assembler {
 	a := &Assembler{pred: pred, lists: lists}
-	a.fillRows = a.localRows
 	a.rows.New = func() any { s := make([]float64, 0); return &s }
 	return a
 }
@@ -76,23 +63,6 @@ func LocalBuilder(pred *cf.Predictor, pool []dataset.ItemID) liststore.Builder {
 		return out, nil
 	}
 }
-
-// localRows is the in-process RowFiller: one member per task, each
-// resolving that member's neighborhood exactly once and predicting in
-// place into its row.
-func (a *Assembler) localRows(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
-	forEach(len(users), func(ui int) {
-		a.pred.PredictBatchInto(users[ui], items, dst[ui])
-	})
-	return nil
-}
-
-// AttachRows replaces the row seam (the distributed world routes it to
-// the shard workers owning the users' hot state; workers are full
-// replicas built from the identical configuration, so every fetched
-// value is bit-identical to what the local path would compute). Call
-// before the assembler starts serving traffic.
-func (a *Assembler) AttachRows(fill RowFiller) { a.fillRows = fill }
 
 // forEach runs fill(i) for i in [0,n) over at most GOMAXPROCS
 // goroutines, the caller's among them. Each fill writes only its own
@@ -128,14 +98,15 @@ func forEach(n int, fill func(int)) {
 // slice in pool order, each member's row is copied out of its
 // materialized view through the pool→candidate mapping and the problem
 // filters the pre-sorted views (core.NewProblemFromViews); otherwise
-// every row is predicted densely through the row seam and the problem
-// sorts its own lists (core.NewProblem). Both build bit-identical
-// problems.
+// every row is predicted densely from the assembler's own predictor and
+// the problem sorts its own lists (core.NewProblem). Both build
+// bit-identical problems.
 //
 // release hands the problem's rows back to the assembler's pool; call
 // it exactly once, when nothing can read the problem anymore, or never
 // when the problem escapes (the pool then re-allocates). A view
-// builder or row-seam failure fails the assembly with its typed error.
+// builder failure fails the assembly with its typed error; a dense
+// assembly cannot fail before the core problem build.
 func (a *Assembler) Problem(in core.Input, group []dataset.UserID, items []dataset.ItemID) (*core.Problem, func(), error) {
 	var (
 		prob *core.Problem
@@ -148,9 +119,7 @@ func (a *Assembler) Problem(in core.Input, group []dataset.UserID, items []datas
 		}
 		prob, err = core.NewProblemFromViews(in, views)
 	} else {
-		if in.Apref, err = a.denseRows(group, items); err != nil {
-			return nil, nil, err
-		}
+		in.Apref = a.denseRows(group, items)
 		prob, err = core.NewProblem(in)
 	}
 	rows := in.Apref
@@ -173,23 +142,20 @@ func (a *Assembler) covers(items []dataset.ItemID) ([]int32, bool) {
 	return a.lists.MapCandidates(items)
 }
 
-// denseRows returns the g×m matrix of normalized predictions, filled
-// through the row seam into pooled rows.
-func (a *Assembler) denseRows(group []dataset.UserID, items []dataset.ItemID) ([][]float64, error) {
+// denseRows returns the g×m matrix of normalized predictions in pooled
+// rows: one member per task, each resolving that member's neighborhood
+// exactly once and predicting in place into its row.
+func (a *Assembler) denseRows(group []dataset.UserID, items []dataset.ItemID) [][]float64 {
 	out := make([][]float64, len(group))
-	for ui := range out {
-		out[ui] = a.getRow(len(items))
-	}
-	if err := a.fillRows(group, items, out); err != nil {
-		a.release(out)
-		return nil, err
-	}
-	for _, row := range out {
+	forEach(len(group), func(ui int) {
+		row := a.getRow(len(items))
+		a.pred.PredictBatchInto(group[ui], items, row)
 		for i := range row {
 			row[i] /= prefScale
 		}
-	}
-	return out, nil
+		out[ui] = row
+	})
+	return out
 }
 
 // viewRows assembles the group's m-item rows through the list store:

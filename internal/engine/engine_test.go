@@ -46,18 +46,6 @@ func newServed(pred *cf.Predictor, pool []dataset.ItemID, capacity int) (*Assemb
 	return New(pred, lists), lists
 }
 
-// mustDenseRows unwraps the (rows, error) pair for the local-only
-// assemblers these tests build: without a remote plane attached, dense
-// rows cannot fail.
-func mustDenseRows(t *testing.T, a *Assembler, group []dataset.UserID, items []dataset.ItemID) [][]float64 {
-	t.Helper()
-	rows, err := a.denseRows(group, items)
-	if err != nil {
-		t.Fatalf("denseRows: %v", err)
-	}
-	return rows
-}
-
 // TestDenseRowsMatchSequentialPredictions: rows filled concurrently
 // hold exactly the one-at-a-time predictions, divided onto [0,1].
 func TestDenseRowsMatchSequentialPredictions(t *testing.T) {
@@ -65,7 +53,7 @@ func TestDenseRowsMatchSequentialPredictions(t *testing.T) {
 	group := []dataset.UserID{0, 3, 7, 12, 25}
 	items := []dataset.ItemID{0, 1, 5, 9, 17, 33, 39}
 
-	got := mustDenseRows(t, New(pred, nil), group, items)
+	got := New(pred, nil).denseRows(group, items)
 	if len(got) != len(group) {
 		t.Fatalf("row count %d, want %d", len(got), len(group))
 	}
@@ -93,7 +81,7 @@ func TestProblemReleaseRecyclesRows(t *testing.T) {
 	items := []dataset.ItemID{0, 1, 2, 3}
 	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 2}
 
-	rows := mustDenseRows(t, a, group, items)
+	rows := a.denseRows(group, items)
 	a.release(rows)
 	for i, row := range rows {
 		if row != nil {
@@ -144,7 +132,7 @@ func TestViewRowsMatchDenseRows(t *testing.T) {
 	}
 	in := core.Input{Spec: consensus.AP(), Agg: core.NoAffinityAggregator{}, K: 1}
 	for name, items := range slices {
-		want := mustDenseRows(t, dense, group, items)
+		want := dense.denseRows(group, items)
 		localOf, ok := served.covers(items)
 		if !ok {
 			t.Fatalf("%s: store does not cover the slice", name)

@@ -416,10 +416,21 @@ func (s *Store) RestoreViews(views []UserView) int {
 // exactly the shape core.ViewSet.LocalOf requires — and covered reports
 // whether it reached every item. An item beyond the pool, out of
 // popularity order or duplicated leaves the slice uncovered, and its
-// assembly dense. Each call returns a mapping of its own.
+// assembly dense. A first walk decides cover and allocates nothing, so
+// an uncovered slice costs no mapping; a covered one gets a mapping of
+// its own from a second walk.
 func (s *Store) MapCandidates(items []dataset.ItemID) (localOf []int32, covered bool) {
-	localOf = make([]int32, len(s.pool))
 	j := 0
+	for _, it := range s.pool {
+		if j < len(items) && it == items[j] {
+			j++
+		}
+	}
+	if j < len(items) {
+		return nil, false
+	}
+	localOf = make([]int32, len(s.pool))
+	j = 0
 	for p, it := range s.pool {
 		if j < len(items) && it == items[j] {
 			localOf[p] = int32(j)
@@ -428,7 +439,7 @@ func (s *Store) MapCandidates(items []dataset.ItemID) (localOf []int32, covered 
 			localOf[p] = -1
 		}
 	}
-	return localOf, j == len(items)
+	return localOf, true
 }
 
 // Len reports the number of materialized views.

@@ -341,9 +341,19 @@ func TestMapCandidates(t *testing.T) {
 		{10, 20, 40, 30}, // 30 is out of pool order
 		{10, 20, 20},     // 20 is duplicated
 	} {
-		if _, covered := s.MapCandidates(slice); covered {
-			t.Errorf("%v: covered, want not", slice)
+		if localOf, covered := s.MapCandidates(slice); covered || localOf != nil {
+			t.Errorf("%v: mapping %v (covered %v), want none", slice, localOf, covered)
 		}
+	}
+
+	// Only a covered slice pays for its pool-length mapping; an uncovered
+	// one, which assembles densely, allocates nothing.
+	uncovered := []dataset.ItemID{10, 20, 40, 30}
+	if n := testing.AllocsPerRun(100, func() { s.MapCandidates(uncovered) }); n != 0 {
+		t.Errorf("uncovered slice: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.MapCandidates(items) }); n != 1 {
+		t.Errorf("covered slice: %v allocations, want 1", n)
 	}
 }
 

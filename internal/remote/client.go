@@ -68,10 +68,9 @@ const (
 
 // opNames are the wire ops' stats keys (the /v1/stats remote section).
 var opNames = map[uint8]string{
-	opApply:        "apply",
-	opStats:        "stats",
-	opViewMulti:    "view_multi",
-	opPredictMulti: "predict_multi",
+	opApply:     "apply",
+	opStats:     "stats",
+	opViewMulti: "view_multi",
 }
 
 func opName(op uint8) string {
@@ -84,7 +83,7 @@ func opName(op uint8) string {
 // transportCounters is one client's wire activity, aggregated across
 // the fleet by ShardSet.TransportStats.
 type transportCounters struct {
-	ops          [8]atomic.Uint64 // calls by op code (indices 3..7)
+	ops          [8]atomic.Uint64 // calls by op code, retired codes 1..7 included
 	retries      atomic.Uint64
 	breakerOpens atomic.Uint64
 	dials        atomic.Uint64
@@ -92,13 +91,11 @@ type transportCounters struct {
 }
 
 // TransportStats is the router-side transport picture: calls by wire
-// op, the batched (multi-user) read calls among them, retry and
-// breaker activity, and connection reuse vs dials. Cheap enough to
-// read per /v1/stats hit; the benchmark harness derives rpcs/op from
-// deltas of the call counters.
+// op, retry and breaker activity, and connection reuse vs dials. Cheap
+// enough to read per /v1/stats hit; the benchmark harness derives
+// rpcs/op from deltas of the call counters.
 type TransportStats struct {
 	CallsByOp    map[string]uint64 `json:"calls_by_op"`
-	BatchedCalls uint64            `json:"batched_calls"`
 	Retries      uint64            `json:"retries"`
 	BreakerOpens uint64            `json:"breaker_opens"`
 	Dials        uint64            `json:"dials"`
@@ -447,19 +444,6 @@ func (c *Client) ViewScoresMulti(users []dataset.UserID, n int) ([][]float64, er
 	return decodeVectors(p, len(users), n)
 }
 
-// PredictBatchMulti fetches every listed user's raw (1..5 scale)
-// predictions for one shared item list in one round trip.
-func (c *Client) PredictBatchMulti(users []dataset.UserID, items []dataset.ItemID) ([][]float64, error) {
-	if len(users) == 0 {
-		return nil, nil
-	}
-	p, err := c.call(opPredictMulti, encodePredictMultiReq(predictMultiReq{Users: users, Items: items}))
-	if err != nil {
-		return nil, err
-	}
-	return decodeVectors(p, len(users), len(items))
-}
-
 // Apply delivers one sequence-stamped rating into the worker's
 // replica. The worker deduplicates by sequence, so a delivery whose
 // reply was lost in transit is safely redelivered on retry —
@@ -627,28 +611,13 @@ func (s *ShardSet) bucketByOwner(users []dataset.UserID) map[*Client][]int {
 
 // ViewScoresMulti fetches every listed user's view, n scores each,
 // with one RPC per owning worker — O(workers) round trips per group
-// assembly instead of O(members).
+// assembly instead of O(members). The reads run concurrently and the
+// vectors gather back into request order. It is the read boundary: a
+// read the worker failed — a protocol violation, an internal or
+// wrong_shard refusal — is the worker's fault, never the caller's, so
+// it surfaces as ErrShardUnavailable with its cause still matchable; a
+// timeout keeps its own verdict.
 func (s *ShardSet) ViewScoresMulti(users []dataset.UserID, n int) ([][]float64, error) {
-	return s.scatter(users, func(cl *Client, batch []dataset.UserID) ([][]float64, error) {
-		return cl.ViewScoresMulti(batch, n)
-	})
-}
-
-// PredictBatchMulti fetches predictions of every listed user for one
-// shared item list, one RPC per owning worker.
-func (s *ShardSet) PredictBatchMulti(users []dataset.UserID, items []dataset.ItemID) ([][]float64, error) {
-	return s.scatter(users, func(cl *Client, batch []dataset.UserID) ([][]float64, error) {
-		return cl.PredictBatchMulti(batch, items)
-	})
-}
-
-// scatter runs one multi-user read per owning worker concurrently and
-// gathers the vectors back into request order. It is the read
-// boundary: a read the worker failed — a protocol violation, an
-// internal or wrong_shard refusal — is the worker's fault, never the
-// caller's, so it surfaces as ErrShardUnavailable with its cause still
-// matchable; a timeout keeps its own verdict.
-func (s *ShardSet) scatter(users []dataset.UserID, read func(*Client, []dataset.UserID) ([][]float64, error)) ([][]float64, error) {
 	if len(users) == 0 {
 		return nil, nil
 	}
@@ -668,7 +637,7 @@ func (s *ShardSet) scatter(users []dataset.UserID, read func(*Client, []dataset.
 			for j, i := range idx {
 				batch[j] = users[i]
 			}
-			res, err := read(cl, batch)
+			res, err := cl.ViewScoresMulti(batch, n)
 			if err != nil {
 				errs[ci] = err
 				return
@@ -766,7 +735,6 @@ func (s *ShardSet) TransportStats() TransportStats {
 		t.Dials += cl.counters.dials.Load()
 		t.ConnReuses += cl.counters.reuses.Load()
 	}
-	t.BatchedCalls = t.CallsByOp[opNames[opViewMulti]] + t.CallsByOp[opNames[opPredictMulti]]
 	return t
 }
 

@@ -1,11 +1,11 @@
 // Package remote is the multi-process transport of the sharded world:
 // a length-prefixed binary RPC layer that puts shard workers in their
 // own processes behind the shard.Map routing users to workers. A
-// greca-shard worker holds a full replica of the world and serves the
-// users of the shards assigned to it — their views, prediction rows and
-// cache counters — plus every rating apply, to the router, which
-// scatters mixed-shard groups, gathers rows, and runs the GRECA core
-// locally. Routing only decides which process computes a value, never
+// greca-shard worker holds a full replica of the world and answers
+// three ops for the router: the views of its owned shards' users, every
+// rating apply, and its cache counters. The router scatters
+// mixed-shard groups, gathers views, predicts any dense rows from its
+// own replica, and runs the GRECA core locally. Routing only decides which process computes a value, never
 // the value, so a router fronting N worker processes serves
 // byte-identical responses to the in-process world.
 //
@@ -42,15 +42,14 @@ import (
 //	crc     u32  CRC32 (IEEE) over header + payload
 const (
 	frameMagic = uint32(0x41435247) // "GRCA" little-endian
-	// frameVersion 6: version 5 (worker-batched multi-user reads, the
-	// protocol version advertised in the hello ack, a stats answer of
-	// one worker's totals) with every call answered by one frame — a
-	// multi-user read by one vector per user, an apply by an empty
-	// result — instead of progress frames of view chunks and an apply
-	// ack. It is the only version spoken: router and workers deploy
+	// frameVersion 7: version 6 (every call answered by one frame — a
+	// multi-user view read by one vector per user, an apply by an empty
+	// result; the protocol version advertised in the hello ack) without
+	// the dense-prediction op, since a router predicts its own dense
+	// rows. It is the only version spoken: router and workers deploy
 	// from one build, and a frame at any other version is
 	// ErrVersionSkew.
-	frameVersion = uint16(6)
+	frameVersion = uint16(7)
 	frameHdrLen  = 4 + 2 + 1 + 1 + 8 + 4
 	frameCRCLen  = 4
 )
@@ -73,18 +72,16 @@ const (
 	kindError    = uint8(6) // failure (code + message payload)
 )
 
-// Operations of the data plane. Codes 1 and 2 were the
-// single-user reads the batched ops replaced and 4 the per-user view
-// drop nothing called; they stay retired.
+// Operations of the data plane. Codes 1 and 2 were the single-user
+// reads the batched view read replaced, 4 the per-user view drop
+// nothing called, and 7 predict_multi, the dense-row read a router now
+// answers from its own replica; they stay retired.
 const (
 	opApply = uint8(3) // rating → apply, empty result
 	opStats = uint8(5) // () → the worker's cache totals
-
-	// Batched reads: one request carries every group member the worker
-	// owns, so an assembly costs one round trip per worker, not one per
-	// member.
-	opViewMulti    = uint8(6) // users → per-user view scores
-	opPredictMulti = uint8(7) // (users, items) → per-user predictions
+	// opViewMulti carries every group member the worker owns, so an
+	// assembly costs one round trip per worker, not one per member.
+	opViewMulti = uint8(6) // users → per-user view scores
 )
 
 // Typed framing and transport errors. The client maps everything

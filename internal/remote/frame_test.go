@@ -27,7 +27,7 @@ func encodeFrameBytes(t *testing.T, f frame) []byte {
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []frame{
 		{kind: kindHello, seq: 1, payload: encodeHello(hello{Fingerprint: 0xdeadbeef, Shards: 4})},
-		{kind: kindRequest, op: opPredictMulti, seq: 42, payload: []byte{1, 2, 3}},
+		{kind: kindRequest, op: opStats, seq: 42, payload: []byte{1, 2, 3}},
 		{kind: kindResult, op: opViewMulti, seq: 7, payload: nil},
 		{kind: kindError, op: opApply, seq: 1 << 60, payload: encodeAppError("internal", "boom")},
 	}
@@ -137,7 +137,6 @@ func TestWireShortPayloads(t *testing.T) {
 		"helloAck": encodeHelloAck([]int{0, 1, 2}, frameVersion),
 		"viewReq":  encodeViewMultiReq(viewMultiReq{Users: []dataset.UserID{3, 9}}),
 		"vectors":  encodeVectors([][]float64{{1, 2}, {3, 4}}),
-		"predict":  encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{3}, Items: []dataset.ItemID{1, 2, 3}}),
 		"apply":    encodeApplyReq(applyReq{Seq: 9, Rating: dataset.Rating{User: 1, Item: 2, Value: 3, Time: 4}}),
 		"appError": encodeAppError("internal", "msg"),
 	}
@@ -146,7 +145,6 @@ func TestWireShortPayloads(t *testing.T) {
 		"helloAck": func(p []byte) error { _, _, err := decodeHelloAck(p); return err },
 		"viewReq":  func(p []byte) error { _, err := decodeViewMultiReq(p); return err },
 		"vectors":  func(p []byte) error { _, err := decodeVectors(p, 2, 2); return err },
-		"predict":  func(p []byte) error { _, err := decodePredictMultiReq(p); return err },
 		"apply":    func(p []byte) error { _, err := decodeApplyReq(p); return err },
 		"appError": func(p []byte) error {
 			err := decodeAppError(p)
@@ -189,9 +187,9 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, vs) {
 		t.Errorf("vectors: %v, %v", got, err)
 	}
-	q, err := decodePredictMultiReq(encodePredictMultiReq(predictMultiReq{Users: []dataset.UserID{11, 4}, Items: []dataset.ItemID{5, 1}}))
-	if err != nil || len(q.Users) != 2 || q.Users[0] != 11 || q.Users[1] != 4 || len(q.Items) != 2 || q.Items[0] != 5 || q.Items[1] != 1 {
-		t.Errorf("predictMultiReq: %+v, %v", q, err)
+	q, err := decodeViewMultiReq(encodeViewMultiReq(viewMultiReq{Users: []dataset.UserID{11, 4}}))
+	if err != nil || len(q.Users) != 2 || q.Users[0] != 11 || q.Users[1] != 4 {
+		t.Errorf("viewMultiReq: %+v, %v", q, err)
 	}
 	ar, err := decodeApplyReq(encodeApplyReq(applyReq{Seq: 12, Rating: dataset.Rating{User: 1, Item: 2, Value: 4.5, Time: -3}}))
 	if err != nil || ar.Seq != 12 || ar.Rating != (dataset.Rating{User: 1, Item: 2, Value: 4.5, Time: -3}) {
@@ -208,8 +206,8 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 }
 
-// TestWireGoldenBytes pins the hot payloads' encoded bytes at
-// frameVersion 6 (a multi-user reply is the vector count, then each
+// TestWireGoldenBytes pins the hot payload's encoded bytes at
+// frameVersion 7 (a multi-user reply is the vector count, then each
 // vector as its length and its float64 values): an encoder that sizes
 // its buffer differently must still emit exactly these.
 func TestWireGoldenBytes(t *testing.T) {
@@ -221,7 +219,7 @@ func TestWireGoldenBytes(t *testing.T) {
 		{"view reply",
 			encodeVectors([][]float64{{1, 0.6, math.Copysign(0, -1)}, {0.2}}),
 			"0200000003000000000000000000f03f333333333333e33f0000000000000080010000009a9999999999c93f"},
-		{"predict reply",
+		{"one-user reply",
 			encodeVectors([][]float64{{4.5, 1}}),
 			"01000000020000000000000000001240000000000000f03f"},
 	}

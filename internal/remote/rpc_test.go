@@ -16,9 +16,9 @@ import (
 	"repro/internal/shard"
 )
 
-// fakeBackend is a deterministic in-memory Backend: scores and
-// predictions are pure functions of their inputs, so the loopback
-// tests can assert exact values without a real world.
+// fakeBackend is a deterministic in-memory Backend: view scores are a
+// pure function of the user, so the loopback tests can assert exact
+// values without a real world.
 type fakeBackend struct {
 	fp     uint64
 	shards int
@@ -57,14 +57,6 @@ func (b *fakeBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 		time.Sleep(b.delay)
 	}
 	return b.scoresFor(u), nil
-}
-
-func (b *fakeBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
-	out := make([]float64, len(items))
-	for i, it := range items {
-		out[i] = float64(u) + float64(it)/100
-	}
-	return out, nil
 }
 
 func (b *fakeBackend) Apply(r dataset.Rating) error {
@@ -160,31 +152,6 @@ func TestClientViewScoresMulti(t *testing.T) {
 	}
 }
 
-// TestClientPredictBatchMulti: one batched call fetches several users'
-// predictions for a shared item list, one row per user.
-func TestClientPredictBatchMulti(t *testing.T) {
-	b := allOwned()
-	addr := startWorker(t, b)
-	c := NewClient(addr, testClientConfig(b))
-	defer c.Close()
-
-	users := []dataset.UserID{4, 1, 7}
-	items := []dataset.ItemID{3, 9}
-	rows, err := c.PredictBatchMulti(users, items)
-	if err != nil {
-		t.Fatalf("PredictBatchMulti: %v", err)
-	}
-	for i, u := range users {
-		want, _ := b.PredictBatch(u, items)
-		if !reflect.DeepEqual(rows[i], want) {
-			t.Errorf("user %d row = %v, want %v", u, rows[i], want)
-		}
-	}
-	if got := c.counters.ops[opPredictMulti].Load(); got != 1 {
-		t.Errorf("predict_multi calls = %d, want 1", got)
-	}
-}
-
 // TestClientMultiWrongShard: a batched request naming even one user
 // outside the worker's owned shards is refused whole, with the
 // wrong_shard code — misrouting is loud, never silent.
@@ -208,9 +175,6 @@ func TestClientMultiWrongShard(t *testing.T) {
 	var ae *AppError
 	if _, err := c.ViewScoresMulti([]dataset.UserID{inside, outside}, 10); !errors.As(err, &ae) || ae.Code != codeWrongShard {
 		t.Errorf("ViewScoresMulti: err = %v, want wrong_shard", err)
-	}
-	if _, err := c.PredictBatchMulti([]dataset.UserID{outside}, []dataset.ItemID{1}); !errors.As(err, &ae) || ae.Code != codeWrongShard {
-		t.Errorf("PredictBatchMulti: err = %v, want wrong_shard", err)
 	}
 }
 
@@ -248,35 +212,21 @@ func TestShardSetMultiBatchesByWorker(t *testing.T) {
 			t.Errorf("user %d (slot %d): scores %v", u, i, res[i][:2])
 		}
 	}
-	items := []dataset.ItemID{1, 2}
-	rows, err := set.PredictBatchMulti(users, items)
-	if err != nil {
-		t.Fatalf("PredictBatchMulti: %v", err)
-	}
-	for i, u := range users {
-		if len(rows[i]) != 2 || rows[i][0] != float64(u)+0.01 {
-			t.Errorf("user %d (slot %d): row %v", u, i, rows[i])
-		}
-	}
 
 	st := set.TransportStats()
-	if st.CallsByOp["view_multi"] != 2 || st.CallsByOp["predict_multi"] != 2 {
-		t.Errorf("multi calls = %d/%d, want 2/2 (one per worker per scatter, 5 members)",
-			st.CallsByOp["view_multi"], st.CallsByOp["predict_multi"])
+	if st.CallsByOp["view_multi"] != 2 {
+		t.Errorf("view_multi calls = %d, want 2 (one per worker, 5 members)", st.CallsByOp["view_multi"])
 	}
-	if st.BatchedCalls != 4 {
-		t.Errorf("batched calls = %d, want 4", st.BatchedCalls)
-	}
-	if len(st.CallsByOp) != 4 {
-		t.Errorf("calls_by_op = %v, want exactly the 4 live ops (no retired view or invalidate)", st.CallsByOp)
+	if len(st.CallsByOp) != 3 {
+		t.Errorf("calls_by_op = %v, want exactly the 3 live ops (no retired view, invalidate or predict)", st.CallsByOp)
 	}
 }
 
 // TestClientApplyInvalidateStats: the cold-path ops over one client —
-// an apply reaches the replica, the per-user invalidate op (code 4,
-// which nothing called) stays retired like the single-user reads
-// before it and is refused, not served, and stats come back as the
-// worker's totals.
+// an apply reaches the replica, the retired ops (the single-user reads
+// 1 and 2, the per-user invalidate 4 nothing called, and the dense-row
+// read 7 a router now answers itself) are refused, not served, and
+// stats come back as the worker's totals.
 func TestClientApplyInvalidateStats(t *testing.T) {
 	b := allOwned()
 	addr := startWorker(t, b)
@@ -290,10 +240,18 @@ func TestClientApplyInvalidateStats(t *testing.T) {
 		t.Errorf("backend applied %v", b.applied)
 	}
 
-	const retiredInvalidate = uint8(4)
-	var ae *AppError
-	if _, err := c.call(retiredInvalidate, []byte{2, 0, 0, 0, 0, 0, 0, 0}); !errors.As(err, &ae) || ae.Code != codeInternal {
-		t.Errorf("retired invalidate op: err = %v, want an internal application error", err)
+	// Each payload is one the op accepted while it was live: a user id,
+	// or one user and one item for the dense-row read.
+	for op, payload := range map[uint8][]byte{
+		1: {2, 0, 0, 0, 0, 0, 0, 0},
+		2: {2, 0, 0, 0, 0, 0, 0, 0},
+		4: {2, 0, 0, 0, 0, 0, 0, 0},
+		7: encodeViewMultiReq(viewMultiReq{Users: []dataset.UserID{2}}),
+	} {
+		var ae *AppError
+		if _, err := c.call(op, payload); !errors.As(err, &ae) || ae.Code != codeInternal {
+			t.Errorf("retired op %d: err = %v, want an internal application error", op, err)
+		}
 	}
 
 	st, err := c.Stats()
@@ -751,9 +709,6 @@ func TestShardSetRoutesByShard(t *testing.T) {
 		if scores := res[0]; len(scores) != 10 || scores[0] != float64(u)*1000 {
 			t.Errorf("shard %d: scores %v", sh, scores[:2])
 		}
-		if _, err := set.PredictBatchMulti([]dataset.UserID{u}, []dataset.ItemID{1}); err != nil {
-			t.Errorf("shard %d: PredictBatchMulti: %v", sh, err)
-		}
 	}
 }
 
@@ -930,10 +885,6 @@ func TestShardSetConcurrentReads(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				u := userOnShard((g + i) % 2)
 				if _, err := set.ViewScoresMulti([]dataset.UserID{u}, 10); err != nil {
-					errc <- err
-					return
-				}
-				if _, err := set.PredictBatchMulti([]dataset.UserID{u}, []dataset.ItemID{1, 2}); err != nil {
 					errc <- err
 					return
 				}

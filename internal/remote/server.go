@@ -30,8 +30,6 @@ type Backend interface {
 	// the canonical sorted side locally (the sort is deterministic given
 	// the scores, exactly like a snapshot restore).
 	ViewScores(u dataset.UserID) ([]float64, error)
-	// PredictBatch returns raw (1..5 scale) predictions of u for items.
-	PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error)
 	// Apply ingests one rating into the worker's replica — the full
 	// AddRating path, cache invalidation included. Rejections unwrap to
 	// the dataset sentinels.
@@ -192,34 +190,22 @@ func (s *Server) dispatch(f frame) frame {
 		return frame{kind: kindResult, op: f.op, seq: f.seq, payload: payload}
 	}
 	switch f.op {
-	case opViewMulti, opPredictMulti:
-		var users []dataset.UserID
-		read := s.b.ViewScores
-		if f.op == opViewMulti {
-			q, err := decodeViewMultiReq(f.payload)
-			if err != nil {
-				return fail(codeInternal, err.Error())
-			}
-			users = q.Users
-		} else {
-			q, err := decodePredictMultiReq(f.payload)
-			if err != nil {
-				return fail(codeInternal, err.Error())
-			}
-			users = q.Users
-			read = func(u dataset.UserID) ([]float64, error) { return s.b.PredictBatch(u, q.Items) }
+	case opViewMulti:
+		q, err := decodeViewMultiReq(f.payload)
+		if err != nil {
+			return fail(codeInternal, err.Error())
 		}
-		if len(users) == 0 {
+		if len(q.Users) == 0 {
 			return fail(codeInternal, fmt.Sprintf("empty %s request", opName(f.op)))
 		}
-		for _, u := range users {
+		for _, u := range q.Users {
 			if !s.owned[s.sm(u)] {
 				return fail(codeWrongShard, fmt.Sprintf("user %d is on shard %d, not owned here", u, s.sm(u)))
 			}
 		}
-		vs := make([][]float64, len(users))
-		for i, u := range users {
-			v, err := read(u)
+		vs := make([][]float64, len(q.Users))
+		for i, u := range q.Users {
+			v, err := s.b.ViewScores(u)
 			if err != nil {
 				return fail(codeInternal, err.Error())
 			}

@@ -14,10 +14,9 @@ import (
 
 // Payload encoding: flat little-endian fields appended onto a byte
 // slice, decoded by a cursor that fails loudly on truncation. The hot
-// messages (the view and prediction vectors) are raw float64 arrays — no
-// per-call reflection, no schema — and the cold, shape-heavy stats
-// reply rides as JSON inside its frame, where the wire cost is
-// irrelevant.
+// message, a multi-user view reply, is raw float64 arrays — no per-call
+// reflection, no schema — and the cold, shape-heavy stats reply rides
+// as JSON inside its frame, where the wire cost is irrelevant.
 
 type wireWriter struct{ b []byte }
 
@@ -176,48 +175,6 @@ func decodeViewMultiReq(p []byte) (viewMultiReq, error) {
 	return q, r.err
 }
 
-// predictMultiReq carries one shared item list for every group member
-// a worker owns — an assembly's dense items are the same for the whole
-// group, so the items ride once.
-type predictMultiReq struct {
-	Users []dataset.UserID
-	Items []dataset.ItemID
-}
-
-func encodePredictMultiReq(q predictMultiReq) []byte {
-	var w wireWriter
-	w.u32(uint32(len(q.Users)))
-	for _, u := range q.Users {
-		w.u64(uint64(u))
-	}
-	w.u32(uint32(len(q.Items)))
-	for _, it := range q.Items {
-		w.u64(uint64(it))
-	}
-	return w.b
-}
-
-func decodePredictMultiReq(p []byte) (predictMultiReq, error) {
-	r := wireReader{b: p}
-	nu := int(r.u32())
-	if r.err != nil || nu > (len(p)-8)/8 {
-		return predictMultiReq{}, errShortPayload
-	}
-	q := predictMultiReq{Users: make([]dataset.UserID, nu)}
-	for i := range q.Users {
-		q.Users[i] = dataset.UserID(r.u64())
-	}
-	ni := int(r.u32())
-	if r.err != nil || ni > (len(p)-r.off)/8 {
-		return predictMultiReq{}, errShortPayload
-	}
-	q.Items = make([]dataset.ItemID, ni)
-	for i := range q.Items {
-		q.Items[i] = dataset.ItemID(r.u64())
-	}
-	return q, r.err
-}
-
 // encodeVectors encodes a multi-user read's reply: the vector count,
 // then one float64 vector per requested user, in request order. The
 // payload is sized once.
@@ -316,12 +273,7 @@ func (t *Stats) add(o Stats) {
 	ls.WarmLoads += ol.WarmLoads
 	ls.Size += ol.Size
 	ls.PoolSize = ol.PoolSize
-	nb, on := &t.Neighborhoods, o.Neighborhoods
-	nb.Hits += on.Hits
-	nb.Misses += on.Misses
-	nb.Size += on.Size
-	nb.Invalidated += on.Invalidated
-	nb.Retained += on.Retained
+	t.Neighborhoods.Add(o.Neighborhoods)
 }
 
 func encodeStats(st Stats) ([]byte, error) { return json.Marshal(st) }

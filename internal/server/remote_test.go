@@ -318,8 +318,7 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 				Remote struct {
 					Attached  bool `json:"attached"`
 					Transport struct {
-						CallsByOp    map[string]uint64 `json:"calls_by_op"`
-						BatchedCalls uint64            `json:"batched_calls"`
+						CallsByOp map[string]uint64 `json:"calls_by_op"`
 					} `json:"transport"`
 					ViewCache struct {
 						Hits     uint64 `json:"hits"`
@@ -337,7 +336,7 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 			if !parsed.Remote.Attached {
 				t.Error("remote.attached = false on the distributed stack")
 			}
-			if parsed.Remote.Transport.BatchedCalls == 0 || parsed.Remote.Transport.CallsByOp["view_multi"] == 0 {
+			if parsed.Remote.Transport.CallsByOp["view_multi"] == 0 {
 				t.Errorf("batched reads not counted: %+v", parsed.Remote.Transport)
 			}
 			wantCap := tc.listStore
@@ -581,11 +580,6 @@ func (b slowBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 	return b.Backend.ViewScores(u)
 }
 
-func (b slowBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
-	time.Sleep(b.delay)
-	return b.Backend.PredictBatch(u, items)
-}
-
 // TestRemoteWorkerTimeoutAnswers504 pins the second transport code: a
 // worker that stalls past the call deadline (while staying connected)
 // answers 504 shard_timeout — distinct from 503, because retrying
@@ -681,7 +675,7 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.Unmarshal(raw.Remote["transport"], &transport); err != nil {
 		t.Fatalf("remote.transport: %v", err)
 	}
-	for _, key := range []string{"calls_by_op", "batched_calls", "retries", "breaker_opens", "dials", "conn_reuses"} {
+	for _, key := range []string{"calls_by_op", "retries", "breaker_opens", "dials", "conn_reuses"} {
 		if _, ok := transport[key]; !ok {
 			t.Errorf("remote.transport lacks %q; keys: %v", key, keysOf(transport))
 		}
@@ -690,13 +684,13 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.Unmarshal(transport["calls_by_op"], &callsByOp); err != nil {
 		t.Fatalf("remote.transport.calls_by_op: %v", err)
 	}
-	for _, op := range []string{"apply", "stats", "view_multi", "predict_multi"} {
+	for _, op := range []string{"apply", "stats", "view_multi"} {
 		if _, ok := callsByOp[op]; !ok {
 			t.Errorf("calls_by_op lacks %q; keys: %v", op, callsByOp)
 		}
 	}
-	if len(callsByOp) != 4 {
-		t.Errorf("calls_by_op reports ops beyond the 4 live ones: %v", callsByOp)
+	if len(callsByOp) != 3 {
+		t.Errorf("calls_by_op reports ops beyond the 3 live ones: %v", callsByOp)
 	}
 	var viewCache map[string]json.RawMessage
 	if err := json.Unmarshal(raw.Remote["view_cache"], &viewCache); err != nil {
@@ -720,7 +714,7 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if !st.Remote.Attached {
 		t.Error("remote.attached = false on the distributed stack")
 	}
-	if st.Remote.Transport.CallsByOp["view_multi"] == 0 || st.Remote.Transport.BatchedCalls == 0 {
+	if st.Remote.Transport.CallsByOp["view_multi"] == 0 {
 		t.Errorf("no batched view fetch counted: %+v", st.Remote.Transport)
 	}
 	if st.Remote.ViewCache.Misses == 0 || st.Remote.ViewCache.Hits == 0 {
@@ -777,9 +771,11 @@ func TestRemoteStreamFramesMatchLocal(t *testing.T) {
 }
 
 // TestRouterCacheStatsSumWorkers pins a router's /v1/stats caches: the
-// views are built and the neighborhoods filled on the workers, so after
-// traffic and one rating the router serves, field by field, the sum of
-// its workers' totals — the pool size carried, not summed. After one
+// views are built on the workers, and this traffic is all view-served,
+// so the router fills no neighborhood of its own (the dense case, where
+// it does, is TestPartlyCoveredSliceAssemblesDensely). After traffic
+// and one rating the router serves, field by field, the sum of its
+// workers' totals — the pool size carried, not summed. After one
 // worker dies the router serves the survivor's totals alone, and still
 // answers 200.
 func TestRouterCacheStatsSumWorkers(t *testing.T) {

@@ -588,8 +588,8 @@ type statsResponse struct {
 	World     worldStats       `json:"world"`
 	Ingest    ingestStats      `json:"ingest"`
 	// Remote is the distributed transport's observability: wire calls
-	// by op, batched reads, retries, breaker opens, dials vs connection
-	// reuses, and the router list store's view traffic. Always present —
+	// by op, retries, breaker opens, dials vs connection reuses, and
+	// the router list store's view traffic. Always present —
 	// zero-valued with Attached false in-process — so the stats shape
 	// is identical across deployments.
 	Remote repro.RemoteStats `json:"remote"`

@@ -314,6 +314,7 @@ func TestStatsServesBenchContract(t *testing.T) {
 		"caches.shards", "caches.per_shard",
 		"remote.view_cache.retained", "remote.view_cache.patched",
 		"remote.transport.calls_by_op.invalidate",
+		"remote.transport.calls_by_op.predict_multi", "remote.transport.batched_calls",
 		"caches.recheck_pool",
 		"ingest.store.folds", "ingest.store.folded",
 	} {

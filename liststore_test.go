@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/remote"
 )
 
 // TestRecommendListStoreDifferential is the facade-level acceptance
@@ -144,7 +146,10 @@ func TestRecommendBatchSharesViews(t *testing.T) {
 // more follows the pool order and whose rest does not is served from
 // dense rows — no list-store view is acquired for it — and answers the
 // store-less reference's bytes, in process and on a router over one and
-// over four shards.
+// over four shards. A router predicts those rows from its own replica:
+// the request makes no wire call, its neighborhood fills count in the
+// router's CacheStats beside the workers', and it still answers once
+// every worker is gone, while a view-served request then fails.
 func TestPartlyCoveredSliceAssemblesDensely(t *testing.T) {
 	base := liveBaseRatings(t)
 	dense := liveWorldBuilt(t, base, 1, NewDenseWorld)
@@ -178,13 +183,36 @@ func TestPartlyCoveredSliceAssemblesDensely(t *testing.T) {
 	for shards, owns := range map[int][][]int{1: {{0}}, 4: {{0, 2}, {1, 3}}} {
 		check(fmt.Sprintf("in process, %d shards", shards), liveWorldCfg(t, base, shards))
 		router := liveWorldCfg(t, base, shards)
-		set, _ := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, shards) }, shards, owns)
+		set, _, servers := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, shards) }, shards, owns)
 		if err := router.AttachRemote(set); err != nil {
 			t.Fatalf("AttachRemote: %v", err)
 		}
-		check(fmt.Sprintf("router, %d shards", shards), router)
-		if calls := router.RemoteStats().Transport.CallsByOp["view_multi"]; calls != 0 {
-			t.Errorf("router, %d shards: %d view calls, want 0", shards, calls)
+		name := fmt.Sprintf("router, %d shards", shards)
+		calls := router.RemoteStats().Transport.CallsByOp
+		check(name, router)
+		if after := router.RemoteStats().Transport.CallsByOp; !reflect.DeepEqual(after, calls) {
+			t.Errorf("%s: the dense request made wire calls: %v -> %v", name, calls, after)
+		}
+		own := router.pred.Stats()
+		if own.Misses == 0 {
+			t.Errorf("%s: the dense request filled no neighborhood on the router: %+v", name, own)
+		}
+		workers, err := set.Stats()
+		if err != nil {
+			t.Fatalf("%s: worker stats: %v", name, err)
+		}
+		want := workers.Neighborhoods
+		want.Add(own)
+		if got := router.CacheStats().Neighborhoods; got != want {
+			t.Errorf("%s: CacheStats neighborhoods %+v, want the workers' %+v plus the router's %+v", name, got, workers.Neighborhoods, own)
+		}
+
+		for _, srv := range servers {
+			srv.Close()
+		}
+		check(name+", every worker closed", router)
+		if _, err := router.Recommend(group, Options{K: 5, NumItems: 40}); !errors.Is(err, remote.ErrShardUnavailable) {
+			t.Errorf("%s, every worker closed: view-served request err = %v, want ErrShardUnavailable", name, err)
 		}
 	}
 }

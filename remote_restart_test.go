@@ -38,7 +38,7 @@ func TestWarmRouterServesRestoredViews(t *testing.T) {
 	if !st.Warm || st.WarmViews != len(group) {
 		t.Fatalf("router boot reported %+v, want warm with %d views", st, len(group))
 	}
-	set, _ := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, 4) }, 4, [][]int{{0, 2}, {1, 3}})
+	set, _, _ := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, 4) }, 4, [][]int{{0, 2}, {1, 3}})
 	if err := router.AttachRemote(set); err != nil {
 		t.Fatalf("AttachRemote: %v", err)
 	}

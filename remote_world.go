@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the world's side of the distributed deployment: the
-// router attaches a remote.ShardSet so per-user data-plane reads
+// router attaches a remote.ShardSet so its list store's view misses
 // scatter to worker processes, and a worker wraps its world in a
 // ShardBackend so remote.Server can serve them. Both processes build
 // the same deterministic world from the same configuration — the
@@ -25,9 +25,12 @@ func (w *World) ConfigFingerprint() uint64 { return configFingerprint(w.cfg) }
 
 // AttachRemote switches the world's per-user data plane to the worker
 // fleet behind set: the list store's views are fetched from each user's
-// owning worker instead of built in place, prediction rows route the
-// same way, rating ingest fans out to every replica, and /v1/stats
-// reports the workers' cache counters. The topology's shard count must
+// owning worker instead of built in place, rating ingest fans out to
+// every replica, and /v1/stats reports the workers' cache counters.
+// Dense rows — a candidate slice the views cannot serve — stay local:
+// the router is a full replica that folds every rating before fanning
+// it out, so its own predictor computes exactly the rows a worker
+// would. The topology's shard count must
 // equal the world's, and every worker must be reachable and
 // fingerprint-identical (the handshake runs eagerly here, so a
 // misconfigured fleet fails at boot, not on the first request).
@@ -50,16 +53,6 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	// in, the mid-build unlink that fences fetches against ingest — is
 	// the store's, unchanged.
 	w.lists.SetBuilder(fetchViews(set, len(w.lists.Pool())))
-	w.asm.AttachRows(func(users []dataset.UserID, items []dataset.ItemID, dst [][]float64) error {
-		rows, err := set.PredictBatchMulti(users, items)
-		if err != nil {
-			return err
-		}
-		for i, row := range rows {
-			copy(dst[i], row)
-		}
-		return nil
-	})
 	return nil
 }
 
@@ -130,13 +123,6 @@ func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 		return nil, err
 	}
 	return v.Scores, nil
-}
-
-// PredictBatch implements remote.Backend: raw (1..5 scale)
-// predictions from the worker's predictor, exactly the values the
-// router's own would produce.
-func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
-	return b.w.pred.PredictBatch(u, items), nil
 }
 
 // Apply implements remote.Backend: ingest one fanned-out rating into

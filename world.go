@@ -445,9 +445,8 @@ func (w *World) IngestStats() dataset.DeltaStats { return w.ratings.DeltaStats()
 type RemoteStats struct {
 	// Attached reports whether a worker fleet is attached at all.
 	Attached bool `json:"attached"`
-	// Transport counts the shard-set's wire traffic: calls by op, the
-	// batched reads among them, retries, breaker opens, dials vs
-	// connection reuses.
+	// Transport counts the shard-set's wire traffic: calls by op,
+	// retries, breaker opens, dials vs connection reuses.
 	Transport remote.TransportStats `json:"transport"`
 	// ViewCache counts the traffic of the router's list store, which
 	// retains the views it fetches.
@@ -507,14 +506,18 @@ type CacheStats struct {
 // eventually consistent with each other.
 //
 // In-process they are the list store's and the predictor's own.
-// On a router the views are built and the neighborhoods filled on the
-// workers, so the counters are the sum of every reachable worker's
-// totals — an unreachable worker's traffic is missing, not failing the
-// answer — except the pool size, which the router's own store keeps.
+// On a router the views are built on the workers, so the list store
+// counters are the sum of every reachable worker's totals — an
+// unreachable worker's traffic is missing, not failing the answer —
+// except the pool size, which the router's own store keeps. Neighborhoods
+// are filled on both sides (a worker for the views it builds, the
+// router for its own dense rows), so they are the workers' sum plus the
+// router's own.
 func (w *World) CacheStats() CacheStats {
 	st := CacheStats{ListStore: w.lists.Stats(), Neighborhoods: w.pred.Stats()}
 	if w.remote != nil {
 		workers, _ := w.remote.Stats()
+		workers.Neighborhoods.Add(st.Neighborhoods)
 		st.Neighborhoods = workers.Neighborhoods
 		pool := st.ListStore.PoolSize
 		st.ListStore = workers.ListStore
