@@ -168,7 +168,7 @@ func TestRecommendExcludesRatedItems(t *testing.T) {
 	}
 	for _, it := range rec.Items {
 		for _, u := range group {
-			if w.Ratings().HasRated(u, it.Item) {
+			if _, rated := w.Ratings().Value(u, it.Item); rated {
 				t.Errorf("item %d already rated by member %d (problem definition excludes it)", it.Item, u)
 			}
 		}

@@ -36,7 +36,7 @@ func ingestMixWorld(b *testing.B, full bool) (*repro.World, [][]dataset.UserID, 
 	}
 	var light []dataset.UserID
 	for _, u := range w.Participants() {
-		if n := len(w.Ratings().ByUser(u)); n > 0 && n < 200 {
+		if n := w.Ratings().Row(u).Len(); n > 0 && n < 200 {
 			light = append(light, u)
 		}
 	}
@@ -61,14 +61,10 @@ func ingestMixWorld(b *testing.B, full bool) (*repro.World, [][]dataset.UserID, 
 	// an item the rater has not rated in the frozen base (re-applied
 	// cyclically for long -benchtime runs; Apply appends, so the store
 	// keeps accepting them).
-	ranked := w.Ratings().PopularityRanked()
 	var stream []dataset.Rating
 	for _, u := range light[12:] {
-		for _, it := range ranked {
-			if !w.Ratings().HasRated(u, it) {
-				stream = append(stream, dataset.Rating{User: u, Item: it, Value: 4, Time: 978300000})
-				break
-			}
+		for _, it := range w.Ratings().UnratedPopular([]dataset.UserID{u}, 1) {
+			stream = append(stream, dataset.Rating{User: u, Item: it, Value: 4, Time: 978300000})
 		}
 	}
 	if len(stream) == 0 {

@@ -135,10 +135,10 @@ type predictorMeans struct {
 // live store runs this exact loop, so a live world and a cold
 // rebuild agree to the last bit.
 func computePredictorMeans(store *dataset.Store) *predictorMeans {
-	items := store.Items()
-	m := &predictorMeans{sums: make([]float64, len(items)), counts: make([]int, len(items))}
-	for i, it := range items {
-		m.sums[i], m.counts[i] = sumRatings(store.Raters(it).Value)
+	n := len(store.Items())
+	m := &predictorMeans{sums: make([]float64, n), counts: make([]int, n)}
+	for i := range n {
+		m.sums[i], m.counts[i] = sumRatings(store.RatersAt(i).Value)
 	}
 	m.total()
 	return m
@@ -241,18 +241,18 @@ func (p *Predictor) cosineCorated(u, v dataset.UserID) (float64, bool) {
 		return 1, true
 	}
 	p.work.pairMerges.Add(1)
-	ru, rv := p.store.ByUser(u), p.store.ByUser(v)
+	ru, rv := p.store.Row(u), p.store.Row(v)
 	var dot float64
 	corated := false
 	i, j := 0, 0
-	for i < len(ru) && j < len(rv) {
+	for i < ru.Len() && j < rv.Len() {
 		switch {
-		case ru[i].Item < rv[j].Item:
+		case ru.Pos[i] < rv.Pos[j]:
 			i++
-		case ru[i].Item > rv[j].Item:
+		case ru.Pos[i] > rv.Pos[j]:
 			j++
 		default:
-			dot += ru[i].Value * rv[j].Value
+			dot += ru.Value[i] * rv.Value[j]
 			corated = true
 			i++
 			j++
@@ -286,8 +286,8 @@ func (p *Predictor) normAt(u dataset.UserID, ui int) float64 {
 	}
 	epoch := p.epoch.Load()
 	var ss float64
-	for _, r := range p.store.ByUser(u) {
-		ss += r.Value * r.Value
+	for _, v := range p.store.RowAt(ui).Value {
+		ss += v * v
 	}
 	n := math.Sqrt(ss)
 	p.installNorm(u, ui, n, epoch)
@@ -395,86 +395,97 @@ type batchScratch struct {
 	// slot[ix] is one plus the position in items of the first candidate
 	// with dense item index ix, 0 for an item the batch does not ask for.
 	slot []int32
-	// num, den, own and ownSet are indexed by that position and grown to
-	// the largest batch seen.
+	// pos[i] is candidate i's dense item index, -1 outside the store.
+	pos []int32
+	// num, den, own and ownSet are indexed by slot: entry s belongs to
+	// the candidate at position s-1, and entry 0 is the sink the entries
+	// of items outside the batch add into, so the walk over a row takes
+	// no branch on whether an entry is asked for. pos and these four are
+	// grown to the largest batch seen.
 	num, den, own []float64
 	ownSet        []bool
 }
 
-// grow sizes the per-candidate vectors for a batch of n.
+// grow sizes the working set for a batch of n.
 func (sc *batchScratch) grow(n int) {
-	if n > len(sc.num) {
-		sc.num, sc.den, sc.own = make([]float64, n), make([]float64, n), make([]float64, n)
-		sc.ownSet = make([]bool, n)
+	if n+1 > len(sc.num) {
+		sc.pos = make([]int32, n)
+		sc.num, sc.den, sc.own = make([]float64, n+1), make([]float64, n+1), make([]float64, n+1)
+		sc.ownSet = make([]bool, n+1)
 	}
 }
 
 // batchWith is the batch kernel, run on the working set sc, which must
-// be all zero and is all zero again on return. A candidate's
-// accumulation slot is found through the slot table over the dense item
-// index — marked for the first occurrence of each item, so duplicate
-// candidates share a slot — not by hashing the item. It preserves
-// Predict's per-item accumulation order (neighbors in Neighbors order,
-// each row in list order), first-duplicate-wins rating semantics,
-// own-rating override, and fallback ladder — the invariants that keep
-// batch results bit-identical to sequential.
+// be all zero and is all zero again on return. The candidates are
+// mapped to dense item positions once; a row entry's accumulation slot
+// is then the slot table at the entry's position — marked for the first
+// occurrence of each item, so duplicate candidates share a slot — with
+// no lookup per entry. It preserves Predict's per-item accumulation
+// order (neighbors in Neighbors order, each row in list order),
+// first-duplicate-wins rating semantics, own-rating override, and
+// fallback ladder — the invariants that keep batch results bit-identical
+// to sequential.
 func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []dataset.ItemID, dst []float64) {
-	sc.grow(len(items))
-	slot, num, den, own, ownSet := sc.slot, sc.num, sc.den, sc.own, sc.ownSet
+	n := len(items)
+	sc.grow(n)
+	slot, pos := sc.slot, sc.pos[:n]
+	num, den, own, ownSet := sc.num[:n+1], sc.den[:n+1], sc.own[:n+1], sc.ownSet[:n+1]
 	for i, it := range items {
-		if ix, ok := p.items.Pos(it); ok && slot[ix] == 0 {
+		ix, ok := p.items.Pos(it)
+		if !ok {
+			pos[i] = -1
+			continue
+		}
+		pos[i] = int32(ix)
+		if slot[ix] == 0 {
 			slot[ix] = int32(i) + 1
 		}
 	}
 	for _, nb := range p.Neighbors(u) {
-		rs := p.store.ByUser(nb.User)
-		for ri := range rs {
-			r := &rs[ri]
-			if ri > 0 && rs[ri-1].Item == r.Item {
+		row := p.store.Row(nb.User)
+		vals := row.Value[:len(row.Pos)]
+		for k, ix := range row.Pos {
+			if k > 0 && row.Pos[k-1] == ix {
 				continue // duplicate rating; the sequential lookup sees only the first
 			}
-			if ix, ok := p.items.Pos(r.Item); ok && slot[ix] != 0 {
-				s := slot[ix] - 1
-				num[s] += nb.Sim * r.Value
-				den[s] += nb.Sim
-			}
+			s := slot[ix]
+			num[s] += nb.Sim * vals[k]
+			den[s] += nb.Sim
 		}
 	}
 	// Own ratings override neighbor evidence, as in Predict.
-	for _, r := range p.store.ByUser(u) {
-		if ix, ok := p.items.Pos(r.Item); ok && slot[ix] != 0 {
-			if s := slot[ix] - 1; !ownSet[s] {
-				own[s], ownSet[s] = r.Value, true
-			}
+	row := p.store.Row(u)
+	for k, ix := range row.Pos {
+		if s := slot[ix]; s != 0 && !ownSet[s] {
+			own[s], ownSet[s] = row.Value[k], true
 		}
 	}
 	means := p.means.Load()
-	for i, it := range items {
-		ix, ok := p.items.Pos(it)
-		if !ok {
+	for i, ix := range pos {
+		if ix < 0 {
 			dst[i] = means.globalMean // outside the store: nobody rated it
 			continue
 		}
-		s := slot[ix] - 1
+		s := slot[ix]
 		switch {
 		case ownSet[s]:
 			dst[i] = own[s]
 		case den[s] > 0:
 			dst[i] = clampRating(num[s] / den[s])
 		default:
-			dst[i] = means.fallback(ix, true)
+			dst[i] = means.fallback(int(ix), true)
 		}
 	}
-	for _, it := range items {
-		if ix, ok := p.items.Pos(it); ok {
+	for _, ix := range pos {
+		if ix >= 0 {
 			slot[ix] = 0
 		}
 	}
-	n := len(items)
-	clear(num[:n])
-	clear(den[:n])
-	clear(own[:n])
-	clear(ownSet[:n])
+	clear(pos)
+	clear(num)
+	clear(den)
+	clear(own)
+	clear(ownSet)
 }
 
 // Stats snapshots the lazy neighborhood cache's counters: a hit is a

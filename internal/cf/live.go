@@ -73,7 +73,7 @@ func (p *Predictor) NoteIngestScoped(u dataset.UserID, it dataset.ItemID) {
 	// An item outside the domain cannot have been rated (Apply refuses
 	// it), so the means stand.
 	if ix, ok := p.items.Pos(it); ok {
-		p.means.Store(p.means.Load().withItem(ix, p.store.Raters(it).Value))
+		p.means.Store(p.means.Load().withItem(ix, p.store.RatersAt(ix).Value))
 	}
 	p.bumpEpoch(u)
 	size := p.CachedNeighborhoods()

@@ -35,12 +35,12 @@ func (g *repairStream) next() dataset.Rating {
 			it = row[g.rng.Intn(len(row))].Item
 		}
 	case 1: // the heaviest user
-		u = slices.MaxFunc(g.users, func(a, b dataset.UserID) int { return len(s.ByUser(a)) - len(s.ByUser(b)) })
+		u = slices.MaxFunc(g.users, func(a, b dataset.UserID) int { return s.Row(a).Len() - s.Row(b).Len() })
 	case 2: // the most-rated item
 		it = slices.MaxFunc(g.items, func(a, b dataset.ItemID) int { return s.Raters(a).Len() - s.Raters(b).Len() })
 	case 3: // a first overlap: u rates an item of a user it shares nothing with
 		for _, w := range g.users {
-			if w != u && len(s.ByUser(w)) > 0 && !corated(s, u, w) {
+			if w != u && s.Row(w).Len() > 0 && !corated(s, u, w) {
 				it = s.ByUser(w)[0].Item
 				break
 			}

@@ -63,22 +63,25 @@ type scanWork struct {
 // per entry.
 func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 	co := make(userBits, (len(dot)+63)>>6)
-	ru := p.store.ByUser(u)
+	ui, ok := p.users.Pos(u)
+	if !ok {
+		return co
+	}
+	ru := p.store.RowAt(ui)
 	entries := 0
-	for i := 0; i < len(ru); {
+	for i := 0; i < ru.Len(); {
 		j := i + 1
-		for j < len(ru) && ru[j].Item == ru[i].Item {
+		for j < ru.Len() && ru.Pos[j] == ru.Pos[i] {
 			j++
 		}
-		own := ru[i:j]
-		col := p.store.Raters(own[0].Item)
+		col := p.store.RatersAt(int(ru.Pos[i]))
 		entries += col.Len()
 		if col.Repeats() {
-			addRuns(own, col, dot, co)
+			addRuns(ru.Value[i:j], col, dot, co)
 		} else {
-			// Every rater holds one entry, u included, so own is one
+			// Every rater holds one entry, u included, so u's run is one
 			// rating too.
-			ov := own[0].Value
+			ov := ru.Value[i]
 			vals := col.Value[:len(col.Pos)]
 			for k, vi := range col.Pos {
 				dot[vi] += ov * vals[k]
@@ -87,18 +90,16 @@ func (p *Predictor) scanCoraters(u dataset.UserID, dot []float64) userBits {
 		}
 		i = j
 	}
-	if ui, ok := p.users.Pos(u); ok {
-		dot[ui] = 0
-		co.clear(ui)
-	}
+	dot[ui] = 0
+	co.clear(ui)
 	p.work.listEntries.Add(int64(entries))
 	return co
 }
 
 // addRuns is the walk over a column where some rater holds a run of
-// entries: the rater's run and u's own run of the item are paired first
-// with first up to the shorter one.
-func addRuns(own []dataset.Rating, col dataset.Column, dot []float64, co userBits) {
+// entries: the rater's run and u's own run of the item, own (its values
+// in log order), are paired first with first up to the shorter one.
+func addRuns(own []float64, col dataset.Column, dot []float64, co userBits) {
 	pos, vals := col.Pos, col.Value
 	for k := 0; k < len(pos); {
 		vi := pos[k]
@@ -107,7 +108,7 @@ func addRuns(own []dataset.Rating, col dataset.Column, dot []float64, co userBit
 			e++
 		}
 		for t := 0; t < len(own) && k+t < e; t++ {
-			dot[vi] += own[t].Value * vals[k+t]
+			dot[vi] += own[t] * vals[k+t]
 		}
 		co.set(int(vi))
 		k = e

@@ -1,6 +1,7 @@
 package cf
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
@@ -45,13 +46,20 @@ func BenchmarkPredictPerItem(b *testing.B) {
 
 // BenchmarkPredictBatch is pinned in the gate at 0 allocs/op: the
 // kernel's working set is pooled and a cached neighborhood is shared.
+// It runs at the per-item comparison's 600 candidates and at the whole
+// catalog, the shape of a view build, which predicts every pool item.
 func BenchmarkPredictBatch(b *testing.B) {
-	p, u, items := benchSubstrate(b)
-	dst := make([]float64, len(items))
-	p.PredictBatchInto(u, items, dst) // makes the pooled working set
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		p.PredictBatchInto(u, items, dst)
+	p, u, _ := benchSubstrate(b)
+	for _, n := range []int{600, len(p.store.Items())} {
+		items := p.store.PopularSet(n)
+		b.Run(fmt.Sprintf("candidates=%d", n), func(b *testing.B) {
+			dst := make([]float64, len(items))
+			p.PredictBatchInto(u, items, dst) // grows the pooled working set
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				p.PredictBatchInto(u, items, dst)
+			}
+		})
 	}
 }

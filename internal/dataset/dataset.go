@@ -56,7 +56,7 @@ var (
 	ErrNotFrozen = errors.New("store not frozen")
 	// ErrUnknownUser rejects ratings by users outside the frozen user
 	// set (Apply cannot grow the user domain — every derived
-	// structure, from the bitset arena to CF neighborhoods, is sized to
+	// structure, from the rater columns to CF neighborhoods, is sized to
 	// it).
 	ErrUnknownUser = errors.New("unknown user")
 	// ErrUnknownItem rejects ratings of items outside the catalog.
@@ -71,12 +71,13 @@ var (
 // use; live writes go through Apply, which folds each rating into the
 // one rater column and the one user row it changes.
 //
-// After Freeze, per-user state — the rating rows and the rated-item
-// bitsets, laid out in one arena — sits in one cell per user, and
-// item-major state (the catalog, popularity ranking, per-item rater
-// columns) beside it, each cell at its ID's position in the domain's
-// Index. The store is one structure whatever the world's shard count: a
-// read is lock-free, so partitioning it would save no reader a wait.
+// After Freeze the store is one join index in both directions: each
+// user's row is a Column over item positions, each item's rater column
+// a Column over user positions, and each sits in one cell at its ID's
+// position in the domain's Index. A rating is held once in each, as a
+// position, a value and a time, and every array is sized to its
+// entries. The store is one structure whatever the world's shard count:
+// a read is lock-free, so partitioning it would save no reader a wait.
 //
 // Concurrency model: every user row and every rater column sits in a
 // cell behind an atomic pointer, and the cell arrays are built at Freeze
@@ -108,53 +109,59 @@ type Store struct {
 type storeState struct {
 	users *Index[UserID]
 	items *Index[ItemID]
-	// rows[i] is the cell of user Users()[i], cols[i] that of item
-	// Items()[i].
-	rows     []atomic.Pointer[userRow]
+	// rows[i] is the cell of user Users()[i], its positions in Items();
+	// cols[i] that of item Items()[i], its positions in Users().
+	rows     []atomic.Pointer[Column]
 	cols     []atomic.Pointer[Column]
 	nRatings int
 	sumVal   float64
 	// popRanked is the popularity ranking, precomputed so hot-path
 	// candidate selection never re-sorts the catalog.
 	popRanked []ItemID
-	// maskWords is the bitset length in words, 0 when bitsets are
-	// unavailable (item IDs too sparse or negative — see
-	// bitsetEligible).
-	maskWords int
 }
 
-// userRow is one user's ratings, sorted by item, and the bitset of the
-// items they rated (nil when bitsets are unavailable). Both are
-// immutable; Apply replaces the whole row.
-type userRow struct {
-	ratings []Rating
-	rated   Bitset
-}
-
-// Column is one item's rater list as parallel arrays — a join index
-// from the item to its raters' positions. Entry k is one rating of the
-// item by user Users()[Pos[k]], with value Value[k] at time Time[k];
-// the item itself is implicit. Entries are in (user, log) order: by
-// user ascending, repeated observations of one (user, item) pair in the
-// order they were added or applied. A Column a read hands out is shared
-// with the store and never written again — a later Apply replaces it —
-// so it stays valid; callers must not modify it.
+// Column is one list of the store's join index as parallel arrays: a
+// user's row, whose positions are in Items(), or an item's rater
+// column, whose positions are in Users(). Entry k is one rating of (or
+// by) the entity at position Pos[k], with value Value[k] at time
+// Time[k]; the list's owner is implicit. Entries are in (position, log)
+// order: by position ascending — which is ID order — and repeated
+// observations of one (user, item) pair in the order they were added or
+// applied. A Column a read hands out is shared with the store and never
+// written again — a later Apply replaces it — so it stays valid;
+// callers must not modify it.
 type Column struct {
 	Pos   []int32
 	Value []float64
 	Time  []int64
-	// repeats reports whether some user holds more than one entry.
+	// repeats reports whether some position holds more than one entry.
 	repeats bool
 }
 
 // Len returns the number of entries.
 func (c Column) Len() int { return len(c.Pos) }
 
-// Repeats reports whether some user rated the item more than once, so
-// that equal positions sit next to each other. A walk that pairs runs
-// of equal positions can take every entry as a run of one when it is
-// false.
+// Repeats reports whether some (user, item) pair was rated more than
+// once, so that equal positions sit next to each other. A walk that
+// pairs runs of equal positions can take every entry as a run of one
+// when it is false.
 func (c Column) Repeats() bool { return c.repeats }
+
+// makeColumn returns an empty column with room for exactly n entries.
+func makeColumn(n int) Column {
+	return Column{Pos: make([]int32, 0, n), Value: make([]float64, 0, n), Time: make([]int64, 0, n)}
+}
+
+// add appends the entry (pos, v, t), which must not precede the last
+// one, into the room makeColumn left.
+func (c *Column) add(pos int32, v float64, t int64) {
+	if n := len(c.Pos); n > 0 && c.Pos[n-1] == pos {
+		c.repeats = true
+	}
+	c.Pos = append(c.Pos, pos)
+	c.Value = append(c.Value, v)
+	c.Time = append(c.Time, t)
+}
 
 // insert returns a copy of c with an entry (pos, v, t) after every
 // entry of position pos: where a cold rebuild of the full log puts it.
@@ -166,53 +173,6 @@ func (c *Column) insert(pos int32, v float64, t int64) *Column {
 		Time:    insertAt(c.Time, t, i),
 		repeats: c.repeats || (i > 0 && c.Pos[i-1] == pos),
 	}
-}
-
-// Bitset is a fixed-size item-indexed bit vector. The zero value (nil)
-// reports no items.
-type Bitset []uint64
-
-// Has reports whether item it is set. Out-of-range (including
-// negative) IDs report false.
-func (b Bitset) Has(it ItemID) bool {
-	if it < 0 {
-		return false
-	}
-	w := int(it >> 6)
-	return w < len(b) && b[w]>>(uint(it)&63)&1 == 1
-}
-
-// set marks item it; the caller guarantees it is in range.
-func (b Bitset) set(it ItemID) { b[it>>6] |= 1 << (uint(it) & 63) }
-
-// or merges o into b (same length).
-func (b Bitset) or(o Bitset) {
-	for i, w := range o {
-		b[i] |= w
-	}
-}
-
-// bitsetMemoryBound caps the total memory spent on per-user rated
-// bitsets (64MB). Dense MovieLens-scale stores (6040 users × ~4000
-// items ≈ 3MB) are far under it; adversarial loader input with huge or
-// negative item IDs disables bitsets instead of exploding.
-const bitsetMemoryBound = 64 << 20
-
-// bitsetEligible decides whether per-user bitsets are built for the
-// given user and item domains.
-func bitsetEligible(users []UserID, items []ItemID) (words int, ok bool) {
-	if len(items) == 0 {
-		return 0, false
-	}
-	minItem, maxItem := items[0], items[len(items)-1]
-	if minItem < 0 {
-		return 0, false
-	}
-	words = int(maxItem>>6) + 1
-	if int64(words)*8*int64(len(users)) > bitsetMemoryBound {
-		return 0, false
-	}
-	return words, true
 }
 
 // NewStore returns an empty store.
@@ -270,30 +230,32 @@ func FromRatings(recs []Rating) (*Store, error) {
 // order. The order is a fixed point of dump→rebuild→dump, which keeps
 // repeated snapshot/restart cycles byte-stable.
 func (s *Store) DumpRatings() []Rating {
-	var out []Rating
-	for _, u := range s.Users() {
-		out = append(out, s.ByUser(u)...)
+	s.mustFrozen("DumpRatings")
+	st := s.state.Load()
+	out := make([]Rating, 0, st.nRatings)
+	for _, u := range st.users.ids {
+		out = st.appendRow(out, u)
 	}
 	return out
 }
 
 // Freeze sorts the internal indexes and makes the base store read-only.
-// User rows are sorted by item, and each item's rater column is laid out
-// from the sorted rows in user order, which gives deterministic
-// iteration and enables merge-style similarity scans. The row sort is
-// stable so that duplicate (user, item) observations keep their ingest
-// order in both — the order Apply's insertion point preserves, so a
-// live store is bit-identical to a cold rebuild of the same sequence.
+// Each item's rater column is sorted by user and each user's row by
+// item, which gives deterministic iteration and enables merge-style
+// similarity scans. Duplicate (user, item) observations keep their
+// ingest order in both — the order Apply's insertion point preserves,
+// so a live store is bit-identical to a cold rebuild of the same
+// sequence. Every row and column is laid out at the size its count
+// gives, and the Add-grown ingest slices are dropped.
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
-	if len(s.byUser) > math.MaxInt32 {
-		panic("dataset: more users than a rater column can position")
+	if len(s.byUser) > math.MaxInt32 || len(s.itemCount) > math.MaxInt32 {
+		panic("dataset: more users or items than a column can position")
 	}
 	users := make([]UserID, 0, len(s.byUser))
-	for u, rs := range s.byUser {
-		slices.SortStableFunc(rs, func(a, b Rating) int { return cmp.Compare(a.Item, b.Item) })
+	for u := range s.byUser {
 		users = append(users, u)
 	}
 	slices.Sort(users)
@@ -308,48 +270,56 @@ func (s *Store) Freeze() {
 		nRatings: s.nRatings,
 		sumVal:   s.sumVal,
 	}
-	st.layoutColumns(s.byUser, s.itemCount)
+	st.layout(s.byUser, s.itemCount)
 
 	// Popularity ranking, computed once: descending rating count with
 	// ascending-ID ties (the paper's "popular set" order).
 	st.popRanked = rankByPopularity(items, func(it ItemID) int { return s.itemCount[it] })
 
-	// Lay out the user rows; the ingest maps are cleared so post-freeze
-	// reads have one source of truth.
-	st.layoutRows(s.byUser)
+	// The ingest maps are cleared so post-freeze reads have one source
+	// of truth.
 	s.byUser = nil
 	s.itemCount = nil
 	s.state.Store(st)
 	s.frozen = true
 }
 
-// layoutColumns builds the rater column cells from the item-sorted user
-// rows: walking the users in position order and each row in its order
-// appends every item's entries in (user, log) order. Each column — its
-// header and its arrays, sized by count — is its own allocation, so a
-// column Apply replaced can be freed.
-func (st *storeState) layoutColumns(byUser map[UserID][]Rating, count map[ItemID]int) {
+// layout builds the column and row cells from the users' logs with no
+// comparison sort. Walking the users in position order and each log in
+// its order appends every item's entries in (user, log) order; walking
+// those columns in item position order then appends every user's
+// entries in (item, log) order — the stable sort of the log by item.
+// Each row and each column — its header and its arrays, sized by count
+// — is its own allocation, so one that Apply replaced can be freed.
+func (st *storeState) layout(byUser map[UserID][]Rating, count map[ItemID]int) {
 	cols := make([]Column, len(st.items.ids))
 	for i, it := range st.items.ids {
-		n := count[it]
-		cols[i] = Column{Pos: make([]int32, 0, n), Value: make([]float64, 0, n), Time: make([]int64, 0, n)}
+		cols[i] = makeColumn(count[it])
 	}
+	rows := make([]Column, len(st.users.ids))
 	for ui, u := range st.users.ids {
+		rows[ui] = makeColumn(len(byUser[u]))
 		for _, r := range byUser[u] {
 			ii, _ := st.items.Pos(r.Item)
-			c := &cols[ii]
-			if n := len(c.Pos); n > 0 && c.Pos[n-1] == int32(ui) {
-				c.repeats = true
-			}
-			c.Pos = append(c.Pos, int32(ui))
-			c.Value = append(c.Value, r.Value)
-			c.Time = append(c.Time, r.Time)
+			cols[ii].add(int32(ui), r.Value, r.Time)
 		}
 	}
-	st.cols = make([]atomic.Pointer[Column], len(cols))
-	for i, c := range cols {
-		st.cols[i].Store(&c)
+	for ii, c := range cols {
+		for k, ui := range c.Pos {
+			rows[ui].add(int32(ii), c.Value[k], c.Time[k])
+		}
 	}
+	st.rows = cells(rows)
+	st.cols = cells(cols)
+}
+
+// cells puts each column behind its own atomic pointer.
+func cells(cs []Column) []atomic.Pointer[Column] {
+	out := make([]atomic.Pointer[Column], len(cs))
+	for i, c := range cs {
+		out[i].Store(&c)
+	}
+	return out
 }
 
 // rankByPopularity sorts a copy of items by descending count with
@@ -368,57 +338,12 @@ func rankByPopularity(items []ItemID, count func(ItemID) int) []ItemID {
 	return ranked
 }
 
-// layoutRows builds the user row cells from a user-keyed rating map,
-// with one contiguous bitset arena over every user when item IDs are
-// dense enough.
-func (st *storeState) layoutRows(byUser map[UserID][]Rating) {
-	users := st.users.ids
-	words, bitsets := bitsetEligible(users, st.items.ids)
-	st.maskWords = words
-	backing := make([]uint64, words*len(users))
-	st.rows = make([]atomic.Pointer[userRow], len(users))
-	for i, u := range users {
-		// Each row is its own allocation: one shared array would keep
-		// every replaced row's ratings reachable.
-		row := &userRow{ratings: byUser[u]}
-		if bitsets {
-			row.rated = Bitset(backing[i*words : (i+1)*words])
-			for _, r := range row.ratings {
-				row.rated.set(r.Item)
-			}
-		}
-		st.rows[i].Store(row)
-	}
-}
-
-// row returns u's current row, nil for a user outside the store.
-func (st *storeState) row(u UserID) *userRow {
+// row returns u's current row, empty for a user outside the store.
+func (st *storeState) row(u UserID) Column {
 	if i, ok := st.users.Pos(u); ok {
-		return st.rows[i].Load()
+		return *st.rows[i].Load()
 	}
-	return nil
-}
-
-// GroupRatedMask returns the union of the rated-item bitsets of the
-// given users, or nil when bitsets are unavailable (unfrozen store, or
-// item IDs too sparse/negative — see bitsetEligible). Users absent
-// from the store contribute nothing. The result is freshly allocated;
-// the caller owns it.
-func (s *Store) GroupRatedMask(users []UserID) Bitset {
-	if !s.frozen {
-		return nil
-	}
-	st := s.state.Load()
-	if st.maskWords == 0 {
-		return nil
-	}
-	mask := make(Bitset, st.maskWords)
-	for _, u := range users {
-		if row := st.row(u); row != nil {
-			mask.or(row.rated)
-		}
-	}
-	return mask
+	return Column{}
 }
 
 // Frozen reports whether Freeze has been called.
@@ -452,16 +377,37 @@ func (s *Store) ItemIndex() *Index[ItemID] {
 	return s.state.Load().items
 }
 
+// Row returns u's row: its entries' positions are in Items() (empty
+// if u is not in the store). The row is shared with the store and never
+// written again — a later Apply replaces it — so it stays valid;
+// callers must not modify it.
+func (s *Store) Row(u UserID) Column {
+	s.mustFrozen("Row")
+	return s.state.Load().row(u)
+}
+
+// RowAt returns the row of the user at position ui in Users(), as Row.
+func (s *Store) RowAt(ui int) Column {
+	s.mustFrozen("RowAt")
+	return *s.state.Load().rows[ui].Load()
+}
+
 // ByUser returns the ratings of u sorted by item (nil if u is not in
-// the store). The slice is shared with the store and never written
-// again — a later Apply replaces it — so it stays valid; callers must
-// not modify it.
+// the store), rebuilt from u's row into a fresh slice the caller owns.
+// It allocates; hot paths read Row.
 func (s *Store) ByUser(u UserID) []Rating {
 	s.mustFrozen("ByUser")
-	if row := s.state.Load().row(u); row != nil {
-		return row.ratings
+	return s.state.Load().appendRow(nil, u)
+}
+
+// appendRow appends u's row to out as ratings.
+func (st *storeState) appendRow(out []Rating, u UserID) []Rating {
+	row, items := st.row(u), st.items.ids
+	out = slices.Grow(out, row.Len())
+	for k, ii := range row.Pos {
+		out = append(out, Rating{User: u, Item: items[ii], Value: row.Value[k], Time: row.Time[k]})
 	}
-	return nil
+	return out
 }
 
 // Raters returns the rater column of item it (empty if it is not in
@@ -477,6 +423,13 @@ func (s *Store) Raters(it ItemID) Column {
 	return Column{}
 }
 
+// RatersAt returns the rater column of the item at position ii in
+// Items(), as Raters.
+func (s *Store) RatersAt(ii int) Column {
+	s.mustFrozen("RatersAt")
+	return *s.state.Load().cols[ii].Load()
+}
+
 // Value returns the rating of u for it and whether it exists. When the
 // store holds several observations of the same (user, item) pair the
 // first one wins — the leftmost entry of u's stable-sorted row.
@@ -489,28 +442,50 @@ func (s *Store) Value(u UserID, it ItemID) (float64, bool) {
 		}
 		return 0, false
 	}
-	row := s.state.Load().row(u)
-	if row == nil {
+	st := s.state.Load()
+	ii, ok := st.items.Pos(it)
+	if !ok {
 		return 0, false
 	}
-	rs := row.ratings
-	i := sort.Search(len(rs), func(i int) bool { return rs[i].Item >= it })
-	if i < len(rs) && rs[i].Item == it {
-		return rs[i].Value, true
+	row := st.row(u)
+	k := sort.Search(row.Len(), func(k int) bool { return row.Pos[k] >= int32(ii) })
+	if k < row.Len() && row.Pos[k] == int32(ii) {
+		return row.Value[k], true
 	}
 	return 0, false
 }
 
-// HasRated reports whether user u has rated item it.
-func (s *Store) HasRated(u UserID, it ItemID) bool {
-	if s.frozen {
-		if st := s.state.Load(); st.maskWords > 0 {
-			row := st.row(u)
-			return row != nil && row.rated.Has(it)
+// UnratedPopular returns up to n of the most popular items that no user
+// in group has rated, in PopularityRanked order — the paper's candidate
+// pool with the problem-definition exclusion applied. n <= 0 returns
+// every unrated item. The members' rows are OR-ed into one bitset over
+// item positions up front, so the walk costs one index lookup and one
+// bit test per ranked item whatever the item IDs are. Users absent
+// from the store rate nothing.
+func (s *Store) UnratedPopular(group []UserID, n int) []ItemID {
+	s.mustFrozen("UnratedPopular")
+	st := s.state.Load()
+	ranked := st.popRanked
+	if n <= 0 || n > len(ranked) {
+		n = len(ranked)
+	}
+	rated := make([]uint64, (len(ranked)+63)>>6)
+	for _, u := range group {
+		for _, ii := range st.row(u).Pos {
+			rated[ii>>6] |= 1 << (uint(ii) & 63)
 		}
 	}
-	_, ok := s.Value(u, it)
-	return ok
+	out := make([]ItemID, 0, n)
+	for _, it := range ranked {
+		ii, _ := st.items.Pos(it)
+		if rated[ii>>6]>>(uint(ii)&63)&1 == 1 {
+			continue
+		}
+		if out = append(out, it); len(out) == n {
+			break
+		}
+	}
+	return out
 }
 
 // NumRatings returns the number of ratings stored.

@@ -3,7 +3,9 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -45,8 +47,8 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := s.Value(1, 30); ok {
 		t.Errorf("Value(1,30) should not exist")
 	}
-	if !s.HasRated(3, 10) || s.HasRated(3, 20) {
-		t.Errorf("HasRated wrong")
+	if got := s.UnratedPopular([]UserID{3}, 0); !slices.Equal(got, []ItemID{20, 30}) {
+		t.Errorf("UnratedPopular({3}) = %v, want [20 30]", got)
 	}
 	st := s.Stats()
 	if st.Users != 3 || st.Items != 3 || st.Ratings != 5 {
@@ -334,7 +336,49 @@ func TestAdjustCounts(t *testing.T) {
 	}
 }
 
-func TestRatedBitsetsMatchValueLookups(t *testing.T) {
+// unratedByLookups is UnratedPopular's reference: PopularityRanked
+// filtered by one Value lookup per member, cut to n (every item when
+// n <= 0).
+func unratedByLookups(s *Store, group []UserID, n int) []ItemID {
+	out := []ItemID{}
+	for _, it := range s.PopularityRanked() {
+		rated := false
+		for _, u := range group {
+			if _, ok := s.Value(u, it); ok {
+				rated = true
+			}
+		}
+		if !rated {
+			out = append(out, it)
+		}
+	}
+	if n > 0 && n < len(out) {
+		out = out[:n]
+	}
+	return out
+}
+
+// checkUnratedPopular holds UnratedPopular to the lookup filter for
+// every group of up to two users among users and every cut.
+func checkUnratedPopular(t *testing.T, tag string, s *Store, users []UserID) {
+	t.Helper()
+	groups := [][]UserID{nil}
+	for i, u := range users {
+		groups = append(groups, []UserID{u})
+		for _, v := range users[i+1:] {
+			groups = append(groups, []UserID{u, v})
+		}
+	}
+	for _, g := range groups {
+		for _, n := range []int{-1, 0, 1, 2, len(s.Items()), len(s.Items()) + 1} {
+			if got, want := s.UnratedPopular(g, n), unratedByLookups(s, g, n); !slices.Equal(got, want) {
+				t.Fatalf("%s: UnratedPopular(%v, %d) = %v, the lookup filter gives %v", tag, g, n, got, want)
+			}
+		}
+	}
+}
+
+func TestUnratedPopularMatchesValueLookups(t *testing.T) {
 	s := NewStore()
 	ratings := []Rating{
 		{User: 0, Item: 0, Value: 5},
@@ -342,6 +386,8 @@ func TestRatedBitsetsMatchValueLookups(t *testing.T) {
 		{User: 0, Item: 64, Value: 3},
 		{User: 1, Item: 2, Value: 2},
 		{User: 2, Item: 200, Value: 1},
+		{User: 2, Item: 200, Value: 4}, // a repeated pair
+		{User: 3, Item: 64, Value: 2},
 	}
 	for _, r := range ratings {
 		if err := s.Add(r); err != nil {
@@ -349,54 +395,29 @@ func TestRatedBitsetsMatchValueLookups(t *testing.T) {
 		}
 	}
 	s.Freeze()
-	for u := UserID(0); u < 4; u++ {
-		for it := ItemID(-1); it <= 201; it++ {
-			_, want := s.Value(u, it)
-			if got := s.HasRated(u, it); got != want {
-				t.Errorf("HasRated(%d,%d) = %v, Value says %v", u, it, got, want)
-			}
-		}
-	}
-	mask := s.GroupRatedMask([]UserID{0, 2})
-	if mask == nil {
-		t.Fatal("bitsets unexpectedly disabled for a dense store")
-	}
-	for it := ItemID(-1); it <= 201; it++ {
-		_, r0 := s.Value(0, it)
-		_, r2 := s.Value(2, it)
-		if got := mask.Has(it); got != (r0 || r2) {
-			t.Errorf("mask.Has(%d) = %v, want %v", it, got, r0 || r2)
-		}
-	}
-	// Absent users contribute nothing; unknown users are fine.
-	if got := s.GroupRatedMask([]UserID{99}); got == nil || got.Has(0) {
-		t.Errorf("ghost-user mask should be empty, got %v", got)
+	// 99 is absent from the store and rates nothing.
+	checkUnratedPopular(t, "frozen", s, []UserID{0, 1, 2, 3, 99})
+	if got := s.UnratedPopular([]UserID{0, 2}, 0); !slices.Equal(got, []ItemID{2}) {
+		t.Errorf("UnratedPopular({0,2}) = %v, want [2]", got)
 	}
 }
 
-func TestBitsetsDisabledForAdversarialIDs(t *testing.T) {
-	neg := NewStore()
-	if err := neg.Add(Rating{User: 0, Item: -5, Value: 3}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	neg.Freeze()
-	if neg.GroupRatedMask([]UserID{0}) != nil {
-		t.Errorf("negative item IDs should disable bitsets")
-	}
-	if !neg.HasRated(0, -5) {
-		t.Errorf("fallback HasRated lost the negative-ID rating")
-	}
-
-	huge := NewStore()
-	if err := huge.Add(Rating{User: 0, Item: 1 << 40, Value: 3}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	huge.Freeze()
-	if huge.GroupRatedMask([]UserID{0}) != nil {
-		t.Errorf("huge item IDs should disable bitsets")
-	}
-	if !huge.HasRated(0, 1<<40) {
-		t.Errorf("fallback HasRated lost the huge-ID rating")
+// TestUnratedPopularOnAdversarialIDs covers item domains no offset table
+// fits: negative IDs and IDs spread past 2^40, which the item index keeps
+// in a map. The exclusion works over positions, so it is the same walk.
+func TestUnratedPopularOnAdversarialIDs(t *testing.T) {
+	for _, items := range [][]ItemID{{-5, -1, 3}, {0, 1 << 40, 1<<62 + 9}} {
+		s := NewStore()
+		for u, it := range items {
+			for v := 0; v <= u; v++ {
+				mustAdd(t, s, Rating{User: UserID(v), Item: it, Value: 3})
+			}
+		}
+		s.Freeze()
+		checkUnratedPopular(t, fmt.Sprint(items), s, []UserID{0, 1, 2})
+		if got, want := s.UnratedPopular([]UserID{2}, 0), []ItemID{items[1], items[0]}; !slices.Equal(got, want) {
+			t.Errorf("items %v: UnratedPopular({2}) = %v, want %v", items, got, want)
+		}
 	}
 }
 

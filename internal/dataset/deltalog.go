@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // DeltaStats counts live-ingest traffic.
@@ -47,12 +46,12 @@ func (st *storeState) itemPos(it ItemID) (int, error) {
 // the 1..5 scale. Violations return errors matchable against
 // ErrNotFrozen, ErrUnknownUser, ErrUnknownItem, and ErrBadValue.
 //
-// The item's rater column — its three arrays — and the user's row are
-// copied with r inserted after every entry of equal key — where a cold
-// rebuild of the full log puts it — and their cells are swapped; the
-// user's rated bitset is copied on write. The replaced column and row
-// are dropped, not kept beside the new ones, so the store holds each
-// rating once in each. Apply is safe for concurrent use with itself and
+// The item's rater column and the user's row — each three arrays — are
+// copied with r inserted after every entry of equal position — where a
+// cold rebuild of the full log puts it — and their cells are swapped.
+// The replaced column and row are dropped, not kept beside the new
+// ones, so the store holds each rating once in each, at the size a
+// cold rebuild gives it. Apply is safe for concurrent use with itself and
 // with every read path; the rating is visible to all reads once Apply
 // returns.
 func (s *Store) Apply(r Rating) error {
@@ -78,15 +77,7 @@ func (s *Store) Apply(r Rating) error {
 	colCell.Store(colCell.Load().insert(int32(ui), r.Value, r.Time))
 
 	rowCell := &st.rows[ui]
-	old := rowCell.Load()
-	row := &userRow{rated: old.rated}
-	rs := old.ratings
-	row.ratings = insertAt(rs, r, sort.Search(len(rs), func(i int) bool { return rs[i].Item > r.Item }))
-	if st.maskWords > 0 && !old.rated.Has(r.Item) {
-		row.rated = slices.Clone(old.rated)
-		row.rated.set(r.Item)
-	}
-	rowCell.Store(row)
+	rowCell.Store(rowCell.Load().insert(int32(ii), r.Value, r.Time))
 
 	// The totals advance in append order; one item's count rose by one,
 	// so it alone moves up the ranking.

@@ -87,11 +87,10 @@ func compareStores(t *testing.T, tag string, want, got *Store) {
 		t.Fatalf("%s: Items diverge", tag)
 	}
 	for _, u := range want.Users() {
-		wu, gu := want.ByUser(u), got.ByUser(u)
-		if len(wu) == 0 && len(gu) == 0 {
-			continue
+		if wu, gu := want.Row(u), got.Row(u); !reflect.DeepEqual(wu, gu) {
+			t.Fatalf("%s: Row(%d) = %+v, want %+v", tag, u, gu, wu)
 		}
-		if !reflect.DeepEqual(wu, gu) {
+		if wu, gu := want.ByUser(u), got.ByUser(u); !reflect.DeepEqual(wu, gu) {
 			t.Fatalf("%s: ByUser(%d) = %v, want %v", tag, u, gu, wu)
 		}
 		for _, it := range want.Items() {
@@ -99,9 +98,6 @@ func compareStores(t *testing.T, tag string, want, got *Store) {
 			gv, gok := got.Value(u, it)
 			if wv != gv || wok != gok {
 				t.Fatalf("%s: Value(%d,%d) = %v,%v want %v,%v", tag, u, it, gv, gok, wv, wok)
-			}
-			if want.HasRated(u, it) != got.HasRated(u, it) {
-				t.Fatalf("%s: HasRated(%d,%d) diverges", tag, u, it)
 			}
 		}
 	}
@@ -116,8 +112,8 @@ func compareStores(t *testing.T, tag string, want, got *Store) {
 	}
 	users := want.Users()
 	for _, g := range [][]UserID{users[:1], users[len(users)/3 : 2*len(users)/3], users} {
-		if !reflect.DeepEqual(want.GroupRatedMask(g), got.GroupRatedMask(g)) {
-			t.Fatalf("%s: GroupRatedMask diverges", tag)
+		if !reflect.DeepEqual(want.UnratedPopular(g, 0), got.UnratedPopular(g, 0)) {
+			t.Fatalf("%s: UnratedPopular diverges", tag)
 		}
 	}
 	if want.NumRatings() != got.NumRatings() {
@@ -224,6 +220,60 @@ func TestRaterColumnsMatchUserRows(t *testing.T) {
 	}
 }
 
+// TestLayoutMatchesColdRebuild pins the layout the store's size rests
+// on: frozen from a base that already re-rates one pair, and after every
+// one of 320 Applies — every fifth a repeated (user, item) pair — every
+// user row and every rater column equals the cold rebuild's, entry by
+// entry with the repeats flag, and every array of every row and column
+// holds exactly its entries: no append slack, from Freeze or from Apply.
+func TestLayoutMatchesColdRebuild(t *testing.T) {
+	base := deltaBaseRatings()
+	again := base[0]
+	again.Value, again.Time = 6-again.Value, again.Time+1
+	base = append(base, again)
+	live := freezeStore(t, base)
+	seq := applySequence(base, live.PopularityRanked()[0], 320, 17)
+	check := func(tag string, cold *Store) {
+		t.Helper()
+		for ui := range live.Users() {
+			checkTight(t, fmt.Sprintf("%s: RowAt(%d)", tag, ui), live.RowAt(ui), cold.RowAt(ui))
+		}
+		for ii := range live.Items() {
+			checkTight(t, fmt.Sprintf("%s: RatersAt(%d)", tag, ii), live.RatersAt(ii), cold.RatersAt(ii))
+		}
+	}
+	check("frozen", freezeStore(t, base))
+	for i, r := range seq {
+		if err := live.Apply(r); err != nil {
+			t.Fatalf("Apply(%+v): %v", r, err)
+		}
+		check(fmt.Sprintf("after %d applies", i+1), coldAt(t, base, seq, i+1))
+	}
+	runs := 0
+	for ui := range live.Users() {
+		if live.RowAt(ui).Repeats() {
+			runs++
+		}
+	}
+	if runs == 0 {
+		t.Fatal("the sequence left no row with a repeated item")
+	}
+}
+
+// checkTight asserts got equals want entry by entry, repeats flag
+// included, and that each of got's and want's arrays has cap == len.
+func checkTight(t *testing.T, tag string, got, want Column) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s = %+v, the cold rebuild's %+v", tag, got, want)
+	}
+	for _, c := range []Column{got, want} {
+		if cap(c.Pos) != len(c.Pos) || cap(c.Value) != len(c.Value) || cap(c.Time) != len(c.Time) {
+			t.Fatalf("%s: caps %d/%d/%d over %d entries", tag, cap(c.Pos), cap(c.Value), cap(c.Time), c.Len())
+		}
+	}
+}
+
 // columnsFromRows lays out every item's column, in Items() order, from
 // the user rows alone: users in position order, each row in its order.
 func columnsFromRows(s *Store) []Column {
@@ -286,9 +336,11 @@ func FuzzApplyMatchesColdRebuild(f *testing.F) {
 	})
 }
 
-// TestStoreReadsAllocateNothing pins that a read after Applies is a map
-// lookup and an atomic load: no lock, no merge, no allocation. The one
-// exception is GroupRatedMask's result, which the caller owns.
+// TestStoreReadsAllocateNothing pins that a read after Applies is an
+// index lookup and an atomic load: no lock, no merge, no allocation.
+// The exceptions are the results the caller owns: UnratedPopular's
+// item list and its request-local bitset, and ByUser's cold-path
+// rebuild of a row as ratings.
 func TestStoreReadsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -308,14 +360,16 @@ func TestStoreReadsAllocateNothing(t *testing.T) {
 		want float64
 		read func()
 	}{
-		{"ByUser", 0, func() { sink += len(s.ByUser(u)) }},
+		{"Row", 0, func() { sink += s.Row(u).Len() }},
+		{"RowAt", 0, func() { sink += s.RowAt(3).Len() }},
 		{"Raters", 0, func() { sink += s.Raters(it).Len() }},
+		{"RatersAt", 0, func() { sink += s.RatersAt(3).Len() }},
 		{"Value", 0, func() { v, _ := s.Value(u, it); sink += int(v) }},
-		{"HasRated", 0, func() { _ = s.HasRated(u, it) }},
 		{"PopularityRanked", 0, func() { sink += len(s.PopularityRanked()) }},
 		{"NumRatings", 0, func() { sink += s.NumRatings() }},
 		{"Stats", 0, func() { sink += s.Stats().Ratings }},
-		{"GroupRatedMask", 1, func() { sink += len(s.GroupRatedMask(group)) }},
+		{"UnratedPopular", 2, func() { sink += len(s.UnratedPopular(group, 10)) }},
+		{"ByUser", 1, func() { sink += len(s.ByUser(u)) }},
 	}
 	for _, r := range reads {
 		if got := testing.AllocsPerRun(100, r.read); got != r.want {
@@ -389,10 +443,10 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 	// The versions each list passes through, from the cold rebuild
 	// after every prefix of its writer's sequence; a list's version is
 	// its length less its base length.
-	rowVersions := map[UserID][][]Rating{}
+	rowVersions := map[UserID][]Column{}
 	listVersions := map[ItemID][]Column{}
 	for _, u := range users {
-		rowVersions[u] = [][]Rating{s.ByUser(u)}
+		rowVersions[u] = []Column{s.Row(u)}
 	}
 	for _, it := range items {
 		listVersions[it] = []Column{s.Raters(it)}
@@ -400,7 +454,7 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 	for _, seq := range seqs {
 		for i, r := range seq {
 			cold := coldAt(t, base, seq, i+1)
-			rowVersions[r.User] = append(rowVersions[r.User], cold.ByUser(r.User))
+			rowVersions[r.User] = append(rowVersions[r.User], cold.Row(r.User))
 			listVersions[r.Item] = append(listVersions[r.Item], cold.Raters(r.Item))
 		}
 	}
@@ -429,9 +483,9 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 			for i := 0; i < 600; i++ {
 				u := users[rng.Intn(len(users))]
 				it := items[rng.Intn(len(items))]
-				row, ok := seenVersion(s.ByUser(u), rowVersions[u], lastRow[u], func(rs []Rating) int { return len(rs) })
+				row, ok := seenVersion(s.Row(u), rowVersions[u], lastRow[u], Column.Len)
 				if !ok {
-					t.Errorf("ByUser(%d) is no version at or after %d", u, lastRow[u])
+					t.Errorf("Row(%d) is no version at or after %d", u, lastRow[u])
 					return
 				}
 				list, ok := seenVersion(s.Raters(it), listVersions[it], lastList[it], Column.Len)
@@ -446,8 +500,7 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 				}
 				lastRow[u], lastList[it], lastN = row, list, n
 				s.Value(u, it)
-				s.HasRated(u, it)
-				s.GroupRatedMask(users[:3])
+				s.UnratedPopular(users[:3], 10)
 				s.PopularityRanked()
 				s.Stats()
 			}
@@ -460,8 +513,8 @@ func TestApplyConcurrentWithReads(t *testing.T) {
 		t.Fatalf("NumRatings = %d, want %d", got, want)
 	}
 	for u, vs := range rowVersions {
-		if !reflect.DeepEqual(s.ByUser(u), vs[len(vs)-1]) {
-			t.Fatalf("ByUser(%d) is not its final version", u)
+		if !reflect.DeepEqual(s.Row(u), vs[len(vs)-1]) {
+			t.Fatalf("Row(%d) is not its final version", u)
 		}
 	}
 	for it, vs := range listVersions {

@@ -18,7 +18,6 @@ import (
 // byte-identical responses from a cold rebuild afterwards.
 func stormRatings(tb testing.TB, w *repro.World, n int) []dataset.Rating {
 	tb.Helper()
-	ranked := w.Ratings().PopularityRanked()
 	users := w.Participants()
 	if len(users) < n {
 		tb.Fatalf("world has %d participants, storm needs %d", len(users), n)
@@ -28,11 +27,8 @@ func stormRatings(tb testing.TB, w *repro.World, n int) []dataset.Rating {
 		if len(out) == n {
 			break
 		}
-		for _, it := range ranked {
-			if !w.Ratings().HasRated(u, it) {
-				out = append(out, dataset.Rating{User: u, Item: it, Value: 4, Time: 978300000 + int64(len(out))})
-				break
-			}
+		for _, it := range w.Ratings().UnratedPopular([]dataset.UserID{u}, 1) {
+			out = append(out, dataset.Rating{User: u, Item: it, Value: 4, Time: 978300000 + int64(len(out))})
 		}
 	}
 	if len(out) != n {

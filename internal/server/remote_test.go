@@ -523,10 +523,8 @@ func TestRemoteIngestFansOutWhenJournalFails(t *testing.T) {
 	// moves both the member's view (built on a worker) and the group's
 	// candidates (selected on the router).
 	ratingBy := func(u int64, n int) string {
-		for _, it := range control.Ratings().PopularityRanked() {
-			if !control.Ratings().HasRated(dataset.UserID(u), it) {
-				return fmt.Sprintf(`{"user":%d,"item":%d,"value":5,"time":%d}`, u, it, 978300000+n)
-			}
+		if unrated := control.Ratings().UnratedPopular([]dataset.UserID{dataset.UserID(u)}, 1); len(unrated) > 0 {
+			return fmt.Sprintf(`{"user":%d,"item":%d,"value":5,"time":%d}`, u, unrated[0], 978300000+n)
 		}
 		t.Fatalf("user %d has rated everything", u)
 		return ""

@@ -60,17 +60,13 @@ func liveWorld(t *testing.T, ratings string, shards int, spec consensus.Spec) *W
 // rated (so the ingest changes both predictions and the candidate
 // exclusion), stamped inside the observation window.
 func liveExtraRatings(w *World, n int) []dataset.Rating {
-	ranked := w.Ratings().PopularityRanked()
 	var out []dataset.Rating
 	for _, u := range w.Participants() {
 		if len(out) == n {
 			break
 		}
-		for _, it := range ranked {
-			if !w.Ratings().HasRated(u, it) {
-				out = append(out, dataset.Rating{User: u, Item: it, Value: 5, Time: 978300000 + int64(len(out))})
-				break
-			}
+		for _, it := range w.Ratings().UnratedPopular([]dataset.UserID{u}, 1) {
+			out = append(out, dataset.Rating{User: u, Item: it, Value: 5, Time: 978300000 + int64(len(out))})
 		}
 	}
 	return out
@@ -313,15 +309,9 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 		// One rating by one user on its least-popular unrated item — the
 		// smallest reach an ingest can have; most of the 30 warm users'
 		// neighborhoods must survive it.
-		ranked := w.Ratings().PopularityRanked()
 		rater := users[0]
-		var r dataset.Rating
-		for i := len(ranked) - 1; i >= 0; i-- {
-			if !w.Ratings().HasRated(rater, ranked[i]) {
-				r = dataset.Rating{User: rater, Item: ranked[i], Value: 5, Time: 978300000}
-				break
-			}
-		}
+		unrated := w.Ratings().UnratedPopular([]dataset.UserID{rater}, 0)
+		r := dataset.Rating{User: rater, Item: unrated[len(unrated)-1], Value: 5, Time: 978300000}
 		if err := w.AddRating(r); err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func lightGroup(t *testing.T, w *repro.World, n int) []dataset.UserID {
 	t.Helper()
 	var group []dataset.UserID
 	for _, u := range w.Participants() {
-		if c := len(w.Ratings().ByUser(u)); c > 0 && c < 100 {
+		if c := w.Ratings().Row(u).Len(); c > 0 && c < 100 {
 			group = append(group, u)
 			if len(group) == n {
 				return group
@@ -123,7 +123,7 @@ func TestCandidateItemsExcludesGroupRatings(t *testing.T) {
 	}
 	for _, it := range items {
 		for _, u := range group {
-			if w.Ratings().HasRated(u, it) {
+			if _, rated := w.Ratings().Value(u, it); rated {
 				t.Fatalf("candidate %d rated by member %d", it, u)
 			}
 		}

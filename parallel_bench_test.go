@@ -47,7 +47,7 @@ func parallelBenchWorld(b *testing.B) (*repro.World, [][]dataset.UserID) {
 		// raters can exhaust the small catalog's candidate pool).
 		var light []dataset.UserID
 		for _, u := range w.Participants() {
-			if n := len(w.Ratings().ByUser(u)); n > 0 && n < 200 {
+			if n := w.Ratings().Row(u).Len(); n > 0 && n < 200 {
 				light = append(light, u)
 			}
 		}

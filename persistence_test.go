@@ -193,14 +193,8 @@ func TestWarmRestartKeepsNeighborhoodsAcrossFirstRating(t *testing.T) {
 	}
 	// One rating by one user on its least-popular unrated item: the
 	// smallest reach an ingest can have.
-	ranked := w2.Ratings().PopularityRanked()
-	var r dataset.Rating
-	for i := len(ranked) - 1; i >= 0; i-- {
-		if !w2.Ratings().HasRated(users[0], ranked[i]) {
-			r = dataset.Rating{User: users[0], Item: ranked[i], Value: 5, Time: 978300000}
-			break
-		}
-	}
+	unrated := w2.Ratings().UnratedPopular(users[:1], 0)
+	r := dataset.Rating{User: users[0], Item: unrated[len(unrated)-1], Value: 5, Time: 978300000}
 	if err := w2.AddRating(r); err != nil {
 		t.Fatal(err)
 	}

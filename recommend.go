@@ -365,43 +365,11 @@ func (w *World) groupAffinity(group []dataset.UserID, period int) (static []floa
 // CandidateItems returns up to n of the most popular items that no
 // group member has rated — the paper's candidate pool with the
 // problem-definition exclusion applied. n <= 0 returns every unrated
-// item. The popularity ranking is precomputed at store freeze and the
-// group's rated items are OR-ed into one bitset up front, so the scan
-// is O(candidates) single-word tests instead of per-item, per-member
-// rating lookups.
+// item. The walk is the store's (dataset.Store.UnratedPopular): the
+// members' rows OR-ed into one bitset over item positions, then the
+// precomputed popularity ranking.
 func (w *World) CandidateItems(group []dataset.UserID, n int) []dataset.ItemID {
-	ranked := w.ratings.PopularityRanked()
-	capHint := n
-	if capHint <= 0 || capHint > len(ranked) {
-		capHint = len(ranked)
-	}
-	out := make([]dataset.ItemID, 0, capHint)
-	mask := w.ratings.GroupRatedMask(group)
-	for _, it := range ranked {
-		if mask != nil {
-			if mask.Has(it) {
-				continue
-			}
-		} else {
-			// Sparse or adversarial item IDs disabled bitsets; fall
-			// back to per-member lookups.
-			rated := false
-			for _, u := range group {
-				if w.ratings.HasRated(u, it) {
-					rated = true
-					break
-				}
-			}
-			if rated {
-				continue
-			}
-		}
-		out = append(out, it)
-		if len(out) == n {
-			break
-		}
-	}
-	return out
+	return w.ratings.UnratedPopular(group, n)
 }
 
 // PairAffinity returns the pairwise affinity of (u,v) under the given

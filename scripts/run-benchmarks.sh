@@ -34,8 +34,9 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 # the neighborhood fill a rating makes the serving path pay again (one
 # cold fill and its drop on the bench workloads' 2 000-user world: the
 # co-rater bitset, the candidate slice and the kept top-k), and the batch
-# prediction every view build runs on that world (600 candidates, warm
-# neighborhood; 0 allocs/op: its working set is pooled), and the
+# prediction every view build runs on that world (warm neighborhood, at
+# 600 candidates and at the whole 1 500-item catalog, a view build's
+# pool; 0 allocs/op: its working set is pooled), and the
 # affinity model build every world pays at start (n=600 participants,
 # six two-month periods: normalizers from the sources' counted stats;
 # n=5000 rides along and has no baseline row) with the pair read every
