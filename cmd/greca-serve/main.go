@@ -10,13 +10,14 @@
 //	            [-liststore 1024] [-shards 1] [-shards-config topology.json]
 //	            [-snapshot dir] [-pprof localhost:6060] [-v]
 //
-// -snapshot names a persistence directory: on boot the world is
-// rebuilt from its snapshot when one matches the configuration (a
-// warm restart that also restores the sorted-list views and CF
-// neighborhoods, skipping the rebuild scans), ratings journaled since
-// that snapshot are replayed from the write-ahead log (one file,
-// wal.log, in acknowledgement order), and every rating accepted by
-// POST /v1/ratings is journaled before the request is acknowledged. On SIGTERM, after the listener drains, a
+// -snapshot names a persistence directory: on boot the world's
+// ratings are rebuilt from its snapshot when one matches the
+// configuration (a warm restart; the snapshot holds the ratings only,
+// so views and neighborhoods fill on first use as on a cold boot),
+// ratings journaled since that snapshot are replayed from the
+// write-ahead log (one file, wal.log, in acknowledgement order), and
+// every rating accepted by POST /v1/ratings is journaled before the
+// request is acknowledged. On SIGTERM, after the listener drains, a
 // fresh snapshot is written and the log truncated, so the next boot
 // replays nothing. A snapshot from a different configuration (or a
 // corrupted one) is discarded and the world boots cold — restarts are
@@ -57,11 +58,11 @@
 // handshake.
 //
 // With -shards-config the router's sorted-list store (-liststore) keeps
-// the views it fetches from workers, and the views a -snapshot restored.
-// It is the same store the in-process world uses, fetching instead of
-// building: each ingested rating drops every view once the workers have
-// applied it, and a fetch still in flight when that sweep passes is
-// never kept, so a warm hit serves bytes identical to a fresh fetch.
+// the views it fetches from workers. It is the same store the
+// in-process world uses, fetching instead of building: each ingested
+// rating drops every view once the workers have applied it, and a
+// fetch still in flight when that sweep passes is never kept, so a
+// warm hit serves bytes identical to a fresh fetch.
 //
 // Endpoints (API v1 — the only prefix; unversioned paths answer 404):
 //
@@ -188,8 +189,7 @@ func main() {
 	if *snapshot != "" {
 		openStats = &open
 		if open.Warm {
-			log.Printf("warm restart from %s: %d views, %d neighborhoods restored, %d ratings replayed",
-				*snapshot, open.WarmViews, open.WarmNeighborhoods, open.ReplayedRatings)
+			log.Printf("warm restart from %s: %d ratings replayed", *snapshot, open.ReplayedRatings)
 		} else {
 			log.Printf("cold start (no usable snapshot in %s): %d ratings replayed", *snapshot, open.ReplayedRatings)
 		}

@@ -145,8 +145,7 @@ func main() {
 		fmt.Printf("world: %d users, %d items, %d ratings, %d participants, %d periods\n",
 			st.Users, st.Items, st.Ratings, len(world.Participants()), world.Timeline().NumPeriods())
 		if *snapshot != "" {
-			fmt.Printf("persistence: warm=%t, %d ratings replayed, %d views + %d neighborhoods restored\n",
-				open.Warm, open.ReplayedRatings, open.WarmViews, open.WarmNeighborhoods)
+			fmt.Printf("persistence: warm=%t, %d ratings replayed\n", open.Warm, open.ReplayedRatings)
 		}
 	}
 	for _, group := range groupSets {

@@ -57,8 +57,9 @@
 //     expensive cache warm without changing a served byte: everything
 //     served is bit-identical to a world rebuilt from scratch with that
 //     rating. OpenWorld / SaveWorldSnapshot add durability: a
-//     checksummed snapshot plus a single write-ahead log give warm
-//     restarts that skip the view and neighborhood rebuilds. Ingest is
+//     checksummed snapshot of the ratings plus a single write-ahead log
+//     give warm restarts; the views and neighborhoods, functions of the
+//     ratings, fill on first use as on a cold boot. Ingest is
 //     serial under one lock, so nothing on that path fans out: the
 //     repairs run on the ingesting goroutine and a torn journal
 //     replays a prefix of the acknowledged ratings.

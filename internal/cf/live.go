@@ -2,15 +2,14 @@ package cf
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/dataset"
 )
 
 // This file is the live-world side of the cf package: the hooks that
 // keep every derived structure coherent after a rating is applied to
-// the store, and the export/restore pair the snapshot layer
-// uses to warm-start the neighborhood caches.
+// the store. A restarted world holds no neighborhood: they fill on
+// first use, from the ratings the snapshot and the journal restored.
 //
 // Coherence model: one new rating by user u changes u's vector — and
 // therefore sim(v, u) for exactly the users v that share an item with
@@ -252,63 +251,7 @@ func (p *Predictor) NoteIngest(u dataset.UserID) {
 	p.counters.invalidate(cleared)
 }
 
-// UserNeighbors is one user's cached neighborhood in export form — the
-// unit the snapshot layer persists so a warm restart skips the
-// neighborhood fills.
-type UserNeighbors struct {
-	User      dataset.UserID
-	Neighbors []Neighbor
-}
-
-// ExportNeighborhoods snapshots the served top-k of every cached
-// neighborhood, sorted by user for deterministic output — the margin
-// stays behind, so the snapshot format does not depend on it. The
-// neighbor slices are copies; the caller owns them.
-func (p *Predictor) ExportNeighborhoods() []UserNeighbors {
-	var out []UserNeighbors
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.RLock()
-		for u, nb := range sh.neighbors {
-			out = append(out, UserNeighbors{User: u, Neighbors: append([]Neighbor(nil), nb.top(p.k)...)})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
-}
-
-// RestoreNeighborhoods seeds the cache with previously exported
-// neighborhoods, returning how many were installed. Entries for users
-// already cached are skipped (the resident entry is canonical). The
-// caller guarantees the snapshot matches the store — the persistence
-// layer's config fingerprint gates that, and it restores only when no
-// journaled rating was replayed on top. A restored entry carries no
-// margin: it is an exact prefix of the ranking all the same, complete
-// only when it holds fewer than k (a fill keeps at least k entries
-// unless there are fewer positive peers), so a rating repairs it like a
-// filled one. Call during setup, before ingest traffic: an install here
-// is not epoch-fenced.
-func (p *Predictor) RestoreNeighborhoods(ns []UserNeighbors) int {
-	restored := 0
-	for _, un := range ns {
-		nb := neighborhood{
-			ns:       append([]Neighbor(nil), un.Neighbors...),
-			complete: len(un.Neighbors) < p.k,
-		}
-		sh := p.stripe(un.User)
-		sh.mu.Lock()
-		if _, ok := sh.neighbors[un.User]; !ok {
-			sh.neighbors[un.User] = nb
-			restored++
-		}
-		sh.mu.Unlock()
-	}
-	return restored
-}
-
-// CachedNeighborhoods reports the number of cached neighborhoods — the
-// warm-start observability hook.
+// CachedNeighborhoods reports the number of cached neighborhoods.
 func (p *Predictor) CachedNeighborhoods() int {
 	n := 0
 	for i := range p.shards {

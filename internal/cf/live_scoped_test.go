@@ -310,62 +310,6 @@ func TestNoteIngestFullDropsEverything(t *testing.T) {
 	}
 }
 
-// TestRestoreNeighborhoodsSurviveUnrelatedIngest pins the warm-restart
-// contract: a restored neighborhood carries no margin, but it is an
-// exact prefix of the ranking all the same, so a scoped ingest treats
-// it like a filled one — a rating that reaches neither restored user
-// leaves both untouched, one that reaches one repairs exactly it.
-func TestRestoreNeighborhoodsSurviveUnrelatedIngest(t *testing.T) {
-	s := scopedStore(t)
-	warmP, err := NewPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmNeighbors(warmP, 3, 4)
-	exported := warmP.ExportNeighborhoods()
-
-	cold, err := NewPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := cold.RestoreNeighborhoods(exported); n != 2 {
-		t.Fatalf("restored %d neighborhoods, want 2", n)
-	}
-
-	applyRating(t, s, 0, 3, 5) // reaches neither u3 nor u4
-	cold.NoteIngestScoped(0, 3)
-	if st := cold.Stats(); st.Invalidated != 0 || st.Retained != 2 {
-		t.Errorf("unrelated ingest: %d dropped / %d retained, want 0 / 2", st.Invalidated, st.Retained)
-	}
-	if got := cold.work.repaired.Load(); got != 0 {
-		t.Errorf("unrelated ingest repaired %d neighborhoods, want 0", got)
-	}
-
-	applyRating(t, s, 9, 11, 4) // u9's first overlap with u4; none with u3
-	cold.NoteIngestScoped(9, 11)
-	// The counters accumulate: this ingest repairs u4 and leaves u3.
-	if st := cold.Stats(); st.Invalidated != 0 || st.Retained != 4 {
-		t.Errorf("ingest reaching u4: %d dropped / %d retained in total, want 0 / 4", st.Invalidated, st.Retained)
-	}
-	if got := cold.work.repaired.Load(); got != 1 {
-		t.Errorf("ingest reaching u4 repaired %d neighborhoods, want 1", got)
-	}
-	if !cached(cold, 3) || !cached(cold, 4) {
-		t.Errorf("after the ingest reaching u4: u3 resident = %v, u4 resident = %v; want both",
-			cached(cold, 3), cached(cold, 4))
-	}
-
-	fresh, err := NewPredictor(s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range []dataset.UserID{0, 1, 2, 3, 4} {
-		if got, want := cold.Neighbors(u), fresh.Neighbors(u); !reflect.DeepEqual(got, want) {
-			t.Errorf("post-ingest Neighbors(%d) = %v, want cold %v", u, got, want)
-		}
-	}
-}
-
 // TestScopedIngestRace hammers concurrent neighborhood fills against
 // serialized scoped ingests, then checks every surviving and rebuilt
 // neighborhood against a cold predictor — the epoch fence and the

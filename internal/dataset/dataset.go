@@ -573,20 +573,24 @@ func (s *Store) PopularSet(n int) []ItemID {
 // nDiverse=25, topPop=200).
 func (s *Store) DiversitySet(nDiverse, topPop int) []ItemID {
 	pop := s.PopularSet(topPop)
-	cp := make([]ItemID, len(pop))
-	copy(cp, pop)
-	sort.Slice(cp, func(i, j int) bool {
-		vi, vj := s.ItemRatingVariance(cp[i]), s.ItemRatingVariance(cp[j])
-		if vi != vj {
-			return vi > vj
-		}
-		return cp[i] < cp[j]
-	})
-	if nDiverse > len(cp) {
-		nDiverse = len(cp)
+	type itemVariance struct {
+		id ItemID
+		vr float64
 	}
-	out := make([]ItemID, nDiverse)
-	copy(out, cp[:nDiverse])
+	byVar := make([]itemVariance, len(pop))
+	for i, it := range pop {
+		byVar[i] = itemVariance{id: it, vr: s.ItemRatingVariance(it)}
+	}
+	sort.Slice(byVar, func(i, j int) bool {
+		if byVar[i].vr != byVar[j].vr {
+			return byVar[i].vr > byVar[j].vr
+		}
+		return byVar[i].id < byVar[j].id
+	})
+	out := make([]ItemID, min(nDiverse, len(byVar)))
+	for i := range out {
+		out[i] = byVar[i].id
+	}
 	return out
 }
 

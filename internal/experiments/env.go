@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro"
 	"repro/internal/dataset"
@@ -81,13 +80,4 @@ func (e *Env) RandomGroups(n, size int) []groups.Group {
 		out[i] = former.Random(pool, size)
 	}
 	return out
-}
-
-// rng returns a deterministic sub-generator for an experiment label.
-func (e *Env) rng(label string) *rand.Rand {
-	var h int64
-	for _, c := range label {
-		h = h*131 + int64(c)
-	}
-	return rand.New(rand.NewSource(e.Seed ^ h))
 }

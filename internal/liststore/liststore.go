@@ -34,7 +34,6 @@ package liststore
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -76,9 +75,6 @@ type Stats struct {
 	// dropped by capacity pressure.
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
-	// WarmLoads counts views installed from a snapshot restore instead
-	// of built — the warm-restart observability hook.
-	WarmLoads uint64 `json:"warm_loads"`
 	// Size is the number of materialized views; PoolSize the length of
 	// the base pool the views cover.
 	Size     int `json:"size"`
@@ -87,10 +83,10 @@ type Stats struct {
 
 // userEntry tracks one user's view slot. The acquirer that inserted it
 // builds the view and closes done; everyone else finding it mid-build
-// waits on done. view is atomic because acquirers and exports read it
-// while the builder publishes it without the store lock — an entry with
-// a nil view is still mid-build, or failed with err (written before
-// done closes).
+// waits on done. view is atomic because acquirers read it while the
+// builder publishes it without the store lock — an entry with a nil
+// view is still mid-build, or failed with err (written before done
+// closes).
 type userEntry struct {
 	done chan struct{}
 	view atomic.Pointer[View]
@@ -119,7 +115,6 @@ type Store struct {
 	rebuilds      atomic.Uint64
 	invalidations atomic.Uint64
 	evictions     atomic.Uint64
-	warmLoads     atomic.Uint64
 }
 
 // NewOver builds a store that materializes missing views through build,
@@ -143,10 +138,10 @@ func NewOver(build Builder, pool []dataset.ItemID, capacity int) *Store {
 
 // SetBuilder makes build the store's Builder for every later miss and
 // keeps every resident view: a view is a function of the world's
-// ratings alone, not of which builder produced it, so a view built or
-// restored in place is the one a worker would send. A router calls it
-// once, before serving, to fetch instead of build; it is not
-// synchronized with in-flight acquires.
+// ratings alone, not of which builder produced it, so a view built in
+// place is the one a worker would send. A router calls it once, before
+// serving, to fetch instead of build; it is not synchronized with
+// in-flight acquires.
 func (s *Store) SetBuilder(build Builder) { s.build = build }
 
 // Pool returns the base pool the views cover (shared, read-only).
@@ -310,11 +305,11 @@ var sortScratch = sync.Pool{New: func() any { return new([]core.Entry) }}
 // what a Builder returns — deriving the canonical order. The canonical
 // order is a strict total order on (score, pool position), so Order is
 // a function of the scores alone — not of which sort produced it, or
-// where: a restored or fetched view is bit-identical to one built in
-// place, which is why snapshots and the wire only carry the score
-// vectors. The sort is core.SortCanonical's distribution kernel,
-// O(len(scores)) on score-shaped input, over pooled scratch; the view
-// allocates only its Order.
+// where: a fetched view is bit-identical to one built in place, which
+// is why the wire only carries the score vectors. The sort is
+// core.SortCanonical's distribution kernel, O(len(scores)) on
+// score-shaped input, over pooled scratch; the view allocates only its
+// Order.
 func NewView(scores []float64) *View {
 	bp := sortScratch.Get().(*[]core.Entry)
 	entries := slices.Grow((*bp)[:0], len(scores))[:len(scores)]
@@ -350,64 +345,6 @@ func (s *Store) InvalidateAll() int {
 	s.mu.Unlock()
 	s.invalidations.Add(uint64(n))
 	return n
-}
-
-// UserView is one user's view in export form: only the dense score
-// vector — the order is a deterministic function of it and is
-// re-derived on restore.
-type UserView struct {
-	User   dataset.UserID
-	Scores []float64
-}
-
-// ExportViews snapshots every materialized view, sorted by user for
-// deterministic output. Score slices are shared with the live views
-// (views are immutable); callers must not mutate them.
-func (s *Store) ExportViews() []UserView {
-	var out []UserView
-	s.mu.Lock()
-	for u, e := range s.entries {
-		// Only settled views export: an entry mid-build has a nil view
-		// and will be rebuilt on next start anyway.
-		if v := e.view.Load(); v != nil {
-			out = append(out, UserView{User: u, Scores: v.Scores})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
-}
-
-// RestoreViews installs previously exported views, returning how many
-// were installed. Each restored entry's build-once is consumed, so the
-// next Acquire is a hit, not a build — restores count as WarmLoads,
-// never ViewBuilds, which is how tests and operators verify a warm
-// restart skipped the rebuild. Views with a score length that does not
-// match the pool are skipped (a snapshot/config mismatch the caller's
-// fingerprint should have caught), as are users already resident and
-// users beyond the capacity budget.
-func (s *Store) RestoreViews(views []UserView) int {
-	restored := 0
-	for _, uv := range views {
-		if len(uv.Scores) != len(s.pool) {
-			continue
-		}
-		s.mu.Lock()
-		if _, ok := s.entries[uv.User]; ok || len(s.ring) >= s.maxUsers {
-			s.mu.Unlock()
-			continue
-		}
-		e := &userEntry{}
-		e.ref.Store(true)
-		e.view.Store(NewView(uv.Scores))
-		s.entries[uv.User] = e
-		s.ring = append(s.ring, uv.User)
-		delete(s.invalidated, uv.User)
-		s.mu.Unlock()
-		s.warmLoads.Add(1)
-		restored++
-	}
-	return restored
 }
 
 // MapCandidates maps a candidate slice onto the pool: localOf[p] is the
@@ -458,7 +395,6 @@ func (s *Store) Stats() Stats {
 		Rebuilds:      s.rebuilds.Load(),
 		Invalidations: s.invalidations.Load(),
 		Evictions:     s.evictions.Load(),
-		WarmLoads:     s.warmLoads.Load(),
 		Size:          s.Len(),
 		PoolSize:      len(s.pool),
 	}

@@ -110,8 +110,8 @@ func (s *ratingLevelSource) PredictBatch(u dataset.UserID, items []dataset.ItemI
 }
 
 // TestViewsMatchTheReferenceSort: a view built in place from predictions
-// and one rebuilt from the same scores alone (the snapshot-restore and
-// router-fetch path) both carry exactly the reference sort's entries.
+// and one rebuilt from the same scores alone (the router-fetch path)
+// both carry exactly the reference sort's entries.
 func TestViewsMatchTheReferenceSort(t *testing.T) {
 	pool := testPool(1500)
 	views, err := sourceBuilder(&ratingLevelSource{}, pool)([]dataset.UserID{3, 11, 42})
@@ -393,64 +393,6 @@ func TestAcquireConcurrent(t *testing.T) {
 	}
 	if st.Size > 8 {
 		t.Errorf("size %d exceeds bound 8", st.Size)
-	}
-}
-
-// TestExportRestoreRoundTrip pins the warm-restart contract: restored
-// views are bit-identical to built ones, served as hits without any
-// source call, and counted as warm loads rather than builds.
-func TestExportRestoreRoundTrip(t *testing.T) {
-	src := &stubSource{}
-	pool := testPool(8)
-	s := newLocal(src, pool, 16)
-	for u := dataset.UserID(1); u <= 6; u++ {
-		mustAcquire(s, u)
-	}
-
-	views := s.ExportViews()
-	if len(views) != 6 {
-		t.Fatalf("exported %d views, want 6", len(views))
-	}
-	for i := 1; i < len(views); i++ {
-		if views[i-1].User >= views[i].User {
-			t.Fatalf("export not sorted by user: %d before %d", views[i-1].User, views[i].User)
-		}
-	}
-
-	src2 := &stubSource{}
-	s2 := newLocal(src2, pool, 16)
-	if got := s2.RestoreViews(views); got != 6 {
-		t.Fatalf("restored %d views, want 6", got)
-	}
-	for u := dataset.UserID(1); u <= 6; u++ {
-		want, got := mustAcquire(s, u), mustAcquire(s2, u)
-		if len(want.Scores) != len(got.Scores) {
-			t.Fatalf("user %d: restored view size %d, want %d", u, len(got.Scores), len(want.Scores))
-		}
-		for i := range want.Scores {
-			if want.Scores[i] != got.Scores[i] {
-				t.Fatalf("user %d: restored score[%d] = %v, want %v", u, i, got.Scores[i], want.Scores[i])
-			}
-		}
-		if !slices.Equal(want.Order, got.Order) {
-			t.Fatalf("user %d: restored order %v, want %v", u, got.Order, want.Order)
-		}
-	}
-	if calls := src2.batchCalls.Load(); calls != 0 {
-		t.Errorf("restored store called its source %d times, want 0", calls)
-	}
-	st := s2.Stats()
-	if st.ViewBuilds != 0 || st.WarmLoads != 6 || st.ViewHits != 6 {
-		t.Errorf("restored stats = %+v, want 0 builds / 6 warm loads / 6 hits", st)
-	}
-
-	// A second restore over resident users is a no-op, as is a view
-	// whose score length does not match the pool.
-	if got := s2.RestoreViews(views); got != 0 {
-		t.Errorf("re-restore installed %d views, want 0", got)
-	}
-	if got := s2.RestoreViews([]UserView{{User: 99, Scores: []float64{1}}}); got != 0 {
-		t.Errorf("mismatched-length restore installed %d views, want 0", got)
 	}
 }
 

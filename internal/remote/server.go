@@ -28,7 +28,7 @@ type Backend interface {
 	// ViewScores returns u's pool-order normalized preference scores —
 	// the dense side of the sorted-list view; the router reconstructs
 	// the canonical sorted side locally (the sort is deterministic given
-	// the scores, exactly like a snapshot restore).
+	// the scores).
 	ViewScores(u dataset.UserID) ([]float64, error)
 	// Apply ingests one rating into the worker's replica — the full
 	// AddRating path, cache invalidation included. Rejections unwrap to

@@ -270,7 +270,6 @@ func (t *Stats) add(o Stats) {
 	ls.Rebuilds += ol.Rebuilds
 	ls.Invalidations += ol.Invalidations
 	ls.Evictions += ol.Evictions
-	ls.WarmLoads += ol.WarmLoads
 	ls.Size += ol.Size
 	ls.PoolSize = ol.PoolSize
 	t.Neighborhoods.Add(o.Neighborhoods)

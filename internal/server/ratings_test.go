@@ -116,16 +116,38 @@ func TestServeRatingsIngest(t *testing.T) {
 }
 
 // TestStatsReportsPersistence checks the boot report plumbs through to
-// /v1/stats when the process runs with a snapshot directory.
+// /v1/stats when the process runs with a snapshot directory, and that
+// no cache counts a restore: a snapshot holds the ratings only.
 func TestStatsReportsPersistence(t *testing.T) {
-	open := &repro.OpenStats{Warm: true, WarmViews: 7, WarmNeighborhoods: 9}
+	open := &repro.OpenStats{Warm: true, ReplayedRatings: 7}
 	_, ts := newTestServer(t, Config{OpenStats: open})
 	var st statsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status = %d", code)
 	}
-	if st.Persistence == nil || !st.Persistence.Warm || st.Persistence.WarmViews != 7 {
+	if st.Persistence == nil || !st.Persistence.Warm || st.Persistence.ReplayedRatings != 7 {
 		t.Errorf("persistence = %+v, want the configured boot report", st.Persistence)
+	}
+
+	var raw struct {
+		Caches struct {
+			ListStore map[string]json.RawMessage `json:"list_store"`
+		} `json:"caches"`
+		Persistence map[string]json.RawMessage `json:"persistence"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &raw)
+	for section, keys := range map[string]map[string]json.RawMessage{
+		"caches.list_store": raw.Caches.ListStore,
+		"persistence":       raw.Persistence,
+	} {
+		for _, gone := range []string{"warm_loads", "warm_views", "warm_neighborhoods"} {
+			if _, ok := keys[gone]; ok {
+				t.Errorf("/v1/stats %s carries %q", section, gone)
+			}
+		}
+	}
+	if len(raw.Caches.ListStore) == 0 || len(raw.Persistence) == 0 {
+		t.Errorf("stats sections missing: list_store %v, persistence %v", raw.Caches.ListStore, raw.Persistence)
 	}
 }
 

@@ -819,7 +819,6 @@ func TestRouterCacheStatsSumWorkers(t *testing.T) {
 			ls.Rebuilds += st.ListStore.Rebuilds
 			ls.Invalidations += st.ListStore.Invalidations
 			ls.Evictions += st.ListStore.Evictions
-			ls.WarmLoads += st.ListStore.WarmLoads
 			ls.Size += st.ListStore.Size
 			ls.PoolSize = st.ListStore.PoolSize
 			nb.Hits += st.Neighborhoods.Hits

@@ -20,8 +20,8 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased sample variance (divide by n-1).
-func SampleVariance(xs []float64) float64 {
+// sampleVariance returns the unbiased sample variance (divide by n-1).
+func sampleVariance(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
@@ -42,7 +42,7 @@ func StdErr(xs []float64) float64 {
 	if n < 2 {
 		return 0
 	}
-	return math.Sqrt(SampleVariance(xs)) / math.Sqrt(float64(n))
+	return math.Sqrt(sampleVariance(xs)) / math.Sqrt(float64(n))
 }
 
 // Clamp restricts x to the closed interval [lo, hi].

@@ -28,8 +28,8 @@ func TestMean(t *testing.T) {
 
 func TestSampleVarianceAndStdErr(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	if got := SampleVariance(xs); !almostEq(got, 2.5) {
-		t.Errorf("SampleVariance = %v, want 2.5", got)
+	if got := sampleVariance(xs); !almostEq(got, 2.5) {
+		t.Errorf("sampleVariance = %v, want 2.5", got)
 	}
 	want := math.Sqrt(2.5) / math.Sqrt(5)
 	if got := StdErr(xs); !almostEq(got, want) {

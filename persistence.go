@@ -7,9 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/cf"
 	"repro/internal/dataset"
-	"repro/internal/liststore"
 	"repro/internal/persist"
 )
 
@@ -18,15 +16,14 @@ import (
 const snapshotFile = "snapshot.bin"
 
 // worldSnapshot is the gob payload of a world snapshot: the rating
-// store's canonical dump plus the warm-start caches — the materialized
-// sorted-list views and the user-based predictor's neighborhoods. The
-// caches are pure functions of the ratings and configuration, so the
-// snapshot stays coherent by construction; persisting them is what
-// lets a restart skip the rebuilds.
+// store's canonical dump and nothing else. Every cache over the store —
+// the sorted-list views, the predictor's neighborhoods — is a function
+// of the ratings, so a restarted world fills them on first use exactly
+// as a cold one does. A snapshot written when the payload also carried
+// Views and Neighborhoods still loads: gob skips fields the struct no
+// longer has.
 type worldSnapshot struct {
-	Ratings       []dataset.Rating
-	Views         []liststore.UserView
-	Neighborhoods []cf.UserNeighbors
+	Ratings []dataset.Rating
 }
 
 // configFingerprint hashes every world-shaping Config field. A
@@ -62,10 +59,6 @@ type OpenStats struct {
 	// ReplayedRatings counts WAL records re-applied on top of the
 	// store — ratings ingested after the last snapshot.
 	ReplayedRatings int `json:"replayed_ratings"`
-	// WarmViews and WarmNeighborhoods count the cache entries restored
-	// from the snapshot (zero when WAL replay made them stale).
-	WarmViews         int `json:"warm_views"`
-	WarmNeighborhoods int `json:"warm_neighborhoods"`
 	// DiscardedRatings counts the intact journal records thrown away
 	// because the journal was written under another configuration
 	// fingerprint — acknowledged ratings this world does not hold.
@@ -79,12 +72,8 @@ type OpenStats struct {
 // log, and the log is attached so subsequent AddRating calls are
 // durable. An empty dir is a plain NewWorld with no persistence.
 //
-// Warm-start caches (sorted-list views, CF neighborhoods) are
-// restored only when the WAL replayed nothing: a replayed rating
-// invalidates every view and neighborhood, so restoring them would
-// serve pre-ingest state. Either way the serving bytes are identical
-// to a world that never restarted — warm restore only skips the
-// rebuild work, never changes its result.
+// The world comes up with every cache empty, warm or cold, and serves
+// the bytes of a world that never restarted.
 func OpenWorld(cfg Config, dir string) (*World, OpenStats, error) {
 	var st OpenStats
 	if dir == "" {
@@ -133,20 +122,15 @@ func OpenWorld(cfg Config, dir string) (*World, OpenStats, error) {
 	}
 	st.ReplayedRatings = len(replayed)
 	st.DiscardedRatings = wal.Discarded()
-	if st.Warm && len(replayed) == 0 {
-		st.WarmNeighborhoods = w.pred.RestoreNeighborhoods(snap.Neighborhoods)
-		st.WarmViews = w.lists.RestoreViews(snap.Views)
-	}
 	w.SetRatingLog(wal)
 	return w, st, nil
 }
 
 // SaveWorldSnapshot persists the world under dir: the canonical rating
-// dump plus the warm-start caches are written as a checksummed
-// snapshot, and the write-ahead log — whose records the snapshot now
-// captures — is reset. The ingest lock is
-// held throughout, so no rating can land between the dump and the log
-// reset and be lost.
+// dump is written as a checksummed snapshot, and the write-ahead log —
+// whose records the snapshot now captures — is reset. The ingest lock
+// is held throughout, so no rating can land between the dump and the
+// log reset and be lost.
 func SaveWorldSnapshot(w *World, dir string) error {
 	if dir == "" {
 		return fmt.Errorf("repro: SaveWorldSnapshot requires a directory")
@@ -156,11 +140,7 @@ func SaveWorldSnapshot(w *World, dir string) error {
 	}
 	w.ingestMu.Lock()
 	defer w.ingestMu.Unlock()
-	snap := worldSnapshot{
-		Ratings:       w.ratings.DumpRatings(),
-		Views:         w.lists.ExportViews(),
-		Neighborhoods: w.pred.ExportNeighborhoods(),
-	}
+	snap := worldSnapshot{Ratings: w.ratings.DumpRatings()}
 	fp := configFingerprint(w.cfg)
 	if err := persist.SaveSnapshot(filepath.Join(dir, snapshotFile), fp, &snap); err != nil {
 		return err

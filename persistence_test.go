@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/affinity"
+	"repro/internal/cf"
 	"repro/internal/dataset"
+	"repro/internal/persist"
 )
 
 // persistTestConfig builds the config used by every persistence test:
@@ -22,9 +26,8 @@ func persistTestConfig(ratings string) Config {
 }
 
 // TestWarmRestartByteIdentical is the restart differential: a world
-// saved after live ingest and reopened must serve byte-identical
-// recommendations while skipping the view rebuild entirely — warm
-// loads, not view builds, proven via the list-store counters.
+// saved after live ingest and reopened from its snapshot must serve
+// byte-identical recommendations.
 func TestWarmRestartByteIdentical(t *testing.T) {
 	base := liveBaseRatings(t)
 	dir := t.TempDir()
@@ -68,22 +71,12 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	if !st2.Warm || st2.ReplayedRatings != 0 {
 		t.Fatalf("restart reported %+v, want warm with no replay", st2)
 	}
-	if st2.WarmViews == 0 || st2.WarmNeighborhoods == 0 {
-		t.Fatalf("restart restored %d views / %d neighborhoods, want both > 0", st2.WarmViews, st2.WarmNeighborhoods)
-	}
 	got, err := w2.Recommend(group, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("warm restart diverged\n got %+v\nwant %+v", got, want)
-	}
-	ls := w2.CacheStats().ListStore
-	if ls.ViewBuilds != 0 {
-		t.Errorf("warm restart built %d views, want 0 (restored views must serve)", ls.ViewBuilds)
-	}
-	if ls.WarmLoads == 0 || ls.ViewHits == 0 {
-		t.Errorf("warm counters = %d loads / %d hits, want both > 0", ls.WarmLoads, ls.ViewHits)
 	}
 }
 
@@ -154,77 +147,114 @@ func TestSaveWorldSnapshotKeepsJournalWhenSnapshotFails(t *testing.T) {
 	}
 }
 
-// TestWarmRestartKeepsNeighborhoodsAcrossFirstRating pins the restored
-// neighborhoods' repair: a restored entry carries no margin but is an
-// exact prefix of the ranking, so the first rating after a warm reopen
-// drops only the rater's own neighborhood and repairs the ones it
-// reaches — it used to drop every restored one — and what is served
-// over them is what a cold world holding the same ratings serves.
-func TestWarmRestartKeepsNeighborhoodsAcrossFirstRating(t *testing.T) {
+// TestSnapshotIsAFunctionOfTheRatings: a snapshot holds the ratings and
+// nothing the caches hold, so a world with every participant's view and
+// neighborhood resident and a cold world over the same ratings write
+// byte-identical snapshots.
+func TestSnapshotIsAFunctionOfTheRatings(t *testing.T) {
 	base := liveBaseRatings(t)
-	dir := t.TempDir()
-	const warmUsers = 30
-	opt := Options{K: 5}
-
-	w1, _, err := OpenWorld(persistTestConfig(base), dir)
+	warm, err := NewWorld(persistTestConfig(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	users := w1.Ratings().Users()
-	for g := 0; g+3 <= warmUsers; g += 3 {
-		if _, err := w1.Recommend(users[g:g+3], opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := SaveWorldSnapshot(w1, dir); err != nil {
+	cold, err := NewWorld(persistTestConfig(base))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.ClosePersistence(); err != nil {
+	participants := warm.Participants()
+	if _, err := warm.lists.AcquireMulti(participants); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range participants {
+		warm.pred.Neighbors(u)
+	}
+	if n := warm.lists.Len(); n != len(participants) {
+		t.Fatalf("%d views resident, want %d", n, len(participants))
+	}
+	if n := warm.CacheStats().Neighborhoods.Size; n < len(participants) {
+		t.Fatalf("%d neighborhoods resident, want at least %d", n, len(participants))
+	}
+
+	snapshot := func(w *World) []byte {
+		dir := t.TempDir()
+		if err := SaveWorldSnapshot(w, dir); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if w, c := snapshot(warm), snapshot(cold); !bytes.Equal(w, c) {
+		t.Errorf("the warm world's snapshot (%d bytes) differs from the cold world's (%d bytes)", len(w), len(c))
+	}
+}
+
+// TestSnapshotWithCachesStillBoots: a snapshot written when the payload
+// also carried the views and neighborhoods boots warm from its ratings,
+// restores none of the caches, and serves the bytes of a world that
+// never restarted.
+func TestSnapshotWithCachesStillBoots(t *testing.T) {
+	type userView struct {
+		User   dataset.UserID
+		Scores []float64
+	}
+	type userNeighbors struct {
+		User      dataset.UserID
+		Neighbors []cf.Neighbor
+	}
+	type snapshotWithCaches struct {
+		Ratings       []dataset.Rating
+		Views         []userView
+		Neighborhoods []userNeighbors
+	}
+
+	base := liveBaseRatings(t)
+	cfg := persistTestConfig(base)
+	w1, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := w1.Participants()[:3]
+	opt := Options{K: 5}
+	want, err := w1.Recommend(group, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := w1.lists.AcquireMulti(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := snapshotWithCaches{Ratings: w1.ratings.DumpRatings()}
+	for i, u := range group {
+		old.Views = append(old.Views, userView{User: u, Scores: views[i].Scores})
+		old.Neighborhoods = append(old.Neighborhoods, userNeighbors{User: u, Neighbors: w1.pred.Neighbors(u)})
+	}
+	dir := t.TempDir()
+	if err := persist.SaveSnapshot(filepath.Join(dir, snapshotFile), configFingerprint(cfg), &old); err != nil {
 		t.Fatal(err)
 	}
 
-	w2, st2, err := OpenWorld(persistTestConfig(base), dir)
+	w2, st, err := OpenWorld(persistTestConfig(base), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.ClosePersistence()
-	if !st2.Warm || st2.WarmNeighborhoods < warmUsers {
-		t.Fatalf("restart reported %+v, want warm with at least %d neighborhoods", st2, warmUsers)
+	if !st.Warm || st.ReplayedRatings != 0 {
+		t.Fatalf("boot from a snapshot with caches reported %+v, want warm with no replay", st)
 	}
-	// One rating by one user on its least-popular unrated item: the
-	// smallest reach an ingest can have.
-	unrated := w2.Ratings().UnratedPopular(users[:1], 0)
-	r := dataset.Rating{User: users[0], Item: unrated[len(unrated)-1], Value: 5, Time: 978300000}
-	if err := w2.AddRating(r); err != nil {
+	if n, nb := w2.lists.Len(), w2.CacheStats().Neighborhoods.Size; n != 0 || nb != 0 {
+		t.Errorf("boot left %d views / %d neighborhoods resident, want none", n, nb)
+	}
+	got, err := w2.Recommend(group, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	nb := w2.CacheStats().Neighborhoods
-	if nb.Retained == 0 {
-		t.Errorf("the first rating after a warm restart retained no neighborhood: %+v", nb)
-	}
-	if nb.Invalidated == 0 {
-		t.Errorf("the first rating after a warm restart dropped no neighborhood — the rater's own must: %+v", nb)
-	}
-	if nb.Size == 0 || nb.Misses != 0 {
-		t.Errorf("neighborhood cache after the rating = %+v, want restored entries resident and no fill yet", nb)
-	}
-
-	cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), 4)
-	for g := 0; g+3 <= warmUsers; g += 3 {
-		want, err := cold.Recommend(users[g:g+3], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := w2.Recommend(users[g:g+3], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("group %v: served over restored neighborhoods diverged from a cold world\n got %+v\nwant %+v", users[g:g+3], got, want)
-		}
-	}
-	if after := w2.CacheStats().Neighborhoods; after.Hits == 0 {
-		t.Errorf("no request was served from a retained restored neighborhood: %+v", after)
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("boot from a snapshot with caches diverged\n got %s\nwant %s", gotJSON, wantJSON)
 	}
 }
 
@@ -232,7 +262,7 @@ func TestWarmRestartKeepsNeighborhoodsAcrossFirstRating(t *testing.T) {
 // without ever snapshotting, drop the process, reopen — the replayed
 // world must match a world that ingested the same ratings and never
 // restarted. Then snapshot, ingest more, drop again: the reopen
-// replays only the post-snapshot records and skips the warm caches.
+// replays only the post-snapshot records.
 func TestIngestThenRestartMatchesNeverRestarting(t *testing.T) {
 	base := liveBaseRatings(t)
 	dir := t.TempDir()
@@ -282,8 +312,7 @@ func TestIngestThenRestartMatchesNeverRestarting(t *testing.T) {
 	}
 
 	// Snapshot now, ingest two more, crash again: only the
-	// post-snapshot records replay, and warm caches are skipped
-	// because replay made them stale.
+	// post-snapshot records replay.
 	if err := SaveWorldSnapshot(w2, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +340,6 @@ func TestIngestThenRestartMatchesNeverRestarting(t *testing.T) {
 	defer w3.ClosePersistence()
 	if !st3.Warm || st3.ReplayedRatings != 2 {
 		t.Fatalf("second recovery reported %+v, want warm store with 2 replayed", st3)
-	}
-	if st3.WarmViews != 0 || st3.WarmNeighborhoods != 0 {
-		t.Errorf("replay restored stale caches: %d views / %d neighborhoods", st3.WarmViews, st3.WarmNeighborhoods)
 	}
 	got, err = w3.Recommend(group, Options{K: 5})
 	if err != nil {

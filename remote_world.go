@@ -47,8 +47,8 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	w.remote = set
 	// The router's list store keeps its views, its capacity
 	// (Config.ListStoreSize) and its pool, and fetches its misses
-	// instead of building them: a view restored from a snapshot or
-	// fetched once serves every later assembly until a rating drops it.
+	// instead of building them: a view fetched once serves every later
+	// assembly until a rating drops it.
 	// Everything else about it — CLOCK eviction, the drop AddRating ends
 	// in, the mid-build unlink that fences fetches against ingest — is
 	// the store's, unchanged.

@@ -1,10 +1,12 @@
-// Command deadexports fails (exit 1) on an exported name that no
-// non-test Go file references. It checks the top-level funcs, methods,
-// types, vars and consts of the root package, internal/ and cmd/
-// (struct fields are skipped: encoding/json reads them by reflection)
-// against the references of every non-test file in the tree, bench/,
-// examples/ and scripts/ included. Like the go tool, it skips testdata
-// and directories starting with "." or "_".
+// Command deadexports fails (exit 1) on a top-level name that no
+// non-test Go file references. It checks the funcs, methods, types,
+// vars and consts, exported or not, that the root package, internal/
+// and cmd/ declare at top level (struct fields are skipped:
+// encoding/json reads them by reflection; so are init, a main
+// package's main and the blank name) against the references of every
+// non-test file in the tree, bench/, examples/ and scripts/ included.
+// Like the go tool, it skips testdata and directories starting with "."
+// or "_".
 //
 // The scan type-checks every package of the tree, bench/ included,
 // with go/types over one shared package set, so a name another package
@@ -54,7 +56,7 @@ func main() {
 		fmt.Println(d)
 	}
 	if len(dead) > 0 {
-		fmt.Fprintf(os.Stderr, "deadexports: %d exported names have no non-test reference: delete each, move a test-only helper into its package's _test.go, or allowlist a kept reference with its reason\n", len(dead))
+		fmt.Fprintf(os.Stderr, "deadexports: %d top-level names have no non-test reference: delete each, move a test-only helper into its package's _test.go, or allowlist a kept reference with its reason\n", len(dead))
 		os.Exit(1)
 	}
 }
@@ -160,7 +162,7 @@ func run(root, allowPath string) ([]string, error) {
 		}
 		for _, f := range l.files[p] {
 			topDecls(f, func(id *ast.Ident, recv string) {
-				if !id.IsExported() {
+				if n := id.Name; n == "_" || recv == "" && (n == "init" || n == "main" && f.Name.Name == "main") {
 					return
 				}
 				key := p + "." + id.Name

@@ -7,12 +7,14 @@ import (
 )
 
 // TestFixture runs the gate over testdata/fixture, whose internal/lib
-// package declares one exported name per case: a dead func, a func
+// package declares one top-level name per case: a dead func, a func
 // only its _test.go calls, a Min shadowed by math.Min, a Contains
 // method shadowed by strings.Contains, a method reached only through an
 // interface, a name used only bare inside its package, an allowlisted
-// name, a dead Pos method beside a live Pos of another type, and a
-// String method only fmt calls.
+// name, a dead Pos method beside a live Pos of another type, a String
+// method only fmt calls, an unexported func called in its package, and
+// an unexported dead func and test-only func. cmd/app's main is never
+// reported.
 func TestFixture(t *testing.T) {
 	got, err := run("testdata/fixture", "testdata/fixture/allow.txt")
 	if err != nil {
@@ -24,6 +26,8 @@ func TestFixture(t *testing.T) {
 		"internal/lib/lib.go:20: fixture/internal/lib.Min",
 		"internal/lib/lib.go:38: fixture/internal/lib.Set.Contains",
 		"internal/lib/lib.go:50: fixture/internal/lib.Line.Pos",
+		"internal/lib/lib.go:56: fixture/internal/lib.dead",
+		"internal/lib/lib.go:59: fixture/internal/lib.testOnly",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("dead names:\n got %q\nwant %q", got, want)

@@ -1,4 +1,4 @@
-// Package lib declares one exported name per case the gate must tell
+// Package lib declares one top-level name per case the gate must tell
 // apart.
 package lib
 
@@ -51,3 +51,9 @@ func (Line) Pos() int { return 1 }
 
 // String is called only by fmt, through fmt.Stringer.
 func (Line) String() string { return "line" }
+
+// dead is unexported and has no reference at all.
+func dead() {}
+
+// testOnly is unexported and called only from lib_test.go.
+func testOnly() {}

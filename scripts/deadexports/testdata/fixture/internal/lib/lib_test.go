@@ -2,4 +2,7 @@ package lib
 
 import "testing"
 
-func TestTestOnly(t *testing.T) { TestOnly() }
+func TestTestOnly(t *testing.T) {
+	TestOnly()
+	testOnly()
+}
