@@ -28,7 +28,7 @@ func referenceDiversitySet(s *dataset.Store, nDiverse, topPop int) []dataset.Ite
 // QuickConfig store and on a store whose items tie on variance, so the
 // ID tie-break decides most of the order.
 func TestDiversitySetKeepsTheReferenceOrder(t *testing.T) {
-	tied := dataset.NewStore()
+	var recs []dataset.Rating
 	// Item it has 2 or 4 raters whose values alternate between one of
 	// three (lo, hi) pairs: the variance depends on the pair alone, so
 	// every variance is shared by about a third of the 40 items.
@@ -36,13 +36,13 @@ func TestDiversitySetKeepsTheReferenceOrder(t *testing.T) {
 	for it := 1; it <= 40; it++ {
 		pair := pairs[it%3]
 		for r := 0; r < 2+2*(it%2); r++ {
-			rating := dataset.Rating{User: dataset.UserID(r + 1), Item: dataset.ItemID(it), Value: pair[r%2], Time: 978300000}
-			if err := tied.Add(rating); err != nil {
-				t.Fatal(err)
-			}
+			recs = append(recs, dataset.Rating{User: dataset.UserID(r + 1), Item: dataset.ItemID(it), Value: pair[r%2], Time: 978300000})
 		}
 	}
-	tied.Freeze()
+	tied, err := dataset.FromRatings(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name  string

@@ -44,7 +44,7 @@
 //     lifecycle (Config.ListStoreSize bounds it; AddRating drops every
 //     view); internal/engine alone decides, per request, whether a
 //     problem is served from views or from dense rows.
-//   - World.AddRating ingests a rating into the frozen world while it
+//   - World.AddRating ingests a rating into the built world while it
 //     serves: the rating is folded into the one rater list and the one
 //     user row it changes, so no read merges, and the cached
 //     neighborhoods the rating reaches are repaired in place — one walk

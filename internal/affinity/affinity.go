@@ -155,9 +155,8 @@ type PeriodicSource interface {
 // NetworkSource adapts a social.Network to both source interfaces
 // using exactly the paper's §4.1.2 definitions. Both are counts, so
 // their Stats are counted, not folded over the pairs. The population
-// must be users of the network. Binding a period needs the network
-// frozen, so a model built from it reads a network that no longer
-// changes.
+// must be users of the network. A network never changes once built,
+// so a model built from it reads the network it was bound to.
 type NetworkSource struct {
 	Network *social.Network
 }

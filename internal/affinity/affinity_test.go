@@ -199,16 +199,12 @@ func TestBuildModelValidation(t *testing.T) {
 }
 
 func TestNetworkSourceMatchesPaperFormulas(t *testing.T) {
-	nw := social.NewNetwork(4)
-	nw.AddFriendship(0, 2)
-	nw.AddFriendship(1, 2)
-	nw.AddFriendship(0, 3)
-	nw.AddFriendship(1, 3)
-	nw.AddLike(social.PageLike{User: 0, Category: 1, Time: 10})
-	nw.AddLike(social.PageLike{User: 0, Category: 2, Time: 20})
-	nw.AddLike(social.PageLike{User: 1, Category: 2, Time: 15})
-	nw.AddLike(social.PageLike{User: 1, Category: 3, Time: 95})
-	nw.Freeze()
+	nw := social.NewNetwork(4, [][2]dataset.UserID{{0, 2}, {1, 2}, {0, 3}, {1, 3}}, []social.PageLike{
+		{User: 0, Category: 1, Time: 10},
+		{User: 0, Category: 2, Time: 20},
+		{User: 1, Category: 2, Time: 15},
+		{User: 1, Category: 3, Time: 95},
+	})
 	src := NetworkSource{Network: nw}
 	users := denseUsers(4)
 	// affS(0,1) = |friends ∩| = |{2,3}| = 2, and affS(2,3) = |{0,1}|;

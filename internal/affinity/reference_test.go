@@ -340,12 +340,13 @@ func TestNetworkStatsMatchReference(t *testing.T) {
 	// disjoint pair is {1,3,4} and {2,5,6}. In [500,600) the largest set
 	// {1,2,3,4,6} meets {6,7} and {6,7} in one category, and they meet
 	// each other in two.
-	clique := social.NewNetwork(5)
+	var edges [][2]dataset.UserID
 	for u := range dataset.UserID(5) {
 		for v := u + 1; v < 5; v++ {
-			clique.AddFriendship(u, v)
+			edges = append(edges, [2]dataset.UserID{u, v})
 		}
 	}
+	var likes []social.PageLike
 	for _, l := range [][3]int{
 		{0, 7, 10}, {1, 7, 20}, {2, 7, 30}, {3, 7, 40}, {4, 7, 50},
 		{0, 1, 60}, {1, 2, 61}, {2, 1, 62}, {2, 2, 63}, {3, 9, 64},
@@ -357,9 +358,9 @@ func TestNetworkStatsMatchReference(t *testing.T) {
 		{0, 1, 510}, {0, 2, 511}, {0, 3, 512}, {0, 4, 513}, {0, 6, 514},
 		{1, 6, 520}, {1, 7, 521}, {2, 6, 530}, {2, 7, 531}, {3, 8, 540},
 	} {
-		clique.AddLike(social.PageLike{User: dataset.UserID(l[0]), Category: l[1], Time: int64(l[2])})
+		likes = append(likes, social.PageLike{User: dataset.UserID(l[0]), Category: l[1], Time: int64(l[2])})
 	}
-	clique.Freeze()
+	clique := social.NewNetwork(5, edges, likes)
 	tl := uniformTimeline(600, 6)
 
 	t.Run("clique", func(t *testing.T) {

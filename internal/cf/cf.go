@@ -73,7 +73,7 @@ func shardIndex(id uint64) int {
 }
 
 // Predictor computes user-user similarities and k-NN rating
-// predictions over a frozen dataset.Store. Neighborhoods and vector
+// predictions over a dataset.Store. Neighborhoods and vector
 // norms are computed lazily per user: neighborhoods are cached in
 // lock-sharded maps, so concurrent readers of distinct users never
 // contend and readers of the same user share an RLock, and norms in a
@@ -193,10 +193,10 @@ func (m *predictorMeans) fallback(ix int, ok bool) float64 {
 
 // NewPredictor builds a predictor over store with neighborhoods of
 // size kNeighbors (DefaultNeighbors if <= 0) using cosine similarity —
-// the paper's §4 configuration. The store must be frozen.
+// the paper's §4 configuration. The store must not be nil.
 func NewPredictor(store *dataset.Store, kNeighbors int) (*Predictor, error) {
-	if store == nil || !store.Frozen() {
-		return nil, fmt.Errorf("cf: NewPredictor requires a frozen store")
+	if store == nil {
+		return nil, fmt.Errorf("cf: NewPredictor requires a store")
 	}
 	if kNeighbors <= 0 {
 		kNeighbors = DefaultNeighbors

@@ -10,27 +10,20 @@ import (
 
 func buildStore(t *testing.T, ratings [][3]float64) *dataset.Store {
 	t.Helper()
-	s := dataset.NewStore()
-	for _, r := range ratings {
-		err := s.Add(dataset.Rating{
-			User:  dataset.UserID(int(r[0])),
-			Item:  dataset.ItemID(int(r[1])),
-			Value: r[2],
-		})
-		if err != nil {
-			t.Fatalf("Add: %v", err)
-		}
+	recs := make([]dataset.Rating, len(ratings))
+	for i, r := range ratings {
+		recs[i] = dataset.Rating{User: dataset.UserID(int(r[0])), Item: dataset.ItemID(int(r[1])), Value: r[2]}
 	}
-	s.Freeze()
+	s, err := dataset.FromRatings(recs)
+	if err != nil {
+		t.Fatalf("FromRatings: %v", err)
+	}
 	return s
 }
 
-func TestNewPredictorRequiresFrozenStore(t *testing.T) {
+func TestNewPredictorRejectsNilStore(t *testing.T) {
 	if _, err := NewPredictor(nil, 5); err == nil {
 		t.Errorf("nil store accepted")
-	}
-	if _, err := NewPredictor(dataset.NewStore(), 5); err == nil {
-		t.Errorf("unfrozen store accepted")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func randomStore(t *testing.T, users, items, ratings int, seed int64) *dataset.Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	s := dataset.NewStore()
+	var recs []dataset.Rating
 	seen := make(map[[2]int]bool)
 	for n := 0; n < ratings; n++ {
 		u, it := rng.Intn(users), rng.Intn(items)
@@ -23,17 +23,17 @@ func randomStore(t *testing.T, users, items, ratings int, seed int64) *dataset.S
 			continue
 		}
 		seen[[2]int{u, it}] = true
-		err := s.Add(dataset.Rating{
+		recs = append(recs, dataset.Rating{
 			User:  dataset.UserID(u),
 			Item:  dataset.ItemID(it),
 			Value: float64(1 + rng.Intn(5)),
 			Time:  rng.Int63n(1_000_000),
 		})
-		if err != nil {
-			t.Fatalf("Add: %v", err)
-		}
 	}
-	s.Freeze()
+	s, err := dataset.FromRatings(recs)
+	if err != nil {
+		t.Fatalf("FromRatings: %v", err)
+	}
 	return s
 }
 

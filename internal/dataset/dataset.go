@@ -1,9 +1,10 @@
 // Package dataset provides the collaborative-rating substrate of the
-// reproduction: an in-memory rating store, a loader for the MovieLens
-// "::"-separated dump format, and a synthetic generator that reproduces
-// the marginal statistics of the MovieLens 1M dataset used by the paper
-// (Table 5: 6,040 users, 3,952 movies, 1,000,209 ratings on a 1..5
-// scale with a long-tailed item popularity distribution).
+// reproduction: an in-memory rating store, built in one call from a
+// rating log (FromRatings) and changed only by Apply, a loader for the
+// MovieLens "::"-separated dump format, and a synthetic generator that
+// reproduces the marginal statistics of the MovieLens 1M dataset used
+// by the paper (Table 5: 6,040 users, 3,952 movies, 1,000,209 ratings
+// on a 1..5 scale with a long-tailed item popularity distribution).
 package dataset
 
 import (
@@ -51,10 +52,7 @@ type Stats struct {
 // Ingest errors, matchable with errors.Is so callers (the HTTP ratings
 // endpoint) can map each rejection to a machine-readable code.
 var (
-	// ErrNotFrozen is returned by Apply before Freeze: live ingest
-	// extends a frozen store, it does not replace the loader path.
-	ErrNotFrozen = errors.New("store not frozen")
-	// ErrUnknownUser rejects ratings by users outside the frozen user
+	// ErrUnknownUser rejects ratings by users outside the store's user
 	// set (Apply cannot grow the user domain — every derived
 	// structure, from the rater columns to CF neighborhoods, is sized to
 	// it).
@@ -66,36 +64,30 @@ var (
 )
 
 // Store is an in-memory collaborative rating database with both
-// user-major and item-major access paths. After Freeze the user and
-// item domains are fixed and all query methods are safe for concurrent
-// use; live writes go through Apply, which folds each rating into the
-// one rater column and the one user row it changes.
+// user-major and item-major access paths. FromRatings builds it from a
+// rating log in one call; the user and item domains are then fixed and
+// all query methods are safe for concurrent use. Apply is the only way
+// to change it: it folds each rating into the one rater column and the
+// one user row it changes.
 //
-// After Freeze the store is one join index in both directions: each
-// user's row is a Column over item positions, each item's rater column
-// a Column over user positions, and each sits in one cell at its ID's
-// position in the domain's Index. A rating is held once in each, as a
-// position, a value and a time, and every array is sized to its
-// entries. The store is one structure whatever the world's shard count:
-// a read is lock-free, so partitioning it would save no reader a wait.
+// The store is one join index in both directions: each user's row is a
+// Column over item positions, each item's rater column a Column over
+// user positions, and each sits in one cell at its ID's position in
+// the domain's Index. A rating is held once in each, as a position, a
+// value and a time, and every array is sized to its entries. The store
+// is one structure whatever the world's shard count: a read is
+// lock-free, so partitioning it would save no reader a wait.
 //
 // Concurrency model: every user row and every rater column sits in a
-// cell behind an atomic pointer, and the cell arrays are built at Freeze
-// and never change afterwards. A row or column a cell points to is
-// never mutated: Apply, serialized by mu, writes a successor and swaps
-// the cell, and it swaps the state pointer for the successor totals
-// (count, value sum, popularity ranking). Every read is one index
-// lookup and one atomic load, with no lock.
+// cell behind an atomic pointer, and the cell arrays are built by
+// FromRatings and never change afterwards. A row or column a cell
+// points to is never mutated: Apply, serialized by mu, writes a
+// successor and swaps the cell, and it swaps the state pointer for the
+// successor totals (count, value sum, popularity ranking). Every read
+// is one index lookup and one atomic load, with no lock.
 type Store struct {
-	// byUser and itemCount are the ingest-side accumulation, populated
-	// by Add and consumed by Freeze; nil afterwards.
-	byUser    map[UserID][]Rating
-	itemCount map[ItemID]int
-	nRatings  int
-	sumVal    float64
-	frozen    bool
-	// state is the frozen layout plus the current totals; Apply swaps
-	// in a successor that shares every cell.
+	// state is the cell layout plus the current totals; Apply swaps in
+	// a successor that shares every cell.
 	state atomic.Pointer[storeState]
 	// mu serializes Apply.
 	mu sync.Mutex
@@ -126,10 +118,10 @@ type storeState struct {
 // by) the entity at position Pos[k], with value Value[k] at time
 // Time[k]; the list's owner is implicit. Entries are in (position, log)
 // order: by position ascending — which is ID order — and repeated
-// observations of one (user, item) pair in the order they were added or
-// applied. A Column a read hands out is shared with the store and never
-// written again — a later Apply replaces it — so it stays valid;
-// callers must not modify it.
+// observations of one (user, item) pair in the order FromRatings read
+// them or Apply applied them. A Column a read hands out is shared with
+// the store and never written again — a later Apply replaces it — so it
+// stays valid; callers must not modify it.
 type Column struct {
 	Pos   []int32
 	Value []float64
@@ -175,14 +167,6 @@ func (c *Column) insert(pos int32, v float64, t int64) *Column {
 	}
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{
-		byUser:    make(map[UserID][]Rating),
-		itemCount: make(map[ItemID]int),
-	}
-}
-
 // checkValue returns an error wrapping ErrBadValue unless r's value is
 // on the 1..5 scale. The test is written so that NaN fails it.
 func checkValue(r Rating) error {
@@ -192,117 +176,130 @@ func checkValue(r Rating) error {
 	return nil
 }
 
-// Add appends one rating. It panics if the store is frozen (adding to a
-// frozen store is a programming error in this codebase — live writes go
-// through Apply) and returns an error for out-of-domain values so that
-// loaders can surface malformed input lines.
-func (s *Store) Add(r Rating) error {
-	if s.frozen {
-		panic("dataset: Add on frozen Store")
-	}
-	if err := checkValue(r); err != nil {
-		return err
-	}
-	s.byUser[r.User] = append(s.byUser[r.User], r)
-	s.itemCount[r.Item]++
-	s.nRatings++
-	s.sumVal += r.Value
-	return nil
-}
-
-// FromRatings builds a frozen store from a rating slice, applied in
-// order — the snapshot-restore constructor. Feeding back the slice
-// DumpRatings produced reproduces the dumped store's reads
-// bit-identically.
+// FromRatings builds a store from a rating log: the loaders' and the
+// generator's constructor, and the snapshot restore's. Every value must
+// be on the 1..5 scale; the first that is not is returned as an error
+// wrapping ErrBadValue. The log's users and items become the store's
+// domains, and no Apply can grow them. The log is read, not kept.
+//
+// Each item's rater column is in (user, log) order and each user's row
+// in (item, log) order: duplicate (user, item) observations keep their
+// log order in both — the order Apply's insertion point preserves, so a
+// live store is bit-identical to a cold rebuild of the same sequence.
+// Feeding back the slice DumpRatings produced reproduces the dumped
+// store's reads bit-identically.
 func FromRatings(recs []Rating) (*Store, error) {
-	s := NewStore()
+	var sum float64
 	for _, r := range recs {
-		if err := s.Add(r); err != nil {
+		if err := checkValue(r); err != nil {
 			return nil, err
 		}
+		sum += r.Value
 	}
-	s.Freeze()
-	return s, nil
-}
-
-// DumpRatings returns every rating in the canonical frozen order:
-// users ascending, each row in its stored (item-sorted, ingest-stable)
-// order. The order is a fixed point of dump→rebuild→dump, which keeps
-// repeated snapshot/restart cycles byte-stable.
-func (s *Store) DumpRatings() []Rating {
-	s.mustFrozen("DumpRatings")
-	st := s.state.Load()
-	out := make([]Rating, 0, st.nRatings)
-	for _, u := range st.users.ids {
-		out = st.appendRow(out, u)
+	users := domain(recs, func(r Rating) UserID { return r.User })
+	items := domain(recs, func(r Rating) ItemID { return r.Item })
+	if len(users) > math.MaxInt32 || len(items) > math.MaxInt32 {
+		return nil, errors.New("dataset: more users or items than a column can position")
 	}
-	return out
-}
-
-// Freeze sorts the internal indexes and makes the base store read-only.
-// Each item's rater column is sorted by user and each user's row by
-// item, which gives deterministic iteration and enables merge-style
-// similarity scans. Duplicate (user, item) observations keep their
-// ingest order in both — the order Apply's insertion point preserves,
-// so a live store is bit-identical to a cold rebuild of the same
-// sequence. Every row and column is laid out at the size its count
-// gives, and the Add-grown ingest slices are dropped.
-func (s *Store) Freeze() {
-	if s.frozen {
-		return
-	}
-	if len(s.byUser) > math.MaxInt32 || len(s.itemCount) > math.MaxInt32 {
-		panic("dataset: more users or items than a column can position")
-	}
-	users := make([]UserID, 0, len(s.byUser))
-	for u := range s.byUser {
-		users = append(users, u)
-	}
-	slices.Sort(users)
-	items := make([]ItemID, 0, len(s.itemCount))
-	for it := range s.itemCount {
-		items = append(items, it)
-	}
-	slices.Sort(items)
 	st := &storeState{
 		users:    newIndex(users),
 		items:    newIndex(items),
-		nRatings: s.nRatings,
-		sumVal:   s.sumVal,
+		nRatings: len(recs),
+		sumVal:   sum,
 	}
-	st.layout(s.byUser, s.itemCount)
+	count := st.layout(recs)
 
 	// Popularity ranking, computed once: descending rating count with
 	// ascending-ID ties (the paper's "popular set" order).
-	st.popRanked = rankByPopularity(items, func(it ItemID) int { return s.itemCount[it] })
-
-	// The ingest maps are cleared so post-freeze reads have one source
-	// of truth.
-	s.byUser = nil
-	s.itemCount = nil
+	st.popRanked = rankByPopularity(items, func(it ItemID) int {
+		i, _ := st.items.Pos(it)
+		return count[i]
+	})
+	s := &Store{}
 	s.state.Store(st)
-	s.frozen = true
+	return s, nil
 }
 
-// layout builds the column and row cells from the users' logs with no
-// comparison sort. Walking the users in position order and each log in
-// its order appends every item's entries in (user, log) order; walking
+// domain returns the distinct IDs key picks out of recs, ascending.
+// IDs that span less than 8·len(recs) + 1 024 — Index's table rule,
+// counted over the log — are marked in a presence table of that span;
+// more spread-out ones are sorted and compacted.
+func domain[K ~int](recs []Rating, key func(Rating) K) []K {
+	if len(recs) == 0 {
+		return nil
+	}
+	lo, hi := key(recs[0]), key(recs[0])
+	for _, r := range recs {
+		k := key(r)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if span := uint64(hi) - uint64(lo); span >= uint64(8*len(recs)+1024) {
+		ids := make([]K, len(recs))
+		for i, r := range recs {
+			ids[i] = key(r)
+		}
+		slices.Sort(ids)
+		return slices.Clip(slices.Compact(ids))
+	}
+	seen := make([]bool, uint64(hi)-uint64(lo)+1)
+	for _, r := range recs {
+		seen[key(r)-lo] = true
+	}
+	var ids []K
+	for off, ok := range seen {
+		if ok {
+			ids = append(ids, lo+K(off))
+		}
+	}
+	return slices.Clip(ids)
+}
+
+// layout builds the column and row cells from the log with no
+// comparison sort and returns each item's rating count by position.
+// Bucketing the log by user position, stably, and walking the buckets
+// in order appends every item's entries in (user, log) order; walking
 // those columns in item position order then appends every user's
 // entries in (item, log) order — the stable sort of the log by item.
 // Each row and each column — its header and its arrays, sized by count
 // — is its own allocation, so one that Apply replaced can be freed.
-func (st *storeState) layout(byUser map[UserID][]Rating, count map[ItemID]int) {
+func (st *storeState) layout(recs []Rating) []int {
+	userCount := make([]int, len(st.users.ids)+1)
+	itemCount := make([]int, len(st.items.ids))
+	for _, r := range recs {
+		ui, _ := st.users.Pos(r.User)
+		ii, _ := st.items.Pos(r.Item)
+		userCount[ui+1]++
+		itemCount[ii]++
+	}
+	// byUser holds the log's indexes bucketed by user position, each
+	// bucket in log order. next[ui] starts as the start of user ui's
+	// bucket and the scatter moves it to the bucket's end.
+	next := userCount
+	for ui := 1; ui < len(next); ui++ {
+		next[ui] += next[ui-1]
+	}
+	byUser := make([]int, len(recs))
+	for k, r := range recs {
+		ui, _ := st.users.Pos(r.User)
+		byUser[next[ui]] = k
+		next[ui]++
+	}
+
 	cols := make([]Column, len(st.items.ids))
-	for i, it := range st.items.ids {
-		cols[i] = makeColumn(count[it])
+	for ii, n := range itemCount {
+		cols[ii] = makeColumn(n)
 	}
 	rows := make([]Column, len(st.users.ids))
-	for ui, u := range st.users.ids {
-		rows[ui] = makeColumn(len(byUser[u]))
-		for _, r := range byUser[u] {
+	start := 0
+	for ui := range rows {
+		end := next[ui]
+		rows[ui] = makeColumn(end - start)
+		for _, k := range byUser[start:end] {
+			r := &recs[k]
 			ii, _ := st.items.Pos(r.Item)
 			cols[ii].add(int32(ui), r.Value, r.Time)
 		}
+		start = end
 	}
 	for ii, c := range cols {
 		for k, ui := range c.Pos {
@@ -311,6 +308,20 @@ func (st *storeState) layout(byUser map[UserID][]Rating, count map[ItemID]int) {
 	}
 	st.rows = cells(rows)
 	st.cols = cells(cols)
+	return itemCount
+}
+
+// DumpRatings returns every rating in the canonical order: users
+// ascending, each row in its stored (item-sorted, log-stable) order.
+// The order is a fixed point of dump→rebuild→dump, which keeps repeated
+// snapshot/restart cycles byte-stable.
+func (s *Store) DumpRatings() []Rating {
+	st := s.state.Load()
+	out := make([]Rating, 0, st.nRatings)
+	for _, u := range st.users.ids {
+		out = st.appendRow(out, u)
+	}
+	return out
 }
 
 // cells puts each column behind its own atomic pointer.
@@ -323,9 +334,9 @@ func cells(cs []Column) []atomic.Pointer[Column] {
 }
 
 // rankByPopularity sorts a copy of items by descending count with
-// ascending-ID ties. Freeze ranks through this function; Apply moves
-// one item instead (promoteByPopularity) and is held to this order by a
-// differential test.
+// ascending-ID ties. FromRatings ranks through this function; Apply
+// moves one item instead (promoteByPopularity) and is held to this
+// order by a differential test.
 func rankByPopularity(items []ItemID, count func(ItemID) int) []ItemID {
 	ranked := make([]ItemID, len(items))
 	copy(ranked, items)
@@ -346,34 +357,27 @@ func (st *storeState) row(u UserID) Column {
 	return Column{}
 }
 
-// Frozen reports whether Freeze has been called.
-func (s *Store) Frozen() bool { return s.frozen }
-
-// Users returns all user IDs in ascending order. The store must be
-// frozen. The returned slice is shared; callers must not modify it.
+// Users returns all user IDs in ascending order. The returned slice is
+// shared; callers must not modify it.
 func (s *Store) Users() []UserID {
-	s.mustFrozen("Users")
 	return s.state.Load().users.ids
 }
 
 // Items returns all item IDs in ascending order (shared slice).
 func (s *Store) Items() []ItemID {
-	s.mustFrozen("Items")
 	return s.state.Load().items.ids
 }
 
 // UserIndex returns the index of the user domain: a user's position in
-// Users(), the position a rater column records. The store must be
-// frozen; the index is fixed and shared.
+// Users(), the position a rater column records. The index is fixed and
+// shared.
 func (s *Store) UserIndex() *Index[UserID] {
-	s.mustFrozen("UserIndex")
 	return s.state.Load().users
 }
 
 // ItemIndex returns the index of the item domain: an item's position in
-// Items(). The store must be frozen; the index is fixed and shared.
+// Items(). The index is fixed and shared.
 func (s *Store) ItemIndex() *Index[ItemID] {
-	s.mustFrozen("ItemIndex")
 	return s.state.Load().items
 }
 
@@ -382,13 +386,11 @@ func (s *Store) ItemIndex() *Index[ItemID] {
 // written again — a later Apply replaces it — so it stays valid;
 // callers must not modify it.
 func (s *Store) Row(u UserID) Column {
-	s.mustFrozen("Row")
 	return s.state.Load().row(u)
 }
 
 // RowAt returns the row of the user at position ui in Users(), as Row.
 func (s *Store) RowAt(ui int) Column {
-	s.mustFrozen("RowAt")
 	return *s.state.Load().rows[ui].Load()
 }
 
@@ -396,7 +398,6 @@ func (s *Store) RowAt(ui int) Column {
 // the store), rebuilt from u's row into a fresh slice the caller owns.
 // It allocates; hot paths read Row.
 func (s *Store) ByUser(u UserID) []Rating {
-	s.mustFrozen("ByUser")
 	return s.state.Load().appendRow(nil, u)
 }
 
@@ -415,7 +416,6 @@ func (st *storeState) appendRow(out []Rating, u UserID) []Rating {
 // again — a later Apply replaces it — so it stays valid; callers must
 // not modify it.
 func (s *Store) Raters(it ItemID) Column {
-	s.mustFrozen("Raters")
 	st := s.state.Load()
 	if i, ok := st.items.Pos(it); ok {
 		return *st.cols[i].Load()
@@ -426,7 +426,6 @@ func (s *Store) Raters(it ItemID) Column {
 // RatersAt returns the rater column of the item at position ii in
 // Items(), as Raters.
 func (s *Store) RatersAt(ii int) Column {
-	s.mustFrozen("RatersAt")
 	return *s.state.Load().cols[ii].Load()
 }
 
@@ -434,14 +433,6 @@ func (s *Store) RatersAt(ii int) Column {
 // store holds several observations of the same (user, item) pair the
 // first one wins — the leftmost entry of u's stable-sorted row.
 func (s *Store) Value(u UserID, it ItemID) (float64, bool) {
-	if !s.frozen {
-		for _, r := range s.byUser[u] {
-			if r.Item == it {
-				return r.Value, true
-			}
-		}
-		return 0, false
-	}
 	st := s.state.Load()
 	ii, ok := st.items.Pos(it)
 	if !ok {
@@ -463,7 +454,6 @@ func (s *Store) Value(u UserID, it ItemID) (float64, bool) {
 // bit test per ranked item whatever the item IDs are. Users absent
 // from the store rate nothing.
 func (s *Store) UnratedPopular(group []UserID, n int) []ItemID {
-	s.mustFrozen("UnratedPopular")
 	st := s.state.Load()
 	ranked := st.popRanked
 	if n <= 0 || n > len(ranked) {
@@ -490,17 +480,13 @@ func (s *Store) UnratedPopular(group []UserID, n int) []ItemID {
 
 // NumRatings returns the number of ratings stored.
 func (s *Store) NumRatings() int {
-	if !s.frozen {
-		return s.nRatings
-	}
 	return s.state.Load().nRatings
 }
 
 // Stats computes the Table-5 style summary. The value sum accumulates
-// in append order (Freeze's Add sequence, then each Apply), the same
+// in append order (the log FromRatings read, then each Apply), the same
 // float summation order a cold rebuild of the full log uses.
 func (s *Store) Stats() Stats {
-	s.mustFrozen("Stats")
 	st := s.state.Load()
 	stats := Stats{
 		Users:   len(st.users.ids),
@@ -516,24 +502,11 @@ func (s *Store) Stats() Stats {
 	return stats
 }
 
-// ItemPopularity returns items sorted by descending rating count — the
-// paper's "popular set" selection (top-50 by popularity) uses this.
-// The ranking is precomputed (and kept current by Apply); this returns
-// a fresh copy the caller may reorder.
-func (s *Store) ItemPopularity() []ItemID {
-	s.mustFrozen("ItemPopularity")
-	ranked := s.PopularityRanked()
-	out := make([]ItemID, len(ranked))
-	copy(out, ranked)
-	return out
-}
-
 // PopularityRanked returns the precomputed popularity ranking as a
 // shared slice for hot paths. Callers must not modify it. Apply moves
 // the rated item into place, so it matches what a cold rebuild would
 // precompute.
 func (s *Store) PopularityRanked() []ItemID {
-	s.mustFrozen("PopularityRanked")
 	return s.state.Load().popRanked
 }
 
@@ -559,13 +532,11 @@ func (s *Store) ItemRatingVariance(it ItemID) float64 {
 	return ss / float64(n)
 }
 
-// PopularSet returns the n most-rated items (the paper uses n=50).
+// PopularSet returns the n most-rated items (the paper uses n=50) in
+// PopularityRanked order, as a fresh copy the caller may reorder.
 func (s *Store) PopularSet(n int) []ItemID {
-	pop := s.ItemPopularity()
-	if n > len(pop) {
-		n = len(pop)
-	}
-	return pop[:n]
+	ranked := s.PopularityRanked()
+	return slices.Clone(ranked[:min(n, len(ranked))])
 }
 
 // DiversitySet returns the nDiverse items with the highest rating
@@ -592,10 +563,4 @@ func (s *Store) DiversitySet(nDiverse, topPop int) []ItemID {
 		out[i] = byVar[i].id
 	}
 	return out
-}
-
-func (s *Store) mustFrozen(op string) {
-	if !s.frozen {
-		panic("dataset: " + op + " requires a frozen Store")
-	}
 }

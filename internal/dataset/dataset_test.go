@@ -11,23 +11,24 @@ import (
 	"testing/quick"
 )
 
-func mustAdd(t *testing.T, s *Store, r Rating) {
+func buildStore(t testing.TB, recs []Rating) *Store {
 	t.Helper()
-	if err := s.Add(r); err != nil {
-		t.Fatalf("Add(%+v): %v", r, err)
+	s, err := FromRatings(recs)
+	if err != nil {
+		t.Fatalf("FromRatings: %v", err)
 	}
+	return s
 }
 
 func smallStore(t *testing.T) *Store {
 	t.Helper()
-	s := NewStore()
-	mustAdd(t, s, Rating{User: 1, Item: 10, Value: 5, Time: 100})
-	mustAdd(t, s, Rating{User: 1, Item: 20, Value: 3, Time: 101})
-	mustAdd(t, s, Rating{User: 2, Item: 10, Value: 4, Time: 102})
-	mustAdd(t, s, Rating{User: 2, Item: 30, Value: 1, Time: 103})
-	mustAdd(t, s, Rating{User: 3, Item: 10, Value: 2, Time: 104})
-	s.Freeze()
-	return s
+	return buildStore(t, []Rating{
+		{User: 1, Item: 10, Value: 5, Time: 100},
+		{User: 1, Item: 20, Value: 3, Time: 101},
+		{User: 2, Item: 10, Value: 4, Time: 102},
+		{User: 2, Item: 30, Value: 1, Time: 103},
+		{User: 3, Item: 10, Value: 2, Time: 104},
+	})
 }
 
 func TestStoreBasics(t *testing.T) {
@@ -60,49 +61,22 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestStoreRejectsBadRating(t *testing.T) {
-	s := NewStore()
-	if err := s.Add(Rating{User: 1, Item: 1, Value: 0}); err == nil {
-		t.Errorf("Add accepted rating 0")
-	}
-	if err := s.Add(Rating{User: 1, Item: 1, Value: 5.5}); err == nil {
-		t.Errorf("Add accepted rating 5.5")
-	}
-	if err := s.Add(Rating{User: 1, Item: 1, Value: math.NaN()}); !errors.Is(err, ErrBadValue) {
-		t.Errorf("Add(NaN) = %v, want ErrBadValue", err)
-	}
-	if s.NumRatings() != 0 {
-		t.Errorf("rejected ratings were stored: %d", s.NumRatings())
+	good := Rating{User: 1, Item: 2, Value: 4}
+	for _, v := range []float64{0, 5.5, math.NaN()} {
+		s, err := FromRatings([]Rating{good, {User: 1, Item: 1, Value: v}})
+		if !errors.Is(err, ErrBadValue) || s != nil {
+			t.Errorf("FromRatings with value %v = %v, %v; want no store and ErrBadValue", v, s, err)
+		}
 	}
 	if _, err := LoadMovieLensRatings(strings.NewReader("1::1::4::100\n1::2::NaN::101\n")); !errors.Is(err, ErrBadValue) {
 		t.Errorf("loading a NaN rating = %v, want ErrBadValue", err)
 	}
 }
 
-func TestStoreFrozenPanics(t *testing.T) {
-	s := smallStore(t)
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Add on frozen store did not panic")
-		}
-	}()
-	_ = s.Add(Rating{User: 9, Item: 9, Value: 3})
-}
-
-func TestStoreUnfrozenQueryPanics(t *testing.T) {
-	s := NewStore()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Users() on unfrozen store did not panic")
-		}
-	}()
-	s.Users()
-}
-
 func TestItemPopularityAndSets(t *testing.T) {
 	s := smallStore(t)
-	pop := s.ItemPopularity()
-	if pop[0] != 10 {
-		t.Errorf("most popular = %d, want 10", pop[0])
+	if pop := s.PopularSet(1); len(pop) != 1 || pop[0] != 10 {
+		t.Errorf("most popular = %v, want [10]", pop)
 	}
 	top2 := s.PopularSet(2)
 	if len(top2) != 2 || top2[0] != 10 {
@@ -379,8 +353,7 @@ func checkUnratedPopular(t *testing.T, tag string, s *Store, users []UserID) {
 }
 
 func TestUnratedPopularMatchesValueLookups(t *testing.T) {
-	s := NewStore()
-	ratings := []Rating{
+	s := buildStore(t, []Rating{
 		{User: 0, Item: 0, Value: 5},
 		{User: 0, Item: 63, Value: 4}, // word boundary
 		{User: 0, Item: 64, Value: 3},
@@ -388,15 +361,9 @@ func TestUnratedPopularMatchesValueLookups(t *testing.T) {
 		{User: 2, Item: 200, Value: 1},
 		{User: 2, Item: 200, Value: 4}, // a repeated pair
 		{User: 3, Item: 64, Value: 2},
-	}
-	for _, r := range ratings {
-		if err := s.Add(r); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
-	s.Freeze()
+	})
 	// 99 is absent from the store and rates nothing.
-	checkUnratedPopular(t, "frozen", s, []UserID{0, 1, 2, 3, 99})
+	checkUnratedPopular(t, "built", s, []UserID{0, 1, 2, 3, 99})
 	if got := s.UnratedPopular([]UserID{0, 2}, 0); !slices.Equal(got, []ItemID{2}) {
 		t.Errorf("UnratedPopular({0,2}) = %v, want [2]", got)
 	}
@@ -407,13 +374,13 @@ func TestUnratedPopularMatchesValueLookups(t *testing.T) {
 // in a map. The exclusion works over positions, so it is the same walk.
 func TestUnratedPopularOnAdversarialIDs(t *testing.T) {
 	for _, items := range [][]ItemID{{-5, -1, 3}, {0, 1 << 40, 1<<62 + 9}} {
-		s := NewStore()
+		var recs []Rating
 		for u, it := range items {
 			for v := 0; v <= u; v++ {
-				mustAdd(t, s, Rating{User: UserID(v), Item: it, Value: 3})
+				recs = append(recs, Rating{User: UserID(v), Item: it, Value: 3})
 			}
 		}
-		s.Freeze()
+		s := buildStore(t, recs)
 		checkUnratedPopular(t, fmt.Sprint(items), s, []UserID{0, 1, 2})
 		if got, want := s.UnratedPopular([]UserID{2}, 0), []ItemID{items[1], items[0]}; !slices.Equal(got, want) {
 			t.Errorf("items %v: UnratedPopular({2}) = %v, want %v", items, got, want)
@@ -422,18 +389,16 @@ func TestUnratedPopularOnAdversarialIDs(t *testing.T) {
 }
 
 func TestPopularityRankedSharedAndStable(t *testing.T) {
-	s := NewStore()
+	var recs []Rating
 	for i, n := range []int{1, 3, 2} { // item 1 most popular, then 2, then 0
 		for u := 0; u < n; u++ {
-			if err := s.Add(Rating{User: UserID(u), Item: ItemID(i), Value: 4}); err != nil {
-				t.Fatalf("Add: %v", err)
-			}
+			recs = append(recs, Rating{User: UserID(u), Item: ItemID(i), Value: 4})
 		}
 	}
-	s.Freeze()
+	s := buildStore(t, recs)
 	want := []ItemID{1, 2, 0}
 	shared := s.PopularityRanked()
-	copied := s.ItemPopularity()
+	copied := s.PopularSet(len(want))
 	for i := range want {
 		if shared[i] != want[i] || copied[i] != want[i] {
 			t.Fatalf("popularity = %v / %v, want %v", shared, copied, want)
@@ -441,6 +406,6 @@ func TestPopularityRankedSharedAndStable(t *testing.T) {
 	}
 	copied[0] = 99 // mutating the copy must not corrupt the shared ranking
 	if s.PopularityRanked()[0] != 1 {
-		t.Errorf("ItemPopularity copy aliased the shared ranking")
+		t.Errorf("PopularSet copy aliased the shared ranking")
 	}
 }

@@ -15,17 +15,14 @@ type DeltaStats struct {
 	Applied int64 `json:"applied"`
 }
 
-// DeltaStats snapshots the ingest counters. The store must be frozen.
+// DeltaStats snapshots the ingest counters.
 func (s *Store) DeltaStats() DeltaStats {
-	s.mustFrozen("DeltaStats")
 	return DeltaStats{Applied: s.applied.Load()}
 }
 
 // CheckItem returns an error wrapping ErrUnknownItem when it is outside
-// the catalog — the check Apply makes — and nil otherwise. The store
-// must be frozen.
+// the catalog — the check Apply makes — and nil otherwise.
 func (s *Store) CheckItem(it ItemID) error {
-	s.mustFrozen("CheckItem")
 	_, err := s.state.Load().itemPos(it)
 	return err
 }
@@ -40,11 +37,12 @@ func (st *storeState) itemPos(it ItemID) (int, error) {
 	return i, nil
 }
 
-// Apply folds one rating into the store. The store must be frozen; the
-// user and item must already exist (Apply cannot grow either domain —
-// every derived structure is sized to them), and the value must be on
-// the 1..5 scale. Violations return errors matchable against
-// ErrNotFrozen, ErrUnknownUser, ErrUnknownItem, and ErrBadValue.
+// Apply folds one rating into the store: the only way to change it once
+// FromRatings built it. The user and item must already exist (Apply
+// cannot grow either domain — every derived structure is sized to
+// them), and the value must be on the 1..5 scale. Violations return
+// errors matchable against ErrUnknownUser, ErrUnknownItem, and
+// ErrBadValue.
 //
 // The item's rater column and the user's row — each three arrays — are
 // copied with r inserted after every entry of equal position — where a
@@ -55,9 +53,6 @@ func (st *storeState) itemPos(it ItemID) (int, error) {
 // with every read path; the rating is visible to all reads once Apply
 // returns.
 func (s *Store) Apply(r Rating) error {
-	if !s.frozen {
-		return fmt.Errorf("dataset: Apply: %w", ErrNotFrozen)
-	}
 	if err := checkValue(r); err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ func deltaBaseRatings() []Rating {
 	return recs
 }
 
-// applySequence is a live-write sequence of n ratings over the frozen
+// applySequence is a live-write sequence of n ratings over the
 // domains of base: every fifth re-rates a (user, item) pair already in
 // base or earlier in the sequence, every seventh rates top (the most
 // popular item), and the rest pair a random base user with a random
@@ -63,16 +63,6 @@ func applySequence(base []Rating, top ItemID, n int, seed int64) []Rating {
 		out = append(out, r)
 	}
 	return out
-}
-
-func freezeStore(t *testing.T, recs []Rating) *Store {
-	t.Helper()
-	s := NewStore()
-	for _, r := range recs {
-		mustAdd(t, s, r)
-	}
-	s.Freeze()
-	return s
 }
 
 // compareStores asserts every read path answers identically on the two
@@ -153,7 +143,7 @@ func TestApplyMatchesColdRebuild(t *testing.T) {
 	base := deltaBaseRatings()
 	top := coldAt(t, base, nil, 0).PopularityRanked()[0]
 	seq := applySequence(base, top, 320, 11)
-	live := freezeStore(t, base)
+	live := buildStore(t, base)
 	half := len(seq) / 2
 	for i, r := range seq {
 		if err := live.Apply(r); err != nil {
@@ -177,7 +167,7 @@ func TestApplyMatchesColdRebuild(t *testing.T) {
 }
 
 // TestRaterColumnsMatchUserRows holds the item-major layout to the
-// user-major one: frozen from a base that already re-rates one pair, and
+// user-major one: built from a base that already re-rates one pair, and
 // after every one of 320 Applies — every fifth a repeated (user, item)
 // pair — each item's column is, entry by entry and in order, the column
 // a rebuild from the ByUser rows lays out: the same user position, value
@@ -188,9 +178,9 @@ func TestRaterColumnsMatchUserRows(t *testing.T) {
 	again := base[0]
 	again.Value, again.Time = 6-again.Value, again.Time+1
 	base = append(base, again)
-	s := freezeStore(t, base)
+	s := buildStore(t, base)
 	if it := again.Item; !s.Raters(it).Repeats() {
-		t.Fatalf("the base re-rates item %d, yet its frozen column reports no repeats", it)
+		t.Fatalf("the base re-rates item %d, yet its built column reports no repeats", it)
 	}
 	seq := applySequence(base, s.PopularityRanked()[0], 320, 13)
 	check := func(tag string) {
@@ -202,7 +192,7 @@ func TestRaterColumnsMatchUserRows(t *testing.T) {
 			}
 		}
 	}
-	check("frozen")
+	check("built")
 	for i, r := range seq {
 		if err := s.Apply(r); err != nil {
 			t.Fatalf("Apply(%+v): %v", r, err)
@@ -221,17 +211,18 @@ func TestRaterColumnsMatchUserRows(t *testing.T) {
 }
 
 // TestLayoutMatchesColdRebuild pins the layout the store's size rests
-// on: frozen from a base that already re-rates one pair, and after every
+// on: built from a base that already re-rates one pair, and after every
 // one of 320 Applies — every fifth a repeated (user, item) pair — every
 // user row and every rater column equals the cold rebuild's, entry by
 // entry with the repeats flag, and every array of every row and column
-// holds exactly its entries: no append slack, from Freeze or from Apply.
+// holds exactly its entries: no append slack, from FromRatings or from
+// Apply.
 func TestLayoutMatchesColdRebuild(t *testing.T) {
 	base := deltaBaseRatings()
 	again := base[0]
 	again.Value, again.Time = 6-again.Value, again.Time+1
 	base = append(base, again)
-	live := freezeStore(t, base)
+	live := buildStore(t, base)
 	seq := applySequence(base, live.PopularityRanked()[0], 320, 17)
 	check := func(tag string, cold *Store) {
 		t.Helper()
@@ -242,7 +233,7 @@ func TestLayoutMatchesColdRebuild(t *testing.T) {
 			checkTight(t, fmt.Sprintf("%s: RatersAt(%d)", tag, ii), live.RatersAt(ii), cold.RatersAt(ii))
 		}
 	}
-	check("frozen", freezeStore(t, base))
+	check("built", buildStore(t, base))
 	for i, r := range seq {
 		if err := live.Apply(r); err != nil {
 			t.Fatalf("Apply(%+v): %v", r, err)
@@ -297,7 +288,7 @@ func columnsFromRows(s *Store) []Column {
 // the input, over 8 users and 10 items; the first byte picks the base
 // length. After every Apply the store must equal
 // the cold rebuild of base plus the accepted prefix, and a rating
-// outside the frozen domains must be refused and change nothing.
+// outside the store's domains must be refused and change nothing.
 func FuzzApplyMatchesColdRebuild(f *testing.F) {
 	f.Add([]byte{0x23, 1, 2, 3, 1, 2, 4, 3, 3, 3, 1, 2, 0, 7, 9, 4})
 	f.Add([]byte{0x40, 0, 0, 4, 0, 0, 1, 0, 0, 2, 5, 9, 0, 0, 0, 3, 1, 1, 1})
@@ -317,7 +308,7 @@ func FuzzApplyMatchesColdRebuild(f *testing.F) {
 		}
 		nBase := 1 + int(data[0]&0x0f)%len(log)
 		base := log[:nBase]
-		live := freezeStore(t, base)
+		live := buildStore(t, base)
 		var applied []Rating
 		for _, r := range log[nBase:] {
 			err := live.Apply(r)
@@ -346,7 +337,7 @@ func TestStoreReadsAllocateNothing(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	base := deltaBaseRatings()
-	s := freezeStore(t, base)
+	s := buildStore(t, base)
 	for _, r := range applySequence(base, s.PopularityRanked()[0], 50, 5) {
 		if err := s.Apply(r); err != nil {
 			t.Fatal(err)
@@ -381,12 +372,7 @@ func TestStoreReadsAllocateNothing(t *testing.T) {
 
 // TestApplyRejections pins the typed ingest errors.
 func TestApplyRejections(t *testing.T) {
-	s := NewStore()
-	mustAdd(t, s, Rating{User: 1, Item: 10, Value: 3})
-	if err := s.Apply(Rating{User: 1, Item: 10, Value: 4}); !errors.Is(err, ErrNotFrozen) {
-		t.Fatalf("Apply before Freeze: %v, want ErrNotFrozen", err)
-	}
-	s.Freeze()
+	s := buildStore(t, []Rating{{User: 1, Item: 10, Value: 3}})
 	cases := []struct {
 		r    Rating
 		want error
@@ -424,7 +410,7 @@ func TestApplyRejections(t *testing.T) {
 // this pins the lock-free read discipline.
 func TestApplyConcurrentWithReads(t *testing.T) {
 	base := deltaBaseRatings()
-	s := freezeStore(t, base)
+	s := buildStore(t, base)
 	users, items := s.Users(), s.Items()
 
 	const perWriter = 200
@@ -549,7 +535,7 @@ func TestApplyPromotesPopularityLikeFullRank(t *testing.T) {
 			recs = append(recs, Rating{User: UserID(k % nUsers), Item: ItemID(it), Value: 3, Time: int64(len(recs))})
 		}
 	}
-	s := freezeStore(t, recs)
+	s := buildStore(t, recs)
 	counts := make(map[ItemID]int)
 	for _, r := range recs {
 		counts[r.Item]++
@@ -561,7 +547,7 @@ func TestApplyPromotesPopularityLikeFullRank(t *testing.T) {
 			t.Fatalf("step %d (%s): ranking diverged from the full rank\n got %v\nwant %v", step, what, got, want)
 		}
 	}
-	check(0, "frozen")
+	check(0, "built")
 	last := s.PopularityRanked()[nItems-1]
 	rng := rand.New(rand.NewSource(5))
 	for step := 1; step <= 2400; step++ {

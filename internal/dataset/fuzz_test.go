@@ -57,7 +57,7 @@ var fuzzItemDomains = []func(k int) ItemID{
 // FuzzUnratedPopularMatchesFilter derives a base and a rating sequence
 // over 8 users and 10 items from the input; the first byte picks the
 // item domain and the base length, the second the group and the cut.
-// Frozen and after every Apply, UnratedPopular must equal the
+// Once built and after every Apply, UnratedPopular must equal the
 // popularity ranking filtered by one Value lookup per member.
 func FuzzUnratedPopularMatchesFilter(f *testing.F) {
 	f.Add([]byte{0x20, 0x13, 1, 2, 3, 1, 2, 4, 3, 3, 3, 1, 2, 0, 7, 9, 4})
@@ -79,7 +79,7 @@ func FuzzUnratedPopularMatchesFilter(f *testing.F) {
 			})
 		}
 		nBase := 1 + int(data[0]>>4)%len(log)
-		s := freezeStore(t, log[:nBase])
+		s := buildStore(t, log[:nBase])
 		// The group: the users whose bit is set in the low nibble, plus
 		// user 8, whom the store never holds; the high nibble is the cut.
 		group := []UserID{8}
@@ -95,7 +95,7 @@ func FuzzUnratedPopularMatchesFilter(f *testing.F) {
 				t.Fatalf("%s: UnratedPopular(%v, %d) = %v, the lookup filter gives %v", tag, group, n, got, want)
 			}
 		}
-		check("frozen")
+		check("built")
 		for _, r := range log[nBase:] {
 			if s.Apply(r) == nil {
 				check(fmt.Sprintf("after %+v", r))

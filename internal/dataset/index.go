@@ -1,9 +1,9 @@
 package dataset
 
-// Index maps the IDs of one domain of a frozen store — its users or its
-// items — onto dense positions in ascending-ID order (Users() / Items()
+// Index maps the IDs of one domain of a store — its users or its items
+// — onto dense positions in ascending-ID order (Users() / Items()
 // order). An Apply cannot grow either domain (ErrUnknownUser,
-// ErrUnknownItem), so an index is fixed at Freeze, and every structure
+// ErrUnknownItem), so an index is fixed by FromRatings, and every structure
 // laid out over a domain — the store's cells, a rater column's
 // positions, a predictor's dense tables — shares it. IDs close together
 // get an offset table; sparse or far-apart ones (a loader fed arbitrary

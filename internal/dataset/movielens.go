@@ -13,12 +13,12 @@ import (
 //
 //	UserID::MovieID::Rating::Timestamp
 //
-// and returns a frozen Store. Blank lines are skipped; any malformed
-// line aborts the load with an error naming the line number, because a
-// silently truncated dataset would invalidate every experiment built
-// on top of it.
+// and returns the Store FromRatings builds from them. Blank lines are
+// skipped; any malformed line aborts the load with an error naming the
+// line number, because a silently truncated dataset would invalidate
+// every experiment built on top of it.
 func LoadMovieLensRatings(r io.Reader) (*Store, error) {
-	s := NewStore()
+	var recs []Rating
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lineNo := 0
@@ -32,15 +32,15 @@ func LoadMovieLensRatings(r io.Reader) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %w", lineNo, err)
 		}
-		if err := s.Add(rating); err != nil {
+		if err := checkValue(rating); err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %w", lineNo, err)
 		}
+		recs = append(recs, rating)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: reading ratings: %w", err)
 	}
-	s.Freeze()
-	return s, nil
+	return FromRatings(recs)
 }
 
 func parseRatingLine(line string) (Rating, error) {

@@ -133,7 +133,7 @@ func (c SynthConfig) Validate() error {
 	return nil
 }
 
-// Synth is the output of Generate: the frozen rating store plus the
+// Synth is the output of Generate: the rating store plus the
 // latent structure (useful to tests and to the user-study simulator,
 // which needs ground-truth tastes).
 type Synth struct {
@@ -180,7 +180,6 @@ func Generate(cfg SynthConfig) (*Synth, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	sy := &Synth{
-		Store:        NewStore(),
 		ItemGenre:    make([]int, cfg.Items),
 		ItemQuality:  make([]float64, cfg.Items),
 		UserCluster:  make([]int, cfg.Users),
@@ -269,6 +268,7 @@ func Generate(cfg SynthConfig) (*Synth, error) {
 		adjustCounts(counts[cfg.ParticipantUsers:], budget-total, cfg.Items)
 	}
 
+	recs := make([]Rating, 0, cfg.TargetRatings)
 	baseTime := int64(978_300_000) // around the MovieLens 1M epoch
 	seen := make(map[ItemID]struct{}, 256)
 	for u := 0; u < cfg.Users; u++ {
@@ -311,12 +311,14 @@ func Generate(cfg SynthConfig) (*Synth, error) {
 			val := math.Round(latent + cfg.RatingNoise*rng.NormFloat64())
 			val = clampRating(val)
 			ts := baseTime + int64(rng.Intn(365*24*3600))
-			if err := sy.Store.Add(Rating{User: UserID(u), Item: it, Value: val, Time: ts}); err != nil {
-				return nil, err
-			}
+			recs = append(recs, Rating{User: UserID(u), Item: it, Value: val, Time: ts})
 		}
 	}
-	sy.Store.Freeze()
+	store, err := FromRatings(recs)
+	if err != nil {
+		return nil, err
+	}
+	sy.Store = store
 	return sy, nil
 }
 

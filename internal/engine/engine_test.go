@@ -15,7 +15,7 @@ import (
 func testSubstrate(t *testing.T) (*dataset.Store, *cf.Predictor) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-	s := dataset.NewStore()
+	var recs []dataset.Rating
 	seen := make(map[[2]int]bool)
 	for n := 0; n < 500; n++ {
 		u, it := rng.Intn(30), rng.Intn(40)
@@ -23,15 +23,16 @@ func testSubstrate(t *testing.T) (*dataset.Store, *cf.Predictor) {
 			continue
 		}
 		seen[[2]int{u, it}] = true
-		if err := s.Add(dataset.Rating{
+		recs = append(recs, dataset.Rating{
 			User:  dataset.UserID(u),
 			Item:  dataset.ItemID(it),
 			Value: float64(1 + rng.Intn(5)),
-		}); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
+		})
 	}
-	s.Freeze()
+	s, err := dataset.FromRatings(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := cf.NewPredictor(s, 7)
 	if err != nil {
 		t.Fatal(err)

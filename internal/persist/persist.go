@@ -1,5 +1,5 @@
 // Package persist is the durability layer of the live world: a
-// versioned, checksummed snapshot file for the frozen state and a
+// versioned, checksummed snapshot file for the world's ratings and a
 // single write-ahead log for the ratings ingested since the last
 // snapshot. Both formats fail safe — any corruption, version skew, or
 // configuration mismatch is reported as a typed error so the caller

@@ -50,14 +50,15 @@ func WritePageLikes(w io.Writer, nw *Network) error {
 // streams written by WriteFriendships and WritePageLikes. Either
 // reader may be nil to skip that component.
 func LoadNetwork(numUsers int, friendships, likes io.Reader) (*Network, error) {
-	nw := NewNetwork(numUsers)
+	var edges [][2]dataset.UserID
+	var ls []PageLike
 	if friendships != nil {
 		if err := readCSV(friendships, 2, "friendships", func(fields []int64) error {
 			u, v := dataset.UserID(fields[0]), dataset.UserID(fields[1])
 			if int(u) < 0 || int(u) >= numUsers || int(v) < 0 || int(v) >= numUsers || u == v {
 				return fmt.Errorf("bad edge (%d,%d)", u, v)
 			}
-			nw.AddFriendship(u, v)
+			edges = append(edges, [2]dataset.UserID{u, v})
 			return nil
 		}); err != nil {
 			return nil, err
@@ -73,14 +74,13 @@ func LoadNetwork(numUsers int, friendships, likes io.Reader) (*Network, error) {
 			if cat < 0 || cat >= NumFacebookCategories {
 				return fmt.Errorf("bad category %d", cat)
 			}
-			nw.AddLike(PageLike{User: u, Category: cat, Time: fields[2]})
+			ls = append(ls, PageLike{User: u, Category: cat, Time: fields[2]})
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 	}
-	nw.Freeze()
-	return nw, nil
+	return NewNetwork(numUsers, edges, ls), nil
 }
 
 // readCSV parses simple integer CSV rows with an optional header.

@@ -62,70 +62,57 @@ func (cs CategorySet) IntersectCount(o CategorySet) int {
 }
 
 // Network is an immutable social network: a friendship graph plus
-// per-user page-like event streams. Build one with GenerateNetwork or
-// assemble manually with NewNetwork/AddFriendship/AddLike + Freeze.
+// per-user page-like event streams. Build one with GenerateNetwork,
+// LoadNetwork or, from edges and likes in hand, NewNetwork.
 type Network struct {
 	numUsers int
 	// friends[u] is u's friend list in ascending ID order.
 	friends [][]dataset.UserID
 	// likes[u] is user u's page-like stream sorted by time.
-	likes  [][]PageLike
-	frozen bool
+	likes [][]PageLike
 }
 
-// NewNetwork returns an empty network over n users (IDs 0..n-1).
-func NewNetwork(n int) *Network {
+// NewNetwork builds the network over n users (IDs 0..n-1) from its
+// friendship edges and page-like events in one call. Each edge is a
+// mutual friendship; a repeated one counts once. Each user's likes keep
+// their order in likes, then are sorted by time. A non-positive n, an
+// out-of-range user, a self-edge or a category outside
+// [0, NumFacebookCategories) is a caller bug and panics. Neither slice
+// is kept.
+func NewNetwork(n int, friendships [][2]dataset.UserID, likes []PageLike) *Network {
 	if n <= 0 {
 		panic(fmt.Sprintf("social: NewNetwork with non-positive size %d", n))
 	}
-	return &Network{
-		numUsers: n,
-		friends:  make([][]dataset.UserID, n),
-		likes:    make([][]PageLike, n),
+	nw := &Network{numUsers: n, friends: make([][]dataset.UserID, n), likes: make([][]PageLike, n)}
+	for _, e := range friendships {
+		u, v := e[0], e[1]
+		nw.checkUser(u)
+		nw.checkUser(v)
+		if u == v {
+			panic("social: self-friendship")
+		}
+		nw.friends[u] = append(nw.friends[u], v)
+		nw.friends[v] = append(nw.friends[v], u)
 	}
+	for u, fs := range nw.friends {
+		slices.Sort(fs)
+		nw.friends[u] = slices.Compact(fs)
+	}
+	for _, l := range likes {
+		nw.checkUser(l.User)
+		if l.Category < 0 || l.Category >= NumFacebookCategories {
+			panic(fmt.Sprintf("social: category %d outside [0,%d)", l.Category, NumFacebookCategories))
+		}
+		nw.likes[l.User] = append(nw.likes[l.User], l)
+	}
+	for _, ls := range nw.likes {
+		sort.Slice(ls, func(i, j int) bool { return ls[i].Time < ls[j].Time })
+	}
+	return nw
 }
 
 // NumUsers returns the population size.
 func (nw *Network) NumUsers() int { return nw.numUsers }
-
-// AddFriendship records a mutual friendship between u and v. Adding a
-// self-edge or an out-of-range user is a caller bug and panics.
-func (nw *Network) AddFriendship(u, v dataset.UserID) {
-	nw.mustMutable("AddFriendship")
-	nw.checkUser(u)
-	nw.checkUser(v)
-	if u == v {
-		panic("social: self-friendship")
-	}
-	for _, edge := range [][2]dataset.UserID{{u, v}, {v, u}} {
-		from, to := edge[0], edge[1]
-		if i, found := slices.BinarySearch(nw.friends[from], to); !found {
-			nw.friends[from] = slices.Insert(nw.friends[from], i, to)
-		}
-	}
-}
-
-// AddLike appends a page-like event.
-func (nw *Network) AddLike(l PageLike) {
-	nw.mustMutable("AddLike")
-	nw.checkUser(l.User)
-	if l.Category < 0 || l.Category >= NumFacebookCategories {
-		panic(fmt.Sprintf("social: category %d outside [0,%d)", l.Category, NumFacebookCategories))
-	}
-	nw.likes[l.User] = append(nw.likes[l.User], l)
-}
-
-// Freeze sorts like streams by time and makes the network read-only.
-func (nw *Network) Freeze() {
-	if nw.frozen {
-		return
-	}
-	for u := range nw.likes {
-		ls := nw.likes[u]
-		sort.Slice(ls, func(i, j int) bool { return ls[i].Time < ls[j].Time })
-	}
-	nw.frozen = true
-}
 
 // AreFriends reports whether u and v are friends.
 func (nw *Network) AreFriends(u, v dataset.UserID) bool {
@@ -163,7 +150,6 @@ func (nw *Network) CommonFriends(u, v dataset.UserID) int {
 
 // Likes returns u's like stream sorted by time (shared slice).
 func (nw *Network) Likes(u dataset.UserID) []PageLike {
-	nw.mustFrozen("Likes")
 	nw.checkUser(u)
 	return nw.likes[u]
 }
@@ -180,7 +166,6 @@ func (nw *Network) NumLikes() int {
 // CategoriesIn returns the set of categories u liked during [from, to)
 // — page_likes(u, p) in the paper's notation.
 func (nw *Network) CategoriesIn(u dataset.UserID, from, to int64) CategorySet {
-	nw.mustFrozen("CategoriesIn")
 	nw.checkUser(u)
 	var cs CategorySet
 	ls := nw.likes[u]
@@ -193,7 +178,6 @@ func (nw *Network) CategoriesIn(u dataset.UserID, from, to int64) CategorySet {
 
 // HasLikesIn reports whether u liked at least one page during [from, to).
 func (nw *Network) HasLikesIn(u dataset.UserID, from, to int64) bool {
-	nw.mustFrozen("HasLikesIn")
 	nw.checkUser(u)
 	ls := nw.likes[u]
 	i := sort.Search(len(ls), func(i int) bool { return ls[i].Time >= from })
@@ -203,17 +187,5 @@ func (nw *Network) HasLikesIn(u dataset.UserID, from, to int64) bool {
 func (nw *Network) checkUser(u dataset.UserID) {
 	if int(u) < 0 || int(u) >= nw.numUsers {
 		panic(fmt.Sprintf("social: user %d outside population of %d", u, nw.numUsers))
-	}
-}
-
-func (nw *Network) mustMutable(op string) {
-	if nw.frozen {
-		panic("social: " + op + " on frozen Network")
-	}
-}
-
-func (nw *Network) mustFrozen(op string) {
-	if !nw.frozen {
-		panic("social: " + op + " requires a frozen Network")
 	}
 }

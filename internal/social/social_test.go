@@ -51,11 +51,8 @@ func TestCategorySetAddPanicsOutOfRange(t *testing.T) {
 }
 
 func TestNetworkFriendship(t *testing.T) {
-	nw := NewNetwork(4)
-	nw.AddFriendship(0, 1)
-	nw.AddFriendship(1, 2)
-	nw.AddFriendship(0, 2)
-	nw.Freeze()
+	// The repeated edge, either way round, counts once.
+	nw := NewNetwork(4, [][2]dataset.UserID{{0, 1}, {1, 2}, {0, 2}, {2, 1}}, nil)
 	if !nw.AreFriends(0, 1) || !nw.AreFriends(1, 0) {
 		t.Errorf("friendship not symmetric")
 	}
@@ -75,22 +72,21 @@ func TestNetworkFriendship(t *testing.T) {
 }
 
 func TestNetworkSelfFriendshipPanics(t *testing.T) {
-	nw := NewNetwork(2)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("self-friendship did not panic")
 		}
 	}()
-	nw.AddFriendship(1, 1)
+	NewNetwork(2, [][2]dataset.UserID{{0, 1}, {1, 1}}, nil)
 }
 
 func TestNetworkLikes(t *testing.T) {
-	nw := NewNetwork(2)
-	nw.AddLike(PageLike{User: 0, Category: 5, Time: 100})
-	nw.AddLike(PageLike{User: 0, Category: 7, Time: 50})
-	nw.AddLike(PageLike{User: 1, Category: 5, Time: 60})
-	nw.AddLike(PageLike{User: 1, Category: 9, Time: 200})
-	nw.Freeze()
+	nw := NewNetwork(2, nil, []PageLike{
+		{User: 0, Category: 5, Time: 100},
+		{User: 0, Category: 7, Time: 50},
+		{User: 1, Category: 5, Time: 60},
+		{User: 1, Category: 9, Time: 200},
+	})
 
 	ls := nw.Likes(0)
 	if len(ls) != 2 || ls[0].Time != 50 {

@@ -204,9 +204,7 @@ func GenerateNetwork(cfg SynthConfig) (*SynthNetwork, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	nw := NewNetwork(cfg.Users)
 	sn := &SynthNetwork{
-		Network:     nw,
 		Community:   make([]int, cfg.Users),
 		StartAnchor: make([][]float64, cfg.Users),
 		EndAnchor:   make([][]float64, cfg.Users),
@@ -224,6 +222,7 @@ func GenerateNetwork(cfg SynthConfig) (*SynthNetwork, error) {
 	// sociability product (mean product ≈ 0.46, so the configured
 	// probabilities are preserved on average).
 	const meanSocProduct = 0.46
+	var edges [][2]dataset.UserID
 	for u := 0; u < cfg.Users; u++ {
 		for v := u + 1; v < cfg.Users; v++ {
 			p := cfg.InterFriendProb
@@ -235,7 +234,7 @@ func GenerateNetwork(cfg SynthConfig) (*SynthNetwork, error) {
 				p = 1
 			}
 			if rng.Float64() < p {
-				nw.AddFriendship(dataset.UserID(u), dataset.UserID(v))
+				edges = append(edges, [2]dataset.UserID{dataset.UserID(u), dataset.UserID(v)})
 			}
 		}
 	}
@@ -276,6 +275,7 @@ func GenerateNetwork(cfg SynthConfig) (*SynthNetwork, error) {
 	// Page-like events: bursts at random offsets; each like's category
 	// is drawn from the user's interest profile at the event time.
 	window := cfg.End - cfg.Start
+	var likes []PageLike
 	for u := 0; u < cfg.Users; u++ {
 		nBursts := 1 + rng.Intn(int(2*cfg.BurstsPerUser))
 		nLikes := poissonish(rng, cfg.LikesPerUserMean)
@@ -290,14 +290,14 @@ func GenerateNetwork(cfg SynthConfig) (*SynthNetwork, error) {
 			bs := burstStarts[rng.Intn(nBursts)]
 			t := bs + int64(rng.Int63n(cfg.BurstLength))
 			prof := sn.InterestProfile(dataset.UserID(u), t)
-			nw.AddLike(PageLike{
+			likes = append(likes, PageLike{
 				User:     dataset.UserID(u),
 				Category: sampleCategory(rng, prof),
 				Time:     t,
 			})
 		}
 	}
-	nw.Freeze()
+	sn.Network = NewNetwork(cfg.Users, edges, likes)
 	return sn, nil
 }
 

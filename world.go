@@ -165,6 +165,9 @@ type World struct {
 // over the configured granularity.
 func NewWorld(cfg Config) (*World, error) {
 	w := &World{cfg: cfg}
+	// The snapshot's rating log is read once, below; the world keeps the
+	// store FromRatings builds from it, not the log.
+	w.cfg.snapshotRatings = nil
 
 	// Routing: the one map the router and the workers agree on.
 	if cfg.Shards < 0 {
@@ -249,7 +252,7 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	w.pred = pred
 
-	// Sorted-list store: built at load over the frozen popularity
+	// Sorted-list store: built at load over the store's popularity
 	// ranking (views materialize lazily per user, bounded by a CLOCK
 	// policy). The World owns the store lifecycle — every rating ingest
 	// empties it (AddRating) so stale views are rebuilt.
@@ -311,7 +314,7 @@ func (w *World) PendingPeriods() int {
 	return len(w.pending)
 }
 
-// Ratings returns the frozen rating store.
+// Ratings returns the rating store.
 func (w *World) Ratings() *dataset.Store { return w.ratings }
 
 // SynthRatings returns the synthetic-generation latent structure, or
@@ -352,10 +355,9 @@ func (w *World) SetRatingLog(l RatingLog) {
 // coherently, and the attached rating log — if any — journals it for
 // crash recovery.
 //
-// Rejections (unfrozen store, out-of-range value, unknown user or
-// item) leave the world untouched and unwrap to the dataset package's
-// typed errors (dataset.ErrBadValue, dataset.ErrUnknownUser,
-// dataset.ErrUnknownItem).
+// Rejections (out-of-range value, unknown user or item) leave the
+// world untouched and unwrap to the dataset package's typed errors
+// (dataset.ErrBadValue, dataset.ErrUnknownUser, dataset.ErrUnknownItem).
 //
 // Coherence: one rating by user u shifts u's vector and therefore
 // sim(v, u) — but only for the users v that share an item with u. The
