@@ -13,7 +13,10 @@
 // Every worker builds the full deterministic world from the same
 // configuration as the router (same -seed, -ratings, -shards); the
 // connection handshake carries the config fingerprint and refuses a
-// mismatched peer. Ownership (-owns) decides only which shards this
+// mismatched peer. It then keeps only the world's user plane — the
+// rating store, the predictor and a list store of score vectors — and
+// drops the social network and the affinity model, which only a
+// router's assembly reads. Ownership (-owns) decides only which shards this
 // process answers for — a request for a user outside the owned shards
 // is rejected with wrong_shard. The router's topology file must assign
 // every shard to exactly one worker.
@@ -78,6 +81,36 @@ func parseOwns(s string) ([]int, error) {
 	return owned, nil
 }
 
+// newBackend builds the worker's world and wraps it. The world does not
+// outlive this call: the backend keeps its user plane only, so the
+// social network and the affinity model a world builds are garbage as
+// soon as the worker serves.
+func newBackend(cfg repro.Config, ratings string, owned []int, verbose bool) (*repro.ShardBackend, error) {
+	if ratings != "" {
+		f, err := os.Open(ratings)
+		if err != nil {
+			return nil, fmt.Errorf("opening ratings: %w", err)
+		}
+		defer f.Close()
+		cfg.RatingsReader = f
+	}
+	log.Printf("building world (seed %d, %d shards)...", cfg.Dataset.Seed, cfg.Shards)
+	world, err := repro.NewWorld(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("building world: %w", err)
+	}
+	if verbose {
+		st := world.Ratings().Stats()
+		fmt.Printf("world: %d users, %d items, %d ratings, fingerprint %016x\n",
+			st.Users, st.Items, st.Ratings, world.ConfigFingerprint())
+	}
+	backend, err := repro.NewShardBackend(world, owned)
+	if err != nil {
+		return nil, fmt.Errorf("shard ownership: %w", err)
+	}
+	return backend, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("greca-shard: ")
@@ -112,29 +145,9 @@ func main() {
 	cfg.Social.Seed = *seed + 1
 	cfg.ListStoreSize = *listStore
 	cfg.Shards = *shards
-	if *ratings != "" {
-		f, err := os.Open(*ratings)
-		if err != nil {
-			log.Fatalf("opening ratings: %v", err)
-		}
-		defer f.Close()
-		cfg.RatingsReader = f
-	}
-
-	log.Printf("building world (seed %d, %d shards)...", *seed, *shards)
-	world, err := repro.NewWorld(cfg)
+	backend, err := newBackend(cfg, *ratings, owned, *verbose)
 	if err != nil {
-		log.Fatalf("building world: %v", err)
-	}
-	if *verbose {
-		st := world.Ratings().Stats()
-		fmt.Printf("world: %d users, %d items, %d ratings, fingerprint %016x\n",
-			st.Users, st.Items, st.Ratings, world.ConfigFingerprint())
-	}
-
-	backend, err := repro.NewShardBackend(world, owned)
-	if err != nil {
-		log.Fatalf("shard ownership: %v", err)
+		log.Fatal(err)
 	}
 	srv := remote.NewServer(backend)
 
@@ -178,7 +191,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(lis) }()
 	log.Printf("serving shards %v of %d on %s (fingerprint %016x)",
-		owned, *shards, lis.Addr(), world.ConfigFingerprint())
+		owned, *shards, lis.Addr(), backend.Fingerprint())
 
 	select {
 	case err := <-errc:

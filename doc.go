@@ -65,8 +65,10 @@
 //     replays a prefix of the acknowledged ratings.
 //   - internal/remote distributes the shards across worker processes:
 //     a shard (internal/shard) is only a routing unit, users hashed onto
-//     N of them. cmd/greca-shard holds a full replica and serves the
-//     users of its owned shards (views, predictions, its cache totals)
+//     N of them. cmd/greca-shard holds the user plane of a replica (the
+//     rating store, the predictor, a store of score vectors; no social
+//     network or affinity model) and serves the users of its owned
+//     shards (view scores, rating applies, its cache totals)
 //     behind a small length-prefixed, checksummed RPC protocol, and
 //     greca-serve -shards-config attaches a remote.ShardSet that routes
 //     each user's reads to the owning worker through the same shard.Map,

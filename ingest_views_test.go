@@ -137,7 +137,7 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 					held.inner = fetchViews(set, len(live.lists.Pool()))
 				} else {
 					live = build()
-					held.inner = engine.LocalBuilder(live.pred, live.lists.Pool())
+					held.inner = engine.LocalBuilder(live.pred, live.poolPos)
 				}
 				live.lists.SetBuilder(held.build)
 

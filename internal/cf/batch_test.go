@@ -71,19 +71,35 @@ func referenceBatchInto(p *Predictor, u dataset.UserID, items []dataset.ItemID, 
 	}
 }
 
+// PredictBatch is PredictBatchInto into a fresh slice, for tests.
+func (p *Predictor) PredictBatch(u dataset.UserID, items []dataset.ItemID) []float64 {
+	out := make([]float64, len(items))
+	p.PredictBatchInto(u, items, out)
+	return out
+}
+
 // diffBatch compares one batch call, position by position and bit by
-// bit, against the reference and against per-item Predict.
+// bit, against the reference and against per-item Predict, through both
+// entry points: by item IDs and by the positions Positions maps them to.
 func diffBatch(p *Predictor, u dataset.UserID, items []dataset.ItemID) error {
 	got := make([]float64, len(items))
 	for i := range got {
 		got[i] = math.NaN() // the kernel must write every position
 	}
 	p.PredictBatchInto(u, items, got)
+	byPos := make([]float64, len(items))
+	for i := range byPos {
+		byPos[i] = math.NaN()
+	}
+	p.PredictPositionsInto(u, p.Positions(items), byPos)
 	want := make([]float64, len(items))
 	referenceBatchInto(p, u, items, want)
 	for i, it := range items {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			return fmt.Errorf("user %d item %d (position %d of %d): kernel %v, reference %v", u, it, i, len(items), got[i], want[i])
+		}
+		if math.Float64bits(byPos[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("user %d item %d (position %d of %d): kernel by positions %v, reference %v", u, it, i, len(items), byPos[i], want[i])
 		}
 		if seq := p.Predict(u, it); math.Float64bits(got[i]) != math.Float64bits(seq) {
 			return fmt.Errorf("user %d item %d (position %d of %d): kernel %v, Predict %v", u, it, i, len(items), got[i], seq)
@@ -355,6 +371,10 @@ func TestPredictBatchIntoAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { p.PredictBatchInto(3, items, dst) }); allocs != 0 {
 		t.Errorf("PredictBatchInto allocates %v times per call, want 0", allocs)
 	}
+	pos := p.Positions(items)
+	if allocs := testing.AllocsPerRun(200, func() { p.PredictPositionsInto(3, pos, dst) }); allocs != 0 {
+		t.Errorf("PredictPositionsInto allocates %v times per call, want 0", allocs)
+	}
 }
 
 // TestBatchScratchReturnsClean holds the kernel to the pool's invariant:
@@ -373,13 +393,20 @@ func TestBatchScratchReturnsClean(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, name := range names {
 			items := lists[name]
-			for _, u := range s.Users()[:10] {
+			for k, u := range s.Users()[:10] {
 				got := make([]float64, len(items))
-				p.batchWith(sc, u, items, got)
+				if k%2 == 0 {
+					p.batchWith(sc, u, items, got)
+				} else {
+					p.batchAt(sc, u, p.Positions(items), got)
+				}
 				want := make([]float64, len(items))
 				referenceBatchInto(p, u, items, want)
 				if !slices.Equal(got, want) {
 					t.Fatalf("list %q, user %d: kernel on a reused working set diverges from the reference", name, u)
+				}
+				if k%2 == 1 && slices.ContainsFunc(sc.pos, func(ix int32) bool { return ix != 0 }) {
+					t.Fatalf("list %q, user %d: the kernel by positions wrote the scratch positions", name, u)
 				}
 				for i, v := range sc.slot {
 					if v != 0 {

@@ -367,23 +367,48 @@ func (p *Predictor) Predict(u dataset.UserID, it dataset.ItemID) float64 {
 	return p.means.Load().fallback(p.items.Pos(it))
 }
 
-// PredictBatch returns predictions of u for each item in items. The
-// user's neighborhood is resolved exactly once; each neighbor's
-// item-sorted rating list is then streamed a single time, accumulating
-// weighted sums per candidate slot — O(k·|neighbor ratings| + m)
-// instead of the per-item O(m·k·log) of repeated Predict calls.
-// Accumulation order per item matches Predict's neighbor order, so the
-// results are bit-identical to the sequential path.
-func (p *Predictor) PredictBatch(u dataset.UserID, items []dataset.ItemID) []float64 {
-	out := make([]float64, len(items))
-	p.PredictBatchInto(u, items, out)
-	return out
-}
-
-// PredictBatchInto is PredictBatch writing into dst (len(items)).
+// PredictBatchInto writes u's prediction for each item in items into
+// dst (len(items)). The user's neighborhood is resolved exactly once;
+// each neighbor's item-sorted rating list is then streamed a single
+// time, accumulating weighted sums per candidate slot —
+// O(k·|neighbor ratings| + m) instead of the per-item O(m·k·log) of
+// repeated Predict calls. Accumulation order per item matches Predict's
+// neighbor order, so the results are bit-identical to the sequential
+// path.
 func (p *Predictor) PredictBatchInto(u dataset.UserID, items []dataset.ItemID, dst []float64) {
 	sc := p.scratch.Get().(*batchScratch)
 	p.batchWith(sc, u, items, dst)
+	p.scratch.Put(sc)
+}
+
+// Positions maps items onto the dense item positions the batch kernel
+// is laid out on, -1 for an item outside the store. The item index never
+// changes after construction (a rating for an unknown item is refused),
+// so a caller that predicts over the same items again and again — a
+// list store over its pool — maps them once and calls
+// PredictPositionsInto.
+func (p *Predictor) Positions(items []dataset.ItemID) []int32 {
+	pos := make([]int32, len(items))
+	p.positionsInto(items, pos)
+	return pos
+}
+
+// positionsInto writes the dense item position of items[i] into pos[i].
+func (p *Predictor) positionsInto(items []dataset.ItemID, pos []int32) {
+	for i, it := range items {
+		pos[i] = -1
+		if ix, ok := p.items.Pos(it); ok {
+			pos[i] = int32(ix)
+		}
+	}
+}
+
+// PredictPositionsInto is PredictBatchInto over items already mapped by
+// Positions: the same predictions, bit for bit, with no per-item lookup.
+// pos is only read.
+func (p *Predictor) PredictPositionsInto(u dataset.UserID, pos []int32, dst []float64) {
+	sc := p.scratch.Get().(*batchScratch)
+	p.batchAt(sc, u, pos, dst)
 	p.scratch.Put(sc)
 }
 
@@ -415,29 +440,34 @@ func (sc *batchScratch) grow(n int) {
 	}
 }
 
-// batchWith is the batch kernel, run on the working set sc, which must
-// be all zero and is all zero again on return. The candidates are
-// mapped to dense item positions once; a row entry's accumulation slot
-// is then the slot table at the entry's position — marked for the first
-// occurrence of each item, so duplicate candidates share a slot — with
-// no lookup per entry. It preserves Predict's per-item accumulation
-// order (neighbors in Neighbors order, each row in list order),
-// first-duplicate-wins rating semantics, own-rating override, and
-// fallback ladder — the invariants that keep batch results bit-identical
-// to sequential.
+// batchWith maps the candidates to dense item positions in sc's own
+// position buffer and runs the kernel over them.
 func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []dataset.ItemID, dst []float64) {
 	n := len(items)
 	sc.grow(n)
-	slot, pos := sc.slot, sc.pos[:n]
+	pos := sc.pos[:n]
+	p.positionsInto(items, pos)
+	p.batchAt(sc, u, pos, dst)
+	clear(pos)
+}
+
+// batchAt is the batch kernel, run on the working set sc, which must
+// be all zero and is all zero again on return. pos holds the candidates'
+// dense item positions (-1 outside the store); a row entry's
+// accumulation slot is the slot table at the entry's position — marked
+// for the first occurrence of each item, so duplicate candidates share a
+// slot — with no lookup per entry. It preserves Predict's per-item
+// accumulation order (neighbors in Neighbors order, each row in list
+// order), first-duplicate-wins rating semantics, own-rating override,
+// and fallback ladder — the invariants that keep batch results
+// bit-identical to sequential.
+func (p *Predictor) batchAt(sc *batchScratch, u dataset.UserID, pos []int32, dst []float64) {
+	n := len(pos)
+	sc.grow(n)
+	slot := sc.slot
 	num, den, own, ownSet := sc.num[:n+1], sc.den[:n+1], sc.own[:n+1], sc.ownSet[:n+1]
-	for i, it := range items {
-		ix, ok := p.items.Pos(it)
-		if !ok {
-			pos[i] = -1
-			continue
-		}
-		pos[i] = int32(ix)
-		if slot[ix] == 0 {
+	for i, ix := range pos {
+		if ix >= 0 && slot[ix] == 0 {
 			slot[ix] = int32(i) + 1
 		}
 	}
@@ -481,7 +511,6 @@ func (p *Predictor) batchWith(sc *batchScratch, u dataset.UserID, items []datase
 			slot[ix] = 0
 		}
 	}
-	clear(pos)
 	clear(num)
 	clear(den)
 	clear(own)

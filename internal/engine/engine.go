@@ -47,18 +47,38 @@ func New(pred *cf.Predictor, lists *liststore.Store) *Assembler {
 }
 
 // LocalBuilder is the in-process liststore.Builder: per user, one batch
-// prediction over pool, normalized onto [0,1], plus one canonical sort
-// (linear; the prediction dominates) — the pay-once cost the store
-// amortizes. The users of one call build concurrently.
-func LocalBuilder(pred *cf.Predictor, pool []dataset.ItemID) liststore.Builder {
+// prediction over the pool, normalized onto [0,1], plus one canonical
+// sort (linear; the prediction dominates) — the pay-once cost the store
+// amortizes. pos is the pool mapped once onto the predictor's item
+// positions (cf.Predictor.Positions), so a build maps no item. The users
+// of one call build concurrently.
+func LocalBuilder(pred *cf.Predictor, pos []int32) liststore.Builder {
+	return viewBuilder(pred, pos, liststore.NewView)
+}
+
+// ScoreBuilder is LocalBuilder without the canonical sort: its views
+// carry Scores and no Order. It is a shard worker's builder, since a
+// worker serves score vectors only and the router derives each order
+// from the scores it receives. An order-less view never assembles a
+// problem: core.NewProblemFromViews finds none of its m entries.
+func ScoreBuilder(pred *cf.Predictor, pos []int32) liststore.Builder {
+	return viewBuilder(pred, pos, func(scores []float64) *liststore.View {
+		return &liststore.View{Scores: scores}
+	})
+}
+
+// viewBuilder predicts each user's normalized pool scores and hands
+// them to view.
+func viewBuilder(pred *cf.Predictor, pos []int32, view func([]float64) *liststore.View) liststore.Builder {
 	return func(users []dataset.UserID) ([]*liststore.View, error) {
 		out := make([]*liststore.View, len(users))
 		forEach(len(users), func(i int) {
-			scores := pred.PredictBatch(users[i], pool)
+			scores := make([]float64, len(pos))
+			pred.PredictPositionsInto(users[i], pos, scores)
 			for p := range scores {
 				scores[p] /= prefScale
 			}
-			out[i] = liststore.NewView(scores)
+			out[i] = view(scores)
 		})
 		return out, nil
 	}

@@ -43,7 +43,7 @@ func testSubstrate(t *testing.T) (*dataset.Store, *cf.Predictor) {
 // newServed builds an assembler over a list store of the given
 // capacity whose views are built in place from pred.
 func newServed(pred *cf.Predictor, pool []dataset.ItemID, capacity int) (*Assembler, *liststore.Store) {
-	lists := liststore.NewOver(LocalBuilder(pred, pool), pool, capacity)
+	lists := liststore.NewOver(LocalBuilder(pred, pred.Positions(pool)), pool, capacity)
 	return New(pred, lists), lists
 }
 

@@ -16,13 +16,17 @@
 //
 // How a missing view is materialized is the store's one seam, the
 // Builder: in-process it predicts and sorts (engine.LocalBuilder), on
-// a distributed router it fetches the owning worker's view over the
-// wire (SetBuilder swaps one for the other and keeps what is resident).
+// a shard worker it predicts only (engine.ScoreBuilder), on a
+// distributed router it fetches the owning worker's scores over the
+// wire and sorts them (SetBuilder swaps one for another and keeps what
+// is resident).
 // Eviction, invalidation and coherence with ingest are the store's own
 // and identical under both.
 //
 // A view is its pool-order scores plus the pool positions in canonical
 // order, as int32: 12 bytes per pool position, each score stored once.
+// A shard worker's views carry no order, 8 bytes per pool position:
+// the worker serves scores only, and the router derives the order.
 //
 // A Store is one mutex, one CLOCK ring, one capacity budget and one set
 // of counters, whatever the world's shard count: the lock is held only

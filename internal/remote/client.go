@@ -66,12 +66,18 @@ const (
 	breakerCooldown = time.Second
 )
 
-// opNames are the wire ops' stats keys (the /v1/stats remote section).
+// opNames are the wire ops' names, in errors and as calls_by_op keys.
 var opNames = map[uint8]string{
 	opApply:     "apply",
 	opStats:     "stats",
 	opViewMulti: "view_multi",
 }
+
+// reportedOps are the ops calls_by_op reports: the traffic a request or
+// a rating makes. A stats call is not among them. /v1/stats makes one
+// per worker on every read, so counting it would make each read move
+// the counters it reports.
+var reportedOps = [...]uint8{opApply, opViewMulti}
 
 func opName(op uint8) string {
 	if n, ok := opNames[op]; ok {
@@ -709,26 +715,26 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) error {
 	return ownerErr
 }
 
-// EmptyTransportStats is the zero activity snapshot with every op key
-// present (zero-valued) — the in-process world's `remote.transport`
-// placeholder, shaped identically to an attached fleet's so the stats
-// wire shape never depends on the deployment.
+// EmptyTransportStats is the zero activity snapshot with every
+// reported op key present (zero-valued) — the in-process world's
+// `remote.transport` placeholder, shaped identically to an attached
+// fleet's so the stats wire shape never depends on the deployment.
 func EmptyTransportStats() TransportStats {
-	t := TransportStats{CallsByOp: make(map[string]uint64, len(opNames))}
-	for _, name := range opNames {
-		t.CallsByOp[name] = 0
+	t := TransportStats{CallsByOp: make(map[string]uint64, len(reportedOps))}
+	for _, op := range reportedOps {
+		t.CallsByOp[opNames[op]] = 0
 	}
 	return t
 }
 
 // TransportStats aggregates every client's wire counters — the
-// `remote.transport` section of /v1/stats. Every op key is present
-// even at zero, so the JSON shape is deployment-independent.
+// `remote.transport` section of /v1/stats. Every reported op key is
+// present even at zero, so the JSON shape is deployment-independent.
 func (s *ShardSet) TransportStats() TransportStats {
 	t := EmptyTransportStats()
 	for _, cl := range s.clients {
-		for op, name := range opNames {
-			t.CallsByOp[name] += cl.counters.ops[op].Load()
+		for _, op := range reportedOps {
+			t.CallsByOp[opNames[op]] += cl.counters.ops[op].Load()
 		}
 		t.Retries += cl.counters.retries.Load()
 		t.BreakerOpens += cl.counters.breakerOpens.Load()

@@ -1,7 +1,8 @@
 // Package remote is the multi-process transport of the sharded world:
 // a length-prefixed binary RPC layer that puts shard workers in their
 // own processes behind the shard.Map routing users to workers. A
-// greca-shard worker holds a full replica of the world and answers
+// greca-shard worker holds the user plane of a replica world (its
+// rating store, predictor and view scores) and answers
 // three ops for the router: the views of its owned shards' users, every
 // rating apply, and its cache counters. The router scatters
 // mixed-shard groups, gathers views, predicts any dense rows from its

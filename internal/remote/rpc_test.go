@@ -217,8 +217,8 @@ func TestShardSetMultiBatchesByWorker(t *testing.T) {
 	if st.CallsByOp["view_multi"] != 2 {
 		t.Errorf("view_multi calls = %d, want 2 (one per worker, 5 members)", st.CallsByOp["view_multi"])
 	}
-	if len(st.CallsByOp) != 3 {
-		t.Errorf("calls_by_op = %v, want exactly the 3 live ops (no retired view, invalidate or predict)", st.CallsByOp)
+	if len(st.CallsByOp) != 2 {
+		t.Errorf("calls_by_op = %v, want exactly the 2 data-plane ops (no stats, no retired view, invalidate or predict)", st.CallsByOp)
 	}
 }
 

@@ -30,9 +30,9 @@ type Backend interface {
 	// the canonical sorted side locally (the sort is deterministic given
 	// the scores).
 	ViewScores(u dataset.UserID) ([]float64, error)
-	// Apply ingests one rating into the worker's replica — the full
-	// AddRating path, cache invalidation included. Rejections unwrap to
-	// the dataset sentinels.
+	// Apply ingests one rating into the worker's replica — the same
+	// apply, repair and view drop a router's AddRating runs. Rejections
+	// unwrap to the dataset sentinels.
 	Apply(r dataset.Rating) error
 	// Stats reports the worker's cache totals.
 	Stats() Stats

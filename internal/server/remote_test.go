@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -682,13 +683,13 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.Unmarshal(transport["calls_by_op"], &callsByOp); err != nil {
 		t.Fatalf("remote.transport.calls_by_op: %v", err)
 	}
-	for _, op := range []string{"apply", "stats", "view_multi"} {
+	for _, op := range []string{"apply", "view_multi"} {
 		if _, ok := callsByOp[op]; !ok {
 			t.Errorf("calls_by_op lacks %q; keys: %v", op, callsByOp)
 		}
 	}
-	if len(callsByOp) != 3 {
-		t.Errorf("calls_by_op reports ops beyond the 3 live ones: %v", callsByOp)
+	if len(callsByOp) != 2 {
+		t.Errorf("calls_by_op reports ops beyond the 2 data-plane ones (a stats read is not counted): %v", callsByOp)
 	}
 	var viewCache map[string]json.RawMessage
 	if err := json.Unmarshal(raw.Remote["view_cache"], &viewCache); err != nil {
@@ -717,6 +718,39 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	}
 	if st.Remote.ViewCache.Misses == 0 || st.Remote.ViewCache.Hits == 0 {
 		t.Errorf("view cache unused across two recommends: %+v", st.Remote.ViewCache)
+	}
+}
+
+// TestStatsReadDoesNotCountItself: a router's /v1/stats read makes one
+// stats call per worker, and calls_by_op leaves those out, so it counts
+// the wire traffic of requests and ratings alone. Two consecutive reads
+// on a two-worker router report the same calls_by_op, though each read
+// reached both workers.
+func TestStatsReadDoesNotCountItself(t *testing.T) {
+	stack := startRemoteStack(t, 2, [][]int{{0}, {1}}, remote.ClientConfig{}, nil)
+	ts := serveHTTP(t, stack.router)
+	body := fmt.Sprintf(`{"group":%s,"k":3,"num_items":120}`, groupJSON(groupOnShards(t, stack.router, 2, 2, nil)))
+	if status, data := postJSON(t, ts.URL+"/v1/recommend", body); status != http.StatusOK {
+		t.Fatalf("recommend status = %d, body %s", status, data)
+	}
+	read := func() statsResponse {
+		t.Helper()
+		var st statsResponse
+		if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
+			t.Fatalf("stats status = %d", code)
+		}
+		return st
+	}
+	first, second := read(), read()
+	if first.Remote.Transport.CallsByOp["view_multi"] == 0 {
+		t.Fatalf("the recommend made no view call: %v", first.Remote.Transport.CallsByOp)
+	}
+	if !maps.Equal(first.Remote.Transport.CallsByOp, second.Remote.Transport.CallsByOp) {
+		t.Errorf("a stats read moved calls_by_op: %v, then %v", first.Remote.Transport.CallsByOp, second.Remote.Transport.CallsByOp)
+	}
+	calls := func(st statsResponse) uint64 { return st.Remote.Transport.Dials + st.Remote.Transport.ConnReuses }
+	if got := calls(second) - calls(first); got < 2 {
+		t.Errorf("the second stats read made %d wire calls, want one per worker", got)
 	}
 }
 

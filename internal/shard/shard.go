@@ -6,8 +6,9 @@
 // worker that owns it and a misrouted one answer wrong_shard.
 //
 // A shard says nothing about how a process lays out memory: the rating
-// store, the predictor's cache, the sorted-list store and the affinity
-// tables are each one structure per process, whatever N is.
+// store, the predictor's cache, the sorted-list store and, in a process
+// that keeps them, the affinity tables are each one structure per
+// process, whatever N is.
 package shard
 
 import "fmt"

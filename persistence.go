@@ -141,7 +141,7 @@ func SaveWorldSnapshot(w *World, dir string) error {
 	w.ingestMu.Lock()
 	defer w.ingestMu.Unlock()
 	snap := worldSnapshot{Ratings: w.ratings.DumpRatings()}
-	fp := configFingerprint(w.cfg)
+	fp := w.fingerprint
 	if err := persist.SaveSnapshot(filepath.Join(dir, snapshotFile), fp, &snap); err != nil {
 		return err
 	}

@@ -4,14 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/liststore"
 	"repro/internal/remote"
 )
 
 // This file is the world's side of the distributed deployment: the
 // router attaches a remote.ShardSet so its list store's view misses
-// scatter to worker processes, and a worker wraps its world in a
-// ShardBackend so remote.Server can serve them. Both processes build
+// scatter to worker processes, and a worker wraps its world's user plane
+// in a ShardBackend so remote.Server can serve them. Both processes build
 // the same deterministic world from the same configuration — the
 // config fingerprint handshake enforces it — so moving shards out of
 // process never changes a served byte; see DESIGN.md "Distributed
@@ -21,7 +22,7 @@ import (
 // same FNV-64a digest the persistence layer gates snapshots and WALs
 // with, reused by the distributed hello handshake so a router only
 // talks to workers built from its exact world.
-func (w *World) ConfigFingerprint() uint64 { return configFingerprint(w.cfg) }
+func (w *World) ConfigFingerprint() uint64 { return w.fingerprint }
 
 // AttachRemote switches the world's per-user data plane to the worker
 // fleet behind set: the list store's views are fetched from each user's
@@ -77,48 +78,62 @@ func fetchViews(set *remote.ShardSet, poolSize int) liststore.Builder {
 	}
 }
 
-// ShardBackend is the worker process's side of the data plane: a full
-// replica world serving the users of the shards this worker owns,
-// behind the remote.Backend interface cmd/greca-shard plugs into
-// remote.NewServer.
+// ShardBackend is the worker process's side of the data plane: the
+// user plane of a replica world — rating store, predictor and list
+// store, nothing of its global plane — serving the users of the shards
+// this worker owns, behind the remote.Backend interface cmd/greca-shard
+// plugs into remote.NewServer.
 type ShardBackend struct {
-	w     *World
+	p     *userPlane
 	owned []int
 }
 
-// NewShardBackend wraps w as the backend for the given owned shards.
-// Shard indexes must be valid for the world and free of duplicates.
+// NewShardBackend wraps w's user plane as the backend for the given
+// owned shards. Shard indexes must be valid for the world and free of
+// duplicates. The backend keeps a reference to the user plane only, so
+// once the caller drops w, the social network, the synthetic latents and
+// the affinity model are garbage.
+//
+// The plane's list store switches to building scores only
+// (engine.ScoreBuilder): a worker serves score vectors, and the router
+// derives each view's order from the scores it receives, so a worker
+// view costs 8 bytes per pool position and a fetch sorts nothing. Views
+// already resident are kept. w must not serve in-process requests
+// afterwards: an order-less view assembles no problem
+// (core.NewProblemFromViews refuses it).
 func NewShardBackend(w *World, owned []int) (*ShardBackend, error) {
 	if len(owned) == 0 {
 		return nil, fmt.Errorf("repro: shard backend owns no shards")
 	}
+	p := w.userPlane
 	seen := make(map[int]bool, len(owned))
 	for _, sh := range owned {
-		if sh < 0 || sh >= w.Shards() {
-			return nil, fmt.Errorf("repro: owned shard %d outside [0,%d)", sh, w.Shards())
+		if sh < 0 || sh >= p.sm.N() {
+			return nil, fmt.Errorf("repro: owned shard %d outside [0,%d)", sh, p.sm.N())
 		}
 		if seen[sh] {
 			return nil, fmt.Errorf("repro: shard %d owned twice", sh)
 		}
 		seen[sh] = true
 	}
-	return &ShardBackend{w: w, owned: append([]int(nil), owned...)}, nil
+	p.lists.SetBuilder(engine.ScoreBuilder(p.pred, p.poolPos))
+	return &ShardBackend{p: p, owned: append([]int(nil), owned...)}, nil
 }
 
 // Fingerprint implements remote.Backend.
-func (b *ShardBackend) Fingerprint() uint64 { return b.w.ConfigFingerprint() }
+func (b *ShardBackend) Fingerprint() uint64 { return b.p.fingerprint }
 
 // Shards implements remote.Backend.
-func (b *ShardBackend) Shards() int { return b.w.Shards() }
+func (b *ShardBackend) Shards() int { return b.p.sm.N() }
 
 // Owned implements remote.Backend.
 func (b *ShardBackend) Owned() []int { return append([]int(nil), b.owned...) }
 
 // ViewScores implements remote.Backend: u's pool-order normalized view
-// scores, served from the sorted-list store, materializing and caching
-// the view exactly like local traffic would.
+// scores, served from the list store, materializing and caching the
+// scores exactly like local traffic would its views.
 func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
-	v, err := b.w.lists.Acquire(u)
+	v, err := b.p.lists.Acquire(u)
 	if err != nil {
 		return nil, err
 	}
@@ -126,14 +141,15 @@ func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 }
 
 // Apply implements remote.Backend: ingest one fanned-out rating into
-// the replica — the full AddRating path. Rejections unwrap to the
-// dataset sentinels, which the transport relays by code.
-func (b *ShardBackend) Apply(r dataset.Rating) error { return b.w.AddRating(r) }
+// the replica through the plane's write path, which journals and fans
+// out nothing on a worker. Rejections unwrap to the dataset sentinels,
+// which the transport relays by code.
+func (b *ShardBackend) Apply(r dataset.Rating) error { return b.p.ingest(r, nil) }
 
 // Stats implements remote.Backend: the replica's cache totals. The
 // worker answers only for its owned shards' users, so they count
 // exactly those users' traffic.
 func (b *ShardBackend) Stats() remote.Stats {
-	cs := b.w.CacheStats()
+	cs := b.p.cacheStats()
 	return remote.Stats{ListStore: cs.ListStore, Neighborhoods: cs.Neighborhoods}
 }

@@ -91,52 +91,19 @@ func QuickConfig() Config {
 	}
 }
 
-// World is the assembled reproduction substrate. It is safe for
-// concurrent Recommend calls (each call builds its own problem
-// instance; the underlying CF caches are internally synchronized), and
-// mutates only through two serialized write paths: AddRating ingests
-// live ratings into the store, and AppendNextPeriod
-// extends the affinity index — both safe to run while serving.
+// World is the assembled reproduction substrate: a user plane (the
+// rating store, the CF predictor and the per-user views; see userPlane)
+// beside a global plane (the social network, the affinity model, the
+// participants, and the assembler that joins both planes into a
+// request's problem). It is safe for concurrent Recommend calls (each
+// call builds its own problem instance; the underlying CF caches are
+// internally synchronized), and mutates only through two serialized
+// write paths: AddRating ingests live ratings into the store, and
+// AppendNextPeriod extends the affinity index — both safe to run while
+// serving.
 type World struct {
-	ratings *dataset.Store
-	synth   *dataset.Synth // nil when ratings were loaded from disk
-	// network holds the generated network's latent structure; nil when
-	// the network was loaded from CSV.
-	network *social.SynthNetwork
-	// socialNet is the observable network (always set).
-	socialNet *social.Network
-	// pred is the absolute-preference source: the user-based cosine CF
-	// predictor.
-	pred *cf.Predictor
-	// lists is the precomputed sorted-list store over the popularity
-	// pool. In-process its views are built from pred; AttachRemote
-	// points it at a builder that fetches them from the owning workers.
-	lists *liststore.Store
-	// asm is the assembly layer building each request's problem from
-	// pred and lists.
-	asm      *engine.Assembler
-	model    *affinity.Model
-	timeline affinity.Timeline
-	cfg      Config
-	// pending are the not-yet-indexed periods of the full window
-	// (index-maintenance mode; empty otherwise).
-	pending []affinity.Period
-	// participants are the users present in both the rating store and
-	// the social network (the study population).
-	participants []dataset.UserID
-	// sm routes users onto shards — the workers of a distributed
-	// deployment.
-	sm *shard.Map
-	// periodMu guards the index-maintenance state — pending, timeline,
-	// and the affinity model's per-period tables — so AppendNextPeriod
-	// can extend the index while requests resolve periods and read
-	// drifts (readers take it shared; see buildProblem).
-	periodMu sync.RWMutex
-	// ingestMu serializes the rating write path (AddRating, snapshots):
-	// one ingest at a time keeps the store mutation and the cache
-	// invalidations it triggers a single atomic event from any other
-	// writer's point of view. Readers never take it.
-	ingestMu sync.Mutex
+	*userPlane
+	globalPlane
 	// wal, when set, is notified of every applied rating for
 	// durability; see SetRatingLog.
 	wal RatingLog
@@ -153,21 +120,41 @@ type World struct {
 	// remoteFanoutMisses counts ingests whose owning worker missed
 	// the fanned-out write and was fenced.
 	remoteFanoutMisses atomic.Uint64
-	// dropAllNeighborhoods swaps the predictor's scoped ingest hook for
-	// its drop-everything counterpart. No configuration sets it: it
-	// is the reference scheme the scoped one is differentially tested
-	// and benchmarked against (export_test.go).
-	dropAllNeighborhoods bool
+}
+
+// globalPlane is the part of a world that answers group-level
+// questions — who may form a group and how close its members are — and
+// assembles problems. A shard worker keeps none of it.
+type globalPlane struct {
+	synth *dataset.Synth // nil when ratings were loaded from disk
+	// network holds the generated network's latent structure; nil when
+	// the network was loaded from CSV.
+	network *social.SynthNetwork
+	// socialNet is the observable network (always set).
+	socialNet *social.Network
+	// asm is the assembly layer building each request's problem from the
+	// user plane's predictor and list store.
+	asm      *engine.Assembler
+	model    *affinity.Model
+	timeline affinity.Timeline
+	// pending are the not-yet-indexed periods of the full window
+	// (index-maintenance mode; empty otherwise).
+	pending []affinity.Period
+	// participants are the users present in both the rating store and
+	// the social network (the study population).
+	participants []dataset.UserID
+	// periodMu guards the index-maintenance state — pending, timeline,
+	// and the affinity model's per-period tables — so AppendNextPeriod
+	// can extend the index while requests resolve periods and read
+	// drifts (readers take it shared; see buildProblem).
+	periodMu sync.RWMutex
 }
 
 // NewWorld builds every substrate: ratings (loaded or generated), the
 // social network, the CF predictor, and the temporal affinity model
 // over the configured granularity.
 func NewWorld(cfg Config) (*World, error) {
-	w := &World{cfg: cfg}
-	// The snapshot's rating log is read once, below; the world keeps the
-	// store FromRatings builds from it, not the log.
-	w.cfg.snapshotRatings = nil
+	w := &World{}
 
 	// Routing: the one map the router and the workers agree on.
 	if cfg.Shards < 0 {
@@ -184,25 +171,23 @@ func NewWorld(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: building shard map: %w", err)
 	}
-	w.sm = sm
 
 	scfg := cfg.Social
 	if scfg.Users == 0 {
 		scfg = social.DefaultSynthConfig()
 	}
 
+	// The snapshot's rating log is read once, here; the world keeps the
+	// store FromRatings builds from it, not the log.
+	var ratings *dataset.Store
 	if cfg.snapshotRatings != nil {
-		store, err := dataset.FromRatings(cfg.snapshotRatings)
-		if err != nil {
+		if ratings, err = dataset.FromRatings(cfg.snapshotRatings); err != nil {
 			return nil, fmt.Errorf("repro: rebuilding ratings from snapshot: %w", err)
 		}
-		w.ratings = store
 	} else if cfg.RatingsReader != nil {
-		store, err := dataset.LoadMovieLensRatings(cfg.RatingsReader)
-		if err != nil {
+		if ratings, err = dataset.LoadMovieLensRatings(cfg.RatingsReader); err != nil {
 			return nil, fmt.Errorf("repro: loading ratings: %w", err)
 		}
-		w.ratings = store
 	} else {
 		dcfg := cfg.Dataset
 		if dcfg.Users == 0 {
@@ -223,9 +208,9 @@ func NewWorld(cfg Config) (*World, error) {
 			return nil, fmt.Errorf("repro: generating ratings: %w", err)
 		}
 		w.synth = sy
-		w.ratings = sy.Store
+		ratings = sy.Store
 	}
-	if nUsers := len(w.ratings.Users()); scfg.Users > nUsers {
+	if nUsers := len(ratings.Users()); scfg.Users > nUsers {
 		return nil, fmt.Errorf("repro: social population %d exceeds rating users %d", scfg.Users, nUsers)
 	}
 	if (cfg.FriendshipsReader == nil) != (cfg.PageLikesReader == nil) {
@@ -246,18 +231,9 @@ func NewWorld(cfg Config) (*World, error) {
 		w.socialNet = net.Network
 	}
 
-	pred, err := cf.NewPredictor(w.ratings, cfg.Neighbors)
-	if err != nil {
-		return nil, fmt.Errorf("repro: building CF predictor: %w", err)
+	if w.userPlane, err = newUserPlane(ratings, cfg, sm); err != nil {
+		return nil, err
 	}
-	w.pred = pred
-
-	// Sorted-list store: built at load over the store's popularity
-	// ranking (views materialize lazily per user, bounded by a CLOCK
-	// policy). The World owns the store lifecycle — every rating ingest
-	// empties it (AddRating) so stale views are rebuilt.
-	pool := w.ratings.PopularityRanked()
-	w.lists = liststore.NewOver(engine.LocalBuilder(w.pred, pool), pool, cfg.ListStoreSize)
 	w.asm = engine.New(w.pred, w.lists)
 
 	// Participants: social users 0..Users-1 mapped onto the rating
@@ -353,7 +329,8 @@ func (w *World) SetRatingLog(l RatingLog) {
 // read path immediately, bit-identically to a cold rebuild over the
 // extended dataset), every derived structure is invalidated
 // coherently, and the attached rating log — if any — journals it for
-// crash recovery.
+// crash recovery. It is the user plane's one write path (userPlane.ingest)
+// with the journal and the fan-out between the apply and the view drop.
 //
 // Rejections (out-of-range value, unknown user or item) leave the
 // world untouched and unwrap to the dataset package's typed errors
@@ -372,69 +349,45 @@ func (w *World) SetRatingLog(l RatingLog) {
 // rebuilt over repaired neighborhoods costs one batch prediction.
 // Everything served afterwards is bit-identical to a cold rebuild.
 func (w *World) AddRating(r dataset.Rating) error {
-	w.ingestMu.Lock()
-	defer w.ingestMu.Unlock()
-	if err := w.applyRating(r); err != nil {
-		return err
-	}
-	var journalErr error
-	if w.wal != nil {
-		journalErr = w.wal.Append(r)
-	}
-	// Distributed mode: fan the rating out to every worker replica,
-	// still inside the ingest lock so every process applies ratings in
-	// the same global order (apply order is the fold order, and fold
-	// order is what makes replicas bit-identical). Every replica needs
-	// every rating — a user-based neighborhood reads all users'
-	// vectors, so no shard's state is independent of the ingest — and it
-	// needs it whether or not the journal took it: the rating is in this
-	// process's store either way, and a skipped fan-out would leave the
-	// router one rating ahead of every worker with a contiguous sequence
-	// that never shows it. Deliveries are sequence-stamped, retried with
-	// dedup at the worker, and any worker that still misses the write is
-	// fenced by the set — its shards answer 503 to reads instead of
-	// serving a diverged replica. A missed delivery never fails the
-	// ingest: the rating is already applied here and on every live
-	// replica, so failing the request would invite a retry that
-	// double-counts it in every process that applied it. A missed owner
-	// surfaces at read time, on its fenced shards.
-	if w.remote != nil {
-		w.remoteApplySeq++
-		if ferr := w.remote.Apply(w.remoteApplySeq, r); ferr != nil {
-			w.remoteFanoutMisses.Add(1)
+	return w.ingest(r, func() error {
+		var journalErr error
+		if w.wal != nil {
+			journalErr = w.wal.Append(r)
 		}
-	}
-	// Last, once the rating is applied everywhere it is going to be:
-	// drop every sorted view. Builds in flight need no extra fence — a
-	// view still mid-build when the sweep passes is unlinked by it (see
-	// liststore.AcquireMulti), and one started afterwards reads
-	// post-ingest state wherever it is built.
-	w.lists.InvalidateAll()
-	if journalErr != nil {
-		return fmt.Errorf("repro: rating applied but not journaled: %w", journalErr)
-	}
-	return nil
+		// Distributed mode: fan the rating out to every worker replica,
+		// still inside the ingest lock so every process applies ratings
+		// in the same global order (apply order is the fold order, and
+		// fold order is what makes replicas bit-identical). Every replica
+		// needs every rating — a user-based neighborhood reads all users'
+		// vectors, so no shard's state is independent of the ingest — and
+		// it needs it whether or not the journal took it: the rating is
+		// in this process's store either way, and a skipped fan-out would
+		// leave the router one rating ahead of every worker with a
+		// contiguous sequence that never shows it. Deliveries are
+		// sequence-stamped, retried with dedup at the worker, and any
+		// worker that still misses the write is fenced by the set — its
+		// shards answer 503 to reads instead of serving a diverged
+		// replica. A missed delivery never fails the ingest: the rating
+		// is already applied here and on every live replica, so failing
+		// the request would invite a retry that double-counts it in every
+		// process that applied it. A missed owner surfaces at read time,
+		// on its fenced shards.
+		if w.remote != nil {
+			w.remoteApplySeq++
+			if ferr := w.remote.Apply(w.remoteApplySeq, r); ferr != nil {
+				w.remoteFanoutMisses.Add(1)
+			}
+		}
+		if journalErr != nil {
+			return fmt.Errorf("repro: rating applied but not journaled: %w", journalErr)
+		}
+		return nil
+	})
 }
 
 // RemoteFanoutMisses counts distributed ingests whose owning worker
 // missed the fanned-out write (and was fenced). Zero in-process.
 func (w *World) RemoteFanoutMisses() uint64 { return w.remoteFanoutMisses.Load() }
-
-// applyRating lands r in the store and makes the predictor coherent
-// with it. Caller holds ingestMu.
-func (w *World) applyRating(r dataset.Rating) error {
-	if err := w.ratings.Apply(r); err != nil {
-		return fmt.Errorf("repro: applying rating: %w", err)
-	}
-	// Store first, then the predictor (its recomputed means must see the
-	// new rating).
-	if w.dropAllNeighborhoods {
-		w.pred.NoteIngest(r.User)
-	} else {
-		w.pred.NoteIngestScoped(r.User, r.Item)
-	}
-	return nil
-}
 
 // IngestStats snapshots the live-ingest counters: ratings applied
 // since start (pending is always 0 — a rating is folded as it lands).
@@ -516,7 +469,7 @@ type CacheStats struct {
 // router for its own dense rows), so they are the workers' sum plus the
 // router's own.
 func (w *World) CacheStats() CacheStats {
-	st := CacheStats{ListStore: w.lists.Stats(), Neighborhoods: w.pred.Stats()}
+	st := w.cacheStats()
 	if w.remote != nil {
 		workers, _ := w.remote.Stats()
 		workers.Neighborhoods.Add(st.Neighborhoods)
