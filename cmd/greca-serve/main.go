@@ -181,10 +181,12 @@ func main() {
 	}
 
 	log.Printf("building world (seed %d)...", *seed)
+	bootStart := time.Now()
 	world, open, err := repro.OpenWorld(cfg, *snapshot)
 	if err != nil {
 		log.Fatalf("building world: %v", err)
 	}
+	log.Printf("world up in %v (boot: %v)", time.Since(bootStart).Round(10*time.Microsecond), world.BootTimes())
 	var openStats *repro.OpenStats
 	if *snapshot != "" {
 		openStats = &open

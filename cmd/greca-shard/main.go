@@ -10,12 +10,12 @@
 //	            [-liststore 1024]
 //	            [-http 127.0.0.1:9201] [-v]
 //
-// Every worker builds the full deterministic world from the same
-// configuration as the router (same -seed, -ratings, -shards); the
+// Every worker builds the same deterministic rating store as the router
+// from the same configuration (same -seed, -ratings, -shards); the
 // connection handshake carries the config fingerprint and refuses a
-// mismatched peer. It then keeps only the world's user plane — the
+// mismatched peer. A worker builds only a world's user plane — the
 // rating store, the predictor and a list store of score vectors — and
-// drops the social network and the affinity model, which only a
+// never the social network or the affinity model, which only a
 // router's assembly reads. Ownership (-owns) decides only which shards this
 // process answers for — a request for a user outside the owned shards
 // is rejected with wrong_shard. The router's topology file must assign
@@ -63,8 +63,8 @@ func requirePositive(name string, v int) {
 }
 
 // parseOwns parses the -owns flag: a comma-separated list of shard
-// indices ("0,2"). Range and duplicate checks live in NewShardBackend;
-// this only rejects non-numeric input.
+// indices ("0,2"). Range and duplicate checks live in
+// NewShardBackendFromConfig; this only rejects non-numeric input.
 func parseOwns(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("empty shard list")
@@ -81,10 +81,9 @@ func parseOwns(s string) ([]int, error) {
 	return owned, nil
 }
 
-// newBackend builds the worker's world and wraps it. The world does not
-// outlive this call: the backend keeps its user plane only, so the
-// social network and the affinity model a world builds are garbage as
-// soon as the worker serves.
+// newBackend boots the worker's backend: the rating store and the user
+// plane over it, and nothing of a world's global plane — no social
+// network, no affinity model, which only a router's assembly reads.
 func newBackend(cfg repro.Config, ratings string, owned []int, verbose bool) (*repro.ShardBackend, error) {
 	if ratings != "" {
 		f, err := os.Open(ratings)
@@ -94,19 +93,16 @@ func newBackend(cfg repro.Config, ratings string, owned []int, verbose bool) (*r
 		defer f.Close()
 		cfg.RatingsReader = f
 	}
-	log.Printf("building world (seed %d, %d shards)...", cfg.Dataset.Seed, cfg.Shards)
-	world, err := repro.NewWorld(cfg)
+	log.Printf("building user plane (seed %d, %d shards)...", cfg.Dataset.Seed, cfg.Shards)
+	backend, err := repro.NewShardBackendFromConfig(cfg, owned)
 	if err != nil {
-		return nil, fmt.Errorf("building world: %w", err)
+		return nil, fmt.Errorf("building shard backend: %w", err)
 	}
+	log.Printf("boot: %v", backend.BootTimes())
 	if verbose {
-		st := world.Ratings().Stats()
-		fmt.Printf("world: %d users, %d items, %d ratings, fingerprint %016x\n",
-			st.Users, st.Items, st.Ratings, world.ConfigFingerprint())
-	}
-	backend, err := repro.NewShardBackend(world, owned)
-	if err != nil {
-		return nil, fmt.Errorf("shard ownership: %w", err)
+		st := backend.Ratings().Stats()
+		fmt.Printf("user plane: %d users, %d items, %d ratings, fingerprint %016x\n",
+			st.Users, st.Items, st.Ratings, backend.Fingerprint())
 	}
 	return backend, nil
 }

@@ -270,23 +270,24 @@ func Generate(cfg SynthConfig) (*Synth, error) {
 
 	recs := make([]Rating, 0, cfg.TargetRatings)
 	baseTime := int64(978_300_000) // around the MovieLens 1M epoch
-	seen := make(map[ItemID]struct{}, 256)
+	// stamp[it] == u+1 marks item it as rated by user u: the dedupe
+	// needs no clearing between users and no hashing per draw.
+	stamp := make([]int, cfg.Items)
 	for u := 0; u < cfg.Users; u++ {
-		clear(seen)
-		n := counts[u]
+		n, got, mark := counts[u], 0, u+1
 		inPool := 0
 		if u < cfg.ParticipantUsers && cfg.ParticipantPoolSize > 0 {
 			inPool = poolCounts[u]
 		}
-		for len(seen) < n {
+		for got < n {
 			var it ItemID
-			if len(seen) < inPool {
+			if got < inPool {
 				// Participants first rate within the shared study pool
 				// (the most popular items), like the paper's recruits
 				// who rated the pre-computed popular/diversity sets;
 				// their remaining ratings come from the whole catalog.
 				it = ItemID(rankOf[rng.Intn(cfg.ParticipantPoolSize)])
-				if _, dup := seen[it]; dup {
+				if stamp[it] == mark {
 					continue
 				}
 			} else {
@@ -297,16 +298,17 @@ func Generate(cfg SynthConfig) (*Synth, error) {
 					r = cfg.Items - 1
 				}
 				it = ItemID(rankOf[r])
-				if _, dup := seen[it]; dup {
+				if stamp[it] == mark {
 					// Collision on an already-rated item: fall back to
 					// a uniform pick so dense users terminate quickly.
 					it = ItemID(rng.Intn(cfg.Items))
-					if _, dup2 := seen[it]; dup2 {
+					if stamp[it] == mark {
 						continue
 					}
 				}
 			}
-			seen[it] = struct{}{}
+			stamp[it] = mark
+			got++
 			latent := sy.ItemQuality[it] + cfg.TasteStrength*sy.UserTaste[u][sy.ItemGenre[it]]
 			val := math.Round(latent + cfg.RatingNoise*rng.NormFloat64())
 			val = clampRating(val)

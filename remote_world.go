@@ -2,11 +2,13 @@ package repro
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/liststore"
 	"repro/internal/remote"
+	"repro/internal/shard"
 )
 
 // This file is the world's side of the distributed deployment: the
@@ -86,13 +88,15 @@ func fetchViews(set *remote.ShardSet, poolSize int) liststore.Builder {
 type ShardBackend struct {
 	p     *userPlane
 	owned []int
+	boot  BootTimes
 }
 
 // NewShardBackend wraps w's user plane as the backend for the given
 // owned shards. Shard indexes must be valid for the world and free of
 // duplicates. The backend keeps a reference to the user plane only, so
 // once the caller drops w, the social network, the synthetic latents and
-// the affinity model are garbage.
+// the affinity model are garbage. A worker that has no world yet boots
+// its user plane alone with NewShardBackendFromConfig.
 //
 // The plane's list store switches to building scores only
 // (engine.ScoreBuilder): a worker serves score vectors, and the router
@@ -102,23 +106,80 @@ type ShardBackend struct {
 // afterwards: an order-less view assembles no problem
 // (core.NewProblemFromViews refuses it).
 func NewShardBackend(w *World, owned []int) (*ShardBackend, error) {
-	if len(owned) == 0 {
-		return nil, fmt.Errorf("repro: shard backend owns no shards")
+	if err := checkOwned(w.sm, owned); err != nil {
+		return nil, err
 	}
-	p := w.userPlane
+	return newShardBackend(w.userPlane, owned, w.boot), nil
+}
+
+// NewShardBackendFromConfig boots a worker's backend from cfg alone: the
+// ratings arm of NewWorld (bootRatings) and the user plane over it
+// (newUserPlane), and nothing else. It builds no social network — the
+// social readers, if set, are never read — no affinity model, and keeps
+// no synthetic latents. Its fingerprint and every view score equal those
+// of NewShardBackend(NewWorld(cfg), owned). It refuses the owned shards
+// NewShardBackend refuses, then what NewWorld refuses short of the
+// network arm, in NewWorld's order: the ratings error, a social
+// population larger than the rating users, half-set social readers.
+func NewShardBackendFromConfig(cfg Config, owned []int) (*ShardBackend, error) {
+	sm, scfg, err := bootConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkOwned(sm, owned); err != nil {
+		return nil, err
+	}
+	rs := bootRatings(cfg, scfg)
+	if rs.err != nil {
+		return nil, rs.err
+	}
+	if err := checkPopulation(scfg, rs.store); err != nil {
+		return nil, err
+	}
+	if err := checkSocialReaders(cfg); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	p, err := newUserPlane(rs.store, cfg, sm)
+	if err != nil {
+		return nil, err
+	}
+	return newShardBackend(p, owned, BootTimes{Ratings: rs.took, UserPlane: time.Since(start)}), nil
+}
+
+// checkOwned refuses an empty shard list, a shard outside sm and a
+// shard named twice.
+func checkOwned(sm *shard.Map, owned []int) error {
+	if len(owned) == 0 {
+		return fmt.Errorf("repro: shard backend owns no shards")
+	}
 	seen := make(map[int]bool, len(owned))
 	for _, sh := range owned {
-		if sh < 0 || sh >= p.sm.N() {
-			return nil, fmt.Errorf("repro: owned shard %d outside [0,%d)", sh, p.sm.N())
+		if sh < 0 || sh >= sm.N() {
+			return fmt.Errorf("repro: owned shard %d outside [0,%d)", sh, sm.N())
 		}
 		if seen[sh] {
-			return nil, fmt.Errorf("repro: shard %d owned twice", sh)
+			return fmt.Errorf("repro: shard %d owned twice", sh)
 		}
 		seen[sh] = true
 	}
-	p.lists.SetBuilder(engine.ScoreBuilder(p.pred, p.poolPos))
-	return &ShardBackend{p: p, owned: append([]int(nil), owned...)}, nil
+	return nil
 }
+
+// newShardBackend points p's list store at the score-only builder and
+// wraps p for the owned shards, which checkOwned has accepted.
+func newShardBackend(p *userPlane, owned []int, boot BootTimes) *ShardBackend {
+	p.lists.SetBuilder(engine.ScoreBuilder(p.pred, p.poolPos))
+	return &ShardBackend{p: p, owned: append([]int(nil), owned...), boot: boot}
+}
+
+// Ratings returns the replica's rating store.
+func (b *ShardBackend) Ratings() *dataset.Store { return b.p.ratings }
+
+// BootTimes reports how long each stage of the backend's boot took: the
+// world's stages for NewShardBackend, the ratings and the user plane
+// alone for NewShardBackendFromConfig.
+func (b *ShardBackend) BootTimes() BootTimes { return b.boot }
 
 // Fingerprint implements remote.Backend.
 func (b *ShardBackend) Fingerprint() uint64 { return b.p.fingerprint }

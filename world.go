@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/affinity"
 	"repro/internal/cf"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/groups"
 	"repro/internal/liststore"
 	"repro/internal/remote"
-	"repro/internal/shard"
 	"repro/internal/social"
 )
 
@@ -26,7 +26,9 @@ type Config struct {
 	Dataset dataset.SynthConfig
 	// RatingsReader, when non-nil, loads ratings in the MovieLens
 	// "UserID::MovieID::Rating::Timestamp" format instead of
-	// generating them.
+	// generating them. NewWorld reads it while another goroutine reads
+	// the social readers, so it must not share state with them (two
+	// readers over one file descriptor, say).
 	RatingsReader io.Reader
 	// FriendshipsReader and PageLikesReader, when both non-nil, load
 	// the social network from the CSV formats datagen emits
@@ -34,7 +36,9 @@ type Config struct {
 	// generating it. Social.Users still sets the population size and
 	// Social.Start/End the observation window. A loaded network has no
 	// latent ground truth, so the quality study requires a generated
-	// one.
+	// one. NewWorld reads them, friendships first, on a goroutine of
+	// their own, at the same time as RatingsReader; a shard worker
+	// (NewShardBackendFromConfig) never reads them.
 	FriendshipsReader io.Reader
 	PageLikesReader   io.Reader
 	// Social configures the synthetic social network. Its Users count
@@ -104,6 +108,8 @@ func QuickConfig() Config {
 type World struct {
 	*userPlane
 	globalPlane
+	// boot is how long each stage of NewWorld took.
+	boot BootTimes
 	// wal, when set, is notified of every applied rating for
 	// durability; see SetRatingLog.
 	wal RatingLog
@@ -153,87 +159,55 @@ type globalPlane struct {
 // NewWorld builds every substrate: ratings (loaded or generated), the
 // social network, the CF predictor, and the temporal affinity model
 // over the configured granularity.
+//
+// The rating store and the social network depend on nothing of each
+// other, so they are built at once: the ratings arm (bootRatings) on the
+// calling goroutine, the network arm (bootNetwork) on one more. The two
+// join before NewWorld returns, on every path, and the errors are
+// reported in a fixed order whichever arm finished first: the ratings
+// error, a social population larger than the rating users, half-set
+// social readers, then the network error. The user plane
+// (newUserPlane) and the affinity model are built after the join.
+// Config's readers are read concurrently, so they must be independent.
 func NewWorld(cfg Config) (*World, error) {
-	w := &World{}
-
-	// Routing: the one map the router and the workers agree on.
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("repro: negative Shards %d", cfg.Shards)
-	}
-	if cfg.ListStoreSize < 0 {
-		return nil, fmt.Errorf("repro: negative ListStoreSize %d", cfg.ListStoreSize)
-	}
-	nShards := cfg.Shards
-	if nShards == 0 {
-		nShards = 1
-	}
-	sm, err := shard.New(nShards)
+	sm, scfg, err := bootConfig(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("repro: building shard map: %w", err)
-	}
-
-	scfg := cfg.Social
-	if scfg.Users == 0 {
-		scfg = social.DefaultSynthConfig()
-	}
-
-	// The snapshot's rating log is read once, here; the world keeps the
-	// store FromRatings builds from it, not the log.
-	var ratings *dataset.Store
-	if cfg.snapshotRatings != nil {
-		if ratings, err = dataset.FromRatings(cfg.snapshotRatings); err != nil {
-			return nil, fmt.Errorf("repro: rebuilding ratings from snapshot: %w", err)
-		}
-	} else if cfg.RatingsReader != nil {
-		if ratings, err = dataset.LoadMovieLensRatings(cfg.RatingsReader); err != nil {
-			return nil, fmt.Errorf("repro: loading ratings: %w", err)
-		}
-	} else {
-		dcfg := cfg.Dataset
-		if dcfg.Users == 0 {
-			dcfg = dataset.DefaultSynthConfig()
-		}
-		if dcfg.ParticipantUsers == 0 {
-			// Study participants rate ~30-60 movies drawn from a
-			// shared 75-item pool, like the paper's recruits who
-			// rated the pre-computed popular/diversity movie sets.
-			dcfg.ParticipantUsers = scfg.Users
-			dcfg.ParticipantMinRatings = 30
-			dcfg.ParticipantMaxRatings = 60
-			dcfg.ParticipantPoolSize = 75
-			dcfg.ParticipantExtraMean = 100
-		}
-		sy, err := dataset.Generate(dcfg)
-		if err != nil {
-			return nil, fmt.Errorf("repro: generating ratings: %w", err)
-		}
-		w.synth = sy
-		ratings = sy.Store
-	}
-	if nUsers := len(ratings.Users()); scfg.Users > nUsers {
-		return nil, fmt.Errorf("repro: social population %d exceeds rating users %d", scfg.Users, nUsers)
-	}
-	if (cfg.FriendshipsReader == nil) != (cfg.PageLikesReader == nil) {
-		return nil, fmt.Errorf("repro: FriendshipsReader and PageLikesReader must be set together")
-	}
-	if cfg.FriendshipsReader != nil {
-		nw, err := social.LoadNetwork(scfg.Users, cfg.FriendshipsReader, cfg.PageLikesReader)
-		if err != nil {
-			return nil, fmt.Errorf("repro: loading social network: %w", err)
-		}
-		w.socialNet = nw
-	} else {
-		net, err := social.GenerateNetwork(scfg)
-		if err != nil {
-			return nil, fmt.Errorf("repro: generating social network: %w", err)
-		}
-		w.network = net
-		w.socialNet = net.Network
-	}
-
-	if w.userPlane, err = newUserPlane(ratings, cfg, sm); err != nil {
 		return nil, err
 	}
+	var (
+		nw networkArm
+		wg sync.WaitGroup
+	)
+	pairErr := checkSocialReaders(cfg)
+	if pairErr == nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nw = bootNetwork(cfg, scfg)
+		}()
+	}
+	rs := bootRatings(cfg, scfg)
+	wg.Wait()
+	if rs.err != nil {
+		return nil, rs.err
+	}
+	if err := checkPopulation(scfg, rs.store); err != nil {
+		return nil, err
+	}
+	if pairErr != nil {
+		return nil, pairErr
+	}
+	if nw.err != nil {
+		return nil, nw.err
+	}
+
+	w := &World{boot: BootTimes{Ratings: rs.took, Network: nw.took}}
+	w.synth, w.network, w.socialNet = rs.synth, nw.synth, nw.net
+	start := time.Now()
+	if w.userPlane, err = newUserPlane(rs.store, cfg, sm); err != nil {
+		return nil, err
+	}
+	w.boot.UserPlane = time.Since(start)
 	w.asm = engine.New(w.pred, w.lists)
 
 	// Participants: social users 0..Users-1 mapped onto the rating
@@ -252,11 +226,13 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		w.pending = append([]affinity.Period(nil), full.Periods[n:]...)
 	}
+	start = time.Now()
 	src := affinity.NetworkSource{Network: w.socialNet}
 	model, err := affinity.BuildModel(w.participants, w.timeline, src, src)
 	if err != nil {
 		return nil, fmt.Errorf("repro: building affinity model: %w", err)
 	}
+	w.boot.Model = time.Since(start)
 	w.model = model
 	return w, nil
 }
