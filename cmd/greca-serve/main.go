@@ -127,20 +127,10 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/liststore"
+	"repro/cmd/internal/worldflags"
 	"repro/internal/remote"
 	"repro/internal/server"
 )
-
-// requirePositive rejects non-positive size flags with a clean usage
-// error (exit 2, like flag's own failures).
-func requirePositive(name string, v int) {
-	if v <= 0 {
-		fmt.Fprintf(os.Stderr, "greca-serve: %s must be positive, got %d\n", name, v)
-		flag.Usage()
-		os.Exit(2)
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -149,10 +139,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		maxPending = flag.Int("maxpending", 0, "in-flight request bound; beyond it requests are shed with 429 (0 = unbounded)")
-		ratings    = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
-		seed       = flag.Int64("seed", 1, "synthetic world seed")
-		listStore  = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
-		shards     = flag.Int("shards", 1, "shard count users are routed onto, the unit -shards-config assigns to workers (must be positive)")
+		worldFlag  = worldflags.Define("synthetic world seed", "shard count users are routed onto, the unit -shards-config assigns to workers (must be positive)")
 		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = serve every shard in this process)")
 		snapshot   = flag.String("snapshot", "", "persistence directory: warm-restart snapshot + rating WAL (empty = no persistence)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -160,27 +147,13 @@ func main() {
 	)
 	flag.Parse()
 
-	// Size flags must be positive: a zero or negative store or shard
-	// count is a configuration mistake, answered with usage instead of a
-	// silently clamped default.
-	requirePositive("-liststore", *listStore)
-	requirePositive("-shards", *shards)
-
-	cfg := repro.QuickConfig()
-	cfg.Dataset.Seed = *seed
-	cfg.Social.Seed = *seed + 1
-	cfg.ListStoreSize = *listStore
-	cfg.Shards = *shards
-	if *ratings != "" {
-		f, err := os.Open(*ratings)
-		if err != nil {
-			log.Fatalf("opening ratings: %v", err)
-		}
-		defer f.Close()
-		cfg.RatingsReader = f
+	cfg, err := worldFlag.Config()
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer worldFlag.Close()
 
-	log.Printf("building world (seed %d)...", *seed)
+	log.Printf("building world (seed %d)...", cfg.Dataset.Seed)
 	bootStart := time.Now()
 	world, open, err := repro.OpenWorld(cfg, *snapshot)
 	if err != nil {

@@ -48,19 +48,9 @@ import (
 	"syscall"
 
 	"repro"
-	"repro/internal/liststore"
+	"repro/cmd/internal/worldflags"
 	"repro/internal/remote"
 )
-
-// requirePositive rejects non-positive size flags with a clean usage
-// error (exit 2, like flag's own failures).
-func requirePositive(name string, v int) {
-	if v <= 0 {
-		fmt.Fprintf(os.Stderr, "greca-shard: %s must be positive, got %d\n", name, v)
-		flag.Usage()
-		os.Exit(2)
-	}
-}
 
 // parseOwns parses the -owns flag: a comma-separated list of shard
 // indices ("0,2"). Range and duplicate checks live in
@@ -84,15 +74,7 @@ func parseOwns(s string) ([]int, error) {
 // newBackend boots the worker's backend: the rating store and the user
 // plane over it, and nothing of a world's global plane — no social
 // network, no affinity model, which only a router's assembly reads.
-func newBackend(cfg repro.Config, ratings string, owned []int, verbose bool) (*repro.ShardBackend, error) {
-	if ratings != "" {
-		f, err := os.Open(ratings)
-		if err != nil {
-			return nil, fmt.Errorf("opening ratings: %w", err)
-		}
-		defer f.Close()
-		cfg.RatingsReader = f
-	}
+func newBackend(cfg repro.Config, owned []int, verbose bool) (*repro.ShardBackend, error) {
 	log.Printf("building user plane (seed %d, %d shards)...", cfg.Dataset.Seed, cfg.Shards)
 	backend, err := repro.NewShardBackendFromConfig(cfg, owned)
 	if err != nil {
@@ -114,34 +96,28 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:9101", "RPC listen address")
 		owns      = flag.String("owns", "", "comma-separated shard indices this worker owns (required)")
-		ratings   = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
-		seed      = flag.Int64("seed", 1, "synthetic world seed (must match the router)")
-		listStore = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
-		shards    = flag.Int("shards", 1, "shard count users are routed onto (must match the router)")
+		worldFlag = worldflags.Define("synthetic world seed (must match the router)", "shard count users are routed onto (must match the router)")
 		httpAddr  = flag.String("http", "", "serve shard-local /v1/stats and /v1/healthz on this address (empty = off)")
 		verbose   = flag.Bool("v", false, "print substrate statistics")
 	)
 	flag.Parse()
 
-	requirePositive("-liststore", *listStore)
-	requirePositive("-shards", *shards)
+	// The worker's world must be byte-identical to the router's: same
+	// config, same seeds, same ratings. The handshake fingerprint
+	// catches drift, but only for the knobs that shape data — getting
+	// these flags right is still on the operator.
+	cfg, err := worldFlag.Config()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer worldFlag.Close()
 	owned, err := parseOwns(*owns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "greca-shard: -owns: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	// The worker's world must be byte-identical to the router's: same
-	// config, same seeds, same ratings. The handshake fingerprint
-	// catches drift, but only for the knobs that shape data — getting
-	// these flags right is still on the operator.
-	cfg := repro.QuickConfig()
-	cfg.Dataset.Seed = *seed
-	cfg.Social.Seed = *seed + 1
-	cfg.ListStoreSize = *listStore
-	cfg.Shards = *shards
-	backend, err := newBackend(cfg, *ratings, owned, *verbose)
+	backend, err := newBackend(cfg, owned, *verbose)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -166,7 +142,7 @@ func main() {
 				Owned  []int `json:"owned"`
 				remote.Stats
 			}{
-				Shards: *shards,
+				Shards: cfg.Shards,
 				Owned:  owned,
 				Stats:  backend.Stats(),
 			}
@@ -187,7 +163,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(lis) }()
 	log.Printf("serving shards %v of %d on %s (fingerprint %016x)",
-		owned, *shards, lis.Addr(), backend.Fingerprint())
+		owned, cfg.Shards, lis.Addr(), backend.Fingerprint())
 
 	select {
 	case err := <-errc:

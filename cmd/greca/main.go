@@ -55,21 +55,11 @@ import (
 	"strings"
 
 	"repro"
+	"repro/cmd/internal/worldflags"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/liststore"
 )
-
-// requirePositive rejects non-positive size flags with a clean usage
-// error (exit 2, like flag's own failures).
-func requirePositive(name string, v int) {
-	if v <= 0 {
-		fmt.Fprintf(os.Stderr, "greca: %s must be positive, got %d\n", name, v)
-		flag.Usage()
-		os.Exit(2)
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -82,11 +72,8 @@ func main() {
 		consFlag  = flag.String("consensus", "AP", "consensus function: AP, MO, PD1 (w1=0.8), PD2 (w1=0.2), VD")
 		modelFlag = flag.String("model", "discrete", "affinity model: discrete, continuous, static, none")
 		period    = flag.Int("period", 0, "1-based 'now' period (0 = latest)")
-		ratings   = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
 		modeFlag  = flag.String("mode", "greca", "executor: greca, threshold, fullscan")
-		seed      = flag.Int64("seed", 1, "synthetic world seed")
-		listStore = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
-		shards    = flag.Int("shards", 1, "shard count users are routed onto (must be positive; must match the server's for -snapshot)")
+		worldFlag = worldflags.Define("synthetic world seed", "shard count users are routed onto (must be positive; must match the server's for -snapshot)")
 		snapshot  = flag.String("snapshot", "", "persistence directory: rebuild the world from its snapshot + rating WAL when present")
 		deadline  = flag.Duration("deadline", 0, "overall computation deadline (0 = none); expired runs return partial results")
 		stream    = flag.Bool("stream", false, "stream progressively tightening bounds per stopping check (anytime API)")
@@ -98,10 +85,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// Size flags must be positive: zero or negative values are usage
-	// errors, not silently clamped defaults.
-	requirePositive("-liststore", *listStore)
-	requirePositive("-shards", *shards)
+	cfg, err := worldFlag.Config()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer worldFlag.Close()
 	groupSets, err := parseGroups(*groupFlag)
 	if err != nil {
 		log.Fatal(err)
@@ -119,19 +107,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := repro.QuickConfig()
-	cfg.Dataset.Seed = *seed
-	cfg.Social.Seed = *seed + 1
-	cfg.ListStoreSize = *listStore
-	cfg.Shards = *shards
-	if *ratings != "" {
-		f, err := os.Open(*ratings)
-		if err != nil {
-			log.Fatalf("opening ratings: %v", err)
-		}
-		defer f.Close()
-		cfg.RatingsReader = f
-	}
 	world, open, err := repro.OpenWorld(cfg, *snapshot)
 	if err != nil {
 		log.Fatalf("building world: %v", err)

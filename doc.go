@@ -74,9 +74,10 @@
 //     each user's reads to the owning worker through the same shard.Map,
 //     keeping the views it fetches in its own list store until a rating
 //     drops them — byte-identical to the single-process world. Rating
-//     ingest fans out to every replica (owner ack wins); a dead
-//     worker degrades only its shards (503 + Retry-After), a slow one
-//     answers 504, and the survivors keep serving.
+//     ingest fans out to every replica in one sequence order, which
+//     remote.ShardSet.Apply stamps and counts the owner misses of; a
+//     dead worker degrades only its shards (503 + Retry-After), a slow
+//     one answers 504, and the survivors keep serving.
 //   - internal/server (exposed as cmd/greca-serve) serves live HTTP
 //     traffic on a versioned surface (/v1/recommend, /v1/recommend/
 //     batch, /v1/recommend/stream; /v1 is the only prefix): every

@@ -1,6 +1,9 @@
 package repro
 
-import "repro/internal/engine"
+import (
+	"repro/internal/dataset"
+	"repro/internal/engine"
+)
 
 // NewFullInvalidationWorld is NewWorld with the drop-everything ingest
 // scheme: every AddRating discards every cached neighborhood
@@ -35,3 +38,17 @@ func NewDenseWorld(cfg Config) (*World, error) {
 	w.asm = engine.New(w.pred, nil)
 	return w, nil
 }
+
+// ViewScores returns u's pool-order view scores from w's list store:
+// built in place in process, fetched from u's owning worker on a router.
+func (w *World) ViewScores(u dataset.UserID) ([]float64, error) {
+	v, err := w.lists.Acquire(u)
+	if err != nil {
+		return nil, err
+	}
+	return v.Scores, nil
+}
+
+// PlaneStats returns the cache counters of w's own user plane. On a
+// router they leave the workers' out, which CacheStats sums in.
+func (w *World) PlaneStats() CacheStats { return w.cacheStats() }

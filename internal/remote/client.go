@@ -106,6 +106,10 @@ type TransportStats struct {
 	BreakerOpens uint64            `json:"breaker_opens"`
 	Dials        uint64            `json:"dials"`
 	ConnReuses   uint64            `json:"conn_reuses"`
+	// FanoutMisses counts the applies whose owning worker missed the
+	// write (see ShardSet.Apply). /v1/stats reports it under
+	// ingest.fanout_misses, not here.
+	FanoutMisses uint64 `json:"-"`
 }
 
 // Client speaks the shard protocol to one worker. A connection carries
@@ -545,13 +549,21 @@ func LoadTopology(path string) (Topology, error) {
 }
 
 // ShardSet is the router's view of the worker fleet: one client per
-// worker, the shard→owner routing, and the scatter/gather data-plane
-// operations the world plugs in. Safe for concurrent use.
+// worker, the shard→owner routing, the scatter/gather data-plane
+// operations the world plugs in, and the apply protocol (see Apply).
+// Safe for concurrent use.
 type ShardSet struct {
 	top     Topology
 	sm      *shard.Map
 	owner   []*Client // per shard
 	clients []*Client // distinct, in worker order
+
+	// applyMu serializes Apply: it guards applySeq, the last stamped
+	// sequence, and is held across the fan-out. Sequences start at 0 in
+	// every process: router and workers boot from identical ratings.
+	applyMu      sync.Mutex
+	applySeq     uint64
+	fanoutMisses atomic.Uint64
 }
 
 // NewShardSet builds the client fleet for a topology, refusing one
@@ -595,9 +607,6 @@ func (s *ShardSet) Handshake(fingerprint uint64, shards int) error {
 	}
 	return nil
 }
-
-// Shards returns the topology's shard count.
-func (s *ShardSet) Shards() int { return s.top.Shards }
 
 // ownerOf routes a user to its owning client.
 func (s *ShardSet) ownerOf(u dataset.UserID) *Client { return s.owner[s.sm.Of(int64(u))] }
@@ -666,27 +675,36 @@ func (s *ShardSet) ViewScoresMulti(users []dataset.UserID, n int) ([][]float64, 
 	return out, nil
 }
 
-// Apply fans a sequence-stamped rating out to every worker — each
-// holds a full replica of the rating store, and a worker's
-// neighborhoods for its own users depend on every user's vector, so
-// every replica must ingest every rating, in the same order (the
-// router serializes applies and their sequence numbers under its
-// ingest lock). Deliveries run concurrently, so one dead worker costs
-// at most one dial timeout per fanout, not one per worker.
+// Apply fans one rating out to every worker, in the order of the calls.
+// Every worker holds a full replica of the rating store, and a worker's
+// neighborhoods for its own users read every user's vector, so every
+// replica must fold every rating, in one order. The set stamps the next
+// apply sequence under applyMu and holds it across the fan-out, so no
+// caller can deliver two sequences out of order; the router calls it
+// after folding the rating into its own store, journal error or not
+// (its replica is the initial state plus every fanned-out rating).
+// Deliveries run concurrently, so one dead worker costs at most one dial
+// timeout per rating, not one per worker.
 //
-// Failure policy: each delivery is retried with backoff (the worker
+// Failure policy: a delivery is retried with backoff (the worker
 // deduplicates by sequence, so redelivery after a lost reply is safe).
-// A worker whose delivery still fails — transport, or an application
-// refusal of a rating the router already applied — has missed a write
-// its replica can never recover under static membership, so it is
-// fenced: every later call fast-fails ErrShardUnavailable and its
-// shards degrade honestly instead of serving divergent bytes. Already
-// fenced workers are skipped. A non-nil error reports that the owner
-// itself missed the write (and is now fenced) — the rating is still
-// durably delivered to every live replica, so the caller decides
-// whether that fails its ingest.
-func (s *ShardSet) Apply(seq uint64, r dataset.Rating) error {
-	owner := s.ownerOf(r.User)
+// A worker whose delivery still fails — transport, or a refusal of a
+// rating the router already applied — has missed a write its replica
+// can never recover under static membership, so it is fenced: every
+// later call fast-fails ErrShardUnavailable and its shards degrade
+// instead of serving divergent bytes. Fenced workers are skipped. When
+// the owner of the rating's user missed it, the apply counts as a
+// fan-out miss (TransportStats.FanoutMisses) and the owner's error is
+// returned; the rating is still on every live replica, so a miss never
+// fails an ingest. A nil set has no replica to reach.
+func (s *ShardSet) Apply(r dataset.Rating) error {
+	if s == nil {
+		return nil
+	}
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	s.applySeq++
+	seq, owner := s.applySeq, s.ownerOf(r.User)
 	errs := make([]error, len(s.clients))
 	var wg sync.WaitGroup
 	for i, cl := range s.clients {
@@ -712,26 +730,25 @@ func (s *ShardSet) Apply(seq uint64, r dataset.Rating) error {
 			ownerErr = errs[i]
 		}
 	}
+	if ownerErr != nil {
+		s.fanoutMisses.Add(1)
+	}
 	return ownerErr
 }
 
-// EmptyTransportStats is the zero activity snapshot with every
-// reported op key present (zero-valued) — the in-process world's
-// `remote.transport` placeholder, shaped identically to an attached
-// fleet's so the stats wire shape never depends on the deployment.
-func EmptyTransportStats() TransportStats {
+// TransportStats aggregates every client's wire counters — the
+// `remote.transport` section of /v1/stats — and the set's fan-out
+// misses. Every reported op key is present even at zero, and a nil set
+// (a world with no fleet) reports zeros, so the JSON shape is
+// deployment-independent.
+func (s *ShardSet) TransportStats() TransportStats {
 	t := TransportStats{CallsByOp: make(map[string]uint64, len(reportedOps))}
 	for _, op := range reportedOps {
 		t.CallsByOp[opNames[op]] = 0
 	}
-	return t
-}
-
-// TransportStats aggregates every client's wire counters — the
-// `remote.transport` section of /v1/stats. Every reported op key is
-// present even at zero, so the JSON shape is deployment-independent.
-func (s *ShardSet) TransportStats() TransportStats {
-	t := EmptyTransportStats()
+	if s == nil {
+		return t
+	}
 	for _, cl := range s.clients {
 		for _, op := range reportedOps {
 			t.CallsByOp[opNames[op]] += cl.counters.ops[op].Load()
@@ -741,6 +758,7 @@ func (s *ShardSet) TransportStats() TransportStats {
 		t.Dials += cl.counters.dials.Load()
 		t.ConnReuses += cl.counters.reuses.Load()
 	}
+	t.FanoutMisses = s.fanoutMisses.Load()
 	return t
 }
 

@@ -10,6 +10,13 @@
 // the value, so a router fronting N worker processes serves
 // byte-identical responses to the in-process world.
 //
+// The package owns the apply protocol whole: ShardSet.Apply stamps each
+// rating with the next apply sequence, fans it out to every worker in
+// that order and counts the applies whose owning worker missed it; a
+// Server folds each sequence once, in order, and refuses a gap, and the
+// set fences a worker that misses a write. The router's world only
+// hands it each rating after its own fold.
+//
 // Framing shares the persistence layer's record style: every frame
 // carries a magic, a protocol version, a per-connection sequence
 // number (a reply echoes its request's, so a reply out of step with

@@ -717,7 +717,7 @@ func TestShardSetRoutesByShard(t *testing.T) {
 func TestShardSetApplyFansOutToAllWorkers(t *testing.T) {
 	set, b0, b1 := twoWorkerSet(t)
 	u := userOnShard(1)
-	if err := set.Apply(1, dataset.Rating{User: u, Item: 7, Value: 4, Time: 1}); err != nil {
+	if err := set.Apply(dataset.Rating{User: u, Item: 7, Value: 4, Time: 1}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	for i, b := range []*fakeBackend{b0, b1} {
@@ -800,10 +800,10 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 		t.Errorf("stats = %+v, want the live worker's alone", st)
 	}
 
-	if err := set.Apply(1, dataset.Rating{User: userOnShard(0), Item: 1, Value: 1}); !errors.Is(err, ErrShardUnavailable) {
+	if err := set.Apply(dataset.Rating{User: userOnShard(0), Item: 1, Value: 1}); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("ingest for dead owner: err = %v, want ErrShardUnavailable", err)
 	}
-	if err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 1, Value: 1, Time: 1}); err != nil {
+	if err := set.Apply(dataset.Rating{User: userOnShard(1), Item: 1, Value: 1, Time: 1}); err != nil {
 		t.Errorf("ingest for live owner: %v", err)
 	}
 	// The dead worker missed a write: it must be fenced, so even if
@@ -811,6 +811,10 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 	// diverged replica.
 	if fenced := fencedAddrs(set); len(fenced) != 1 {
 		t.Errorf("fenced workers = %v, want exactly the dead one", fenced)
+	}
+	// Only the apply whose owner is the dead worker is a miss.
+	if got := set.TransportStats().FanoutMisses; got != 1 {
+		t.Errorf("fan-out misses = %d, want 1", got)
 	}
 	// The live replica ingested both ratings: fanout delivers to every
 	// reachable worker even when the owner's ack fails (replicas must
@@ -840,7 +844,7 @@ func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	b0.mu.Lock()
 	b0.applyErr = errors.New("disk full")
 	b0.mu.Unlock()
-	if err := set.Apply(1, dataset.Rating{User: userOnShard(1), Item: 1, Value: 2, Time: 1}); err != nil {
+	if err := set.Apply(dataset.Rating{User: userOnShard(1), Item: 1, Value: 2, Time: 1}); err != nil {
 		t.Fatalf("Apply with live owner: %v", err)
 	}
 	if fenced := fencedAddrs(set); len(fenced) != 1 {
@@ -858,7 +862,7 @@ func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	b0.mu.Lock()
 	b0.applyErr = nil
 	b0.mu.Unlock()
-	if err := set.Apply(2, dataset.Rating{User: userOnShard(1), Item: 2, Value: 3, Time: 2}); err != nil {
+	if err := set.Apply(dataset.Rating{User: userOnShard(1), Item: 2, Value: 3, Time: 2}); err != nil {
 		t.Fatalf("post-fence apply: %v", err)
 	}
 	b0.mu.Lock()
@@ -869,6 +873,10 @@ func TestShardSetFencesReplicaThatMissedWrite(t *testing.T) {
 	b1.mu.Unlock()
 	if n0 != 0 || n1 != 2 {
 		t.Errorf("applied counts = %d/%d, want 0 (fenced, skipped) / 2", n0, n1)
+	}
+	// The owner took both ratings: a fenced bystander is no miss.
+	if got := set.TransportStats().FanoutMisses; got != 0 {
+		t.Errorf("fan-out misses = %d, want 0", got)
 	}
 }
 

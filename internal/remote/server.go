@@ -55,8 +55,8 @@ type Server struct {
 	owned map[int]bool
 	sm    shardOf
 
-	// Apply-sequence state: the router stamps every fanned-out rating
-	// with a contiguous global sequence. applyMu also serializes the
+	// Apply-sequence state: ShardSet.Apply stamps every fanned-out
+	// rating with a contiguous global sequence. applyMu also serializes the
 	// backend Apply itself, so a redelivered duplicate can never race
 	// its original.
 	applyMu   sync.Mutex

@@ -252,13 +252,17 @@ func decodeApplyReq(p []byte) (applyReq, error) {
 	return q, r.err
 }
 
-// Stats is one worker's cache totals in wire form: its list store's
-// and its predictor's counters. A worker serves only the users
-// of its owned shards, so these count exactly their traffic. JSON-
-// encoded inside its frame: stats are cold-path and shape-heavy.
+// Stats is a data plane's cache counters: its list store's and its
+// predictor's neighborhood cache's (repro.CacheStats is this type). A
+// worker answers the stats op with its own, which count exactly its
+// owned shards' users; ShardSet.Stats sums them with add. JSON-encoded
+// inside its frame: stats are cold-path and shape-heavy.
 type Stats struct {
-	ListStore     liststore.Stats `json:"list_store"`
-	Neighborhoods cf.CacheStats   `json:"neighborhoods"`
+	// ListStore counts the sorted-list store's view and lifecycle
+	// traffic.
+	ListStore liststore.Stats `json:"list_store"`
+	// Neighborhoods counts the predictor's lazy user-neighborhood cache.
+	Neighborhoods cf.CacheStats `json:"neighborhoods"`
 }
 
 // add sums o's counters into t. PoolSize is not a counter: every

@@ -459,8 +459,8 @@ func TestRemoteWorkerDeathDegradesOnlyItsShards(t *testing.T) {
 	if st := getJSON(t, ts.URL+"/v1/stats", &stats); st != http.StatusOK {
 		t.Errorf("stats status = %d", st)
 	}
-	if stats.Ingest.FanoutMisses == 0 {
-		t.Error("fanout_misses = 0 after ingesting past a dead worker")
+	if stats.Ingest.FanoutMisses != 1 {
+		t.Errorf("fanout_misses = %d, want 1: one rating was sent for a user the dead worker owned", stats.Ingest.FanoutMisses)
 	}
 }
 
@@ -558,8 +558,8 @@ func TestRemoteIngestFansOutWhenJournalFails(t *testing.T) {
 		t.Errorf("journal holds %d ratings, want only the one it accepted", got)
 	}
 	// A fenced worker fast-fails every call, its stats read among them.
-	if _, err := stack.set.Stats(); err != nil || stack.router.RemoteFanoutMisses() != 0 {
-		t.Errorf("stats read %v, %d fan-out misses; want every delivery made", err, stack.router.RemoteFanoutMisses())
+	if _, err := stack.set.Stats(); err != nil || stack.set.TransportStats().FanoutMisses != 0 {
+		t.Errorf("stats read %v, %d fan-out misses; want every delivery made", err, stack.set.TransportStats().FanoutMisses)
 	}
 	if got := stack.set.TransportStats().CallsByOp["apply"]; got != 4 {
 		t.Errorf("apply calls = %d, want 4 (two ratings to two workers)", got)

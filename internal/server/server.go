@@ -548,17 +548,9 @@ func (s *Server) handleRatings(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusBadRequest, "bad_rating", err.Error())
 		return
 	default:
-		// Defensive: the distributed ingest path no longer fails on a
-		// missed fanout (the rating is applied here and handed to the
-		// journal, which does not fsync, before the fanout runs, so a
-		// retryable failure here would double-count it; the worker that
-		// missed the write is fenced and its shards 503 on reads).
-		// Any transport-shaped error still maps honestly.
-		if writeTransportError(w, err) {
-			return
-		}
-		// The rating may have applied but failed to journal — a server
-		// fault (disk trouble), never the client's.
+		// The rating applied but failed to journal — a server fault
+		// (disk trouble), never the client's. A worker that missed the
+		// fan-out never fails an ingest (see World.AddRating).
 		writeError(w, http.StatusInternalServerError, "ingest_failed", err.Error())
 		return
 	}
@@ -636,6 +628,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := s.world.Ratings().Stats()
+	rs := s.world.RemoteStats()
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Coalescer:     s.co.Stats(),
@@ -659,10 +652,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Ingest: ingestStats{
 			Posts:        s.ratingPosts.Load(),
 			Rejects:      s.ratingRejects.Load(),
-			FanoutMisses: s.world.RemoteFanoutMisses(),
+			FanoutMisses: rs.Transport.FanoutMisses,
 			Store:        s.world.IngestStats(),
 		},
-		Remote:      s.world.RemoteStats(),
+		Remote:      rs,
 		Persistence: s.openStats,
 	})
 }

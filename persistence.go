@@ -73,7 +73,10 @@ type OpenStats struct {
 // durable. An empty dir is a plain NewWorld with no persistence.
 //
 // The world comes up with every cache empty, warm or cold, and serves
-// the bytes of a world that never restarted.
+// the bytes of a world that never restarted — unless that world ran
+// AppendNextPeriod: a period append is neither journaled nor
+// snapshotted, so the reopened world has the pre-append index and
+// serves the pre-append recommendations.
 func OpenWorld(cfg Config, dir string) (*World, OpenStats, error) {
 	var st OpenStats
 	if dir == "" {

@@ -34,16 +34,14 @@ func (w *World) ConfigFingerprint() uint64 { return w.fingerprint }
 // the router is a full replica that folds every rating before fanning
 // it out, so its own predictor computes exactly the rows a worker
 // would. The topology's shard count must
-// equal the world's, and every worker must be reachable and
-// fingerprint-identical (the handshake runs eagerly here, so a
-// misconfigured fleet fails at boot, not on the first request).
+// equal the world's (remote.ErrConfigMismatch otherwise), and every
+// worker must be reachable and fingerprint-identical (the handshake
+// runs eagerly here, so a misconfigured fleet fails at boot, not on the
+// first request).
 //
 // Call before serving traffic; attaching is not synchronized against
 // in-flight requests.
 func (w *World) AttachRemote(set *remote.ShardSet) error {
-	if set.Shards() != w.sm.N() {
-		return fmt.Errorf("repro: topology has %d shards, world has %d", set.Shards(), w.sm.N())
-	}
 	if err := set.Handshake(w.ConfigFingerprint(), w.sm.N()); err != nil {
 		return fmt.Errorf("repro: attaching remote shards: %w", err)
 	}
@@ -210,7 +208,4 @@ func (b *ShardBackend) Apply(r dataset.Rating) error { return b.p.ingest(r, nil)
 // Stats implements remote.Backend: the replica's cache totals. The
 // worker answers only for its owned shards' users, so they count
 // exactly those users' traffic.
-func (b *ShardBackend) Stats() remote.Stats {
-	cs := b.p.cacheStats()
-	return remote.Stats{ListStore: cs.ListStore, Neighborhoods: cs.Neighborhoods}
-}
+func (b *ShardBackend) Stats() remote.Stats { return b.p.cacheStats() }

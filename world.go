@@ -5,15 +5,12 @@ import (
 	"io"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/affinity"
-	"repro/internal/cf"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/groups"
-	"repro/internal/liststore"
 	"repro/internal/remote"
 	"repro/internal/social"
 )
@@ -113,19 +110,10 @@ type World struct {
 	// wal, when set, is notified of every applied rating for
 	// durability; see SetRatingLog.
 	wal RatingLog
-	// remote, when set by AttachRemote, is the multi-process worker
-	// fleet serving the per-user data plane; AddRating fans ingest out
-	// to every replica and CacheStats reports the workers' counters.
+	// remote, when set by AttachRemote, is the worker fleet serving the
+	// per-user data plane: AddRating hands it every rating to fan out,
+	// and CacheStats reports the workers' counters. Nil in-process.
 	remote *remote.ShardSet
-	// remoteApplySeq stamps each fanned-out rating with a contiguous
-	// global sequence (guarded by ingestMu) so worker replicas can
-	// deduplicate redeliveries and detect missed writes. Starts at 0
-	// in every process: router and workers must boot from identical
-	// rating state.
-	remoteApplySeq uint64
-	// remoteFanoutMisses counts ingests whose owning worker missed
-	// the fanned-out write and was fenced.
-	remoteFanoutMisses atomic.Uint64
 }
 
 // globalPlane is the part of a world that answers group-level
@@ -308,9 +296,15 @@ func (w *World) SetRatingLog(l RatingLog) {
 // crash recovery. It is the user plane's one write path (userPlane.ingest)
 // with the journal and the fan-out between the apply and the view drop.
 //
-// Rejections (out-of-range value, unknown user or item) leave the
-// world untouched and unwrap to the dataset package's typed errors
-// (dataset.ErrBadValue, dataset.ErrUnknownUser, dataset.ErrUnknownItem).
+// It returns only a rejection or the journal's error. A rejection
+// (out-of-range value, unknown user or item) leaves the world untouched
+// and unwraps to the dataset package's typed errors
+// (dataset.ErrBadValue, dataset.ErrUnknownUser,
+// dataset.ErrUnknownItem). A journal error comes after the apply: the
+// rating is in the store, and on a router it is fanned out all the
+// same, since the fan-out follows the store, not the journal. A worker
+// that misses the fan-out never fails the ingest: remote.ShardSet.Apply
+// fences it and counts the miss.
 //
 // Coherence: one rating by user u shifts u's vector and therefore
 // sim(v, u) — but only for the users v that share an item with u. The
@@ -326,44 +320,19 @@ func (w *World) SetRatingLog(l RatingLog) {
 // Everything served afterwards is bit-identical to a cold rebuild.
 func (w *World) AddRating(r dataset.Rating) error {
 	return w.ingest(r, func() error {
-		var journalErr error
+		var err error
 		if w.wal != nil {
-			journalErr = w.wal.Append(r)
+			err = w.wal.Append(r)
 		}
-		// Distributed mode: fan the rating out to every worker replica,
-		// still inside the ingest lock so every process applies ratings
-		// in the same global order (apply order is the fold order, and
-		// fold order is what makes replicas bit-identical). Every replica
-		// needs every rating — a user-based neighborhood reads all users'
-		// vectors, so no shard's state is independent of the ingest — and
-		// it needs it whether or not the journal took it: the rating is
-		// in this process's store either way, and a skipped fan-out would
-		// leave the router one rating ahead of every worker with a
-		// contiguous sequence that never shows it. Deliveries are
-		// sequence-stamped, retried with dedup at the worker, and any
-		// worker that still misses the write is fenced by the set — its
-		// shards answer 503 to reads instead of serving a diverged
-		// replica. A missed delivery never fails the ingest: the rating
-		// is already applied here and on every live replica, so failing
-		// the request would invite a retry that double-counts it in every
-		// process that applied it. A missed owner surfaces at read time,
-		// on its fenced shards.
-		if w.remote != nil {
-			w.remoteApplySeq++
-			if ferr := w.remote.Apply(w.remoteApplySeq, r); ferr != nil {
-				w.remoteFanoutMisses.Add(1)
-			}
-		}
-		if journalErr != nil {
-			return fmt.Errorf("repro: rating applied but not journaled: %w", journalErr)
+		// A worker that missed it is fenced and counted by the set; the
+		// ingest stands (see remote.ShardSet.Apply).
+		_ = w.remote.Apply(r)
+		if err != nil {
+			return fmt.Errorf("repro: rating applied but not journaled: %w", err)
 		}
 		return nil
 	})
 }
-
-// RemoteFanoutMisses counts distributed ingests whose owning worker
-// missed the fanned-out write (and was fenced). Zero in-process.
-func (w *World) RemoteFanoutMisses() uint64 { return w.remoteFanoutMisses.Load() }
 
 // IngestStats snapshots the live-ingest counters: ratings applied
 // since start (pending is always 0 — a rating is folded as it lands).
@@ -402,35 +371,26 @@ type ViewCacheStats struct {
 // every calls_by_op key) present at zero, so the JSON shape is
 // identical whether or not a fleet is attached.
 func (w *World) RemoteStats() RemoteStats {
-	if w.remote == nil {
-		return RemoteStats{Transport: remote.EmptyTransportStats()}
-	}
-	ls := w.lists.Stats()
-	return RemoteStats{
-		Attached:  true,
-		Transport: w.remote.TransportStats(),
-		ViewCache: ViewCacheStats{
+	st := RemoteStats{Attached: w.remote != nil, Transport: w.remote.TransportStats()}
+	if st.Attached {
+		ls := w.lists.Stats()
+		st.ViewCache = ViewCacheStats{
 			Hits:          ls.ViewHits,
 			Misses:        ls.ViewBuilds,
 			Invalidations: ls.Invalidations,
 			Evictions:     ls.Evictions,
 			Size:          ls.Size,
 			Capacity:      w.lists.Capacity(),
-		},
+		}
 	}
+	return st
 }
 
 // CacheStats reports the engine's cache counters — the sorted-list
 // store and the predictor's lazy neighborhood cache — for the
 // serving layer's /stats endpoint and any other observability
-// consumer.
-type CacheStats struct {
-	// ListStore counts the sorted-list store's view and lifecycle
-	// traffic.
-	ListStore liststore.Stats `json:"list_store"`
-	// Neighborhoods counts the predictor's lazy user-neighborhood cache.
-	Neighborhoods cf.CacheStats `json:"neighborhoods"`
-}
+// consumer. It is the wire type a worker answers the stats op with.
+type CacheStats = remote.Stats
 
 // CacheStats snapshots the engine's cache counters. Safe for concurrent
 // use with recommendation traffic; the counters are atomic and only
@@ -448,11 +408,9 @@ func (w *World) CacheStats() CacheStats {
 	st := w.cacheStats()
 	if w.remote != nil {
 		workers, _ := w.remote.Stats()
+		workers.ListStore.PoolSize = st.ListStore.PoolSize
 		workers.Neighborhoods.Add(st.Neighborhoods)
-		st.Neighborhoods = workers.Neighborhoods
-		pool := st.ListStore.PoolSize
-		st.ListStore = workers.ListStore
-		st.ListStore.PoolSize = pool
+		st = workers
 	}
 	return st
 }
