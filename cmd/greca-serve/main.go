@@ -58,8 +58,9 @@
 // handshake.
 //
 // With -shards-config the router's sorted-list store (-liststore) keeps
-// the views it fetches from workers. It is the same store the
-// in-process world uses, fetching instead of building: each ingested
+// the views it fetches from workers, which keep none: it is the
+// deployment's one view cache, the same store the in-process world
+// uses, fetching instead of building: each ingested
 // rating drops every view once the workers have applied it, and a
 // fetch still in flight when that sweep passes is never kept, so a
 // warm hit serves bytes identical to a fresh fetch.
@@ -90,8 +91,10 @@
 //	                           within one stopping-check interval.
 //	GET  /v1/healthz           liveness
 //	GET  /v1/stats             admission, batch, stream + cache counters
-//	                           (the workers' summed totals under
-//	                           -shards-config), plus ingest counters and
+//	                           (under -shards-config the router's own
+//	                           list store and the neighborhoods of the
+//	                           router and every live worker), plus
+//	                           ingest counters and
 //	                           (under -snapshot) the boot's persistence
 //	                           report
 //

@@ -1,7 +1,8 @@
 // Command greca-shard runs one GRECA shard worker: a process that
 // owns a subset of the world's user shards and answers three ops for
-// them — sorted-view score vectors, rating applies, cache counters — to
-// a greca-serve router over the internal/remote binary protocol.
+// them — sorted-view score vectors, rating applies, neighborhood-cache
+// counters — to a greca-serve router over the internal/remote binary
+// protocol.
 //
 // Usage:
 //
@@ -14,18 +15,20 @@
 // from the same configuration (same -seed, -ratings, -shards); the
 // connection handshake carries the config fingerprint and refuses a
 // mismatched peer. A worker builds only a world's user plane — the
-// rating store, the predictor and a list store of score vectors — and
-// never the social network or the affinity model, which only a
-// router's assembly reads. Ownership (-owns) decides only which shards this
-// process answers for — a request for a user outside the owned shards
-// is rejected with wrong_shard. The router's topology file must assign
-// every shard to exactly one worker.
+// rating store and the predictor — and never the social network or the
+// affinity model, which only a router's assembly reads. It computes
+// every score vector it serves and keeps none: the router's list store
+// is the deployment's one view cache, so -liststore is accepted, like
+// the rest of the world flags, and sizes nothing here. Ownership (-owns)
+// decides only which shards this process answers for — a request for a
+// user outside the owned shards is rejected with wrong_shard. The
+// router's topology file must assign every shard to exactly one worker.
 //
 // -http optionally exposes a shard-local observability surface on a
 // separate listener:
 //
 //	GET /v1/healthz   liveness
-//	GET /v1/stats     owned shards and the worker's cache totals
+//	GET /v1/stats     owned shards and the worker's neighborhood-cache totals
 //
 // On SIGINT/SIGTERM the worker stops accepting, severs live
 // connections, and exits; the router answers 503 ("shard_unavailable")
@@ -96,7 +99,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:9101", "RPC listen address")
 		owns      = flag.String("owns", "", "comma-separated shard indices this worker owns (required)")
-		worldFlag = worldflags.Define("synthetic world seed (must match the router)", "shard count users are routed onto (must match the router)")
+		worldFlag = worldflags.Define("synthetic world seed (must match the router)", "shard count users are routed onto (must be positive; must match the router)")
 		httpAddr  = flag.String("http", "", "serve shard-local /v1/stats and /v1/healthz on this address (empty = off)")
 		verbose   = flag.Bool("v", false, "print substrate statistics")
 	)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,7 +15,6 @@ import (
 
 	"repro"
 	"repro/internal/dataset"
-	"repro/internal/liststore"
 	"repro/internal/remote"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -89,38 +87,17 @@ func newInProcess(t *testing.T) *writeTarget {
 func newRouter(t *testing.T, owns [][]int) *writeTarget {
 	t.Helper()
 	cfg := writePlaneConfig()
-	tg := &writeTarget{owns: owns}
-	top := remote.Topology{Shards: cfg.Shards}
-	for _, owned := range owns {
-		b, err := repro.NewShardBackendFromConfig(cfg, owned)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := remote.NewServer(b)
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(lis)
-		t.Cleanup(srv.Close)
-		tg.workers = append(tg.workers, b)
-		tg.servers = append(tg.servers, srv)
-		top.Workers = append(top.Workers, remote.Worker{Addr: lis.Addr().String(), Owns: owned})
-	}
-	set, err := remote.NewShardSet(top, remote.ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(set.Close)
-	tg.set = set
+	fleet := repro.StartLoopbackFleet(t, owns, func(owned []int) (*repro.ShardBackend, error) {
+		return repro.NewShardBackendFromConfig(cfg, owned)
+	})
 	w, err := repro.NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AttachRemote(set); err != nil {
+	if err := w.AttachRemote(fleet.Set); err != nil {
 		t.Fatal(err)
 	}
-	return newTarget(t, w, tg)
+	return newTarget(t, w, &writeTarget{owns: owns, workers: fleet.Backends, servers: fleet.Servers, set: fleet.Set})
 }
 
 // newTarget attaches the failing journal to w and serves its HTTP
@@ -227,8 +204,8 @@ func addBoth(t *testing.T, inproc, router *writeTarget, r dataset.Rating, n *out
 // scores are the in-process view's bit for bit, or ErrShardUnavailable
 // on the shards of a dead worker; /v1/stats has the in-process key set
 // and reports wantMisses fan-out misses; and the router's cache counters
-// are the live workers' sums, beside the router's own pool and
-// neighborhoods.
+// are its own list store, the deployment's one view cache, and its own
+// neighborhoods plus the live workers'.
 func checkTargets(t *testing.T, inproc, router *writeTarget, dead map[int]bool, wantMisses uint64) {
 	t.Helper()
 	want := inproc.world.Ratings().DumpRatings()
@@ -277,23 +254,15 @@ func checkTargets(t *testing.T, inproc, router *writeTarget, dead map[int]bool, 
 		t.Errorf("in-process CacheStats %+v, want its own plane's %+v", got, own)
 	}
 	own := router.world.PlaneStats()
-	sum, nb := liststore.Stats{PoolSize: own.ListStore.PoolSize}, own.Neighborhoods
+	nb := own.Neighborhoods
 	for i, b := range router.workers {
-		if dead[i] {
-			continue
+		if !dead[i] {
+			nb.Add(b.Stats().Neighborhoods)
 		}
-		st := b.Stats()
-		sum.ViewHits += st.ListStore.ViewHits
-		sum.ViewBuilds += st.ListStore.ViewBuilds
-		sum.Rebuilds += st.ListStore.Rebuilds
-		sum.Invalidations += st.ListStore.Invalidations
-		sum.Evictions += st.ListStore.Evictions
-		sum.Size += st.ListStore.Size
-		nb.Add(st.Neighborhoods)
 	}
 	got := router.world.CacheStats()
-	if got.ListStore != sum {
-		t.Errorf("router CacheStats().ListStore = %+v, want the live workers' sum %+v", got.ListStore, sum)
+	if got.ListStore != own.ListStore {
+		t.Errorf("router CacheStats().ListStore = %+v, want the router's own store %+v", got.ListStore, own.ListStore)
 	}
 	if got.Neighborhoods != nb {
 		t.Errorf("router CacheStats().Neighborhoods = %+v, want the live workers' sum plus the router's own %+v", got.Neighborhoods, nb)
@@ -335,7 +304,8 @@ func statsKeys(t *testing.T, url string) ([]string, uint64) {
 // world and through a router over each topology: every rating is
 // accepted or refused alike, and afterwards every replica holds the same
 // bytes, every view the same scores, /v1/stats the same keys with no
-// fan-out miss, and the router's cache counters are its workers' sums.
+// fan-out miss, and the router's cache counters are its own store and
+// the neighborhoods of both sides.
 func TestWritePlaneConformance(t *testing.T) {
 	for _, top := range writePlaneTopologies {
 		t.Run(top.name, func(t *testing.T) {

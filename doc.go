@@ -66,14 +66,15 @@
 //   - internal/remote distributes the shards across worker processes:
 //     a shard (internal/shard) is only a routing unit, users hashed onto
 //     N of them. cmd/greca-shard holds the user plane of a replica (the
-//     rating store, the predictor, a store of score vectors; no social
-//     network or affinity model) and serves the users of its owned
-//     shards (view scores, rating applies, its cache totals)
-//     behind a small length-prefixed, checksummed RPC protocol, and
-//     greca-serve -shards-config attaches a remote.ShardSet that routes
-//     each user's reads to the owning worker through the same shard.Map,
-//     keeping the views it fetches in its own list store until a rating
-//     drops them — byte-identical to the single-process world. Rating
+//     rating store and the predictor; no view cache, social network or
+//     affinity model) and serves the users of its owned shards (view
+//     scores, computed per call, rating applies, its neighborhood-cache
+//     totals) behind a small length-prefixed, checksummed RPC protocol,
+//     and greca-serve -shards-config attaches a remote.ShardSet that
+//     routes each user's reads to the owning worker through the same
+//     shard.Map, keeping the views it fetches in its own list store, the
+//     deployment's one view cache, until a rating drops them —
+//     byte-identical to the single-process world. Rating
 //     ingest fans out to every replica in one sequence order, which
 //     remote.ShardSet.Apply stamps and counts the owner misses of; a
 //     dead worker degrades only its shards (503 + Retry-After), a slow

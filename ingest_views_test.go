@@ -1,9 +1,7 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"reflect"
 	"runtime"
 	"sync"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/liststore"
-	"repro/internal/remote"
 )
 
 // heldBuilder wraps a list-store Builder so a test can hold one user's
@@ -53,43 +50,13 @@ func (h *heldBuilder) buildsOf(u dataset.UserID) int {
 	return h.builds[u]
 }
 
-// startViewWorkers serves one worker world per ownership split over
-// loopback TCP and returns the attached-to-nothing shard set, the
-// worker worlds (for white-box looks at their stores) and their servers
-// (for a test that kills them).
-func startViewWorkers(t *testing.T, build func() *World, shards int, owns [][]int) (*remote.ShardSet, []*World, []*remote.Server) {
+// worldWorkers starts one loopback worker per ownership split, each
+// wrapping a world from build, for a router to attach.
+func worldWorkers(t *testing.T, build func() *World, owns [][]int) *LoopbackFleet {
 	t.Helper()
-	var workers []remote.Worker
-	var worlds []*World
-	var servers []*remote.Server
-	for _, owned := range owns {
-		w := build()
-		backend, err := NewShardBackend(w, owned)
-		if err != nil {
-			t.Fatalf("shard backend: %v", err)
-		}
-		srv := remote.NewServer(backend)
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		go srv.Serve(lis)
-		t.Cleanup(srv.Close)
-		workers = append(workers, remote.Worker{Addr: lis.Addr().String(), Owns: owned})
-		worlds = append(worlds, w)
-		servers = append(servers, srv)
-	}
-	topJSON, _ := json.Marshal(remote.Topology{Shards: shards, Workers: workers})
-	top, err := remote.ParseTopology(topJSON)
-	if err != nil {
-		t.Fatalf("topology: %v", err)
-	}
-	set, err := remote.NewShardSet(top, remote.ClientConfig{})
-	if err != nil {
-		t.Fatalf("shard set: %v", err)
-	}
-	t.Cleanup(set.Close)
-	return set, worlds, servers
+	return StartLoopbackFleet(t, owns, func(owned []int) (*ShardBackend, error) {
+		return NewShardBackend(build(), owned)
+	})
 }
 
 // scoresByItem keys a view's scores by item. A live world's pool keeps
@@ -105,11 +72,11 @@ func scoresByItem(s *liststore.Store, v *liststore.View) map[dataset.ItemID]floa
 }
 
 // TestRatingLeavesNoViewResident pins the one thing ingest does to the
-// list store, identically in-process, on a worker and on a router: after
-// AddRating the store is empty; a build held mid-flight across the
-// ingest reaches the acquirers waiting on it and never becomes resident;
-// and the next acquire rebuilds post-ingest bytes, equal to a cold
-// world's over the extended dataset.
+// list store, identically in-process and on a router (a worker keeps no
+// view to drop): after AddRating the store is empty; a build held
+// mid-flight across the ingest reaches the acquirers waiting on it and
+// never becomes resident; and the next acquire rebuilds post-ingest
+// bytes, equal to a cold world's over the extended dataset.
 func TestRatingLeavesNoViewResident(t *testing.T) {
 	base := liveBaseRatings(t)
 	for _, shards := range []int{1, 4} {
@@ -121,15 +88,13 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 				// holdable builder: the local one in-process, the wire
 				// fetch on a router (the default store size either way).
 				var live *World
-				var workers []*World
 				held := &heldBuilder{entered: make(chan struct{}, 1), release: make(chan struct{}), builds: map[dataset.UserID]int{}}
 				if router {
 					owns := [][]int{{0}}
 					if shards == 4 {
 						owns = [][]int{{0, 2}, {1, 3}}
 					}
-					var set *remote.ShardSet
-					set, workers, _ = startViewWorkers(t, build, shards, owns)
+					set := worldWorkers(t, build, owns).Set
 					live = build()
 					if err := live.AttachRemote(set); err != nil {
 						t.Fatalf("AttachRemote: %v", err)
@@ -148,7 +113,7 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 					t.Fatalf("extra rating is by user %d, want the held user %d", r.User, rater)
 				}
 
-				// Warm: the group's views resident here (and on the workers).
+				// Warm: the group's views resident here.
 				if _, err := live.Recommend(group, Options{K: 5}); err != nil {
 					t.Fatal(err)
 				}
@@ -164,7 +129,7 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 				held.mu.Unlock()
 				results := make(chan *liststore.View, 2)
 				acquire := func() {
-					v, err := live.lists.Acquire(rater)
+					v, err := acquireView(live.lists, rater)
 					if err != nil {
 						t.Error(err)
 					}
@@ -184,11 +149,6 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 				if n := live.lists.Len(); n != 0 {
 					t.Errorf("%d views resident after AddRating, want 0", n)
 				}
-				for i, w := range workers {
-					if n := w.lists.Len(); n != 0 {
-						t.Errorf("worker %d: %d views resident after the fanned-out rating, want 0", i, n)
-					}
-				}
 
 				close(held.release)
 				first, second := <-results, <-results
@@ -203,11 +163,11 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 				cold := liveWorldCfg(t, appendRatingsText(base, []dataset.Rating{r}), shards)
 				builds := held.buildsOf(rater)
 				for _, u := range append([]dataset.UserID{rater}, group...) {
-					got, err := live.lists.Acquire(u)
+					got, err := acquireView(live.lists, u)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := cold.lists.Acquire(u)
+					want, err := acquireView(cold.lists, u)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -218,7 +178,7 @@ func TestRatingLeavesNoViewResident(t *testing.T) {
 				if got := held.buildsOf(rater); got != builds+1 {
 					t.Errorf("rater's view built %d times after the ingest, want 1 rebuild", got-builds)
 				}
-				if after, _ := live.lists.Acquire(rater); reflect.DeepEqual(after.Scores, first.Scores) {
+				if after, _ := acquireView(live.lists, rater); reflect.DeepEqual(after.Scores, first.Scores) {
 					t.Errorf("held view equals the post-ingest one: the hold did not straddle the ingest")
 				}
 				got, err := live.Recommend(group, Options{K: 5})

@@ -7,7 +7,9 @@
 // whole candidate slice. Rows recycle through a sync.Pool. The assembler
 // sits between the preference layer (the cf.Predictor, beside the
 // liststore.Store materialized from it) and the core problem builders;
-// see DESIGN.md.
+// see DESIGN.md. A view's scores come from one function, Scores: the
+// in-process builder sorts them into a view, a shard worker serves them
+// as they are and keeps none.
 package engine
 
 import (
@@ -46,42 +48,32 @@ func New(pred *cf.Predictor, lists *liststore.Store) *Assembler {
 	return a
 }
 
-// LocalBuilder is the in-process liststore.Builder: per user, one batch
-// prediction over the pool, normalized onto [0,1], plus one canonical
-// sort (linear; the prediction dominates) — the pay-once cost the store
-// amortizes. pos is the pool mapped once onto the predictor's item
-// positions (cf.Predictor.Positions), so a build maps no item. The users
-// of one call build concurrently.
+// LocalBuilder is the in-process liststore.Builder: per user, the view
+// scores (Scores) plus one canonical sort (linear; the prediction
+// dominates) — the pay-once cost the store amortizes. The users of one
+// call build concurrently.
 func LocalBuilder(pred *cf.Predictor, pos []int32) liststore.Builder {
-	return viewBuilder(pred, pos, liststore.NewView)
-}
-
-// ScoreBuilder is LocalBuilder without the canonical sort: its views
-// carry Scores and no Order. It is a shard worker's builder, since a
-// worker serves score vectors only and the router derives each order
-// from the scores it receives. An order-less view never assembles a
-// problem: core.NewProblemFromViews finds none of its m entries.
-func ScoreBuilder(pred *cf.Predictor, pos []int32) liststore.Builder {
-	return viewBuilder(pred, pos, func(scores []float64) *liststore.View {
-		return &liststore.View{Scores: scores}
-	})
-}
-
-// viewBuilder predicts each user's normalized pool scores and hands
-// them to view.
-func viewBuilder(pred *cf.Predictor, pos []int32, view func([]float64) *liststore.View) liststore.Builder {
 	return func(users []dataset.UserID) ([]*liststore.View, error) {
 		out := make([]*liststore.View, len(users))
 		forEach(len(users), func(i int) {
-			scores := make([]float64, len(pos))
-			pred.PredictPositionsInto(users[i], pos, scores)
-			for p := range scores {
-				scores[p] /= prefScale
-			}
-			out[i] = view(scores)
+			out[i] = liststore.NewView(Scores(pred, pos, users[i]))
 		})
 		return out, nil
 	}
+}
+
+// Scores returns u's view scores: one batch prediction over the pool,
+// normalized onto [0,1], in pool order. pos is the pool mapped once onto
+// the predictor's item positions (cf.Predictor.Positions), so a call
+// maps no item. It is what LocalBuilder sorts and what a shard worker
+// serves.
+func Scores(pred *cf.Predictor, pos []int32, u dataset.UserID) []float64 {
+	scores := make([]float64, len(pos))
+	pred.PredictPositionsInto(u, pos, scores)
+	for p := range scores {
+		scores[p] /= prefScale
+	}
+	return scores
 }
 
 // forEach runs fill(i) for i in [0,n) over at most GOMAXPROCS

@@ -99,16 +99,16 @@ func TestSweepUnlinksInFlightFetch(t *testing.T) {
 	s := NewOver(b.build, testPool(3), 8)
 
 	results := make(chan *View, 2)
-	acquire := func() {
-		v, err := s.Acquire(6)
+	acquireSix := func() {
+		v, err := acquire(s, 6)
 		if err != nil {
 			t.Error(err)
 		}
 		results <- v
 	}
-	go acquire()
+	go acquireSix()
 	<-b.entered // the fetch is in flight, its entry linked mid-build
-	go acquire()
+	go acquireSix()
 	// The second acquirer joins the same entry (a hit, not a build);
 	// wait until it has.
 	for s.Stats().ViewHits == 0 {
@@ -126,7 +126,7 @@ func TestSweepUnlinksInFlightFetch(t *testing.T) {
 	if s.Len() != 0 {
 		t.Errorf("the swept fetch became resident (%d views)", s.Len())
 	}
-	again, err := s.Acquire(6)
+	again, err := acquire(s, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestBuilderErrorReachesEveryWaiter(t *testing.T) {
 func TestBuilderShortViewIsAnError(t *testing.T) {
 	b := &scriptedBuilder{poolLen: 2}
 	s := NewOver(b.build, testPool(3), 8)
-	if _, err := s.Acquire(1); err == nil {
+	if _, err := acquire(s, 1); err == nil {
 		t.Error("a 2-score view over a 3-item pool was served")
 	}
 	if s.Len() != 0 {

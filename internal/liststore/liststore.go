@@ -15,18 +15,16 @@
 // See DESIGN.md's "Sorted-list store" section.
 //
 // How a missing view is materialized is the store's one seam, the
-// Builder: in-process it predicts and sorts (engine.LocalBuilder), on
-// a shard worker it predicts only (engine.ScoreBuilder), on a
+// Builder: in-process it predicts and sorts (engine.LocalBuilder), on a
 // distributed router it fetches the owning worker's scores over the
-// wire and sorts them (SetBuilder swaps one for another and keeps what
-// is resident).
-// Eviction, invalidation and coherence with ingest are the store's own
-// and identical under both.
+// wire and sorts them (SetBuilder swaps one for the other and keeps
+// what is resident). Eviction, invalidation and coherence with ingest
+// are the store's own and identical under both. A deployment has one
+// store, its router's: a shard worker computes the scores it serves and
+// keeps none.
 //
 // A view is its pool-order scores plus the pool positions in canonical
 // order, as int32: 12 bytes per pool position, each score stored once.
-// A shard worker's views carry no order, 8 bytes per pool position:
-// the worker serves scores only, and the router derives the order.
 //
 // A Store is one mutex, one CLOCK ring, one capacity budget and one set
 // of counters, whatever the world's shard count: the lock is held only
@@ -68,7 +66,7 @@ type Builder func(users []dataset.UserID) ([]*View, error)
 // Stats is the store's observability surface for /stats: view traffic
 // (hits vs builds, rebuilds after invalidation) and lifecycle counters.
 type Stats struct {
-	// ViewHits counts Acquire calls answered by a materialized view;
+	// ViewHits counts acquired views answered by a materialized one;
 	// ViewBuilds counts materializations (first use or after eviction);
 	// Rebuilds is the subset of builds that followed an InvalidateAll.
 	ViewHits   uint64 `json:"view_hits"`
@@ -153,15 +151,6 @@ func (s *Store) Pool() []dataset.ItemID { return s.pool }
 
 // Capacity returns the bound on materialized views.
 func (s *Store) Capacity() int { return s.maxUsers }
-
-// Acquire returns u's view; see AcquireMulti.
-func (s *Store) Acquire(u dataset.UserID) (*View, error) {
-	vs, err := s.AcquireMulti([]dataset.UserID{u})
-	if err != nil {
-		return nil, err
-	}
-	return vs[0], nil
-}
 
 // AcquireMulti returns every listed user's view, in order,
 // materializing the missing ones through one Builder call. The returned

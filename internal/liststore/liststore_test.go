@@ -61,9 +61,18 @@ func newLocal(src batchSource, pool []dataset.ItemID, capacity int) *Store {
 	return NewOver(sourceBuilder(src, pool), pool, capacity)
 }
 
-// mustAcquire is Acquire over a builder that cannot fail.
+// acquire returns u's view through a one-user AcquireMulti.
+func acquire(s *Store, u dataset.UserID) (*View, error) {
+	vs, err := s.AcquireMulti([]dataset.UserID{u})
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
+}
+
+// mustAcquire is acquire over a builder that cannot fail.
 func mustAcquire(s *Store, u dataset.UserID) *View {
-	v, err := s.Acquire(u)
+	v, err := acquire(s, u)
 	if err != nil {
 		panic(err)
 	}
@@ -266,7 +275,7 @@ func TestAcquireHitsAndCounters(t *testing.T) {
 	first := mustAcquire(s, 1)
 	second := mustAcquire(s, 1)
 	if first != second {
-		t.Error("second Acquire returned a different view")
+		t.Error("second acquire returned a different view")
 	}
 	if got := src.batchCalls.Load(); got != 1 {
 		t.Errorf("source batch calls = %d, want 1 (one build)", got)
@@ -397,7 +406,7 @@ func TestAcquireConcurrent(t *testing.T) {
 }
 
 // TestInvalidateAll pins the ingest hook: every view drops, the next
-// Acquire rebuilds (counted as a rebuild), and counters account for
+// acquire rebuilds (counted as a rebuild), and counters account for
 // the drops as invalidations.
 func TestInvalidateAll(t *testing.T) {
 	src := &stubSource{}

@@ -765,9 +765,12 @@ func (s *ShardSet) TransportStats() TransportStats {
 // Stats sums the cache totals of every reachable worker. An
 // unreachable worker contributes nothing — its shards are degraded, not
 // failing the whole answer — and the first error is returned alongside
-// for logging.
+// for logging. A nil set has no worker to ask and sums to zero.
 func (s *ShardSet) Stats() (Stats, error) {
 	var sum Stats
+	if s == nil {
+		return sum, nil
+	}
 	var firstErr error
 	for _, cl := range s.clients {
 		st, err := cl.Stats()
@@ -777,7 +780,7 @@ func (s *ShardSet) Stats() (Stats, error) {
 			}
 			continue
 		}
-		sum.add(st)
+		sum.Neighborhoods.Add(st.Neighborhoods)
 	}
 	return sum, firstErr
 }

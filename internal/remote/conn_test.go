@@ -163,13 +163,13 @@ func TestConnDisconnectBeforeReply(t *testing.T) {
 // payload.
 func TestConnSecondReplyIsNotReturned(t *testing.T) {
 	var first Stats
-	first.ListStore.ViewHits = 1
+	first.Neighborhoods.Hits = 1
 	answer, err := encodeStats(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stray Stats
-	stray.ListStore.ViewHits = 999
+	stray.Neighborhoods.Hits = 999
 	strayPayload, err := encodeStats(stray)
 	if err != nil {
 		t.Fatal(err)

@@ -2,13 +2,15 @@
 // a length-prefixed binary RPC layer that puts shard workers in their
 // own processes behind the shard.Map routing users to workers. A
 // greca-shard worker holds the user plane of a replica world (its
-// rating store, predictor and view scores) and answers
-// three ops for the router: the views of its owned shards' users, every
-// rating apply, and its cache counters. The router scatters
-// mixed-shard groups, gathers views, predicts any dense rows from its
-// own replica, and runs the GRECA core locally. Routing only decides which process computes a value, never
-// the value, so a router fronting N worker processes serves
-// byte-identical responses to the in-process world.
+// rating store and predictor) and answers three ops for the router: the
+// view scores of its owned shards' users, computed per call and kept
+// nowhere, every rating apply, and its neighborhood-cache counters. The
+// router scatters mixed-shard groups, gathers views into its own list
+// store, the deployment's one view cache, predicts any dense rows from
+// its own replica, and runs the GRECA core locally. Routing only decides
+// which process computes a value, never the value, so a router fronting
+// N worker processes serves byte-identical responses to the in-process
+// world.
 //
 // The package owns the apply protocol whole: ShardSet.Apply stamps each
 // rating with the next apply sequence, fans it out to every worker in

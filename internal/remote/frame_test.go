@@ -196,7 +196,7 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Errorf("applyReq: %+v, %v", ar, err)
 	}
 	var want Stats
-	want.ListStore.ViewHits, want.Neighborhoods.Retained = 3, 4
+	want.Neighborhoods.Hits, want.Neighborhoods.Retained = 3, 4
 	st, err := decodeStats(mustEncodeStats(t, want))
 	if err != nil || st != want {
 		t.Errorf("stats: %+v, %v", st, err)

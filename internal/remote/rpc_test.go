@@ -74,13 +74,12 @@ func (b *fakeBackend) Apply(r dataset.Rating) error {
 	return nil
 }
 
-// Stats reports 100 + shard view hits and one cached neighborhood per
-// owned shard, over a 7-item pool.
+// Stats reports 100 + shard neighborhood hits and one cached
+// neighborhood per owned shard.
 func (b *fakeBackend) Stats() Stats {
 	var st Stats
-	st.ListStore.PoolSize = 7
 	for _, sh := range b.owned {
-		st.ListStore.ViewHits += uint64(100 + sh)
+		st.Neighborhoods.Hits += uint64(100 + sh)
 		st.Neighborhoods.Size++
 	}
 	return st
@@ -734,15 +733,19 @@ func TestShardSetApplyFansOutToAllWorkers(t *testing.T) {
 }
 
 // TestShardSetStatsSumsWorkers: the set's stats are the sum of both
-// workers' totals, the pool carried rather than summed.
+// workers' totals, and a nil set's are zero.
 func TestShardSetStatsSumsWorkers(t *testing.T) {
 	set, _, _ := twoWorkerSet(t)
 	st, err := set.Stats()
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if st.ListStore.ViewHits != 100+101 || st.Neighborhoods.Size != 2 || st.ListStore.PoolSize != 7 {
-		t.Errorf("stats = %+v, want 201 view hits, 2 neighborhoods, pool 7", st)
+	if st.Neighborhoods.Hits != 100+101 || st.Neighborhoods.Size != 2 {
+		t.Errorf("stats = %+v, want 201 neighborhood hits, 2 neighborhoods", st)
+	}
+	var none *ShardSet
+	if st, err := none.Stats(); err != nil || st != (Stats{}) {
+		t.Errorf("nil set stats = %+v, %v; want zero", st, err)
 	}
 }
 
@@ -796,7 +799,7 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 	if err == nil {
 		t.Error("Stats reported no error with a dead worker")
 	}
-	if st.ListStore.ViewHits != 101 || st.Neighborhoods.Size != 1 {
+	if st.Neighborhoods.Hits != 101 || st.Neighborhoods.Size != 1 {
 		t.Errorf("stats = %+v, want the live worker's alone", st)
 	}
 

@@ -31,10 +31,10 @@ type Backend interface {
 	// the scores).
 	ViewScores(u dataset.UserID) ([]float64, error)
 	// Apply ingests one rating into the worker's replica — the same
-	// apply, repair and view drop a router's AddRating runs. Rejections
+	// apply and neighborhood repair a router's AddRating runs. Rejections
 	// unwrap to the dataset sentinels.
 	Apply(r dataset.Rating) error
-	// Stats reports the worker's cache totals.
+	// Stats reports the worker's neighborhood-cache totals.
 	Stats() Stats
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cf"
 	"repro/internal/dataset"
-	"repro/internal/liststore"
 )
 
 // Payload encoding: flat little-endian fields appended onto a byte
@@ -252,31 +251,14 @@ func decodeApplyReq(p []byte) (applyReq, error) {
 	return q, r.err
 }
 
-// Stats is a data plane's cache counters: its list store's and its
-// predictor's neighborhood cache's (repro.CacheStats is this type). A
-// worker answers the stats op with its own, which count exactly its
-// owned shards' users; ShardSet.Stats sums them with add. JSON-encoded
-// inside its frame: stats are cold-path and shape-heavy.
+// Stats is a worker's cache counters: its predictor's neighborhood
+// cache, the one cache a worker keeps (it computes every view score it
+// serves and keeps none). A worker answers the stats op with its own,
+// which count exactly its owned shards' users; ShardSet.Stats sums them.
+// JSON-encoded inside its frame: stats are cold-path and shape-heavy.
 type Stats struct {
-	// ListStore counts the sorted-list store's view and lifecycle
-	// traffic.
-	ListStore liststore.Stats `json:"list_store"`
 	// Neighborhoods counts the predictor's lazy user-neighborhood cache.
 	Neighborhoods cf.CacheStats `json:"neighborhoods"`
-}
-
-// add sums o's counters into t. PoolSize is not a counter: every
-// replica covers the same pool, so it is carried, not summed.
-func (t *Stats) add(o Stats) {
-	ls, ol := &t.ListStore, o.ListStore
-	ls.ViewHits += ol.ViewHits
-	ls.ViewBuilds += ol.ViewBuilds
-	ls.Rebuilds += ol.Rebuilds
-	ls.Invalidations += ol.Invalidations
-	ls.Evictions += ol.Evictions
-	ls.Size += ol.Size
-	ls.PoolSize = ol.PoolSize
-	t.Neighborhoods.Add(o.Neighborhoods)
 }
 
 func encodeStats(st Stats) ([]byte, error) { return json.Marshal(st) }
@@ -290,9 +272,13 @@ func decodeStats(p []byte) (Stats, error) {
 }
 
 // Application-level error codes relayed in kindError frames. The
-// client maps the dataset trio back onto the dataset sentinels so the
-// HTTP ingest surface rejects a bad remote rating with exactly the
-// code an in-process world would have produced.
+// client maps the dataset trio back onto the dataset sentinels, so a
+// worker's refusal of a rating reads as the typed error its store
+// returned: ShardSet.Apply fences the worker with it and, when the
+// worker owns the rating's user, returns it as the owner's error, where
+// errors.Is tells a refused apply from a lost one. The router folds
+// every rating before it fans it out, so a refusal is a diverged
+// replica, never an answer to an HTTP client.
 const (
 	codeUnknownUser = "unknown_user"
 	codeUnknownItem = "unknown_item"

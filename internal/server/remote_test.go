@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cf"
 	"repro/internal/dataset"
 	"repro/internal/liststore"
 	"repro/internal/remote"
@@ -332,7 +333,7 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 				t.Fatalf("parsing remote stats: %v", err)
 			}
 			if parsed.Caches.ListStore.ViewBuilds == 0 {
-				t.Errorf("router caches count no worker view builds: %+v", parsed.Caches.ListStore)
+				t.Errorf("the router's list store counts no view fetch: %+v", parsed.Caches.ListStore)
 			}
 			if !parsed.Remote.Attached {
 				t.Error("remote.attached = false on the distributed stack")
@@ -803,13 +804,13 @@ func TestRemoteStreamFramesMatchLocal(t *testing.T) {
 }
 
 // TestRouterCacheStatsSumWorkers pins a router's /v1/stats caches: the
-// views are built on the workers, and this traffic is all view-served,
-// so the router fills no neighborhood of its own (the dense case, where
-// it does, is TestPartlyCoveredSliceAssemblesDensely). After traffic
-// and one rating the router serves, field by field, the sum of its
-// workers' totals — the pool size carried, not summed. After one
-// worker dies the router serves the survivor's totals alone, and still
-// answers 200.
+// list store is the router's own, the deployment's one view cache, so
+// it counts what remote.view_cache counts; the neighborhoods are the
+// workers' sum, since this traffic is all view-served and the router
+// fills none of its own (the dense case, where it does, is
+// TestPartlyCoveredSliceAssemblesDensely). After one worker dies the
+// neighborhoods are the survivor's alone, the router's store is as it
+// was, and /v1/stats still answers 200.
 func TestRouterCacheStatsSumWorkers(t *testing.T) {
 	const shards = 4
 	var backends []remote.Backend
@@ -835,45 +836,44 @@ func TestRouterCacheStatsSumWorkers(t *testing.T) {
 		t.Fatalf("post-rating recommend status = %d, body %s", status, data)
 	}
 
-	// caches reads /v1/stats and checks it against the sum of bs.
+	// caches reads /v1/stats and checks it against the router's own
+	// store and the sum of bs's neighborhoods.
 	caches := func(bs ...remote.Backend) repro.CacheStats {
 		t.Helper()
 		var doc struct {
 			Caches repro.CacheStats `json:"caches"`
+			Remote struct {
+				ViewCache repro.ViewCacheStats `json:"view_cache"`
+			} `json:"remote"`
 		}
 		if st := getJSON(t, ts.URL+"/v1/stats", &doc); st != http.StatusOK {
 			t.Fatalf("stats status = %d", st)
 		}
-		var want repro.CacheStats
-		ls, nb := &want.ListStore, &want.Neighborhoods
-		for _, b := range bs {
-			st := b.Stats()
-			ls.ViewHits += st.ListStore.ViewHits
-			ls.ViewBuilds += st.ListStore.ViewBuilds
-			ls.Rebuilds += st.ListStore.Rebuilds
-			ls.Invalidations += st.ListStore.Invalidations
-			ls.Evictions += st.ListStore.Evictions
-			ls.Size += st.ListStore.Size
-			ls.PoolSize = st.ListStore.PoolSize
-			nb.Hits += st.Neighborhoods.Hits
-			nb.Misses += st.Neighborhoods.Misses
-			nb.Size += st.Neighborhoods.Size
-			nb.Invalidated += st.Neighborhoods.Invalidated
-			nb.Retained += st.Neighborhoods.Retained
+		ls, vc := doc.Caches.ListStore, doc.Remote.ViewCache
+		if ls.ViewHits != vc.Hits || ls.ViewBuilds != vc.Misses || ls.Invalidations != vc.Invalidations ||
+			ls.Evictions != vc.Evictions || ls.Size != vc.Size {
+			t.Errorf("caches.list_store %+v is not the router's store, whose view_cache reads %+v", ls, vc)
 		}
-		if doc.Caches != want {
-			t.Errorf("router caches\n got %+v\nwant %+v (the workers' sum)", doc.Caches, want)
+		var nb cf.CacheStats
+		for _, b := range bs {
+			nb.Add(b.Stats().Neighborhoods)
+		}
+		if doc.Caches.Neighborhoods != nb {
+			t.Errorf("router neighborhoods\n got %+v\nwant %+v (the workers' sum)", doc.Caches.Neighborhoods, nb)
 		}
 		return doc.Caches
 	}
 	both := caches(backends...)
 	if both.ListStore.ViewBuilds == 0 || both.ListStore.Invalidations == 0 || both.Neighborhoods.Misses == 0 {
-		t.Errorf("traffic and a rating left the workers' counters idle: %+v", both)
+		t.Errorf("traffic and a rating left the caches idle: %+v", both)
 	}
 
 	stack.workers[0].Close()
 	survivor := caches(backends[1])
-	if survivor.ListStore.ViewBuilds >= both.ListStore.ViewBuilds {
-		t.Errorf("a dead worker's builds still counted: %d of %d", survivor.ListStore.ViewBuilds, both.ListStore.ViewBuilds)
+	if survivor.Neighborhoods.Misses >= both.Neighborhoods.Misses {
+		t.Errorf("a dead worker's neighborhood fills still counted: %d of %d", survivor.Neighborhoods.Misses, both.Neighborhoods.Misses)
+	}
+	if survivor.ListStore != both.ListStore {
+		t.Errorf("a worker's death moved the router's store: %+v -> %+v", both.ListStore, survivor.ListStore)
 	}
 }

@@ -91,7 +91,7 @@ func TestRecommendListStoreDifferential(t *testing.T) {
 func TestWorldViewsMatchTheReferenceSort(t *testing.T) {
 	w := tinyWorld(t)
 	for _, u := range w.Participants()[:12] {
-		v, err := w.lists.Acquire(u)
+		v, err := acquireView(w.lists, u)
 		if err != nil {
 			t.Fatalf("acquire %d: %v", u, err)
 		}
@@ -183,7 +183,8 @@ func TestPartlyCoveredSliceAssemblesDensely(t *testing.T) {
 	for shards, owns := range map[int][][]int{1: {{0}}, 4: {{0, 2}, {1, 3}}} {
 		check(fmt.Sprintf("in process, %d shards", shards), liveWorldCfg(t, base, shards))
 		router := liveWorldCfg(t, base, shards)
-		set, _, servers := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, shards) }, shards, owns)
+		fleet := worldWorkers(t, func() *World { return liveWorldCfg(t, base, shards) }, owns)
+		set := fleet.Set
 		if err := router.AttachRemote(set); err != nil {
 			t.Fatalf("AttachRemote: %v", err)
 		}
@@ -207,7 +208,7 @@ func TestPartlyCoveredSliceAssemblesDensely(t *testing.T) {
 			t.Errorf("%s: CacheStats neighborhoods %+v, want the workers' %+v plus the router's %+v", name, got, workers.Neighborhoods, own)
 		}
 
-		for _, srv := range servers {
+		for _, srv := range fleet.Servers {
 			srv.Close()
 		}
 		check(name+", every worker closed", router)

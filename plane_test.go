@@ -1,10 +1,9 @@
 package repro
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
-	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/affinity"
 	"repro/internal/dataset"
 	"repro/internal/liststore"
-	"repro/internal/remote"
 	"repro/internal/social"
 )
 
@@ -53,8 +51,39 @@ func TestShardBackendRetainsUserPlaneOnly(t *testing.T) {
 	if freed < 3<<20 {
 		t.Errorf("dropping the world freed %d bytes, want at least 3 MB: the backend holds more than the user plane", freed)
 	}
-	if sc, err := b.ViewScores(u); err != nil || len(sc) != len(b.p.lists.Pool()) {
+	if sc, err := b.ViewScores(u); err != nil || len(sc) != len(b.p.pool) {
 		t.Errorf("backend without its world: ViewScores(%d) = %d scores, %v", u, len(sc), err)
+	}
+	runtime.KeepAlive(b)
+}
+
+// TestShardBackendRetainsNoView: a worker computes the scores it serves
+// and keeps none, so a backend that has served every participant of the
+// bench world — 600 vectors of 1 500 scores, 7 MB had it kept them —
+// holds less than a quarter of that more heap than before, the
+// neighborhoods it filled on the way included.
+func TestShardBackendRetainsNoView(t *testing.T) {
+	cfg := benchWorldConfig()
+	b, err := NewShardBackendFromConfig(cfg, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := b.Ratings().Users()[:cfg.Social.Users]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, u := range users {
+		if _, err := b.ViewScores(u); err != nil {
+			t.Fatalf("ViewScores(%d): %v", u, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	views := int64(len(users)) * int64(len(b.p.poolPos)) * 8
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("served %d vectors (%.2f MB of scores); heap grew %.2f MB", len(users), float64(views)/(1<<20), float64(grew)/(1<<20))
+	if grew > views/4 {
+		t.Errorf("serving every participant grew the heap %d bytes, want under %d: the backend keeps the scores it serves", grew, views/4)
 	}
 	runtime.KeepAlive(b)
 }
@@ -63,27 +92,11 @@ func TestShardBackendRetainsUserPlaneOnly(t *testing.T) {
 // attached to it fetches views with.
 func serveBackend(t *testing.T, b *ShardBackend) liststore.Builder {
 	t.Helper()
-	srv := remote.NewServer(b)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	fleet := StartLoopbackFleet(t, [][]int{b.Owned()}, func([]int) (*ShardBackend, error) { return b, nil })
+	if err := fleet.Set.Handshake(b.Fingerprint(), b.Shards()); err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(lis)
-	t.Cleanup(srv.Close)
-	topJSON, _ := json.Marshal(remote.Topology{Shards: b.Shards(), Workers: []remote.Worker{{Addr: lis.Addr().String(), Owns: b.Owned()}}})
-	top, err := remote.ParseTopology(topJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := remote.NewShardSet(top, remote.ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(set.Close)
-	if err := set.Handshake(b.Fingerprint(), b.Shards()); err != nil {
-		t.Fatal(err)
-	}
-	return fetchViews(set, len(b.p.lists.Pool()))
+	return fetchViews(fleet.Set, len(b.p.pool))
 }
 
 // TestShardBackendConformsToInProcess runs one apply stream — repeated
@@ -91,9 +104,9 @@ func serveBackend(t *testing.T, b *ShardBackend) liststore.Builder {
 // through a shard backend built from the same configuration. Before and
 // after the stream, for every participant, the backend's scores equal
 // the in-process view's bit for bit, the order a router derives from
-// them over the wire equals the in-process order, and the backend's
-// store derives no order at all. Every rating is accepted or refused
-// alike, with the same typed error.
+// them over the wire equals the in-process order, and a second call
+// answers a fresh vector, since the backend keeps none. Every rating is
+// accepted or refused alike, with the same typed error.
 func TestShardBackendConformsToInProcess(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Shards = 2
@@ -111,10 +124,15 @@ func TestShardBackendConformsToInProcess(t *testing.T) {
 	}
 	users := inproc.Participants()
 
-	// The wrapped world no longer assembles from views: an order-less
-	// view is refused, not ranked.
-	if _, err := worker.Recommend(users[:3], Options{K: 3, NumItems: 100}); err == nil {
-		t.Error("a world wrapped as a backend served a view-built problem from order-less views")
+	// Wrapping leaves the world's own list store as it was: it still
+	// serves the in-process bytes.
+	opt := Options{K: 3, NumItems: 100}
+	got, err := worker.Recommend(users[:3], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := inproc.Recommend(users[:3], opt); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("a world wrapped as a backend serves %+v, want the in-process %+v (%v)", got, want, err)
 	}
 	worker = nil
 	fetch := serveBackend(t, b)
@@ -126,7 +144,7 @@ func TestShardBackendConformsToInProcess(t *testing.T) {
 			t.Fatalf("%s: fetching views: %v", stage, err)
 		}
 		for i, u := range users {
-			want, err := inproc.lists.Acquire(u)
+			want, err := acquireView(inproc.lists, u)
 			if err != nil {
 				t.Fatalf("%s: in-process view of %d: %v", stage, u, err)
 			}
@@ -140,8 +158,8 @@ func TestShardBackendConformsToInProcess(t *testing.T) {
 			if !slices.Equal(fetched[i].Order, want.Order) || len(want.Order) != len(want.Scores) {
 				t.Fatalf("%s: user %d: the router's derived order differs from the in-process order", stage, u)
 			}
-			if v, err := b.p.lists.Acquire(u); err != nil || v.Order != nil {
-				t.Fatalf("%s: user %d: the backend's store derived an order (%d entries, %v)", stage, u, len(v.Order), err)
+			if again, err := b.ViewScores(u); err != nil || &again[0] == &got[0] {
+				t.Fatalf("%s: user %d: the backend served one vector twice (%v): it keeps the scores it serves", stage, u, err)
 			}
 		}
 	}

@@ -10,9 +10,7 @@
 package repro_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"testing"
 
 	"repro"
@@ -32,43 +30,17 @@ func remoteBenchStack(b *testing.B, shards, nWorkers, listStore int) *repro.Worl
 	for sh := 0; sh < shards; sh++ {
 		owns[sh%nWorkers] = append(owns[sh%nWorkers], sh)
 	}
-	var workers []remote.Worker
-	for _, owned := range owns {
-		w, err := repro.NewWorld(cfg)
-		if err != nil {
-			b.Fatalf("worker world: %v", err)
-		}
-		backend, err := repro.NewShardBackend(w, owned)
-		if err != nil {
-			b.Fatalf("shard backend: %v", err)
-		}
-		srv := remote.NewServer(backend)
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatalf("listen: %v", err)
-		}
-		go srv.Serve(lis)
-		b.Cleanup(srv.Close)
-		workers = append(workers, remote.Worker{Addr: lis.Addr().String(), Owns: owned})
-	}
-	topJSON, _ := json.Marshal(remote.Topology{Shards: shards, Workers: workers})
-	top, err := remote.ParseTopology(topJSON)
-	if err != nil {
-		b.Fatalf("topology: %v", err)
-	}
-	set, err := remote.NewShardSet(top, remote.ClientConfig{})
-	if err != nil {
-		b.Fatalf("shard set: %v", err)
-	}
-	b.Cleanup(set.Close)
-	// The store's capacity is excluded from the config fingerprint, so
-	// only the router world carries it.
+	fleet := repro.StartLoopbackFleet(b, owns, func(owned []int) (*repro.ShardBackend, error) {
+		return repro.NewShardBackendFromConfig(cfg, owned)
+	})
+	// Only the router keeps a list store; its capacity is excluded from
+	// the config fingerprint.
 	cfg.ListStoreSize = listStore
 	router, err := repro.NewWorld(cfg)
 	if err != nil {
 		b.Fatalf("router world: %v", err)
 	}
-	if err := router.AttachRemote(set); err != nil {
+	if err := router.AttachRemote(fleet.Set); err != nil {
 		b.Fatalf("AttachRemote: %v", err)
 	}
 	return router

@@ -39,8 +39,7 @@ func TestRestartedRouterServesReferenceBytes(t *testing.T) {
 		t.Fatalf("router boot reported %+v, want warm", st)
 	}
 	owns := [][]int{{0, 2}, {1, 3}}
-	set, _, _ := startViewWorkers(t, func() *World { return liveWorldCfg(t, base, 4) }, 4, owns)
-	if err := router.AttachRemote(set); err != nil {
+	if err := router.AttachRemote(worldWorkers(t, func() *World { return liveWorldCfg(t, base, 4) }, owns).Set); err != nil {
 		t.Fatalf("AttachRemote: %v", err)
 	}
 	if n := router.lists.Len(); n != 0 {

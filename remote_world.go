@@ -13,8 +13,8 @@ import (
 
 // This file is the world's side of the distributed deployment: the
 // router attaches a remote.ShardSet so its list store's view misses
-// scatter to worker processes, and a worker wraps its world's user plane
-// in a ShardBackend so remote.Server can serve them. Both processes build
+// scatter to worker processes, and a worker wraps a user plane in a
+// ShardBackend so remote.Server can serve them. Both processes build
 // the same deterministic world from the same configuration — the
 // config fingerprint handshake enforces it — so moving shards out of
 // process never changes a served byte; see DESIGN.md "Distributed
@@ -29,7 +29,9 @@ func (w *World) ConfigFingerprint() uint64 { return w.fingerprint }
 // AttachRemote switches the world's per-user data plane to the worker
 // fleet behind set: the list store's views are fetched from each user's
 // owning worker instead of built in place, rating ingest fans out to
-// every replica, and /v1/stats reports the workers' cache counters.
+// every replica, and CacheStats adds the workers' neighborhood counters
+// to the world's own. The world's list store stays the deployment's only
+// view cache: a worker computes the scores it serves and keeps none.
 // Dense rows — a candidate slice the views cannot serve — stay local:
 // the router is a full replica that folds every rating before fanning
 // it out, so its own predictor computes exactly the rows a worker
@@ -79,10 +81,10 @@ func fetchViews(set *remote.ShardSet, poolSize int) liststore.Builder {
 }
 
 // ShardBackend is the worker process's side of the data plane: the
-// user plane of a replica world — rating store, predictor and list
-// store, nothing of its global plane — serving the users of the shards
-// this worker owns, behind the remote.Backend interface cmd/greca-shard
-// plugs into remote.NewServer.
+// user plane of a replica world — rating store and predictor, nothing of
+// its global plane, no view cache — serving the users of the shards this
+// worker owns, behind the remote.Backend interface cmd/greca-shard plugs
+// into remote.NewServer.
 type ShardBackend struct {
 	p     *userPlane
 	owned []int
@@ -96,13 +98,10 @@ type ShardBackend struct {
 // the affinity model are garbage. A worker that has no world yet boots
 // its user plane alone with NewShardBackendFromConfig.
 //
-// The plane's list store switches to building scores only
-// (engine.ScoreBuilder): a worker serves score vectors, and the router
-// derives each view's order from the scores it receives, so a worker
-// view costs 8 bytes per pool position and a fetch sorts nothing. Views
-// already resident are kept. w must not serve in-process requests
-// afterwards: an order-less view assembles no problem
-// (core.NewProblemFromViews refuses it).
+// The backend computes every score vector it serves and keeps none: the
+// router's list store is the deployment's one view cache. w's own list
+// store is not the backend's, so w must not serve in-process requests
+// once the backend applies ratings: they do not drop w's views.
 func NewShardBackend(w *World, owned []int) (*ShardBackend, error) {
 	if err := checkOwned(w.sm, owned); err != nil {
 		return nil, err
@@ -164,10 +163,9 @@ func checkOwned(sm *shard.Map, owned []int) error {
 	return nil
 }
 
-// newShardBackend points p's list store at the score-only builder and
-// wraps p for the owned shards, which checkOwned has accepted.
+// newShardBackend wraps p for the owned shards, which checkOwned has
+// accepted.
 func newShardBackend(p *userPlane, owned []int, boot BootTimes) *ShardBackend {
-	p.lists.SetBuilder(engine.ScoreBuilder(p.pred, p.poolPos))
 	return &ShardBackend{p: p, owned: append([]int(nil), owned...), boot: boot}
 }
 
@@ -189,14 +187,10 @@ func (b *ShardBackend) Shards() int { return b.p.sm.N() }
 func (b *ShardBackend) Owned() []int { return append([]int(nil), b.owned...) }
 
 // ViewScores implements remote.Backend: u's pool-order normalized view
-// scores, served from the list store, materializing and caching the
-// scores exactly like local traffic would its views.
+// scores, one batch prediction over the pool (engine.Scores), computed
+// per call and kept nowhere.
 func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
-	v, err := b.p.lists.Acquire(u)
-	if err != nil {
-		return nil, err
-	}
-	return v.Scores, nil
+	return engine.Scores(b.p.pred, b.p.poolPos, u), nil
 }
 
 // Apply implements remote.Backend: ingest one fanned-out rating into
@@ -205,7 +199,7 @@ func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 // which the transport relays by code.
 func (b *ShardBackend) Apply(r dataset.Rating) error { return b.p.ingest(r, nil) }
 
-// Stats implements remote.Backend: the replica's cache totals. The
-// worker answers only for its owned shards' users, so they count
-// exactly those users' traffic.
-func (b *ShardBackend) Stats() remote.Stats { return b.p.cacheStats() }
+// Stats implements remote.Backend: the replica's neighborhood-cache
+// totals. The worker answers only for its owned shards' users, so they
+// count exactly those users' traffic.
+func (b *ShardBackend) Stats() remote.Stats { return remote.Stats{Neighborhoods: b.p.pred.Stats()} }

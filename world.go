@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"repro/internal/affinity"
+	"repro/internal/cf"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/groups"
+	"repro/internal/liststore"
 	"repro/internal/remote"
 	"repro/internal/social"
 )
@@ -60,9 +62,8 @@ type Config struct {
 	// per-user preference views (liststore.DefaultMaxUsers if 0;
 	// negative is an error). Every world has the store. On a
 	// distributed router (AttachRemote) the same store keeps the views
-	// it fetches from the workers. The capacity is not in the config
-	// fingerprint, so a router may size its store differently from its
-	// workers.
+	// it fetches from the workers; a shard worker keeps no store and
+	// ignores the size. The capacity is not in the config fingerprint.
 	ListStoreSize int
 	// Shards is the number of shards users are routed onto by hashing
 	// on UserID (0 means 1; negative is an error). A shard decides which
@@ -93,15 +94,15 @@ func QuickConfig() Config {
 }
 
 // World is the assembled reproduction substrate: a user plane (the
-// rating store, the CF predictor and the per-user views; see userPlane)
-// beside a global plane (the social network, the affinity model, the
-// participants, and the assembler that joins both planes into a
-// request's problem). It is safe for concurrent Recommend calls (each
-// call builds its own problem instance; the underlying CF caches are
-// internally synchronized), and mutates only through two serialized
-// write paths: AddRating ingests live ratings into the store, and
-// AppendNextPeriod extends the affinity index — both safe to run while
-// serving.
+// rating store and the CF predictor; see userPlane) beside a global
+// plane (the social network, the affinity model, the participants, the
+// sorted-list store of per-user views, and the assembler that joins both
+// planes into a request's problem). It is safe for concurrent Recommend
+// calls (each call builds its own problem instance; the underlying CF
+// caches are internally synchronized), and mutates only through two
+// serialized write paths: AddRating ingests live ratings into the
+// store, and AppendNextPeriod extends the affinity index — both safe to
+// run while serving.
 type World struct {
 	*userPlane
 	globalPlane
@@ -112,7 +113,8 @@ type World struct {
 	wal RatingLog
 	// remote, when set by AttachRemote, is the worker fleet serving the
 	// per-user data plane: AddRating hands it every rating to fan out,
-	// and CacheStats reports the workers' counters. Nil in-process.
+	// and CacheStats adds the workers' neighborhood counters. Nil
+	// in-process.
 	remote *remote.ShardSet
 }
 
@@ -126,8 +128,13 @@ type globalPlane struct {
 	network *social.SynthNetwork
 	// socialNet is the observable network (always set).
 	socialNet *social.Network
+	// lists is the sorted-list store over the user plane's pool, the
+	// deployment's one view cache. In-process its views are built from
+	// the predictor (engine.LocalBuilder); AttachRemote points it at a
+	// builder that fetches the scores from the owning workers.
+	lists *liststore.Store
 	// asm is the assembly layer building each request's problem from the
-	// user plane's predictor and list store.
+	// user plane's predictor and the list store.
 	asm      *engine.Assembler
 	model    *affinity.Model
 	timeline affinity.Timeline
@@ -196,6 +203,7 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w.boot.UserPlane = time.Since(start)
+	w.lists = liststore.NewOver(engine.LocalBuilder(w.pred, w.poolPos), w.pool, cfg.ListStoreSize)
 	w.asm = engine.New(w.pred, w.lists)
 
 	// Participants: social users 0..Users-1 mapped onto the rating
@@ -294,7 +302,8 @@ func (w *World) SetRatingLog(l RatingLog) {
 // extended dataset), every derived structure is invalidated
 // coherently, and the attached rating log — if any — journals it for
 // crash recovery. It is the user plane's one write path (userPlane.ingest)
-// with the journal and the fan-out between the apply and the view drop.
+// followed, under the same ingest lock, by the journal, the fan-out and
+// the view drop.
 //
 // It returns only a rejection or the journal's error. A rejection
 // (out-of-range value, unknown user or item) leaves the world untouched
@@ -318,6 +327,12 @@ func (w *World) SetRatingLog(l RatingLog) {
 // measured workload re-reads a view between two ratings, and a view
 // rebuilt over repaired neighborhoods costs one batch prediction.
 // Everything served afterwards is bit-identical to a cold rebuild.
+//
+// The views drop last, once the rating is applied everywhere it is
+// going to be, whatever the journal answered. Builds in flight need no
+// extra fence: a view still mid-build when the sweep passes is unlinked
+// by it (see liststore.AcquireMulti), and one started afterwards reads
+// post-ingest state wherever it is built.
 func (w *World) AddRating(r dataset.Rating) error {
 	return w.ingest(r, func() error {
 		var err error
@@ -327,6 +342,7 @@ func (w *World) AddRating(r dataset.Rating) error {
 		// A worker that missed it is fenced and counted by the set; the
 		// ingest stands (see remote.ShardSet.Apply).
 		_ = w.remote.Apply(r)
+		w.lists.InvalidateAll()
 		if err != nil {
 			return fmt.Errorf("repro: rating applied but not journaled: %w", err)
 		}
@@ -386,33 +402,34 @@ func (w *World) RemoteStats() RemoteStats {
 	return st
 }
 
-// CacheStats reports the engine's cache counters — the sorted-list
-// store and the predictor's lazy neighborhood cache — for the
-// serving layer's /stats endpoint and any other observability
-// consumer. It is the wire type a worker answers the stats op with.
-type CacheStats = remote.Stats
+// CacheStats is the engine's cache counters — the sorted-list store and
+// the predictors' lazy neighborhood caches — for the serving layer's
+// /stats endpoint and any other observability consumer.
+type CacheStats struct {
+	// ListStore counts the world's sorted-list store: its view traffic
+	// and lifecycle.
+	ListStore liststore.Stats `json:"list_store"`
+	// Neighborhoods counts the neighborhood caches: the world's own
+	// and, on a router, every reachable worker's.
+	Neighborhoods cf.CacheStats `json:"neighborhoods"`
+}
 
 // CacheStats snapshots the engine's cache counters. Safe for concurrent
 // use with recommendation traffic; the counters are atomic and only
 // eventually consistent with each other.
 //
-// In-process they are the list store's and the predictor's own.
-// On a router the views are built on the workers, so the list store
-// counters are the sum of every reachable worker's totals — an
-// unreachable worker's traffic is missing, not failing the answer —
-// except the pool size, which the router's own store keeps. Neighborhoods
-// are filled on both sides (a worker for the views it builds, the
-// router for its own dense rows), so they are the workers' sum plus the
-// router's own.
+// The list store is the world's own, the only view cache of a
+// deployment: on a router it counts the views fetched from the workers,
+// which keep none. Neighborhoods are filled on both sides (a worker for
+// the scores it computes, a router for its own dense rows), so they are
+// the world's own plus every reachable worker's — an unreachable
+// worker's traffic is missing, not failing the answer. In-process no
+// worker adds any.
 func (w *World) CacheStats() CacheStats {
-	st := w.cacheStats()
-	if w.remote != nil {
-		workers, _ := w.remote.Stats()
-		workers.ListStore.PoolSize = st.ListStore.PoolSize
-		workers.Neighborhoods.Add(st.Neighborhoods)
-		st = workers
-	}
-	return st
+	fleet, _ := w.remote.Stats()
+	nb := w.pred.Stats()
+	nb.Add(fleet.Neighborhoods)
+	return CacheStats{ListStore: w.lists.Stats(), Neighborhoods: nb}
 }
 
 // AffinityModel returns the temporal affinity model.
